@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
+from ..serde import Encoded
 from . import telemetry
 
 #: Event kinds.
@@ -72,9 +73,15 @@ SLO_ALERT = "slo.alert"
 
 
 class Event:
-    """One structured log entry."""
+    """One structured log entry.
 
-    __slots__ = ("time_ns", "kind", "fields", "trace_id")
+    Immutable once emitted: nothing may change an event (or a value
+    inside ``fields``) after it enters the ring.  The flight recorder
+    relies on it — it encodes each event's snapshot row once and keeps
+    the bytes in ``encoded`` for as long as the ring keeps the event.
+    """
+
+    __slots__ = ("time_ns", "kind", "fields", "trace_id", "encoded")
 
     def __init__(self, time_ns: int, kind: str, fields: Dict[str, Any],
                  trace_id: Optional[int]):
@@ -82,6 +89,9 @@ class Event:
         self.kind = kind
         self.fields = fields
         self.trace_id = trace_id
+        #: The flight recorder's encoded row (``serde.Encoded``), set
+        #: the first time a snapshot includes this event.
+        self.encoded: Optional[Encoded] = None
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"time_ns": self.time_ns, "kind": self.kind,

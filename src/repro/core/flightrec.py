@@ -37,8 +37,10 @@ events, fault injections included, that never reached durability.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
+from .. import serde
 from ..errors import CorruptRecord, ReproError, StoreError
 from . import events as events_mod
 from . import telemetry
@@ -54,6 +56,14 @@ FORMAT_VERSION = 1
 #: Synthetic kind closing a recovered timeline: the commit the
 #: snapshot rode to disk, proven durable by its anchoring superblock.
 COMMIT_DURABLE = "flightrec.commit_durable"
+
+#: The snapshot's row lists, in the order an over-budget snapshot
+#: sheds them.
+_ROW_KEYS = ("events", "spans", "slo", "counters")
+#: The retry / degraded-mode / SLO-violation history counters, in the
+#: order their rows appear.
+_COUNTER_PREFIXES = ("sls.resilience", "sls.slo", "sls.events.degraded",
+                     "sls.events.fault")
 
 
 def _clean(value: Any) -> Any:
@@ -91,63 +101,124 @@ def _span_row(span: Any) -> Dict[str, Any]:
     }
 
 
-def _slo_rows(tracker: Any) -> List[Dict[str, Any]]:
-    """Per-tenant SLO state: commits, sample summaries, the recent
+def _slo_row(tracker: Any, gid: int) -> Dict[str, Any]:
+    """One tenant's SLO state: commits, sample summaries, the recent
     RPO-lag tail, and degraded/burn state."""
-    if tracker is None:
-        return []
-    rows: List[Dict[str, Any]] = []
-    names = getattr(tracker, "tenant_names", {})
-    for gid in sorted(tracker.groups):
-        state = tracker.groups[gid]
-        rows.append({
-            "group": gid,
-            "tenant": names.get(gid),
-            "commits": state.commits,
-            "rpo_lag": _clean(state.rpo_lag.summary()),
-            "rpo_tail": list(state.rpo_lag.values[-MAX_SLO_TAIL:]),
-            "stop": _clean(state.stop.summary()),
-            "quorum_lag": _clean(state.quorum_lag.summary()),
-            "degraded_total_ns": state.degraded_total_ns,
-            "degraded_open": state.degraded_since is not None,
-            "rpo_burn_milli": tracker.burn_rate_milli(gid, "rpo"),
-            "quorum_burn_milli": tracker.burn_rate_milli(gid, "quorum"),
-        })
-    return rows
+    state = tracker.groups[gid]
+    return {
+        "group": gid,
+        "tenant": tracker.tenant_names.get(gid),
+        "commits": state.commits,
+        "rpo_lag": _clean(state.rpo_lag.summary()),
+        "rpo_tail": state.rpo_lag.tail(MAX_SLO_TAIL),
+        "stop": _clean(state.stop.summary()),
+        "quorum_lag": _clean(state.quorum_lag.summary()),
+        "degraded_total_ns": state.degraded_total_ns,
+        "degraded_open": state.degraded_since is not None,
+        "rpo_burn_milli": tracker.burn_rate_milli(gid, "rpo"),
+        "quorum_burn_milli": tracker.burn_rate_milli(gid, "quorum"),
+    }
+
+
+def _slo_row_key(tracker: Any, gid: int) -> tuple:
+    """Everything :func:`_slo_row` reads, cheaply: a row encoded under
+    an equal key is still current.  Series are append-only, so their
+    sample counts stand for their contents."""
+    state = tracker.groups[gid]
+    targets = tracker.targets_for(gid)
+    return (tracker.tenant_names.get(gid), state.commits,
+            state.rpo_lag.added, state.stop.added, state.quorum_lag.added,
+            state.degraded_total_ns, state.degraded_since is not None,
+            targets.rpo_ns, targets.quorum_ns)
 
 
 def _counter_rows(registry: Any) -> List[Dict[str, Any]]:
-    """The retry / degraded-mode / SLO-violation history counters."""
-    rows: List[Dict[str, Any]] = []
-    for prefix in ("sls.resilience", "sls.slo", "sls.events.degraded",
-                   "sls.events.fault"):
-        for counter in registry.counters_matching(prefix):
-            rows.append({"name": counter.name,
-                         "labels": _clean(counter.labels),
-                         "value": counter.value})
-    return rows
+    """The history counters' rows, grouped by prefix (one pass over
+    the registry; registration order within a prefix)."""
+    by_prefix: Dict[str, List[Dict[str, Any]]] = {
+        prefix: [] for prefix in _COUNTER_PREFIXES}
+    for counter in registry.counters_matching(_COUNTER_PREFIXES):
+        for prefix in _COUNTER_PREFIXES:
+            if counter.name.startswith(prefix):
+                by_prefix[prefix].append({"name": counter.name,
+                                          "labels": _clean(counter.labels),
+                                          "value": counter.value})
+                break
+    return [row for rows in by_prefix.values() for row in rows]
 
 
-def build_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
-                   generation: int = 0) -> Dict[str, Any]:
-    """The snapshot body (unpadded) as of the store's clock now."""
+def _snapshot_head(store: Any, pending: Optional[Dict[str, Any]],
+                   generation: int) -> Dict[str, Any]:
+    """The snapshot body without its row lists."""
     registry = telemetry.registry()
-    log = events_mod.log()
     return {
         "version": FORMAT_VERSION,
         "generation": generation,
         "time_ns": store.clock.now(),
         "pending": _clean(pending) if pending else None,
         "telemetry_enabled": bool(registry.enabled),
-        "events": [_event_row(e) for e in list(log)[-MAX_EVENTS:]],
-        "events_retained": len(log),
+        "events_retained": len(events_mod.log()),
         "events_dropped": registry.value("sls.telemetry.events_dropped"),
         "traces_dropped": registry.value("sls.telemetry.traces_dropped"),
-        "spans": [_span_row(s)
-                  for s in list(registry.spans)[-MAX_SPANS:]],
-        "counters": _counter_rows(registry),
-        "slo": _slo_rows(getattr(store, "_slo_tracker", None)),
     }
+
+
+def _recent(store: Any) -> Tuple[List[Any], List[Any], Any, List[int]]:
+    """What the row lists are made from: the newest events and spans,
+    and the SLO tracker with its group ids in row order."""
+    tracker = getattr(store, "_slo_tracker", None)
+    return (telemetry.ring_tail(events_mod.log().events, MAX_EVENTS),
+            telemetry.ring_tail(telemetry.registry().spans, MAX_SPANS),
+            tracker, sorted(tracker.groups) if tracker is not None else [])
+
+
+def build_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
+                   generation: int = 0) -> Dict[str, Any]:
+    """The snapshot body (unpadded, nothing shed) as of the store's
+    clock now, as plain values."""
+    recent_events, recent_spans, tracker, gids = _recent(store)
+    body = _snapshot_head(store, pending, generation)
+    body["events"] = [_event_row(event) for event in recent_events]
+    body["spans"] = [_span_row(span) for span in recent_spans]
+    body["slo"] = [_slo_row(tracker, gid) for gid in gids]
+    body["counters"] = _counter_rows(telemetry.registry())
+    return body
+
+
+def _row_fragments(store: Any) -> Dict[str, List[serde.Encoded]]:
+    """Every row of :func:`build_snapshot`, encoded — each at most
+    once.  Event and span rows are immutable once in their rings, so
+    their bytes are kept on the ``Event``/``SpanRecord`` and go when
+    the ring drops the entry; a tenant's SLO row is re-encoded only
+    when that tenant's state moved since the last flip."""
+    recent_events, recent_spans, tracker, gids = _recent(store)
+    rows: Dict[str, List[serde.Encoded]] = {key: [] for key in _ROW_KEYS}
+    for event in recent_events:
+        if event.encoded is None:
+            event.encoded = serde.fragment(_event_row(event))
+        rows["events"].append(event.encoded)
+    for span in recent_spans:
+        if span.encoded is None:
+            span.encoded = serde.fragment(_span_row(span))
+        rows["spans"].append(span.encoded)
+    for gid in gids:
+        state = tracker.groups[gid]
+        key = _slo_row_key(tracker, gid)
+        if state.encoded_row is None or state.encoded_row[0] != key:
+            state.encoded_row = (key, serde.fragment(_slo_row(tracker, gid)))
+        rows["slo"].append(state.encoded_row[1])
+    rows["counters"] = [serde.fragment(row)
+                        for row in _counter_rows(telemetry.registry())]
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _envelope_bytes() -> int:
+    """Bytes a flight-recorder record spends outside its body: the
+    serde frame plus the record envelope."""
+    from ..objstore import records
+
+    return len(records.encode(records.REC_FLIGHTREC, serde.Encoded(b"")))
 
 
 def encode_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
@@ -155,30 +226,38 @@ def encode_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
     """Encode a snapshot at exactly :data:`FLIGHTREC_BYTES`.
 
     Over-budget content is shed oldest-first (events, then spans, then
-    SLO rows, then counters); the remainder is zero-padded.  The serde
-    layer's fixed 8-byte length prefixes make the padding exact.
+    SLO rows, then counters), halving one list at a time; the
+    remainder is zero-padded.  The serde layer's fixed 8-byte length
+    prefixes make a record's size the sum of its parts, so what to
+    shed and how much to pad is decided on the rows' encoded sizes and
+    the record is encoded exactly once.
     """
     from ..objstore import records
 
-    body = build_snapshot(store, pending=pending, generation=generation)
-    while True:
-        body["pad"] = b""
-        blob = records.encode(records.REC_FLIGHTREC, body)
-        delta = FLIGHTREC_BYTES - len(blob)
-        if delta >= 0:
-            break
-        for key in ("events", "spans", "slo", "counters"):
-            rows = body[key]
-            if rows:
-                body[key] = rows[len(rows) // 2 + 1:]
-                break
-        else:
-            raise StoreError(
-                f"flight recorder snapshot cannot fit {FLIGHTREC_BYTES} "
-                f"bytes even when empty ({len(blob)} bytes)")
-    body["pad"] = b"\x00" * delta
+    rows = _row_fragments(store)
+    body = _snapshot_head(store, pending, generation)
+    body["pad"] = b""
+    body.update({key: serde.frame_list([]) for key in _ROW_KEYS})
+    empty = _envelope_bytes() + len(serde.fragment(body))
+    room = FLIGHTREC_BYTES - empty
+    used = sum(sum(map(len, rows[key])) for key in _ROW_KEYS)
+    for key in _ROW_KEYS:
+        kept = rows[key]
+        while used > room and kept:
+            cut = len(kept) // 2 + 1
+            used -= sum(map(len, kept[:cut]))
+            kept = kept[cut:]
+        body[key] = serde.frame_list(kept)
+    if used > room:
+        raise StoreError(
+            f"flight recorder snapshot cannot fit {FLIGHTREC_BYTES} "
+            f"bytes even when empty ({empty} bytes)")
+    body["pad"] = bytes(room - used)
     payload = records.encode(records.REC_FLIGHTREC, body)
-    assert len(payload) == FLIGHTREC_BYTES
+    if len(payload) != FLIGHTREC_BYTES:
+        raise StoreError(
+            f"flight recorder snapshot encoded to {len(payload)} bytes, "
+            f"not {FLIGHTREC_BYTES}")
     return payload
 
 

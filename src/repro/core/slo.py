@@ -28,8 +28,10 @@ advances the simulated clock.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
+from ..serde import Encoded
 from ..units import MSEC, SEC
 from . import events as events_mod
 from . import telemetry, tracing
@@ -72,13 +74,17 @@ BURN_MIN_SAMPLES = 4
 BURN_ALERT_MILLI = 2000
 
 
-def percentile_exact(values: List[int], p: float) -> int:
-    """Nearest-rank percentile over exact samples (0 when empty)."""
-    if not values:
+def _nearest_rank(ordered: List[int], p: float) -> int:
+    """Nearest-rank percentile of already-sorted samples (0 when empty)."""
+    if not ordered:
         return 0
-    ordered = sorted(values)
     rank = max(1, int(len(ordered) * p / 100.0 + 0.9999))
     return ordered[min(rank, len(ordered)) - 1]
+
+
+def percentile_exact(values: Iterable[int], p: float) -> int:
+    """Nearest-rank percentile over exact samples (0 when empty)."""
+    return _nearest_rank(sorted(values), p)
 
 
 class SLOTargets:
@@ -123,28 +129,33 @@ class SLOTargets:
 
 
 class _Series:
-    """One bounded exact-sample series."""
+    """One bounded exact-sample series.  Samples are only ever
+    appended, so ``added`` identifies the series' state — readers may
+    cache anything they derive from it under that number."""
 
-    __slots__ = ("values", "dropped")
+    __slots__ = ("values", "added")
 
     def __init__(self) -> None:
-        self.values: List[int] = []
-        self.dropped = 0
+        self.values: Deque[int] = deque(maxlen=SAMPLE_CAPACITY)
+        #: Samples ever added, evicted ones included.
+        self.added = 0
 
     def add(self, value: int) -> None:
-        if len(self.values) >= SAMPLE_CAPACITY:
-            self.values.pop(0)
-            self.dropped += 1
         self.values.append(value)
+        self.added += 1
+
+    def tail(self, count: int) -> List[int]:
+        """The newest ``count`` samples, oldest first."""
+        return telemetry.ring_tail(self.values, count)
 
     def summary(self) -> Dict[str, int]:
-        values = self.values
+        ordered = sorted(self.values)
         return {
-            "count": len(values),
-            "max": max(values) if values else 0,
-            "p50": percentile_exact(values, 50),
-            "p95": percentile_exact(values, 95),
-            "p99": percentile_exact(values, 99),
+            "count": len(ordered),
+            "max": ordered[-1] if ordered else 0,
+            "p50": _nearest_rank(ordered, 50),
+            "p95": _nearest_rank(ordered, 95),
+            "p99": _nearest_rank(ordered, 99),
         }
 
 
@@ -174,6 +185,9 @@ class _GroupSLO:
         self.epoch_bump = _Series()
         self.reconcile_bytes = _Series()
         self.stale_primary = _Series()
+        #: The flight recorder's encoded snapshot row for this tenant
+        #: and the state key it was encoded at (see ``flightrec``).
+        self.encoded_row: Optional[Tuple[tuple, Encoded]] = None
 
 
 class SLOTracker:
@@ -235,7 +249,7 @@ class SLOTracker:
         as fast as it accrues; 2000 burns it at twice the sustainable
         rate.  0 with no samples."""
         series, target = self._burn_series(group_id, budget)
-        recent = series.values[-window:]
+        recent = series.tail(window)
         if not recent or target <= 0:
             return 0
         return sum(recent) * 1000 // (len(recent) * target)

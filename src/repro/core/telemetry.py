@@ -43,14 +43,28 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Deque, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    TypeVar, Union)
+
+from ..serde import Encoded
 
 #: Canonical label encoding: sorted (key, value) tuples.
 LabelKey = Tuple[Tuple[str, object], ...]
 
 
+_T = TypeVar("_T")
+
+
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted(labels.items()))
+
+
+def ring_tail(ring: Deque[_T], count: int) -> List[_T]:
+    """The newest ``count`` entries of a ring, oldest first, without
+    copying the rest of it."""
+    tail = list(itertools.islice(reversed(ring), count))
+    tail.reverse()
+    return tail
 
 
 class Counter:
@@ -128,10 +142,16 @@ class SpanRecord:
     ``trace_id``/``span_id``/``parent_id`` are None for spans recorded
     outside any operation trace; inside one they form the causal tree
     the Chrome exporter and the critical-path analyzer consume.
+
+    Immutable once recorded: the ids are assigned before the span
+    enters the ring and nothing (label values included) changes
+    afterwards, so the flight recorder encodes a span's snapshot row
+    once and keeps the bytes in ``encoded`` while the ring keeps the
+    span.
     """
 
     __slots__ = ("name", "labels", "start_ns", "end_ns",
-                 "trace_id", "span_id", "parent_id")
+                 "trace_id", "span_id", "parent_id", "encoded")
 
     def __init__(self, name: str, labels: Dict[str, object],
                  start_ns: int, end_ns: int):
@@ -142,6 +162,8 @@ class SpanRecord:
         self.trace_id: Optional[int] = None
         self.span_id: Optional[int] = None
         self.parent_id: Optional[int] = None
+        #: The flight recorder's encoded row (``serde.Encoded``).
+        self.encoded: Optional[Encoded] = None
 
     @property
     def duration_ns(self) -> int:
@@ -196,6 +218,9 @@ class TelemetryRegistry:
 
     def __init__(self, span_capacity: int = SPAN_CAPACITY):
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
+        #: The same counters by name, so :meth:`value` reads only the
+        #: label sets of the name it sums.
+        self._counters_by_name: Dict[str, List[Counter]] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
         self.spans: deque = deque(maxlen=span_capacity)
         #: Span/trace/event recording switch (counters stay live).
@@ -212,6 +237,7 @@ class TelemetryRegistry:
         if counter is None:
             counter = Counter(name, labels)
             self._counters[key] = counter
+            self._counters_by_name.setdefault(name, []).append(counter)
         return counter
 
     def histogram(self, name: str, **labels) -> Histogram:
@@ -250,10 +276,11 @@ class TelemetryRegistry:
 
     # -- queries ------------------------------------------------------------------
 
-    def counters_matching(self, prefix: str = "",
+    def counters_matching(self, prefix: Union[str, Tuple[str, ...]] = "",
                           **labels) -> Iterator[Counter]:
-        """Counters whose name starts with ``prefix`` and whose label
-        set contains every given label (extra labels are ignored)."""
+        """Counters whose name starts with ``prefix`` (or any of a
+        tuple of prefixes) and whose label set contains every given
+        label (extra labels are ignored)."""
         wanted = labels.items()
         for counter in self._counters.values():
             if not counter.name.startswith(prefix):
@@ -274,8 +301,9 @@ class TelemetryRegistry:
     def value(self, name: str, **labels) -> int:
         """Sum of every counter with this exact name and matching
         labels (aggregates across instance labels)."""
-        return sum(c.value for c in self.counters_matching(name, **labels)
-                   if c.name == name)
+        wanted = labels.items()
+        return sum(c.value for c in self._counters_by_name.get(name, ())
+                   if all(c.labels.get(k) == v for k, v in wanted))
 
     def stage_rows(self, group_id: Optional[int] = None,
                    prefix: str = "ckpt.") -> List[dict]:
@@ -299,6 +327,7 @@ class TelemetryRegistry:
     def reset(self) -> None:
         """Drop every metric (test isolation between experiments)."""
         self._counters.clear()
+        self._counters_by_name.clear()
         self._histograms.clear()
         self.spans.clear()
         self.enabled = True

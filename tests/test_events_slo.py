@@ -182,6 +182,36 @@ def test_percentile_exact_nearest_rank():
     assert slo.percentile_exact([], 50) == 0
 
 
+def test_series_summary_sorts_once_and_keeps_nearest_rank():
+    import random
+
+    rng = random.Random(7)
+    for count in (0, 1, 2, 19, 20, 21, 99, 100, 101, 1000):
+        series = slo._Series()
+        samples = [rng.randrange(10 ** 9) for _ in range(count)]
+        for sample in samples:
+            series.add(sample)
+        assert series.summary() == {
+            "count": count,
+            "max": max(samples, default=0),
+            "p50": slo.percentile_exact(samples, 50),
+            "p95": slo.percentile_exact(samples, 95),
+            "p99": slo.percentile_exact(samples, 99),
+        }
+
+
+def test_series_is_a_bounded_ring_that_counts_every_sample(monkeypatch):
+    monkeypatch.setattr(slo, "SAMPLE_CAPACITY", 8)
+    series = slo._Series()
+    for sample in range(20):
+        series.add(sample)
+    assert list(series.values) == list(range(12, 20))
+    assert series.added == 20
+    assert series.tail(3) == [17, 18, 19]
+    assert series.tail(50) == list(range(12, 20))
+    assert series.summary()["count"] == 8
+
+
 def test_slo_tracker_on_synthetic_commit_schedule():
     tracker = slo.SLOTracker(slo.SLOTargets(rpo_ns=100, stop_ns=10))
     # First commit: no predecessor, lag bounded by its own capture.

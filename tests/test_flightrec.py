@@ -15,10 +15,13 @@ live store rather than mocks:
   each row marked ``post_snapshot``.
 """
 
+import sys
+
 import pytest
 
 from repro import Machine, load_aurora
 from repro.core import events, flightrec, telemetry
+from repro.objstore import records
 from repro.objstore.store import ObjectStore
 from repro.units import MSEC, PAGE_SIZE
 
@@ -89,6 +92,142 @@ def test_oversized_content_is_shed_oldest_first_not_fatal():
             if row["kind"] == "test.noise"]
     assert kept == sorted(kept)
     assert kept[-1] == 1999
+
+
+# -- encode once -------------------------------------------------------------------------
+
+
+def reference_encode(store, pending=None, generation=0):
+    """The encode-shed-re-encode loop the recorder started with: the
+    whole body encoded from plain values, halved and encoded again
+    until it fits.  The oracle for what the arithmetic shedding on
+    cached fragments must produce, byte for byte."""
+    body = flightrec.build_snapshot(store, pending=pending,
+                                    generation=generation)
+    shed = []
+    while True:
+        body["pad"] = b""
+        blob = records.encode(records.REC_FLIGHTREC, body)
+        delta = flightrec.FLIGHTREC_BYTES - len(blob)
+        if delta >= 0:
+            break
+        key = next(key for key in ("events", "spans", "slo", "counters")
+                   if body[key])
+        cut = len(body[key]) // 2 + 1
+        shed.append((key, cut))
+        body[key] = body[key][cut:]
+    body["pad"] = b"\x00" * delta
+    return records.encode(records.REC_FLIGHTREC, body), shed
+
+
+def test_every_decoded_row_equals_the_row_of_its_live_object():
+    machine, sls, group, _ = _run(4)
+    body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
+    live_events = list(events.log())[-len(body["events"]):]
+    live_spans = list(telemetry.registry().spans)[-len(body["spans"]):]
+    assert body["events"] and body["spans"]
+    assert body["events"] == [flightrec._event_row(e) for e in live_events]
+    assert body["spans"] == [flightrec._span_row(s) for s in live_spans]
+    assert body["slo"] == [flightrec._slo_row(sls.slo, group.group_id)]
+    # Each row was encoded once and the bytes live on the object.
+    assert all(e.encoded is not None for e in live_events)
+    assert all(s.encoded is not None for s in live_spans)
+
+
+def test_warm_caches_encode_the_bytes_the_reference_loop_encodes():
+    machine, sls, group, _ = _run(3)
+    pending = {"group": group.group_id, "ckpt": 9, "name": "x"}
+    want, shed = reference_encode(sls.store, pending, generation=5)
+    assert shed == []
+    cold = flightrec.encode_snapshot(sls.store, pending, generation=5)
+    warm = flightrec.encode_snapshot(sls.store, pending, generation=5)
+    assert cold == want and warm == want
+
+
+def test_over_budget_snapshot_sheds_exactly_what_the_old_loop_shed():
+    machine, sls, group, _ = _run(2)
+    log = events.log()
+    registry = telemetry.registry()
+    for i in range(300):
+        log.emit(machine.clock.now(), "test.noise", payload="y" * (i % 700),
+                 n=i)
+        registry.record_span("test.span", i, i + 1, note="z" * (i % 300))
+        registry.counter("sls.resilience.test", n=i).add(i)
+    want, shed = reference_encode(sls.store, generation=3)
+    # Events go first, halved until gone, then spans start to go.
+    assert [key for key, _cut in shed[:2]] == ["events", "events"]
+    assert "spans" in [key for key, _cut in shed]
+    assert flightrec.encode_snapshot(sls.store, generation=3) == want
+    body = flightrec.decode_snapshot(want)
+    assert body["events"] == []
+    assert 0 < len(body["spans"]) < flightrec.MAX_SPANS
+    assert len([row for row in body["counters"]
+                if row["name"] == "sls.resilience.test"]) == 300
+
+
+def test_counter_rows_group_by_prefix_in_registration_order():
+    registry = telemetry.registry()
+    for name in ("sls.slo.b", "sls.events.fault.c", "sls.resilience.a",
+                 "sls.other", "sls.slo.a", "sls.events.degraded.d"):
+        registry.counter(name).add(1)
+    assert [row["name"] for row in flightrec._counter_rows(registry)] == [
+        "sls.resilience.a", "sls.slo.b", "sls.slo.a",
+        "sls.events.degraded.d", "sls.events.fault.c"]
+
+
+def test_snapshot_that_cannot_fit_even_when_empty_is_an_error():
+    from repro.errors import StoreError
+
+    machine, sls, group, _ = _run(1)
+    with pytest.raises(StoreError, match="cannot fit"):
+        flightrec.encode_snapshot(
+            sls.store, pending={"blob": "x" * flightrec.FLIGHTREC_BYTES})
+
+
+def test_cached_row_bytes_go_when_the_ring_evicts_the_entry():
+    machine, sls, group, _ = _run(1)
+    log = events.log()
+    flightrec.encode_snapshot(sls.store)
+    event = log.events[-1]
+    row = event.encoded
+    assert row is not None
+    held = sys.getrefcount(row)
+    for i in range(log.events.maxlen):
+        log.emit(machine.clock.now(), "test.noise", n=i)
+    assert event not in log.events
+    # The recorder keeps no second cache: the evicted event still
+    # carries its bytes, and nothing else does.
+    assert sys.getrefcount(row) == held
+    del event
+    assert sys.getrefcount(row) == held - 1
+
+
+def test_only_the_tenant_that_moved_has_its_slo_row_re_encoded():
+    machine = Machine()
+    sls = load_aurora(machine)
+    groups = []
+    for name in ("a", "b"):
+        proc = machine.kernel.spawn(name)
+        proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
+        groups.append(sls.attach(proc, name=name, periodic=False))
+    for group in groups:
+        sls.checkpoint(group, sync=True)
+    states = [sls.slo.groups[g.group_id] for g in groups]
+    flightrec.encode_snapshot(sls.store)
+    before = [state.encoded_row[1] for state in states]
+    machine.run_for(10 * MSEC)
+    sls.checkpoint(groups[1], sync=True)
+    body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
+    assert states[0].encoded_row[1] is before[0]
+    assert states[1].encoded_row[1] is not before[1]
+    assert body["slo"] == [flightrec._slo_row(sls.slo, g.group_id)
+                           for g in groups]
+    assert body["slo"][1]["commits"] == 2
+    # A budget change alone re-encodes the row too (burn rates read it).
+    sls.slo.set_group_targets(groups[0].group_id, rpo_ns=1)
+    body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
+    assert states[0].encoded_row[1] is not before[0]
+    assert body["slo"][0] == flightrec._slo_row(sls.slo, groups[0].group_id)
 
 
 def test_snapshot_persistence_has_zero_simulated_clock_cost():

@@ -87,3 +87,30 @@ def test_disabling_telemetry_keeps_counters_live():
     # live: subsystems depend on them for behaviour, not observation.
     assert group.stats["checkpoints"] == 1
     assert registry.value("nvme.bytes_written") > 0
+
+
+def test_ring_tail_is_the_newest_entries_oldest_first():
+    from collections import deque
+
+    ring = deque(range(10), maxlen=10)
+    assert telemetry.ring_tail(ring, 3) == [7, 8, 9]
+    assert telemetry.ring_tail(ring, 10) == list(range(10))
+    assert telemetry.ring_tail(ring, 99) == list(range(10))
+    assert telemetry.ring_tail(ring, 0) == []
+    assert telemetry.ring_tail(deque(), 4) == []
+
+
+def test_value_sums_one_name_and_matching_scans_prefix_tuples():
+    registry = telemetry.registry()
+    registry.counter("a.x", group=1).add(2)
+    registry.counter("a.x", group=2).add(3)
+    registry.counter("a.xy", group=1).add(50)
+    registry.counter("b.z").add(7)
+    assert registry.value("a.x") == 5
+    assert registry.value("a.x", group=2) == 3
+    assert registry.value("a") == 0
+    assert registry.value("missing") == 0
+    names = [c.name for c in registry.counters_matching(("b.", "a.xy"))]
+    assert names == ["a.xy", "b.z"]           # registration order
+    telemetry.reset()
+    assert telemetry.registry().value("a.x") == 0
