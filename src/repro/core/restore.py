@@ -273,6 +273,7 @@ class GroupRestorer:
         vnode = rootfs.alloc_vnode(state["vtype"])
         vnode.link_count = state["link_count"]
         vnode.size = state["size"]
+        vnode.mark_dirty()
         if vnode.vmobject is not None:
             from ..units import pages_of
             vnode.vmobject.grow(pages_of(state["size"]))

@@ -17,6 +17,7 @@ CRIU baseline must rediscover them by cross-referencing.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional
 
 from ...errors import BadFileDescriptor, InvalidArgument
@@ -96,12 +97,19 @@ class FDTable(KObject):
     def __init__(self, kernel):
         super().__init__(kernel)
         self._fds: Dict[int, OpenFile] = {}
+        #: Every descriptor below ``_high_water`` is either open or on
+        #: ``_freed`` (a min-heap; an entry goes stale when an explicit
+        #: install takes its descriptor, and is skipped when popped).
+        self._freed: List[int] = []
+        self._high_water = 0
 
     def _lowest_free(self) -> int:
-        fd = 0
-        while fd in self._fds:
-            fd += 1
-        return fd
+        """POSIX lowest-numbered free descriptor, without scanning."""
+        while self._freed:
+            fd = heapq.heappop(self._freed)
+            if fd not in self._fds:
+                return fd
+        return self._high_water
 
     def install(self, file: OpenFile, fd: Optional[int] = None) -> int:
         """Install an OpenFile, taking a reference; returns the fd."""
@@ -109,6 +117,10 @@ class FDTable(KObject):
             fd = self._lowest_free()
         elif fd in self._fds:
             raise InvalidArgument(f"fd {fd} already in use")
+        if fd >= self._high_water:
+            for skipped in range(self._high_water, fd):
+                heapq.heappush(self._freed, skipped)
+            self._high_water = fd + 1
         file.ref()
         self._fds[fd] = file
         self.mark_dirty()
@@ -139,6 +151,7 @@ class FDTable(KObject):
         file = self._fds.pop(fd, None)
         if file is None:
             raise BadFileDescriptor(f"fd {fd}")
+        heapq.heappush(self._freed, fd)
         self.mark_dirty()
         file.unref()
 
@@ -153,6 +166,8 @@ class FDTable(KObject):
         for fd, file in self._fds.items():
             file.ref()
             child._fds[fd] = file
+        child._freed = list(self._freed)
+        child._high_water = self._high_water
         return child
 
     def fds(self) -> List[int]:

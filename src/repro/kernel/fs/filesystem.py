@@ -1,7 +1,7 @@
 """Filesystem base class and the in-memory filesystem.
 
 :class:`Filesystem` owns the inode table and provides the hook points
-(`on_create`, `on_data_write`, `on_fsync`, ...) that concrete
+(`on_create`, `on_dirty`, `on_data_write`, `on_fsync`, ...) that concrete
 filesystems use to charge their metadata-update costs and, in the
 Aurora filesystem's case, to persist state into the object store.
 :class:`MemFS` is the trivial volatile implementation used as the root
@@ -70,14 +70,15 @@ class Filesystem:
     def on_create(self, vnode: Vnode) -> None:
         """Called when a vnode is allocated."""
 
+    def on_dirty(self, vnode: Vnode) -> None:
+        """Called whenever a vnode's metadata or data is modified
+        (:meth:`Vnode.mark_dirty`)."""
+
     def on_data_write(self, vnode: Vnode, offset: int, nbytes: int) -> None:
         """Called after file data is modified."""
 
     def on_fsync(self, vnode: Vnode) -> None:
         """Called for fsync(2); implementations charge their sync cost."""
-
-    def on_unlink(self, vnode: Vnode) -> None:
-        """Called when a name for the vnode is removed."""
 
 
 class MemFS(Filesystem):

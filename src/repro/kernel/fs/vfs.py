@@ -110,7 +110,6 @@ class VFS:
         vnode.link_count -= 1
         vnode.mark_dirty()
         self._namecache.pop(path, None)
-        self.rootfs.on_unlink(vnode)
         if vnode.link_count == 0 and vnode.ref_count == 1:
             # No names and no open files: reclaim now.
             self.rootfs.forget_vnode(vnode)

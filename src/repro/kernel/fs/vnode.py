@@ -42,6 +42,13 @@ class Vnode(KObject):
         #: Directory entries: name -> inode number.
         self.entries: Dict[str, int] = {}
 
+    def mark_dirty(self) -> None:
+        """Stamp the mutation epoch and tell the filesystem: every
+        change to size, link count or entries passes through here, so
+        this is where a filesystem learns which inodes to persist."""
+        super().mark_dirty()
+        self.fs.on_dirty(self)
+
     # -- regular file data ----------------------------------------------------
 
     def _require_reg(self) -> VMObject:

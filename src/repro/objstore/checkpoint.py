@@ -6,6 +6,15 @@ application at checkpoint N is the newest-wins union of deltas along
 the parent chain — walked by :meth:`ObjectStore.merged_view` at
 restore time, exactly like reading a WAFL/ZFS snapshot through its
 block-sharing ancestry.
+
+The on-disk metadata document (:meth:`CheckpointInfo.encode_meta`) has
+one format and one decoder.  Its three large maps are all columnar:
+page locators as runs (:func:`encode_page_runs`), the live set as
+``[start, count, step]`` OID runs, and the record index grouped by
+extent with the same OID runs (:func:`encode_record_index`) — so a
+delta's metadata, and the child-metadata rewrite GC does after
+adopting a deleted parent's state, cost O(extents + runs), not
+O(objects).  In memory every map stays per-OID / per-page.
 """
 
 from __future__ import annotations
@@ -50,17 +59,6 @@ class PageLocator:
         if self.kind == "syn":
             return ["syn", self.seed]
         return ["ext", self.extent, self.byte_off, self.length]
-
-    @classmethod
-    def decode(cls, raw: list) -> "PageLocator":
-        """Parse a wire-form locator."""
-        if not raw:
-            raise CorruptRecord("empty page locator")
-        if raw[0] == "syn":
-            return cls.synthetic(raw[1])
-        if raw[0] == "ext":
-            return cls.in_extent(raw[1], raw[2], raw[3])
-        raise CorruptRecord(f"bad locator kind {raw[0]!r}")
 
 
 def encode_page_runs(page_map: Dict[int, "PageLocator"]) -> List[list]:
@@ -130,6 +128,34 @@ def decode_page_runs(raw: List[list]) -> Dict[int, "PageLocator"]:
     return page_map
 
 
+def encode_record_index(object_records: Dict[int, Tuple[int, int]]
+                        ) -> List[list]:
+    """Group an OID → record-extent map by extent for the metadata record.
+
+    Batched staging puts up to 256 records in one extent, and OIDs are
+    allocated from one cursor with the class tag in the high bits, so
+    an extent's OIDs are a few arithmetic progressions.  Each entry is
+    ``[offset, length, [[start, count, step], …]]``: the document costs
+    O(extents + runs) instead of repeating one ``(offset, length)``
+    pair per object.
+    """
+    by_extent: Dict[Tuple[int, int], List[int]] = {}
+    for oid, extent in object_records.items():
+        by_extent.setdefault(extent, []).append(oid)
+    return [[offset, length, build_arith_runs(oids)]
+            for (offset, length), oids in by_extent.items()]
+
+
+def decode_record_index(raw: List[list]) -> Dict[int, Tuple[int, int]]:
+    """Expand record-index entries back to the per-OID map (every OID
+    of an extent shares one ``(offset, length)`` tuple)."""
+    object_records: Dict[int, Tuple[int, int]] = {}
+    for offset, length, runs in raw:
+        object_records.update(
+            dict.fromkeys(expand_arith_runs(runs), (offset, length)))
+    return object_records
+
+
 class CheckpointInfo:
     """In-memory (and, encoded, on-disk) description of one checkpoint."""
 
@@ -145,7 +171,8 @@ class CheckpointInfo:
         #: composed on top of a full checkpoint at restore (§7).
         self.partial = partial
         self.complete = False
-        #: oid -> extent offset of the serialized object record.
+        #: oid -> (offset, length) of the extent holding its serialized
+        #: record; the OIDs of one batch extent share one tuple.
         self.object_records: Dict[int, Tuple[int, int]] = {}
         #: oid -> {pindex -> PageLocator} for pages dirtied here.
         self.pages: Dict[int, Dict[int, PageLocator]] = {}
@@ -173,11 +200,9 @@ class CheckpointInfo:
         # progressions; the live set — easily the largest part of a
         # steady-state delta's metadata — compresses to a handful of
         # [start, count, step] runs.
-        live_runs = None
-        if self.live_oids is not None:
-            live_runs = build_arith_runs(self.live_oids)
         return {
-            "live_oid_runs": live_runs,
+            "live_oid_runs": (build_arith_runs(self.live_oids)
+                              if self.live_oids is not None else None),
             "records_skipped": self.records_skipped,
             "ckpt_id": self.ckpt_id,
             "group_id": self.group_id,
@@ -185,9 +210,7 @@ class CheckpointInfo:
             "parent": self.parent,
             "time_ns": self.time_ns,
             "partial": self.partial,
-            "object_records": {str(oid): [off, length]
-                               for oid, (off, length)
-                               in self.object_records.items()},
+            "object_records": encode_record_index(self.object_records),
             "pages": {str(oid): encode_page_runs(page_map)
                       for oid, page_map in self.pages.items()},
             "owned_extents": [[off, length]
@@ -200,31 +223,16 @@ class CheckpointInfo:
         """Rebuild checkpoint metadata from its document."""
         info = cls(raw["ckpt_id"], raw["group_id"], raw["name"],
                    raw["parent"], raw["time_ns"], raw["partial"])
-        info.object_records = {int(oid): (pair[0], pair[1])
-                               for oid, pair in raw["object_records"].items()}
-        # Current metadata stores pages as run lists; checkpoints
-        # written before run compression used per-pindex dicts.
-        info.pages = {
-            int(oid): (decode_page_runs(page_map)
-                       if isinstance(page_map, list)
-                       else {int(pindex): PageLocator.decode(loc)
-                             for pindex, loc in page_map.items()})
-            for oid, page_map in raw["pages"].items()
-        }
+        info.object_records = decode_record_index(raw["object_records"])
+        info.pages = {int(oid): decode_page_runs(page_map)
+                      for oid, page_map in raw["pages"].items()}
         info.owned_extents = [(pair[0], pair[1])
                               for pair in raw["owned_extents"]]
         info.data_bytes = raw["data_bytes"]
-        # Fields absent from metadata written before incremental
-        # kernel-state checkpoints existed.  Current metadata stores
-        # the live set run-compressed; older checkpoints wrote a flat
-        # OID list.
-        live_runs = raw.get("live_oid_runs")
+        live_runs = raw["live_oid_runs"]
         if live_runs is not None:
             info.live_oids = set(expand_arith_runs(live_runs))
-        else:
-            live = raw.get("live_oids")
-            info.live_oids = set(live) if live is not None else None
-        info.records_skipped = raw.get("records_skipped", 0)
+        info.records_skipped = raw["records_skipped"]
         return info
 
     def __repr__(self) -> str:

@@ -7,24 +7,35 @@ background compaction — reclamation cost is proportional to the
 deleted delta, never to store size, so it cannot stall the 100 Hz
 checkpoint loop.
 
-Page extents are adopted by reference (a packed extent may back pages
-shared across several children after a restore forked the history),
-tracked with an in-memory reference count per extent rebuilt from
-checkpoint metadata at recovery.  Object *records* are copy-forwarded
-instead: the record payload (checksum included) is copied verbatim
-into a fresh extent owned by the oldest surviving child, so the
-victim's record extents are actually reclaimed rather than pinned by
-adoption — with incremental checkpoints an unchanged object's record
-would otherwise ride along forever.  Records for OIDs no surviving
-checkpoint's live set can reach are dropped outright.
+Everything is transferred *by reference*.  A child adopts each of the
+victim's extents that still backs state the child's subtree can reach
+— a packed page extent, or a record extent holding the newest record
+of at least one OID the child neither superseded nor dropped — by
+listing it in its own ``owned_extents``; the store's per-extent
+reference count (``extent_refs``, rebuilt from checkpoint metadata at
+recovery) goes up by one per adopter, so children forked by a restore
+share one copy.  No payload is read or written: a record extent is
+immutable and its size does not depend on how many of its records are
+still wanted, so copying it forward would cost device IO for the same
+space.  An extent none of the children adopted loses its last
+reference with the victim and is freed.  Records for OIDs no surviving
+checkpoint's live set can reach are dropped from the index outright.
+
+Release is deferred (the rule the crash-schedule sweep holds GC to):
+nothing the durable superblock can reach — the victim's extents and
+metadata record, each child's previous metadata record — is discarded
+or handed back to the allocator before the superblock flip that
+unreferences it has landed.  The release list rides
+``_write_catalog_and_superblock``, so a crash at any IO of a delete
+still mounts the last committed state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core import telemetry
-from ..errors import CorruptRecord, InvalidArgument
+from ..errors import InvalidArgument
 from . import records
 from .checkpoint import CheckpointInfo
 
@@ -38,9 +49,9 @@ def _subtree_needed(store: Any, child: CheckpointInfo) -> Optional[Set[int]]:
     """OIDs a restore anywhere in ``child``'s subtree may still need.
 
     The union of effective live sets over the child and all of its
-    descendants.  Returns None — forward everything — when any
-    subtree checkpoint has no bounded live set (legacy metadata, or a
-    chain whose newest full checkpoint predates liveness tracking).
+    descendants.  Returns None — transfer everything — when any
+    subtree checkpoint has no bounded live set (SLSFS checkpoints and
+    pure-partial chains carry no liveness info).
     """
     needed: Set[int] = set()
     stack = [child]
@@ -60,9 +71,9 @@ def truncate_checkpoint(store: Any, ckpt_id: int) -> int:
     The mirror image of :func:`delete_checkpoint`: only a checkpoint
     with no children may be truncated.  Nothing is forwarded — the
     victim is the newest state, so nobody references its delta — and
-    its extents are reclaimed outright.  Quorum recovery uses this to
-    discard a replica's non-quorum tail (Aurora-style truncation of
-    writes that never reached the write quorum).
+    its extents are reclaimed once the flip lands.  Quorum recovery
+    uses this to discard a replica's non-quorum tail (Aurora-style
+    truncation of writes that never reached the write quorum).
 
     Returns bytes reclaimed.
     """
@@ -71,34 +82,29 @@ def truncate_checkpoint(store: Any, ckpt_id: int) -> int:
         raise InvalidArgument(
             f"checkpoint {ckpt_id} still has descendants; truncate "
             f"from the new end of the chain")
-    reclaimed = _reclaim_victim(store, info)
+    release = _unreference_victim(store, info)
     del store.checkpoints[ckpt_id]
-    store._write_catalog_and_superblock()
-    return reclaimed
+    store._write_catalog_and_superblock(release=release)
+    return sum(length for _offset, length in release)
 
 
-def _reclaim_victim(store: Any, info: CheckpointInfo) -> int:
-    """Drop ``info``'s extent references; free whatever hit zero.
-
-    The victim's metadata record counts too — a checkpoint that owned
-    zero page extents (a pure OS-state delta) still gives back its
-    record and meta extents, so reclaimed-bytes telemetry must not
-    read zero for it.
-    """
+def _unreference_victim(store: Any,
+                        info: CheckpointInfo) -> List[Tuple[int, int]]:
+    """Drop ``info``'s extent references; returns the extents to
+    release once the flip lands: whatever hit zero, plus the victim's
+    metadata record — a checkpoint that owned zero page extents (a
+    pure OS-state delta) still gives back its record and meta extents,
+    so reclaimed-bytes telemetry must not read zero for it."""
     refs: Dict[int, int] = store.extent_refs
-    reclaimed = 0
+    release: List[Tuple[int, int]] = []
     for offset, length in info.owned_extents:
         refs[offset] = refs.get(offset, 1) - 1
         if refs[offset] <= 0:
             refs.pop(offset, None)
-            store.alloc.free(offset, length)
-            store.device.discard_extent(offset)
-            reclaimed += length
+            release.append((offset, length))
     if info.meta_extent is not None:
-        store.alloc.free(*info.meta_extent)
-        store.device.discard_extent(info.meta_extent[0])
-        reclaimed += info.meta_extent[1]
-    return reclaimed
+        release.append(info.meta_extent)
+    return release
 
 
 def delete_checkpoint(store: Any, ckpt_id: int) -> int:
@@ -131,35 +137,15 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
                     if locator.kind == "ext":
                         adopted.add(locator.extent)
         forwarded = dropped = 0
-        # Batched staging shares one record extent across many OIDs:
-        # group the survivors by source extent so each batch payload is
-        # copied forward once and every surviving OID repointed to the
-        # single new copy.  (The copy is verbatim — checksum included —
-        # so it may carry records of dropped OIDs as dead weight; reads
-        # select by OID, so that is a space-only cost.)
-        to_forward: Dict[int, List[int]] = {}
-        extent_len: Dict[int, int] = {}
         for oid, extent in info.object_records.items():
             if oid in child.object_records:
                 continue
             if needed is not None and oid not in needed:
                 dropped += 1
                 continue
-            to_forward.setdefault(extent[0], []).append(oid)
-            extent_len[extent[0]] = extent[1]
-        for src_offset, oids in to_forward.items():
-            length = extent_len[src_offset]
-            payload = store.device.read(src_offset)
-            if not isinstance(payload, bytes):
-                raise CorruptRecord(
-                    f"record extent {src_offset} holds synthetic data")
-            new_offset = store.alloc.alloc(length)
-            store.device.write(new_offset, payload)
-            child.owned_extents.append((new_offset, length))
-            refs[new_offset] = refs.get(new_offset, 0) + 1
-            for oid in oids:
-                child.object_records[oid] = (new_offset, length)
-                forwarded += 1
+            child.object_records[oid] = extent
+            adopted.add(extent[0])
+            forwarded += 1
         for offset, length in info.owned_extents:
             if offset in adopted:
                 child.owned_extents.append((offset, length))
@@ -170,9 +156,11 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
         registry.counter("sls.store.gc.records_dropped",
                          group=info.group_id).add(dropped)
 
-    # Drop the deleted checkpoint's references; free what hit zero.
-    reclaimed = _reclaim_victim(store, info)
+    # Drop the deleted checkpoint's references; whatever hit zero goes
+    # once the flip lands.
+    release = _unreference_victim(store, info)
     del store.checkpoints[ckpt_id]
+    reclaimed = sum(length for _offset, length in release)
 
     # Children metadata changed (adopted state, new parent): rewrite
     # their meta records COW-style, then flip the superblock.
@@ -181,8 +169,7 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
         new_extent = store.alloc.alloc(len(payload))
         store.device.write(new_extent, payload)
         if child.meta_extent is not None:
-            store.alloc.free(*child.meta_extent)
-            store.device.discard_extent(child.meta_extent[0])
+            release.append(child.meta_extent)
         child.meta_extent = (new_extent, len(payload))
-    store._write_catalog_and_superblock()
+    store._write_catalog_and_superblock(release=release)
     return reclaimed

@@ -72,13 +72,10 @@ def _rebuild(store: Any, superblock: dict) -> RecoveredState:
     store.oids = OIDAllocator(next_serial=superblock["oid_cursor"])
     store._ckpt_counter = superblock["ckpt_counter"]
     store._catalog_extent = tuple(superblock["catalog_extent"])
-    # Flight-recorder anchor: tolerate its absence (pre-recorder
-    # images mount unchanged).
-    anchor = superblock.get("flightrec")
-    store._flightrec_extent = tuple(anchor) if anchor else None
-    # Promised cluster epoch: tolerate its absence (single-machine and
-    # pre-fencing images mount unchanged) — the promise survives the
-    # crash exactly because it rides the superblock.
+    store._flightrec_extent = tuple(superblock["flightrec"])
+    # Promised cluster epoch: absent until the store joins a cluster
+    # epoch — the promise survives the crash exactly because it rides
+    # the superblock.
     store.cluster_epoch = superblock.get("cluster_epoch", 0)
 
     catalog = records.decode(store.device.read(store._catalog_extent[0]),

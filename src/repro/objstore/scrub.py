@@ -23,8 +23,8 @@ verifying along the way:
   record in an ancestor delta, so every OID in a checkpoint's
   effective live set must still resolve to a record somewhere along
   its parent chain.  A live OID with no reachable record means GC
-  forwarding lost state (the exact failure record copy-forwarding
-  exists to prevent).
+  lost state when it handed a deleted parent's records to its
+  children (the exact failure record adoption exists to prevent).
 * **Shadow chains** — for live consistency groups (when an
   orchestrator is passed), each tracked object's shadow chain holds at
   most :data:`MAX_SHADOW_DEPTH` shadows above its base: the eager

@@ -19,7 +19,8 @@ is the newest-wins merge along the parent chain
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
@@ -276,8 +277,9 @@ class ObjectStore:
                 lambda: self.device.submit_write(rec_extent, rec_payload),
                 op="store.flush")
             last_done = max(last_done, done)
+            where = (extent, len(payload))
             for oid, _data in batch:
-                info.object_records[oid] = (extent, len(payload))
+                info.object_records[oid] = where
         return last_done
 
     def _finalize_commit(self, txn: CheckpointTxn) -> None:
@@ -475,7 +477,18 @@ class ObjectStore:
     # -- catalog / superblock ------------------------------------------------------------
 
     def _write_catalog_and_superblock(
-            self, pending: Optional[Dict[str, Any]] = None) -> None:
+            self, pending: Optional[Dict[str, Any]] = None,
+            release: Sequence[Tuple[int, int]] = ()) -> None:
+        """Write a new catalog and flip the superblock to it — the one
+        place a superblock is flipped.
+
+        ``release`` lists the extents this flip unreferences (GC's
+        victims).  The superblock still on media can reach them, so
+        they go back to the allocator only after every allocation of
+        this flip has been made (none can land on them), in time for
+        the free list the new superblock carries, and are discarded
+        only once the flip has landed.
+        """
         catalog_body = {
             "checkpoints": {
                 str(ckpt_id): {
@@ -513,6 +526,10 @@ class ObjectStore:
         self.device.place_extent(rec_offset, rec_payload)
         self._flightrec_extent = (rec_offset, len(rec_payload))
 
+        free_before = ((list(self.alloc._free), self.alloc.freed_bytes)
+                       if release else None)
+        for offset, length in release:
+            self.alloc.free(offset, length)
         superblock_body: Dict[str, Any] = {
             "generation": self._generation,
             "catalog_extent": list(self._catalog_extent),
@@ -546,8 +563,12 @@ class ObjectStore:
             self.device.discard_extent(rec_offset)
             self.alloc.free(rec_offset, len(rec_payload))
             self._flightrec_extent = old_flightrec
+            if free_before is not None:
+                self.alloc._free, self.alloc.freed_bytes = free_before
             self._generation -= 1
             raise
+        for offset, _length in release:
+            self.device.discard_extent(offset)
         if old_catalog is not None:
             self.alloc.free(*old_catalog)
         if old_flightrec is not None:
@@ -791,10 +812,39 @@ class ObjectStore:
             return Page(seed=locator.seed)
         payload = self.retry.run(lambda: self.device.read(locator.extent),
                                  op="store.read")
+        return self._page_from(payload, locator)
+
+    @staticmethod
+    def _page_from(payload: Any, locator: PageLocator) -> Page:
         if not isinstance(payload, bytes):
             raise CorruptRecord("page extent holds synthetic data")
         data = payload[locator.byte_off:locator.byte_off + locator.length]
         return Page(data=data)
+
+    def fetch_pages(self, locators: Iterable[PageLocator]) -> List[Page]:
+        """Batched :meth:`fetch_page`: the pages, in locator order.
+
+        Each distinct extent is read once, every read is dispatched
+        before any is waited for, and the clock advances once to the
+        last completion — the queue-depth model
+        :meth:`read_object_records` uses for records.
+        """
+        payloads: Dict[int, Any] = {}
+        last_done = self.clock.now()
+        pages: List[Page] = []
+        for locator in locators:
+            if locator.kind == "syn":
+                pages.append(Page(seed=locator.seed))
+                continue
+            extent = locator.extent
+            if extent not in payloads:
+                payloads[extent], done = self.retry.run(
+                    lambda: self.device.read_async(extent),
+                    op="store.read")
+                last_done = max(last_done, done)
+            pages.append(self._page_from(payloads[extent], locator))
+        self.clock.advance_to(last_done)
+        return pages
 
     # -- garbage collection ---------------------------------------------------------------------
 

@@ -14,20 +14,34 @@ A namespace into the single level store:
   filesystems;
 * file creation currently takes a global lock (the paper's §9.1 calls
   this out as unoptimized; Figure 3c shows the cost, so we keep it).
+
+On-disk layout: inodes are ordinary store objects.  Each inode is one
+``"slsfs-inode"`` record (inode, vtype, size, link_count, entries)
+under the inode's file OID — the OID its pages are already stored
+under — plus a ``"slsfs-header"`` record carrying ``next_inode`` under
+:data:`NAMESPACE_OID`.  An FS checkpoint stages the records of the
+inodes *dirtied* since the previous one (every mutation of a field the
+record carries goes through :meth:`Vnode.mark_dirty`, which lands in
+:meth:`SLSFS.on_dirty`) and their dirty pages, so its cost is its
+delta; :meth:`SLSFS.recover` reads the namespace back through the
+store's ordinary newest-wins ``merged_view``.  Inode records need no
+tombstones: a persisted inode is never forgotten (the hidden link
+count), only unlinked.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import costs, telemetry
-from ..errors import NoSuchCheckpoint, RestoreError
+from ..errors import RestoreError
 from ..kernel.fs.filesystem import Filesystem
-from ..kernel.fs.vnode import Vnode, VDIR, VREG
+from ..kernel.fs.vnode import Vnode
+from ..objstore.checkpoint import PageLocator
 from ..objstore.oid import CLASS_FILE, make_oid
 from ..units import PAGE_SIZE, pages_of
 
-#: Reserved OID for the namespace record (top serial, never allocated).
+#: Reserved OID for the header record (top serial, never allocated).
 NAMESPACE_OID = make_oid(CLASS_FILE, (1 << 56) - 1)
 
 
@@ -43,12 +57,13 @@ class SLSFS(Filesystem):
         self.store = store
         #: inode -> on-disk OID (stable across the file's lifetime).
         self.inode_oids: Dict[int, int] = {}
-        #: inodes whose data changed since the last FS checkpoint.
+        #: inodes whose record or data changed since the last FS
+        #: checkpoint.
         self._dirty_inodes: Set[int] = set()
         #: inode -> set of dirty page indexes.
         self._dirty_pages: Dict[int, Set[int]] = {}
-        #: inodes present in at least one checkpoint (the hidden link
-        #: count: these are never reclaimed).
+        #: inodes a checkpoint references (the hidden link count: these
+        #: are never reclaimed).
         self._persisted_inodes: Set[int] = set()
         self.last_ckpt_id: Optional[int] = None
         super().__init__(kernel, "slsfs")
@@ -78,8 +93,9 @@ class SLSFS(Filesystem):
         """No-op under checkpoint consistency (still a syscall)."""
         self.kernel.clock.advance(costs.SLSFS_FSYNC)
 
-    def on_unlink(self, vnode: Vnode) -> None:
-        """Namespace change: include it in the next FS checkpoint."""
+    def on_dirty(self, vnode: Vnode) -> None:
+        """The inode's record changed: stage it at the next FS
+        checkpoint."""
         self._dirty_inodes.add(vnode.inode)
 
     def forget_vnode(self, vnode: Vnode) -> None:
@@ -107,21 +123,8 @@ class SLSFS(Filesystem):
 
     # -- checkpointing ---------------------------------------------------------------
 
-    def _namespace_record(self) -> dict:
-        inodes = {}
-        for inode, vnode in list(self._vnodes.items()):
-            inodes[str(inode)] = {
-                "vtype": vnode.vtype,
-                "size": vnode.size,
-                "link_count": vnode.link_count,
-                "entries": {name: child
-                            for name, child in vnode.entries.items()},
-                "oid": self.oid_of(vnode),
-            }
-        return {"inodes": inodes, "next_inode": self._next_inode}
-
     def checkpoint(self, sync: bool = False):
-        """Flush namespace + dirty file data as one FS checkpoint.
+        """Flush the dirty inodes' records and pages as one FS checkpoint.
 
         Called by the orchestrator on the group-checkpoint cadence so
         that file state commits atomically alongside application
@@ -131,13 +134,29 @@ class SLSFS(Filesystem):
         registry.counter("sls.fs.dirty_inodes").add(len(self._dirty_inodes))
         txn = self.store.begin_checkpoint(self.GROUP_ID, name="slsfs",
                                           parent=self.last_ckpt_id)
-        txn.put_object(NAMESPACE_OID, "slsfs-namespace",
-                       self._namespace_record())
-        for inode in sorted(self._dirty_inodes):
+        txn.put_object(NAMESPACE_OID, "slsfs-header",
+                       {"next_inode": self._next_inode})
+        stage = self._dirty_inodes
+        if self.root.inode not in self._persisted_inodes:
+            # Nothing ever dirties an empty root, and dirtying it at
+            # mount would give every file-free machine an FS
+            # checkpoint: the first checkpoint stages it regardless.
+            stage = stage | {self.root.inode}
+        for inode in sorted(stage):
             vnode = self._vnodes.get(inode)
-            if vnode is None or vnode.vmobject is None:
-                continue
+            if vnode is None:
+                continue    # created and forgotten between checkpoints
             oid = self.oid_of(vnode)
+            txn.put_object(oid, "slsfs-inode", {
+                "inode": inode,
+                "vtype": vnode.vtype,
+                "size": vnode.size,
+                "link_count": vnode.link_count,
+                "entries": dict(vnode.entries),
+            })
+            self._persisted_inodes.add(inode)
+            if vnode.vmobject is None:
+                continue
             dirty = self._dirty_pages.get(inode)
             if dirty is None:
                 pages = dict(vnode.vmobject.pages)
@@ -146,7 +165,6 @@ class SLSFS(Filesystem):
                          for pindex in dirty
                          if pindex in vnode.vmobject.pages}
             txn.put_pages(oid, pages)
-            self._persisted_inodes.add(inode)
         self._dirty_inodes.clear()
         self._dirty_pages.clear()
         info = self.store.commit(txn, sync=sync)
@@ -154,6 +172,18 @@ class SLSFS(Filesystem):
         return info
 
     # -- recovery -----------------------------------------------------------------------
+
+    def _load_pages(self, wanted: List[Tuple[Vnode, Dict[int, PageLocator]]]
+                    ) -> None:
+        """Fill vnodes from their page locators with one batched fetch
+        (locators past EOF belong to a since-truncated tail)."""
+        slots = [(vnode.vmobject, pindex, locator)
+                 for vnode, locators in wanted
+                 for pindex, locator in locators.items()
+                 if pindex < vnode.vmobject.size_pages]
+        pages = self.store.fetch_pages(locator for _o, _p, locator in slots)
+        for (obj, pindex, _locator), page in zip(slots, pages):
+            obj.insert_page(pindex, page)
 
     def recover(self) -> bool:
         """Rebuild the filesystem from its latest complete checkpoint.
@@ -165,32 +195,34 @@ class SLSFS(Filesystem):
             return False
         record_extents, page_locs = self.store.merged_view(latest.ckpt_id)
         if NAMESPACE_OID not in record_extents:
-            raise RestoreError("slsfs checkpoint lacks a namespace record")
-        _oid, otype, namespace = self.store.read_object_record(
-            record_extents[NAMESPACE_OID], oid=NAMESPACE_OID)
-        if otype != "slsfs-namespace":
+            raise RestoreError("slsfs checkpoint lacks a header record")
+        decoded = self.store.read_object_records(record_extents)
+        otype, header = decoded.pop(NAMESPACE_OID)
+        if otype != "slsfs-header":
             raise RestoreError(f"unexpected record type {otype}")
 
         self._vnodes.clear()
         self.inode_oids.clear()
-        self._next_inode = namespace["next_inode"]
-        for inode_str, info in namespace["inodes"].items():
-            inode = int(inode_str)
+        self._dirty_inodes.clear()
+        self._dirty_pages.clear()
+        self._next_inode = header["next_inode"]
+        wanted = []
+        for oid, (otype, info) in sorted(decoded.items()):
+            if otype != "slsfs-inode":
+                raise RestoreError(f"unexpected record type {otype}")
+            inode = info["inode"]
             vnode = Vnode(self.kernel, self, inode, info["vtype"])
             vnode.size = info["size"]
             vnode.link_count = info["link_count"]
-            vnode.entries = {name: child
-                             for name, child in info["entries"].items()}
+            vnode.entries = info["entries"]
             self._vnodes[inode] = vnode
-            self.inode_oids[inode] = info["oid"]
+            self.inode_oids[inode] = oid
             self._persisted_inodes.add(inode)
             if vnode.vmobject is not None:
                 vnode.vmobject.grow(pages_of(info["size"]))
-                vnode.vmobject.sls_oid = info["oid"]
-                for pindex, locator in page_locs.get(info["oid"],
-                                                     {}).items():
-                    vnode.vmobject.insert_page(
-                        pindex, self.store.fetch_page(locator))
+                vnode.vmobject.sls_oid = oid
+                wanted.append((vnode, page_locs.get(oid, {})))
+        self._load_pages(wanted)
         self.root = self._vnodes[1]
         self.last_ckpt_id = latest.ckpt_id
         self.kernel.vfs.invalidate_cache()
@@ -217,9 +249,9 @@ class SLSFS(Filesystem):
         self._vnodes[inode] = vnode
         self.inode_oids[inode] = oid
         self._persisted_inodes.add(inode)
+        # No FS checkpoint holds this inode's record yet.
+        self._dirty_inodes.add(inode)
         if vnode.vmobject is not None:
             vnode.vmobject.grow(pages_of(state["size"]))
-            for pindex, locator in page_locs.get(oid, {}).items():
-                vnode.vmobject.insert_page(pindex,
-                                           self.store.fetch_page(locator))
+            self._load_pages([(vnode, page_locs.get(oid, {}))])
         return vnode

@@ -63,6 +63,8 @@ class CounterAppWorkload:
     V1 = b"aurora-crashsched-v1"
     V2 = b"aurora-crashsched-v2"
     NPAGES = 24
+    #: Checkpoints the group retains (None: all of them).
+    HISTORY_LIMIT = None
 
     def boot(self) -> WorkloadRun:
         machine = Machine()
@@ -70,7 +72,8 @@ class CounterAppWorkload:
         proc = machine.kernel.spawn("app")
         addr = proc.vmspace.mmap(self.NPAGES * PAGE_SIZE, name="heap")
         self._fill(proc, addr, self.V1)
-        group = sls.attach(proc, periodic=False)
+        group = sls.attach(proc, periodic=False,
+                           history_limit=self.HISTORY_LIMIT)
         sls.checkpoint(group, name="v1", sync=True)
         self._fill(proc, addr, self.V2)
         return WorkloadRun(machine, sls, group, proc, addr)
@@ -123,6 +126,22 @@ class IncrementalCounterWorkload(CounterAppWorkload):
         return WorkloadRun(machine, sls, group, proc, addr)
 
 
+class GCCounterWorkload(CounterAppWorkload):
+    """Crash scheduling across a checkpoint that garbage-collects.
+
+    With one retained checkpoint (``history_limit=1``) the probed
+    ``V2`` checkpoint's completion callback deletes its parent ``V1``
+    — a second metadata write, catalog write and superblock flip after
+    the commit flip.  The
+    delete unreferences ``V1``'s extents and metadata, the child's
+    previous metadata and (through the commit flip before it) the
+    previous catalog; a crash at any of its IOs must still mount and
+    restore ``V2``, the last *committed* checkpoint.
+    """
+
+    HISTORY_LIMIT = 1
+
+
 class CrashPoint:
     """One enumerable crash instant of the probed checkpoint."""
 
@@ -173,9 +192,12 @@ class Schedule:
         #: IO index of the superblock flip that makes V2 durable: the
         #: first write to a superblock slot during the probed
         #: checkpoint.  A crash strictly after it restores V2.
-        self.flip_index = next(
-            (i for i, off in enumerate(io_log)
-             if off in SUPERBLOCK_SLOTS), None)
+        flips = [i for i, off in enumerate(io_log)
+                 if off in SUPERBLOCK_SLOTS]
+        self.flip_index = flips[0] if flips else None
+        #: IO index of the flip that follows the commit flip when the
+        #: probed checkpoint garbage-collects (None otherwise).
+        self.gc_flip_index = flips[1] if len(flips) > 1 else None
 
     def __repr__(self) -> str:
         return (f"Schedule({self.io_count} IOs, "
@@ -272,17 +294,27 @@ class CrashScheduleExplorer:
         run.machine.crash()
         run.machine.boot()
         sls = load_aurora(run.machine)
-        self._verify_blackbox(sls, point, expected)
+        gc_flip = schedule.gc_flip_index
+        self._verify_blackbox(sls, point, expected,
+                              after_gc_flip=(gc_flip is not None
+                                             and submitted > gc_flip))
         result = sls.restore(run.gid, periodic=False)
         restored = workload.read_state(result.root, run.addr)
         return Outcome(point, fired, submitted, restored, expected)
 
-    def _verify_blackbox(self, sls, point: CrashPoint,
-                         expected: bytes) -> None:
+    def _verify_blackbox(self, sls, point: CrashPoint, expected: bytes,
+                         after_gc_flip: bool = False) -> None:
         """The recovered flight recorder must agree with the oracle:
         the persisted timeline ends at the checkpoint the durability
         oracle says survived, and the injected fault shows up in the
-        merged (volatile-tail) timeline."""
+        merged (volatile-tail) timeline.
+
+        A GC flip follows the commit flip and re-anchors the black
+        box.  It runs inside the commit's completion callback — before
+        that commit's ``checkpoint.commit`` event is emitted — and has
+        no pending commit of its own, so a timeline recovered from it
+        still ends at the *previous* commit event, followed by the
+        committed checkpoint's in-progress events."""
         from repro.core import events, flightrec
 
         box = flightrec.blackbox(sls.store, volatile=events.log())
@@ -291,15 +323,23 @@ class CrashScheduleExplorer:
         last = box.last_durable
         assert last is not None, \
             f"{point}: recovered timeline has no durable commit"
-        expected_name = ("v2" if expected == self.workload.V2 else "v1")
-        assert last["fields"].get("name") == expected_name, \
-            (f"{point}: black box ends at "
-             f"{last['fields'].get('name')!r}, oracle says "
-             f"{expected_name!r} is the last durable commit")
-        # Nothing persisted may postdate the durable commit the
-        # timeline ends at.
-        assert box.events[-1] is last, \
-            f"{point}: persisted events continue past the durable commit"
+        if after_gc_flip:
+            assert expected == self.workload.V2
+            assert box.snapshot["pending"] is None, \
+                f"{point}: the GC flip's snapshot carries a commit"
+            assert last["kind"] == events.CKPT_COMMIT, \
+                f"{point}: GC-flip timeline ends at {last['kind']!r}"
+        else:
+            expected_name = ("v2" if expected == self.workload.V2
+                             else "v1")
+            assert last["fields"].get("name") == expected_name, \
+                (f"{point}: black box ends at "
+                 f"{last['fields'].get('name')!r}, oracle says "
+                 f"{expected_name!r} is the last durable commit")
+            # Nothing persisted may postdate the durable commit the
+            # timeline ends at.
+            assert box.events[-1] is last, \
+                f"{point}: persisted events continue past the durable commit"
         faults = [row for row in box.timeline()
                   if row["kind"] == events.FAULT_INJECTED]
         assert faults, f"{point}: injected fault missing from black box"

@@ -24,6 +24,7 @@ from repro.units import PAGE_SIZE
 
 from tests.crashsched import (ClusterScheduleExplorer, ClusterWorkload,
                               CounterAppWorkload, CrashScheduleExplorer,
+                              GCCounterWorkload,
                               IncrementalCounterWorkload, IOCrash,
                               StageCrash)
 
@@ -142,6 +143,58 @@ def test_incremental_crash_around_commit_point_restores_durable(
                                    incr_schedule)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
+
+
+@pytest.fixture(scope="module")
+def gc_explorer():
+    """Explorer whose probed checkpoint deletes its parent."""
+    return CrashScheduleExplorer(GCCounterWorkload())
+
+
+@pytest.fixture(scope="module")
+def gc_schedule(gc_explorer):
+    return gc_explorer.probe()
+
+
+def test_gc_flip_follows_the_commit_flip(gc_schedule):
+    """The schedule space of a history-limited checkpoint includes the
+    delete's own IOs: child metadata, catalog, a second flip."""
+    assert gc_schedule.gc_flip_index is not None
+    assert gc_schedule.flip_index < gc_schedule.gc_flip_index \
+        == gc_schedule.io_count - 1
+
+
+def test_crash_during_gc_restores_the_committed_checkpoint(
+        gc_explorer, gc_schedule):
+    """Tier-1 slice: every IO from the commit flip through the GC flip
+    plus the stage boundaries after it.  Nothing the durable superblock
+    reaches may be gone before the flip that unreferences it lands —
+    each of these used to leave the store unmountable."""
+    points = [IOCrash(index)
+              for index in range(gc_schedule.flip_index,
+                                 gc_schedule.io_count)]
+    points += [StageCrash(stage, edge)
+               for stage, edge in gc_schedule.boundaries[-2:]]
+    outcomes = gc_explorer.sweep(points, gc_schedule)
+    assert all(outcome.ok for outcome in outcomes), \
+        [outcome for outcome in outcomes if not outcome.ok]
+    assert outcomes[0].restored == GCCounterWorkload.V1
+    assert {outcome.restored for outcome in outcomes[1:]} == \
+        {GCCounterWorkload.V2}
+
+
+@pytest.mark.slow
+def test_exhaustive_gc_crash_schedule_sweep(gc_explorer, gc_schedule):
+    """Every stage boundary and every IO index of a checkpoint whose
+    commit garbage-collects its parent."""
+    points = gc_explorer.all_points(gc_schedule)
+    assert [p.index for p in points if isinstance(p, IOCrash)] == \
+        list(range(gc_schedule.io_count))
+    outcomes = gc_explorer.sweep(points, gc_schedule)
+    failures = [outcome for outcome in outcomes if not outcome.ok]
+    assert not failures, failures
+    assert {outcome.restored for outcome in outcomes} == \
+        {GCCounterWorkload.V1, GCCounterWorkload.V2}
 
 
 def test_torn_superblock_write_falls_back_to_previous_checkpoint(

@@ -3,8 +3,8 @@ KObject through the store's record chains.
 
 The serializer walks everything (liveness) but re-writes only what
 mutated since the group's epoch floor; unchanged records resolve
-through ``merged_view``'s newest-wins chain walk; GC copy-forwards
-still-live records when the chain is truncated.  These tests pin the
+through ``merged_view``'s newest-wins chain walk; GC hands
+still-live records to the survivor when the chain is truncated.  These tests pin the
 protocol edges: floor advancement only on successful disk commits,
 deletion semantics via ``live_oids``, reclaimed-bytes accounting for
 page-less deltas, and byte-identical restore/scrub across a
@@ -23,6 +23,7 @@ from repro.core import telemetry
 from repro.errors import NoSpace
 from repro.kernel.fs.file import O_CREAT, O_RDWR
 from repro.objstore import records
+from repro.objstore.checkpoint import encode_record_index
 from repro.objstore.scrub import LIVENESS, scrub
 
 
@@ -156,9 +157,10 @@ def test_failed_commit_never_advances_the_floor(setup):
 
 
 def test_retain_last_forwards_records_across_truncation(setup):
-    """Truncating an incremental chain copy-forwards still-live
-    records into the oldest survivor; the merged view afterwards is
-    unchanged and every record still checksums."""
+    """Truncating an incremental chain hands still-live records to
+    the oldest survivor by reference — no record payload is read or
+    rewritten; the merged view afterwards is unchanged and every
+    record still checksums."""
     machine, sls, proc, group = setup
     kernel = machine.kernel
     fds = _open_files(kernel, proc, 12)
@@ -167,12 +169,19 @@ def test_retain_last_forwards_records_across_truncation(setup):
         kernel.write(proc, fds[tick], b"tick%d" % tick)
         last = sls.checkpoint(group, sync=True)
 
-    merged_before = sls.store.read_object_records(
-        sls.store.merged_view(last.info.ckpt_id)[0])
+    view_before = sls.store.merged_view(last.info.ckpt_id)[0]
+    merged_before = sls.store.read_object_records(view_before)
+    reads = machine.storage.bytes_read
+    forwarded = telemetry.registry().counter(
+        "sls.store.gc.records_forwarded", group=group.group_id)
+    forwarded0 = forwarded.value
     reclaimed = sls.store.retain_last(group.group_id, 1)
     assert reclaimed > 0
-    merged_after = sls.store.read_object_records(
-        sls.store.merged_view(last.info.ckpt_id)[0])
+    assert forwarded.value > forwarded0
+    assert machine.storage.bytes_read == reads
+    view_after = sls.store.merged_view(last.info.ckpt_id)[0]
+    assert view_after == view_before    # same extents, adopted in place
+    merged_after = sls.store.read_object_records(view_after)
     assert merged_after == merged_before
 
     report = scrub(sls.store, sls)
@@ -281,7 +290,9 @@ def test_scrub_flags_unreachable_live_record(setup):
     victim_oid = next(oid for oid in parent.object_records
                       if oid in live)
     doctored = parent.encode_meta()
-    del doctored["object_records"][str(victim_oid)]
+    doctored["object_records"] = encode_record_index(
+        {oid: extent for oid, extent in parent.object_records.items()
+         if oid != victim_oid})
     payload = records.encode(records.REC_CKPT_META, doctored)
     sls.store.device.write(parent.meta_extent[0], payload)
 

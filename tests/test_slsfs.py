@@ -59,6 +59,41 @@ def test_uncheckpointed_writes_lost_on_crash(setup):
     assert machine.kernel.read(proc2, fd2, 2) == b"v1"
 
 
+def test_truncated_file_recovers_at_its_new_size(setup):
+    """A truncate alone dirties the inode, and the page locators of the
+    cut tail (still in older deltas) stay out of the recovered file."""
+    machine, sls, proc = setup
+    kernel = machine.kernel
+    fd = kernel.open(proc, "/log", O_CREAT | O_RDWR)
+    kernel.write(proc, fd, b"x" * (3 * 4096))
+    sls.slsfs.checkpoint(sync=True)
+    proc.fdtable.get(fd).vnode.truncate(100)
+    assert sls.slsfs.has_dirty()
+    sls.slsfs.checkpoint(sync=True)
+    _reboot_with_aurora(machine)
+    vnode = machine.kernel.vfs.namei("/log")
+    assert vnode.size == 100
+    assert vnode.read(0, 4096) == b"x" * 100
+    assert sorted(vnode.vmobject.pages) == [0]
+
+
+def test_rename_alone_is_checkpointed(setup):
+    """Rename touches no file data and creates nothing: only the
+    directories' dirty hook tells the filesystem to persist it."""
+    machine, sls, proc = setup
+    kernel = machine.kernel
+    kernel.mkdir(proc, "/a")
+    kernel.open(proc, "/a/old", O_CREAT)
+    sls.slsfs.checkpoint(sync=True)
+    kernel.vfs.rename("/a/old", "/new")
+    assert sls.slsfs.has_dirty()
+    info = sls.slsfs.checkpoint(sync=True)
+    assert len(info.object_records) == 3    # header, "/", "/a"
+    _reboot_with_aurora(machine)
+    assert machine.kernel.vfs.listdir("/") == ["a", "new"]
+    assert machine.kernel.vfs.listdir("/a") == []
+
+
 def test_fsync_is_a_noop(setup):
     """Checkpoint consistency: fsync costs sub-microsecond (§9.1)."""
     machine, sls, proc = setup

@@ -7,10 +7,14 @@ long enough that each flight-recorder snapshot is over budget and
 sheds, so the digest covers the recorder's shedding decisions as well
 as the catalog, superblock, record and page bytes.
 
-The pins were taken with the recursive encoder and the
-encode-shed-re-encode flight recorder this repo started with; an
-encoder, decoder or recorder change that moves one byte on media fails
-here.  The digest must also not depend on process state: it is taken
+An encoder, decoder or recorder change that moves one byte on media
+fails here (PR 13's table-driven encoder and encode-once recorder
+kept the pins the recursive encoder set).  The pins move only with an
+intended on-disk format change; the last one was the checkpoint
+metadata record's extent-grouped ``object_records`` index (both
+images) together with GC adopting record extents by reference and
+releasing the victim's extents after its flip (the fleet image, the
+only one that garbage-collects).  The digest must also not depend on process state: it is taken
 cold (a fresh interpreter, nothing memoised) and warm (repeated in
 this process) and must read the same.
 """
@@ -25,8 +29,8 @@ from repro.core import telemetry
 from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
-FLEET_SHA256 = "2899ce78de795ceee8899f21cd4b6ade655ead69a2c34d3570ffb79f8089b737"
-CLUSTER_SHA256 = "3b39d898f446219c9aa27bb7d71c0df610aa927dda8d8fd14764a11841b0d0b8"
+FLEET_SHA256 = "906cd1c55c0ad2889659289bc3704c9b945b92644e133dc1cb302c4cd3004cc3"
+CLUSTER_SHA256 = "c259f12693be1b66ba6f77d84e426d9899a33f17123fb0a4d512d3420fddc61d"
 
 
 def image_digest(machines) -> str:
