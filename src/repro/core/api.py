@@ -56,9 +56,7 @@ class AuroraAPI:
         """
         group = self.group
         group_id = group.group_id
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
+        group.cancel_timer()
         for proc in list(group.processes):
             group.remove_process(proc)
             proc.exit(0)

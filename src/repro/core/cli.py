@@ -462,36 +462,24 @@ def cmd_slo(args) -> int:
         print(f"group {row['group']}: {row['commits']} durable commit(s); "
               f"targets rpo<{fmt_time(row['rpo_target_ns'])} "
               f"stop<{fmt_time(row['stop_target_ns'])}")
-        for series in ("rpo_lag", "stop", "e2e", "quorum_lag",
-                       "failover", "repair_mttr", "epoch_bump",
-                       "stale_primary"):
+        budgeted = [(b.series, b.unit) for b in slo_mod.BUDGETS]
+        for series, unit in budgeted + [("e2e", "ns")]:
             s = row[series]
-            if s["count"] == 0 and series in ("quorum_lag", "failover",
-                                              "repair_mttr",
-                                              "epoch_bump",
-                                              "stale_primary"):
-                continue  # no cluster attached to this run
-            print(f"  {series:<11} n={s['count']:<4} "
-                  f"p50 {fmt_time(s['p50']):>12} "
-                  f"p95 {fmt_time(s['p95']):>12} "
-                  f"p99 {fmt_time(s['p99']):>12} "
-                  f"max {fmt_time(s['max']):>12}")
-        recon = row["reconcile_bytes"]
-        if recon["count"]:
-            print(f"  reconcile   n={recon['count']:<4} "
-                  f"p50 {fmt_size(int(recon['p50'])):>12} "
-                  f"max {fmt_size(recon['max']):>12} "
-                  f"budget {fmt_size(row['reconcile_target_bytes']):>12}")
+            if not s["count"]:
+                continue  # e.g. no cluster attached to this run
+            fmt = fmt_time if unit == "ns" else fmt_size
+            print(f"  {series:<15} n={s['count']:<4} "
+                  f"p50 {fmt(s['p50']):>12} "
+                  f"p95 {fmt(s['p95']):>12} "
+                  f"p99 {fmt(s['p99']):>12} "
+                  f"max {fmt(s['max']):>12}")
         print(f"  degraded n={row['degraded_spells']:<4} "
               f"total {fmt_time(row['degraded_total_ns']):>12} "
               f"budget {fmt_time(row['degraded_target_ns']):>12}"
               f"{' (open spell)' if row['degraded_open'] else ''}")
-        print(f"  violations: {row['rpo_violations']} rpo, "
-              f"{row['stop_violations']} stop, "
-              f"{row['degraded_violations']} degraded, "
-              f"{row['epoch_bump_violations']} epoch-bump, "
-              f"{row['reconcile_violations']} reconcile, "
-              f"{row['stale_primary_violations']} stale-primary")
+        print("  violations: " + ", ".join(
+            f"{row[b.label + '_violations']} {b.label.replace('_', '-')}"
+            for b in slo_mod.BUDGETS))
     print("critical path (mean self time per checkpoint stage):")
     for row in slo_mod.critical_path_summary(group.group_id):
         if row["self_ns"] == 0:
@@ -512,8 +500,6 @@ def cmd_fleet(args) -> int:
     aggregate demand, Jain fairness over p99 RPO lag).  The image is
     not modified.
     """
-    from . import slo as slo_mod
-
     machine, sls = _load(args.image)
     kernel = machine.kernel
     periods = [10, 25, 50]
@@ -543,7 +529,7 @@ def cmd_fleet(args) -> int:
           f"{'SKIP':>4} {'DEGRADED':<8} {'PROBE':>5} {'P99 RPO':>12}")
     for row in rows:
         state = sls.slo.groups.get(row["group"])
-        p99 = (slo_mod.percentile_exact(state.rpo_lag.values, 99)
+        p99 = (state.series["rpo_lag"].percentile(99)
                if state is not None else 0)
         print(f"{row['group']:>5}  {row['name']:<10} "
               f"{fmt_time(row['period_ns']):>8} "

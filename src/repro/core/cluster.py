@@ -947,7 +947,7 @@ class SLSCluster:
         telemetry.registry().histogram(
             "sls.cluster.epoch_bump_ns",
             group=self.gid).observe(bump_ns)
-        self.primary.slo.on_epoch_bump(self.gid, bump_ns)
+        self.primary.slo.observe(self.gid, "epoch_bump", bump_ns)
         return proposal
 
     def failover(self, force: bool = False,
@@ -1053,7 +1053,7 @@ class SLSCluster:
         telemetry.registry().histogram(
             "sls.cluster.failover_ns",
             group=self.gid).observe(failover_ns)
-        self.primary.slo.on_failover(self.gid, failover_ns)
+        self.primary.slo.observe(self.gid, "failover", failover_ns)
         return result
 
     # -- repair ------------------------------------------------------------
@@ -1122,7 +1122,7 @@ class SLSCluster:
             "skipped": skipped,
             "wall_ns": wall_ns,
             "mttr_p50_ns": hist.percentile(50),
-            "mttr_max_ns": hist.percentile(100),
+            "mttr_max_ns": hist.max,
         }
         self.stats["segments_repaired"] += segments_done
         events.emit(clock.now(), events.REPAIR_DONE, group=self.gid,
@@ -1183,8 +1183,7 @@ class SLSCluster:
                     if recon is not None:
                         recon.local_segments += 1
                     hist.observe(elapsed)
-                    self.primary.slo.on_repair_segment(self.gid,
-                                                       elapsed)
+                    self.primary.slo.observe(self.gid, "repair", elapsed)
                     continue
                 donor = None
                 delay = 0
@@ -1213,7 +1212,7 @@ class SLSCluster:
                     recon.wire_segments += 1
                     recon.wire_bytes += meta.length
                 hist.observe(elapsed)
-                self.primary.slo.on_repair_segment(self.gid, elapsed)
+                self.primary.slo.observe(self.gid, "repair", elapsed)
             stream = assemble(manifest, gathered)
             epoch = max((h.applied_epoch.get(ckpt, 0)
                          for h in holders if ckpt in h.applied),
@@ -1427,12 +1426,12 @@ class SLSCluster:
         telemetry.registry().counter("sls.cluster.reconcile_bytes",
                                      group=self.gid).add(
                                          recon.wire_bytes)
-        self.primary.slo.on_reconcile(self.gid, recon.wire_bytes)
+        self.primary.slo.observe(self.gid, "reconcile", recon.wire_bytes)
         if self.fenced and self.group.health.degraded \
                 and self.group.health.reason == REASON_STALE_PRIMARY:
             spell = self.group.health.exit(clock.now())
             self.primary.slo.on_degraded_exit(self.gid, clock.now())
-            self.primary.slo.on_stale_primary(self.gid, spell)
+            self.primary.slo.observe(self.gid, "stale_primary", spell)
         report.update({
             "fenced": len(fenced),
             "divergent": divergent_truncated,

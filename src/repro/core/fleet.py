@@ -111,10 +111,10 @@ def van_der_corput(index: int) -> float:
 class FleetTimer:
     """The scheduling handle stored as ``group.timer``.
 
-    Pre-fleet code (suspend, restore, migration, benchmarks) cancels
-    a group's periodic chain via ``group.timer.cancel()``; this object
-    keeps that contract — cancelling it evicts the group from the EDF
-    queue.
+    ``ConsistencyGroup.cancel_timer()`` (suspend, detach, restore,
+    migration) and the benchmarks' ``group.timer.cancel()`` stop a
+    group's periodic chain through this object — cancelling it evicts
+    the group from the EDF queue.
     """
 
     __slots__ = ("_fleet", "_group", "cancelled")

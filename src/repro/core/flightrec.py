@@ -105,14 +105,15 @@ def _slo_row(tracker: Any, gid: int) -> Dict[str, Any]:
     """One tenant's SLO state: commits, sample summaries, the recent
     RPO-lag tail, and degraded/burn state."""
     state = tracker.groups[gid]
+    series = state.series
     return {
         "group": gid,
         "tenant": tracker.tenant_names.get(gid),
         "commits": state.commits,
-        "rpo_lag": _clean(state.rpo_lag.summary()),
-        "rpo_tail": state.rpo_lag.tail(MAX_SLO_TAIL),
-        "stop": _clean(state.stop.summary()),
-        "quorum_lag": _clean(state.quorum_lag.summary()),
+        "rpo_lag": _clean(series["rpo_lag"].summary()),
+        "rpo_tail": series["rpo_lag"].tail(MAX_SLO_TAIL),
+        "stop": _clean(series["stop"].summary()),
+        "quorum_lag": _clean(series["quorum_lag"].summary()),
         "degraded_total_ns": state.degraded_total_ns,
         "degraded_open": state.degraded_since is not None,
         "rpo_burn_milli": tracker.burn_rate_milli(gid, "rpo"),
@@ -125,9 +126,11 @@ def _slo_row_key(tracker: Any, gid: int) -> tuple:
     an equal key is still current.  Series are append-only, so their
     sample counts stand for their contents."""
     state = tracker.groups[gid]
+    series = state.series
     targets = tracker.targets_for(gid)
     return (tracker.tenant_names.get(gid), state.commits,
-            state.rpo_lag.added, state.stop.added, state.quorum_lag.added,
+            series["rpo_lag"].count, series["stop"].count,
+            series["quorum_lag"].count,
             state.degraded_total_ns, state.degraded_since is not None,
             targets.rpo_ns, targets.quorum_ns)
 

@@ -123,6 +123,12 @@ class ConsistencyGroup:
             keys=("checkpoints", "stop_ns_total", "stop_ns_max",
                   "pages_flushed", "bytes_flushed", "records_written"))
 
+    def cancel_timer(self) -> None:
+        """Stop periodic checkpointing (no-op without a timer)."""
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
     # -- membership ----------------------------------------------------------------
 
     def add_process(self, proc: Process, ephemeral: bool = False) -> None:

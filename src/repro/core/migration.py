@@ -152,7 +152,5 @@ def migrate(src_sls, dst_sls, group, rounds: int = 2):
         group.remove_process(proc)
         proc.exit(0)
     src_sls.groups.pop(group_id, None)
-    if group.timer is not None:
-        group.timer.cancel()
-        group.timer = None
+    group.cancel_timer()
     return dst_sls.restore(group_id)

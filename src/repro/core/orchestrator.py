@@ -137,9 +137,7 @@ class Orchestrator:
 
     def detach(self, group: ConsistencyGroup) -> None:
         """``sls detach``: stop persisting; history stays in the store."""
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
+        group.cancel_timer()
         group.attached = False
         for proc in list(group.processes):
             group.remove_process(proc)
@@ -399,9 +397,7 @@ class Orchestrator:
         # Stop the periodic timer first so no tick fires while we wait
         # out an in-flight flush, then let that flush land before the
         # final full checkpoint opens its transaction.
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
+        group.cancel_timer()
         if group.flush_in_progress:
             self._await_flush(group)
         result = self.checkpoint(group, name="suspend", full=True,

@@ -71,8 +71,6 @@ WIDEN_FACTOR = 4
 #: ``sls fleet``) so a tenant on a slow-to-recover store can probe
 #: less aggressively than its neighbours.
 DEFAULT_PROBE_EVERY = 5
-#: Backward-compatible alias for the pre-fleet name.
-PROBE_EVERY = DEFAULT_PROBE_EVERY
 
 
 class _ClockLike:

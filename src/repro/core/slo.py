@@ -3,66 +3,91 @@
 Aurora's headline numbers — 100 Hz continuous checkpointing with
 millisecond persistence and sub-millisecond stop times (§6) — are
 service level objectives.  The :class:`SLOTracker` turns them into
-monitored budgets:
+monitored budgets, and *what a budget is* lives in one table: each
+:data:`BUDGETS` row names a violation label, the sample series it
+feeds, its :class:`SLOTargets` field and default, its unit and whether
+it burn-alerts.  Targets, per-group series, violation counting, burn
+rates and ``report()`` are derived from the table, and every sample
+enters through ``SLOTracker.observe(group, budget, value)``.  The
+named entry points left are the ones that derive a value first:
 
-* **Recovery-point lag** — the worst-case data loss were power to fail
-  just before a commit lands: the sim-time between a checkpoint's
-  durable commit and the *capture instant* (quiesce start) of the
-  previous durable checkpoint.  At a steady 100 Hz with async flushes
-  this hovers around one period plus the flush latency; the default
-  budget is 10 ms (one period).
-* **Stop time** — the quiesce→resume window of each checkpoint;
-  budget 1 ms (§4.1's "a millisecond or less").
-* **End-to-end latency** — capture instant to durable commit of the
-  same checkpoint (the "continuous persistence lag" of §6).
+* ``on_commit`` — **recovery-point lag**, the worst-case data loss
+  were power to fail just before a commit lands: the sim-time between
+  a checkpoint's durable commit and the *capture instant* (quiesce
+  start) of the previous durable checkpoint.  At a steady 100 Hz with
+  async flushes this hovers around one period plus the flush latency.
+  Also records capture → durable commit of the same checkpoint (§6's
+  "continuous persistence lag") as the budget-less ``e2e`` series.
+* ``on_stop_time`` / ``on_quorum_ack`` — the quiesce→resume window;
+  commit → write-quorum lag plus its burn check.
+* ``on_degraded_enter/exit`` — a spell state machine: the budget is
+  charged with *cumulative* degraded time.
 
-Samples are exact (per-checkpoint values, not histogram buckets), so
-``sls slo``'s max/p50/p99 can be cross-checked against the known
-commit schedule of a deterministic run — which a test does.  Budget
-violations are counted per group in ``sls.slo.violations`` counters.
-
-The tracker is fed by the orchestrator (stop time after each pipeline
-run, commit data from the store's completion callback) and never
-advances the simulated clock.
+Samples are exact (:class:`telemetry.Series`, the one statistics
+primitive), so ``sls slo``'s max/p50/p99 can be cross-checked against
+the known commit schedule of a deterministic run — which a test does.
+Violations are counted per group in ``sls.slo.violations`` counters.
+The tracker never advances the simulated clock.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..serde import Encoded
 from ..units import MSEC, SEC
 from . import events as events_mod
 from . import telemetry, tracing
+from .telemetry import Series
 
-#: Default budgets: one 100 Hz period of recovery-point lag, and the
-#: paper's sub-millisecond stop time.
-DEFAULT_RPO_NS = 10 * MSEC
-DEFAULT_STOP_NS = 1 * MSEC
-#: Degraded-mode time budget: cumulative time a group may spend in
-#: degraded mode (memory-only checkpoints / widened interval) before
-#: it counts as an SLO violation — five normal checkpoint periods.
-DEFAULT_DEGRADED_NS = 50 * MSEC
-#: Cluster budgets: commit→write-quorum lag (two checkpoint periods),
-#: failover (promote + restore on the new primary), and per-segment
-#: repair MTTR — the Aurora ~10 s segment-repair window that bounds
-#: durability.
-DEFAULT_QUORUM_NS = 20 * MSEC
-DEFAULT_FAILOVER_NS = 1 * SEC
-DEFAULT_REPAIR_SEGMENT_NS = 10 * SEC
-#: Fencing / reconciliation budgets: winning a quorum epoch bump (a
-#: round of small control messages plus one superblock flip per
-#: voter), bytes a single heal-time reconciliation may move (the
-#: digest exchange should keep this near the real divergence, not the
-#: history size), and the time a fenced ex-primary may sit in the
-#: stale-primary degraded mode before reconciliation retires it.
-DEFAULT_EPOCH_BUMP_NS = 100 * MSEC
-DEFAULT_RECONCILE_BYTES = 4 * 1024 * 1024
-DEFAULT_STALE_PRIMARY_NS = 1 * SEC
 
-#: Exact samples kept per series (oldest dropped beyond this).
-SAMPLE_CAPACITY = 65536
+class Budget(NamedTuple):
+    """One :data:`BUDGETS` row.  ``label`` is the ``budget=`` label of
+    ``sls.slo.violations`` and prefixes the report's
+    ``<label>_target_<unit>`` / ``<label>_violations`` keys; ``series``
+    names the per-group sample series and its ``report()`` key;
+    ``target`` is the :class:`SLOTargets` field; ``unit`` is ``"ns"``
+    or ``"bytes"``; ``burn`` turns on burn rates and alerts."""
+
+    label: str
+    series: str
+    target: str
+    default: int
+    unit: str
+    burn: bool
+
+
+BUDGETS: Tuple[Budget, ...] = (
+    # One 100 Hz period of recovery-point lag.
+    Budget("rpo", "rpo_lag", "rpo_ns", 10 * MSEC, "ns", True),
+    # The paper's sub-millisecond stop time (§4.1).
+    Budget("stop", "stop", "stop_ns", 1 * MSEC, "ns", False),
+    # Cumulative time in degraded mode (memory-only checkpoints /
+    # widened interval): five normal checkpoint periods.
+    Budget("degraded", "degraded", "degraded_ns", 50 * MSEC, "ns", False),
+    # Cluster: commit→write-quorum lag (two checkpoint periods),
+    # failover (promote + restore on the new primary), and per-segment
+    # repair MTTR — the Aurora ~10 s segment-repair window that bounds
+    # durability.
+    Budget("quorum", "quorum_lag", "quorum_ns", 20 * MSEC, "ns", True),
+    Budget("failover", "failover", "failover_ns", 1 * SEC, "ns", False),
+    Budget("repair", "repair_mttr", "repair_segment_ns", 10 * SEC, "ns",
+           False),
+    # Fencing / reconciliation: winning a quorum epoch bump (a round of
+    # small control messages plus one superblock flip per voter), bytes
+    # a single heal-time reconciliation may move (the digest exchange
+    # should keep this near the real divergence, not the history size),
+    # and the time a fenced ex-primary may sit in the stale-primary
+    # degraded mode before reconciliation retires it.
+    Budget("epoch_bump", "epoch_bump", "epoch_bump_ns", 100 * MSEC, "ns",
+           False),
+    Budget("reconcile", "reconcile_bytes", "reconcile_bytes",
+           4 * 1024 * 1024, "bytes", False),
+    Budget("stale_primary", "stale_primary", "stale_primary_ns", 1 * SEC,
+           "ns", False),
+)
+_BY_LABEL: Dict[str, Budget] = {row.label: row for row in BUDGETS}
 
 #: Burn-rate alerting: the recent window of samples the rate is
 #: computed over, the minimum samples before alerting (a single bad
@@ -74,127 +99,47 @@ BURN_MIN_SAMPLES = 4
 BURN_ALERT_MILLI = 2000
 
 
-def _nearest_rank(ordered: List[int], p: float) -> int:
-    """Nearest-rank percentile of already-sorted samples (0 when empty)."""
-    if not ordered:
-        return 0
-    rank = max(1, int(len(ordered) * p / 100.0 + 0.9999))
-    return ordered[min(rank, len(ordered)) - 1]
+class SLOTargets(SimpleNamespace):
+    """Configurable budgets: one field per :data:`BUDGETS` row, by the
+    row's ``target`` name (``SLOTargets(rpo_ns=..., stop_ns=...)``)."""
 
-
-def percentile_exact(values: Iterable[int], p: float) -> int:
-    """Nearest-rank percentile over exact samples (0 when empty)."""
-    return _nearest_rank(sorted(values), p)
-
-
-class SLOTargets:
-    """Configurable budgets."""
-
-    __slots__ = ("rpo_ns", "stop_ns", "degraded_ns", "quorum_ns",
-                 "failover_ns", "repair_segment_ns", "epoch_bump_ns",
-                 "reconcile_bytes", "stale_primary_ns")
-
-    def __init__(self, rpo_ns: int = DEFAULT_RPO_NS,
-                 stop_ns: int = DEFAULT_STOP_NS,
-                 degraded_ns: int = DEFAULT_DEGRADED_NS,
-                 quorum_ns: int = DEFAULT_QUORUM_NS,
-                 failover_ns: int = DEFAULT_FAILOVER_NS,
-                 repair_segment_ns: int = DEFAULT_REPAIR_SEGMENT_NS,
-                 epoch_bump_ns: int = DEFAULT_EPOCH_BUMP_NS,
-                 reconcile_bytes: int = DEFAULT_RECONCILE_BYTES,
-                 stale_primary_ns: int = DEFAULT_STALE_PRIMARY_NS):
-        self.rpo_ns = rpo_ns
-        self.stop_ns = stop_ns
-        self.degraded_ns = degraded_ns
-        self.quorum_ns = quorum_ns
-        self.failover_ns = failover_ns
-        self.repair_segment_ns = repair_segment_ns
-        self.epoch_bump_ns = epoch_bump_ns
-        self.reconcile_bytes = reconcile_bytes
-        self.stale_primary_ns = stale_primary_ns
+    def __init__(self, **budgets: int) -> None:
+        fields = {row.target: row.default for row in BUDGETS}
+        unknown = budgets.keys() - fields.keys()
+        if unknown:
+            raise TypeError(f"unknown SLO budget {sorted(unknown)[0]!r}")
+        super().__init__(**{**fields, **budgets})
 
     def replace(self, **overrides: int) -> "SLOTargets":
         """A copy with the given budgets overridden."""
-        fields = {name: getattr(self, name) for name in self.__slots__}
-        for name, value in overrides.items():
-            if name not in fields:
-                raise TypeError(f"unknown SLO budget {name!r}")
-            fields[name] = value
-        return SLOTargets(**fields)
-
-    def __repr__(self) -> str:
-        return (f"SLOTargets(rpo={self.rpo_ns}ns, stop={self.stop_ns}ns, "
-                f"degraded={self.degraded_ns}ns, "
-                f"quorum={self.quorum_ns}ns)")
-
-
-class _Series:
-    """One bounded exact-sample series.  Samples are only ever
-    appended, so ``added`` identifies the series' state — readers may
-    cache anything they derive from it under that number."""
-
-    __slots__ = ("values", "added")
-
-    def __init__(self) -> None:
-        self.values: Deque[int] = deque(maxlen=SAMPLE_CAPACITY)
-        #: Samples ever added, evicted ones included.
-        self.added = 0
-
-    def add(self, value: int) -> None:
-        self.values.append(value)
-        self.added += 1
-
-    def tail(self, count: int) -> List[int]:
-        """The newest ``count`` samples, oldest first."""
-        return telemetry.ring_tail(self.values, count)
-
-    def summary(self) -> Dict[str, int]:
-        ordered = sorted(self.values)
-        return {
-            "count": len(ordered),
-            "max": ordered[-1] if ordered else 0,
-            "p50": _nearest_rank(ordered, 50),
-            "p95": _nearest_rank(ordered, 95),
-            "p99": _nearest_rank(ordered, 99),
-        }
+        return SLOTargets(**{**vars(self), **overrides})
 
 
 class _GroupSLO:
     """Per-consistency-group SLO state."""
 
-    def __init__(self, group_id: int):
-        self.group_id = group_id
-        self.rpo_lag = _Series()
-        self.stop = _Series()
-        self.e2e = _Series()
+    def __init__(self) -> None:
+        #: One series per budget by its ``series`` name, plus the
+        #: budget-less end-to-end commit latency.
+        self.series: Dict[str, Series] = {
+            name: Series() for name in [b.series for b in BUDGETS] + ["e2e"]}
         #: Capture instant of the newest durable checkpoint.
         self.last_durable_capture: Optional[int] = None
         self.commits = 0
-        #: Degraded-mode spells: per-spell lengths, cumulative total,
-        #: and the start of the still-open spell (if any).
-        self.degraded = _Series()
+        #: Degraded-mode spells: cumulative total and the start of the
+        #: still-open spell (if any).
         self.degraded_total_ns = 0
         self.degraded_since: Optional[int] = None
-        #: Cluster series: commit→quorum-ack lag, failover durations,
-        #: per-segment repair MTTR.
-        self.quorum_lag = _Series()
-        self.failover = _Series()
-        self.repair_mttr = _Series()
-        #: Fencing series: quorum epoch-bump latency, bytes moved per
-        #: heal-time reconciliation, and stale-primary degraded spells.
-        self.epoch_bump = _Series()
-        self.reconcile_bytes = _Series()
-        self.stale_primary = _Series()
         #: The flight recorder's encoded snapshot row for this tenant
         #: and the state key it was encoded at (see ``flightrec``).
         self.encoded_row: Optional[Tuple[tuple, Encoded]] = None
 
 
 class SLOTracker:
-    """Derives RPO/stop-time/latency SLO compliance from the feed the
-    orchestrator provides."""
+    """Derives SLO compliance from the feed the orchestrator and the
+    cluster provide."""
 
-    def __init__(self, targets: Optional[SLOTargets] = None):
+    def __init__(self, targets: Optional[SLOTargets] = None) -> None:
         self.targets = targets or SLOTargets()
         self.groups: Dict[int, _GroupSLO] = {}
         #: Per-tenant budget overrides (fleet-admitted groups with
@@ -218,10 +163,13 @@ class SLOTracker:
         """The budgets in force for one group."""
         return self.group_targets.get(group_id, self.targets)
 
+    def _target(self, group_id: int, row: Budget) -> int:
+        return getattr(self.targets_for(group_id), row.target)
+
     def _group(self, group_id: int) -> _GroupSLO:
         state = self.groups.get(group_id)
         if state is None:
-            state = _GroupSLO(group_id)
+            state = _GroupSLO()
             self.groups[group_id] = state
         return state
 
@@ -230,37 +178,38 @@ class SLOTracker:
                                      group=group_id,
                                      budget=budget).add(1)
 
+    def observe(self, group_id: int, budget: str, value: int) -> None:
+        """Record one sample against the budget with this label and
+        count a violation when it is over the group's target."""
+        row = _BY_LABEL.get(budget)
+        if row is None:
+            raise ValueError(f"unknown SLO budget {budget!r}")
+        self._group(group_id).series[row.series].observe(value)
+        if value > self._target(group_id, row):
+            self._violate(group_id, budget)
+
     # -- burn-rate alerting -------------------------------------------------------
 
-    def _burn_series(self, group_id: int, budget: str) -> tuple:
-        state = self._group(group_id)
-        targets = self.targets_for(group_id)
-        table = {"rpo": (state.rpo_lag, targets.rpo_ns),
-                 "stop": (state.stop, targets.stop_ns),
-                 "quorum": (state.quorum_lag, targets.quorum_ns)}
-        if budget not in table:
-            raise ValueError(f"no burn rate for budget {budget!r}")
-        return table[budget]
-
-    def burn_rate_milli(self, group_id: int, budget: str,
-                        window: int = BURN_WINDOW) -> int:
-        """Budget consumption rate over the recent sample window, in
+    def burn_rate_milli(self, group_id: int, budget: str) -> int:
+        """Budget consumption rate over the last ``BURN_WINDOW`` samples, in
         milli-units: 1000 means the tenant consumes its budget exactly
         as fast as it accrues; 2000 burns it at twice the sustainable
         rate.  0 with no samples."""
-        series, target = self._burn_series(group_id, budget)
-        recent = series.tail(window)
+        row = _BY_LABEL.get(budget)
+        if row is None or not row.burn:
+            raise ValueError(f"no burn rate for budget {budget!r}")
+        target = self._target(group_id, row)
+        recent = self._group(group_id).series[row.series].tail(BURN_WINDOW)
         if not recent or target <= 0:
             return 0
         return sum(recent) * 1000 // (len(recent) * target)
 
-    def _check_burn(self, group_id: int, budget: str,
-                    now_ns: int) -> None:
+    def _check_burn(self, group_id: int, budget: str, now_ns: int) -> None:
         """Edge-triggered burn-rate alert: emits one ``slo.alert``
         event when a budget's recent burn crosses the threshold, and
         re-arms once it drops back under."""
-        series, _target = self._burn_series(group_id, budget)
-        if len(series.values) < BURN_MIN_SAMPLES:
+        series = self._group(group_id).series[_BY_LABEL[budget].series]
+        if series.count < BURN_MIN_SAMPLES:
             return
         burn = self.burn_rate_milli(group_id, budget)
         key = (group_id, budget)
@@ -271,7 +220,7 @@ class SLOTracker:
                             tenant=self.tenant_names.get(group_id),
                             budget=budget, burn_milli=burn,
                             threshold_milli=BURN_ALERT_MILLI,
-                            window=min(len(series.values), BURN_WINDOW))
+                            window=min(series.count, BURN_WINDOW))
             telemetry.registry().counter("sls.slo.alerts",
                                          group=group_id,
                                          budget=budget).add(1)
@@ -281,14 +230,11 @@ class SLOTracker:
         return telemetry.registry().value("sls.slo.alerts",
                                           group=group_id, budget=budget)
 
-    # -- the orchestrator feed ----------------------------------------------------
+    # -- the orchestrator and cluster feed ----------------------------------------
 
     def on_stop_time(self, group_id: int, stop_ns: int) -> None:
         """One checkpoint's quiesce→resume window closed."""
-        state = self._group(group_id)
-        state.stop.add(stop_ns)
-        if stop_ns > self.targets_for(group_id).stop_ns:
-            self._violate(group_id, "stop")
+        self.observe(group_id, "stop", stop_ns)
 
     def on_commit(self, group_id: int, ckpt_id: int,
                   capture_ns: int, commit_ns: int) -> None:
@@ -302,14 +248,18 @@ class SLOTracker:
         # Worst-case loss just before this commit landed: everything
         # since the previous durable capture.  The first commit of a
         # chain has no predecessor; its own capture bounds the lag.
-        lag = commit_ns - (prev if prev is not None else capture_ns)
-        state.rpo_lag.add(lag)
-        state.e2e.add(commit_ns - capture_ns)
+        self.observe(group_id, "rpo",
+                     commit_ns - (prev if prev is not None else capture_ns))
+        state.series["e2e"].observe(commit_ns - capture_ns)
         state.last_durable_capture = capture_ns
         state.commits += 1
-        if lag > self.targets_for(group_id).rpo_ns:
-            self._violate(group_id, "rpo")
         self._check_burn(group_id, "rpo", commit_ns)
+
+    def on_quorum_ack(self, group_id: int, lag_ns: int, now_ns: int) -> None:
+        """A checkpoint reached its write quorum ``lag_ns`` after the
+        cluster first saw it committed."""
+        self.observe(group_id, "quorum", lag_ns)
+        self._check_burn(group_id, "quorum", now_ns)
 
     def on_degraded_enter(self, group_id: int, now_ns: int) -> None:
         """The group entered degraded mode; the spell clock starts."""
@@ -324,75 +274,12 @@ class SLOTracker:
             return
         spell = now_ns - state.degraded_since
         state.degraded_since = None
-        state.degraded.add(spell)
+        state.series["degraded"].observe(spell)
         budget = self.targets_for(group_id).degraded_ns
         was_over = state.degraded_total_ns - spell > budget
         state.degraded_total_ns += spell
         if state.degraded_total_ns > budget and not was_over:
             self._violate(group_id, "degraded")
-
-    # -- the cluster feed ---------------------------------------------------------
-
-    def on_quorum_ack(self, group_id: int, lag_ns: int,
-                      now_ns: Optional[int] = None) -> None:
-        """A checkpoint reached its write quorum ``lag_ns`` after the
-        cluster first saw it committed."""
-        state = self._group(group_id)
-        state.quorum_lag.add(lag_ns)
-        if lag_ns > self.targets_for(group_id).quorum_ns:
-            self._violate(group_id, "quorum")
-        if now_ns is None:
-            now_ns = (state.last_durable_capture or 0) + lag_ns
-        self._check_burn(group_id, "quorum", now_ns)
-
-    def on_failover(self, group_id: int, failover_ns: int) -> None:
-        """A standby node was promoted to primary."""
-        state = self._group(group_id)
-        state.failover.add(failover_ns)
-        if failover_ns > self.targets_for(group_id).failover_ns:
-            self._violate(group_id, "failover")
-
-    def on_epoch_bump(self, group_id: int, bump_ns: int) -> None:
-        """A quorum epoch bump (the fencing round of a failover or an
-        operator promote) completed in ``bump_ns``."""
-        state = self._group(group_id)
-        state.epoch_bump.add(bump_ns)
-        if bump_ns > self.targets_for(group_id).epoch_bump_ns:
-            self._violate(group_id, "epoch_bump")
-
-    def on_reconcile(self, group_id: int, nbytes: int) -> None:
-        """One heal-time anti-entropy reconciliation moved ``nbytes``
-        of differing segments across the wire."""
-        state = self._group(group_id)
-        state.reconcile_bytes.add(nbytes)
-        if nbytes > self.targets_for(group_id).reconcile_bytes:
-            self._violate(group_id, "reconcile")
-
-    def on_stale_primary(self, group_id: int, spell_ns: int) -> None:
-        """A fenced ex-primary's stale-primary degraded spell closed
-        (reconciliation retired it) after ``spell_ns``."""
-        state = self._group(group_id)
-        state.stale_primary.add(spell_ns)
-        if spell_ns > self.targets_for(group_id).stale_primary_ns:
-            self._violate(group_id, "stale_primary")
-
-    def on_repair_segment(self, group_id: int, mttr_ns: int) -> None:
-        """One lost segment copy was rebuilt ``mttr_ns`` after repair
-        began — the window in which a further fault could have lined
-        up on the same data."""
-        state = self._group(group_id)
-        state.repair_mttr.add(mttr_ns)
-        if mttr_ns > self.targets_for(group_id).repair_segment_ns:
-            self._violate(group_id, "repair")
-
-    def degraded_time_ns(self, group_id: int,
-                         now_ns: Optional[int] = None) -> int:
-        """Cumulative degraded time, including any open spell."""
-        state = self._group(group_id)
-        total = state.degraded_total_ns
-        if state.degraded_since is not None and now_ns is not None:
-            total += now_ns - state.degraded_since
-        return total
 
     # -- reporting ---------------------------------------------------------------
 
@@ -417,9 +304,9 @@ class SLOTracker:
         scaled: List[float] = []
         for gid in ids:
             state = self.groups.get(gid)
-            if state is None or not state.rpo_lag.values:
+            if state is None or not state.series["rpo_lag"].count:
                 continue
-            p99 = percentile_exact(state.rpo_lag.values, 99)
+            p99 = state.series["rpo_lag"].percentile(99)
             raw.append(p99)
             divisor = 1 if normalize is None else max(1, normalize.get(gid, 1))
             scaled.append(p99 / divisor)
@@ -443,54 +330,35 @@ class SLOTracker:
                                           group=group_id, budget=budget)
 
     def report(self, group_id: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Per-group SLO summary rows (the ``sls slo`` payload)."""
+        """Per-group SLO summary rows (the ``sls slo`` payload): for
+        each :data:`BUDGETS` row its series summary under the series
+        name, ``<label>_target_<unit>``, ``<label>_violations`` and,
+        for burn-alerting budgets, ``<label>_burn_milli``."""
         rows = []
-        for gid in sorted(self.groups):
-            if group_id is not None and gid != group_id:
+        for gid, state in sorted(self.groups.items()):
+            if group_id not in (None, gid):
                 continue
-            state = self.groups[gid]
-            targets = self.targets_for(gid)
-            rows.append({
+            row: Dict[str, Any] = {
                 "group": gid,
                 "tenant": self.tenant_names.get(gid),
                 "commits": state.commits,
-                "rpo_burn_milli": self.burn_rate_milli(gid, "rpo"),
-                "quorum_burn_milli": self.burn_rate_milli(gid, "quorum"),
-                "alerts": (self.alerts(gid, "rpo")
-                           + self.alerts(gid, "stop")
-                           + self.alerts(gid, "quorum")),
-                "rpo_lag": state.rpo_lag.summary(),
-                "stop": state.stop.summary(),
-                "e2e": state.e2e.summary(),
-                "rpo_target_ns": targets.rpo_ns,
-                "stop_target_ns": targets.stop_ns,
-                "rpo_violations": self.violations(gid, "rpo"),
-                "stop_violations": self.violations(gid, "stop"),
-                "degraded_spells": len(state.degraded.values),
+                "alerts": sum(self.alerts(gid, budget.label)
+                              for budget in BUDGETS if budget.burn),
+                "e2e": state.series["e2e"].summary(),
+                "degraded_spells": state.series["degraded"].count,
                 "degraded_total_ns": state.degraded_total_ns,
                 "degraded_open": state.degraded_since is not None,
-                "degraded_target_ns": targets.degraded_ns,
-                "degraded_violations": self.violations(gid, "degraded"),
-                "quorum_lag": state.quorum_lag.summary(),
-                "failover": state.failover.summary(),
-                "repair_mttr": state.repair_mttr.summary(),
-                "quorum_target_ns": targets.quorum_ns,
-                "failover_target_ns": targets.failover_ns,
-                "repair_target_ns": targets.repair_segment_ns,
-                "quorum_violations": self.violations(gid, "quorum"),
-                "failover_violations": self.violations(gid, "failover"),
-                "repair_violations": self.violations(gid, "repair"),
-                "epoch_bump": state.epoch_bump.summary(),
-                "reconcile_bytes": state.reconcile_bytes.summary(),
-                "stale_primary": state.stale_primary.summary(),
-                "epoch_bump_target_ns": targets.epoch_bump_ns,
-                "reconcile_target_bytes": targets.reconcile_bytes,
-                "stale_primary_target_ns": targets.stale_primary_ns,
-                "epoch_bump_violations": self.violations(gid, "epoch_bump"),
-                "reconcile_violations": self.violations(gid, "reconcile"),
-                "stale_primary_violations":
-                    self.violations(gid, "stale_primary"),
-            })
+            }
+            for budget in BUDGETS:
+                label = budget.label
+                row[budget.series] = state.series[budget.series].summary()
+                row[f"{label}_target_{budget.unit}"] = \
+                    self._target(gid, budget)
+                row[f"{label}_violations"] = self.violations(gid, label)
+                if budget.burn:
+                    row[f"{label}_burn_milli"] = \
+                        self.burn_rate_milli(gid, label)
+            rows.append(row)
         return rows
 
 
@@ -513,15 +381,8 @@ def critical_path_summary(group_id: Optional[int] = None
             agg["count"] += 1
             agg["total_ns"] += row["duration_ns"]
             agg["self_ns"] += row["self_ns"]
-    rows = []
-    for name, agg in totals.items():
-        rows.append({
-            "name": name,
-            "count": agg["count"],
-            "total_ns": agg["total_ns"],
-            "self_ns": agg["self_ns"],
-            "mean_self_ns": (agg["self_ns"] // agg["count"]
-                             if agg["count"] else 0),
-        })
+    rows: List[Dict[str, Any]] = [
+        {"name": name, **agg, "mean_self_ns": agg["self_ns"] // agg["count"]}
+        for name, agg in totals.items()]
     rows.sort(key=lambda row: -row["self_ns"])
     return rows

@@ -1,9 +1,9 @@
-"""Unified SLS telemetry: spans, counters, latency histograms.
+"""Unified SLS telemetry: spans, counters, sample series.
 
 Every layer of the single level store — orchestrator, shadow engine,
 serializers, object store, journals, the Aurora FS, the NVMe model —
 reports into one process-wide :class:`TelemetryRegistry`.  Metrics are
-*sim-clock-native*: spans and histograms record integer simulated
+*sim-clock-native*: spans and series record integer simulated
 nanoseconds and recording never advances the clock, so instrumented
 and uninstrumented runs are timing-identical.
 
@@ -11,10 +11,13 @@ Three primitives:
 
 * :class:`Counter` — a monotonic (or settable) integer, keyed by name
   plus a label set (``group=3``, ``device="nvd0"``, ...).
-* :class:`Histogram` — a log2-bucketed latency distribution with exact
-  count/total/min/max, cheap enough for per-IO observation.
+* :class:`Series` — the one statistics primitive: exact all-time
+  count/total/min/max plus a bounded window of raw samples, so every
+  percentile reported anywhere (``sls stat/slo/top/cluster/metrics``,
+  SLO budgets, the flight record) is the same nearest-rank over samples
+  that occurred.  ``registry.histogram(name, **labels)`` names one.
 * spans — ``registry.record_span(name, start, end, **labels)`` keeps a
-  bounded trace ring and feeds a histogram of the same name, which is
+  bounded trace ring and feeds a series of the same name, which is
   how per-stage checkpoint timings become queryable after the fact
   (``sls stat``).  Evictions from the full ring are counted in
   ``sls.telemetry.spans_dropped``.
@@ -29,22 +32,17 @@ any object with the small ``alloc/push/pop/attach`` protocol, supplied
 by :func:`repro.core.tracing.trace`.
 
 ``set_enabled(False)`` turns span/trace recording off entirely (the
-ring, histograms fed by spans, traces and the event log all go quiet;
-counters stay live — subsystems use them for bookkeeping).  Recording
-never advances the simulated clock either way, so instrumented and
-uninstrumented runs are timing-identical — asserted by test.
-
-:class:`StatsView` is the compatibility shim: a dict-shaped view over
-registry counters so existing readers of ``group.stats["checkpoints"]``
-et al. keep working while the data lives in the registry.
+ring, series fed by spans, traces and the event log all go quiet;
+counters stay live — subsystems use them for bookkeeping); sim
+timing is identical either way — asserted by test.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import (Deque, Dict, Iterable, Iterator, List, Optional, Tuple,
-                    TypeVar, Union)
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple, TypeVar, Union)
 
 from ..serde import Encoded
 
@@ -72,7 +70,7 @@ class Counter:
 
     __slots__ = ("name", "labels", "value")
 
-    def __init__(self, name: str, labels: Dict[str, object]):
+    def __init__(self, name: str, labels: Dict[str, object]) -> None:
         self.name = name
         self.labels = labels
         self.value = 0
@@ -89,51 +87,71 @@ class Counter:
         return f"Counter({self.name}{self.labels or ''}={self.value})"
 
 
-class Histogram:
-    """Log2-bucketed distribution of integer nanosecond samples."""
+def _rank(ordered: List[int], p: float) -> int:
+    """Nearest-rank percentile of already-sorted samples (0 when empty)."""
+    if not ordered:
+        return 0
+    rank = max(1, int(len(ordered) * p / 100.0 + 0.9999))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+#: Raw samples a :class:`Series` keeps for percentiles (oldest dropped
+#: beyond this; count/total/min/max stay exact over all of them).
+SAMPLE_CAPACITY = 65536
+
+
+class Series:
+    """Exact all-time count/total/min/max plus a bounded window of raw
+    integer samples (nanoseconds, bytes) that percentiles are read
+    from.  Samples are only ever appended, so ``count`` identifies the
+    series' state — readers may cache what they derive under it."""
 
     __slots__ = ("name", "labels", "count", "total", "min", "max",
-                 "buckets")
+                 "samples")
 
-    def __init__(self, name: str, labels: Dict[str, object]):
+    def __init__(self, name: str = "",
+                 labels: Optional[Dict[str, object]] = None) -> None:
         self.name = name
-        self.labels = labels
+        self.labels: Dict[str, object] = labels or {}
         self.count = 0
         self.total = 0
-        self.min: Optional[int] = None
+        self.min = 0
         self.max = 0
-        #: bucket index (sample.bit_length()) -> sample count.
-        self.buckets: Dict[int, int] = {}
+        self.samples: Deque[int] = deque(maxlen=SAMPLE_CAPACITY)
 
     def observe(self, value: int) -> None:
+        if not self.count:
+            self.min = self.max = value
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        index = int(value).bit_length()
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        self.samples.append(value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def tail(self, count: int) -> List[int]:
+        """The newest ``count`` samples, oldest first."""
+        return ring_tail(self.samples, count)
+
     def percentile(self, p: float) -> int:
-        """Upper bound of the bucket holding the p-th percentile."""
-        if not self.count:
-            return 0
-        target = max(1, int(self.count * p / 100.0 + 0.5))
-        seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
-            if seen >= target:
-                return (1 << index) - 1 if index else 0
-        return self.max
+        """Nearest-rank percentile of the window (0 when empty): always
+        a sample that occurred, so ``min <= percentile(p) <= max``."""
+        return _rank(sorted(self.samples), p)
+
+    def summary(self) -> Dict[str, int]:
+        ordered = sorted(self.samples)
+        return {"count": self.count, "max": self.max,
+                "p50": _rank(ordered, 50), "p95": _rank(ordered, 95),
+                "p99": _rank(ordered, 99)}
 
     def __repr__(self) -> str:
-        return (f"Histogram({self.name}{self.labels or ''}: n={self.count}, "
-                f"mean={self.mean:.0f}ns, max={self.max}ns)")
+        return (f"Series({self.name}{self.labels or ''}: n={self.count}, "
+                f"mean={self.mean:.0f}, max={self.max})")
 
 
 class SpanRecord:
@@ -154,7 +172,7 @@ class SpanRecord:
                  "trace_id", "span_id", "parent_id", "encoded")
 
     def __init__(self, name: str, labels: Dict[str, object],
-                 start_ns: int, end_ns: int):
+                 start_ns: int, end_ns: int) -> None:
         self.name = name
         self.labels = labels
         self.start_ns = start_ns
@@ -184,13 +202,13 @@ class _SpanContext:
     __slots__ = ("registry", "clock", "name", "labels", "start_ns",
                  "span_id")
 
-    def __init__(self, registry: "TelemetryRegistry", clock, name: str,
-                 labels: Dict[str, object]):
+    def __init__(self, registry: "TelemetryRegistry", clock: Any,
+                 name: str, labels: Dict[str, object]) -> None:
         self.registry = registry
         self.clock = clock
         self.name = name
         self.labels = labels
-        self.start_ns: Optional[int] = None
+        self.start_ns = 0
         self.span_id: Optional[int] = None
 
     def __enter__(self) -> "_SpanContext":
@@ -200,7 +218,7 @@ class _SpanContext:
             self.span_id = trace.push()
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         trace = self.registry.active_trace
         if trace is not None and self.span_id is not None:
             trace.pop(self.span_id)
@@ -209,29 +227,41 @@ class _SpanContext:
                                   span_id=self.span_id, **self.labels)
 
 
+_M = TypeVar("_M", Counter, Series)
+
+
+def _matching(metrics: Iterable[_M], prefix: Union[str, Tuple[str, ...]],
+              labels: Dict[str, object]) -> Iterator[_M]:
+    wanted = labels.items()
+    for metric in metrics:
+        if (metric.name.startswith(prefix)
+                and all(metric.labels.get(k) == v for k, v in wanted)):
+            yield metric
+
+
 class TelemetryRegistry:
-    """Process-wide home of all counters, histograms and spans."""
+    """Process-wide home of all counters, series and spans."""
 
     #: Bounded span trace: enough for a benchmark run's recent history
     #: without growing across thousands of simulated checkpoints.
     SPAN_CAPACITY = 8192
 
-    def __init__(self, span_capacity: int = SPAN_CAPACITY):
+    def __init__(self, span_capacity: int = SPAN_CAPACITY) -> None:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         #: The same counters by name, so :meth:`value` reads only the
         #: label sets of the name it sums.
         self._counters_by_name: Dict[str, List[Counter]] = {}
-        self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
-        self.spans: deque = deque(maxlen=span_capacity)
+        self._histograms: Dict[Tuple[str, LabelKey], Series] = {}
+        self.spans: Deque[SpanRecord] = deque(maxlen=span_capacity)
         #: Span/trace/event recording switch (counters stay live).
         self.enabled = True
         #: The operation trace spans are currently attributed to (an
         #: object with the alloc/push/pop/attach protocol), or None.
-        self.active_trace: Optional[object] = None
+        self.active_trace: Optional[Any] = None
 
     # -- metric access ------------------------------------------------------------
 
-    def counter(self, name: str, **labels) -> Counter:
+    def counter(self, name: str, **labels: object) -> Counter:
         key = (name, _label_key(labels))
         counter = self._counters.get(key)
         if counter is None:
@@ -240,19 +270,20 @@ class TelemetryRegistry:
             self._counters_by_name.setdefault(name, []).append(counter)
         return counter
 
-    def histogram(self, name: str, **labels) -> Histogram:
+    def histogram(self, name: str, **labels: object) -> Series:
         key = (name, _label_key(labels))
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            histogram = Histogram(name, labels)
-            self._histograms[key] = histogram
-        return histogram
+        series = self._histograms.get(key)
+        if series is None:
+            series = Series(name, labels)
+            self._histograms[key] = series
+        return series
 
     # -- spans --------------------------------------------------------------------
 
     def record_span(self, name: str, start_ns: int, end_ns: int,
-                    span_id: Optional[int] = None, **labels) -> SpanRecord:
-        """Record a completed span and feed its latency histogram.
+                    span_id: Optional[int] = None,
+                    **labels: object) -> SpanRecord:
+        """Record a completed span and feed its latency series.
 
         ``span_id`` is supplied by :class:`_SpanContext` when the span
         was pushed on an operation trace at open time; post-hoc calls
@@ -270,35 +301,26 @@ class TelemetryRegistry:
         self.histogram(name, **labels).observe(span.duration_ns)
         return span
 
-    def span(self, clock, name: str, **labels) -> _SpanContext:
+    def span(self, clock: Any, name: str,
+             **labels: object) -> _SpanContext:
         """``with registry.span(clock, "restore", group=3): ...``"""
         return _SpanContext(self, clock, name, labels)
 
     # -- queries ------------------------------------------------------------------
 
     def counters_matching(self, prefix: Union[str, Tuple[str, ...]] = "",
-                          **labels) -> Iterator[Counter]:
+                          **labels: object) -> Iterator[Counter]:
         """Counters whose name starts with ``prefix`` (or any of a
         tuple of prefixes) and whose label set contains every given
         label (extra labels are ignored)."""
-        wanted = labels.items()
-        for counter in self._counters.values():
-            if not counter.name.startswith(prefix):
-                continue
-            if all(counter.labels.get(k) == v for k, v in wanted):
-                yield counter
+        return _matching(self._counters.values(), prefix, labels)
 
     def histograms_matching(self, prefix: str = "",
-                            **labels) -> Iterator[Histogram]:
-        """Histograms filtered like :meth:`counters_matching`."""
-        wanted = labels.items()
-        for histogram in self._histograms.values():
-            if not histogram.name.startswith(prefix):
-                continue
-            if all(histogram.labels.get(k) == v for k, v in wanted):
-                yield histogram
+                            **labels: object) -> Iterator[Series]:
+        """Named series filtered like :meth:`counters_matching`."""
+        return _matching(self._histograms.values(), prefix, labels)
 
-    def value(self, name: str, **labels) -> int:
+    def value(self, name: str, **labels: object) -> int:
         """Sum of every counter with this exact name and matching
         labels (aggregates across instance labels)."""
         wanted = labels.items()
@@ -306,23 +328,21 @@ class TelemetryRegistry:
                    if all(c.labels.get(k) == v for k, v in wanted))
 
     def stage_rows(self, group_id: Optional[int] = None,
-                   prefix: str = "ckpt.") -> List[dict]:
+                   prefix: str = "ckpt.") -> List[Dict[str, Any]]:
         """Per-stage latency summary rows (the ``sls stat`` payload)."""
-        rows = []
-        labels = {} if group_id is None else {"group": group_id}
-        for histogram in self.histograms_matching(prefix, **labels):
-            rows.append({
-                "stage": histogram.name[len(prefix):],
-                "group": histogram.labels.get("group"),
-                "count": histogram.count,
-                "total_ns": histogram.total,
-                "mean_ns": histogram.mean,
-                "max_ns": histogram.max,
-                "p50_ns": histogram.percentile(50),
-                "p95_ns": histogram.percentile(95),
-                "p99_ns": histogram.percentile(99),
-            })
-        return rows
+        labels: Dict[str, object] = ({} if group_id is None
+                                     else {"group": group_id})
+        return [{
+            "stage": series.name[len(prefix):],
+            "group": series.labels.get("group"),
+            "count": series.count,
+            "total_ns": series.total,
+            "mean_ns": series.mean,
+            "max_ns": series.max,
+            "p50_ns": series.percentile(50),
+            "p95_ns": series.percentile(95),
+            "p99_ns": series.percentile(99),
+        } for series in self.histograms_matching(prefix, **labels)]
 
     def reset(self) -> None:
         """Drop every metric (test isolation between experiments)."""
@@ -348,10 +368,10 @@ _INSTANCES = itertools.count(1)
 #: the event log) clear in lock-step with the registry.  Registered at
 #: import time by :mod:`.tracing` and :mod:`.events` — telemetry never
 #: imports them.
-_RESET_HOOKS: List = []
+_RESET_HOOKS: List[Callable[[], None]] = []
 
 
-def on_reset(hook) -> None:
+def on_reset(hook: Callable[[], None]) -> None:
     """Register a callable to run whenever :func:`reset` is called."""
     _RESET_HOOKS.append(hook)
 
@@ -380,11 +400,6 @@ def set_enabled(flag: bool) -> None:
     _REGISTRY.enabled = flag
 
 
-def enabled() -> bool:
-    """Whether span/trace/event recording is currently on."""
-    return _REGISTRY.enabled
-
-
 def next_instance() -> int:
     """A fresh instance label value."""
     return next(_INSTANCES)
@@ -402,7 +417,7 @@ class StatsView:
     __slots__ = ("_prefix", "_labels", "_keys")
 
     def __init__(self, prefix: str, labels: Optional[Dict[str, object]] = None,
-                 keys: Iterable[str] = ()):
+                 keys: Iterable[str] = ()) -> None:
         self._prefix = prefix
         self._labels = dict(labels or {})
         self._labels.setdefault("inst", next_instance())

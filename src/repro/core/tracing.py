@@ -517,11 +517,10 @@ def _prom_labels(labels: Dict[str, object],
 
 
 def prometheus_text(registry: Optional[TelemetryRegistry] = None) -> str:
-    """Prometheus text exposition of every counter and histogram.
+    """Prometheus text exposition of every counter and series.
 
-    Histograms surface as ``<name>_count`` / ``<name>_sum_ns`` /
-    ``<name>_max_ns`` plus quantile gauges (log2-bucket upper bounds),
-    which is what the sim-clock-native layer can state exactly.
+    Series surface as ``<name>_count`` / ``<name>_sum_ns`` /
+    ``<name>_max_ns`` plus exact nearest-rank quantile gauges.
     """
     registry = registry or telemetry.registry()
     lines: List[str] = []

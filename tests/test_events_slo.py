@@ -7,11 +7,14 @@ commit instants from the event log).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Machine, load_aurora
 from repro.core import events, slo, telemetry, tracing
 from repro.core.orchestrator import MODE_MEM
 from repro.units import MSEC, PAGE_SIZE
+from tests.test_store_image_golden import cluster_scenario
 
 PERIOD_NS = 10 * MSEC  # 100 Hz
 
@@ -172,44 +175,62 @@ def test_restore_emits_event_and_complete_trace():
 # -- the SLO tracker ------------------------------------------------------------------
 
 
+def _series(samples):
+    series = telemetry.Series()
+    for sample in samples:
+        series.observe(sample)
+    return series
+
+
+def _reference_percentile(samples, p):
+    """Nearest rank over a sorted list: the smallest sample with at
+    least p % of the samples at or below it (0 when empty)."""
+    ordered = sorted(samples)
+    if not ordered:
+        return 0
+    return ordered[max(1, -(-len(ordered) * p // 100)) - 1]
+
+
 def test_percentile_exact_nearest_rank():
     values = list(range(1, 101))
-    assert slo.percentile_exact(values, 50) == 50
-    assert slo.percentile_exact(values, 95) == 95
-    assert slo.percentile_exact(values, 99) == 99
-    assert slo.percentile_exact(values, 100) == 100
-    assert slo.percentile_exact([7], 99) == 7
-    assert slo.percentile_exact([], 50) == 0
+    assert _series(values).percentile(50) == 50
+    assert _series(values).percentile(95) == 95
+    assert _series(values).percentile(99) == 99
+    assert _series(values).percentile(100) == 100
+    assert _series([7]).percentile(99) == 7
+    assert _series([]).percentile(50) == 0
 
 
-def test_series_summary_sorts_once_and_keeps_nearest_rank():
-    import random
-
-    rng = random.Random(7)
-    for count in (0, 1, 2, 19, 20, 21, 99, 100, 101, 1000):
-        series = slo._Series()
-        samples = [rng.randrange(10 ** 9) for _ in range(count)]
-        for sample in samples:
-            series.add(sample)
-        assert series.summary() == {
-            "count": count,
-            "max": max(samples, default=0),
-            "p50": slo.percentile_exact(samples, 50),
-            "p95": slo.percentile_exact(samples, 95),
-            "p99": slo.percentile_exact(samples, 99),
-        }
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 12),
+                max_size=300))
+def test_series_matches_a_sorted_list_reference(samples):
+    series = _series(samples)
+    assert (series.count, series.total) == (len(samples), sum(samples))
+    assert series.min == min(samples, default=0)
+    assert series.max == max(samples, default=0)
+    p50, p95, p99 = (series.percentile(p) for p in (50, 95, 99))
+    assert [p50, p95, p99] == [_reference_percentile(samples, p)
+                               for p in (50, 95, 99)]
+    assert series.min <= p50 <= p95 <= p99 <= series.max
+    assert not samples or {p50, p95, p99} <= set(samples)
+    assert series.percentile(100) == series.max
+    assert series.summary() == {"count": len(samples), "max": series.max,
+                                "p50": p50, "p95": p95, "p99": p99}
 
 
 def test_series_is_a_bounded_ring_that_counts_every_sample(monkeypatch):
-    monkeypatch.setattr(slo, "SAMPLE_CAPACITY", 8)
-    series = slo._Series()
-    for sample in range(20):
-        series.add(sample)
-    assert list(series.values) == list(range(12, 20))
-    assert series.added == 20
+    monkeypatch.setattr(telemetry, "SAMPLE_CAPACITY", 8)
+    series = _series(range(20))
+    assert list(series.samples) == list(range(12, 20))
     assert series.tail(3) == [17, 18, 19]
     assert series.tail(50) == list(range(12, 20))
-    assert series.summary()["count"] == 8
+    # count/total/min/max stay exact over every sample ever observed;
+    # percentiles read the window and stay inside [min, max].
+    assert (series.count, series.total) == (20, sum(range(20)))
+    assert (series.min, series.max) == (0, 19)
+    assert series.summary() == {"count": 20, "max": 19,
+                                "p50": 15, "p95": 19, "p99": 19}
 
 
 def test_slo_tracker_on_synthetic_commit_schedule():
@@ -288,8 +309,8 @@ def test_rpo_lag_cross_checked_against_known_commit_schedule():
     assert row["commits"] == 20
     assert row["rpo_lag"]["count"] == 20
     assert row["rpo_lag"]["max"] == max(lags)
-    assert row["rpo_lag"]["p99"] == slo.percentile_exact(lags, 99)
-    assert row["rpo_lag"]["p50"] == slo.percentile_exact(lags, 50)
+    assert row["rpo_lag"]["p99"] == _reference_percentile(lags, 99)
+    assert row["rpo_lag"]["p50"] == _reference_percentile(lags, 50)
     assert row["e2e"]["max"] == max(e2es)
     assert row["stop"]["max"] == max(r.stop_ns for r in results)
 
@@ -308,6 +329,64 @@ def test_budget_violations_are_counted_per_group():
         sls.checkpoint(group, sync=True)
     assert sls.slo.violations(group.group_id, "rpo") == 4
     assert sls.slo.violations(group.group_id, "stop") == 4
+
+
+def test_every_budget_row_is_wired_end_to_end():
+    """BUDGETS is the only place a budget is spelled out: each row
+    yields a target field, a series, its report keys, and a violation
+    counter under its own label and no other."""
+    base = slo.SLOTargets()
+    labels = [row.label for row in slo.BUDGETS]
+    assert len(set(labels)) == len(labels)
+    for index, row in enumerate(slo.BUDGETS):
+        gid = index + 1
+        assert getattr(base, row.target) == row.default
+        tracker = slo.SLOTracker(base.replace(**{row.target: 100}))
+        tracker.observe(gid, row.label, 100)   # at the target: fine
+        assert tracker.violations(gid, row.label) == 0
+        tracker.observe(gid, row.label, 101)
+        assert [tracker.violations(gid, label) for label in labels] == \
+            [int(label == row.label) for label in labels]
+        report, = tracker.report(gid)
+        assert report[row.series] == {"count": 2, "max": 101, "p50": 100,
+                                      "p95": 101, "p99": 101}
+        assert report[f"{row.label}_target_{row.unit}"] == 100
+        assert report[f"{row.label}_violations"] == 1
+        assert (f"{row.label}_burn_milli" in report) == row.burn
+        if row.burn:
+            assert tracker.burn_rate_milli(gid, row.label) == 1005
+        else:
+            with pytest.raises(ValueError):
+                tracker.burn_rate_milli(gid, row.label)
+    assert {row.label for row in slo.BUDGETS if row.burn} == \
+        {"rpo", "quorum"}
+    with pytest.raises(TypeError):
+        base.replace(nonsense_ns=1)
+    with pytest.raises(TypeError):
+        slo.SLOTargets(nonsense_ns=1)
+    with pytest.raises(ValueError):
+        slo.SLOTracker().observe(1, "nonsense", 1)
+    with pytest.raises(ValueError):
+        slo.SLOTracker().burn_rate_milli(1, "nonsense")
+
+
+def test_cluster_reports_only_samples_that_occurred():
+    """After the golden cluster scenario (AZ loss, pump, heal, repair)
+    a reported p50 never exceeds the reported max and a segment's MTTR
+    never exceeds its repair (log2 bucket edges used to break both)."""
+    sls, group, cluster, repair = cluster_scenario()
+    assert repair["segments"] > 0
+    assert 0 < repair["mttr_p50_ns"] <= repair["mttr_max_ns"] \
+        <= repair["wall_ns"]
+    lag = sls.slo.groups[group.group_id].series["quorum_lag"]
+    status = cluster.status()
+    assert lag.min <= status["quorum_lag_p50_ns"] <= lag.max
+    assert status["repair_mttr_p50_ns"] == repair["mttr_p50_ns"]
+    rows = tracing.metrics_json()["histograms"]
+    assert rows
+    for row in rows:
+        assert row["min_ns"] <= row["p50_ns"] <= row["p95_ns"] \
+            <= row["p99_ns"] <= row["max_ns"], row
 
 
 def test_mem_checkpoints_track_stop_time_but_not_rpo():

@@ -223,13 +223,13 @@ def test_detach_with_flush_in_flight_completes_harmlessly(setup):
     sls.detach(group)
     assert not group.attached and group.timer is None
     slo_state = sls.slo.groups.get(group.group_id)
-    samples_before = len(slo_state.rpo_lag.values) if slo_state else 0
+    samples_before = slo_state.series["rpo_lag"].count if slo_state else 0
     machine.loop.drain()
     # The orphaned flush either landed or aborted, but the group saw
     # no further scheduling and the SLO tracker no post-detach commit.
     assert not group.flush_in_progress
     slo_state = sls.slo.groups.get(group.group_id)
-    samples_after = len(slo_state.rpo_lag.values) if slo_state else 0
+    samples_after = slo_state.series["rpo_lag"].count if slo_state else 0
     assert samples_after == samples_before
     assert group.dispatches <= 2
     assert sls.fleet.next_deadline() is None

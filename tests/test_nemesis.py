@@ -2,9 +2,9 @@
 anti-entropy reconciliation, and seeded-partition reproducibility.
 
 The heavyweight invariants live in the campaign engine
-(:mod:`repro.core.nemesis`, re-exported by :mod:`tests.nemesis`): no
-quorum-acked checkpoint is ever lost, no fenced (minority-side)
-checkpoint is ever readable.  This file pins campaign seeds, checks
+(:mod:`repro.core.nemesis`): no quorum-acked checkpoint is ever lost,
+no fenced (minority-side) checkpoint is ever readable.  This file pins
+campaign seeds, checks
 the fencing/lease/forced-promote unit behavior directly, verifies
 :meth:`FaultPlan.random` partition schedules reproduce exactly, and
 property-tests that *any* healing partition schedule converges every
@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from repro.core.cluster import SLSCluster
 from repro.core.faults import (ASYM_PARTITION, PARTIAL_PARTITION,
                                PARTITION, PRIMARY, FaultPlan)
+from repro.core.nemesis import CAMPAIGNS, NemesisFixture, run_all, \
+    run_campaign
 from repro.core.segments import DigestTree
 from repro.errors import LeaseValid, LinkDown, StaleReplica
-from tests.nemesis import CAMPAIGNS, NemesisFixture, run_all, \
-    run_campaign
 
 # -- campaigns (the hard invariants) ----------------------------------------
 

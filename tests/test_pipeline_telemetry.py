@@ -275,8 +275,11 @@ def test_histogram_stats_and_percentile():
     assert histogram.min == 1
     assert histogram.max == 1000
     assert histogram.mean == pytest.approx(221.4)
-    assert histogram.percentile(50) <= 100
-    assert histogram.percentile(100) >= 1000 // 2  # bucket upper bound
+    assert histogram.total == 1107
+    # Exact nearest-rank: every percentile is a sample that occurred.
+    assert histogram.percentile(50) == 4
+    assert histogram.percentile(95) == 1000
+    assert histogram.percentile(100) == 1000
 
 
 def test_span_feeds_same_name_histogram():

@@ -68,8 +68,10 @@ def fleet_image() -> str:
     return digest
 
 
-def cluster_image() -> str:
-    telemetry.reset()
+def cluster_scenario():
+    """A 5-node cluster that loses AZ 1 half-way through 24 commits,
+    heals and repairs; returns ``(sls, group, cluster, repair_report)``
+    with the run's telemetry still in the registry."""
     machine = Machine()
     sls = load_aurora(machine)
     proc = machine.kernel.spawn("svc")
@@ -87,9 +89,14 @@ def cluster_image() -> str:
         cluster.pump()
     for node_id in downed:
         cluster.node_up(node_id)
-    cluster.repair()
-    digest = image_digest([machine] + [node.sls.machine
-                                       for node in cluster.nodes])
+    return sls, group, cluster, cluster.repair()
+
+
+def cluster_image() -> str:
+    telemetry.reset()
+    sls, _group, cluster, _report = cluster_scenario()
+    digest = image_digest([sls.machine] + [node.sls.machine
+                                           for node in cluster.nodes])
     telemetry.reset()
     return digest
 
