@@ -30,6 +30,7 @@ from typing import Optional, Tuple
 
 from ..errors import StoreError
 from ..machine import Machine
+from ..objstore.checkpoint import NO_PAGES
 from ..units import KiB, MSEC, PAGE_SIZE, fmt_size, fmt_time
 from . import migration
 from .coredump import dump_process
@@ -854,17 +855,9 @@ def cmd_diff(args) -> int:
                        if oid in records_a
                        and records_b[oid] != records_a[oid])
 
-    pages_changed = 0
-    for oid in set(pages_a) | set(pages_b):
-        map_a = pages_a.get(oid, {})
-        map_b = pages_b.get(oid, {})
-        for pindex in set(map_a) | set(map_b):
-            loc_a = map_a.get(pindex)
-            loc_b = map_b.get(pindex)
-            if (loc_a is None) != (loc_b is None) \
-                    or (loc_a is not None and loc_b is not None
-                        and loc_a.encode() != loc_b.encode()):
-                pages_changed += 1
+    pages_changed = sum(
+        pages_a.get(oid, NO_PAGES).changed_pages(pages_b.get(oid, NO_PAGES))
+        for oid in set(pages_a) | set(pages_b))
 
     print(f"diff of group {args.group}: checkpoint {ckpt_a} -> {ckpt_b}")
     print(f"  records: {len(rewritten)} rewritten, {len(added)} added, "

@@ -10,12 +10,12 @@ which is the pre-copy primitive live migration is built from.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .. import serde
 from ..errors import RestoreError, SLSError
 from ..hw.memory import Page
-from ..units import PAGE_SIZE
+from ..objstore.checkpoint import overlay_page_maps
 
 STREAM_MAGIC = "aurora-stream-v1"
 
@@ -60,10 +60,7 @@ def send_checkpoint(sls, group_id: int, ckpt_id: Optional[int] = None,
                 break
             for oid, extent in info.object_records.items():
                 record_extents.setdefault(oid, extent)
-            for oid, page_map in info.pages.items():
-                target = page_locs.setdefault(oid, {})
-                for pindex, locator in page_map.items():
-                    target.setdefault(pindex, locator)
+            overlay_page_maps(page_locs, info.pages)
 
     records = {}
     for oid, extent in record_extents.items():

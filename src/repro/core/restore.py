@@ -15,7 +15,7 @@ lazy restores").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import RestoreError
 from ..hw.memory import Page
@@ -27,15 +27,22 @@ from ..kernel.ipc.pty import Pty
 from ..kernel.ipc.shm import SharedMemorySegment
 from ..kernel.ipc.unixsock import ControlMessage, Message, UnixSocket
 from ..kernel.net.tcp import TCPSocket, TCP_ESTABLISHED, TCP_LISTEN
-from ..kernel.net.udp import Datagram, UDPSocket
+from ..kernel.net.udp import UDPSocket
 from ..kernel.proc.process import Process
 from ..kernel.proc.session import ProcessGroup, Session
 from ..kernel.proc.signals import SIGCHLD, SIGSLSRESTORE
 from ..kernel.vm.vmobject import VMObject
+from ..objstore.checkpoint import NO_PAGES, PageRuns, run_locators
 from ..objstore.oid import CLASS_MEMORY, oid_class
-from ..units import PAGE_SIZE
+from ..units import PAGE_SIZE, pages_of
 from . import costs, events, telemetry, tracing
 from .group import ConsistencyGroup, ObjectTrack
+
+if TYPE_CHECKING:
+    from ..objstore.store import ObjectStore
+
+#: Decoded object records of a merged view: oid -> (type, state).
+Decoded = Dict[int, Tuple[str, Any]]
 
 
 class RestoreResult:
@@ -43,7 +50,8 @@ class RestoreResult:
 
     def __init__(self, group: ConsistencyGroup, processes: List[Process],
                  ckpt_id: int, lazy: bool, elapsed_ns: int,
-                 pages_restored: int, pages_lazy: int):
+                 pages_restored: int, pages_lazy: int,
+                 io_ns: int = 0, insert_ns: int = 0) -> None:
         self.group = group
         self.processes = processes
         self.ckpt_id = ckpt_id
@@ -51,6 +59,10 @@ class RestoreResult:
         self.elapsed_ns = elapsed_ns
         self.pages_restored = pages_restored
         self.pages_lazy = pages_lazy
+        #: Device time reading records/pages, and page-insert time —
+        #: elapsed minus both is the OS-state-only cost.
+        self.io_ns = io_ns
+        self.insert_ns = insert_ns
 
     @property
     def root(self) -> Process:
@@ -61,11 +73,12 @@ class RestoreResult:
 class GroupRestorer:
     """Recreates one consistency group from a checkpoint."""
 
-    def __init__(self, kernel, store, slsfs=None):
+    def __init__(self, kernel: Any, store: "ObjectStore",
+                 slsfs: Optional[Any] = None) -> None:
         self.kernel = kernel
         self.store = store
         self.slsfs = slsfs
-        self.objects: Dict[int, object] = {}
+        self.objects: Dict[int, Any] = {}
         self.pages_restored = 0
         self.pages_lazy = 0
         #: Time spent reading records/pages from the store (device IO)
@@ -90,7 +103,7 @@ class GroupRestorer:
         return result
 
     def _restore_traced(self, ckpt_id: int, lazy: bool,
-                        trace_obj) -> RestoreResult:
+                        trace_obj: Optional[tracing.Trace]) -> RestoreResult:
         registry = telemetry.registry()
         clock = self.kernel.clock
         start = clock.now()
@@ -137,22 +150,21 @@ class GroupRestorer:
                          group=group.group_id).add(self.pages_restored)
         registry.counter("sls.restore.pages_lazy",
                          group=group.group_id).add(self.pages_lazy)
-        result = RestoreResult(group, processes, ckpt_id, lazy, elapsed,
-                               self.pages_restored, self.pages_lazy)
-        result.io_ns = self.io_ns
-        result.insert_ns = self.insert_ns
-        return result
+        return RestoreResult(group, processes, ckpt_id, lazy, elapsed,
+                             self.pages_restored, self.pages_lazy,
+                             io_ns=self.io_ns, insert_ns=self.insert_ns)
 
     # -- phase A: object shells --------------------------------------------------------
 
-    def _create_shells(self, decoded, page_locs, lazy: bool) -> None:
+    def _create_shells(self, decoded: Decoded,
+                       page_locs: Dict[int, PageRuns], lazy: bool) -> None:
         kernel = self.kernel
         for oid, (otype, state) in decoded.items():
             if otype == "vmobject":
                 obj = VMObject(kernel, state["size_pages"],
                                kind="anonymous", name=state["name"])
                 obj.sls_oid = oid
-                self._populate_pages(obj, page_locs.get(oid, {}), lazy)
+                self._populate_pages(obj, page_locs.get(oid, NO_PAGES), lazy)
                 kernel.clock.advance(costs.RESTORE_VMOBJECT)
                 self.objects[oid] = obj
             elif otype == "vnode":
@@ -176,13 +188,13 @@ class GroupRestorer:
                 self.objects[oid] = sock
             elif otype == "udpsock":
                 kernel.clock.advance(costs.RESTORE_SOCKET)
-                sock = UDPSocket(kernel)
-                sock.options = dict(state["options"])
+                udp = UDPSocket(kernel)
+                udp.options = dict(state["options"])
                 if state["lport"] is not None:
-                    sock.bind(state["laddr"], state["lport"])
+                    udp.bind(state["laddr"], state["lport"])
                 for dgram in state["datagrams"]:
-                    sock.enqueue(tuple(dgram["source"]), dgram["payload"])
-                self.objects[oid] = sock
+                    udp.enqueue(tuple(dgram["source"]), dgram["payload"])
+                self.objects[oid] = udp
             elif otype == "tcpsock":
                 kernel.clock.advance(costs.RESTORE_SOCKET)
                 self.objects[oid] = self._restore_tcp(state)
@@ -213,8 +225,8 @@ class GroupRestorer:
             self.kernel.clock.advance(
                 costs.RESTORE_SHM_SYSV if state["flavor"] == "sysv"
                 else costs.RESTORE_SHM_POSIX)
-            segment = SharedMemorySegment(self.kernel, state["name"],
-                                          state["size"], state["flavor"])
+            segment: Any = SharedMemorySegment(self.kernel, state["name"],
+                                               state["size"], state["flavor"])
             vm_obj = self.objects.get(state["vm_oid"])
             if vm_obj is not None:
                 segment.replace_object(vm_obj)
@@ -230,21 +242,34 @@ class GroupRestorer:
                 registry._slots[shmid] = segment
             self.objects[oid] = segment
 
-    def _populate_pages(self, obj: VMObject, locators: dict,
+    def _populate_pages(self, obj: VMObject, locators: PageRuns,
                         lazy: bool) -> None:
         if lazy:
+            evicted = self.kernel.pageout.evicted
             for pindex, locator in locators.items():
-                self.kernel.pageout.evicted[(obj.kid, pindex)] = locator
-                self.pages_lazy += 1
+                evicted[(obj.kid, pindex)] = locator
+            self.pages_lazy += len(locators)
             return
-        start = self.kernel.clock.now()
-        for pindex, locator in locators.items():
-            obj.insert_page(pindex, self.store.fetch_page(locator))
-            self.kernel.clock.advance(costs.RESTORE_PAGE_INSERT)
-            self.pages_restored += 1
-        self.insert_ns += self.kernel.clock.now() - start
+        clock = self.kernel.clock
+        start = clock.now()
+        for run in locators.runs:
+            first, count = run[1], run[2]
+            if run[0] == "syn":
+                # A synthetic run is one slab: the seeds are a
+                # progression, so no locator is ever materialised.
+                seed0, step = run[3], run[4]
+                obj.insert_pages({first + i: Page(seed=seed0 + step * i)
+                                  for i in range(count)})
+            else:
+                # Real pages keep the per-page read accounting: one
+                # device read per page through the store's retry policy.
+                for pindex, locator in run_locators(run):
+                    obj.insert_page(pindex, self.store.fetch_page(locator))
+            clock.advance(costs.RESTORE_PAGE_INSERT * count)
+            self.pages_restored += count
+        self.insert_ns += clock.now() - start
 
-    def _link_backings(self, decoded) -> None:
+    def _link_backings(self, decoded: Decoded) -> None:
         """Relink the persisted VM object hierarchy (§6 "Checkpointing
         the VM"): COW relationships survive the restore."""
         for oid, (otype, state) in decoded.items():
@@ -260,7 +285,8 @@ class GroupRestorer:
             backing.shadow_count += 1
             obj.backing = backing
 
-    def _restore_vnode(self, oid: int, state: dict, page_locs):
+    def _restore_vnode(self, oid: int, state: Dict[str, Any],
+                       page_locs: Dict[int, PageRuns]) -> Any:
         if state["fs_type"] == "slsfs":
             if self.slsfs is None:
                 raise RestoreError("checkpoint references the Aurora FS "
@@ -275,10 +301,9 @@ class GroupRestorer:
         vnode.size = state["size"]
         vnode.mark_dirty()
         if vnode.vmobject is not None:
-            from ..units import pages_of
             vnode.vmobject.grow(pages_of(state["size"]))
             self._populate_pages(vnode.vmobject,
-                                 page_locs.get(oid, {}), lazy=False)
+                                 page_locs.get(oid, NO_PAGES), lazy=False)
         return vnode
 
     def _restore_tcp(self, state: dict) -> TCPSocket:
@@ -301,7 +326,7 @@ class GroupRestorer:
 
     # -- phase B: open files ----------------------------------------------------------------
 
-    def _create_files(self, decoded) -> None:
+    def _create_files(self, decoded: Decoded) -> None:
         for oid, (otype, state) in decoded.items():
             if otype != "file":
                 continue
@@ -318,7 +343,7 @@ class GroupRestorer:
 
     # -- phase C: socket linking ----------------------------------------------------------------
 
-    def _link_sockets(self, decoded) -> None:
+    def _link_sockets(self, decoded: Decoded) -> None:
         for oid, (otype, state) in decoded.items():
             obj = self.objects.get(oid)
             if otype == "unixsock":
@@ -348,7 +373,8 @@ class GroupRestorer:
 
     # -- phase D: processes -------------------------------------------------------------------------
 
-    def _create_processes(self, decoded, desc, group) -> List[Process]:
+    def _create_processes(self, decoded: Decoded, desc: Dict[str, Any],
+                          group: ConsistencyGroup) -> List[Process]:
         kernel = self.kernel
         # The descriptor written at this checkpoint is authoritative:
         # records of members that exited earlier still sit in the
@@ -449,10 +475,11 @@ class GroupRestorer:
                               fixed_page=entry_rec["start_page"],
                               name=entry_rec["name"])
             entry = proc.vmspace.map.lookup(entry_rec["start_page"])
+            assert entry is not None    # mapped just above
             entry.needs_copy = entry_rec["needs_copy"]
             entry.sls_excluded = entry_rec["sls_excluded"]
 
-    def _restore_fdtable(self, proc: Process, decoded,
+    def _restore_fdtable(self, proc: Process, decoded: Decoded,
                          fdtable_oid: int) -> None:
         otype, state = decoded[fdtable_oid]
         if otype != "fdtable":
@@ -466,7 +493,7 @@ class GroupRestorer:
             proc.fdtable.install(file, fd=int(fd_str))
 
     def _restore_threads(self, proc: Process, thread_records: List[dict],
-                         group) -> None:
+                         group: ConsistencyGroup) -> None:
         kernel = self.kernel
         for index, record in enumerate(thread_records):
             kernel.clock.advance(costs.RESTORE_THREAD)
@@ -486,7 +513,8 @@ class GroupRestorer:
 
     # -- phase E: shadow tracks --------------------------------------------------------------------
 
-    def _register_tracks(self, decoded, group) -> None:
+    def _register_tracks(self, decoded: Decoded,
+                         group: ConsistencyGroup) -> None:
         """Re-arm system shadowing so the next checkpoint flushes only
         post-restore dirt: each restored object gets a fresh shadow."""
         for oid, obj in self.objects.items():
@@ -511,7 +539,7 @@ class GroupRestorer:
 
     # -- phase F: signals ------------------------------------------------------------------------------
 
-    def _reissue_aio(self, desc) -> int:
+    def _reissue_aio(self, desc: Dict[str, Any]) -> int:
         """Pending reads recorded at checkpoint time are reissued so
         the application finds them completed as expected (§5.3)."""
         from ..kernel.aio import AIO_READ
@@ -523,7 +551,8 @@ class GroupRestorer:
             reissued += 1
         return reissued
 
-    def _post_restore_signals(self, desc, processes: List[Process]) -> None:
+    def _post_restore_signals(self, desc: Dict[str, Any],
+                              processes: List[Process]) -> None:
         by_local = {p.local_pid: p for p in processes}
         for entry in desc.get("ephemeral_pids", []):
             parent = by_local.get(entry.get("parent_local_pid"))

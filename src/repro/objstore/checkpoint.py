@@ -9,20 +9,33 @@ block-sharing ancestry.
 
 The on-disk metadata document (:meth:`CheckpointInfo.encode_meta`) has
 one format and one decoder.  Its three large maps are all columnar:
-page locators as runs (:func:`encode_page_runs`), the live set as
+page locators as runs (:class:`PageRuns`), the live set as
 ``[start, count, step]`` OID runs, and the record index grouped by
 extent with the same OID runs (:func:`encode_record_index`) — so a
 delta's metadata, and the child-metadata rewrite GC does after
 adopting a deleted parent's state, cost O(extents + runs), not
-O(objects).  In memory every map stays per-OID / per-page.
+O(objects).  The page-locator table stays columnar in memory too: a
+:class:`PageRuns` is the decoded run list plus a start column, and
+mount, :meth:`ObjectStore.merged_view`, GC adoption and eager restore
+work on runs, never on one locator per page.  The live set and the
+record index are per-OID in memory.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import itemgetter
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
-from ..core.runs import build_arith_runs, expand_arith_runs
+from ..core.runs import (LocatorRun, append_locator_run, build_arith_runs,
+                         clip_run, count_changed_pages, expand_arith_runs,
+                         uncovered_runs)
 from ..errors import CorruptRecord
+
+_RUN_ARITY = {"syn": 5, "ext": 6}
+_run_start = itemgetter(1)
 
 
 class PageLocator:
@@ -54,78 +67,169 @@ class PageLocator:
         """Locator for real bytes inside a packed data extent."""
         return cls("ext", extent=extent, byte_off=byte_off, length=length)
 
-    def encode(self) -> list:
-        """Wire form of the locator."""
-        if self.kind == "syn":
-            return ["syn", self.seed]
-        return ["ext", self.extent, self.byte_off, self.length]
+
+def run_locators(run: Sequence[Any]) -> Iterator[Tuple[int, PageLocator]]:
+    """``(pindex, locator)`` for each page of one locator run."""
+    start, count = run[1], run[2]
+    if run[0] == "syn":
+        seed0, step = run[3], run[4]
+        for i in range(count):
+            yield start + i, PageLocator("syn", seed0 + step * i)
+    else:
+        extent, off0, length = run[3], run[4], run[5]
+        for i in range(count):
+            yield start + i, PageLocator("ext", 0, extent, off0 + length * i,
+                                         length)
 
 
-def encode_page_runs(page_map: Dict[int, "PageLocator"]) -> List[list]:
-    """Run-compress a page-locator map for the metadata record.
+class PageRuns:
+    """One object's page-locator table, kept as runs.
 
-    Adjacent pages whose locators follow an arithmetic pattern —
-    synthetic seeds stepping by a constant, or consecutive slots of
-    one packed extent — collapse into single run entries::
-
-        ["syn", start_pindex, count, seed0, seed_step]
-        ["ext", start_pindex, count, extent, byte_off0, page_len]
-
-    so a million-page checkpoint's metadata document holds a handful
-    of runs instead of a million per-page entries.
+    The in-memory shape *is* the wire shape: ``runs`` is the list of
+    ``("syn", start, count, seed0, seed_step)`` /
+    ``("ext", start, count, extent, byte_off0, page_len)`` sequences
+    (see :mod:`repro.core.runs`) — the very list a metadata document
+    decoded to, or the commit path built — sorted by ``start``,
+    pairwise disjoint, every ``count`` ≥ 1; ``starts`` is the
+    bisectable start column.  The table takes the list over and nobody
+    mutates it or its runs afterwards, so deltas, merged views and GC
+    adopters share runs freely.  Every operation costs O(runs) or
+    better; only :meth:`items` is per page.
     """
-    entries: List[list] = []
-    for pindex in sorted(page_map):
-        loc = page_map[pindex]
-        last = entries[-1] if entries else None
-        if loc.kind == "syn":
-            if (last is not None and last[0] == "syn"
-                    and last[1] + last[2] == pindex):
-                if last[2] == 1:
-                    # Second element pins the run's seed step.
-                    last[4] = loc.seed - last[3]
-                    last[2] = 2
-                    continue
-                if loc.seed == last[3] + last[4] * last[2]:
-                    last[2] += 1
-                    continue
-            entries.append(["syn", pindex, 1, loc.seed, 0])
-        else:
-            if (last is not None and last[0] == "ext"
-                    and last[1] + last[2] == pindex
-                    and last[3] == loc.extent
-                    and last[5] == loc.length
-                    and last[4] + last[5] * last[2] == loc.byte_off):
-                last[2] += 1
-                continue
-            entries.append(["ext", pindex, 1, loc.extent,
-                            loc.byte_off, loc.length])
-    return entries
+
+    __slots__ = ("runs", "_starts")
+
+    def __init__(self, runs: Optional[List[LocatorRun]] = None) -> None:
+        self.runs: List[LocatorRun] = [] if runs is None else runs
+        self._starts: Optional[List[int]] = None
+
+    @property
+    def starts(self) -> List[int]:
+        """The start column, built at the first bisect: most deltas
+        are only ever encoded, or overlaid *under* a newer table."""
+        if self._starts is None:
+            self._starts = [run[1] for run in self.runs]
+        return self._starts
+
+    def __len__(self) -> int:
+        """Pages described."""
+        return sum(run[2] for run in self.runs)
+
+    def __bool__(self) -> bool:
+        return bool(self.runs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PageRuns):
+            return NotImplemented
+        return self.encode() == other.encode()
+
+    def __repr__(self) -> str:
+        return f"PageRuns({len(self.runs)} runs, {len(self)} pages)"
+
+    def lookup(self, pindex: int) -> Optional[PageLocator]:
+        """The locator of page ``pindex`` (None when not described)."""
+        page = self.slice(pindex, pindex + 1).items()
+        return next((locator for _pindex, locator in page), None)
+
+    def items(self) -> Iterator[Tuple[int, PageLocator]]:
+        """``(pindex, locator)`` per page, ascending — for consumers
+        that are per-page by nature (lazy-restore registration,
+        ``clean_locator`` stamping)."""
+        return chain.from_iterable(map(run_locators, self.runs))
+
+    def slice(self, lo: int, hi: int) -> "PageRuns":
+        """The table restricted to page indexes ``[lo, hi)``."""
+        if lo >= hi or not self.runs:
+            return NO_PAGES
+        if lo <= self.runs[0][1] and self.runs[-1][1] + self.runs[-1][2] <= hi:
+            return self
+        first = bisect_right(self.starts, lo)
+        if first and self.runs[first - 1][1] + self.runs[first - 1][2] > lo:
+            first -= 1
+        picked = self.runs[first:bisect_left(self.starts, hi)]
+        if picked and picked[0][1] < lo:
+            head = picked[0]
+            picked[0] = clip_run(head, lo, min(head[1] + head[2], hi))
+        if picked and picked[-1][1] + picked[-1][2] > hi:
+            picked[-1] = clip_run(picked[-1], picked[-1][1], hi)
+        return PageRuns(picked)
+
+    def overlay(self, older: "PageRuns") -> "PageRuns":
+        """Newest-wins union: this table plus the pages of ``older``
+        it does not describe (interval subtraction, then a merge of
+        two sorted run lists)."""
+        if not self.runs:
+            return older
+        gained = uncovered_runs(older.runs, self.runs, self.starts)
+        if not gained:
+            return self
+        return PageRuns(sorted(self.runs + gained, key=_run_start))
+
+    def changed_pages(self, other: "PageRuns") -> int:
+        """Pages whose locator differs from ``other``'s (or that only
+        one of the two tables describes)."""
+        return count_changed_pages(self.runs, other.runs)
+
+    def extents(self) -> Set[int]:
+        """The distinct data extents the table points into."""
+        return {run[3] for run in self.runs if run[0] == "ext"}
+
+    def encode(self) -> List[List[Any]]:
+        """Wire form: the runs, re-coalesced so the bytes depend only
+        on the page map (see :func:`append_locator_run`)."""
+        entries: List[List[Any]] = []
+        for run in self.runs:
+            append_locator_run(entries, run)
+        return entries
 
 
-def decode_page_runs(raw: List[list]) -> Dict[int, "PageLocator"]:
-    """Expand run entries back to the per-page locator map.
+#: The table of an object no checkpoint holds pages for.
+NO_PAGES = PageRuns()
 
-    The in-memory representation stays per-page — every consumer
-    (restore, GC, scrub, replication) is unchanged; only the wire
-    format is columnar.
+
+def overlay_page_maps(newer: Dict[int, PageRuns],
+                      older: Dict[int, PageRuns],
+                      keep: Optional[Set[int]] = None) -> None:
+    """Fold an older delta's page tables under ``newer``, in place and
+    newest-wins — the one page merge behind merged views, incremental
+    migration streams and GC adoption.  With ``keep``, only those OIDs
+    are folded in."""
+    for oid, runs in older.items():
+        if keep is None or oid in keep:
+            have = newer.get(oid)
+            newer[oid] = runs if have is None else have.overlay(runs)
+
+
+def decode_page_runs(raw: Any) -> PageRuns:
+    """Validate a metadata document's run list into a :class:`PageRuns`.
+
+    Nothing is expanded or copied: the runs are checked — kind, arity,
+    integer start and positive count, ascending and disjoint — and the
+    list itself becomes the table.  A violation is a
+    :class:`CorruptRecord`, like any other damaged metadata, so
+    recovery falls back a superblock generation and scrub reports it.
     """
-    page_map: Dict[int, PageLocator] = {}
+    if not isinstance(raw, list):
+        raise CorruptRecord("page runs are not a list")
+    end = 0
     for entry in raw:
-        if not entry:
+        if not isinstance(entry, list) or not entry:
             raise CorruptRecord("empty page run entry")
-        if entry[0] == "syn":
-            _kind, start, count, seed0, step = entry
-            for i in range(count):
-                page_map[start + i] = PageLocator.synthetic(seed0 + step * i)
-        elif entry[0] == "ext":
-            _kind, start, count, extent, byte_off0, length = entry
-            for i in range(count):
-                page_map[start + i] = PageLocator.in_extent(
-                    extent, byte_off0 + length * i, length)
-        else:
+        arity = _RUN_ARITY.get(entry[0]) if isinstance(entry[0], str) else None
+        if arity is None:
             raise CorruptRecord(f"bad page run kind {entry[0]!r}")
-    return page_map
+        if (len(entry) != arity or type(entry[1]) is not int
+                or type(entry[2]) is not int):
+            raise CorruptRecord(f"malformed {entry[0]!r} page run {entry!r}")
+        start, count = entry[1], entry[2]
+        if count < 1:
+            raise CorruptRecord(f"page run at {start} has count {count}")
+        if start < end:
+            raise CorruptRecord(
+                f"page run at {start} is unsorted or overlaps its "
+                f"predecessor (which ends at {end})")
+        end = start + count
+    return PageRuns(raw)
 
 
 def encode_record_index(object_records: Dict[int, Tuple[int, int]]
@@ -174,8 +278,8 @@ class CheckpointInfo:
         #: oid -> (offset, length) of the extent holding its serialized
         #: record; the OIDs of one batch extent share one tuple.
         self.object_records: Dict[int, Tuple[int, int]] = {}
-        #: oid -> {pindex -> PageLocator} for pages dirtied here.
-        self.pages: Dict[int, Dict[int, PageLocator]] = {}
+        #: oid -> the locator table of the pages dirtied here.
+        self.pages: Dict[int, PageRuns] = {}
         #: Every extent this checkpoint's delta owns: (offset, length).
         self.owned_extents: List[Tuple[int, int]] = []
         #: Byte count of page data this checkpoint wrote.
@@ -211,8 +315,8 @@ class CheckpointInfo:
             "time_ns": self.time_ns,
             "partial": self.partial,
             "object_records": encode_record_index(self.object_records),
-            "pages": {str(oid): encode_page_runs(page_map)
-                      for oid, page_map in self.pages.items()},
+            "pages": {str(oid): runs.encode()
+                      for oid, runs in self.pages.items()},
             "owned_extents": [[off, length]
                               for off, length in self.owned_extents],
             "data_bytes": self.data_bytes,
@@ -224,8 +328,8 @@ class CheckpointInfo:
         info = cls(raw["ckpt_id"], raw["group_id"], raw["name"],
                    raw["parent"], raw["time_ns"], raw["partial"])
         info.object_records = decode_record_index(raw["object_records"])
-        info.pages = {int(oid): decode_page_runs(page_map)
-                      for oid, page_map in raw["pages"].items()}
+        info.pages = {int(oid): decode_page_runs(runs)
+                      for oid, runs in raw["pages"].items()}
         info.owned_extents = [(pair[0], pair[1])
                               for pair in raw["owned_extents"]]
         info.data_bytes = raw["data_bytes"]

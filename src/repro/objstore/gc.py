@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core import telemetry
 from ..errors import InvalidArgument
 from . import records
-from .checkpoint import CheckpointInfo
+from .checkpoint import CheckpointInfo, overlay_page_maps
 
 
 def _children_of(store: Any, ckpt_id: int) -> List[CheckpointInfo]:
@@ -126,16 +126,13 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
     # Transfer still-visible state into each child delta.
     for child in children:
         needed = _subtree_needed(store, child)
+        # Pages the child never overwrote are adopted by overlay; the
+        # child then owns every victim extent its table points into.
+        overlay_page_maps(child.pages, info.pages, keep=needed)
         adopted: Set[int] = set()
-        for oid, page_map in info.pages.items():
-            if needed is not None and oid not in needed:
-                continue
-            child_map = child.pages.setdefault(oid, {})
-            for pindex, locator in page_map.items():
-                if pindex not in child_map:
-                    child_map[pindex] = locator
-                    if locator.kind == "ext":
-                        adopted.add(locator.extent)
+        for oid in info.pages:
+            if needed is None or oid in needed:
+                adopted |= child.pages[oid].extents()
         forwarded = dropped = 0
         for oid, extent in info.object_records.items():
             if oid in child.object_records:

@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import events, telemetry, tracing
 from ..errors import CorruptRecord, StoreError
+from ..hw.nvme import payload_length
 from . import records
 from .checkpoint import CheckpointInfo
 
@@ -181,24 +182,31 @@ def _scan_checkpoint(store: Any, report: ScrubReport,
         report.records_verified += 1
         report.stats["records"] += 1
 
-    for oid, page_map in sorted(info.pages.items()):
-        for pindex, locator in sorted(page_map.items()):
-            if locator.kind != "ext":
+    for oid, table in sorted(info.pages.items()):
+        for run in table.runs:
+            if run[0] != "ext":
                 continue  # synthetic: content is a function of the seed
-            if not device.has_extent(locator.extent):
-                report.add(DANGLING,
-                           f"page {pindex} of oid {oid} points at missing "
-                           f"extent {locator.extent}", info.ckpt_id)
+            _kind, start, count, extent, byte_off0, length = run
+            if not device.has_extent(extent):
+                for pindex in range(start, start + count):
+                    report.add(DANGLING,
+                               f"page {pindex} of oid {oid} points at "
+                               f"missing extent {extent}", info.ckpt_id)
                 continue
-            payload = device.read(locator.extent)
-            from ..hw.nvme import payload_length
-            if locator.byte_off + locator.length > payload_length(payload):
+            # One bounds check per run: slot i ends at
+            # byte_off0 + length * (i + 1), so the pages that fit are a
+            # prefix of the run.
+            room = payload_length(device.read(extent)) - byte_off0
+            if room >= length * count:
+                fit = count
+            else:
+                fit = max(room, 0) // length if length else 0
+            for pindex in range(start + fit, start + count):
                 report.add(DANGLING,
                            f"page {pindex} of oid {oid} overruns extent "
-                           f"{locator.extent}", info.ckpt_id)
-                continue
-            report.page_extents_verified += 1
-            report.stats["page_extents"] += 1
+                           f"{extent}", info.ckpt_id)
+            report.page_extents_verified += fit
+            report.stats["page_extents"] += fit
 
 
 def _scan_refcounts(store: Any, report: ScrubReport,

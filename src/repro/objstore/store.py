@@ -25,6 +25,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
 from ..core.resilience import RetryPolicy
+from ..core.runs import append_locator_run
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
@@ -33,7 +34,8 @@ from ..hw.nvme import StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
 from . import records
 from .blockalloc import ExtentAllocator
-from .checkpoint import CheckpointInfo, PageLocator
+from .checkpoint import (CheckpointInfo, PageLocator, PageRuns,
+                         overlay_page_maps, run_locators)
 from .journal import Journal
 from .oid import CLASS_JOURNAL, OIDAllocator
 from . import recovery as recovery_mod
@@ -194,14 +196,16 @@ class ObjectStore:
         # stripe-sized payload may carry the tail pages of one object
         # and the head of the next, so a checkpoint's partial stripes
         # coalesce into one staged write instead of one per object.
-        real_batch: List[Tuple[Dict[int, PageLocator], int, Page]] = []
+        real_batch: List[Page] = []
+        #: "ext" runs whose pages sit in ``real_batch``, with the batch
+        #: slot of their first page; the extent is known at the flush.
+        batch_runs: List[Tuple[List[Any], int]] = []
 
         def flush_real() -> None:
-            nonlocal last_done, real_batch
+            nonlocal last_done, real_batch, batch_runs
             if not real_batch:
                 return
-            payload = b"".join(page.realize()
-                               for _map, _p, page in real_batch)
+            payload = b"".join(page.realize() for page in real_batch)
             extent = self.alloc.alloc(len(payload))
             # Ownership is recorded before the submit so an abort
             # after a failed write still frees this extent.
@@ -212,24 +216,36 @@ class ObjectStore:
                 op="store.flush")
             last_done = max(last_done, done)
             info.data_bytes += len(payload)
-            for index, (page_map, pindex, _page) in enumerate(real_batch):
-                page_map[pindex] = PageLocator.in_extent(
-                    extent, index * PAGE_SIZE, PAGE_SIZE)
-            real_batch = []
+            for run, slot in batch_runs:
+                run[3], run[4] = extent, slot * PAGE_SIZE
+            real_batch, batch_runs = [], []
 
         for oid, pages in txn.staged_pages.items():
-            page_map = info.pages.setdefault(oid, {})
+            # The locator table is built as runs while the pages are
+            # walked in index order — the shape the metadata document
+            # stores and every reader consumes.  The table wraps the
+            # list being appended to; it is complete (every pending
+            # "ext" run filled in) when this function returns.
+            runs: List[Any] = []
+            info.pages[oid] = PageRuns(runs)
             syn_count = 0
 
             for pindex in sorted(pages):
                 page = pages[pindex]
                 if page.synthetic:
-                    page_map[pindex] = PageLocator.synthetic(page.seed)
+                    append_locator_run(runs, ("syn", pindex, 1, page.seed, 0))
                     syn_count += 1
+                    continue
+                last = runs[-1] if runs else None
+                if (batch_runs and last is batch_runs[-1][0]
+                        and last[1] + last[2] == pindex):
+                    last[2] += 1    # next slot of the same batch
                 else:
-                    real_batch.append((page_map, pindex, page))
-                    if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
-                        flush_real()
+                    runs.append(["ext", pindex, 1, None, None, PAGE_SIZE])
+                    batch_runs.append((runs[-1], len(real_batch)))
+                real_batch.append(page)
+                if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
+                    flush_real()
 
             # Synthetic pages: identical IO accounting, virtual bytes.
             remaining = syn_count * PAGE_SIZE
@@ -340,12 +356,11 @@ class ObjectStore:
         # so stamp them clean for IO-free pageout eviction (§6).  A
         # write in the meantime replaced the Page object, leaving the
         # new content correctly dirty.
-        for oid, page_map in info.pages.items():
-            staged = txn.staged_pages.get(oid, {})
-            for pindex, locator in page_map.items():
-                page = staged.get(pindex)
-                if page is not None:
-                    page.clean_locator = locator
+        for oid, table in info.pages.items():
+            staged = txn.staged_pages[oid]
+            for run in table.runs:
+                for pindex, locator in run_locators(run):
+                    staged[pindex].clean_locator = locator
         self._commit_failures.pop(info.ckpt_id, None)
         self.stats["commits"] += 1
         self.stats["bytes_flushed"] += info.data_bytes
@@ -654,7 +669,7 @@ class ObjectStore:
         return base | newer
 
     def merged_view(self, ckpt_id: int) -> Tuple[Dict[int, Tuple[int, int]],
-                                                 Dict[int, Dict[int, PageLocator]]]:
+                                                 Dict[int, PageRuns]]:
         """Newest-wins union of deltas along the parent chain.
 
         Returns ``(object_record_extents, page_locators)`` describing
@@ -667,18 +682,13 @@ class ObjectStore:
         """
         live = self.effective_live_oids(ckpt_id)
         merged_records: Dict[int, Tuple[int, int]] = {}
-        merged_pages: Dict[int, Dict[int, PageLocator]] = {}
+        merged_pages: Dict[int, PageRuns] = {}
         for info in self.parent_chain(ckpt_id):
             for oid, extent in info.object_records.items():
                 if live is not None and oid not in live:
                     continue
                 merged_records.setdefault(oid, extent)
-            for oid, page_map in info.pages.items():
-                if live is not None and oid not in live:
-                    continue
-                target = merged_pages.setdefault(oid, {})
-                for pindex, locator in page_map.items():
-                    target.setdefault(pindex, locator)
+            overlay_page_maps(merged_pages, info.pages, keep=live)
         return merged_records, merged_pages
 
     def read_object_record(self, extent: Tuple[int, int],

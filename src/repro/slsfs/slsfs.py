@@ -37,7 +37,7 @@ from ..core import costs, telemetry
 from ..errors import RestoreError
 from ..kernel.fs.filesystem import Filesystem
 from ..kernel.fs.vnode import Vnode
-from ..objstore.checkpoint import PageLocator
+from ..objstore.checkpoint import NO_PAGES, PageRuns
 from ..objstore.oid import CLASS_FILE, make_oid
 from ..units import PAGE_SIZE, pages_of
 
@@ -173,14 +173,13 @@ class SLSFS(Filesystem):
 
     # -- recovery -----------------------------------------------------------------------
 
-    def _load_pages(self, wanted: List[Tuple[Vnode, Dict[int, PageLocator]]]
-                    ) -> None:
+    def _load_pages(self, wanted: List[Tuple[Vnode, PageRuns]]) -> None:
         """Fill vnodes from their page locators with one batched fetch
         (locators past EOF belong to a since-truncated tail)."""
         slots = [(vnode.vmobject, pindex, locator)
                  for vnode, locators in wanted
-                 for pindex, locator in locators.items()
-                 if pindex < vnode.vmobject.size_pages]
+                 for pindex, locator
+                 in locators.slice(0, vnode.vmobject.size_pages).items()]
         pages = self.store.fetch_pages(locator for _o, _p, locator in slots)
         for (obj, pindex, _locator), page in zip(slots, pages):
             obj.insert_page(pindex, page)
@@ -221,7 +220,7 @@ class SLSFS(Filesystem):
             if vnode.vmobject is not None:
                 vnode.vmobject.grow(pages_of(info["size"]))
                 vnode.vmobject.sls_oid = oid
-                wanted.append((vnode, page_locs.get(oid, {})))
+                wanted.append((vnode, page_locs.get(oid, NO_PAGES)))
         self._load_pages(wanted)
         self.root = self._vnodes[1]
         self.last_ckpt_id = latest.ckpt_id
@@ -253,5 +252,5 @@ class SLSFS(Filesystem):
         self._dirty_inodes.add(inode)
         if vnode.vmobject is not None:
             vnode.vmobject.grow(pages_of(state["size"]))
-            self._load_pages([(vnode, page_locs.get(oid, {}))])
+            self._load_pages([(vnode, page_locs.get(oid, NO_PAGES))])
         return vnode

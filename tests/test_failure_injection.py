@@ -72,7 +72,7 @@ def test_corrupt_newest_superblock_falls_back(commit_mode):
     # checkpoints the surviving generation references are readable.
     for info in store2.checkpoints.values():
         _records, pages = store2.merged_view(info.ckpt_id)
-        store2.fetch_page(pages[MEM_OID][0])
+        store2.fetch_page(pages[MEM_OID].lookup(0))
 
 
 def test_corrupt_catalog_falls_back_a_generation(commit_mode):
@@ -109,7 +109,7 @@ def test_torn_page_extent_detected_on_read(commit_mode):
     txn.put_pages(MEM_OID, {0: Page(data=b"real bytes" * 40)})
     info = _commit(machine, store, txn, commit_mode)
     _records, pages = store.merged_view(info.ckpt_id)
-    locator = pages[MEM_OID][0]
+    locator = pages[MEM_OID].lookup(0)
     # Corrupt the data extent, then try to read the page back.
     raw = machine.storage.read(locator.extent)
     machine.storage.discard_extent(locator.extent)

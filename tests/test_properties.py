@@ -23,6 +23,7 @@ from repro import Machine, load_aurora
 from repro.hw.memory import Page
 from repro.machine import Machine as _Machine
 from repro.objstore.blockalloc import ExtentAllocator
+from repro.objstore.checkpoint import NO_PAGES
 from repro.objstore.oid import CLASS_MEMORY, make_oid
 from repro.objstore.store import ObjectStore
 from repro.units import GiB, KiB, MiB, PAGE_SIZE
@@ -156,7 +157,7 @@ def test_merged_views_equal_flat_model_even_after_gc(rounds, data):
     def check(index):
         _records, pages = store.merged_view(infos[index].ckpt_id)
         got = {pindex: store.fetch_page(loc).seed
-               for pindex, loc in pages.get(MEM_OID, {}).items()}
+               for pindex, loc in pages.get(MEM_OID, NO_PAGES).items()}
         assert got == snapshots[index]
 
     for index in range(len(infos)):

@@ -64,8 +64,8 @@ def test_partial_checkpoint_chain_restores_through_merged_view():
     txn2.put_pages(MEM_OID, {1: Page(seed=99)})
     partial = store.commit(txn2, sync=True)
     _records, pages = store.merged_view(partial.ckpt_id)
-    assert store.fetch_page(pages[MEM_OID][0]).seed == 1
-    assert store.fetch_page(pages[MEM_OID][1]).seed == 99
+    assert store.fetch_page(pages[MEM_OID].lookup(0)).seed == 1
+    assert store.fetch_page(pages[MEM_OID].lookup(1)).seed == 99
 
 
 def test_store_requires_mount():

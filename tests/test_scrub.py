@@ -106,7 +106,7 @@ def test_scrub_detects_dangling_record_pointer():
 def test_scrub_detects_dangling_page_extent():
     machine = Machine()
     store, infos = _store_with_chain(machine)
-    locator = infos[0].pages[MEM_OID][0]
+    locator = infos[0].pages[MEM_OID].lookup(0)
     machine.storage.discard_extent(locator.extent)
     report = scrub(store)
     assert any(f.kind == DANGLING and "page 0" in f.detail

@@ -121,14 +121,14 @@ def test_incremental_merged_view_newest_wins(store):
     records, pages = store.merged_view(info2.ckpt_id)
     _oid, _otype, state = store.read_object_record(records[POSIX_OID])
     assert state == {"step": 2}
-    assert store.fetch_page(pages[MEM_OID][0]).seed == 10
-    assert store.fetch_page(pages[MEM_OID][1]).seed == 21
+    assert store.fetch_page(pages[MEM_OID].lookup(0)).seed == 10
+    assert store.fetch_page(pages[MEM_OID].lookup(1)).seed == 21
 
     # The older view is still intact (time travel).
     records1, pages1 = store.merged_view(info1.ckpt_id)
     _o, _t, state1 = store.read_object_record(records1[POSIX_OID])
     assert state1 == {"step": 1}
-    assert store.fetch_page(pages1[MEM_OID][1]).seed == 11
+    assert store.fetch_page(pages1[MEM_OID].lookup(1)).seed == 11
 
 
 def test_real_page_round_trip(store):
@@ -137,7 +137,7 @@ def test_real_page_round_trip(store):
     txn.put_pages(MEM_OID, {3: Page(data=payload)})
     info = store.commit(txn, sync=True)
     _records, pages = store.merged_view(info.ckpt_id)
-    fetched = store.fetch_page(pages[MEM_OID][3])
+    fetched = store.fetch_page(pages[MEM_OID].lookup(3))
     assert fetched.realize()[:200] == payload
 
 
@@ -197,8 +197,8 @@ def test_delete_oldest_transfers_visible_state(store):
     _records, pages = store.merged_view(infos[2].ckpt_id)
     # Page 1 only ever existed in the deleted checkpoint's delta; it
     # must have been transferred, and the newest page 0 must win.
-    assert store.fetch_page(pages[MEM_OID][1]).seed == 0
-    assert store.fetch_page(pages[MEM_OID][0]).seed == 102
+    assert store.fetch_page(pages[MEM_OID].lookup(1)).seed == 0
+    assert store.fetch_page(pages[MEM_OID].lookup(0)).seed == 102
 
 
 def test_delete_middle_rejected(store):
@@ -247,7 +247,8 @@ def test_recovery_finds_only_complete_checkpoints():
     latest = store2.find_latest_complete(9)
     assert latest.ckpt_id == done.ckpt_id
     _records, pages = store2.merged_view(latest.ckpt_id)
-    assert store2.fetch_page(pages[MEM_OID][0]).realize()[:7] == b"durable"
+    durable = store2.fetch_page(pages[MEM_OID].lookup(0))
+    assert durable.realize()[:7] == b"durable"
 
 
 def test_mount_blank_array_returns_false():
@@ -301,5 +302,5 @@ def test_crash_at_any_point_recovers_a_complete_prefix(crash_delay, nckpts):
         surviving = len(chain)
         _records, pages = store2.merged_view(chain[-1].ckpt_id)
         for j in range(8):
-            assert store2.fetch_page(pages[MEM_OID][j]).seed == \
+            assert store2.fetch_page(pages[MEM_OID].lookup(j)).seed == \
                 (surviving - 1) * 100 + j

@@ -47,6 +47,41 @@ def test_frame_accounting_follows_pages(kernel):
     assert kernel.physmem.used_frames == before
 
 
+class _ProbeCountingPages(dict):
+    """A resident-page dict that counts how it is consulted: one per
+    membership probe, the whole resident set per key-view request."""
+
+    probes = 0
+
+    def __contains__(self, pindex):
+        self.probes += 1
+        return super().__contains__(pindex)
+
+    def keys(self):
+        self.probes += len(self)
+        return super().keys()
+
+
+def test_small_slabs_into_a_large_object_probe_only_the_slab(kernel):
+    """1 000 four-page slabs into a 100 k-page object cost one probe
+    per slab page — counting new frames from the resident side walked
+    100 k keys per insert (a latent quadratic)."""
+    resident, slabs, width = 100_000, 1_000, 4
+    obj = VMObject(kernel, resident + slabs * width)
+    obj.insert_pages({i: Page(seed=i) for i in range(resident)})
+    obj.pages = _ProbeCountingPages(obj.pages)
+    before = kernel.physmem.used_frames
+    for slab in range(slabs):
+        # Odd slabs replace resident pages, even ones extend the object.
+        first = (slab * 97 if slab % 2 else resident + slab * width)
+        obj.insert_pages({first + i: Page(seed=-slab)
+                          for i in range(width)})
+    assert obj.pages.probes == slabs * width
+    assert kernel.physmem.used_frames == before + (slabs // 2) * width
+    assert obj.resident_count() == resident + (slabs // 2) * width
+    assert obj.pages[97].seed == -1 and obj.pages[resident].seed == 0
+
+
 def test_shadow_lookup_walks_chain(kernel):
     base = VMObject(kernel, 8)
     base.insert_page(0, Page(seed=100))
