@@ -112,7 +112,9 @@ class AuroraAPI:
 
         shadow = top.shadow(name=f"atomic:{top.name}")
         shadow.sls_oid = track.oid
-        downgraded = self.sls.shadow._repoint_entries(group, top, shadow)
+        engine = self.sls.shadow
+        downgraded = engine._repoint_entries(engine._running_spaces(group),
+                                             top, shadow)
         clock.advance(len(dirty) * costs.COW_MARK_PER_PAGE)
         kernel.cpus.tlb_shootdown(
             min(len(self.proc.threads), len(kernel.cpus)),

@@ -245,9 +245,9 @@ class GroupRestorer:
     def _populate_pages(self, obj: VMObject, locators: PageRuns,
                         lazy: bool) -> None:
         if lazy:
-            evicted = self.kernel.pageout.evicted
-            for pindex, locator in locators.items():
-                evicted[(obj.kid, pindex)] = locator
+            if locators:
+                self.kernel.pageout.evicted.setdefault(obj.kid, {}).update(
+                    locators.items())
             self.pages_lazy += len(locators)
             return
         clock = self.kernel.clock
@@ -517,6 +517,8 @@ class GroupRestorer:
                          group: ConsistencyGroup) -> None:
         """Re-arm system shadowing so the next checkpoint flushes only
         post-restore dirt: each restored object gets a fresh shadow."""
+        by_object = [proc.vmspace.entries_by_object()
+                     for proc in group.processes]
         for oid, obj in self.objects.items():
             if not isinstance(obj, VMObject):
                 continue
@@ -526,8 +528,8 @@ class GroupRestorer:
             shadow = obj.shadow(name=f"sys:{obj.name}")
             shadow.sls_oid = oid
             # Repoint every entry mapping the restored base.
-            for proc in group.processes:
-                for entry in proc.vmspace.entries_for_object(obj):
+            for entries in by_object:
+                for entry in entries.get(obj.kid, ()):
                     entry.set_object(shadow)
             segment = self.kernel.shm_backmap.get(obj.kid)
             if segment is not None:

@@ -155,6 +155,30 @@ def append_locator_run(runs: List[List[Any]], run: Sequence[Any]) -> None:
     runs.append(entry)
 
 
+def synthetic_runs(indexes: Sequence[int],
+                   seeds: Sequence[int]) -> List[List[Any]]:
+    """``"syn"`` runs of an all-synthetic page set given as two columns
+    (ascending page indexes, their seeds): what one
+    :func:`append_locator_run` per page builds — the same greedy rule,
+    hence the same metadata bytes — without a call and a tuple per page.
+    """
+    runs: List[List[Any]] = []
+    start = count = seed0 = step = 0
+    for pindex, seed in zip(indexes, seeds):
+        if count and pindex == start + count:
+            if count == 1:
+                step = seed - seed0     # the second page pins the step
+            if seed == seed0 + step * count:
+                count += 1
+                continue
+        if count:
+            runs.append(["syn", start, count, seed0, step])
+        start, count, seed0, step = pindex, 1, seed, 0
+    if count:
+        runs.append(["syn", start, count, seed0, step])
+    return runs
+
+
 def _pages_differing(run_a: Sequence[Any], run_b: Sequence[Any],
                      lo: int, hi: int) -> int:
     """Page indexes in ``[lo, hi)`` (inside both runs) whose locators

@@ -239,17 +239,24 @@ class ShadowEngine:
                     tops.append(obj)
         return tops
 
-    def _repoint_entries(self, group: ConsistencyGroup, old: VMObject,
-                         new: VMObject) -> int:
+    @staticmethod
+    def _running_spaces(group: ConsistencyGroup) -> List[Tuple[Any, Any]]:
+        """One ``(pmap, map entries by object)`` pair per running
+        process, built once per shadow pass: one scan of each map, not
+        one per shadowed object.  A pass repoints each object once, so
+        the index stays valid while entries move to their shadows."""
+        return [(proc.vmspace.pmap, proc.vmspace.entries_by_object())
+                for proc in group.processes if proc.state == "running"]
+
+    def _repoint_entries(self, spaces: List[Tuple[Any, Any]],
+                         old: VMObject, new: VMObject) -> int:
         """Repoint every reference to ``old`` onto ``new``; returns the
         number of PTEs write-protected."""
         downgraded = 0
-        for proc in group.processes:
-            if proc.state != "running":
-                continue
-            for entry in proc.vmspace.entries_for_object(old):
+        for pmap, by_object in spaces:
+            for entry in by_object.get(old.kid, ()):
                 entry.set_object(new)
-                downgraded += proc.vmspace.pmap.write_protect_range(
+                downgraded += pmap.write_protect_range(
                     entry.start_page, entry.npages)
         segment = self.kernel.shm_backmap.get(old.kid)
         if segment is not None:
@@ -268,6 +275,7 @@ class ShadowEngine:
         kernel = self.kernel
         items: List[FlushItem] = []
         total_downgraded = 0
+        spaces = self._running_spaces(group)
         for top in self._group_tops(group):
             if top.sls_oid is None:
                 oid = group.oid_for(top, self.store, CLASS_MEMORY)
@@ -309,7 +317,7 @@ class ShadowEngine:
             shadow = top.shadow(name=f"sys:{top.name}")
             shadow.sls_oid = track.oid
             self.stats["shadows_created"] += 1
-            downgraded = self._repoint_entries(group, top, shadow)
+            downgraded = self._repoint_entries(spaces, top, shadow)
             total_downgraded += downgraded
             kernel.clock.advance(len(dirty) * costs.COW_MARK_PER_PAGE)
 

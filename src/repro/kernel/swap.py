@@ -19,7 +19,7 @@ the same page-in path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List
 
 from ..core import costs
 from ..errors import InvalidArgument
@@ -42,8 +42,11 @@ class PageoutDaemon:
 
     def __init__(self, kernel):
         self.kernel = kernel
-        #: (object kid, pindex) -> store locator for evicted pages.
-        self.evicted: Dict[Tuple[int, int], object] = {}
+        #: object kid -> {pindex -> store locator} for evicted pages;
+        #: no entry for an object with none.  Per object, so a collapse
+        #: moves its records with one pop and the write-fault path's
+        #: "has this chain object any evicted page" is O(1).
+        self.evicted: Dict[int, Dict[int, object]] = {}
         #: madvise hints: object kid -> {pindex -> hint}.
         self.hints: Dict[int, Dict[int, str]] = {}
         self.evictions_clean = 0
@@ -106,7 +109,7 @@ class PageoutDaemon:
             if physmem.used_frames <= target:
                 break
             obj.remove_page(pindex)
-            self.evicted[(obj.kid, pindex)] = page.clean_locator
+            self.evicted.setdefault(obj.kid, {})[pindex] = page.clean_locator
             self.evictions_clean += 1
             evicted += 1
         if physmem.used_frames > target and store is not None:
@@ -117,7 +120,7 @@ class PageoutDaemon:
                     break
                 locator = store.stage_swap_page(obj, pindex, page)
                 obj.remove_page(pindex)
-                self.evicted[(obj.kid, pindex)] = locator
+                self.evicted.setdefault(obj.kid, {})[pindex] = locator
                 self.evictions_dirty += 1
                 evicted += 1
         return evicted
@@ -126,26 +129,30 @@ class PageoutDaemon:
         """A collapse moved an object's pages into another object:
         evicted-page records must follow, or their content would be
         unreachable after the old object is destroyed."""
-        moved = 0
-        for (kid, pindex) in [key for key in self.evicted
-                              if key[0] == old_kid]:
-            locator = self.evicted.pop((kid, pindex))
-            self.evicted.setdefault((new_kid, pindex), locator)
-            moved += 1
-        return moved
+        moved = self.evicted.pop(old_kid, None)
+        if not moved:
+            return 0
+        target = self.evicted.setdefault(new_kid, {})
+        for pindex, locator in moved.items():
+            # A record the new home already holds wins, as its page would.
+            target.setdefault(pindex, locator)
+        return len(moved)
 
     # -- page-in --------------------------------------------------------------------
 
     def is_evicted(self, vmobject: VMObject, pindex: int) -> bool:
         """True when the page's content lives only in the store."""
-        return (vmobject.kid, pindex) in self.evicted
+        return pindex in self.evicted.get(vmobject.kid, ())
 
     def page_in(self, vmobject: VMObject, pindex: int, store) -> None:
         """Fault path: retrieve the most recent version from the store."""
-        key = (vmobject.kid, pindex)
-        locator = self.evicted.pop(key, None)
+        records = self.evicted.get(vmobject.kid, {})
+        locator = records.pop(pindex, None)
         if locator is None:
-            raise InvalidArgument(f"page {key} was not evicted")
+            raise InvalidArgument(
+                f"page {(vmobject.kid, pindex)} was not evicted")
+        if not records:
+            del self.evicted[vmobject.kid]
         page = store.fetch_swapped_page(locator)
         page.clean_locator = locator  # fresh copy is clean by definition
         self.kernel.clock.advance(costs.LAZY_FAULT_PER_PAGE)

@@ -18,9 +18,11 @@ of :data:`CHUNK_BITS`-wide integer words.  Range operations —
 ``write_protect_range``, ``remove_range``, ``collect_dirty`` — become
 word-wise mask arithmetic (C-speed memcpy-class work), so a
 checkpoint's write-protect pass over a million-page mapping costs a
-few hundred mask ops instead of a million dict probes, while a single
-page fault rewrites one chunk-sized word rather than the whole
-column.  :class:`LegacyPmap`
+few hundred mask ops instead of a million dict probes.  The fault side
+is columnar too: ``writable_runs`` cuts a stored-to range into runs of
+equal write permission, a run of write faults is one ``enter_range``
+and a run already writable one ``mark_dirty_range`` — a mask op per
+chunk, not three single-bit rewrites per page.  :class:`LegacyPmap`
 preserves the original dict-of-PTE implementation; the equivalence
 property suite drives both with identical operation sequences and
 asserts observational equality.
@@ -28,6 +30,7 @@ asserts observational equality.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ...errors import SegmentationFault
@@ -185,6 +188,38 @@ class Pmap:
                 f"installed (enter() the translation first)")
         self._dirty[chunk] = self._dirty.get(chunk, 0) | bit
 
+    def mark_dirty_range(self, start_page: int, npages: int) -> None:
+        """:meth:`mark_dirty` for ``npages`` contiguous pages, one mask
+        op per covered chunk; like the per-page loop, it dirties the
+        pages before the first unmapped one and then raises."""
+        for chunk, mask in self._chunk_masks(start_page, max(npages, 0)):
+            absent = mask & ~self._present.get(chunk, 0)
+            if absent:
+                first = absent & -absent
+                mask &= first - 1
+            if mask:
+                self._dirty[chunk] = self._dirty.get(chunk, 0) | mask
+            if absent:
+                va_page = chunk * self._chunk_bits + first.bit_length() - 1
+                raise SegmentationFault(
+                    f"mark_dirty on unmapped page {va_page:#x}: no PTE "
+                    f"installed (enter() the translation first)")
+
+    def writable_runs(self, start_page: int,
+                      npages: int) -> Iterator[Tuple[int, int, bool]]:
+        """Cut a range into maximal ``(start, length, writable)`` runs
+        (a store takes one range fault per non-writable run and one
+        :meth:`mark_dirty_range` per writable one).  O(chunks + runs)."""
+        cursor = start_page
+        for start, length in self._column_runs(self._writable, start_page,
+                                               npages):
+            if start > cursor:
+                yield cursor, start - cursor, False
+            yield start, length, True
+            cursor = start + length
+        if start_page + npages > cursor:
+            yield cursor, start_page + npages - cursor, False
+
     def write_protect_range(self, start_page: int, npages: int) -> int:
         """Downgrade writable PTEs in a range to read-only.
 
@@ -229,14 +264,20 @@ class Pmap:
 
         The batched successor to :meth:`dirty_pages`: a checkpoint pass
         over a window yields contiguous dirty *runs* so downstream
-        staging can move slabs instead of single pages.  Runs crossing
-        a chunk boundary are stitched back together.
+        staging can move slabs instead of single pages.
         """
+        return self._column_runs(self._dirty, start_page, npages)
+
+    def _column_runs(self, column: Dict[int, int], start_page: int,
+                     npages: int) -> Iterator[Tuple[int, int]]:
+        """Maximal ``(page, run_length)`` runs of set bits of one
+        column inside a range; runs crossing a chunk boundary are
+        stitched back together."""
         if npages <= 0:
             return
         pending_start = pending_len = 0
         for chunk, mask in self._chunk_masks(start_page, npages):
-            word = self._dirty.get(chunk)
+            word = column.get(chunk)
             window = word & mask if word else 0
             if not window:
                 if pending_len:
@@ -315,6 +356,19 @@ class LegacyPmap:
                 f"mark_dirty on unmapped page {va_page:#x}: no PTE "
                 f"installed (enter() the translation first)")
         pte.dirty = True
+
+    def mark_dirty_range(self, start_page: int, npages: int) -> None:
+        """:meth:`mark_dirty` per page."""
+        for va_page in range(start_page, start_page + npages):
+            self.mark_dirty(va_page)
+
+    def writable_runs(self, start_page: int,
+                      npages: int) -> Iterator[Tuple[int, int, bool]]:
+        """Per-page scan producing the same runs as the bitmap pmap."""
+        for writable, run in groupby(range(start_page, start_page + npages),
+                                     key=self.is_writable):
+            pages = list(run)
+            yield pages[0], len(pages), writable
 
     def write_protect_range(self, start_page: int, npages: int) -> int:
         """Downgrade writable PTEs in a range to read-only."""

@@ -11,7 +11,7 @@ copy-on-write address space duplication.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ...core import costs
 from ...errors import InvalidArgument, SegmentationFault
@@ -20,8 +20,8 @@ from ...units import PAGE_SIZE, pages_of
 from ..kobject import KObject
 from . import fault as fault_mod
 from .pmap import Pmap
-from .vmmap import (INHERIT_COPY, INHERIT_NONE, INHERIT_SHARE, PROT_READ,
-                    PROT_WRITE, VMMap, VMMapEntry)
+from .vmmap import (INHERIT_COPY, INHERIT_NONE, PROT_READ, PROT_WRITE, VMMap,
+                    VMMapEntry)
 from .vmobject import ANONYMOUS, DEVICE, VMObject
 
 
@@ -86,20 +86,18 @@ class VMSpace(KObject):
 
     # -- byte-level access -----------------------------------------------------
 
-    def _resolve_write(self, va_page: int) -> Page:
-        """Ensure ``va_page`` is writable-mapped; return its page."""
+    def _resolve_write(self, va_page: int) -> Tuple[VMObject, int]:
+        """Ensure ``va_page`` is writable-mapped and private to the top
+        object of its entry; returns that object and the page's index."""
         entry = self.map.lookup(va_page)
         if entry is None:
             raise SegmentationFault(f"no mapping for page {va_page:#x}")
-        if self.pmap.is_writable(va_page):
-            pindex = entry.pindex_of(va_page)
-            page = entry.vmobject.pages.get(pindex)
-            if page is not None:
-                self.pmap.mark_dirty(va_page)
-                return page
-        page = fault_mod.handle_fault(self, va_page, write=True)
-        assert page is not None
-        return page
+        pindex = entry.pindex_of(va_page)
+        if self.pmap.is_writable(va_page) and pindex in entry.vmobject.pages:
+            self.pmap.mark_dirty(va_page)
+        else:
+            fault_mod.handle_write_faults(self, entry, va_page, 1)
+        return entry.vmobject, pindex
 
     def write(self, addr: int, data: bytes) -> None:
         """Store ``data`` at ``addr`` (may span pages)."""
@@ -108,13 +106,10 @@ class VMSpace(KObject):
             va_page = (addr + offset) // PAGE_SIZE
             page_off = (addr + offset) % PAGE_SIZE
             chunk = min(len(data) - offset, PAGE_SIZE - page_off)
-            page = self._resolve_write(va_page)
-            content = bytearray(page.realize())
+            vmobject, pindex = self._resolve_write(va_page)
+            content = bytearray(vmobject.pages[pindex].realize())
             content[page_off:page_off + chunk] = data[offset:offset + chunk]
-            entry = self.map.lookup(va_page)
-            assert entry is not None
-            entry.vmobject.insert_page(entry.pindex_of(va_page),
-                                       Page(data=bytes(content)))
+            vmobject.insert_page(pindex, Page(data=bytes(content)))
             offset += chunk
 
     def read(self, addr: int, nbytes: int) -> bytes:
@@ -177,30 +172,38 @@ class VMSpace(KObject):
         Takes real write faults (COW copies, chain walks) exactly as an
         application storing to those pages would.  Returns the number
         of faults taken, which benchmarks use to attribute overhead.
+
+        Walks entry by entry and, inside an entry, run by run of equal
+        write permission: a run not mapped writable takes one range
+        fault (:func:`~repro.kernel.vm.fault.handle_write_faults`), and
+        every run's pages go in as one slab and its dirty bits as one
+        mask — O(runs), with the charges of one fault per page.  An
+        unmapped page or a read-only entry raises after the pages
+        before it were dirtied.
         """
         start_page = addr // PAGE_SIZE
+        end_page = start_page + npages
         faults_before = self.pmap.fault_count
-        entry: Optional[VMMapEntry] = None
-        for i in range(npages):
-            va_page = start_page + i
-            if entry is None or not entry.contains(va_page):
-                entry = self.map.lookup(va_page)
-            if self.pmap.is_writable(va_page):
-                assert entry is not None
-                pindex = entry.pindex_of(va_page)
-                if pindex in entry.vmobject.pages:
-                    entry.vmobject.pages[pindex] = Page(seed=seed + i)
+        va_page = start_page
+        while va_page < end_page:
+            entry = self.map.lookup(va_page)
+            if entry is None:
+                raise SegmentationFault(f"no mapping for page {va_page:#x}")
+            stretch = min(end_page, entry.end_page) - va_page
+            # Materialised first: the faults rewrite the column scanned.
+            for run_start, length, writable in list(
+                    self.pmap.writable_runs(va_page, stretch)):
+                pindex = entry.pindex_of(run_start)
+                run_seed = seed + run_start - start_page
+                slab = {pindex + i: Page(seed=run_seed + i)
+                        for i in range(length)}
+                if writable:
+                    entry.vmobject.insert_pages(slab)
+                    self.pmap.mark_dirty_range(run_start, length)
                 else:
-                    entry.vmobject.insert_page(pindex, Page(seed=seed + i))
-                self.pmap.mark_dirty(va_page)
-            else:
-                fault_mod.handle_fault(self, va_page, write=True)
-                # The fault may have repointed the entry to a fresh COW
-                # shadow; the entry object itself is stable, so re-read
-                # its vmobject rather than re-running the map lookup.
-                assert entry is not None
-                pindex = entry.pindex_of(va_page)
-                entry.vmobject.pages[pindex] = Page(seed=seed + i)
+                    fault_mod.handle_write_faults(self, entry, run_start,
+                                                  length, install=slab)
+            va_page += stretch
         return self.pmap.fault_count - faults_before
 
     # -- fork -------------------------------------------------------------------
@@ -253,9 +256,14 @@ class VMSpace(KObject):
                 result.append(obj)
         return result
 
-    def entries_for_object(self, vmobject: VMObject) -> List[VMMapEntry]:
-        """Map entries of this space referencing ``vmobject``."""
-        return [e for e in self.map if e.vmobject is vmobject]
+    def entries_by_object(self) -> Dict[int, List[VMMapEntry]]:
+        """Map entries grouped by the ``kid`` of the object they
+        reference, each group in map order: one scan of the map for a
+        pass that repoints many objects."""
+        index: Dict[int, List[VMMapEntry]] = {}
+        for entry in self.map:
+            index.setdefault(entry.vmobject.kid, []).append(entry)
+        return index
 
     def resident_pages(self) -> int:
         """Distinct resident pages visible in this address space."""

@@ -25,7 +25,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
 from ..core.resilience import RetryPolicy
-from ..core.runs import append_locator_run
+from ..core.runs import append_locator_run, synthetic_runs
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
@@ -226,11 +226,16 @@ class ObjectStore:
             # stores and every reader consumes.  The table wraps the
             # list being appended to; it is complete (every pending
             # "ext" run filled in) when this function returns.
-            runs: List[Any] = []
+            ordered = sorted(pages)
+            seeds: List[Any] = [pages[pindex].seed for pindex in ordered]
+            # An all-synthetic delta (the benchmark heaps) coalesces as
+            # two columns; a mixed one is walked page by page.
+            mixed = None in seeds
+            runs: List[Any] = [] if mixed else synthetic_runs(ordered, seeds)
             info.pages[oid] = PageRuns(runs)
-            syn_count = 0
+            syn_count = 0 if mixed else len(ordered)
 
-            for pindex in sorted(pages):
+            for pindex in ordered if mixed else ():
                 page = pages[pindex]
                 if page.synthetic:
                     append_locator_run(runs, ("syn", pindex, 1, page.seed, 0))
@@ -359,6 +364,13 @@ class ObjectStore:
         for oid, table in info.pages.items():
             staged = txn.staged_pages[oid]
             for run in table.runs:
+                if run[0] == "syn":
+                    # Inline: no generator frame and tuple per page.
+                    first, seed0, step = run[1], run[3], run[4]
+                    for i in range(run[2]):
+                        staged[first + i].clean_locator = PageLocator(
+                            "syn", seed0 + step * i)
+                    continue
                 for pindex, locator in run_locators(run):
                     staged[pindex].clean_locator = locator
         self._commit_failures.pop(info.ckpt_id, None)

@@ -69,6 +69,10 @@ _ops = st.lists(
         st.tuples(st.just("protect"), st.integers(0, PAGES - 1),
                   st.integers(0, PAGES)),
         st.tuples(st.just("dirty"), st.integers(0, PAGES - 1)),
+        st.tuples(st.just("dirty_range"), st.integers(0, PAGES - 1),
+                  st.integers(0, PAGES)),
+        st.tuples(st.just("writable_runs"), st.integers(0, PAGES - 1),
+                  st.integers(0, PAGES)),
         st.tuples(st.just("collect"), st.integers(0, PAGES - 1),
                   st.integers(0, PAGES)),
     ),
@@ -85,12 +89,12 @@ def _observe(pmap):
     }
 
 
-@pytest.mark.parametrize("chunk_bits", [4096, 32],
-                         ids=["default-chunk", "tiny-chunk"])
+@pytest.mark.parametrize("chunk_bits", [4096, 32, 64],
+                         ids=["default-chunk", "tiny-chunk", "word-chunk"])
 @settings(max_examples=200, deadline=None)
 @given(ops=_ops)
 def test_pmap_equivalence(chunk_bits, ops):
-    # ``tiny-chunk`` forces the 96-page op space to span chunk
+    # The small chunks force the 96-page op space to span chunk
     # boundaries, exercising mask splitting and run stitching.
     new, old = Pmap(chunk_bits=chunk_bits), LegacyPmap()
     for op in ops:
@@ -109,15 +113,28 @@ def test_pmap_equivalence(chunk_bits, ops):
         elif op[0] == "protect":
             assert (new.write_protect_range(op[1], op[2])
                     == old.write_protect_range(op[1], op[2]))
-        elif op[0] == "dirty":
+        elif op[0] in ("dirty", "dirty_range"):
+            # Same fault (naming the same page) after the same prefix
+            # of pages was dirtied; the state check below sees the prefix.
             outcomes = []
             for pmap in (new, old):
                 try:
-                    pmap.mark_dirty(op[1])
+                    if op[0] == "dirty":
+                        pmap.mark_dirty(op[1])
+                    else:
+                        pmap.mark_dirty_range(op[1], op[2])
                     outcomes.append("ok")
-                except SegmentationFault:
-                    outcomes.append("fault")
+                except SegmentationFault as fault:
+                    outcomes.append(str(fault))
             assert outcomes[0] == outcomes[1]
+        elif op[0] == "writable_runs":
+            runs = list(new.writable_runs(op[1], op[2]))
+            assert runs == list(old.writable_runs(op[1], op[2]))
+            # Maximal runs tiling exactly the range asked for.
+            assert sum(length for _s, length, _w in runs) == op[2]
+            assert all(length > 0 for _s, length, _w in runs)
+            for (s1, l1, w1), (s2, _l2, w2) in zip(runs, runs[1:]):
+                assert s1 + l1 == s2 and w1 != w2
         elif op[0] == "collect":
             assert (list(new.collect_dirty(op[1], op[2]))
                     == list(old.collect_dirty(op[1], op[2])))
@@ -263,3 +280,29 @@ def test_columnar_and_legacy_restore_identical_state():
     columnar = _run_workload(legacy_hot_path=False)
     legacy = _run_workload(legacy_hot_path=True)
     assert columnar == legacy
+
+
+@pytest.mark.parametrize("chunk_bits", [64, 4096])
+def test_writable_runs_and_dirty_range_across_chunk_boundaries(chunk_bits):
+    """Runs that start, end and continue exactly on chunk boundaries."""
+    new, old = Pmap(chunk_bits=chunk_bits), LegacyPmap()
+    edge = chunk_bits
+    for pmap in (new, old):
+        pmap.enter_range(edge - 3, 6, writable=True)        # straddles
+        pmap.enter_range(edge + 3, 5, writable=False)
+        pmap.enter_range(2 * edge - 2, edge + 4, writable=True)  # whole chunk
+        pmap.mark_dirty_range(edge - 2, 9)
+    span = (edge - 8, 2 * edge + 16)
+    assert list(new.writable_runs(*span)) == list(old.writable_runs(*span)) == [
+        (edge - 8, 5, False), (edge - 3, 6, True),
+        (edge + 3, edge - 5, False), (2 * edge - 2, edge + 4, True),
+        (3 * edge + 2, 6, False)]
+    assert new.dirty_pages() == old.dirty_pages() \
+        == list(range(edge - 2, edge + 7))
+    # An unmapped page in the middle: the prefix is dirtied, then the
+    # fault names that page.
+    for pmap in (new, old):
+        with pytest.raises(SegmentationFault, match=f"{edge + 8:#x}"):
+            pmap.mark_dirty_range(edge + 6, edge)
+    assert new.dirty_pages() == old.dirty_pages() \
+        == list(range(edge - 2, edge + 8))

@@ -18,7 +18,7 @@ from tests.pageruns_reference import (ref_changed, ref_encode, ref_expand,
                                       ref_overlay)
 from repro import Machine, load_aurora, serde
 from repro.core import migration
-from repro.core.runs import append_locator_run
+from repro.core.runs import append_locator_run, synthetic_runs
 from repro.errors import CorruptRecord
 from repro.hw.memory import Page
 from repro.objstore import records
@@ -107,6 +107,20 @@ def test_encoding_depends_only_on_the_page_map(runs):
         else:
             append_locator_run(paged, ("ext", pindex, 1) + loc[1:])
     assert paged == wire
+
+
+@given(st.lists(_syn_runs, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_synthetic_columns_coalesce_like_page_by_page_appends(runs):
+    """The commit path hands an all-synthetic delta over as two columns;
+    the runs (hence the metadata bytes) are the per-page appends'."""
+    _table, model = _written(runs)
+    ordered = sorted(model)
+    paged = []
+    for pindex in ordered:
+        append_locator_run(paged, ("syn", pindex, 1, model[pindex][1], 0))
+    assert synthetic_runs(ordered,
+                          [model[pindex][1] for pindex in ordered]) == paged
 
 
 @given(_runs, _runs)

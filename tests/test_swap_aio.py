@@ -5,6 +5,7 @@ import pytest
 from repro import Machine, load_aurora
 from repro.kernel.aio import AIO_READ, AIO_WRITE
 from repro.kernel.swap import MADV_DONTNEED
+from repro.kernel.vm.vmobject import VMObject
 from repro.units import MiB, PAGE_SIZE
 
 
@@ -108,6 +109,21 @@ def test_eviction_records_survive_collapse():
     proc.vmspace.touch(addr + PAGE_SIZE, 4, seed=3)
     sls.checkpoint(group, sync=True)
     assert proc.vmspace.read(addr, 8) == b"evict me"
+
+
+def test_migrate_object_is_one_pop_and_merge():
+    """Records are kept per object: a collapse moves them without
+    scanning every evicted page, and the new home's own record wins."""
+    kernel = Machine().kernel
+    pageout = kernel.pageout
+    old, new, other = (VMObject(kernel, 8) for _ in range(3))
+    pageout.evicted = {old.kid: {1: "old-1", 2: "old-2"},
+                       new.kid: {2: "new-2"}, other.kid: {1: "other"}}
+    assert pageout.migrate_object(old.kid, new.kid) == 2
+    assert pageout.evicted == {new.kid: {1: "old-1", 2: "new-2"},
+                               other.kid: {1: "other"}}
+    assert pageout.is_evicted(new, 1) and not pageout.is_evicted(old, 1)
+    assert pageout.migrate_object(old.kid, new.kid) == 0
 
 
 # -- AIO ----------------------------------------------------------------------------------
