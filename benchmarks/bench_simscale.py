@@ -39,7 +39,6 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import Machine, load_aurora
-from repro.core.serialize import CheckpointSerializer
 from repro.kernel.fs import O_CREAT, O_RDWR
 import repro.kernel.vm.vmspace as vmspace_mod
 from repro.kernel.vm.pmap import LegacyPmap, Pmap
@@ -71,9 +70,7 @@ def run_config(npages: int, nfds: int, ticks: int,
     ``nfds`` open files; return wall-clock stats (setup and the first
     full checkpoint are excluded from the timed region)."""
     original_pmap = vmspace_mod.Pmap
-    original_walk = CheckpointSerializer.legacy_walk
     vmspace_mod.Pmap = LegacyPmap if legacy else Pmap
-    CheckpointSerializer.legacy_walk = legacy
     try:
         machine = Machine()
         sls = load_aurora(machine)
@@ -120,7 +117,6 @@ def run_config(npages: int, nfds: int, ticks: int,
         }
     finally:
         vmspace_mod.Pmap = original_pmap
-        CheckpointSerializer.legacy_walk = original_walk
 
 
 def run_sweep(sweep, ticks: int, with_baseline: bool) -> dict:

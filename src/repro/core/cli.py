@@ -211,6 +211,15 @@ def cmd_stat(args) -> int:
               f"({group.stats['pages_flushed']} pages, "
               f"{group.stats['records_written']} records over "
               f"{elapsed_s:.2f}s simulated)")
+    gid = group.group_id
+    reasons = ", ".join(
+        f"{counter.labels['reason']} {counter.value}" for counter in
+        registry.counters_matching("sls.serialize.full_walks", group=gid))
+    print(f"fd slots: "
+          f"{registry.value('sls.serialize.slots_replayed', group=gid)} "
+          f"replayed, "
+          f"{registry.value('sls.serialize.slots_walked', group=gid)} "
+          f"walked; full table walks: {reasons or 'none'}")
     dropped = registry.value("sls.telemetry.spans_dropped")
     print(f"span ring: {len(registry.spans)} retained, "
           f"{dropped} dropped")

@@ -10,7 +10,7 @@ restore their parent receives SIGCHLD as if the child had exited (§3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from ..errors import AlreadyAttached, InvalidArgument
 from ..kernel.proc.pid import IDVirtualization
@@ -25,12 +25,12 @@ class ObjectTrack:
 
     __slots__ = ("oid", "active", "frozen", "flushed", "new")
 
-    def __init__(self, oid: int, active):
+    def __init__(self, oid: int, active: Any) -> None:
         self.oid = oid
         #: The live top of the chain (the shadow taking new writes).
         self.active = active
         #: The previous top, frozen while its pages flush to storage.
-        self.frozen = None
+        self.frozen: Any = None
         #: Whether the frozen shadow's flush has completed (it will be
         #: collapsed into its parent at the next checkpoint, §6).
         self.flushed = False
@@ -46,7 +46,7 @@ class ConsistencyGroup:
 
     def __init__(self, group_id: int, name: str = "",
                  period_ns: int = DEFAULT_PERIOD,
-                 external_synchrony: bool = True):
+                 external_synchrony: bool = True) -> None:
         self.group_id = group_id
         self.name = name or f"group{group_id}"
         self.period_ns = period_ns
@@ -56,6 +56,10 @@ class ConsistencyGroup:
         #: §5.2: "a mapping of each object's address in the kernel to
         #: a 64-bit on-disk object identifier").
         self.oid_map: Dict[int, int] = {}
+        #: What the serializer's last walk of each member fd table
+        #: learned (a ``serialize.WalkMemo``), keyed by the table's
+        #: kid; rebuilt by every full walk, dropped with the table.
+        self.walk_memos: Dict[int, Any] = {}
         #: Logical-object shadow cycles, keyed by OID.
         self.tracks: Dict[int, ObjectTrack] = {}
         #: Local (checkpoint-time) <-> global ID mapping after restore.
@@ -72,7 +76,7 @@ class ConsistencyGroup:
         #: OIDs must stop being serialized).
         self.departed: Set[int] = set()
         #: Periodic checkpointing handle (orchestrator-owned).
-        self.timer = None
+        self.timer: Any = None
         self.attached = True
         #: OID of the group's descriptor record in the store.
         self.desc_oid: Optional[int] = None
@@ -163,7 +167,7 @@ class ConsistencyGroup:
         return [p for p in self.processes if not p.sls_ephemeral
                 and p.state == "running"]
 
-    def all_threads(self):
+    def all_threads(self) -> Iterator[Any]:
         """Every thread of every running member."""
         for proc in self.processes:
             if proc.state != "running":
@@ -173,7 +177,7 @@ class ConsistencyGroup:
 
     # -- OID management -----------------------------------------------------------------
 
-    def oid_for(self, kobj, store, obj_class: int) -> int:
+    def oid_for(self, kobj: Any, store: Any, obj_class: int) -> int:
         """Stable on-disk identity for a kernel object."""
         oid = self.oid_map.get(kobj.kid)
         if oid is None:

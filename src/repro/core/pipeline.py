@@ -224,7 +224,7 @@ class Serialize(Stage):
                                           epoch_floor=floor,
                                           prior_live=prior_live)
         serializer.serialize_all()
-        live = set(serializer.live_oids)
+        live = serializer.live_oids
         for item in ctx.flush_items:
             ctx.txn.put_object(item.oid, "vmobject", item.record)
             ctx.txn.put_pages(item.oid, item.pages)
@@ -235,7 +235,14 @@ class Serialize(Stage):
         ctx.records_written = (serializer.records_written +
                                len(ctx.flush_items))
         ctx.records_skipped = serializer.records_skipped
-        ctx.txn.info.live_oids = live
+        parent = (ctx.store.checkpoints.get(ctx.group.last_ckpt_id)
+                  if ctx.mode == MODE_DISK else None)
+        if parent is not None and parent.live_oids == live:
+            # Nothing entered or left the group: share the parent's
+            # set, so its OID runs are not sorted out again.
+            ctx.txn.info.share_live_oids(parent)
+        else:
+            ctx.txn.info.live_oids = live
         ctx.txn.info.records_skipped = ctx.records_skipped
         if ctx.mode == MODE_DISK:
             # Snapshot the epoch under quiescence; Flush installs it as

@@ -8,14 +8,17 @@ one vnode produce two file records referencing one vnode record — the
 POSIX object model of §5.2.
 
 Incremental checkpoints: when ``epoch_floor`` is set, objects whose
-``dirty_epoch`` is at or below the floor are *walked* (for OID
-liveness and to reach dirty children) but their unchanged records are
-not re-written — the restore path resolves them from older deltas via
-:meth:`~repro.objstore.store.ObjectStore.merged_view`.  The walked OID
+``dirty_epoch`` is at or below the floor stay live (and their dirty
+children are reached) but their unchanged records are not re-written —
+the restore path resolves them from older deltas via
+:meth:`~repro.objstore.store.ObjectStore.merged_view`.  The live OID
 set (:attr:`live_oids`) is recorded per checkpoint so a delta can
 distinguish "unchanged" from "deleted".  Processes and the group
 descriptor are always re-serialized: their records embed per-thread
-CPU state that changes every instant.
+CPU state that changes every instant.  An fd table whose slot layout
+did not change is not re-walked either: its last walk is replayed
+(:class:`WalkMemo`) and only the slots that can have changed are
+visited.
 
 Each serializer charges the calibrated cost from Table 4; the costs
 module documents the calibration.  Skipped objects charge nothing —
@@ -53,15 +56,38 @@ def _traced(otype: str) -> Callable:
     return wrap
 
 
+class WalkMemo:
+    """What one full walk of an fd table learned, kept per group and
+    table kid (``group.walk_memos``) and replayed by
+    :meth:`CheckpointSerializer.serialize_fdtable` while ``layout_gen``
+    matches.  Columnar on purpose — two slot-ordered lists, one dict,
+    one set, nothing per slot: the memo is long-lived, and the
+    population of long-lived tracked objects sets the cyclic
+    collector's schedule.  The columns cannot go stale:
+    ``OpenFile.fobj`` is assigned once and cleared only in
+    ``destroy()``, and a slot holds a reference.
+    """
+
+    __slots__ = ("layout_gen", "fds", "files", "vnodes", "oids")
+
+    def __init__(self, layout_gen: int, fds: Dict[str, int],
+                 files: List[OpenFile], vnodes: List[Any],
+                 oids: Set[int]) -> None:
+        self.layout_gen = layout_gen
+        #: The table record's ``{"fds": ...}`` body.
+        self.fds = fds
+        #: ``vnodes[i]`` is the vnode behind ``files[i]``; None marks a
+        #: slot the replay always visits (pipe, socket, kqueue, pty,
+        #: shm, device: each opens a span even when clean, unix sockets
+        #: chase in-flight descriptors, shm adds its ``vm_oid``).
+        self.files = files
+        self.vnodes = vnodes
+        #: File and vnode OIDs of the vnode-backed slots.
+        self.oids = oids
+
+
 class CheckpointSerializer:
     """Serializes one consistency group's OS state into a txn."""
-
-    #: Pre-refactor walk behavior, kept for the scale benchmark's
-    #: baseline mode: every file/vnode builds its state dict and
-    #: tracing span *before* the clean-skip decision — the per-object
-    #: wall-clock the columnar fast path removed.  Output is identical
-    #: either way; only real time differs.
-    legacy_walk = False
 
     def __init__(self, kernel: Any, group: Any, store: Any, txn: Any,
                  epoch_floor: Optional[int] = None,
@@ -86,6 +112,11 @@ class CheckpointSerializer:
         #: Records actually staged vs. skipped as unchanged.
         self.records_written = 0
         self.records_skipped = 0
+        #: Fd-table slots accounted from a memo vs. visited, and the
+        #: tables walked in full, by reason the replay was not taken.
+        self.slots_replayed = 0
+        self.slots_walked = 0
+        self.full_walks: Dict[str, int] = {}
 
     # -- helpers -----------------------------------------------------------------
 
@@ -94,47 +125,46 @@ class CheckpointSerializer:
         self.live_oids.add(oid)
         return oid
 
-    def _clean(self, kobj: Any) -> bool:
-        """True when the object is unchanged since the epoch floor."""
-        if self.epoch_floor is None:
-            return False
-        epoch = getattr(kobj, "dirty_epoch", None)
-        return epoch is not None and epoch <= self.epoch_floor
-
-    def _skippable(self, kobj: Any, obj_class: int = CLASS_POSIX,
-                   oid: Optional[int] = None) -> bool:
+    def _skippable(self, kobj: Any, oid: int) -> bool:
         """Unchanged since the floor AND resolvable from the parent
         chain.  Cleanliness alone is not enough: an object that
         predates the floor but was unreachable at the previous
         checkpoint (a closed-then-reopened file's vnode) has no
-        on-disk record for the merged view to resolve.  Callers that
-        already allocated the OID pass it to avoid a second lookup —
-        this check runs once per kernel object per checkpoint."""
-        if not self._clean(kobj):
-            return False
-        if oid is None:
-            oid = self.group.oid_for(kobj, self.store, obj_class)
-        return self.prior_live is not None and oid in self.prior_live
+        on-disk record for the merged view to resolve."""
+        floor = self.epoch_floor
+        return (floor is not None and kobj.dirty_epoch <= floor
+                and self.prior_live is not None and oid in self.prior_live)
 
-    def _put_once(self, kobj: Any, otype: str, state: Dict[str, Any],
-                  obj_class: int = CLASS_POSIX, force: bool = False) -> int:
-        oid = self._oid(kobj, obj_class)
+    def _put(self, oid: int, otype: str, state: Dict[str, Any]) -> None:
+        self.txn.put_object(oid, otype, state)
+        self.records_written += 1
+
+    def _put_once(self, kobj: Any, otype: str,
+                  build: Callable[[], Dict[str, Any]], cost: int = 0,
+                  force: bool = False) -> int:
+        """Stage ``kobj``'s record unless it is clean or already done.
+        The skip decision is taken once, before ``build`` runs: a clean
+        object never builds its state.  ``cost`` is charged on every
+        visit of a changed object (a pipe is reached through both of
+        its ends); the record is staged on the first."""
+        oid = self._oid(kobj)
+        skip = not force and self._skippable(kobj, oid)
+        if cost and not skip:
+            self.kernel.clock.advance(cost)
         if oid not in self._done:
             self._done.add(oid)
-            if not force and self._skippable(kobj, obj_class):
+            if skip:
                 self.records_skipped += 1
             else:
-                self.txn.put_object(oid, otype, state)
-                self.records_written += 1
+                self._put(oid, otype, build())
         return oid
 
     # -- top level --------------------------------------------------------------------
 
     def serialize_all(self) -> Dict[str, Any]:
         """Serialize the whole group; returns the group descriptor."""
-        member_oids = []
-        for proc in self.group.persistent_processes():
-            member_oids.append(self.serialize_process(proc))
+        members = self.group.persistent_processes()
+        member_oids = [self.serialize_process(proc) for proc in members]
         ephemeral_pids = [
             {"local_pid": p.local_pid,
              "parent_local_pid": (p.parent.local_pid
@@ -157,15 +187,23 @@ class CheckpointSerializer:
         }
         # The descriptor is always-dirty: member lists and aio state
         # are recomputed every checkpoint.
-        self.txn.put_object(self.group.desc_oid, "group", descriptor)
-        self.records_written += 1
+        self._put(self.group.desc_oid, "group", descriptor)
         if self.group.desc_oid is not None:
             self.live_oids.add(self.group.desc_oid)
+        # A memo dies with its table: an exited member's is dropped.
+        memos = self.group.walk_memos
+        for kid in memos.keys() - {proc.fdtable.kid for proc in members}:
+            del memos[kid]
         registry = telemetry.registry()
-        registry.counter("sls.serialize.records",
-                         group=self.group.group_id).add(self.records_written)
-        registry.counter("sls.serialize.records_skipped",
-                         group=self.group.group_id).add(self.records_skipped)
+        gid = self.group.group_id
+        for name, value in (("records", self.records_written),
+                            ("records_skipped", self.records_skipped),
+                            ("slots_replayed", self.slots_replayed),
+                            ("slots_walked", self.slots_walked)):
+            registry.counter(f"sls.serialize.{name}", group=gid).add(value)
+        for reason, tables in self.full_walks.items():
+            registry.counter("sls.serialize.full_walks", group=gid,
+                             reason=reason).add(tables)
         return descriptor
 
     # -- processes ---------------------------------------------------------------------
@@ -207,7 +245,7 @@ class CheckpointSerializer:
             "entries": entries,
             "fdtable_oid": fdtable_oid,
         }
-        return self._put_once(proc, "proc", state, force=True)
+        return self._put_once(proc, "proc", lambda: state, force=True)
 
     def serialize_entry(self, entry: Any) -> Dict[str, Any]:
         """One vm_map_entry: range, protection, object reference."""
@@ -245,42 +283,83 @@ class CheckpointSerializer:
     def serialize_fdtable(self, fdtable: Any) -> int:
         """The fd table: slot -> OpenFile OID (sharing preserved).
 
-        Every slot is walked (the files behind clean tables can still
-        be dirty), but a table whose slot layout did not change skips
-        its own record.
+        A table whose slot layout did not change replays its last walk
+        (:class:`WalkMemo`): only the slots whose file or vnode was
+        stamped since the floor, and the not vnode-backed ones, are
+        visited; the rest are accounted in bulk — live, and skipped
+        once each (``- _done``: an object shared with another table or
+        in flight over a socket counts once, as the per-object check
+        does).  ``CKPT_FILE_DESC`` is charged per slot *before* the
+        slot's visit, so the spans a visit opens read the clock the
+        slot-by-slot walk showed them.  The superset test is the second
+        half of :meth:`_skippable` for every memoised object at once:
+        a rollback, a forced full checkpoint, a restored group and an
+        unresolvable parent all end in the full walk below, which
+        rebuilds the memo.
         """
-        fds = {}
+        clock = self.kernel.clock
+        floor, prior_live = self.epoch_floor, self.prior_live
+        memo = self.group.walk_memos.get(fdtable.kid)
+        if floor is None:
+            blocker = "no_floor"
+        elif prior_live is None:
+            blocker = "parent_live_unresolvable"
+        elif memo is None or memo.layout_gen != fdtable.layout_gen:
+            blocker = "layout_changed"
+        elif not prior_live.issuperset(memo.oids):
+            blocker = "not_in_prior_live"
+        else:
+            visit = [pos for pos, (file, vnode)
+                     in enumerate(zip(memo.files, memo.vnodes))
+                     if vnode is None or file.dirty_epoch > floor
+                     or vnode.dirty_epoch > floor]
+            charged = 0
+            for pos in visit:
+                clock.advance((pos + 1 - charged) * costs.CKPT_FILE_DESC)
+                charged = pos + 1
+                self.serialize_file(memo.files[pos])
+            clock.advance((len(memo.files) - charged) * costs.CKPT_FILE_DESC)
+            rest = memo.oids - self._done
+            self.records_skipped += len(rest)
+            self._done |= rest
+            self.live_oids |= memo.oids
+            self.slots_walked += len(visit)
+            self.slots_replayed += len(memo.files) - len(visit)
+            return self._put_once(fdtable, "fdtable",
+                                  lambda: {"fds": memo.fds})
+        self.full_walks[blocker] = self.full_walks.get(blocker, 0) + 1
+        fds: Dict[str, int] = {}
+        files: List[OpenFile] = []
+        vnodes: List[Any] = []
+        oids: Set[int] = set()
         for fd, file in fdtable.items():
-            self.kernel.clock.advance(costs.CKPT_FILE_DESC)
-            fds[str(fd)] = self.serialize_file(file)
-        return self._put_once(fdtable, "fdtable", {"fds": fds})
+            clock.advance(costs.CKPT_FILE_DESC)
+            oid = fds[str(fd)] = self.serialize_file(file)
+            files.append(file)
+            if file.ftype == DTYPE_VNODE:
+                vnodes.append(file.fobj)
+                oids.add(oid)
+                oids.add(self.group.oid_map[file.fobj.kid])
+            else:
+                vnodes.append(None)
+        self.slots_walked += len(files)
+        self.group.walk_memos[fdtable.kid] = WalkMemo(
+            fdtable.layout_gen, fds, files, vnodes, oids)
+        return self._put_once(fdtable, "fdtable", lambda: {"fds": fds})
 
     def serialize_file(self, file: OpenFile) -> int:
         """One OpenFile: mode, offset, underlying object reference.
 
         The clean-skip decision is taken *before* the tracing span and
-        the state dict are built: a 10k-fd table whose descriptors are
-        unchanged costs one epoch check per slot, not 10k span records
-        — the skip path is the serializer's hot path under continuous
-        checkpointing.  The underlying object is always visited (it
-        carries its own dirty epoch and must stay in the live set).
+        the state dict are built: a clean descriptor costs one epoch
+        check, not a span record.  The underlying object is always
+        visited (it carries its own dirty epoch and must stay in the
+        live set).
         """
-        if self.legacy_walk:
-            with telemetry.registry().span(self.kernel.clock,
-                                           "serialize.file",
-                                           group=self.group.group_id):
-                state = {
-                    "ftype": file.ftype,
-                    "flags": file.flags,
-                    "offset": file.offset,
-                    "sls_nosync": file.sls_nosync,
-                    "fobj_oid": self.serialize_fobj(file.fobj, file.ftype),
-                }
-                return self._put_once(file, "file", state)
         oid = self._oid(file)
         if oid in self._done:
             return oid
-        if self._skippable(file, oid=oid):
+        if self._skippable(file, oid):
             self._done.add(oid)
             self.records_skipped += 1
             self.serialize_fobj(file.fobj, file.ftype)
@@ -294,7 +373,7 @@ class CheckpointSerializer:
                 "sls_nosync": file.sls_nosync,
                 "fobj_oid": self.serialize_fobj(file.fobj, file.ftype),
             }
-            return self._put_once(file, "file", state)
+            return self._put_once(file, "file", lambda: state, force=True)
 
     def serialize_fobj(self, fobj: Any, ftype: str) -> int:
         """Dispatch to the type-specific object serializer."""
@@ -324,22 +403,19 @@ class CheckpointSerializer:
         if oid in self._done:
             return oid
         self._done.add(oid)
-        if not self.legacy_walk and self._skippable(vnode, CLASS_FILE,
-                                                    oid=oid):
+        if self._skippable(vnode, oid):
             self.records_skipped += 1
             return oid
         with telemetry.registry().span(self.kernel.clock, "serialize.vnode",
                                        group=self.group.group_id):
             self.kernel.clock.advance(costs.CKPT_VNODE)
-            state = {
+            self._put(oid, "vnode", {
                 "inode": vnode.inode,
                 "fs_type": vnode.fs.fs_type,
                 "vtype": vnode.vtype,
                 "size": vnode.size,
                 "link_count": vnode.link_count,
-            }
-            self.txn.put_object(oid, "vnode", state)
-            self.records_written += 1
+            })
             if vnode.fs.fs_type != "slsfs" and vnode.vmobject is not None:
                 # Volatile filesystems get their data embedded in the
                 # checkpoint; the Aurora FS persists data itself.
@@ -349,14 +425,12 @@ class CheckpointSerializer:
     @_traced("pipe")
     def serialize_pipe(self, pipe: Any) -> int:
         """A pipe: buffer contents + endpoint liveness (Table 4)."""
-        if not self._skippable(pipe):
-            self.kernel.clock.advance(costs.CKPT_PIPE)
-        return self._put_once(pipe, "pipe", {
+        return self._put_once(pipe, "pipe", lambda: {
             "buffer": bytes(pipe.buffer),
             "capacity": pipe.capacity,
             "read_open": pipe.read_open,
             "write_open": pipe.write_open,
-        })
+        }, costs.CKPT_PIPE)
 
     def serialize_socket(self, sock: Any) -> int:
         """Dispatch UNIX/UDP/TCP socket serialization."""
@@ -388,7 +462,7 @@ class CheckpointSerializer:
                 if message.control.creds is not None:
                     entry["creds"] = list(message.control.creds)
             messages.append(entry)
-        if self._skippable(sock):
+        if self._skippable(sock, oid):
             self.records_skipped += 1
             return oid
         self.kernel.clock.advance(costs.CKPT_SOCKET)
@@ -397,7 +471,7 @@ class CheckpointSerializer:
             peer_oid = self.group.oid_map.get(sock.peer.kid)
             if peer_oid is None:
                 peer_oid = self._oid(sock.peer)
-        self.txn.put_object(oid, "unixsock", {
+        self._put(oid, "unixsock", {
             "sock_type": sock.sock_type,
             "address": sock.address,
             "listening": sock.listening,
@@ -405,33 +479,26 @@ class CheckpointSerializer:
             "peer_oid": peer_oid,
             "options": dict(sock.options),
         })
-        self.records_written += 1
         return oid
 
     @_traced("udpsock")
     def serialize_udp(self, sock: Any) -> int:
         """A UDP socket: binding, options, queued datagrams (§5.3)."""
-        if not self._skippable(sock):
-            self.kernel.clock.advance(costs.CKPT_SOCKET)
-        return self._put_once(sock, "udpsock", {
+        return self._put_once(sock, "udpsock", lambda: {
             "laddr": sock.laddr,
             "lport": sock.lport,
             "options": dict(sock.options),
             "datagrams": [{"source": list(d.source), "payload": d.payload}
                           for d in sock.rcvqueue],
-        })
+        }, costs.CKPT_SOCKET)
 
     @_traced("tcpsock")
     def serialize_tcp(self, sock: Any) -> int:
         """TCP: 5-tuple, sequence numbers, options and buffers; the
         accept queue is deliberately omitted — clients see a dropped
         SYN and retry (§5.3)."""
-        if not self._skippable(sock):
-            self.kernel.clock.advance(costs.CKPT_SOCKET)
-        peer_oid = None
-        if sock.peer is not None and sock.peer.kid in self.group.oid_map:
-            peer_oid = self.group.oid_map[sock.peer.kid]
-        return self._put_once(sock, "tcpsock", {
+        peer = sock.peer
+        return self._put_once(sock, "tcpsock", lambda: {
             "state": sock.state,
             "laddr": sock.laddr,
             "lport": sock.lport,
@@ -443,36 +510,30 @@ class CheckpointSerializer:
             "sndbuf": sock.sndbuf.snapshot(),
             "rcvbuf": sock.rcvbuf.snapshot(),
             "dropped_accepts": len(sock.accept_queue),
-            "peer_oid": peer_oid,
-        })
+            "peer_oid": (self.group.oid_map.get(peer.kid)
+                         if peer is not None else None),
+        }, costs.CKPT_SOCKET)
 
     @_traced("kqueue")
     def serialize_kqueue(self, kq: Any) -> int:
         """Cost scales with registered events: each knote is locked and
         serialized (Table 4: 35.2 µs for 1024 events)."""
-        events = kq.events()
-        if not self._skippable(kq):
-            self.kernel.clock.advance(
-                costs.CKPT_KQUEUE_BASE +
-                len(events) * costs.CKPT_KEVENT_EACH)
-        return self._put_once(kq, "kqueue", {
+        return self._put_once(kq, "kqueue", lambda: {
             "events": [{"ident": e.ident, "filter": e.filter,
                         "flags": e.flags, "fflags": e.fflags,
                         "data": e.data, "udata": e.udata}
-                       for e in events],
-        })
+                       for e in kq.events()],
+        }, costs.CKPT_KQUEUE_BASE + len(kq) * costs.CKPT_KEVENT_EACH)
 
     @_traced("pty")
     def serialize_pty(self, pty: Any) -> int:
         """A pseudoterminal: termios + both direction buffers."""
-        if not self._skippable(pty):
-            self.kernel.clock.advance(costs.CKPT_PTY)
-        return self._put_once(pty, "pty", {
+        return self._put_once(pty, "pty", lambda: {
             "unit": pty.unit,
             "termios": {k: v for k, v in pty.termios.items()},
             "to_slave": bytes(pty._to_slave),
             "to_master": bytes(pty._to_master),
-        })
+        }, costs.CKPT_PTY)
 
     @_traced("shm")
     def serialize_shm(self, segment: Any) -> int:
@@ -484,7 +545,8 @@ class CheckpointSerializer:
                 self.live_oids.add(segment.vmobject.sls_oid)
             return oid
         self._done.add(oid)
-        if self._skippable(segment) and segment.vmobject.sls_oid is not None:
+        if self._skippable(segment, oid) \
+                and segment.vmobject.sls_oid is not None:
             self.live_oids.add(segment.vmobject.sls_oid)
             self.records_skipped += 1
             return oid
@@ -506,22 +568,20 @@ class CheckpointSerializer:
             segment.vmobject.sls_oid = vm_oid
             pages = dict(segment.vmobject.pages)
         self.live_oids.add(vm_oid)
-        self.txn.put_object(oid, "shm", {
+        self._put(oid, "shm", {
             "name": segment.name,
             "size": segment.size,
             "flavor": segment.flavor,
             "key": getattr(segment, "key", None),
             "vm_oid": vm_oid,
         })
-        self.records_written += 1
         if pages is not None:
-            self.txn.put_object(vm_oid, "vmobject", {
+            self._put(vm_oid, "vmobject", {
                 "size_pages": segment.vmobject.size_pages,
                 "kind": "anonymous",
                 "name": segment.vmobject.name,
                 "backing_oid": None,
             })
-            self.records_written += 1
             self.txn.put_pages(vm_oid, pages)
         return oid
 
@@ -531,6 +591,5 @@ class CheckpointSerializer:
         if device.name not in DEVICE_WHITELIST:
             raise PermissionDenied(
                 f"device {device.name!r} cannot be persisted")
-        if not self._skippable(device):
-            self.kernel.clock.advance(costs.CKPT_PIPE)  # trivial record
-        return self._put_once(device, "device", {"name": device.name})
+        return self._put_once(device, "device", lambda: {"name": device.name},
+                              costs.CKPT_PIPE)  # trivial record

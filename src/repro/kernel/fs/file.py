@@ -18,7 +18,7 @@ CRIU baseline must rediscover them by cross-referencing.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...errors import BadFileDescriptor, InvalidArgument
 from ..kobject import KObject
@@ -46,9 +46,11 @@ class OpenFile(KObject):
 
     obj_type = "file"
 
-    def __init__(self, kernel, fobj: KObject, ftype: str, flags: int = O_RDWR):
+    def __init__(self, kernel: Any, fobj: KObject, ftype: str,
+                 flags: int = O_RDWR) -> None:
         super().__init__(kernel)
-        self.fobj = fobj
+        #: Assigned once; cleared only in :meth:`destroy`.
+        self.fobj: Any = fobj
         self.ftype = ftype
         self.flags = flags
         self.offset = 0
@@ -94,7 +96,7 @@ class FDTable(KObject):
 
     obj_type = "fdtable"
 
-    def __init__(self, kernel):
+    def __init__(self, kernel: Any) -> None:
         super().__init__(kernel)
         self._fds: Dict[int, OpenFile] = {}
         #: Every descriptor below ``_high_water`` is either open or on
@@ -102,6 +104,11 @@ class FDTable(KObject):
         #: install takes its descriptor, and is skipped when popped).
         self._freed: List[int] = []
         self._high_water = 0
+        #: Bumped wherever a slot changes (``install``, ``close``); the
+        #: checkpoint serializer replays its last walk of the table
+        #: while this matches.  ``dirty_epoch`` cannot serve: two
+        #: changes inside one epoch carry the same stamp.
+        self.layout_gen = 0
 
     def _lowest_free(self) -> int:
         """POSIX lowest-numbered free descriptor, without scanning."""
@@ -123,6 +130,7 @@ class FDTable(KObject):
             self._high_water = fd + 1
         file.ref()
         self._fds[fd] = file
+        self.layout_gen += 1
         self.mark_dirty()
         return fd
 
@@ -152,6 +160,7 @@ class FDTable(KObject):
         if file is None:
             raise BadFileDescriptor(f"fd {fd}")
         heapq.heappush(self._freed, fd)
+        self.layout_gen += 1
         self.mark_dirty()
         file.unref()
 
@@ -178,7 +187,7 @@ class FDTable(KObject):
         """The OpenFiles in fd order (duplicates included)."""
         return [self._fds[fd] for fd in sorted(self._fds)]
 
-    def items(self):
+    def items(self) -> List[Tuple[int, OpenFile]]:
         """(fd, OpenFile) pairs in fd order."""
         return sorted(self._fds.items())
 

@@ -18,7 +18,8 @@ O(objects).  The page-locator table stays columnar in memory too: a
 :class:`PageRuns` is the decoded run list plus a start column, and
 mount, :meth:`ObjectStore.merged_view`, GC adoption and eager restore
 work on runs, never on one locator per page.  The live set and the
-record index are per-OID in memory.
+record index are per-OID in memory; a live set that did not change is
+one set object shared down the chain, its OID runs computed once.
 """
 
 from __future__ import annotations
@@ -291,22 +292,43 @@ class CheckpointInfo:
         #: from "deleted" (absent).  None for checkpoints made before
         #: liveness tracking and for partial (memckpt) deltas, which
         #: restores treat as "everything in the chain is live".
+        #: Read-only once set: a checkpoint whose live set equals its
+        #: parent's shares the parent's set object.
         self.live_oids: Optional[Set[int]] = None
+        #: ``(set, its [start, count, step] runs)`` for the set object
+        #: the runs were last built from or decoded with.
+        self._live_runs: Optional[Tuple[Set[int], List[List[int]]]] = None
         #: Records the serializer skipped as unchanged (telemetry).
         self.records_skipped = 0
+
+    def share_live_oids(self, parent: "CheckpointInfo") -> None:
+        """Take ``parent``'s live set — the same object, and the runs
+        it already sorted it into — instead of an equal copy."""
+        self.live_oids = parent.live_oids
+        self._live_runs = parent._live_runs
+
+    def live_oid_runs(self) -> Optional[List[List[int]]]:
+        """The live set as ``[start, count, step]`` runs, sorted only
+        when the set object is not the one the cached runs describe.
+
+        OIDs are allocated from one cursor with the class tag in the
+        high bits, so each class's live OIDs form short arithmetic
+        progressions; the live set — easily the largest part of a
+        steady-state delta's metadata — compresses to a handful of
+        runs."""
+        live = self.live_oids
+        if live is None:
+            return None
+        if self._live_runs is None or self._live_runs[0] is not live:
+            self._live_runs = (live, build_arith_runs(live))
+        return self._live_runs[1]
 
     # -- on-disk encoding ---------------------------------------------------------
 
     def encode_meta(self) -> Dict[str, Any]:
         """The checkpoint's on-disk metadata document."""
-        # OIDs are allocated from one cursor with the class tag in the
-        # high bits, so each class's live OIDs form short arithmetic
-        # progressions; the live set — easily the largest part of a
-        # steady-state delta's metadata — compresses to a handful of
-        # [start, count, step] runs.
         return {
-            "live_oid_runs": (build_arith_runs(self.live_oids)
-                              if self.live_oids is not None else None),
+            "live_oid_runs": self.live_oid_runs(),
             "records_skipped": self.records_skipped,
             "ckpt_id": self.ckpt_id,
             "group_id": self.group_id,
@@ -336,6 +358,7 @@ class CheckpointInfo:
         live_runs = raw["live_oid_runs"]
         if live_runs is not None:
             info.live_oids = set(expand_arith_runs(live_runs))
+            info._live_runs = (info.live_oids, live_runs)
         info.records_skipped = raw["records_skipped"]
         return info
 

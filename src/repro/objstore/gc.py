@@ -54,13 +54,17 @@ def _subtree_needed(store: Any, child: CheckpointInfo) -> Optional[Set[int]]:
     pure-partial chains carry no liveness info).
     """
     needed: Set[int] = set()
+    last: Optional[Set[int]] = None
     stack = [child]
     while stack:
         info = stack.pop()
         live = store.effective_live_oids(info.ckpt_id)
         if live is None:
             return None
-        needed |= live
+        if live is not last:
+            # An unchanged live set is one object down the chain.
+            needed |= live
+            last = live
         stack.extend(_children_of(store, info.ckpt_id))
     return needed
 

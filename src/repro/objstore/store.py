@@ -666,7 +666,9 @@ class ObjectStore:
         Returns None ("everything along the chain is live") when no
         chain checkpoint carries liveness info, which keeps legacy
         stores, SLSFS checkpoints and pure-partial chains on the
-        original unfiltered semantics.
+        original unfiltered semantics.  The result is read-only: when
+        no newer delta added anything it *is* the base checkpoint's
+        set.
         """
         base: Optional[Set[int]] = None
         newer: Set[int] = set()
@@ -678,7 +680,7 @@ class ObjectStore:
             newer.update(info.pages)
         if base is None:
             return None
-        return base | newer
+        return base if newer <= base else base | newer
 
     def merged_view(self, ckpt_id: int) -> Tuple[Dict[int, Tuple[int, int]],
                                                  Dict[int, PageRuns]]:
