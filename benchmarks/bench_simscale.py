@@ -11,10 +11,10 @@ steady state.  The metric is wall-clock seconds per simulated second
 (= per 100 checkpoints).
 
 The columnar hot path (bitmap pmaps, run-based merges, slab
-collapses, batched extent staging) is measured against the
-``--baseline``-selectable legacy path (dict-of-PTE pmap + per-page
-merge/collapse), which is kept in-tree as the executable
-specification.  The legacy write-protect pass is O(address space) per
+collapses, batched extent staging) is measured against the legacy path
+(dict-of-PTE pmap + per-page merge/collapse): the reference models in
+``tests/vm_reference.py``, patched in for the baseline run.  The
+legacy write-protect pass is O(address space) per
 checkpoint, so the baseline is only measured up to 256k pages; the
 1M-page / 10k-fd point exists to show the columnar path completes it
 at all.
@@ -31,18 +31,19 @@ fails (exit 1) if the columnar speedup regresses below the threshold.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro import Machine, load_aurora
 from repro.kernel.fs import O_CREAT, O_RDWR
-import repro.kernel.vm.vmspace as vmspace_mod
-from repro.kernel.vm.pmap import LegacyPmap, Pmap
 from repro.units import PAGE_SIZE
+from tests.vm_reference import legacy_hot_path
 
 HZ = 100
 #: (address-space pages, open fds) sweep points.  The last point is
@@ -60,8 +61,7 @@ DIRTY_RUN_PAGES = 16
 #: exercises the incremental kernel-state path at scale.
 FD_DIRTY_FRACTION = 0.001
 
-JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_simscale.json"
+JSON_PATH = ROOT / "BENCH_simscale.json"
 
 
 def run_config(npages: int, nfds: int, ticks: int,
@@ -69,12 +69,9 @@ def run_config(npages: int, nfds: int, ticks: int,
     """Drive ``ticks`` checkpoints over an ``npages``-page process with
     ``nfds`` open files; return wall-clock stats (setup and the first
     full checkpoint are excluded from the timed region)."""
-    original_pmap = vmspace_mod.Pmap
-    vmspace_mod.Pmap = LegacyPmap if legacy else Pmap
-    try:
+    with legacy_hot_path() if legacy else contextlib.nullcontext():
         machine = Machine()
         sls = load_aurora(machine)
-        sls.shadow.legacy_hot_path = legacy
         kernel = machine.kernel
         proc = kernel.spawn("simscale")
         addr = proc.vmspace.mmap(npages * PAGE_SIZE, name="heap")
@@ -115,8 +112,6 @@ def run_config(npages: int, nfds: int, ticks: int,
             "pages_flushed": group.stats["pages_flushed"],
             "dirty_runs": sls.shadow.stats["dirty_runs"],
         }
-    finally:
-        vmspace_mod.Pmap = original_pmap
 
 
 def run_sweep(sweep, ticks: int, with_baseline: bool) -> dict:

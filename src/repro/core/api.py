@@ -84,56 +84,32 @@ class AuroraAPI:
         if end_page >= entry.end_page:
             raise InvalidArgument("region spans multiple map entries")
 
-        from ..objstore.oid import CLASS_MEMORY
-        from .group import ObjectTrack
-        from .shadowing import merged_chain_pages, object_record
-
         top = entry.vmobject
-        if top.sls_oid is None:
-            oid = group.oid_for(top, self.sls.store, CLASS_MEMORY)
-            top.sls_oid = oid
-            track = ObjectTrack(oid, top)
-            group.tracks[oid] = track
-        else:
-            track = group.tracks[top.sls_oid]
+        engine = self.sls.shadow
+        track = engine.track_for(group, top)
         if track.frozen is not None and not track.flushed \
                 and group.flush_in_progress:
             # Previous flush of this region still in flight: wait for
             # this group's pending commit only (not the whole loop).
             self.sls._await_flush(group)
-        self.sls.shadow.collapse_completed(group)
+        engine.collapse_completed(group)
 
         clock.advance(costs.CKPT_ATOMIC_BASE)
-        if track.new:
-            dirty = merged_chain_pages(top)
-        else:
-            dirty = dict(top.pages)
-        record = object_record(top)
-
-        shadow = top.shadow(name=f"atomic:{top.name}")
-        shadow.sls_oid = track.oid
-        engine = self.sls.shadow
-        downgraded = engine._repoint_entries(engine._running_spaces(group),
-                                             top, shadow)
-        clock.advance(len(dirty) * costs.COW_MARK_PER_PAGE)
+        item, downgraded = engine.freeze(engine.running_spaces(group), track,
+                                         top, f"atomic:{top.name}")
         kernel.cpus.tlb_shootdown(
             min(len(self.proc.threads), len(kernel.cpus)),
             max(downgraded, 1))
-        top.frozen = True
-        track.frozen = top
-        track.active = shadow
-        track.flushed = False
-        track.new = False
 
         txn = self.sls.store.begin_checkpoint(
             group.group_id, name="memckpt", parent=group.last_ckpt_id,
             partial=True)
-        txn.put_object(track.oid, "vmobject", record)
-        txn.put_pages(track.oid, dirty)
+        txn.put_object(track.oid, "vmobject", item.record)
+        txn.put_pages(track.oid, item.pages)
 
         result = CheckpointResult(txn.info, "atomic")
         result.stop_ns = clock.now() - t_start
-        result.pages_flushed = len(dirty)
+        result.pages_flushed = len(item.pages)
         result.bytes_staged = txn.staged_bytes()
         group.flush_in_progress = True
 

@@ -77,6 +77,22 @@ def _load(path: str) -> Tuple[Machine, object]:
     return machine, sls
 
 
+def _open_raw(path: str):
+    """Boot an image whose store may be too corrupt to mount: the
+    scrubber and the black box read the raw device, so they must not
+    go through :func:`_load`.  Returns ``(machine, sls, store)`` with
+    ``sls`` None (and the store unmounted) when the mount failed."""
+    from ..objstore.store import ObjectStore
+    from .orchestrator import load_aurora
+
+    machine = _boot_from_image(path)
+    try:
+        sls = load_aurora(machine)
+    except StoreError:
+        return machine, None, ObjectStore(machine)
+    return machine, sls, sls.store
+
+
 # -- commands ------------------------------------------------------------------------
 
 
@@ -124,19 +140,20 @@ def cmd_ps(args) -> int:
     return 0
 
 
-def _restore_group(sls, group_id: int, lazy: bool = False):
-    result = sls.restore(group_id, lazy=lazy, periodic=False)
-    return result
+def _restore_app(args):
+    """Boot the image and restore ``args.group``'s demo app: machine,
+    orchestrator, group, root process, its heap entry and address."""
+    machine, sls = _load(args.image)
+    result = sls.restore(args.group, periodic=False)
+    proc = result.root
+    heap = next(e for e in proc.vmspace.map if e.name == "heap")
+    return (machine, sls, result.group, proc, heap,
+            heap.start_page * PAGE_SIZE)
 
 
 def cmd_run(args) -> int:
     """``sls run``: restore, do work with checkpoints, save."""
-    machine, sls = _load(args.image)
-    result = _restore_group(sls, args.group)
-    group = result.group
-    proc = result.root
-    heap = next(e for e in proc.vmspace.map if e.name == "heap")
-    addr = heap.start_page * PAGE_SIZE
+    machine, sls, group, proc, heap, addr = _restore_app(args)
     step = int(proc.vmspace.read(addr + 64, 8).rstrip(b"\x00") or b"0")
     period = group.period_ns
     deadline = machine.clock.now() + args.millis * MSEC
@@ -156,20 +173,51 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _measure(args):
+def _measure(args, slo_targets=None):
     """Shared measurement loop for the telemetry commands: restore the
     group and run ``args.checkpoints`` synchronous checkpoints on its
     cadence.  Telemetry is in-process (not part of the disk image), so
     every observability command re-runs the workload; the image is
-    left untouched.
+    left untouched.  ``slo_targets`` are installed before the run so
+    violations are counted against them.
     """
     machine, sls = _load(args.image)
-    result = _restore_group(sls, args.group)
-    group = result.group
+    if slo_targets is not None:
+        sls.slo.targets = slo_targets
+    group = sls.restore(args.group, periodic=False).group
     for _ in range(args.checkpoints):
         machine.run_for(group.period_ns)
         sls.checkpoint(group, sync=True)
     return machine, sls, group
+
+
+def _drive_tenants(args, probe_every: Optional[int] = None):
+    """Boot the image, admit ``args.tenants`` synthetic applications
+    with mixed periods through fleet admission control and drive them
+    for ``args.millis`` of simulated time; returns the orchestrator."""
+    machine, sls = _load(args.image)
+    kernel = machine.kernel
+    periods = [10, 25, 50]
+    groups = []
+    for index in range(args.tenants):
+        proc = kernel.spawn(f"tenant{index}")
+        nbytes = 32 * KiB
+        addr = proc.vmspace.mmap(nbytes, name="heap")
+        proc.vmspace.fill(addr, nbytes // PAGE_SIZE, seed=index)
+        period_ms = periods[index % len(periods)]
+        group = sls.attach(proc, name=f"tenant{index}",
+                           period_ns=period_ms * MSEC,
+                           rpo_budget_ns=4 * period_ms * MSEC,
+                           probe_every=probe_every)
+        groups.append((proc, addr, group))
+    deadline = machine.clock.now() + args.millis * MSEC
+    step = 0
+    while machine.clock.now() < deadline:
+        step += 1
+        for proc, addr, group in groups:
+            proc.vmspace.write(addr, f"{group.name}:{step}".encode())
+        machine.run_for(5 * MSEC)
+    return sls
 
 
 def cmd_stat(args) -> int:
@@ -334,12 +382,7 @@ def cmd_cluster(args) -> int:
     from . import telemetry
     from .cluster import SLSCluster
 
-    machine, sls = _load(args.image)
-    result = _restore_group(sls, args.group)
-    group = result.group
-    proc = result.root
-    heap = next(e for e in proc.vmspace.map if e.name == "heap")
-    addr = heap.start_page * PAGE_SIZE
+    machine, sls, group, proc, _heap, addr = _restore_app(args)
     cluster = SLSCluster(sls, group, nodes=args.nodes, azs=args.azs,
                          segment_bytes=args.segment_bytes)
     outage_at = (args.checkpoints // 2
@@ -451,18 +494,10 @@ def cmd_slo(args) -> int:
     from . import slo as slo_mod
     from ..units import MSEC as _MSEC
 
-    # Install the budgets before the measurement run so violations are
-    # counted against them.
     targets = slo_mod.SLOTargets(rpo_ns=int(args.rpo_ms * _MSEC),
                                  stop_ns=int(args.stop_ms * _MSEC),
                                  degraded_ns=int(args.degraded_ms * _MSEC))
-    machine, sls = _load(args.image)
-    sls.slo.targets = targets
-    result = _restore_group(sls, args.group)
-    group = result.group
-    for _ in range(args.checkpoints):
-        machine.run_for(group.period_ns)
-        sls.checkpoint(group, sync=True)
+    _machine, sls, group = _measure(args, slo_targets=targets)
 
     rows = sls.slo.report(group.group_id)
     if not rows:
@@ -510,28 +545,7 @@ def cmd_fleet(args) -> int:
     aggregate demand, Jain fairness over p99 RPO lag).  The image is
     not modified.
     """
-    machine, sls = _load(args.image)
-    kernel = machine.kernel
-    periods = [10, 25, 50]
-    groups = []
-    for index in range(args.tenants):
-        proc = kernel.spawn(f"tenant{index}")
-        nbytes = 32 * KiB
-        addr = proc.vmspace.mmap(nbytes, name="heap")
-        proc.vmspace.fill(addr, nbytes // PAGE_SIZE, seed=index)
-        period_ms = periods[index % len(periods)]
-        group = sls.attach(proc, name=f"tenant{index}",
-                           period_ns=period_ms * MSEC,
-                           rpo_budget_ns=4 * period_ms * MSEC,
-                           probe_every=args.probe_every)
-        groups.append((proc, addr, group))
-    deadline = machine.clock.now() + args.millis * MSEC
-    step = 0
-    while machine.clock.now() < deadline:
-        step += 1
-        for proc, addr, group in groups:
-            proc.vmspace.write(addr, f"{group.name}:{step}".encode())
-        machine.run_for(5 * MSEC)
+    sls = _drive_tenants(args, probe_every=args.probe_every)
 
     rows = sls.fleet.report()
     print(f"{'GROUP':>5}  {'NAME':<10} {'PERIOD':>8} {'EFFECTIVE':>9} "
@@ -578,18 +592,8 @@ def cmd_scrub(args) -> int:
     a re-scrub decides the exit status.
     """
     from ..objstore.scrub import scrub
-    from ..objstore.store import ObjectStore
-    from .orchestrator import load_aurora
 
-    # A store too corrupt to mount must still produce a report (the
-    # scrubber reads the raw device), so don't go through _load.
-    machine = _boot_from_image(args.image)
-    sls = None
-    try:
-        sls = load_aurora(machine)
-        store = sls.store
-    except StoreError:
-        store = ObjectStore(machine)
+    machine, sls, store = _open_raw(args.image)
     report = scrub(store, sls=sls)
     print(f"scrub of {args.image}: generation {report.generation}, "
           f"{report.superblocks_valid} valid superblock(s), "
@@ -638,16 +642,9 @@ def cmd_blackbox(args) -> int:
     catalog is too damaged for ``load_aurora``.  Exit status 1 when
     the image predates the recorder (no anchor in any superblock).
     """
-    from ..objstore.store import ObjectStore
     from . import flightrec
-    from .orchestrator import load_aurora
 
-    machine = _boot_from_image(args.image)
-    try:
-        sls = load_aurora(machine)
-        store = sls.store
-    except StoreError:
-        store = ObjectStore(machine)
+    _machine, _sls, store = _open_raw(args.image)
     box = flightrec.blackbox(store)
     if box is None:
         print(f"{args.image}: no flight recorder snapshot found")
@@ -705,27 +702,7 @@ def cmd_top(args) -> int:
     """
     from . import events as events_mod
 
-    machine, sls = _load(args.image)
-    kernel = machine.kernel
-    periods = [10, 25, 50]
-    groups = []
-    for index in range(args.tenants):
-        proc = kernel.spawn(f"tenant{index}")
-        nbytes = 32 * KiB
-        addr = proc.vmspace.mmap(nbytes, name="heap")
-        proc.vmspace.fill(addr, nbytes // PAGE_SIZE, seed=index)
-        period_ms = periods[index % len(periods)]
-        group = sls.attach(proc, name=f"tenant{index}",
-                           period_ns=period_ms * MSEC,
-                           rpo_budget_ns=4 * period_ms * MSEC)
-        groups.append((proc, addr, group))
-    deadline = machine.clock.now() + args.millis * MSEC
-    step = 0
-    while machine.clock.now() < deadline:
-        step += 1
-        for proc, addr, group in groups:
-            proc.vmspace.write(addr, f"{group.name}:{step}".encode())
-        machine.run_for(5 * MSEC)
+    sls = _drive_tenants(args)
 
     fleet_rows = {row["group"]: row for row in sls.fleet.report()}
     print(f"{'GROUP':>5}  {'TENANT':<10} {'CKPTS':>5} "
@@ -761,7 +738,7 @@ def cmd_top(args) -> int:
 def cmd_checkpoint(args) -> int:
     """``sls checkpoint``: take a named full checkpoint."""
     machine, sls = _load(args.image)
-    result = _restore_group(sls, args.group)
+    result = sls.restore(args.group, periodic=False)
     res = sls.checkpoint(result.group, name=args.name or "",
                          full=True, sync=True)
     _save_image(machine, args.image)
@@ -803,7 +780,7 @@ def cmd_history(args) -> int:
 def cmd_suspend(args) -> int:
     """``sls suspend``: final checkpoint, tear the app down."""
     machine, sls = _load(args.image)
-    result = _restore_group(sls, args.group)
+    result = sls.restore(args.group, periodic=False)
     ckpt_id = sls.suspend(result.group)
     _save_image(machine, args.image)
     print(f"suspended group {args.group} into checkpoint {ckpt_id}")
@@ -822,7 +799,7 @@ def cmd_resume(args) -> int:
 def cmd_dump(args) -> int:
     """``sls dump``: write an ELF core of the restored state."""
     _machine, sls = _load(args.image)
-    result = _restore_group(sls, args.group)
+    result = sls.restore(args.group, periodic=False)
     info = sls.store.get_checkpoint(result.ckpt_id)
     core = dump_process(result.root)
     with open(args.output, "wb") as handle:

@@ -65,7 +65,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import ClusterError, LeaseValid, LinkDown, QuorumLost, \
-    RetriesExhausted, SLSError, StaleEpoch, StaleReplica
+    SLSError, StaleEpoch, StaleReplica
 from ..machine import Machine
 from ..units import MSEC, USEC, fmt_size
 from . import events, faults, migration, telemetry, tracing
@@ -113,6 +113,17 @@ DEFAULT_LEASE_NS = 50 * MSEC
 
 #: Size of one epoch-bump control message (request or grant).
 EPOCH_MSG_BYTES = 128
+
+
+def _leg_labels(group_id: int, node_id: int, ckpt: int,
+                ctx: Optional["tracing.TraceContext"]) -> Dict[str, Any]:
+    """Span labels of one replication leg; the tenant comes from the
+    shipped trace context when it names one."""
+    labels: Dict[str, Any] = {"group": group_id, "node": node_id,
+                              "ckpt": ckpt}
+    if ctx is not None and ctx.tenant is not None:
+        labels["tenant"] = ctx.tenant
+    return labels
 
 
 class ClusterNode:
@@ -281,10 +292,7 @@ class SegmentedLink(ReplicationLink):
         ctx = manifest.trace_ctx
         registry = telemetry.registry()
         clock = self._clock()
-        labels: Dict[str, Any] = {"group": self.group.group_id,
-                                  "node": node.node_id, "ckpt": ckpt_id}
-        if ctx is not None and ctx.tenant is not None:
-            labels["tenant"] = ctx.tenant
+        labels = _leg_labels(self.group.group_id, node.node_id, ckpt_id, ctx)
         # Replica-side legs record into the originating checkpoint
         # trace (resolved from the shipped context) so one trace spans
         # primary → replicas; spans never advance the clock or touch
@@ -334,22 +342,9 @@ class SegmentedLink(ReplicationLink):
         """Ship one checkpoint to this node; True once it is on the
         node's media, False when the leg is down (the next pump round
         retries)."""
-        now = self._clock().now()
-        try:
-            self.retry.run(lambda: self._ship_ckpt(ckpt_id))
-        except RetriesExhausted as exc:
-            if self.down_since is None:
-                self.down_since = now
-                self.stats["outages"] += 1
-                events.emit(self._clock().now(), events.LINK_DOWN,
-                            group=self.group.group_id,
-                            node=self.node.node_id,
-                            error=f"{type(exc).__name__}: {exc}")
-                telemetry.registry().counter(
-                    "sls.replication.outages",
-                    group=self.group.group_id).add(1)
+        if not self._attempt(lambda: self._ship_ckpt(ckpt_id),
+                             node=self.node.node_id):
             return False
-        self._mark_link_up()
         self.last_shipped = ckpt_id
         return True
 
@@ -488,35 +483,35 @@ class SLSCluster:
         (serialized once, memoized)."""
         cached = self._streams.get(ckpt_id)
         if cached is None:
-            info = self.primary.store.get_checkpoint(ckpt_id)
-            stream = migration.send_checkpoint(self.primary, self.gid,
-                                               ckpt_id=ckpt_id,
-                                               since=info.parent)
-            cached = shard_stream(self.gid, ckpt_id, stream,
-                                  self.segment_bytes)
-            self._streams[ckpt_id] = cached
+            cached = self._streams[ckpt_id] = self._shard_delta(
+                self.primary, ckpt_id, ckpt_id)
         if cached[0].trace_ctx is None:
-            cached[0].trace_ctx = self._capture_ctx()
+            cached[0].trace_ctx = tracing.capture_for_group(
+                self.gid, tenant=self.group.name)
         # Stamped at ship time, not shard time: the wire always
         # carries the epoch this handle *currently* holds.
         cached[0].epoch = self.epoch
         return cached
 
-    def _capture_ctx(self) -> Optional["tracing.TraceContext"]:
-        """The trace context replication ships with a delta: the live
-        checkpoint trace when one is open, else the group's newest
-        finished checkpoint trace (the sync-commit hook runs *after*
-        the trace scope closed, so the commit that triggered this pump
-        is the ring's tail)."""
-        ctx = tracing.TraceContext.capture(tenant=self.group.name)
-        if ctx is not None:
-            return ctx
-        finished = tracing.tracer().traces(tracing.CHECKPOINT,
-                                           group=self.gid)
-        if finished:
-            return tracing.TraceContext.capture(finished[-1],
-                                                tenant=self.group.name)
-        return None
+    def _shard_delta(self, sls: Orchestrator, local: int, ckpt: int
+                     ) -> Tuple[ShardManifest, List[bytes]]:
+        """Re-serialize one checkpoint's delta from ``sls``'s store,
+        where it is checkpoint ``local``, and shard it as primary
+        checkpoint ``ckpt``."""
+        info = sls.store.get_checkpoint(local)
+        stream = migration.send_checkpoint(sls, self.gid, ckpt_id=local,
+                                           since=info.parent)
+        return shard_stream(self.gid, ckpt, stream, self.segment_bytes)
+
+    def _node_shards(self, node: ClusterNode, ckpt: int
+                     ) -> Tuple[ShardManifest, List[bytes]]:
+        """One node's shard set for a checkpoint it holds: its volatile
+        cache, refilled from its store when that died with the node."""
+        cached = node.shards.get(ckpt)
+        if cached is None:
+            cached = node.shards[ckpt] = self._shard_delta(
+                node.sls, node.applied[ckpt], ckpt)
+        return cached
 
     def up_nodes(self) -> List[ClusterNode]:
         return [node for node in self.nodes if not node.down]
@@ -700,10 +695,7 @@ class SLSCluster:
         node's acknowledgement, in the originating checkpoint trace."""
         cached = self._streams.get(ckpt)
         ctx = cached[0].trace_ctx if cached is not None else None
-        labels: Dict[str, Any] = {"group": self.gid, "node": node.node_id,
-                                  "ckpt": ckpt}
-        if ctx is not None and ctx.tenant is not None:
-            labels["tenant"] = ctx.tenant
+        labels = _leg_labels(self.gid, node.node_id, ckpt, ctx)
         with tracing.use(ctx.resolve() if ctx is not None else None):
             now = self._clock().now()
             telemetry.registry().record_span("repl.ack", now, now,
@@ -1161,10 +1153,7 @@ class SLSCluster:
         plan = self._plan()
         manifest, payloads = self._segments_from(holders, ckpt)
         ctx = manifest.trace_ctx
-        labels: Dict[str, Any] = {"group": self.gid,
-                                  "node": target.node_id, "ckpt": ckpt}
-        if ctx is not None and ctx.tenant is not None:
-            labels["tenant"] = ctx.tenant
+        labels = _leg_labels(self.gid, target.node_id, ckpt, ctx)
         registry = telemetry.registry()
         repair_start = self._clock().now()
         gathered: Dict[int, bytes] = {}
@@ -1238,16 +1227,7 @@ class SLSCluster:
             cached = holder.shards.get(ckpt)
             if cached is not None:
                 return cached
-        holder = holders[0]
-        local = holder.applied[ckpt]
-        info = holder.sls.store.get_checkpoint(local)
-        stream = migration.send_checkpoint(holder.sls, self.gid,
-                                           ckpt_id=local,
-                                           since=info.parent)
-        sharded = shard_stream(self.gid, ckpt, stream,
-                               self.segment_bytes)
-        holder.shards[ckpt] = sharded
-        return sharded
+        return self._node_shards(holders[0], ckpt)
 
     # -- anti-entropy reconciliation ---------------------------------------
 
@@ -1255,20 +1235,8 @@ class SLSCluster:
                         ) -> Dict[int, ShardManifest]:
         """One node's manifests for everything it holds, from the
         volatile shard cache or re-serialized from its store."""
-        out: Dict[int, ShardManifest] = {}
-        for ckpt in list(node.applied):
-            cached = node.shards.get(ckpt)
-            if cached is None:
-                local = node.applied[ckpt]
-                info = node.sls.store.get_checkpoint(local)
-                stream = migration.send_checkpoint(node.sls, self.gid,
-                                                   ckpt_id=local,
-                                                   since=info.parent)
-                cached = shard_stream(self.gid, ckpt, stream,
-                                      self.segment_bytes)
-                node.shards[ckpt] = cached
-            out[ckpt] = cached[0]
-        return out
+        return {ckpt: self._node_shards(node, ckpt)[0]
+                for ckpt in node.applied}
 
     def reconcile(self) -> Dict[str, Any]:
         """Heal-time anti-entropy: fence-truncate superseded minority

@@ -21,8 +21,7 @@ clears it (via the reset hook) together with the metric registry.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..serde import Encoded
 from . import telemetry
@@ -111,7 +110,7 @@ class EventLog:
     CAPACITY = 4096
 
     def __init__(self, capacity: int = CAPACITY):
-        self.events: Deque[Event] = deque(maxlen=capacity)
+        self.events: telemetry.Ring[Event] = telemetry.Ring(capacity)
 
     def emit(self, time_ns: int, kind: str,
              **fields: Any) -> Optional[Event]:
@@ -122,9 +121,8 @@ class EventLog:
         active = registry.active_trace
         trace_id = getattr(active, "trace_id", None)
         event = Event(time_ns, kind, fields, trace_id)
-        if len(self.events) == self.events.maxlen:
+        if self.events.push(event):
             registry.counter("sls.telemetry.events_dropped").add(1)
-        self.events.append(event)
         registry.counter(f"sls.events.{kind}").add(1)
         return event
 

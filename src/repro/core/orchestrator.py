@@ -151,12 +151,6 @@ class Orchestrator:
             raise NotAttached(f"{proc} is not attached")
         proc.sls_ephemeral = True
 
-    def group_of(self, proc) -> ConsistencyGroup:
-        """The consistency group a process belongs to (or raises)."""
-        if proc.sls_group is None:
-            raise NotAttached(f"{proc} is not attached")
-        return proc.sls_group
-
     # -- degraded-mode transitions (the fleet scheduler drives the
     # -- periodic ticks; see core/fleet.py) ----------------------------------------------
 

@@ -22,7 +22,7 @@ not trigger split-brain-style premature failovers.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import MachineCrashed, RetriesExhausted, SLSError
 from ..units import MSEC
@@ -72,15 +72,9 @@ class ReplicationLink:
             delay = plan.on_deliver(faults.PRIMARY, self.peer_id)
             if delay:
                 self._clock().advance(delay)
-        # Attribute the standby leg to the newest checkpoint trace of
-        # this group, when one exists — same propagation rule as the
-        # quorum cluster's legs (spans never advance the clock).
-        ctx = tracing.TraceContext.capture()
-        if ctx is None:
-            finished = tracing.tracer().traces(tracing.CHECKPOINT,
-                                               group=self.group.group_id)
-            if finished:
-                ctx = tracing.TraceContext.capture(finished[-1])
+        # Attribute the standby leg to this group's checkpoint trace —
+        # the propagation rule the quorum cluster's legs use.
+        ctx = tracing.capture_for_group(self.group.group_id)
         with tracing.use(ctx.resolve() if ctx is not None else None):
             with telemetry.registry().span(self._clock(), "repl.ship",
                                            group=self.group.group_id,
@@ -107,23 +101,34 @@ class ReplicationLink:
         newest = self.group.last_complete_id
         if newest is None or newest == self.last_shipped:
             return None
+        if not self._attempt(lambda: self._ship_once(newest)):
+            return None
+        self.last_shipped = newest
+        return newest
+
+    def _attempt(self, ship_once: Callable[[], None],
+                 **where: object) -> bool:
+        """Run one shipment under the retry policy and keep the outage
+        book: False when the retries did not outlast the flap (the
+        first such failure opens the outage and says so — ``where``
+        joins the event's fields), True once it went through (which
+        closes any open outage)."""
         now = self._clock().now()
         try:
-            self.retry.run(lambda: self._ship_once(newest))
+            self.retry.run(ship_once)
         except RetriesExhausted as exc:
             if self.down_since is None:
                 self.down_since = now
                 self.stats["outages"] += 1
                 events.emit(self._clock().now(), events.LINK_DOWN,
-                            group=self.group.group_id,
+                            group=self.group.group_id, **where,
                             error=f"{type(exc).__name__}: {exc}")
                 telemetry.registry().counter(
                     "sls.replication.outages",
                     group=self.group.group_id).add(1)
-            return None
+            return False
         self._mark_link_up()
-        self.last_shipped = newest
-        return newest
+        return True
 
     def _mark_link_up(self) -> None:
         """A ship attempt went through: close any recorded outage.

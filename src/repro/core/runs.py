@@ -1,43 +1,27 @@
-"""Contiguous-run slab utilities for the checkpoint hot path.
+"""Run algebra for the checkpoint hot path.
 
-The columnar refactor moves page sets through the checkpoint pipeline
-as *runs* — ``(start_index, count)`` pairs over sorted page indexes —
-instead of page-at-a-time dict traffic.  Shadow flush items expose
-their dirty sets as runs, and the object store coalesces adjacent page
-extents into single staged writes, so per-checkpoint staging cost
-tracks the run count (a handful for sequential writers) rather than
-the page count.
+Page sets travel through the store as *runs* over sorted indexes
+instead of page-at-a-time dict traffic.  The store sorts a flush
+item's dirty set once, while packing it into extents, and builds the
+object's page-locator table as runs there; every reader — mount,
+``merged_view``, GC adoption, restore, ``sls diff`` — works on those
+runs with the interval algebra below, so its cost tracks the run count
+(a handful for sequential writers) rather than the page count.  Live
+OID sets are run-encoded the same way, with a stride.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterable, List, Mapping, Sequence, Tuple
-
-
-def build_runs(indexes: Iterable[int]) -> List[Tuple[int, int]]:
-    """Coalesce page indexes into sorted ``(start, count)`` runs."""
-    ordered = sorted(indexes)
-    runs: List[Tuple[int, int]] = []
-    for index in ordered:
-        if runs and runs[-1][0] + runs[-1][1] == index:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((index, 1))
-    return runs
-
-
-def page_runs(pages: Mapping[int, object]) -> List[Tuple[int, int]]:
-    """Runs of a page-dict's indexes (newest-wins merged dirty set)."""
-    return build_runs(pages.keys())
+from typing import Any, Iterable, List, Sequence
 
 
 def build_arith_runs(indexes: Iterable[int]) -> List[List[int]]:
     """Coalesce indexes into ``[start, count, step]`` arithmetic runs.
 
-    A generalization of :func:`build_runs` for sequences with a
-    constant stride — OID allocations interleave classes, so a live
-    set's per-class OIDs step by a small constant rather than by 1.
+    Runs with a constant stride, not just adjacent indexes — OID
+    allocations interleave classes, so a live set's per-class OIDs
+    step by a small constant rather than by 1.
     The second element of a run pins its step (as in the synthetic
     page-run encoding); the greedy choice can split an optimal run but
     never changes what the runs expand back to.

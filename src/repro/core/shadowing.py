@@ -29,7 +29,6 @@ from ..kernel.vm.vmobject import DEVICE, VNODE, VMObject
 from ..objstore.oid import CLASS_MEMORY
 from . import costs, telemetry
 from .group import ConsistencyGroup, ObjectTrack
-from .runs import page_runs
 
 REVERSE = "reverse"   # Aurora's optimized direction (§6)
 FORWARD = "forward"   # classic Mach/FreeBSD direction (ablation)
@@ -37,27 +36,17 @@ NONE = "none"         # never collapse: chains grow (ablation)
 
 
 class FlushItem:
-    """One logical object's contribution to a checkpoint flush.
+    """One logical object's contribution to a checkpoint flush: its
+    metadata ``record`` and ``pages``, the newest-wins merged dirty
+    set (the store sorts and packs it into extents)."""
 
-    ``pages`` is the newest-wins merged dirty set; :meth:`runs` views
-    it as contiguous ``(start_pindex, count)`` slabs, which is what the
-    store's batched extent staging consumes.
-    """
-
-    __slots__ = ("oid", "record", "pages", "_runs")
+    __slots__ = ("oid", "record", "pages")
 
     def __init__(self, oid: int, record: Dict[str, Any],
                  pages: Dict[int, Page]) -> None:
         self.oid = oid
         self.record = record
         self.pages = pages
-        self._runs: Optional[List[Tuple[int, int]]] = None
-
-    def runs(self) -> List[Tuple[int, int]]:
-        """Contiguous page-index runs of the dirty set (cached)."""
-        if self._runs is None:
-            self._runs = page_runs(self.pages)
-        return self._runs
 
 
 def _chain_segment(top: VMObject) -> List[VMObject]:
@@ -92,23 +81,6 @@ def merged_chain_pages(top: VMObject) -> Dict[int, Page]:
     return pages
 
 
-def merged_chain_pages_legacy(top: VMObject) -> Dict[int, Page]:
-    """The original top-down per-page ``setdefault`` merge.
-
-    Executable specification for the equivalence property suite and
-    the scale benchmark's pre-columnar baseline.
-    """
-    pages: Dict[int, Page] = {}
-    for obj in top.chain():
-        if obj is not top and obj.sls_oid not in (None, top.sls_oid):
-            break
-        if obj.backing_offset != 0:
-            raise InvalidArgument("system shadowing assumes offset-0 chains")
-        for pindex, page in obj.pages.items():
-            pages.setdefault(pindex, page)
-    return pages
-
-
 def chain_backing_oid(top: VMObject) -> Optional[int]:
     """OID of the tracked object this chain segment bottoms out on."""
     for obj in top.chain():
@@ -137,12 +109,6 @@ class ShadowEngine:
         if collapse_direction not in (REVERSE, FORWARD, NONE):
             raise InvalidArgument(f"bad direction {collapse_direction}")
         self.collapse_direction = collapse_direction
-        #: Benchmark baseline switch: route merges and collapses
-        #: through the per-page legacy implementations so the columnar
-        #: speedup can be measured against the original data path.
-        #: Simulated costs are identical either way; only wall-clock
-        #: differs.
-        self.legacy_hot_path = False
         self.stats = telemetry.StatsView(
             "sls.shadow",
             keys=("shadows_created", "collapses", "collapse_pages_moved",
@@ -200,10 +166,7 @@ class ShadowEngine:
     def _collapse_reverse(self, frozen: VMObject, child: VMObject) -> int:
         """Aurora's direction: frozen's few pages move *down* into the
         parent; cost ∝ dirty set."""
-        if self.legacy_hot_path:
-            parent, moved = frozen.collapse_into_parent_legacy()
-        else:
-            parent, moved = frozen.collapse_into_parent()
+        parent, moved = frozen.collapse_into_parent()
         # Repoint the child over the departed middle object, adopting
         # the reference collapse_into_parent() took for us.
         frozen.shadow_count -= 1
@@ -240,7 +203,7 @@ class ShadowEngine:
         return tops
 
     @staticmethod
-    def _running_spaces(group: ConsistencyGroup) -> List[Tuple[Any, Any]]:
+    def running_spaces(group: ConsistencyGroup) -> List[Tuple[Any, Any]]:
         """One ``(pmap, map entries by object)`` pair per running
         process, built once per shadow pass: one scan of each map, not
         one per shadowed object.  A pass repoints each object once, so
@@ -263,6 +226,49 @@ class ShadowEngine:
             segment.replace_object(new)
         return downgraded
 
+    def track_for(self, group: ConsistencyGroup,
+                  top: VMObject) -> ObjectTrack:
+        """The track of ``top``'s logical object, created (and ``top``
+        given its OID) the first time the group sees it."""
+        if top.sls_oid is not None:
+            return group.tracks[top.sls_oid]
+        return self._new_track(
+            group, top, group.oid_for(top, self.store, CLASS_MEMORY))
+
+    @staticmethod
+    def _new_track(group: ConsistencyGroup, top: VMObject,
+                   oid: int) -> ObjectTrack:
+        top.sls_oid = oid
+        track = group.tracks[oid] = ObjectTrack(oid, top)
+        return track
+
+    def freeze(self, spaces: List[Tuple[Any, Any]], track: ObjectTrack,
+               top: VMObject, shadow_name: str,
+               full: bool = False) -> Tuple[FlushItem, int]:
+        """Freeze ``top`` under a fresh shadow called ``shadow_name``.
+
+        Every reference in ``spaces`` (:meth:`running_spaces`) and the
+        shm backmap moves to the shadow, the COW marks are charged, and
+        the track now flushes ``top`` and writes into the shadow.
+        Returns what to flush — the record and the dirty pages (the
+        whole chain segment for a new object or a ``full`` checkpoint)
+        — and the number of PTEs downgraded; the TLB shootdown is the
+        caller's.
+        """
+        dirty = merged_chain_pages(top) if track.new or full \
+            else dict(top.pages)
+        item = FlushItem(track.oid, object_record(top), dirty)
+        shadow = top.shadow(name=shadow_name)
+        shadow.sls_oid = track.oid
+        downgraded = self._repoint_entries(spaces, top, shadow)
+        self.kernel.clock.advance(len(dirty) * costs.COW_MARK_PER_PAGE)
+        top.frozen = True
+        track.frozen = top
+        track.active = shadow
+        track.flushed = False
+        track.new = False
+        return item, downgraded
+
     def shadow_group(self, group: ConsistencyGroup,
                      full: bool = False) -> List[FlushItem]:
         """The synchronous (stop-time) part of memory checkpointing.
@@ -275,23 +281,15 @@ class ShadowEngine:
         kernel = self.kernel
         items: List[FlushItem] = []
         total_downgraded = 0
-        spaces = self._running_spaces(group)
+        spaces = self.running_spaces(group)
         for top in self._group_tops(group):
-            if top.sls_oid is None:
-                oid = group.oid_for(top, self.store, CLASS_MEMORY)
-                top.sls_oid = oid
-                track = ObjectTrack(oid, top)
-                group.tracks[oid] = track
-            else:
-                track = group.tracks[top.sls_oid]
-                if track.active is not top:
-                    # An entry faulted privately and its shadow became
-                    # the new top for that entry while the old active
-                    # still exists elsewhere; treat as new logical obj.
-                    oid = self.store.alloc_oid(CLASS_MEMORY)
-                    top.sls_oid = oid
-                    track = ObjectTrack(oid, top)
-                    group.tracks[oid] = track
+            track = self.track_for(group, top)
+            if track.active is not top:
+                # An entry faulted privately and its shadow became
+                # the new top for that entry while the old active
+                # still exists elsewhere; treat as new logical obj.
+                track = self._new_track(
+                    group, top, self.store.alloc_oid(CLASS_MEMORY))
             if track.frozen is not None:
                 if not track.flushed:
                     raise InvalidArgument(
@@ -303,31 +301,18 @@ class ShadowEngine:
                 track.frozen = None
                 track.flushed = False
 
-            if track.new or full:
-                dirty = merged_chain_pages_legacy(top) if self.legacy_hot_path \
-                    else merged_chain_pages(top)
-            else:
-                dirty = dict(top.pages)
-            record = object_record(top)
-
             # Per-object cost: locking + metadata serialization.  The
             # number of address-space objects is the dominant stop-time
             # factor for complex applications (§9.4).
             kernel.clock.advance(costs.CKPT_VMOBJECT)
-            shadow = top.shadow(name=f"sys:{top.name}")
-            shadow.sls_oid = track.oid
+            item, downgraded = self.freeze(spaces, track, top,
+                                           f"sys:{top.name}", full)
             self.stats["shadows_created"] += 1
-            downgraded = self._repoint_entries(spaces, top, shadow)
             total_downgraded += downgraded
-            kernel.clock.advance(len(dirty) * costs.COW_MARK_PER_PAGE)
-
-            top.frozen = True
-            track.frozen = top
-            track.active = shadow
-            track.flushed = False
-            track.new = False
-            item = FlushItem(track.oid, record, dirty)
-            self.stats["dirty_runs"] += len(item.runs())
+            # One run per dirty index whose predecessor is clean.
+            dirty = item.pages
+            self.stats["dirty_runs"] += sum(
+                pindex - 1 not in dirty for pindex in dirty)
             items.append(item)
 
         if total_downgraded or items:

@@ -65,6 +65,20 @@ def ring_tail(ring: Deque[_T], count: int) -> List[_T]:
     return tail
 
 
+class Ring(Deque[_T]):
+    """The one bounded ring (spans, events, finished traces): a
+    ``deque(maxlen=capacity)`` whose :meth:`push` says whether the
+    oldest entry was evicted, so each owner keeps one drop counter."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(maxlen=capacity)
+
+    def push(self, item: _T) -> bool:
+        evicted = len(self) == self.maxlen
+        self.append(item)
+        return evicted
+
+
 class Counter:
     """A named integer metric; supports add and (for maxima) set."""
 
@@ -252,7 +266,7 @@ class TelemetryRegistry:
         #: label sets of the name it sums.
         self._counters_by_name: Dict[str, List[Counter]] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Series] = {}
-        self.spans: Deque[SpanRecord] = deque(maxlen=span_capacity)
+        self.spans: Ring[SpanRecord] = Ring(span_capacity)
         #: Span/trace/event recording switch (counters stay live).
         self.enabled = True
         #: The operation trace spans are currently attributed to (an
@@ -295,9 +309,8 @@ class TelemetryRegistry:
         trace = self.active_trace
         if trace is not None:
             trace.attach(span, span_id=span_id)
-        if len(self.spans) == self.spans.maxlen:
+        if self.spans.push(span):
             self.counter("sls.telemetry.spans_dropped").add(1)
-        self.spans.append(span)
         self.histogram(name, **labels).observe(span.duration_ns)
         return span
 

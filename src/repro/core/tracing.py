@@ -19,8 +19,8 @@ Consumers:
 
 * :func:`chrome_trace` — Chrome ``trace_event`` JSON (``sls trace
   --chrome out.json``), loadable in Perfetto / ``chrome://tracing``;
-  :func:`validate_chrome_trace` checks a document against the schema
-  in ``schemas/chrome_trace.schema.json`` without external deps.
+  :func:`validate_chrome_trace` is the document's schema, checked
+  without external deps.
 * :func:`prometheus_text` / :func:`metrics_json` — the registry's
   counters and histograms in Prometheus text exposition or plain JSON
   (``sls metrics --format prom|json``).
@@ -139,9 +139,7 @@ class Tracer:
     TRACE_CAPACITY = 1024
 
     def __init__(self, capacity: int = TRACE_CAPACITY):
-        self.capacity = capacity
-        self.finished: List[Trace] = []
-        self.dropped = 0
+        self.finished: telemetry.Ring[Trace] = telemetry.Ring(capacity)
         self._next_trace = 0
 
     def start(self, kind: str, **labels: object) -> Trace:
@@ -149,11 +147,8 @@ class Tracer:
         return Trace(self._next_trace, kind, labels)
 
     def finish(self, trace: Trace) -> None:
-        if len(self.finished) >= self.capacity:
-            self.finished.pop(0)
-            self.dropped += 1
+        if self.finished.push(trace):
             telemetry.registry().counter("sls.telemetry.traces_dropped").add(1)
-        self.finished.append(trace)
 
     def traces(self, kind: Optional[str] = None,
                **labels: object) -> List[Trace]:
@@ -168,7 +163,6 @@ class Tracer:
 
     def reset(self) -> None:
         self.finished.clear()
-        self.dropped = 0
         self._next_trace = 0
 
 
@@ -349,6 +343,21 @@ class TraceContext:
                 f"group={self.group}, tenant={self.tenant})")
 
 
+def capture_for_group(group_id: int, tenant: Optional[str] = None
+                      ) -> Optional[TraceContext]:
+    """The trace context replication ships with a delta: the live
+    trace when one is open, else the group's newest finished
+    checkpoint trace (the sync-commit hook runs *after* the trace
+    scope closed, so the commit that triggered a pump is the ring's
+    tail).  Spans never advance the clock."""
+    ctx = TraceContext.capture(tenant=tenant)
+    if ctx is None:
+        finished = _TRACER.traces(CHECKPOINT, group=group_id)
+        if finished:
+            ctx = TraceContext.capture(finished[-1], tenant=tenant)
+    return ctx
+
+
 # -- the critical-path analyzer -------------------------------------------------------
 
 
@@ -459,8 +468,9 @@ def chrome_trace(traces: Iterable[Trace]) -> Dict[str, Any]:
 def validate_chrome_trace(doc: Any) -> None:
     """Validate a Chrome trace document (raises ValueError).
 
-    Mirrors ``schemas/chrome_trace.schema.json``; implemented by hand
-    so validation needs no third-party jsonschema package.
+    This function is the schema of what ``sls trace --chrome`` writes,
+    spelled as code so validation needs no third-party jsonschema
+    package.
     """
     if not isinstance(doc, dict):
         raise ValueError("trace document must be a JSON object")

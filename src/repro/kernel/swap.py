@@ -55,15 +55,6 @@ class PageoutDaemon:
 
     # -- bookkeeping --------------------------------------------------------------
 
-    def mark_clean(self, vmobject: VMObject, pindex: int,
-                   locator: object) -> None:
-        """Record that a page's current content is persisted (the
-        flush path normally stamps pages itself; this is the explicit
-        form for tests and recovery paths)."""
-        page = vmobject.pages.get(pindex)
-        if page is not None:
-            page.clean_locator = locator
-
     def madvise(self, vmobject: VMObject, pindex: int, hint: str) -> None:
         """Record an eviction-policy hint for one page."""
         if hint not in (MADV_NORMAL, MADV_DONTNEED, MADV_WILLNEED):
@@ -153,7 +144,7 @@ class PageoutDaemon:
                 f"page {(vmobject.kid, pindex)} was not evicted")
         if not records:
             del self.evicted[vmobject.kid]
-        page = store.fetch_swapped_page(locator)
+        page = store.fetch_page(locator)
         page.clean_locator = locator  # fresh copy is clean by definition
         self.kernel.clock.advance(costs.LAZY_FAULT_PER_PAGE)
         # Paging back into a frozen shadow is safe: the content is the

@@ -22,16 +22,15 @@ few hundred mask ops instead of a million dict probes.  The fault side
 is columnar too: ``writable_runs`` cuts a stored-to range into runs of
 equal write permission, a run of write faults is one ``enter_range``
 and a run already writable one ``mark_dirty_range`` — a mask op per
-chunk, not three single-bit rewrites per page.  :class:`LegacyPmap`
-preserves the original dict-of-PTE implementation; the equivalence
-property suite drives both with identical operation sequences and
-asserts observational equality.
+chunk, not three single-bit rewrites per page.  The original
+dict-of-PTE implementation is a reference model in
+``tests/vm_reference.py``; the equivalence property suite drives both
+with identical operation sequences and asserts observational equality.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ...errors import SegmentationFault
 
@@ -53,15 +52,6 @@ def iter_bit_runs(bits: int) -> Iterator[Tuple[int, int]]:
         length = ((tail + 1) & -(tail + 1)).bit_length() - 1
         yield start, length
         bits = (tail >> length) << (start + length)
-
-
-class PTE:
-    """One translation: writable + dirty bits (legacy representation)."""
-    __slots__ = ("writable", "dirty")
-
-    def __init__(self, writable: bool) -> None:
-        self.writable = writable
-        self.dirty = False
 
 
 #: Bits per bitmap chunk.  Single-PTE updates (page faults) rewrite one
@@ -112,7 +102,7 @@ class Pmap:
         self._present[chunk] = self._present.get(chunk, 0) | bit
         word = self._writable.get(chunk, 0)
         self._writable[chunk] = (word | bit) if writable else (word & ~bit)
-        # A fresh PTE starts clean, exactly like ``PTE(writable)``.
+        # A fresh PTE starts clean.
         word = self._dirty.get(chunk, 0)
         if word & bit:
             self._dirty[chunk] = word & ~bit
@@ -301,120 +291,3 @@ class Pmap:
         self._present.clear()
         self._writable.clear()
         self._dirty.clear()
-
-
-class LegacyPmap:
-    """The original dict-of-:class:`PTE` pmap.
-
-    Kept as the executable specification: the hypothesis equivalence
-    suite runs random operation sequences against this and the bitmap
-    :class:`Pmap` and asserts identical observable state, and the
-    ``bench_simscale`` baseline mode installs it to measure the
-    pre-columnar wall-clock.
-    """
-
-    def __init__(self) -> None:
-        self._ptes: Dict[int, PTE] = {}
-        self.fault_count = 0
-        self.wp_downgrades = 0
-
-    def enter(self, va_page: int, writable: bool) -> None:
-        """Install a translation (overwrites any existing one)."""
-        self._ptes[va_page] = PTE(writable)
-
-    def enter_range(self, start_page: int, npages: int, writable: bool,
-                    dirty: bool = False) -> None:
-        """Per-page equivalent of the bitmap bulk install."""
-        for va_page in range(start_page, start_page + npages):
-            pte = PTE(writable)
-            pte.dirty = dirty
-            self._ptes[va_page] = pte
-
-    def remove(self, va_page: int) -> None:
-        """Invalidate one translation."""
-        self._ptes.pop(va_page, None)
-
-    def remove_range(self, start_page: int, npages: int) -> None:
-        """Invalidate a contiguous range of translations."""
-        for va_page in range(start_page, start_page + npages):
-            self._ptes.pop(va_page, None)
-
-    def is_mapped(self, va_page: int) -> bool:
-        """True when a translation exists for the page."""
-        return va_page in self._ptes
-
-    def is_writable(self, va_page: int) -> bool:
-        """True when the page is mapped writable."""
-        pte = self._ptes.get(va_page)
-        return pte is not None and pte.writable
-
-    def mark_dirty(self, va_page: int) -> None:
-        """Set the dirty bit (a store hit the page)."""
-        pte = self._ptes.get(va_page)
-        if pte is None:
-            raise SegmentationFault(
-                f"mark_dirty on unmapped page {va_page:#x}: no PTE "
-                f"installed (enter() the translation first)")
-        pte.dirty = True
-
-    def mark_dirty_range(self, start_page: int, npages: int) -> None:
-        """:meth:`mark_dirty` per page."""
-        for va_page in range(start_page, start_page + npages):
-            self.mark_dirty(va_page)
-
-    def writable_runs(self, start_page: int,
-                      npages: int) -> Iterator[Tuple[int, int, bool]]:
-        """Per-page scan producing the same runs as the bitmap pmap."""
-        for writable, run in groupby(range(start_page, start_page + npages),
-                                     key=self.is_writable):
-            pages = list(run)
-            yield pages[0], len(pages), writable
-
-    def write_protect_range(self, start_page: int, npages: int) -> int:
-        """Downgrade writable PTEs in a range to read-only."""
-        downgraded = 0
-        if npages <= 0:
-            return 0
-        # Iterate whichever side is smaller: the range or the PTE set.
-        if npages <= len(self._ptes):
-            candidates: Iterable[int] = range(start_page, start_page + npages)
-        else:
-            candidates = [va for va in self._ptes
-                          if start_page <= va < start_page + npages]
-        for va_page in candidates:
-            pte = self._ptes.get(va_page)
-            if pte is not None and pte.writable:
-                pte.writable = False
-                pte.dirty = False
-                downgraded += 1
-        self.wp_downgrades += downgraded
-        return downgraded
-
-    def resident_pages(self) -> int:
-        """Number of installed translations."""
-        return len(self._ptes)
-
-    def dirty_pages(self) -> List[int]:
-        """Virtual pages whose dirty bit is set (ascending)."""
-        return sorted(va for va, pte in self._ptes.items() if pte.dirty)
-
-    def collect_dirty(self, start_page: int,
-                      npages: int) -> Iterator[Tuple[int, int]]:
-        """Per-page scan producing the same runs as the bitmap pmap."""
-        run_start = -1
-        run_len = 0
-        for va_page in range(start_page, start_page + npages):
-            pte = self._ptes.get(va_page)
-            if pte is not None and pte.dirty:
-                if run_len and run_start + run_len == va_page:
-                    run_len += 1
-                else:
-                    if run_len:
-                        yield run_start, run_len
-                    run_start, run_len = va_page, 1
-        if run_len:
-            yield run_start, run_len
-
-    def clear(self) -> None:
-        """Drop every translation (address space teardown)."""
-        self._ptes.clear()

@@ -22,10 +22,8 @@ The page-moving primitives are *slab* operations: a collapse merges
 the shadow's whole page dict into the parent with one dict update and
 one frame-accounting adjustment instead of three per-page calls, so
 the real (wall-clock) cost of a collapse tracks the number of
-contiguous runs, not the page count.
-:meth:`collapse_into_parent_legacy` preserves the page-at-a-time
-original for the equivalence property suite and the scale benchmark's
-baseline mode.
+contiguous runs, not the page count.  The page-at-a-time original is
+a reference model in ``tests/vm_reference.py``.
 """
 
 from __future__ import annotations
@@ -257,36 +255,6 @@ class VMObject(KObject):
         self._detach_backing()
         # Our ref on parent was dropped by _detach_backing; the caller
         # re-refs when it repoints entries.
-        return parent, moved
-
-    def collapse_into_parent_legacy(self) -> Tuple["VMObject", int]:
-        """The original page-at-a-time reversed collapse.
-
-        Executable specification for the equivalence property suite
-        and the scale benchmark's pre-columnar baseline; behavior must
-        match :meth:`collapse_into_parent` observationally.
-        """
-        parent = self.backing
-        if parent is None:
-            raise InvalidArgument("no backing object to collapse into")
-        if self.backing_offset != 0:
-            raise InvalidArgument("system shadows always use offset 0")
-        parent.ref()
-        was_frozen = parent.frozen
-        parent.frozen = False
-        moved = 0
-        for pindex, page in list(self.pages.items()):
-            stale = parent.pages.get(pindex)
-            if stale is not None:
-                parent.remove_page(pindex)
-            parent.insert_page(pindex, page)
-            self.remove_page(pindex)
-            moved += 1
-        parent.frozen = was_frozen
-        pageout = getattr(self.kernel, "pageout", None)
-        if pageout is not None:
-            pageout.migrate_object(self.kid, parent.kid)
-        self._detach_backing()
         return parent, moved
 
     # -- lifecycle ---------------------------------------------------------------

@@ -91,14 +91,3 @@ class ExtentAllocator:
     def used_bytes(self) -> int:
         """Live allocated bytes."""
         return self.allocated_bytes - self.freed_bytes
-
-    def data_chunks(self, total: int) -> List[int]:
-        """Split a data payload into stripe-unit-sized chunk lengths so
-        the flush fans out across devices."""
-        chunks = []
-        remaining = total
-        while remaining > 0:
-            take = min(remaining, STRIPE_SIZE)
-            chunks.append(take)
-            remaining -= take
-        return chunks

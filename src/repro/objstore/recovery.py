@@ -12,6 +12,7 @@ a crash."
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..errors import CorruptRecord, StoreError
@@ -20,7 +21,15 @@ from .blockalloc import ExtentAllocator
 from .checkpoint import CheckpointInfo
 from .journal import Journal
 from .oid import OIDAllocator
-from .store_state import RecoveredState  # re-exported dataclass
+
+
+@dataclass
+class RecoveredState:
+    """Summary of what :func:`recover` found."""
+
+    generation: int
+    checkpoint_count: int
+    journal_count: int
 
 
 def _read_superblock(store: Any, slot: int) -> Optional[dict]:

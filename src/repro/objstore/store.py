@@ -947,10 +947,6 @@ class ObjectStore:
         self.device.poll()
         return PageLocator.in_extent(extent, 0, len(payload))
 
-    def fetch_swapped_page(self, locator: PageLocator) -> Page:
-        """Read an evicted page back from the store."""
-        return self.fetch_page(locator)
-
     # -- stats ------------------------------------------------------------------------------------------------
 
     def used_bytes(self) -> int:

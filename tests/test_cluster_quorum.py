@@ -15,6 +15,12 @@ Three invariants, each verified over randomized states and membership
   (node media wipes, within the f=2 tolerance of a 3/5 quorum),
   segment repair reconverges to full replication with every segment
   checksum intact.
+
+Plus the **outage matrix** (the failure list of the retired
+``benchmarks/bench_cluster.py``): cluster sizes × outage patterns
+injected halfway through a run, every cell checked for zero
+acknowledged loss — the 6-node AZ-outage cell in tier-1, the full
+matrix under ``-m slow``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro import Machine, load_aurora
 from repro.core.cluster import SLSCluster
+from repro.core.faults import PRIMARY, FaultPlan
 from repro.units import PAGE_SIZE
 
 NODES = 5
@@ -45,16 +52,16 @@ wipe_sets = st.sets(st.integers(0, NODES - 1), min_size=1, max_size=2)
 
 
 class Fixture:
-    """One primary with an attached service and its 5-node cluster."""
+    """One primary with an attached service and its cluster."""
 
-    def __init__(self):
+    def __init__(self, nodes=NODES):
         self.machine = Machine()
         self.sls = load_aurora(self.machine)
         self.proc = self.machine.kernel.spawn("svc")
         self.addr = self.proc.vmspace.mmap(16 * PAGE_SIZE, name="heap")
         self.group = self.sls.attach(self.proc, name="svc",
                                      periodic=False)
-        self.cluster = SLSCluster(self.sls, self.group, nodes=NODES,
+        self.cluster = SLSCluster(self.sls, self.group, nodes=nodes,
                                   azs=AZS, segment_bytes=SEGMENT_BYTES)
 
     def commit(self, payload: bytes, name: str) -> int:
@@ -184,3 +191,84 @@ def test_repair_converges_after_copy_losses(wiped, v1, v2):
 @given(wiped=wipe_sets, v1=payloads, v2=payloads)
 def test_repair_converges_after_copy_losses_deep(wiped, v1, v2):
     _check_repair_convergence(wiped, v1, v2)
+
+
+# -- the outage matrix ----------------------------------------------------------
+
+
+def _inject_outage(cluster, outage):
+    """Down the pattern's nodes; returns the node ids taken out."""
+    if outage == "none":
+        return []
+    if outage == "node":
+        cluster.node_down(1, reason="matrix")
+        return [1]
+    downed = cluster.az_down(1, reason="matrix")
+    if outage == "az+1":
+        # An AZ plus one node of another: below the write quorum, so
+        # durability stalls until repair re-establishes copies.
+        victim = next(node.node_id for node in cluster.nodes
+                      if not node.down and node.az != 1)
+        cluster.node_down(victim, reason="matrix")
+        downed.append(victim)
+    return downed
+
+
+def _check_outage_cell(nodes, outage, checkpoints):
+    """One cell: the outage hits halfway through ``checkpoints``
+    commits; whatever was quorum-acknowledged is what comes back."""
+    fx = Fixture(nodes=nodes)
+    cluster = fx.cluster
+    partition = outage == "partition"
+    if partition:
+        plan = FaultPlan(name="matrix-partition")
+        fx.machine.set_fault_plan(plan)
+    step_of = {}
+    downed = []
+    for step in range(checkpoints):
+        if step == checkpoints // 2:
+            if partition:
+                # The primary is cut from every node but keeps
+                # committing on its side: a doomed tail.
+                plan.partition([PRIMARY], list(range(nodes)))
+            else:
+                downed = _inject_outage(cluster, outage)
+        step_of[fx.commit(b"step-%04d" % step, name=f"s{step}")] = step
+        cluster.pump()
+
+    if partition:
+        acked = step_of[cluster.durable]
+        fx.machine.clock.advance(2 * cluster.lease_ns)
+        cluster.pump()          # zero grants past expiry: lease lost
+        cluster.failover()      # quorum epoch bump on the majority side
+        plan.heal()
+        cluster.pump()          # the displaced primary fences itself
+        recon = cluster.reconcile()
+        assert recon["fenced"] >= checkpoints - 1 - acked, \
+            "a doomed checkpoint was never fenced"
+        assert cluster.stats["epoch_bumps"] == 1
+        fx.machine.crash()
+        root = cluster.recover().result.root
+    else:
+        for node_id in downed:
+            cluster.node_up(node_id)
+        if downed:
+            assert cluster.repair()["segments"] > 0, \
+                "nodes were lost but repair rebuilt nothing"
+        acked = step_of[cluster.durable]
+        fx.machine.crash()
+        root = cluster.failover().root
+    assert root.vmspace.read(fx.addr, 9) == b"step-%04d" % acked, \
+        "an acknowledged checkpoint was lost"
+
+
+def test_az_outage_on_six_nodes_loses_nothing_acknowledged():
+    _check_outage_cell(6, "az", checkpoints=6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("outage",
+                         ["none", "node", "az", "az+1", "partition"])
+@pytest.mark.parametrize("nodes", [3, 6, 9])
+def test_outage_matrix_loses_nothing_acknowledged(nodes, outage):
+    _check_outage_cell(nodes, outage, checkpoints=10)

@@ -2,8 +2,8 @@
 
 The bitmap :class:`Pmap`, the run-based shadow merge and the slab
 collapse replaced per-page dict implementations for scale; the legacy
-implementations are kept in-tree as executable specifications.  These
-properties drive both sides with identical randomized inputs and
+implementations are the reference models in ``tests/vm_reference.py``.
+These properties drive both sides with identical randomized inputs and
 assert identical observable state: mapped/writable/dirty sets,
 downgrade counts, merge results, frame accounting and restored memory
 contents.
@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 from repro import Machine, load_aurora
 from repro.errors import SegmentationFault
 from repro.hw.memory import Page
-from repro.kernel.vm.pmap import LegacyPmap, Pmap, iter_bit_runs
+from repro.kernel.vm.pmap import Pmap, iter_bit_runs
 from repro.kernel.vm.vmobject import VMObject
-from repro.core.shadowing import (merged_chain_pages,
-                                  merged_chain_pages_legacy)
+from repro.core.shadowing import merged_chain_pages
 from repro.units import PAGE_SIZE
+from tests import vm_reference
+from tests.vm_reference import (LegacyPmap, collapse_into_parent_legacy,
+                                legacy_hot_path, merged_chain_pages_legacy)
 
 PAGES = 96  # page-number space the random ops draw from
 
@@ -225,7 +227,7 @@ def test_collapse_into_parent_equivalence(parent_pages, shadow_pages):
         parent.frozen = False
         shadow.frozen = False
         if legacy:
-            merged_parent, moved = shadow.collapse_into_parent_legacy()
+            merged_parent, moved = collapse_into_parent_legacy(shadow)
         else:
             merged_parent, moved = shadow.collapse_into_parent()
         results.append({
@@ -242,44 +244,71 @@ def test_collapse_into_parent_equivalence(parent_pages, shadow_pages):
 # -- end-to-end: columnar and legacy paths restore identical state ---------------
 
 
-def _run_workload(legacy_hot_path):
+def _run_workload():
     machine = Machine()
     sls = load_aurora(machine)
-    sls.shadow.legacy_hot_path = legacy_hot_path
-    import repro.kernel.vm.vmspace as vmspace_mod
-    from repro.kernel.vm.pmap import LegacyPmap as _LP, Pmap as _P
-    original = vmspace_mod.Pmap
-    vmspace_mod.Pmap = _LP if legacy_hot_path else _P
-    try:
-        proc = machine.kernel.spawn("app")
-        group = sls.attach(proc, periodic=False)
-        addr = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
-        for round_no in range(4):
-            proc.vmspace.write(addr + round_no * PAGE_SIZE,
-                               f"round-{round_no}".encode())
-            proc.vmspace.touch(addr + 32 * PAGE_SIZE, 8,
-                               seed=100 + round_no)
-            sls.checkpoint(group, sync=True)
-        gid = group.group_id
-        machine.crash()
-        machine.boot()
-        sls2 = load_aurora(machine)
-        result = sls2.restore(gid, periodic=False)
-        space = result.root.vmspace
-        image = space.read(addr, 40 * PAGE_SIZE)
-        stats = {
-            "downgrades": None,  # pmap instance did not survive crash
-            "image": image,
-        }
-        return stats
-    finally:
-        vmspace_mod.Pmap = original
+    proc = machine.kernel.spawn("app")
+    group = sls.attach(proc, periodic=False)
+    addr = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
+    for round_no in range(4):
+        proc.vmspace.write(addr + round_no * PAGE_SIZE,
+                           f"round-{round_no}".encode())
+        proc.vmspace.touch(addr + 32 * PAGE_SIZE, 8,
+                           seed=100 + round_no)
+        sls.checkpoint(group, sync=True)
+    gid = group.group_id
+    machine.crash()
+    machine.boot()
+    sls2 = load_aurora(machine)
+    result = sls2.restore(gid, periodic=False)
+    space = result.root.vmspace
+    return {
+        "image": space.read(addr, 40 * PAGE_SIZE),
+        "sim_ns": machine.clock.now(),
+    }
 
 
 def test_columnar_and_legacy_restore_identical_state():
-    columnar = _run_workload(legacy_hot_path=False)
-    legacy = _run_workload(legacy_hot_path=True)
+    columnar = _run_workload()
+    with legacy_hot_path():
+        legacy = _run_workload()
     assert columnar == legacy
+
+
+def test_legacy_hot_path_installs_the_reference_models(monkeypatch):
+    """The harness really runs the patched-in path: a mutant of each
+    reference model changes (or stops) the legacy run, and the
+    production names are back once the block exits."""
+    production = _run_workload()
+
+    def merge_dropping_page_zero(top):
+        pages = merged_chain_pages_legacy(top)
+        pages.pop(0, None)
+        return pages
+
+    def collapse_that_refuses(shadow):
+        raise AssertionError("reference collapse reached")
+
+    def protect_nothing(pmap, start_page, npages):
+        return 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vm_reference, "merged_chain_pages_legacy",
+                      merge_dropping_page_zero)
+        with legacy_hot_path():
+            assert _run_workload()["image"] != production["image"]
+    with monkeypatch.context() as patch:
+        patch.setattr(vm_reference, "collapse_into_parent_legacy",
+                      collapse_that_refuses)
+        with pytest.raises(AssertionError, match="reference collapse"):
+            with legacy_hot_path():
+                _run_workload()
+    with monkeypatch.context() as patch:
+        # No PTE is ever downgraded, so no COW-mark/shootdown page term.
+        patch.setattr(LegacyPmap, "write_protect_range", protect_nothing)
+        with legacy_hot_path():
+            assert _run_workload()["sim_ns"] != production["sim_ns"]
+    assert _run_workload() == production
 
 
 @pytest.mark.parametrize("chunk_bits", [64, 4096])

@@ -10,6 +10,9 @@ ENOSPC-degraded spell leaving every other tenant inside its RPO
 budget.
 """
 
+import itertools
+import random
+
 import pytest
 
 from repro import Machine, load_aurora
@@ -351,3 +354,59 @@ def test_fairness_normalizes_by_period(setup):
                            for _p, group, _a in tenants})
     assert normalized["jain"] >= raw["jain"]
     assert normalized["jain"] >= 0.9
+
+
+def test_sixteen_mixed_tenants_meet_every_deadline_fairly(setup):
+    """The 16-tenant point of the retired ``bench_fleet.py``:
+    memcached / redis / rocksdb-profile tenants (cadence, dirty pages
+    per checkpoint), three quarters attached up front, the rest
+    arriving through the first half of the run, an eighth departing
+    in the second.  The offered load is feasible, so the control
+    plane never has to act, no deadline is missed and the fleet is
+    fair.  (Over capacity, a widen or a reject must show instead: the
+    admission and backpressure tests above.)"""
+    machine, sls = setup
+    profiles = [(25, 8), (50, 16), (100, 24)]
+    step_ms, steps = 5, 120
+    rng = random.Random(0xF1EE7 ^ 16)
+    late_at = sorted(rng.randrange(1, steps // 2) for _ in range(4))
+    depart_at = sorted(rng.randrange(steps // 2, steps - 1)
+                       for _ in range(2))
+
+    indexes = itertools.count()
+
+    def arrive():
+        index = next(indexes)
+        period_ms, pages = profiles[index % len(profiles)]
+        proc, group, addr = make_tenant(
+            machine, sls, f"tenant{index}", period_ms=period_ms,
+            pages=pages, rpo_budget_ns=4 * period_ms * MSEC,
+            history_limit=4,
+            demand_bytes_per_sec=pages * PAGE_SIZE * 1000 // period_ms)
+        return proc, group, addr, pages, period_ms
+
+    live = [arrive() for _ in range(12)]
+    cursor = 0
+    for step in range(steps):
+        while late_at and late_at[0] <= step:
+            late_at.pop(0)
+            live.append(arrive())
+        while depart_at and depart_at[0] <= step:
+            depart_at.pop(0)
+            sls.detach(live.pop(rng.randrange(len(live)))[1])
+        for proc, _group, addr, pages, period_ms in live:
+            for _ in range(max(1, pages * step_ms // period_ms)):
+                cursor += 1
+                proc.vmspace.write(addr + cursor % pages * PAGE_SIZE,
+                                   b"step:%d" % step)
+        machine.run_for(step_ms * MSEC)
+
+    summary = sls.fleet.summary()
+    assert summary["tenants"] == 14
+    assert summary["time_util"] <= 0.8
+    assert summary["bandwidth_util"] <= 0.8
+    assert summary["admission_rejects"] == 0
+    assert summary["backpressure_widens"] == 0
+    assert telemetry.registry().value("sls.fleet.dispatches") > 100
+    assert summary["deadline_misses"] == 0
+    assert summary["fairness"]["jain"] >= 0.9

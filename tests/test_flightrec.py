@@ -233,20 +233,22 @@ def test_only_the_tenant_that_moved_has_its_slo_row_re_encoded():
 def test_snapshot_persistence_has_zero_simulated_clock_cost():
     """Enabled vs disabled telemetry: identical clocks, allocator
     cursors and store generations — the recorder's media writes are
-    timing-free and fixed-size by construction."""
-    def observe(enabled):
+    timing-free and fixed-size by construction.  The second shape is
+    the smoke point of the retired ``bench_flightrec.py``."""
+    def observe(enabled, count, pages):
         telemetry.reset()
         telemetry.set_enabled(enabled)
-        machine, sls, group, _ = _run(3)
+        machine, sls, group, _ = _run(count, pages=pages)
         return (machine.clock.now(), sls.store.alloc.cursor,
                 sls.store._generation, sls.store._flightrec_extent)
 
-    on = observe(True)
-    off = observe(False)
-    assert on[0] == off[0], "clock diverged with the recorder enabled"
-    assert on[1] == off[1], "allocator diverged"
-    assert on[2] == off[2], "generation diverged"
-    assert on[3] == off[3], "snapshot extent placement diverged"
+    for count, pages in ((3, 4), (10, 8)):
+        on = observe(True, count, pages)
+        off = observe(False, count, pages)
+        assert on[0] == off[0], "clock diverged with the recorder enabled"
+        assert on[1] == off[1], "allocator diverged"
+        assert on[2] == off[2], "generation diverged"
+        assert on[3] == off[3], "snapshot extent placement diverged"
 
 
 # -- reconstruction ---------------------------------------------------------------------

@@ -146,3 +146,56 @@ def test_file_creation_charges_global_lock(setup):
     machine.kernel.open(proc, "/newfile", O_CREAT)
     elapsed = machine.clock.now() - before
     assert elapsed >= costs.SLSFS_CREATE_GLOBAL_LOCK
+
+
+def test_checkpointed_file_closed_then_unlinked_is_kept(setup):
+    """The kept branch of the hidden link count (§5.2): no name and no
+    open file, but a checkpoint references the inode — it survives,
+    and the application checkpoint that holds it open restores."""
+    machine, sls, proc = setup
+    kernel = machine.kernel
+    fd = kernel.open(proc, "/scratch", O_CREAT | O_RDWR)
+    kernel.write(proc, fd, b"anon state")
+    inode = proc.fdtable.get(fd).vnode.inode
+    group = sls.attach(proc, periodic=False)
+    sls.checkpoint(group, sync=True)
+    with_fd_open = group.last_complete_id
+    kernel.close(proc, fd)
+    kernel.unlink(proc, "/scratch")
+    assert not kernel.vfs.exists("/scratch")
+    assert sls.slsfs.has_inode(inode)
+    sls.checkpoint(group, sync=True)    # commits the unlinked inode
+    gid = group.group_id
+
+    sls2 = _reboot_with_aurora(machine)
+    assert sls2.slsfs.has_inode(inode)
+    assert sls2.slsfs.getvnode(inode).link_count == 0
+    proc2 = sls2.restore(gid, ckpt_id=with_fd_open).root
+    machine.kernel.lseek(proc2, fd, 0)
+    assert machine.kernel.read(proc2, fd, 10) == b"anon state"
+    assert not machine.kernel.vfs.exists("/scratch")
+
+
+def test_file_unlinked_before_any_checkpoint_is_reclaimed(setup):
+    """The reclaim branch: created, closed and unlinked between two FS
+    checkpoints, nothing references the inode — it is forgotten and
+    the next checkpoint skips its (still dirty) inode number."""
+    machine, sls, proc = setup
+    kernel = machine.kernel
+    slsfs = sls.slsfs
+    slsfs.checkpoint(sync=True)
+    fd = kernel.open(proc, "/tmpfile", O_CREAT | O_RDWR)
+    kernel.write(proc, fd, b"short-lived")
+    inode = proc.fdtable.get(fd).vnode.inode
+    oid = slsfs.inode_oids[inode]
+    kernel.close(proc, fd)
+    kernel.unlink(proc, "/tmpfile")
+    assert not slsfs.has_inode(inode)
+    assert inode in slsfs._dirty_inodes
+
+    info = slsfs.checkpoint(sync=True)
+    records, pages = sls.store.merged_view(info.ckpt_id)
+    assert oid not in records and oid not in pages
+    sls2 = _reboot_with_aurora(machine)
+    assert not sls2.slsfs.has_inode(inode)
+    assert not machine.kernel.vfs.exists("/tmpfile")

@@ -184,6 +184,16 @@ def test_span_ring_eviction_counts_dropped_spans():
     assert registry.value("sls.telemetry.spans_dropped") == 6
 
 
+def test_finished_trace_ring_eviction_counts_dropped_traces():
+    """The third ring: newest traces kept, evictions counted once (in
+    the registry counter ``sls events`` and the flight record read)."""
+    tracer = tracing.Tracer(capacity=3)
+    for _ in range(5):
+        tracer.finish(tracer.start(tracing.CHECKPOINT, group=1))
+    assert [t.trace_id for t in tracer.traces(group=1)] == [3, 4, 5]
+    assert telemetry.registry().value("sls.telemetry.traces_dropped") == 2
+
+
 def test_trace_spans_survive_span_ring_eviction():
     """A trace owns its span list: evicting the global ring must not
     lose spans from a retained trace."""
