@@ -155,7 +155,7 @@ import json
 for seed in (7, 42, 1337):
     doc = json.load(open(f"nemesis_seed{seed}.json"))
     assert doc["seed"] == seed
-    assert len(doc["campaigns"]) == 5, doc
+    assert len(doc["campaigns"]) == 6, doc
     for row in doc["campaigns"]:
         assert row["passed"], (seed, row)
         assert row["violations"] == [], (seed, row)

@@ -18,11 +18,11 @@ Two load modes mirror Mutilate's:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core import costs
 from ..errors import NoSuchFile
-from ..units import MiB, MSEC, PAGE_SIZE, USEC, pages_of
+from ..units import MiB, PAGE_SIZE, pages_of
 
 
 class LoadStats:

@@ -10,7 +10,7 @@ COW setup cost of §Table 7), and the serializer walks the keyspace.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core import costs
 from ..errors import InvalidArgument, NoSuchFile

@@ -19,7 +19,7 @@ tail into the memtable.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ...core import costs
 from ...core.api import AuroraAPI

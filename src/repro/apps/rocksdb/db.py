@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ...core import costs
 from ...units import MiB, PAGE_SIZE

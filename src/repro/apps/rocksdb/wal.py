@@ -14,8 +14,6 @@ import struct
 import zlib
 from typing import List, Tuple
 
-from ...errors import CorruptRecord
-
 _HDR = struct.Struct("<II")  # crc32, length
 
 

@@ -11,7 +11,7 @@ description of each application.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..units import KiB, MiB, PAGE_SIZE, pages_of

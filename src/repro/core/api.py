@@ -11,9 +11,9 @@ checkpoints.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..errors import InvalidArgument, NotAttached, SLSError
+from ..errors import InvalidArgument, NotAttached
 from ..objstore.journal import Journal
 from ..units import PAGE_SIZE, pages_of
 from . import costs

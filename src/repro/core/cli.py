@@ -447,7 +447,8 @@ def cmd_nemesis(args) -> int:
 
     Runs the nemesis harness's scripted campaigns — majority cut away,
     isolated primary displaced and fenced, ack path severed,
-    partition during failover, asymmetric flap with repair — each at
+    partition during failover, asymmetric flap with repair, fd churn
+    (a socket and a pipe closed and reopened per commit) — each at
     the given seed, and checks the two hard invariants after every
     one: no quorum-acknowledged checkpoint is ever lost, and no
     fenced (minority-side) checkpoint is ever readable again.  Needs

@@ -1,17 +1,18 @@
 """Quorum-replicated SLS cluster: N segment copies across simulated
 availability zones.
 
-The single :class:`~repro.core.replication.ReplicationLink` gives
-Aurora one standby; this module grows it into the cloud-Aurora
-durability story (SNIPPETS.md snippets 2–3): every committed
-checkpoint delta is sharded into segments
+The one replication engine (Table 2: ``sls send`` "can ... continually
+feed incremental checkpoints to a remote host, ... or provide high
+availability"), in the cloud-Aurora shape (SNIPPETS.md snippets 2–3):
+every committed checkpoint delta is sharded into segments
 (:mod:`repro.core.segments`), shipped to ``N`` replica nodes spread
 round-robin over ``azs`` availability zones, and acknowledged as
-*durable* only once a **write quorum** (default 4 of 6) holds the
-complete delta on media.  Recovery and reads need only a **read
-quorum** (default 3 of 6): ``W + R > N`` guarantees every read quorum
-intersects every write quorum, so any R survivors contain at least one
-complete copy of everything ever acknowledged.
+*durable* only once a **write quorum** (``W = ⌊N/2⌋ + 1``, 4 of 6)
+holds the complete delta on media.  Recovery and reads need only a
+**read quorum** (``R = N − W + 1``, 3 of 6): ``W + R > N`` guarantees
+every read quorum intersects every write quorum, so any R survivors
+contain at least one complete copy of everything ever acknowledged.
+The single standby is the ``N = W = R = 1`` cluster.
 
 The protocol, made enumerable for the crash-schedule explorer by
 :meth:`~repro.core.faults.FaultPlan.on_repl` boundaries:
@@ -65,18 +66,16 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import ClusterError, LeaseValid, LinkDown, QuorumLost, \
-    SLSError, StaleEpoch, StaleReplica
+    RetriesExhausted, SLSError, StaleEpoch, StaleReplica
 from ..machine import Machine
 from ..units import MSEC, USEC, fmt_size
 from . import events, faults, migration, telemetry, tracing
-from .faults import FaultPlan
+from .faults import FaultPlan, InjectedNodeCrash
 from .group import ConsistencyGroup
 from .orchestrator import Orchestrator, load_aurora
-from .replication import ReplicationLink
 from .resilience import REASON_STALE_PRIMARY, PeerHealth, RetryPolicy
 from .restore import RestoreResult
-from .segments import (DEFAULT_PROTECTION_GROUPS, DEFAULT_SEGMENT_BYTES,
-                       DigestTree, ProtectionGroupLayout, ShardManifest,
+from .segments import (DEFAULT_SEGMENT_BYTES, DigestTree, ShardManifest,
                        assemble, shard_stream)
 
 #: Replication/quorum boundary names (``FaultPlan.on_repl``).
@@ -113,6 +112,9 @@ DEFAULT_LEASE_NS = 50 * MSEC
 
 #: Size of one epoch-bump control message (request or grant).
 EPOCH_MSG_BYTES = 128
+
+#: The availability zone the primary sits in.
+PRIMARY_AZ = 0
 
 
 def _leg_labels(group_id: int, node_id: int, ckpt: int,
@@ -248,37 +250,35 @@ class ClusterNode:
         return f"ClusterNode(#{self.node_id} az{self.az} {state})"
 
 
-class SegmentedLink(ReplicationLink):
-    """One primary→node leg of the cluster.
+class SegmentedLink:
+    """One primary→node leg of the cluster: its retry policy, stats
+    and outage book.
 
-    Reuses :class:`ReplicationLink`'s retry policy, outage accounting
-    (``down_since``), stats and events; shipping is overridden to go
-    checkpoint-by-checkpoint through the cluster's canonical shard
-    manifests, crossing the ``on_repl`` quorum boundaries.
+    Shipping goes checkpoint-by-checkpoint through the cluster's
+    canonical shard manifests, crossing the ``on_repl`` quorum
+    boundaries.  Each attempt consults the primary's fault plan and
+    retries :class:`~repro.errors.LinkDown` with the standard backoff;
+    an outage that outlasts the retries marks the leg *down* and
+    shipping quietly resumes on a later pump.
     """
 
-    def __init__(self, cluster: "SLSCluster", node: ClusterNode,
-                 group: ConsistencyGroup):
-        super().__init__(cluster.primary, node.sls, group)
+    def __init__(self, cluster: "SLSCluster", node: ClusterNode) -> None:
         self.cluster = cluster
         self.node = node
-        self.peer_id = node.node_id
+        self.stats = {"streams": 0, "bytes": 0, "outages": 0}
+        #: Sim-instant the current outage began (None = link healthy).
+        self.down_since: Optional[int] = None
         # A per-node seed keeps backoff jitter independent across legs.
         self.retry = RetryPolicy(
             cluster.primary.machine.clock,
-            seed=0x11A6 ^ group.group_id ^ (node.node_id << 8),
+            seed=0x11A6 ^ cluster.gid ^ (node.node_id << 8),
             op=f"cluster.ship.n{node.node_id}")
-
-    def _plan(self) -> Optional[FaultPlan]:
-        plan: Optional[FaultPlan] = getattr(self.src_sls.machine,
-                                            "fault_plan", None)
-        return plan
 
     def _ship_ckpt(self, ckpt_id: int) -> None:
         """One connect + send + apply attempt for one checkpoint."""
         cluster = self.cluster
         node = self.node
-        plan = self._plan()
+        plan = cluster._plan()
         if plan is not None:
             plan.on_repl(node.node_id, B_SHIP)
             plan.on_link()
@@ -287,12 +287,12 @@ class SegmentedLink(ReplicationLink):
             # per-direction (and may be skewed late).
             delay = plan.on_deliver(faults.PRIMARY, node.node_id)
             if delay:
-                self._clock().advance(delay)
+                cluster._clock().advance(delay)
         manifest, payloads = cluster.shards_for(ckpt_id)
         ctx = manifest.trace_ctx
         registry = telemetry.registry()
-        clock = self._clock()
-        labels = _leg_labels(self.group.group_id, node.node_id, ckpt_id, ctx)
+        clock = cluster._clock()
+        labels = _leg_labels(cluster.gid, node.node_id, ckpt_id, ctx)
         # Replica-side legs record into the originating checkpoint
         # trace (resolved from the shipped context) so one trace spans
         # primary → replicas; spans never advance the clock or touch
@@ -302,11 +302,12 @@ class SegmentedLink(ReplicationLink):
                 # The whole delta crosses the fabric to this node;
                 # wire time is charged on the primary's clock like any
                 # ``sls send``.
-                wire = self.src_sls.machine.nic.send(manifest.total_bytes)
-                self._clock().advance(wire)
+                wire = cluster.primary.machine.nic.send(
+                    manifest.total_bytes)
+                clock.advance(wire)
             self.stats["streams"] += 1
             self.stats["bytes"] += manifest.total_bytes
-            cluster.account_transfer(cluster.primary_az, node.az,
+            cluster.account_transfer(PRIMARY_AZ, node.az,
                                      manifest.total_bytes)
             if plan is not None:
                 plan.on_repl(node.node_id, B_DELIVER)
@@ -317,12 +318,12 @@ class SegmentedLink(ReplicationLink):
             promised = node.promised_epoch
             if manifest.epoch < promised:
                 events.emit(clock.now(), events.FENCED_WRITE,
-                            group=self.group.group_id,
+                            group=cluster.gid,
                             node=node.node_id, ckpt=ckpt_id,
                             epoch=manifest.epoch, promised=promised)
                 telemetry.registry().counter(
                     "sls.cluster.fenced_writes",
-                    group=self.group.group_id).add(1)
+                    group=cluster.gid).add(1)
                 cluster.stats["fenced_writes"] += 1
                 raise StaleEpoch(
                     f"node {node.node_id} promised epoch {promised}, "
@@ -339,13 +340,30 @@ class SegmentedLink(ReplicationLink):
                 plan.on_repl(node.node_id, B_APPLY)
 
     def ship_checkpoint(self, ckpt_id: int) -> bool:
-        """Ship one checkpoint to this node; True once it is on the
-        node's media, False when the leg is down (the next pump round
-        retries)."""
-        if not self._attempt(lambda: self._ship_ckpt(ckpt_id),
-                             node=self.node.node_id):
+        """Ship one checkpoint to this node under the retry policy and
+        keep the outage book: True once it is on the node's media
+        (which closes any open outage), False when the retries did not
+        outlast the flap (the first such failure opens the outage and
+        says so; a later pump round tries again)."""
+        clock = self.cluster._clock()
+        gid = self.cluster.gid
+        now = clock.now()
+        try:
+            self.retry.run(lambda: self._ship_ckpt(ckpt_id))
+        except RetriesExhausted as exc:
+            if self.down_since is None:
+                self.down_since = now
+                self.stats["outages"] += 1
+                events.emit(clock.now(), events.LINK_DOWN, group=gid,
+                            node=self.node.node_id,
+                            error=f"{type(exc).__name__}: {exc}")
+                telemetry.registry().counter(
+                    "sls.replication.outages", group=gid).add(1)
             return False
-        self.last_shipped = ckpt_id
+        if self.down_since is not None:
+            events.emit(clock.now(), events.LINK_UP, group=gid,
+                        outage_ns=clock.now() - self.down_since)
+            self.down_since = None
         return True
 
 
@@ -391,11 +409,7 @@ class SLSCluster:
 
     def __init__(self, primary: Orchestrator, group: ConsistencyGroup,
                  nodes: int = 6, azs: int = 3,
-                 write_quorum: Optional[int] = None,
-                 read_quorum: Optional[int] = None,
                  segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 npgs: int = DEFAULT_PROTECTION_GROUPS,
-                 primary_az: int = 0,
                  lease_ns: int = DEFAULT_LEASE_NS):
         if nodes < 1:
             raise ClusterError(f"a cluster needs nodes, got {nodes}")
@@ -406,23 +420,15 @@ class SLSCluster:
         self.gid = group.group_id
         self.n = nodes
         self.azs = azs
-        self.write_quorum = write_quorum or nodes // 2 + 1
-        self.read_quorum = read_quorum or nodes - self.write_quorum + 1
-        if self.write_quorum + self.read_quorum <= nodes:
-            raise ClusterError(
-                f"quorums must intersect: W={self.write_quorum} + "
-                f"R={self.read_quorum} <= N={nodes}")
-        if self.write_quorum > nodes:
-            raise ClusterError(f"write quorum {self.write_quorum} "
-                               f"exceeds cluster size {nodes}")
-        self.primary_az = primary_az
+        #: W + R = N + 1: every read quorum meets every write quorum.
+        self.write_quorum = nodes // 2 + 1
+        self.read_quorum = nodes - self.write_quorum + 1
         self.segment_bytes = segment_bytes
-        self.layout = ProtectionGroupLayout(npgs)
         self.nodes: List[ClusterNode] = [
             ClusterNode(i, az=i % azs, group_id=self.gid)
             for i in range(nodes)]
         self.links: List[SegmentedLink] = [
-            SegmentedLink(self, node, group) for node in self.nodes]
+            SegmentedLink(self, node) for node in self.nodes]
         self.health: List[PeerHealth] = [PeerHealth()
                                          for _ in range(nodes)]
         #: Quorum-durable watermark: newest primary checkpoint with a
@@ -499,8 +505,9 @@ class SLSCluster:
         where it is checkpoint ``local``, and shard it as primary
         checkpoint ``ckpt``."""
         info = sls.store.get_checkpoint(local)
-        stream = migration.send_checkpoint(sls, self.gid, ckpt_id=local,
-                                           since=info.parent)
+        stream = migration.serialize_checkpoint(sls, self.gid,
+                                                ckpt_id=local,
+                                                since=info.parent)
         return shard_stream(self.gid, ckpt, stream, self.segment_bytes)
 
     def _node_shards(self, node: ClusterNode, ckpt: int
@@ -539,7 +546,6 @@ class SLSCluster:
             self._pumping = False
 
     def _pump(self) -> Optional[int]:
-        from .faults import InjectedNodeCrash
         self.stats["pumps"] += 1
         self._renew_lease()
         if self.fenced:
@@ -726,7 +732,7 @@ class SLSCluster:
     def install(self) -> None:
         """Pump automatically: synchronously after every sync commit
         (orchestrator commit hook) and on the checkpoint cadence for
-        async commits (timer, like ``ReplicationLink.install``)."""
+        async commits (timer)."""
         if self._installed:
             return
         self._installed = True
@@ -778,7 +784,6 @@ class SLSCluster:
         if not node.down:
             return
         node.reboot()
-        self.links[node_id].dst_sls = node.sls
         self.health[node_id] = PeerHealth()
         events.emit(self._clock().now(), events.NODE_UP,
                     group=self.gid, node=node_id, az=node.az,
@@ -824,7 +829,6 @@ class SLSCluster:
                 if not reboot:
                     continue
                 node.reboot()
-                self.links[node.node_id].dst_sls = node.sls
             available.append(node)
         if len(available) < self.read_quorum:
             raise QuorumLost(
@@ -1065,7 +1069,6 @@ class SLSCluster:
         (from :meth:`reconcile`) supplies locally retained segments
         that need not cross the wire.  Returns the repair report.
         """
-        from .faults import InjectedNodeCrash
         clock = self._clock()
         registry = telemetry.registry()
         hist = registry.histogram("sls.cluster.repair.segment_mttr",
@@ -1214,8 +1217,7 @@ class SLSCluster:
         target.shards[ckpt] = (manifest, payloads)
         events.emit(self._clock().now(), events.SEGMENT_REPAIRED,
                     group=self.gid, node=target.node_id, ckpt=ckpt,
-                    segments=len(manifest.segments),
-                    pgs=self.layout.npgs)
+                    segments=len(manifest.segments))
         return elapsed, len(manifest.segments)
 
     def _segments_from(self, holders: List[ClusterNode], ckpt: int
@@ -1320,6 +1322,8 @@ class SLSCluster:
                             for ckpt in node.applied})
         by_node: Dict[int, Dict[int, ShardManifest]] = {
             node.node_id: self._node_manifests(node) for node in up}
+        trees = {node_id: DigestTree(manifests)
+                 for node_id, manifests in by_node.items()}
         canonical_manifests: Dict[int, ShardManifest] = {}
         for ckpt in surviving:
             votes: Dict[int, int] = {}
@@ -1328,18 +1332,16 @@ class SLSCluster:
                 manifest = by_node[node.node_id].get(ckpt)
                 if manifest is None:
                     continue
-                root = DigestTree(self.layout,
-                                  {ckpt: manifest}).roots[ckpt]
+                root = trees[node.node_id].roots[ckpt]
                 votes[root] = votes.get(root, 0) + 1
                 pick.setdefault(root, manifest)
             best = max(sorted(votes), key=lambda root: votes[root])
             canonical_manifests[ckpt] = pick[best]
-        canonical = DigestTree(self.layout, canonical_manifests)
+        canonical = DigestTree(canonical_manifests)
         recon = ReconcilePlan()
         divergent_truncated = 0
         for node in up:
-            mine = DigestTree(self.layout, by_node[node.node_id])
-            needed = mine.diff(canonical)
+            needed = trees[node.node_id].diff(canonical)
             divergent = [c for c in needed if c in node.applied]
             if divergent:
                 # Bytes differ in place (e.g. media corruption): the
@@ -1350,19 +1352,12 @@ class SLSCluster:
                 for ckpt in sorted(node.applied):
                     if ckpt < floor:
                         continue
-                    leaves = canonical.leaves.get(ckpt)
-                    cached = node.shards.get(ckpt)
-                    if leaves is None or cached is None:
-                        continue
-                    payloads = cached[1]
-                    keep = {
+                    payloads = node.shards[ckpt][1]
+                    differing = set(needed.get(ckpt, ()))
+                    recon.local[(node.node_id, ckpt)] = {
                         index: payloads[index]
-                        for index, leaf in leaves.items()
-                        if index < len(payloads)
-                        and mine.leaves.get(ckpt, {}).get(index) == leaf
-                    }
-                    if keep:
-                        recon.local[(node.node_id, ckpt)] = keep
+                        for index in canonical.leaves[ckpt]
+                        if index not in differing}
                 for ckpt in node.truncate_from(floor):
                     divergent_truncated += 1
                     self.acks.get(ckpt, set()).discard(node.node_id)
@@ -1500,7 +1495,6 @@ class SLSCluster:
             "stall": self.stall_reason(),
             "inter_az_bytes": self.inter_az_bytes,
             "inter_az_pretty": fmt_size(self.inter_az_bytes),
-            "protection_groups": self.layout.npgs,
             "segment_bytes": self.segment_bytes,
             "quorum_lag_p50_ns": registry.histogram(
                 "sls.cluster.quorum_lag",

@@ -11,7 +11,7 @@ any curious reader with ``readelf``-shaped expectations — can walk it.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..errors import RestoreError
 from ..units import PAGE_SIZE

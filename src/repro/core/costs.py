@@ -31,7 +31,7 @@ Calibration sources
 
 from __future__ import annotations
 
-from ..units import GiB, KiB, MiB, PAGE_SIZE, USEC, MSEC, NSEC
+from ..units import GiB, USEC, MSEC, NSEC
 
 # ---------------------------------------------------------------------------
 # Machine configuration (paper §9, first paragraph)

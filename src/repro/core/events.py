@@ -45,7 +45,6 @@ DEGRADED_EXIT = "degraded.exit"
 GC_EMERGENCY = "gc.emergency"
 LINK_DOWN = "replication.link_down"
 LINK_UP = "replication.link_up"
-FAILOVER = "replication.failover"
 NODE_DOWN = "cluster.node_down"
 NODE_UP = "cluster.node_up"
 QUORUM_ACK = "cluster.quorum_ack"

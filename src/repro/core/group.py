@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Set
 
-from ..errors import AlreadyAttached, InvalidArgument
+from ..errors import AlreadyAttached
 from ..kernel.proc.pid import IDVirtualization
 from ..kernel.proc.process import Process
 from ..units import MSEC

@@ -10,39 +10,65 @@ which is the pre-copy primitive live migration is built from.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from .. import serde
 from ..errors import RestoreError, SLSError
 from ..hw.memory import Page
-from ..objstore.checkpoint import overlay_page_maps
+from ..objstore.checkpoint import (PageRuns, overlay_page_maps,
+                                   run_locators)
+from ..objstore.store import ObjectStore
+from ..units import PAGE_SIZE
+from .group import ConsistencyGroup
+from .orchestrator import Orchestrator
+from .restore import RestoreResult
+from .runs import build_arith_runs, expand_arith_runs
 
-STREAM_MAGIC = "aurora-stream-v1"
-
-
-def _encode_pages(page_locs, store) -> dict:
-    """Page payloads for the stream: seeds for synthetic pages, bytes
-    otherwise."""
-    out: Dict[str, dict] = {}
-    for oid, locators in page_locs.items():
-        obj_pages = {}
-        for pindex, locator in locators.items():
-            if locator.kind == "syn":
-                obj_pages[str(pindex)] = {"seed": locator.seed}
-            else:
-                page = store.fetch_page(locator)
-                obj_pages[str(pindex)] = {"data": page.realize()}
-        out[str(oid)] = obj_pages
-    return out
+STREAM_MAGIC = "aurora-stream-v2"
 
 
-def send_checkpoint(sls, group_id: int, ckpt_id: Optional[int] = None,
-                    since: Optional[int] = None) -> bytes:
+def _wire_pages(page_locs: Dict[int, PageRuns],
+                store: ObjectStore) -> Dict[str, List[List[Any]]]:
+    """The delta's page tables as the metadata document's runs:
+    ``"syn"`` runs verbatim, real pages (one batched read) as
+    ``["dat", first, count, bytes]`` — one run per stretch of adjacent
+    page indexes, however the sender's extents happen to cut it."""
+    wire = {str(oid): table.encode() for oid, table in page_locs.items()}
+    fetched = iter(store.fetch_pages(
+        locator for runs in wire.values() for run in runs
+        if run[0] == "ext" for _pindex, locator in run_locators(run)))
+    for key, runs in wire.items():
+        out: List[List[Any]] = []
+        for run in runs:
+            if run[0] == "ext":
+                start, count = run[1], run[2]
+                data = b"".join(next(fetched).realize()
+                                for _ in range(count))
+                if out and out[-1][0] == "dat" \
+                        and out[-1][1] + out[-1][2] == start:
+                    out[-1][2] += count
+                    out[-1][3] += data
+                    continue
+                run = ["dat", start, count, data]
+            out.append(run)
+        wire[key] = out
+    return wire
+
+
+def serialize_checkpoint(sls: Orchestrator, group_id: int,
+                         ckpt_id: Optional[int] = None,
+                         since: Optional[int] = None) -> bytes:
     """Serialize a checkpoint into a migration stream.
 
     ``since`` produces an *incremental* stream: only the deltas of
     checkpoints newer than that id (the receiver must already hold the
     baseline).  Without it the stream carries the full merged view.
+
+    The stream is *canonical* — records, page runs and the live set,
+    no checkpoint id and no extent offset, so every store holding the
+    same delta serializes it to the same bytes — and *complete*: the
+    effective live set travels, so the receiver restores exactly the
+    objects the sender would.
     """
     store = sls.store
     if ckpt_id is None:
@@ -62,25 +88,30 @@ def send_checkpoint(sls, group_id: int, ckpt_id: Optional[int] = None,
                 record_extents.setdefault(oid, extent)
             overlay_page_maps(page_locs, info.pages)
 
-    records = {}
-    for oid, extent in record_extents.items():
-        _oid, otype, state = store.read_object_record(extent, oid=oid)
-        records[str(oid)] = [otype, state]
-
-    stream = serde.dumps({
+    live = store.effective_live_oids(ckpt_id)
+    return serde.dumps({
         "magic": STREAM_MAGIC,
         "group_id": group_id,
-        "ckpt_id": ckpt_id,
-        "since": since,
-        "records": records,
-        "pages": _encode_pages(page_locs, store),
+        "incremental": since is not None,
+        "live": None if live is None else build_arith_runs(live),
+        "records": {str(oid): list(record) for oid, record
+                    in store.read_object_records(record_extents).items()},
+        "pages": _wire_pages(page_locs, store),
     })
-    # Charge the wire time on the sender's clock.
+
+
+def send_checkpoint(sls: Orchestrator, group_id: int,
+                    ckpt_id: Optional[int] = None,
+                    since: Optional[int] = None) -> bytes:
+    """:func:`serialize_checkpoint`, then put the stream on the wire:
+    the transmission is charged on the sender's clock."""
+    stream = serialize_checkpoint(sls, group_id, ckpt_id, since)
     sls.machine.clock.advance(sls.machine.nic.send(len(stream)))
     return stream
 
 
-def recv_checkpoint(sls, stream: bytes, name: str = "recv") -> int:
+def recv_checkpoint(sls: Orchestrator, stream: bytes,
+                    name: str = "recv") -> int:
     """Import a migration stream; returns the new local checkpoint id.
 
     Full streams create a new baseline; incremental streams chain onto
@@ -94,28 +125,37 @@ def recv_checkpoint(sls, stream: bytes, name: str = "recv") -> int:
     store = sls.store
     group_id = document["group_id"]
     parent = None
-    if document["since"] is not None:
+    if document["incremental"]:
         chain = store.checkpoints_for(group_id, include_partial=True)
         if not chain:
             raise RestoreError("incremental stream without a local "
                                "baseline")
         parent = chain[-1].ckpt_id
     txn = store.begin_checkpoint(group_id, name=name, parent=parent)
+    if document["live"] is not None:
+        txn.info.live_oids = set(expand_arith_runs(document["live"]))
     for oid_str, (otype, state) in document["records"].items():
         txn.put_object(int(oid_str), otype, state)
-    for oid_str, obj_pages in document["pages"].items():
-        pages = {}
-        for pindex_str, payload in obj_pages.items():
-            if "seed" in payload:
-                pages[int(pindex_str)] = Page(seed=payload["seed"])
+    for oid_str, runs in document["pages"].items():
+        pages: Dict[int, Page] = {}
+        for run in runs:
+            first, count = run[1], run[2]
+            if run[0] == "syn":
+                for i in range(count):
+                    pages[first + i] = Page(seed=run[3] + run[4] * i)
+            elif run[0] == "dat":
+                for i in range(count):
+                    pages[first + i] = Page(
+                        data=run[3][i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
             else:
-                pages[int(pindex_str)] = Page(data=payload["data"])
+                raise RestoreError(f"bad page run kind {run[0]!r}")
         txn.put_pages(int(oid_str), pages)
     info = store.commit(txn, sync=True)
     return info.ckpt_id
 
 
-def migrate(src_sls, dst_sls, group, rounds: int = 2):
+def migrate(src_sls: Orchestrator, dst_sls: Orchestrator,
+            group: ConsistencyGroup, rounds: int = 2) -> RestoreResult:
     """Pre-copy live migration: iterative incremental streams, then a
     final stop-and-copy round, then restore on the destination.
 

@@ -65,13 +65,46 @@ class CampaignResult:
         return f"CampaignResult({self.name}@{self.seed}: {verdict})"
 
 
+def reopen_fds(proc: Any, old_fds: List[int], payload: bytes) -> List[int]:
+    """One round of object churn: open a pipe and — once ``old_fds``
+    (the previous round's) are closed, freeing the port — a bound UDP
+    socket, each holding ``payload``.  Returns the new fds."""
+    kernel = proc.kernel
+    rfd, wfd = kernel.pipe(proc)
+    kernel.write(proc, wfd, payload)
+    for fd in old_fds:
+        kernel.close(proc, fd)
+    sock_fd = kernel.udp_socket(proc)
+    sock = kernel.sock_of(proc, sock_fd)
+    sock.bind("10.0.0.1", 5353)
+    sock.enqueue(("10.9.9.9", 1000), payload)
+    return [rfd, wfd, sock_fd]
+
+
+def fd_table_state(root: Any) -> bytes:
+    """A process's fd table as the oracle compares it: each open fd,
+    its object's type and what that object buffers."""
+    fds = []
+    for fd in root.fdtable.fds():
+        fobj = root.fdtable.get(fd).fobj
+        held = (bytes(fobj.buffer) if fobj.obj_type == "pipe" else
+                [dgram.payload for dgram in fobj.rcvqueue])
+        fds.append((fd, fobj.obj_type, held))
+    return repr(fds).encode()
+
+
 class NemesisFixture:
     """One primary with an attached service, its cluster, and an
     installed fault plan to carry the partition schedule."""
 
-    def __init__(self, seed: int,
-                 lease_ns: int = DEFAULT_LEASE_NS) -> None:
+    def __init__(self, seed: int, lease_ns: int = DEFAULT_LEASE_NS,
+                 churn: bool = False) -> None:
         self.seed = seed
+        #: Object churn: every commit closes the bound UDP socket and
+        #: the pipe the previous one opened and opens new ones, so the
+        #: acknowledged state includes which objects are *gone*.
+        self.churn = churn
+        self.churn_fds: List[int] = []
         self.machine = Machine()
         self.sls: Orchestrator = load_aurora(self.machine)
         self.proc = self.machine.kernel.spawn("svc")
@@ -88,6 +121,8 @@ class NemesisFixture:
         """Write a seed-derived payload and sync-checkpoint it;
         returns ``(primary ckpt id, expected state bytes)``."""
         payload = (f"{tag}:{self.seed}".encode() * 7)[:96]
+        if self.churn:
+            self.churn_fds = reopen_fds(self.proc, self.churn_fds, payload)
         self.proc.vmspace.write(self.addr, payload)
         self.proc.vmspace.write(self.addr + 3 * PAGE_SIZE,
                                 tag.encode() + b":" + payload)
@@ -96,7 +131,8 @@ class NemesisFixture:
 
     def read(self, root: Any) -> bytes:
         return (root.vmspace.read(self.addr, 96) + b"|"
-                + root.vmspace.read(self.addr + 3 * PAGE_SIZE, 100))
+                + root.vmspace.read(self.addr + 3 * PAGE_SIZE, 100)
+                + b"|" + fd_table_state(root))
 
     def reinstall_plan(self) -> None:
         """A machine crash clears the fault plan; campaigns that keep
@@ -137,11 +173,12 @@ def _check_recovery(fx: NemesisFixture, result: CampaignResult,
             "quorum-acked state")
 
 
-def _campaign_majority_away(seed: int) -> CampaignResult:
+def _campaign_majority_away(seed: int, name: str = "majority-away",
+                            churn: bool = False) -> CampaignResult:
     """Partition the write-quorum majority away from the primary: the
     watermark must stall, and the heal must deliver everything."""
-    result = CampaignResult("majority-away", seed)
-    fx = NemesisFixture(seed)
+    result = CampaignResult(name, seed)
+    fx = NemesisFixture(seed, churn=churn)
     v1, _ = fx.commit("v1")
     assert fx.cluster.pump() == v1
     fx.plan.partition([PRIMARY], [2, 3, 4, 5])
@@ -291,7 +328,6 @@ def _campaign_asym_flap_repair(seed: int) -> CampaignResult:
     # A blank replacement node takes over slot 5.
     wiped = fx.cluster.nodes[5]
     wiped.wipe()
-    fx.cluster.links[5].dst_sls = wiped.sls
     for acks in fx.cluster.acks.values():
         acks.discard(5)
     # Donors 0 and 1 cannot reach the target; donor 2 is slow.
@@ -316,6 +352,13 @@ def _campaign_asym_flap_repair(seed: int) -> CampaignResult:
     return result
 
 
+def _campaign_fd_churn(seed: int) -> CampaignResult:
+    """The majority-away script under object churn: what recovery
+    restores must equal the last acknowledged state *including the fd
+    table* — a closed socket stays closed, its port free to rebind."""
+    return _campaign_majority_away(seed, name="fd-churn", churn=True)
+
+
 #: Campaign registry, in documentation order.
 CAMPAIGNS: Dict[str, Callable[[int], CampaignResult]] = {
     "majority-away": _campaign_majority_away,
@@ -323,6 +366,7 @@ CAMPAIGNS: Dict[str, Callable[[int], CampaignResult]] = {
     "ack-path-cut": _campaign_ack_path_cut,
     "partition-during-failover": _campaign_partition_during_failover,
     "asym-flap-repair": _campaign_asym_flap_repair,
+    "fd-churn": _campaign_fd_churn,
 }
 
 

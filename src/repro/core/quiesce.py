@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List
 
 from ..kernel.proc.thread import (AT_BOUNDARY, IN_SYSCALL,
-                                  IN_SYSCALL_SLEEPING, IN_USER, Thread)
+                                  IN_SYSCALL_SLEEPING, Thread)
 from . import costs
 
 

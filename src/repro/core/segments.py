@@ -1,4 +1,4 @@
-"""Checkpoint-delta sharding: segments and protection groups.
+"""Checkpoint-delta sharding: segments and their digests.
 
 Cloud-Aurora durability (SNIPPETS.md lecture notes; Verbitski et al.)
 is organized around *segments*: the replicated stream is cut into
@@ -17,10 +17,8 @@ This module is the pure-data half of the cluster layer
   checksummed so any reassembly is self-verifying.
 * :func:`shard_stream` / :func:`assemble` — cut a migration stream
   into segments / glue verified segments back together.
-* :class:`ProtectionGroupLayout` — the segment→protection-group
-  assignment; a protection group is the set of segments whose copies
-  live and die together, the bookkeeping unit repair reports MTTR
-  against.
+* :class:`DigestTree` — one node's digests over the checkpoints it
+  holds, diffed leaf by leaf during heal-time reconciliation.
 
 The simulated streams are kilobytes, not gigabytes, so the default
 segment size is scaled down to keep several segments per checkpoint —
@@ -38,10 +36,6 @@ from ..units import KiB
 
 #: Scaled-down stand-in for Aurora's 10 GB segment.
 DEFAULT_SEGMENT_BYTES = 4 * KiB
-
-#: Protection groups per consistency group (Aurora: enough PGs to
-#: cover the volume; here a small fixed fan-out).
-DEFAULT_PROTECTION_GROUPS = 4
 
 
 def _crc(payload: bytes) -> int:
@@ -171,59 +165,15 @@ def assemble(manifest: ShardManifest,
     return stream
 
 
-class ProtectionGroupLayout:
-    """Static segment→protection-group assignment.
-
-    A protection group is the durability bookkeeping unit: its member
-    segments' copies share fate under quorum math, and repair MTTR is
-    tracked per segment but reported per PG.  Assignment is round-robin
-    by segment index, so it is stable across checkpoints and across
-    nodes without coordination.
-    """
-
-    def __init__(self, npgs: int = DEFAULT_PROTECTION_GROUPS):
-        if npgs < 1:
-            raise ValueError(f"bad protection group count {npgs}")
-        self.npgs = npgs
-
-    def pg_of(self, segment_index: int) -> int:
-        return segment_index % self.npgs
-
-    def members(self, manifest: ShardManifest, pg: int) -> List[SegmentMeta]:
-        """The manifest's segments assigned to protection group ``pg``."""
-        return [meta for meta in manifest.segments
-                if self.pg_of(meta.index) == pg]
-
-    def __repr__(self) -> str:
-        return f"ProtectionGroupLayout({self.npgs} PGs)"
-
-
 # --- anti-entropy digest tree ----------------------------------------------
 #
 # The merkle-style structure the heal-time reconciliation exchange
 # compares: segment CRCs (already carried by every manifest) roll up
-# into one digest per protection group, PG digests roll up into one
-# root per checkpoint, checkpoint roots into one root per node.  Two
-# nodes agree on a subtree iff the digests match, so the exchange
-# descends only into mismatched subtrees and repair is fed exactly the
-# segments that actually differ — bytes on the wire scale with the
-# divergence, not the history.
-
-def pg_digest(layout: ProtectionGroupLayout, manifest: ShardManifest,
-              pg: int) -> int:
-    """One protection group's digest: CRC over its member segments'
-    ``(index, length, crc)`` triples in index order."""
-    acc = b"".join(b"%d:%d:%d;" % (meta.index, meta.length, meta.crc)
-                   for meta in layout.members(manifest, pg))
-    return _crc(acc)
-
-
-def manifest_digests(layout: ProtectionGroupLayout,
-                     manifest: ShardManifest) -> Dict[int, int]:
-    """Per-PG digests of one checkpoint's manifest."""
-    return {pg: pg_digest(layout, manifest, pg)
-            for pg in range(layout.npgs)}
-
+# into one root per checkpoint, checkpoint roots into one root per
+# node.  Two nodes agree on a checkpoint iff its roots match, so the
+# exchange compares leaves only under mismatched roots and repair is
+# fed exactly the segments that actually differ — bytes on the wire
+# scale with the divergence, not the history.
 
 class DigestTree:
     """One node's digest tree over its applied checkpoint manifests.
@@ -233,22 +183,18 @@ class DigestTree:
     checkpoint, exactly the segment indexes whose bytes differ.
     """
 
-    def __init__(self, layout: ProtectionGroupLayout,
-                 manifests: Dict[int, ShardManifest]):
-        self.layout = layout
+    def __init__(self, manifests: Dict[int, ShardManifest]) -> None:
         #: ckpt -> segment index -> (length, crc) leaf digests.
         self.leaves: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        #: ckpt -> pg -> digest.
-        self.pgs: Dict[int, Dict[int, int]] = {}
-        #: ckpt -> checkpoint root digest.
+        #: ckpt -> checkpoint root digest: CRC over the segments'
+        #: ``(index, length, crc)`` triples in index order.
         self.roots: Dict[int, int] = {}
         for ckpt, manifest in manifests.items():
             self.leaves[ckpt] = {meta.index: (meta.length, meta.crc)
                                  for meta in manifest.segments}
-            digests = manifest_digests(layout, manifest)
-            self.pgs[ckpt] = digests
             self.roots[ckpt] = _crc(b"".join(
-                b"%d:%d;" % (pg, digests[pg]) for pg in sorted(digests)))
+                b"%d:%d:%d;" % (meta.index, meta.length, meta.crc)
+                for meta in manifest.segments))
         #: Whole-node root digest over checkpoint roots in id order.
         self.root = _crc(b"".join(
             b"%d:%d;" % (ckpt, self.roots[ckpt])
@@ -259,29 +205,19 @@ class DigestTree:
 
         Returns ``{ckpt: [segment indexes]}`` covering checkpoints the
         node is missing entirely (every canonical segment listed) and
-        checkpoints whose digests diverge (only the differing member
-        segments listed, found by descending root -> PG -> leaf).
-        Checkpoints this node holds beyond the canonical tree are the
-        fencing layer's business, not the diff's.
+        checkpoints whose roots diverge (only the segments whose leaves
+        differ listed).  Checkpoints this node holds beyond the
+        canonical tree are the fencing layer's business, not the
+        diff's.
         """
         needed: Dict[int, List[int]] = {}
         for ckpt, root in canonical.roots.items():
             if ckpt not in self.roots:
                 needed[ckpt] = sorted(canonical.leaves[ckpt])
-                continue
-            if self.roots[ckpt] == root:
-                continue
-            divergent: List[int] = []
-            for pg, digest in canonical.pgs[ckpt].items():
-                if self.pgs[ckpt].get(pg) == digest:
-                    continue
-                for index, leaf in canonical.leaves[ckpt].items():
-                    if self.layout.pg_of(index) != pg:
-                        continue
-                    if self.leaves[ckpt].get(index) != leaf:
-                        divergent.append(index)
-            if divergent:
-                needed[ckpt] = sorted(divergent)
+            elif self.roots[ckpt] != root:
+                needed[ckpt] = sorted(
+                    index for index, leaf in canonical.leaves[ckpt].items()
+                    if self.leaves[ckpt].get(index) != leaf)
         return needed
 
     def __repr__(self) -> str:

@@ -36,7 +36,7 @@ from ..kernel.fs.file import (DTYPE_DEVICE, DTYPE_KQUEUE, DTYPE_PIPE,
                               DTYPE_PTS, DTYPE_SHM, DTYPE_SOCKET,
                               DTYPE_VNODE, OpenFile)
 from ..kernel.ipc.devfs import DEVICE_WHITELIST
-from ..objstore.oid import CLASS_FILE, CLASS_GROUP, CLASS_POSIX
+from ..objstore.oid import CLASS_FILE, CLASS_POSIX
 from . import costs, telemetry
 
 

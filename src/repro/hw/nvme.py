@@ -17,7 +17,7 @@ crash-recovery property tests rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .clock import SimClock
 from ..core import costs, telemetry

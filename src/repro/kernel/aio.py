@@ -13,7 +13,6 @@ import itertools
 from typing import Dict, List, Optional
 
 from ..errors import InvalidArgument
-from .kobject import KObject
 
 AIO_READ = "read"
 AIO_WRITE = "write"

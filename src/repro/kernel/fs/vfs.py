@@ -10,7 +10,7 @@ it in the Table 7 comparison.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...errors import (DirectoryNotEmpty, FileExists, InvalidArgument,
                        NoSuchFile, NotADirectory)

@@ -7,7 +7,7 @@ which the serializer charges per event.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...errors import InvalidArgument
 from ..kobject import KObject

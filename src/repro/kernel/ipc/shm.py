@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ...errors import FileExists, InvalidArgument, NoSuchFile
+from ...errors import InvalidArgument, NoSuchFile
 from ...units import pages_of
 from ..kobject import KObject
 from ..vm.vmobject import ANONYMOUS, VMObject

@@ -22,10 +22,9 @@ from ..core import costs
 from ..errors import BadFileDescriptor, InvalidArgument, MachineCrashed
 from ..units import PAGE_SIZE, pages_of
 from .aio import AIOQueue
-from .fs.file import (FDTable, OpenFile, O_APPEND, O_CREAT, O_RDONLY, O_RDWR,
-                      O_TRUNC, O_WRONLY, DTYPE_DEVICE, DTYPE_KQUEUE,
-                      DTYPE_PIPE, DTYPE_PTS, DTYPE_SHM, DTYPE_SOCKET,
-                      DTYPE_VNODE)
+from .fs.file import (OpenFile, O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC,
+                      O_WRONLY, DTYPE_DEVICE, DTYPE_KQUEUE, DTYPE_PIPE,
+                      DTYPE_PTS, DTYPE_SHM, DTYPE_SOCKET, DTYPE_VNODE)
 from .fs.filesystem import Filesystem, MemFS
 from .fs.vfs import VFS
 from .ipc.devfs import DeviceFile, VDSO
@@ -40,7 +39,7 @@ from .net.udp import UDPSocket
 from .proc.pid import PIDAllocator
 from .proc.process import Process
 from .swap import PageoutDaemon
-from .vm.vmmap import INHERIT_SHARE, PROT_READ, PROT_WRITE
+from .vm.vmmap import INHERIT_SHARE, PROT_READ
 from ..hw.cpu import CPUSet
 from ..hw.memory import PhysicalMemory
 

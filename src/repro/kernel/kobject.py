@@ -14,7 +14,7 @@ exactly once").
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Any
 
 from ..errors import InvalidArgument
 

@@ -11,7 +11,7 @@ group, so two restored applications can both believe they are PID 100.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ...errors import InvalidArgument
 

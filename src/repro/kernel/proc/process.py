@@ -9,7 +9,7 @@ descriptions, inherited group/session membership.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ...errors import InvalidArgument, NoSuchProcess
 from ..kobject import KObject

@@ -5,7 +5,7 @@ These groupings are used for job control, signals, and sandboxing.")
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List
 
 from ..kobject import KObject
 

@@ -10,7 +10,7 @@ specific signal handler").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 SIGINT = 2
 SIGKILL = 9

@@ -23,7 +23,6 @@ from typing import Dict, List
 
 from ..core import costs
 from ..errors import InvalidArgument
-from ..units import PAGE_SIZE
 from .vm.vmobject import VMObject
 
 #: madvise hints the policy understands.

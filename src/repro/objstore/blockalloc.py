@@ -12,7 +12,7 @@ device at a time.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import InvalidArgument, StoreFull
 from ..units import KiB, STRIPE_SIZE

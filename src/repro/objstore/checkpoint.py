@@ -27,8 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import itemgetter
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.runs import (LocatorRun, append_locator_run, build_arith_runs,
                          clip_run, count_changed_pages, expand_arith_runs,

@@ -10,7 +10,7 @@ epoch and stops at the first missing or stale slot.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List
 
 from ..core import telemetry
 from ..errors import CorruptRecord, InvalidArgument, NoSpace, StoreError

@@ -705,29 +705,6 @@ class ObjectStore:
             overlay_page_maps(merged_pages, info.pages, keep=live)
         return merged_records, merged_pages
 
-    def read_object_record(self, extent: Tuple[int, int],
-                           oid: Optional[int] = None) -> Tuple[int, str, Any]:
-        """Read + decode one object record from a record extent.
-
-        ``oid`` selects the wanted object out of a batch extent; it may
-        be omitted only for extents known to hold a single record.
-        """
-        payload = self.retry.run(lambda: self.device.read(extent[0]),
-                                 op="store.read")
-        if not isinstance(payload, bytes):
-            raise CorruptRecord("object record extent holds synthetic data")
-        entries = records.decode_objects(payload)
-        if oid is None:
-            if len(entries) != 1:
-                raise CorruptRecord(
-                    f"record extent holds {len(entries)} objects; "
-                    f"an OID is required to select one")
-            return entries[0]
-        for entry in entries:
-            if entry[0] == oid:
-                return entry
-        raise CorruptRecord(f"record OID mismatch for {oid}")
-
     def _decode_record(self, oid: int, payload: Any) -> Tuple[str, Any]:
         if not isinstance(payload, bytes):
             raise CorruptRecord("record extent holds synthetic data")

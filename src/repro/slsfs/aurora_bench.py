@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..core import costs
 from ..units import MSEC
-from .fsbase import BenchFile, BenchFilesystem, FS_BLOCK
+from .fsbase import BenchFile, BenchFilesystem
 
 
 class AuroraFSModel(BenchFilesystem):

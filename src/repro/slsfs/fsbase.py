@@ -11,9 +11,8 @@ the 10 ms checkpoint cadence of the object store backing it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from ..core import costs
 from ..errors import NoSuchFile
 from ..hw.nvme import StripedArray, synthetic_payload
 from ..units import KiB, STRIPE_SIZE

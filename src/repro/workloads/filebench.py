@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from ..units import GiB, KiB, MiB, SEC
+from ..units import GiB, KiB, MiB
 
 
 class FileBench:

@@ -12,8 +12,6 @@ plus a latency-measurement agent.  Two modes matter:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..apps.memcached import LoadStats, MemcachedServer
 from ..units import SEC
 

@@ -5,6 +5,7 @@ intact (the heart of the paper)."""
 import pytest
 
 from repro import Machine, load_aurora
+from repro.errors import PermissionDenied
 from repro.kernel.fs.file import O_CREAT, O_RDWR
 from repro.kernel.ipc.kqueue import EVFILT_READ, KEvent
 from repro.kernel.ipc.unixsock import ControlMessage
@@ -295,6 +296,24 @@ def test_udp_socket_restored(setup):
     payload, source = restored.recvfrom()
     assert payload == b"datagram"
     assert source == ("10.9.9.9", 1000)
+
+
+def test_whitelisted_device_fd_round_trips(setup):
+    machine, sls, proc, group = setup
+    fd = machine.kernel.open_device(proc, "zero")
+    _sls2, result = crash_and_restore(machine, sls, group)
+    device = result.root.fdtable.get(fd).fobj
+    assert device.name == "zero"
+    assert machine.kernel.read(result.root, fd, 4) == b"\x00" * 4
+
+
+def test_non_whitelisted_device_fd_is_refused_at_checkpoint(setup):
+    machine, sls, proc, group = setup
+    fd = machine.kernel.open_device(proc, "null")
+    # A driver outside the whitelist, held open behind devfs's back.
+    proc.fdtable.get(fd).fobj.name = "mem"
+    with pytest.raises(PermissionDenied):
+        sls.checkpoint(group, sync=True)
 
 
 def test_kqueue_events_restored(setup):

@@ -5,8 +5,8 @@ Three invariants, each verified over randomized states and membership
 
 * **Read-quorum sufficiency** — after full replication, *any* subset
   of at least read-quorum nodes reconstructs byte-identical
-  application state (W + R > N: every read quorum intersects every
-  write quorum).
+  application state, fd table included, under object churn (W + R > N:
+  every read quorum intersects every write quorum).
 * **Write-quorum necessity** — a partition with fewer than
   write-quorum reachable nodes never advances the durability
   watermark: the new checkpoint is not acknowledged, and recovery
@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro import Machine, load_aurora
 from repro.core.cluster import SLSCluster
 from repro.core.faults import PRIMARY, FaultPlan
+from repro.core.nemesis import fd_table_state, reopen_fds
 from repro.units import PAGE_SIZE
 
 NODES = 5
@@ -50,6 +51,9 @@ survivor_sets = st.sets(st.integers(0, NODES - 1),
 
 wipe_sets = st.sets(st.integers(0, NODES - 1), min_size=1, max_size=2)
 
+#: Per commit: close and reopen a bound UDP socket and a pipe first?
+reopens = st.tuples(st.booleans(), st.booleans())
+
 
 class Fixture:
     """One primary with an attached service and its cluster."""
@@ -63,10 +67,15 @@ class Fixture:
                                      periodic=False)
         self.cluster = SLSCluster(self.sls, self.group, nodes=nodes,
                                   azs=AZS, segment_bytes=SEGMENT_BYTES)
+        self.churn_fds = []
 
-    def commit(self, payload: bytes, name: str) -> int:
+    def commit(self, payload: bytes, name: str, reopen=False) -> int:
         """Write ``payload`` (stamped so V1 != V2 always) and take a
-        sync checkpoint; returns the primary checkpoint id."""
+        sync checkpoint; returns the primary checkpoint id.  With
+        ``reopen``, first close the bound UDP socket and the pipe the
+        last such commit opened and open new ones holding ``payload``."""
+        if reopen:
+            self.churn_fds = reopen_fds(self.proc, self.churn_fds, payload)
         self.proc.vmspace.write(self.addr, payload)
         self.proc.vmspace.write(self.addr + 3 * PAGE_SIZE,
                                 name.encode() + b":" + payload)
@@ -76,13 +85,14 @@ class Fixture:
     def read(self, root, length: int) -> bytes:
         return (root.vmspace.read(self.addr, length)
                 + b"|" + root.vmspace.read(self.addr + 3 * PAGE_SIZE,
-                                           length + 4))
+                                           length + 4)
+                + b"|" + fd_table_state(root))
 
 
-def _check_read_quorum_sufficiency(subset, v1, v2):
+def _check_read_quorum_sufficiency(subset, v1, v2, reopen):
     fx = Fixture()
-    fx.commit(v1, name="v1")
-    newest = fx.commit(v2, name="v2")
+    fx.commit(v1, name="v1", reopen=reopen[0])
+    newest = fx.commit(v2, name="v2", reopen=reopen[1])
     assert fx.cluster.pump() == newest
     expected = fx.read(fx.proc, len(v2))
     fx.machine.crash()
@@ -92,18 +102,20 @@ def _check_read_quorum_sufficiency(subset, v1, v2):
 
 
 @settings(max_examples=20, deadline=None)
-@given(subset=subsets, v1=payloads, v2=payloads)
-def test_read_quorum_subsets_reconstruct_identical_state(subset, v1, v2):
-    """(a) Any ≥R-node subset recovers byte-identical state."""
-    _check_read_quorum_sufficiency(subset, v1, v2)
+@given(subset=subsets, v1=payloads, v2=payloads, reopen=reopens)
+def test_read_quorum_subsets_reconstruct_identical_state(
+        subset, v1, v2, reopen):
+    """(a) Any ≥R-node subset recovers byte-identical state, fd table
+    included — whatever each commit closed and reopened."""
+    _check_read_quorum_sufficiency(subset, v1, v2, reopen)
 
 
 @pytest.mark.slow
 @settings(max_examples=200, deadline=None)
-@given(subset=subsets, v1=payloads, v2=payloads)
+@given(subset=subsets, v1=payloads, v2=payloads, reopen=reopens)
 def test_read_quorum_subsets_reconstruct_identical_state_deep(
-        subset, v1, v2):
-    _check_read_quorum_sufficiency(subset, v1, v2)
+        subset, v1, v2, reopen):
+    _check_read_quorum_sufficiency(subset, v1, v2, reopen)
 
 
 def _check_write_quorum_necessity(survivors, v1, v2):
@@ -155,7 +167,6 @@ def _check_repair_convergence(wiped, v1, v2):
     # Lose k<=2 complete copies: replacement nodes come up blank.
     for node_id in wiped:
         fx.cluster.nodes[node_id].wipe()
-        fx.cluster.links[node_id].dst_sls = fx.cluster.nodes[node_id].sls
         for acks in fx.cluster.acks.values():
             acks.discard(node_id)
     report = fx.cluster.repair()
@@ -272,3 +283,113 @@ def test_az_outage_on_six_nodes_loses_nothing_acknowledged():
 @pytest.mark.parametrize("nodes", [3, 6, 9])
 def test_outage_matrix_loses_nothing_acknowledged(nodes, outage):
     _check_outage_cell(nodes, outage, checkpoints=10)
+
+
+# -- what a replica must hold: the primary's liveness, and only content ---------
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_failover_after_close_restores_only_the_open_socket(nodes):
+    """A replica checkpoint carries the primary's live set: an object
+    closed before the last acknowledged checkpoint is not restored
+    (its record still sits in an older delta on every replica)."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    kernel = machine.kernel
+    proc = kernel.spawn("svc")
+    group = sls.attach(proc, name="svc", periodic=False)
+    cluster = SLSCluster(sls, group, nodes=nodes, azs=1,
+                         segment_bytes=SEGMENT_BYTES)
+
+    def bound_socket(datagram):
+        fd = kernel.udp_socket(proc)
+        sock = kernel.sock_of(proc, fd)
+        sock.bind("10.0.0.1", 5353)
+        sock.enqueue(("10.9.9.9", 1000), datagram)
+        return fd
+
+    first = bound_socket(b"one")
+    sls.checkpoint(group, sync=True)
+    cluster.pump()
+    kernel.close(proc, first)
+    second = bound_socket(b"two")
+    newest = int(sls.checkpoint(group, sync=True).info.ckpt_id)
+    assert cluster.pump() == newest
+    open_fds = proc.fdtable.fds()
+    live_records = len(sls.store.merged_view(newest)[0])
+
+    machine.crash()
+    root = cluster.failover().root
+    assert root.fdtable.fds() == open_fds
+    restored = root.fdtable.get(second).fobj
+    assert restored.recvfrom()[0] == b"two"
+    for node in cluster.nodes:
+        info = node.sls.store.get_checkpoint(node.applied[newest])
+        assert info.live_oids is not None
+        records, _pages = node.sls.store.merged_view(info.ckpt_id)
+        assert len(records) == live_records
+
+
+def test_rebooting_a_healthy_replica_reconciles_to_nothing():
+    """A stream is a function of content alone: a rebooted node
+    re-derives byte-identical shards from its own store even though
+    its checkpoint ids differ from the primary's (whose SLSFS commits
+    interleave with the group's), so reconcile finds no divergence."""
+    from repro.kernel.fs.file import O_CREAT, O_RDWR
+
+    fx = Fixture(nodes=3)
+    kernel = fx.machine.kernel
+    fd = kernel.open(fx.proc, "/journal", O_CREAT | O_RDWR)
+    for step in range(6):
+        kernel.write(fx.proc, fd, b"line-%d" % step)
+        fx.commit(b"step-%d" % step, name=f"s{step}")
+        fx.cluster.pump()
+    node = fx.cluster.nodes[2]
+    assert list(node.applied) != list(node.applied.values())
+    fx.cluster.node_down(2)
+    fx.cluster.node_up(2)
+    report = fx.cluster.reconcile()
+    assert (report["divergent"], report["wire_segments"],
+            report["reconcile_bytes"]) == (0, 0, 0)
+
+
+def test_reconcile_rebuilds_a_corrupt_copy_from_its_differing_segments():
+    """The digest-diff path: one flipped byte on one replica's media is
+    found by the digest exchange, outvoted by the healthy majority,
+    and healed by shipping only the segments that differ."""
+    fx = Fixture(nodes=3)
+    first = fx.commit(b"x" * 64, name="v1")
+    # A delta of real pages, several segments long.
+    for page in range(4, 8):
+        fx.proc.vmspace.write(fx.addr + page * PAGE_SIZE,
+                              bytes([page]) * PAGE_SIZE)
+    newest = fx.commit(b"y" * 64, name="v2")
+    assert fx.cluster.pump() == newest
+    expected = fx.read(fx.proc, 64)
+
+    victim = fx.cluster.nodes[1]
+    info = victim.sls.store.get_checkpoint(victim.applied[newest])
+    extent = next(iter(next(iter(info.pages.values())).extents()))
+    media = victim.machine.storage
+    payload = media.read(extent)
+    media.discard_extent(extent)
+    media.write(extent, payload[:100] + bytes([payload[100] ^ 0xFF])
+                + payload[101:])
+    fx.cluster.node_down(1)
+    fx.cluster.node_up(1)
+
+    report = fx.cluster.reconcile()
+    segments = len(fx.cluster.shards_for(newest)[0])
+    assert report["divergent"] == 1
+    assert report["checkpoints"] == 1 and report["targets"] == 1
+    assert 0 < report["wire_segments"] < segments
+    assert report["local_segments"] == segments - report["wire_segments"]
+    assert report["reconcile_bytes"] <= \
+        report["wire_segments"] * SEGMENT_BYTES
+    assert first in victim.applied and newest in victim.applied
+    audit = fx.cluster.verify()
+    assert audit["fully_replicated"], audit
+    fx.machine.crash()
+    recovery = fx.cluster.recover(node_ids=[1, 2])
+    assert recovery.donor is victim
+    assert fx.read(recovery.result.root, 64) == expected

@@ -244,7 +244,7 @@ def test_bitflip_corrupts_record_detectably():
     info = store.commit(txn, sync=True)
     oid = next(iter(info.object_records))
     with pytest.raises(CorruptRecord):
-        store.read_object_record(info.object_records[oid])
+        store.read_object_records({oid: info.object_records[oid]})
 
 
 def test_seeded_random_plans_are_reproducible(schedule):

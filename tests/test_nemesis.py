@@ -184,7 +184,7 @@ def _check_heal_converges(pairs, seed):
     roots = set()
     for node in fx.cluster.nodes:
         manifests = fx.cluster._node_manifests(node)
-        roots.add(DigestTree(fx.cluster.layout, manifests).root)
+        roots.add(DigestTree(manifests).root)
     assert len(roots) == 1
     fx.machine.crash()
     recovery = fx.cluster.recover()

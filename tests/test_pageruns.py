@@ -5,7 +5,8 @@
 build / overlay chains / slice / lookup / encode→decode must agree
 page for page, the encoded bytes must not depend on how overlays cut
 the runs, GC adoption must hand over exactly the extents the per-page
-loop did, and incremental migration streams must be byte-identical.
+loop did, and a migration stream must be a function of the delta's
+content alone.
 """
 
 from __future__ import annotations
@@ -287,61 +288,76 @@ def test_commit_and_gc_build_the_tables_the_per_page_code_did(rounds, data):
             for ckpt_id, info in remounted.checkpoints.items()} == survivors
 
 
-# -- incremental migration streams ---------------------------------------------------
+# -- migration streams: canonical and complete ------------------------------------------
 
 
-def _reference_stream(sls, group_id, ckpt_id, since):
-    """``send_checkpoint(since=)`` rebuilt on the per-page model."""
-    store = sls.store
-    record_extents, page_locs = {}, {}
-    for info in store.parent_chain(ckpt_id):
-        if info.ckpt_id <= since:
-            break
-        for oid, extent in info.object_records.items():
-            record_extents.setdefault(oid, extent)
-        for oid, table in info.pages.items():
-            page_locs[oid] = ref_overlay(page_locs.get(oid, {}),
-                                         _as_map(table))
-    pages = {}
-    for oid, model in page_locs.items():
-        pages[str(oid)] = {
-            str(pindex): ({"seed": loc[1]} if loc[0] == "syn" else
-                          {"data": bytes(machine_read(store, loc))})
-            for pindex, loc in model.items()}
-    return serde.dumps({
-        "magic": migration.STREAM_MAGIC,
-        "group_id": group_id,
-        "ckpt_id": ckpt_id,
-        "since": since,
-        "records": {str(oid): list(store.read_object_record(extent,
-                                                            oid=oid)[1:])
-                    for oid, extent in record_extents.items()},
-        "pages": pages,
-    })
+def _restored_heap(sls, group_id, addr, **where):
+    root = sls.restore(group_id, **where).root
+    return root.vmspace.read(addr, 64 * PAGE_SIZE)
 
 
-def machine_read(store, loc):
-    payload = store.device.read(loc[1])
-    return payload[loc[2]:loc[2] + loc[3]].ljust(PAGE_SIZE, b"\x00")
+def test_stream_is_a_function_of_content_and_restores_identically():
+    """Two stores holding the same delta under different checkpoint
+    ids and extent offsets serialise it to identical bytes, and
+    ``recv(send(x))`` restores what the sender would — full and
+    incremental, synthetic and real pages, a ``sls_memckpt`` partial
+    on top."""
+    from repro.core.api import AuroraAPI
 
-
-def test_incremental_stream_is_byte_identical_to_the_per_page_merge():
     machine = Machine()
     sls = load_aurora(machine)
     proc = machine.kernel.spawn("mover")
     addr = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
     proc.vmspace.fill(addr, 64, seed=3)
     group = sls.attach(proc, periodic=False)
+    gid = group.group_id
     sls.checkpoint(group, sync=True)
-    base = group.last_complete_id
     for step, (start, count) in enumerate([(4, 20), (10, 3), (30, 8),
                                            (12, 30)]):
         proc.vmspace.touch(addr + start * PAGE_SIZE, count, seed=100 * step)
         proc.vmspace.write(addr + (start + 1) * PAGE_SIZE,
                            b"real-%d" % step)
+        # Adjacent real pages written by different checkpoints sit in
+        # different extents here, in one extent after a full receive.
+        proc.vmspace.write(addr + (50 + step) * PAGE_SIZE,
+                           b"adjacent-%d" % step)
         sls.checkpoint(group, sync=True)
-    last = group.last_complete_id
-    for since in (base, base + 2):
-        assert migration.send_checkpoint(
-            sls, group.group_id, ckpt_id=last, since=since) == \
-            _reference_stream(sls, group.group_id, last, since)
+    proc.vmspace.write(addr + 2 * PAGE_SIZE, b"partial")
+    AuroraAPI(sls, proc).sls_memckpt(addr, 64 * PAGE_SIZE, sync=True)
+    chain = sls.store.checkpoints_for(gid, include_partial=True)
+    assert chain[-1].partial
+    expected = proc.vmspace.read(addr, 64 * PAGE_SIZE)
+
+    # The follower's store already holds another group's checkpoints:
+    # every id and extent offset differs from the sender's.
+    follower = load_aurora(Machine())
+    txn = follower.store.begin_checkpoint(group_id=gid + 1)
+    txn.put_pages(MEM_OID, {0: Page(data=b"someone else's")})
+    follower.store.commit(txn, sync=True)
+    for info in chain:
+        stream = migration.serialize_checkpoint(
+            sls, gid, ckpt_id=info.ckpt_id, since=info.parent)
+        local = migration.recv_checkpoint(follower, stream)
+        assert local != info.ckpt_id
+        mine = follower.store.get_checkpoint(local)
+        assert mine.owned_extents != info.owned_extents
+        assert mine.live_oids == sls.store.effective_live_oids(info.ckpt_id)
+        assert migration.serialize_checkpoint(
+            follower, gid, ckpt_id=local, since=mine.parent) == stream
+    full = migration.serialize_checkpoint(sls, gid)
+    assert migration.serialize_checkpoint(follower, gid) == full
+    assert not {"ckpt_id", "since"} & set(serde.loads(full))
+
+    # A full receive packs what arrived as six deltas into one: same
+    # content, same bytes back out.
+    fresh = load_aurora(Machine())
+    migration.recv_checkpoint(fresh, full)
+    assert migration.serialize_checkpoint(fresh, gid) == full
+
+    assert _restored_heap(follower, gid, addr) == expected
+    assert _restored_heap(fresh, gid, addr) == expected
+    # An older point of the incrementally received chain, too.
+    middle = chain[2]
+    local_ids = [i.ckpt_id for i in follower.store.checkpoints_for(gid)]
+    assert _restored_heap(follower, gid, addr, ckpt_id=local_ids[2]) == \
+        _restored_heap(sls, gid, addr, ckpt_id=middle.ckpt_id)

@@ -14,8 +14,8 @@ Covers the resilience policy layer end to end:
   visible to ``sls events`` and the ``sls slo`` degraded budget.
 * Read-path self-healing: a corrupt record falls back to an ancestor
   delta's copy instead of failing the restore.
-* Replication link flaps: retry/reconnect with backoff, failover only
-  after the outage deadline.
+* Replication leg flaps: retry/reconnect with backoff; an outage never
+  promotes the standby over a live, leased primary.
 * ``sls scrub --repair``: scrubber findings promoted into applied
   fixes, re-scrub clean.
 * A Hypothesis property: any seeded schedule of *retryable* faults
@@ -29,13 +29,12 @@ import pytest
 
 from repro import Machine, load_aurora
 from repro.core import events, resilience, telemetry
+from repro.core.cluster import SLSCluster
 from repro.core.faults import (FaultPlan, InjectedCrash, INTERMITTENT,
                                TRANSIENT)
-from repro.core.replication import ReplicationLink
 from repro.core.resilience import GroupHealth, RetryPolicy
-from repro.errors import (CorruptRecord, LinkDown, NoSpace,
-                          RetriesExhausted, SLSError,
-                          TransientDeviceError)
+from repro.errors import (CorruptRecord, LeaseValid, LinkDown, NoSpace,
+                          RetriesExhausted, TransientDeviceError)
 from repro.hw.clock import SimClock
 from repro.hw.memory import Page
 from repro.objstore.oid import CLASS_MEMORY, make_oid
@@ -173,9 +172,9 @@ def test_transient_read_faults_are_absorbed_on_readback():
     store, infos = _store_with_chain(machine, nckpts=1)
     machine.set_fault_plan(
         FaultPlan(name="rblip").transient_at_read(0, times=2))
-    oid, otype, state = store.read_object_record(
-        infos[0].object_records[MEM_OID])
-    assert oid == MEM_OID and otype == "vmobject"
+    otype, _state = store.read_object_records(
+        {MEM_OID: infos[0].object_records[MEM_OID]})[MEM_OID]
+    assert otype == "vmobject"
     assert machine.fault_plan.events[0].op == "read"
 
 
@@ -438,87 +437,83 @@ def test_corrupt_record_with_no_fallback_still_fails_loudly():
                                                       primary))
 
 
-# -- replication link flaps ---------------------------------------------------------
+# -- replication leg flaps (the N = 1 cluster's single leg) --------------------------
 
 
 @pytest.fixture
-def pair():
+def standby():
     primary = Machine()
-    primary_sls = load_aurora(primary)
-    standby = Machine()
-    standby_sls = load_aurora(standby)
-    return primary, primary_sls, standby, standby_sls
-
-
-def _service(machine, sls):
-    proc = machine.kernel.spawn("svc")
+    sls = load_aurora(primary)
+    proc = primary.kernel.spawn("svc")
     addr = proc.vmspace.mmap(16 * PAGE_SIZE, name="heap")
     group = sls.attach(proc, name="svc", periodic=False)
-    return proc, group, addr
+    cluster = SLSCluster(sls, group, nodes=1, azs=1)
+    return primary, sls, proc, group, addr, cluster
 
 
-def test_link_flap_reconnects_with_backoff_and_ships(pair):
+def test_link_flap_reconnects_with_backoff_and_ships(standby):
     telemetry.reset()
-    primary, primary_sls, standby, standby_sls = pair
-    proc, group, addr = _service(primary, primary_sls)
-    link = ReplicationLink(primary_sls, standby_sls, group)
+    primary, sls, proc, group, addr, cluster = standby
+    link = cluster.links[0]
     proc.vmspace.write(addr, b"flap-state")
-    primary_sls.checkpoint(group, sync=True)
+    sls.checkpoint(group, sync=True)
     primary.set_fault_plan(FaultPlan(name="flap").flaky_link(times=2))
     before = primary.clock.now()
-    assert link.ship() == group.last_complete_id
+    assert cluster.pump() == group.last_complete_id
     assert primary.clock.now() > before, "reconnect paid no backoff"
     assert link.down_since is None and link.stats["outages"] == 0
-    assert len(events.log().matching(events.RETRY, op="replication.ship")) \
+    assert len(events.log().matching(events.RETRY, op="cluster.ship.n0")) \
         == 2
     primary.crash()
-    result = link.failover()
+    result = cluster.failover()
     assert result.root.vmspace.read(addr, 10) == b"flap-state"
     telemetry.reset()
 
 
-def test_link_outage_defers_failover_until_deadline(pair):
+def test_after_the_primary_dies_the_standby_serves_the_last_shipped_state(
+        standby):
     telemetry.reset()
-    primary, primary_sls, standby, standby_sls = pair
-    proc, group, addr = _service(primary, primary_sls)
-    link = ReplicationLink(primary_sls, standby_sls, group,
-                           failover_deadline_ns=30 * MSEC)
+    primary, sls, proc, group, addr, cluster = standby
+    link = cluster.links[0]
     proc.vmspace.write(addr, b"shipped-v1")
-    primary_sls.checkpoint(group, sync=True)
-    assert link.ship() == group.last_complete_id
+    sls.checkpoint(group, sync=True)
+    shipped = group.last_complete_id
+    assert cluster.pump() == shipped
 
     # A long outage: every reconnect attempt finds the link down.
     proc.vmspace.write(addr, b"stranded!!")
-    primary_sls.checkpoint(group, sync=True)
+    sls.checkpoint(group, sync=True)
     primary.set_fault_plan(FaultPlan(name="down").flaky_link(times=10_000))
-    assert link.ship() is None
+    assert cluster.pump() == shipped
     assert link.down_since is not None
     assert events.log().matching(events.LINK_DOWN)
 
-    # Before the deadline: failover is refused (keep retrying).
-    with pytest.raises(SLSError):
-        link.failover()
-    # After the deadline: the standby may take over, from the last
-    # shipped checkpoint (bounded loss).
+    # The primary is alive and holds its lease: an outage of any
+    # length is no licence to promote the standby.
     primary.clock.advance(31 * MSEC)
-    result = link.failover()
+    with pytest.raises(LeaseValid):
+        cluster.failover()
+    # Once it dies the standby takes over from the last shipped
+    # checkpoint (bounded loss).
+    primary.crash()
+    result = cluster.failover()
     assert result.root.vmspace.read(addr, 10) == b"shipped-v1"
-    assert events.log().matching(events.FAILOVER)
+    assert events.log().matching(events.PROMOTE, ckpt=shipped)
     telemetry.reset()
 
 
-def test_link_recovery_emits_link_up(pair):
+def test_link_recovery_emits_link_up(standby):
     telemetry.reset()
-    primary, primary_sls, standby, standby_sls = pair
-    proc, group, addr = _service(primary, primary_sls)
-    link = ReplicationLink(primary_sls, standby_sls, group)
+    primary, sls, proc, group, addr, cluster = standby
+    link = cluster.links[0]
     proc.vmspace.write(addr, b"first")
-    primary_sls.checkpoint(group, sync=True)
+    sls.checkpoint(group, sync=True)
+    newest = group.last_complete_id
     primary.set_fault_plan(FaultPlan(name="out").flaky_link(times=10))
-    assert link.ship() is None  # 5 attempts exhausted, 5 flaps left
+    assert not link.ship_checkpoint(newest)  # 5 attempts, 5 flaps left
     assert link.down_since is not None
-    assert link.ship() is None  # 5 more attempts: flap budget drains
-    assert link.ship() == group.last_complete_id  # link healed
+    assert not link.ship_checkpoint(newest)  # the flap budget drains
+    assert link.ship_checkpoint(newest)  # link healed
     assert link.down_since is None
     assert events.log().matching(events.LINK_UP)
     assert link.stats["outages"] == 1

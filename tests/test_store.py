@@ -119,14 +119,14 @@ def test_incremental_merged_view_newest_wins(store):
     info2 = store.commit(txn2, sync=True)
 
     records, pages = store.merged_view(info2.ckpt_id)
-    _oid, _otype, state = store.read_object_record(records[POSIX_OID])
+    _otype, state = store.read_object_records(records)[POSIX_OID]
     assert state == {"step": 2}
     assert store.fetch_page(pages[MEM_OID].lookup(0)).seed == 10
     assert store.fetch_page(pages[MEM_OID].lookup(1)).seed == 21
 
     # The older view is still intact (time travel).
     records1, pages1 = store.merged_view(info1.ckpt_id)
-    _o, _t, state1 = store.read_object_record(records1[POSIX_OID])
+    _t, state1 = store.read_object_records(records1)[POSIX_OID]
     assert state1 == {"step": 1}
     assert store.fetch_page(pages1[MEM_OID].lookup(1)).seed == 11
 

@@ -14,7 +14,10 @@ intended on-disk format change; the last one was the checkpoint
 metadata record's extent-grouped ``object_records`` index (both
 images) together with GC adopting record extents by reference and
 releasing the victim's extents after its flip (the fleet image, the
-only one that garbage-collects).  The digest must also not depend on process state: it is taken
+only one that garbage-collects); the cluster image alone moved once
+more when replica checkpoints began to carry the primary's live set
+(the wire stream's only effect on media) and ``segment_repaired``
+events lost ``pgs=``.  The digest must also not depend on process state: it is taken
 cold (a fresh interpreter, nothing memoised) and warm (repeated in
 this process) and must read the same.
 """
@@ -30,7 +33,7 @@ from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
 FLEET_SHA256 = "906cd1c55c0ad2889659289bc3704c9b945b92644e133dc1cb302c4cd3004cc3"
-CLUSTER_SHA256 = "c259f12693be1b66ba6f77d84e426d9899a33f17123fb0a4d512d3420fddc61d"
+CLUSTER_SHA256 = "e6b30563bca137a943147939f23a2bbb52e4968346ffdb48d73ce29787953d0b"
 
 
 def image_digest(machines) -> str:
