@@ -8,10 +8,10 @@
 # scratch output go to a fresh temporary directory (under $TMPDIR);
 # result files CI uploads (nemesis_seed*.json, BENCH_simscale_smoke.json)
 # land in the repository root.  Needs pytest and hypothesis for the
-# chaos and e2e targets; nothing is installed from here.
+# chaos, e2e and determinism targets; nothing is installed from here.
 set -euo pipefail
 
-TARGETS="scrub trace chaos cluster fleet blackbox nemesis e2e simscale"
+TARGETS="scrub trace chaos cluster fleet blackbox nemesis e2e simscale determinism"
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -184,6 +184,43 @@ smoke_e2e() {
 # wall-clock regressions without the full sweep's runtime.
 smoke_simscale() {
     python benchmarks/bench_simscale.py --smoke --output BENCH_simscale_smoke.json
+}
+
+# Same seed, same bytes and same simulated clock in every interpreter
+# process (ROADMAP 7(c)): the golden store-image test and the e2e smoke
+# under three string-hash seeds; the image digests must match their
+# pins (the test, warm and cold) and every metric that is not host time
+# must read the same in all three.
+smoke_determinism() {
+    for hashseed in 0 1 random; do
+        export PYTHONHASHSEED="$hashseed"
+        python -m pytest -q tests/test_store_image_golden.py
+        python -m benchmarks.e2e.run --smoke --out "$WORK/e2e.$hashseed.json" > /dev/null
+    done
+    unset PYTHONHASHSEED
+    python - "$WORK" <<'PY'
+import json, sys
+work = sys.argv[1]
+HOST = ("peak_rss_mb", "setup_s", "trace.coverage_pct", "trace.overhead_pct")
+def simulated(seed):
+    out = {}
+    (run,) = json.load(open(f"{work}/e2e.{seed}.json"))["runs"]
+    for workload, row in run["workloads"].items():
+        assert row["correct"], (seed, workload)
+        for kind in ("e2e", "per_layer"):
+            for name, metric in row[kind].items():
+                if "wall" not in name and name not in HOST:
+                    out[f"{workload}/{name}"] = metric["value"]
+    return out
+base = simulated("0")
+for seed in ("1", "random"):
+    other = simulated(seed)
+    moved = sorted(key for key in base.keys() | other.keys()
+                   if base.get(key) != other.get(key))
+    assert not moved, f"PYTHONHASHSEED={seed} moved {moved[:10]}"
+print(f"{len(base)} simulated metrics identical under "
+      f"PYTHONHASHSEED 0 / 1 / random")
+PY
 }
 
 target="${1:-}"

@@ -52,7 +52,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def load_aurora(machine, checkpoint_period_ns=None):
+def load_aurora(machine):
     """Load the Aurora modules on a booted machine.
 
     Formats the object store on first use, or recovers it (finding the
@@ -61,4 +61,4 @@ def load_aurora(machine, checkpoint_period_ns=None):
     """
     from .core.orchestrator import load_aurora as _load
 
-    return _load(machine, checkpoint_period_ns=checkpoint_period_ns)
+    return _load(machine)

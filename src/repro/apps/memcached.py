@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core import costs
+from ..core.telemetry import nearest_rank
 from ..errors import NoSuchFile
 from ..units import MiB, PAGE_SIZE, pages_of
 
@@ -47,8 +48,7 @@ class LoadStats:
         if self.samples:
             ordered = sorted(self.samples)
             self.latency_avg_ns = sum(ordered) // len(ordered)
-            self.latency_p95_ns = ordered[min(len(ordered) - 1,
-                                              (len(ordered) * 95) // 100)]
+            self.latency_p95_ns = nearest_rank(ordered, 95)
         return self
 
 

@@ -19,21 +19,39 @@ workload that the Table 2 verbs can then operate on.
     sls dump /tmp/aurora.img 2 -o core.elf
     sls send /tmp/aurora.img 2 -o app.stream
     sls recv /tmp/other.img app.stream
+
+A subcommand is one ``cmd_*`` handler plus one row of :data:`COMMANDS`
+(name, help line, handler, argument specs); the parser and dispatch are
+both built from that table, so that row is the only place a new
+subcommand is declared.  A printed table is one row template
+(:func:`_table`) shared by its header and its rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import pickle
 import sys
-from typing import Optional, Tuple
+from pathlib import Path
+from typing import Iterable, Optional, Tuple
 
 from ..errors import StoreError
 from ..machine import Machine
 from ..objstore.checkpoint import NO_PAGES
+from ..objstore.repair import repair
+from ..objstore.scrub import scrub
+from ..objstore.store import ObjectStore
 from ..units import KiB, MSEC, PAGE_SIZE, fmt_size, fmt_time
-from . import migration
+from . import events as events_mod
+from . import flightrec, migration
+from . import nemesis as nemesis_mod
+from . import slo as slo_mod
+from . import telemetry, tracing
+from .cluster import SLSCluster
 from .coredump import dump_process
+from .orchestrator import load_aurora
+from .pipeline import STAGE_ORDER, STOP_STAGES
 
 IMAGE_VERSION = 1
 
@@ -54,13 +72,11 @@ def _save_image(machine: Machine, path: str) -> None:
         "clock_ns": machine.clock.now(),
         "devices": [dict(dev._extents) for dev in machine.storage.devices],
     }
-    with open(path, "wb") as handle:
-        pickle.dump(image, handle)
+    Path(path).write_bytes(pickle.dumps(image))
 
 
 def _boot_from_image(path: str) -> Machine:
-    with open(path, "rb") as handle:
-        image = pickle.load(handle)
+    image = pickle.loads(Path(path).read_bytes())
     if image.get("version") != IMAGE_VERSION:
         raise SystemExit(f"unsupported image version in {path}")
     machine = Machine(start_ns=image["clock_ns"])
@@ -70,11 +86,8 @@ def _boot_from_image(path: str) -> Machine:
 
 
 def _load(path: str) -> Tuple[Machine, object]:
-    from .orchestrator import load_aurora
-
     machine = _boot_from_image(path)
-    sls = load_aurora(machine)
-    return machine, sls
+    return machine, load_aurora(machine)
 
 
 def _open_raw(path: str):
@@ -82,9 +95,6 @@ def _open_raw(path: str):
     scrubber and the black box read the raw device, so they must not
     go through :func:`_load`.  Returns ``(machine, sls, store)`` with
     ``sls`` None (and the store unmounted) when the mount failed."""
-    from ..objstore.store import ObjectStore
-    from .orchestrator import load_aurora
-
     machine = _boot_from_image(path)
     try:
         sls = load_aurora(machine)
@@ -93,13 +103,38 @@ def _open_raw(path: str):
     return machine, sls, sls.store
 
 
+def _restore_group(args):
+    """The prologue of every command that operates on one application:
+    boot the image and restore ``args.group`` with no periodic timer.
+    Returns ``(machine, orchestrator, restore result)``."""
+    machine, sls = _load(args.image)
+    return machine, sls, sls.restore(args.group, periodic=False)
+
+
+def _heap(proc):
+    """The demo app's heap map entry."""
+    return next(e for e in proc.vmspace.map if e.name == "heap")
+
+
+def _fields(fields) -> str:
+    """An event's set fields as ``key=value`` pairs."""
+    return " ".join(f"{key}={value}" for key, value in (fields or {}).items()
+                    if value is not None)
+
+
+def _table(template: str, header: Tuple, rows: Iterable[Tuple]) -> None:
+    """Print a table whose header and rows share one row template (so
+    a column's width is stated once)."""
+    print(template.format(*header))
+    for row in rows:
+        print(template.format(*row))
+
+
 # -- commands ------------------------------------------------------------------------
 
 
 def cmd_init(args) -> int:
     """``sls init``: format a fresh Aurora image."""
-    from .orchestrator import load_aurora
-
     machine = Machine()
     load_aurora(machine)
     _save_image(machine, args.image)
@@ -133,27 +168,19 @@ def cmd_ps(args) -> int:
     if not rows:
         print("no applications in the store")
         return 0
-    print(f"{'GROUP':>5}  {'NAME':<16} {'CKPTS':>5}  {'LATEST':>6}")
-    for row in rows:
-        print(f"{row['group_id']:>5}  {row['name']:<16} "
-              f"{row['checkpoints']:>5}  {row['latest_ckpt']:>6}")
+    _table("{:>5}  {:<16} {:>5}  {:>6}",
+           ("GROUP", "NAME", "CKPTS", "LATEST"),
+           ((row["group_id"], row["name"], row["checkpoints"],
+             row["latest_ckpt"]) for row in rows))
     return 0
-
-
-def _restore_app(args):
-    """Boot the image and restore ``args.group``'s demo app: machine,
-    orchestrator, group, root process, its heap entry and address."""
-    machine, sls = _load(args.image)
-    result = sls.restore(args.group, periodic=False)
-    proc = result.root
-    heap = next(e for e in proc.vmspace.map if e.name == "heap")
-    return (machine, sls, result.group, proc, heap,
-            heap.start_page * PAGE_SIZE)
 
 
 def cmd_run(args) -> int:
     """``sls run``: restore, do work with checkpoints, save."""
-    machine, sls, group, proc, heap, addr = _restore_app(args)
+    machine, sls, result = _restore_group(args)
+    group, proc = result.group, result.root
+    heap = _heap(proc)
+    addr = heap.start_page * PAGE_SIZE
     step = int(proc.vmspace.read(addr + 64, 8).rstrip(b"\x00") or b"0")
     period = group.period_ns
     deadline = machine.clock.now() + args.millis * MSEC
@@ -181,10 +208,10 @@ def _measure(args, slo_targets=None):
     left untouched.  ``slo_targets`` are installed before the run so
     violations are counted against them.
     """
-    machine, sls = _load(args.image)
+    machine, sls, result = _restore_group(args)
     if slo_targets is not None:
         sls.slo.targets = slo_targets
-    group = sls.restore(args.group, periodic=False).group
+    group = result.group
     for _ in range(args.checkpoints):
         machine.run_for(group.period_ns)
         sls.checkpoint(group, sync=True)
@@ -222,9 +249,6 @@ def _drive_tenants(args, probe_every: Optional[int] = None):
 
 def cmd_stat(args) -> int:
     """``sls stat``: per-group per-stage checkpoint breakdown."""
-    from . import telemetry
-    from .pipeline import STAGE_ORDER, STOP_STAGES
-
     _machine, _sls, group = _measure(args)
 
     registry = telemetry.registry()
@@ -233,17 +257,15 @@ def cmd_stat(args) -> int:
                   key=lambda row: order.get(row["stage"], len(order)))
     print(f"group {group.group_id} ({group.name}): "
           f"{group.stats['checkpoints']} checkpoint(s) measured")
-    print(f"{'STAGE':<10} {'KIND':<8} {'COUNT':>5} {'TOTAL':>12} "
-          f"{'MEAN':>12} {'P50':>12} {'P95':>12} {'P99':>12} {'MAX':>12}")
-    for row in rows:
-        kind = "stop" if row["stage"] in STOP_STAGES else "overlap"
-        print(f"{row['stage']:<10} {kind:<8} {row['count']:>5} "
-              f"{fmt_time(row['total_ns']):>12} "
-              f"{fmt_time(int(row['mean_ns'])):>12} "
-              f"{fmt_time(row['p50_ns']):>12} "
-              f"{fmt_time(row['p95_ns']):>12} "
-              f"{fmt_time(row['p99_ns']):>12} "
-              f"{fmt_time(row['max_ns']):>12}")
+    _table("{:<10} {:<8} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+           ("STAGE", "KIND", "COUNT", "TOTAL", "MEAN", "P50", "P95", "P99",
+            "MAX"),
+           ((row["stage"],
+             "stop" if row["stage"] in STOP_STAGES else "overlap",
+             row["count"], fmt_time(row["total_ns"]),
+             fmt_time(int(row["mean_ns"])), fmt_time(row["p50_ns"]),
+             fmt_time(row["p95_ns"]), fmt_time(row["p99_ns"]),
+             fmt_time(row["max_ns"])) for row in rows))
     checkpoints = max(group.stats["checkpoints"], 1)
     print(f"stop time: mean "
           f"{fmt_time(group.stats['stop_ns_total'] // checkpoints)}, "
@@ -281,18 +303,13 @@ def cmd_trace(args) -> int:
     Chrome ``trace_event`` document (``--chrome``, Perfetto-loadable)
     and/or prints a per-checkpoint critical-path summary.
     """
-    import json
-
-    from . import tracing
-
     _machine, _sls, group = _measure(args)
 
     traces = tracing.tracer().traces(group=group.group_id)
     if args.chrome:
         doc = tracing.chrome_trace(traces)
         tracing.validate_chrome_trace(doc)
-        with open(args.chrome, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        Path(args.chrome).write_text(json.dumps(doc), encoding="utf-8")
         print(f"wrote {len(doc['traceEvents'])} trace events to "
               f"{args.chrome}")
     ckpts = [t for t in traces if t.kind == tracing.CHECKPOINT]
@@ -316,10 +333,6 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """``sls metrics``: registry export (Prometheus text or JSON)."""
-    import json
-
-    from . import telemetry, tracing
-
     _measure(args)
     if args.format == "prom":
         payload = tracing.prometheus_text(telemetry.registry())
@@ -327,8 +340,7 @@ def cmd_metrics(args) -> int:
         payload = json.dumps(tracing.metrics_json(telemetry.registry()),
                              indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        Path(args.output).write_text(payload, encoding="utf-8")
         print(f"wrote metrics to {args.output}")
     else:
         sys.stdout.write(payload)
@@ -337,34 +349,26 @@ def cmd_metrics(args) -> int:
 
 def cmd_events(args) -> int:
     """``sls events``: the structured event log of the measurement run."""
-    from . import events as events_mod
-    from . import telemetry
-
     _measure(args)
     log = events_mod.log()
     registry = telemetry.registry()
     dropped = registry.value("sls.telemetry.events_dropped")
     traces_dropped = registry.value("sls.telemetry.traces_dropped")
-    entries = list(log)
-    if args.kind:
-        entries = [e for e in entries if e.kind.startswith(args.kind)]
-    if args.since is not None:
-        entries = [e for e in entries if e.time_ns >= args.since]
+    entries = [e for e in log if e.kind.startswith(args.kind or "")
+               and (args.since is None or e.time_ns >= args.since)]
     shown = entries[-args.limit:] if args.limit else entries
     print(f"events: {len(log)} retained, events_dropped={dropped}, "
           f"traces_dropped={traces_dropped}")
-    print(f"{'TIME':>14}  {'TRACE':>6}  {'KIND':<18} FIELDS")
+    rows = [(fmt_time(event.time_ns),
+             "-" if event.trace_id is None else event.trace_id, event.kind,
+             _fields(event.fields)) for event in shown]
     if dropped:
         # The ring wrapped: history older than the listing was
         # evicted; mark the discontinuity explicitly.
-        print(f"{'...':>14}  {'-':>6}  {'(gap)':<18} "
-              f"{dropped} earlier event(s) evicted by ring wrap")
-    for event in shown:
-        trace = event.trace_id if event.trace_id is not None else "-"
-        fields = " ".join(f"{k}={v}" for k, v in event.fields.items()
-                          if v is not None)
-        print(f"{fmt_time(event.time_ns):>14}  {trace:>6}  "
-              f"{event.kind:<18} {fields}")
+        rows.insert(0, ("...", "-", "(gap)",
+                        f"{dropped} earlier event(s) evicted by ring wrap"))
+    _table("{:>14}  {:>6}  {:<18} {}", ("TIME", "TRACE", "KIND", "FIELDS"),
+           rows)
     print(f"{len(shown)} of {len(log)} event(s) in the log")
     return 0
 
@@ -379,10 +383,9 @@ def cmd_cluster(args) -> int:
     repair summaries.  With ``--failover`` the primary is crashed at
     the end and the best standby promoted.
     """
-    from . import telemetry
-    from .cluster import SLSCluster
-
-    machine, sls, group, proc, _heap, addr = _restore_app(args)
+    machine, sls, result = _restore_group(args)
+    group, proc = result.group, result.root
+    addr = _heap(proc).start_page * PAGE_SIZE
     cluster = SLSCluster(sls, group, nodes=args.nodes, azs=args.azs,
                          segment_bytes=args.segment_bytes)
     outage_at = (args.checkpoints // 2
@@ -412,13 +415,13 @@ def cmd_cluster(args) -> int:
           f"{status['azs']} AZ(s), write quorum "
           f"{status['write_quorum']}, read quorum "
           f"{status['read_quorum']}")
-    print(f"{'NODE':>4} {'AZ':>3} {'STATE':<9} {'APPLIED':>8} "
-          f"{'LAG':>4} {'STREAMS':>8} {'BYTES':>10}")
-    for row in status["nodes"]:
-        applied = row["applied"] if row["applied"] is not None else "-"
-        print(f"{row['node']:>4} {row['az']:>3} {row['state']:<9} "
-              f"{applied:>8} {row['lag']:>4} {row['streams']:>8} "
-              f"{fmt_size(row['bytes']):>10}")
+    _table("{:>4} {:>3} {:<9} {:>8} {:>4} {:>8} {:>10}",
+           ("NODE", "AZ", "STATE", "APPLIED", "LAG", "STREAMS", "BYTES"),
+           ((row["node"], row["az"], row["state"],
+             "-" if row["applied"] is None else row["applied"],
+             "-" if row["lag"] is None else row["lag"],
+             row["streams"], fmt_size(row["bytes"]))
+            for row in status["nodes"]))
     print(f"durable watermark: checkpoint {status['durable']}; "
           f"quorum lag p50 {fmt_time(status['quorum_lag_p50_ns'])}; "
           f"inter-AZ traffic {status['inter_az_pretty']}")
@@ -455,10 +458,6 @@ def cmd_nemesis(args) -> int:
     no image: every campaign boots its own cluster.  Exit status 1
     when any invariant is violated.
     """
-    import json
-
-    from . import nemesis as nemesis_mod
-
     if args.list:
         for name in sorted(nemesis_mod.CAMPAIGNS):
             print(name)
@@ -482,22 +481,18 @@ def cmd_nemesis(args) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} campaign(s) "
           f"passed at seed {args.seed}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump({"seed": args.seed,
-                       "campaigns": [r.as_dict() for r in results]},
-                      handle, indent=2)
+        Path(args.json).write_text(json.dumps(
+            {"seed": args.seed, "campaigns": [r.as_dict() for r in results]},
+            indent=2), encoding="utf-8")
         print(f"wrote campaign results to {args.json}")
     return 1 if failed else 0
 
 
 def cmd_slo(args) -> int:
     """``sls slo``: RPO-lag / stop-time budget compliance report."""
-    from . import slo as slo_mod
-    from ..units import MSEC as _MSEC
-
-    targets = slo_mod.SLOTargets(rpo_ns=int(args.rpo_ms * _MSEC),
-                                 stop_ns=int(args.stop_ms * _MSEC),
-                                 degraded_ns=int(args.degraded_ms * _MSEC))
+    targets = slo_mod.SLOTargets(rpo_ns=int(args.rpo_ms * MSEC),
+                                 stop_ns=int(args.stop_ms * MSEC),
+                                 degraded_ns=int(args.degraded_ms * MSEC))
     _machine, sls, group = _measure(args, slo_targets=targets)
 
     rows = sls.slo.report(group.group_id)
@@ -548,22 +543,23 @@ def cmd_fleet(args) -> int:
     """
     sls = _drive_tenants(args, probe_every=args.probe_every)
 
-    rows = sls.fleet.report()
-    print(f"{'GROUP':>5}  {'NAME':<10} {'PERIOD':>8} {'EFFECTIVE':>9} "
-          f"{'DEMAND':>10} {'SHARE':>6} {'CKPTS':>5} {'MISS':>4} "
-          f"{'SKIP':>4} {'DEGRADED':<8} {'PROBE':>5} {'P99 RPO':>12}")
-    for row in rows:
-        state = sls.slo.groups.get(row["group"])
-        p99 = (state.series["rpo_lag"].percentile(99)
-               if state is not None else 0)
-        print(f"{row['group']:>5}  {row['name']:<10} "
-              f"{fmt_time(row['period_ns']):>8} "
-              f"{fmt_time(row['effective_period_ns']):>9} "
-              f"{fmt_size(row['demand_bps']):>8}/s "
-              f"{row['demand_share'] * 100:>5.1f}% "
-              f"{row['checkpoints']:>5} {row['deadline_misses']:>4} "
-              f"{row['flush_skips']:>4} {row['degraded'] or '-':<8} "
-              f"{row['probe_every']:>5} {fmt_time(p99):>12}")
+    def p99_rpo(group_id: int) -> int:
+        state = sls.slo.groups.get(group_id)
+        return (state.series["rpo_lag"].percentile(99)
+                if state is not None else 0)
+
+    _table("{:>5}  {:<10} {:>8} {:>9} {:>10} {:>6} {:>5} {:>4} {:>4} "
+           "{:<8} {:>5} {:>12}",
+           ("GROUP", "NAME", "PERIOD", "EFFECTIVE", "DEMAND", "SHARE",
+            "CKPTS", "MISS", "SKIP", "DEGRADED", "PROBE", "P99 RPO"),
+           ((row["group"], row["name"], fmt_time(row["period_ns"]),
+             fmt_time(row["effective_period_ns"]),
+             fmt_size(row["demand_bps"]) + "/s",
+             f"{row['demand_share'] * 100:.1f}%", row["checkpoints"],
+             row["deadline_misses"], row["flush_skips"],
+             row["degraded"] or "-", row["probe_every"],
+             fmt_time(p99_rpo(row["group"])))
+            for row in sls.fleet.report()))
     summary = sls.fleet.summary()
     fairness = summary["fairness"]
     print(f"fleet: {summary['tenants']} tenant(s), demand "
@@ -592,8 +588,6 @@ def cmd_scrub(args) -> int:
     shadow chains) are repaired in place, the image is rewritten, and
     a re-scrub decides the exit status.
     """
-    from ..objstore.scrub import scrub
-
     machine, sls, store = _open_raw(args.image)
     report = scrub(store, sls=sls)
     print(f"scrub of {args.image}: generation {report.generation}, "
@@ -609,10 +603,8 @@ def cmd_scrub(args) -> int:
         where = (f" [ckpt {finding.ckpt_id}]"
                  if finding.ckpt_id is not None else "")
         print(f"  {finding.kind}{where}: {finding.detail}")
-    if not getattr(args, "repair", False):
+    if not args.repair:
         return 1
-
-    from ..objstore.repair import repair
 
     fixes = repair(store, report, sls=sls)
     print(f"repair: {fixes.applied} fix(es) applied, "
@@ -643,8 +635,6 @@ def cmd_blackbox(args) -> int:
     catalog is too damaged for ``load_aurora``.  Exit status 1 when
     the image predates the recorder (no anchor in any superblock).
     """
-    from . import flightrec
-
     _machine, _sls, store = _open_raw(args.image)
     box = flightrec.blackbox(store)
     if box is None:
@@ -665,19 +655,13 @@ def cmd_blackbox(args) -> int:
               f"rpo_burn={row.get('rpo_burn_milli', 0)}m "
               f"quorum_burn={row.get('quorum_burn_milli', 0)}m "
               f"degraded={'open' if row.get('degraded_open') else '-'}")
-    limit = args.limit
     timeline = box.timeline()
-    shown = timeline[-limit:] if limit else timeline
-    print(f"{'TIME':>14}  {'TRACE':>6}  {'KIND':<24} FIELDS")
-    for row in shown:
-        trace = row.get("trace_id")
-        fields = " ".join(f"{k}={v}"
-                          for k, v in (row.get("fields") or {}).items()
-                          if v is not None)
-        marker = " *" if row.get("synthetic") else ""
-        print(f"{fmt_time(row['time_ns']):>14}  "
-              f"{trace if trace is not None else '-':>6}  "
-              f"{row['kind']:<24} {fields}{marker}")
+    shown = timeline[-args.limit:] if args.limit else timeline
+    _table("{:>14}  {:>6}  {:<24} {}", ("TIME", "TRACE", "KIND", "FIELDS"),
+           ((fmt_time(row["time_ns"]),
+             "-" if row.get("trace_id") is None else row["trace_id"],
+             row["kind"], _fields(row.get("fields"))
+             + (" *" if row.get("synthetic") else "")) for row in shown))
     last = box.last_durable
     if last is not None:
         fields = last.get("fields") or {}
@@ -701,30 +685,27 @@ def cmd_top(args) -> int:
     (1000m = consuming exactly the budget; alerts fire at 2000m).
     The image is not modified.
     """
-    from . import events as events_mod
-
     sls = _drive_tenants(args)
 
     fleet_rows = {row["group"]: row for row in sls.fleet.report()}
-    print(f"{'GROUP':>5}  {'TENANT':<10} {'CKPTS':>5} "
-          f"{'RPO BURN':>8} {'QUORUM BURN':>11} {'P99 QLAG':>10} "
-          f"{'RECONCILE':>9} {'STALE':>9} "
-          f"{'DEGRADED':<8} {'MISS':>4} {'ALERTS':>6}")
-    for row in sls.slo.report():
+
+    def top_row(row):
         fleet = fleet_rows.get(row["group"], {})
-        qlag = row["quorum_lag"]
         recon = row["reconcile_bytes"]
         stale = row["stale_primary"]
-        print(f"{row['group']:>5}  {row['tenant'] or '-':<10} "
-              f"{row['commits']:>5} "
-              f"{row['rpo_burn_milli']:>7}m "
-              f"{row['quorum_burn_milli']:>10}m "
-              f"{fmt_time(qlag['p99']):>10} "
-              f"{fmt_size(recon['max']) if recon['count'] else '-':>9} "
-              f"{fmt_time(stale['max']) if stale['count'] else '-':>9} "
-              f"{fleet.get('degraded') or '-':<8} "
-              f"{fleet.get('deadline_misses', 0):>4} "
-              f"{row['alerts']:>6}")
+        return (row["group"], row["tenant"] or "-", row["commits"],
+                f"{row['rpo_burn_milli']}m", f"{row['quorum_burn_milli']}m",
+                fmt_time(row["quorum_lag"]["p99"]),
+                fmt_size(recon["max"]) if recon["count"] else "-",
+                fmt_time(stale["max"]) if stale["count"] else "-",
+                fleet.get("degraded") or "-",
+                fleet.get("deadline_misses", 0), row["alerts"])
+
+    _table("{:>5}  {:<10} {:>5} {:>8} {:>11} {:>10} {:>9} {:>9} {:<8} "
+           "{:>4} {:>6}",
+           ("GROUP", "TENANT", "CKPTS", "RPO BURN", "QUORUM BURN",
+            "P99 QLAG", "RECONCILE", "STALE", "DEGRADED", "MISS", "ALERTS"),
+           map(top_row, sls.slo.report()))
     alerts = events_mod.log().matching(kind=events_mod.SLO_ALERT)
     print(f"{len(alerts)} burn-rate alert(s)")
     for event in alerts[-args.limit:] if args.limit else alerts:
@@ -738,8 +719,7 @@ def cmd_top(args) -> int:
 
 def cmd_checkpoint(args) -> int:
     """``sls checkpoint``: take a named full checkpoint."""
-    machine, sls = _load(args.image)
-    result = sls.restore(args.group, periodic=False)
+    machine, sls, result = _restore_group(args)
     res = sls.checkpoint(result.group, name=args.name or "",
                          full=True, sync=True)
     _save_image(machine, args.image)
@@ -769,19 +749,17 @@ def cmd_history(args) -> int:
     if not chain:
         print(f"group {args.group} has no checkpoints")
         return 1
-    print(f"{'CKPT':>6}  {'NAME':<16} {'KIND':<8} {'TIME':>12}  {'DATA':>10}")
-    for info in chain:
-        kind = "partial" if info.partial else "full"
-        print(f"{info.ckpt_id:>6}  {(info.name or '-'):<16} {kind:<8} "
-              f"{fmt_time(info.time_ns):>12}  "
-              f"{fmt_size(info.data_bytes):>10}")
+    _table("{:>6}  {:<16} {:<8} {:>12}  {:>10}",
+           ("CKPT", "NAME", "KIND", "TIME", "DATA"),
+           ((info.ckpt_id, info.name or "-",
+             "partial" if info.partial else "full", fmt_time(info.time_ns),
+             fmt_size(info.data_bytes)) for info in chain))
     return 0
 
 
 def cmd_suspend(args) -> int:
     """``sls suspend``: final checkpoint, tear the app down."""
-    machine, sls = _load(args.image)
-    result = sls.restore(args.group, periodic=False)
+    machine, sls, result = _restore_group(args)
     ckpt_id = sls.suspend(result.group)
     _save_image(machine, args.image)
     print(f"suspended group {args.group} into checkpoint {ckpt_id}")
@@ -790,8 +768,7 @@ def cmd_suspend(args) -> int:
 
 def cmd_resume(args) -> int:
     """``sls resume``: bring a suspended app back."""
-    machine, sls = _load(args.image)
-    result = sls.restore(args.group, periodic=False)
+    machine, _sls, result = _restore_group(args)
     _save_image(machine, args.image)
     print(f"resumed group {args.group}: root pid {result.root.pid}")
     return 0
@@ -799,12 +776,10 @@ def cmd_resume(args) -> int:
 
 def cmd_dump(args) -> int:
     """``sls dump``: write an ELF core of the restored state."""
-    _machine, sls = _load(args.image)
-    result = sls.restore(args.group, periodic=False)
+    _machine, sls, result = _restore_group(args)
     info = sls.store.get_checkpoint(result.ckpt_id)
     core = dump_process(result.root)
-    with open(args.output, "wb") as handle:
-        handle.write(core)
+    Path(args.output).write_bytes(core)
     print(f"wrote {fmt_size(len(core))} ELF core to {args.output}")
     print(f"source checkpoint {info.ckpt_id}: "
           f"{len(info.object_records)} record(s) in delta, "
@@ -868,8 +843,7 @@ def cmd_send(args) -> int:
     """``sls send``: serialize an app into a stream file."""
     _machine, sls = _load(args.image)
     stream = migration.send_checkpoint(sls, args.group)
-    with open(args.output, "wb") as handle:
-        handle.write(stream)
+    Path(args.output).write_bytes(stream)
     print(f"serialized group {args.group} into {args.output} "
           f"({fmt_size(len(stream))})")
     return 0
@@ -878,12 +852,147 @@ def cmd_send(args) -> int:
 def cmd_recv(args) -> int:
     """``sls recv``: import a stream into another image."""
     machine, sls = _load(args.image)
-    with open(args.stream, "rb") as handle:
-        stream = handle.read()
-    ckpt_id = migration.recv_checkpoint(sls, stream)
+    ckpt_id = migration.recv_checkpoint(sls, Path(args.stream).read_bytes())
     _save_image(machine, args.image)
     print(f"received checkpoint {ckpt_id} into {args.image}")
     return 0
+
+
+def _arg(*flags, **spec):
+    """One ``add_argument`` call, as data."""
+    return flags, spec
+
+
+def _checkpoints(default: int, what: str = "measurement checkpoints to run"):
+    """The ``--checkpoints`` option, whose help quotes its default."""
+    return _arg("--checkpoints", type=int, default=default,
+                help=f"{what} (default {default})")
+
+
+IMAGE = _arg("image")
+GROUP = _arg("group", type=int)
+OUTPUT = _arg("-o", "--output", required=True)
+
+#: Every subcommand, once: ``(name, help line, handler, argument
+#: specs)``.  :func:`build_parser` turns each row into a subparser
+#: whose ``func`` default is the handler :func:`main` dispatches to.
+COMMANDS = (
+    ("init", "format a new Aurora image", cmd_init, (IMAGE,)),
+    ("spawn", "create and attach a demo app", cmd_spawn, (
+        IMAGE, _arg("name"),
+        _arg("--memory-kib", type=int, default=256),
+        _arg("--period-ms", type=int, default=10))),
+    ("ps", "list applications in Aurora", cmd_ps, (IMAGE,)),
+    ("run", "advance an app with checkpoints", cmd_run, (
+        IMAGE, GROUP, _arg("--millis", type=int, default=100))),
+    ("checkpoint", "take a named checkpoint", cmd_checkpoint, (
+        IMAGE, GROUP, _arg("--name"))),
+    ("stat", "per-stage checkpoint telemetry", cmd_stat, (
+        IMAGE, GROUP, _checkpoints(3))),
+    ("scrub", "verify store integrity offline", cmd_scrub, (
+        IMAGE,
+        _arg("--repair", action="store_true",
+             help="apply mechanical fixes, rewrite the image, and "
+                  "re-scrub"))),
+    ("trace", "export causal checkpoint traces", cmd_trace, (
+        IMAGE, GROUP, _checkpoints(20),
+        _arg("--chrome", metavar="PATH",
+             help="write a Chrome trace_event JSON document"),
+        _arg("--show", type=int, default=3,
+             help="checkpoint traces to summarize (default 3)"))),
+    ("metrics", "export telemetry metrics", cmd_metrics, (
+        IMAGE, GROUP, _checkpoints(10),
+        _arg("--format", choices=("prom", "json"), default="prom"),
+        _arg("-o", "--output"))),
+    ("events", "structured event log of a run", cmd_events, (
+        IMAGE, GROUP, _checkpoints(10),
+        _arg("--limit", type=int, default=0,
+             help="only show the newest N events"),
+        _arg("--kind", default=None,
+             help="only events whose kind has this prefix"),
+        _arg("--since", type=int, default=None, metavar="NS",
+             help="only events at or after this sim time (ns)"))),
+    ("blackbox", "recover a crashed image's flight recorder",
+     cmd_blackbox, (
+        IMAGE,
+        _arg("--limit", type=int, default=0,
+             help="only show the newest N timeline rows"))),
+    ("top", "per-tenant SLO burn-rate table", cmd_top, (
+        IMAGE,
+        _arg("--tenants", type=int, default=4,
+             help="synthetic tenants to admit (default 4)"),
+        _arg("--millis", type=int, default=400,
+             help="simulated milliseconds to run (default 400)"),
+        _arg("--limit", type=int, default=0,
+             help="only show the newest N alerts"))),
+    ("cluster", "quorum-replicated cluster status", cmd_cluster, (
+        IMAGE, GROUP,
+        _arg("--nodes", type=int, default=6,
+             help="replica nodes (default 6)"),
+        _arg("--azs", type=int, default=3,
+             help="availability zones (default 3)"),
+        _checkpoints(10, "checkpoints to run and replicate"),
+        _arg("--segment-bytes", type=int, default=4 * KiB,
+             help="segment size for sharded streams"),
+        _arg("--az-outage", type=int, default=None, metavar="AZ",
+             help="fail this AZ halfway through the run"),
+        _arg("--repair", action="store_true",
+             help="segment-repair rejoining nodes after the outage"),
+        _arg("--failover", action="store_true",
+             help="crash the primary at the end and promote a standby "
+                  "(image is left untouched)"),
+        _arg("--force", action="store_true",
+             help="failover even while the primary's lease is still "
+                  "valid"),
+        _arg("--force-data-loss", action="store_true",
+             help="with --force: allow promoting a node behind the "
+                  "quorum watermark, discarding acknowledged "
+                  "checkpoints"))),
+    ("nemesis", "seeded partition campaigns with hard consistency "
+                "invariants", cmd_nemesis, (
+        _arg("--seed", type=int, default=7,
+             help="campaign seed (default 7)"),
+        _arg("--campaign", action="append", metavar="NAME",
+             help="run only this campaign (repeatable; default: all)"),
+        _arg("--list", action="store_true",
+             help="list campaign names and exit"),
+        _arg("--json", metavar="PATH",
+             help="write campaign results as JSON"))),
+    ("slo", "RPO / stop-time SLO compliance", cmd_slo, (
+        IMAGE, GROUP, _checkpoints(50),
+        _arg("--rpo-ms", type=float, default=10.0,
+             help="recovery-point budget in ms (default 10)"),
+        _arg("--stop-ms", type=float, default=1.0,
+             help="stop-time budget in ms (default 1)"),
+        _arg("--degraded-ms", type=float, default=50.0,
+             help="cumulative degraded-time budget in ms (default 50)"))),
+    ("fleet", "fleet scheduler per-tenant table", cmd_fleet, (
+        IMAGE,
+        _arg("--tenants", type=int, default=8,
+             help="synthetic tenants to admit (default 8)"),
+        _arg("--millis", type=int, default=200,
+             help="simulated run length in ms (default 200)"),
+        _arg("--probe-every", type=int, default=None,
+             help="degraded disk-probe cadence (default: per-group "
+                  "DEFAULT_PROBE_EVERY)"))),
+    ("restore", "restore an application", cmd_restore, (
+        IMAGE, GROUP, _arg("--ckpt", type=int),
+        _arg("--lazy", action="store_true"))),
+    ("history", "list an app's checkpoints", cmd_history, (IMAGE, GROUP)),
+    ("suspend", "suspend an app into the store", cmd_suspend,
+     (IMAGE, GROUP)),
+    ("resume", "resume a suspended app", cmd_resume, (IMAGE, GROUP)),
+    ("diff", "changes between two checkpoints", cmd_diff, (
+        IMAGE, GROUP,
+        _arg("ckpt_a", type=int, nargs="?",
+             help="older checkpoint (default: second newest)"),
+        _arg("ckpt_b", type=int, nargs="?",
+             help="newer checkpoint (default: newest)"))),
+    ("dump", "write an ELF coredump", cmd_dump, (IMAGE, GROUP, OUTPUT)),
+    ("send", "serialize an app to a stream", cmd_send,
+     (IMAGE, GROUP, OUTPUT)),
+    ("recv", "import an app stream", cmd_recv, (IMAGE, _arg("stream"))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -891,212 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sls", description="Aurora single level store CLI (simulated)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("init", help="format a new Aurora image")
-    p.add_argument("image")
-    p.set_defaults(func=cmd_init)
-
-    p = sub.add_parser("spawn", help="create and attach a demo app")
-    p.add_argument("image")
-    p.add_argument("name")
-    p.add_argument("--memory-kib", type=int, default=256)
-    p.add_argument("--period-ms", type=int, default=10)
-    p.set_defaults(func=cmd_spawn)
-
-    p = sub.add_parser("ps", help="list applications in Aurora")
-    p.add_argument("image")
-    p.set_defaults(func=cmd_ps)
-
-    p = sub.add_parser("run", help="advance an app with checkpoints")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--millis", type=int, default=100)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("checkpoint", help="take a named checkpoint")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--name")
-    p.set_defaults(func=cmd_checkpoint)
-
-    p = sub.add_parser("stat", help="per-stage checkpoint telemetry")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--checkpoints", type=int, default=3,
-                   help="measurement checkpoints to run (default 3)")
-    p.set_defaults(func=cmd_stat)
-
-    p = sub.add_parser("scrub", help="verify store integrity offline")
-    p.add_argument("image")
-    p.add_argument("--repair", action="store_true",
-                   help="apply mechanical fixes, rewrite the image, "
-                        "and re-scrub")
-    p.set_defaults(func=cmd_scrub)
-
-    p = sub.add_parser("trace", help="export causal checkpoint traces")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--checkpoints", type=int, default=20,
-                   help="measurement checkpoints to run (default 20)")
-    p.add_argument("--chrome", metavar="PATH",
-                   help="write a Chrome trace_event JSON document")
-    p.add_argument("--show", type=int, default=3,
-                   help="checkpoint traces to summarize (default 3)")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("metrics", help="export telemetry metrics")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--checkpoints", type=int, default=10,
-                   help="measurement checkpoints to run (default 10)")
-    p.add_argument("--format", choices=("prom", "json"), default="prom")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("events", help="structured event log of a run")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--checkpoints", type=int, default=10,
-                   help="measurement checkpoints to run (default 10)")
-    p.add_argument("--limit", type=int, default=0,
-                   help="only show the newest N events")
-    p.add_argument("--kind", default=None,
-                   help="only events whose kind has this prefix")
-    p.add_argument("--since", type=int, default=None, metavar="NS",
-                   help="only events at or after this sim time (ns)")
-    p.set_defaults(func=cmd_events)
-
-    p = sub.add_parser("blackbox",
-                       help="recover a crashed image's flight recorder")
-    p.add_argument("image")
-    p.add_argument("--limit", type=int, default=0,
-                   help="only show the newest N timeline rows")
-    p.set_defaults(func=cmd_blackbox)
-
-    p = sub.add_parser("top", help="per-tenant SLO burn-rate table")
-    p.add_argument("image")
-    p.add_argument("--tenants", type=int, default=4,
-                   help="synthetic tenants to admit (default 4)")
-    p.add_argument("--millis", type=int, default=400,
-                   help="simulated milliseconds to run (default 400)")
-    p.add_argument("--limit", type=int, default=0,
-                   help="only show the newest N alerts")
-    p.set_defaults(func=cmd_top)
-
-    p = sub.add_parser("cluster", help="quorum-replicated cluster status")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--nodes", type=int, default=6,
-                   help="replica nodes (default 6)")
-    p.add_argument("--azs", type=int, default=3,
-                   help="availability zones (default 3)")
-    p.add_argument("--checkpoints", type=int, default=10,
-                   help="checkpoints to run and replicate (default 10)")
-    p.add_argument("--segment-bytes", type=int, default=4 * KiB,
-                   help="segment size for sharded streams")
-    p.add_argument("--az-outage", type=int, default=None, metavar="AZ",
-                   help="fail this AZ halfway through the run")
-    p.add_argument("--repair", action="store_true",
-                   help="segment-repair rejoining nodes after the outage")
-    p.add_argument("--failover", action="store_true",
-                   help="crash the primary at the end and promote a "
-                        "standby (image is left untouched)")
-    p.add_argument("--force", action="store_true",
-                   help="failover even while the primary's lease is "
-                        "still valid")
-    p.add_argument("--force-data-loss", action="store_true",
-                   help="with --force: allow promoting a node behind "
-                        "the quorum watermark, discarding acknowledged "
-                        "checkpoints")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("nemesis",
-                       help="seeded partition campaigns with hard "
-                            "consistency invariants")
-    p.add_argument("--seed", type=int, default=7,
-                   help="campaign seed (default 7)")
-    p.add_argument("--campaign", action="append", metavar="NAME",
-                   help="run only this campaign (repeatable; "
-                        "default: all)")
-    p.add_argument("--list", action="store_true",
-                   help="list campaign names and exit")
-    p.add_argument("--json", metavar="PATH",
-                   help="write campaign results as JSON")
-    p.set_defaults(func=cmd_nemesis)
-
-    p = sub.add_parser("slo", help="RPO / stop-time SLO compliance")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--checkpoints", type=int, default=50,
-                   help="measurement checkpoints to run (default 50)")
-    p.add_argument("--rpo-ms", type=float, default=10.0,
-                   help="recovery-point budget in ms (default 10)")
-    p.add_argument("--stop-ms", type=float, default=1.0,
-                   help="stop-time budget in ms (default 1)")
-    p.add_argument("--degraded-ms", type=float, default=50.0,
-                   help="cumulative degraded-time budget in ms "
-                        "(default 50)")
-    p.set_defaults(func=cmd_slo)
-
-    p = sub.add_parser("fleet", help="fleet scheduler per-tenant table")
-    p.add_argument("image")
-    p.add_argument("--tenants", type=int, default=8,
-                   help="synthetic tenants to admit (default 8)")
-    p.add_argument("--millis", type=int, default=200,
-                   help="simulated run length in ms (default 200)")
-    p.add_argument("--probe-every", type=int, default=None,
-                   help="degraded disk-probe cadence (default: "
-                        "per-group DEFAULT_PROBE_EVERY)")
-    p.set_defaults(func=cmd_fleet)
-
-    p = sub.add_parser("restore", help="restore an application")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("--ckpt", type=int)
-    p.add_argument("--lazy", action="store_true")
-    p.set_defaults(func=cmd_restore)
-
-    p = sub.add_parser("history", help="list an app's checkpoints")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.set_defaults(func=cmd_history)
-
-    p = sub.add_parser("suspend", help="suspend an app into the store")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.set_defaults(func=cmd_suspend)
-
-    p = sub.add_parser("resume", help="resume a suspended app")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.set_defaults(func=cmd_resume)
-
-    p = sub.add_parser("diff", help="changes between two checkpoints")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("ckpt_a", type=int, nargs="?",
-                   help="older checkpoint (default: second newest)")
-    p.add_argument("ckpt_b", type=int, nargs="?",
-                   help="newer checkpoint (default: newest)")
-    p.set_defaults(func=cmd_diff)
-
-    p = sub.add_parser("dump", help="write an ELF coredump")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_dump)
-
-    p = sub.add_parser("send", help="serialize an app to a stream")
-    p.add_argument("image")
-    p.add_argument("group", type=int)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_send)
-
-    p = sub.add_parser("recv", help="import an app stream")
-    p.add_argument("image")
-    p.add_argument("stream")
-    p.set_defaults(func=cmd_recv)
-
+    for name, help_line, handler, arguments in COMMANDS:
+        command = sub.add_parser(name, help=help_line)
+        for flags, spec in arguments:
+            command.add_argument(*flags, **spec)
+        command.set_defaults(func=handler)
     return parser
 
 

@@ -108,7 +108,7 @@ SEGMENT_REBUILD_COST_NS = 50 * USEC
 #: Primaryship lease: while fewer than a write quorum of nodes are
 #: answering lease pings, the primary may not renew; once the lease
 #: expires, failover is allowed without forcing.
-DEFAULT_LEASE_NS = 50 * MSEC
+LEASE_NS = 50 * MSEC
 
 #: Size of one epoch-bump control message (request or grant).
 EPOCH_MSG_BYTES = 128
@@ -409,8 +409,7 @@ class SLSCluster:
 
     def __init__(self, primary: Orchestrator, group: ConsistencyGroup,
                  nodes: int = 6, azs: int = 3,
-                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 lease_ns: int = DEFAULT_LEASE_NS):
+                 segment_bytes: int = DEFAULT_SEGMENT_BYTES):
         if nodes < 1:
             raise ClusterError(f"a cluster needs nodes, got {nodes}")
         if azs < 1 or azs > nodes:
@@ -450,8 +449,8 @@ class SLSCluster:
         #: quorum of nodes answers the pump's lease ping; failover is
         #: refused (:class:`~repro.errors.LeaseValid`) while the
         #: incumbent is alive and the lease unexpired.
-        self.lease_ns = lease_ns
-        self.lease_until = primary.machine.clock.now() + lease_ns
+        self.lease_ns = LEASE_NS
+        self.lease_until = primary.machine.clock.now() + LEASE_NS
         self._lease_lost = False
         #: A fenced primary drains: it stops pumping and acking
         #: (``STALE_PRIMARY`` degraded mode) instead of diverging.
@@ -1473,11 +1472,13 @@ class SLSCluster:
                                 else "up")),
                 "applied": node.applied_max,
                 "epoch": (None if node.down else node.promised_epoch),
-                "lag": (0 if self.durable is None
-                        or node.applied_max is None
-                        else max(0, len([c for c in self.acks
-                                         if c <= self.durable
-                                         and c not in node.applied]))),
+                # Acknowledged checkpoints at or below the watermark
+                # this node lacks; a down node's map died with it.
+                "lag": (None if node.down else
+                        sum(1 for ckpt in self.acks
+                            if self.durable is not None
+                            and ckpt <= self.durable
+                            and ckpt not in node.applied)),
                 "streams": link.stats["streams"],
                 "bytes": link.stats["bytes"],
             })

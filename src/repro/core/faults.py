@@ -368,17 +368,15 @@ class FaultPlan:
         self._drop_budget = count
         return self
 
-    def heal(self, pairs: Optional[Iterable[Tuple[int, int]]] = None) -> None:
-        """Remove cuts (all of them, or just ``pairs``); a later
-        re-partition of the same pair fires a fresh fault event."""
-        doomed = set(self._cuts) if pairs is None else set(pairs)
-        healed = sorted(self._cuts & doomed)
-        for pair in healed:
-            self._cuts.discard(pair)
-            self._partition_fired.discard(pair)
+    def heal(self) -> None:
+        """Remove every cut; a later re-partition of the same pair
+        fires a fresh fault event."""
+        healed = len(self._cuts)
+        self._partition_fired -= self._cuts
+        self._cuts.clear()
         if healed and self.clock is not None:
             sls_events.emit(self.clock.now(), sls_events.NET_HEAL,
-                            pairs=len(healed))
+                            pairs=healed)
 
     def is_cut(self, src: int, dst: int) -> bool:
         """Whether a delivery ``src -> dst`` would currently drop."""

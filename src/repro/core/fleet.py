@@ -55,7 +55,7 @@ from .pipeline import MODE_MEM
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .orchestrator import Orchestrator
 
-__all__ = ["ADMIT_REJECT", "ADMIT_WIDEN", "FleetScheduler", "FleetTimer"]
+__all__ = ["ADMIT_REJECT", "ADMIT_WIDEN", "FleetScheduler"]
 
 #: Admission policies: refuse an infeasible attach outright, or
 #: stretch the newcomer's period until it fits.
@@ -108,42 +108,32 @@ def van_der_corput(index: int) -> float:
     return frac
 
 
-class FleetTimer:
-    """The scheduling handle stored as ``group.timer``.
+class _Entry:
+    """One admitted group's slot in the EDF queue, stored as
+    ``group.timer``.
 
     ``ConsistencyGroup.cancel_timer()`` (suspend, detach, restore,
     migration) and the benchmarks' ``group.timer.cancel()`` stop a
     group's periodic chain through this object — cancelling it evicts
-    the group from the EDF queue.
+    the group from the queue.
     """
 
-    __slots__ = ("_fleet", "_group", "cancelled")
+    __slots__ = ("_fleet", "group", "deadline_ns", "cancelled")
 
     def __init__(self, fleet: "FleetScheduler", group: ConsistencyGroup):
         self._fleet = fleet
-        self._group = group
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self._fleet._evict(self._group)
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "armed"
-        return f"FleetTimer(group={self._group.group_id}, {state})"
-
-
-class _Entry:
-    """One admitted group's slot in the EDF queue."""
-
-    __slots__ = ("group", "deadline_ns", "cancelled")
-
-    def __init__(self, group: ConsistencyGroup):
         self.group = group
         self.deadline_ns = 0
         self.cancelled = False
+
+    def cancel(self) -> None:
+        if not self.cancelled:
+            self.cancelled = True
+            self._fleet._evict(self.group)
+
+    def __repr__(self) -> str:
+        state = "cancelled" if self.cancelled else "armed"
+        return f"_Entry(group={self.group.group_id}, {state})"
 
 
 class FleetScheduler:
@@ -180,7 +170,7 @@ class FleetScheduler:
 
     def admit(self, group: ConsistencyGroup,
               demand_bytes_per_sec: Optional[int] = None,
-              policy: str = ADMIT_WIDEN) -> FleetTimer:
+              policy: str = ADMIT_WIDEN) -> _Entry:
         """Admission-test ``group`` and enter it into the EDF queue.
 
         ``demand_bytes_per_sec`` seeds the demand estimate (else the
@@ -217,10 +207,9 @@ class FleetScheduler:
                         effective_period_ns=self.effective_period(group))
             self.telemetry.counter("sls.fleet.backpressure_widens",
                                    group=group.group_id).add(1)
-        entry = _Entry(group)
+        entry = _Entry(self, group)
         self._entries[group.group_id] = entry
-        timer = FleetTimer(self, group)
-        group.timer = timer
+        group.timer = entry
         period = self.effective_period(group)
         # Stagger: admission k takes phase vdc(k) of its own period,
         # with vdc(0) = 0 — the first tenant keeps the legacy
@@ -234,7 +223,7 @@ class FleetScheduler:
                     phase_ns=phase)
         self.telemetry.counter("sls.fleet.admitted").add(1)
         self._rearm()
-        return timer
+        return entry
 
     def _register_budgets(self, group: ConsistencyGroup) -> None:
         """Install the tenant's explicit SLO budgets, if any."""
@@ -311,14 +300,12 @@ class FleetScheduler:
     def aggregate_demand_bps(self) -> int:
         """Σ dirty_bytes/period over admitted, store-writing tenants."""
         return sum(self._demand_bps(entry.group)
-                   for entry in self._entries.values()
-                   if not entry.cancelled)
+                   for entry in self._entries.values())
 
     def aggregate_time_util(self) -> float:
         """Σ service/period over admitted tenants."""
         return sum(self._time_util(entry.group)
-                   for entry in self._entries.values()
-                   if not entry.cancelled)
+                   for entry in self._entries.values())
 
     # -- the EDF queue -----------------------------------------------------
 
@@ -333,8 +320,7 @@ class FleetScheduler:
         while self._heap:
             when, _, gid = self._heap[0]
             entry = self._entries.get(gid)
-            if entry is None or entry.cancelled \
-                    or entry.deadline_ns != when:
+            if entry is None or entry.deadline_ns != when:
                 heapq.heappop(self._heap)
                 continue
             return when
@@ -424,8 +410,7 @@ class FleetScheduler:
             self._dispatch_count += 1
             if self._dispatch_count % BACKPRESSURE_CHECK_EVERY == 0:
                 self._backpressure_check()
-        if (group.timer is not None and not group.timer.cancelled
-                and group.attached and not group.suspended):
+        if not entry.cancelled and group.attached and not group.suspended:
             self._set_deadline(entry, self.clock.now()
                                + self.effective_period(group))
 
@@ -541,7 +526,7 @@ class FleetScheduler:
             return
         for entry in self._entries.values():
             group = entry.group
-            if entry.cancelled or group.backpressure_factor <= 1:
+            if group.backpressure_factor <= 1:
                 continue
             halved = group.backpressure_factor // 2
             saved = group.backpressure_factor
@@ -564,8 +549,6 @@ class FleetScheduler:
         best: Optional[ConsistencyGroup] = None
         best_share = -1.0
         for entry in self._entries.values():
-            if entry.cancelled:
-                continue
             group = entry.group
             share = max(self._demand_bps(group)
                         / max(1, self.capacity_bps()),

@@ -336,17 +336,10 @@ def recover_snapshot(store: Any) -> Optional[Tuple[Dict[str, Any], int]]:
     """Read the newest recoverable snapshot from a store's raw
     superblock slots (no mount required).  Falls back across
     generations when the newest anchor is unreadable."""
-    from ..objstore import recovery as recovery_mod
-    from ..objstore.store import SUPERBLOCK_SLOTS
+    from ..objstore.recovery import _read_superblocks
 
-    candidates = []
-    for slot in SUPERBLOCK_SLOTS:
-        superblock = recovery_mod._read_superblock(store, slot)
-        if superblock is not None:
-            candidates.append(superblock)
-    candidates.sort(key=lambda sb: -sb.get("generation", 0))
-    for superblock in candidates:
-        anchor = superblock.get("flightrec")
+    for _slot, superblock, _present in _read_superblocks(store.device):
+        anchor = superblock and superblock.get("flightrec")
         if not anchor:
             continue
         try:

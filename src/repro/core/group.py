@@ -135,12 +135,13 @@ class ConsistencyGroup:
 
     # -- membership ----------------------------------------------------------------
 
-    def add_process(self, proc: Process, ephemeral: bool = False) -> None:
-        """Attach one process (optionally as an ephemeral member)."""
+    def add_process(self, proc: Process) -> None:
+        """Attach one process (``Orchestrator.mark_ephemeral`` is how a
+        member becomes ephemeral afterwards)."""
         if proc.sls_group is not None:
             raise AlreadyAttached(f"{proc} already in a group")
         proc.sls_group = self
-        proc.sls_ephemeral = ephemeral
+        proc.sls_ephemeral = False
         self.processes.append(proc)
 
     def adopt(self, child: Process) -> None:

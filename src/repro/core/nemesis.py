@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..errors import LeaseValid, QuorumLost
 from ..machine import Machine
 from ..units import MSEC, PAGE_SIZE
-from .cluster import DEFAULT_LEASE_NS, SLSCluster
+from .cluster import SLSCluster
 from .faults import PRIMARY, FaultPlan
 from .orchestrator import Orchestrator, load_aurora
 
@@ -97,8 +97,7 @@ class NemesisFixture:
     """One primary with an attached service, its cluster, and an
     installed fault plan to carry the partition schedule."""
 
-    def __init__(self, seed: int, lease_ns: int = DEFAULT_LEASE_NS,
-                 churn: bool = False) -> None:
+    def __init__(self, seed: int, churn: bool = False) -> None:
         self.seed = seed
         #: Object churn: every commit closes the bound UDP socket and
         #: the pipe the previous one opened and opens new ones, so the
@@ -112,8 +111,7 @@ class NemesisFixture:
         self.group = self.sls.attach(self.proc, name="svc",
                                      periodic=False)
         self.cluster = SLSCluster(self.sls, self.group, nodes=NODES,
-                                  azs=AZS, segment_bytes=SEGMENT_BYTES,
-                                  lease_ns=lease_ns)
+                                  azs=AZS, segment_bytes=SEGMENT_BYTES)
         self.plan = FaultPlan(name=f"nemesis-{seed}", seed=seed)
         self.machine.set_fault_plan(self.plan)
 

@@ -48,13 +48,11 @@ class Orchestrator:
     """The single level store control plane for one machine."""
 
     def __init__(self, machine, store: ObjectStore, slsfs: Optional[SLSFS],
-                 default_period_ns: int = ConsistencyGroup.DEFAULT_PERIOD,
                  collapse_direction: str = REVERSE):
         self.machine = machine
         self.kernel = machine.kernel
         self.store = store
         self.slsfs = slsfs
-        self.default_period_ns = default_period_ns
         self.shadow = ShadowEngine(self.kernel, store, collapse_direction)
         self.extsync = ExternalSynchrony(self.kernel)
         self.pipeline = CheckpointPipeline()
@@ -104,10 +102,10 @@ class Orchestrator:
         disk-probe cadence.
         """
         desc_oid = self.store.alloc_oid(CLASS_GROUP)
-        group = ConsistencyGroup(oid_serial(desc_oid),
-                                 name=name or proc.name,
-                                 period_ns=period_ns or self.default_period_ns,
-                                 external_synchrony=external_synchrony)
+        group = ConsistencyGroup(
+            oid_serial(desc_oid), name=name or proc.name,
+            period_ns=period_ns or ConsistencyGroup.DEFAULT_PERIOD,
+            external_synchrony=external_synchrony)
         group.desc_oid = desc_oid
         group.history_limit = history_limit
         group.rpo_budget_ns = rpo_budget_ns
@@ -402,9 +400,9 @@ class Orchestrator:
         self.groups.pop(group.group_id, None)
         return result.info.ckpt_id
 
-    def resume(self, group_id: int, lazy: bool = False) -> RestoreResult:
+    def resume(self, group_id: int) -> RestoreResult:
         """``sls resume``: bring a suspended application back."""
-        return self.restore(group_id, lazy=lazy)
+        return self.restore(group_id)
 
     # -- listing --------------------------------------------------------------------------------------
 
@@ -437,8 +435,7 @@ class Orchestrator:
         return rows
 
 
-def load_aurora(machine, checkpoint_period_ns: Optional[int] = None
-                ) -> Orchestrator:
+def load_aurora(machine) -> Orchestrator:
     """Format-or-recover the store, mount the Aurora FS, build the SLS."""
     kernel = machine.kernel
     store = ObjectStore(machine)
@@ -449,5 +446,4 @@ def load_aurora(machine, checkpoint_period_ns: Optional[int] = None
     if recovered:
         slsfs.recover()
     kernel.vfs = VFS(kernel, slsfs)
-    period = checkpoint_period_ns or ConsistencyGroup.DEFAULT_PERIOD
-    return Orchestrator(machine, store, slsfs, default_period_ns=period)
+    return Orchestrator(machine, store, slsfs)

@@ -445,10 +445,9 @@ class CheckpointResult:
 class CheckpointPipeline:
     """Runs the ordered stage list and records per-stage spans."""
 
-    def __init__(self, stages=DEFAULT_STAGES,
-                 registry: Optional[telemetry.TelemetryRegistry] = None):
-        self.stages: List[Stage] = list(stages)
-        self.telemetry = registry or telemetry.registry()
+    def __init__(self) -> None:
+        self.stages: List[Stage] = list(DEFAULT_STAGES)
+        self.telemetry = telemetry.registry()
 
     def run(self, ctx: CheckpointContext) -> CheckpointResult:
         clock = ctx.clock

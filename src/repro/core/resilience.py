@@ -48,8 +48,8 @@ RETRYABLE: Tuple[Type[Exception], ...] = (TransientDeviceError, LinkDown)
 #: 2 ms cap, all inside a 20 ms per-operation deadline (two checkpoint
 #: periods — a storage op slower than that has missed its slot anyway).
 DEFAULT_MAX_ATTEMPTS = 5
-DEFAULT_BASE_BACKOFF_NS = 50 * USEC
-DEFAULT_MAX_BACKOFF_NS = 2 * MSEC
+BASE_BACKOFF_NS = 50 * USEC
+MAX_BACKOFF_NS = 2 * MSEC
 DEFAULT_DEADLINE_NS = 20 * MSEC
 
 #: Health states and degradation reasons.
@@ -86,18 +86,17 @@ class _ClockLike:
 class RetryPolicy:
     """Bounded, deterministic retry with sim-clock backoff."""
 
+    base_backoff_ns = BASE_BACKOFF_NS
+    max_backoff_ns = MAX_BACKOFF_NS
+
     def __init__(self, clock: _ClockLike, *,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 base_backoff_ns: int = DEFAULT_BASE_BACKOFF_NS,
-                 max_backoff_ns: int = DEFAULT_MAX_BACKOFF_NS,
                  deadline_ns: int = DEFAULT_DEADLINE_NS,
                  seed: int = 0, op: str = "io"):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.clock = clock
         self.max_attempts = max_attempts
-        self.base_backoff_ns = base_backoff_ns
-        self.max_backoff_ns = max_backoff_ns
         self.deadline_ns = deadline_ns
         self.op = op
         self._rng = random.Random(seed)

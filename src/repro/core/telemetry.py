@@ -101,7 +101,7 @@ class Counter:
         return f"Counter({self.name}{self.labels or ''}={self.value})"
 
 
-def _rank(ordered: List[int], p: float) -> int:
+def nearest_rank(ordered: List[int], p: float) -> int:
     """Nearest-rank percentile of already-sorted samples (0 when empty)."""
     if not ordered:
         return 0
@@ -155,13 +155,14 @@ class Series:
     def percentile(self, p: float) -> int:
         """Nearest-rank percentile of the window (0 when empty): always
         a sample that occurred, so ``min <= percentile(p) <= max``."""
-        return _rank(sorted(self.samples), p)
+        return nearest_rank(sorted(self.samples), p)
 
     def summary(self) -> Dict[str, int]:
         ordered = sorted(self.samples)
         return {"count": self.count, "max": self.max,
-                "p50": _rank(ordered, 50), "p95": _rank(ordered, 95),
-                "p99": _rank(ordered, 99)}
+                "p50": nearest_rank(ordered, 50),
+                "p95": nearest_rank(ordered, 95),
+                "p99": nearest_rank(ordered, 99)}
 
     def __repr__(self) -> str:
         return (f"Series({self.name}{self.labels or ''}: n={self.count}, "
@@ -340,13 +341,13 @@ class TelemetryRegistry:
         return sum(c.value for c in self._counters_by_name.get(name, ())
                    if all(c.labels.get(k) == v for k, v in wanted))
 
-    def stage_rows(self, group_id: Optional[int] = None,
-                   prefix: str = "ckpt.") -> List[Dict[str, Any]]:
+    def stage_rows(self, group_id: Optional[int] = None
+                   ) -> List[Dict[str, Any]]:
         """Per-stage latency summary rows (the ``sls stat`` payload)."""
         labels: Dict[str, object] = ({} if group_id is None
                                      else {"group": group_id})
         return [{
-            "stage": series.name[len(prefix):],
+            "stage": series.name[len("ckpt."):],
             "group": series.labels.get("group"),
             "count": series.count,
             "total_ns": series.total,
@@ -355,7 +356,7 @@ class TelemetryRegistry:
             "p50_ns": series.percentile(50),
             "p95_ns": series.percentile(95),
             "p99_ns": series.percentile(99),
-        } for series in self.histograms_matching(prefix, **labels)]
+        } for series in self.histograms_matching("ckpt.", **labels)]
 
     def reset(self) -> None:
         """Drop every metric (test isolation between experiments)."""

@@ -13,7 +13,7 @@ a crash."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, List, Optional, Tuple
 
 from ..errors import CorruptRecord, StoreError
 from . import records
@@ -32,16 +32,34 @@ class RecoveredState:
     journal_count: int
 
 
-def _read_superblock(store: Any, slot: int) -> Optional[dict]:
-    if not store.device.has_extent(slot):
-        return None
-    try:
-        payload = store.device.read(slot)
-        if not isinstance(payload, bytes):
-            return None
-        return records.decode(payload, records.REC_SUPERBLOCK)
-    except (CorruptRecord, StoreError):
-        return None
+def _read_superblocks(device: Any
+                      ) -> List[Tuple[int, Optional[dict], bool]]:
+    """``(slot, decoded-or-None, slot-holds-data)`` for both superblock
+    slots, newest generation first (undecodable slots last) — the one
+    reader behind mount, the black box, scrub and repair.
+
+    The third element distinguishes a slot that was simply never
+    written (young store: only one generation so far) from one that
+    holds bytes which no longer decode — only the latter is damage.
+    """
+    from .store import SUPERBLOCK_SLOTS
+
+    slots = []
+    for slot in SUPERBLOCK_SLOTS:
+        decoded = None
+        present = bool(device.has_extent(slot))
+        if present:
+            try:
+                payload = device.read(slot)
+                if isinstance(payload, bytes):
+                    decoded = records.decode(payload, records.REC_SUPERBLOCK)
+            except (CorruptRecord, StoreError):
+                decoded = None
+        slots.append((slot, decoded, present))
+    # Stable, so equal generations and undecodable slots keep slot order.
+    slots.sort(key=lambda item: (item[1] is None,
+                                 -(item[1] or {}).get("generation", 0)))
+    return slots
 
 
 def recover(store: Any) -> Optional[RecoveredState]:
@@ -53,22 +71,16 @@ def recover(store: Any) -> Optional[RecoveredState]:
     checkpoint record), recovery falls back to the previous
     generation rather than failing the mount.
     """
-    from .store import SUPERBLOCK_SLOTS
-
-    candidates = []
-    for slot in SUPERBLOCK_SLOTS:
-        superblock = _read_superblock(store, slot)
-        if superblock is not None:
-            candidates.append(superblock)
-    if not candidates:
-        return None
-    candidates.sort(key=lambda sb: sb["generation"], reverse=True)
     last_error: Optional[Exception] = None
-    for superblock in candidates:
+    for _slot, superblock, _present in _read_superblocks(store.device):
+        if superblock is None:
+            continue
         try:
             return _rebuild(store, superblock)
         except (CorruptRecord, StoreError) as exc:
             last_error = exc
+    if last_error is None:
+        return None
     raise StoreError(f"no recoverable superblock generation: {last_error}")
 
 

@@ -37,8 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core import events, telemetry
 from . import records
 from .blockalloc import _align_up
-from .scrub import (MAX_SHADOW_DEPTH, ScrubReport, _chain_segment_len,
-                    _read_superblocks, scrub)
+from .recovery import _read_superblocks
+from .scrub import MAX_SHADOW_DEPTH, ScrubReport, _chain_segment_len, scrub
 
 
 class RepairAction:
@@ -102,7 +102,7 @@ def _repair_superblocks(store: Any, report: RepairReport) -> bool:
                         f"remains to copy from")
         return False
     # Copy the newest durable root into every damaged slot.
-    _src_slot, newest = max(valid, key=lambda item: item[1]["generation"])
+    _src_slot, newest = valid[0]
     payload = records.encode(records.REC_SUPERBLOCK, newest)
     for slot in bad:
         device.discard_extent(slot)

@@ -38,13 +38,14 @@ The scrub only ever *reads* the device; it never repairs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core import events, telemetry, tracing
 from ..errors import CorruptRecord, StoreError
 from ..hw.nvme import payload_length
 from . import records
 from .checkpoint import CheckpointInfo
+from .recovery import _read_superblocks
 
 #: Shadow objects allowed above a chain's base: the active top plus at
 #: most one frozen (flushing / awaiting collapse) shadow (§6).
@@ -114,31 +115,6 @@ class ScrubReport:
         return (f"ScrubReport({verdict}: {self.checkpoints_scanned} ckpts, "
                 f"{self.records_verified} records, "
                 f"{self.page_extents_verified} page extents)")
-
-
-def _read_superblocks(device: Any
-                      ) -> List[Tuple[int, Optional[dict], bool]]:
-    """(slot, decoded-or-None, slot-holds-data) for both slots.
-
-    The third element distinguishes a slot that was simply never
-    written (young store: only one generation so far) from one that
-    holds bytes which no longer decode — only the latter is damage.
-    """
-    from .store import SUPERBLOCK_SLOTS
-
-    slots = []
-    for slot in SUPERBLOCK_SLOTS:
-        decoded = None
-        present = bool(device.has_extent(slot))
-        if present:
-            try:
-                payload = device.read(slot)
-                if isinstance(payload, bytes):
-                    decoded = records.decode(payload, records.REC_SUPERBLOCK)
-            except (CorruptRecord, StoreError):
-                decoded = None
-        slots.append((slot, decoded, present))
-    return slots
 
 
 def _scan_checkpoint(store: Any, report: ScrubReport,
@@ -373,7 +349,7 @@ def _scrub_walk(store: Any, sls: Optional[Any],
         if not report.findings:
             report.add(SUPERBLOCK, "no valid superblock in either slot")
         return report
-    superblock = max(valid, key=lambda sb: sb["generation"])
+    superblock = valid[0]
     report.generation = superblock["generation"]
 
     catalog_extent = tuple(superblock["catalog_extent"])

@@ -9,21 +9,32 @@ character.  Regenerate (only when a CLI change is intended) with::
 
     cd "$(mktemp -d)" && PYTHONPATH=<repo>/src python \
         <repo>/tests/test_cli_transcript.py > <repo>/tests/data/cli_transcript.txt
+
+The transcript pins behaviour; ``tests/data/cli_parser.json`` pins the
+argument surface: every subcommand's help line and, in order, each
+argument's option strings, dest, action, type, default, nargs, choices,
+required, metavar and help (read off the parser's actions, not
+``format_help()``, whose layout differs between Python versions).
+Regenerate with ``... test_cli_transcript.py --parser >
+<repo>/tests/data/cli_parser.json``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import argparse
 import hashlib
 import io
+import json
 import pathlib
 import sys
 
 from repro.core import telemetry
-from repro.core.cli import _boot_from_image, _save_image, main
+from repro.core.cli import _boot_from_image, _save_image, build_parser, main
 from repro.objstore.store import SUPERBLOCK_SLOTS, ObjectStore
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_transcript.txt"
+PARSER_GOLDEN = GOLDEN.with_name("cli_parser.json")
 
 IMG = "aurora.img"
 REPAIR = f"scrub {IMG} --repair"
@@ -102,5 +113,38 @@ def test_cli_transcript_matches_golden(tmp_path, monkeypatch):
     assert got == GOLDEN.read_text()
 
 
+def parser_surface() -> str:
+    """The argument surface of ``build_parser()``: one JSON line for
+    the parser, one per subcommand, one (indented) per argument."""
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    lines = [json.dumps({"prog": parser.prog,
+                         "description": parser.description,
+                         "dest": sub.dest, "required": sub.required})]
+    for name, child in sub.choices.items():
+        lines.append(json.dumps(
+            {"command": name, "help": helps[name],
+             "handler": child.get_default("func").__name__}))
+        for action in child._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            lines.append("  " + json.dumps(
+                {"options": action.option_strings, "dest": action.dest,
+                 "action": type(action).__name__.strip("_"),
+                 "type": getattr(action.type, "__name__", None),
+                 "default": action.default, "nargs": action.nargs,
+                 "choices": action.choices and list(action.choices),
+                 "required": action.required, "metavar": action.metavar,
+                 "help": action.help}))
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_parser_surface_matches_golden():
+    assert parser_surface() == PARSER_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
-    sys.stdout.write(transcript())
+    sys.stdout.write(parser_surface() if sys.argv[1:] == ["--parser"]
+                     else transcript())

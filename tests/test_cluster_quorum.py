@@ -330,6 +330,25 @@ def test_failover_after_close_restores_only_the_open_socket(nodes):
         assert len(records) == live_records
 
 
+def test_status_lag_counts_what_a_blank_node_lacks():
+    """``status()`` lag is the number of acknowledged checkpoints at or
+    below the watermark that an up node does not hold — all of them
+    for a wiped node — and unknown (None) for a down node, whose map
+    of applied checkpoints died with it."""
+    fx = Fixture(nodes=3)
+    for step in range(4):
+        fx.commit(b"step%d" % step, name=f"s{step}")
+        fx.cluster.pump()
+    cluster = fx.cluster
+    assert [row["lag"] for row in cluster.status()["nodes"]] == [0, 0, 0]
+    cluster.nodes[2].wipe()
+    cluster.node_down(1)
+    status = cluster.status()
+    assert len([c for c in cluster.acks if c <= status["durable"]]) == 4
+    assert [(row["applied"], row["lag"]) for row in status["nodes"]] == [
+        (status["durable"], 0), (None, None), (None, 4)]
+
+
 def test_rebooting_a_healthy_replica_reconciles_to_nothing():
     """A stream is a function of content alone: a rebooted node
     re-derives byte-identical shards from its own store even though

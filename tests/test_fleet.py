@@ -94,13 +94,17 @@ def test_cancelling_last_timer_disarms_the_loop(setup):
 
 
 def test_fleet_timer_compat_handle(setup):
-    """group.timer keeps the legacy cancel()/cancelled surface."""
+    """group.timer keeps the legacy cancel()/cancelled surface — on the
+    tenant's one scheduling entry, not on a handle mirroring it."""
     machine, sls = setup
     _p, group, _a = make_tenant(machine, sls, "compat")
-    assert group.timer is not None
+    assert group.timer is sls.fleet._entries[group.group_id]
     assert not group.timer.cancelled
     group.timer.cancel()
     assert group.timer.cancelled
+    assert group.group_id not in sls.fleet._entries
+    group.timer.cancel()    # idempotent: one eviction, one event
+    assert len(events.log().matching(events.FLEET_EVICT)) == 1
 
 
 # -- admission control -------------------------------------------------------

@@ -77,6 +77,32 @@ def test_truncated_file_recovers_at_its_new_size(setup):
     assert sorted(vnode.vmobject.pages) == [0]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "page locators have no tombstones (ROADMAP item 5(c), DESIGN §5.19): "
+    "a sparse write past a truncated tail resurrects the old tail pages"))
+def test_sparse_write_past_a_truncated_tail_reads_zeros_after_crash(setup):
+    """The hole between a truncated EOF and a later sparse write reads
+    zeros live and must read zeros after recovery — not the bytes the
+    cut tail held, whose locators are still in the older delta.  The
+    property suite only writes at or before EOF, so this is the one
+    place the gap is checked."""
+    machine, sls, proc = setup
+    kernel = machine.kernel
+    fd = kernel.open(proc, "/log", O_CREAT | O_RDWR)
+    kernel.write(proc, fd, b"x" * (4 * 4096))
+    sls.slsfs.checkpoint(sync=True)
+    vnode = proc.fdtable.get(fd).vnode
+    vnode.truncate(4096)
+    vnode.write(3 * 4096, b"y" * 4096)
+    sls.slsfs.checkpoint(sync=True)
+    assert vnode.read(4096, 4096) == bytes(4096)
+    _reboot_with_aurora(machine)
+    recovered = machine.kernel.vfs.namei("/log")
+    assert recovered.size == 4 * 4096
+    assert recovered.read(3 * 4096, 4096) == b"y" * 4096
+    assert recovered.read(4096, 4096) == bytes(4096)
+
+
 def test_rename_alone_is_checkpointed(setup):
     """Rename touches no file data and creates nothing: only the
     directories' dirty hook tells the filesystem to persist it."""
