@@ -9,6 +9,7 @@ vnodes 1.7/2.0.
 from bench_utils import run_once
 
 from repro import Machine, load_aurora
+from repro.core.objmodel import OBJECT_TYPES
 from repro.core.serialize import CheckpointSerializer
 from repro.core.restore import GroupRestorer
 from repro.kernel.ipc.kqueue import EVFILT_READ, KEvent
@@ -38,12 +39,6 @@ class _SinkTxn:
         pass
 
 
-def _measure(kernel, serializer_call, fobj):
-    t0 = kernel.clock.now()
-    oid = serializer_call(fobj)
-    return oid, kernel.clock.now() - t0
-
-
 def run_experiment():
     machine = Machine()
     sls = load_aurora(machine)
@@ -71,22 +66,18 @@ def run_experiment():
     vfd = kernel.open(proc, "/bench-vnode", 0x40 | 0x2)
     vnode = proc.fdtable.get(vfd).vnode
 
-    objects = [
-        ("kqueue", serializer.serialize_kqueue, kq, "kqueue"),
-        ("pipe", serializer.serialize_pipe, pipe, "pipe"),
-        ("pty", serializer.serialize_pty, pty, "pty"),
-        ("shm-posix", serializer.serialize_shm, pshm, "shm"),
-        ("shm-sysv", serializer.serialize_shm, sysv, "shm"),
-        ("socket", serializer.serialize_socket, sock, "tcpsock"),
-        ("vnode", serializer.serialize_vnode, vnode, "vnode"),
-    ]
+    # Dispatch is on the object: the SysV segment has no fd at all.
+    objects = {"kqueue": kq, "pipe": pipe, "pty": pty, "shm-posix": pshm,
+               "shm-sysv": sysv, "socket": sock, "vnode": vnode}
 
     results = {}
-    for name, call, fobj, otype in objects:
-        oid, ckpt_ns = _measure(kernel, call, fobj)
-        # Restore in isolation on a fresh restorer.
+    for name, kobj in objects.items():
+        t0 = kernel.clock.now()
+        oid = serializer.serialize_object(kobj)
+        ckpt_ns = kernel.clock.now() - t0
+        # Restore in isolation on a fresh restorer, through the row.
         restorer = GroupRestorer(kernel, sls.store, sls.slsfs)
-        record = {oid: txn.records[oid]}
+        otype, state = txn.records[oid]
         if name == "vnode":
             # The vnode already exists in the mounted slsfs; resurrect
             # path exercises vnode_for_restore.
@@ -94,7 +85,7 @@ def run_experiment():
             sls.slsfs._persisted_inodes.add(vnode.inode)
             sls.slsfs.checkpoint(sync=True)
         t0 = kernel.clock.now()
-        restorer._create_shells(record, {}, lazy=False)
+        restorer.build_object(oid, OBJECT_TYPES[otype], state)
         restore_ns = kernel.clock.now() - t0
         results[name] = (ckpt_ns, restore_ns)
     return results

@@ -455,7 +455,7 @@ class SLSCluster:
         #: A fenced primary drains: it stops pumping and acking
         #: (``STALE_PRIMARY`` degraded mode) instead of diverging.
         self.fenced = False
-        #: Canonical per-checkpoint shard cache (primary memory).
+        #: Canonical shard cache of the checkpoints still to be shipped.
         self._streams: Dict[int, Tuple[ShardManifest, List[bytes]]] = {}
         self._commit_seen: Dict[int, int] = {}
         self._installed = False
@@ -609,6 +609,17 @@ class SLSCluster:
                     health.record_success()
                 else:
                     health.record_failure(clock.now())
+            if len(acks) == len(self.nodes):
+                # On every node's media: a wipe alone re-derives it.
+                self._streams.pop(ckpt, None)
+        if chain and self.durable is not None:
+            # What has left the primary's chain is never shipped again,
+            # and below the watermark its quorum is settled.
+            gone = min(chain[0].ckpt_id, self.durable)
+            for old in [c for c in self.acks if c < gone]:
+                del self.acks[old]
+                self._commit_seen.pop(old, None)
+                self._streams.pop(old, None)
         if chain and (self.durable is None
                       or self.durable < chain[-1].ckpt_id):
             newest = chain[-1].ckpt_id
@@ -1472,8 +1483,8 @@ class SLSCluster:
                                 else "up")),
                 "applied": node.applied_max,
                 "epoch": (None if node.down else node.promised_epoch),
-                # Acknowledged checkpoints at or below the watermark
-                # this node lacks; a down node's map died with it.
+                # Acknowledged checkpoints the primary still tracks, at or
+                # below the watermark, that this node lacks (down: unknown).
                 "lag": (None if node.down else
                         sum(1 for ckpt in self.acks
                             if self.durable is not None

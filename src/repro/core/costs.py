@@ -128,8 +128,8 @@ RESUME_PER_THREAD = 700 * NSEC
 # Table 4 measures the serialize/recreate path for each object type.
 # "Most POSIX objects are small and typically involve one lock and
 # pointer chasing, which incurs cache misses."  Each entry is
-# (base checkpoint ns, base restore ns); variable terms are charged by
-# the serializers (e.g. kqueue events, SysV namespace scan).
+# (base checkpoint ns, base restore ns), named by one row of
+# core/objmodel.py with its variable terms (kqueue events, SysV scan).
 
 CKPT_PIPE = 1700 * NSEC            # Table 4: 1.7 us
 RESTORE_PIPE = 2600 * NSEC         # Table 4: 2.6 us

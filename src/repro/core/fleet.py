@@ -217,23 +217,15 @@ class FleetScheduler:
         phase = int(van_der_corput(self._admissions) * period)
         self._admissions += 1
         self._set_deadline(entry, now + period + phase)
-        self._register_budgets(group)
+        if group.rpo_budget_ns is not None:     # the tenant's own budget
+            self.sls.slo.set_group_targets(group.group_id,
+                                           rpo_ns=group.rpo_budget_ns)
         events.emit(now, events.FLEET_ADMIT, group=group.group_id,
                     tenant=group.name, period_ns=group.period_ns, factor=group.backpressure_factor,
                     phase_ns=phase)
         self.telemetry.counter("sls.fleet.admitted").add(1)
         self._rearm()
         return entry
-
-    def _register_budgets(self, group: ConsistencyGroup) -> None:
-        """Install the tenant's explicit SLO budgets, if any."""
-        overrides: Dict[str, int] = {}
-        if group.rpo_budget_ns is not None:
-            overrides["rpo_ns"] = group.rpo_budget_ns
-        if group.stop_budget_ns is not None:
-            overrides["stop_ns"] = group.stop_budget_ns
-        if overrides:
-            self.sls.slo.set_group_targets(group.group_id, **overrides)
 
     def _admission_widen(self, group: ConsistencyGroup) -> int:
         """Smallest power-of-two widen factor that makes the fleet

@@ -108,10 +108,9 @@ class ConsistencyGroup:
         #: with a conservative default).
         self.demand_bytes_per_ckpt = 0
         self.service_ns_est = 0
-        #: Per-tenant SLO budgets; ``None`` inherits the tracker-wide
-        #: defaults.  Registered with the SLO tracker at admission.
+        #: Per-tenant RPO budget; ``None`` inherits the tracker-wide
+        #: default.  Registered with the SLO tracker at admission.
         self.rpo_budget_ns: Optional[int] = None
-        self.stop_budget_ns: Optional[int] = None
         #: Deadline-miss slack: a dispatch later than this past its
         #: EDF deadline counts as a miss (``None`` = period / 4).
         self.miss_slack_ns: Optional[int] = None

@@ -82,7 +82,6 @@ class Orchestrator:
                demand_bytes_per_sec: Optional[int] = None,
                admission: str = ADMIT_WIDEN,
                rpo_budget_ns: Optional[int] = None,
-               stop_budget_ns: Optional[int] = None,
                probe_every: Optional[int] = None) -> ConsistencyGroup:
         """``sls attach``: put a process (and its tree) under Aurora.
 
@@ -97,9 +96,9 @@ class Orchestrator:
         ``admission`` picks the over-capacity policy (``widen``
         stretches the newcomer's period; ``reject`` raises
         :class:`~repro.errors.AdmissionRejected` and leaves nothing
-        attached).  ``rpo_budget_ns``/``stop_budget_ns`` install
-        per-tenant SLO budgets; ``probe_every`` sets the degraded
-        disk-probe cadence.
+        attached).  ``rpo_budget_ns`` installs the tenant's RPO budget
+        (``slo.set_group_targets`` sets any other target);
+        ``probe_every`` sets the degraded disk-probe cadence.
         """
         desc_oid = self.store.alloc_oid(CLASS_GROUP)
         group = ConsistencyGroup(
@@ -109,7 +108,6 @@ class Orchestrator:
         group.desc_oid = desc_oid
         group.history_limit = history_limit
         group.rpo_budget_ns = rpo_budget_ns
-        group.stop_budget_ns = stop_budget_ns
         if probe_every is not None:
             if probe_every < 1:
                 raise InvalidArgument(f"bad probe cadence {probe_every}")

@@ -31,7 +31,7 @@ O_CREAT = 0x40
 O_TRUNC = 0x200
 O_APPEND = 0x400
 
-#: OpenFile.ftype values; each maps to a checkpoint serializer.
+#: OpenFile.ftype values (the kind of object behind the descriptor).
 DTYPE_VNODE = "vnode"
 DTYPE_PIPE = "pipe"
 DTYPE_SOCKET = "socket"

@@ -24,7 +24,7 @@ class KObject:
 
     ``kid`` is the kernel-lifetime-unique identity used as the key of
     Aurora's kernel-address → on-disk-object map.  ``obj_type`` names
-    the serializer responsible for the object.
+    the object's row in ``core/objmodel.py``.
     """
 
     obj_type = "kobject"

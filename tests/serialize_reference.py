@@ -12,3 +12,17 @@ def forget_walks(sls) -> None:
     """Make the next checkpoint of every group walk every slot."""
     for group in sls.groups.values():
         group.walk_memos.clear()
+
+
+class RecordSink:
+    """A checkpoint transaction that keeps the records a serializer
+    stages and charges no store cost (one pass in isolation)."""
+
+    def __init__(self):
+        self.records = {}
+
+    def put_object(self, oid, otype, state):
+        self.records[oid] = (otype, state)
+
+    def put_pages(self, oid, pages):
+        pass

@@ -349,6 +349,48 @@ def test_status_lag_counts_what_a_blank_node_lacks():
         (status["durable"], 0), (None, None), (None, 4)]
 
 
+def test_primary_maps_stay_bounded_under_retention():
+    """ROADMAP item 2, "Left": ``_streams``, ``acks`` and
+    ``_commit_seen`` used to gain one entry per checkpoint forever.  A
+    stream goes once all N nodes hold it; quorum bookkeeping goes once
+    its checkpoint has left the primary's chain below the watermark —
+    while a crashed-but-rebootable node keeps what it still needs, and
+    catching it up re-serializes nothing."""
+    fx = Fixture(nodes=3)
+    fx.group.history_limit = 4
+    cluster = fx.cluster
+    derived = []
+    shard_delta = cluster._shard_delta
+
+    def counting(sls, local, ckpt):
+        if sls is cluster.primary:
+            derived.append(ckpt)
+        return shard_delta(sls, local, ckpt)
+
+    cluster._shard_delta = counting
+    peaks = [0, 0, 0]
+    for step in range(200):
+        if step == 100:
+            cluster.node_down(2)
+        if step == 110:
+            cluster.node_up(2)
+        newest = fx.commit(b"step%d" % step, name=f"s{step}")
+        assert cluster.pump() == newest
+        sizes = [len(cluster._streams), len(cluster.acks),
+                 len(cluster._commit_seen)]
+        peaks = [max(pair) for pair in zip(peaks, sizes)]
+        if not 100 <= step < 110:
+            assert sizes[0] == 0 and max(sizes) <= 5, (step, sizes)
+    # The outage pinned only the streams the down node had missed that
+    # were still in the chain (history 4), and every checkpoint was
+    # serialized for the wire exactly once.
+    assert peaks[0] <= 4 and max(peaks) <= 6, peaks
+    assert len(derived) == len(set(derived)) == 200
+    assert newest in cluster.nodes[2].applied
+    fx.machine.crash()
+    assert cluster.failover().root is not None
+
+
 def test_rebooting_a_healthy_replica_reconciles_to_nothing():
     """A stream is a function of content alone: a rebooted node
     re-derives byte-identical shards from its own store even though

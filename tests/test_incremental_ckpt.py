@@ -26,6 +26,8 @@ from repro.objstore import records
 from repro.objstore.checkpoint import encode_record_index
 from repro.objstore.scrub import LIVENESS, scrub
 
+from .serialize_reference import RecordSink
+
 
 @pytest.fixture
 def setup():
@@ -304,17 +306,6 @@ def test_scrub_flags_unreachable_live_record(setup):
 # -- the property: merged_view == from-scratch full serialization -------------
 
 
-class _RecordSink:
-    def __init__(self):
-        self.records = {}
-
-    def put_object(self, oid, otype, state):
-        self.records[oid] = (otype, state)
-
-    def put_pages(self, oid, pages):
-        pass
-
-
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("open"), st.integers(0, 5)),
@@ -362,7 +353,7 @@ def test_merged_view_equals_full_serialization(op_list):
         if otype != "vmobject"          # flush items, not serializer output
     }
 
-    sink = _RecordSink()
+    sink = RecordSink()
     CheckpointSerializer(kernel, group, sls.store, sink).serialize_all()
     scratch = {}
     for oid, (otype, state) in sink.records.items():

@@ -13,6 +13,11 @@ This is the subset that needs no third-party code:
 * **missing import** — ``from repro.x import y`` (absolute or
   relative) where ``repro/x`` does not exist or binds no ``y``; any
   other module must be importable here.
+* **duplicate definition** (pyflakes F811) — two ``def`` / ``class``
+  statements binding one name in one scope, the second silently
+  replacing the first: what moving a dozen methods between modules
+  leaves behind.  Property setters and ``@overload`` stubs rebind on
+  purpose and are exempt.
 """
 
 from __future__ import annotations
@@ -154,4 +159,36 @@ def test_every_import_resolves():
                     and name not in _names_bound(_tree(target)) \
                     and _module_path(f"{module}.{name}") is None:
                 findings.append(f"{where}: {module!r} binds no {name!r}")
+    assert not findings, "\n" + "\n".join(findings)
+
+
+def _rebinds_on_purpose(node: ast.stmt) -> bool:
+    for decorator in getattr(node, "decorator_list", ()):
+        name = decorator.attr if isinstance(decorator, ast.Attribute) \
+            else getattr(decorator, "id", "")
+        if name in ("setter", "getter", "deleter", "overload"):
+            return True
+    return False
+
+
+def test_no_duplicate_definitions():
+    findings = []
+    for path in FILES:
+        for scope in ast.walk(_tree(path)):
+            # One statement list is one scope's straight-line body; the
+            # arms of an ``if`` / ``try`` are lists of their own.
+            for field in ("body", "orelse", "finalbody"):
+                first: Dict[str, int] = {}
+                body = getattr(scope, field, None)
+                for node in body if isinstance(body, list) else ():
+                    if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                             ast.AsyncFunctionDef)) \
+                            or _rebinds_on_purpose(node):
+                        continue
+                    if node.name in first:
+                        findings.append(
+                            f"{path.relative_to(SRC)}:{node.lineno}: "
+                            f"{node.name!r} redefines line "
+                            f"{first[node.name]}")
+                    first[node.name] = node.lineno
     assert not findings, "\n" + "\n".join(findings)
