@@ -31,6 +31,13 @@ def synthetic_bytes(seed: int, length: int = PAGE_SIZE) -> bytes:
     return bytes(out[:length])
 
 
+#: ``Page.clean_locator`` of a checkpointed synthetic page.  Its locator
+#: is a pure function of the page's own seed, so every such page shares
+#: this one mark and the pageout daemon derives the locator when it
+#: evicts; a real page's mark is its own locator.
+SYNTHETIC_CLEAN = "syn"
+
+
 class Page:
     """A single page frame's contents.
 
@@ -50,9 +57,10 @@ class Page:
         self.data = data
         self.seed = seed
         #: Where this exact content is persisted in the object store
-        #: (set by the flush path).  A write replaces the Page object,
-        #: so a non-None locator means the page is *clean*: the
-        #: pageout daemon can evict it without IO (§6).
+        #: (set by the flush path; :data:`SYNTHETIC_CLEAN` for a
+        #: synthetic page).  A write replaces the Page object, so a
+        #: non-None mark means the page is *clean*: the pageout daemon
+        #: can evict it without IO (§6).
         self.clean_locator = None
 
     @property

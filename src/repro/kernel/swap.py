@@ -9,9 +9,14 @@ partition whose metadata would be lost on crash.  On fault, the most
 recent version is paged back in from the store.
 
 Cleanliness lives on the :class:`~repro.hw.memory.Page` itself
-(``clean_locator``, stamped by the flush path): pages are immutable
+(``clean_locator``, marked by the flush path): pages are immutable
 and replaced on write, so a stale marker is impossible, and the marker
 survives system-shadow collapses moving the page between VM objects.
+A real page's marker is its locator in a packed extent.  Every clean
+synthetic page shares one marker,
+:data:`~repro.hw.memory.SYNTHETIC_CLEAN`: its locator is a function of
+its own seed, so eviction derives it instead of the flush storing one
+per page.
 
 ``madvise`` hints bias the eviction policy, and lazy restores reuse
 the same page-in path.
@@ -23,6 +28,8 @@ from typing import Dict, List
 
 from ..core import costs
 from ..errors import InvalidArgument
+from ..hw.memory import SYNTHETIC_CLEAN
+from ..objstore.checkpoint import PageLocator
 from .vm.vmobject import VMObject
 
 #: madvise hints the policy understands.
@@ -99,7 +106,10 @@ class PageoutDaemon:
             if physmem.used_frames <= target:
                 break
             obj.remove_page(pindex)
-            self.evicted.setdefault(obj.kid, {})[pindex] = page.clean_locator
+            locator = page.clean_locator
+            if locator is SYNTHETIC_CLEAN:
+                locator = PageLocator.synthetic(page.seed)
+            self.evicted.setdefault(obj.kid, {})[pindex] = locator
             self.evictions_clean += 1
             evicted += 1
         if physmem.used_frames > target and store is not None:
@@ -144,7 +154,8 @@ class PageoutDaemon:
         if not records:
             del self.evicted[vmobject.kid]
         page = store.fetch_page(locator)
-        page.clean_locator = locator  # fresh copy is clean by definition
+        # A fresh copy is clean by definition.
+        page.clean_locator = SYNTHETIC_CLEAN if page.synthetic else locator
         self.kernel.clock.advance(costs.LAZY_FAULT_PER_PAGE)
         # Paging back into a frozen shadow is safe: the content is the
         # exact durable copy the freeze protected.

@@ -7,7 +7,7 @@ recovery can sanity-check what it reads before trusting it.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Container, List, Optional, Sequence, Tuple
 
 from .. import serde
 from ..errors import CorruptRecord
@@ -65,11 +65,39 @@ def encode_objects(encoded_records: Sequence[bytes]) -> bytes:
     return encode(REC_OBJECT_BATCH, {"records": list(encoded_records)})
 
 
-def decode_objects(data: bytes) -> List[Tuple[int, str, Any]]:
+#: Frame header bytes in front of every record's body.
+_HEADER = len(serde.dumps(None)) - len(serde.fragment(None))
+_SAMPLE = serde.fragment({"body": {"oid": 0, "otype": "", "state": None},
+                          "kind": REC_OBJECT})
+#: An object record's body up to and including its OID's int tag: keys
+#: are encoded sorted, so ``body`` comes first and ``oid`` first in it.
+_OID_PREFIX = _SAMPLE[:_SAMPLE.index(serde.fragment(0)) + 1]
+#: Where the OID's 8-byte length field starts.
+_OID_AT = _HEADER + len(_OID_PREFIX)
+
+
+def _record_oid(data: Any) -> Optional[int]:
+    """The OID an encoded object record names, read off its constant
+    prefix without decoding or checksumming it; None when the record
+    does not start with that prefix."""
+    if type(data) is not bytes or not data.startswith(_OID_PREFIX, _HEADER):
+        return None
+    start = _OID_AT + 8
+    stop = start + int.from_bytes(data[_OID_AT:start], "big")
+    if stop > len(data):
+        return None
+    return int.from_bytes(data[start:stop], "big")
+
+
+def decode_objects(data: bytes, wanted: Optional[Container[int]] = None
+                   ) -> List[Tuple[int, str, Any]]:
     """Every ``(oid, otype, state)`` in a record extent.
 
     Accepts both a single-object envelope (legacy extents, single-
-    record checkpoints) and a batch envelope.
+    record checkpoints) and a batch envelope.  With ``wanted``, a
+    batch's records whose prefix names another OID are skipped
+    undecoded (the batch's own checksum still covers them); a record
+    whose prefix does not match is decoded in full.
     """
     document = serde.loads(data)
     if not isinstance(document, dict) or "kind" not in document:
@@ -80,4 +108,8 @@ def decode_objects(data: bytes) -> List[Tuple[int, str, Any]]:
     if document["kind"] != REC_OBJECT_BATCH:
         raise CorruptRecord(
             f"expected object record(s), found {document['kind']!r}")
-    return [decode_object(item) for item in document["body"]["records"]]
+    items = document["body"]["records"]
+    if wanted is not None:
+        items = [item for item in items
+                 if (oid := _record_oid(item)) is None or oid in wanted]
+    return [decode_object(item) for item in items]

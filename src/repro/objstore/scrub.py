@@ -38,7 +38,7 @@ The scrub only ever *reads* the device; it never repairs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ..core import events, telemetry, tracing
 from ..errors import CorruptRecord, StoreError

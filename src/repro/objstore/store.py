@@ -25,11 +25,11 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
 from ..core.resilience import RetryPolicy
-from ..core.runs import append_locator_run, synthetic_runs
+from ..core.runs import synthetic_runs
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
-from ..hw.memory import Page
+from ..hw.memory import SYNTHETIC_CLEAN, Page
 from ..hw.nvme import StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
 from . import records
@@ -228,19 +228,20 @@ class ObjectStore:
             # "ext" run filled in) when this function returns.
             ordered = sorted(pages)
             seeds: List[Any] = [pages[pindex].seed for pindex in ordered]
-            # An all-synthetic delta (the benchmark heaps) coalesces as
-            # two columns; a mixed one is walked page by page.
-            mixed = None in seeds
-            runs: List[Any] = [] if mixed else synthetic_runs(ordered, seeds)
+            runs: List[Any] = []
             info.pages[oid] = PageRuns(runs)
-            syn_count = 0 if mixed else len(ordered)
-
-            for pindex in ordered if mixed else ():
-                page = pages[pindex]
-                if page.synthetic:
-                    append_locator_run(runs, ("syn", pindex, 1, page.seed, 0))
-                    syn_count += 1
-                    continue
+            # The real pages split the two columns into synthetic
+            # stretches, each coalesced by ``synthetic_runs``.  A real
+            # page ends any "syn" run, so a stretch's runs are appended
+            # as they are — what one ``append_locator_run`` per page
+            # builds.
+            real_at = [at for at, seed in enumerate(seeds) if seed is None]
+            lo = 0
+            for at in real_at:
+                if lo < at:
+                    runs += synthetic_runs(ordered[lo:at], seeds[lo:at])
+                lo = at + 1
+                pindex = ordered[at]
                 last = runs[-1] if runs else None
                 if (batch_runs and last is batch_runs[-1][0]
                         and last[1] + last[2] == pindex):
@@ -248,12 +249,14 @@ class ObjectStore:
                 else:
                     runs.append(["ext", pindex, 1, None, None, PAGE_SIZE])
                     batch_runs.append((runs[-1], len(real_batch)))
-                real_batch.append(page)
+                real_batch.append(pages[pindex])
                 if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
                     flush_real()
+            if lo < len(ordered):
+                runs += synthetic_runs(ordered[lo:], seeds[lo:])
 
             # Synthetic pages: identical IO accounting, virtual bytes.
-            remaining = syn_count * PAGE_SIZE
+            remaining = (len(ordered) - len(real_at)) * PAGE_SIZE
             while remaining > 0:
                 chunk = min(remaining, STRIPE_SIZE)
                 extent = self.alloc.alloc(chunk)
@@ -358,21 +361,20 @@ class ObjectStore:
             self.alloc.free(meta_extent, len(payload))
             raise
         # Only after the flip: the flushed pages' content is durable,
-        # so stamp them clean for IO-free pageout eviction (§6).  A
+        # so mark them clean for IO-free pageout eviction (§6).  A
         # write in the meantime replaced the Page object, leaving the
-        # new content correctly dirty.
+        # new content correctly dirty.  A synthetic page's locator is
+        # a function of its own seed, so it shares one mark; a real
+        # page's names its slot in the packed extent.
         for oid, table in info.pages.items():
             staged = txn.staged_pages[oid]
+            for page in staged.values():
+                if page.seed is not None:
+                    page.clean_locator = SYNTHETIC_CLEAN
             for run in table.runs:
-                if run[0] == "syn":
-                    # Inline: no generator frame and tuple per page.
-                    first, seed0, step = run[1], run[3], run[4]
-                    for i in range(run[2]):
-                        staged[first + i].clean_locator = PageLocator(
-                            "syn", seed0 + step * i)
-                    continue
-                for pindex, locator in run_locators(run):
-                    staged[pindex].clean_locator = locator
+                if run[0] == "ext":
+                    for pindex, locator in run_locators(run):
+                        staged[pindex].clean_locator = locator
         self._commit_failures.pop(info.ckpt_id, None)
         self.stats["commits"] += 1
         self.stats["bytes_flushed"] += info.data_bytes
@@ -708,7 +710,7 @@ class ObjectStore:
     def _decode_record(self, oid: int, payload: Any) -> Tuple[str, Any]:
         if not isinstance(payload, bytes):
             raise CorruptRecord("record extent holds synthetic data")
-        for r_oid, otype, state in records.decode_objects(payload):
+        for r_oid, otype, state in records.decode_objects(payload, (oid,)):
             if r_oid == oid:
                 return otype, state
         raise CorruptRecord(f"record OID mismatch for {oid}")
@@ -775,11 +777,11 @@ class ObjectStore:
         decoded: Dict[int, Tuple[str, Any]] = {}
         last_done = self.clock.now()
         # Batched staging means many OIDs share one record extent:
-        # read and decode each distinct extent once, then hand every
-        # resident OID its slice.
-        by_offset: Dict[int, List[Tuple[int, Tuple[int, int]]]] = {}
+        # read each distinct extent once and decode only the records
+        # of the OIDs wanted from it.
+        by_offset: Dict[int, Dict[int, Tuple[int, int]]] = {}
         for oid, extent in extents.items():
-            by_offset.setdefault(extent[0], []).append((oid, extent))
+            by_offset.setdefault(extent[0], {})[oid] = extent
         for offset, wanted in by_offset.items():
             try:
                 payload, done = self.retry.run(
@@ -790,17 +792,17 @@ class ObjectStore:
                     raise CorruptRecord(
                         "record extent holds synthetic data")
                 entries = {r_oid: (otype, state) for r_oid, otype, state
-                           in records.decode_objects(payload)}
-                for oid, _extent in wanted:
+                           in records.decode_objects(payload, wanted)}
+                for oid in wanted:
                     if oid not in entries:
                         raise CorruptRecord(
                             f"record OID mismatch for {oid}")
-                for oid, _extent in wanted:
+                for oid in wanted:
                     decoded[oid] = entries[oid]
             except CorruptRecord:
                 if fallbacks is None:
                     raise
-                for oid, extent in wanted:
+                for oid, extent in wanted.items():
                     decoded[oid], done = self._read_record_resilient(
                         oid, extent, fallbacks)
                     last_done = max(last_done, done)

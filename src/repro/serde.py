@@ -225,41 +225,93 @@ def dumps(value: Any) -> bytes:
 # -- decoding ---------------------------------------------------------------------------
 
 _HEAD_SIZE = _HEAD.size
+#: The fixed-size values, indexed by their tag (every tag below
+#: ``_TAG_INT``).
+_CONSTANTS = (None, False, True)
 
 
 def _decode(body: bytes, pos: int, end: int) -> Tuple[Any, int]:
-    """Decode the value at ``body[pos]``; returns ``(value, next pos)``."""
+    """Decode the value at ``body[pos]``; returns ``(value, next pos)``.
+
+    A container decodes its well-formed scalar items (and a dict its
+    string keys) in its own loop, the same steps as below, and recurses
+    only into containers.  Every other item, damaged ones included,
+    takes the generic path, so each verdict and message comes from one
+    place."""
     if pos >= end:
         raise CorruptRecord("record truncated")
     tag = body[pos]
-    if tag == _TAG_NONE:
-        return None, pos + 1
-    if tag == _TAG_TRUE:
-        return True, pos + 1
-    if tag == _TAG_FALSE:
-        return False, pos + 1
+    if tag < _TAG_INT:
+        return _CONSTANTS[tag], pos + 1
     if tag > _TAG_DICT:
         raise CorruptRecord(f"unknown tag 0x{tag:02x}")
     start = pos + _HEAD_SIZE
     if start > end:
         raise CorruptRecord("record truncated")
     size = _unpack_head(body, pos)[1]
+    # In both loops ``stop`` is past ``end`` unless the item is a scalar
+    # whose header and payload lie in bounds.
     if tag == _TAG_LIST:
-        items = []
+        items: List[Any] = []
         append = items.append
         pos = start
         for _ in range(size):
-            item, pos = _decode(body, pos, end)
-            append(item)
+            tag = body[pos] if pos < end else _TAG_LIST
+            if tag < _TAG_INT:
+                append(_CONSTANTS[tag])
+                pos += 1
+                continue
+            start = pos + _HEAD_SIZE
+            stop = (start + _unpack_head(body, pos)[1]
+                    if tag < _TAG_LIST and start <= end else end + 1)
+            if stop > end:
+                item, pos = _decode(body, pos, end)
+                append(item)
+                continue
+            if tag == _TAG_STR:
+                append(body[start:stop].decode("utf-8"))
+            elif tag == _TAG_INT:
+                append(int.from_bytes(body[start:stop], "big"))
+            elif tag == _TAG_BYTES:
+                append(body[start:stop])
+            else:
+                append(-int.from_bytes(body[start:stop], "big"))
+            pos = stop
         return items, pos
     if tag == _TAG_DICT:
         result: Dict[str, Any] = {}
         pos = start
         for _ in range(size):
-            key, pos = _decode(body, pos, end)
-            if type(key) is not str:
-                raise CorruptRecord("dict key is not a string")
-            result[key], pos = _decode(body, pos, end)
+            start = pos + _HEAD_SIZE
+            stop = (start + _unpack_head(body, pos)[1]
+                    if start <= end and body[pos] == _TAG_STR else end + 1)
+            if stop > end:
+                key, pos = _decode(body, pos, end)
+                if type(key) is not str:
+                    raise CorruptRecord("dict key is not a string")
+            else:
+                key = body[start:stop].decode("utf-8")
+                pos = stop
+            tag = body[pos] if pos < end else _TAG_LIST
+            if tag < _TAG_INT:
+                result[key] = _CONSTANTS[tag]
+                pos += 1
+                continue
+            start = pos + _HEAD_SIZE
+            stop = (start + _unpack_head(body, pos)[1]
+                    if tag < _TAG_LIST and start <= end else end + 1)
+            if stop > end:
+                result[key], pos = _decode(body, pos, end)
+                continue
+            if tag == _TAG_STR:
+                result[key] = body[start:stop].decode("utf-8")
+            elif tag == _TAG_INT:
+                result[key] = int.from_bytes(body[start:stop], "big")
+            elif tag == _TAG_BYTES:
+                result[key] = body[start:stop]
+            else:
+                result[key] = -int.from_bytes(body[start:stop], "big")
+            pos = stop
         return result, pos
     stop = start + size
     if stop > end:

@@ -18,11 +18,18 @@ This is the subset that needs no third-party code:
   replacing the first: what moving a dozen methods between modules
   leaves behind.  Property setters and ``@overload`` stubs rebind on
   purpose and are exempt.
+* **undefined name** (pyflakes F821) — a name the file reads (quoted
+  annotations included) that no statement in the file binds and that
+  is not a builtin.  Scopes are not told apart: a binding anywhere in
+  the file counts, so this finds names that are gone, not names read
+  before they are bound.  Names listed in ``__all__`` are exports, not
+  reads, and are not checked (a package may bind them lazily).
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib.util
 import pathlib
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -58,9 +65,9 @@ def _imports(tree: ast.AST) -> Iterator[Tuple[ast.stmt, str, str]]:
                 yield node, alias.asname or alias.name, alias.name
 
 
-def _names_read(tree: ast.AST) -> Set[str]:
-    """Every identifier the file reads, quoted annotations and
-    ``__all__`` entries included."""
+def _names_read(tree: ast.AST, exports: bool = True) -> Set[str]:
+    """Every identifier the file reads, quoted annotations and (with
+    ``exports``) ``__all__`` entries included."""
     used: Set[str] = set()
     quoted: List[ast.expr] = []
     for node in ast.walk(tree):
@@ -72,7 +79,7 @@ def _names_read(tree: ast.AST) -> Set[str]:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.returns is not None:
                 quoted.append(node.returns)
-        elif isinstance(node, ast.Assign) and any(
+        elif exports and isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
             used.update(c.value for c in ast.walk(node.value)
@@ -191,4 +198,20 @@ def test_no_duplicate_definitions():
                             f"{node.name!r} redefines line "
                             f"{first[node.name]}")
                     first[node.name] = node.lineno
+    assert not findings, "\n" + "\n".join(findings)
+
+
+def test_no_undefined_names():
+    findings = []
+    for path in FILES:
+        tree = _tree(path)
+        defined = _names_bound(tree) | set(dir(builtins))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                defined.add(node.name)
+        for name in sorted(_names_read(tree, exports=False) - defined):
+            findings.append(f"{path.relative_to(SRC)}: undefined name "
+                            f"{name!r}")
     assert not findings, "\n" + "\n".join(findings)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Machine
+from repro import Machine, serde
 from repro.errors import CorruptRecord, InvalidArgument
 from repro.hw.memory import Page
 from repro.objstore import records
@@ -32,6 +32,48 @@ def test_record_unknown_kind_rejected():
 def test_object_record_round_trip():
     blob = records.encode_object(42, "pipe", {"buffer": b"x"})
     assert records.decode_object(blob) == (42, "pipe", {"buffer": b"x"})
+
+
+def test_batch_decodes_only_the_wanted_records(monkeypatch):
+    """An unwanted record is skipped undecoded by its OID prefix; one
+    whose prefix does not match (here an extra key sorts before
+    ``oid``) is decoded in full and returned for the caller to judge."""
+    odd = serde.dumps({"kind": records.REC_OBJECT,
+                       "body": {"aaa": 0, "oid": 14, "otype": "pipe",
+                                "state": None}})
+    batch = records.encode_objects(
+        [records.encode_object(oid, "pipe", {"n": oid}) for oid in (11, 12)]
+        + [odd, records.encode_object(-5, "pipe", None)])
+    loaded = []
+    loads = serde.loads
+    monkeypatch.setattr(serde, "loads",
+                        lambda data: loaded.append(data) or loads(data))
+    assert records.decode_objects(batch, {12}) == [
+        (12, "pipe", {"n": 12}), (14, "pipe", None), (-5, "pipe", None)]
+    assert len(loaded) == 4     # the batch and three records, not 11
+    assert [oid for oid, _otype, _state in records.decode_objects(batch)] \
+        == [11, 12, 14, -5]
+
+
+def test_missing_wanted_oid_takes_the_fallback():
+    machine = Machine()
+    store = ObjectStore(machine)
+    store.format()
+    older = store.begin_checkpoint(group_id=1)
+    for oid in (11, 12):
+        older.put_object(oid, "pipe", {"v": "old"})
+    old_info = store.commit(older, sync=True)
+    newer = store.begin_checkpoint(group_id=1, parent=old_info.ckpt_id)
+    for oid in (13, 14):
+        newer.put_object(oid, "pipe", {"v": "new"})
+    batch = store.commit(newer, sync=True).object_records[13]
+    # The map claims 11 lives in the newer batch, which does not hold it.
+    extents = {11: batch, 13: batch}
+    with pytest.raises(CorruptRecord, match="record OID mismatch for 11"):
+        store.read_object_records(extents)
+    assert store.read_object_records(
+        extents, fallbacks={11: [old_info.object_records[11]]}) == {
+        11: ("pipe", {"v": "old"}), 13: ("pipe", {"v": "new"})}
 
 
 def test_oid_serial_bounds():

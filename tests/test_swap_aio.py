@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Machine, load_aurora
+from repro.hw.memory import SYNTHETIC_CLEAN, synthetic_bytes
 from repro.kernel.aio import AIO_READ, AIO_WRITE
 from repro.kernel.swap import MADV_DONTNEED
 from repro.kernel.vm.vmobject import VMObject
@@ -75,6 +76,44 @@ def test_madvise_dontneed_prioritizes_eviction():
     kernel.pageout.run_pageout(list(track.active.chain()),
                                store=sls.store)
     assert kernel.pageout.is_evicted(base, 5)
+
+
+def test_clean_marks_synthetic_shared_real_own_locator():
+    """A flushed synthetic page shares one clean mark and is evicted
+    with the locator derived from its seed; a real page is evicted with
+    its own; a page written after the flush is dirty."""
+    machine, sls, proc, group = small_machine()
+    pageout = machine.kernel.pageout
+    addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
+    proc.vmspace.write(addr, b"real page")
+    proc.vmspace.fill(addr + PAGE_SIZE, 699, seed=4)
+    sls.checkpoint(group, sync=True)
+    track = next(iter(group.tracks.values()))
+    base = track.active.backing  # the frozen shadow holding the pages
+    real, syn = base.pages[0], base.pages[1]
+    assert syn.clean_locator is SYNTHETIC_CLEAN
+    assert real.clean_locator.kind == "ext"
+    # Written after the flush: a new, dirty page above the clean one.
+    proc.vmspace.touch(addr + 2 * PAGE_SIZE, 1, seed=99)
+    assert track.active.pages[2].clean_locator is None
+    proc.vmspace.fill(addr + 700 * PAGE_SIZE, 230, seed=5)
+    assert pageout.memory_pressure()
+    for pindex in (0, 1, 2):
+        pageout.madvise(base, pindex, MADV_DONTNEED)
+    pageout.run_pageout(list(track.active.chain()), store=sls.store)
+    assert pageout.evictions_dirty == 0
+    real_locator, syn_locator = (pageout.evicted[base.kid][pindex]
+                                 for pindex in (0, 1))
+    assert real_locator is real.clean_locator
+    assert (syn_locator.kind, syn_locator.seed) == ("syn", syn.seed)
+    assert 2 in track.active.pages and not pageout.is_evicted(
+        track.active, 2)
+    # Page-in returns the flushed content, clean again.
+    assert proc.vmspace.read(addr + PAGE_SIZE, PAGE_SIZE) \
+        == synthetic_bytes(syn.seed)
+    assert proc.vmspace.read(addr, 9) == b"real page"
+    assert base.pages[1].clean_locator is SYNTHETIC_CLEAN
+    assert base.pages[0].clean_locator is real_locator
 
 
 def test_orchestrator_runs_pageout_automatically():
