@@ -27,7 +27,7 @@ def main():
                                period_ns=10 * MSEC)
     cluster = SLSCluster(primary_sls, group, nodes=1, azs=1)
     cluster.install()
-    standby, link = cluster.nodes[0], cluster.links[0]
+    standby = cluster.nodes[0]
     print("primary serving; standby receiving incremental streams "
           "every 10 ms")
 
@@ -42,8 +42,8 @@ def main():
     chain = primary_sls.store.checkpoints_for(group.group_id)
     behind = sum(info.ckpt_id > cluster.durable for info in chain)
     print(f"processed {orders} orders; "
-          f"{link.stats['streams']} streams shipped "
-          f"({fmt_size(link.stats['bytes'])} total), "
+          f"{standby.stats['streams']} streams shipped "
+          f"({fmt_size(standby.stats['bytes'])} total), "
           f"standby lag: {behind} checkpoint(s)")
 
     print("PRIMARY POWER FAILURE")

@@ -431,9 +431,7 @@ def cmd_cluster(args) -> int:
         machine.crash()
         cluster.failover(force=args.force,
                          force_data_loss=args.force_data_loss)
-        failover_ns = telemetry.registry().histogram(
-            "sls.cluster.failover_ns",
-            group=group.group_id).max
+        failover_ns = sls.slo.series(group.group_id, "failover").max
         print(f"primary crashed; standby promoted at checkpoint "
               f"{cluster.durable} in {fmt_time(failover_ns)}")
         return 0

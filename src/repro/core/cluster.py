@@ -117,27 +117,39 @@ EPOCH_MSG_BYTES = 128
 PRIMARY_AZ = 0
 
 
-def _leg_labels(group_id: int, node_id: int, ckpt: int,
-                ctx: Optional["tracing.TraceContext"]) -> Dict[str, Any]:
-    """Span labels of one replication leg; the tenant comes from the
-    shipped trace context when it names one."""
-    labels: Dict[str, Any] = {"group": group_id, "node": node_id,
+def _leg_labels(group: ConsistencyGroup, node_id: int, ckpt: int,
+                trace: Optional[tracing.Trace]) -> Dict[str, Any]:
+    """Span labels of one replication leg, tenant-attributed when the
+    leg joins a checkpoint trace."""
+    labels: Dict[str, Any] = {"group": group.group_id, "node": node_id,
                               "ckpt": ckpt}
-    if ctx is not None and ctx.tenant is not None:
-        labels["tenant"] = ctx.tenant
+    if trace is not None:
+        labels["tenant"] = group.name
     return labels
 
 
 class ClusterNode:
-    """One replica node: its own machine, store, and volatile caches."""
+    """One replica node: its own machine, store and volatile caches,
+    plus the primary's book on the leg to it (retry policy, peer
+    health, outage and ship counts), which outlives crashes and wipes."""
 
-    def __init__(self, node_id: int, az: int, group_id: int):
+    def __init__(self, node_id: int, az: int, group_id: int, clock: Any):
         self.node_id = node_id
         self.az = az
         self.group_id = group_id
         self.machine = Machine()
         self.sls: Orchestrator = load_aurora(self.machine)
         self.down = False
+        # A per-node seed keeps backoff jitter independent across legs;
+        # the policy is never rebuilt, so its jitter stream carries on.
+        self.retry = RetryPolicy(clock,
+                                 seed=0x11A6 ^ group_id ^ (node_id << 8),
+                                 op=f"cluster.ship.n{node_id}")
+        #: The pump's view of the leg (only ``node_up`` resets it).
+        self.health = PeerHealth()
+        #: Sim-instant the leg's current outage began (None = healthy).
+        self.down_since: Optional[int] = None
+        self.stats = {"streams": 0, "bytes": 0, "outages": 0}
         #: Primary checkpoint id -> node-local checkpoint id, for
         #: every delta this node holds complete on media.
         self.applied: Dict[int, int] = {}
@@ -227,11 +239,6 @@ class ClusterNode:
             self.applied[primary_ckpt] = info.ckpt_id
             self.applied_epoch[primary_ckpt] = epoch
 
-    def truncate_above(self, durable: int) -> List[int]:
-        """Discard every local checkpoint newer than the quorum
-        watermark.  Returns the primary ids discarded."""
-        return self.truncate_from(durable + 1)
-
     def truncate_from(self, floor: int) -> List[int]:
         """Discard every local checkpoint at or above ``floor``
         (newest first — only childless checkpoints may be truncated).
@@ -248,123 +255,6 @@ class ClusterNode:
     def __repr__(self) -> str:
         state = "down" if self.down else f"applied<={self.applied_max}"
         return f"ClusterNode(#{self.node_id} az{self.az} {state})"
-
-
-class SegmentedLink:
-    """One primary→node leg of the cluster: its retry policy, stats
-    and outage book.
-
-    Shipping goes checkpoint-by-checkpoint through the cluster's
-    canonical shard manifests, crossing the ``on_repl`` quorum
-    boundaries.  Each attempt consults the primary's fault plan and
-    retries :class:`~repro.errors.LinkDown` with the standard backoff;
-    an outage that outlasts the retries marks the leg *down* and
-    shipping quietly resumes on a later pump.
-    """
-
-    def __init__(self, cluster: "SLSCluster", node: ClusterNode) -> None:
-        self.cluster = cluster
-        self.node = node
-        self.stats = {"streams": 0, "bytes": 0, "outages": 0}
-        #: Sim-instant the current outage began (None = link healthy).
-        self.down_since: Optional[int] = None
-        # A per-node seed keeps backoff jitter independent across legs.
-        self.retry = RetryPolicy(
-            cluster.primary.machine.clock,
-            seed=0x11A6 ^ cluster.gid ^ (node.node_id << 8),
-            op=f"cluster.ship.n{node.node_id}")
-
-    def _ship_ckpt(self, ckpt_id: int) -> None:
-        """One connect + send + apply attempt for one checkpoint."""
-        cluster = self.cluster
-        node = self.node
-        plan = cluster._plan()
-        if plan is not None:
-            plan.on_repl(node.node_id, B_SHIP)
-            plan.on_link()
-            # The ship direction can be partitioned independently of
-            # the ack path: delivery, not just shipping, fails
-            # per-direction (and may be skewed late).
-            delay = plan.on_deliver(faults.PRIMARY, node.node_id)
-            if delay:
-                cluster._clock().advance(delay)
-        manifest, payloads = cluster.shards_for(ckpt_id)
-        ctx = manifest.trace_ctx
-        registry = telemetry.registry()
-        clock = cluster._clock()
-        labels = _leg_labels(cluster.gid, node.node_id, ckpt_id, ctx)
-        # Replica-side legs record into the originating checkpoint
-        # trace (resolved from the shipped context) so one trace spans
-        # primary → replicas; spans never advance the clock or touch
-        # the fault plan, keeping crash schedules identical.
-        with tracing.use(ctx.resolve() if ctx is not None else None):
-            with registry.span(clock, "repl.ship", **labels):
-                # The whole delta crosses the fabric to this node;
-                # wire time is charged on the primary's clock like any
-                # ``sls send``.
-                wire = cluster.primary.machine.nic.send(
-                    manifest.total_bytes)
-                clock.advance(wire)
-            self.stats["streams"] += 1
-            self.stats["bytes"] += manifest.total_bytes
-            cluster.account_transfer(PRIMARY_AZ, node.az,
-                                     manifest.total_bytes)
-            if plan is not None:
-                plan.on_repl(node.node_id, B_DELIVER)
-            # Epoch fencing: a replica refuses any delta stamped with
-            # an epoch older than the one its store durably promised —
-            # a partitioned ex-primary's writes die here, before they
-            # can reach the node's media.
-            promised = node.promised_epoch
-            if manifest.epoch < promised:
-                events.emit(clock.now(), events.FENCED_WRITE,
-                            group=cluster.gid,
-                            node=node.node_id, ckpt=ckpt_id,
-                            epoch=manifest.epoch, promised=promised)
-                telemetry.registry().counter(
-                    "sls.cluster.fenced_writes",
-                    group=cluster.gid).add(1)
-                cluster.stats["fenced_writes"] += 1
-                raise StaleEpoch(
-                    f"node {node.node_id} promised epoch {promised}, "
-                    f"delta carries epoch {manifest.epoch}: write "
-                    f"fenced", epoch=promised)
-            with registry.span(clock, "repl.deliver", **labels):
-                stream = assemble(manifest,
-                                  {meta.index: payloads[meta.index]
-                                   for meta in manifest.segments})
-            with registry.span(clock, "repl.apply", **labels):
-                node.apply(ckpt_id, stream, epoch=manifest.epoch)
-            node.shards[ckpt_id] = (manifest, payloads)
-            if plan is not None:
-                plan.on_repl(node.node_id, B_APPLY)
-
-    def ship_checkpoint(self, ckpt_id: int) -> bool:
-        """Ship one checkpoint to this node under the retry policy and
-        keep the outage book: True once it is on the node's media
-        (which closes any open outage), False when the retries did not
-        outlast the flap (the first such failure opens the outage and
-        says so; a later pump round tries again)."""
-        clock = self.cluster._clock()
-        gid = self.cluster.gid
-        now = clock.now()
-        try:
-            self.retry.run(lambda: self._ship_ckpt(ckpt_id))
-        except RetriesExhausted as exc:
-            if self.down_since is None:
-                self.down_since = now
-                self.stats["outages"] += 1
-                events.emit(clock.now(), events.LINK_DOWN, group=gid,
-                            node=self.node.node_id,
-                            error=f"{type(exc).__name__}: {exc}")
-                telemetry.registry().counter(
-                    "sls.replication.outages", group=gid).add(1)
-            return False
-        if self.down_since is not None:
-            events.emit(clock.now(), events.LINK_UP, group=gid,
-                        outage_ns=clock.now() - self.down_since)
-            self.down_since = None
-        return True
 
 
 class ClusterRecovery:
@@ -424,12 +314,9 @@ class SLSCluster:
         self.read_quorum = nodes - self.write_quorum + 1
         self.segment_bytes = segment_bytes
         self.nodes: List[ClusterNode] = [
-            ClusterNode(i, az=i % azs, group_id=self.gid)
+            ClusterNode(i, az=i % azs, group_id=self.gid,
+                        clock=primary.machine.clock)
             for i in range(nodes)]
-        self.links: List[SegmentedLink] = [
-            SegmentedLink(self, node) for node in self.nodes]
-        self.health: List[PeerHealth] = [PeerHealth()
-                                         for _ in range(nodes)]
         #: Quorum-durable watermark: newest primary checkpoint with a
         #: registered write quorum of acknowledgements.
         self.durable: Optional[int] = None
@@ -479,8 +366,6 @@ class SLSCluster:
                                      group=self.gid).add(nbytes)
         if src_az != dst_az:
             self.inter_az_bytes += nbytes
-            telemetry.registry().counter("sls.cluster.inter_az_bytes",
-                                         group=self.gid).add(nbytes)
 
     def shards_for(self, ckpt_id: int
                    ) -> Tuple[ShardManifest, List[bytes]]:
@@ -490,9 +375,8 @@ class SLSCluster:
         if cached is None:
             cached = self._streams[ckpt_id] = self._shard_delta(
                 self.primary, ckpt_id, ckpt_id)
-        if cached[0].trace_ctx is None:
-            cached[0].trace_ctx = tracing.capture_for_group(
-                self.gid, tenant=self.group.name)
+        if cached[0].trace is None:
+            cached[0].trace = tracing.for_group(self.gid)
         # Stamped at ship time, not shard time: the wire always
         # carries the epoch this handle *currently* holds.
         cached[0].epoch = self.epoch
@@ -521,6 +405,91 @@ class SLSCluster:
 
     def up_nodes(self) -> List[ClusterNode]:
         return [node for node in self.nodes if not node.down]
+
+    # -- shipping one leg --------------------------------------------------
+
+    def _ship_ckpt(self, node: ClusterNode, ckpt_id: int) -> None:
+        """One connect + send + apply attempt of one checkpoint to one
+        node, crossing the ``on_repl`` quorum boundaries."""
+        plan = self._plan()
+        clock = self._clock()
+        if plan is not None:
+            plan.on_repl(node.node_id, B_SHIP)
+            plan.on_link()
+            # The ship direction can be partitioned independently of
+            # the ack path: delivery, not just shipping, fails
+            # per-direction (and may be skewed late).
+            delay = plan.on_deliver(faults.PRIMARY, node.node_id)
+            if delay:
+                clock.advance(delay)
+        manifest, payloads = self.shards_for(ckpt_id)
+        registry = telemetry.registry()
+        labels = _leg_labels(self.group, node.node_id, ckpt_id,
+                             manifest.trace)
+        # Replica-side legs record into the originating checkpoint
+        # trace so one trace spans primary → replicas; spans never
+        # advance the clock or touch the fault plan, keeping crash
+        # schedules identical.
+        with tracing.use(manifest.trace):
+            with registry.span(clock, "repl.ship", **labels):
+                # The whole delta crosses the fabric to this node;
+                # wire time is charged on the primary's clock like any
+                # ``sls send``.
+                clock.advance(self.primary.machine.nic.send(
+                    manifest.total_bytes))
+            node.stats["streams"] += 1
+            node.stats["bytes"] += manifest.total_bytes
+            self.account_transfer(PRIMARY_AZ, node.az, manifest.total_bytes)
+            if plan is not None:
+                plan.on_repl(node.node_id, B_DELIVER)
+            # Epoch fencing: a replica refuses any delta stamped with
+            # an epoch older than the one its store durably promised —
+            # a partitioned ex-primary's writes die here, before they
+            # can reach the node's media.
+            promised = node.promised_epoch
+            if manifest.epoch < promised:
+                events.emit(clock.now(), events.FENCED_WRITE,
+                            group=self.gid,
+                            node=node.node_id, ckpt=ckpt_id,
+                            epoch=manifest.epoch, promised=promised)
+                self.stats["fenced_writes"] += 1
+                raise StaleEpoch(
+                    f"node {node.node_id} promised epoch {promised}, "
+                    f"delta carries epoch {manifest.epoch}: write "
+                    f"fenced", epoch=promised)
+            with registry.span(clock, "repl.deliver", **labels):
+                stream = assemble(manifest,
+                                  {meta.index: payloads[meta.index]
+                                   for meta in manifest.segments})
+            with registry.span(clock, "repl.apply", **labels):
+                node.apply(ckpt_id, stream, epoch=manifest.epoch)
+            node.shards[ckpt_id] = (manifest, payloads)
+            if plan is not None:
+                plan.on_repl(node.node_id, B_APPLY)
+
+    def ship_checkpoint(self, node: ClusterNode, ckpt_id: int) -> bool:
+        """Ship one checkpoint to one node under its retry policy and
+        keep the leg's outage book: True once it is on the node's media
+        (which closes any open outage), False when the retries did not
+        outlast the flap (the first such failure opens the outage and
+        says so; a later pump round tries again)."""
+        clock = self._clock()
+        now = clock.now()
+        try:
+            node.retry.run(lambda: self._ship_ckpt(node, ckpt_id))
+        except RetriesExhausted as exc:
+            if node.down_since is None:
+                node.down_since = now
+                node.stats["outages"] += 1
+                events.emit(clock.now(), events.LINK_DOWN, group=self.gid,
+                            node=node.node_id,
+                            error=f"{type(exc).__name__}: {exc}")
+            return False
+        if node.down_since is not None:
+            events.emit(clock.now(), events.LINK_UP, group=self.gid,
+                        outage_ns=clock.now() - node.down_since)
+            node.down_since = None
+        return True
 
     # -- the quorum pump ---------------------------------------------------
 
@@ -555,8 +524,7 @@ class SLSCluster:
             ckpt = info.ckpt_id
             self._commit_seen.setdefault(ckpt, clock.now())
             acks = self.acks.setdefault(ckpt, set())
-            for node, link, health in zip(self.nodes, self.links,
-                                          self.health):
+            for node in self.nodes:
                 if node.down:
                     continue
                 if ckpt in node.applied:
@@ -578,11 +546,12 @@ class SLSCluster:
                     # earlier chain entries (or repair) must land
                     # first so its local chain stays well-parented.
                     continue
+                health = node.health
                 if not health.should_attempt():
                     continue
                 plan = self._plan()
                 try:
-                    shipped = link.ship_checkpoint(ckpt)
+                    shipped = self.ship_checkpoint(node, ckpt)
                     acked = shipped and self._ack_delivered(node)
                     if acked and plan is not None:
                         plan.on_repl(node.node_id, B_ACK)
@@ -627,8 +596,6 @@ class SLSCluster:
                         group=self.gid, ckpt=newest,
                         acks=len(self.acks.get(newest, ())),
                         needed=self.write_quorum)
-            telemetry.registry().counter("sls.cluster.quorum_stalls",
-                                         group=self.gid).add(1)
         return self.durable
 
     def _ack_delivered(self, node: ClusterNode) -> bool:
@@ -684,8 +651,6 @@ class SLSCluster:
             events.emit(now, events.LEASE_EXPIRE, group=self.gid,
                         epoch=self.epoch, grants=grants,
                         needed=self.write_quorum)
-            telemetry.registry().counter("sls.cluster.lease_expiries",
-                                         group=self.gid).add(1)
             if plan is not None:
                 plan.on_repl(faults.PRIMARY, B_LEASE)
 
@@ -700,8 +665,6 @@ class SLSCluster:
         events.emit(now, events.STALE_PRIMARY, group=self.gid,
                     epoch=self.epoch, promised=promised,
                     durable=self.durable)
-        telemetry.registry().counter("sls.cluster.stale_primaries",
-                                     group=self.gid).add(1)
         self.group.health.enter(REASON_STALE_PRIMARY, now)
         self.primary.slo.on_degraded_enter(self.gid, now)
         self.stop()
@@ -710,9 +673,9 @@ class SLSCluster:
         """A zero-duration span marking the primary registering one
         node's acknowledgement, in the originating checkpoint trace."""
         cached = self._streams.get(ckpt)
-        ctx = cached[0].trace_ctx if cached is not None else None
-        labels = _leg_labels(self.gid, node.node_id, ckpt, ctx)
-        with tracing.use(ctx.resolve() if ctx is not None else None):
+        trace = cached[0].trace if cached is not None else None
+        labels = _leg_labels(self.group, node.node_id, ckpt, trace)
+        with tracing.use(trace):
             now = self._clock().now()
             telemetry.registry().record_span("repl.ack", now, now,
                                              **labels)
@@ -733,8 +696,6 @@ class SLSCluster:
         events.emit(clock.now(), events.QUORUM_ACK, group=self.gid,
                     ckpt=ckpt, acks=len(self.acks[ckpt]),
                     lag_ns=lag, tenant=self.group.name)
-        telemetry.registry().histogram("sls.cluster.quorum_lag",
-                                       group=self.gid).observe(lag)
         self.primary.slo.on_quorum_ack(self.gid, lag, now_ns=clock.now())
 
     # -- continuous operation ---------------------------------------------
@@ -785,16 +746,16 @@ class SLSCluster:
         events.emit(self._clock().now(), events.NODE_DOWN,
                     group=self.gid, node=node_id, az=node.az,
                     reason=reason)
-        telemetry.registry().counter("sls.cluster.node_down",
-                                     group=self.gid).add(1)
 
     def node_up(self, node_id: int) -> None:
-        """Reboot one node; it rejoins with whatever its media held."""
+        """Reboot one node; it rejoins with whatever its media held and
+        a clean peer-health record (the reboots inside :meth:`recover`
+        keep theirs)."""
         node = self.nodes[node_id]
         if not node.down:
             return
         node.reboot()
-        self.health[node_id] = PeerHealth()
+        node.health = PeerHealth()
         events.emit(self._clock().now(), events.NODE_UP,
                     group=self.gid, node=node_id, az=node.az,
                     applied=node.applied_max)
@@ -888,9 +849,6 @@ class SLSCluster:
             events.emit(self._clock().now(), events.TAIL_TRUNCATE,
                         group=self.gid, ckpt=durable,
                         discarded=len(truncated))
-            telemetry.registry().counter(
-                "sls.cluster.tail_truncated",
-                group=self.gid).add(len(truncated))
         self.durable = durable
         donor = next(node for node in available
                      if durable in node.applied)
@@ -950,9 +908,6 @@ class SLSCluster:
         events.emit(clock.now(), events.EPOCH_BUMP, group=self.gid,
                     epoch=proposal, grants=len(voters),
                     bump_ns=bump_ns)
-        telemetry.registry().histogram(
-            "sls.cluster.epoch_bump_ns",
-            group=self.gid).observe(bump_ns)
         self.primary.slo.observe(self.gid, "epoch_bump", bump_ns)
         return proposal
 
@@ -1042,12 +997,9 @@ class SLSCluster:
             events.emit(self._clock().now(), events.FORCED_PROMOTE,
                         group=self.gid, node=node_id, ckpt=durable,
                         watermark=self.durable, gap=forced_gap)
-            telemetry.registry().counter(
-                "sls.cluster.forced_promotes",
-                group=self.gid).add(1)
             self.durable = durable
         started = node.machine.clock.now()
-        node.truncate_above(durable)
+        node.truncate_from(durable + 1)
         result = node.sls.restore(self.gid,
                                   ckpt_id=node.applied[durable],
                                   periodic=False)
@@ -1056,9 +1008,6 @@ class SLSCluster:
         events.emit(self._clock().now(), events.PROMOTE, group=self.gid,
                     node=node_id, ckpt=durable,
                     failover_ns=failover_ns)
-        telemetry.registry().histogram(
-            "sls.cluster.failover_ns",
-            group=self.gid).observe(failover_ns)
         self.primary.slo.observe(self.gid, "failover", failover_ns)
         return result
 
@@ -1080,9 +1029,8 @@ class SLSCluster:
         that need not cross the wire.  Returns the repair report.
         """
         clock = self._clock()
-        registry = telemetry.registry()
-        hist = registry.histogram("sls.cluster.repair.segment_mttr",
-                                  group=self.gid)
+        hist = telemetry.registry().histogram(
+            "sls.cluster.repair.segment_mttr", group=self.gid)
         per_target_ns: Dict[int, int] = {}
         segments_done = 0
         ckpts_done = 0
@@ -1132,8 +1080,6 @@ class SLSCluster:
         self.stats["segments_repaired"] += segments_done
         events.emit(clock.now(), events.REPAIR_DONE, group=self.gid,
                     **report)
-        registry.counter("sls.cluster.segments_repaired",
-                         group=self.gid).add(segments_done)
         return report
 
     def _chain_ready(self, target: ClusterNode, ckpt: int) -> bool:
@@ -1165,13 +1111,13 @@ class SLSCluster:
         when some segment has no partition-reachable donor."""
         plan = self._plan()
         manifest, payloads = self._segments_from(holders, ckpt)
-        ctx = manifest.trace_ctx
-        labels = _leg_labels(self.gid, target.node_id, ckpt, ctx)
+        labels = _leg_labels(self.group, target.node_id, ckpt,
+                             manifest.trace)
         registry = telemetry.registry()
         repair_start = self._clock().now()
         gathered: Dict[int, bytes] = {}
         elapsed = queue_ns
-        with tracing.use(ctx.resolve() if ctx is not None else None):
+        with tracing.use(manifest.trace):
             for meta in manifest.segments:
                 if plan is not None:
                     plan.on_repl(target.node_id, B_REPAIR)
@@ -1320,9 +1266,6 @@ class SLSCluster:
             events.emit(clock.now(), events.TAIL_TRUNCATE,
                         group=self.gid, ckpt=durable,
                         discarded=len(fenced), fenced=True)
-            telemetry.registry().counter(
-                "sls.cluster.tail_truncated",
-                group=self.gid).add(len(fenced))
         # Pass 2: digest exchange against the canonical history — the
         # union of surviving checkpoints, each checkpoint's canonical
         # manifest elected by majority root-digest vote across its
@@ -1377,16 +1320,14 @@ class SLSCluster:
         report = self.repair(recon=recon)
         self.stats["reconciles"] += 1
         reconcile_ns = clock.now() - started
-        ctx = None
-        if canonical_manifests:
-            newest = canonical_manifests[max(canonical_manifests)]
-            ctx = newest.trace_ctx
-        with tracing.use(ctx.resolve() if ctx is not None else None):
+        trace = (canonical_manifests[max(canonical_manifests)].trace
+                 if canonical_manifests else None)
+        with tracing.use(trace):
             labels: Dict[str, Any] = {"group": self.gid,
                                       "fenced": len(fenced),
                                       "bytes": recon.wire_bytes}
-            if ctx is not None and ctx.tenant is not None:
-                labels["tenant"] = ctx.tenant
+            if trace is not None:
+                labels["tenant"] = self.group.name
             telemetry.registry().record_span(
                 "repl.reconcile", started, clock.now(), **labels)
         events.emit(clock.now(), events.RECONCILE_DONE, group=self.gid,
@@ -1396,9 +1337,6 @@ class SLSCluster:
                     local_segments=recon.local_segments,
                     bytes=recon.wire_bytes,
                     reconcile_ns=reconcile_ns)
-        telemetry.registry().counter("sls.cluster.reconcile_bytes",
-                                     group=self.gid).add(
-                                         recon.wire_bytes)
         self.primary.slo.observe(self.gid, "reconcile", recon.wire_bytes)
         if self.fenced and self.group.health.degraded \
                 and self.group.health.reason == REASON_STALE_PRIMARY:
@@ -1471,15 +1409,13 @@ class SLSCluster:
 
     def status(self) -> Dict[str, Any]:
         """The ``sls cluster`` payload."""
-        registry = telemetry.registry()
         rows = []
-        for node, link, health in zip(self.nodes, self.links,
-                                      self.health):
+        for node in self.nodes:
             rows.append({
                 "node": node.node_id,
                 "az": node.az,
                 "state": ("down" if node.down
-                          else ("degraded" if health.degraded
+                          else ("degraded" if node.health.degraded
                                 else "up")),
                 "applied": node.applied_max,
                 "epoch": (None if node.down else node.promised_epoch),
@@ -1490,8 +1426,8 @@ class SLSCluster:
                             if self.durable is not None
                             and ckpt <= self.durable
                             and ckpt not in node.applied)),
-                "streams": link.stats["streams"],
-                "bytes": link.stats["bytes"],
+                "streams": node.stats["streams"],
+                "bytes": node.stats["bytes"],
             })
         return {
             "group": self.gid,
@@ -1508,10 +1444,9 @@ class SLSCluster:
             "inter_az_bytes": self.inter_az_bytes,
             "inter_az_pretty": fmt_size(self.inter_az_bytes),
             "segment_bytes": self.segment_bytes,
-            "quorum_lag_p50_ns": registry.histogram(
-                "sls.cluster.quorum_lag",
-                group=self.gid).percentile(50),
-            "repair_mttr_p50_ns": registry.histogram(
+            "quorum_lag_p50_ns": self.primary.slo.series(
+                self.gid, "quorum").percentile(50),
+            "repair_mttr_p50_ns": telemetry.registry().histogram(
                 "sls.cluster.repair.segment_mttr",
                 group=self.gid).percentile(50),
             "stats": dict(self.stats),

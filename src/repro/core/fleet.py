@@ -19,8 +19,9 @@ replaces all of that with one control plane:
   measured NVMe write bandwidth (``costs.NVME_WRITE_BW`` ×
   ``costs.NVME_DEVICES``), and Σ ``service/period`` — the sim-time a
   dispatch occupies the control plane — must stay under the time
-  budget.  Over-budget attaches are refused (``ADMISSION_REJECT``)
-  or auto-widened (``BACKPRESSURE``), per policy.
+  budget.  An over-budget attach is widened (``BACKPRESSURE``) to
+  the smallest power-of-two period that fits, and refused
+  (``ADMISSION_REJECT``) only when even ``MAX_WIDEN_FACTOR`` cannot.
 * **Backpressure, offender-pays.**  Demand estimates are EWMAs of
   observed dirty bytes and service time; when measured aggregate
   demand outgrows capacity the scheduler stretches the *largest*
@@ -48,19 +49,14 @@ from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import AdmissionRejected, NoSpace, RetriesExhausted, StoreFull
 from ..units import SEC, USEC
-from . import costs, events, resilience, telemetry
+from . import costs, events, resilience
 from .group import ConsistencyGroup
 from .pipeline import MODE_MEM
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .orchestrator import Orchestrator
 
-__all__ = ["ADMIT_REJECT", "ADMIT_WIDEN", "FleetScheduler"]
-
-#: Admission policies: refuse an infeasible attach outright, or
-#: stretch the newcomer's period until it fits.
-ADMIT_REJECT = "reject"
-ADMIT_WIDEN = "widen"
+__all__ = ["FleetScheduler"]
 
 #: Fraction of the aggregate NVMe write bandwidth admission may book.
 BANDWIDTH_UTIL_CAP = 0.8
@@ -143,7 +139,6 @@ class FleetScheduler:
         self.sls = sls
         self.machine = sls.machine
         self.clock = sls.kernel.clock
-        self.telemetry = telemetry.registry()
         #: EDF queue: ``(deadline, seq, group_id)`` with lazy deletion
         #: (a popped tuple is stale unless it matches the entry's
         #: current deadline).
@@ -161,6 +156,10 @@ class FleetScheduler:
         #: service observations).
         self._miss_total = 0
         self._miss_seen = 0
+        #: Admissions refused, and widens (at admission or by the
+        #: backpressure controller), over this scheduler's lifetime.
+        self.rejects = 0
+        self.widens = 0
         #: The one armed event-loop timer (earliest deadline), and the
         #: instant it is armed for.
         self._armed: Optional[Any] = None
@@ -169,17 +168,16 @@ class FleetScheduler:
     # -- admission ---------------------------------------------------------
 
     def admit(self, group: ConsistencyGroup,
-              demand_bytes_per_sec: Optional[int] = None,
-              policy: str = ADMIT_WIDEN) -> _Entry:
+              demand_bytes_per_sec: Optional[int] = None) -> _Entry:
         """Admission-test ``group`` and enter it into the EDF queue.
 
         ``demand_bytes_per_sec`` seeds the demand estimate (else the
         group starts with whatever EWMA it already carries, or zero —
         a blank tenant is admitted on the service-time test alone and
-        the estimate catches up after its first checkpoints).
+        the estimate catches up after its first checkpoints).  An
+        infeasible group is widened to fit, or refused past
+        ``MAX_WIDEN_FACTOR`` (:class:`~repro.errors.AdmissionRejected`).
         """
-        if policy not in (ADMIT_REJECT, ADMIT_WIDEN):
-            raise ValueError(f"bad admission policy {policy!r}")
         now = self.clock.now()
         if demand_bytes_per_sec is not None:
             group.demand_bytes_per_ckpt = (
@@ -187,13 +185,13 @@ class FleetScheduler:
         self._fault_boundary(group.group_id, "admit")
         widen = self._admission_widen(group)
         if widen > 1:
-            if policy == ADMIT_REJECT or widen > MAX_WIDEN_FACTOR:
+            if widen > MAX_WIDEN_FACTOR:
                 events.emit(now, events.ADMISSION_REJECT,
                             group=group.group_id, tenant=group.name,
                             demand_bps=self._demand_bps(group),
                             aggregate_bps=self.aggregate_demand_bps(),
                             capacity_bps=self.capacity_bps())
-                self.telemetry.counter("sls.fleet.admission_rejects").add(1)
+                self.rejects += 1
                 raise AdmissionRejected(
                     f"group {group.group_id} ({group.name}): admitting "
                     f"would exceed store capacity "
@@ -205,8 +203,7 @@ class FleetScheduler:
             events.emit(now, events.BACKPRESSURE, group=group.group_id,
                         tenant=group.name, action="admit_widen", factor=widen,
                         effective_period_ns=self.effective_period(group))
-            self.telemetry.counter("sls.fleet.backpressure_widens",
-                                   group=group.group_id).add(1)
+            self.widens += 1
         entry = _Entry(self, group)
         self._entries[group.group_id] = entry
         group.timer = entry
@@ -223,7 +220,6 @@ class FleetScheduler:
         events.emit(now, events.FLEET_ADMIT, group=group.group_id,
                     tenant=group.name, period_ns=group.period_ns, factor=group.backpressure_factor,
                     phase_ns=phase)
-        self.telemetry.counter("sls.fleet.admitted").add(1)
         self._rearm()
         return entry
 
@@ -375,16 +371,12 @@ class FleetScheduler:
         self._fault_boundary(group.group_id, "dispatch")
         start_ns = self.clock.now()
         group.dispatches += 1
-        self.telemetry.counter("sls.fleet.dispatches",
-                               group=group.group_id).add(1)
         lateness = start_ns - deadline
         slack = (group.miss_slack_ns if group.miss_slack_ns is not None
                  else self.effective_period(group) // MISS_SLACK_DIV)
         if lateness > slack:
             group.deadline_misses += 1
             self._miss_total += 1
-            self.telemetry.counter("sls.fleet.deadline_misses",
-                                   group=group.group_id).add(1)
             events.emit(start_ns, events.DEADLINE_MISS,
                         group=group.group_id, tenant=group.name,
                         lateness_ns=lateness,
@@ -393,8 +385,6 @@ class FleetScheduler:
             # A flush overrunning the period delays the next
             # checkpoint rather than piling up (§7).
             group.flush_skips += 1
-            self.telemetry.counter("sls.fleet.flush_skips",
-                                   group=group.group_id).add(1)
         else:
             bytes_before = group.stats["bytes_flushed"]
             self._periodic_checkpoint(group)
@@ -506,8 +496,7 @@ class FleetScheduler:
                         action="widen",
                         factor=offender.backpressure_factor,
                         effective_period_ns=self.effective_period(offender))
-            self.telemetry.counter("sls.fleet.backpressure_widens",
-                                   group=offender.group_id).add(1)
+            self.widens += 1
             rounds += 1
         if rounds:
             return
@@ -588,7 +577,6 @@ class FleetScheduler:
 
     def summary(self) -> Dict[str, Any]:
         """Fleet-wide scheduler summary (capacity, demand, fairness)."""
-        registry = self.telemetry
         periods = {gid: entry.group.period_ns
                    for gid, entry in self._entries.items()}
         fairness = self.sls.slo.fleet_fairness(sorted(self._entries),
@@ -601,11 +589,9 @@ class FleetScheduler:
                                / max(1, self.capacity_bps())),
             "time_util": self.aggregate_time_util(),
             "time_util_cap": TIME_UTIL_CAP,
-            "deadline_misses": registry.value("sls.fleet.deadline_misses"),
-            "admission_rejects": registry.value(
-                "sls.fleet.admission_rejects"),
-            "backpressure_widens": registry.value(
-                "sls.fleet.backpressure_widens"),
+            "deadline_misses": self._miss_total,
+            "admission_rejects": self.rejects,
+            "backpressure_widens": self.widens,
             "fairness": fairness,
             "next_deadline_ns": self._next_deadline(),
         }

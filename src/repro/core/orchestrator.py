@@ -33,7 +33,7 @@ from ..slsfs.slsfs import SLSFS
 from . import events, resilience, slo, telemetry, tracing
 from .extsync import ExternalSynchrony
 from .faults import InjectedCrash
-from .fleet import ADMIT_WIDEN, FleetScheduler
+from .fleet import FleetScheduler
 from .group import ConsistencyGroup
 from .pipeline import (MODE_DISK, MODE_MEM, CheckpointContext,
                        CheckpointPipeline, CheckpointResult)
@@ -80,7 +80,6 @@ class Orchestrator:
                periodic: bool = True,
                history_limit: Optional[int] = None,
                demand_bytes_per_sec: Optional[int] = None,
-               admission: str = ADMIT_WIDEN,
                rpo_budget_ns: Optional[int] = None,
                probe_every: Optional[int] = None) -> ConsistencyGroup:
         """``sls attach``: put a process (and its tree) under Aurora.
@@ -92,11 +91,11 @@ class Orchestrator:
         merged away WAFL-style after each commit).
 
         Periodic groups go through fleet admission control:
-        ``demand_bytes_per_sec`` seeds the demand estimate and
-        ``admission`` picks the over-capacity policy (``widen``
-        stretches the newcomer's period; ``reject`` raises
-        :class:`~repro.errors.AdmissionRejected` and leaves nothing
-        attached).  ``rpo_budget_ns`` installs the tenant's RPO budget
+        ``demand_bytes_per_sec`` seeds the demand estimate; an
+        over-capacity group is widened until it fits, or refused with
+        :class:`~repro.errors.AdmissionRejected` (leaving nothing
+        attached) when even the widest period does not.
+        ``rpo_budget_ns`` installs the tenant's RPO budget
         (``slo.set_group_targets`` sets any other target);
         ``probe_every`` sets the degraded disk-probe cadence.
         """
@@ -119,8 +118,7 @@ class Orchestrator:
         if periodic:
             try:
                 self.fleet.admit(group,
-                                 demand_bytes_per_sec=demand_bytes_per_sec,
-                                 policy=admission)
+                                 demand_bytes_per_sec=demand_bytes_per_sec)
             except Exception:
                 # A refused attach leaves no trace: the processes come
                 # back out and the group never ran.
@@ -162,8 +160,6 @@ class Orchestrator:
                     reason=reason,
                     error=(f"{type(error).__name__}: {error}"
                            if error is not None else None))
-        self.telemetry.counter("sls.degraded.entries",
-                               group=group.group_id, reason=reason).add(1)
         self.slo.on_degraded_enter(group.group_id, now)
 
     def _exit_degraded(self, group: ConsistencyGroup) -> None:

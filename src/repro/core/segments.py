@@ -29,10 +29,11 @@ exercise, not the absolute sizes.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SegmentCorrupt
 from ..units import KiB
+from .tracing import Trace
 
 #: Scaled-down stand-in for Aurora's 10 GB segment.
 DEFAULT_SEGMENT_BYTES = 4 * KiB
@@ -80,7 +81,7 @@ class ShardManifest:
     """
 
     __slots__ = ("group_id", "ckpt_id", "total_bytes", "segment_bytes",
-                 "segments", "trace_ctx", "epoch")
+                 "segments", "trace", "epoch")
 
     def __init__(self, group_id: int, ckpt_id: int, total_bytes: int,
                  segment_bytes: int, segments: List[SegmentMeta],
@@ -90,11 +91,10 @@ class ShardManifest:
         self.total_bytes = total_bytes
         self.segment_bytes = segment_bytes
         self.segments = segments
-        #: Distributed trace context (a ``tracing.TraceContext`` or
-        #: ``None``): the checkpoint trace this delta's replication
-        #: belongs to, stamped by the primary and carried on the wire
-        #: so replica-side spans land in the originating trace.
-        self.trace_ctx = None
+        #: The checkpoint trace this delta's replication belongs to (a
+        #: ``tracing.Trace`` or ``None``), stamped by the primary so
+        #: replica-side spans land in the originating trace.
+        self.trace: Optional[Trace] = None
         #: Cluster membership epoch the shipping primary held when it
         #: put this delta on the wire; replicas fence any manifest
         #: whose epoch trails their durably promised epoch.

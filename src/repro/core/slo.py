@@ -188,6 +188,14 @@ class SLOTracker:
         if value > self._target(group_id, row):
             self._violate(group_id, budget)
 
+    def series(self, group_id: int, budget: str) -> Series:
+        """The sample series behind one budget label (empty for a
+        group with no samples; reading never creates group state)."""
+        state = self.groups.get(group_id)
+        if state is None:
+            return Series()
+        return state.series[_BY_LABEL[budget].series]
+
     # -- burn-rate alerting -------------------------------------------------------
 
     def burn_rate_milli(self, group_id: int, budget: str) -> int:

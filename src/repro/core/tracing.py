@@ -257,105 +257,20 @@ def use(trace_obj: Optional[Trace]) -> _UseScope:
 # -- distributed trace propagation -----------------------------------------------------
 
 
-class TraceContext:
-    """A serializable handle on one trace for crossing machine
-    boundaries.
-
-    Replication stamps a context onto each shipped manifest; the
-    receiving leg resolves it back to the originating :class:`Trace`
-    (every simulated node shares this process's tracer) and records
-    its ship/deliver/apply/ack spans into it under :func:`use`, so one
-    checkpoint trace spans primary → replicas → quorum ack.  The wire
-    form is a plain str-keyed dict of ints and strings — exactly what
-    :mod:`repro.serde` can carry inside a shipped stream.
-    """
-
-    __slots__ = ("trace_id", "span_id", "group", "tenant", "_trace")
-
-    def __init__(self, trace_id: int, span_id: Optional[int] = None,
-                 group: Optional[int] = None,
-                 tenant: Optional[str] = None,
-                 trace: Optional[Trace] = None) -> None:
-        self.trace_id = trace_id
-        #: Root span of the originating trace — the remote legs'
-        #: causal parent.
-        self.span_id = span_id
-        self.group = group
-        self.tenant = tenant
-        self._trace = trace
-
-    @classmethod
-    def capture(cls, trace_obj: Optional[Trace] = None,
-                tenant: Optional[str] = None) -> Optional["TraceContext"]:
-        """Context for ``trace_obj`` (default: the active trace);
-        None when there is nothing to propagate."""
-        if trace_obj is None:
-            trace_obj = current()
-        if trace_obj is None:
-            return None
-        group = trace_obj.labels.get("group")
-        label_tenant = trace_obj.labels.get("tenant")
-        if tenant is None and isinstance(label_tenant, str):
-            tenant = label_tenant
-        return cls(trace_obj.trace_id, trace_obj.root_id,
-                   group if isinstance(group, int) else None,
-                   tenant, trace=trace_obj)
-
-    def to_wire(self) -> Dict[str, Any]:
-        """The serializable wire form (survives :mod:`repro.serde`)."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id,
-                "group": self.group, "tenant": self.tenant}
-
-    @classmethod
-    def from_wire(cls, payload: Any) -> Optional["TraceContext"]:
-        """Rebuild from :meth:`to_wire` output (None on junk input)."""
-        if not isinstance(payload, dict):
-            return None
-        trace_id = payload.get("trace_id")
-        if not isinstance(trace_id, int) or isinstance(trace_id, bool):
-            return None
-        span_id = payload.get("span_id")
-        group = payload.get("group")
-        tenant = payload.get("tenant")
-        return cls(trace_id,
-                   span_id if isinstance(span_id, int) else None,
-                   group if isinstance(group, int) else None,
-                   tenant if isinstance(tenant, str) else None)
-
-    def resolve(self) -> Optional[Trace]:
-        """The trace this context names, if the process still holds it
-        — the captured reference, the active trace, or the tracer's
-        bounded finished ring (evicted traces resolve to None)."""
-        if self._trace is not None:
-            return self._trace
-        active = current()
-        if active is not None and active.trace_id == self.trace_id:
-            self._trace = active
-            return active
-        for trace_obj in reversed(_TRACER.finished):
-            if trace_obj.trace_id == self.trace_id:
-                self._trace = trace_obj
-                return trace_obj
-        return None
-
-    def __repr__(self) -> str:
-        return (f"TraceContext(trace={self.trace_id}, "
-                f"group={self.group}, tenant={self.tenant})")
-
-
-def capture_for_group(group_id: int, tenant: Optional[str] = None
-                      ) -> Optional[TraceContext]:
-    """The trace context replication ships with a delta: the live
-    trace when one is open, else the group's newest finished
-    checkpoint trace (the sync-commit hook runs *after* the trace
-    scope closed, so the commit that triggered a pump is the ring's
-    tail).  Spans never advance the clock."""
-    ctx = TraceContext.capture(tenant=tenant)
-    if ctx is None:
-        finished = _TRACER.traces(CHECKPOINT, group=group_id)
-        if finished:
-            ctx = TraceContext.capture(finished[-1], tenant=tenant)
-    return ctx
+def for_group(group_id: int) -> Optional[Trace]:
+    """The trace a group's replication legs join: the active trace,
+    else the group's newest finished checkpoint trace (the sync-commit
+    hook runs *after* the trace scope closed, so the commit that
+    triggered a pump is the newest).  Every simulated node shares this
+    process's tracer, so the legs record straight into it."""
+    active = current()
+    if active is not None:
+        return active
+    for trace_obj in reversed(_TRACER.finished):
+        if trace_obj.kind == CHECKPOINT \
+                and trace_obj.labels.get("group") == group_id:
+            return trace_obj
+    return None
 
 
 # -- the critical-path analyzer -------------------------------------------------------

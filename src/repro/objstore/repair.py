@@ -25,8 +25,8 @@ what is mechanically fixable:
 Disk-state repairs are persisted through the store's own
 catalog/superblock commit path, so a repaired image recovers exactly
 like a healthy one.  Every applied fix is a ``repair.applied`` event
-(``sls events``) and counts into ``sls.repair.applied``; what cannot
-be fixed (e.g. both superblock slots gone) is recorded as skipped.
+(``sls events``) and one of the report's ``actions``; what cannot be
+fixed (e.g. both superblock slots gone) is recorded as skipped.
 ``sls scrub --repair`` drives this and re-scrubs to prove the fixes.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core import events, telemetry
+from ..core import events
 from . import records
 from .blockalloc import _align_up
 from .recovery import _read_superblocks
@@ -70,8 +70,6 @@ class RepairReport:
 
     def add(self, kind: str, detail: str) -> None:
         self.actions.append(RepairAction(kind, detail))
-        telemetry.registry().counter("sls.repair.applied",
-                                     kind=kind).add(1)
         if self.clock is not None:
             events.emit(self.clock.now(), events.REPAIR_APPLIED,
                         repair=kind, detail=detail)

@@ -487,8 +487,6 @@ class ObjectStore:
         events.emit(self.clock.now(), events.CKPT_ABORT,
                     group=info.group_id, ckpt=info.ckpt_id,
                     released_bytes=released)
-        telemetry.registry().counter("sls.store.aborts",
-                                     group=info.group_id).add(1)
         return released
 
     def pending_commit_deadline(self, group_id: Optional[int] = None
@@ -756,9 +754,6 @@ class ObjectStore:
             events.emit(self.clock.now(), events.READ_FALLBACK,
                         oid=oid, extent=cand_off,
                         source="reread" if rank == 0 else "parent")
-            telemetry.registry().counter(
-                "sls.store.read_fallbacks",
-                source="reread" if rank == 0 else "parent").add(1)
             return value, last_done
         assert last_error is not None
         raise last_error

@@ -349,6 +349,34 @@ def test_status_lag_counts_what_a_blank_node_lacks():
         (status["durable"], 0), (None, None), (None, 4)]
 
 
+def test_a_node_keeps_its_leg_book_across_crash_reboot_and_wipe():
+    """A replica is one object with its leg: the retry policy is never
+    rebuilt (its jitter stream carries on through crash, reboot and
+    wipe), and only ``node_up`` resets peer health — the reboots inside
+    ``recover()`` keep a degraded record."""
+    fx = Fixture(nodes=3)
+    cluster = fx.cluster
+    node = cluster.nodes[0]
+    retry = node.retry
+    node.crash()
+    node.reboot()
+    node.wipe()
+    assert node.retry is retry
+    fx.commit(b"v1", name="v1")
+    assert cluster.pump() is not None
+    for _ in range(2):
+        node.health.record_failure(fx.machine.clock.now())
+    degraded = node.health
+    assert degraded.degraded
+    cluster.node_down(0)
+    cluster.recover()
+    assert not node.down and node.health is degraded and degraded.degraded
+    cluster.node_down(0)
+    cluster.node_up(0)
+    assert not node.health.degraded
+    assert node.retry is retry
+
+
 def test_primary_maps_stay_bounded_under_retention():
     """ROADMAP item 2, "Left": ``_streams``, ``acks`` and
     ``_commit_seen`` used to gain one entry per checkpoint forever.  A

@@ -44,51 +44,6 @@ def _commit_and_pump(sls, proc, addr, group, cluster, payload, name):
     return result
 
 
-# -- the wire format --------------------------------------------------------------------
-
-
-def test_trace_context_round_trips_through_the_wire_form():
-    machine = Machine()
-    with tracing.trace(machine.clock, tracing.CHECKPOINT, group=7,
-                       tenant="svc") as trace_obj:
-        ctx = tracing.TraceContext.capture()
-        assert ctx is not None
-        assert (ctx.trace_id, ctx.group, ctx.tenant) == \
-            (trace_obj.trace_id, 7, "svc")
-        wire = ctx.to_wire()
-    # The wire form is plain serde vocabulary and survives a rebuild.
-    assert all(v is None or isinstance(v, (int, str))
-               for v in wire.values())
-    back = tracing.TraceContext.from_wire(wire)
-    assert (back.trace_id, back.span_id, back.group, back.tenant) == \
-        (ctx.trace_id, ctx.span_id, 7, "svc")
-    # A rebuilt context resolves through the tracer's finished ring.
-    assert back.resolve() is trace_obj
-
-
-def test_trace_context_rejects_junk_wire_payloads():
-    assert tracing.TraceContext.capture() is None
-    assert tracing.TraceContext.from_wire(None) is None
-    assert tracing.TraceContext.from_wire("gibberish") is None
-    assert tracing.TraceContext.from_wire({"trace_id": True}) is None
-    assert tracing.TraceContext.from_wire({"span_id": 3}) is None
-
-
-def test_spans_recorded_under_a_resolved_context_join_the_trace():
-    machine = Machine()
-    registry = telemetry.registry()
-    with tracing.trace(machine.clock, tracing.CHECKPOINT,
-                       group=1) as trace_obj:
-        wire = tracing.TraceContext.capture().to_wire()
-    ctx = tracing.TraceContext.from_wire(wire)
-    with tracing.use(ctx.resolve()):
-        with registry.span(machine.clock, "repl.ship", node=3):
-            pass
-    (span,) = [s for s in trace_obj.spans if s.name == "repl.ship"]
-    assert span.trace_id == trace_obj.trace_id
-    assert span.labels["node"] == 3
-
-
 # -- the replicated checkpoint trace ----------------------------------------------------
 
 

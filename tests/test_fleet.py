@@ -17,8 +17,7 @@ import pytest
 
 from repro import Machine, load_aurora
 from repro.core import events, resilience, telemetry
-from repro.core.fleet import (ADMIT_REJECT, MAX_WIDEN_FACTOR,
-                              van_der_corput)
+from repro.core.fleet import MAX_WIDEN_FACTOR, van_der_corput
 from repro.errors import AdmissionRejected, InvalidArgument
 from repro.units import GiB, KiB, MSEC, MiB, PAGE_SIZE, SEC
 
@@ -111,13 +110,13 @@ def test_fleet_timer_compat_handle(setup):
 
 
 def test_admission_rejects_oversubscribed_demand(setup):
+    """Demand that even the maximum widen cannot fit is refused."""
     machine, sls = setup
     proc = machine.kernel.spawn("hog")
     proc.vmspace.mmap(8 * PAGE_SIZE, name="heap")
     with pytest.raises(AdmissionRejected):
         sls.attach(proc, name="hog", period_ns=10 * MSEC,
-                   demand_bytes_per_sec=100 * GiB,
-                   admission=ADMIT_REJECT)
+                   demand_bytes_per_sec=100 * 1024 * GiB)
     # The attach unwound completely: no group, no timer, no proc link.
     assert not sls.groups
     assert proc.sls_group is None
@@ -139,14 +138,38 @@ def test_admission_widens_instead_when_policy_allows(setup):
 
 
 def test_admission_reject_policy_refuses_unwidenable_demand(setup):
-    """Demand that even the maximum widen cannot fit is refused under
-    either policy."""
+    """The admission rule is one constant: a newcomer is widened up to
+    exactly MAX_WIDEN_FACTOR and refused only beyond it."""
     machine, sls = setup
+    fits_widest = sls.fleet.capacity_bps() * MAX_WIDEN_FACTOR
     proc = machine.kernel.spawn("impossible")
     proc.vmspace.mmap(8 * PAGE_SIZE, name="heap")
     with pytest.raises(AdmissionRejected):
         sls.attach(proc, name="impossible", period_ns=10 * MSEC,
-                   demand_bytes_per_sec=100 * 1024 * GiB)
+                   demand_bytes_per_sec=2 * fits_widest)
+    _p, group, _a = make_tenant(machine, sls, "widest",
+                                demand_bytes_per_sec=fits_widest)
+    assert group.backpressure_factor == MAX_WIDEN_FACTOR
+    summary = sls.fleet.summary()
+    assert (summary["admission_rejects"], summary["backpressure_widens"]) \
+        == (1, 1)
+
+
+def test_fleet_books_are_per_machine():
+    """A widen and a reject on one machine leave another machine's
+    fleet summary at zero: the scheduler keeps its own books."""
+    first = load_aurora(Machine())
+    make_tenant(first.machine, first, "elastic",
+                demand_bytes_per_sec=8 * GiB)
+    proc = first.machine.kernel.spawn("hog")
+    with pytest.raises(AdmissionRejected):
+        first.attach(proc, name="hog", demand_bytes_per_sec=100 * 1024 * GiB)
+    assert first.fleet.summary()["backpressure_widens"] == 1
+    assert first.fleet.summary()["admission_rejects"] == 1
+    summary = load_aurora(Machine()).fleet.summary()
+    assert summary["tenants"] == 0
+    assert (summary["backpressure_widens"], summary["admission_rejects"],
+            summary["deadline_misses"]) == (0, 0, 0)
 
 
 def test_probe_every_is_validated_and_surfaced(setup):
@@ -378,6 +401,7 @@ def test_sixteen_mixed_tenants_meet_every_deadline_fairly(setup):
                        for _ in range(2))
 
     indexes = itertools.count()
+    arrived = []
 
     def arrive():
         index = next(indexes)
@@ -387,6 +411,7 @@ def test_sixteen_mixed_tenants_meet_every_deadline_fairly(setup):
             pages=pages, rpo_budget_ns=4 * period_ms * MSEC,
             history_limit=4,
             demand_bytes_per_sec=pages * PAGE_SIZE * 1000 // period_ms)
+        arrived.append(group)
         return proc, group, addr, pages, period_ms
 
     live = [arrive() for _ in range(12)]
@@ -411,6 +436,6 @@ def test_sixteen_mixed_tenants_meet_every_deadline_fairly(setup):
     assert summary["bandwidth_util"] <= 0.8
     assert summary["admission_rejects"] == 0
     assert summary["backpressure_widens"] == 0
-    assert telemetry.registry().value("sls.fleet.dispatches") > 100
+    assert sum(group.dispatches for group in arrived) > 100
     assert summary["deadline_misses"] == 0
     assert summary["fairness"]["jain"] >= 0.9

@@ -24,6 +24,14 @@ This is the subset that needs no third-party code:
   the file counts, so this finds names that are gone, not names read
   before they are bound.  Names listed in ``__all__`` are exports, not
   reads, and are not checked (a package may bind them lazily).
+* **unused local** (pyflakes F841) — a name a function binds by plain
+  or annotated assignment, or as an ``except … as`` name, that nothing
+  in the function (nested functions included) reads: what a refactor
+  leaves behind when the last reader of a value moves away.  As in
+  pyflakes, tuple unpacking, augmented assignment (which reads), loop
+  and ``with`` targets, walrus bindings, ``global`` / ``nonlocal``
+  names and functions calling ``locals()`` are exempt; so are
+  ``_``-prefixed names.
 """
 
 from __future__ import annotations
@@ -214,4 +222,62 @@ def test_no_undefined_names():
         for name in sorted(_names_read(tree, exports=False) - defined):
             findings.append(f"{path.relative_to(SRC)}: undefined name "
                             f"{name!r}")
+    assert not findings, "\n" + "\n".join(findings)
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(func: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of one function's own scope: its body, without the
+    bodies of the functions, lambdas and classes nested in it."""
+    stack: List[ast.AST] = list(getattr(func, "body", []))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(func: ast.AST) -> Iterator[Tuple[int, str]]:
+    """``(line, name)`` per local of ``func`` that is bound and never
+    read (see the module docstring for what counts)."""
+    read: Set[str] = set()
+    declared: Set[str] = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.AugAssign) \
+                and isinstance(node.target, ast.Name):
+            read.add(node.target.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+    if "locals" in read:
+        return
+    for node in _own_scope(func):
+        if isinstance(node, ast.Assign):
+            targets = [t for t in node.targets if isinstance(t, ast.Name)]
+            bound = [(t.lineno, t.id) for t in targets]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None \
+                and isinstance(node.target, ast.Name):
+            bound = [(node.lineno, node.target.id)]
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound = [(node.lineno, node.name)]
+        else:
+            continue
+        for line, name in bound:
+            if name not in read and name not in declared \
+                    and not name.startswith("_"):
+                yield line, name
+
+
+def test_no_unused_locals():
+    findings = []
+    for path in FILES:
+        for func in ast.walk(_tree(path)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                findings.extend(
+                    f"{path.relative_to(SRC)}:{line}: local {name!r} is "
+                    f"assigned to but never used"
+                    for line, name in sorted(_unused_locals(func)))
     assert not findings, "\n" + "\n".join(findings)

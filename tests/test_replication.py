@@ -23,13 +23,13 @@ def make_service(periodic=False):
 
 def test_manual_ship_and_failover():
     primary, sls, proc, group, addr, cluster = make_service()
-    link = cluster.links[0]
+    node = cluster.nodes[0]
 
     proc.vmspace.write(addr, b"state-1")
     sls.checkpoint(group, sync=True)
     assert cluster.pump() == group.last_complete_id
     assert cluster.pump() == group.last_complete_id
-    assert link.stats["streams"] == 1  # nothing new the second time
+    assert node.stats["streams"] == 1  # nothing new the second time
 
     primary.crash()
     result = cluster.failover()
@@ -38,20 +38,20 @@ def test_manual_ship_and_failover():
 
 def test_incremental_streams_shrink():
     _primary, sls, proc, group, addr, cluster = make_service()
-    link = cluster.links[0]
+    node = cluster.nodes[0]
     for page in range(32):
         proc.vmspace.write(addr + page * PAGE_SIZE,
                            bytes([page]) * PAGE_SIZE)
     sls.checkpoint(group, sync=True)
     cluster.pump()
-    first_bytes = link.stats["bytes"]
+    first_bytes = node.stats["bytes"]
 
     proc.vmspace.write(addr, b"one dirty page")
     sls.checkpoint(group, sync=True)
     cluster.pump()
-    delta_bytes = link.stats["bytes"] - first_bytes
+    delta_bytes = node.stats["bytes"] - first_bytes
     assert delta_bytes < first_bytes / 2
-    assert link.stats["streams"] == 2
+    assert node.stats["streams"] == 2
 
 
 def test_installed_link_pumps_automatically():
@@ -60,7 +60,7 @@ def test_installed_link_pumps_automatically():
     for tick in range(20):
         proc.vmspace.write(addr, f"tick-{tick:03d}".encode())
         primary.run_for(5 * MSEC)
-    assert cluster.links[0].stats["streams"] >= 5
+    assert cluster.nodes[0].stats["streams"] >= 5
     behind = [info for info in sls.store.checkpoints_for(group.group_id)
               if info.ckpt_id > cluster.durable]
     assert len(behind) <= 1
@@ -84,7 +84,7 @@ def test_a_live_primary_is_never_displaced():
     retired 100 ms outage deadline promoted the standby over a live
     primary and lost the tail the standby never received."""
     primary, sls, proc, group, addr, cluster = make_service(periodic=True)
-    link = cluster.links[0]
+    node = cluster.nodes[0]
     cluster.install()
 
     proc.vmspace.write(addr, b"state-A")
@@ -98,8 +98,8 @@ def test_a_live_primary_is_never_displaced():
     for tick in range(15):
         proc.vmspace.write(addr, f"state-B{tick:02d}".encode())
         primary.run_for(10 * MSEC)
-    assert link.down_since is not None
-    assert primary.clock.now() - link.down_since > 100 * MSEC
+    assert node.down_since is not None
+    assert primary.clock.now() - node.down_since > 100 * MSEC
     assert events.log().matching(events.LINK_DOWN, node=0)
     assert cluster.durable == ckpt_a
     with pytest.raises(LeaseValid):
@@ -109,7 +109,7 @@ def test_a_live_primary_is_never_displaced():
     primary.clear_fault_plan()
     for _round in range(8):     # a degraded peer is probed every 4th
         cluster.pump()
-    assert link.down_since is None
+    assert node.down_since is None
     assert cluster.durable == group.last_complete_id
     expected = proc.vmspace.read(addr, 9)
 
@@ -127,6 +127,6 @@ def test_stop_halts_pumping():
     cluster.install()
     primary.run_for(30 * MSEC)
     cluster.stop()
-    shipped = cluster.links[0].stats["streams"]
+    shipped = cluster.nodes[0].stats["streams"]
     primary.run_for(50 * MSEC)
-    assert cluster.links[0].stats["streams"] == shipped
+    assert cluster.nodes[0].stats["streams"] == shipped

@@ -454,14 +454,14 @@ def standby():
 def test_link_flap_reconnects_with_backoff_and_ships(standby):
     telemetry.reset()
     primary, sls, proc, group, addr, cluster = standby
-    link = cluster.links[0]
+    node = cluster.nodes[0]
     proc.vmspace.write(addr, b"flap-state")
     sls.checkpoint(group, sync=True)
     primary.set_fault_plan(FaultPlan(name="flap").flaky_link(times=2))
     before = primary.clock.now()
     assert cluster.pump() == group.last_complete_id
     assert primary.clock.now() > before, "reconnect paid no backoff"
-    assert link.down_since is None and link.stats["outages"] == 0
+    assert node.down_since is None and node.stats["outages"] == 0
     assert len(events.log().matching(events.RETRY, op="cluster.ship.n0")) \
         == 2
     primary.crash()
@@ -474,7 +474,7 @@ def test_after_the_primary_dies_the_standby_serves_the_last_shipped_state(
         standby):
     telemetry.reset()
     primary, sls, proc, group, addr, cluster = standby
-    link = cluster.links[0]
+    node = cluster.nodes[0]
     proc.vmspace.write(addr, b"shipped-v1")
     sls.checkpoint(group, sync=True)
     shipped = group.last_complete_id
@@ -485,7 +485,7 @@ def test_after_the_primary_dies_the_standby_serves_the_last_shipped_state(
     sls.checkpoint(group, sync=True)
     primary.set_fault_plan(FaultPlan(name="down").flaky_link(times=10_000))
     assert cluster.pump() == shipped
-    assert link.down_since is not None
+    assert node.down_since is not None
     assert events.log().matching(events.LINK_DOWN)
 
     # The primary is alive and holds its lease: an outage of any
@@ -505,18 +505,19 @@ def test_after_the_primary_dies_the_standby_serves_the_last_shipped_state(
 def test_link_recovery_emits_link_up(standby):
     telemetry.reset()
     primary, sls, proc, group, addr, cluster = standby
-    link = cluster.links[0]
+    node = cluster.nodes[0]
     proc.vmspace.write(addr, b"first")
     sls.checkpoint(group, sync=True)
     newest = group.last_complete_id
     primary.set_fault_plan(FaultPlan(name="out").flaky_link(times=10))
-    assert not link.ship_checkpoint(newest)  # 5 attempts, 5 flaps left
-    assert link.down_since is not None
-    assert not link.ship_checkpoint(newest)  # the flap budget drains
-    assert link.ship_checkpoint(newest)  # link healed
-    assert link.down_since is None
+    # 5 attempts, 5 flaps left
+    assert not cluster.ship_checkpoint(node, newest)
+    assert node.down_since is not None
+    assert not cluster.ship_checkpoint(node, newest)  # the flap budget drains
+    assert cluster.ship_checkpoint(node, newest)  # link healed
+    assert node.down_since is None
     assert events.log().matching(events.LINK_UP)
-    assert link.stats["outages"] == 1
+    assert node.stats["outages"] == 1
     telemetry.reset()
 
 
