@@ -11,7 +11,7 @@
 # chaos, e2e and determinism targets; nothing is installed from here.
 set -euo pipefail
 
-TARGETS="scrub trace chaos cluster fleet blackbox nemesis e2e simscale determinism"
+TARGETS="scrub trace chaos cluster fleet blackbox nemesis e2e simscale determinism gc"
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -220,6 +220,24 @@ for seed in ("1", "random"):
     assert not moved, f"PYTHONHASHSEED={seed} moved {moved[:10]}"
 print(f"{len(base)} simulated metrics identical under "
       f"PYTHONHASHSEED 0 / 1 / random")
+PY
+}
+
+# The cyclic collector during recovery: the two page-heavy workloads
+# must restore without a full (generation-2) collection — an eager
+# restore holds synthetic memory as runs, not one object per page.
+# Collection counts repeat exactly for a seed on one interpreter.
+smoke_gc() {
+    python benchmarks/gc_phases.py --seed 1 --workload vm_wide \
+        --workload paper_apps | tee "$WORK/gc.out"
+    python - "$WORK/gc.out" <<'PY'
+import re, sys
+rows = [line for line in open(sys.argv[1]) if line.split()[:1] == ["recover"]]
+assert len(rows) == 2, rows
+for row in rows:
+    gen0, gen1, full = map(int, re.findall(r"(\d+) /", row))
+    assert full == 0, f"a full collection during recovery: {row.strip()}"
+print("no full collection in either recover phase")
 PY
 }
 

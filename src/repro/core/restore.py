@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import RestoreError
-from ..hw.memory import Page
 from ..kernel.aio import AIO_READ
 from ..kernel.proc.process import Process
 from ..kernel.proc.signals import SIGCHLD, SIGSLSRESTORE
@@ -169,7 +168,12 @@ class GroupRestorer:
 
     def populate_pages(self, obj: VMObject, oid: int, lazy: bool) -> None:
         """Insert the merged view's pages of ``oid`` into ``obj`` — or,
-        lazily, leave them with the pageout daemon to fault in."""
+        lazily, leave them with the pageout daemon to fault in.
+
+        Eagerly, a synthetic run goes in as one run (its seeds are its
+        locators: no ``Page`` and no locator is built) and a real page
+        is fetched and marked clean; every page is charged one insert.
+        """
         locators = self.page_locs.get(oid, NO_PAGES)
         if lazy:
             if locators:
@@ -179,21 +183,17 @@ class GroupRestorer:
             return
         clock = self.kernel.clock
         start = clock.now()
+        obj.insert_runs([run for run in locators.runs if run[0] == "syn"])
         for run in locators.runs:
-            first, count = run[1], run[2]
-            if run[0] == "syn":
-                # A synthetic run is one slab: the seeds are a
-                # progression, so no locator is ever materialised.
-                seed0, step = run[3], run[4]
-                obj.insert_pages({first + i: Page(seed=seed0 + step * i)
-                                  for i in range(count)})
-            else:
+            if run[0] == "ext":
                 # Real pages keep the per-page read accounting: one
                 # device read per page through the store's retry policy.
                 for pindex, locator in run_locators(run):
-                    obj.insert_page(pindex, self.store.fetch_page(locator))
-            clock.advance(costs.RESTORE_PAGE_INSERT * count)
-            self.pages_restored += count
+                    page = self.store.fetch_page(locator)
+                    page.clean_locator = locator    # durable already
+                    obj.insert_page(pindex, page)
+            clock.advance(costs.RESTORE_PAGE_INSERT * run[2])
+            self.pages_restored += run[2]
         self.insert_ns += clock.now() - start
 
     # -- processes -------------------------------------------------------------------------

@@ -72,12 +72,13 @@ def merged_chain_pages(top: VMObject) -> Dict[int, Page]:
     Merges bottom-up with one C-speed ``dict.update`` per chain object
     (later = newer = wins), so a full-checkpoint merge over a
     million-page object costs a few dict bulk-copies instead of a
-    million ``setdefault`` probes.
+    million ``setdefault`` probes.  A restored object's runs are built
+    into pages here: the merge is O(resident) already.
     """
     segment = _chain_segment(top)
-    pages: Dict[int, Page] = {}
-    for obj in reversed(segment):
-        pages.update(obj.pages)
+    pages = segment[-1].all_pages()
+    for obj in reversed(segment[:-1]):
+        pages.update(obj.all_pages())
     return pages
 
 
@@ -256,7 +257,7 @@ class ShadowEngine:
         caller's.
         """
         dirty = merged_chain_pages(top) if track.new or full \
-            else dict(top.pages)
+            else top.all_pages()
         item = FlushItem(track.oid, object_record(top), dirty)
         shadow = top.shadow(name=shadow_name)
         shadow.sls_oid = track.oid

@@ -66,7 +66,7 @@ class Vnode(KObject):
             pindex = (offset + pos) // PAGE_SIZE
             page_off = (offset + pos) % PAGE_SIZE
             chunk = min(len(data) - pos, PAGE_SIZE - page_off)
-            existing = obj.pages.get(pindex)
+            existing = obj.page_at(pindex)
             content = bytearray(existing.realize() if existing else
                                 b"\x00" * PAGE_SIZE)
             content[page_off:page_off + chunk] = data[pos:pos + chunk]
@@ -102,7 +102,7 @@ class Vnode(KObject):
             pindex = (offset + pos) // PAGE_SIZE
             page_off = (offset + pos) % PAGE_SIZE
             chunk = min(nbytes - pos, PAGE_SIZE - page_off)
-            page = obj.pages.get(pindex)
+            page = obj.page_at(pindex)
             content = page.realize() if page else b"\x00" * PAGE_SIZE
             out += content[page_off:page_off + chunk]
             pos += chunk
@@ -112,7 +112,7 @@ class Vnode(KObject):
         """Cut the file to ``length`` bytes, dropping tail pages."""
         obj = self._require_reg()
         keep = pages_of(length)
-        for pindex in [p for p in obj.pages if p >= keep]:
+        for pindex in [p for p in obj.all_pages() if p >= keep]:
             obj.remove_page(pindex)
         self.size = length
         self.mark_dirty()

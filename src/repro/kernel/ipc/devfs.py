@@ -92,6 +92,6 @@ class VDSO:
 
     def content_seed(self) -> int:
         """Identifies this boot's vDSO build (tests compare it)."""
-        page = self.vmobject.pages[0]
-        assert page.seed is not None
+        page = self.vmobject.page_at(0)
+        assert page is not None and page.seed is not None
         return page.seed

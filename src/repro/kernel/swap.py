@@ -18,6 +18,15 @@ synthetic page shares one marker,
 its own seed, so eviction derives it instead of the flush storing one
 per page.
 
+Content an eager restore left as a clean synthetic run (see
+:mod:`~repro.kernel.vm.vmobject`) has no ``Page`` to mark: it is clean
+by construction, its seed being its locator.  Every page built from a
+run carries :data:`~repro.hw.memory.SYNTHETIC_CLEAN`, and a write cuts
+the page out of its run.  An eagerly restored real page is marked with
+its locator when it is fetched, as :meth:`PageoutDaemon.page_in` marks
+a lazily restored one — so pressure after any restore evicts durable
+content without rewriting it.
+
 ``madvise`` hints bias the eviction policy, and lazy restores reuse
 the same page-in path.
 """
@@ -79,7 +88,9 @@ class PageoutDaemon:
         clean_hinted, clean_plain, dirty = [], [], []
         for obj in objects:
             hints = self.hints.get(obj.kid, {})
-            for pindex, page in list(obj.pages.items()):
+            # Index order: the same candidates however the object holds
+            # its content (pages, runs) and whatever order it arrived in.
+            for pindex, page in sorted(obj.all_pages().items()):
                 if page.clean_locator is not None:
                     # Clean pages are evictable even in a frozen shadow
                     # (the marker is only stamped once the extent is

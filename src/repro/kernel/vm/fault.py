@@ -44,7 +44,7 @@ def handle_fault(space: Any, va_page: int, write: bool) -> Optional[Page]:
         raise SegmentationFault(f"no mapping for page {va_page:#x}")
     if write:
         handle_write_faults(space, entry, va_page, 1)
-        return entry.vmobject.pages[entry.pindex_of(va_page)]
+        return entry.vmobject.page_at(entry.pindex_of(va_page))
     if not entry.protection & PROT_READ:
         raise SegmentationFault(f"read to page {va_page:#x} violates protection")
 
@@ -137,22 +137,24 @@ def _resolve(top: VMObject, first: int, end: int,
     """The summed charge for write faults on pages ``[first, end)`` of
     ``top``, each resident somewhere in its chain or zero-fill.  The
     chain is walked once per object: the pending indexes are intersected
-    with its pages and the misses carried down.  The COW copies and
-    zero-fill pages ``top`` needs are added to ``private`` when given.
+    with what it holds (pages and runs) and the misses carried down.
+    The COW copies and zero-fill pages ``top`` needs are added to
+    ``private`` when given; only the hits are copied.
     """
     pending = set(range(first, end))
     cost = depth = shift = 0
     obj: Optional[VMObject] = top
     while obj is not None and pending:
-        pages = obj.pages
-        hits = pages.keys() & pending
+        hits = obj.holding(pending)
         if hits:
             cost += len(hits) * (depth * costs.SHADOW_CHAIN_HOP
                                  + costs.COW_FAULT if depth
                                  else costs.SOFT_FAULT)
             if depth and private is not None:
                 for p in hits:
-                    private[p - shift] = pages[p].copy()
+                    page = obj.page_at(p)
+                    assert page is not None
+                    private[p - shift] = page.copy()
             pending -= hits
         if obj.backing_offset:
             shift += obj.backing_offset

@@ -7,6 +7,24 @@ spaces (shared memory) and lets *shadow* objects stack on top of a
 parent to hold process-private (or, for Aurora, checkpoint-private)
 copies of pages.
 
+An object's content is two disjoint parts, and this module alone
+decides how they are held:
+
+* ``pages`` — materialised :class:`~repro.hw.memory.Page` values by
+  index (written, faulted, filled or fetched content);
+* clean synthetic *runs* ``("syn", start, count, seed0, step)`` — what
+  an eager restore inserts for a synthetic stretch of the merged view
+  (:meth:`insert_runs`): the seed progression is its own locator, so no
+  ``Page`` exists for it.  Only objects a restore filled have runs; the
+  rest pay nothing for them.
+
+A run's page is built on demand, whenever code needs that page's
+content — a read (:meth:`page_at`, :meth:`lookup_page`), the copy-up of
+a write fault, a flush or an eviction (:meth:`all_pages`) — and is
+never cached back.  A run is cut (with :mod:`repro.core.runs`'s
+interval algebra) where a page replaces or removes its content: an
+insert, an eviction, a collapse moving newer pages over it.
+
 Two collapse directions are implemented:
 
 * :meth:`collapse_forward` — the classic Mach/FreeBSD operation that
@@ -28,10 +46,14 @@ a reference model in ``tests/vm_reference.py``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import (AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
+from ...core.runs import LocatorRun, clip_run, uncovered_runs
 from ...errors import InvalidArgument
-from ...hw.memory import Page
+from ...hw.memory import SYNTHETIC_CLEAN, Page
 from ..kobject import KObject
 
 #: Object kinds, mirroring FreeBSD's OBJT_* types we need.
@@ -39,11 +61,44 @@ ANONYMOUS = "anonymous"
 VNODE = "vnode"
 DEVICE = "device"
 
+_START = itemgetter(1)
+
+
+def _run_at(runs: Sequence[LocatorRun], pindex: int) -> Optional[LocatorRun]:
+    """The run of ``runs`` (sorted, disjoint) covering ``pindex``."""
+    at = bisect_right(runs, pindex, key=_START) - 1
+    if at >= 0 and pindex < runs[at][1] + runs[at][2]:
+        return runs[at]
+    return None
+
+
+def _run_page(run: LocatorRun, pindex: int) -> Page:
+    """Page ``pindex`` of a synthetic run: clean, its seed its locator."""
+    page = Page(seed=run[3] + run[4] * (pindex - run[1]))
+    page.clean_locator = SYNTHETIC_CLEAN
+    return page
+
+
+def _spans(indexes: Iterable[int]) -> List[List[Any]]:
+    """Sorted ``[None, start, count]`` stretches of consecutive indexes:
+    the cover shape :func:`~repro.core.runs.uncovered_runs` cuts by."""
+    spans: List[List[Any]] = []
+    for pindex in sorted(indexes):
+        if spans and spans[-1][1] + spans[-1][2] == pindex:
+            spans[-1][2] += 1
+        else:
+            spans.append([None, pindex, 1])
+    return spans
+
 
 class VMObject(KObject):
     """A mappable collection of pages, possibly shadowing a parent."""
 
     obj_type = "vmobject"
+    #: Clean synthetic runs, sorted and disjoint from ``pages`` (see the
+    #: module docstring); an object a restore never filled shares this
+    #: empty default.
+    _runs: Sequence[LocatorRun] = ()
 
     def __init__(self, kernel: Any, size_pages: int, kind: str = ANONYMOUS,
                  backing: Optional["VMObject"] = None,
@@ -75,14 +130,33 @@ class VMObject(KObject):
 
     # -- page management ------------------------------------------------------
 
-    def insert_page(self, pindex: int, page: Page) -> None:
-        """Install ``page`` at ``pindex``, replacing any existing page."""
+    def _check_insert(self, low: int, high: int) -> None:
         if self.frozen:
             raise InvalidArgument(f"insert into frozen object {self!r}")
-        if not 0 <= pindex < self.size_pages:
+        if low < 0 or high >= self.size_pages:
             raise InvalidArgument(
-                f"pindex {pindex} outside object of {self.size_pages} pages")
-        if pindex not in self.pages:
+                f"pindex range [{low}, {high}] outside object of "
+                f"{self.size_pages} pages")
+
+    def _cut(self, cover: Sequence[LocatorRun]) -> int:
+        """Cut the indexes the spans of ``cover`` (sorted, disjoint)
+        name out of the runs; returns how many of them the runs held.
+        Only the runs inside the cover's range are visited."""
+        runs = self._runs
+        if not runs or not cover:
+            return 0
+        lo = max(bisect_right(runs, cover[0][1], key=_START) - 1, 0)
+        hi = bisect_left(runs, cover[-1][1] + cover[-1][2], key=_START)
+        kept = uncovered_runs(runs[lo:hi], cover, [span[1] for span in cover])
+        held = sum(run[2] for run in runs[lo:hi]) - sum(run[2] for run in kept)
+        if held:
+            self._runs = [*runs[:lo], *kept, *runs[hi:]]
+        return held
+
+    def insert_page(self, pindex: int, page: Page) -> None:
+        """Install ``page`` at ``pindex``, replacing any existing page."""
+        self._check_insert(pindex, pindex)
+        if pindex not in self.pages and not self._cut(((None, pindex, 1),)):
             self.kernel.physmem.allocate(1)
         self.pages[pindex] = page
 
@@ -97,32 +171,74 @@ class VMObject(KObject):
         """
         if not pages:
             return
-        if self.frozen:
-            raise InvalidArgument(f"insert into frozen object {self!r}")
-        low = min(pages)
-        high = max(pages)
-        if low < 0 or high >= self.size_pages:
-            raise InvalidArgument(
-                f"pindex range [{low}, {high}] outside object of "
-                f"{self.size_pages} pages")
+        self._check_insert(min(pages), max(pages))
         resident = self.pages
         new = len(pages)
         if resident:
             new -= sum(map(resident.__contains__, pages))
+        if self._runs:
+            new -= self._cut(_spans(pages))
         if new:
             self.kernel.physmem.allocate(new)
         self.pages.update(pages)
 
+    def insert_runs(self, runs: Sequence[LocatorRun]) -> None:
+        """Install clean synthetic runs (sorted, disjoint), replacing
+        what the object holds at their indexes: one frame-accounting
+        adjustment, and no ``Page`` built."""
+        if not runs:
+            return
+        self._check_insert(runs[0][1], runs[-1][1] + runs[-1][2] - 1)
+        held = self._cut(runs)
+        stale = [p for p in self.pages if _run_at(runs, p) is not None]
+        for pindex in stale:
+            del self.pages[pindex]
+        new = sum(run[2] for run in runs) - held - len(stale)
+        if new:
+            self.kernel.physmem.allocate(new)
+        self._runs = sorted([*self._runs, *runs], key=_START)
+
     def remove_page(self, pindex: int) -> Optional[Page]:
         """Remove and return the page at ``pindex`` (frame freed)."""
         page = self.pages.pop(pindex, None)
+        if page is None and self._runs:
+            page = self.page_at(pindex)
+            self._cut(((None, pindex, 1),))
         if page is not None:
             self.kernel.physmem.release(1)
         return page
 
+    def page_at(self, pindex: int) -> Optional[Page]:
+        """The page this object itself holds at ``pindex``, if any (a
+        run's page is built, never cached back)."""
+        page = self.pages.get(pindex)
+        if page is None and self._runs:
+            run = _run_at(self._runs, pindex)
+            if run is not None:
+                page = _run_page(run, pindex)
+        return page
+
+    def holding(self, indexes: AbstractSet[int]) -> Set[int]:
+        """The members of ``indexes`` this object holds a page at."""
+        hits = self.pages.keys() & indexes
+        if self._runs:
+            hits.update(p for p in indexes
+                        if _run_at(self._runs, p) is not None)
+        return hits
+
+    def all_pages(self) -> Dict[int, Page]:
+        """Every page this object holds, run pages built: O(resident),
+        for the paths that are O(resident) already — a full or new-track
+        flush, the pageout daemon's candidate scan."""
+        pages = dict(self.pages)
+        for run in self._runs:
+            pages.update((p, _run_page(run, p))
+                         for p in range(run[1], run[1] + run[2]))
+        return pages
+
     def resident_count(self) -> int:
         """Number of pages resident in this object."""
-        return len(self.pages)
+        return len(self.pages) + sum(run[2] for run in self._runs)
 
     def grow(self, size_pages: int) -> None:
         """Extend the object (vnode objects grow as their file grows)."""
@@ -141,7 +257,7 @@ class VMObject(KObject):
         index = pindex
         depth = 0
         while obj is not None:
-            page = obj.pages.get(index)
+            page = obj.page_at(index)
             if page is not None:
                 return page, depth, obj
             index += obj.backing_offset
@@ -188,7 +304,9 @@ class VMObject(KObject):
 
         Only legal when the parent is not shared with anyone else
         (refcount 1 beyond our backing ref means just us).  Returns the
-        number of pages moved (the operation's cost driver).
+        number of pages moved (the operation's cost driver).  The
+        parent's runs move up as runs, minus the indexes this object
+        already holds.
         """
         parent = self.backing
         if parent is None:
@@ -196,19 +314,36 @@ class VMObject(KObject):
         if parent.shadow_count != 1:
             raise InvalidArgument("cannot collapse: parent has other shadows")
         moved = 0
+        offset = self.backing_offset
         for pindex, page in list(parent.pages.items()):
-            local = pindex - self.backing_offset
-            if 0 <= local < self.size_pages and local not in self.pages:
+            local = pindex - offset
+            if 0 <= local < self.size_pages and self.page_at(local) is None:
                 # Keep the shadow's version when both exist.
                 self.kernel.physmem.allocate(1)
                 self.pages[local] = page
                 moved += 1
             parent.remove_page(pindex)
+        if parent._runs:
+            end = offset + self.size_pages
+            window = [clip_run(run, max(run[1], offset),
+                               min(run[1] + run[2], end))
+                      for run in parent._runs
+                      if run[1] < end and run[1] + run[2] > offset]
+            cover = sorted([*_spans(self.pages), *self._runs], key=_START)
+            up = uncovered_runs([(run[0], run[1] - offset, *run[2:])
+                                 for run in window],
+                                cover, [span[1] for span in cover])
+            gained = sum(run[2] for run in up)
+            self.kernel.physmem.release(parent.resident_count())
+            self.kernel.physmem.allocate(gained)
+            parent._runs = ()
+            self._runs = sorted([*self._runs, *up], key=_START)
+            moved += gained
         pageout = getattr(self.kernel, "pageout", None)
         if pageout is not None:
             pageout.migrate_object(parent.kid, self.kid)
         grandparent = parent.backing
-        offset = self.backing_offset + parent.backing_offset
+        offset += parent.backing_offset
         self._detach_backing()
         if grandparent is not None:
             grandparent.ref()
@@ -228,7 +363,8 @@ class VMObject(KObject):
 
         The move is a slab merge: one newest-wins dict update plus one
         frame release for the overwritten stale pages, instead of a
-        remove/insert/remove triple per page.
+        remove/insert/remove triple per page.  A parent's runs are cut
+        under the moved pages, never expanded.
         """
         parent = self.backing
         if parent is None:
@@ -238,12 +374,16 @@ class VMObject(KObject):
         # Hold the parent alive across _detach_backing; this reference
         # is transferred to the caller, which repoints map entries.
         parent.ref()
+        if self._runs:      # a shadow holds runs only if a restore filled it
+            self.pages, self._runs = self.all_pages(), ()
         moved = len(self.pages)
         # Stale parent copies are overwritten in place: the net frame
         # delta of the whole move is exactly -|overlap| (each
         # overwritten page frees the parent's stale frame; every other
         # page just changes owner).
         overlap = len(self.pages.keys() & parent.pages.keys())
+        if parent._runs and self.pages:
+            overlap += parent._cut(_spans(self.pages))
         parent.pages.update(self.pages)
         self.pages.clear()
         if overlap:
@@ -261,9 +401,11 @@ class VMObject(KObject):
 
     def destroy(self) -> None:
         """Release pages and the backing reference."""
-        if self.pages:
-            self.kernel.physmem.release(len(self.pages))
+        held = self.resident_count()
+        if held:
+            self.kernel.physmem.release(held)
             self.pages.clear()
+            self._runs = ()
         self._detach_backing()
 
     def __repr__(self) -> str:

@@ -93,7 +93,8 @@ class VMSpace(KObject):
         if entry is None:
             raise SegmentationFault(f"no mapping for page {va_page:#x}")
         pindex = entry.pindex_of(va_page)
-        if self.pmap.is_writable(va_page) and pindex in entry.vmobject.pages:
+        if self.pmap.is_writable(va_page) \
+                and entry.vmobject.page_at(pindex) is not None:
             self.pmap.mark_dirty(va_page)
         else:
             fault_mod.handle_write_faults(self, entry, va_page, 1)
@@ -107,7 +108,9 @@ class VMSpace(KObject):
             page_off = (addr + offset) % PAGE_SIZE
             chunk = min(len(data) - offset, PAGE_SIZE - page_off)
             vmobject, pindex = self._resolve_write(va_page)
-            content = bytearray(vmobject.pages[pindex].realize())
+            page = vmobject.page_at(pindex)
+            assert page is not None     # _resolve_write made it resident
+            content = bytearray(page.realize())
             content[page_off:page_off + chunk] = data[offset:offset + chunk]
             vmobject.insert_page(pindex, Page(data=bytes(content)))
             offset += chunk

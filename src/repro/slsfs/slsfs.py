@@ -157,13 +157,14 @@ class SLSFS(Filesystem):
             self._persisted_inodes.add(inode)
             if vnode.vmobject is None:
                 continue
+            obj = vnode.vmobject
             dirty = self._dirty_pages.get(inode)
             if dirty is None:
-                pages = dict(vnode.vmobject.pages)
+                pages = obj.all_pages()
             else:
-                pages = {pindex: vnode.vmobject.pages[pindex]
-                         for pindex in dirty
-                         if pindex in vnode.vmobject.pages}
+                held = [(pindex, obj.page_at(pindex)) for pindex in dirty]
+                pages = {pindex: page for pindex, page in held
+                         if page is not None}
             txn.put_pages(oid, pages)
         self._dirty_inodes.clear()
         self._dirty_pages.clear()

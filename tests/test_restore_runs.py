@@ -4,9 +4,10 @@ A 64 Ki-page synthetic heap is dirtied in 50 runs spread over eight
 checkpoints, the machine crashes, and the group is restored eagerly.
 The simulated numbers are pinned from the per-page restore loop this
 path replaced (one ``fetch_page`` + ``insert_page`` + ``clock.advance``
-per page), so the slab path may not move them; the ``PageLocator``
-construction count is the deterministic guard that keeps the per-page
-path from quietly returning.
+per page), so the run-wise path may not move them.  The ``PageLocator``
+and ``Page`` construction counts are the deterministic guards that keep
+the per-page path from quietly returning: a restored synthetic stretch
+stays one run in its VM object, and a page is built only when read.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 
 from repro import Machine, load_aurora
+from repro.hw.memory import Page
 from repro.objstore.checkpoint import PageLocator
 from repro.units import PAGE_SIZE
 
@@ -61,14 +63,18 @@ def test_eager_restore_is_runwise_and_sim_identical(monkeypatch):
     machine.crash()
     machine.boot()
 
-    built = []
-    plain_init = PageLocator.__init__
+    built = {PageLocator: 0, Page: 0}
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        plain_init(self, *args, **kwargs)
+    def counting(cls):
+        plain_init = cls.__init__
 
-    monkeypatch.setattr(PageLocator, "__init__", counting_init)
+        def counting_init(self, *args, **kwargs):
+            built[cls] += 1
+            plain_init(self, *args, **kwargs)
+        return counting_init
+
+    for cls in built:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
     sls = load_aurora(machine)
     assert len(sls.store.checkpoints_for(gid)) == CHECKPOINTS
     result = sls.restore(gid, periodic=False)
@@ -86,10 +92,8 @@ def test_eager_restore_is_runwise_and_sim_identical(monkeypatch):
     # (b) content equals the last durable content, page for page.
     vmspace = result.root.vmspace
     entry = vmspace.map.lookup(addr // PAGE_SIZE)
-    restored = {}
-    for obj in reversed(list(entry.vmobject.chain())):
-        restored.update((pindex, page.seed)
-                        for pindex, page in obj.pages.items())
+    restored = {pindex: entry.vmobject.visible_page(pindex).seed
+                for pindex in range(NPAGES)}
     assert restored == model
     for pindex in (0, 1, NPAGES // 2, NPAGES - 1):
         assert vmspace.read(addr + pindex * PAGE_SIZE, 64) == \
@@ -97,4 +101,6 @@ def test_eager_restore_is_runwise_and_sim_identical(monkeypatch):
                 PageLocator.synthetic(model[pindex])).realize()[:64]
 
     # (c) no "ext" pages here, so mount + restore built no locator.
-    assert len(built) == 0
+    assert built[PageLocator] == 0
+    # (d) and no page: the per-page loop built 65 536.
+    assert built[Page] == 0

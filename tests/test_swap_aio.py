@@ -116,6 +116,41 @@ def test_clean_marks_synthetic_shared_real_own_locator():
     assert base.pages[0].clean_locator is real_locator
 
 
+def test_eagerly_restored_pages_are_clean():
+    """An eager restore inserts content the store already holds: under
+    pressure it is evicted without IO, as lazily restored pages are, and
+    pages back in with the same content."""
+    machine, sls, proc, group = small_machine()
+    addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
+    proc.vmspace.write(addr, b"real page")
+    proc.vmspace.fill(addr + PAGE_SIZE, 699, seed=6)
+    sls.checkpoint(group, sync=True)
+    machine.crash()
+    machine.boot()
+    sls = load_aurora(machine)
+    result = sls.restore(group.group_id, periodic=False)
+    vmspace = result.root.vmspace
+    # Fresh dirty pages push the machine over the high watermark.
+    vmspace.fill(addr + 700 * PAGE_SIZE, 230, seed=7)
+    pageout = machine.kernel.pageout
+    assert pageout.memory_pressure()
+    track = next(iter(result.group.tracks.values()))
+    written_before = machine.storage.bytes_written
+    evicted = pageout.run_pageout(list(track.active.chain()),
+                                  store=sls.store)
+    assert evicted > 0 and not pageout.memory_pressure()
+    assert pageout.evictions_dirty == 0
+    assert pageout.evictions_clean == evicted
+    assert machine.storage.bytes_written == written_before
+    # The lowest indexes went first: the real page and synthetic ones.
+    assert vmspace.read(addr, 9) == b"real page"
+    for pindex in (1, 2, evicted - 1, evicted, 699):
+        assert vmspace.read(addr + pindex * PAGE_SIZE, PAGE_SIZE) \
+            == synthetic_bytes(6 + pindex - 1)
+    assert vmspace.read(addr + 700 * PAGE_SIZE, 64) \
+        == synthetic_bytes(7)[:64]
+
+
 def test_orchestrator_runs_pageout_automatically():
     """The §6 loop end-to-end: periodic checkpoints keep pages clean,
     and under pressure the orchestrator reclaims them without IO."""

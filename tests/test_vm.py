@@ -82,6 +82,86 @@ def test_small_slabs_into_a_large_object_probe_only_the_slab(kernel):
     assert obj.pages[97].seed == -1 and obj.pages[resident].seed == 0
 
 
+_restored = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 12),
+                               st.integers(0, 99), st.integers(-2, 2)),
+                     max_size=6)
+_object_ops = st.lists(st.one_of(
+    st.tuples(st.just("page"), st.integers(0, 63), st.integers(0, 99)),
+    st.tuples(st.just("slab"), st.integers(0, 63), st.integers(1, 9),
+              st.integers(0, 99)),
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("runs"), st.integers(0, 63), st.integers(1, 12),
+              st.integers(0, 99), st.integers(-2, 2))), max_size=12)
+
+
+def _runs_or_pages(obj, runs, as_runs):
+    """Give ``obj`` the synthetic runs ``runs`` as runs or as pages."""
+    if as_runs:
+        obj.insert_runs(runs)
+    else:
+        obj.insert_pages({start + i: Page(seed=seed0 + step * i)
+                          for _kind, start, count, seed0, step in runs
+                          for i in range(count)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(restored=_restored, ops=_object_ops,
+       shadowed=st.sets(st.integers(0, 63), max_size=12),
+       forward=st.booleans())
+def test_runs_hold_what_pages_would(restored, ops, shadowed, forward):
+    """Objects holding restored runs behave as ones holding the same
+    content as ``Page`` values — content, resident count and frames —
+    through inserts, removals, either collapse direction and teardown."""
+    runs, start = [], 0
+    for gap, count, seed0, step in restored:
+        start += gap
+        if start + count <= 64:
+            runs.append(("syn", start, count, seed0, step))
+            start += count
+    observed = []
+    for as_runs in (True, False):
+        kernel = Machine().kernel
+        before = kernel.physmem.used_frames
+        parent = VMObject(kernel, 64)
+        _runs_or_pages(parent, runs, as_runs)
+        seen = []
+        for op in ops:
+            if op[0] == "page":
+                parent.insert_page(op[1], Page(seed=op[2]))
+            elif op[0] == "slab":
+                first = min(op[1], 64 - op[2])
+                parent.insert_pages({first + i: Page(seed=op[3] + i)
+                                     for i in range(op[2])})
+            elif op[0] == "remove":
+                page = parent.remove_page(op[1])
+                seen.append(None if page is None else page.seed)
+            else:
+                count = min(op[2], 64 - op[1])
+                _runs_or_pages(parent, [("syn", op[1], count, op[3], op[4])],
+                               as_runs)
+            page = parent.page_at(op[1])
+            seen.append((parent.resident_count(), kernel.physmem.used_frames,
+                         None if page is None else page.seed))
+        shadow = parent.shadow()
+        _runs_or_pages(shadow, [("syn", p, 1, 1000 + p, 0)
+                                for p in sorted(shadowed)], as_runs)
+        if forward:
+            moved, survivor = shadow.collapse_forward(), shadow
+        else:
+            survivor, moved = shadow.collapse_into_parent()
+            survivor.unref()    # the reference the collapse handed over
+        content = {p: page.seed for p, page in survivor.all_pages().items()}
+        seen.append((moved, content, survivor.resident_count(),
+                     kernel.physmem.used_frames,
+                     survivor.holding(set(range(64))) == content.keys()))
+        shadow.unref()
+        parent.unref()
+        seen.append(kernel.physmem.used_frames - before)
+        observed.append(seen)
+    assert observed[0] == observed[1]
+    assert observed[0][-1] == 0
+
+
 def test_shadow_lookup_walks_chain(kernel):
     base = VMObject(kernel, 8)
     base.insert_page(0, Page(seed=100))

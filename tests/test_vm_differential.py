@@ -1,16 +1,21 @@
-"""Run-wise ``touch`` vs one write fault per page (``tests/vm_reference``).
+"""Run-wise ``touch`` vs one write fault per page (``tests/vm_reference``),
+and restored memory held as runs vs one ``Page`` per page.
 
 Two identical machines are driven through the same random sequence of
 ``mmap`` / ``fill`` / ``touch`` / ``write`` / ``read`` / ``fork`` (the
 child stores too) / checkpoint (system shadow, then collapse) / lazy
-restore / ``run_pageout`` operations; the only difference is which
-``touch`` runs.  After every step the two must agree on each
-operation's outcome (value or exception), every visible page's seed
-and bytes, every present / writable / dirty bit, ``fault_count``,
-``physmem.used_frames``, ``pageout.pageins`` and the simulated clock.
+and eager restore / ``run_pageout`` operations; the only differences
+are which ``touch`` runs and how an eager restore fills VM objects
+(clean synthetic runs, or the per-page loop).  After every step the
+two must agree on each operation's outcome (value or exception),
+every visible page's seed and bytes, every present / writable / dirty
+bit, ``fault_count``, ``physmem.used_frames``, ``pageout.pageins`` and
+the simulated clock.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +28,7 @@ from repro.kernel.vm.vmmap import (INHERIT_COPY, INHERIT_SHARE, PROT_READ,
                                    PROT_WRITE)
 from repro.kernel.vm.vmspace import VMSpace
 from repro.units import PAGE_SIZE
-from tests.vm_reference import touch_per_page
+from tests.vm_reference import per_page_restore, touch_per_page
 
 MAX_PROCS = 3
 
@@ -31,8 +36,9 @@ MAX_PROCS = 3
 class World:
     """One machine, its consistency group and the regions mapped."""
 
-    def __init__(self, touch):
+    def __init__(self, touch, restoring=contextlib.nullcontext):
         self.touch = touch
+        self.restoring = restoring
         self.machine = Machine()
         self.sls = load_aurora(self.machine)
         self.procs = [self.machine.kernel.spawn("p0")]
@@ -74,16 +80,18 @@ class World:
             return len(self.procs)
         if kind == "checkpoint":
             return self.sls.checkpoint(self.group, sync=True).stop_ns
-        if kind == "restore":
+        if kind in ("restore", "eager-restore"):
+            lazy = kind == "restore"
             gid = self.group.group_id
             self.sls.checkpoint(self.group, sync=True)
             self.machine.crash()
             self.machine.boot()
             self.sls = load_aurora(self.machine)
-            result = self.sls.restore(gid, lazy=True, periodic=False)
+            with self.restoring():
+                result = self.sls.restore(gid, lazy=lazy, periodic=False)
             self.group = result.group
             self.procs = sorted(self.group.processes, key=lambda p: p.name)
-            return result.pages_lazy
+            return result.pages_lazy if lazy else result.pages_restored
         if kind == "pageout":
             pageout = kernel.pageout
             # Pretend the machine is under pressure: evict down to a
@@ -135,6 +143,11 @@ class World:
         }
 
 
+def _worlds():
+    """The production machine and the per-page reference machine."""
+    return World(VMSpace.touch), World(touch_per_page, per_page_restore)
+
+
 _small = st.integers(0, 40)
 _seed = st.integers(0, 1 << 30)
 _ops = st.lists(
@@ -157,6 +170,7 @@ _ops = st.lists(
         st.tuples(st.just("fork"), _small),
         st.tuples(st.just("checkpoint")),
         st.tuples(st.just("restore")),
+        st.tuples(st.just("eager-restore")),
         st.tuples(st.just("pageout"), st.integers(1, 3)),
     ),
     min_size=1, max_size=30)
@@ -165,7 +179,7 @@ _ops = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(ops=_ops)
 def test_runwise_touch_matches_one_fault_per_page(ops):
-    runwise, per_page = World(VMSpace.touch), World(touch_per_page)
+    runwise, per_page = _worlds()
     for step, op in enumerate([("mmap", 8, True, False)] + ops):
         assert runwise.apply(op) == per_page.apply(op), (step, op)
         assert runwise.observe() == per_page.observe(), (step, op)
@@ -201,12 +215,22 @@ SCENARIOS = {
         ("fill", 0, 0, 0, 8, 10), ("write", 0, 0, 3, 7, b"real bytes"),
         ("restore",), ("touch", 0, 0, 1, 6, 20), ("read", 0, 0, 0, 0, 64),
         ("checkpoint",), ("touch", 0, 0, 0, 8, 30)],
+    # Eagerly restored runs under reads, write faults (one page, a run,
+    # a fork's COW), a collapse into the run holder and pageout.
+    "eager-restore": [
+        ("fill", 0, 0, 0, 8, 10), ("write", 0, 0, 3, 7, b"real bytes"),
+        ("eager-restore",), ("read", 0, 0, 2, 0, 64),
+        ("touch", 0, 0, 1, 3, 20), ("write", 0, 0, 5, 9, b"over a run"),
+        ("checkpoint",), ("checkpoint",), ("pageout", 2),
+        ("read", 0, 0, 6, 0, 64), ("fork", 0), ("touch", 1, 0, 0, 8, 30),
+        ("checkpoint",), ("touch", 0, 0, 0, 8, 40), ("eager-restore",),
+        ("pageout", 1)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_matches_one_fault_per_page(name):
-    runwise, per_page = World(VMSpace.touch), World(touch_per_page)
+    runwise, per_page = _worlds()
     for step, op in enumerate([("mmap", 8, True, False)] + SCENARIOS[name]):
         assert runwise.apply(op) == per_page.apply(op), (step, op)
         assert runwise.observe() == per_page.observe(), (step, op)
@@ -252,7 +276,7 @@ def test_error_prefix_read_only_entry():
 
 
 def test_error_prefix_unmapped_page():
-    worlds = [World(VMSpace.touch), World(touch_per_page)]
+    worlds = list(_worlds())
     for world in worlds:
         world.apply(("mmap", 4, True, False))
         space = world.procs[0].vmspace
@@ -270,7 +294,7 @@ def test_page_in_is_charged_in_index_order():
     device is busy the read waits for it, which absorbs whatever was
     charged before the read but nothing charged after: the pages before
     a paged-in page must be charged first, as one fault per page does."""
-    worlds = [World(VMSpace.touch), World(touch_per_page)]
+    worlds = list(_worlds())
     for world in worlds:
         world.apply(("mmap", 512, True, False))
         space = world.procs[0].vmspace

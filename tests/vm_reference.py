@@ -20,6 +20,10 @@ them over the three production names for the duration.
   replaced.  Same page contents, pmap bits, ``fault_count``, frame
   accounting, page-ins and simulated clock after any sequence of
   operations.
+* :func:`populate_pages_per_page` — the eager half of
+  ``GroupRestorer.populate_pages`` as it ran before restored memory was
+  held as runs: one clean ``Page`` inserted per restored page.
+  :func:`per_page_restore` installs it.
 """
 
 from __future__ import annotations
@@ -30,10 +34,13 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import repro.core.shadowing as shadowing_mod
 import repro.kernel.vm.vmspace as vmspace_mod
+from repro.core import costs
+from repro.core.restore import GroupRestorer
 from repro.errors import InvalidArgument, SegmentationFault
-from repro.hw.memory import Page
+from repro.hw.memory import SYNTHETIC_CLEAN, Page
 from repro.kernel.vm.fault import handle_fault
 from repro.kernel.vm.vmobject import VMObject
+from repro.objstore.checkpoint import NO_PAGES, run_locators
 from repro.units import PAGE_SIZE
 
 
@@ -253,3 +260,37 @@ def touch_per_page(space, addr: int, npages: int, seed: int) -> int:
             pindex = entry.pindex_of(va_page)
             entry.vmobject.pages[pindex] = Page(seed=seed + i)
     return space.pmap.fault_count - faults_before
+
+
+_populate_pages = GroupRestorer.populate_pages
+
+
+def populate_pages_per_page(self, obj: VMObject, oid: int,
+                            lazy: bool) -> None:
+    """Eager restore one page at a time: every page is fetched through
+    its own locator and inserted as a clean ``Page``.  The charges, and
+    their order against the device reads, are the production path's."""
+    if lazy:
+        _populate_pages(self, obj, oid, lazy)
+        return
+    clock = self.kernel.clock
+    start = clock.now()
+    for run in self.page_locs.get(oid, NO_PAGES).runs:
+        for pindex, locator in run_locators(run):
+            page = self.store.fetch_page(locator)
+            page.clean_locator = SYNTHETIC_CLEAN if page.synthetic \
+                else locator
+            obj.insert_page(pindex, page)
+        clock.advance(costs.RESTORE_PAGE_INSERT * run[2])
+        self.pages_restored += run[2]
+    self.insert_ns += clock.now() - start
+
+
+@contextlib.contextmanager
+def per_page_restore() -> Iterator[None]:
+    """Run the block with :func:`populate_pages_per_page` installed."""
+    GroupRestorer.populate_pages = populate_pages_per_page
+    try:
+        yield
+    finally:
+        GroupRestorer.populate_pages = _populate_pages
