@@ -223,21 +223,32 @@ print(f"{len(base)} simulated metrics identical under "
 PY
 }
 
-# The cyclic collector during recovery: the two page-heavy workloads
-# must restore without a full (generation-2) collection — an eager
-# restore holds synthetic memory as runs, not one object per page.
-# Collection counts repeat exactly for a seed on one interpreter.
+# The cyclic collector: the two page-heavy workloads must restore
+# without a full (generation-2) collection — an eager restore holds
+# synthetic memory as runs, not one object per page — and vm_wide's
+# set-up must leave at most 80 000 tracked objects, its 131 072 filled
+# pages being dirty runs, not one object each.  Collection and object
+# counts repeat exactly for a seed on one interpreter.
 smoke_gc() {
     python benchmarks/gc_phases.py --seed 1 --workload vm_wide \
         --workload paper_apps | tee "$WORK/gc.out"
     python - "$WORK/gc.out" <<'PY'
 import re, sys
-rows = [line for line in open(sys.argv[1]) if line.split()[:1] == ["recover"]]
-assert len(rows) == 2, rows
-for row in rows:
+rows = {}
+for line in open(sys.argv[1]):
+    if line.startswith("["):
+        workload = line[1:line.index("]")]
+    elif line.split()[:1] in (["setup"], ["recover"]):
+        rows[workload, line.split()[0]] = line
+assert len(rows) == 4, rows
+for workload in ("vm_wide", "paper_apps"):
+    row = rows[workload, "recover"]
     gen0, gen1, full = map(int, re.findall(r"(\d+) /", row))
     assert full == 0, f"a full collection during recovery: {row.strip()}"
-print("no full collection in either recover phase")
+tracked = int(rows["vm_wide", "setup"].split()[-1])
+assert tracked <= 80_000, f"vm_wide set-up leaves {tracked} tracked objects"
+print(f"no full collection in either recover phase; vm_wide set-up "
+      f"leaves {tracked} tracked objects")
 PY
 }
 

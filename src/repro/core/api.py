@@ -105,15 +105,16 @@ class AuroraAPI:
             group.group_id, name="memckpt", parent=group.last_ckpt_id,
             partial=True)
         txn.put_object(track.oid, "vmobject", item.record)
-        txn.put_pages(track.oid, item.pages)
+        txn.put_pages(track.oid, item.pages, item.runs)
 
         result = CheckpointResult(txn.info, "atomic")
         result.stop_ns = clock.now() - t_start
-        result.pages_flushed = len(item.pages)
+        result.pages_flushed = item.page_count()
         result.bytes_staged = txn.staged_bytes()
         group.flush_in_progress = True
 
         def on_complete(info):
+            item.mark_clean()
             group.flush_in_progress = False
             group.last_complete_id = info.ckpt_id
             track.flushed = True

@@ -137,19 +137,20 @@ def recv_checkpoint(sls: Orchestrator, stream: bytes,
     for oid_str, (otype, state) in document["records"].items():
         txn.put_object(int(oid_str), otype, state)
     for oid_str, runs in document["pages"].items():
+        # Synthetic runs are staged as they travel; only real bytes
+        # become pages.
         pages: Dict[int, Page] = {}
+        synthetic: List[List[Any]] = []
         for run in runs:
-            first, count = run[1], run[2]
             if run[0] == "syn":
-                for i in range(count):
-                    pages[first + i] = Page(seed=run[3] + run[4] * i)
+                synthetic.append(run)
             elif run[0] == "dat":
-                for i in range(count):
-                    pages[first + i] = Page(
+                for i in range(run[2]):
+                    pages[run[1] + i] = Page(
                         data=run[3][i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
             else:
                 raise RestoreError(f"bad page run kind {run[0]!r}")
-        txn.put_pages(int(oid_str), pages)
+        txn.put_pages(int(oid_str), pages, synthetic)
     info = store.commit(txn, sync=True)
     return info.ckpt_id
 

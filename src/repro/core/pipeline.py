@@ -22,7 +22,8 @@ path is no longer a duck-type.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
+from typing import (Any, Dict, List, Optional, Protocol, Sequence,
+                    runtime_checkable)
 
 from ..errors import SLSError
 from ..hw.memory import Page
@@ -30,6 +31,7 @@ from ..objstore import records
 from ..units import PAGE_SIZE
 from . import costs, events, telemetry
 from .quiesce import quiesce_group, resume_group
+from .runs import LocatorRun, overlay_content
 from .serialize import CheckpointSerializer
 
 #: Checkpoint target modes.
@@ -46,8 +48,10 @@ class Txn(Protocol):
     def put_object(self, oid: int, otype: str, state: Any) -> None:
         """Stage one serialized object record."""
 
-    def put_pages(self, oid: int, pages: Dict[int, Page]) -> None:
-        """Stage dirty pages for a memory/file object."""
+    def put_pages(self, oid: int, pages: Dict[int, Page],
+                  runs: Sequence[LocatorRun] = ()) -> None:
+        """Stage dirty content for a memory/file object: pages by index
+        and synthetic locator runs (sorted, disjoint from the pages)."""
 
     def staged_bytes(self) -> int:
         """Bytes this transaction would write (records + pages)."""
@@ -71,20 +75,24 @@ class MemTxn:
         self.info = self._Info()
         self.records: Dict[int, bytes] = {}
         self.pages: Dict[int, Dict[int, Page]] = {}
+        self.runs: Dict[int, List[LocatorRun]] = {}
 
     def put_object(self, oid: int, otype: str, state: Any) -> None:
         self.store.clock.advance(costs.STORE_RECORD_STAGE)
         self.records[oid] = records.encode_object(oid, otype, state)
 
-    def put_pages(self, oid: int, pages: Dict[int, Page]) -> None:
-        if not pages:
+    def put_pages(self, oid: int, pages: Dict[int, Page],
+                  runs: Sequence[LocatorRun] = ()) -> None:
+        if not pages and not runs:
             return
-        self.pages.setdefault(oid, {}).update(pages)
+        self.runs[oid] = overlay_content(self.pages.setdefault(oid, {}),
+                                         self.runs.get(oid, ()), pages, runs)
 
     def staged_bytes(self) -> int:
         total = sum(len(data) for data in self.records.values())
-        total += sum(len(pages) * PAGE_SIZE
-                     for pages in self.pages.values())
+        total += PAGE_SIZE * (
+            sum(map(len, self.pages.values()))
+            + sum(run[2] for runs in self.runs.values() for run in runs))
         return total
 
 
@@ -227,7 +235,7 @@ class Serialize(Stage):
         live = serializer.live_oids
         for item in ctx.flush_items:
             ctx.txn.put_object(item.oid, "vmobject", item.record)
-            ctx.txn.put_pages(item.oid, item.pages)
+            ctx.txn.put_pages(item.oid, item.pages, item.runs)
             live.add(item.oid)
         # Every tracked memory object stays live while its track
         # exists, whether or not it was dirtied this period.
@@ -300,6 +308,9 @@ class Flush(Stage):
         slo_tracker = getattr(ctx.sls, "slo", None)
 
         def on_complete(info):
+            # The flip landed: what this checkpoint flushed is clean.
+            for item in ctx.flush_items:
+                item.mark_clean()
             group.flush_in_progress = False
             group.last_complete_id = info.ckpt_id
             # A flush may outlive a detach; the commit still lands in
@@ -409,7 +420,7 @@ class CheckpointResult:
                             result.stage_ns("shadow"))
         result.serialize_ns = result.stage_ns("serialize")
         result.stop_ns = ctx.stop_time_ns()
-        result.pages_flushed = sum(len(item.pages)
+        result.pages_flushed = sum(item.page_count()
                                    for item in ctx.flush_items)
         result.bytes_staged = ctx.txn.staged_bytes()
         result.records_written = ctx.records_written

@@ -13,7 +13,8 @@ OID sets are run-encoded the same way, with a stride.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterable, List, Sequence
+from operator import itemgetter
+from typing import Any, Collection, Dict, Iterable, List, Mapping, Sequence
 
 
 def build_arith_runs(indexes: Iterable[int]) -> List[List[int]]:
@@ -59,7 +60,9 @@ def expand_arith_runs(runs: Iterable[List[int]]) -> List[int]:
 #     ("ext", start, count, extent, byte_off0, page_len)
 #
 # Fields 1 and 2 (start, count) mean the same for both kinds, so the
-# interval algebra below never looks past them except to clip.
+# interval algebra below never looks past them except to clip.  A VM
+# object's synthetic run carries one more field (whether it is dirty,
+# see ``kernel/vm/vmobject.py``), which clipping keeps.
 
 LocatorRun = Sequence[Any]
 
@@ -69,8 +72,56 @@ def clip_run(run: Sequence[Any], lo: int, hi: int) -> LocatorRun:
     must lie inside it)."""
     skip = lo - run[1]
     if run[0] == "syn":
-        return ("syn", lo, hi - lo, run[3] + run[4] * skip, run[4])
+        return ("syn", lo, hi - lo, run[3] + run[4] * skip, run[4], *run[5:])
     return ("ext", lo, hi - lo, run[3], run[4] + run[5] * skip, run[5])
+
+
+def index_spans(indexes: Iterable[int]) -> List[List[Any]]:
+    """Sorted ``[None, start, count]`` stretches of consecutive indexes:
+    the cover shape :func:`uncovered_runs` cuts by."""
+    spans: List[List[Any]] = []
+    for pindex in sorted(indexes):
+        if spans and spans[-1][1] + spans[-1][2] == pindex:
+            spans[-1][2] += 1
+        else:
+            spans.append([None, pindex, 1])
+    return spans
+
+
+def indexes_under(held: Collection[int],
+                  runs: Sequence[LocatorRun]) -> List[int]:
+    """The members of ``held`` (a set or a dict keyed by index) that
+    ``runs`` (sorted, disjoint) cover.  Probes whichever side is
+    smaller: every index of the runs, or every member with one bisect."""
+    if not held or not runs:
+        return []
+    if sum(run[2] for run in runs) <= len(held):
+        return [pindex for run in runs
+                for pindex in range(run[1], run[1] + run[2])
+                if pindex in held]
+    starts = [run[1] for run in runs]
+    under = []
+    for pindex in held:
+        at = bisect_right(starts, pindex) - 1
+        if at >= 0 and pindex < starts[at] + runs[at][2]:
+            under.append(pindex)
+    return under
+
+
+def overlay_content(pages: Dict[int, Any], runs: Sequence[LocatorRun],
+                    newer_pages: Mapping[int, Any],
+                    newer_runs: Sequence[LocatorRun]) -> List[LocatorRun]:
+    """Lay newer content — pages by index plus sorted, disjoint runs —
+    over older content, newest wins.  ``pages`` is updated in place;
+    the merged run list is returned."""
+    for pindex in indexes_under(pages, newer_runs):
+        del pages[pindex]
+    if runs and (newer_pages or newer_runs):
+        cover = sorted([*index_spans(newer_pages), *newer_runs],
+                       key=itemgetter(1))
+        runs = uncovered_runs(runs, cover, [span[1] for span in cover])
+    pages.update(newer_pages)
+    return sorted([*runs, *newer_runs], key=itemgetter(1))
 
 
 def uncovered_runs(runs: Sequence[Sequence[Any]],

@@ -17,10 +17,17 @@ next checkpoint collapses it into its parent — in the *reversed*
 direction (shadow pages move down), so the cost is proportional to the
 small dirty set rather than the parent's full resident set.  The
 classic forward direction is kept for the ablation benchmark.
+
+A flush item carries the dirty content as the VM objects hold it —
+materialised pages and synthetic runs — plus the objects the runs came
+from, so the commit that makes them durable marks them clean there
+(:meth:`FlushItem.mark_clean`) while the store stays ignorant of VM
+objects.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import InvalidArgument
@@ -29,24 +36,55 @@ from ..kernel.vm.vmobject import DEVICE, VNODE, VMObject
 from ..objstore.oid import CLASS_MEMORY
 from . import costs, telemetry
 from .group import ConsistencyGroup, ObjectTrack
+from .runs import LocatorRun, index_spans, indexes_under, uncovered_runs
 
 REVERSE = "reverse"   # Aurora's optimized direction (§6)
 FORWARD = "forward"   # classic Mach/FreeBSD direction (ablation)
 NONE = "none"         # never collapse: chains grow (ablation)
 
+_START = itemgetter(1)
+
 
 class FlushItem:
     """One logical object's contribution to a checkpoint flush: its
-    metadata ``record`` and ``pages``, the newest-wins merged dirty
-    set (the store sorts and packs it into extents)."""
+    metadata ``record`` and its newest-wins merged dirty set — ``pages``
+    (materialised, by index) and ``runs`` (synthetic locator runs,
+    sorted, disjoint from ``pages``); the store sorts and packs both
+    into extents.  ``sources`` pairs each VM object the runs came from
+    with its pieces, so that once the checkpoint is durable the pieces
+    are marked clean where they live (:meth:`mark_clean`)."""
 
-    __slots__ = ("oid", "record", "pages")
+    __slots__ = ("oid", "record", "pages", "runs", "sources")
 
     def __init__(self, oid: int, record: Dict[str, Any],
-                 pages: Dict[int, Page]) -> None:
+                 pages: Dict[int, Page],
+                 sources: List[Tuple[VMObject, List[LocatorRun]]]) -> None:
         self.oid = oid
         self.record = record
         self.pages = pages
+        self.sources = sources
+        self.runs = sources[0][1] if len(sources) == 1 else sorted(
+            (run for _owner, runs in sources for run in runs), key=_START)
+
+    def page_count(self) -> int:
+        """Pages flushed: materialised ones plus run pages."""
+        return len(self.pages) + sum(run[2] for run in self.runs)
+
+    def stretches(self) -> int:
+        """Maximal stretches of consecutive indexes the item holds,
+        pages and runs together (an adjacent page and run join)."""
+        pages = self.pages
+        ends = {run[1] + run[2] for run in self.runs}
+        return (sum(p - 1 not in pages and p not in ends for p in pages)
+                + sum(run[1] - 1 not in pages and run[1] not in ends
+                      for run in self.runs))
+
+    def mark_clean(self) -> None:
+        """The checkpoint that carried this item is durable: its run
+        pieces become clean in the objects they came from, as the store
+        marks the flushed ``Page``s."""
+        for owner, runs in self.sources:
+            owner.mark_clean(runs)
 
 
 def _chain_segment(top: VMObject) -> List[VMObject]:
@@ -67,19 +105,42 @@ def _chain_segment(top: VMObject) -> List[VMObject]:
 
 
 def merged_chain_pages(top: VMObject) -> Dict[int, Page]:
-    """Newest-wins pages of ``top``'s chain segment.
+    """Newest-wins materialised pages of ``top``'s chain segment.
 
     Merges bottom-up with one C-speed ``dict.update`` per chain object
     (later = newer = wins), so a full-checkpoint merge over a
     million-page object costs a few dict bulk-copies instead of a
-    million ``setdefault`` probes.  A restored object's runs are built
-    into pages here: the merge is O(resident) already.
+    million ``setdefault`` probes.  A page a newer object's run hides
+    is dropped; the runs themselves are :func:`merged_chain_runs`'.
     """
-    segment = _chain_segment(top)
-    pages = segment[-1].all_pages()
-    for obj in reversed(segment[:-1]):
-        pages.update(obj.all_pages())
+    pages: Dict[int, Page] = {}
+    for obj in reversed(_chain_segment(top)):
+        obj_pages, obj_runs = obj.content()
+        if not pages:
+            pages = obj_pages
+            continue
+        for pindex in indexes_under(pages, obj_runs):
+            del pages[pindex]
+        pages.update(obj_pages)
     return pages
+
+
+def merged_chain_runs(top: VMObject
+                      ) -> List[Tuple[VMObject, List[LocatorRun]]]:
+    """Newest-wins runs of ``top``'s chain segment, as ``(owner,
+    pieces)``: each object's runs minus what a newer object holds.  The
+    hidden pieces are left out, so a flush marks clean only what it
+    wrote."""
+    layers: List[Tuple[VMObject, List[LocatorRun]]] = []
+    for obj in reversed(_chain_segment(top)):
+        obj_pages, obj_runs = obj.content()
+        if any(runs for _owner, runs in layers) and (obj_pages or obj_runs):
+            cover = sorted([*index_spans(obj_pages), *obj_runs], key=_START)
+            starts = [span[1] for span in cover]
+            layers = [(owner, uncovered_runs(runs, cover, starts))
+                      for owner, runs in layers]
+        layers.append((obj, obj_runs))
+    return [(owner, runs) for owner, runs in layers if runs]
 
 
 def chain_backing_oid(top: VMObject) -> Optional[int]:
@@ -251,18 +312,22 @@ class ShadowEngine:
         Every reference in ``spaces`` (:meth:`running_spaces`) and the
         shm backmap moves to the shadow, the COW marks are charged, and
         the track now flushes ``top`` and writes into the shadow.
-        Returns what to flush — the record and the dirty pages (the
-        whole chain segment for a new object or a ``full`` checkpoint)
-        — and the number of PTEs downgraded; the TLB shootdown is the
-        caller's.
+        Returns what to flush — the record and the dirty content, pages
+        and runs (the whole chain segment, newest wins, for a new object
+        or a ``full`` checkpoint) — and the number of PTEs downgraded;
+        the TLB shootdown is the caller's.
         """
-        dirty = merged_chain_pages(top) if track.new or full \
-            else top.all_pages()
-        item = FlushItem(track.oid, object_record(top), dirty)
+        if track.new or full:
+            pages, sources = merged_chain_pages(top), merged_chain_runs(top)
+        else:
+            pages, runs = top.content()
+            sources = [(top, runs)] if runs else []
+        item = FlushItem(track.oid, object_record(top), pages, sources)
         shadow = top.shadow(name=shadow_name)
         shadow.sls_oid = track.oid
         downgraded = self._repoint_entries(spaces, top, shadow)
-        self.kernel.clock.advance(len(dirty) * costs.COW_MARK_PER_PAGE)
+        self.kernel.clock.advance(item.page_count()
+                                  * costs.COW_MARK_PER_PAGE)
         top.frozen = True
         track.frozen = top
         track.active = shadow
@@ -310,10 +375,7 @@ class ShadowEngine:
                                            f"sys:{top.name}", full)
             self.stats["shadows_created"] += 1
             total_downgraded += downgraded
-            # One run per dirty index whose predecessor is clean.
-            dirty = item.pages
-            self.stats["dirty_runs"] += sum(
-                pindex - 1 not in dirty for pindex in dirty)
+            self.stats["dirty_runs"] += item.stretches()
             items.append(item)
 
         if total_downgraded or items:

@@ -18,14 +18,19 @@ synthetic page shares one marker,
 its own seed, so eviction derives it instead of the flush storing one
 per page.
 
-Content an eager restore left as a clean synthetic run (see
-:mod:`~repro.kernel.vm.vmobject`) has no ``Page`` to mark: it is clean
-by construction, its seed being its locator.  Every page built from a
-run carries :data:`~repro.hw.memory.SYNTHETIC_CLEAN`, and a write cuts
-the page out of its run.  An eagerly restored real page is marked with
-its locator when it is fetched, as :meth:`PageoutDaemon.page_in` marks
-a lazily restored one — so pressure after any restore evicts durable
-content without rewriting it.
+Synthetic content held as a run (see :mod:`~repro.kernel.vm.vmobject`)
+has no ``Page`` to mark; the run itself is clean or dirty.  ``fill``
+and ``touch`` write dirty runs, the commit that makes a flushed run
+durable marks it clean in its VM object, and an eager restore inserts
+clean ones (their seed is their locator).  The candidate scan builds a
+run's pages like any other (:meth:`VMObject.all_pages`): one built from
+a clean run carries :data:`~repro.hw.memory.SYNTHETIC_CLEAN` and is
+evicted without IO, one built from a dirty run is dirty and goes
+through :meth:`ObjectStore.stage_swap_page` exactly as a dirty ``Page``
+does; either way the eviction cuts the page out of its run.  An eagerly
+restored real page is marked with its locator when it is fetched, as
+:meth:`PageoutDaemon.page_in` marks a lazily restored one — so pressure
+after any restore evicts durable content without rewriting it.
 
 ``madvise`` hints bias the eviction policy, and lazy restores reuse
 the same page-in path.

@@ -12,8 +12,10 @@ charges calibrated costs for every hop and copy it performs.
 
 There is one write-fault implementation, :func:`handle_write_faults`,
 and it resolves a *run* of pages: the chain is walked once per object
-instead of once per page, the private copies go in as one slab, the
-PTEs as one range and the clock advances once by the summed cost.
+(over index ranges, not indexes) instead of once per page, the private
+copies go in as one slab — or, for ``touch``, the content it stores as
+one dirty run — the PTEs as one range and the clock advances once by
+the summed cost.
 ``SimClock.advance`` is purely additive, so the end state — contents,
 pmap bits, ``fault_count``, frame accounting, the clock — is that of one
 fault per page; :func:`handle_fault` ``(write=True)`` is the one-page call.
@@ -21,9 +23,10 @@ fault per page; :func:`handle_fault` ``(write=True)`` is the one-page call.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...core import costs
+from ...core.runs import LocatorRun
 from ...errors import SegmentationFault
 from ...hw.memory import Page
 from .vmmap import PROT_READ, PROT_WRITE, VMMapEntry
@@ -69,7 +72,7 @@ def handle_fault(space: Any, va_page: int, write: bool) -> Optional[Page]:
 
 def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
                         npages: int,
-                        install: Optional[Mapping[int, Page]] = None) -> None:
+                        install: Optional[LocatorRun] = None) -> None:
     """Resolve write faults on ``npages`` consecutive pages of ``entry``
     from ``va_start``, none of them mapped writable: every page ends up
     privately writable (and dirty) in the top object of the chain.
@@ -78,10 +81,11 @@ def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
     object, ``depth × SHADOW_CHAIN_HOP + COW_FAULT`` copied up from
     ``depth`` below, ``chain_length × HOP + SOFT_FAULT`` for a zero-fill.
 
-    ``install`` is the slab (object page index → page, the whole run)
-    a caller replacing whole pages is about to store over them: it goes
-    in instead of the COW copies and zero-fill pages, which would be
-    garbage as soon as they were built.  The charges are the same.
+    ``install`` is the synthetic run ``("syn", first pindex, npages,
+    seed0, step)`` a caller replacing whole pages is about to store over
+    them: it goes in as one dirty run instead of the COW copies and
+    zero-fill pages, which would be garbage as soon as they were built.
+    The charges are the same.  Without it the copies are ``Page``s.
     """
     if not entry.protection & PROT_WRITE:
         raise SegmentationFault(
@@ -112,7 +116,10 @@ def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
         kernel.pageout.page_in(holder, pindex, kernel.sls.store)
         lo = pindex
     kernel.clock.advance(_resolve(top, lo, end, wanted))
-    top.insert_pages(private if install is None else install)
+    if install is None:
+        top.insert_pages(private)
+    else:
+        top.insert_runs((install,), dirty=True)
     space.pmap.enter_range(va_start, npages, writable=True, dirty=True)
 
 
@@ -136,36 +143,56 @@ def _resolve(top: VMObject, first: int, end: int,
              private: Optional[Dict[int, Page]]) -> int:
     """The summed charge for write faults on pages ``[first, end)`` of
     ``top``, each resident somewhere in its chain or zero-fill.  The
-    chain is walked once per object: the pending indexes are intersected
-    with what it holds (pages and runs) and the misses carried down.
-    The COW copies and zero-fill pages ``top`` needs are added to
-    ``private`` when given; only the hits are copied.
+    chain is walked once per object: the pending index ranges are
+    intersected with the ranges it holds (:meth:`VMObject.holding`) and
+    the misses carried down.  The COW copies and zero-fill pages ``top``
+    needs are added to ``private`` when given; only the hits are copied.
     """
-    pending = set(range(first, end))
+    pending = [(first, end)]
     cost = depth = shift = 0
     obj: Optional[VMObject] = top
     while obj is not None and pending:
         hits = obj.holding(pending)
         if hits:
-            cost += len(hits) * (depth * costs.SHADOW_CHAIN_HOP
-                                 + costs.COW_FAULT if depth
-                                 else costs.SOFT_FAULT)
+            cost += sum(hi - lo for lo, hi in hits) * (
+                depth * costs.SHADOW_CHAIN_HOP + costs.COW_FAULT if depth
+                else costs.SOFT_FAULT)
             if depth and private is not None:
-                for p in hits:
-                    page = obj.page_at(p)
-                    assert page is not None
-                    private[p - shift] = page.copy()
-            pending -= hits
+                for lo, hi in hits:
+                    for p in range(lo, hi):
+                        page = obj.page_at(p)
+                        assert page is not None
+                        private[p - shift] = page.copy()
+            pending = _minus(pending, hits)
         if obj.backing_offset:
             shift += obj.backing_offset
-            pending = {p + obj.backing_offset for p in pending}
+            pending = [(lo + obj.backing_offset, hi + obj.backing_offset)
+                       for lo, hi in pending]
         obj = obj.backing
         depth += 1
     if pending:
         # Found nowhere: zero-fill, after hopping the whole chain.
-        cost += len(pending) * (depth * costs.SHADOW_CHAIN_HOP
-                                + costs.SOFT_FAULT)
+        cost += sum(hi - lo for lo, hi in pending) * (
+            depth * costs.SHADOW_CHAIN_HOP + costs.SOFT_FAULT)
         if private is not None:
-            for p in pending:
-                private[p - shift] = Page(data=b"")
+            for lo, hi in pending:
+                for p in range(lo, hi):
+                    private[p - shift] = Page(data=b"")
     return cost
+
+
+def _minus(spans: List[Tuple[int, int]],
+           holes: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """``spans`` without ``holes`` (both sorted ``(lo, hi)`` lists,
+    every hole inside a span)."""
+    out: List[Tuple[int, int]] = []
+    at = 0
+    for lo, hi in spans:
+        while at < len(holes) and holes[at][0] < hi:
+            if holes[at][0] > lo:
+                out.append((lo, holes[at][0]))
+            lo = holes[at][1]
+            at += 1
+        if lo < hi:
+            out.append((lo, hi))
+    return out

@@ -11,19 +11,32 @@ An object's content is two disjoint parts, and this module alone
 decides how they are held:
 
 * ``pages`` — materialised :class:`~repro.hw.memory.Page` values by
-  index (written, faulted, filled or fetched content);
-* clean synthetic *runs* ``("syn", start, count, seed0, step)`` — what
-  an eager restore inserts for a synthetic stretch of the merged view
-  (:meth:`insert_runs`): the seed progression is its own locator, so no
-  ``Page`` exists for it.  Only objects a restore filled have runs; the
-  rest pay nothing for them.
+  index (real bytes, copies, page-ins);
+* synthetic *runs* ``("syn", start, count, seed0, step, dirty)`` — a
+  stretch whose page ``start + i`` has seed ``seed0 + step × i``.  A
+  run is clean or dirty, as a ``Page`` is: ``fill`` and ``touch``
+  insert one dirty run per stretch (:meth:`insert_runs`), an eager
+  restore inserts clean ones (the seed progression is its own locator).
+  Only objects that hold runs pay for the list; the rest share an
+  empty default.
 
-A run's page is built on demand, whenever code needs that page's
-content — a read (:meth:`page_at`, :meth:`lookup_page`), the copy-up of
-a write fault, a flush or an eviction (:meth:`all_pages`) — and is
-never cached back.  A run is cut (with :mod:`repro.core.runs`'s
-interval algebra) where a page replaces or removes its content: an
-insert, an eviction, a collapse moving newer pages over it.
+A run's ``Page`` is built only when code needs that page's content,
+and is never cached back: a read (:meth:`page_at`, :meth:`lookup_page`),
+the copy-up of a write fault that installs no run of its own, a partial
+``VMSpace.write``, and :meth:`all_pages` for the paths that are
+O(resident) or per-object already — the pageout daemon's candidate
+scan, and vnode, shm and SLSFS content.  A page built from a dirty run
+is dirty (``clean_locator`` None); one built from a clean run carries
+:data:`~repro.hw.memory.SYNTHETIC_CLEAN`.
+
+Runs are *cut* where newer content replaces them — an insert of pages or
+runs, an eviction (:meth:`remove_page`), a collapse moving a shadow's
+content down — with :meth:`_splice`: one bisect per cut span and at
+most two clips, so an edit costs O(edit), not O(runs held).  A flush
+takes an object's content as locator runs (:meth:`content`), and once
+the checkpoint that carried them is durable :meth:`mark_clean` turns
+the dirty runs under them clean — exactly the pages a per-page flush
+would have marked.
 
 Two collapse directions are implemented:
 
@@ -36,22 +49,21 @@ Two collapse directions are implemented:
   parent, so cost is proportional to the *dirty set* instead of the
   full resident set.  The ablation benchmark contrasts the two.
 
-The page-moving primitives are *slab* operations: a collapse merges
-the shadow's whole page dict into the parent with one dict update and
-one frame-accounting adjustment instead of three per-page calls, so
-the real (wall-clock) cost of a collapse tracks the number of
-contiguous runs, not the page count.  The page-at-a-time original is
-a reference model in ``tests/vm_reference.py``.
+The reversed collapse moves content as slabs: the shadow's page dict
+with one dict update and its runs spliced into the parent's, with one
+frame-accounting adjustment.  The page-at-a-time originals are
+reference models in ``tests/vm_reference.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from operator import itemgetter
-from typing import (AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-from ...core.runs import LocatorRun, clip_run, uncovered_runs
+from ...core.runs import (LocatorRun, clip_run, index_spans, indexes_under,
+                          uncovered_runs)
 from ...errors import InvalidArgument
 from ...hw.memory import SYNTHETIC_CLEAN, Page
 from ..kobject import KObject
@@ -73,30 +85,19 @@ def _run_at(runs: Sequence[LocatorRun], pindex: int) -> Optional[LocatorRun]:
 
 
 def _run_page(run: LocatorRun, pindex: int) -> Page:
-    """Page ``pindex`` of a synthetic run: clean, its seed its locator."""
+    """Page ``pindex`` of a synthetic run, clean or dirty as the run."""
     page = Page(seed=run[3] + run[4] * (pindex - run[1]))
-    page.clean_locator = SYNTHETIC_CLEAN
+    if not run[5]:
+        page.clean_locator = SYNTHETIC_CLEAN
     return page
-
-
-def _spans(indexes: Iterable[int]) -> List[List[Any]]:
-    """Sorted ``[None, start, count]`` stretches of consecutive indexes:
-    the cover shape :func:`~repro.core.runs.uncovered_runs` cuts by."""
-    spans: List[List[Any]] = []
-    for pindex in sorted(indexes):
-        if spans and spans[-1][1] + spans[-1][2] == pindex:
-            spans[-1][2] += 1
-        else:
-            spans.append([None, pindex, 1])
-    return spans
 
 
 class VMObject(KObject):
     """A mappable collection of pages, possibly shadowing a parent."""
 
     obj_type = "vmobject"
-    #: Clean synthetic runs, sorted and disjoint from ``pages`` (see the
-    #: module docstring); an object a restore never filled shares this
+    #: Synthetic runs, sorted and disjoint from ``pages`` (see the
+    #: module docstring); an object that never held one shares this
     #: empty default.
     _runs: Sequence[LocatorRun] = ()
 
@@ -138,25 +139,70 @@ class VMObject(KObject):
                 f"pindex range [{low}, {high}] outside object of "
                 f"{self.size_pages} pages")
 
-    def _cut(self, cover: Sequence[LocatorRun]) -> int:
-        """Cut the indexes the spans of ``cover`` (sorted, disjoint)
-        name out of the runs; returns how many of them the runs held.
-        Only the runs inside the cover's range are visited."""
+    def _splice(self, cover: Sequence[LocatorRun]) -> int:
+        """Cut the spans of ``cover`` (sorted, disjoint) out of the runs
+        and splice in the cover entries that are runs (an entry of kind
+        ``None`` is a bare span); returns how many pages the cut took
+        from runs.  One bisect per span and at most two clips: the runs
+        between the spans are moved as slices, never visited."""
         runs = self._runs
-        if not runs or not cover:
+        if not runs:
+            added = [span for span in cover if span[0] is not None]
+            if added:
+                self._runs = added
             return 0
-        lo = max(bisect_right(runs, cover[0][1], key=_START) - 1, 0)
-        hi = bisect_left(runs, cover[-1][1] + cover[-1][2], key=_START)
-        kept = uncovered_runs(runs[lo:hi], cover, [span[1] for span in cover])
-        held = sum(run[2] for run in runs[lo:hi]) - sum(run[2] for run in kept)
-        if held:
-            self._runs = [*runs[:lo], *kept, *runs[hi:]]
+        out: List[LocatorRun] = []
+        end = len(runs)
+        held = pos = 0
+        carry = None    # the rest of a run the previous span cut
+        for span in cover:
+            lo = span[1]
+            hi = lo + span[2]
+            if carry is not None and carry[1] + carry[2] <= lo:
+                out.append(carry)
+                carry = None
+            if carry is None:
+                at = bisect_right(runs, lo, pos, end, key=_START)
+                if at > pos and runs[at - 1][1] + runs[at - 1][2] > lo:
+                    at -= 1
+                out += runs[pos:at]
+                pos = at
+                if pos < end and runs[pos][1] < hi:
+                    carry = runs[pos]
+                    pos += 1
+            while carry is not None and carry[1] < hi:
+                first, stop = carry[1], carry[1] + carry[2]
+                if first < lo:
+                    out.append(clip_run(carry, first, lo))
+                held += min(stop, hi) - max(first, lo)
+                if stop > hi:
+                    carry = clip_run(carry, hi, stop)
+                elif pos < end and runs[pos][1] < hi:
+                    carry = runs[pos]
+                    pos += 1
+                else:
+                    carry = None
+            if span[0] is not None:
+                out.append(span)
+        if carry is not None:
+            out.append(carry)
+        out += runs[pos:]
+        self._runs = out
         return held
+
+    def _drop_pages(self, runs: Sequence[LocatorRun]) -> int:
+        """Drop the materialised pages ``runs`` replace; returns how
+        many (probing the smaller of the two sides)."""
+        stale = indexes_under(self.pages, runs)
+        for pindex in stale:
+            del self.pages[pindex]
+        return len(stale)
 
     def insert_page(self, pindex: int, page: Page) -> None:
         """Install ``page`` at ``pindex``, replacing any existing page."""
         self._check_insert(pindex, pindex)
-        if pindex not in self.pages and not self._cut(((None, pindex, 1),)):
+        if pindex not in self.pages and not (
+                self._runs and self._splice(((None, pindex, 1),))):
             self.kernel.physmem.allocate(1)
         self.pages[pindex] = page
 
@@ -177,33 +223,34 @@ class VMObject(KObject):
         if resident:
             new -= sum(map(resident.__contains__, pages))
         if self._runs:
-            new -= self._cut(_spans(pages))
+            new -= self._splice(index_spans(pages))
         if new:
             self.kernel.physmem.allocate(new)
         self.pages.update(pages)
 
-    def insert_runs(self, runs: Sequence[LocatorRun]) -> None:
-        """Install clean synthetic runs (sorted, disjoint), replacing
-        what the object holds at their indexes: one frame-accounting
+    def insert_runs(self, runs: Sequence[LocatorRun],
+                    dirty: bool = False) -> None:
+        """Install synthetic runs ``("syn", start, count, seed0, step)``
+        (sorted, disjoint), all clean or all ``dirty``, replacing what
+        the object holds at their indexes: one frame-accounting
         adjustment, and no ``Page`` built."""
         if not runs:
             return
         self._check_insert(runs[0][1], runs[-1][1] + runs[-1][2] - 1)
-        held = self._cut(runs)
-        stale = [p for p in self.pages if _run_at(runs, p) is not None]
-        for pindex in stale:
-            del self.pages[pindex]
-        new = sum(run[2] for run in runs) - held - len(stale)
+        added = [("syn", run[1], run[2], run[3], run[4], dirty)
+                 for run in runs]
+        new = (sum(run[2] for run in added) - self._drop_pages(added)
+               - self._splice(added))
         if new:
             self.kernel.physmem.allocate(new)
-        self._runs = sorted([*self._runs, *runs], key=_START)
 
     def remove_page(self, pindex: int) -> Optional[Page]:
         """Remove and return the page at ``pindex`` (frame freed)."""
         page = self.pages.pop(pindex, None)
         if page is None and self._runs:
             page = self.page_at(pindex)
-            self._cut(((None, pindex, 1),))
+            if page is not None:
+                self._splice(((None, pindex, 1),))
         if page is not None:
             self.kernel.physmem.release(1)
         return page
@@ -218,18 +265,66 @@ class VMObject(KObject):
                 page = _run_page(run, pindex)
         return page
 
-    def holding(self, indexes: AbstractSet[int]) -> Set[int]:
-        """The members of ``indexes`` this object holds a page at."""
-        hits = self.pages.keys() & indexes
-        if self._runs:
-            hits.update(p for p in indexes
-                        if _run_at(self._runs, p) is not None)
-        return hits
+    def holding(self, spans: Sequence[Tuple[int, int]]
+                ) -> List[Tuple[int, int]]:
+        """The stretches ``(lo, hi)`` of ``spans`` (sorted, disjoint
+        ``(first, end)`` ranges) this object holds content at, ascending:
+        one bisect into the runs per span, and one probe per index (or
+        per page, if fewer) into the page dict."""
+        held: List[Tuple[int, int]] = []
+        runs, pages = self._runs, self.pages
+        for first, end in spans:
+            part: List[Tuple[int, int]] = []
+            if runs:
+                at = max(bisect_right(runs, first, key=_START) - 1, 0)
+                while at < len(runs) and runs[at][1] < end:
+                    lo = max(runs[at][1], first)
+                    hi = min(runs[at][1] + runs[at][2], end)
+                    if lo < hi:
+                        part.append((lo, hi))
+                    at += 1
+            if pages:
+                hits = (sorted(p for p in pages if first <= p < end)
+                        if len(pages) < end - first
+                        else filter(pages.__contains__, range(first, end)))
+                spans_hit = [(p, p + 1) for p in hits]
+                part = sorted(part + spans_hit) if part else spans_hit
+            held += part
+        return held
+
+    def content(self) -> Tuple[Dict[int, Page], List[LocatorRun]]:
+        """Everything this object holds, for a flush: a copy of its page
+        dict and its runs as locator runs ``("syn", start, count, seed0,
+        step)``.  No ``Page`` is built."""
+        return dict(self.pages), [run[:5] for run in self._runs]
+
+    def mark_clean(self, runs: Sequence[LocatorRun]) -> None:
+        """``runs`` (sorted, disjoint pieces of :meth:`content`) are
+        durable: the dirty runs still over them become clean.  A piece
+        cut out since — an eviction — stays cut."""
+        mine = self._runs
+        clean: List[LocatorRun] = []
+        at = 0
+        for piece in runs:
+            lo, hi = piece[1], piece[1] + piece[2]
+            at = max(bisect_right(mine, lo, at, key=_START) - 1, at)
+            while at < len(mine) and mine[at][1] < hi:
+                run = mine[at]
+                first = max(run[1], lo)
+                stop = min(run[1] + run[2], hi)
+                if run[5] and first < stop:
+                    clean.append(("syn", first, stop - first,
+                                  run[3] + run[4] * (first - run[1]),
+                                  run[4], False))
+                at += 1
+            at = max(at - 1, 0)
+        if clean:
+            self._splice(clean)
 
     def all_pages(self) -> Dict[int, Page]:
         """Every page this object holds, run pages built: O(resident),
-        for the paths that are O(resident) already — a full or new-track
-        flush, the pageout daemon's candidate scan."""
+        for the paths that are O(resident) already — the pageout
+        daemon's candidate scan, vnode, shm and SLSFS content."""
         pages = dict(self.pages)
         for run in self._runs:
             pages.update((p, _run_page(run, p))
@@ -329,7 +424,8 @@ class VMObject(KObject):
                                min(run[1] + run[2], end))
                       for run in parent._runs
                       if run[1] < end and run[1] + run[2] > offset]
-            cover = sorted([*_spans(self.pages), *self._runs], key=_START)
+            cover = sorted([*index_spans(self.pages), *self._runs],
+                           key=_START)
             up = uncovered_runs([(run[0], run[1] - offset, *run[2:])
                                  for run in window],
                                 cover, [span[1] for span in cover])
@@ -355,16 +451,16 @@ class VMObject(KObject):
     def collapse_into_parent(self) -> Tuple["VMObject", int]:
         """Aurora's reversed collapse: push *this* object's pages down.
 
-        Moves this (short-lived, sparsely populated) shadow's pages
+        Moves this (short-lived, sparsely populated) shadow's content
         into the parent, overwriting the parent's stale versions, and
         returns ``(parent, pages_moved)``.  The caller repoints any map
         entries or shadows that referenced this object to the parent
         and discards this object.
 
-        The move is a slab merge: one newest-wins dict update plus one
-        frame release for the overwritten stale pages, instead of a
-        remove/insert/remove triple per page.  A parent's runs are cut
-        under the moved pages, never expanded.
+        The move is a slab merge: one newest-wins dict update for the
+        pages, the runs spliced into the parent's (cut under the
+        shadow's spans, nothing materialised), and one frame release for
+        the overwritten stale content.
         """
         parent = self.backing
         if parent is None:
@@ -374,18 +470,22 @@ class VMObject(KObject):
         # Hold the parent alive across _detach_backing; this reference
         # is transferred to the caller, which repoints map entries.
         parent.ref()
-        if self._runs:      # a shadow holds runs only if a restore filled it
-            self.pages, self._runs = self.all_pages(), ()
-        moved = len(self.pages)
+        pages, runs = self.pages, self._runs
+        moved = len(pages) + sum(run[2] for run in runs)
         # Stale parent copies are overwritten in place: the net frame
         # delta of the whole move is exactly -|overlap| (each
         # overwritten page frees the parent's stale frame; every other
         # page just changes owner).
-        overlap = len(self.pages.keys() & parent.pages.keys())
-        if parent._runs and self.pages:
-            overlap += parent._cut(_spans(self.pages))
-        parent.pages.update(self.pages)
-        self.pages.clear()
+        overlap = len(pages.keys() & parent.pages.keys()) \
+            if pages and parent.pages else 0
+        overlap += parent._drop_pages(runs)
+        if runs or (pages and parent._runs):
+            cover = sorted([*index_spans(pages), *runs], key=_START) \
+                if pages else runs
+            overlap += parent._splice(cover)
+        parent.pages.update(pages)
+        pages.clear()
+        self._runs = ()
         if overlap:
             self.kernel.physmem.release(overlap)
         pageout = getattr(self.kernel, "pageout", None)

@@ -153,19 +153,16 @@ class VMSpace(KObject):
         start_page = addr // PAGE_SIZE
         end_page = start_page + npages
         va_page = start_page
-        # Walk entry by entry so each covered stretch becomes one slab
-        # insert plus one bitmap range-enter, keeping million-page
-        # benchmark setup out of per-page Python loops.
+        # Walk entry by entry so each covered stretch becomes one dirty
+        # run plus one bitmap range-enter: no Python object per page.
         while va_page < end_page:
             entry = self.map.lookup(va_page)
             if entry is None:
                 raise SegmentationFault(f"fill outside mapping: {va_page:#x}")
             stretch = min(end_page, entry.end_page) - va_page
-            base_pindex = entry.pindex_of(va_page)
-            base_seed = seed + (va_page - start_page)
-            entry.vmobject.insert_pages({
-                base_pindex + i: Page(seed=base_seed + i)
-                for i in range(stretch)})
+            entry.vmobject.insert_runs(
+                (("syn", entry.pindex_of(va_page), stretch,
+                  seed + (va_page - start_page), 1),), dirty=True)
             self.pmap.enter_range(va_page, stretch, writable=True, dirty=True)
             va_page += stretch
 
@@ -179,10 +176,10 @@ class VMSpace(KObject):
         Walks entry by entry and, inside an entry, run by run of equal
         write permission: a run not mapped writable takes one range
         fault (:func:`~repro.kernel.vm.fault.handle_write_faults`), and
-        every run's pages go in as one slab and its dirty bits as one
-        mask — O(runs), with the charges of one fault per page.  An
-        unmapped page or a read-only entry raises after the pages
-        before it were dirtied.
+        every run's pages go in as one dirty synthetic run and its dirty
+        bits as one mask — O(runs), with the charges of one fault per
+        page and no ``Page`` built.  An unmapped page or a read-only
+        entry raises after the pages before it were dirtied.
         """
         start_page = addr // PAGE_SIZE
         end_page = start_page + npages
@@ -196,16 +193,14 @@ class VMSpace(KObject):
             # Materialised first: the faults rewrite the column scanned.
             for run_start, length, writable in list(
                     self.pmap.writable_runs(va_page, stretch)):
-                pindex = entry.pindex_of(run_start)
-                run_seed = seed + run_start - start_page
-                slab = {pindex + i: Page(seed=run_seed + i)
-                        for i in range(length)}
+                run = ("syn", entry.pindex_of(run_start), length,
+                       seed + run_start - start_page, 1)
                 if writable:
-                    entry.vmobject.insert_pages(slab)
+                    entry.vmobject.insert_runs((run,), dirty=True)
                     self.pmap.mark_dirty_range(run_start, length)
                 else:
                     fault_mod.handle_write_faults(self, entry, run_start,
-                                                  length, install=slab)
+                                                  length, install=run)
             va_page += stretch
         return self.pmap.fault_count - faults_before
 

@@ -19,13 +19,15 @@ is the newest-wins merge along the parent chain
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
 from ..core.resilience import RetryPolicy
-from ..core.runs import synthetic_runs
+from ..core.runs import (LocatorRun, append_locator_run, overlay_content,
+                         synthetic_runs)
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
@@ -51,6 +53,16 @@ SUPERBLOCK_SLOTS = (0, STRIPE_SIZE)
 RECORD_BATCH = 256
 
 
+def _append_synthetic(runs: List[Any], indexes: Sequence[int],
+                      seeds: Sequence[int]) -> None:
+    """Append a stretch of synthetic pages, given as two columns, to a
+    locator table as appending the pages one at a time would: the
+    stretch is coalesced by ``synthetic_runs`` and each of its runs is
+    joined to the table through ``append_locator_run``."""
+    for run in synthetic_runs(indexes, seeds):
+        append_locator_run(runs, run)
+
+
 class CheckpointTxn:
     """Staging area for one in-progress checkpoint."""
 
@@ -58,7 +70,11 @@ class CheckpointTxn:
         self.store = store
         self.info = info
         self.staged_records: List[Tuple[int, bytes]] = []
+        #: Staged content per OID: pages by index, and synthetic locator
+        #: runs (sorted, disjoint from the pages).  Every OID staged has
+        #: a page dict, empty when all its content is runs.
         self.staged_pages: Dict[int, Dict[int, Page]] = {}
+        self.staged_runs: Dict[int, List[LocatorRun]] = {}
         self.committed = False
         self.aborted = False
         #: The operation trace open when the transaction began; async
@@ -72,17 +88,25 @@ class CheckpointTxn:
         self.staged_records.append(
             (oid, records.encode_object(oid, otype, state)))
 
-    def put_pages(self, oid: int, pages: Dict[int, Page]) -> None:
-        """Stage dirty pages for a memory/file object."""
-        if not pages:
+    def put_pages(self, oid: int, pages: Dict[int, Page],
+                  runs: Sequence[LocatorRun] = ()) -> None:
+        """Stage dirty content for a memory/file object: pages by index
+        and synthetic locator runs ``("syn", start, count, seed0,
+        step)``, sorted and disjoint from the pages.  Content staged
+        again for the same OID wins over what was staged before."""
+        if not pages and not runs:
             return
-        self.staged_pages.setdefault(oid, {}).update(pages)
+        self.staged_runs[oid] = overlay_content(
+            self.staged_pages.setdefault(oid, {}),
+            self.staged_runs.get(oid, ()), pages, runs)
 
     def staged_bytes(self) -> int:
         """Bytes this transaction will write (records + pages)."""
         total = sum(len(data) for _oid, data in self.staged_records)
-        total += sum(len(pages) * PAGE_SIZE
-                     for pages in self.staged_pages.values())
+        total += PAGE_SIZE * (
+            sum(map(len, self.staged_pages.values()))
+            + sum(run[2] for runs in self.staged_runs.values()
+                  for run in runs))
         return total
 
 
@@ -187,8 +211,9 @@ class ObjectStore:
 
         Returns the latest completion time among the submitted writes.
         Real-byte pages are packed (realized) into extent payloads;
-        synthetic pages are charged as synthetic extents of equal size
-        with their seeds carried in the checkpoint metadata.
+        synthetic pages — staged as pages or as runs — are charged as
+        synthetic extents of equal size with their seeds carried in the
+        checkpoint metadata.
         """
         info = txn.info
         last_done = self.clock.now()
@@ -221,42 +246,52 @@ class ObjectStore:
             real_batch, batch_runs = [], []
 
         for oid, pages in txn.staged_pages.items():
-            # The locator table is built as runs while the pages are
+            # The locator table is built as runs while the content is
             # walked in index order — the shape the metadata document
             # stores and every reader consumes.  The table wraps the
             # list being appended to; it is complete (every pending
             # "ext" run filled in) when this function returns.
             ordered = sorted(pages)
             seeds: List[Any] = [pages[pindex].seed for pindex in ordered]
+            real_at = [at for at, seed in enumerate(seeds) if seed is None]
+            staged_runs = txn.staged_runs.get(oid, ())
             runs: List[Any] = []
             info.pages[oid] = PageRuns(runs)
-            # The real pages split the two columns into synthetic
-            # stretches, each coalesced by ``synthetic_runs``.  A real
-            # page ends any "syn" run, so a stretch's runs are appended
-            # as they are — what one ``append_locator_run`` per page
-            # builds.
-            real_at = [at for at, seed in enumerate(seeds) if seed is None]
-            lo = 0
-            for at in real_at:
-                if lo < at:
-                    runs += synthetic_runs(ordered[lo:at], seeds[lo:at])
-                lo = at + 1
-                pindex = ordered[at]
-                last = runs[-1] if runs else None
-                if (batch_runs and last is batch_runs[-1][0]
-                        and last[1] + last[2] == pindex):
-                    last[2] += 1    # next slot of the same batch
-                else:
-                    runs.append(["ext", pindex, 1, None, None, PAGE_SIZE])
-                    batch_runs.append((runs[-1], len(real_batch)))
-                real_batch.append(pages[pindex])
-                if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
-                    flush_real()
-            if lo < len(ordered):
-                runs += synthetic_runs(ordered[lo:], seeds[lo:])
+            # Staged runs and real pages split the page columns into
+            # synthetic stretches.  Every synthetic run goes through
+            # ``append_locator_run``, which joins it to the run before
+            # exactly as appending its pages one at a time would.
+            lo = nreal = 0
+            for staged in (*staged_runs, None):
+                hi = len(ordered) if staged is None \
+                    else bisect_left(ordered, staged[1], lo)
+                while nreal < len(real_at) and real_at[nreal] < hi:
+                    at = real_at[nreal]
+                    nreal += 1
+                    if lo < at:
+                        _append_synthetic(runs, ordered[lo:at], seeds[lo:at])
+                    lo = at + 1
+                    pindex = ordered[at]
+                    last = runs[-1] if runs else None
+                    if (batch_runs and last is batch_runs[-1][0]
+                            and last[1] + last[2] == pindex):
+                        last[2] += 1    # next slot of the same batch
+                    else:
+                        runs.append(["ext", pindex, 1, None, None,
+                                     PAGE_SIZE])
+                        batch_runs.append((runs[-1], len(real_batch)))
+                    real_batch.append(pages[pindex])
+                    if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
+                        flush_real()
+                if lo < hi:
+                    _append_synthetic(runs, ordered[lo:hi], seeds[lo:hi])
+                lo = hi
+                if staged is not None:
+                    append_locator_run(runs, staged)
 
             # Synthetic pages: identical IO accounting, virtual bytes.
-            remaining = (len(ordered) - len(real_at)) * PAGE_SIZE
+            remaining = PAGE_SIZE * (len(ordered) - len(real_at) + sum(
+                run[2] for run in staged_runs))
             while remaining > 0:
                 chunk = min(remaining, STRIPE_SIZE)
                 extent = self.alloc.alloc(chunk)
@@ -365,7 +400,9 @@ class ObjectStore:
         # write in the meantime replaced the Page object, leaving the
         # new content correctly dirty.  A synthetic page's locator is
         # a function of its own seed, so it shares one mark; a real
-        # page's names its slot in the packed extent.
+        # page's names its slot in the packed extent.  Staged runs have
+        # no page to mark: whoever staged them marks them from the
+        # commit watcher below.
         for oid, table in info.pages.items():
             staged = txn.staged_pages[oid]
             for page in staged.values():

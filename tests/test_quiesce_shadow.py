@@ -80,7 +80,7 @@ def test_shadow_pass_creates_shadow_and_freezes_old_top(setup):
 
     items = sls.shadow.shadow_group(group)
     assert len(items) == 1
-    assert len(items[0].pages) == 8  # first checkpoint: full content
+    assert items[0].page_count() == 8  # first checkpoint: full content
     new_top = proc.vmspace.entry_at(addr).vmobject
     assert new_top is not old_top
     assert new_top.backing is old_top
@@ -96,7 +96,7 @@ def test_second_pass_flushes_only_dirty(setup):
     sls.shadow.mark_flushed(group)
     proc.vmspace.touch(addr, 3, seed=2)  # dirty 3 pages
     items = sls.shadow.shadow_group(group)
-    assert len(items[0].pages) == 3
+    assert items[0].page_count() == 3
 
 
 def test_chain_bounded_at_three_objects(setup):

@@ -90,12 +90,12 @@ def test_clean_marks_synthetic_shared_real_own_locator():
     sls.checkpoint(group, sync=True)
     track = next(iter(group.tracks.values()))
     base = track.active.backing  # the frozen shadow holding the pages
-    real, syn = base.pages[0], base.pages[1]
+    real, syn = base.page_at(0), base.page_at(1)
     assert syn.clean_locator is SYNTHETIC_CLEAN
     assert real.clean_locator.kind == "ext"
     # Written after the flush: a new, dirty page above the clean one.
     proc.vmspace.touch(addr + 2 * PAGE_SIZE, 1, seed=99)
-    assert track.active.pages[2].clean_locator is None
+    assert track.active.page_at(2).clean_locator is None
     proc.vmspace.fill(addr + 700 * PAGE_SIZE, 230, seed=5)
     assert pageout.memory_pressure()
     for pindex in (0, 1, 2):
@@ -106,14 +106,14 @@ def test_clean_marks_synthetic_shared_real_own_locator():
                                  for pindex in (0, 1))
     assert real_locator is real.clean_locator
     assert (syn_locator.kind, syn_locator.seed) == ("syn", syn.seed)
-    assert 2 in track.active.pages and not pageout.is_evicted(
+    assert track.active.page_at(2) is not None and not pageout.is_evicted(
         track.active, 2)
     # Page-in returns the flushed content, clean again.
     assert proc.vmspace.read(addr + PAGE_SIZE, PAGE_SIZE) \
         == synthetic_bytes(syn.seed)
     assert proc.vmspace.read(addr, 9) == b"real page"
-    assert base.pages[1].clean_locator is SYNTHETIC_CLEAN
-    assert base.pages[0].clean_locator is real_locator
+    assert base.page_at(1).clean_locator is SYNTHETIC_CLEAN
+    assert base.page_at(0).clean_locator is real_locator
 
 
 def test_eagerly_restored_pages_are_clean():

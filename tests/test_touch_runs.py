@@ -19,6 +19,10 @@ workload).  Three guards, all deterministic:
     marked clean with the one shared ``SYNTHETIC_CLEAN`` mark (its
     locator is a function of its seed) instead of one ``PageLocator``
     per page — 25 378 here before that change, one per page touched.
+    No ``Page`` is built inside ``touch`` and one is alive at the end
+    (the machine's device page): ``fill`` and ``touch`` hold what they
+    write as dirty synthetic runs, so the 68 703 ``Page``s alive here
+    before that change — one per resident page — are gone.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ RUN_PAGES = 64
 
 #: Measured at the parent commit (per-page ``touch`` loop over
 #: ``handle_fault``), same script; ``locators_built`` since the shared
-#: clean mark (see (c)).
+#: clean mark and ``pages_alive`` since dirty runs (see (c)).
 PINNED = {
     "clock_ns": 2_102_889_391,
     "stop_ns": [213_256, 247_214, 246_744, 246_014, 246_800, 247_436,
@@ -48,7 +52,8 @@ PINNED = {
     "fault_count": 25_378,
     "used_frames": 68_703,
     "locators_built": 0,
-    "pages_alive": 68_703,
+    "pages_built_in_touch": 0,
+    "pages_alive": 1,
 }
 
 
@@ -88,6 +93,7 @@ def test_touch_is_runwise_sim_identical_and_heap_neutral(monkeypatch):
             for name in ("enter", "mark_dirty", "is_writable"):
                 _count(patch, Pmap, name, in_touch)
             _count(patch, SimClock, "advance", in_touch)
+            _count(patch, Page, "__init__", in_touch)
             for _run in range(RUNS):
                 start = rng.randrange(1, NPAGES - RUN_PAGES)
                 space.touch(addr + start * PAGE_SIZE, RUN_PAGES,
@@ -110,4 +116,5 @@ def test_touch_is_runwise_sim_identical_and_heap_neutral(monkeypatch):
     assert 0 < in_touch["advance"] <= 2 * RUNS * CHECKPOINTS
     # (c) the heap population is the parent's.
     assert locators.get("__init__", 0) == PINNED["locators_built"]
+    assert in_touch.get("__init__", 0) == PINNED["pages_built_in_touch"]
     assert _alive_pages() - alive_before == PINNED["pages_alive"]

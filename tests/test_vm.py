@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.runs import clip_run, index_spans
 from repro.errors import InvalidArgument, SegmentationFault
-from repro.hw.memory import Page
+from repro.hw.memory import SYNTHETIC_CLEAN, Page
 from repro.kernel.vm.vmmap import (INHERIT_SHARE, PROT_READ, PROT_WRITE,
                                    VMMap, VMMapEntry)
 from repro.kernel.vm.vmobject import VMObject
@@ -83,7 +84,8 @@ def test_small_slabs_into_a_large_object_probe_only_the_slab(kernel):
 
 
 _restored = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 12),
-                               st.integers(0, 99), st.integers(-2, 2)),
+                               st.integers(0, 99), st.integers(-2, 2),
+                               st.booleans()),
                      max_size=6)
 _object_ops = st.lists(st.one_of(
     st.tuples(st.just("page"), st.integers(0, 63), st.integers(0, 99)),
@@ -91,17 +93,39 @@ _object_ops = st.lists(st.one_of(
               st.integers(0, 99)),
     st.tuples(st.just("remove"), st.integers(0, 63)),
     st.tuples(st.just("runs"), st.integers(0, 63), st.integers(1, 12),
-              st.integers(0, 99), st.integers(-2, 2))), max_size=12)
+              st.integers(0, 99), st.integers(-2, 2), st.booleans()),
+    st.tuples(st.just("clean"), st.integers(0, 63), st.integers(1, 40))),
+    max_size=12)
 
 
-def _runs_or_pages(obj, runs, as_runs):
-    """Give ``obj`` the synthetic runs ``runs`` as runs or as pages."""
+def _runs_or_pages(obj, runs, as_runs, dirty):
+    """Give ``obj`` the synthetic runs ``runs`` as runs or as pages,
+    clean or ``dirty``."""
     if as_runs:
-        obj.insert_runs(runs)
-    else:
-        obj.insert_pages({start + i: Page(seed=seed0 + step * i)
-                          for _kind, start, count, seed0, step in runs
-                          for i in range(count)})
+        obj.insert_runs(runs, dirty=dirty)
+        return
+    pages = {start + i: Page(seed=seed0 + step * i)
+             for _kind, start, count, seed0, step in runs
+             for i in range(count)}
+    if not dirty:
+        for page in pages.values():
+            page.clean_locator = SYNTHETIC_CLEAN
+    obj.insert_pages(pages)
+
+
+def _flush_clean(obj, lo, hi):
+    """A flush of ``obj``'s content in ``[lo, hi)`` became durable:
+    the store marks the synthetic pages, the object its runs."""
+    pages, runs = obj.content()
+    for pindex, page in pages.items():
+        if lo <= pindex < hi and page.synthetic:
+            page.clean_locator = SYNTHETIC_CLEAN
+    obj.mark_clean([clip_run(run, max(run[1], lo), min(run[1] + run[2], hi))
+                    for run in runs if run[1] < hi and run[1] + run[2] > lo])
+
+
+def _state(page):
+    return None if page is None else (page.seed, page.clean_locator)
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,21 +133,25 @@ def _runs_or_pages(obj, runs, as_runs):
        shadowed=st.sets(st.integers(0, 63), max_size=12),
        forward=st.booleans())
 def test_runs_hold_what_pages_would(restored, ops, shadowed, forward):
-    """Objects holding restored runs behave as ones holding the same
-    content as ``Page`` values — content, resident count and frames —
-    through inserts, removals, either collapse direction and teardown."""
+    """Objects holding runs, clean or dirty, behave as ones holding the
+    same content as ``Page`` values — content, clean marks, resident
+    count and frames — through inserts, removals, marking a flushed
+    range clean, either collapse direction and teardown."""
     runs, start = [], 0
-    for gap, count, seed0, step in restored:
+    for gap, count, seed0, step, dirty in restored:
         start += gap
         if start + count <= 64:
-            runs.append(("syn", start, count, seed0, step))
+            runs.append((("syn", start, count, seed0, step), dirty))
             start += count
+    shadow_runs = [("syn", span[1], span[2], 1000 + span[1], 1)
+                   for span in index_spans(shadowed)]
     observed = []
     for as_runs in (True, False):
         kernel = Machine().kernel
         before = kernel.physmem.used_frames
         parent = VMObject(kernel, 64)
-        _runs_or_pages(parent, runs, as_runs)
+        for run, dirty in runs:
+            _runs_or_pages(parent, [run], as_runs, dirty)
         seen = []
         for op in ops:
             if op[0] == "page":
@@ -133,27 +161,28 @@ def test_runs_hold_what_pages_would(restored, ops, shadowed, forward):
                 parent.insert_pages({first + i: Page(seed=op[3] + i)
                                      for i in range(op[2])})
             elif op[0] == "remove":
-                page = parent.remove_page(op[1])
-                seen.append(None if page is None else page.seed)
+                seen.append(_state(parent.remove_page(op[1])))
+            elif op[0] == "clean":
+                _flush_clean(parent, op[1], op[1] + op[2])
             else:
                 count = min(op[2], 64 - op[1])
                 _runs_or_pages(parent, [("syn", op[1], count, op[3], op[4])],
-                               as_runs)
-            page = parent.page_at(op[1])
+                               as_runs, op[5])
             seen.append((parent.resident_count(), kernel.physmem.used_frames,
-                         None if page is None else page.seed))
+                         _state(parent.page_at(op[1]))))
         shadow = parent.shadow()
-        _runs_or_pages(shadow, [("syn", p, 1, 1000 + p, 0)
-                                for p in sorted(shadowed)], as_runs)
+        _runs_or_pages(shadow, shadow_runs, as_runs, True)
         if forward:
             moved, survivor = shadow.collapse_forward(), shadow
         else:
             survivor, moved = shadow.collapse_into_parent()
             survivor.unref()    # the reference the collapse handed over
-        content = {p: page.seed for p, page in survivor.all_pages().items()}
+        content = {p: _state(page)
+                   for p, page in survivor.all_pages().items()}
+        held = [p for lo, hi in survivor.holding([(0, 64)])
+                for p in range(lo, hi)]
         seen.append((moved, content, survivor.resident_count(),
-                     kernel.physmem.used_frames,
-                     survivor.holding(set(range(64))) == content.keys()))
+                     kernel.physmem.used_frames, held == sorted(content)))
         shadow.unref()
         parent.unref()
         seen.append(kernel.physmem.used_frames - before)

@@ -1,16 +1,21 @@
 """Run-wise ``touch`` vs one write fault per page (``tests/vm_reference``),
-and restored memory held as runs vs one ``Page`` per page.
+and memory held as runs — dirty from ``fill`` / ``touch``, clean from an
+eager restore — vs one ``Page`` per page.
 
 Two identical machines are driven through the same random sequence of
 ``mmap`` / ``fill`` / ``touch`` / ``write`` / ``read`` / ``fork`` (the
-child stores too) / checkpoint (system shadow, then collapse) / lazy
-and eager restore / ``run_pageout`` operations; the only differences
-are which ``touch`` runs and how an eager restore fills VM objects
-(clean synthetic runs, or the per-page loop).  After every step the
-two must agree on each operation's outcome (value or exception),
-every visible page's seed and bytes, every present / writable / dirty
-bit, ``fault_count``, ``physmem.used_frames``, ``pageout.pageins`` and
-the simulated clock.
+child stores too) / checkpoint (sync, async, mem-mode or full; system
+shadow, then collapse) / barrier / lazy and eager restore /
+``run_pageout`` operations (after the first, every commit also pages
+out under pressure); the only differences are how ``fill`` and
+``touch`` write (dirty runs and run-wise faults, or one ``Page`` and
+one fault per page) and how an eager restore fills VM objects (clean
+runs, or the per-page loop).  After every step the two must agree on
+each operation's outcome (value or exception), every visible page's
+seed, bytes and clean mark, every present / writable / dirty bit,
+``fault_count``, ``physmem.used_frames``, ``pageout.pageins``, the
+clean and dirty eviction counts, the device bytes written and the
+simulated clock.
 """
 
 from __future__ import annotations
@@ -23,12 +28,14 @@ from hypothesis import strategies as st
 
 from repro import Machine, load_aurora
 from repro.core import costs
+from repro.core.pipeline import MODE_MEM
 from repro.errors import ReproError, SegmentationFault
+from repro.hw.memory import SYNTHETIC_CLEAN
 from repro.kernel.vm.vmmap import (INHERIT_COPY, INHERIT_SHARE, PROT_READ,
                                    PROT_WRITE)
 from repro.kernel.vm.vmspace import VMSpace
 from repro.units import PAGE_SIZE
-from tests.vm_reference import per_page_restore, touch_per_page
+from tests.vm_reference import fill_per_page, per_page_restore, touch_per_page
 
 MAX_PROCS = 3
 
@@ -36,8 +43,9 @@ MAX_PROCS = 3
 class World:
     """One machine, its consistency group and the regions mapped."""
 
-    def __init__(self, touch, restoring=contextlib.nullcontext):
+    def __init__(self, touch, fill, restoring=contextlib.nullcontext):
         self.touch = touch
+        self.fill = fill
         self.restoring = restoring
         self.machine = Machine()
         self.sls = load_aurora(self.machine)
@@ -79,7 +87,13 @@ class World:
                     name=f"p{len(self.procs)}"))
             return len(self.procs)
         if kind == "checkpoint":
-            return self.sls.checkpoint(self.group, sync=True).stop_ns
+            how = args[0] if args else "sync"
+            return self.sls.checkpoint(
+                self.group, sync=how in ("sync", "full"),
+                full=how.startswith("full"),
+                **({"mode": MODE_MEM} if how == "mem" else {})).stop_ns
+        if kind == "barrier":
+            return self.sls.barrier(self.group)
         if kind in ("restore", "eager-restore"):
             lazy = kind == "restore"
             gid = self.group.group_id
@@ -110,7 +124,7 @@ class World:
             # Stay inside the region: fill is a set-up helper.
             _addr, npages = self.regions[region % len(self.regions)]
             count = min(args[3], npages - page % npages)
-            return space.fill(addr, count, seed=args[4])
+            return self.fill(space, addr, count, args[4])
         if kind == "touch":
             return self.touch(space, addr, args[3], args[4])
         if kind == "write":
@@ -131,7 +145,8 @@ class World:
                     pages[va_page] = (
                         space.pmap.is_mapped(va_page),
                         space.pmap.is_writable(va_page),
-                        None if page is None else (page.seed, page.data))
+                        None if page is None else (page.seed, page.data,
+                                                   _mark(page)))
             spaces.append((pages, space.pmap.dirty_pages(),
                            space.pmap.fault_count))
         return {
@@ -139,13 +154,28 @@ class World:
             "used_frames": kernel.physmem.used_frames,
             "pageins": kernel.pageout.pageins,
             "evicted": sum(map(len, kernel.pageout.evicted.values())),
+            "evictions": (kernel.pageout.evictions_clean,
+                          kernel.pageout.evictions_dirty),
+            "bytes_written": self.machine.storage.bytes_written,
+            "flushed": (self.sls.shadow.stats["dirty_runs"],
+                        self.group.stats["pages_flushed"]),
             "clock_ns": self.machine.clock.now(),
         }
 
 
+def _mark(page):
+    """A page's clean mark: None (dirty), the shared synthetic mark, or
+    its locator's fields."""
+    mark = page.clean_locator
+    if mark is None or mark is SYNTHETIC_CLEAN:
+        return mark
+    return mark.kind, mark.extent, mark.byte_off, mark.length
+
+
 def _worlds():
     """The production machine and the per-page reference machine."""
-    return World(VMSpace.touch), World(touch_per_page, per_page_restore)
+    return (World(VMSpace.touch, VMSpace.fill),
+            World(touch_per_page, fill_per_page, per_page_restore))
 
 
 _small = st.integers(0, 40)
@@ -169,6 +199,9 @@ _ops = st.lists(
                   st.integers(0, PAGE_SIZE - 1), st.integers(1, 2 * PAGE_SIZE)),
         st.tuples(st.just("fork"), _small),
         st.tuples(st.just("checkpoint")),
+        st.tuples(st.just("checkpoint"),
+                  st.sampled_from(["async", "mem", "full", "full-async"])),
+        st.tuples(st.just("barrier")),
         st.tuples(st.just("restore")),
         st.tuples(st.just("eager-restore")),
         st.tuples(st.just("pageout"), st.integers(1, 3)),
@@ -225,6 +258,37 @@ SCENARIOS = {
         ("read", 0, 0, 6, 0, 64), ("fork", 0), ("touch", 1, 0, 0, 8, 30),
         ("checkpoint",), ("touch", 0, 0, 0, 8, 40), ("eager-restore",),
         ("pageout", 1)],
+    # Dirty runs through every checkpoint kind: pageout while an async
+    # flush is in flight (the frozen dirty runs stay; clean content a
+    # full flush carries is evicted before the flip and must stay
+    # evicted), a mem-mode checkpoint (nothing marked clean), a full one
+    # (older runs hidden under newer ones stay as they were), a period
+    # of page writes only collapsing onto runs, and eviction of clean
+    # and dirty run pages under pressure.
+    "dirty-runs": [
+        ("fill", 0, 0, 0, 8, 10), ("checkpoint", "async"),
+        ("touch", 0, 0, 2, 3, 20), ("pageout", 2), ("barrier",),
+        ("touch", 0, 0, 5, 2, 30), ("checkpoint", "mem"),
+        ("touch", 0, 0, 0, 4, 40), ("checkpoint", "full"),
+        ("pageout", 1), ("read", 0, 0, 1, 0, 64), ("checkpoint",),
+        ("write", 0, 0, 6, 5, b"page over a run"), ("checkpoint",),
+        ("checkpoint",), ("fill", 0, 0, 4, 4, 50), ("pageout", 0),
+        ("touch", 0, 0, 0, 8, 60), ("checkpoint", "async"),
+        ("checkpoint",), ("checkpoint", "full-async"), ("pageout", 1),
+        ("barrier",), ("eager-restore",), ("touch", 0, 0, 3, 2, 70),
+        ("checkpoint", "full"), ("pageout", 1)],
+    # A shadow holding only pages collapses onto the runs of its parent.
+    "pages-over-runs": [
+        ("fill", 0, 0, 0, 8, 10), ("checkpoint",),
+        ("write", 0, 0, 6, 5, b"page over a run"), ("checkpoint",),
+        ("checkpoint",), ("touch", 0, 0, 5, 3, 20), ("checkpoint",),
+        ("checkpoint",)],
+    # Clean content a full flush carries is evicted before the flip: it
+    # stays evicted, and nothing else is marked.
+    "evicted-before-flip": [
+        ("fill", 0, 0, 0, 8, 10), ("checkpoint",), ("touch", 0, 0, 0, 2, 20),
+        ("checkpoint", "full-async"), ("pageout", 2), ("barrier",),
+        ("read", 0, 0, 4, 0, 64), ("checkpoint",)],
 }
 
 
@@ -239,7 +303,7 @@ def test_scenario_matches_one_fault_per_page(name):
 def test_mixed_depth_run_is_charged_per_page_found():
     """The summed charge of one run, spelled out: the reference shares
     the cost formula with the run-wise path, so check it directly."""
-    world = World(VMSpace.touch)
+    world = World(VMSpace.touch, VMSpace.fill)
     for op in [("mmap", 8, True, False)] + SCENARIOS["mixed-depths"][:-2]:
         world.apply(op)
     clock = world.machine.clock
@@ -253,16 +317,17 @@ def test_mixed_depth_run_is_charged_per_page_found():
         + 2 * (3 * costs.SHADOW_CHAIN_HOP + costs.SOFT_FAULT))   # 6, 7
 
 
-def _two_regions(touch):
+def _two_regions(touch, fill):
     """A writable region followed by a read-only one, then a hole."""
-    world = World(touch)
+    world = World(touch, fill)
     world.apply(("mmap", 4, True, False))
     world.apply(("mmap", 4, False, False))
     return world
 
 
 def test_error_prefix_read_only_entry():
-    worlds = [_two_regions(VMSpace.touch), _two_regions(touch_per_page)]
+    worlds = [_two_regions(VMSpace.touch, VMSpace.fill),
+              _two_regions(touch_per_page, fill_per_page)]
     for world in worlds:
         space = world.procs[0].vmspace
         addr = world.regions[0][0]
@@ -299,7 +364,7 @@ def test_page_in_is_charged_in_index_order():
         world.apply(("mmap", 512, True, False))
         space = world.procs[0].vmspace
         addr = world.regions[0][0]
-        space.fill(addr, 512, seed=3)
+        world.fill(space, addr, 512, 3)
         for page in (5, 9):
             space.write(addr + page * PAGE_SIZE, b"real bytes %d" % page)
         world.apply(("checkpoint",))        # pages 5 and 9 sit in an extent

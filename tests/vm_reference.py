@@ -5,7 +5,7 @@ Executable specifications the columnar production code is held against
 and the pre-columnar baseline ``benchmarks/bench_simscale.py`` measures
 the speed-up from.  Production code never selects them: a harness that
 wants them wraps its run in :func:`legacy_hot_path`, which patches
-them over the three production names for the duration.
+them over the production names for the duration.
 
 * :class:`LegacyPmap` / :class:`PTE` — the dict-of-PTE pmap the bitmap
   :class:`~repro.kernel.vm.pmap.Pmap` replaced.
@@ -17,9 +17,13 @@ them over the three production names for the duration.
   faults were resolved a run at a time: every page that is not mapped
   writable goes through ``handle_fault(write=True)`` on its own (a map
   lookup, a chain walk, its own clock charges), then the whole page is
-  replaced.  Same page contents, pmap bits, ``fault_count``, frame
-  accounting, page-ins and simulated clock after any sequence of
-  operations.
+  replaced by a ``Page``.  Same page contents, clean marks, pmap bits,
+  ``fault_count``, frame accounting, page-ins and simulated clock after
+  any sequence of operations.
+* :func:`fill_per_page` — ``VMSpace.fill`` as it ran before dirty
+  content was held as runs: one ``Page`` per page, one slab per map
+  entry.  With :func:`touch_per_page` it keeps every written synthetic
+  page a ``Page``, so flushes, collapses and clean marks run on pages.
 * :func:`populate_pages_per_page` — the eager half of
   ``GroupRestorer.populate_pages`` as it ran before restored memory was
   held as runs: one clean ``Page`` inserted per restored page.
@@ -40,6 +44,7 @@ from repro.errors import InvalidArgument, SegmentationFault
 from repro.hw.memory import SYNTHETIC_CLEAN, Page
 from repro.kernel.vm.fault import handle_fault
 from repro.kernel.vm.vmobject import VMObject
+from repro.kernel.vm.vmspace import VMSpace
 from repro.objstore.checkpoint import NO_PAGES, run_locators
 from repro.units import PAGE_SIZE
 
@@ -221,19 +226,41 @@ def collapse_into_parent_legacy(self) -> Tuple["VMObject", int]:
 @contextlib.contextmanager
 def legacy_hot_path() -> Iterator[None]:
     """Run the block on the per-page originals: address spaces created
-    inside get a :class:`LegacyPmap`, full-checkpoint merges and
-    reversed collapses go through the ``*_legacy`` functions.
-    Simulated costs are identical either way; only wall-clock differs."""
+    inside get a :class:`LegacyPmap`, ``fill`` and ``touch`` build one
+    ``Page`` per page, full-checkpoint merges and reversed collapses go
+    through the ``*_legacy`` functions.  Simulated costs are identical
+    either way; only wall-clock differs."""
     saved = (vmspace_mod.Pmap, shadowing_mod.merged_chain_pages,
-             VMObject.collapse_into_parent)
+             VMObject.collapse_into_parent, VMSpace.fill, VMSpace.touch)
     vmspace_mod.Pmap = LegacyPmap
     shadowing_mod.merged_chain_pages = merged_chain_pages_legacy
     VMObject.collapse_into_parent = collapse_into_parent_legacy
+    VMSpace.fill, VMSpace.touch = fill_per_page, touch_per_page
     try:
         yield
     finally:
         (vmspace_mod.Pmap, shadowing_mod.merged_chain_pages,
-         VMObject.collapse_into_parent) = saved
+         VMObject.collapse_into_parent, VMSpace.fill, VMSpace.touch) = saved
+
+
+def fill_per_page(space, addr: int, npages: int, seed: int) -> None:
+    """Populate ``npages`` with one synthetic ``Page`` each, one slab
+    and one bitmap range-enter per map entry."""
+    start_page = addr // PAGE_SIZE
+    end_page = start_page + npages
+    va_page = start_page
+    while va_page < end_page:
+        entry = space.map.lookup(va_page)
+        if entry is None:
+            raise SegmentationFault(f"fill outside mapping: {va_page:#x}")
+        stretch = min(end_page, entry.end_page) - va_page
+        base_pindex = entry.pindex_of(va_page)
+        base_seed = seed + (va_page - start_page)
+        entry.vmobject.insert_pages({
+            base_pindex + i: Page(seed=base_seed + i)
+            for i in range(stretch)})
+        space.pmap.enter_range(va_page, stretch, writable=True, dirty=True)
+        va_page += stretch
 
 
 def touch_per_page(space, addr: int, npages: int, seed: int) -> int:
