@@ -28,7 +28,7 @@ from ..errors import (InvalidArgument, MachineCrashed, NoSpace,
                       SLSError, StoreFull)
 from ..kernel.fs.vfs import VFS
 from ..objstore.oid import CLASS_GROUP, oid_serial
-from ..objstore.store import ObjectStore
+from ..objstore.store import CheckpointTxn, ObjectStore
 from ..slsfs.slsfs import SLSFS
 from . import events, resilience, slo, telemetry, tracing
 from .extsync import ExternalSynchrony
@@ -228,8 +228,7 @@ class Orchestrator:
                 if not isinstance(exc, (InjectedCrash, MachineCrashed)):
                     # A storage failure, not a power failure: roll the
                     # group back to a clean pre-checkpoint state.
-                    self.rollback_failed_checkpoint(
-                        group, getattr(ctx, "txn", None))
+                    self.rollback_failed_checkpoint(group, ctx.txn)
                 raise
             if mode == MODE_MEM and trace_obj is not None:
                 # Nothing flushes: the pipeline's end is the mem-mode
@@ -247,7 +246,7 @@ class Orchestrator:
             group.stats["pages_flushed"] += result.pages_flushed
             group.stats["bytes_flushed"] += ctx.info.data_bytes
             group.stats["records_written"] += result.records_written
-            if getattr(ctx.info, "complete", False):
+            if ctx.info.complete:
                 for hook in self.commit_hooks:
                     hook(group, ctx.info)
         return result
@@ -255,7 +254,8 @@ class Orchestrator:
     #: Sentinel: "leave the group's epoch floor untouched".
     _KEEP_EPOCH = object()
 
-    def rollback_failed_checkpoint(self, group: ConsistencyGroup, txn,
+    def rollback_failed_checkpoint(self, group: ConsistencyGroup,
+                                   txn: Optional[CheckpointTxn],
                                    prev_epoch=_KEEP_EPOCH,
                                    error: Optional[Exception] = None) -> None:
         """Unwind group state after a checkpoint failed without a
@@ -273,15 +273,12 @@ class Orchestrator:
         method is also the failure notification that feeds the
         degraded-mode counters.
         """
-        info = getattr(txn, "info", None)
-        if info is not None:
-            # MemTxn lacks commit/abort state: only real store
-            # transactions have blocks to release.
-            if (getattr(txn, "committed", False)
-                    and not getattr(txn, "aborted", True)
-                    and not getattr(info, "complete", False)):
+        if txn is not None:
+            # Only a committed transaction has blocks to release (a
+            # mem-mode one never is).
+            if txn.committed and not txn.aborted and not txn.info.complete:
                 self.store.abort_checkpoint(txn)
-            self.extsync.unseal(group, info.ckpt_id)
+            self.extsync.unseal(group, txn.info.ckpt_id)
         group.flush_in_progress = False
         self.shadow.mark_flushed(group)
         group.force_full_next = True

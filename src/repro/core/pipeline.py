@@ -14,86 +14,35 @@ concurrently with execution.  Stop time versus overlap time is derived
 from the stage trace instead of hand-threaded ``t_*`` variables, and
 :class:`CheckpointResult` is a view over that trace.
 
-The :class:`Txn` protocol is the formal transaction interface both
-:class:`~repro.objstore.store.CheckpointTxn` and the in-memory
-:class:`MemTxn` implement, so the mem-mode (stop-time measurement)
-path is no longer a duck-type.
+Both modes stage into one transaction type,
+:class:`~repro.objstore.store.CheckpointTxn`, whose ``put_pages`` lays
+each flush item's pages and runs over what is staged with the one
+splice of :mod:`repro.core.runs`.  A mem-mode (stop-time measurement)
+checkpoint's transaction is built on an id-less ``CheckpointInfo(-1,
+group)`` — it takes no checkpoint id — and is never committed, so it
+stages records and pages at the disk path's cost and nothing reaches
+the device.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Dict, List, Optional, Protocol, Sequence,
-                    runtime_checkable)
+from typing import TYPE_CHECKING, Any, List, Optional, Set
 
 from ..errors import SLSError
-from ..hw.memory import Page
-from ..objstore import records
-from ..units import PAGE_SIZE
+from ..objstore.checkpoint import CheckpointInfo
+from ..objstore.store import CheckpointTxn
 from . import costs, events, telemetry
-from .quiesce import quiesce_group, resume_group
-from .runs import LocatorRun, overlay_content
+from .group import ConsistencyGroup
+from .quiesce import QuiesceReport, quiesce_group, resume_group
 from .serialize import CheckpointSerializer
+from .shadowing import FlushItem
+
+if TYPE_CHECKING:
+    from .orchestrator import Orchestrator
 
 #: Checkpoint target modes.
 MODE_DISK = "disk"   # full pipeline, flushed to the object store
 MODE_MEM = "mem"     # stop-time measurement only, nothing flushed
-
-
-@runtime_checkable
-class Txn(Protocol):
-    """What the pipeline requires of a checkpoint transaction."""
-
-    info: Any
-
-    def put_object(self, oid: int, otype: str, state: Any) -> None:
-        """Stage one serialized object record."""
-
-    def put_pages(self, oid: int, pages: Dict[int, Page],
-                  runs: Sequence[LocatorRun] = ()) -> None:
-        """Stage dirty content for a memory/file object: pages by index
-        and synthetic locator runs (sorted, disjoint from the pages)."""
-
-    def staged_bytes(self) -> int:
-        """Bytes this transaction would write (records + pages)."""
-
-
-class MemTxn:
-    """In-memory transaction for non-flushed (mem-mode) checkpoints.
-
-    Implements :class:`Txn` with the same record-staging cost model as
-    the store transaction, but nothing ever reaches the device.
-    """
-
-    class _Info:
-        ckpt_id = -1
-        data_bytes = 0
-        live_oids = None
-        records_skipped = 0
-
-    def __init__(self, store):
-        self.store = store
-        self.info = self._Info()
-        self.records: Dict[int, bytes] = {}
-        self.pages: Dict[int, Dict[int, Page]] = {}
-        self.runs: Dict[int, List[LocatorRun]] = {}
-
-    def put_object(self, oid: int, otype: str, state: Any) -> None:
-        self.store.clock.advance(costs.STORE_RECORD_STAGE)
-        self.records[oid] = records.encode_object(oid, otype, state)
-
-    def put_pages(self, oid: int, pages: Dict[int, Page],
-                  runs: Sequence[LocatorRun] = ()) -> None:
-        if not pages and not runs:
-            return
-        self.runs[oid] = overlay_content(self.pages.setdefault(oid, {}),
-                                         self.runs.get(oid, ()), pages, runs)
-
-    def staged_bytes(self) -> int:
-        total = sum(len(data) for data in self.records.values())
-        total += PAGE_SIZE * (
-            sum(map(len, self.pages.values()))
-            + sum(run[2] for runs in self.runs.values() for run in runs))
-        return total
 
 
 class StageTrace:
@@ -102,7 +51,7 @@ class StageTrace:
     __slots__ = ("name", "start_ns", "end_ns", "overlap")
 
     def __init__(self, name: str, start_ns: int, end_ns: int,
-                 overlap: bool):
+                 overlap: bool) -> None:
         self.name = name
         self.start_ns = start_ns
         self.end_ns = end_ns
@@ -121,12 +70,13 @@ class StageTrace:
 class CheckpointContext:
     """Everything the stages share while one checkpoint runs."""
 
-    def __init__(self, sls, group, name: str = "", full: bool = False,
-                 sync: bool = False, mode: str = MODE_DISK):
+    def __init__(self, sls: "Orchestrator", group: ConsistencyGroup,
+                 name: str = "", full: bool = False, sync: bool = False,
+                 mode: str = MODE_DISK) -> None:
         self.sls = sls
-        self.machine = sls.machine
-        self.kernel = sls.kernel
-        self.clock = sls.kernel.clock
+        self.machine: Any = sls.machine
+        self.kernel: Any = sls.kernel
+        self.clock: Any = sls.kernel.clock
         self.store = sls.store
         self.shadow = sls.shadow
         self.extsync = sls.extsync
@@ -137,11 +87,12 @@ class CheckpointContext:
         self.sync = sync
         self.mode = mode
         #: Filled in by the stages.
-        self.quiesce_report = None
+        self.quiesce_report: Optional[QuiesceReport] = None
         self.collapse_moved = 0
-        self.txn: Optional[Txn] = None
-        self.flush_items: List = []
-        self.info = None
+        self.txn: Optional[CheckpointTxn] = None
+        self.flush_items: List[FlushItem] = []
+        #: The committed checkpoint (disk mode, once Flush ran).
+        self.info: Optional[CheckpointInfo] = None
         self.trace: List[StageTrace] = []
         #: Incremental-serialization accounting (filled by Serialize).
         self.records_written = 0
@@ -198,7 +149,8 @@ class Shadow(Stage):
 
     def run(self, ctx: CheckpointContext) -> None:
         if ctx.mode == MODE_MEM:
-            ctx.txn = MemTxn(ctx.store)
+            ctx.txn = CheckpointTxn(
+                ctx.store, CheckpointInfo(-1, ctx.group.group_id))
         else:
             ctx.txn = ctx.store.begin_checkpoint(
                 ctx.group.group_id, name=ctx.name,
@@ -216,11 +168,13 @@ class Serialize(Stage):
         # Incremental serialization: skip records unchanged since the
         # group's epoch floor.  ``full=True`` (and the first checkpoint
         # of a chain, floor None) serializes everything.
+        txn = ctx.txn
+        assert txn is not None, "the shadow stage opens the transaction"
         floor = None if ctx.full else ctx.group.ckpt_epoch
         # A clean object may only be skipped when the parent chain can
         # still resolve its record; without that set (legacy chains,
         # a GC'd parent) incremental skipping is disabled for safety.
-        prior_live = None
+        prior_live: Optional[Set[int]] = None
         if floor is not None and ctx.group.last_ckpt_id is not None:
             try:
                 prior_live = ctx.store.effective_live_oids(
@@ -228,14 +182,14 @@ class Serialize(Stage):
             except SLSError:
                 prior_live = None
         serializer = CheckpointSerializer(ctx.kernel, ctx.group,
-                                          ctx.store, ctx.txn,
+                                          ctx.store, txn,
                                           epoch_floor=floor,
                                           prior_live=prior_live)
         serializer.serialize_all()
         live = serializer.live_oids
         for item in ctx.flush_items:
-            ctx.txn.put_object(item.oid, "vmobject", item.record)
-            ctx.txn.put_pages(item.oid, item.pages, item.runs)
+            txn.put_object(item.oid, "vmobject", item.record)
+            txn.put_pages(item.oid, item.pages, item.runs)
             live.add(item.oid)
         # Every tracked memory object stays live while its track
         # exists, whether or not it was dirtied this period.
@@ -243,15 +197,16 @@ class Serialize(Stage):
         ctx.records_written = (serializer.records_written +
                                len(ctx.flush_items))
         ctx.records_skipped = serializer.records_skipped
-        parent = (ctx.store.checkpoints.get(ctx.group.last_ckpt_id)
-                  if ctx.mode == MODE_DISK else None)
+        last = ctx.group.last_ckpt_id
+        parent = (ctx.store.checkpoints.get(last)
+                  if ctx.mode == MODE_DISK and last is not None else None)
         if parent is not None and parent.live_oids == live:
             # Nothing entered or left the group: share the parent's
             # set, so its OID runs are not sorted out again.
-            ctx.txn.info.share_live_oids(parent)
+            txn.info.share_live_oids(parent)
         else:
-            ctx.txn.info.live_oids = live
-        ctx.txn.info.records_skipped = ctx.records_skipped
+            txn.info.live_oids = live
+        txn.info.records_skipped = ctx.records_skipped
         if ctx.mode == MODE_DISK:
             # Snapshot the epoch under quiescence; Flush installs it as
             # the group's floor only once the commit is submitted, so a
@@ -269,6 +224,7 @@ class Seal(Stage):
 
     def run(self, ctx: CheckpointContext) -> None:
         if ctx.mode == MODE_DISK:
+            assert ctx.txn is not None
             ctx.extsync.seal(ctx.group, ctx.txn.info.ckpt_id)
 
 
@@ -305,9 +261,9 @@ class Flush(Stage):
         # checkpoint captures (the SLO tracker's recovery-point
         # reference).
         capture_ns = ctx.trace[0].start_ns if ctx.trace else kernel.clock.now()
-        slo_tracker = getattr(ctx.sls, "slo", None)
+        slo_tracker = ctx.sls.slo
 
-        def on_complete(info):
+        def on_complete(info: CheckpointInfo) -> None:
             # The flip landed: what this checkpoint flushed is clean.
             for item in ctx.flush_items:
                 item.mark_clean()
@@ -316,7 +272,7 @@ class Flush(Stage):
             # A flush may outlive a detach; the commit still lands in
             # the store (history is kept), but a detached group's SLO
             # series must not absorb the orphan's samples.
-            if slo_tracker is not None and group.attached:
+            if group.attached:
                 slo_tracker.on_commit(group.group_id, info.ckpt_id,
                                       capture_ns, kernel.clock.now())
             shadow.mark_flushed(group)
@@ -326,15 +282,16 @@ class Flush(Stage):
             if kernel.pageout.memory_pressure():
                 # Freshly flushed pages are clean: reclaim them
                 # without IO (§6 Memory Overcommitment).
-                objects = []
+                objects: List[Any] = []
                 for track in group.tracks.values():
                     objects.extend(track.active.chain())
                 kernel.pageout.run_pageout(objects, store=store)
 
         prev_epoch = group.ckpt_epoch
         txn = ctx.txn
+        assert txn is not None
 
-        def on_failure(exc):
+        def on_failure(exc: Exception) -> None:
             # An async flush died after submission (retries exhausted
             # during finalize): the store already aborted the txn; the
             # orchestrator unwinds the group-level state.
@@ -342,10 +299,10 @@ class Flush(Stage):
                                                prev_epoch=prev_epoch,
                                                error=exc)
 
-        ctx.info = store.commit(ctx.txn, sync=ctx.sync,
-                                on_complete=on_complete,
-                                on_failure=on_failure)
-        group.last_ckpt_id = ctx.info.ckpt_id
+        info = ctx.info = store.commit(txn, sync=ctx.sync,
+                                       on_complete=on_complete,
+                                       on_failure=on_failure)
+        group.last_ckpt_id = info.ckpt_id
         if ctx.new_epoch_floor is not None:
             # The commit was accepted (no ENOSPC / injected fault on
             # submission): subsequent checkpoints may skip objects
@@ -353,7 +310,7 @@ class Flush(Stage):
             group.ckpt_epoch = ctx.new_epoch_floor
             events.emit(ctx.clock.now(), events.EPOCH_ADVANCE,
                         group=group.group_id, epoch=ctx.new_epoch_floor,
-                        ckpt=ctx.info.ckpt_id)
+                        ckpt=info.ckpt_id)
 
 
 class Commit(Stage):
@@ -393,8 +350,8 @@ class CheckpointResult:
     (``sls_memckpt``) carry no trace and fill the fields by hand.
     """
 
-    def __init__(self, info, mode: str,
-                 stages: Optional[List[StageTrace]] = None):
+    def __init__(self, info: Optional[CheckpointInfo], mode: str,
+                 stages: Optional[List[StageTrace]] = None) -> None:
         self.info = info
         self.mode = mode
         self.stages: List[StageTrace] = list(stages or [])
@@ -411,7 +368,9 @@ class CheckpointResult:
 
     @classmethod
     def from_context(cls, ctx: CheckpointContext) -> "CheckpointResult":
-        result = cls(ctx.txn.info if ctx.mode == MODE_DISK else None,
+        txn = ctx.txn
+        assert txn is not None
+        result = cls(txn.info if ctx.mode == MODE_DISK else None,
                      ctx.mode, ctx.trace)
         result.quiesce_ns = result.stage_ns("quiesce")
         # The shadow phase of the old monolith spanned collapse +
@@ -422,7 +381,7 @@ class CheckpointResult:
         result.stop_ns = ctx.stop_time_ns()
         result.pages_flushed = sum(item.page_count()
                                    for item in ctx.flush_items)
-        result.bytes_staged = ctx.txn.staged_bytes()
+        result.bytes_staged = txn.staged_bytes()
         result.records_written = ctx.records_written
         result.records_skipped = ctx.records_skipped
         return result
@@ -465,7 +424,7 @@ class CheckpointPipeline:
         # The fault plan sees every stage boundary: "before" each
         # stage plus "after" the last one — N+1 crash points per
         # checkpoint, enumerable by the crash-schedule explorer.
-        plan = getattr(ctx.machine, "fault_plan", None)
+        plan = ctx.machine.fault_plan
         last = len(self.stages) - 1
         for index, stage in enumerate(self.stages):
             if plan is not None:

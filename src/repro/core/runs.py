@@ -8,13 +8,18 @@ object's page-locator table as runs there; every reader — mount,
 runs with the interval algebra below, so its cost tracks the run count
 (a handful for sequential writers) rather than the page count.  Live
 OID sets are run-encoded the same way, with a stride.
+
+Every sorted run list — a VM object's content, a transaction's staged
+runs, a checkpoint's locator table — is edited by one primitive,
+:func:`splice`, and searched by one bisect, :func:`run_index`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Any, Collection, Dict, Iterable, List, Mapping, Sequence
+from typing import (Any, Collection, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 
 def build_arith_runs(indexes: Iterable[int]) -> List[List[int]]:
@@ -62,9 +67,14 @@ def expand_arith_runs(runs: Iterable[List[int]]) -> List[int]:
 # Fields 1 and 2 (start, count) mean the same for both kinds, so the
 # interval algebra below never looks past them except to clip.  A VM
 # object's synthetic run carries one more field (whether it is dirty,
-# see ``kernel/vm/vmobject.py``), which clipping keeps.
+# see ``kernel/vm/vmobject.py``), which clipping keeps.  A *bare span*
+# ``(None, start, count)`` names indexes without content: in a cover it
+# only cuts.
 
 LocatorRun = Sequence[Any]
+
+_START = itemgetter(1)
+_KIND = itemgetter(0)    # None for a bare span
 
 
 def clip_run(run: Sequence[Any], lo: int, hi: int) -> LocatorRun:
@@ -77,8 +87,8 @@ def clip_run(run: Sequence[Any], lo: int, hi: int) -> LocatorRun:
 
 
 def index_spans(indexes: Iterable[int]) -> List[List[Any]]:
-    """Sorted ``[None, start, count]`` stretches of consecutive indexes:
-    the cover shape :func:`uncovered_runs` cuts by."""
+    """Sorted bare spans ``[None, start, count]`` of consecutive
+    indexes: how pages enter a :func:`splice` cover."""
     spans: List[List[Any]] = []
     for pindex in sorted(indexes):
         if spans and spans[-1][1] + spans[-1][2] == pindex:
@@ -86,6 +96,107 @@ def index_spans(indexes: Iterable[int]) -> List[List[Any]]:
         else:
             spans.append([None, pindex, 1])
     return spans
+
+
+def run_index(runs: Sequence[LocatorRun], pindex: int, lo: int = 0,
+              hi: Optional[int] = None) -> int:
+    """The index of the first run of ``runs[lo:hi]`` (sorted, disjoint)
+    that ends after ``pindex`` — the run holding it, when one does (else
+    ``hi``, or the next run): one bisect."""
+    if hi is None:
+        hi = len(runs)
+    at = bisect_right(runs, pindex, lo, hi, key=_START)
+    if at > lo and runs[at - 1][1] + runs[at - 1][2] > pindex:
+        at -= 1
+    return at
+
+
+def run_at(runs: Sequence[LocatorRun], pindex: int) -> Optional[LocatorRun]:
+    """The run of ``runs`` (sorted, disjoint) holding ``pindex``."""
+    at = run_index(runs, pindex)
+    if at < len(runs) and runs[at][1] <= pindex:
+        return runs[at]
+    return None
+
+
+def runs_within(runs: Sequence[LocatorRun], lo: int,
+                hi: int) -> List[LocatorRun]:
+    """The pieces of ``runs`` (sorted, disjoint) inside page indexes
+    ``[lo, hi)``: one bisect, then a step per run, and at most two
+    clips."""
+    if lo >= hi:
+        return []
+    first = stop = run_index(runs, lo)
+    while stop < len(runs) and runs[stop][1] < hi:
+        stop += 1
+    picked = list(runs[first:stop])
+    if picked and picked[0][1] < lo:
+        head = picked[0]
+        picked[0] = clip_run(head, lo, min(head[1] + head[2], hi))
+    if picked and picked[-1][1] + picked[-1][2] > hi:
+        picked[-1] = clip_run(picked[-1], picked[-1][1], hi)
+    return picked
+
+
+def splice(runs: Sequence[LocatorRun], cover: Sequence[LocatorRun]
+           ) -> Tuple[List[LocatorRun], int]:
+    """Lay ``cover`` over ``runs`` (both sorted, disjoint): the runs are
+    cut where a cover span falls, and the cover entries that are runs
+    are spliced in — a bare span only cuts.  Returns the new list and
+    how many pages the cut took from ``runs``.
+
+    At most one bisect per span that meets a run, one per stretch of
+    spans that meet none, and one clip per piece a cut leaves: whatever
+    lies between the cuts — runs or spans — is moved as a slice, never
+    visited, so an edit costs O(cuts · log), not O(runs + spans).
+    """
+    if not runs:
+        return list(filter(_KIND, cover)), 0
+    out: List[LocatorRun] = []
+    end, ncover = len(runs), len(cover)
+    cut = pos = i = rest = 0
+    carry: Optional[LocatorRun] = None  # a run a span cut, uncut from rest
+    while i < ncover:
+        span = cover[i]
+        lo = span[1]
+        hi = lo + span[2]
+        if carry is not None and carry[1] + carry[2] <= lo:
+            out.append(clip_run(carry, rest, carry[1] + carry[2]))
+            carry = None
+        if carry is None:
+            if pos < end and runs[pos][1] + runs[pos][2] <= lo:
+                at = run_index(runs, lo, pos + 1, end)
+                out += runs[pos:at]
+                pos = at
+            if pos == end or runs[pos][1] >= hi:
+                # This span and those after it that end before the next
+                # run meet no run.
+                stop = ncover if pos == end \
+                    else run_index(cover, runs[pos][1], i + 1)
+                out += filter(_KIND, cover[i:stop])
+                i = stop
+                continue
+            carry, rest = runs[pos], runs[pos][1]
+            pos += 1
+        while carry is not None and rest < hi:
+            carry_end = carry[1] + carry[2]
+            if rest < lo:
+                out.append(clip_run(carry, rest, lo))
+            cut += min(carry_end, hi) - max(rest, lo)
+            if carry_end > hi:
+                rest = hi
+            elif pos < end and runs[pos][1] < hi:
+                carry, rest = runs[pos], runs[pos][1]
+                pos += 1
+            else:
+                carry = None
+        if span[0] is not None:
+            out.append(span)
+        i += 1
+    if carry is not None:
+        out.append(clip_run(carry, rest, carry[1] + carry[2]))
+    out += runs[pos:]
+    return out, cut
 
 
 def indexes_under(held: Collection[int],
@@ -99,59 +210,33 @@ def indexes_under(held: Collection[int],
         return [pindex for run in runs
                 for pindex in range(run[1], run[1] + run[2])
                 if pindex in held]
-    starts = [run[1] for run in runs]
-    under = []
-    for pindex in held:
-        at = bisect_right(starts, pindex) - 1
-        if at >= 0 and pindex < starts[at] + runs[at][2]:
-            under.append(pindex)
-    return under
+    return [pindex for pindex in held if run_at(runs, pindex) is not None]
 
 
 def overlay_content(pages: Dict[int, Any], runs: Sequence[LocatorRun],
                     newer_pages: Mapping[int, Any],
-                    newer_runs: Sequence[LocatorRun]) -> List[LocatorRun]:
+                    newer_runs: Sequence[LocatorRun]
+                    ) -> Tuple[Sequence[LocatorRun], int]:
     """Lay newer content — pages by index plus sorted, disjoint runs —
-    over older content, newest wins.  ``pages`` is updated in place;
-    the merged run list is returned."""
-    for pindex in indexes_under(pages, newer_runs):
+    over older content, newest wins: the merge behind staging
+    (``put_pages``) and a VM object's inserts and reversed collapse.
+    ``pages`` is updated in place; returns the merged run list (``runs``
+    itself when neither side holds any) and how many older pages the
+    newer content replaced."""
+    # Counted from the newer side, one probe per page: many small slabs
+    # into a large object stay linear in the pages laid over.
+    replaced = sum(map(pages.__contains__, newer_pages)) if pages else 0
+    stale = indexes_under(pages, newer_runs)
+    for pindex in stale:
         del pages[pindex]
-    if runs and (newer_pages or newer_runs):
-        cover = sorted([*index_spans(newer_pages), *newer_runs],
-                       key=itemgetter(1))
-        runs = uncovered_runs(runs, cover, [span[1] for span in cover])
     pages.update(newer_pages)
-    return sorted([*runs, *newer_runs], key=itemgetter(1))
-
-
-def uncovered_runs(runs: Sequence[Sequence[Any]],
-                   cover: Sequence[Sequence[Any]],
-                   cover_starts: Sequence[int]) -> List[LocatorRun]:
-    """The pieces of ``runs`` that no run of ``cover`` overlaps.
-
-    Both lists are sorted and disjoint; ``cover_starts`` is ``cover``'s
-    start column.  One bisect per run plus one step per overlapped
-    cover run: O(len(runs) · log len(cover) + overlaps).
-    """
-    pieces: List[LocatorRun] = []
-    ncover = len(cover)
-    for run in runs:
-        lo = run[1]
-        hi = lo + run[2]
-        at = bisect_right(cover_starts, lo)
-        if at:
-            covered_to = cover[at - 1][1] + cover[at - 1][2]
-            if covered_to > lo:
-                lo = covered_to
-        while lo < hi:
-            if at == ncover or cover_starts[at] >= hi:
-                pieces.append(clip_run(run, lo, hi))
-                break
-            if cover_starts[at] > lo:
-                pieces.append(clip_run(run, lo, cover_starts[at]))
-            lo = cover_starts[at] + cover[at][2]
-            at += 1
-    return pieces
+    if not runs and not newer_runs:
+        return runs, replaced
+    if runs and newer_pages:
+        newer_runs = sorted([*index_spans(newer_pages), *newer_runs],
+                            key=_START)
+    merged, cut = splice(runs, newer_runs)
+    return merged, replaced + len(stale) + cut
 
 
 def append_locator_run(runs: List[List[Any]], run: Sequence[Any]) -> None:
@@ -188,30 +273,6 @@ def append_locator_run(runs: List[List[Any]], run: Sequence[Any]) -> None:
     if entry[0] == "syn" and entry[2] == 1:
         entry[4] = 0
     runs.append(entry)
-
-
-def synthetic_runs(indexes: Sequence[int],
-                   seeds: Sequence[int]) -> List[List[Any]]:
-    """``"syn"`` runs of an all-synthetic page set given as two columns
-    (ascending page indexes, their seeds): what one
-    :func:`append_locator_run` per page builds — the same greedy rule,
-    hence the same metadata bytes — without a call and a tuple per page.
-    """
-    runs: List[List[Any]] = []
-    start = count = seed0 = step = 0
-    for pindex, seed in zip(indexes, seeds):
-        if count and pindex == start + count:
-            if count == 1:
-                step = seed - seed0     # the second page pins the step
-            if seed == seed0 + step * count:
-                count += 1
-                continue
-        if count:
-            runs.append(["syn", start, count, seed0, step])
-        start, count, seed0, step = pindex, 1, seed, 0
-    if count:
-        runs.append(["syn", start, count, seed0, step])
-    return runs
 
 
 def _pages_differing(run_a: Sequence[Any], run_b: Sequence[Any],

@@ -22,7 +22,9 @@ A flush item carries the dirty content as the VM objects hold it —
 materialised pages and synthetic runs — plus the objects the runs came
 from, so the commit that makes them durable marks them clean there
 (:meth:`FlushItem.mark_clean`) while the store stays ignorant of VM
-objects.
+objects.  A new object's or a full checkpoint's content is the chain
+segment's newest-wins merge (:func:`merged_chain`), older runs cut by
+:func:`~repro.core.runs.splice`.
 """
 
 from __future__ import annotations
@@ -36,13 +38,16 @@ from ..kernel.vm.vmobject import DEVICE, VNODE, VMObject
 from ..objstore.oid import CLASS_MEMORY
 from . import costs, telemetry
 from .group import ConsistencyGroup, ObjectTrack
-from .runs import LocatorRun, index_spans, indexes_under, uncovered_runs
+from .runs import LocatorRun, index_spans, indexes_under, splice
 
 REVERSE = "reverse"   # Aurora's optimized direction (§6)
 FORWARD = "forward"   # classic Mach/FreeBSD direction (ablation)
 NONE = "none"         # never collapse: chains grow (ablation)
 
 _START = itemgetter(1)
+
+#: Run pieces paired with the VM object holding them.
+Sources = List[Tuple[VMObject, List[LocatorRun]]]
 
 
 class FlushItem:
@@ -57,8 +62,7 @@ class FlushItem:
     __slots__ = ("oid", "record", "pages", "runs", "sources")
 
     def __init__(self, oid: int, record: Dict[str, Any],
-                 pages: Dict[int, Page],
-                 sources: List[Tuple[VMObject, List[LocatorRun]]]) -> None:
+                 pages: Dict[int, Page], sources: Sources) -> None:
         self.oid = oid
         self.record = record
         self.pages = pages
@@ -104,43 +108,37 @@ def _chain_segment(top: VMObject) -> List[VMObject]:
     return segment
 
 
-def merged_chain_pages(top: VMObject) -> Dict[int, Page]:
-    """Newest-wins materialised pages of ``top``'s chain segment.
+def merged_chain(top: VMObject) -> Tuple[Dict[int, Page], Sources]:
+    """Newest-wins content of ``top``'s chain segment, merged bottom-up
+    in one walk: the materialised pages, and the runs as ``(owner,
+    pieces)`` — each object's runs minus what a newer object holds, so
+    a flush marks clean only what it wrote.
 
-    Merges bottom-up with one C-speed ``dict.update`` per chain object
+    Pages merge with one C-speed ``dict.update`` per chain object
     (later = newer = wins), so a full-checkpoint merge over a
     million-page object costs a few dict bulk-copies instead of a
-    million ``setdefault`` probes.  A page a newer object's run hides
-    is dropped; the runs themselves are :func:`merged_chain_runs`'.
+    million ``setdefault`` probes; older runs are cut by one
+    :func:`~repro.core.runs.splice` per newer object.
     """
     pages: Dict[int, Page] = {}
+    sources: Sources = []
     for obj in reversed(_chain_segment(top)):
         obj_pages, obj_runs = obj.content()
-        if not pages:
+        if sources and (obj_pages or obj_runs):
+            cover = sorted([*index_spans(obj_pages),
+                            *((None, run[1], run[2]) for run in obj_runs)],
+                           key=_START)
+            sources = [(owner, splice(runs, cover)[0])
+                       for owner, runs in sources]
+        if pages:
+            for pindex in indexes_under(pages, obj_runs):
+                del pages[pindex]
+            pages.update(obj_pages)
+        else:
             pages = obj_pages
-            continue
-        for pindex in indexes_under(pages, obj_runs):
-            del pages[pindex]
-        pages.update(obj_pages)
-    return pages
-
-
-def merged_chain_runs(top: VMObject
-                      ) -> List[Tuple[VMObject, List[LocatorRun]]]:
-    """Newest-wins runs of ``top``'s chain segment, as ``(owner,
-    pieces)``: each object's runs minus what a newer object holds.  The
-    hidden pieces are left out, so a flush marks clean only what it
-    wrote."""
-    layers: List[Tuple[VMObject, List[LocatorRun]]] = []
-    for obj in reversed(_chain_segment(top)):
-        obj_pages, obj_runs = obj.content()
-        if any(runs for _owner, runs in layers) and (obj_pages or obj_runs):
-            cover = sorted([*index_spans(obj_pages), *obj_runs], key=_START)
-            starts = [span[1] for span in cover]
-            layers = [(owner, uncovered_runs(runs, cover, starts))
-                      for owner, runs in layers]
-        layers.append((obj, obj_runs))
-    return [(owner, runs) for owner, runs in layers if runs]
+        if obj_runs:
+            sources.append((obj, obj_runs))
+    return pages, [(owner, runs) for owner, runs in sources if runs]
 
 
 def chain_backing_oid(top: VMObject) -> Optional[int]:
@@ -318,7 +316,7 @@ class ShadowEngine:
         the TLB shootdown is the caller's.
         """
         if track.new or full:
-            pages, sources = merged_chain_pages(top), merged_chain_runs(top)
+            pages, sources = merged_chain(top)
         else:
             pages, runs = top.content()
             sources = [(top, runs)] if runs else []

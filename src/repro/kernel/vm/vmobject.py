@@ -30,9 +30,10 @@ is dirty (``clean_locator`` None); one built from a clean run carries
 :data:`~repro.hw.memory.SYNTHETIC_CLEAN`.
 
 Runs are *cut* where newer content replaces them — an insert of pages or
-runs, an eviction (:meth:`remove_page`), a collapse moving a shadow's
-content down — with :meth:`_splice`: one bisect per cut span and at
-most two clips, so an edit costs O(edit), not O(runs held).  A flush
+runs, an eviction (:meth:`remove_page`), a collapse moving content
+between objects — with :func:`~repro.core.runs.splice`, the one edit
+every run list in the system goes through: one bisect per cut span and
+at most two clips, so an edit costs O(edit), not O(runs held).  A flush
 takes an object's content as locator runs (:meth:`content`), and once
 the checkpoint that carried them is durable :meth:`mark_clean` turns
 the dirty runs under them clean — exactly the pages a per-page flush
@@ -51,19 +52,20 @@ Two collapse directions are implemented:
 
 The reversed collapse moves content as slabs: the shadow's page dict
 with one dict update and its runs spliced into the parent's, with one
-frame-accounting adjustment.  The page-at-a-time originals are
-reference models in ``tests/vm_reference.py``.
+frame-accounting adjustment — the newest-wins merge a checkpoint
+transaction stages with (:func:`~repro.core.runs.overlay_content`).
+The page-at-a-time originals are reference models in
+``tests/vm_reference.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import itemgetter
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ...core.runs import (LocatorRun, clip_run, index_spans, indexes_under,
-                          uncovered_runs)
+from ...core.runs import (LocatorRun, index_spans, overlay_content, run_at,
+                          run_index, runs_within, splice)
 from ...errors import InvalidArgument
 from ...hw.memory import SYNTHETIC_CLEAN, Page
 from ..kobject import KObject
@@ -74,14 +76,6 @@ VNODE = "vnode"
 DEVICE = "device"
 
 _START = itemgetter(1)
-
-
-def _run_at(runs: Sequence[LocatorRun], pindex: int) -> Optional[LocatorRun]:
-    """The run of ``runs`` (sorted, disjoint) covering ``pindex``."""
-    at = bisect_right(runs, pindex, key=_START) - 1
-    if at >= 0 and pindex < runs[at][1] + runs[at][2]:
-        return runs[at]
-    return None
 
 
 def _run_page(run: LocatorRun, pindex: int) -> Page:
@@ -139,94 +133,41 @@ class VMObject(KObject):
                 f"pindex range [{low}, {high}] outside object of "
                 f"{self.size_pages} pages")
 
-    def _splice(self, cover: Sequence[LocatorRun]) -> int:
-        """Cut the spans of ``cover`` (sorted, disjoint) out of the runs
-        and splice in the cover entries that are runs (an entry of kind
-        ``None`` is a bare span); returns how many pages the cut took
-        from runs.  One bisect per span and at most two clips: the runs
-        between the spans are moved as slices, never visited."""
-        runs = self._runs
-        if not runs:
-            added = [span for span in cover if span[0] is not None]
-            if added:
-                self._runs = added
-            return 0
-        out: List[LocatorRun] = []
-        end = len(runs)
-        held = pos = 0
-        carry = None    # the rest of a run the previous span cut
-        for span in cover:
-            lo = span[1]
-            hi = lo + span[2]
-            if carry is not None and carry[1] + carry[2] <= lo:
-                out.append(carry)
-                carry = None
-            if carry is None:
-                at = bisect_right(runs, lo, pos, end, key=_START)
-                if at > pos and runs[at - 1][1] + runs[at - 1][2] > lo:
-                    at -= 1
-                out += runs[pos:at]
-                pos = at
-                if pos < end and runs[pos][1] < hi:
-                    carry = runs[pos]
-                    pos += 1
-            while carry is not None and carry[1] < hi:
-                first, stop = carry[1], carry[1] + carry[2]
-                if first < lo:
-                    out.append(clip_run(carry, first, lo))
-                held += min(stop, hi) - max(first, lo)
-                if stop > hi:
-                    carry = clip_run(carry, hi, stop)
-                elif pos < end and runs[pos][1] < hi:
-                    carry = runs[pos]
-                    pos += 1
-                else:
-                    carry = None
-            if span[0] is not None:
-                out.append(span)
-        if carry is not None:
-            out.append(carry)
-        out += runs[pos:]
-        self._runs = out
-        return held
-
-    def _drop_pages(self, runs: Sequence[LocatorRun]) -> int:
-        """Drop the materialised pages ``runs`` replace; returns how
-        many (probing the smaller of the two sides)."""
-        stale = indexes_under(self.pages, runs)
-        for pindex in stale:
-            del self.pages[pindex]
-        return len(stale)
+    def _cut(self, pindex: int) -> int:
+        """Cut page ``pindex`` out of the runs; returns 1 if a run held
+        it, else 0."""
+        self._runs, cut = splice(self._runs, ((None, pindex, 1),))
+        return cut
 
     def insert_page(self, pindex: int, page: Page) -> None:
         """Install ``page`` at ``pindex``, replacing any existing page."""
         self._check_insert(pindex, pindex)
-        if pindex not in self.pages and not (
-                self._runs and self._splice(((None, pindex, 1),))):
+        if pindex not in self.pages and not (self._runs and self._cut(pindex)):
             self.kernel.physmem.allocate(1)
         self.pages[pindex] = page
+
+    def _overlay(self, pages: Mapping[int, Page],
+                 runs: Sequence[LocatorRun]) -> None:
+        """Lay ``pages`` and ``runs`` over what the object holds, newest
+        wins, with one frame-accounting adjustment for the indexes that
+        were empty."""
+        self._runs, replaced = overlay_content(self.pages, self._runs,
+                                               pages, runs)
+        new = len(pages) + sum(run[2] for run in runs) - replaced
+        if new:
+            self.kernel.physmem.allocate(new)
 
     def insert_pages(self, pages: Mapping[int, Page]) -> None:
         """Bulk-install a page slab: one frame-accounting adjustment.
 
         Equivalent to :meth:`insert_page` per entry (replacement
-        included).  New frames are counted from the slab side — one
+        included).  Replaced frames are counted from the slab side — one
         membership probe per slab page — so many small slabs into a
-        large object stay linear in the pages inserted (a key-set
-        difference would walk the *resident* set on every call).
+        large object stay linear in the pages inserted.
         """
-        if not pages:
-            return
-        self._check_insert(min(pages), max(pages))
-        resident = self.pages
-        new = len(pages)
-        if resident:
-            new -= sum(map(resident.__contains__, pages))
-        if self._runs:
-            new -= self._splice(index_spans(pages))
-        if new:
-            self.kernel.physmem.allocate(new)
-        self.pages.update(pages)
+        if pages:
+            self._check_insert(min(pages), max(pages))
+            self._overlay(pages, ())
 
     def insert_runs(self, runs: Sequence[LocatorRun],
                     dirty: bool = False) -> None:
@@ -234,15 +175,10 @@ class VMObject(KObject):
         (sorted, disjoint), all clean or all ``dirty``, replacing what
         the object holds at their indexes: one frame-accounting
         adjustment, and no ``Page`` built."""
-        if not runs:
-            return
-        self._check_insert(runs[0][1], runs[-1][1] + runs[-1][2] - 1)
-        added = [("syn", run[1], run[2], run[3], run[4], dirty)
-                 for run in runs]
-        new = (sum(run[2] for run in added) - self._drop_pages(added)
-               - self._splice(added))
-        if new:
-            self.kernel.physmem.allocate(new)
+        if runs:
+            self._check_insert(runs[0][1], runs[-1][1] + runs[-1][2] - 1)
+            self._overlay({}, [("syn", run[1], run[2], run[3], run[4], dirty)
+                               for run in runs])
 
     def remove_page(self, pindex: int) -> Optional[Page]:
         """Remove and return the page at ``pindex`` (frame freed)."""
@@ -250,7 +186,7 @@ class VMObject(KObject):
         if page is None and self._runs:
             page = self.page_at(pindex)
             if page is not None:
-                self._splice(((None, pindex, 1),))
+                self._cut(pindex)
         if page is not None:
             self.kernel.physmem.release(1)
         return page
@@ -260,7 +196,7 @@ class VMObject(KObject):
         run's page is built, never cached back)."""
         page = self.pages.get(pindex)
         if page is None and self._runs:
-            run = _run_at(self._runs, pindex)
+            run = run_at(self._runs, pindex)
             if run is not None:
                 page = _run_page(run, pindex)
         return page
@@ -275,14 +211,13 @@ class VMObject(KObject):
         runs, pages = self._runs, self.pages
         for first, end in spans:
             part: List[Tuple[int, int]] = []
-            if runs:
-                at = max(bisect_right(runs, first, key=_START) - 1, 0)
-                while at < len(runs) and runs[at][1] < end:
-                    lo = max(runs[at][1], first)
-                    hi = min(runs[at][1] + runs[at][2], end)
-                    if lo < hi:
-                        part.append((lo, hi))
-                    at += 1
+            at = run_index(runs, first) if runs else 0
+            while at < len(runs) and runs[at][1] < end:
+                lo = max(runs[at][1], first)
+                hi = min(runs[at][1] + runs[at][2], end)
+                if lo < hi:
+                    part.append((lo, hi))
+                at += 1
             if pages:
                 hits = (sorted(p for p in pages if first <= p < end)
                         if len(pages) < end - first
@@ -302,24 +237,11 @@ class VMObject(KObject):
         """``runs`` (sorted, disjoint pieces of :meth:`content`) are
         durable: the dirty runs still over them become clean.  A piece
         cut out since — an eviction — stays cut."""
-        mine = self._runs
-        clean: List[LocatorRun] = []
-        at = 0
-        for piece in runs:
-            lo, hi = piece[1], piece[1] + piece[2]
-            at = max(bisect_right(mine, lo, at, key=_START) - 1, at)
-            while at < len(mine) and mine[at][1] < hi:
-                run = mine[at]
-                first = max(run[1], lo)
-                stop = min(run[1] + run[2], hi)
-                if run[5] and first < stop:
-                    clean.append(("syn", first, stop - first,
-                                  run[3] + run[4] * (first - run[1]),
-                                  run[4], False))
-                at += 1
-            at = max(at - 1, 0)
+        clean = [(*run[:5], False) for piece in runs
+                 for run in runs_within(self._runs, piece[1],
+                                        piece[1] + piece[2]) if run[5]]
         if clean:
-            self._splice(clean)
+            self._runs = splice(self._runs, clean)[0]
 
     def all_pages(self) -> Dict[int, Page]:
         """Every page this object holds, run pages built: O(resident),
@@ -419,21 +341,16 @@ class VMObject(KObject):
                 moved += 1
             parent.remove_page(pindex)
         if parent._runs:
-            end = offset + self.size_pages
-            window = [clip_run(run, max(run[1], offset),
-                               min(run[1] + run[2], end))
-                      for run in parent._runs
-                      if run[1] < end and run[1] + run[2] > offset]
-            cover = sorted([*index_spans(self.pages), *self._runs],
-                           key=_START)
-            up = uncovered_runs([(run[0], run[1] - offset, *run[2:])
-                                 for run in window],
-                                cover, [span[1] for span in cover])
-            gained = sum(run[2] for run in up)
+            window = runs_within(parent._runs, offset,
+                                 offset + self.size_pages)
+            # The parent's runs go under this object's content.
+            self._runs, hidden = splice(
+                [(run[0], run[1] - offset, *run[2:]) for run in window],
+                sorted([*index_spans(self.pages), *self._runs], key=_START))
+            gained = sum(run[2] for run in window) - hidden
             self.kernel.physmem.release(parent.resident_count())
             self.kernel.physmem.allocate(gained)
             parent._runs = ()
-            self._runs = sorted([*self._runs, *up], key=_START)
             moved += gained
         pageout = getattr(self.kernel, "pageout", None)
         if pageout is not None:
@@ -476,14 +393,8 @@ class VMObject(KObject):
         # delta of the whole move is exactly -|overlap| (each
         # overwritten page frees the parent's stale frame; every other
         # page just changes owner).
-        overlap = len(pages.keys() & parent.pages.keys()) \
-            if pages and parent.pages else 0
-        overlap += parent._drop_pages(runs)
-        if runs or (pages and parent._runs):
-            cover = sorted([*index_spans(pages), *runs], key=_START) \
-                if pages else runs
-            overlap += parent._splice(cover)
-        parent.pages.update(pages)
+        parent._runs, overlap = overlay_content(parent.pages, parent._runs,
+                                                pages, runs)
         pages.clear()
         self._runs = ()
         if overlap:

@@ -24,18 +24,17 @@ one set object shared down the chain, its OID runs computed once.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import chain
-from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.runs import (LocatorRun, append_locator_run, build_arith_runs,
                          clip_run, count_changed_pages, expand_arith_runs,
-                         uncovered_runs)
+                         run_at, runs_within, splice)
 from ..errors import CorruptRecord
 
-_RUN_ARITY = {"syn": 5, "ext": 6}
-_run_start = itemgetter(1)
+#: Each run kind's field types: the kind, then integers (not ``bool``).
+_RUN_FIELDS: Dict[str, List[type]] = {"syn": [str] + [int] * 4,
+                                      "ext": [str] + [int] * 5}
 
 
 class PageLocator:
@@ -90,26 +89,17 @@ class PageRuns:
     ``("ext", start, count, extent, byte_off0, page_len)`` sequences
     (see :mod:`repro.core.runs`) — the very list a metadata document
     decoded to, or the commit path built — sorted by ``start``,
-    pairwise disjoint, every ``count`` ≥ 1; ``starts`` is the
-    bisectable start column.  The table takes the list over and nobody
-    mutates it or its runs afterwards, so deltas, merged views and GC
-    adopters share runs freely.  Every operation costs O(runs) or
-    better; only :meth:`items` is per page.
+    pairwise disjoint, every ``count`` ≥ 1.  The table takes the list
+    over and nobody mutates it or its runs afterwards, so deltas, merged
+    views and GC adopters share runs freely.  Lookups bisect the list
+    (:func:`~repro.core.runs.run_index`) and an overlay is one
+    :func:`~repro.core.runs.splice`; only :meth:`items` is per page.
     """
 
-    __slots__ = ("runs", "_starts")
+    __slots__ = ("runs",)
 
     def __init__(self, runs: Optional[List[LocatorRun]] = None) -> None:
         self.runs: List[LocatorRun] = [] if runs is None else runs
-        self._starts: Optional[List[int]] = None
-
-    @property
-    def starts(self) -> List[int]:
-        """The start column, built at the first bisect: most deltas
-        are only ever encoded, or overlaid *under* a newer table."""
-        if self._starts is None:
-            self._starts = [run[1] for run in self.runs]
-        return self._starts
 
     def __len__(self) -> int:
         """Pages described."""
@@ -128,8 +118,10 @@ class PageRuns:
 
     def lookup(self, pindex: int) -> Optional[PageLocator]:
         """The locator of page ``pindex`` (None when not described)."""
-        page = self.slice(pindex, pindex + 1).items()
-        return next((locator for _pindex, locator in page), None)
+        run = run_at(self.runs, pindex)
+        if run is None:
+            return None
+        return next(run_locators(clip_run(run, pindex, pindex + 1)))[1]
 
     def items(self) -> Iterator[Tuple[int, PageLocator]]:
         """``(pindex, locator)`` per page, ascending — for consumers
@@ -139,31 +131,21 @@ class PageRuns:
 
     def slice(self, lo: int, hi: int) -> "PageRuns":
         """The table restricted to page indexes ``[lo, hi)``."""
-        if lo >= hi or not self.runs:
+        runs = self.runs
+        if lo >= hi or not runs:
             return NO_PAGES
-        if lo <= self.runs[0][1] and self.runs[-1][1] + self.runs[-1][2] <= hi:
+        if lo <= runs[0][1] and runs[-1][1] + runs[-1][2] <= hi:
             return self
-        first = bisect_right(self.starts, lo)
-        if first and self.runs[first - 1][1] + self.runs[first - 1][2] > lo:
-            first -= 1
-        picked = self.runs[first:bisect_left(self.starts, hi)]
-        if picked and picked[0][1] < lo:
-            head = picked[0]
-            picked[0] = clip_run(head, lo, min(head[1] + head[2], hi))
-        if picked and picked[-1][1] + picked[-1][2] > hi:
-            picked[-1] = clip_run(picked[-1], picked[-1][1], hi)
-        return PageRuns(picked)
+        return PageRuns(runs_within(runs, lo, hi))
 
     def overlay(self, older: "PageRuns") -> "PageRuns":
-        """Newest-wins union: this table plus the pages of ``older``
-        it does not describe (interval subtraction, then a merge of
-        two sorted run lists)."""
+        """Newest-wins union: this table laid over ``older`` — one
+        :func:`~repro.core.runs.splice`."""
         if not self.runs:
             return older
-        gained = uncovered_runs(older.runs, self.runs, self.starts)
-        if not gained:
+        if not older.runs:
             return self
-        return PageRuns(sorted(self.runs + gained, key=_run_start))
+        return PageRuns(splice(older.runs, self.runs)[0])
 
     def changed_pages(self, other: "PageRuns") -> int:
         """Pages whose locator differs from ``other``'s (or that only
@@ -204,8 +186,8 @@ def decode_page_runs(raw: Any) -> PageRuns:
     """Validate a metadata document's run list into a :class:`PageRuns`.
 
     Nothing is expanded or copied: the runs are checked — kind, arity,
-    integer start and positive count, ascending and disjoint — and the
-    list itself becomes the table.  A violation is a
+    every other field an integer, positive count, ascending and
+    disjoint — and the list itself becomes the table.  A violation is a
     :class:`CorruptRecord`, like any other damaged metadata, so
     recovery falls back a superblock generation and scrub reports it.
     """
@@ -215,11 +197,11 @@ def decode_page_runs(raw: Any) -> PageRuns:
     for entry in raw:
         if not isinstance(entry, list) or not entry:
             raise CorruptRecord("empty page run entry")
-        arity = _RUN_ARITY.get(entry[0]) if isinstance(entry[0], str) else None
-        if arity is None:
+        fields = _RUN_FIELDS.get(entry[0]) if isinstance(entry[0], str) \
+            else None
+        if fields is None:
             raise CorruptRecord(f"bad page run kind {entry[0]!r}")
-        if (len(entry) != arity or type(entry[1]) is not int
-                or type(entry[2]) is not int):
+        if list(map(type, entry)) != fields:
             raise CorruptRecord(f"malformed {entry[0]!r} page run {entry!r}")
         start, count = entry[1], entry[2]
         if count < 1:

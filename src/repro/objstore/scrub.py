@@ -285,7 +285,7 @@ def _scan_liveness(report: ScrubReport,
 def _chain_segment_len(track: Any) -> int:
     """Objects in the track's chain segment (same logical object),
     walking from the active top down — the walk
-    :func:`~repro.core.shadowing.merged_chain_pages` performs."""
+    :func:`~repro.core.shadowing.merged_chain` performs."""
     top = track.active
     length = 0
     for obj in top.chain():

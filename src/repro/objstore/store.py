@@ -19,15 +19,13 @@ is the newest-wins merge along the parent chain
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
 from ..core.resilience import RetryPolicy
-from ..core.runs import (LocatorRun, append_locator_run, overlay_content,
-                         synthetic_runs)
+from ..core.runs import LocatorRun, append_locator_run, overlay_content
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
@@ -53,18 +51,13 @@ SUPERBLOCK_SLOTS = (0, STRIPE_SIZE)
 RECORD_BATCH = 256
 
 
-def _append_synthetic(runs: List[Any], indexes: Sequence[int],
-                      seeds: Sequence[int]) -> None:
-    """Append a stretch of synthetic pages, given as two columns, to a
-    locator table as appending the pages one at a time would: the
-    stretch is coalesced by ``synthetic_runs`` and each of its runs is
-    joined to the table through ``append_locator_run``."""
-    for run in synthetic_runs(indexes, seeds):
-        append_locator_run(runs, run)
-
-
 class CheckpointTxn:
-    """Staging area for one in-progress checkpoint."""
+    """Staging area for one checkpoint: the one transaction every
+    checkpoint stages into.  A disk checkpoint's is opened by
+    :meth:`ObjectStore.begin_checkpoint` and committed; a mem-mode
+    (stop-time measurement) checkpoint's is built on an id-less
+    ``CheckpointInfo(-1, group)`` and never committed, so it stages at
+    the same cost and nothing reaches the device."""
 
     def __init__(self, store: "ObjectStore", info: CheckpointInfo) -> None:
         self.store = store
@@ -74,7 +67,7 @@ class CheckpointTxn:
         #: runs (sorted, disjoint from the pages).  Every OID staged has
         #: a page dict, empty when all its content is runs.
         self.staged_pages: Dict[int, Dict[int, Page]] = {}
-        self.staged_runs: Dict[int, List[LocatorRun]] = {}
+        self.staged_runs: Dict[int, Sequence[LocatorRun]] = {}
         self.committed = False
         self.aborted = False
         #: The operation trace open when the transaction began; async
@@ -93,12 +86,14 @@ class CheckpointTxn:
         """Stage dirty content for a memory/file object: pages by index
         and synthetic locator runs ``("syn", start, count, seed0,
         step)``, sorted and disjoint from the pages.  Content staged
-        again for the same OID wins over what was staged before."""
+        again for the same OID wins over what was staged before: it is
+        laid over it with :func:`~repro.core.runs.overlay_content`, the
+        merge a VM object's inserts use (one ``runs.splice``)."""
         if not pages and not runs:
             return
         self.staged_runs[oid] = overlay_content(
             self.staged_pages.setdefault(oid, {}),
-            self.staged_runs.get(oid, ()), pages, runs)
+            self.staged_runs.get(oid, ()), pages, runs)[0]
 
     def staged_bytes(self) -> int:
         """Bytes this transaction will write (records + pages)."""
@@ -213,7 +208,11 @@ class ObjectStore:
         Real-byte pages are packed (realized) into extent payloads;
         synthetic pages — staged as pages or as runs — are charged as
         synthetic extents of equal size with their seeds carried in the
-        checkpoint metadata.
+        checkpoint metadata.  Each object's staged pages and runs are
+        walked in one index-ordered pass; every synthetic run, and every
+        synthetic page as a 1-page run, joins the locator table through
+        ``append_locator_run``, which coalesces exactly as appending the
+        pages one at a time would.
         """
         info = txn.info
         last_done = self.clock.now()
@@ -251,47 +250,35 @@ class ObjectStore:
             # stores and every reader consumes.  The table wraps the
             # list being appended to; it is complete (every pending
             # "ext" run filled in) when this function returns.
-            ordered = sorted(pages)
-            seeds: List[Any] = [pages[pindex].seed for pindex in ordered]
-            real_at = [at for at, seed in enumerate(seeds) if seed is None]
-            staged_runs = txn.staged_runs.get(oid, ())
+            staged = txn.staged_runs.get(oid, ())
             runs: List[Any] = []
             info.pages[oid] = PageRuns(runs)
-            # Staged runs and real pages split the page columns into
-            # synthetic stretches.  Every synthetic run goes through
-            # ``append_locator_run``, which joins it to the run before
-            # exactly as appending its pages one at a time would.
-            lo = nreal = 0
-            for staged in (*staged_runs, None):
-                hi = len(ordered) if staged is None \
-                    else bisect_left(ordered, staged[1], lo)
-                while nreal < len(real_at) and real_at[nreal] < hi:
-                    at = real_at[nreal]
-                    nreal += 1
-                    if lo < at:
-                        _append_synthetic(runs, ordered[lo:at], seeds[lo:at])
-                    lo = at + 1
-                    pindex = ordered[at]
-                    last = runs[-1] if runs else None
-                    if (batch_runs and last is batch_runs[-1][0]
-                            and last[1] + last[2] == pindex):
-                        last[2] += 1    # next slot of the same batch
-                    else:
-                        runs.append(["ext", pindex, 1, None, None,
-                                     PAGE_SIZE])
-                        batch_runs.append((runs[-1], len(real_batch)))
-                    real_batch.append(pages[pindex])
-                    if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
-                        flush_real()
-                if lo < hi:
-                    _append_synthetic(runs, ordered[lo:hi], seeds[lo:hi])
-                lo = hi
-                if staged is not None:
-                    append_locator_run(runs, staged)
+            synthetic = sum(run[2] for run in staged)
+            at = 0
+            for pindex in sorted(pages):
+                while at < len(staged) and staged[at][1] < pindex:
+                    append_locator_run(runs, staged[at])
+                    at += 1
+                page = pages[pindex]
+                if page.seed is not None:
+                    append_locator_run(runs, ("syn", pindex, 1, page.seed, 0))
+                    synthetic += 1
+                    continue
+                last = runs[-1] if runs else None
+                if (batch_runs and last is batch_runs[-1][0]
+                        and last[1] + last[2] == pindex):
+                    last[2] += 1    # next slot of the same batch
+                else:
+                    runs.append(["ext", pindex, 1, None, None, PAGE_SIZE])
+                    batch_runs.append((runs[-1], len(real_batch)))
+                real_batch.append(page)
+                if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
+                    flush_real()
+            for run in staged[at:]:
+                append_locator_run(runs, run)
 
             # Synthetic pages: identical IO accounting, virtual bytes.
-            remaining = PAGE_SIZE * (len(ordered) - len(real_at) + sum(
-                run[2] for run in staged_runs))
+            remaining = PAGE_SIZE * synthetic
             while remaining > 0:
                 chunk = min(remaining, STRIPE_SIZE)
                 extent = self.alloc.alloc(chunk)

@@ -4,11 +4,11 @@ original.
 :func:`pack_pages_per_page` is ``ObjectStore._pack_pages`` walking
 every staged page on its own: a synthetic page is one
 ``append_locator_run`` call, a real page one slot of the pending
-stripe payload.  Production code splits the sorted index column at the
-real pages and coalesces each synthetic stretch as two columns
-(``runs.synthetic_runs``); ``tests/test_pack_pages.py`` patches this
-model over the production method and holds the two to identical run
-lists, metadata bytes, extents, IO and simulated clock.
+stripe payload.  Production code walks the staged runs in the same
+index-ordered pass; ``tests/test_pack_pages.py`` patches this model
+over the production method and holds the two to identical run lists,
+metadata bytes, extents, IO and simulated clock on staged pages, and
+``tests/test_dirty_runs.py`` holds staged runs to staging their pages.
 """
 
 from __future__ import annotations

@@ -4,7 +4,15 @@ The per-page dict that :class:`repro.objstore.checkpoint.PageRuns`
 replaced, kept as the oracle of ``tests/test_pageruns.py`` — nothing
 under ``src/`` imports it.  A page map is ``{pindex: locator}`` with
 locators ``("syn", seed)`` / ``("ext", extent, byte_off, length)``.
+
+:func:`uncovered_runs` is the interval subtraction overlays used before
+``runs.splice`` did the cut and the merge in one pass; it is the
+splice's run-level oracle.
 """
+
+from bisect import bisect_right
+
+from repro.core.runs import clip_run
 
 
 def ref_overlay(newer, older):
@@ -57,3 +65,28 @@ def ref_changed(map_a, map_b):
     """Pages whose locator differs (or that only one map holds)."""
     return sum(map_a.get(pindex) != map_b.get(pindex)
                for pindex in set(map_a) | set(map_b))
+
+
+def uncovered_runs(runs, cover):
+    """The pieces of ``runs`` that no entry of ``cover`` overlaps (both
+    sorted and disjoint): one bisect per run, then one step per
+    overlapped cover entry."""
+    cover_starts = [span[1] for span in cover]
+    pieces = []
+    for run in runs:
+        lo = run[1]
+        hi = lo + run[2]
+        at = bisect_right(cover_starts, lo)
+        if at:
+            covered_to = cover[at - 1][1] + cover[at - 1][2]
+            if covered_to > lo:
+                lo = covered_to
+        while lo < hi:
+            if at == len(cover) or cover_starts[at] >= hi:
+                pieces.append(clip_run(run, lo, hi))
+                break
+            if cover_starts[at] > lo:
+                pieces.append(clip_run(run, lo, cover_starts[at]))
+            lo = cover_starts[at] + cover[at][2]
+            at += 1
+    return pieces

@@ -20,11 +20,12 @@ from repro.errors import SegmentationFault
 from repro.hw.memory import Page
 from repro.kernel.vm.pmap import Pmap, iter_bit_runs
 from repro.kernel.vm.vmobject import VMObject
-from repro.core.shadowing import merged_chain_pages
+from repro.core.shadowing import merged_chain
 from repro.units import PAGE_SIZE
 from tests import vm_reference
 from tests.vm_reference import (LegacyPmap, collapse_into_parent_legacy,
-                                legacy_hot_path, merged_chain_pages_legacy)
+                                legacy_hot_path, merged_chain_legacy,
+                                merged_chain_pages_legacy)
 
 PAGES = 96  # page-number space the random ops draw from
 
@@ -199,12 +200,13 @@ def _build_chain(kernel, layers, foreign_base):
 def test_merged_chain_pages_equivalence(layers, foreign_base):
     kernel = Machine().kernel
     top = _build_chain(kernel, layers, foreign_base)
-    bulk = merged_chain_pages(top)
+    bulk, sources = merged_chain(top)
     legacy = merged_chain_pages_legacy(top)
     # Identical keys AND identical page identity (newest wins).
     assert bulk.keys() == legacy.keys()
     for pindex in bulk:
         assert bulk[pindex] is legacy[pindex]
+    assert sources == merged_chain_legacy(top)[1] == []
 
 
 @settings(max_examples=100, deadline=None)

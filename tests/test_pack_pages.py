@@ -1,8 +1,8 @@
-"""Stretch-wise page packing equals the per-page walk it replaced.
+"""Page packing equals the per-page walk.
 
-``ObjectStore._pack_pages`` splits each object's sorted index column at
-its real pages and coalesces every synthetic stretch as two columns;
-``tests/pack_reference.py`` keeps the page-at-a-time original.  Both
+``ObjectStore._pack_pages`` walks each object's staged pages and runs
+in one index-ordered pass; ``tests/pack_reference.py`` keeps the
+page-at-a-time original, which knows no staged runs.  Both
 commit the same randomized mixes of synthetic and real pages — real
 pages first, last and adjacent, seed progressions that continue across
 a real page or restart, real batches that fill a stripe and span

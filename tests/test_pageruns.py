@@ -6,7 +6,8 @@ build / overlay chains / slice / lookup / encode→decode must agree
 page for page, the encoded bytes must not depend on how overlays cut
 the runs, GC adoption must hand over exactly the extents the per-page
 loop did, and a migration stream must be a function of the delta's
-content alone.
+content alone.  ``runs.splice``, the cut every overlay goes through, is
+held to the interval subtraction it replaced and to the page model.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.pageruns_reference import (ref_changed, ref_encode, ref_expand,
-                                      ref_overlay)
+                                      ref_overlay, uncovered_runs)
 from repro import Machine, load_aurora, serde
 from repro.core import migration
-from repro.core.runs import append_locator_run, synthetic_runs
+from repro.core.runs import append_locator_run, splice
 from repro.errors import CorruptRecord
 from repro.hw.memory import Page
 from repro.objstore import records
@@ -69,9 +70,9 @@ def _written(runs):
 
 def _check_invariants(table):
     end = 0
-    for run, start in zip(table.runs, table.starts):
-        assert run[1] == start and run[2] >= 1 and start >= end
-        end = start + run[2]
+    for run in table.runs:
+        assert run[2] >= 1 and run[1] >= end
+        end = run[1] + run[2]
 
 
 # -- the table against the model ------------------------------------------------
@@ -110,18 +111,53 @@ def test_encoding_depends_only_on_the_page_map(runs):
     assert paged == wire
 
 
-@given(st.lists(_syn_runs, max_size=12))
-@settings(max_examples=200, deadline=None)
-def test_synthetic_columns_coalesce_like_page_by_page_appends(runs):
-    """The commit path hands an all-synthetic delta over as two columns;
-    the runs (hence the metadata bytes) are the per-page appends'."""
-    _table, model = _written(runs)
-    ordered = sorted(model)
-    paged = []
-    for pindex in ordered:
-        append_locator_run(paged, ("syn", pindex, 1, model[pindex][1], 0))
-    assert synthetic_runs(ordered,
-                          [model[pindex][1] for pindex in ordered]) == paged
+_payloads = st.one_of(
+    st.tuples(st.just("syn"), st.integers(0, 40),
+              st.sampled_from((0, 1, 2, -1))),
+    st.tuples(st.just("ext"), st.sampled_from((65536, 131072)),
+              st.sampled_from((0, 4096)), st.sampled_from((4096, 100))))
+
+
+def _laid_out(payloads):
+    """``[(gap, count, payload)]`` laid end to end from a start index: a
+    sorted, disjoint entry list."""
+    return st.tuples(st.integers(0, 10), st.lists(
+        st.tuples(st.integers(0, 6), st.integers(1, 12), payloads),
+        max_size=10)).map(_lay_out)
+
+
+def _lay_out(drawn):
+    at, layout = drawn
+    entries = []
+    for gap, count, (kind, *rest) in layout:
+        at += gap
+        entries.append((kind, at, count, *rest))
+        at += count
+    return entries
+
+
+@given(_laid_out(_payloads),
+       _laid_out(st.one_of(_payloads, st.just((None,)))))
+@settings(max_examples=300, deadline=None)
+def test_splice_is_the_interval_subtraction_and_the_page_model(older, cover):
+    """The one cut-and-overlay primitive against its two oracles: the
+    interval subtraction it replaced, merged with the cover's runs, and
+    the per-page newest-wins model — pages cut included.  A bare span
+    ``(None, start, count)`` only cuts."""
+    spliced, cut = splice(older, cover)
+    cover_runs = [span for span in cover if span[0] is not None]
+    assert spliced == sorted(cover_runs + uncovered_runs(older, cover),
+                             key=lambda run: run[1])
+    covered = {pindex for span in cover
+               for pindex in range(span[1], span[1] + span[2])}
+    older_map = ref_expand(older)
+    assert cut == len(covered & older_map.keys())
+    expected = {pindex: loc for pindex, loc in older_map.items()
+                if pindex not in covered}
+    expected.update(ref_expand(cover_runs))
+    table = PageRuns(spliced)
+    _check_invariants(table)
+    assert _as_map(table) == expected
 
 
 @given(_runs, _runs)
@@ -173,6 +209,10 @@ def test_lookup_returns_the_pages_own_locator():
     ([[]], "empty"),
     ([7], "empty"),
     ({"0": ["syn", 0, 1, 1, 0]}, "not a list"),
+    # Every field after the kind is an integer: a string seed or a
+    # ``None`` extent would only fail later, at the first lookup.
+    ([["syn", 0, 2, "x", None]], "malformed"),
+    ([["ext", 0, 1, None, 0, 4096]], "malformed"),
 ])
 def test_decode_rejects_a_malformed_run_list(raw, complaint):
     with pytest.raises(CorruptRecord, match=complaint):

@@ -1,18 +1,20 @@
 """The staged checkpoint pipeline and the telemetry layer.
 
 Covers the pipeline's stage trace (ordering, stop vs overlap
-accounting, the Txn protocol), the telemetry registry primitives, the
-targeted barrier wait (two groups flushing concurrently), the
-periodic-tick edge cases, and suspend with an outstanding flush.
+accounting, the one transaction type both modes stage into), the
+telemetry registry primitives, the targeted barrier wait (two groups
+flushing concurrently), the periodic-tick edge cases, and suspend with
+an outstanding flush.
 """
 
 import pytest
 
 from repro import Machine, load_aurora
 from repro.core import telemetry
-from repro.core.pipeline import (MODE_MEM, STAGE_ORDER, STOP_STAGES,
-                                 MemTxn, Txn)
+from repro.core.pipeline import (MODE_DISK, MODE_MEM, STAGE_ORDER,
+                                 STOP_STAGES)
 from repro.errors import SLSError
+from repro.objstore.store import CheckpointTxn
 from repro.units import MSEC, PAGE_SIZE
 
 
@@ -96,16 +98,47 @@ def test_stage_spans_land_in_registry(setup):
     assert {f"ckpt.{stage}" for stage in STAGE_ORDER} <= names
 
 
-# -- the Txn protocol ----------------------------------------------------------------
+# -- one transaction for both modes ----------------------------------------------------
 
 
-def test_both_transactions_satisfy_txn_protocol(setup):
-    machine, sls, proc = setup
-    store = sls.store
-    mem = MemTxn(store)
-    disk = store.begin_checkpoint(1)
-    assert isinstance(mem, Txn)
-    assert isinstance(disk, Txn)
+def _staged_checkpoint(mode):
+    """A first checkpoint of a 16-page heap with one real page: the
+    pipeline's context (its transaction) and result, and the clock it
+    advanced."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("app")
+    addr = _dirty_heap(proc, 16)
+    proc.vmspace.write(addr + 3 * PAGE_SIZE, b"real")
+    group = sls.attach(proc, periodic=False)
+    contexts = []
+    run = sls.pipeline.run
+
+    def watched(ctx):
+        contexts.append(ctx)
+        return run(ctx)
+    sls.pipeline.run = watched
+    before = machine.clock.now()
+    result = sls.checkpoint(group, mode=mode, sync=mode != MODE_MEM)
+    return sls, contexts[0], result, machine.clock.now() - before
+
+
+def test_mem_mode_stages_into_a_store_transaction_it_never_commits():
+    sls, ctx, result, elapsed = _staged_checkpoint(MODE_MEM)
+    txn = ctx.txn
+    assert isinstance(txn, CheckpointTxn)
+    assert not txn.committed and txn.info.ckpt_id == -1
+    # The records a disk checkpoint of the same state stages.
+    _disk_sls, disk_ctx, disk, _elapsed = _staged_checkpoint(MODE_DISK)
+    assert txn.staged_records == disk_ctx.txn.staged_records
+    # Bytes and clock as the in-memory transaction it replaced staged
+    # and charged.
+    assert result.bytes_staged == disk.bytes_staged == 67775
+    assert elapsed == 92112
+    # No checkpoint id was taken, and nothing reached the store.
+    assert not sls.store.checkpoints
+    assert sls.checkpoint(sls.groups[ctx.group.group_id],
+                          sync=True).info.ckpt_id == 1
 
 
 def test_mem_mode_result_reports_mode_and_bytes(setup):
@@ -116,8 +149,8 @@ def test_mem_mode_result_reports_mode_and_bytes(setup):
     assert result.info is None
     assert "mode=mem" in repr(result)
     assert "id=-" in repr(result)
-    # The Txn protocol makes staged bytes measurable without a store
-    # transaction: records plus the 16 dirtied pages.
+    # Staged bytes are measurable without a commit: records plus the
+    # 16 dirtied pages.
     assert result.bytes_staged > 16 * PAGE_SIZE
 
 

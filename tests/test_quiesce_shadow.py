@@ -5,7 +5,7 @@ import pytest
 from repro import Machine, load_aurora
 from repro.core import costs
 from repro.core.quiesce import assert_quiesced, quiesce_group, resume_group
-from repro.core.shadowing import FORWARD, REVERSE, merged_chain_pages
+from repro.core.shadowing import FORWARD, REVERSE
 from repro.kernel.proc.thread import IN_SYSCALL, IN_SYSCALL_SLEEPING, IN_USER
 from repro.kernel.vm.vmmap import INHERIT_SHARE
 from repro.units import PAGE_SIZE

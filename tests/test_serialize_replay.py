@@ -90,8 +90,7 @@ class World:
             self.machine.set_fault_plan(FaultPlan(name="clear"))
         ctx = self.ctx
         txn = ctx.txn
-        staged = (list(txn.records.items()) if mode == MODE_MEM
-                  else list(txn.staged_records))
+        staged = list(txn.staged_records)
         self.log.append({
             "mode": mode,
             "outcome": outcome,

@@ -10,7 +10,9 @@ them over the production names for the duration.
 * :class:`LegacyPmap` / :class:`PTE` — the dict-of-PTE pmap the bitmap
   :class:`~repro.kernel.vm.pmap.Pmap` replaced.
 * :func:`merged_chain_pages_legacy` — the top-down per-page
-  ``setdefault`` merge behind ``shadowing.merged_chain_pages``.
+  ``setdefault`` merge behind the pages of ``shadowing.merged_chain``;
+  :func:`merged_chain_legacy` adds the runs, one piece per page, and
+  stands in for the whole chain walk.
 * :func:`collapse_into_parent_legacy` — the page-at-a-time reversed
   collapse behind ``VMObject.collapse_into_parent``.
 * :func:`touch_per_page` — ``VMSpace.touch`` as it ran before write
@@ -40,6 +42,7 @@ import repro.core.shadowing as shadowing_mod
 import repro.kernel.vm.vmspace as vmspace_mod
 from repro.core import costs
 from repro.core.restore import GroupRestorer
+from repro.core.runs import clip_run
 from repro.errors import InvalidArgument, SegmentationFault
 from repro.hw.memory import SYNTHETIC_CLEAN, Page
 from repro.kernel.vm.fault import handle_fault
@@ -175,6 +178,16 @@ class LegacyPmap:
         self._ptes.clear()
 
 
+def _segment_legacy(top: VMObject) -> Iterator[VMObject]:
+    """``top``'s chain segment, newest first."""
+    for obj in top.chain():
+        if obj is not top and obj.sls_oid not in (None, top.sls_oid):
+            break
+        if obj.backing_offset != 0:
+            raise InvalidArgument("system shadowing assumes offset-0 chains")
+        yield obj
+
+
 def merged_chain_pages_legacy(top: VMObject) -> Dict[int, Page]:
     """The original top-down per-page ``setdefault`` merge.
 
@@ -182,14 +195,31 @@ def merged_chain_pages_legacy(top: VMObject) -> Dict[int, Page]:
     the scale benchmark's pre-columnar baseline.
     """
     pages: Dict[int, Page] = {}
-    for obj in top.chain():
-        if obj is not top and obj.sls_oid not in (None, top.sls_oid):
-            break
-        if obj.backing_offset != 0:
-            raise InvalidArgument("system shadowing assumes offset-0 chains")
+    for obj in _segment_legacy(top):
         for pindex, page in obj.pages.items():
             pages.setdefault(pindex, page)
     return pages
+
+
+def merged_chain_legacy(top: VMObject):
+    """``shadowing.merged_chain`` on the per-page original: the pages
+    are :func:`merged_chain_pages_legacy`'s, and every run page no newer
+    object holds is its own one-page piece of its owner's runs.  The
+    per-page world writes no run above a chain's base, so no newer run
+    hides an older page."""
+    pages = merged_chain_pages_legacy(top)
+    held: set = set()
+    sources = []
+    for obj in _segment_legacy(top):
+        obj_pages, obj_runs = obj.content()
+        pieces = [clip_run(run, pindex, pindex + 1) for run in obj_runs
+                  for pindex in range(run[1], run[1] + run[2])
+                  if pindex not in held]
+        held.update(obj_pages)
+        held.update(piece[1] for piece in pieces)
+        if pieces:
+            sources.append((obj, pieces))
+    return pages, sources
 
 
 def collapse_into_parent_legacy(self) -> Tuple["VMObject", int]:
@@ -230,16 +260,16 @@ def legacy_hot_path() -> Iterator[None]:
     ``Page`` per page, full-checkpoint merges and reversed collapses go
     through the ``*_legacy`` functions.  Simulated costs are identical
     either way; only wall-clock differs."""
-    saved = (vmspace_mod.Pmap, shadowing_mod.merged_chain_pages,
+    saved = (vmspace_mod.Pmap, shadowing_mod.merged_chain,
              VMObject.collapse_into_parent, VMSpace.fill, VMSpace.touch)
     vmspace_mod.Pmap = LegacyPmap
-    shadowing_mod.merged_chain_pages = merged_chain_pages_legacy
+    shadowing_mod.merged_chain = merged_chain_legacy
     VMObject.collapse_into_parent = collapse_into_parent_legacy
     VMSpace.fill, VMSpace.touch = fill_per_page, touch_per_page
     try:
         yield
     finally:
-        (vmspace_mod.Pmap, shadowing_mod.merged_chain_pages,
+        (vmspace_mod.Pmap, shadowing_mod.merged_chain,
          VMObject.collapse_into_parent, VMSpace.fill, VMSpace.touch) = saved
 
 
