@@ -12,8 +12,9 @@ the 131 k-page heaps), and growing it can hide a real regression.
 Runs one rep of each workload of ``benchmarks/e2e`` the way
 ``harness.run_rep`` does (set-up, ``gc.collect()``, the timed
 checkpoint phase, the sample, ``gc.collect()``, the timed crash →
-restore phase, with the reference pulses interleaved) and prints, per
-phase, the automatic collections and their milliseconds per
+restore phase, with the reference pulses interleaved, then — for a
+workload that has one — ``gc.collect()`` and the lazy restore) and
+prints, per phase, the automatic collections and their milliseconds per
 generation, the phase's wall time and ``len(gc.get_objects())`` at its
 end.  Compare parent and change with the same seed: collection counts
 and object counts repeat exactly, milliseconds do not::
@@ -35,7 +36,7 @@ import sys
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-PHASES = ("setup", "run", "recover")
+PHASES = ("setup", "run", "recover", "lazy")
 
 
 class Collections:
@@ -75,6 +76,8 @@ def measure(name: str, seed: int, smoke: bool) -> None:
     print(f"  {'phase':<8} {'gen0':>14} {'gen1':>14} {'gen2 (full)':>14} "
           f"{'gc ms':>8} {'wall ms':>9} {'tracked objects':>16}")
     for phase in PHASES:
+        if not hasattr(work, phase):
+            continue
         if phase == "recover":
             work.sample()
         gc.collect()            # as harness.timed does; not counted

@@ -223,12 +223,14 @@ print(f"{len(base)} simulated metrics identical under "
 PY
 }
 
-# The cyclic collector: the two page-heavy workloads must restore
-# without a full (generation-2) collection — an eager restore holds
-# synthetic memory as runs, not one object per page — and vm_wide's
-# set-up must leave at most 80 000 tracked objects, its 131 072 filled
-# pages being dirty runs, not one object each.  Collection and object
-# counts repeat exactly for a seed on one interpreter.
+# The cyclic collector: the two page-heavy workloads must restore,
+# eagerly and lazily, without a full (generation-2) collection — an
+# eager restore holds synthetic memory as runs and a lazy one registers
+# the merged locator runs, not one object per page — vm_wide's set-up
+# must leave at most 80 000 tracked objects, its 131 072 filled pages
+# being dirty runs, not one object each, and its lazy restore at most
+# 60 000.  Collection and object counts repeat exactly for a seed on
+# one interpreter.
 smoke_gc() {
     python benchmarks/gc_phases.py --seed 1 --workload vm_wide \
         --workload paper_apps | tee "$WORK/gc.out"
@@ -238,17 +240,20 @@ rows = {}
 for line in open(sys.argv[1]):
     if line.startswith("["):
         workload = line[1:line.index("]")]
-    elif line.split()[:1] in (["setup"], ["recover"]):
+    elif line.split()[:1] in (["setup"], ["recover"], ["lazy"]):
         rows[workload, line.split()[0]] = line
-assert len(rows) == 4, rows
+assert len(rows) == 6, rows
 for workload in ("vm_wide", "paper_apps"):
-    row = rows[workload, "recover"]
-    gen0, gen1, full = map(int, re.findall(r"(\d+) /", row))
-    assert full == 0, f"a full collection during recovery: {row.strip()}"
+    for phase in ("recover", "lazy"):
+        row = rows[workload, phase]
+        gen0, gen1, full = map(int, re.findall(r"(\d+) /", row))
+        assert full == 0, f"a full collection in {phase}: {row.strip()}"
 tracked = int(rows["vm_wide", "setup"].split()[-1])
 assert tracked <= 80_000, f"vm_wide set-up leaves {tracked} tracked objects"
-print(f"no full collection in either recover phase; vm_wide set-up "
-      f"leaves {tracked} tracked objects")
+lazy = int(rows["vm_wide", "lazy"].split()[-1])
+assert lazy <= 60_000, f"vm_wide lazy restore leaves {lazy} tracked objects"
+print(f"no full collection in any recover or lazy phase; vm_wide set-up "
+      f"leaves {tracked} tracked objects, its lazy restore {lazy}")
 PY
 }
 

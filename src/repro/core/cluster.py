@@ -778,8 +778,8 @@ class SLSCluster:
 
     # -- recovery ----------------------------------------------------------
 
-    def recover(self, node_ids: Optional[List[int]] = None,
-                reboot: bool = True) -> ClusterRecovery:
+    def recover(self, node_ids: Optional[List[int]] = None
+                ) -> ClusterRecovery:
         """The primary is gone: settle the cluster on its
         quorum-durable state and restore the application from replica
         media.
@@ -797,8 +797,6 @@ class SLSCluster:
         available: List[ClusterNode] = []
         for node in selected:
             if node.down:
-                if not reboot:
-                    continue
                 node.reboot()
             available.append(node)
         if len(available) < self.read_quorum:

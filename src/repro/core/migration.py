@@ -15,8 +15,7 @@ from typing import Any, Dict, List, Optional
 from .. import serde
 from ..errors import RestoreError, SLSError
 from ..hw.memory import Page
-from ..objstore.checkpoint import (PageRuns, overlay_page_maps,
-                                   run_locators)
+from ..objstore.checkpoint import PageRuns, overlay_page_maps
 from ..objstore.store import ObjectStore
 from ..units import PAGE_SIZE
 from .group import ConsistencyGroup
@@ -35,8 +34,7 @@ def _wire_pages(page_locs: Dict[int, PageRuns],
     page indexes, however the sender's extents happen to cut it."""
     wire = {str(oid): table.encode() for oid, table in page_locs.items()}
     fetched = iter(store.fetch_pages(
-        locator for runs in wire.values() for run in runs
-        if run[0] == "ext" for _pindex, locator in run_locators(run)))
+        run for runs in wire.values() for run in runs if run[0] == "ext"))
     for key, runs in wire.items():
         out: List[List[Any]] = []
         for run in runs:

@@ -23,12 +23,13 @@ from ..kernel.aio import AIO_READ
 from ..kernel.proc.process import Process
 from ..kernel.proc.signals import SIGCHLD, SIGSLSRESTORE
 from ..kernel.vm.vmobject import VMObject
-from ..objstore.checkpoint import NO_PAGES, PageRuns, run_locators
+from ..objstore.checkpoint import NO_PAGES, PageRuns
 from ..objstore.oid import CLASS_MEMORY, oid_class
 from . import costs, events, telemetry, tracing
 from .group import ConsistencyGroup, ObjectTrack
 from .objmodel import (FILE, OBJECT_TYPES, SEGMENT, SHELL, ObjectType,
                        cost_of)
+from .runs import clip_run
 
 if TYPE_CHECKING:
     from ..objstore.store import ObjectStore
@@ -170,15 +171,15 @@ class GroupRestorer:
         """Insert the merged view's pages of ``oid`` into ``obj`` — or,
         lazily, leave them with the pageout daemon to fault in.
 
-        Eagerly, a synthetic run goes in as one run (its seeds are its
-        locators: no ``Page`` and no locator is built) and a real page
-        is fetched and marked clean; every page is charged one insert.
+        Lazily, the merged table's runs become the object's evicted runs
+        as they are, in O(runs).  Eagerly, a synthetic run goes in as one
+        run (no ``Page`` is built) and a real page is fetched and marked
+        clean with its one-page run; every page is charged one insert.
         """
         locators = self.page_locs.get(oid, NO_PAGES)
         if lazy:
             if locators:
-                self.kernel.pageout.evicted.setdefault(obj.kid, {}).update(
-                    locators.items())
+                self.kernel.pageout.evicted[obj.kid] = list(locators.runs)
             self.pages_lazy += len(locators)
             return
         clock = self.kernel.clock
@@ -188,7 +189,8 @@ class GroupRestorer:
             if run[0] == "ext":
                 # Real pages keep the per-page read accounting: one
                 # device read per page through the store's retry policy.
-                for pindex, locator in run_locators(run):
+                for pindex in range(run[1], run[1] + run[2]):
+                    locator = clip_run(run, pindex, pindex + 1)
                     page = self.store.fetch_page(locator)
                     page.clean_locator = locator    # durable already
                     obj.insert_page(pindex, page)

@@ -38,7 +38,7 @@ from ..kernel.vm.vmobject import DEVICE, VNODE, VMObject
 from ..objstore.oid import CLASS_MEMORY
 from . import costs, telemetry
 from .group import ConsistencyGroup, ObjectTrack
-from .runs import LocatorRun, index_spans, indexes_under, splice
+from .runs import LocatorRun, indexes_under, splice
 
 REVERSE = "reverse"   # Aurora's optimized direction (§6)
 FORWARD = "forward"   # classic Mach/FreeBSD direction (ablation)
@@ -125,9 +125,7 @@ def merged_chain(top: VMObject) -> Tuple[Dict[int, Page], Sources]:
     for obj in reversed(_chain_segment(top)):
         obj_pages, obj_runs = obj.content()
         if sources and (obj_pages or obj_runs):
-            cover = sorted([*index_spans(obj_pages),
-                            *((None, run[1], run[2]) for run in obj_runs)],
-                           key=_START)
+            cover = obj.spans()
             sources = [(owner, splice(runs, cover)[0])
                        for owner, runs in sources]
         if pages:
@@ -204,9 +202,11 @@ class ShadowEngine:
                 track.frozen = None
                 track.flushed = False
                 continue
-            if frozen.shadow_count != 1:
+            if frozen.shadow_count != 1 or frozen.backing.shadow_count != 1:
                 # A privately faulted (fork-COW) shadow still hangs off
-                # this object; collapsing would orphan it.  Defer.
+                # this object, or off its parent: collapsing would
+                # orphan it, or push one side's pages into the object
+                # the other side reads through.  Defer.
                 continue
             child = self._chain_child_of(track, frozen)
             assert child is not None, "frozen shadow not in its own chain"

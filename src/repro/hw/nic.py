@@ -15,21 +15,17 @@ from ..core import costs
 class NIC:
     """Latency/bandwidth model of one network interface."""
 
-    def __init__(self, clock: SimClock,
-                 rtt_ns: int = costs.NET_RTT,
-                 bandwidth: int = costs.NET_BW):
+    def __init__(self, clock: SimClock):
         self.clock = clock
-        self.rtt = rtt_ns
-        self.bandwidth = bandwidth
         self.bytes_sent = 0
         self.packets_sent = 0
 
     def transfer_time(self, nbytes: int) -> int:
         """Serialization delay for ``nbytes`` on the wire."""
-        return (nbytes * 1_000_000_000) // self.bandwidth
+        return (nbytes * 1_000_000_000) // costs.NET_BW
 
     def send(self, nbytes: int) -> int:
         """Account for sending ``nbytes``; returns the wire time."""
         self.bytes_sent += nbytes
         self.packets_sent += 1
-        return self.rtt // 2 + self.transfer_time(nbytes)
+        return costs.NET_RTT // 2 + self.transfer_time(nbytes)

@@ -4,33 +4,31 @@ Overcommitment").
 Aurora subsumes swap: a page already captured by a checkpoint is
 *clean* — its exact content is addressable in the store — and can be
 evicted without IO; dirty pages are flushed through the store's data
-path (into the next checkpoint's space) rather than to a separate swap
-partition whose metadata would be lost on crash.  On fault, the most
+path rather than to a separate swap partition.  On fault, the most
 recent version is paged back in from the store.
 
-Cleanliness lives on the :class:`~repro.hw.memory.Page` itself
-(``clean_locator``, marked by the flush path): pages are immutable
-and replaced on write, so a stale marker is impossible, and the marker
-survives system-shadow collapses moving the page between VM objects.
-A real page's marker is its locator in a packed extent.  Every clean
-synthetic page shares one marker,
-:data:`~repro.hw.memory.SYNTHETIC_CLEAN`: its locator is a function of
-its own seed, so eviction derives it instead of the flush storing one
-per page.
+An evicted page is addressed by its locator, and a locator is the
+store's own run (:mod:`repro.core.runs`), one page's a one-page run.
+Each VM object's evicted pages are one sorted, disjoint run list, clear
+of what the object holds (:attr:`PageoutDaemon.evicted`): a lazy
+restore registers the merged locator table's runs as they are, an
+eviction pass splices each object's evictions in once, and content the
+object gains there — a page-in, a write — cuts them out.  Walking a
+shadow chain top-down, the first object holding an index, resident or
+evicted, decides what a reader sees (:meth:`VMObject.lookup_page`); a
+collapse moves evicted runs newest-wins with the content.
 
-Synthetic content held as a run (see :mod:`~repro.kernel.vm.vmobject`)
-has no ``Page`` to mark; the run itself is clean or dirty.  ``fill``
-and ``touch`` write dirty runs, the commit that makes a flushed run
-durable marks it clean in its VM object, and an eager restore inserts
-clean ones (their seed is their locator).  The candidate scan builds a
-run's pages like any other (:meth:`VMObject.all_pages`): one built from
-a clean run carries :data:`~repro.hw.memory.SYNTHETIC_CLEAN` and is
-evicted without IO, one built from a dirty run is dirty and goes
-through :meth:`ObjectStore.stage_swap_page` exactly as a dirty ``Page``
-does; either way the eviction cuts the page out of its run.  An eagerly
-restored real page is marked with its locator when it is fetched, as
-:meth:`PageoutDaemon.page_in` marks a lazily restored one — so pressure
-after any restore evicts durable content without rewriting it.
+Cleanliness lives on the :class:`~repro.hw.memory.Page` itself
+(``clean_locator``, marked by the flush path, an eager restore or a
+page-in): pages are immutable and replaced on write, so a stale marker
+is impossible, and it survives collapses moving the page between VM
+objects.  A real page's marker is its one-page ``"ext"`` run; every
+clean synthetic page shares :data:`~repro.hw.memory.SYNTHETIC_CLEAN`,
+its locator being a function of its seed.  Synthetic content held as a
+run (see :mod:`~repro.kernel.vm.vmobject`) is clean or dirty as a
+whole; the candidate scan builds its pages (:meth:`VMObject.all_pages`),
+a clean one is evicted without IO, a dirty one goes through
+:meth:`ObjectStore.stage_swap_page`, and either is cut out of its run.
 
 ``madvise`` hints bias the eviction policy, and lazy restores reuse
 the same page-in path.
@@ -38,13 +36,18 @@ the same page-in path.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from operator import itemgetter
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core import costs
+from ..core.runs import (LocatorRun, append_locator_run, clip_run, run_at,
+                         splice)
 from ..errors import InvalidArgument
-from ..hw.memory import SYNTHETIC_CLEAN
-from ..objstore.checkpoint import PageLocator
+from ..hw.memory import SYNTHETIC_CLEAN, Page
 from .vm.vmobject import VMObject
+
+_START = itemgetter(1)
+_Candidate = Tuple[VMObject, int, Page]
 
 #: madvise hints the policy understands.
 MADV_NORMAL = "normal"
@@ -60,13 +63,13 @@ class PageoutDaemon:
     #: Evict down to this ratio.
     LOW_WATERMARK = 0.85
 
-    def __init__(self, kernel):
+    def __init__(self, kernel: Any) -> None:
         self.kernel = kernel
-        #: object kid -> {pindex -> store locator} for evicted pages;
-        #: no entry for an object with none.  Per object, so a collapse
-        #: moves its records with one pop and the write-fault path's
-        #: "has this chain object any evicted page" is O(1).
-        self.evicted: Dict[int, Dict[int, object]] = {}
+        #: object kid -> the locator runs of its evicted pages (sorted,
+        #: disjoint, clear of what the object holds); no entry for an
+        #: object with none, so the fault path's "has this chain object
+        #: any evicted page" is O(1).
+        self.evicted: Dict[int, List[LocatorRun]] = {}
         #: madvise hints: object kid -> {pindex -> hint}.
         self.hints: Dict[int, Dict[int, str]] = {}
         self.evictions_clean = 0
@@ -87,11 +90,16 @@ class PageoutDaemon:
         """True above the high watermark (eviction needed)."""
         return self.kernel.physmem.usage_ratio() > self.HIGH_WATERMARK
 
-    def _eviction_candidates(self, objects: List[VMObject]):
+    def _eviction_candidates(self, objects: List[VMObject]
+                             ) -> Tuple[List[_Candidate], List[_Candidate]]:
         """Clean pages first (free to evict), DONTNEED pages first of
         all; dirty pages only under sustained pressure."""
-        clean_hinted, clean_plain, dirty = [], [], []
-        for obj in objects:
+        clean_hinted: List[_Candidate] = []
+        clean_plain: List[_Candidate] = []
+        dirty: List[_Candidate] = []
+        # Chains share objects (a fork's COW shadows, shared memory):
+        # each is scanned once.
+        for obj in {obj.kid: obj for obj in objects}.values():
             hints = self.hints.get(obj.kid, {})
             # Index order: the same candidates however the object holds
             # its content (pages, runs) and whatever order it arrived in.
@@ -110,65 +118,78 @@ class PageoutDaemon:
                     dirty.append((obj, pindex, page))
         return clean_hinted + clean_plain, dirty
 
-    def run_pageout(self, objects: List[VMObject], store=None) -> int:
-        """Evict pages until below the low watermark; returns count."""
+    def run_pageout(self, objects: List[VMObject], store: Any = None) -> int:
+        """Evict pages until below the low watermark; returns count.
+        Each object's evictions are spliced in once, coalesced."""
         physmem = self.kernel.physmem
         if not self.memory_pressure():
             return 0
         target = int(physmem.total_frames * self.LOW_WATERMARK)
-        evicted = 0
+        gone: Dict[int, List[LocatorRun]] = {}
         clean, dirty = self._eviction_candidates(objects)
         for obj, pindex, page in clean:
             if physmem.used_frames <= target:
                 break
             obj.remove_page(pindex)
-            locator = page.clean_locator
-            if locator is SYNTHETIC_CLEAN:
-                locator = PageLocator.synthetic(page.seed)
-            self.evicted.setdefault(obj.kid, {})[pindex] = locator
+            mark = page.clean_locator
+            gone.setdefault(obj.kid, []).append(
+                ("syn", pindex, 1, page.seed, 0) if mark is SYNTHETIC_CLEAN
+                else ("ext", pindex, 1, *mark[3:]))
             self.evictions_clean += 1
-            evicted += 1
         if physmem.used_frames > target and store is not None:
             # Sustained pressure: flush dirty pages through the store's
             # unified data path, then evict them.
             for obj, pindex, page in dirty:
                 if physmem.used_frames <= target:
                     break
-                locator = store.stage_swap_page(obj, pindex, page)
+                gone.setdefault(obj.kid, []).append(
+                    store.stage_swap_page(obj, pindex, page))
                 obj.remove_page(pindex)
-                self.evicted.setdefault(obj.kid, {})[pindex] = locator
                 self.evictions_dirty += 1
-                evicted += 1
-        return evicted
+        for kid, pieces in gone.items():
+            runs: List[Any] = []
+            for piece in sorted(pieces, key=_START):
+                append_locator_run(runs, piece)
+            self.evicted[kid] = splice(self.evicted.get(kid, ()), runs)[0]
+        return sum(map(len, gone.values()))
 
-    def migrate_object(self, old_kid: int, new_kid: int) -> int:
-        """A collapse moved an object's pages into another object:
-        evicted-page records must follow, or their content would be
-        unreachable after the old object is destroyed."""
-        moved = self.evicted.pop(old_kid, None)
-        if not moved:
-            return 0
-        target = self.evicted.setdefault(new_kid, {})
-        for pindex, locator in moved.items():
-            # A record the new home already holds wins, as its page would.
-            target.setdefault(pindex, locator)
-        return len(moved)
+    def migrate_object(self, older_kid: int, newer: VMObject,
+                       home_kid: int) -> List[LocatorRun]:
+        """A collapse is about to merge an older object's content under
+        ``newer``'s into ``home_kid``: their evicted runs go there too in
+        one splice, ``newer``'s content (resident or evicted) winning.
+        Returns ``newer``'s evicted runs, which older content may not
+        cover either."""
+        older = self.evicted.pop(older_kid, None)
+        newest = runs = self.evicted.pop(newer.kid, [])
+        if older:
+            runs = splice(older, sorted([*newer.spans(), *runs],
+                                        key=_START))[0]
+        if runs:
+            self.evicted[home_kid] = runs
+        return newest
+
+    def forget(self, kid: int, spans: Sequence[LocatorRun]) -> None:
+        """Object ``kid`` gained content at ``spans`` (sorted bare spans
+        ``(None, start, count)``): what it evicted there is superseded."""
+        runs = splice(self.evicted.pop(kid), spans)[0]
+        if runs:
+            self.evicted[kid] = runs
 
     # -- page-in --------------------------------------------------------------------
 
     def is_evicted(self, vmobject: VMObject, pindex: int) -> bool:
         """True when the page's content lives only in the store."""
-        return pindex in self.evicted.get(vmobject.kid, ())
+        return run_at(self.evicted.get(vmobject.kid, ()), pindex) is not None
 
-    def page_in(self, vmobject: VMObject, pindex: int, store) -> None:
-        """Fault path: retrieve the most recent version from the store."""
-        records = self.evicted.get(vmobject.kid, {})
-        locator = records.pop(pindex, None)
-        if locator is None:
+    def page_in(self, vmobject: VMObject, pindex: int, store: Any) -> None:
+        """Fault path: retrieve the most recent version from the store.
+        Inserting it cuts the page out of the object's evicted runs."""
+        run = run_at(self.evicted.get(vmobject.kid, ()), pindex)
+        if run is None:
             raise InvalidArgument(
                 f"page {(vmobject.kid, pindex)} was not evicted")
-        if not records:
-            del self.evicted[vmobject.kid]
+        locator = clip_run(run, pindex, pindex + 1)
         page = store.fetch_page(locator)
         # A fresh copy is clean by definition.
         page.clean_locator = SYNTHETIC_CLEAN if page.synthetic else locator

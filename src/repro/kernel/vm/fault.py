@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...core import costs
-from ...core.runs import LocatorRun
+from ...core.runs import LocatorRun, runs_within
 from ...errors import SegmentationFault
 from ...hw.memory import Page
 from .vmmap import PROT_READ, PROT_WRITE, VMMapEntry
@@ -54,10 +54,11 @@ def handle_fault(space: Any, va_page: int, write: bool) -> Optional[Page]:
     space.pmap.fault_count += 1
     pindex = entry.pindex_of(va_page)
     vmobject = entry.vmobject
-    for _pindex, holder in _only_in_store(kernel, vmobject, pindex, pindex + 1):
+    for _pindex, holder, index in _only_in_store(kernel, vmobject, pindex,
+                                                 pindex + 1):
         # Lazy restore / swap: the page lives only in the object store
         # (§6 "Memory Overcommitment" + lazy restores).
-        kernel.pageout.page_in(holder, pindex, kernel.sls.store)
+        kernel.pageout.page_in(holder, index, kernel.sls.store)
     page, depth, owner = vmobject.lookup_page(pindex)
     kernel.clock.advance(depth * costs.SHADOW_CHAIN_HOP + costs.SOFT_FAULT)
     if page is None:
@@ -111,9 +112,9 @@ def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
     private: Dict[int, Page] = {}
     wanted = private if install is None else None
     lo = first
-    for pindex, holder in _only_in_store(kernel, top, first, end):
+    for pindex, holder, index in _only_in_store(kernel, top, first, end):
         kernel.clock.advance(_resolve(top, lo, pindex, wanted))
-        kernel.pageout.page_in(holder, pindex, kernel.sls.store)
+        kernel.pageout.page_in(holder, index, kernel.sls.store)
         lo = pindex
     kernel.clock.advance(_resolve(top, lo, end, wanted))
     if install is None:
@@ -124,19 +125,30 @@ def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
 
 
 def _only_in_store(kernel: Any, top: VMObject, first: int,
-                   end: int) -> List[Tuple[int, VMObject]]:
-    """Pages of ``[first, end)`` no chain object holds but one has
-    evicted, ascending, each with the first such object."""
+                   end: int) -> List[Tuple[int, VMObject, int]]:
+    """The pages of ``[first, end)`` that live only in the store,
+    ascending, as ``(index in top, evicting object, index there)``: the
+    first chain object holding an index, resident or evicted, decides.
+    Pending spans meet each object's evicted runs (``runs_within``) and
+    resident stretches (:meth:`VMObject.holding`), never page by page."""
     evicted = kernel.pageout.evicted     # empty: nothing to look for
-    holders = [obj for obj in top.chain() if obj.kid in evicted] \
-        if evicted and kernel.sls is not None else []
-    found: List[Tuple[int, VMObject]] = []
-    for pindex in range(first, end) if holders else ():
-        holder = next((obj for obj in holders
-                       if pindex in evicted[obj.kid]), None)
-        if holder is not None and top.lookup_page(pindex)[0] is None:
-            found.append((pindex, holder))
-    return found
+    chain = list(top.chain()) if evicted and kernel.sls is not None else []
+    if not any(obj.kid in evicted for obj in chain):
+        return []
+    found: List[Tuple[int, VMObject, int]] = []
+    pending, shift = [(first, end)], 0
+    for obj in chain:
+        hits = obj.holding(pending)
+        if obj.kid in evicted:
+            gone = [(run[1], run[1] + run[2]) for lo, hi in pending
+                    for run in runs_within(evicted[obj.kid], lo, hi)]
+            found += [(p - shift, obj, p) for lo, hi in gone
+                      for p in range(lo, hi)]
+            hits = sorted(hits + gone)
+        shift += obj.backing_offset
+        pending = [(lo + obj.backing_offset, hi + obj.backing_offset)
+                   for lo, hi in _minus(pending, hits)]
+    return sorted(found)    # one entry per index of top: no ties
 
 
 def _resolve(top: VMObject, first: int, end: int,

@@ -78,6 +78,13 @@ DEVICE = "device"
 _START = itemgetter(1)
 
 
+def _spans(pages: Mapping[int, Page],
+           runs: Sequence[LocatorRun]) -> List[LocatorRun]:
+    """The indexes of ``pages`` and ``runs`` as sorted bare spans."""
+    return sorted([*index_spans(pages),
+                   *((None, run[1], run[2]) for run in runs)], key=_START)
+
+
 def _run_page(run: LocatorRun, pindex: int) -> Page:
     """Page ``pindex`` of a synthetic run, clean or dirty as the run."""
     page = Page(seed=run[3] + run[4] * (pindex - run[1]))
@@ -144,13 +151,23 @@ class VMObject(KObject):
         self._check_insert(pindex, pindex)
         if pindex not in self.pages and not (self._runs and self._cut(pindex)):
             self.kernel.physmem.allocate(1)
+            self._supersede({pindex: page}, ())
         self.pages[pindex] = page
+
+    def _supersede(self, pages: Mapping[int, Page],
+                   runs: Sequence[LocatorRun]) -> None:
+        """Content gained at ``pages`` and ``runs`` supersedes what this
+        object had evicted there: the two never overlap."""
+        pageout = self.kernel.pageout
+        if self.kid in pageout.evicted:
+            pageout.forget(self.kid, _spans(pages, runs))
 
     def _overlay(self, pages: Mapping[int, Page],
                  runs: Sequence[LocatorRun]) -> None:
         """Lay ``pages`` and ``runs`` over what the object holds, newest
         wins, with one frame-accounting adjustment for the indexes that
         were empty."""
+        self._supersede(pages, runs)
         self._runs, replaced = overlay_content(self.pages, self._runs,
                                                pages, runs)
         new = len(pages) + sum(run[2] for run in runs) - replaced
@@ -233,6 +250,10 @@ class VMObject(KObject):
         step)``.  No ``Page`` is built."""
         return dict(self.pages), [run[:5] for run in self._runs]
 
+    def spans(self) -> List[LocatorRun]:
+        """The indexes this object holds, as sorted bare spans."""
+        return _spans(self.pages, self._runs)
+
     def mark_clean(self, runs: Sequence[LocatorRun]) -> None:
         """``runs`` (sorted, disjoint pieces of :meth:`content`) are
         durable: the dirty runs still over them become clean.  A piece
@@ -268,8 +289,11 @@ class VMObject(KObject):
 
         Returns ``(page, depth, owner)`` where depth counts chain hops
         (0 = found in this object).  ``(None, depth, None)`` means no
-        object in the chain has the page (an anonymous zero-fill).
+        object in the chain has the page (an anonymous zero-fill), and
+        ``(None, depth, obj)`` that ``obj`` evicted it (a fault pages it
+        in): an eviction hides every older copy below it.
         """
+        evicted = self.kernel.pageout.evicted
         obj: Optional[VMObject] = self
         index = pindex
         depth = 0
@@ -277,6 +301,8 @@ class VMObject(KObject):
             page = obj.page_at(index)
             if page is not None:
                 return page, depth, obj
+            if obj.kid in evicted and run_at(evicted[obj.kid], index):
+                return None, depth, obj
             index += obj.backing_offset
             obj = obj.backing
             depth += 1
@@ -323,18 +349,21 @@ class VMObject(KObject):
         (refcount 1 beyond our backing ref means just us).  Returns the
         number of pages moved (the operation's cost driver).  The
         parent's runs move up as runs, minus the indexes this object
-        already holds.
+        already holds or has evicted.
         """
         parent = self.backing
         if parent is None:
             raise InvalidArgument("no backing object to collapse")
         if parent.shadow_count != 1:
             raise InvalidArgument("cannot collapse: parent has other shadows")
+        evicted = self.kernel.pageout.migrate_object(parent.kid, self,
+                                                     self.kid)
         moved = 0
         offset = self.backing_offset
         for pindex, page in list(parent.pages.items()):
             local = pindex - offset
-            if 0 <= local < self.size_pages and self.page_at(local) is None:
+            if 0 <= local < self.size_pages and self.page_at(local) is None \
+                    and run_at(evicted, local) is None:
                 # Keep the shadow's version when both exist.
                 self.kernel.physmem.allocate(1)
                 self.pages[local] = page
@@ -343,18 +372,17 @@ class VMObject(KObject):
         if parent._runs:
             window = runs_within(parent._runs, offset,
                                  offset + self.size_pages)
-            # The parent's runs go under this object's content.
+            # The parent's runs go under this object's content and
+            # evictions.
             self._runs, hidden = splice(
                 [(run[0], run[1] - offset, *run[2:]) for run in window],
-                sorted([*index_spans(self.pages), *self._runs], key=_START))
+                sorted([*_spans(self.pages, evicted), *self._runs],
+                       key=_START))
             gained = sum(run[2] for run in window) - hidden
             self.kernel.physmem.release(parent.resident_count())
             self.kernel.physmem.allocate(gained)
             parent._runs = ()
             moved += gained
-        pageout = getattr(self.kernel, "pageout", None)
-        if pageout is not None:
-            pageout.migrate_object(parent.kid, self.kid)
         grandparent = parent.backing
         offset += parent.backing_offset
         self._detach_backing()
@@ -377,7 +405,8 @@ class VMObject(KObject):
         The move is a slab merge: one newest-wins dict update for the
         pages, the runs spliced into the parent's (cut under the
         shadow's spans, nothing materialised), and one frame release for
-        the overwritten stale content.
+        the overwritten stale content.  The shadow's evicted runs win
+        too: the parent's copies under them are released.
         """
         parent = self.backing
         if parent is None:
@@ -387,22 +416,22 @@ class VMObject(KObject):
         # Hold the parent alive across _detach_backing; this reference
         # is transferred to the caller, which repoints map entries.
         parent.ref()
+        evicted = self.kernel.pageout.migrate_object(parent.kid, self,
+                                                     parent.kid)
         pages, runs = self.pages, self._runs
         moved = len(pages) + sum(run[2] for run in runs)
-        # Stale parent copies are overwritten in place: the net frame
-        # delta of the whole move is exactly -|overlap| (each
-        # overwritten page frees the parent's stale frame; every other
-        # page just changes owner).
+        if evicted:
+            runs = sorted([*runs, *_spans({}, evicted)], key=_START)
+        # Stale parent copies are overwritten (or, under an eviction,
+        # dropped) in place: the net frame delta of the whole move is
+        # exactly -|overlap| (each such page frees the parent's stale
+        # frame; every other page just changes owner).
         parent._runs, overlap = overlay_content(parent.pages, parent._runs,
                                                 pages, runs)
         pages.clear()
         self._runs = ()
         if overlap:
             self.kernel.physmem.release(overlap)
-        pageout = getattr(self.kernel, "pageout", None)
-        if pageout is not None:
-            # Evicted-page records follow the pages' new home.
-            pageout.migrate_object(self.kid, parent.kid)
         self._detach_backing()
         # Our ref on parent was dropped by _detach_backing; the caller
         # re-refs when it repoints entries.
@@ -411,7 +440,8 @@ class VMObject(KObject):
     # -- lifecycle ---------------------------------------------------------------
 
     def destroy(self) -> None:
-        """Release pages and the backing reference."""
+        """Release pages, evicted records and the backing reference."""
+        self.kernel.pageout.evicted.pop(self.kid, None)
         held = self.resident_count()
         if held:
             self.kernel.physmem.release(held)

@@ -237,14 +237,12 @@ class VMSpace(KObject):
 
     # -- introspection for the orchestrator ------------------------------------
 
-    def writable_objects(self, include_excluded: bool = False) -> List[VMObject]:
+    def writable_objects(self) -> List[VMObject]:
         """Distinct writable, checkpointable objects in this space."""
         seen: Set[int] = set()
         result: List[VMObject] = []
         for entry in self.map:
-            if not entry.writable():
-                continue
-            if entry.sls_excluded and not include_excluded:
+            if not entry.writable() or entry.sls_excluded:
                 continue
             obj = entry.vmobject
             if obj.kind == DEVICE:

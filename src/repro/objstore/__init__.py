@@ -15,7 +15,7 @@ A copy-on-write store purpose-built for high-frequency checkpoints:
 
 from .oid import OIDAllocator
 from .blockalloc import ExtentAllocator
-from .checkpoint import CheckpointInfo, PageLocator
+from .checkpoint import CheckpointInfo
 from .journal import Journal
 from .scrub import ScrubReport
 from .store import ObjectStore
@@ -24,7 +24,6 @@ __all__ = [
     "OIDAllocator",
     "ExtentAllocator",
     "CheckpointInfo",
-    "PageLocator",
     "Journal",
     "ObjectStore",
     "ScrubReport",

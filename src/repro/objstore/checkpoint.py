@@ -15,17 +15,17 @@ extent with the same OID runs (:func:`encode_record_index`) — so a
 delta's metadata, and the child-metadata rewrite GC does after
 adopting a deleted parent's state, cost O(extents + runs), not
 O(objects).  The page-locator table stays columnar in memory too: a
-:class:`PageRuns` is the decoded run list plus a start column, and
-mount, :meth:`ObjectStore.merged_view`, GC adoption and eager restore
-work on runs, never on one locator per page.  The live set and the
+:class:`PageRuns` is the decoded run list itself, and mount,
+:meth:`ObjectStore.merged_view`, GC adoption, restore (eager and lazy)
+and page fetches work on runs, never on one locator per page — one
+page's locator is a one-page run.  The live set and the
 record index are per-OID in memory; a live set that did not change is
 one set object shared down the chain, its OID runs computed once.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.runs import (LocatorRun, append_locator_run, build_arith_runs,
                          clip_run, count_changed_pages, expand_arith_runs,
@@ -35,50 +35,6 @@ from ..errors import CorruptRecord
 #: Each run kind's field types: the kind, then integers (not ``bool``).
 _RUN_FIELDS: Dict[str, List[type]] = {"syn": [str] + [int] * 4,
                                       "ext": [str] + [int] * 5}
-
-
-class PageLocator:
-    """Where one page's checkpointed content lives.
-
-    Synthetic pages are ``("syn", seed)`` — their content is a pure
-    function of the seed; the bytes were still charged to the device.
-    Real pages are ``("ext", extent_offset, byte_offset, length)``
-    inside a packed data extent.
-    """
-
-    __slots__ = ("kind", "seed", "extent", "byte_off", "length")
-
-    def __init__(self, kind: str, seed: int = 0, extent: int = 0,
-                 byte_off: int = 0, length: int = 0) -> None:
-        self.kind = kind
-        self.seed = seed
-        self.extent = extent
-        self.byte_off = byte_off
-        self.length = length
-
-    @classmethod
-    def synthetic(cls, seed: int) -> "PageLocator":
-        """Locator for a synthetic page (content = f(seed))."""
-        return cls("syn", seed=seed)
-
-    @classmethod
-    def in_extent(cls, extent: int, byte_off: int, length: int) -> "PageLocator":
-        """Locator for real bytes inside a packed data extent."""
-        return cls("ext", extent=extent, byte_off=byte_off, length=length)
-
-
-def run_locators(run: Sequence[Any]) -> Iterator[Tuple[int, PageLocator]]:
-    """``(pindex, locator)`` for each page of one locator run."""
-    start, count = run[1], run[2]
-    if run[0] == "syn":
-        seed0, step = run[3], run[4]
-        for i in range(count):
-            yield start + i, PageLocator("syn", seed0 + step * i)
-    else:
-        extent, off0, length = run[3], run[4], run[5]
-        for i in range(count):
-            yield start + i, PageLocator("ext", 0, extent, off0 + length * i,
-                                         length)
 
 
 class PageRuns:
@@ -93,7 +49,7 @@ class PageRuns:
     over and nobody mutates it or its runs afterwards, so deltas, merged
     views and GC adopters share runs freely.  Lookups bisect the list
     (:func:`~repro.core.runs.run_index`) and an overlay is one
-    :func:`~repro.core.runs.splice`; only :meth:`items` is per page.
+    :func:`~repro.core.runs.splice`; nothing is per page.
     """
 
     __slots__ = ("runs",)
@@ -116,18 +72,11 @@ class PageRuns:
     def __repr__(self) -> str:
         return f"PageRuns({len(self.runs)} runs, {len(self)} pages)"
 
-    def lookup(self, pindex: int) -> Optional[PageLocator]:
-        """The locator of page ``pindex`` (None when not described)."""
+    def lookup(self, pindex: int) -> Optional[LocatorRun]:
+        """The locator of page ``pindex`` — its one-page run — or None
+        when the table does not describe it."""
         run = run_at(self.runs, pindex)
-        if run is None:
-            return None
-        return next(run_locators(clip_run(run, pindex, pindex + 1)))[1]
-
-    def items(self) -> Iterator[Tuple[int, PageLocator]]:
-        """``(pindex, locator)`` per page, ascending — for consumers
-        that are per-page by nature (lazy-restore registration,
-        ``clean_locator`` stamping)."""
-        return chain.from_iterable(map(run_locators, self.runs))
+        return None if run is None else clip_run(run, pindex, pindex + 1)
 
     def slice(self, lo: int, hi: int) -> "PageRuns":
         """The table restricted to page indexes ``[lo, hi)``."""

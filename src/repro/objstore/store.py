@@ -25,7 +25,8 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
 from ..core.resilience import RetryPolicy
-from ..core.runs import LocatorRun, append_locator_run, overlay_content
+from ..core.runs import (LocatorRun, append_locator_run, clip_run,
+                         overlay_content)
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
@@ -34,8 +35,7 @@ from ..hw.nvme import StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
 from . import records
 from .blockalloc import ExtentAllocator
-from .checkpoint import (CheckpointInfo, PageLocator, PageRuns,
-                         overlay_page_maps, run_locators)
+from .checkpoint import CheckpointInfo, PageRuns, overlay_page_maps
 from .journal import Journal
 from .oid import CLASS_JOURNAL, OIDAllocator
 from . import recovery as recovery_mod
@@ -387,8 +387,8 @@ class ObjectStore:
         # write in the meantime replaced the Page object, leaving the
         # new content correctly dirty.  A synthetic page's locator is
         # a function of its own seed, so it shares one mark; a real
-        # page's names its slot in the packed extent.  Staged runs have
-        # no page to mark: whoever staged them marks them from the
+        # page's is its one-page run in the packed extent.  Staged runs
+        # have no page to mark: whoever staged them marks them from the
         # commit watcher below.
         for oid, table in info.pages.items():
             staged = txn.staged_pages[oid]
@@ -397,8 +397,9 @@ class ObjectStore:
                     page.clean_locator = SYNTHETIC_CLEAN
             for run in table.runs:
                 if run[0] == "ext":
-                    for pindex, locator in run_locators(run):
-                        staged[pindex].clean_locator = locator
+                    for pindex in range(run[1], run[1] + run[2]):
+                        staged[pindex].clean_locator = clip_run(
+                            run, pindex, pindex + 1)
         self._commit_failures.pop(info.ckpt_id, None)
         self.stats["commits"] += 1
         self.stats["bytes_flushed"] += info.data_bytes
@@ -828,23 +829,14 @@ class ObjectStore:
         self.clock.advance_to(last_done)
         return decoded
 
-    def fetch_page(self, locator: PageLocator) -> Page:
-        """Materialize a page from its locator (reads the device)."""
-        if locator.kind == "syn":
-            return Page(seed=locator.seed)
-        payload = self.retry.run(lambda: self.device.read(locator.extent),
-                                 op="store.read")
-        return self._page_from(payload, locator)
+    def fetch_page(self, run: LocatorRun) -> Page:
+        """The page a one-page locator run names: :meth:`fetch_pages` of
+        that run (one read for an ``"ext"`` run, none for ``"syn"``)."""
+        return self.fetch_pages((run,))[0]
 
-    @staticmethod
-    def _page_from(payload: Any, locator: PageLocator) -> Page:
-        if not isinstance(payload, bytes):
-            raise CorruptRecord("page extent holds synthetic data")
-        data = payload[locator.byte_off:locator.byte_off + locator.length]
-        return Page(data=data)
-
-    def fetch_pages(self, locators: Iterable[PageLocator]) -> List[Page]:
-        """Batched :meth:`fetch_page`: the pages, in locator order.
+    def fetch_pages(self, runs: Iterable[LocatorRun]) -> List[Page]:
+        """Every page of the locator ``runs``, in order: the store's one
+        page reader.
 
         Each distinct extent is read once, every read is dispatched
         before any is waited for, and the clock advances once to the
@@ -854,17 +846,24 @@ class ObjectStore:
         payloads: Dict[int, Any] = {}
         last_done = self.clock.now()
         pages: List[Page] = []
-        for locator in locators:
-            if locator.kind == "syn":
-                pages.append(Page(seed=locator.seed))
+        for run in runs:
+            count = run[2]
+            if run[0] == "syn":
+                seed0, step = run[3], run[4]
+                pages += (Page(seed=seed0 + step * i) for i in range(count))
                 continue
-            extent = locator.extent
+            extent, off0, length = run[3], run[4], run[5]
             if extent not in payloads:
                 payloads[extent], done = self.retry.run(
                     lambda: self.device.read_async(extent),
                     op="store.read")
                 last_done = max(last_done, done)
-            pages.append(self._page_from(payloads[extent], locator))
+            payload = payloads[extent]
+            if not isinstance(payload, bytes):
+                raise CorruptRecord("page extent holds synthetic data")
+            pages += [Page(data=payload[off0 + length * i:
+                                        off0 + length * (i + 1)])
+                      for i in range(count)]
         self.clock.advance_to(last_done)
         return pages
 
@@ -931,19 +930,20 @@ class ObjectStore:
     # -- swap integration ----------------------------------------------------------------------------------
 
     def stage_swap_page(self, vmobject: Any, pindex: int,
-                        page: Page) -> PageLocator:
-        """Flush a dirty page on the unified checkpoint/swap data path."""
+                        page: Page) -> LocatorRun:
+        """Flush a dirty page on the unified checkpoint/swap data path;
+        returns its locator, a one-page run at ``pindex``."""
         if page.synthetic:
             extent = self.alloc.alloc(PAGE_SIZE)
             self.device.submit_write(
                 extent, synthetic_payload(page.seed, PAGE_SIZE))
-            return PageLocator.synthetic(page.seed)
+            return ("syn", pindex, 1, page.seed, 0)
         payload = page.realize()
         extent = self.alloc.alloc(len(payload))
         done = self.device.submit_write(extent, payload)
         self.clock.advance_to(done)
         self.device.poll()
-        return PageLocator.in_extent(extent, 0, len(payload))
+        return ("ext", pindex, 1, extent, 0, len(payload))
 
     # -- stats ------------------------------------------------------------------------------------------------
 

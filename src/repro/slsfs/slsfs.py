@@ -176,14 +176,16 @@ class SLSFS(Filesystem):
 
     def _load_pages(self, wanted: List[Tuple[Vnode, PageRuns]]) -> None:
         """Fill vnodes from their page locators with one batched fetch
-        (locators past EOF belong to a since-truncated tail)."""
-        slots = [(vnode.vmobject, pindex, locator)
-                 for vnode, locators in wanted
-                 for pindex, locator
-                 in locators.slice(0, vnode.vmobject.size_pages).items()]
-        pages = self.store.fetch_pages(locator for _o, _p, locator in slots)
-        for (obj, pindex, _locator), page in zip(slots, pages):
-            obj.insert_page(pindex, page)
+        of their runs (runs past EOF belong to a since-truncated tail)."""
+        tables = [(vnode.vmobject,
+                   locators.slice(0, vnode.vmobject.size_pages).runs)
+                  for vnode, locators in wanted]
+        pages = iter(self.store.fetch_pages(
+            run for _obj, runs in tables for run in runs))
+        for obj, runs in tables:
+            for run in runs:
+                for pindex in range(run[1], run[1] + run[2]):
+                    obj.insert_page(pindex, next(pages))
 
     def recover(self) -> bool:
         """Rebuild the filesystem from its latest complete checkpoint.

@@ -4,6 +4,8 @@ The per-page dict that :class:`repro.objstore.checkpoint.PageRuns`
 replaced, kept as the oracle of ``tests/test_pageruns.py`` — nothing
 under ``src/`` imports it.  A page map is ``{pindex: locator}`` with
 locators ``("syn", seed)`` / ``("ext", extent, byte_off, length)``.
+The pageout daemon's evicted runs are held to the same per-page form,
+and a collapse to :func:`ref_collapse`.
 
 :func:`uncovered_runs` is the interval subtraction overlays used before
 ``runs.splice`` did the cut and the merge in one pass; it is the
@@ -59,6 +61,16 @@ def ref_encode(page_map):
         else:
             entries.append(["ext", pindex, 1, loc[0], loc[1], loc[2]])
     return entries
+
+
+def ref_collapse(newer, older):
+    """A shadow collapse on per-page maps: each object is ``(resident,
+    evicted)``, ``{pindex: content}`` twice, and whatever the newer one
+    holds at an index, resident or evicted, hides the older one's."""
+    held = newer[0].keys() | newer[1].keys()
+    return tuple({**{pindex: content for pindex, content in old.items()
+                     if pindex not in held}, **new}
+                 for new, old in zip(newer, older))
 
 
 def ref_changed(map_a, map_b):

@@ -111,9 +111,10 @@ def test_torn_page_extent_detected_on_read(commit_mode):
     _records, pages = store.merged_view(info.ckpt_id)
     locator = pages[MEM_OID].lookup(0)
     # Corrupt the data extent, then try to read the page back.
-    raw = machine.storage.read(locator.extent)
-    machine.storage.discard_extent(locator.extent)
-    machine.storage.write(locator.extent, b"\x00" * len(raw))
+    extent = locator[3]
+    raw = machine.storage.read(extent)
+    machine.storage.discard_extent(extent)
+    machine.storage.write(extent, b"\x00" * len(raw))
     page = store.fetch_page(locator)
     # Data extents are raw page payloads (checksums live on records);
     # the corruption surfaces as different content, which the crash

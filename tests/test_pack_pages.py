@@ -72,8 +72,7 @@ def _commit(staged):
         "data_bytes": info.data_bytes,
         "io": [(dev.bytes_written, dev.write_commands) for dev in devices],
         "clock": machine.clock.now(),
-        "clean": [mark if mark is SYNTHETIC_CLEAN
-                  else (mark.kind, mark.extent, mark.byte_off, mark.length)
+        "clean": [mark if mark is SYNTHETIC_CLEAN else tuple(mark)
                   for mark in (page.clean_locator for page in flushed)],
     }
     outcome["meta"] = store.device.read(info.meta_extent[0])

@@ -8,21 +8,27 @@ the runs, GC adoption must hand over exactly the extents the per-page
 loop did, and a migration stream must be a function of the delta's
 content alone.  ``runs.splice``, the cut every overlay goes through, is
 held to the interval subtraction it replaced and to the page model.
+So are the pageout daemon's evicted runs, through evictions, page-ins,
+lazy registration and collapses in both directions.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests.pageruns_reference import (ref_changed, ref_encode, ref_expand,
-                                      ref_overlay, uncovered_runs)
+from tests.pageruns_reference import (ref_changed, ref_collapse, ref_encode,
+                                      ref_expand, ref_overlay, uncovered_runs)
 from repro import Machine, load_aurora, serde
 from repro.core import migration
+from repro.core.restore import GroupRestorer
 from repro.core.runs import append_locator_run, splice
 from repro.errors import CorruptRecord
-from repro.hw.memory import Page
+from repro.hw.memory import SYNTHETIC_CLEAN, Page
+from repro.kernel.vm.vmobject import VMObject
 from repro.objstore import records
 from repro.objstore.checkpoint import (NO_PAGES, CheckpointInfo, PageRuns,
                                        decode_page_runs)
@@ -49,14 +55,13 @@ _runs = st.lists(st.one_of(_syn_runs, _ext_runs), max_size=12)
 
 
 def _model_locator(loc):
-    if loc is None or loc.kind == "syn":
-        return loc and ("syn", loc.seed)
-    return ("ext", loc.extent, loc.byte_off, loc.length)
+    """A one-page locator run in the model's per-page form."""
+    return loc and ref_expand([loc])[loc[1]]
 
 
 def _as_map(table):
     """A :class:`PageRuns` expanded to the model's per-page form."""
-    return {pindex: _model_locator(loc) for pindex, loc in table.items()}
+    return ref_expand(table.runs)
 
 
 def _written(runs):
@@ -186,9 +191,8 @@ def test_slice_restricts_to_the_index_range(runs, lo, hi):
 def test_lookup_returns_the_pages_own_locator():
     table = PageRuns([("syn", 4, 3, 10, 2), ("ext", 9, 2, 65536, 8192, 4096)])
     assert table.lookup(3) is None and table.lookup(7) is None
-    assert table.lookup(6).seed == 14
-    last = table.lookup(10)
-    assert (last.extent, last.byte_off, last.length) == (65536, 12288, 4096)
+    assert table.lookup(6) == ("syn", 6, 1, 14, 2)
+    assert table.lookup(10) == ("ext", 10, 1, 65536, 12288, 4096)
     assert table.lookup(11) is None
 
 
@@ -223,7 +227,7 @@ def test_decode_keeps_the_runs_without_expanding_them():
     raw = [["syn", 0, 1 << 40, 5, 1], ["ext", 1 << 41, 3, 65536, 0, 4096]]
     table = decode_page_runs(raw)
     assert len(table.runs) == 2 and len(table) == (1 << 40) + 3
-    assert table.lookup((1 << 40) - 1).seed == 5 + (1 << 40) - 1
+    assert table.lookup((1 << 40) - 1)[3] == 5 + (1 << 40) - 1
 
 
 def _chain(store, rounds, parent=None):
@@ -401,3 +405,142 @@ def test_stream_is_a_function_of_content_and_restores_identically():
     local_ids = [i.ckpt_id for i in follower.store.checkpoints_for(gid)]
     assert _restored_heap(follower, gid, addr, ckpt_id=local_ids[2]) == \
         _restored_heap(sls, gid, addr, ckpt_id=middle.ckpt_id)
+
+
+# -- the pageout daemon's evicted runs ----------------------------------------------
+
+_SIZE = 200     # pages per VM object; laid-out runs end before this
+
+
+def _content(page):
+    return ("seed", page.seed) if page.synthetic else ("data", page.realize())
+
+
+def _evicted_map(store, pageout, obj):
+    """``obj``'s evicted runs as ``{pindex: content}``, each "ext" page
+    read back from the store."""
+    runs = pageout.evicted.get(obj.kid, [])
+    _check_invariants(PageRuns(runs))
+    return {pindex: ("seed", loc[1]) if loc[0] == "syn"
+            else _content(store.fetch_page(("ext", pindex, 1, *loc[1:])))
+            for pindex, loc in ref_expand(runs).items()}
+
+
+_evict_ops = st.lists(st.one_of(
+    # Writes stay low, where they overlap each other and lazy layouts.
+    st.tuples(st.just("write"), st.booleans(), st.integers(0, 24),
+              st.integers(1, 12),
+              st.sampled_from(["clean-run", "dirty-run", "clean-page",
+                               "real"]),
+              st.integers(0, 1000)),
+    st.tuples(st.just("evict"), st.booleans(), st.integers(1, 16)),
+    st.tuples(st.just("page-in"), st.booleans(), st.integers(0, 1 << 16)),
+    st.tuples(st.just("lazy"), _laid_out(st.tuples(
+        st.just("syn"), st.integers(0, 40), st.sampled_from((0, 1, 2))))),
+    st.tuples(st.just("collapse"), st.sampled_from(["reverse", "forward"]))),
+    max_size=25)
+
+
+#: The newer object evicts over an older page and an older run.
+_SHADOW_EVICTS = [("write", False, 0, 2, "clean-page", 10),
+                  ("write", False, 2, 2, "dirty-run", 20),
+                  ("write", True, 1, 2, "real", 99), ("evict", True, 2)]
+
+
+@given(_evict_ops)
+@example(_SHADOW_EVICTS + [("collapse", "reverse")])
+@example(_SHADOW_EVICTS + [("collapse", "forward")])
+@settings(max_examples=300, deadline=None)
+def test_evicted_runs_match_the_per_page_model(ops):
+    """A two-object shadow chain under writes, evictions (clean pages
+    without IO, dirty ones through the store), page-ins, lazy
+    registration and collapses in both directions: each object's
+    evicted runs, expanded, are the per-page model's, they never overlap
+    what the object holds, and the chain reads what the model's first
+    holder of each index — resident or evicted — says."""
+    machine = Machine()
+    store = load_aurora(machine).store
+    kernel = machine.kernel
+    pageout = kernel.pageout
+    pageout.HIGH_WATERMARK = 0.0
+    baseline = kernel.physmem.used_frames
+    base = VMObject(kernel, _SIZE)
+    top = base.shadow()
+    model = {"top": ({}, {}), "base": ({}, {})}
+    for op in ops:
+        kind = op[0]
+        if kind in ("write", "evict", "page-in"):
+            role = "top" if op[1] else "base"
+            obj = top if op[1] else base
+            resident, evicted = model[role]
+        if kind == "write":
+            _kind, _which, start, count, how, seed = op
+            count = min(count, _SIZE - start)
+            span = range(start, start + count)
+            if how.endswith("-run"):
+                obj.insert_runs([("syn", start, count, seed, 1)],
+                                dirty=how == "dirty-run")
+                made = {p: ("seed", seed + p - start) for p in span}
+            else:
+                pages = {p: Page(seed=seed + p) if how == "clean-page"
+                         else Page(data=b"%d" % (seed + p)) for p in span}
+                for page in pages.values():
+                    if page.synthetic:
+                        page.clean_locator = SYNTHETIC_CLEAN
+                obj.insert_pages(pages)
+                made = {p: _content(page) for p, page in pages.items()}
+            resident.update(made)
+            for pindex in made:
+                evicted.pop(pindex, None)
+        elif kind == "evict":
+            before = obj.all_pages()
+            used = kernel.physmem.used_frames
+            pageout.LOW_WATERMARK = max(used - op[2], 0) / \
+                kernel.physmem.total_frames
+            pageout.run_pageout([obj], store=store)
+            for pindex in before.keys() - obj.all_pages().keys():
+                evicted[pindex] = resident.pop(pindex)
+        elif kind == "page-in":
+            if evicted:
+                pindex = sorted(evicted)[op[2] % len(evicted)]
+                pageout.page_in(obj, pindex, store)
+                resident[pindex] = evicted.pop(pindex)
+        elif kind == "lazy":
+            top.destroy()
+            base.destroy()
+            base = VMObject(kernel, _SIZE)
+            restorer = SimpleNamespace(kernel=kernel, pages_lazy=0,
+                                       page_locs={1: PageRuns(list(op[1]))})
+            GroupRestorer.populate_pages(restorer, base, 1, lazy=True)
+            top = base.shadow()
+            model = {"top": ({}, {}), "base": ({}, {
+                pindex: ("seed", loc[1])
+                for pindex, loc in ref_expand(op[1]).items()})}
+        elif op[1] == "reverse":
+            top.collapse_into_parent()
+            top = base.shadow()
+            model = {"top": ({}, {}),
+                     "base": ref_collapse(model["top"], model["base"])}
+        else:
+            top.collapse_forward()
+            base, top = top, top.shadow()
+            model = {"top": ({}, {}),
+                     "base": ref_collapse(model["top"], model["base"])}
+
+        for role, obj in (("top", top), ("base", base)):
+            resident, evicted = model[role]
+            held = {p: _content(page) for p, page in obj.all_pages().items()}
+            assert held == resident, (role, op)
+            assert _evicted_map(store, pageout, obj) == evicted, (role, op)
+        assert kernel.physmem.used_frames - baseline == \
+            len(model["top"][0]) + len(model["base"][0])
+        for pindex in range(_SIZE):
+            page, _depth, owner = top.lookup_page(pindex)
+            for role, obj in (("top", top), ("base", base)):
+                resident, evicted = model[role]
+                if pindex in resident or pindex in evicted:
+                    assert owner is obj
+                    assert (page and _content(page)) == resident.get(pindex)
+                    break
+            else:
+                assert page is None and owner is None

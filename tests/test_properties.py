@@ -156,8 +156,9 @@ def test_merged_views_equal_flat_model_even_after_gc(rounds, data):
 
     def check(index):
         _records, pages = store.merged_view(infos[index].ckpt_id)
-        got = {pindex: store.fetch_page(loc).seed
-               for pindex, loc in pages.get(MEM_OID, NO_PAGES).items()}
+        runs = pages.get(MEM_OID, NO_PAGES).runs
+        got = dict(zip((p for run in runs for p in range(run[1], run[1] + run[2])),
+                       (page.seed for page in store.fetch_pages(runs))))
         assert got == snapshots[index]
 
     for index in range(len(infos)):

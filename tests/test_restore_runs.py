@@ -1,22 +1,30 @@
-"""Run-wise eager restore: identical simulated result, O(runs) host work.
+"""Run-wise restore: identical simulated result, O(runs) host work.
 
 A 64 Ki-page synthetic heap is dirtied in 50 runs spread over eight
 checkpoints, the machine crashes, and the group is restored eagerly.
 The simulated numbers are pinned from the per-page restore loop this
 path replaced (one ``fetch_page`` + ``insert_page`` + ``clock.advance``
-per page), so the run-wise path may not move them.  The ``PageLocator``
-and ``Page`` construction counts are the deterministic guards that keep
-the per-page path from quietly returning: a restored synthetic stretch
-stays one run in its VM object, and a page is built only when read.
+per page), so the run-wise path may not move them.  The one-page
+locator (``clip_run``) and ``Page`` construction counts are the
+deterministic guards that keep the per-page path from quietly
+returning: a restored synthetic stretch stays one run in its VM object,
+and a page is built only when read.
+
+Restored lazily, the same heap is registered with the pageout daemon
+as the merged locator table's runs themselves — no object per page —
+and paging every page back in reads the last durable content.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
+import repro.core.restore as restore_mod
+import repro.objstore.store as store_mod
 from repro import Machine, load_aurora
 from repro.hw.memory import Page
-from repro.objstore.checkpoint import PageLocator
+from repro.kernel.vm.fault import handle_fault
 from repro.units import PAGE_SIZE
 
 NPAGES = 65536
@@ -63,18 +71,19 @@ def test_eager_restore_is_runwise_and_sim_identical(monkeypatch):
     machine.crash()
     machine.boot()
 
-    built = {PageLocator: 0, Page: 0}
+    built = {"locators": 0, Page: 0}
 
-    def counting(cls):
-        plain_init = cls.__init__
+    def counting(plain, key):
+        def counted(*args, **kwargs):
+            built[key] += 1
+            return plain(*args, **kwargs)
+        return counted
 
-        def counting_init(self, *args, **kwargs):
-            built[cls] += 1
-            plain_init(self, *args, **kwargs)
-        return counting_init
-
-    for cls in built:
-        monkeypatch.setattr(cls, "__init__", counting(cls))
+    monkeypatch.setattr(Page, "__init__", counting(Page.__init__, Page))
+    # Where a one-page locator is cut out of a run on the restore path.
+    for module in (restore_mod, store_mod):
+        monkeypatch.setattr(module, "clip_run",
+                            counting(module.clip_run, "locators"))
     sls = load_aurora(machine)
     assert len(sls.store.checkpoints_for(gid)) == CHECKPOINTS
     result = sls.restore(gid, periodic=False)
@@ -98,9 +107,45 @@ def test_eager_restore_is_runwise_and_sim_identical(monkeypatch):
     for pindex in (0, 1, NPAGES // 2, NPAGES - 1):
         assert vmspace.read(addr + pindex * PAGE_SIZE, 64) == \
             sls.store.fetch_page(
-                PageLocator.synthetic(model[pindex])).realize()[:64]
+                ("syn", pindex, 1, model[pindex], 0)).realize()[:64]
 
-    # (c) no "ext" pages here, so mount + restore built no locator.
-    assert built[PageLocator] == 0
+    # (c) no "ext" pages here, so mount + restore cut no one-page
+    # locator out of a run (the per-page loop built one per page).
+    assert built["locators"] == 0
     # (d) and no page: the per-page loop built 65 536.
     assert built[Page] == 0
+
+
+#: Bytes a lazy restore of the heap may leave allocated; one locator
+#: object per page took about 11 MB here.
+LAZY_BYTES = 1 << 20
+
+
+def test_lazy_restore_registers_the_merged_runs():
+    machine, gid, addr, model = _checkpointed_heap()
+    machine.crash()
+    machine.boot()
+    sls = load_aurora(machine)
+    ckpt = sls.store.checkpoints_for(gid)[-1].ckpt_id
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    result = sls.restore(gid, lazy=True, periodic=False)
+    kept = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    assert result.pages_lazy == NPAGES
+    assert kept < LAZY_BYTES, kept
+
+    # The registration is the merged table's runs, in O(runs).
+    space = result.root.vmspace
+    entry = space.map.lookup(addr // PAGE_SIZE)
+    evicted = machine.kernel.pageout.evicted
+    (obj,) = [obj for obj in entry.vmobject.chain() if obj.kid in evicted]
+    _records, tables = sls.store.merged_view(ckpt)
+    assert evicted[obj.kid] == tables[obj.sls_oid].runs
+
+    # Paging every page back in reads the last durable content.
+    for pindex in range(NPAGES):
+        page = handle_fault(space, addr // PAGE_SIZE + pindex, write=False)
+        assert page.seed == model[pindex], pindex
+    assert machine.kernel.pageout.pageins == NPAGES
+    assert obj.kid not in evicted

@@ -107,7 +107,7 @@ def test_scrub_detects_dangling_page_extent():
     machine = Machine()
     store, infos = _store_with_chain(machine)
     locator = infos[0].pages[MEM_OID].lookup(0)
-    machine.storage.discard_extent(locator.extent)
+    machine.storage.discard_extent(locator[3])
     report = scrub(store)
     assert any(f.kind == DANGLING and "page 0" in f.detail
                for f in report.findings), report.findings

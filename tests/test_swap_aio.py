@@ -3,7 +3,8 @@
 import pytest
 
 from repro import Machine, load_aurora
-from repro.hw.memory import SYNTHETIC_CLEAN, synthetic_bytes
+from repro.core.runs import clip_run, run_at
+from repro.hw.memory import SYNTHETIC_CLEAN, Page, synthetic_bytes
 from repro.kernel.aio import AIO_READ, AIO_WRITE
 from repro.kernel.swap import MADV_DONTNEED
 from repro.kernel.vm.vmobject import VMObject
@@ -80,8 +81,9 @@ def test_madvise_dontneed_prioritizes_eviction():
 
 def test_clean_marks_synthetic_shared_real_own_locator():
     """A flushed synthetic page shares one clean mark and is evicted
-    with the locator derived from its seed; a real page is evicted with
-    its own; a page written after the flush is dirty."""
+    with the locator derived from its seed; a real page is marked with
+    its own locator, a one-page run, and evicted with it; a page written
+    after the flush is dirty."""
     machine, sls, proc, group = small_machine()
     pageout = machine.kernel.pageout
     addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
@@ -92,7 +94,7 @@ def test_clean_marks_synthetic_shared_real_own_locator():
     base = track.active.backing  # the frozen shadow holding the pages
     real, syn = base.page_at(0), base.page_at(1)
     assert syn.clean_locator is SYNTHETIC_CLEAN
-    assert real.clean_locator.kind == "ext"
+    assert real.clean_locator[:3] == ("ext", 0, 1)
     # Written after the flush: a new, dirty page above the clean one.
     proc.vmspace.touch(addr + 2 * PAGE_SIZE, 1, seed=99)
     assert track.active.page_at(2).clean_locator is None
@@ -102,10 +104,11 @@ def test_clean_marks_synthetic_shared_real_own_locator():
         pageout.madvise(base, pindex, MADV_DONTNEED)
     pageout.run_pageout(list(track.active.chain()), store=sls.store)
     assert pageout.evictions_dirty == 0
-    real_locator, syn_locator = (pageout.evicted[base.kid][pindex]
-                                 for pindex in (0, 1))
-    assert real_locator is real.clean_locator
-    assert (syn_locator.kind, syn_locator.seed) == ("syn", syn.seed)
+    real_locator, syn_locator = (
+        clip_run(run_at(pageout.evicted[base.kid], pindex), pindex, pindex + 1)
+        for pindex in (0, 1))
+    assert real_locator == real.clean_locator
+    assert syn_locator[:4] == ("syn", 1, 1, syn.seed)
     assert track.active.page_at(2) is not None and not pageout.is_evicted(
         track.active, 2)
     # Page-in returns the flushed content, clean again.
@@ -113,7 +116,7 @@ def test_clean_marks_synthetic_shared_real_own_locator():
         == synthetic_bytes(syn.seed)
     assert proc.vmspace.read(addr, 9) == b"real page"
     assert base.page_at(1).clean_locator is SYNTHETIC_CLEAN
-    assert base.page_at(0).clean_locator is real_locator
+    assert base.page_at(0).clean_locator == real_locator
 
 
 def test_eagerly_restored_pages_are_clean():
@@ -186,18 +189,71 @@ def test_eviction_records_survive_collapse():
 
 
 def test_migrate_object_is_one_pop_and_merge():
-    """Records are kept per object: a collapse moves them without
-    scanning every evicted page, and the new home's own record wins."""
+    """Records are kept per object as locator runs: a collapse moves
+    them with one splice, newest wins — the newer object's evicted runs
+    over the older's, which its resident pages cut too — whichever of
+    the two is the new home."""
     kernel = Machine().kernel
     pageout = kernel.pageout
-    old, new, other = (VMObject(kernel, 8) for _ in range(3))
-    pageout.evicted = {old.kid: {1: "old-1", 2: "old-2"},
-                       new.kid: {2: "new-2"}, other.kid: {1: "other"}}
-    assert pageout.migrate_object(old.kid, new.kid) == 2
-    assert pageout.evicted == {new.kid: {1: "old-1", 2: "new-2"},
-                               other.kid: {1: "other"}}
-    assert pageout.is_evicted(new, 1) and not pageout.is_evicted(old, 1)
-    assert pageout.migrate_object(old.kid, new.kid) == 0
+    older, newer, other = (VMObject(kernel, 8) for _ in range(3))
+    newer.insert_page(5, Page(seed=50))
+    for home, away in ((older, newer), (newer, older)):
+        pageout.evicted = {older.kid: [("syn", 1, 6, 10, 1)],
+                           newer.kid: [("syn", 2, 1, 90, 0)],
+                           other.kid: [("syn", 1, 1, 70, 0)]}
+        pageout.migrate_object(older.kid, newer, home.kid)
+        assert pageout.evicted == {
+            home.kid: [("syn", 1, 1, 10, 1), ("syn", 2, 1, 90, 0),
+                       ("syn", 3, 2, 12, 1), ("syn", 6, 1, 15, 1)],
+            other.kid: [("syn", 1, 1, 70, 0)]}
+        assert pageout.is_evicted(home, 1) and not pageout.is_evicted(away, 1)
+        assert not pageout.is_evicted(home, 5)
+
+
+@pytest.mark.parametrize("read_first", [True, False],
+                         ids=["before-collapse", "after-collapse"])
+def test_newer_evicted_page_is_not_shadowed_by_older_copy(read_first):
+    """A page evicted from a frozen shadow hides the base object's older
+    resident copy: read before the next checkpoint it is paged back in,
+    and the reversed collapse that checkpoint runs drops the base's
+    stale copy under the eviction it moves down."""
+    machine, sls, proc, group = small_machine()
+    pageout = machine.kernel.pageout
+    addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
+    proc.vmspace.fill(addr, 600, seed=3)
+    sls.checkpoint(group, sync=True)
+    proc.vmspace.touch(addr + 5 * PAGE_SIZE, 1, seed=777)
+    sls.checkpoint(group, sync=True)
+    track = next(iter(group.tracks.values()))
+    frozen = track.active.backing       # holds page 5, clean seed 777
+    proc.vmspace.fill(addr + 600 * PAGE_SIZE, 330, seed=9)
+    assert pageout.run_pageout([frozen], store=sls.store) == 1
+    assert pageout.is_evicted(frozen, 5)
+    page5 = addr + 5 * PAGE_SIZE
+    if read_first:
+        assert proc.vmspace.read(page5, 64) == synthetic_bytes(777)[:64]
+    sls.checkpoint(group, sync=True)    # collapses the frozen shadow
+    assert proc.vmspace.read(page5, 64) == synthetic_bytes(777)[:64]
+
+
+def test_forward_collapse_keeps_the_shadows_eviction():
+    """The classic collapse lifts no parent page over an index the
+    shadow has evicted: the eviction stays, and still wins."""
+    kernel = Machine().kernel
+    pageout = kernel.pageout
+    parent = VMObject(kernel, 8)
+    parent.insert_pages({i: Page(seed=i) for i in range(4)})
+    shadow = parent.shadow()
+    parent.unref()
+    pageout.evicted = {shadow.kid: [("syn", 2, 1, 77, 0)],
+                       parent.kid: [("syn", 6, 1, 66, 0)]}
+    used = kernel.physmem.used_frames
+    assert shadow.collapse_forward() == 3
+    assert pageout.evicted == {shadow.kid: [("syn", 2, 1, 77, 0),
+                                            ("syn", 6, 1, 66, 0)]}
+    assert shadow.page_at(2) is None and shadow.lookup_page(2)[0] is None
+    assert [shadow.page_at(i).seed for i in (0, 1, 3)] == [0, 1, 3]
+    assert kernel.physmem.used_frames == used - 1
 
 
 # -- AIO ----------------------------------------------------------------------------------

@@ -10,15 +10,16 @@ workload).  Three guards, all deterministic:
 (b) inside ``touch`` no single-PTE pmap call is made and the clock
     advances at most twice per run, so the per-page path cannot
     quietly return;
-(c) the ``PageLocator`` objects built during the run and the ``Page``
-    objects alive after it are pinned too: the population of
-    long-lived objects sets the cyclic collector's schedule, which
-    moved ``restore_wall_ms`` on an untouched workload the last time
-    it changed, so a silent heap change fails here and not in a
-    benchmark.  No locator is built: a flushed synthetic page is
-    marked clean with the one shared ``SYNTHETIC_CLEAN`` mark (its
-    locator is a function of its seed) instead of one ``PageLocator``
-    per page — 25 378 here before that change, one per page touched.
+(c) the one-page locators the store cuts out of its runs during the
+    run (its clean marks) and the ``Page`` objects alive after it are
+    pinned too: the population of long-lived objects sets the cyclic
+    collector's schedule, which moved ``restore_wall_ms`` on an
+    untouched workload the last time it changed, so a silent heap
+    change fails here and not in a benchmark.  No locator is built: a
+    flushed synthetic page is marked clean with the one shared
+    ``SYNTHETIC_CLEAN`` mark (its locator is a function of its seed)
+    instead of one locator per page — 25 378 here before that change,
+    one per page touched.
     No ``Page`` is built inside ``touch`` and one is alive at the end
     (the machine's device page): ``fill`` and ``touch`` hold what they
     write as dirty synthetic runs, so the 68 703 ``Page``s alive here
@@ -30,11 +31,11 @@ from __future__ import annotations
 import gc
 import random
 
+import repro.objstore.store as store_mod
 from repro import Machine, load_aurora
 from repro.hw.clock import SimClock
 from repro.hw.memory import Page
 from repro.kernel.vm.pmap import Pmap
-from repro.objstore.checkpoint import PageLocator
 from repro.units import PAGE_SIZE
 
 NPAGES = 65536
@@ -84,7 +85,7 @@ def test_touch_is_runwise_sim_identical_and_heap_neutral(monkeypatch):
     sls.checkpoint(group, sync=True)
 
     locators = {}
-    _count(monkeypatch, PageLocator, "__init__", locators)
+    _count(monkeypatch, store_mod, "clip_run", locators)
     rng = random.Random(18)
     stop_ns = []
     in_touch = {}
@@ -115,6 +116,6 @@ def test_touch_is_runwise_sim_identical_and_heap_neutral(monkeypatch):
         == {"enter": 0, "mark_dirty": 0, "is_writable": 0}
     assert 0 < in_touch["advance"] <= 2 * RUNS * CHECKPOINTS
     # (c) the heap population is the parent's.
-    assert locators.get("__init__", 0) == PINNED["locators_built"]
+    assert locators.get("clip_run", 0) == PINNED["locators_built"]
     assert in_touch.get("__init__", 0) == PINNED["pages_built_in_touch"]
     assert _alive_pages() - alive_before == PINNED["pages_alive"]

@@ -15,7 +15,9 @@ each operation's outcome (value or exception), every visible page's
 seed, bytes and clean mark, every present / writable / dirty bit,
 ``fault_count``, ``physmem.used_frames``, ``pageout.pageins``, the
 clean and dirty eviction counts, the device bytes written and the
-simulated clock.
+simulated clock.  Each machine also keeps a last-written content model
+of every mapped page, and every ``read`` and every visible page must
+match it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from hypothesis import strategies as st
 from repro import Machine, load_aurora
 from repro.core import costs
 from repro.core.pipeline import MODE_MEM
-from repro.errors import ReproError, SegmentationFault
-from repro.hw.memory import SYNTHETIC_CLEAN
+from repro.errors import ReproError
+from repro.hw.memory import SYNTHETIC_CLEAN, synthetic_bytes
 from repro.kernel.vm.vmmap import (INHERIT_COPY, INHERIT_SHARE, PROT_READ,
                                    PROT_WRITE)
 from repro.kernel.vm.vmspace import VMSpace
@@ -38,6 +40,11 @@ from repro.units import PAGE_SIZE
 from tests.vm_reference import fill_per_page, per_page_restore, touch_per_page
 
 MAX_PROCS = 3
+
+#: Model content of a page a ``fill`` may have reached through an
+#: object another process still shares copy-on-write: ``fill`` stores
+#: without faulting, so who sees it depends on who copied first.
+UNKNOWN = "unknown"
 
 
 class World:
@@ -52,8 +59,20 @@ class World:
         self.procs = [self.machine.kernel.spawn("p0")]
         self.group = self.sls.attach(self.procs[0], periodic=False)
         #: (address, pages) of every region, mapped in every process
-        #: forked after it.
+        #: forked after it, and whether it is writable and shared.
         self.regions = []
+        self.kinds = []
+        #: The last-written content model: ``(region, owner, va_page)
+        #: -> ("seed", seed) | bytes | UNKNOWN`` (unwritten pages read
+        #: zeros), the owner being a process name for a private region
+        #: and None for a shared one; None once a restore failed or
+        #: could not bring it all back.
+        self.model = {}
+        #: Set by a mem-mode checkpoint, cleared by a full one: what was
+        #: written before it is on no disk checkpoint (ROADMAP item 9).
+        self.unsaved = False
+        #: Process name -> the regions it maps.
+        self.mapped = {"p0": []}
 
     def _target(self, which, region, page):
         proc = self.procs[which % len(self.procs)]
@@ -67,6 +86,58 @@ class World:
         except ReproError as err:
             return type(err).__name__, str(err)
 
+    def _cell(self, name, va_page):
+        """The model key ``name`` reads ``va_page`` through and whether
+        its region is writable, or None where ``name`` maps nothing."""
+        for region in self.mapped[name]:
+            addr, npages = self.regions[region]
+            if 0 <= va_page - addr // PAGE_SIZE < npages:
+                writable, shared = self.kinds[region]
+                return (region, None if shared else name, va_page), writable
+        return None
+
+    def _expected(self, key):
+        """A page's model bytes, or None when they are not known."""
+        content = self.model.get(key, b"")
+        if content == UNKNOWN:
+            return None
+        if isinstance(content, tuple):
+            return synthetic_bytes(content[1])
+        return content.ljust(PAGE_SIZE, b"\x00")
+
+    def _store(self, space, kind, addr, args):
+        """Apply a store to the model, page by page, up to where the
+        machine raises: an unmapped page, or a read-only one for
+        anything but ``fill``."""
+        name = next(proc.name for proc in self.procs
+                    if proc.vmspace is space)
+        first = addr // PAGE_SIZE
+        if kind == "write":
+            data = args[4]
+            offset = (addr + args[3]) % PAGE_SIZE
+            first = (addr + args[3]) // PAGE_SIZE
+            count = (offset + len(data) + PAGE_SIZE - 1) // PAGE_SIZE
+        else:
+            count = args[3]
+        for i in range(count):
+            cell = self._cell(name, first + i)
+            if cell is None or not (cell[1] or kind == "fill"):
+                return
+            key = cell[0]
+            if kind == "write":
+                old = self._expected(key)
+                lo = max(0, i * PAGE_SIZE - offset)
+                chunk = data[lo:(i + 1) * PAGE_SIZE - offset]
+                at = offset if i == 0 else 0
+                self.model[key] = UNKNOWN if old is None else \
+                    old[:at] + chunk + old[at + len(chunk):]
+                continue
+            self.model[key] = ("seed", args[4] + i)
+            if kind == "fill" and key[1] is not None:
+                for other, regions in self.mapped.items():
+                    if other != name and key[0] in regions:
+                        self.model[key[0], other, key[2]] = UNKNOWN
+
     def _apply(self, kind, *args):
         kernel = self.machine.kernel
         if kind == "mmap":
@@ -78,16 +149,26 @@ class World:
             addr = self.procs[0].vmspace.mmap(
                 npages * PAGE_SIZE, protection=prot, name="r",
                 inheritance=INHERIT_SHARE if shared else INHERIT_COPY)
+            self.mapped["p0"].append(len(self.regions))
             self.regions.append((addr, npages))
+            self.kinds.append((writable, shared))
             return addr
         if kind == "fork":
             if len(self.procs) < MAX_PROCS:
+                parent = self.procs[args[0] % len(self.procs)].name
+                child = f"p{len(self.procs)}"
                 self.procs.append(kernel.fork(
-                    self.procs[args[0] % len(self.procs)],
-                    name=f"p{len(self.procs)}"))
+                    self.procs[args[0] % len(self.procs)], name=child))
+                self.mapped[child] = list(self.mapped[parent])
+                if self.model is not None:
+                    self.model.update(
+                        ((region, child, va), content) for (region, owner, va),
+                        content in list(self.model.items()) if owner == parent)
             return len(self.procs)
         if kind == "checkpoint":
             how = args[0] if args else "sync"
+            self.unsaved = how == "mem" or (self.unsaved
+                                            and not how.startswith("full"))
             return self.sls.checkpoint(
                 self.group, sync=how in ("sync", "full"),
                 full=how.startswith("full"),
@@ -98,11 +179,18 @@ class World:
             lazy = kind == "restore"
             gid = self.group.group_id
             self.sls.checkpoint(self.group, sync=True)
+            swapped = kernel.pageout.evictions_dirty
             self.machine.crash()
             self.machine.boot()
             self.sls = load_aurora(self.machine)
+            # A page swapped out dirty, or written before an unsaved
+            # mem-mode checkpoint, is on no disk checkpoint (ROADMAP item
+            # 9): what survives the crash is not the model's to say.
+            model = None if swapped or self.unsaved else self.model
+            self.model, self.unsaved = None, False
             with self.restoring():
                 result = self.sls.restore(gid, lazy=lazy, periodic=False)
+            self.model = model
             self.group = result.group
             self.procs = sorted(self.group.processes, key=lambda p: p.name)
             return result.pages_lazy if lazy else result.pages_restored
@@ -123,14 +211,27 @@ class World:
         if kind == "fill":
             # Stay inside the region: fill is a set-up helper.
             _addr, npages = self.regions[region % len(self.regions)]
-            count = min(args[3], npages - page % npages)
-            return self.fill(space, addr, count, args[4])
-        if kind == "touch":
-            return self.touch(space, addr, args[3], args[4])
-        if kind == "write":
+            args = (*args[:3], min(args[3], npages - page % npages), args[4])
+        if kind != "read":
+            if self.model is not None:
+                self._store(space, kind, addr, args)
+            if kind == "fill":
+                return self.fill(space, addr, args[3], args[4])
+            if kind == "touch":
+                return self.touch(space, addr, args[3], args[4])
             return space.write(addr + args[3], args[4])
-        assert kind == "read"
-        return space.read(addr + args[3], args[4])
+        data = space.read(addr + args[3], args[4])
+        if self.model is not None:
+            # Every read returns the last content written there.
+            name = next(proc.name for proc in self.procs
+                        if proc.vmspace is space)
+            first, offset = divmod(addr + args[3], PAGE_SIZE)
+            count = (offset + len(data) + PAGE_SIZE - 1) // PAGE_SIZE
+            pages = [self._expected(self._cell(name, va)[0])
+                     for va in range(first, first + count)]
+            if None not in pages:
+                assert data == b"".join(pages)[offset:offset + len(data)]
+        return data
 
     def observe(self):
         kernel = self.machine.kernel
@@ -142,6 +243,16 @@ class World:
                 for va_page in range(entry.start_page, entry.end_page):
                     page = entry.vmobject.visible_page(
                         entry.pindex_of(va_page))
+                    cell = self._cell(proc.name, va_page)
+                    if page is not None and self.model is not None \
+                            and cell is not None:
+                        # What is resident reads as last written.
+                        content = self.model.get(cell[0], b"")
+                        if content != UNKNOWN:
+                            assert (("seed", page.seed) if page.synthetic
+                                    else page.data.rstrip(b"\x00")) == (
+                                content if isinstance(content, tuple)
+                                else content.rstrip(b"\x00")), va_page
                     pages[va_page] = (
                         space.pmap.is_mapped(va_page),
                         space.pmap.is_writable(va_page),
@@ -153,7 +264,8 @@ class World:
             "spaces": spaces,
             "used_frames": kernel.physmem.used_frames,
             "pageins": kernel.pageout.pageins,
-            "evicted": sum(map(len, kernel.pageout.evicted.values())),
+            "evicted": sum(run[2] for runs in kernel.pageout.evicted.values()
+                           for run in runs),
             "evictions": (kernel.pageout.evictions_clean,
                           kernel.pageout.evictions_dirty),
             "bytes_written": self.machine.storage.bytes_written,
@@ -165,11 +277,11 @@ class World:
 
 def _mark(page):
     """A page's clean mark: None (dirty), the shared synthetic mark, or
-    its locator's fields."""
+    its one-page locator run."""
     mark = page.clean_locator
     if mark is None or mark is SYNTHETIC_CLEAN:
         return mark
-    return mark.kind, mark.extent, mark.byte_off, mark.length
+    return tuple(mark)
 
 
 def _worlds():
@@ -283,6 +395,11 @@ SCENARIOS = {
         ("write", 0, 0, 6, 5, b"page over a run"), ("checkpoint",),
         ("checkpoint",), ("touch", 0, 0, 5, 3, 20), ("checkpoint",),
         ("checkpoint",)],
+    # A fork-private shadow over an object the other process still maps
+    # is not collapsed into it: the child never sees the parent's pages.
+    "fork-private-shadow": [
+        ("fork", 0), ("touch", 0, 0, 0, 4, 5), ("checkpoint",),
+        ("checkpoint",), ("read", 1, 0, 0, 0, 64)],
     # Clean content a full flush carries is evicted before the flip: it
     # stays evicted, and nothing else is marked.
     "evicted-before-flip": [
@@ -331,8 +448,8 @@ def test_error_prefix_read_only_entry():
     for world in worlds:
         space = world.procs[0].vmspace
         addr = world.regions[0][0]
-        with pytest.raises(SegmentationFault, match="write to page"):
-            world.touch(space, addr + PAGE_SIZE, 6, 50)
+        error, message = world.apply(("touch", 0, 0, 1, 6, 50))
+        assert error == "SegmentationFault" and "write to page" in message
         # Pages 1..3 of the writable region were dirtied, nothing else.
         first = addr // PAGE_SIZE
         assert space.pmap.dirty_pages() == [first + 1, first + 2, first + 3]
@@ -346,8 +463,8 @@ def test_error_prefix_unmapped_page():
         world.apply(("mmap", 4, True, False))
         space = world.procs[0].vmspace
         addr = world.regions[0][0]
-        with pytest.raises(SegmentationFault, match="no mapping for page"):
-            world.touch(space, addr + 2 * PAGE_SIZE, 5, 60)
+        error, message = world.apply(("touch", 0, 0, 2, 5, 60))
+        assert error == "SegmentationFault" and "no mapping" in message
         first = addr // PAGE_SIZE
         assert space.pmap.dirty_pages() == [first + 2, first + 3]
         assert space.pmap.fault_count == 2
@@ -362,20 +479,18 @@ def test_page_in_is_charged_in_index_order():
     worlds = list(_worlds())
     for world in worlds:
         world.apply(("mmap", 512, True, False))
-        space = world.procs[0].vmspace
-        addr = world.regions[0][0]
-        world.fill(space, addr, 512, 3)
+        world.apply(("fill", 0, 0, 0, 512, 3))
         for page in (5, 9):
-            space.write(addr + page * PAGE_SIZE, b"real bytes %d" % page)
+            world.apply(("write", 0, 0, page, 0, b"real bytes %d" % page))
         world.apply(("checkpoint",))        # pages 5 and 9 sit in an extent
-        world.touch(space, addr + 64 * PAGE_SIZE, 400, 77)
+        world.apply(("touch", 0, 0, 64, 400, 77))
         # Evict everything: the dirty synthetic pages are queued on the
         # device and nobody waits for them.
         assert world.apply(("pageout", 0)) == 512 + 400
         devices = world.machine.storage.devices
         now = world.machine.clock.now()
         assert all(device._busy_until > now for device in devices)
-        assert world.touch(space, addr, 16, 99) == 16
+        assert world.apply(("touch", 0, 0, 0, 16, 99)) == 16
         assert world.machine.kernel.pageout.pageins == 16
     assert worlds[0].observe() == worlds[1].observe()
 

@@ -14,7 +14,9 @@ them over the production names for the duration.
   :func:`merged_chain_legacy` adds the runs, one piece per page, and
   stands in for the whole chain walk.
 * :func:`collapse_into_parent_legacy` — the page-at-a-time reversed
-  collapse behind ``VMObject.collapse_into_parent``.
+  collapse behind ``VMObject.collapse_into_parent``: every page the
+  shadow holds replaces the parent's, and every page the shadow evicted
+  drops the parent's copy.
 * :func:`touch_per_page` — ``VMSpace.touch`` as it ran before write
   faults were resolved a run at a time: every page that is not mapped
   writable goes through ``handle_fault(write=True)`` on its own (a map
@@ -48,7 +50,7 @@ from repro.hw.memory import SYNTHETIC_CLEAN, Page
 from repro.kernel.vm.fault import handle_fault
 from repro.kernel.vm.vmobject import VMObject
 from repro.kernel.vm.vmspace import VMSpace
-from repro.objstore.checkpoint import NO_PAGES, run_locators
+from repro.objstore.checkpoint import NO_PAGES
 from repro.units import PAGE_SIZE
 
 
@@ -235,6 +237,7 @@ def collapse_into_parent_legacy(self) -> Tuple["VMObject", int]:
     if self.backing_offset != 0:
         raise InvalidArgument("system shadows always use offset 0")
     parent.ref()
+    pageout = self.kernel.pageout
     was_frozen = parent.frozen
     parent.frozen = False
     moved = 0
@@ -245,10 +248,11 @@ def collapse_into_parent_legacy(self) -> Tuple["VMObject", int]:
         parent.insert_page(pindex, page)
         self.remove_page(pindex)
         moved += 1
+    for run in pageout.evicted.get(self.kid, ()):
+        for pindex in range(run[1], run[1] + run[2]):
+            parent.remove_page(pindex)
     parent.frozen = was_frozen
-    pageout = getattr(self.kernel, "pageout", None)
-    if pageout is not None:
-        pageout.migrate_object(self.kid, parent.kid)
+    pageout.migrate_object(parent.kid, self, parent.kid)
     self._detach_backing()
     return parent, moved
 
@@ -325,15 +329,17 @@ _populate_pages = GroupRestorer.populate_pages
 def populate_pages_per_page(self, obj: VMObject, oid: int,
                             lazy: bool) -> None:
     """Eager restore one page at a time: every page is fetched through
-    its own locator and inserted as a clean ``Page``.  The charges, and
-    their order against the device reads, are the production path's."""
+    its own locator, a one-page run, and inserted as a clean ``Page``.
+    The charges, and their order against the device reads, are the
+    production path's."""
     if lazy:
         _populate_pages(self, obj, oid, lazy)
         return
     clock = self.kernel.clock
     start = clock.now()
     for run in self.page_locs.get(oid, NO_PAGES).runs:
-        for pindex, locator in run_locators(run):
+        for pindex in range(run[1], run[1] + run[2]):
+            locator = clip_run(run, pindex, pindex + 1)
             page = self.store.fetch_page(locator)
             page.clean_locator = SYNTHETIC_CLEAN if page.synthetic \
                 else locator
