@@ -73,7 +73,8 @@ def expand_arith_runs(runs: Iterable[List[int]]) -> List[int]:
 
 LocatorRun = Sequence[Any]
 
-_START = itemgetter(1)
+#: The sort key of runs and spans: their start index.
+run_start = itemgetter(1)
 _KIND = itemgetter(0)    # None for a bare span
 
 
@@ -98,6 +99,13 @@ def index_spans(indexes: Iterable[int]) -> List[List[Any]]:
     return spans
 
 
+def content_spans(pages: Iterable[int],
+                  runs: Sequence[LocatorRun]) -> List[LocatorRun]:
+    """The indexes of ``pages`` and ``runs`` as sorted bare spans."""
+    return sorted([*index_spans(pages),
+                   *((None, run[1], run[2]) for run in runs)], key=run_start)
+
+
 def run_index(runs: Sequence[LocatorRun], pindex: int, lo: int = 0,
               hi: Optional[int] = None) -> int:
     """The index of the first run of ``runs[lo:hi]`` (sorted, disjoint)
@@ -105,7 +113,7 @@ def run_index(runs: Sequence[LocatorRun], pindex: int, lo: int = 0,
     ``hi``, or the next run): one bisect."""
     if hi is None:
         hi = len(runs)
-    at = bisect_right(runs, pindex, lo, hi, key=_START)
+    at = bisect_right(runs, pindex, lo, hi, key=run_start)
     if at > lo and runs[at - 1][1] + runs[at - 1][2] > pindex:
         at -= 1
     return at
@@ -234,7 +242,7 @@ def overlay_content(pages: Dict[int, Any], runs: Sequence[LocatorRun],
         return runs, replaced
     if runs and newer_pages:
         newer_runs = sorted([*index_spans(newer_pages), *newer_runs],
-                            key=_START)
+                            key=run_start)
     merged, cut = splice(runs, newer_runs)
     return merged, replaced + len(stale) + cut
 

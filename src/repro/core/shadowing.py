@@ -29,7 +29,6 @@ segment's newest-wins merge (:func:`merged_chain`), older runs cut by
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import InvalidArgument
@@ -38,13 +37,11 @@ from ..kernel.vm.vmobject import DEVICE, VNODE, VMObject
 from ..objstore.oid import CLASS_MEMORY
 from . import costs, telemetry
 from .group import ConsistencyGroup, ObjectTrack
-from .runs import LocatorRun, indexes_under, splice
+from .runs import LocatorRun, indexes_under, run_start, splice
 
 REVERSE = "reverse"   # Aurora's optimized direction (§6)
 FORWARD = "forward"   # classic Mach/FreeBSD direction (ablation)
 NONE = "none"         # never collapse: chains grow (ablation)
-
-_START = itemgetter(1)
 
 #: Run pieces paired with the VM object holding them.
 Sources = List[Tuple[VMObject, List[LocatorRun]]]
@@ -68,7 +65,7 @@ class FlushItem:
         self.pages = pages
         self.sources = sources
         self.runs = sources[0][1] if len(sources) == 1 else sorted(
-            (run for _owner, runs in sources for run in runs), key=_START)
+            (run for _owner, runs in sources for run in runs), key=run_start)
 
     def page_count(self) -> int:
         """Pages flushed: materialised ones plus run pages."""

@@ -36,17 +36,15 @@ the same page-in path.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..core import costs
-from ..core.runs import (LocatorRun, append_locator_run, clip_run, run_at,
-                         splice)
+from ..core.runs import (LocatorRun, append_locator_run, clip_run,
+                         content_spans, run_at, run_start, splice)
 from ..errors import InvalidArgument
 from ..hw.memory import SYNTHETIC_CLEAN, Page
 from .vm.vmobject import VMObject
 
-_START = itemgetter(1)
 _Candidate = Tuple[VMObject, int, Page]
 
 #: madvise hints the policy understands.
@@ -120,37 +118,43 @@ class PageoutDaemon:
 
     def run_pageout(self, objects: List[VMObject], store: Any = None) -> int:
         """Evict pages until below the low watermark; returns count.
-        Each object's evictions are spliced in once, coalesced."""
+        Each object's evictions are spliced in once, coalesced — also
+        when staging a dirty page fails (``StoreFull``): the pages
+        evicted before it keep their records."""
         physmem = self.kernel.physmem
         if not self.memory_pressure():
             return 0
         target = int(physmem.total_frames * self.LOW_WATERMARK)
         gone: Dict[int, List[LocatorRun]] = {}
         clean, dirty = self._eviction_candidates(objects)
-        for obj, pindex, page in clean:
-            if physmem.used_frames <= target:
-                break
-            obj.remove_page(pindex)
-            mark = page.clean_locator
-            gone.setdefault(obj.kid, []).append(
-                ("syn", pindex, 1, page.seed, 0) if mark is SYNTHETIC_CLEAN
-                else ("ext", pindex, 1, *mark[3:]))
-            self.evictions_clean += 1
-        if physmem.used_frames > target and store is not None:
-            # Sustained pressure: flush dirty pages through the store's
-            # unified data path, then evict them.
-            for obj, pindex, page in dirty:
+        try:
+            for obj, pindex, page in clean:
                 if physmem.used_frames <= target:
                     break
-                gone.setdefault(obj.kid, []).append(
-                    store.stage_swap_page(obj, pindex, page))
                 obj.remove_page(pindex)
-                self.evictions_dirty += 1
-        for kid, pieces in gone.items():
-            runs: List[Any] = []
-            for piece in sorted(pieces, key=_START):
-                append_locator_run(runs, piece)
-            self.evicted[kid] = splice(self.evicted.get(kid, ()), runs)[0]
+                mark = page.clean_locator
+                gone.setdefault(obj.kid, []).append(
+                    ("syn", pindex, 1, page.seed, 0)
+                    if mark is SYNTHETIC_CLEAN
+                    else ("ext", pindex, 1, *mark[3:]))
+                self.evictions_clean += 1
+            if physmem.used_frames > target and store is not None:
+                # Sustained pressure: flush dirty pages through the
+                # store's unified data path, then evict them.
+                for obj, pindex, page in dirty:
+                    if physmem.used_frames <= target:
+                        break
+                    gone.setdefault(obj.kid, []).append(
+                        store.stage_swap_page(obj, pindex, page))
+                    obj.remove_page(pindex)
+                    self.evictions_dirty += 1
+        finally:
+            for kid, pieces in gone.items():
+                runs: List[Any] = []
+                for piece in sorted(pieces, key=run_start):
+                    append_locator_run(runs, piece)
+                self.evicted[kid] = splice(self.evicted.get(kid, ()),
+                                           runs)[0]
         return sum(map(len, gone.values()))
 
     def migrate_object(self, older_kid: int, newer: VMObject,
@@ -164,17 +168,21 @@ class PageoutDaemon:
         newest = runs = self.evicted.pop(newer.kid, [])
         if older:
             runs = splice(older, sorted([*newer.spans(), *runs],
-                                        key=_START))[0]
+                                        key=run_start))[0]
         if runs:
             self.evicted[home_kid] = runs
         return newest
 
-    def forget(self, kid: int, spans: Sequence[LocatorRun]) -> None:
-        """Object ``kid`` gained content at ``spans`` (sorted bare spans
-        ``(None, start, count)``): what it evicted there is superseded."""
-        runs = splice(self.evicted.pop(kid), spans)[0]
-        if runs:
-            self.evicted[kid] = runs
+    def forget(self, kid: int, pages: Iterable[int],
+               runs: Sequence[LocatorRun]) -> None:
+        """Object ``kid`` gained content at the indexes ``pages`` and
+        ``runs``: what it evicted there is superseded (the two never
+        overlap)."""
+        if kid in self.evicted:
+            left = splice(self.evicted.pop(kid),
+                          content_spans(pages, runs))[0]
+            if left:
+                self.evicted[kid] = left
 
     # -- page-in --------------------------------------------------------------------
 

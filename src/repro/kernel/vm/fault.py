@@ -23,7 +23,8 @@ fault per page; :func:`handle_fault` ``(write=True)`` is the one-page call.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ...core import costs
 from ...core.runs import LocatorRun, runs_within
@@ -31,6 +32,9 @@ from ...errors import SegmentationFault
 from ...hw.memory import Page
 from .vmmap import PROT_READ, PROT_WRITE, VMMapEntry
 from .vmobject import VMObject
+
+#: A stretch ``(lo, hi)`` of page indexes.
+Span = Tuple[int, int]
 
 
 def handle_fault(space: Any, va_page: int, write: bool) -> Optional[Page]:
@@ -127,77 +131,83 @@ def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
 def _only_in_store(kernel: Any, top: VMObject, first: int,
                    end: int) -> List[Tuple[int, VMObject, int]]:
     """The pages of ``[first, end)`` that live only in the store,
-    ascending, as ``(index in top, evicting object, index there)``: the
-    first chain object holding an index, resident or evicted, decides.
-    Pending spans meet each object's evicted runs (``runs_within``) and
-    resident stretches (:meth:`VMObject.holding`), never page by page."""
+    ascending, as ``(index in top, evicting object, index there)``."""
     evicted = kernel.pageout.evicted     # empty: nothing to look for
-    chain = list(top.chain()) if evicted and kernel.sls is not None else []
-    if not any(obj.kid in evicted for obj in chain):
+    if not evicted or kernel.sls is None or not any(
+            obj.kid in evicted for obj in top.chain()):
         return []
-    found: List[Tuple[int, VMObject, int]] = []
-    pending, shift = [(first, end)], 0
-    for obj in chain:
-        hits = obj.holding(pending)
-        if obj.kid in evicted:
-            gone = [(run[1], run[1] + run[2]) for lo, hi in pending
-                    for run in runs_within(evicted[obj.kid], lo, hi)]
-            found += [(p - shift, obj, p) for lo, hi in gone
-                      for p in range(lo, hi)]
-            hits = sorted(hits + gone)
-        shift += obj.backing_offset
-        pending = [(lo + obj.backing_offset, hi + obj.backing_offset)
-                   for lo, hi in _minus(pending, hits)]
-    return sorted(found)    # one entry per index of top: no ties
+    # One entry per index of top: no ties.
+    return sorted((p - shift, obj, p) for obj, _depth, shift, _held, gone
+                  in _walk(top, first, end, evicted)
+                  for lo, hi in gone for p in range(lo, hi))
 
 
 def _resolve(top: VMObject, first: int, end: int,
              private: Optional[Dict[int, Page]]) -> int:
     """The summed charge for write faults on pages ``[first, end)`` of
-    ``top``, each resident somewhere in its chain or zero-fill.  The
-    chain is walked once per object: the pending index ranges are
-    intersected with the ranges it holds (:meth:`VMObject.holding`) and
-    the misses carried down.  The COW copies and zero-fill pages ``top``
-    needs are added to ``private`` when given; only the hits are copied.
+    ``top``, each resident somewhere in its chain or zero-fill (none
+    lives only in the store, so the walk skips evicted runs).  The COW
+    copies and zero-fill pages ``top`` needs are added to ``private``
+    when given; only the hits are copied.
     """
+    cost = 0
+    for obj, depth, shift, held, _gone in _walk(top, first, end, {}):
+        if not held:
+            continue
+        if obj is None:
+            # Found nowhere: zero-fill, after hopping the whole chain.
+            each = depth * costs.SHADOW_CHAIN_HOP + costs.SOFT_FAULT
+        else:
+            each = (depth * costs.SHADOW_CHAIN_HOP + costs.COW_FAULT
+                    if depth else costs.SOFT_FAULT)
+        cost += sum(hi - lo for lo, hi in held) * each
+        if depth and private is not None:
+            for lo, hi in held:
+                for p in range(lo, hi):
+                    page = obj.page_at(p) if obj is not None else None
+                    private[p - shift] = (Page(data=b"") if page is None
+                                          else page.copy())
+    return cost
+
+
+def _walk(top: VMObject, first: int, end: int,
+          evicted: Mapping[int, Sequence[LocatorRun]]
+          ) -> Iterator[Tuple[Optional[VMObject], int, int, List[Span],
+                              List[Span]]]:
+    """Walk ``top``'s shadow chain once over its pages ``[first, end)``,
+    over index ranges, never page by page.  Yields ``(obj, depth, shift,
+    held, gone)`` for each object reached: the stretches of the pages
+    still pending that ``obj`` holds (:meth:`VMObject.holding`) and that
+    it has evicted (``runs_within`` its ``evicted`` runs), in its own
+    indexes, ``shift`` above ``top``'s.  Then ``(None, depth, shift,
+    pending, [])`` for the pages no object holds.  The first object
+    holding an index, resident or evicted, decides it."""
     pending = [(first, end)]
-    cost = depth = shift = 0
+    depth = shift = 0
     obj: Optional[VMObject] = top
     while obj is not None and pending:
-        hits = obj.holding(pending)
-        if hits:
-            cost += sum(hi - lo for lo, hi in hits) * (
-                depth * costs.SHADOW_CHAIN_HOP + costs.COW_FAULT if depth
-                else costs.SOFT_FAULT)
-            if depth and private is not None:
-                for lo, hi in hits:
-                    for p in range(lo, hi):
-                        page = obj.page_at(p)
-                        assert page is not None
-                        private[p - shift] = page.copy()
-            pending = _minus(pending, hits)
+        held = obj.holding(pending)
+        runs = evicted.get(obj.kid)
+        gone = [(run[1], run[1] + run[2]) for lo, hi in pending
+                for run in runs_within(runs, lo, hi)] if runs else []
+        yield obj, depth, shift, held, gone
+        if gone:
+            pending = _minus(pending, sorted(held + gone))
+        elif held:
+            pending = _minus(pending, held)
         if obj.backing_offset:
             shift += obj.backing_offset
             pending = [(lo + obj.backing_offset, hi + obj.backing_offset)
                        for lo, hi in pending]
         obj = obj.backing
         depth += 1
-    if pending:
-        # Found nowhere: zero-fill, after hopping the whole chain.
-        cost += sum(hi - lo for lo, hi in pending) * (
-            depth * costs.SHADOW_CHAIN_HOP + costs.SOFT_FAULT)
-        if private is not None:
-            for lo, hi in pending:
-                for p in range(lo, hi):
-                    private[p - shift] = Page(data=b"")
-    return cost
+    yield None, depth, shift, pending, []
 
 
-def _minus(spans: List[Tuple[int, int]],
-           holes: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+def _minus(spans: List[Span], holes: List[Span]) -> List[Span]:
     """``spans`` without ``holes`` (both sorted ``(lo, hi)`` lists,
     every hole inside a span)."""
-    out: List[Tuple[int, int]] = []
+    out: List[Span] = []
     at = 0
     for lo, hi in spans:
         while at < len(holes) and holes[at][0] < hi:

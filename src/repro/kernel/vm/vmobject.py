@@ -60,12 +60,11 @@ The page-at-a-time originals are reference models in
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ...core.runs import (LocatorRun, index_spans, overlay_content, run_at,
-                          run_index, runs_within, splice)
+from ...core.runs import (LocatorRun, content_spans, overlay_content,
+                          run_at, run_index, run_start, runs_within, splice)
 from ...errors import InvalidArgument
 from ...hw.memory import SYNTHETIC_CLEAN, Page
 from ..kobject import KObject
@@ -74,16 +73,6 @@ from ..kobject import KObject
 ANONYMOUS = "anonymous"
 VNODE = "vnode"
 DEVICE = "device"
-
-_START = itemgetter(1)
-
-
-def _spans(pages: Mapping[int, Page],
-           runs: Sequence[LocatorRun]) -> List[LocatorRun]:
-    """The indexes of ``pages`` and ``runs`` as sorted bare spans."""
-    return sorted([*index_spans(pages),
-                   *((None, run[1], run[2]) for run in runs)], key=_START)
-
 
 def _run_page(run: LocatorRun, pindex: int) -> Page:
     """Page ``pindex`` of a synthetic run, clean or dirty as the run."""
@@ -151,23 +140,15 @@ class VMObject(KObject):
         self._check_insert(pindex, pindex)
         if pindex not in self.pages and not (self._runs and self._cut(pindex)):
             self.kernel.physmem.allocate(1)
-            self._supersede({pindex: page}, ())
+            self.kernel.pageout.forget(self.kid, (pindex,), ())
         self.pages[pindex] = page
-
-    def _supersede(self, pages: Mapping[int, Page],
-                   runs: Sequence[LocatorRun]) -> None:
-        """Content gained at ``pages`` and ``runs`` supersedes what this
-        object had evicted there: the two never overlap."""
-        pageout = self.kernel.pageout
-        if self.kid in pageout.evicted:
-            pageout.forget(self.kid, _spans(pages, runs))
 
     def _overlay(self, pages: Mapping[int, Page],
                  runs: Sequence[LocatorRun]) -> None:
         """Lay ``pages`` and ``runs`` over what the object holds, newest
         wins, with one frame-accounting adjustment for the indexes that
         were empty."""
-        self._supersede(pages, runs)
+        self.kernel.pageout.forget(self.kid, pages, runs)
         self._runs, replaced = overlay_content(self.pages, self._runs,
                                                pages, runs)
         new = len(pages) + sum(run[2] for run in runs) - replaced
@@ -252,7 +233,7 @@ class VMObject(KObject):
 
     def spans(self) -> List[LocatorRun]:
         """The indexes this object holds, as sorted bare spans."""
-        return _spans(self.pages, self._runs)
+        return content_spans(self.pages, self._runs)
 
     def mark_clean(self, runs: Sequence[LocatorRun]) -> None:
         """``runs`` (sorted, disjoint pieces of :meth:`content`) are
@@ -376,8 +357,8 @@ class VMObject(KObject):
             # evictions.
             self._runs, hidden = splice(
                 [(run[0], run[1] - offset, *run[2:]) for run in window],
-                sorted([*_spans(self.pages, evicted), *self._runs],
-                       key=_START))
+                sorted([*content_spans(self.pages, evicted), *self._runs],
+                       key=run_start))
             gained = sum(run[2] for run in window) - hidden
             self.kernel.physmem.release(parent.resident_count())
             self.kernel.physmem.allocate(gained)
@@ -421,7 +402,8 @@ class VMObject(KObject):
         pages, runs = self.pages, self._runs
         moved = len(pages) + sum(run[2] for run in runs)
         if evicted:
-            runs = sorted([*runs, *_spans({}, evicted)], key=_START)
+            runs = sorted([*runs, *content_spans((), evicted)],
+                          key=run_start)
         # Stale parent copies are overwritten (or, under an eviction,
         # dropped) in place: the net frame delta of the whole move is
         # exactly -|overlap| (each such page frees the parent's stale

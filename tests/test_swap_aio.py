@@ -4,6 +4,7 @@ import pytest
 
 from repro import Machine, load_aurora
 from repro.core.runs import clip_run, run_at
+from repro.errors import StoreFull
 from repro.hw.memory import SYNTHETIC_CLEAN, Page, synthetic_bytes
 from repro.kernel.aio import AIO_READ, AIO_WRITE
 from repro.kernel.swap import MADV_DONTNEED
@@ -50,6 +51,42 @@ def test_pageout_flushes_dirty_pages_through_store():
     evicted = kernel.pageout.run_pageout([obj], store=sls.store)
     assert evicted > 0
     assert kernel.pageout.evictions_dirty == evicted
+
+
+def test_store_full_mid_pass_keeps_earlier_evictions(monkeypatch):
+    """An eviction pass that runs out of store space while staging a
+    dirty page keeps a record of every page it evicted before: they
+    still read back as written."""
+    machine, sls, proc, group = small_machine()
+    pageout = machine.kernel.pageout
+    addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
+    proc.vmspace.fill(addr, 20, seed=4)
+    sls.checkpoint(group, sync=True)           # pages 0..19 are clean
+    proc.vmspace.fill(addr + 20 * PAGE_SIZE, 910, seed=100)
+    assert pageout.memory_pressure()
+    track = next(iter(group.tracks.values()))
+    alloc = sls.store.alloc
+    real_alloc = alloc.alloc
+    staged = []
+
+    def alloc_once(nbytes):
+        if staged:
+            raise StoreFull("object store full")
+        staged.append(nbytes)
+        return real_alloc(nbytes)
+
+    monkeypatch.setattr(alloc, "alloc", alloc_once)
+    with pytest.raises(StoreFull):
+        pageout.run_pageout(list(track.active.chain()), store=sls.store)
+    monkeypatch.undo()
+    assert (pageout.evictions_clean, pageout.evictions_dirty) == (20, 1)
+    base, active = track.active.backing, track.active
+    assert all(pageout.is_evicted(base, p) for p in range(20))
+    assert pageout.is_evicted(active, 20)
+    assert not pageout.is_evicted(active, 21)
+    for pindex, seed in ((0, 4), (19, 23), (20, 100), (21, 101)):
+        assert proc.vmspace.read(addr + pindex * PAGE_SIZE, 64) \
+            == synthetic_bytes(seed)[:64]
 
 
 def test_page_in_after_eviction_restores_content():

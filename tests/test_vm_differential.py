@@ -464,7 +464,8 @@ def test_error_prefix_unmapped_page():
         space = world.procs[0].vmspace
         addr = world.regions[0][0]
         error, message = world.apply(("touch", 0, 0, 2, 5, 60))
-        assert error == "SegmentationFault" and "no mapping" in message
+        assert error == "SegmentationFault" and \
+            "no mapping for page" in message
         first = addr // PAGE_SIZE
         assert space.pmap.dirty_pages() == [first + 2, first + 3]
         assert space.pmap.fault_count == 2
