@@ -60,10 +60,6 @@ COMMIT_DURABLE = "flightrec.commit_durable"
 #: The snapshot's row lists, in the order an over-budget snapshot
 #: sheds them.
 _ROW_KEYS = ("events", "spans", "slo", "counters")
-#: The retry / degraded-mode / SLO-violation history counters, in the
-#: order their rows appear.
-_COUNTER_PREFIXES = ("sls.resilience", "sls.slo", "sls.events.degraded",
-                     "sls.events.fault")
 
 
 def _clean(value: Any) -> Any:
@@ -121,33 +117,17 @@ def _slo_row(tracker: Any, gid: int) -> Dict[str, Any]:
     }
 
 
-def _slo_row_key(tracker: Any, gid: int) -> tuple:
-    """Everything :func:`_slo_row` reads, cheaply: a row encoded under
-    an equal key is still current.  Series are append-only, so their
-    sample counts stand for their contents."""
-    state = tracker.groups[gid]
-    series = state.series
-    targets = tracker.targets_for(gid)
-    return (tracker.tenant_names.get(gid), state.commits,
-            series["rpo_lag"].count, series["stop"].count,
-            series["quorum_lag"].count,
-            state.degraded_total_ns, state.degraded_since is not None,
-            targets.rpo_ns, targets.quorum_ns)
+def _counter_row(counter: Any) -> Dict[str, Any]:
+    return {"name": counter.name, "labels": _clean(counter.labels),
+            "value": counter.value}
 
 
 def _counter_rows(registry: Any) -> List[Dict[str, Any]]:
-    """The history counters' rows, grouped by prefix (one pass over
-    the registry; registration order within a prefix)."""
-    by_prefix: Dict[str, List[Dict[str, Any]]] = {
-        prefix: [] for prefix in _COUNTER_PREFIXES}
-    for counter in registry.counters_matching(_COUNTER_PREFIXES):
-        for prefix in _COUNTER_PREFIXES:
-            if counter.name.startswith(prefix):
-                by_prefix[prefix].append({"name": counter.name,
-                                          "labels": _clean(counter.labels),
-                                          "value": counter.value})
-                break
-    return [row for rows in by_prefix.values() for row in rows]
+    """The history counters' rows, grouped by prefix (registration
+    order within a prefix)."""
+    return [_counter_row(counter)
+            for prefix in telemetry.PERSISTED_PREFIXES
+            for counter in registry.persisted[prefix]]
 
 
 def _snapshot_head(store: Any, pending: Optional[Dict[str, Any]],
@@ -192,27 +172,34 @@ def _row_fragments(store: Any) -> Dict[str, List[serde.Encoded]]:
     """Every row of :func:`build_snapshot`, encoded — each at most
     once.  Event and span rows are immutable once in their rings, so
     their bytes are kept on the ``Event``/``SpanRecord`` and go when
-    the ring drops the entry; a tenant's SLO row is re-encoded only
-    when that tenant's state moved since the last flip."""
+    the ring drops the entry.  A tenant's SLO row is re-encoded only
+    after a write to that tenant's tracker state (the tracker drops
+    ``encoded_row``), and a counter's row only when its value moved."""
     recent_events, recent_spans, tracker, gids = _recent(store)
-    rows: Dict[str, List[serde.Encoded]] = {key: [] for key in _ROW_KEYS}
+    registry = telemetry.registry()
     for event in recent_events:
         if event.encoded is None:
             event.encoded = serde.fragment(_event_row(event))
-        rows["events"].append(event.encoded)
     for span in recent_spans:
         if span.encoded is None:
             span.encoded = serde.fragment(_span_row(span))
-        rows["spans"].append(span.encoded)
-    for gid in gids:
-        state = tracker.groups[gid]
-        key = _slo_row_key(tracker, gid)
-        if state.encoded_row is None or state.encoded_row[0] != key:
-            state.encoded_row = (key, serde.fragment(_slo_row(tracker, gid)))
-        rows["slo"].append(state.encoded_row[1])
-    rows["counters"] = [serde.fragment(row)
-                        for row in _counter_rows(telemetry.registry())]
-    return rows
+    states = [tracker.groups[gid] for gid in gids]
+    for gid, state in zip(gids, states):
+        if state.encoded_row is None:
+            state.encoded_row = serde.fragment(_slo_row(tracker, gid))
+    counters: List[serde.Encoded] = []
+    for prefix in telemetry.PERSISTED_PREFIXES:
+        for counter in registry.persisted[prefix]:
+            encoded = counter.encoded
+            if encoded is None or encoded[0] != counter.value:
+                encoded = (counter.value,
+                           serde.fragment(_counter_row(counter)))
+                counter.encoded = encoded
+            counters.append(encoded[1])
+    return {"events": [event.encoded for event in recent_events],
+            "spans": [span.encoded for span in recent_spans],
+            "slo": [state.encoded_row for state in states],
+            "counters": counters}
 
 
 @lru_cache(maxsize=None)

@@ -114,7 +114,7 @@ class Orchestrator:
         for member in proc.tree():
             group.add_process(member)
         self.groups[group.group_id] = group
-        self.slo.tenant_names[group.group_id] = group.name
+        self.slo.set_tenant_name(group.group_id, group.name)
         if periodic:
             try:
                 self.fleet.admit(group,

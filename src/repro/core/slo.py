@@ -131,8 +131,9 @@ class _GroupSLO:
         self.degraded_total_ns = 0
         self.degraded_since: Optional[int] = None
         #: The flight recorder's encoded snapshot row for this tenant
-        #: and the state key it was encoded at (see ``flightrec``).
-        self.encoded_row: Optional[Tuple[tuple, Encoded]] = None
+        #: (see ``flightrec``); every write to the tenant's state, its
+        #: name or its budgets drops it.
+        self.encoded_row: Optional[Encoded] = None
 
 
 class SLOTracker:
@@ -140,7 +141,7 @@ class SLOTracker:
     cluster provide."""
 
     def __init__(self, targets: Optional[SLOTargets] = None) -> None:
-        self.targets = targets or SLOTargets()
+        self._targets = targets or SLOTargets()
         self.groups: Dict[int, _GroupSLO] = {}
         #: Per-tenant budget overrides (fleet-admitted groups with
         #: explicit budgets land here; everyone else inherits
@@ -154,10 +155,38 @@ class SLOTracker:
         #: over threshold, so an alert fires once per excursion.
         self._burning: Dict[tuple, bool] = {}
 
+    # -- writes outside the sample feed --------------------------------------------
+    #
+    # Every write to a tenant's state goes through the tracker and drops
+    # that tenant's encoded flight-record row (``_moved``), so the
+    # recorder re-encodes exactly the rows that changed.
+
+    def _moved(self, group_id: int) -> None:
+        state = self.groups.get(group_id)
+        if state is not None:
+            state.encoded_row = None
+
+    @property
+    def targets(self) -> SLOTargets:
+        """The tracker-wide budgets (every group without its own)."""
+        return self._targets
+
+    @targets.setter
+    def targets(self, targets: SLOTargets) -> None:
+        self._targets = targets
+        for gid in self.groups.keys() - self.group_targets.keys():
+            self._moved(gid)
+
+    def set_tenant_name(self, group_id: int, name: str) -> None:
+        """Attribute a group to its tenant in alerts and reports."""
+        self.tenant_names[group_id] = name
+        self._moved(group_id)
+
     def set_group_targets(self, group_id: int, **overrides: int) -> None:
         """Install per-tenant budgets for one group (merged over the
         tracker-wide defaults)."""
         self.group_targets[group_id] = self.targets.replace(**overrides)
+        self._moved(group_id)
 
     def targets_for(self, group_id: int) -> SLOTargets:
         """The budgets in force for one group."""
@@ -173,6 +202,12 @@ class SLOTracker:
             self.groups[group_id] = state
         return state
 
+    def _write(self, group_id: int) -> _GroupSLO:
+        """The group's state, about to be written."""
+        state = self._group(group_id)
+        state.encoded_row = None
+        return state
+
     def _violate(self, group_id: int, budget: str) -> None:
         telemetry.registry().counter("sls.slo.violations",
                                      group=group_id,
@@ -184,7 +219,7 @@ class SLOTracker:
         row = _BY_LABEL.get(budget)
         if row is None:
             raise ValueError(f"unknown SLO budget {budget!r}")
-        self._group(group_id).series[row.series].observe(value)
+        self._write(group_id).series[row.series].observe(value)
         if value > self._target(group_id, row):
             self._violate(group_id, budget)
 
@@ -251,7 +286,7 @@ class SLOTracker:
         ``capture_ns`` is the checkpoint's quiesce-start instant (the
         state it made durable is the state *as of* that time).
         """
-        state = self._group(group_id)
+        state = self._write(group_id)
         prev = state.last_durable_capture
         # Worst-case loss just before this commit landed: everything
         # since the previous durable capture.  The first commit of a
@@ -271,13 +306,13 @@ class SLOTracker:
 
     def on_degraded_enter(self, group_id: int, now_ns: int) -> None:
         """The group entered degraded mode; the spell clock starts."""
-        state = self._group(group_id)
+        state = self._write(group_id)
         if state.degraded_since is None:
             state.degraded_since = now_ns
 
     def on_degraded_exit(self, group_id: int, now_ns: int) -> None:
         """Probe succeeded: close the spell and charge the budget."""
-        state = self._group(group_id)
+        state = self._write(group_id)
         if state.degraded_since is None:
             return
         spell = now_ns - state.degraded_since

@@ -53,6 +53,12 @@ LabelKey = Tuple[Tuple[str, object], ...]
 _T = TypeVar("_T")
 
 
+#: Name prefixes of the counters the flight recorder persists (retry,
+#: degraded-mode and SLO-violation history), in row order.
+PERSISTED_PREFIXES = ("sls.resilience", "sls.slo", "sls.events.degraded",
+                      "sls.events.fault")
+
+
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted(labels.items()))
 
@@ -82,12 +88,15 @@ class Ring(Deque[_T]):
 class Counter:
     """A named integer metric; supports add and (for maxima) set."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "value", "encoded")
 
     def __init__(self, name: str, labels: Dict[str, object]) -> None:
         self.name = name
         self.labels = labels
         self.value = 0
+        #: The flight recorder's encoded row for a persisted counter,
+        #: with the value it was encoded at: ``(value, serde.Encoded)``.
+        self.encoded: Optional[Tuple[int, Encoded]] = None
 
     def add(self, delta: int = 1) -> int:
         self.value += delta
@@ -266,6 +275,10 @@ class TelemetryRegistry:
         #: The same counters by name, so :meth:`value` reads only the
         #: label sets of the name it sums.
         self._counters_by_name: Dict[str, List[Counter]] = {}
+        #: The counters of each :data:`PERSISTED_PREFIXES` entry, filed
+        #: at registration under the first prefix they match.
+        self.persisted: Dict[str, List[Counter]] = {
+            prefix: [] for prefix in PERSISTED_PREFIXES}
         self._histograms: Dict[Tuple[str, LabelKey], Series] = {}
         self.spans: Ring[SpanRecord] = Ring(span_capacity)
         #: Span/trace/event recording switch (counters stay live).
@@ -283,6 +296,10 @@ class TelemetryRegistry:
             counter = Counter(name, labels)
             self._counters[key] = counter
             self._counters_by_name.setdefault(name, []).append(counter)
+            for prefix in PERSISTED_PREFIXES:
+                if name.startswith(prefix):
+                    self.persisted[prefix].append(counter)
+                    break
         return counter
 
     def histogram(self, name: str, **labels: object) -> Series:
@@ -362,6 +379,8 @@ class TelemetryRegistry:
         """Drop every metric (test isolation between experiments)."""
         self._counters.clear()
         self._counters_by_name.clear()
+        for counters in self.persisted.values():
+            counters.clear()
         self._histograms.clear()
         self.spans.clear()
         self.enabled = True

@@ -20,15 +20,25 @@ from typing import Any, Optional
 from ..units import PAGE_SIZE
 from ..errors import InvalidArgument
 
+#: ``b"0"``, ``b"1"``, …: the block counters of one page.
+_COUNTERS = tuple(b"%d" % i for i in range(PAGE_SIZE // 32))
+
 
 def synthetic_bytes(seed: int, length: int = PAGE_SIZE) -> bytes:
-    """Deterministic content of a synthetic page with ``seed``."""
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(f"{seed}:{counter}".encode()).digest()
-        counter += 1
-    return bytes(out[:length])
+    """Deterministic content of a synthetic page with ``seed``: the
+    SHA-256 digests of ``b"<seed>:<counter>"`` for counter 0, 1, …,
+    concatenated and cut to ``length``.  Every block resumes one hash
+    state of the shared ``b"<seed>:"`` prefix."""
+    blocks = -(-length // 32)
+    counters = _COUNTERS[:blocks] if blocks <= len(_COUNTERS) else [
+        b"%d" % i for i in range(blocks)]
+    prefix = hashlib.sha256(b"%d:" % seed)
+    digests = []
+    for counter in counters:
+        block = prefix.copy()
+        block.update(counter)
+        digests.append(block.digest())
+    return b"".join(digests)[:length]
 
 
 #: ``Page.clean_locator`` of a checkpointed synthetic page.  Its locator
@@ -49,7 +59,8 @@ class Page:
 
     __slots__ = ("data", "seed", "clean_locator")
 
-    def __init__(self, data: Optional[bytes] = None, seed: Optional[int] = None):
+    def __init__(self, data: Optional[bytes] = None,
+                 seed: Optional[int] = None) -> None:
         if (data is None) == (seed is None):
             raise InvalidArgument("exactly one of data/seed must be given")
         if data is not None and len(data) > PAGE_SIZE:
@@ -104,7 +115,7 @@ class PhysicalMemory:
     to react to.
     """
 
-    def __init__(self, total_bytes: int):
+    def __init__(self, total_bytes: int) -> None:
         if total_bytes < PAGE_SIZE:
             raise InvalidArgument("machine needs at least one page of RAM")
         self.total_frames = total_bytes // PAGE_SIZE

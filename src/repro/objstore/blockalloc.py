@@ -19,6 +19,10 @@ from ..units import KiB, STRIPE_SIZE
 
 ALIGN = 4 * KiB
 
+#: :meth:`ExtentAllocator.snapshot`: cursor, free list, allocated and
+#: freed byte totals.
+AllocState = Tuple[int, List[Tuple[int, int]], int, int]
+
 
 def _align_up(value: int, align: int = ALIGN) -> int:
     return (value + align - 1) // align * align
@@ -82,6 +86,17 @@ class ExtentAllocator:
                 index -= 1
         self._free.insert(index, entry)
         self.freed_bytes += length
+
+    def snapshot(self) -> AllocState:
+        """The allocator's whole state, for :meth:`restore`."""
+        return (self.cursor, list(self._free), self.allocated_bytes,
+                self.freed_bytes)
+
+    def restore(self, state: AllocState) -> None:
+        """Undo every allocation and free made since ``state`` was
+        taken (a failed superblock flip or GC delete)."""
+        self.cursor, free, self.allocated_bytes, self.freed_bytes = state
+        self._free = list(free)
 
     def free_bytes(self) -> int:
         """Unallocated bytes remaining (tail + free list)."""

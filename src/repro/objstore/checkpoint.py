@@ -31,6 +31,7 @@ from ..core.runs import (LocatorRun, append_locator_run, build_arith_runs,
                          clip_run, count_changed_pages, expand_arith_runs,
                          run_at, runs_within, splice)
 from ..errors import CorruptRecord
+from ..serde import Encoded, fragment
 
 #: Each run kind's field types: the kind, then integers (not ``bool``).
 _RUN_FIELDS: Dict[str, List[type]] = {"syn": [str] + [int] * 4,
@@ -230,6 +231,20 @@ class CheckpointInfo:
         self._live_runs: Optional[Tuple[Set[int], List[List[int]]]] = None
         #: Records the serializer skipped as unchanged (telemetry).
         self.records_skipped = 0
+        #: ``(meta extent, its encoded catalog entry)`` as last encoded.
+        self._catalog_entry: Optional[Tuple[Tuple[int, int], Encoded]] = None
+
+    def catalog_entry(self) -> Encoded:
+        """This checkpoint's entry in the store catalog, encoded once
+        per metadata extent: a GC rewrite, a rolled-back flip or a
+        recovery that moves ``meta_extent`` gets a fresh entry."""
+        extent = self.meta_extent
+        assert extent is not None, "an uncommitted checkpoint has no entry"
+        cached = self._catalog_entry
+        if cached is None or cached[0] != extent:
+            cached = (extent, fragment({"meta_extent": list(extent)}))
+            self._catalog_entry = cached
+        return cached[1]
 
     def share_live_oids(self, parent: "CheckpointInfo") -> None:
         """Take ``parent``'s live set — the same object, and the runs

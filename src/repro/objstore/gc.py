@@ -27,7 +27,10 @@ metadata record, each child's previous metadata record — is discarded
 or handed back to the allocator before the superblock flip that
 unreferences it has landed.  The release list rides
 ``_write_catalog_and_superblock``, so a crash at any IO of a delete
-still mounts the last committed state.
+still mounts the last committed state.  A delete that fails short of
+a crash — a child's metadata write or the flip itself — takes back
+every in-memory change it made, so memory, the allocator and the
+durable catalog still agree and the delete can be retried.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core import telemetry
-from ..errors import InvalidArgument
+from ..core.faults import InjectedCrash
+from ..errors import InvalidArgument, MachineCrashed, ReproError
 from . import records
-from .checkpoint import CheckpointInfo, overlay_page_maps
+from .checkpoint import CheckpointInfo, PageRuns, overlay_page_maps
 
 
 def _children_of(store: Any, ckpt_id: int) -> List[CheckpointInfo]:
@@ -69,6 +73,79 @@ def _subtree_needed(store: Any, child: CheckpointInfo) -> Optional[Set[int]]:
     return needed
 
 
+class _Rollback:
+    """What a delete or truncate changes in memory before its flip
+    lands, and how to take it back.  Used as a context manager around
+    the delete: if a child's metadata write or the flip fails,
+    :meth:`undo` leaves the store exactly as it was — the
+    catalog (order included), every child's metadata fields, the
+    extent references, the allocator and the media — so the delete
+    can simply be retried.  Saving copies the checkpoint table and the
+    free list; everything else is saved as the delete touches it."""
+
+    def __init__(self, store: Any) -> None:
+        self.store = store
+        self.checkpoints: Dict[int, CheckpointInfo] = dict(store.checkpoints)
+        self.alloc = store.alloc.snapshot()
+        #: Extent offset -> its reference count before the delete
+        #: first touched it (None: it had none).
+        self.refs: Dict[int, Optional[int]] = {}
+        #: Per child: the child, its parent, metadata extent, owned
+        #: extent count and page tables, and the OIDs whose records it
+        #: was handed.
+        self.children: List[Tuple[CheckpointInfo, Optional[int],
+                                  Optional[Tuple[int, int]], int,
+                                  Dict[int, PageRuns], List[int]]] = []
+        #: Child metadata extents this delete wrote.
+        self.written: List[int] = []
+
+    def touch_ref(self, offset: int) -> None:
+        """Remember ``offset``'s reference count before it changes."""
+        if offset not in self.refs:
+            self.refs[offset] = self.store.extent_refs.get(offset)
+
+    def save_child(self, child: CheckpointInfo) -> List[int]:
+        """Remember ``child``'s fields before it adopts; returns the
+        list the caller fills with the OIDs it forwards records for."""
+        forwarded: List[int] = []
+        self.children.append((child, child.parent, child.meta_extent,
+                               len(child.owned_extents), dict(child.pages),
+                               forwarded))
+        return forwarded
+
+    def __enter__(self) -> "_Rollback":
+        return self
+
+    def __exit__(self, kind: Any, exc: Optional[BaseException],
+                 trace: Any) -> None:
+        # A power failure is not undone: the host is dying.
+        if isinstance(exc, ReproError) and not isinstance(
+                exc, (InjectedCrash, MachineCrashed)):
+            self.undo()
+
+    def undo(self) -> None:
+        store = self.store
+        for (child, parent, meta_extent, owned, pages,
+             forwarded) in self.children:
+            child.parent = parent
+            child.meta_extent = meta_extent
+            del child.owned_extents[owned:]
+            child.pages.clear()
+            child.pages.update(pages)
+            for oid in forwarded:
+                del child.object_records[oid]
+        for offset, count in self.refs.items():
+            if count is None:
+                store.extent_refs.pop(offset, None)
+            else:
+                store.extent_refs[offset] = count
+        store.checkpoints.clear()
+        store.checkpoints.update(self.checkpoints)
+        for offset in self.written:
+            store.device.discard_extent(offset)
+        store.alloc.restore(self.alloc)
+
+
 def truncate_checkpoint(store: Any, ckpt_id: int) -> int:
     """Delete one checkpoint from the *new* end of the chain.
 
@@ -86,14 +163,15 @@ def truncate_checkpoint(store: Any, ckpt_id: int) -> int:
         raise InvalidArgument(
             f"checkpoint {ckpt_id} still has descendants; truncate "
             f"from the new end of the chain")
-    release = _unreference_victim(store, info)
-    del store.checkpoints[ckpt_id]
-    store._write_catalog_and_superblock(release=release)
+    with _Rollback(store) as rollback:
+        release = _unreference_victim(store, info, rollback)
+        del store.checkpoints[ckpt_id]
+        store._write_catalog_and_superblock(release=release)
     return sum(length for _offset, length in release)
 
 
-def _unreference_victim(store: Any,
-                        info: CheckpointInfo) -> List[Tuple[int, int]]:
+def _unreference_victim(store: Any, info: CheckpointInfo,
+                        rollback: _Rollback) -> List[Tuple[int, int]]:
     """Drop ``info``'s extent references; returns the extents to
     release once the flip lands: whatever hit zero, plus the victim's
     metadata record — a checkpoint that owned zero page extents (a
@@ -102,6 +180,7 @@ def _unreference_victim(store: Any,
     refs: Dict[int, int] = store.extent_refs
     release: List[Tuple[int, int]] = []
     for offset, length in info.owned_extents:
+        rollback.touch_ref(offset)
         refs[offset] = refs.get(offset, 1) - 1
         if refs[offset] <= 0:
             refs.pop(offset, None)
@@ -116,7 +195,8 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
 
     Only a chain head (a checkpoint whose parent is already deleted or
     never existed) may be removed, mirroring how snapshot stores
-    reclaim history from the old end.
+    reclaim history from the old end.  A failed child metadata write
+    or flip takes every in-memory change back (:class:`_Rollback`).
     """
     info = store.get_checkpoint(ckpt_id)
     if info.parent is not None and info.parent in store.checkpoints:
@@ -125,52 +205,64 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
             f"delete from the old end of the chain")
     children = _children_of(store, ckpt_id)
     registry = telemetry.registry()
-
     refs: Dict[int, int] = store.extent_refs
-    # Transfer still-visible state into each child delta.
-    for child in children:
-        needed = _subtree_needed(store, child)
-        # Pages the child never overwrote are adopted by overlay; the
-        # child then owns every victim extent its table points into.
-        overlay_page_maps(child.pages, info.pages, keep=needed)
-        adopted: Set[int] = set()
-        for oid in info.pages:
-            if needed is None or oid in needed:
-                adopted |= child.pages[oid].extents()
-        forwarded = dropped = 0
-        for oid, extent in info.object_records.items():
-            if oid in child.object_records:
-                continue
-            if needed is not None and oid not in needed:
-                dropped += 1
-                continue
-            child.object_records[oid] = extent
-            adopted.add(extent[0])
-            forwarded += 1
-        for offset, length in info.owned_extents:
-            if offset in adopted:
-                child.owned_extents.append((offset, length))
-                refs[offset] = refs.get(offset, 0) + 1
-        child.parent = info.parent
-        registry.counter("sls.store.gc.records_forwarded",
-                         group=info.group_id).add(forwarded)
-        registry.counter("sls.store.gc.records_dropped",
-                         group=info.group_id).add(dropped)
+    tallies: List[Tuple[telemetry.Counter, int]] = []
+    with _Rollback(store) as rollback:
+        # Transfer still-visible state into each child delta.
+        for child in children:
+            needed = _subtree_needed(store, child)
+            forwarded = rollback.save_child(child)
+            # Pages the child never overwrote are adopted by overlay;
+            # the child then owns every victim extent its table points
+            # into.
+            overlay_page_maps(child.pages, info.pages, keep=needed)
+            adopted: Set[int] = set()
+            for oid in info.pages:
+                if needed is None or oid in needed:
+                    adopted |= child.pages[oid].extents()
+            dropped = 0
+            for oid, extent in info.object_records.items():
+                if oid in child.object_records:
+                    continue
+                if needed is not None and oid not in needed:
+                    dropped += 1
+                    continue
+                child.object_records[oid] = extent
+                forwarded.append(oid)
+                adopted.add(extent[0])
+            for offset, length in info.owned_extents:
+                if offset in adopted:
+                    child.owned_extents.append((offset, length))
+                    rollback.touch_ref(offset)
+                    refs[offset] = refs.get(offset, 0) + 1
+            child.parent = info.parent
+            tallies.append((registry.counter(
+                "sls.store.gc.records_forwarded", group=info.group_id),
+                len(forwarded)))
+            tallies.append((registry.counter(
+                "sls.store.gc.records_dropped", group=info.group_id),
+                dropped))
 
-    # Drop the deleted checkpoint's references; whatever hit zero goes
-    # once the flip lands.
-    release = _unreference_victim(store, info)
-    del store.checkpoints[ckpt_id]
-    reclaimed = sum(length for _offset, length in release)
+        # Drop the deleted checkpoint's references; whatever hit zero
+        # goes once the flip lands.
+        release = _unreference_victim(store, info, rollback)
+        del store.checkpoints[ckpt_id]
+        reclaimed = sum(length for _offset, length in release)
 
-    # Children metadata changed (adopted state, new parent): rewrite
-    # their meta records COW-style, then flip the superblock.
-    for child in children:
-        payload = records.encode(records.REC_CKPT_META, child.encode_meta())
-        new_extent = store.alloc.alloc(len(payload))
-        store.device.write(new_extent, payload)
-        if child.meta_extent is not None:
-            release.append(child.meta_extent)
-        child.meta_extent = (new_extent, len(payload))
-    store._write_catalog_and_superblock(release=release)
+        # Children metadata changed (adopted state, new parent):
+        # rewrite their meta records COW-style, then flip the
+        # superblock.
+        for child in children:
+            payload = records.encode(records.REC_CKPT_META,
+                                     child.encode_meta())
+            new_extent = store.alloc.alloc(len(payload))
+            rollback.written.append(new_extent)
+            store.device.write(new_extent, payload)
+            if child.meta_extent is not None:
+                release.append(child.meta_extent)
+            child.meta_extent = (new_extent, len(payload))
+        store._write_catalog_and_superblock(release=release)
+    # Counted once the flip has landed, so a retried delete counts once.
+    for counter, count in tallies:
+        counter.add(count)
     return reclaimed

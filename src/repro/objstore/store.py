@@ -540,85 +540,79 @@ class ObjectStore:
         this flip has been made (none can land on them), in time for
         the free list the new superblock carries, and are discarded
         only once the flip has landed.
+
+        No store field changes until the superblock write lands.  A
+        failure at any step before it — the catalog's allocation or
+        write, the flight record's encode or allocation, the
+        superblock write itself — discards what the flip wrote and
+        puts the allocator back as it was, so the next flip goes to
+        the right slot and nothing leaks.
+
+        The catalog is one entry per complete checkpoint, each encoded
+        once per metadata extent (:meth:`CheckpointInfo.catalog_entry`).
         """
-        catalog_body = {
-            "checkpoints": {
-                str(ckpt_id): {
-                    "meta_extent": list(getattr(info, "meta_extent",
-                                                (0, 0))),
-                }
-                for ckpt_id, info in self.checkpoints.items()
-                if info.complete
-            },
-        }
-        payload = records.encode(records.REC_CATALOG, catalog_body)
-        old_catalog = self._catalog_extent
-        extent = self.alloc.alloc(len(payload))
+        generation = self._generation + 1
+        alloc_before = self.alloc.snapshot()
+        catalog = records.encode(records.REC_CATALOG, {"checkpoints": {
+            str(ckpt_id): info.catalog_entry()
+            for ckpt_id, info in self.checkpoints.items() if info.complete}})
+        placed: List[int] = []
         try:
-            self.retry.run(lambda: self.device.write(extent, payload),
+            catalog_at = self.alloc.alloc(len(catalog))
+            placed.append(catalog_at)
+            self.retry.run(lambda: self.device.write(catalog_at, catalog),
                            op="store.catalog")
-        except (InjectedCrash, MachineCrashed):
-            raise
-        except ReproError:
-            self.alloc.free(extent, len(payload))
-            raise
-        self._catalog_extent = (extent, len(payload))
-
-        self._generation += 1
-        # The flight recorder rides every flip: a fixed-size snapshot
-        # of the telemetry surfaces, placed at zero simulated cost and
-        # anchored by the superblock about to be written — durable
-        # exactly when the commit is.  Fixed size keeps the allocator
-        # cursor, free list and superblock length identical whether
-        # telemetry is enabled or not (timing-identity invariant).
-        old_flightrec = self._flightrec_extent
-        rec_payload = flightrec.encode_snapshot(
-            self, pending=pending, generation=self._generation)
-        rec_offset = self.alloc.alloc(len(rec_payload))
-        self.device.place_extent(rec_offset, rec_payload)
-        self._flightrec_extent = (rec_offset, len(rec_payload))
-
-        free_before = ((list(self.alloc._free), self.alloc.freed_bytes)
-                       if release else None)
-        for offset, length in release:
-            self.alloc.free(offset, length)
-        superblock_body: Dict[str, Any] = {
-            "generation": self._generation,
-            "catalog_extent": list(self._catalog_extent),
-            "flightrec": list(self._flightrec_extent),
-            "alloc_cursor": self.alloc.cursor,
-            "free_list": [[off, length] for off, length in self.alloc._free],
-            "oid_cursor": self.oids.cursor,
-            "ckpt_counter": self._ckpt_counter,
-            "journal_dir": {str(jid): journal.encode_meta()
-                            for jid, journal in self.journals.items()},
-        }
-        # Written only once the store has joined a cluster epoch, so
-        # single-machine stores keep a byte-identical superblock (the
-        # timing-identity invariant again).
-        if self.cluster_epoch:
-            superblock_body["cluster_epoch"] = self.cluster_epoch
-        superblock = records.encode(records.REC_SUPERBLOCK, superblock_body)
-        slot = SUPERBLOCK_SLOTS[self._generation % 2]
-        self.clock.advance(costs.STORE_COMMIT)
-        try:
+            # The flight recorder rides every flip: a fixed-size
+            # snapshot of the telemetry surfaces, placed at zero
+            # simulated cost and anchored by the superblock about to be
+            # written — durable exactly when the commit is.  Fixed size
+            # keeps the allocator cursor, free list and superblock
+            # length identical whether telemetry is enabled or not
+            # (timing-identity invariant).
+            record = flightrec.encode_snapshot(self, pending=pending,
+                                               generation=generation)
+            record_at = self.alloc.alloc(len(record))
+            placed.append(record_at)
+            self.device.place_extent(record_at, record)
+            for offset, length in release:
+                self.alloc.free(offset, length)
+            superblock_body: Dict[str, Any] = {
+                "generation": generation,
+                "catalog_extent": [catalog_at, len(catalog)],
+                "flightrec": [record_at, len(record)],
+                "alloc_cursor": self.alloc.cursor,
+                "free_list": [[off, length]
+                              for off, length in self.alloc._free],
+                "oid_cursor": self.oids.cursor,
+                "ckpt_counter": self._ckpt_counter,
+                "journal_dir": {str(jid): journal.encode_meta()
+                                for jid, journal in self.journals.items()},
+            }
+            # Written only once the store has joined a cluster epoch,
+            # so single-machine stores keep a byte-identical superblock
+            # (the timing-identity invariant again).
+            if self.cluster_epoch:
+                superblock_body["cluster_epoch"] = self.cluster_epoch
+            superblock = records.encode(records.REC_SUPERBLOCK,
+                                        superblock_body)
+            slot = SUPERBLOCK_SLOTS[generation % 2]
+            self.clock.advance(costs.STORE_COMMIT)
             self.retry.run(lambda: self.device.write(slot, superblock),
                            op="store.superblock")
         except (InjectedCrash, MachineCrashed):
             raise
         except ReproError:
-            # The flip never landed: fall back to the previous catalog
-            # so in-memory state matches what recovery would see.
-            self.device.discard_extent(extent)
-            self.alloc.free(extent, len(payload))
-            self._catalog_extent = old_catalog
-            self.device.discard_extent(rec_offset)
-            self.alloc.free(rec_offset, len(rec_payload))
-            self._flightrec_extent = old_flightrec
-            if free_before is not None:
-                self.alloc._free, self.alloc.freed_bytes = free_before
-            self._generation -= 1
+            # The flip never landed: in-memory state stays what
+            # recovery would see.
+            for offset in placed:
+                self.device.discard_extent(offset)
+            self.alloc.restore(alloc_before)
             raise
+        old_catalog, old_flightrec = self._catalog_extent, \
+            self._flightrec_extent
+        self._generation = generation
+        self._catalog_extent = (catalog_at, len(catalog))
+        self._flightrec_extent = (record_at, len(record))
         for offset, _length in release:
             self.device.discard_extent(offset)
         if old_catalog is not None:

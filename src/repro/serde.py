@@ -26,8 +26,12 @@ them back inside any later document: the encoder splices an
 :func:`frame_list` puts a list header in front of a run of fragments.
 The output bytes are exactly those of encoding the original value, so
 readers never see the difference (:func:`loads` knows nothing of
-fragments).  The flight recorder uses this to pay for each event and
-span row once instead of on every superblock flip.
+fragments).  A superblock flip is built from fragments so that it
+encodes only what changed since the last flip: each checkpoint's
+catalog entry (kept on its ``CheckpointInfo``, re-encoded when its
+metadata extent moves), and the flight record's event and span rows
+(once each), tenant SLO rows (after a write to that tenant's state)
+and history-counter rows (when the counter's value moved).
 
 The encoder dispatches on the exact ``type`` of a value; subclasses
 (``IntEnum``, ``str`` enums, ``OrderedDict``, named tuples) take an

@@ -20,7 +20,9 @@ import sys
 import pytest
 
 from repro import Machine, load_aurora
-from repro.core import events, flightrec, telemetry
+from repro.core import events, flightrec, resilience, telemetry
+from repro.core.faults import FaultPlan
+from repro.errors import NoSpace
 from repro.objstore import records
 from repro.objstore.store import ObjectStore
 from repro.units import MSEC, PAGE_SIZE
@@ -203,31 +205,164 @@ def test_cached_row_bytes_go_when_the_ring_evicts_the_entry():
 
 
 def test_only_the_tenant_that_moved_has_its_slo_row_re_encoded():
+    """Each write to the SLO tracker drops the encoded row of exactly
+    the tenants whose state it changed; the next flip re-encodes those
+    and splices every other row's bytes as they were."""
     machine = Machine()
     sls = load_aurora(machine)
+    tracker = sls.slo
     groups = []
-    for name in ("a", "b"):
+
+    def attach(name):
         proc = machine.kernel.spawn(name)
         proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
         groups.append(sls.attach(proc, name=name, periodic=False))
-    for group in groups:
-        sls.checkpoint(group, sync=True)
-    states = [sls.slo.groups[g.group_id] for g in groups]
+        sls.checkpoint(groups[-1], sync=True)
+
+    for name in ("a", "b", "c"):
+        attach(name)
+    gids = [group.group_id for group in groups]
+
+    def rows():
+        return {gid: tracker.groups[gid].encoded_row for gid in gids}
+
     flightrec.encode_snapshot(sls.store)
-    before = [state.encoded_row[1] for state in states]
-    machine.run_for(10 * MSEC)
-    sls.checkpoint(groups[1], sync=True)
+    now = machine.clock.now()
+    writes = [
+        ("sample", {gids[0]}, lambda: tracker.on_stop_time(gids[0], 5)),
+        ("commit", {gids[1]}, lambda: sls.checkpoint(groups[1], sync=True)),
+        ("degraded enter", {gids[2]},
+         lambda: tracker.on_degraded_enter(gids[2], now)),
+        ("degraded exit", {gids[2]},
+         lambda: tracker.on_degraded_exit(gids[2], now + 7)),
+        ("group targets", {gids[0]},
+         lambda: tracker.set_group_targets(gids[0], rpo_ns=1)),
+        # Every tenant without targets of its own inherits the swap.
+        ("tracker targets", {gids[1], gids[2]},
+         lambda: setattr(tracker, "targets",
+                         tracker.targets.replace(quorum_ns=3))),
+        ("tenant name", {gids[1]},
+         lambda: tracker.set_tenant_name(gids[1], "renamed")),
+        # Attach names the new tenant through the tracker; its first
+        # checkpoint writes only its own state.
+        ("attach", set(), lambda: attach("d")),
+    ]
+    for what, moved, write in writes:
+        before = rows()
+        write()
+        body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
+        after = rows()
+        assert {gid for gid in before if after[gid] is not before[gid]} \
+            == moved, what
+        assert body["slo"] == [flightrec._slo_row(tracker, gid)
+                               for gid in sorted(tracker.groups)], what
+    assert body["slo"][-1]["tenant"] == "d"
+    assert body["slo"][1]["tenant"] == "renamed"
+
+
+def test_a_counter_row_is_re_encoded_only_when_its_value_moves():
+    machine, sls, group, _ = _run(1)
+    registry = telemetry.registry()
+    counter = registry.counter("sls.resilience.test", op="x")
+    counter.add(2)
     body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
-    assert states[0].encoded_row[1] is before[0]
-    assert states[1].encoded_row[1] is not before[1]
-    assert body["slo"] == [flightrec._slo_row(sls.slo, g.group_id)
-                           for g in groups]
-    assert body["slo"][1]["commits"] == 2
-    # A budget change alone re-encodes the row too (burn rates read it).
-    sls.slo.set_group_targets(groups[0].group_id, rpo_ns=1)
+    row = counter.encoded[1]
+    assert body["counters"] == [{"name": "sls.resilience.test",
+                                 "labels": {"op": "x"}, "value": 2}]
+    flightrec.encode_snapshot(sls.store)
+    assert counter.encoded[1] is row
+    counter.add(1)
     body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
-    assert states[0].encoded_row[1] is not before[0]
-    assert body["slo"][0] == flightrec._slo_row(sls.slo, groups[0].group_id)
+    assert counter.encoded[1] is not row
+    assert body["counters"][0]["value"] == 3
+
+
+def test_every_flip_of_a_fleet_encodes_what_plain_values_encode_to(
+        monkeypatch):
+    """A small fleet run in which every superblock flip is checked: its
+    flight record against :func:`reference_encode` and its catalog
+    against the plain-value document.  The run has several tenants, a
+    history limit (GC deletes flip), async commits, a degraded spell,
+    target changes, counters registered mid-run and a rolled-back
+    GC flip."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    store = sls.store
+    seen = {"snapshots": 0, "catalogs": 0}
+    real_snapshot = flightrec.encode_snapshot
+    real_encode = records.encode
+
+    def checked_snapshot(store_, pending=None, generation=0):
+        want, _shed = reference_encode(store_, pending, generation)
+        got = real_snapshot(store_, pending, generation)
+        assert got == want
+        seen["snapshots"] += 1
+        return got
+
+    def checked_encode(kind, body):
+        got = real_encode(kind, body)
+        if kind == records.REC_CATALOG:
+            plain = {str(ckpt_id): {"meta_extent": list(info.meta_extent)}
+                     for ckpt_id, info in store.checkpoints.items()
+                     if info.complete}
+            assert got == real_encode(kind, {"checkpoints": plain})
+            seen["catalogs"] += 1
+        return got
+
+    monkeypatch.setattr(flightrec, "encode_snapshot", checked_snapshot)
+    monkeypatch.setattr(records, "encode", checked_encode)
+
+    tenants = []
+    for index, name in enumerate(("a", "b", "c")):
+        proc = machine.kernel.spawn(name)
+        addr = proc.vmspace.mmap(16 * PAGE_SIZE, name="heap")
+        group = sls.attach(proc, name=name, history_limit=2,
+                           period_ns=(10 + 5 * index) * MSEC, probe_every=2)
+        tenants.append((proc, addr, group))
+    # A tenant checkpointed by hand, for a GC flip that rolls back.
+    proc = machine.kernel.spawn("manual")
+    addr = proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
+    manual = sls.attach(proc, name="manual", periodic=False)
+    manual_ids = []
+    for step in range(3):
+        proc.vmspace.fill(addr, 1, seed=1000 + step)
+        manual_ids.append(sls.checkpoint(manual, sync=True).info.ckpt_id)
+
+    for step in range(24):
+        for proc, addr, _group in tenants:
+            proc.vmspace.fill(addr, 4, seed=step)
+        if step == 4:
+            sls.slo.set_group_targets(tenants[0][2].group_id, rpo_ns=1)
+            sls.slo.targets = sls.slo.targets.replace(stop_ns=1)
+        if step == 6:
+            telemetry.registry().counter("sls.slo.test", step=step).add(1)
+        if step == 8:
+            # What the fleet does on ENOSPC: the tenant checkpoints to
+            # memory and probes the disk until a full one lands.
+            sls._enter_degraded(tenants[1][2], resilience.REASON_ENOSPC)
+        if step == 10:
+            machine.set_fault_plan(
+                FaultPlan(name="transient").transient_at_io(1, times=2))
+        if step == 12:
+            machine.clear_fault_plan()
+            # Deleting the manual tenant's oldest checkpoint writes its
+            # child's metadata (IO 0), the catalog (IO 1) and the
+            # superblock (IO 2): that flip fails and rolls back.
+            machine.set_fault_plan(FaultPlan(name="enospc").nospace_at_io(2))
+            with pytest.raises(NoSpace):
+                store.delete_checkpoint(manual_ids[0])
+            machine.clear_fault_plan()
+        if step == 14:
+            store.delete_checkpoint(manual_ids[0])
+        machine.run_for(10 * MSEC)
+
+    log = events.log()
+    assert log.matching(events.DEGRADED_ENTER)
+    assert log.matching(events.DEGRADED_EXIT)
+    assert log.matching(events.GC_RECLAIM)
+    assert log.matching(events.RETRY)
+    assert telemetry.registry().persisted["sls.resilience"]
+    assert seen["snapshots"] == seen["catalogs"] > 50
 
 
 def test_snapshot_persistence_has_zero_simulated_clock_cost():

@@ -35,6 +35,28 @@ def test_synthetic_page_is_deterministic():
     assert synthetic_bytes(7, 100) == Page(seed=7).realize()[:100]
 
 
+def _synthetic_bytes_formula(seed, length):
+    """The synthetic page formula as first written: one SHA-256 of
+    ``f"{seed}:{counter}"`` per 32-byte block."""
+    import hashlib
+
+    out = bytearray()
+    counter = 0
+    while len(out) < length:
+        out += hashlib.sha256(f"{seed}:{counter}".encode()).digest()
+        counter += 1
+    return bytes(out[:length])
+
+
+@pytest.mark.parametrize("seed", [0, 7, -5, 2 ** 40])
+def test_synthetic_bytes_keep_the_original_formula(seed):
+    for length in (1, 31, 32, 33, 100, 4096, 8192):
+        assert synthetic_bytes(seed, length) == \
+            _synthetic_bytes_formula(seed, length), length
+    assert Page(seed=seed).realize() == _synthetic_bytes_formula(seed,
+                                                                 PAGE_SIZE)
+
+
 def test_page_copy_preserves_content():
     real = Page(data=b"hello")
     syn = Page(seed=3)

@@ -201,6 +201,24 @@ def test_delete_oldest_transfers_visible_state(store):
     assert store.fetch_page(pages[MEM_OID].lookup(0)).seed == 102
 
 
+def test_gc_child_rewrite_re_encodes_the_childs_catalog_entry(store):
+    from repro import serde
+    from repro.objstore import records
+
+    infos = _chain(store, 3)
+    child = infos[1]
+    entry = child.catalog_entry()
+    assert child.catalog_entry() is entry           # encoded once
+    store.delete_checkpoint(infos[0].ckpt_id)
+    fresh = child.catalog_entry()
+    assert fresh is not entry
+    assert fresh == serde.fragment({"meta_extent": list(child.meta_extent)})
+    catalog = records.decode(store.device.read(store._catalog_extent[0]),
+                             records.REC_CATALOG)
+    assert catalog["checkpoints"][str(child.ckpt_id)] == {
+        "meta_extent": list(child.meta_extent)}
+
+
 def test_delete_middle_rejected(store):
     infos = _chain(store, 3)
     with pytest.raises(InvalidArgument):

@@ -114,3 +114,22 @@ def test_value_sums_one_name_and_matching_scans_prefix_tuples():
     assert names == ["a.xy", "b.z"]           # registration order
     telemetry.reset()
     assert telemetry.registry().value("a.x") == 0
+
+
+def test_persisted_counters_are_indexed_at_registration():
+    registry = telemetry.registry()
+    for name in ("sls.slo.b", "sls.other", "sls.resilience.a", "sls.slo.a"):
+        registry.counter(name, group=1).add(1)
+    # A second lookup of a registered counter files nothing twice.
+    registry.counter("sls.slo.b", group=1).add(1)
+    assert {prefix: [c.name for c in counters]
+            for prefix, counters in registry.persisted.items()} == {
+        "sls.resilience": ["sls.resilience.a"],
+        "sls.slo": ["sls.slo.b", "sls.slo.a"],
+        "sls.events.degraded": [], "sls.events.fault": []}
+    telemetry.reset()
+    assert all(not counters
+               for counters in telemetry.registry().persisted.values())
+    registry.counter("sls.events.fault.x").add(1)
+    assert [c.name for c in registry.persisted["sls.events.fault"]] == [
+        "sls.events.fault.x"]
