@@ -35,7 +35,7 @@ class _SinkTxn:
     def put_object(self, oid, otype, state):
         self.records[oid] = (otype, state)
 
-    def put_pages(self, oid, pages):
+    def put_pages(self, oid, runs, owner=None):
         pass
 
 

@@ -105,7 +105,7 @@ class AuroraAPI:
             group.group_id, name="memckpt", parent=group.last_ckpt_id,
             partial=True)
         txn.put_object(track.oid, "vmobject", item.record)
-        txn.put_pages(track.oid, item.pages, item.runs)
+        item.stage(txn)
 
         result = CheckpointResult(txn.info, "atomic")
         result.stop_ns = clock.now() - t_start
@@ -114,7 +114,6 @@ class AuroraAPI:
         group.flush_in_progress = True
 
         def on_complete(info):
-            item.mark_clean()
             group.flush_in_progress = False
             group.last_complete_id = info.ckpt_id
             track.flushed = True

@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional
 from .. import serde
 from ..errors import RestoreError, SLSError
 from ..hw.memory import Page
+from ..kernel.vm.vmobject import page_run
 from ..objstore.checkpoint import PageRuns, overlay_page_maps
 from ..objstore.store import ObjectStore
 from ..units import PAGE_SIZE
@@ -137,18 +138,17 @@ def recv_checkpoint(sls: Orchestrator, stream: bytes,
     for oid_str, runs in document["pages"].items():
         # Synthetic runs are staged as they travel; only real bytes
         # become pages.
-        pages: Dict[int, Page] = {}
-        synthetic: List[List[Any]] = []
+        staged: List[Any] = []
         for run in runs:
             if run[0] == "syn":
-                synthetic.append(run)
+                staged.append(run)
             elif run[0] == "dat":
-                for i in range(run[2]):
-                    pages[run[1] + i] = Page(
-                        data=run[3][i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
+                staged += (page_run(run[1] + i, Page(
+                    data=run[3][i * PAGE_SIZE:(i + 1) * PAGE_SIZE]))
+                    for i in range(run[2]))
             else:
                 raise RestoreError(f"bad page run kind {run[0]!r}")
-        txn.put_pages(int(oid_str), pages, synthetic)
+        txn.put_pages(int(oid_str), staged)
     info = store.commit(txn, sync=True)
     return info.ckpt_id
 

@@ -117,7 +117,7 @@ def _vnode_capture(ser: "Ser", vnode: Any, _kids: None) -> State:
         # Volatile filesystems get their data embedded in the
         # checkpoint; the Aurora FS persists data itself.
         ser.txn.put_pages(ser.group.oid_map[vnode.kid],
-                          vnode.vmobject.all_pages())
+                          vnode.vmobject.content(), vnode.vmobject)
     return {
         "inode": vnode.inode,
         "fs_type": vnode.fs.fs_type,
@@ -385,7 +385,7 @@ def _shm_unmapped(ser: "Ser", segment: SharedMemorySegment, _oid: int) -> None:
     if obj.sls_oid is None:
         obj.sls_oid = ser.group.oid_map[obj.kid]
         ser._put(obj.sls_oid, "vmobject", object_record(obj))
-        ser.txn.put_pages(obj.sls_oid, obj.all_pages())
+        ser.txn.put_pages(obj.sls_oid, obj.content(), obj)
 
 
 def _shm_build(rst: "Rst", _oid: int, state: State) -> SharedMemorySegment:

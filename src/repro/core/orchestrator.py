@@ -21,6 +21,7 @@ restorable applications after a crash.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, List, Optional
 
 from ..errors import (InvalidArgument, MachineCrashed, NoSpace,
@@ -175,13 +176,19 @@ class Orchestrator:
 
     def _emergency_gc(self, group: ConsistencyGroup) -> int:
         """ENOSPC pressure valve: merge away the older half of the
-        group's history (WAFL-style deletes free COW blocks)."""
+        group's history (WAFL-style deletes free COW blocks), oldest
+        first, up to the first delete that itself runs out of space
+        (it leaves the store as it was; the next probe retries)."""
         chain = self.store.checkpoints_for(group.group_id,
                                            include_partial=True)
         if not chain:
             return 0
         keep = max(1, len(chain) // 2)
-        reclaimed = self.store.retain_last(group.group_id, keep)
+        stats = self.store.stats
+        before = stats["reclaimed_bytes"]
+        with contextlib.suppress(StoreFull, NoSpace):
+            self.store.retain_last(group.group_id, keep)
+        reclaimed = stats["reclaimed_bytes"] - before
         events.emit(self.kernel.clock.now(), events.GC_EMERGENCY,
                     group=group.group_id, reclaimed_bytes=reclaimed,
                     kept=keep)

@@ -16,7 +16,7 @@ from the stage trace instead of hand-threaded ``t_*`` variables, and
 
 Both modes stage into one transaction type,
 :class:`~repro.objstore.store.CheckpointTxn`, whose ``put_pages`` lays
-each flush item's pages and runs over what is staged with the one
+each flush item's runs over what is staged with the one
 splice of :mod:`repro.core.runs`.  A mem-mode (stop-time measurement)
 checkpoint's transaction is built on an id-less ``CheckpointInfo(-1,
 group)`` — it takes no checkpoint id — and is never committed, so it
@@ -189,7 +189,7 @@ class Serialize(Stage):
         live = serializer.live_oids
         for item in ctx.flush_items:
             txn.put_object(item.oid, "vmobject", item.record)
-            txn.put_pages(item.oid, item.pages, item.runs)
+            item.stage(txn)
             live.add(item.oid)
         # Every tracked memory object stays live while its track
         # exists, whether or not it was dirtied this period.
@@ -264,9 +264,8 @@ class Flush(Stage):
         slo_tracker = ctx.sls.slo
 
         def on_complete(info: CheckpointInfo) -> None:
-            # The flip landed: what this checkpoint flushed is clean.
-            for item in ctx.flush_items:
-                item.mark_clean()
+            # The flip landed and marked what this checkpoint flushed
+            # clean.
             group.flush_in_progress = False
             group.last_complete_id = info.ckpt_id
             # A flush may outlive a detach; the commit still lands in

@@ -22,7 +22,7 @@ from ..errors import RestoreError
 from ..kernel.aio import AIO_READ
 from ..kernel.proc.process import Process
 from ..kernel.proc.signals import SIGCHLD, SIGSLSRESTORE
-from ..kernel.vm.vmobject import VMObject
+from ..kernel.vm.vmobject import VMObject, page_run
 from ..objstore.checkpoint import NO_PAGES, PageRuns
 from ..objstore.oid import CLASS_MEMORY, oid_class
 from . import costs, events, telemetry, tracing
@@ -184,7 +184,8 @@ class GroupRestorer:
             return
         clock = self.kernel.clock
         start = clock.now()
-        obj.insert_runs([run for run in locators.runs if run[0] == "syn"])
+        obj.insert([(*run, False) for run in locators.runs
+                    if run[0] == "syn"])
         for run in locators.runs:
             if run[0] == "ext":
                 # Real pages keep the per-page read accounting: one
@@ -192,8 +193,7 @@ class GroupRestorer:
                 for pindex in range(run[1], run[1] + run[2]):
                     locator = clip_run(run, pindex, pindex + 1)
                     page = self.store.fetch_page(locator)
-                    page.clean_locator = locator    # durable already
-                    obj.insert_page(pindex, page)
+                    obj.insert((page_run(pindex, page, locator),))  # clean
             clock.advance(costs.RESTORE_PAGE_INSERT * run[2])
             self.pages_restored += run[2]
         self.insert_ns += clock.now() - start

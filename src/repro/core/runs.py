@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import (Any, Collection, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 
 def build_arith_runs(indexes: Iterable[int]) -> List[List[int]]:
@@ -64,10 +63,12 @@ def expand_arith_runs(runs: Iterable[List[int]]) -> List[int]:
 #     ("syn", start, count, seed0, seed_step)
 #     ("ext", start, count, extent, byte_off0, page_len)
 #
-# Fields 1 and 2 (start, count) mean the same for both kinds, so the
+# Fields 1 and 2 (start, count) mean the same for every kind, so the
 # interval algebra below never looks past them except to clip.  A VM
-# object's synthetic run carries one more field (whether it is dirty,
-# see ``kernel/vm/vmobject.py``), which clipping keeps.  A *bare span*
+# object holds two kinds of run (see ``kernel/vm/vmobject.py``): a
+# synthetic run with one more field, whether it is dirty, which clipping
+# keeps, and a real page's one-page run ``("page", pindex, 1, page,
+# locator)``, which no clip inside it changes.  A *bare span*
 # ``(None, start, count)`` names indexes without content: in a cover it
 # only cuts.
 
@@ -84,26 +85,15 @@ def clip_run(run: Sequence[Any], lo: int, hi: int) -> LocatorRun:
     skip = lo - run[1]
     if run[0] == "syn":
         return ("syn", lo, hi - lo, run[3] + run[4] * skip, run[4], *run[5:])
-    return ("ext", lo, hi - lo, run[3], run[4] + run[5] * skip, run[5])
+    if run[0] == "ext":
+        return ("ext", lo, hi - lo, run[3], run[4] + run[5] * skip, run[5])
+    return run    # a real page: one page, so any clip inside it is itself
 
 
-def index_spans(indexes: Iterable[int]) -> List[List[Any]]:
-    """Sorted bare spans ``[None, start, count]`` of consecutive
-    indexes: how pages enter a :func:`splice` cover."""
-    spans: List[List[Any]] = []
-    for pindex in sorted(indexes):
-        if spans and spans[-1][1] + spans[-1][2] == pindex:
-            spans[-1][2] += 1
-        else:
-            spans.append([None, pindex, 1])
-    return spans
-
-
-def content_spans(pages: Iterable[int],
-                  runs: Sequence[LocatorRun]) -> List[LocatorRun]:
-    """The indexes of ``pages`` and ``runs`` as sorted bare spans."""
-    return sorted([*index_spans(pages),
-                   *((None, run[1], run[2]) for run in runs)], key=run_start)
+def bare_spans(runs: Sequence[LocatorRun]) -> List[LocatorRun]:
+    """The indexes ``runs`` hold, as bare spans: a cover that only
+    cuts."""
+    return [(None, run[1], run[2]) for run in runs]
 
 
 def run_index(runs: Sequence[LocatorRun], pindex: int, lo: int = 0,
@@ -160,9 +150,21 @@ def splice(runs: Sequence[LocatorRun], cover: Sequence[LocatorRun]
     """
     if not runs:
         return list(filter(_KIND, cover)), 0
+    out, stop, cut = splice_window(runs, cover, 0)
+    out += runs[stop:]
+    return out, cut
+
+
+def splice_window(runs: Sequence[LocatorRun], cover: Sequence[LocatorRun],
+                  first: int) -> Tuple[List[LocatorRun], int, int]:
+    """:func:`splice` from ``runs[first]`` on, no run before it ending
+    after ``cover[0]`` starts: returns the list that replaces
+    ``runs[first:stop]``, ``stop`` and the pages cut — a list edited in
+    place keeps the runs outside the window as they are."""
     out: List[LocatorRun] = []
     end, ncover = len(runs), len(cover)
-    cut = pos = i = rest = 0
+    cut = i = rest = 0
+    pos = first
     carry: Optional[LocatorRun] = None  # a run a span cut, uncut from rest
     while i < ncover:
         span = cover[i]
@@ -203,48 +205,7 @@ def splice(runs: Sequence[LocatorRun], cover: Sequence[LocatorRun]
         i += 1
     if carry is not None:
         out.append(clip_run(carry, rest, carry[1] + carry[2]))
-    out += runs[pos:]
-    return out, cut
-
-
-def indexes_under(held: Collection[int],
-                  runs: Sequence[LocatorRun]) -> List[int]:
-    """The members of ``held`` (a set or a dict keyed by index) that
-    ``runs`` (sorted, disjoint) cover.  Probes whichever side is
-    smaller: every index of the runs, or every member with one bisect."""
-    if not held or not runs:
-        return []
-    if sum(run[2] for run in runs) <= len(held):
-        return [pindex for run in runs
-                for pindex in range(run[1], run[1] + run[2])
-                if pindex in held]
-    return [pindex for pindex in held if run_at(runs, pindex) is not None]
-
-
-def overlay_content(pages: Dict[int, Any], runs: Sequence[LocatorRun],
-                    newer_pages: Mapping[int, Any],
-                    newer_runs: Sequence[LocatorRun]
-                    ) -> Tuple[Sequence[LocatorRun], int]:
-    """Lay newer content — pages by index plus sorted, disjoint runs —
-    over older content, newest wins: the merge behind staging
-    (``put_pages``) and a VM object's inserts and reversed collapse.
-    ``pages`` is updated in place; returns the merged run list (``runs``
-    itself when neither side holds any) and how many older pages the
-    newer content replaced."""
-    # Counted from the newer side, one probe per page: many small slabs
-    # into a large object stay linear in the pages laid over.
-    replaced = sum(map(pages.__contains__, newer_pages)) if pages else 0
-    stale = indexes_under(pages, newer_runs)
-    for pindex in stale:
-        del pages[pindex]
-    pages.update(newer_pages)
-    if not runs and not newer_runs:
-        return runs, replaced
-    if runs and newer_pages:
-        newer_runs = sorted([*index_spans(newer_pages), *newer_runs],
-                            key=run_start)
-    merged, cut = splice(runs, newer_runs)
-    return merged, replaced + len(stale) + cut
+    return out, pos, cut
 
 
 def append_locator_run(runs: List[List[Any]], run: Sequence[Any]) -> None:
@@ -277,8 +238,10 @@ def append_locator_run(runs: List[List[Any]], run: Sequence[Any]) -> None:
                 # Only the first page continues the progression.
                 last[2] += 1
                 run = ("syn", start + 1, count - 1, seed0 + step, step)
-    entry = list(run)
-    if entry[0] == "syn" and entry[2] == 1:
+    # A VM object's synthetic run carries its dirty flag: not a locator
+    # field.
+    entry = list(run[:5] if kind == "syn" else run)
+    if kind == "syn" and entry[2] == 1:
         entry[4] = 0
     runs.append(entry)
 

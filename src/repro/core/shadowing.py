@@ -19,11 +19,10 @@ small dirty set rather than the parent's full resident set.  The
 classic forward direction is kept for the ablation benchmark.
 
 A flush item carries the dirty content as the VM objects hold it —
-materialised pages and synthetic runs — plus the objects the runs came
-from, so the commit that makes them durable marks them clean there
-(:meth:`FlushItem.mark_clean`) while the store stays ignorant of VM
-objects.  A new object's or a full checkpoint's content is the chain
-segment's newest-wins merge (:func:`merged_chain`), older runs cut by
+runs — plus the objects the runs came from, so the flip that makes
+them durable marks them clean there (:meth:`FlushItem.stage`).  A new
+object's or a full checkpoint's content is the chain segment's
+newest-wins merge (:func:`merged_chain`), older runs cut by
 :func:`~repro.core.runs.splice`.
 """
 
@@ -32,12 +31,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import InvalidArgument
-from ..hw.memory import Page
 from ..kernel.vm.vmobject import DEVICE, VNODE, VMObject
 from ..objstore.oid import CLASS_MEMORY
 from . import costs, telemetry
 from .group import ConsistencyGroup, ObjectTrack
-from .runs import LocatorRun, indexes_under, run_start, splice
+from .runs import LocatorRun, bare_spans, run_start, splice
 
 REVERSE = "reverse"   # Aurora's optimized direction (§6)
 FORWARD = "forward"   # classic Mach/FreeBSD direction (ablation)
@@ -49,43 +47,37 @@ Sources = List[Tuple[VMObject, List[LocatorRun]]]
 
 class FlushItem:
     """One logical object's contribution to a checkpoint flush: its
-    metadata ``record`` and its newest-wins merged dirty set — ``pages``
-    (materialised, by index) and ``runs`` (synthetic locator runs,
-    sorted, disjoint from ``pages``); the store sorts and packs both
-    into extents.  ``sources`` pairs each VM object the runs came from
-    with its pieces, so that once the checkpoint is durable the pieces
-    are marked clean where they live (:meth:`mark_clean`)."""
+    metadata ``record`` and its newest-wins merged dirty set as ``runs``
+    (sorted, disjoint; the store packs them into extents).
+    ``sources`` pairs each VM object the runs came from with its pieces,
+    so that once the checkpoint is durable the pieces are marked clean
+    where they live (:meth:`stage`)."""
 
-    __slots__ = ("oid", "record", "pages", "runs", "sources")
+    __slots__ = ("oid", "record", "runs", "sources")
 
     def __init__(self, oid: int, record: Dict[str, Any],
-                 pages: Dict[int, Page], sources: Sources) -> None:
+                 sources: Sources) -> None:
         self.oid = oid
         self.record = record
-        self.pages = pages
         self.sources = sources
         self.runs = sources[0][1] if len(sources) == 1 else sorted(
             (run for _owner, runs in sources for run in runs), key=run_start)
 
     def page_count(self) -> int:
-        """Pages flushed: materialised ones plus run pages."""
-        return len(self.pages) + sum(run[2] for run in self.runs)
+        """Pages flushed."""
+        return sum(run[2] for run in self.runs)
 
     def stretches(self) -> int:
-        """Maximal stretches of consecutive indexes the item holds,
-        pages and runs together (an adjacent page and run join)."""
-        pages = self.pages
+        """Maximal stretches of consecutive indexes the item holds
+        (adjacent runs join)."""
         ends = {run[1] + run[2] for run in self.runs}
-        return (sum(p - 1 not in pages and p not in ends for p in pages)
-                + sum(run[1] - 1 not in pages and run[1] not in ends
-                      for run in self.runs))
+        return sum(run[1] not in ends for run in self.runs)
 
-    def mark_clean(self) -> None:
-        """The checkpoint that carried this item is durable: its run
-        pieces become clean in the objects they came from, as the store
-        marks the flushed ``Page``s."""
+    def stage(self, txn: Any) -> None:
+        """Stage the runs in ``txn``, each piece with the object it came
+        from: the flip that makes them durable marks them clean there."""
         for owner, runs in self.sources:
-            owner.mark_clean(runs)
+            txn.put_pages(self.oid, runs, owner)
 
 
 def _chain_segment(top: VMObject) -> List[VMObject]:
@@ -105,35 +97,20 @@ def _chain_segment(top: VMObject) -> List[VMObject]:
     return segment
 
 
-def merged_chain(top: VMObject) -> Tuple[Dict[int, Page], Sources]:
+def merged_chain(top: VMObject) -> Sources:
     """Newest-wins content of ``top``'s chain segment, merged bottom-up
-    in one walk: the materialised pages, and the runs as ``(owner,
-    pieces)`` — each object's runs minus what a newer object holds, so
-    a flush marks clean only what it wrote.
-
-    Pages merge with one C-speed ``dict.update`` per chain object
-    (later = newer = wins), so a full-checkpoint merge over a
-    million-page object costs a few dict bulk-copies instead of a
-    million ``setdefault`` probes; older runs are cut by one
-    :func:`~repro.core.runs.splice` per newer object.
-    """
-    pages: Dict[int, Page] = {}
+    in one walk, as ``(owner, pieces)`` — each object's runs minus what
+    a newer object holds (one :func:`~repro.core.runs.splice` per newer
+    object), so a flush marks clean only what it wrote."""
     sources: Sources = []
     for obj in reversed(_chain_segment(top)):
-        obj_pages, obj_runs = obj.content()
-        if sources and (obj_pages or obj_runs):
-            cover = obj.spans()
-            sources = [(owner, splice(runs, cover)[0])
-                       for owner, runs in sources]
-        if pages:
-            for pindex in indexes_under(pages, obj_runs):
-                del pages[pindex]
-            pages.update(obj_pages)
-        else:
-            pages = obj_pages
-        if obj_runs:
-            sources.append((obj, obj_runs))
-    return pages, [(owner, runs) for owner, runs in sources if runs]
+        runs = obj.content()
+        if runs:
+            cover = bare_spans(runs)
+            sources = [(owner, splice(pieces, cover)[0])
+                       for owner, pieces in sources]
+            sources.append((obj, runs))
+    return [(owner, runs) for owner, runs in sources if runs]
 
 
 def chain_backing_oid(top: VMObject) -> Optional[int]:
@@ -307,17 +284,17 @@ class ShadowEngine:
         Every reference in ``spaces`` (:meth:`running_spaces`) and the
         shm backmap moves to the shadow, the COW marks are charged, and
         the track now flushes ``top`` and writes into the shadow.
-        Returns what to flush — the record and the dirty content, pages
-        and runs (the whole chain segment, newest wins, for a new object
-        or a ``full`` checkpoint) — and the number of PTEs downgraded;
-        the TLB shootdown is the caller's.
+        Returns what to flush — the record and the dirty content (the
+        whole chain segment, newest wins, for a new object or a ``full``
+        checkpoint) — and the number of PTEs downgraded; the TLB
+        shootdown is the caller's.
         """
         if track.new or full:
-            pages, sources = merged_chain(top)
+            sources = merged_chain(top)
         else:
-            pages, runs = top.content()
+            runs = top.content()
             sources = [(top, runs)] if runs else []
-        item = FlushItem(track.oid, object_record(top), pages, sources)
+        item = FlushItem(track.oid, object_record(top), sources)
         shadow = top.shadow(name=shadow_name)
         shadow.sls_oid = track.oid
         downgraded = self._repoint_entries(spaces, top, shadow)

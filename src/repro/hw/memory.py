@@ -15,7 +15,7 @@ verifiable.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Optional
+from typing import Optional
 
 from ..units import PAGE_SIZE
 from ..errors import InvalidArgument
@@ -41,13 +41,6 @@ def synthetic_bytes(seed: int, length: int = PAGE_SIZE) -> bytes:
     return b"".join(digests)[:length]
 
 
-#: ``Page.clean_locator`` of a checkpointed synthetic page.  Its locator
-#: is a pure function of the page's own seed, so every such page shares
-#: this one mark and the pageout daemon derives the locator when it
-#: evicts; a real page's mark is its own locator, a one-page run.
-SYNTHETIC_CLEAN = "syn"
-
-
 class Page:
     """A single page frame's contents.
 
@@ -57,7 +50,7 @@ class Page:
     object, which is what makes COW sharing between VM objects safe.
     """
 
-    __slots__ = ("data", "seed", "clean_locator")
+    __slots__ = ("data", "seed")
 
     def __init__(self, data: Optional[bytes] = None,
                  seed: Optional[int] = None) -> None:
@@ -67,12 +60,6 @@ class Page:
             raise InvalidArgument("page payload larger than a page")
         self.data = data
         self.seed = seed
-        #: Where this exact content is persisted in the object store (set
-        #: by the flush path, an eager restore or a page-in):
-        #: :data:`SYNTHETIC_CLEAN`, or a real page's one-page ``"ext"``
-        #: run.  A write replaces the Page object, so a non-None mark
-        #: means the page is *clean*: evictable without IO (§6).
-        self.clean_locator: Any = None
 
     @property
     def synthetic(self) -> bool:

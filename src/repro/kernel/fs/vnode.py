@@ -16,7 +16,7 @@ from ...errors import InvalidArgument, IsADirectory, NotADirectory
 from ...hw.memory import Page
 from ...units import PAGE_SIZE, pages_of
 from ..kobject import KObject
-from ..vm.vmobject import VMObject, VNODE
+from ..vm.vmobject import VMObject, VNODE, page_run
 
 VREG = "reg"
 VDIR = "dir"
@@ -70,7 +70,7 @@ class Vnode(KObject):
             content = bytearray(existing.realize() if existing else
                                 b"\x00" * PAGE_SIZE)
             content[page_off:page_off + chunk] = data[pos:pos + chunk]
-            obj.insert_page(pindex, Page(data=bytes(content)))
+            obj.insert((page_run(pindex, Page(data=bytes(content))),))
             pos += chunk
         self.size = max(self.size, end)
         self.mark_dirty()
@@ -84,9 +84,9 @@ class Vnode(KObject):
             raise InvalidArgument("synthetic writes must be page aligned")
         end = offset + nbytes
         obj.grow(pages_of(end))
-        first = offset // PAGE_SIZE
-        for i in range(nbytes // PAGE_SIZE):
-            obj.insert_page(first + i, Page(seed=seed + i))
+        if nbytes:
+            obj.insert((("syn", offset // PAGE_SIZE, nbytes // PAGE_SIZE,
+                         seed, 1, True),))
         self.size = max(self.size, end)
         self.mark_dirty()
         self.fs.on_data_write(self, offset, nbytes)
@@ -111,9 +111,7 @@ class Vnode(KObject):
     def truncate(self, length: int = 0) -> None:
         """Cut the file to ``length`` bytes, dropping tail pages."""
         obj = self._require_reg()
-        keep = pages_of(length)
-        for pindex in [p for p in obj.all_pages() if p >= keep]:
-            obj.remove_page(pindex)
+        obj.remove(pages_of(length), obj.size_pages)
         self.size = length
         self.mark_dirty()
 

@@ -16,7 +16,6 @@ from ...errors import PermissionDenied
 from ...units import PAGE_SIZE
 from ..kobject import KObject
 from ..vm.vmobject import DEVICE, VMObject
-from ...hw.memory import Page
 
 #: Devices a persistent process is allowed to use (§5.3).
 DEVICE_WHITELIST = frozenset({"null", "zero", "urandom", "hpet", "tty"})
@@ -40,7 +39,7 @@ class DeviceFile(KObject):
             # restore maps the current machine's HPET).
             self.vmobject = VMObject(kernel, 1, kind=DEVICE,
                                      name="dev:hpet")
-            self.vmobject.insert_page(0, Page(seed=kernel.boot_id))
+            self.vmobject.insert((("syn", 0, 1, kernel.boot_id, 0, True),))
 
     def read(self, nbytes: int) -> bytes:
         """Device read (zeros, random bytes, or nothing)."""
@@ -79,7 +78,8 @@ class VDSO:
         self.kernel = kernel
         self.vmobject = VMObject(kernel, 1, kind=DEVICE,
                                  name=f"vdso:boot{kernel.boot_id}")
-        self.vmobject.insert_page(0, Page(seed=0x7D50_0000 + kernel.boot_id))
+        self.vmobject.insert(
+            (("syn", 0, 1, 0x7D50_0000 + kernel.boot_id, 0, True),))
 
     def inject(self, vmspace) -> int:
         """Map this boot's vDSO into ``vmspace`` at the ABI address."""

@@ -18,17 +18,15 @@ shadow chain top-down, the first object holding an index, resident or
 evicted, decides what a reader sees (:meth:`VMObject.lookup_page`); a
 collapse moves evicted runs newest-wins with the content.
 
-Cleanliness lives on the :class:`~repro.hw.memory.Page` itself
-(``clean_locator``, marked by the flush path, an eager restore or a
-page-in): pages are immutable and replaced on write, so a stale marker
-is impossible, and it survives collapses moving the page between VM
-objects.  A real page's marker is its one-page ``"ext"`` run; every
-clean synthetic page shares :data:`~repro.hw.memory.SYNTHETIC_CLEAN`,
-its locator being a function of its seed.  Synthetic content held as a
-run (see :mod:`~repro.kernel.vm.vmobject`) is clean or dirty as a
-whole; the candidate scan builds its pages (:meth:`VMObject.all_pages`),
-a clean one is evicted without IO, a dirty one goes through
-:meth:`ObjectStore.stage_swap_page`, and either is cut out of its run.
+Cleanliness lives on the VM object's run (see
+:mod:`~repro.kernel.vm.vmobject`): a synthetic run is clean or dirty as
+a whole, and a real page's run carries its one-page ``"ext"`` locator
+while it is clean.  The candidate scan walks each object's runs in index
+order and builds no ``Page``: a clean run is evicted without IO by
+splicing it — a real page's locator, a synthetic run as it is — into
+``evicted``; a dirty page goes through
+:meth:`ObjectStore.stage_swap_page`, its ``Page`` built there.  Either
+is cut out of the object.
 
 ``madvise`` hints bias the eviction policy, and lazy restores reuse
 the same page-in path.
@@ -36,16 +34,16 @@ the same page-in path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core import costs
-from ..core.runs import (LocatorRun, append_locator_run, clip_run,
-                         content_spans, run_at, run_start, splice)
+from ..core.runs import (LocatorRun, append_locator_run, bare_spans,
+                         clip_run, run_at, run_start, runs_within, splice)
 from ..errors import InvalidArgument
-from ..hw.memory import SYNTHETIC_CLEAN, Page
-from .vm.vmobject import VMObject
+from .vm.vmobject import VMObject, is_clean, page_run, run_page
 
-_Candidate = Tuple[VMObject, int, Page]
+#: A VM object and a piece of one of its runs.
+_Candidate = Tuple[VMObject, LocatorRun]
 
 #: madvise hints the policy understands.
 MADV_NORMAL = "normal"
@@ -90,30 +88,34 @@ class PageoutDaemon:
 
     def _eviction_candidates(self, objects: List[VMObject]
                              ) -> Tuple[List[_Candidate], List[_Candidate]]:
-        """Clean pages first (free to evict), DONTNEED pages first of
-        all; dirty pages only under sustained pressure."""
+        """Clean runs first (free to evict), DONTNEED pages first of
+        all; dirty runs only under sustained pressure."""
         clean_hinted: List[_Candidate] = []
         clean_plain: List[_Candidate] = []
         dirty: List[_Candidate] = []
         # Chains share objects (a fork's COW shadows, shared memory):
         # each is scanned once.
         for obj in {obj.kid: obj for obj in objects}.values():
-            hints = self.hints.get(obj.kid, {})
-            # Index order: the same candidates however the object holds
-            # its content (pages, runs) and whatever order it arrived in.
-            for pindex, page in sorted(obj.all_pages().items()):
-                if page.clean_locator is not None:
-                    # Clean pages are evictable even in a frozen shadow
-                    # (the marker is only stamped once the extent is
-                    # durable).
-                    if hints.get(pindex) == MADV_DONTNEED:
-                        clean_hinted.append((obj, pindex, page))
-                    else:
-                        clean_plain.append((obj, pindex, page))
+            # Index order: the same candidates whatever order the
+            # content arrived in.
+            clean: List[LocatorRun] = []
+            for run in obj.content():
+                if is_clean(run):
+                    # Evictable even in a frozen shadow: content is
+                    # marked clean only once the flip is durable.
+                    clean.append(run)
                 elif not obj.frozen:
-                    # Dirty pages of a frozen shadow are mid-flush and
-                    # about to become clean; leave them alone.
-                    dirty.append((obj, pindex, page))
+                    # Dirty content of a frozen shadow is mid-flush and
+                    # about to become clean; leave it alone.
+                    dirty.append((obj, run))
+            dontneed = sorted(pindex for pindex, hint
+                              in self.hints.get(obj.kid, {}).items()
+                              if hint == MADV_DONTNEED)
+            clean_hinted += ((obj, piece) for pindex in dontneed
+                             for piece in runs_within(clean, pindex,
+                                                      pindex + 1))
+            clean_plain += ((obj, run) for run in splice(
+                clean, [(None, pindex, 1) for pindex in dontneed])[0])
         return clean_hinted + clean_plain, dirty
 
     def run_pageout(self, objects: List[VMObject], store: Any = None) -> int:
@@ -128,25 +130,30 @@ class PageoutDaemon:
         gone: Dict[int, List[LocatorRun]] = {}
         clean, dirty = self._eviction_candidates(objects)
         try:
-            for obj, pindex, page in clean:
-                if physmem.used_frames <= target:
-                    break
-                obj.remove_page(pindex)
-                mark = page.clean_locator
-                gone.setdefault(obj.kid, []).append(
-                    ("syn", pindex, 1, page.seed, 0)
-                    if mark is SYNTHETIC_CLEAN
-                    else ("ext", pindex, 1, *mark[3:]))
-                self.evictions_clean += 1
+            for obj, run in clean:
+                # A stretch at a time, as long as the frames still to
+                # free: the pages one-page evictions would take.
+                lo, end = run[1], run[1] + run[2]
+                while lo < end and physmem.used_frames > target:
+                    hi = min(end, lo + physmem.used_frames - target)
+                    obj.remove(lo, hi)
+                    gone.setdefault(obj.kid, []).append(
+                        clip_run(run, lo, hi) if run[0] == "syn"
+                        else ("ext", lo, 1, *run[4][3:]))
+                    self.evictions_clean += hi - lo
+                    lo = hi
             if physmem.used_frames > target and store is not None:
                 # Sustained pressure: flush dirty pages through the
                 # store's unified data path, then evict them.
-                for obj, pindex, page in dirty:
+                pages = ((obj, run, pindex) for obj, run in dirty
+                         for pindex in range(run[1], run[1] + run[2]))
+                for obj, run, pindex in pages:
                     if physmem.used_frames <= target:
                         break
                     gone.setdefault(obj.kid, []).append(
-                        store.stage_swap_page(obj, pindex, page))
-                    obj.remove_page(pindex)
+                        store.stage_swap_page(obj, pindex,
+                                              run_page(run, pindex)))
+                    obj.remove(pindex, pindex + 1)
                     self.evictions_dirty += 1
         finally:
             for kid, pieces in gone.items():
@@ -155,7 +162,7 @@ class PageoutDaemon:
                     append_locator_run(runs, piece)
                 self.evicted[kid] = splice(self.evicted.get(kid, ()),
                                            runs)[0]
-        return sum(map(len, gone.values()))
+        return sum(run[2] for pieces in gone.values() for run in pieces)
 
     def migrate_object(self, older_kid: int, newer: VMObject,
                        home_kid: int) -> List[LocatorRun]:
@@ -167,20 +174,17 @@ class PageoutDaemon:
         older = self.evicted.pop(older_kid, None)
         newest = runs = self.evicted.pop(newer.kid, [])
         if older:
-            runs = splice(older, sorted([*newer.spans(), *runs],
-                                        key=run_start))[0]
+            runs = splice(older, sorted([*bare_spans(newer.content()),
+                                         *runs], key=run_start))[0]
         if runs:
             self.evicted[home_kid] = runs
         return newest
 
-    def forget(self, kid: int, pages: Iterable[int],
-               runs: Sequence[LocatorRun]) -> None:
-        """Object ``kid`` gained content at the indexes ``pages`` and
-        ``runs``: what it evicted there is superseded (the two never
-        overlap)."""
+    def forget(self, kid: int, runs: Sequence[LocatorRun]) -> None:
+        """Object ``kid`` gained content ``runs``: what it evicted there
+        is superseded."""
         if kid in self.evicted:
-            left = splice(self.evicted.pop(kid),
-                          content_spans(pages, runs))[0]
+            left = splice(self.evicted.pop(kid), bare_spans(runs))[0]
             if left:
                 self.evicted[kid] = left
 
@@ -199,15 +203,9 @@ class PageoutDaemon:
                 f"page {(vmobject.kid, pindex)} was not evicted")
         locator = clip_run(run, pindex, pindex + 1)
         page = store.fetch_page(locator)
-        # A fresh copy is clean by definition.
-        page.clean_locator = SYNTHETIC_CLEAN if page.synthetic else locator
         self.kernel.clock.advance(costs.LAZY_FAULT_PER_PAGE)
-        # Paging back into a frozen shadow is safe: the content is the
-        # exact durable copy the freeze protected.
-        was_frozen = vmobject.frozen
-        vmobject.frozen = False
-        try:
-            vmobject.insert_page(pindex, page)
-        finally:
-            vmobject.frozen = was_frozen
+        # A fresh copy is clean by definition, so it may go back into a
+        # frozen shadow: it is the exact durable copy the freeze
+        # protected.
+        vmobject.insert((page_run(pindex, page, locator),))
         self.pageins += 1

@@ -13,9 +13,9 @@ charges calibrated costs for every hop and copy it performs.
 There is one write-fault implementation, :func:`handle_write_faults`,
 and it resolves a *run* of pages: the chain is walked once per object
 (over index ranges, not indexes) instead of once per page, the private
-copies go in as one slab — or, for ``touch``, the content it stores as
-one dirty run — the PTEs as one range and the clock advances once by
-the summed cost.
+copies go in as one insert of dirty runs — or, for ``touch``, the
+content it stores as one dirty run — the PTEs as one range and the
+clock advances once by the summed cost.
 ``SimClock.advance`` is purely additive, so the end state — contents,
 pmap bits, ``fault_count``, frame accounting, the clock — is that of one
 fault per page; :func:`handle_fault` ``(write=True)`` is the one-page call.
@@ -23,15 +23,14 @@ fault per page; :func:`handle_fault` ``(write=True)`` is the one-page call.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ...core import costs
-from ...core.runs import LocatorRun, runs_within
+from ...core.runs import LocatorRun, run_start, runs_within
 from ...errors import SegmentationFault
 from ...hw.memory import Page
 from .vmmap import PROT_READ, PROT_WRITE, VMMapEntry
-from .vmobject import VMObject
+from .vmobject import VMObject, page_run
 
 #: A stretch ``(lo, hi)`` of page indexes.
 Span = Tuple[int, int]
@@ -90,7 +89,8 @@ def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
     seed0, step)`` a caller replacing whole pages is about to store over
     them: it goes in as one dirty run instead of the COW copies and
     zero-fill pages, which would be garbage as soon as they were built.
-    The charges are the same.  Without it the copies are ``Page``s.
+    The charges are the same.  Without it a synthetic stretch is copied
+    as a dirty run, and a real page or a zero-fill as a ``Page``.
     """
     if not entry.protection & PROT_WRITE:
         raise SegmentationFault(
@@ -113,7 +113,7 @@ def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
     # where order matters — so the pages before it are charged first,
     # as one fault per page would have.  A chain with no evicted page
     # (an O(1) test per object) is charged in one piece.
-    private: Dict[int, Page] = {}
+    private: List[LocatorRun] = []
     wanted = private if install is None else None
     lo = first
     for pindex, holder, index in _only_in_store(kernel, top, first, end):
@@ -121,10 +121,8 @@ def handle_write_faults(space: Any, entry: VMMapEntry, va_start: int,
         kernel.pageout.page_in(holder, index, kernel.sls.store)
         lo = pindex
     kernel.clock.advance(_resolve(top, lo, end, wanted))
-    if install is None:
-        top.insert_pages(private)
-    else:
-        top.insert_runs((install,), dirty=True)
+    top.insert(sorted(private, key=run_start) if install is None
+               else ((*install, True),))
     space.pmap.enter_range(va_start, npages, writable=True, dirty=True)
 
 
@@ -143,12 +141,13 @@ def _only_in_store(kernel: Any, top: VMObject, first: int,
 
 
 def _resolve(top: VMObject, first: int, end: int,
-             private: Optional[Dict[int, Page]]) -> int:
+             private: Optional[List[LocatorRun]]) -> int:
     """The summed charge for write faults on pages ``[first, end)`` of
     ``top``, each resident somewhere in its chain or zero-fill (none
     lives only in the store, so the walk skips evicted runs).  The COW
     copies and zero-fill pages ``top`` needs are added to ``private``
-    when given; only the hits are copied.
+    when given, as dirty runs in ``top``'s indexes; only the hits are
+    copied.
     """
     cost = 0
     for obj, depth, shift, held, _gone in _walk(top, first, end, {}):
@@ -163,10 +162,15 @@ def _resolve(top: VMObject, first: int, end: int,
         cost += sum(hi - lo for lo, hi in held) * each
         if depth and private is not None:
             for lo, hi in held:
-                for p in range(lo, hi):
-                    page = obj.page_at(p) if obj is not None else None
-                    private[p - shift] = (Page(data=b"") if page is None
-                                          else page.copy())
+                if obj is None:
+                    private += (page_run(p - shift, Page(data=b""))
+                                for p in range(lo, hi))
+                    continue
+                for run in obj.content(lo, hi):
+                    private.append(
+                        ("syn", run[1] - shift, *run[2:5], True)
+                        if run[0] == "syn"
+                        else page_run(run[1] - shift, run[3].copy()))
     return cost
 
 

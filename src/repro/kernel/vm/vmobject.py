@@ -7,37 +7,38 @@ spaces (shared memory) and lets *shadow* objects stack on top of a
 parent to hold process-private (or, for Aurora, checkpoint-private)
 copies of pages.
 
-An object's content is two disjoint parts, and this module alone
-decides how they are held:
+An object's content is one sorted, disjoint run list, and this module
+alone decides how it is held.  A run is one of two kinds:
 
-* ``pages`` — materialised :class:`~repro.hw.memory.Page` values by
-  index (real bytes, copies, page-ins);
-* synthetic *runs* ``("syn", start, count, seed0, step, dirty)`` — a
-  stretch whose page ``start + i`` has seed ``seed0 + step × i``.  A
-  run is clean or dirty, as a ``Page`` is: ``fill`` and ``touch``
-  insert one dirty run per stretch (:meth:`insert_runs`), an eager
-  restore inserts clean ones (the seed progression is its own locator).
-  Only objects that hold runs pay for the list; the rest share an
-  empty default.
+* ``("syn", start, count, seed0, step, dirty)`` — a synthetic stretch
+  whose page ``start + i`` has seed ``seed0 + step × i``.  ``fill`` and
+  ``touch`` insert one dirty run per stretch, an eager restore or a
+  page-in clean ones (the seed progression is its own locator);
+* ``("page", pindex, 1, page, locator)`` — one real-byte
+  :class:`~repro.hw.memory.Page`, with its one-page ``"ext"`` locator
+  while it is clean (an eager restore, a page-in, or a durable flush)
+  and None while it is dirty.
 
-A run's ``Page`` is built only when code needs that page's content,
-and is never cached back: a read (:meth:`page_at`, :meth:`lookup_page`),
-the copy-up of a write fault that installs no run of its own, a partial
-``VMSpace.write``, and :meth:`all_pages` for the paths that are
-O(resident) or per-object already — the pageout daemon's candidate
-scan, and vnode, shm and SLSFS content.  A page built from a dirty run
-is dirty (``clean_locator`` None); one built from a clean run carries
-:data:`~repro.hw.memory.SYNTHETIC_CLEAN`.
+A synthetic :class:`~repro.hw.memory.Page` goes in as a one-page run
+(:func:`page_run`).  Only objects that hold content pay for the list;
+the rest share an empty default.
 
-Runs are *cut* where newer content replaces them — an insert of pages or
-runs, an eviction (:meth:`remove_page`), a collapse moving content
-between objects — with :func:`~repro.core.runs.splice`, the one edit
-every run list in the system goes through: one bisect per cut span and
-at most two clips, so an edit costs O(edit), not O(runs held).  A flush
-takes an object's content as locator runs (:meth:`content`), and once
-the checkpoint that carried them is durable :meth:`mark_clean` turns
-the dirty runs under them clean — exactly the pages a per-page flush
-would have marked.
+A synthetic run's ``Page`` is built only when code needs that page's
+bytes, and is never cached back: a read (:meth:`page_at`,
+:meth:`lookup_page`), the copy-up of a write fault onto a real page, a
+partial ``VMSpace.write`` and a dirty page the pageout daemon swaps
+out.
+
+Runs are *cut* where newer content replaces them — an insert, an
+eviction (:meth:`remove`), a collapse moving content between objects —
+with :func:`~repro.core.runs.splice`, the one edit every run list in the
+system goes through: one bisect per cut span and at most two clips, so
+an edit costs O(edit), not O(runs held).  An object splices only the
+window of its runs an edit meets, in place (:meth:`_splice`): a
+one-page insert is one bisect and a slot edit, the list never
+rebuilt.  A flush takes an object's runs as they are
+(:meth:`content`), and once the checkpoint that carried them is durable
+:meth:`mark_clean` turns the dirty runs under them clean.
 
 Two collapse directions are implemented:
 
@@ -50,23 +51,22 @@ Two collapse directions are implemented:
   parent, so cost is proportional to the *dirty set* instead of the
   full resident set.  The ablation benchmark contrasts the two.
 
-The reversed collapse moves content as slabs: the shadow's page dict
-with one dict update and its runs spliced into the parent's, with one
-frame-accounting adjustment — the newest-wins merge a checkpoint
-transaction stages with (:func:`~repro.core.runs.overlay_content`).
-The page-at-a-time originals are reference models in
+The reversed collapse moves content as one slab: the shadow's runs
+spliced into the parent's, with one frame-accounting adjustment — the
+newest-wins merge a checkpoint transaction stages with.  The
+page-at-a-time originals are reference models in
 ``tests/vm_reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from ...core.runs import (LocatorRun, content_spans, overlay_content,
-                          run_at, run_index, run_start, runs_within, splice)
+from ...core.runs import (LocatorRun, bare_spans, clip_run, run_at,
+                          run_index, run_start, runs_within, splice,
+                          splice_window)
 from ...errors import InvalidArgument
-from ...hw.memory import SYNTHETIC_CLEAN, Page
+from ...hw.memory import Page
 from ..kobject import KObject
 
 #: Object kinds, mirroring FreeBSD's OBJT_* types we need.
@@ -74,21 +74,36 @@ ANONYMOUS = "anonymous"
 VNODE = "vnode"
 DEVICE = "device"
 
-def _run_page(run: LocatorRun, pindex: int) -> Page:
-    """Page ``pindex`` of a synthetic run, clean or dirty as the run."""
-    page = Page(seed=run[3] + run[4] * (pindex - run[1]))
-    if not run[5]:
-        page.clean_locator = SYNTHETIC_CLEAN
-    return page
+
+def page_run(pindex: int, page: Page,
+             locator: Optional[LocatorRun] = None) -> LocatorRun:
+    """``page`` at ``pindex`` as the run a VM object holds it as: clean
+    when ``locator`` (where the store holds this content) is given."""
+    if page.seed is not None:
+        return ("syn", pindex, 1, page.seed, 0, locator is None)
+    return ("page", pindex, 1, page, locator)
+
+
+def run_page(run: LocatorRun, pindex: int) -> Page:
+    """Page ``pindex`` of a VM object's run (the run's own ``Page`` for
+    a real page; a synthetic one is built)."""
+    if run[0] == "page":
+        return run[3]
+    return Page(seed=run[3] + run[4] * (pindex - run[1]))
+
+
+def is_clean(run: LocatorRun) -> bool:
+    """Whether the store holds a VM object's run as it is."""
+    return run[4] is not None if run[0] == "page" else not run[5]
 
 
 class VMObject(KObject):
     """A mappable collection of pages, possibly shadowing a parent."""
 
     obj_type = "vmobject"
-    #: Synthetic runs, sorted and disjoint from ``pages`` (see the
-    #: module docstring); an object that never held one shares this
-    #: empty default.
+    #: The content runs, sorted and disjoint (see the module
+    #: docstring); an object that never held one shares this empty
+    #: default.
     _runs: Sequence[LocatorRun] = ()
 
     def __init__(self, kernel: Any, size_pages: int, kind: str = ANONYMOUS,
@@ -100,7 +115,6 @@ class VMObject(KObject):
             raise InvalidArgument("object size cannot be negative")
         self.size_pages = size_pages
         self.kind = kind
-        self.pages: Dict[int, Page] = {}
         self.backing = backing
         self.backing_offset = backing_offset
         self.vnode = vnode
@@ -108,7 +122,8 @@ class VMObject(KObject):
         #: Number of shadow objects whose ``backing`` is this object.
         self.shadow_count = 0
         #: Set by system shadowing while this object's pages are being
-        #: flushed to the store; a frozen object must not gain pages.
+        #: flushed to the store; a frozen object gains clean content
+        #: only (a page-in), never dirty.
         self.frozen = False
         #: Logical on-disk identity assigned by Aurora.  Every object
         #: in one shadow chain created by system shadowing shares the
@@ -121,143 +136,106 @@ class VMObject(KObject):
 
     # -- page management ------------------------------------------------------
 
-    def _check_insert(self, low: int, high: int) -> None:
-        if self.frozen:
+    def _splice(self, cover: Sequence[LocatorRun]) -> int:
+        """Lay ``cover`` (sorted, disjoint) over the runs; returns the
+        pages cut.  Only the window of runs ``cover`` meets is spliced,
+        in place: one bisect finds it, and the runs outside it are
+        neither visited nor copied."""
+        runs = self._runs
+        if not runs:
+            self._runs, cut = splice(runs, cover)
+            return cut
+        first = run_index(runs, cover[0][1])
+        window, stop, cut = splice_window(runs, cover, first)
+        runs[first:stop] = window   # type: ignore[index]
+        return cut
+
+    def insert(self, runs: Sequence[LocatorRun]) -> None:
+        """Install ``runs`` (sorted, disjoint, in the module docstring's
+        two kinds), replacing what the object holds at their indexes:
+        one splice and one frame-accounting adjustment."""
+        if not runs:
+            return
+        low, high = runs[0][1], runs[-1][1] + runs[-1][2] - 1
+        if self.frozen and not all(map(is_clean, runs)):
             raise InvalidArgument(f"insert into frozen object {self!r}")
         if low < 0 or high >= self.size_pages:
             raise InvalidArgument(
                 f"pindex range [{low}, {high}] outside object of "
                 f"{self.size_pages} pages")
-
-    def _cut(self, pindex: int) -> int:
-        """Cut page ``pindex`` out of the runs; returns 1 if a run held
-        it, else 0."""
-        self._runs, cut = splice(self._runs, ((None, pindex, 1),))
-        return cut
-
-    def insert_page(self, pindex: int, page: Page) -> None:
-        """Install ``page`` at ``pindex``, replacing any existing page."""
-        self._check_insert(pindex, pindex)
-        if pindex not in self.pages and not (self._runs and self._cut(pindex)):
-            self.kernel.physmem.allocate(1)
-            self.kernel.pageout.forget(self.kid, (pindex,), ())
-        self.pages[pindex] = page
-
-    def _overlay(self, pages: Mapping[int, Page],
-                 runs: Sequence[LocatorRun]) -> None:
-        """Lay ``pages`` and ``runs`` over what the object holds, newest
-        wins, with one frame-accounting adjustment for the indexes that
-        were empty."""
-        self.kernel.pageout.forget(self.kid, pages, runs)
-        self._runs, replaced = overlay_content(self.pages, self._runs,
-                                               pages, runs)
-        new = len(pages) + sum(run[2] for run in runs) - replaced
+        self.kernel.pageout.forget(self.kid, runs)
+        new = sum(run[2] for run in runs) - self._splice(runs)
         if new:
             self.kernel.physmem.allocate(new)
 
-    def insert_pages(self, pages: Mapping[int, Page]) -> None:
-        """Bulk-install a page slab: one frame-accounting adjustment.
-
-        Equivalent to :meth:`insert_page` per entry (replacement
-        included).  Replaced frames are counted from the slab side — one
-        membership probe per slab page — so many small slabs into a
-        large object stay linear in the pages inserted.
-        """
-        if pages:
-            self._check_insert(min(pages), max(pages))
-            self._overlay(pages, ())
-
-    def insert_runs(self, runs: Sequence[LocatorRun],
-                    dirty: bool = False) -> None:
-        """Install synthetic runs ``("syn", start, count, seed0, step)``
-        (sorted, disjoint), all clean or all ``dirty``, replacing what
-        the object holds at their indexes: one frame-accounting
-        adjustment, and no ``Page`` built."""
-        if runs:
-            self._check_insert(runs[0][1], runs[-1][1] + runs[-1][2] - 1)
-            self._overlay({}, [("syn", run[1], run[2], run[3], run[4], dirty)
-                               for run in runs])
-
-    def remove_page(self, pindex: int) -> Optional[Page]:
-        """Remove and return the page at ``pindex`` (frame freed)."""
-        page = self.pages.pop(pindex, None)
-        if page is None and self._runs:
-            page = self.page_at(pindex)
-            if page is not None:
-                self._cut(pindex)
-        if page is not None:
-            self.kernel.physmem.release(1)
-        return page
+    def remove(self, lo: int, hi: int) -> None:
+        """Drop what the object holds in ``[lo, hi)`` (frames freed)."""
+        if lo < hi and self._runs:
+            self.kernel.physmem.release(self._splice(((None, lo, hi - lo),)))
 
     def page_at(self, pindex: int) -> Optional[Page]:
         """The page this object itself holds at ``pindex``, if any (a
-        run's page is built, never cached back)."""
-        page = self.pages.get(pindex)
-        if page is None and self._runs:
-            run = run_at(self._runs, pindex)
-            if run is not None:
-                page = _run_page(run, pindex)
-        return page
+        synthetic run's page is built, never cached back)."""
+        run = run_at(self._runs, pindex) if self._runs else None
+        return None if run is None else run_page(run, pindex)
 
     def holding(self, spans: Sequence[Tuple[int, int]]
                 ) -> List[Tuple[int, int]]:
         """The stretches ``(lo, hi)`` of ``spans`` (sorted, disjoint
         ``(first, end)`` ranges) this object holds content at, ascending:
-        one bisect into the runs per span, and one probe per index (or
-        per page, if fewer) into the page dict."""
+        one bisect into the runs per span."""
         held: List[Tuple[int, int]] = []
-        runs, pages = self._runs, self.pages
+        runs = self._runs
         for first, end in spans:
-            part: List[Tuple[int, int]] = []
             at = run_index(runs, first) if runs else 0
             while at < len(runs) and runs[at][1] < end:
-                lo = max(runs[at][1], first)
-                hi = min(runs[at][1] + runs[at][2], end)
-                if lo < hi:
-                    part.append((lo, hi))
+                held.append((max(runs[at][1], first),
+                             min(runs[at][1] + runs[at][2], end)))
                 at += 1
-            if pages:
-                hits = (sorted(p for p in pages if first <= p < end)
-                        if len(pages) < end - first
-                        else filter(pages.__contains__, range(first, end)))
-                spans_hit = [(p, p + 1) for p in hits]
-                part = sorted(part + spans_hit) if part else spans_hit
-            held += part
         return held
 
-    def content(self) -> Tuple[Dict[int, Page], List[LocatorRun]]:
-        """Everything this object holds, for a flush: a copy of its page
-        dict and its runs as locator runs ``("syn", start, count, seed0,
-        step)``.  No ``Page`` is built."""
-        return dict(self.pages), [run[:5] for run in self._runs]
+    def content(self, lo: int = 0, hi: Optional[int] = None
+                ) -> List[LocatorRun]:
+        """A copy of the runs this object holds in ``[lo, hi)`` (all of
+        them by default), for a flush: no ``Page`` is built."""
+        if hi is None:
+            return list(self._runs)
+        return runs_within(self._runs, lo, hi)
 
-    def spans(self) -> List[LocatorRun]:
-        """The indexes this object holds, as sorted bare spans."""
-        return content_spans(self.pages, self._runs)
-
-    def mark_clean(self, runs: Sequence[LocatorRun]) -> None:
-        """``runs`` (sorted, disjoint pieces of :meth:`content`) are
-        durable: the dirty runs still over them become clean.  A piece
-        cut out since — an eviction — stays cut."""
-        clean = [(*run[:5], False) for piece in runs
-                 for run in runs_within(self._runs, piece[1],
-                                        piece[1] + piece[2]) if run[5]]
+    def mark_clean(self, pieces: Sequence[LocatorRun], table: Any) -> None:
+        """``pieces`` (sorted, disjoint pieces of :meth:`content`) are
+        durable, the real pages at the locators of ``table`` (the
+        checkpoint's :class:`~repro.objstore.checkpoint.PageRuns`): the
+        dirty runs still over them become clean.  A piece cut out since
+        — an eviction — stays cut, and content written over it since — a
+        real page replaced, a synthetic run of other seeds — stays
+        dirty."""
+        clean: List[LocatorRun] = []
+        runs = self._runs
+        locators: Sequence[LocatorRun] = table.runs if table else ()
+        at = 0
+        for piece in pieces:
+            lo = piece[1]
+            if piece[0] != "page":
+                seed, step = piece[3] - piece[4] * lo, piece[4]
+                clean += ((*run[:5], False) for run in runs_within(
+                    runs, lo, lo + piece[2]) if run[0] == "syn" and run[5]
+                    and run[3] == seed + step * run[1]
+                    and (run[2] == 1 or run[4] == step))
+                continue
+            run = run_at(runs, lo)
+            if run is not None and run[3] is piece[3] and run[4] is None:
+                # Pieces ascend: so do their locators in the table.
+                while locators[at][1] + locators[at][2] <= lo:
+                    at += 1
+                clean.append(("page", lo, 1, run[3],
+                              clip_run(locators[at], lo, lo + 1)))
         if clean:
-            self._runs = splice(self._runs, clean)[0]
-
-    def all_pages(self) -> Dict[int, Page]:
-        """Every page this object holds, run pages built: O(resident),
-        for the paths that are O(resident) already — the pageout
-        daemon's candidate scan, vnode, shm and SLSFS content."""
-        pages = dict(self.pages)
-        for run in self._runs:
-            pages.update((p, _run_page(run, p))
-                         for p in range(run[1], run[1] + run[2]))
-        return pages
+            self._splice(clean)
 
     def resident_count(self) -> int:
         """Number of pages resident in this object."""
-        return len(self.pages) + sum(run[2] for run in self._runs)
+        return sum(run[2] for run in self._runs)
 
     def grow(self, size_pages: int) -> None:
         """Extend the object (vnode objects grow as their file grows)."""
@@ -339,31 +317,17 @@ class VMObject(KObject):
             raise InvalidArgument("cannot collapse: parent has other shadows")
         evicted = self.kernel.pageout.migrate_object(parent.kid, self,
                                                      self.kid)
-        moved = 0
         offset = self.backing_offset
-        for pindex, page in list(parent.pages.items()):
-            local = pindex - offset
-            if 0 <= local < self.size_pages and self.page_at(local) is None \
-                    and run_at(evicted, local) is None:
-                # Keep the shadow's version when both exist.
-                self.kernel.physmem.allocate(1)
-                self.pages[local] = page
-                moved += 1
-            parent.remove_page(pindex)
-        if parent._runs:
-            window = runs_within(parent._runs, offset,
-                                 offset + self.size_pages)
-            # The parent's runs go under this object's content and
-            # evictions.
-            self._runs, hidden = splice(
-                [(run[0], run[1] - offset, *run[2:]) for run in window],
-                sorted([*content_spans(self.pages, evicted), *self._runs],
-                       key=run_start))
-            gained = sum(run[2] for run in window) - hidden
-            self.kernel.physmem.release(parent.resident_count())
-            self.kernel.physmem.allocate(gained)
-            parent._runs = ()
-            moved += gained
+        window = runs_within(parent._runs, offset, offset + self.size_pages)
+        # The parent's runs go under this object's content and
+        # evictions.
+        self._runs, hidden = splice(
+            [(run[0], run[1] - offset, *run[2:]) for run in window],
+            sorted([*self._runs, *bare_spans(evicted)], key=run_start))
+        moved = sum(run[2] for run in window) - hidden
+        self.kernel.physmem.release(parent.resident_count())
+        self.kernel.physmem.allocate(moved)
+        parent._runs = ()
         grandparent = parent.backing
         offset += parent.backing_offset
         self._detach_backing()
@@ -383,10 +347,9 @@ class VMObject(KObject):
         entries or shadows that referenced this object to the parent
         and discards this object.
 
-        The move is a slab merge: one newest-wins dict update for the
-        pages, the runs spliced into the parent's (cut under the
-        shadow's spans, nothing materialised), and one frame release for
-        the overwritten stale content.  The shadow's evicted runs win
+        The move is a slab merge: the runs spliced into the parent's
+        (nothing materialised), and one frame release for the
+        overwritten stale content.  The shadow's evicted runs win
         too: the parent's copies under them are released.
         """
         parent = self.backing
@@ -399,18 +362,15 @@ class VMObject(KObject):
         parent.ref()
         evicted = self.kernel.pageout.migrate_object(parent.kid, self,
                                                      parent.kid)
-        pages, runs = self.pages, self._runs
-        moved = len(pages) + sum(run[2] for run in runs)
+        runs = self._runs
+        moved = sum(run[2] for run in runs)
         if evicted:
-            runs = sorted([*runs, *content_spans((), evicted)],
-                          key=run_start)
+            runs = sorted([*runs, *bare_spans(evicted)], key=run_start)
         # Stale parent copies are overwritten (or, under an eviction,
         # dropped) in place: the net frame delta of the whole move is
         # exactly -|overlap| (each such page frees the parent's stale
         # frame; every other page just changes owner).
-        parent._runs, overlap = overlay_content(parent.pages, parent._runs,
-                                                pages, runs)
-        pages.clear()
+        overlap = parent._splice(runs) if runs else 0
         self._runs = ()
         if overlap:
             self.kernel.physmem.release(overlap)
@@ -427,7 +387,6 @@ class VMObject(KObject):
         held = self.resident_count()
         if held:
             self.kernel.physmem.release(held)
-            self.pages.clear()
             self._runs = ()
         self._detach_backing()
 

@@ -22,7 +22,7 @@ from . import fault as fault_mod
 from .pmap import Pmap
 from .vmmap import (INHERIT_COPY, INHERIT_NONE, PROT_READ, PROT_WRITE, VMMap,
                     VMMapEntry)
-from .vmobject import ANONYMOUS, DEVICE, VMObject
+from .vmobject import ANONYMOUS, DEVICE, VMObject, page_run
 
 
 class VMSpace(KObject):
@@ -112,7 +112,7 @@ class VMSpace(KObject):
             assert page is not None     # _resolve_write made it resident
             content = bytearray(page.realize())
             content[page_off:page_off + chunk] = data[offset:offset + chunk]
-            vmobject.insert_page(pindex, Page(data=bytes(content)))
+            vmobject.insert((page_run(pindex, Page(data=bytes(content))),))
             offset += chunk
 
     def read(self, addr: int, nbytes: int) -> bytes:
@@ -147,8 +147,8 @@ class VMSpace(KObject):
         """Populate ``npages`` with synthetic pages, bypassing faults.
 
         Setup helper for large benchmark datasets: installs pages
-        directly (writable and dirty, as freshly written data would
-        be) without charging per-fault costs.
+        directly (dirty, as freshly written data would be, and writable
+        where the entry is) without charging per-fault costs.
         """
         start_page = addr // PAGE_SIZE
         end_page = start_page + npages
@@ -160,10 +160,12 @@ class VMSpace(KObject):
             if entry is None:
                 raise SegmentationFault(f"fill outside mapping: {va_page:#x}")
             stretch = min(end_page, entry.end_page) - va_page
-            entry.vmobject.insert_runs(
+            entry.vmobject.insert(
                 (("syn", entry.pindex_of(va_page), stretch,
-                  seed + (va_page - start_page), 1),), dirty=True)
-            self.pmap.enter_range(va_page, stretch, writable=True, dirty=True)
+                  seed + (va_page - start_page), 1, True),))
+            self.pmap.enter_range(
+                va_page, stretch,
+                writable=bool(entry.protection & PROT_WRITE), dirty=True)
             va_page += stretch
 
     def touch(self, addr: int, npages: int, seed: int) -> int:
@@ -196,7 +198,7 @@ class VMSpace(KObject):
                 run = ("syn", entry.pindex_of(run_start), length,
                        seed + run_start - start_page, 1)
                 if writable:
-                    entry.vmobject.insert_runs((run,), dirty=True)
+                    entry.vmobject.insert(((*run, True),))
                     self.pmap.mark_dirty_range(run_start, length)
                 else:
                     fault_mod.handle_write_faults(self, entry, run_start,

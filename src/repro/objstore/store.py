@@ -25,12 +25,11 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
 from ..core.resilience import RetryPolicy
-from ..core.runs import (LocatorRun, append_locator_run, clip_run,
-                         overlay_content)
+from ..core.runs import LocatorRun, append_locator_run, splice
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
-from ..hw.memory import SYNTHETIC_CLEAN, Page
+from ..hw.memory import Page
 from ..hw.nvme import StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
 from . import records
@@ -63,11 +62,12 @@ class CheckpointTxn:
         self.store = store
         self.info = info
         self.staged_records: List[Tuple[int, bytes]] = []
-        #: Staged content per OID: pages by index, and synthetic locator
-        #: runs (sorted, disjoint from the pages).  Every OID staged has
-        #: a page dict, empty when all its content is runs.
-        self.staged_pages: Dict[int, Dict[int, Page]] = {}
+        #: Staged content per OID: sorted, disjoint runs (see
+        #: :meth:`put_pages`).
         self.staged_runs: Dict[int, Sequence[LocatorRun]] = {}
+        #: ``(oid, owner, runs)`` for content staged from a VM object
+        #: (see :meth:`put_pages`).
+        self.owned: List[Tuple[int, Any, Sequence[LocatorRun]]] = []
         self.committed = False
         self.aborted = False
         #: The operation trace open when the transaction began; async
@@ -81,27 +81,28 @@ class CheckpointTxn:
         self.staged_records.append(
             (oid, records.encode_object(oid, otype, state)))
 
-    def put_pages(self, oid: int, pages: Dict[int, Page],
-                  runs: Sequence[LocatorRun] = ()) -> None:
-        """Stage dirty content for a memory/file object: pages by index
-        and synthetic locator runs ``("syn", start, count, seed0,
-        step)``, sorted and disjoint from the pages.  Content staged
-        again for the same OID wins over what was staged before: it is
-        laid over it with :func:`~repro.core.runs.overlay_content`, the
-        merge a VM object's inserts use (one ``runs.splice``)."""
-        if not pages and not runs:
-            return
-        self.staged_runs[oid] = overlay_content(
-            self.staged_pages.setdefault(oid, {}),
-            self.staged_runs.get(oid, ()), pages, runs)[0]
+    def put_pages(self, oid: int, runs: Sequence[LocatorRun],
+                  owner: Any = None) -> None:
+        """Stage dirty content for a memory/file object: sorted,
+        disjoint runs as a VM object holds them — synthetic ``("syn",
+        start, count, seed0, step, ...)`` and real pages ``("page",
+        pindex, 1, page, ...)`` (see :mod:`repro.kernel.vm.vmobject`).
+        Content staged again for the same OID wins over what was staged
+        before: it is laid over it with one ``runs.splice``.  ``owner``
+        is the VM object ``runs`` were read from, if any: the flip that
+        makes the checkpoint durable marks them clean there."""
+        if runs:
+            staged = self.staged_runs.get(oid)
+            self.staged_runs[oid] = splice(staged, runs)[0] if staged \
+                else runs
+            if owner is not None:
+                self.owned.append((oid, owner, runs))
 
     def staged_bytes(self) -> int:
         """Bytes this transaction will write (records + pages)."""
         total = sum(len(data) for _oid, data in self.staged_records)
-        total += PAGE_SIZE * (
-            sum(map(len, self.staged_pages.values()))
-            + sum(run[2] for runs in self.staged_runs.values()
-                  for run in runs))
+        total += PAGE_SIZE * sum(run[2] for runs in self.staged_runs.values()
+                                 for run in runs)
         return total
 
 
@@ -206,12 +207,11 @@ class ObjectStore:
 
         Returns the latest completion time among the submitted writes.
         Real-byte pages are packed (realized) into extent payloads;
-        synthetic pages — staged as pages or as runs — are charged as
-        synthetic extents of equal size with their seeds carried in the
-        checkpoint metadata.  Each object's staged pages and runs are
-        walked in one index-ordered pass; every synthetic run, and every
-        synthetic page as a 1-page run, joins the locator table through
-        ``append_locator_run``, which coalesces exactly as appending the
+        synthetic runs are charged as synthetic extents of equal size
+        with their seeds carried in the checkpoint metadata.  Each
+        object's staged runs are walked once, in index order; every
+        synthetic run joins the locator table through
+        ``append_locator_run``, which coalesces exactly as appending its
         pages one at a time would.
         """
         info = txn.info
@@ -244,26 +244,21 @@ class ObjectStore:
                 run[3], run[4] = extent, slot * PAGE_SIZE
             real_batch, batch_runs = [], []
 
-        for oid, pages in txn.staged_pages.items():
+        for oid, staged in txn.staged_runs.items():
             # The locator table is built as runs while the content is
             # walked in index order — the shape the metadata document
             # stores and every reader consumes.  The table wraps the
             # list being appended to; it is complete (every pending
             # "ext" run filled in) when this function returns.
-            staged = txn.staged_runs.get(oid, ())
             runs: List[Any] = []
             info.pages[oid] = PageRuns(runs)
-            synthetic = sum(run[2] for run in staged)
-            at = 0
-            for pindex in sorted(pages):
-                while at < len(staged) and staged[at][1] < pindex:
-                    append_locator_run(runs, staged[at])
-                    at += 1
-                page = pages[pindex]
-                if page.seed is not None:
-                    append_locator_run(runs, ("syn", pindex, 1, page.seed, 0))
-                    synthetic += 1
+            synthetic = 0
+            for run in staged:
+                if run[0] == "syn":
+                    append_locator_run(runs, run)
+                    synthetic += run[2]
                     continue
+                pindex, page = run[1], run[3]
                 last = runs[-1] if runs else None
                 if (batch_runs and last is batch_runs[-1][0]
                         and last[1] + last[2] == pindex):
@@ -274,8 +269,6 @@ class ObjectStore:
                 real_batch.append(page)
                 if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
                     flush_real()
-            for run in staged[at:]:
-                append_locator_run(runs, run)
 
             # Synthetic pages: identical IO accounting, virtual bytes.
             remaining = PAGE_SIZE * synthetic
@@ -382,24 +375,10 @@ class ObjectStore:
             self.device.discard_extent(meta_extent)
             self.alloc.free(meta_extent, len(payload))
             raise
-        # Only after the flip: the flushed pages' content is durable,
-        # so mark them clean for IO-free pageout eviction (§6).  A
-        # write in the meantime replaced the Page object, leaving the
-        # new content correctly dirty.  A synthetic page's locator is
-        # a function of its own seed, so it shares one mark; a real
-        # page's is its one-page run in the packed extent.  Staged runs
-        # have no page to mark: whoever staged them marks them from the
-        # commit watcher below.
-        for oid, table in info.pages.items():
-            staged = txn.staged_pages[oid]
-            for page in staged.values():
-                if page.seed is not None:
-                    page.clean_locator = SYNTHETIC_CLEAN
-            for run in table.runs:
-                if run[0] == "ext":
-                    for pindex in range(run[1], run[1] + run[2]):
-                        staged[pindex].clean_locator = clip_run(
-                            run, pindex, pindex + 1)
+        # Only after the flip: the content staged from VM objects is
+        # durable, so it is clean there (§6: evicted without IO).
+        for oid, owner, runs in txn.owned:
+            owner.mark_clean(runs, info.pages[oid])
         self._commit_failures.pop(info.ckpt_id, None)
         self.stats["commits"] += 1
         self.stats["bytes_flushed"] += info.data_bytes

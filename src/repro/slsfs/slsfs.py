@@ -37,6 +37,7 @@ from ..core import costs, telemetry
 from ..errors import RestoreError
 from ..kernel.fs.filesystem import Filesystem
 from ..kernel.fs.vnode import Vnode
+from ..kernel.vm.vmobject import page_run
 from ..objstore.checkpoint import NO_PAGES, PageRuns
 from ..objstore.oid import CLASS_FILE, make_oid
 from ..units import PAGE_SIZE, pages_of
@@ -159,13 +160,9 @@ class SLSFS(Filesystem):
                 continue
             obj = vnode.vmobject
             dirty = self._dirty_pages.get(inode)
-            if dirty is None:
-                pages = obj.all_pages()
-            else:
-                held = [(pindex, obj.page_at(pindex)) for pindex in dirty]
-                pages = {pindex: page for pindex, page in held
-                         if page is not None}
-            txn.put_pages(oid, pages)
+            txn.put_pages(oid, obj.content() if dirty is None else [
+                run for pindex in sorted(dirty)
+                for run in obj.content(pindex, pindex + 1)], obj)
         self._dirty_inodes.clear()
         self._dirty_pages.clear()
         info = self.store.commit(txn, sync=sync)
@@ -183,9 +180,8 @@ class SLSFS(Filesystem):
         pages = iter(self.store.fetch_pages(
             run for _obj, runs in tables for run in runs))
         for obj, runs in tables:
-            for run in runs:
-                for pindex in range(run[1], run[1] + run[2]):
-                    obj.insert_page(pindex, next(pages))
+            obj.insert([page_run(pindex, next(pages)) for run in runs
+                        for pindex in range(run[1], run[1] + run[2])])
 
     def recover(self) -> bool:
         """Rebuild the filesystem from its latest complete checkpoint.

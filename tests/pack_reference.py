@@ -5,9 +5,10 @@ original.
 every staged page on its own: a synthetic page is one
 ``append_locator_run`` call, a real page one slot of the pending
 stripe payload.  Production code walks the staged runs in the same
-index-ordered pass; ``tests/test_pack_pages.py`` patches this model
-over the production method and holds the two to identical run lists,
-metadata bytes, extents, IO and simulated clock on staged pages, and
+index-ordered pass, a synthetic run at a time;
+``tests/test_pack_pages.py`` patches this model over the production
+method and holds the two to identical run lists, metadata bytes,
+extents, IO and simulated clock on staged one-page runs, and
 ``tests/test_dirty_runs.py`` holds staged runs to staging their pages.
 """
 
@@ -19,6 +20,7 @@ from repro.core import costs
 from repro.core.runs import append_locator_run
 from repro.hw.memory import Page
 from repro.hw.nvme import synthetic_payload
+from repro.kernel.vm.vmobject import run_page
 from repro.objstore.checkpoint import PageRuns
 from repro.units import PAGE_SIZE, STRIPE_SIZE
 
@@ -47,7 +49,9 @@ def pack_pages_per_page(self, txn) -> int:
             run[3], run[4] = extent, slot * PAGE_SIZE
         real_batch, batch_runs = [], []
 
-    for oid, pages in txn.staged_pages.items():
+    for oid, staged in txn.staged_runs.items():
+        pages = {pindex: run_page(run, pindex) for run in staged
+                 for pindex in range(run[1], run[1] + run[2])}
         runs: List[Any] = []
         info.pages[oid] = PageRuns(runs)
         syn_count = 0

@@ -24,5 +24,5 @@ class RecordSink:
     def put_object(self, oid, otype, state):
         self.records[oid] = (otype, state)
 
-    def put_pages(self, oid, pages):
+    def put_pages(self, oid, runs, owner=None):
         pass

@@ -19,10 +19,11 @@ from repro import Machine, load_aurora
 from repro.errors import SegmentationFault
 from repro.hw.memory import Page
 from repro.kernel.vm.pmap import Pmap, iter_bit_runs
-from repro.kernel.vm.vmobject import VMObject
+from repro.kernel.vm.vmobject import VMObject, run_page
 from repro.core.shadowing import merged_chain
 from repro.units import PAGE_SIZE
 from tests import vm_reference
+from tests.content import held_pages, page_runs
 from tests.vm_reference import (LegacyPmap, collapse_into_parent_legacy,
                                 legacy_hot_path, merged_chain_legacy,
                                 merged_chain_pages_legacy)
@@ -184,13 +185,14 @@ def _build_chain(kernel, layers, foreign_base):
         # must stop before it.
         base = VMObject(kernel, 32, name="foreign")
         base.sls_oid = 999
-        base.insert_pages({i: Page(seed=7000 + i) for i in range(0, 32, 3)})
+        base.insert(page_runs({i: Page(seed=7000 + i)
+                               for i in range(0, 32, 3)}))
     top = base
     for layer in layers:
         obj = (top.shadow() if top is not None else VMObject(kernel, 32))
         obj.sls_oid = 1
-        obj.insert_pages({pindex: Page(seed=seed)
-                          for pindex, seed in layer.items()})
+        obj.insert(page_runs({pindex: Page(seed=seed)
+                              for pindex, seed in layer.items()}))
         top = obj
     return top
 
@@ -200,13 +202,22 @@ def _build_chain(kernel, layers, foreign_base):
 def test_merged_chain_pages_equivalence(layers, foreign_base):
     kernel = Machine().kernel
     top = _build_chain(kernel, layers, foreign_base)
-    bulk, sources = merged_chain(top)
+    bulk = _by_page(merged_chain(top))
     legacy = merged_chain_pages_legacy(top)
-    # Identical keys AND identical page identity (newest wins).
+    # Identical keys AND identical owners and content (newest wins).
     assert bulk.keys() == legacy.keys()
-    for pindex in bulk:
-        assert bulk[pindex] is legacy[pindex]
-    assert sources == merged_chain_legacy(top)[1] == []
+    for pindex, (_owner, page) in bulk.items():
+        assert page.seed == legacy[pindex].seed
+    assert {p: owner for p, (owner, _page) in bulk.items()} == {
+        p: owner for p, (owner, _page)
+        in _by_page(merged_chain_legacy(top)).items()}
+
+
+def _by_page(sources):
+    """``(owner, pieces)`` sources as ``{pindex: (owner, page)}``."""
+    return {pindex: (owner, run_page(run, pindex))
+            for owner, runs in sources for run in runs
+            for pindex in range(run[1], run[1] + run[2])}
 
 
 @settings(max_examples=100, deadline=None)
@@ -221,11 +232,11 @@ def test_collapse_into_parent_equivalence(parent_pages, shadow_pages):
     for legacy in (False, True):
         kernel = Machine().kernel
         parent = VMObject(kernel, 32)
-        parent.insert_pages({p: Page(seed=s)
-                             for p, s in parent_pages.items()})
+        parent.insert(page_runs({p: Page(seed=s)
+                                 for p, s in parent_pages.items()}))
         shadow = parent.shadow()
-        shadow.insert_pages({p: Page(seed=s)
-                             for p, s in shadow_pages.items()})
+        shadow.insert(page_runs({p: Page(seed=s)
+                                 for p, s in shadow_pages.items()}))
         parent.frozen = False
         shadow.frozen = False
         if legacy:
@@ -234,10 +245,10 @@ def test_collapse_into_parent_equivalence(parent_pages, shadow_pages):
             merged_parent, moved = shadow.collapse_into_parent()
         results.append({
             "pages": {p: page.seed
-                      for p, page in merged_parent.pages.items()},
+                      for p, page in held_pages(merged_parent).items()},
             "moved": moved,
             "frames": kernel.physmem.used_frames,
-            "shadow_empty": len(shadow.pages),
+            "shadow_empty": shadow.resident_count(),
         })
         merged_parent.unref()  # the ref collapse_into_parent returned
     assert results[0] == results[1]

@@ -22,17 +22,20 @@ from hypothesis import strategies as st
 from repro import Machine, load_aurora
 from repro.core import migration
 from repro.core import runs as runs_mod
+from repro.core.runs import run_start
 from repro.hw.memory import Page
 from repro.kernel.vm import vmobject as vmobject_mod
 from repro.kernel.vm.vmobject import VMObject
 from repro.objstore.store import ObjectStore
 from repro.units import PAGE_SIZE
+from tests.content import page_runs
 from tests.test_pack_pages import staged_sets
 
 
 def _split(pages, as_run):
-    """``{pindex: (kind, value)}`` as ``(pages, runs)``: the synthetic
-    pages ``as_run`` picks are staged as greedy arithmetic runs."""
+    """``{pindex: (kind, value)}`` as sorted runs: the synthetic pages
+    ``as_run`` picks are staged as greedy arithmetic runs, the others as
+    one-page runs."""
     made, runs = {}, []
     for pindex in sorted(pages):
         kind, value = pages[pindex]
@@ -48,7 +51,7 @@ def _split(pages, as_run):
             runs[-1] = ("syn", last[1], last[2] + 1, last[3], step)
         else:
             runs.append(("syn", pindex, 1, value, 0))
-    return made, runs
+    return sorted(page_runs(made) + runs, key=run_start)
 
 
 def _commit(staged, as_run):
@@ -57,7 +60,7 @@ def _commit(staged, as_run):
     store.format()
     txn = store.begin_checkpoint(group_id=1)
     for oid, pages in staged.items():
-        txn.put_pages(oid, *_split(pages, as_run))
+        txn.put_pages(oid, _split(pages, as_run))
     info = store.commit(txn, sync=True)
     return {
         "runs": {oid: [list(run) for run in table.runs]
@@ -100,11 +103,11 @@ def test_run_edits_cost_the_edit(monkeypatch):
     size = 3 * RUNS
     base = VMObject(kernel, size, name="base")
     # Every third page is a hole: 4 096 runs that never coalesce.
-    base.insert_runs([("syn", 3 * i, 2, 100 * i, 1) for i in range(RUNS)])
+    base.insert([("syn", 3 * i, 2, 100 * i, 1, False) for i in range(RUNS)])
     shadow = base.shadow()
     stride = size // SPANS
-    shadow.insert_runs([("syn", stride * i + 1, 5, 7 * i, 1)
-                        for i in range(SPANS)])
+    shadow.insert([("syn", stride * i + 1, 5, 7 * i, 1, False)
+                   for i in range(SPANS)])
     space = kernel.spawn("p").vmspace
     calls = {}
     with monkeypatch.context() as patch:

@@ -13,6 +13,7 @@ from repro.kernel.aio import AIO_WRITE
 from repro.objstore.oid import CLASS_MEMORY, make_oid
 from repro.objstore.store import ObjectStore, SUPERBLOCK_SLOTS
 from repro.units import GiB, KiB, MiB, PAGE_SIZE
+from tests.content import page_runs
 
 MEM_OID = make_oid(CLASS_MEMORY, 99)
 
@@ -44,7 +45,7 @@ def _store_with_chain(machine, nckpts=3, mode="sync"):
     infos = []
     for index in range(nckpts):
         txn = store.begin_checkpoint(group_id=4, parent=parent)
-        txn.put_pages(MEM_OID, {0: Page(seed=index)})
+        txn.put_pages(MEM_OID, page_runs({0: Page(seed=index)}))
         info = _commit(machine, store, txn, mode)
         infos.append(info)
         parent = info.ckpt_id
@@ -106,7 +107,7 @@ def test_torn_page_extent_detected_on_read(commit_mode):
     store = ObjectStore(machine)
     store.format()
     txn = store.begin_checkpoint(group_id=4)
-    txn.put_pages(MEM_OID, {0: Page(data=b"real bytes" * 40)})
+    txn.put_pages(MEM_OID, page_runs({0: Page(data=b"real bytes" * 40)}))
     info = _commit(machine, store, txn, commit_mode)
     _records, pages = store.merged_view(info.ckpt_id)
     locator = pages[MEM_OID].lookup(0)
@@ -130,7 +131,7 @@ def test_store_full_surfaces_cleanly(commit_mode):
     store = ObjectStore(machine)
     store.format()
     txn = store.begin_checkpoint(group_id=4)
-    txn.put_pages(MEM_OID, {i: Page(seed=i) for i in range(4096)})
+    txn.put_pages(MEM_OID, page_runs({i: Page(seed=i) for i in range(4096)}))
     with pytest.raises(StoreFull):
         store.commit(txn, sync=(commit_mode == "sync"))
 

@@ -17,8 +17,10 @@ import pytest
 
 from repro import Machine, load_aurora
 from repro.core import events, resilience, telemetry
+from repro.core.faults import FaultPlan
 from repro.core.fleet import MAX_WIDEN_FACTOR, van_der_corput
 from repro.errors import AdmissionRejected, InvalidArgument
+from repro.objstore.scrub import scrub
 from repro.units import GiB, KiB, MSEC, MiB, PAGE_SIZE, SEC
 
 
@@ -334,6 +336,36 @@ def test_enospc_tenant_does_not_drag_down_neighbours():
     if offender.health.degraded:
         assert sls.fleet._demand_bps(offender) == 0
     telemetry.reset()
+
+
+def test_emergency_gc_on_a_full_device_stays_in_the_event_loop():
+    """A device that refuses every write from some IO on fails the
+    emergency GC's deletes too (each writes child metadata and a flip):
+    the valve stops at the first, the fleet keeps running memory-only,
+    the store stays consistent, and once space returns the tenant's
+    probe takes it out of degraded mode."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("tenant")
+    addr = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
+    group = sls.attach(proc, name="tenant", period_ns=10 * MSEC,
+                       history_limit=2)
+    for step in range(12):
+        proc.vmspace.fill(addr + (4 * step % 64) * PAGE_SIZE, 4, seed=step)
+        if step == 6:
+            machine.set_fault_plan(
+                FaultPlan(name="enospc").nospace_at_io(1))
+        machine.run_for(10 * MSEC)
+    assert group.health.degraded
+    machine.clear_fault_plan()
+    for step in range(12, 40):
+        proc.vmspace.fill(addr, 4, seed=step)
+        machine.run_for(10 * MSEC)
+        if not group.health.degraded:
+            break
+    assert not group.health.degraded
+    report = scrub(sls.store, sls)
+    assert report.ok, report.findings
 
 
 # -- reporting ---------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.objstore.oid import CLASS_MEMORY, CLASS_POSIX, make_oid
 from repro.objstore.scrub import scrub
 from repro.objstore.store import SUPERBLOCK_SLOTS, ObjectStore
 from repro.units import MiB
+from tests.content import page_runs
 
 MEM_OID = make_oid(CLASS_MEMORY, 500)
 POSIX_OID = make_oid(CLASS_POSIX, 501)
@@ -38,7 +39,7 @@ def _small_store():
 
 def _commit(store, step, parent=None):
     txn = store.begin_checkpoint(group_id=9, parent=parent)
-    txn.put_pages(MEM_OID, {0: Page(data=b"step %d" % step)})
+    txn.put_pages(MEM_OID, page_runs({0: Page(data=b"step %d" % step)}))
     return store.commit(txn, sync=True)
 
 
@@ -128,7 +129,7 @@ def _three_checkpoints():
             # A record only the first checkpoint holds: the child must
             # adopt it by reference.
             txn.put_object(POSIX_OID, "proc", {"pid": 1})
-        txn.put_pages(MEM_OID, {step: Page(data=b"page %d" % step)})
+        txn.put_pages(MEM_OID, page_runs({step: Page(data=b"page %d" % step)}))
         infos.append(store.commit(txn, sync=True))
         parent = infos[-1].ckpt_id
     return machine, store, infos
@@ -166,7 +167,7 @@ def test_a_failed_delete_leaves_the_store_as_it_was(io):
     assert victim not in store.checkpoints
     assert infos[1].parent is None
     txn = store.begin_checkpoint(group_id=9, parent=infos[2].ckpt_id)
-    txn.put_pages(MEM_OID, {3: Page(data=b"page 3")})
+    txn.put_pages(MEM_OID, page_runs({3: Page(data=b"page 3")}))
     store.commit(txn, sync=True)
     assert scrub(store).ok
 

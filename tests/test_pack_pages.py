@@ -7,7 +7,8 @@ commit the same randomized mixes of synthetic and real pages — real
 pages first, last and adjacent, seed progressions that continue across
 a real page or restart, real batches that fill a stripe and span
 objects — and must leave identical run lists, metadata bytes, extents,
-IO, clean marks and simulated clock.
+IO, simulated clock and the locator every flushed page is marked clean
+with.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 import pytest
 
 from repro import Machine
-from repro.hw.memory import SYNTHETIC_CLEAN, Page
+from repro.hw.memory import Page
 from repro.objstore.oid import CLASS_MEMORY, make_oid
 from repro.objstore.store import ObjectStore
+from tests.content import page_runs
 from tests.pack_reference import pack_pages_per_page
 
 #: Page kinds an object draws from: the mix varies per object.
@@ -61,8 +63,8 @@ def _commit(staged):
     for oid, pages in staged.items():
         made = {pindex: Page(seed=value) if kind == "syn" else Page(data=value)
                 for pindex, (kind, value) in pages.items()}
-        flushed.extend(made[pindex] for pindex in sorted(made))
-        txn.put_pages(oid, made)
+        flushed.extend((oid, pindex) for pindex in sorted(made))
+        txn.put_pages(oid, page_runs(made))
     info = store.commit(txn, sync=True)
     devices = store.device.devices
     outcome = {
@@ -72,8 +74,8 @@ def _commit(staged):
         "data_bytes": info.data_bytes,
         "io": [(dev.bytes_written, dev.write_commands) for dev in devices],
         "clock": machine.clock.now(),
-        "clean": [mark if mark is SYNTHETIC_CLEAN else tuple(mark)
-                  for mark in (page.clean_locator for page in flushed)],
+        "clean": [tuple(info.pages[oid].lookup(pindex))
+                  for oid, pindex in flushed],
     }
     outcome["meta"] = store.device.read(info.meta_extent[0])
     outcome["data"] = [store.device.read(offset)

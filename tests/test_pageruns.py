@@ -27,8 +27,8 @@ from repro.core import migration
 from repro.core.restore import GroupRestorer
 from repro.core.runs import append_locator_run, splice
 from repro.errors import CorruptRecord
-from repro.hw.memory import SYNTHETIC_CLEAN, Page
-from repro.kernel.vm.vmobject import VMObject
+from repro.hw.memory import Page
+from repro.kernel.vm.vmobject import VMObject, page_run
 from repro.objstore import records
 from repro.objstore.checkpoint import (NO_PAGES, CheckpointInfo, PageRuns,
                                        decode_page_runs)
@@ -36,6 +36,7 @@ from repro.objstore.oid import CLASS_MEMORY, CLASS_POSIX, make_oid
 from repro.objstore.scrub import CHECKSUM, scrub
 from repro.objstore.store import ObjectStore
 from repro.units import PAGE_SIZE
+from tests.content import held_pages, page_runs
 
 SPACE = 96      # page indexes the random runs draw from
 MEM_OID = make_oid(CLASS_MEMORY, 1)
@@ -235,7 +236,7 @@ def _chain(store, rounds, parent=None):
     for pages in rounds:
         txn = store.begin_checkpoint(group_id=5, parent=parent)
         txn.put_object(POSIX_OID, "proc", {"round": len(infos)})
-        txn.put_pages(MEM_OID, pages)
+        txn.put_pages(MEM_OID, page_runs(pages))
         infos.append(store.commit(txn, sync=True))
         parent = infos[-1].ckpt_id
     return infos
@@ -376,7 +377,7 @@ def test_stream_is_a_function_of_content_and_restores_identically():
     # every id and extent offset differs from the sender's.
     follower = load_aurora(Machine())
     txn = follower.store.begin_checkpoint(group_id=gid + 1)
-    txn.put_pages(MEM_OID, {0: Page(data=b"someone else's")})
+    txn.put_pages(MEM_OID, page_runs({0: Page(data=b"someone else's")}))
     follower.store.commit(txn, sync=True)
     for info in chain:
         stream = migration.serialize_checkpoint(
@@ -478,27 +479,26 @@ def test_evicted_runs_match_the_per_page_model(ops):
             count = min(count, _SIZE - start)
             span = range(start, start + count)
             if how.endswith("-run"):
-                obj.insert_runs([("syn", start, count, seed, 1)],
-                                dirty=how == "dirty-run")
+                obj.insert([("syn", start, count, seed, 1,
+                             how == "dirty-run")])
                 made = {p: ("seed", seed + p - start) for p in span}
             else:
                 pages = {p: Page(seed=seed + p) if how == "clean-page"
                          else Page(data=b"%d" % (seed + p)) for p in span}
-                for page in pages.values():
-                    if page.synthetic:
-                        page.clean_locator = SYNTHETIC_CLEAN
-                obj.insert_pages(pages)
+                obj.insert([page_run(p, page, ("syn", p, 1, page.seed, 0)
+                                     if page.synthetic else None)
+                            for p, page in sorted(pages.items())])
                 made = {p: _content(page) for p, page in pages.items()}
             resident.update(made)
             for pindex in made:
                 evicted.pop(pindex, None)
         elif kind == "evict":
-            before = obj.all_pages()
+            before = held_pages(obj)
             used = kernel.physmem.used_frames
             pageout.LOW_WATERMARK = max(used - op[2], 0) / \
                 kernel.physmem.total_frames
             pageout.run_pageout([obj], store=store)
-            for pindex in before.keys() - obj.all_pages().keys():
+            for pindex in before.keys() - held_pages(obj).keys():
                 evicted[pindex] = resident.pop(pindex)
         elif kind == "page-in":
             if evicted:
@@ -529,7 +529,7 @@ def test_evicted_runs_match_the_per_page_model(ops):
 
         for role, obj in (("top", top), ("base", base)):
             resident, evicted = model[role]
-            held = {p: _content(page) for p, page in obj.all_pages().items()}
+            held = {p: _content(page) for p, page in held_pages(obj).items()}
             assert held == resident, (role, op)
             assert _evicted_map(store, pageout, obj) == evicted, (role, op)
         assert kernel.physmem.used_frames - baseline == \

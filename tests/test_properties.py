@@ -27,6 +27,7 @@ from repro.objstore.checkpoint import NO_PAGES
 from repro.objstore.oid import CLASS_MEMORY, make_oid
 from repro.objstore.store import ObjectStore
 from repro.units import GiB, KiB, MiB, PAGE_SIZE
+from tests.content import page_runs
 
 MEM_OID = make_oid(CLASS_MEMORY, 777)
 
@@ -146,8 +147,8 @@ def test_merged_views_equal_flat_model_even_after_gc(rounds, data):
     parent = None
     for round_pages in rounds:
         txn = store.begin_checkpoint(group_id=5, parent=parent)
-        txn.put_pages(MEM_OID, {pindex: Page(seed=seed)
-                                for pindex, seed in round_pages.items()})
+        txn.put_pages(MEM_OID, page_runs({
+            pindex: Page(seed=seed) for pindex, seed in round_pages.items()}))
         info = store.commit(txn, sync=True)
         model.update(round_pages)
         snapshots.append(dict(model))

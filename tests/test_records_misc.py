@@ -9,6 +9,7 @@ from repro.objstore import records
 from repro.objstore.oid import (CLASS_FILE, CLASS_MEMORY, OIDAllocator,
                                 make_oid, oid_serial)
 from repro.objstore.store import ObjectStore
+from tests.content import page_runs
 
 MEM_OID = make_oid(CLASS_MEMORY, 321)
 
@@ -88,7 +89,7 @@ def test_retain_more_than_exists_is_noop():
     store = ObjectStore(machine)
     store.format()
     txn = store.begin_checkpoint(group_id=3)
-    txn.put_pages(MEM_OID, {0: Page(seed=1)})
+    txn.put_pages(MEM_OID, page_runs({0: Page(seed=1)}))
     store.commit(txn, sync=True)
     assert store.retain_last(3, keep=10) == 0
     assert len(store.checkpoints_for(3)) == 1
@@ -99,11 +100,11 @@ def test_partial_checkpoint_chain_restores_through_merged_view():
     store = ObjectStore(machine)
     store.format()
     txn = store.begin_checkpoint(group_id=3)
-    txn.put_pages(MEM_OID, {0: Page(seed=1), 1: Page(seed=2)})
+    txn.put_pages(MEM_OID, page_runs({0: Page(seed=1), 1: Page(seed=2)}))
     full = store.commit(txn, sync=True)
     txn2 = store.begin_checkpoint(group_id=3, parent=full.ckpt_id,
                                   partial=True)
-    txn2.put_pages(MEM_OID, {1: Page(seed=99)})
+    txn2.put_pages(MEM_OID, page_runs({1: Page(seed=99)}))
     partial = store.commit(txn2, sync=True)
     _records, pages = store.merged_view(partial.ckpt_id)
     assert store.fetch_page(pages[MEM_OID].lookup(0)).seed == 1

@@ -56,7 +56,8 @@ def _store_with_chain(machine, nckpts=3):
     for index in range(nckpts):
         txn = store.begin_checkpoint(group_id=4, parent=parent)
         txn.put_object(MEM_OID, "vmobject", {"step": index})
-        txn.put_pages(MEM_OID, {0: Page(data=b"page-%d" % index * 16)})
+        txn.put_pages(MEM_OID,
+                      page_runs({0: Page(data=b"page-%d" % index * 16)}))
         info = store.commit(txn, sync=True)
         infos.append(info)
         parent = info.ckpt_id
@@ -159,7 +160,7 @@ def test_transient_write_faults_are_absorbed_by_store_retry():
         FaultPlan(name="blip").transient_at_io(1, times=2))
     txn = store.begin_checkpoint(group_id=4)
     txn.put_object(MEM_OID, "vmobject", {"v": 1})
-    txn.put_pages(MEM_OID, {0: Page(data=b"payload" * 16)})
+    txn.put_pages(MEM_OID, page_runs({0: Page(data=b"payload" * 16)}))
     info = store.commit(txn, sync=True)
     assert info.complete
     plan = machine.fault_plan
@@ -190,7 +191,7 @@ def test_intermittent_faults_replay_identically_for_a_seed():
         for i in range(4):
             oid = make_oid(CLASS_MEMORY, 100 + i)
             txn.put_object(oid, "vmobject", {"i": i})
-            txn.put_pages(oid, {0: Page(seed=i)})
+            txn.put_pages(oid, page_runs({0: Page(seed=i)}))
         store.commit(txn, sync=True)
         return [(e.kind, e.io_index) for e in machine.fault_plan.events]
 
@@ -215,7 +216,7 @@ def test_exhausted_retries_roll_checkpoint_back_without_leaking_blocks():
     for i in range(4):
         oid = make_oid(CLASS_MEMORY, 200 + i)
         txn.put_object(oid, "vmobject", {"i": i})
-        txn.put_pages(oid, {0: Page(data=bytes([i]) * 2048)})
+        txn.put_pages(oid, page_runs({0: Page(data=bytes([i]) * 2048)}))
     with pytest.raises(RetriesExhausted):
         store.commit(txn, sync=True)
     assert txn.aborted
@@ -696,6 +697,7 @@ def test_chaos_smoke_retryable_schedules_complete_after_retries():
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from tests.content import page_runs
 
 
 @settings(max_examples=15, deadline=None)

@@ -3,7 +3,7 @@
 A 64 Ki-page synthetic heap is dirtied in 50 runs spread over eight
 checkpoints, the machine crashes, and the group is restored eagerly.
 The simulated numbers are pinned from the per-page restore loop this
-path replaced (one ``fetch_page`` + ``insert_page`` + ``clock.advance``
+path replaced (one ``fetch_page`` + one-page insert + ``clock.advance``
 per page), so the run-wise path may not move them.  The one-page
 locator (``clip_run``) and ``Page`` construction counts are the
 deterministic guards that keep the per-page path from quietly
@@ -21,7 +21,7 @@ import random
 import tracemalloc
 
 import repro.core.restore as restore_mod
-import repro.objstore.store as store_mod
+import repro.objstore.checkpoint as checkpoint_mod
 from repro import Machine, load_aurora
 from repro.hw.memory import Page
 from repro.kernel.vm.fault import handle_fault
@@ -81,7 +81,7 @@ def test_eager_restore_is_runwise_and_sim_identical(monkeypatch):
 
     monkeypatch.setattr(Page, "__init__", counting(Page.__init__, Page))
     # Where a one-page locator is cut out of a run on the restore path.
-    for module in (restore_mod, store_mod):
+    for module in (restore_mod, checkpoint_mod):
         monkeypatch.setattr(module, "clip_run",
                             counting(module.clip_run, "locators"))
     sls = load_aurora(machine)

@@ -20,6 +20,7 @@ from repro.objstore.scrub import (CHAIN, CHECKSUM, DANGLING, REFCOUNT,
                                   scrub)
 from repro.objstore.store import ObjectStore
 from repro.units import PAGE_SIZE
+from tests.content import page_runs
 
 MEM_OID = make_oid(CLASS_MEMORY, 42)
 
@@ -32,7 +33,8 @@ def _store_with_chain(machine, nckpts=3):
     for index in range(nckpts):
         txn = store.begin_checkpoint(group_id=4, parent=parent)
         txn.put_object(MEM_OID, "vmobject", {"step": index})
-        txn.put_pages(MEM_OID, {0: Page(data=b"page-%d" % index * 16)})
+        txn.put_pages(MEM_OID,
+                      page_runs({0: Page(data=b"page-%d" % index * 16)}))
         info = store.commit(txn, sync=True)
         infos.append(info)
         parent = info.ckpt_id

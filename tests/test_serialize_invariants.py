@@ -22,7 +22,7 @@ class _CountingTxn:
     def put_object(self, oid, otype, state):
         self.put_counts[oid] = self.put_counts.get(oid, 0) + 1
 
-    def put_pages(self, oid, pages):
+    def put_pages(self, oid, runs, owner=None):
         pass
 
 

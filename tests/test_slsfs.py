@@ -74,7 +74,7 @@ def test_truncated_file_recovers_at_its_new_size(setup):
     vnode = machine.kernel.vfs.namei("/log")
     assert vnode.size == 100
     assert vnode.read(0, 4096) == b"x" * 100
-    assert sorted(vnode.vmobject.pages) == [0]
+    assert vnode.vmobject.holding([(0, vnode.vmobject.size_pages)]) == [(0, 1)]
 
 
 @pytest.mark.xfail(strict=True, reason=(

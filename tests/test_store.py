@@ -13,6 +13,7 @@ from repro.objstore.oid import (CLASS_MEMORY, CLASS_POSIX, OIDAllocator,
                                 make_oid, oid_class, oid_serial)
 from repro.objstore.store import ObjectStore
 from repro.units import KiB, MiB, PAGE_SIZE, STRIPE_SIZE
+from tests.content import page_runs
 
 MEM_OID = make_oid(CLASS_MEMORY, 500)
 POSIX_OID = make_oid(CLASS_POSIX, 501)
@@ -97,7 +98,7 @@ def test_sync_commit_is_immediately_complete(store):
 
 def test_async_commit_completes_via_event_loop(store):
     txn = store.begin_checkpoint(group_id=9)
-    txn.put_pages(MEM_OID, {i: Page(seed=i) for i in range(64)})
+    txn.put_pages(MEM_OID, page_runs({i: Page(seed=i) for i in range(64)}))
     seen = []
     info = store.commit(txn, on_complete=seen.append)
     assert not info.complete
@@ -110,12 +111,12 @@ def test_async_commit_completes_via_event_loop(store):
 def test_incremental_merged_view_newest_wins(store):
     txn1 = store.begin_checkpoint(group_id=9)
     txn1.put_object(POSIX_OID, "proc", {"step": 1})
-    txn1.put_pages(MEM_OID, {0: Page(seed=10), 1: Page(seed=11)})
+    txn1.put_pages(MEM_OID, page_runs({0: Page(seed=10), 1: Page(seed=11)}))
     info1 = store.commit(txn1, sync=True)
 
     txn2 = store.begin_checkpoint(group_id=9, parent=info1.ckpt_id)
     txn2.put_object(POSIX_OID, "proc", {"step": 2})
-    txn2.put_pages(MEM_OID, {1: Page(seed=21)})
+    txn2.put_pages(MEM_OID, page_runs({1: Page(seed=21)}))
     info2 = store.commit(txn2, sync=True)
 
     records, pages = store.merged_view(info2.ckpt_id)
@@ -134,7 +135,7 @@ def test_incremental_merged_view_newest_wins(store):
 def test_real_page_round_trip(store):
     txn = store.begin_checkpoint(group_id=9)
     payload = bytes(range(200))
-    txn.put_pages(MEM_OID, {3: Page(data=payload)})
+    txn.put_pages(MEM_OID, page_runs({3: Page(data=payload)}))
     info = store.commit(txn, sync=True)
     _records, pages = store.merged_view(info.ckpt_id)
     fetched = store.fetch_page(pages[MEM_OID].lookup(3))
@@ -144,8 +145,8 @@ def test_real_page_round_trip(store):
 def test_large_flush_packs_into_stripe_extents(store):
     txn = store.begin_checkpoint(group_id=9)
     npages = 64  # 256 KiB of real data
-    txn.put_pages(MEM_OID, {i: Page(data=bytes([i]) * 100)
-                            for i in range(npages)})
+    txn.put_pages(MEM_OID, page_runs({i: Page(data=bytes([i]) * 100)
+                                      for i in range(npages)}))
     info = store.commit(txn, sync=True)
     data_extents = [e for e in info.owned_extents
                     if e[1] >= PAGE_SIZE]
@@ -183,7 +184,8 @@ def _chain(store, n):
     parent = None
     for i in range(n):
         txn = store.begin_checkpoint(group_id=9, parent=parent)
-        txn.put_pages(MEM_OID, {0: Page(seed=100 + i), i + 1: Page(seed=i)})
+        txn.put_pages(MEM_OID, page_runs({0: Page(seed=100 + i),
+                                          i + 1: Page(seed=i)}))
         info = store.commit(txn, sync=True)
         infos.append(info)
         parent = info.ckpt_id
@@ -250,12 +252,12 @@ def test_recovery_finds_only_complete_checkpoints():
     store = ObjectStore(machine)
     store.format()
     txn = store.begin_checkpoint(group_id=9)
-    txn.put_pages(MEM_OID, {0: Page(data=b"durable")})
+    txn.put_pages(MEM_OID, page_runs({0: Page(data=b"durable")}))
     done = store.commit(txn, sync=True)
 
     # Second checkpoint: crash while its flush is still queued.
     txn2 = store.begin_checkpoint(group_id=9, parent=done.ckpt_id)
-    txn2.put_pages(MEM_OID, {0: Page(data=b"torn")})
+    txn2.put_pages(MEM_OID, page_runs({0: Page(data=b"torn")}))
     store.commit(txn2, sync=False)
     machine.crash()
     machine.boot()
@@ -303,8 +305,8 @@ def test_crash_at_any_point_recovers_a_complete_prefix(crash_delay, nckpts):
     parent = None
     for i in range(nckpts):
         txn = store.begin_checkpoint(group_id=9, parent=parent)
-        txn.put_pages(MEM_OID, {j: Page(seed=i * 100 + j)
-                                for j in range(8)})
+        txn.put_pages(MEM_OID, page_runs({j: Page(seed=i * 100 + j)
+                                          for j in range(8)}))
         info = store.commit(txn, sync=False)
         parent = info.ckpt_id
         machine.loop.run_until(machine.clock.now() + crash_delay)

@@ -5,11 +5,13 @@ import pytest
 from repro import Machine, load_aurora
 from repro.core.runs import clip_run, run_at
 from repro.errors import StoreFull
-from repro.hw.memory import SYNTHETIC_CLEAN, Page, synthetic_bytes
+from repro.kernel.fs.file import O_CREAT, O_RDWR
+from repro.hw.memory import Page, synthetic_bytes
 from repro.kernel.aio import AIO_READ, AIO_WRITE
 from repro.kernel.swap import MADV_DONTNEED
-from repro.kernel.vm.vmobject import VMObject
+from repro.kernel.vm.vmobject import VMObject, page_run
 from repro.units import MiB, PAGE_SIZE
+from tests.content import clean_mark, page_runs
 
 
 def small_machine():
@@ -117,7 +119,7 @@ def test_madvise_dontneed_prioritizes_eviction():
 
 
 def test_clean_marks_synthetic_shared_real_own_locator():
-    """A flushed synthetic page shares one clean mark and is evicted
+    """A flushed synthetic page is clean as its run is, and is evicted
     with the locator derived from its seed; a real page is marked with
     its own locator, a one-page run, and evicted with it; a page written
     after the flush is dirty."""
@@ -129,12 +131,14 @@ def test_clean_marks_synthetic_shared_real_own_locator():
     sls.checkpoint(group, sync=True)
     track = next(iter(group.tracks.values()))
     base = track.active.backing  # the frozen shadow holding the pages
-    real, syn = base.page_at(0), base.page_at(1)
-    assert syn.clean_locator is SYNTHETIC_CLEAN
-    assert real.clean_locator[:3] == ("ext", 0, 1)
+    syn = base.page_at(1)
+    real_mark = clean_mark(base, 0)
+    assert clean_mark(base, 1) == ("syn", 1, 1, syn.seed, 0)
+    assert real_mark[:3] == ("ext", 0, 1)
     # Written after the flush: a new, dirty page above the clean one.
     proc.vmspace.touch(addr + 2 * PAGE_SIZE, 1, seed=99)
-    assert track.active.page_at(2).clean_locator is None
+    assert track.active.page_at(2) is not None
+    assert clean_mark(track.active, 2) is None
     proc.vmspace.fill(addr + 700 * PAGE_SIZE, 230, seed=5)
     assert pageout.memory_pressure()
     for pindex in (0, 1, 2):
@@ -144,7 +148,7 @@ def test_clean_marks_synthetic_shared_real_own_locator():
     real_locator, syn_locator = (
         clip_run(run_at(pageout.evicted[base.kid], pindex), pindex, pindex + 1)
         for pindex in (0, 1))
-    assert real_locator == real.clean_locator
+    assert real_locator == real_mark
     assert syn_locator[:4] == ("syn", 1, 1, syn.seed)
     assert track.active.page_at(2) is not None and not pageout.is_evicted(
         track.active, 2)
@@ -152,8 +156,8 @@ def test_clean_marks_synthetic_shared_real_own_locator():
     assert proc.vmspace.read(addr + PAGE_SIZE, PAGE_SIZE) \
         == synthetic_bytes(syn.seed)
     assert proc.vmspace.read(addr, 9) == b"real page"
-    assert base.page_at(1).clean_locator is SYNTHETIC_CLEAN
-    assert base.page_at(0).clean_locator == real_locator
+    assert clean_mark(base, 1) == ("syn", 1, 1, syn.seed, 0)
+    assert clean_mark(base, 0) == real_locator
 
 
 def test_eagerly_restored_pages_are_clean():
@@ -233,7 +237,7 @@ def test_migrate_object_is_one_pop_and_merge():
     kernel = Machine().kernel
     pageout = kernel.pageout
     older, newer, other = (VMObject(kernel, 8) for _ in range(3))
-    newer.insert_page(5, Page(seed=50))
+    newer.insert([page_run(5, Page(seed=50))])
     for home, away in ((older, newer), (newer, older)):
         pageout.evicted = {older.kid: [("syn", 1, 6, 10, 1)],
                            newer.kid: [("syn", 2, 1, 90, 0)],
@@ -279,7 +283,7 @@ def test_forward_collapse_keeps_the_shadows_eviction():
     kernel = Machine().kernel
     pageout = kernel.pageout
     parent = VMObject(kernel, 8)
-    parent.insert_pages({i: Page(seed=i) for i in range(4)})
+    parent.insert(page_runs({i: Page(seed=i) for i in range(4)}))
     shadow = parent.shadow()
     parent.unref()
     pageout.evicted = {shadow.kid: [("syn", 2, 1, 77, 0)],
@@ -291,6 +295,134 @@ def test_forward_collapse_keeps_the_shadows_eviction():
     assert shadow.page_at(2) is None and shadow.lookup_page(2)[0] is None
     assert [shadow.page_at(i).seed for i in (0, 1, 3)] == [0, 1, 3]
     assert kernel.physmem.used_frames == used - 1
+
+
+def test_pageout_builds_no_page_for_clean_runs(monkeypatch):
+    """A clean synthetic stretch held as one run is evicted without IO
+    and without a ``Page``: the pass splices the run itself into the
+    object's evicted runs, one coalesced run."""
+    machine, sls, proc, group = small_machine()
+    pageout = machine.kernel.pageout
+    addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
+    proc.vmspace.fill(addr, 700, seed=5)
+    sls.checkpoint(group, sync=True)            # one clean run of 700
+    proc.vmspace.fill(addr + 700 * PAGE_SIZE, 230, seed=9)
+    assert pageout.memory_pressure()
+    base = next(iter(group.tracks.values())).active.backing
+    built = []
+    plain_init = Page.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        plain_init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Page, "__init__", counting_init)
+        evicted = pageout.run_pageout([base], store=sls.store)
+    assert not built
+    assert 0 < evicted < 700 and not pageout.memory_pressure()
+    assert pageout.evictions_clean == evicted
+    assert pageout.evicted[base.kid] == [["syn", 0, evicted, 5, 1]]
+    assert proc.vmspace.read(addr + (evicted - 1) * PAGE_SIZE, 32) \
+        == synthetic_bytes(5 + evicted - 1)[:32]
+
+
+def test_checkpointed_pages_of_a_private_file_mapping_evict_without_io():
+    """A file's pages behind a MAP_PRIVATE mapping sit in the chain the
+    pageout daemon scans.  Pages written to the file after the mapping
+    was first checkpointed reach the store through the file's own
+    record, not the mapping's flush; once a checkpoint embeds them they
+    are clean there too, so pressure evicts them without staging one."""
+    machine, sls, proc, group = small_machine()
+    kernel = machine.kernel
+    fd = kernel.open(proc, "/data", O_CREAT | O_RDWR)
+    kernel.write(proc, fd, bytes(600 * PAGE_SIZE))
+    addr = kernel.mmap_file(proc, fd, 600 * PAGE_SIZE, shared=False)
+    proc.vmspace.write(addr, b"PRIVATE!")       # a COW shadow over it
+    sls.checkpoint(group, sync=True)
+    kernel.lseek(proc, fd, 0)
+    kernel.write(proc, fd, bytes(range(256)) * (600 * PAGE_SIZE // 256))
+    sls.checkpoint(group, sync=True)
+    heap = proc.vmspace.mmap(400 * PAGE_SIZE, name="heap")
+    proc.vmspace.fill(heap, 330, seed=1)
+    assert kernel.pageout.memory_pressure()
+    track = next(track for track in group.tracks.values()
+                 if any(obj.vnode is not None
+                        for obj in track.active.chain()))
+    evicted = kernel.pageout.run_pageout(list(track.active.chain()),
+                                         store=sls.store)
+    assert evicted > 0 and not kernel.pageout.memory_pressure()
+    assert kernel.pageout.evictions_dirty == 0
+    assert kernel.pageout.evictions_clean == evicted
+    assert proc.vmspace.read(addr + 599 * PAGE_SIZE, 4) == bytes(range(4))
+
+
+# -- ROADMAP item 1's durability gaps, pinned ---------------------------------------------
+
+ITEM_1 = ("ROADMAP item 1: a page swapped out dirty is in no checkpoint "
+          "(stage_swap_page writes it to an extent no checkpoint owns)")
+
+
+def _swapped_out_dirty(pageout=True):
+    """20 pages checkpointed, 910 more filled, then (``pageout``) a
+    pageout pass, which swaps 41 of the new pages out dirty, and a sync
+    checkpoint."""
+    machine, sls, proc, group = small_machine()
+    addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
+    proc.vmspace.fill(addr, 20, seed=4)
+    sls.checkpoint(group, sync=True)
+    proc.vmspace.fill(addr + 20 * PAGE_SIZE, 910, seed=100)
+    if pageout:
+        track = next(iter(group.tracks.values()))
+        machine.kernel.pageout.run_pageout(list(track.active.chain()),
+                                           store=sls.store)
+    sls.checkpoint(group, sync=True)
+    return machine, sls, group, addr
+
+
+def _restored(machine, group_id):
+    machine.crash()
+    machine.boot()
+    sls = load_aurora(machine)
+    return sls.restore(group_id, periodic=False).root.vmspace
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1)
+def test_a_page_swapped_out_dirty_survives_a_crash():
+    machine, _sls, group, addr = _swapped_out_dirty()
+    space = _restored(machine, group.group_id)
+    stale = [pindex for pindex in range(930)
+             if space.read(addr + pindex * PAGE_SIZE, 32) != synthetic_bytes(
+                 4 + pindex if pindex < 20 else 80 + pindex)[:32]]
+    assert stale == []
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1 + "; its swap extent leaks")
+def test_a_swap_extent_is_freed_with_the_history():
+    used = []
+    for pageout in (True, False):
+        machine, sls, group, _addr = _swapped_out_dirty(pageout)
+        for _ in range(6):
+            sls.checkpoint(group, sync=True)
+        sls.store.retain_last(group.group_id, 1)
+        used.append(sls.store.used_bytes())
+    assert used[0] == used[1]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: a mode='mem' checkpoint consumes the disk dirty set, "
+    "so the next incremental disk checkpoint misses what was written "
+    "before it"))
+def test_a_write_before_a_mem_checkpoint_survives_a_crash():
+    machine, sls, proc, group = small_machine()
+    addr = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
+    proc.vmspace.fill(addr, 64, seed=4)
+    sls.checkpoint(group, sync=True)
+    proc.vmspace.touch(addr + 3 * PAGE_SIZE, 1, seed=777)
+    sls.checkpoint(group, mode="mem")
+    sls.checkpoint(group, sync=True)
+    space = _restored(machine, group.group_id)
+    assert space.read(addr + 3 * PAGE_SIZE, 32) == synthetic_bytes(777)[:32]
 
 
 # -- AIO ----------------------------------------------------------------------------------

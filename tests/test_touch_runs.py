@@ -10,20 +10,22 @@ workload).  Three guards, all deterministic:
 (b) inside ``touch`` no single-PTE pmap call is made and the clock
     advances at most twice per run, so the per-page path cannot
     quietly return;
-(c) the one-page locators the store cuts out of its runs during the
-    run (its clean marks) and the ``Page`` objects alive after it are
-    pinned too: the population of long-lived objects sets the cyclic
-    collector's schedule, which moved ``restore_wall_ms`` on an
-    untouched workload the last time it changed, so a silent heap
-    change fails here and not in a benchmark.  No locator is built: a
-    flushed synthetic page is marked clean with the one shared
-    ``SYNTHETIC_CLEAN`` mark (its locator is a function of its seed)
-    instead of one locator per page — 25 378 here before that change,
-    one per page touched.
-    No ``Page`` is built inside ``touch`` and one is alive at the end
-    (the machine's device page): ``fill`` and ``touch`` hold what they
-    write as dirty synthetic runs, so the 68 703 ``Page``s alive here
-    before that change — one per resident page — are gone.
+(c) the one-page locators cut out of the checkpoints' locator tables
+    during the run (the clean marks of real pages) and the ``Page``
+    objects alive after it are pinned too: the population of long-lived
+    objects sets the cyclic collector's schedule, which moved
+    ``restore_wall_ms`` on an untouched workload the last time it
+    changed, so a silent heap change fails here and not in a benchmark.
+    No locator is built: a flushed synthetic run is marked clean as a
+    whole (its locator is a function of its seed) instead of one
+    locator per page — 25 378 here before that change, one per page
+    touched.
+    No ``Page`` is built inside ``touch`` and none is alive at the end:
+    ``fill`` and ``touch`` hold what they write as dirty synthetic runs,
+    so the 68 703 ``Page``s alive here before that change — one per
+    resident page — are gone, and since VM objects hold every page as a
+    run the machine's device page (1 before) is a one-page synthetic run
+    too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import gc
 import random
 
-import repro.objstore.store as store_mod
+import repro.objstore.checkpoint as checkpoint_mod
 from repro import Machine, load_aurora
 from repro.hw.clock import SimClock
 from repro.hw.memory import Page
@@ -54,7 +56,7 @@ PINNED = {
     "used_frames": 68_703,
     "locators_built": 0,
     "pages_built_in_touch": 0,
-    "pages_alive": 1,
+    "pages_alive": 0,
 }
 
 
@@ -85,7 +87,7 @@ def test_touch_is_runwise_sim_identical_and_heap_neutral(monkeypatch):
     sls.checkpoint(group, sync=True)
 
     locators = {}
-    _count(monkeypatch, store_mod, "clip_run", locators)
+    _count(monkeypatch, checkpoint_mod, "clip_run", locators)
     rng = random.Random(18)
     stop_ns = []
     in_touch = {}

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.runs import clip_run, index_spans
+from repro.core import runs as runs_mod
+from repro.core.runs import clip_run
 from repro.errors import InvalidArgument, SegmentationFault
-from repro.hw.memory import SYNTHETIC_CLEAN, Page
+from repro.hw.memory import Page
 from repro.kernel.vm.vmmap import (INHERIT_SHARE, PROT_READ, PROT_WRITE,
                                    VMMap, VMMapEntry)
-from repro.kernel.vm.vmobject import VMObject
+from repro.kernel.vm import vmobject as vmobject_mod
+from repro.kernel.vm.vmobject import VMObject, page_run
 from repro.machine import Machine
+from repro.objstore.checkpoint import PageRuns
 from repro.units import PAGE_SIZE
+from tests.content import clean_mark, held_pages, page_runs
 
 
 @pytest.fixture
@@ -24,7 +28,7 @@ def kernel():
 
 def test_insert_and_lookup_page(kernel):
     obj = VMObject(kernel, 10)
-    obj.insert_page(3, Page(data=b"three"))
+    obj.insert([page_run(3, Page(data=b"three"))])
     page, depth, owner = obj.lookup_page(3)
     assert page.realize().startswith(b"three")
     assert depth == 0 and owner is obj
@@ -33,54 +37,59 @@ def test_insert_and_lookup_page(kernel):
 def test_insert_out_of_range_rejected(kernel):
     obj = VMObject(kernel, 2)
     with pytest.raises(InvalidArgument):
-        obj.insert_page(2, Page(seed=1))
+        obj.insert([page_run(2, Page(seed=1))])
 
 
 def test_frame_accounting_follows_pages(kernel):
     before = kernel.physmem.used_frames
     obj = VMObject(kernel, 4)
-    obj.insert_page(0, Page(seed=1))
-    obj.insert_page(1, Page(seed=2))
+    obj.insert([page_run(0, Page(seed=1))])
+    obj.insert([page_run(1, Page(seed=2))])
     assert kernel.physmem.used_frames == before + 2
-    obj.insert_page(0, Page(seed=3))  # replacement: no new frame
+    obj.insert([page_run(0, Page(seed=3))])  # replacement: no new frame
     assert kernel.physmem.used_frames == before + 2
     obj.unref()
     assert kernel.physmem.used_frames == before
 
 
-class _ProbeCountingPages(dict):
-    """A resident-page dict that counts how it is consulted: one per
-    membership probe, the whole resident set per key-view request."""
-
-    probes = 0
-
-    def __contains__(self, pindex):
-        self.probes += 1
-        return super().__contains__(pindex)
-
-    def keys(self):
-        self.probes += len(self)
-        return super().keys()
-
-
-def test_small_slabs_into_a_large_object_probe_only_the_slab(kernel):
-    """1 000 four-page slabs into a 100 k-page object cost one probe
-    per slab page — counting new frames from the resident side walked
-    100 k keys per insert (a latent quadratic)."""
+def test_small_slabs_into_a_large_object_probe_only_the_slab(kernel,
+                                                             monkeypatch):
+    """1 000 four-page slabs into a 100 k-page object cost one bisect
+    per slab and splice only the runs the slab lands on — rebuilding
+    the object's run list, or counting new frames from the resident
+    side, copied or walked 100 k entries per insert (a latent
+    quadratic)."""
     resident, slabs, width = 100_000, 1_000, 4
     obj = VMObject(kernel, resident + slabs * width)
-    obj.insert_pages({i: Page(seed=i) for i in range(resident)})
-    obj.pages = _ProbeCountingPages(obj.pages)
+    obj.insert(page_runs({i: Page(seed=i) for i in range(resident)}))
+    probes, spliced = [], []
+    plain_bisect, plain_splice = (runs_mod.bisect_right,
+                                  vmobject_mod.splice_window)
+
+    def counting_bisect(*args, **kwargs):
+        probes.append(1)
+        return plain_bisect(*args, **kwargs)
+
+    def counting_splice(runs, cover, first):
+        window, stop, cut = plain_splice(runs, cover, first)
+        spliced.append(stop - first)
+        return window, stop, cut
+
+    monkeypatch.setattr(runs_mod, "bisect_right", counting_bisect)
+    monkeypatch.setattr(vmobject_mod, "splice_window", counting_splice)
     before = kernel.physmem.used_frames
     for slab in range(slabs):
         # Odd slabs replace resident pages, even ones extend the object.
         first = (slab * 97 if slab % 2 else resident + slab * width)
-        obj.insert_pages({first + i: Page(seed=-slab)
-                          for i in range(width)})
-    assert obj.pages.probes == slabs * width
+        obj.insert(page_runs({first + i: Page(seed=-slab)
+                              for i in range(width)}))
+    assert len(probes) == slabs
+    # Each replacing slab splices the four one-page runs it replaces;
+    # each extending slab, none.
+    assert spliced == [width if slab % 2 else 0 for slab in range(slabs)]
     assert kernel.physmem.used_frames == before + (slabs // 2) * width
     assert obj.resident_count() == resident + (slabs // 2) * width
-    assert obj.pages[97].seed == -1 and obj.pages[resident].seed == 0
+    assert obj.page_at(97).seed == -1 and obj.page_at(resident).seed == 0
 
 
 _restored = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 12),
@@ -99,33 +108,29 @@ _object_ops = st.lists(st.one_of(
 
 
 def _runs_or_pages(obj, runs, as_runs, dirty):
-    """Give ``obj`` the synthetic runs ``runs`` as runs or as pages,
-    clean or ``dirty``."""
+    """Give ``obj`` the synthetic runs ``runs`` as runs or as one-page
+    runs (pages), clean or ``dirty``."""
     if as_runs:
-        obj.insert_runs(runs, dirty=dirty)
+        obj.insert([(*run, dirty) for run in runs])
         return
-    pages = {start + i: Page(seed=seed0 + step * i)
-             for _kind, start, count, seed0, step in runs
-             for i in range(count)}
-    if not dirty:
-        for page in pages.values():
-            page.clean_locator = SYNTHETIC_CLEAN
-    obj.insert_pages(pages)
+    obj.insert([page_run(start + i, Page(seed=seed0 + step * i),
+                         None if dirty else ("syn", start + i, 1,
+                                             seed0 + step * i, 0))
+                for _kind, start, count, seed0, step in runs
+                for i in range(count)])
 
 
 def _flush_clean(obj, lo, hi):
     """A flush of ``obj``'s content in ``[lo, hi)`` became durable:
-    the store marks the synthetic pages, the object its runs."""
-    pages, runs = obj.content()
-    for pindex, page in pages.items():
-        if lo <= pindex < hi and page.synthetic:
-            page.clean_locator = SYNTHETIC_CLEAN
+    the object marks its runs there clean."""
     obj.mark_clean([clip_run(run, max(run[1], lo), min(run[1] + run[2], hi))
-                    for run in runs if run[1] < hi and run[1] + run[2] > lo])
+                    for run in obj.content()
+                    if run[1] < hi and run[1] + run[2] > lo], None)
 
 
-def _state(page):
-    return None if page is None else (page.seed, page.clean_locator)
+def _state(obj, pindex):
+    page = obj.page_at(pindex)
+    return None if page is None else (page.seed, clean_mark(obj, pindex))
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,8 +148,13 @@ def test_runs_hold_what_pages_would(restored, ops, shadowed, forward):
         if start + count <= 64:
             runs.append((("syn", start, count, seed0, step), dirty))
             start += count
-    shadow_runs = [("syn", span[1], span[2], 1000 + span[1], 1)
-                   for span in index_spans(shadowed)]
+    shadow_runs = []    # one run per stretch of consecutive indexes
+    for pindex in sorted(shadowed):
+        if shadow_runs and sum(shadow_runs[-1][1:3]) == pindex:
+            _kind, start, count, seed0, step = shadow_runs.pop()
+            shadow_runs.append(("syn", start, count + 1, seed0, step))
+        else:
+            shadow_runs.append(("syn", pindex, 1, 1000 + pindex, 1))
     observed = []
     for as_runs in (True, False):
         kernel = Machine().kernel
@@ -155,13 +165,14 @@ def test_runs_hold_what_pages_would(restored, ops, shadowed, forward):
         seen = []
         for op in ops:
             if op[0] == "page":
-                parent.insert_page(op[1], Page(seed=op[2]))
+                parent.insert([page_run(op[1], Page(seed=op[2]))])
             elif op[0] == "slab":
                 first = min(op[1], 64 - op[2])
-                parent.insert_pages({first + i: Page(seed=op[3] + i)
-                                     for i in range(op[2])})
+                parent.insert(page_runs({first + i: Page(seed=op[3] + i)
+                                         for i in range(op[2])}))
             elif op[0] == "remove":
-                seen.append(_state(parent.remove_page(op[1])))
+                seen.append(_state(parent, op[1]))
+                parent.remove(op[1], op[1] + 1)
             elif op[0] == "clean":
                 _flush_clean(parent, op[1], op[1] + op[2])
             else:
@@ -169,7 +180,7 @@ def test_runs_hold_what_pages_would(restored, ops, shadowed, forward):
                 _runs_or_pages(parent, [("syn", op[1], count, op[3], op[4])],
                                as_runs, op[5])
             seen.append((parent.resident_count(), kernel.physmem.used_frames,
-                         _state(parent.page_at(op[1]))))
+                         _state(parent, op[1])))
         shadow = parent.shadow()
         _runs_or_pages(shadow, shadow_runs, as_runs, True)
         if forward:
@@ -177,8 +188,7 @@ def test_runs_hold_what_pages_would(restored, ops, shadowed, forward):
         else:
             survivor, moved = shadow.collapse_into_parent()
             survivor.unref()    # the reference the collapse handed over
-        content = {p: _state(page)
-                   for p, page in survivor.all_pages().items()}
+        content = {p: _state(survivor, p) for p in held_pages(survivor)}
         held = [p for lo, hi in survivor.holding([(0, 64)])
                 for p in range(lo, hi)]
         seen.append((moved, content, survivor.resident_count(),
@@ -191,14 +201,38 @@ def test_runs_hold_what_pages_would(restored, ops, shadowed, forward):
     assert observed[0][-1] == 0
 
 
+def test_content_written_after_staging_stays_dirty(kernel):
+    """Marking staged content clean leaves what was written over it
+    since dirty: a real page replaced, a synthetic stretch of other
+    seeds."""
+    obj = VMObject(kernel, 12)
+    obj.insert([("syn", 0, 8, 10, 1, True),
+                page_run(8, Page(data=b"old")), page_run(9, Page(data=b"x"))])
+    staged = obj.content()
+    obj.insert([("syn", 2, 2, 500, 1, True), ("syn", 5, 1, 15, 0, True)])
+    obj.insert([page_run(9, Page(data=b"new"))])
+    _flush_clean_pieces(obj, staged)
+    assert [pindex for pindex in range(10)
+            if clean_mark(obj, pindex) is None] == [2, 3, 9]
+
+
+def _flush_clean_pieces(obj, pieces):
+    """``pieces`` of ``obj`` became durable, its real pages at one
+    extent's slots in index order."""
+    slots = [piece[1] for piece in pieces if piece[0] == "page"]
+    obj.mark_clean(pieces, PageRuns([
+        ["ext", pindex, 1, 7, PAGE_SIZE * slot, PAGE_SIZE]
+        for slot, pindex in enumerate(slots)]))
+
+
 def test_shadow_lookup_walks_chain(kernel):
     base = VMObject(kernel, 8)
-    base.insert_page(0, Page(seed=100))
+    base.insert([page_run(0, Page(seed=100))])
     shadow = base.shadow()
     page, depth, owner = shadow.lookup_page(0)
     assert page.seed == 100
     assert depth == 1 and owner is base
-    shadow.insert_page(0, Page(seed=200))
+    shadow.insert([page_run(0, Page(seed=200))])
     page, depth, _ = shadow.lookup_page(0)
     assert page.seed == 200 and depth == 0
 
@@ -218,7 +252,7 @@ def test_frozen_object_rejects_inserts(kernel):
     obj = VMObject(kernel, 4)
     obj.frozen = True
     with pytest.raises(InvalidArgument):
-        obj.insert_page(0, Page(seed=1))
+        obj.insert([page_run(0, Page(seed=1))])
 
 
 def _visible(obj, npages):
@@ -229,10 +263,10 @@ def _visible(obj, npages):
 def test_collapse_into_parent_preserves_visibility(kernel):
     base = VMObject(kernel, 6)
     for i in range(4):
-        base.insert_page(i, Page(seed=i))
+        base.insert([page_run(i, Page(seed=i))])
     mid = base.shadow()
-    mid.insert_page(1, Page(seed=101))
-    mid.insert_page(4, Page(seed=104))
+    mid.insert([page_run(1, Page(seed=101))])
+    mid.insert([page_run(4, Page(seed=104))])
     top = mid.shadow()
     before = _visible(top, 6)
 
@@ -250,9 +284,9 @@ def test_collapse_into_parent_preserves_visibility(kernel):
 def test_collapse_forward_preserves_visibility(kernel):
     base = VMObject(kernel, 6)
     for i in range(4):
-        base.insert_page(i, Page(seed=i))
+        base.insert([page_run(i, Page(seed=i))])
     top = base.shadow()
-    top.insert_page(1, Page(seed=201))
+    top.insert([page_run(1, Page(seed=201))])
     before = _visible(top, 6)
     moved = top.collapse_forward()
     assert moved == 3  # pages 0, 2, 3 (1 was shadowed)
@@ -280,13 +314,13 @@ def test_collapse_invariant_property(base_pages, mid_pages, top_pages):
     kernel = Machine().kernel
     base = VMObject(kernel, 16)
     for pindex, seed in base_pages.items():
-        base.insert_page(pindex, Page(seed=seed))
+        base.insert([page_run(pindex, Page(seed=seed))])
     mid = base.shadow()
     for pindex, seed in mid_pages.items():
-        mid.insert_page(pindex, Page(seed=seed + 10_000))
+        mid.insert([page_run(pindex, Page(seed=seed + 10_000))])
     top = mid.shadow()
     for pindex, seed in top_pages.items():
-        top.insert_page(pindex, Page(seed=seed + 20_000))
+        top.insert([page_run(pindex, Page(seed=seed + 20_000))])
     before = _visible(top, 16)
 
     parent, _moved = mid.collapse_into_parent()

@@ -10,9 +10,9 @@ them over the production names for the duration.
 * :class:`LegacyPmap` / :class:`PTE` — the dict-of-PTE pmap the bitmap
   :class:`~repro.kernel.vm.pmap.Pmap` replaced.
 * :func:`merged_chain_pages_legacy` — the top-down per-page
-  ``setdefault`` merge behind the pages of ``shadowing.merged_chain``;
-  :func:`merged_chain_legacy` adds the runs, one piece per page, and
-  stands in for the whole chain walk.
+  ``setdefault`` merge behind ``shadowing.merged_chain``;
+  :func:`merged_chain_legacy` turns it into one-page pieces of their
+  owners' runs and stands in for the whole chain walk.
 * :func:`collapse_into_parent_legacy` — the page-at-a-time reversed
   collapse behind ``VMObject.collapse_into_parent``: every page the
   shadow holds replaces the parent's, and every page the shadow evicted
@@ -27,7 +27,8 @@ them over the production names for the duration.
 * :func:`fill_per_page` — ``VMSpace.fill`` as it ran before dirty
   content was held as runs: one ``Page`` per page, one slab per map
   entry.  With :func:`touch_per_page` it keeps every written synthetic
-  page a ``Page``, so flushes, collapses and clean marks run on pages.
+  page its own one-page run, so flushes, collapses and clean marks run
+  page by page.
 * :func:`populate_pages_per_page` — the eager half of
   ``GroupRestorer.populate_pages`` as it ran before restored memory was
   held as runs: one clean ``Page`` inserted per restored page.
@@ -46,12 +47,14 @@ from repro.core import costs
 from repro.core.restore import GroupRestorer
 from repro.core.runs import clip_run
 from repro.errors import InvalidArgument, SegmentationFault
-from repro.hw.memory import SYNTHETIC_CLEAN, Page
+from repro.hw.memory import Page
 from repro.kernel.vm.fault import handle_fault
-from repro.kernel.vm.vmobject import VMObject
+from repro.kernel.vm.vmmap import PROT_WRITE
+from repro.kernel.vm.vmobject import VMObject, page_run
 from repro.kernel.vm.vmspace import VMSpace
 from repro.objstore.checkpoint import NO_PAGES
 from repro.units import PAGE_SIZE
+from tests.content import held_pages, page_runs
 
 
 class PTE:
@@ -198,30 +201,24 @@ def merged_chain_pages_legacy(top: VMObject) -> Dict[int, Page]:
     """
     pages: Dict[int, Page] = {}
     for obj in _segment_legacy(top):
-        for pindex, page in obj.pages.items():
+        for pindex, page in held_pages(obj).items():
             pages.setdefault(pindex, page)
     return pages
 
 
 def merged_chain_legacy(top: VMObject):
-    """``shadowing.merged_chain`` on the per-page original: the pages
-    are :func:`merged_chain_pages_legacy`'s, and every run page no newer
-    object holds is its own one-page piece of its owner's runs.  The
-    per-page world writes no run above a chain's base, so no newer run
-    hides an older page."""
-    pages = merged_chain_pages_legacy(top)
-    held: set = set()
+    """``shadowing.merged_chain`` on the per-page original: every page
+    :func:`merged_chain_pages_legacy` merged is its own one-page piece
+    of the newest object's runs that holds it."""
+    unclaimed = merged_chain_pages_legacy(top)
     sources = []
     for obj in _segment_legacy(top):
-        obj_pages, obj_runs = obj.content()
-        pieces = [clip_run(run, pindex, pindex + 1) for run in obj_runs
+        pieces = [clip_run(run, pindex, pindex + 1) for run in obj.content()
                   for pindex in range(run[1], run[1] + run[2])
-                  if pindex not in held]
-        held.update(obj_pages)
-        held.update(piece[1] for piece in pieces)
+                  if unclaimed.pop(pindex, None) is not None]
         if pieces:
             sources.append((obj, pieces))
-    return pages, sources
+    return sources
 
 
 def collapse_into_parent_legacy(self) -> Tuple["VMObject", int]:
@@ -241,16 +238,15 @@ def collapse_into_parent_legacy(self) -> Tuple["VMObject", int]:
     was_frozen = parent.frozen
     parent.frozen = False
     moved = 0
-    for pindex, page in list(self.pages.items()):
-        stale = parent.pages.get(pindex)
-        if stale is not None:
-            parent.remove_page(pindex)
-        parent.insert_page(pindex, page)
-        self.remove_page(pindex)
-        moved += 1
+    for run in self.content():
+        for pindex in range(run[1], run[1] + run[2]):
+            parent.remove(pindex, pindex + 1)
+            parent.insert([clip_run(run, pindex, pindex + 1)])
+            self.remove(pindex, pindex + 1)
+            moved += 1
     for run in pageout.evicted.get(self.kid, ()):
         for pindex in range(run[1], run[1] + run[2]):
-            parent.remove_page(pindex)
+            parent.remove(pindex, pindex + 1)
     parent.frozen = was_frozen
     pageout.migrate_object(parent.kid, self, parent.kid)
     self._detach_backing()
@@ -290,10 +286,12 @@ def fill_per_page(space, addr: int, npages: int, seed: int) -> None:
         stretch = min(end_page, entry.end_page) - va_page
         base_pindex = entry.pindex_of(va_page)
         base_seed = seed + (va_page - start_page)
-        entry.vmobject.insert_pages({
+        entry.vmobject.insert(page_runs({
             base_pindex + i: Page(seed=base_seed + i)
-            for i in range(stretch)})
-        space.pmap.enter_range(va_page, stretch, writable=True, dirty=True)
+            for i in range(stretch)}))
+        space.pmap.enter_range(
+            va_page, stretch,
+            writable=bool(entry.protection & PROT_WRITE), dirty=True)
         va_page += stretch
 
 
@@ -308,18 +306,13 @@ def touch_per_page(space, addr: int, npages: int, seed: int) -> int:
         if entry is None or not entry.contains(va_page):
             entry = space.map.lookup(va_page)
         if space.pmap.is_writable(va_page):
-            pindex = entry.pindex_of(va_page)
-            if pindex in entry.vmobject.pages:
-                entry.vmobject.pages[pindex] = Page(seed=seed + i)
-            else:
-                entry.vmobject.insert_page(pindex, Page(seed=seed + i))
             space.pmap.mark_dirty(va_page)
         else:
             handle_fault(space, va_page, write=True)
-            # The fault may have repointed the entry to a fresh COW
-            # shadow; the entry object itself is stable.
-            pindex = entry.pindex_of(va_page)
-            entry.vmobject.pages[pindex] = Page(seed=seed + i)
+        # The fault may have repointed the entry to a fresh COW shadow;
+        # the entry object itself is stable.
+        pindex = entry.pindex_of(va_page)
+        entry.vmobject.insert([page_run(pindex, Page(seed=seed + i))])
     return space.pmap.fault_count - faults_before
 
 
@@ -341,9 +334,7 @@ def populate_pages_per_page(self, obj: VMObject, oid: int,
         for pindex in range(run[1], run[1] + run[2]):
             locator = clip_run(run, pindex, pindex + 1)
             page = self.store.fetch_page(locator)
-            page.clean_locator = SYNTHETIC_CLEAN if page.synthetic \
-                else locator
-            obj.insert_page(pindex, page)
+            obj.insert([page_run(pindex, page, locator)])
         clock.advance(costs.RESTORE_PAGE_INSERT * run[2])
         self.pages_restored += run[2]
     self.insert_ns += clock.now() - start
