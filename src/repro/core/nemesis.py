@@ -259,9 +259,10 @@ def _campaign_ack_path_cut(seed: int) -> CampaignResult:
     fx = NemesisFixture(seed)
     v1, _ = fx.commit("v1")
     assert fx.cluster.pump() == v1
-    # Install once the second node of the next pump has applied: acks
+    # Install once the second node of the next pump has applied (its
+    # six ships come first, then each leg's deliver and apply): acks
     # from nodes 2..5 then drop, leaving 2 < W credits.
-    arm_at = len(fx.plan.repl_log) + 6
+    arm_at = len(fx.plan.repl_log) + NODES + 3
     fx.plan.partial_partition([(n, PRIMARY) for n in (2, 3, 4, 5)],
                               at_repl=arm_at)
     v2, state2 = fx.commit("v2")

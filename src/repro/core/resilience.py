@@ -108,11 +108,46 @@ class RetryPolicy:
                    self.base_backoff_ns << (attempt - 1))
         return base + self._rng.randrange(base // 2 + 1)
 
+    def after_failure(self, exc: Exception, attempt: int, started: int,
+                      op: Optional[str] = None) -> int:
+        """The one give-up and backoff rule, after retryable failure
+        number ``attempt`` of an operation that began at ``started``:
+        raises :class:`~repro.errors.RetriesExhausted` when attempts or
+        the deadline have run out, and otherwise returns the wait
+        before the next attempt (logged, counted and recorded as a
+        ``resilience.backoff`` span from now).  It does not advance the
+        clock: :meth:`run` waits on it, a replication leg schedules its
+        next attempt on its own timeline."""
+        op = op or self.op
+        now = self.clock.now()
+        registry = telemetry.registry()
+        out_of_attempts = attempt >= self.max_attempts
+        out_of_time = now - started >= self.deadline_ns
+        if out_of_attempts or out_of_time:
+            sls_events.emit(now, sls_events.RETRY_EXHAUSTED,
+                            op=op, attempts=attempt,
+                            error=type(exc).__name__)
+            registry.counter("sls.resilience.exhausted", op=op).add(1)
+            why = ("deadline" if out_of_time else
+                   f"{self.max_attempts} attempts")
+            raise RetriesExhausted(f"{op}: gave up after {why}: {exc}",
+                                   last_error=exc) from exc
+        delay = self.backoff_ns(attempt)
+        # Never back off past the deadline: the final attempt happens
+        # while the operation still has a chance.
+        delay = min(delay, started + self.deadline_ns - now)
+        sls_events.emit(now, sls_events.RETRY, op=op, attempt=attempt,
+                        backoff_ns=delay, error=type(exc).__name__)
+        registry.counter("sls.resilience.retries", op=op).add(1)
+        if delay > 0:
+            registry.record_span("resilience.backoff", now, now + delay,
+                                 op=op, attempt=attempt)
+        return delay
+
     def run(self, fn: Callable[[], T], *, op: Optional[str] = None) -> T:
         """Call ``fn`` until it succeeds, a non-retryable error
         propagates, or attempts/deadline run out
         (:class:`~repro.errors.RetriesExhausted`)."""
-        op = op or self.op
         started = self.clock.now()
         attempt = 0
         while True:
@@ -120,34 +155,8 @@ class RetryPolicy:
                 return fn()
             except RETRYABLE as exc:
                 attempt += 1
-                now = self.clock.now()
-                registry = telemetry.registry()
-                out_of_attempts = attempt >= self.max_attempts
-                out_of_time = now - started >= self.deadline_ns
-                if out_of_attempts or out_of_time:
-                    sls_events.emit(now, sls_events.RETRY_EXHAUSTED,
-                                    op=op, attempts=attempt,
-                                    error=type(exc).__name__)
-                    registry.counter("sls.resilience.exhausted",
-                                     op=op).add(1)
-                    why = ("deadline" if out_of_time else
-                           f"{self.max_attempts} attempts")
-                    raise RetriesExhausted(
-                        f"{op}: gave up after {why}: {exc}",
-                        last_error=exc) from exc
-                delay = self.backoff_ns(attempt)
-                # Never back off past the deadline: the final attempt
-                # happens while the operation still has a chance.
-                delay = min(delay, started + self.deadline_ns - now)
-                sls_events.emit(now, sls_events.RETRY, op=op,
-                                attempt=attempt, backoff_ns=delay,
-                                error=type(exc).__name__)
-                registry.counter("sls.resilience.retries", op=op).add(1)
-                if delay > 0:
-                    self.clock.advance(delay)
-                    registry.record_span("resilience.backoff", now,
-                                         now + delay, op=op,
-                                         attempt=attempt)
+                self.clock.advance(
+                    self.after_failure(exc, attempt, started, op))
 
 
 #: Consecutive failed ships before a cluster peer is considered

@@ -32,12 +32,12 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro import Machine, load_aurora
-from repro.core.cluster import (B_APPLY, B_EPOCH, B_LEASE, B_RECONCILE,
-                                SLSCluster)
+from repro.core.cluster import B_EPOCH, B_LEASE, B_RECONCILE, SLSCluster
 from repro.core.faults import (AFTER, BEFORE, PRIMARY, FaultPlan,
                                InjectedCrash)
+from repro.core.shipping import B_APPLY
 from repro.objstore.store import SUPERBLOCK_SLOTS
-from repro.units import PAGE_SIZE
+from repro.units import PAGE_SIZE, USEC
 
 
 class WorkloadRun:
@@ -424,6 +424,26 @@ class ClusterWorkload(CounterAppWorkload):
         tag = self.read_state(proc, addr)
         return proc.vmspace.read(addr + index * PAGE_SIZE,
                                  len(tag) + len(b":%d" % index))
+
+
+class SkewedClusterWorkload(ClusterWorkload):
+    """:class:`ClusterWorkload` with its first-dispatched replicas slow.
+
+    Delivery to nodes 0 and 1 — the first two legs the pump dispatches
+    — is delayed, so their copies land after nodes 2–4's: the applies
+    come in node order 2, 3, 4, 0, 1, and the write-quorum apply (the
+    durability flip) is node 0's, not the W-th node in dispatch order.
+    """
+
+    SLOW_NODES = (0, 1)
+    SLOW_NS = 200 * USEC
+
+    def action(self, run: ClusterRun) -> None:
+        plan = run.machine.fault_plan
+        assert plan is not None, "the explorer installs the plan"
+        for node in self.SLOW_NODES:
+            plan.delay_link(PRIMARY, node, self.SLOW_NS)
+        super().action(run)
 
 
 class ClusterSchedule:

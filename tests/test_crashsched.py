@@ -26,7 +26,7 @@ from tests.crashsched import (ClusterScheduleExplorer, ClusterWorkload,
                               CounterAppWorkload, CrashScheduleExplorer,
                               GCCounterWorkload,
                               IncrementalCounterWorkload, IOCrash,
-                              StageCrash)
+                              SkewedClusterWorkload, StageCrash)
 
 SMOKE_SEED = 0xA0DA
 SMOKE_IO_SAMPLES = 3
@@ -467,6 +467,63 @@ def test_cluster_exhaustive_node_crash_sweep(cluster_explorer,
     assert not failures, failures
     assert all(outcome.restored == ClusterWorkload.V2
                for outcome in outcomes)
+
+
+# -- legs landing out of dispatch order ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def skewed_explorer():
+    return ClusterScheduleExplorer(SkewedClusterWorkload())
+
+
+@pytest.fixture(scope="module")
+def skewed_schedule(skewed_explorer):
+    return skewed_explorer.probe()
+
+
+def _check_skewed_sweep(explorer, schedule, indices, mode):
+    """Every outcome matches the oracle, and a primary crash restores
+    V2 exactly at and after the write-quorum apply."""
+    outcomes = explorer.sweep(indices, schedule, mode=mode)
+    assert all(outcome.ok for outcome in outcomes), \
+        [outcome for outcome in outcomes if not outcome.ok]
+    restored = [outcome.restored == ClusterWorkload.V2
+                for outcome in outcomes]
+    if mode == "primary":
+        assert restored == [index >= schedule.flip_index
+                            for index in indices]
+    else:
+        assert all(restored)
+
+
+def test_skewed_legs_flip_at_a_late_replicas_apply(skewed_schedule):
+    """All five legs are dispatched at once, but the slow first two
+    land last: the durability flip is node 0's apply, the fourth in
+    the log, not node 3's."""
+    log = skewed_schedule.repl_log
+    ships = [node for node, b in log if b == "ship"]
+    assert ships == list(range(ClusterWorkload.NODES - 1))
+    applies = [node for node, b in log if b == "apply"]
+    assert applies == [2, 3, 4, 0, 1]
+    assert log[skewed_schedule.flip_index] == (0, "apply")
+
+
+@pytest.mark.parametrize("mode", ["primary", "node"])
+def test_skewed_cluster_crash_at_sampled_boundaries(skewed_explorer,
+                                                    skewed_schedule, mode):
+    """Tier-1 slice of the out-of-order sweep, both crash modes."""
+    _check_skewed_sweep(skewed_explorer, skewed_schedule,
+                        _sampled_indices(skewed_schedule, extra_samples=2),
+                        mode)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", ["primary", "node"])
+def test_skewed_cluster_exhaustive_crash_sweep(skewed_explorer,
+                                               skewed_schedule, mode):
+    _check_skewed_sweep(skewed_explorer, skewed_schedule,
+                        list(range(skewed_schedule.count)), mode)
 
 
 def test_crashed_checkpoint_trace_is_marked_incomplete():

@@ -17,7 +17,12 @@ releasing the victim's extents after its flip (the fleet image, the
 only one that garbage-collects); the cluster image alone moved once
 more when replica checkpoints began to carry the primary's live set
 (the wire stream's only effect on media) and ``segment_repaired``
-events lost ``pgs=``.  The digest must also not depend on process state: it is taken
+events lost ``pgs=``, and again when replication legs began to run
+concurrently: a pump now returns one leg after the delta is
+serialized, not N, so the primary's commit timestamps (in its
+checkpoint records) and the event times every store's flight record
+keeps moved — no extent moved, and every node's other bytes are
+unchanged.  The digest must also not depend on process state: it is taken
 cold (a fresh interpreter, nothing memoised) and warm (repeated in
 this process) and must read the same.
 """
@@ -33,7 +38,7 @@ from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
 FLEET_SHA256 = "906cd1c55c0ad2889659289bc3704c9b945b92644e133dc1cb302c4cd3004cc3"
-CLUSTER_SHA256 = "e6b30563bca137a943147939f23a2bbb52e4968346ffdb48d73ce29787953d0b"
+CLUSTER_SHA256 = "b481c5807d52d4bf828d5cd43578c6bac15a01a7164a4c899ee05e2d2750e413"
 
 
 def image_digest(machines) -> str:
