@@ -105,7 +105,8 @@ smoke_blackbox() {
     python - "$WORK/bb.img" <<'PY'
 import sys
 from repro.core.cli import _boot_from_image, _save_image
-from repro.core.faults import FaultPlan, InjectedCrash
+from repro.core.faults import STAGE, FaultPlan, InjectedCrash
+from repro.core.pipeline import STAGE_ORDER
 from repro.core.orchestrator import load_aurora
 image = sys.argv[1]
 machine = _boot_from_image(image)
@@ -120,7 +121,7 @@ machine.set_fault_plan(plan)
 sls.checkpoint(group, name="survivor", sync=True)
 # Then power fails mid-checkpoint (before the flip).
 plan = FaultPlan(name="ci-blackbox-crash")
-plan.crash_at_stage("flush", "before")
+plan.crash_at(STAGE, STAGE_ORDER.index("flush"))
 machine.set_fault_plan(plan)
 try:
     sls.checkpoint(group, name="victim", sync=True)

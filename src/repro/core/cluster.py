@@ -17,7 +17,8 @@ once, each leg on its own link queue, so a checkpoint is durable at the
 W-th of N concurrent leg completions: fault-free, one serialization
 plus one leg (``S + NET_RTT/2 + transfer_time(B)``), whatever N is.
 This module keeps membership, recovery, repair and reconcile, and
-their :meth:`~repro.core.faults.FaultPlan.on_repl` boundaries (beside
+their ``repl`` boundaries of
+:meth:`~repro.core.faults.FaultPlan.on_boundary` (beside
 shipping's ``ship``/``deliver``/``apply``/``ack``):
 
 * ``repair``  — one segment was rebuilt onto a repair target.
@@ -71,7 +72,7 @@ from .segments import (DEFAULT_SEGMENT_BYTES, DigestTree, ShardManifest,
                        assemble)
 from .shipping import Shards, Shipping, leg_labels
 
-#: This module's ``FaultPlan.on_repl`` boundary names (see above).
+#: This module's ``repl`` boundary names (see above).
 B_REPAIR = "repair"
 B_EPOCH = "epoch"
 B_LEASE = "lease"
@@ -348,7 +349,7 @@ class SLSCluster(Shipping):
                         epoch=self.epoch, grants=grants,
                         needed=self.write_quorum)
             if plan is not None:
-                plan.on_repl(faults.PRIMARY, B_LEASE)
+                plan.on_boundary(faults.REPL, faults.PRIMARY, B_LEASE)
 
     def _fence(self, promised: int) -> None:
         """This handle's epoch has been superseded: drain into the
@@ -539,7 +540,7 @@ class SLSCluster(Shipping):
                 EPOCH_MSG_BYTES))
             node.sls.store.promise_cluster_epoch(proposal)
             if plan is not None:
-                plan.on_repl(node.node_id, B_EPOCH)
+                plan.on_boundary(faults.REPL, node.node_id, B_EPOCH)
         self.stats["epoch_bumps"] += 1
         bump_ns = clock.now() - started
         events.emit(clock.now(), events.EPOCH_BUMP, group=self.gid,
@@ -728,7 +729,7 @@ class SLSCluster(Shipping):
         with tracing.use(manifest.trace):
             for meta in manifest.segments:
                 if plan is not None:
-                    plan.on_repl(target.node_id, B_REPAIR)
+                    plan.on_boundary(faults.REPL, target.node_id, B_REPAIR)
                 payload = (local or {}).get(meta.index)
                 if payload is not None and len(payload) == meta.length:
                     # Digest-matched local copy: media write only.
@@ -892,7 +893,7 @@ class SLSCluster(Shipping):
                     divergent_truncated += 1
                     self.acks.get(ckpt, set()).discard(node.node_id)
             if plan is not None:
-                plan.on_repl(node.node_id, B_RECONCILE)
+                plan.on_boundary(faults.REPL, node.node_id, B_RECONCILE)
         # Pass 3: differential repair fills every gap the diff found.
         report = self.repair(recon=recon)
         self.stats["reconciles"] += 1

@@ -2,19 +2,23 @@
 
 Aurora's core claim is that a whole application survives a power
 failure at *any* instant (§5, §7).  A :class:`FaultPlan` turns "any
-instant" into an enumerable schedule: every device write gets a
-monotonically increasing IO index, and the checkpoint pipeline reports
-every stage boundary, so a test can say "crash exactly at IO 17" or
-"crash right before the seal stage" and get the same instant on every
-run.  The plan is threaded through :class:`~repro.hw.nvme.StripedArray`
-(IO faults) and :class:`~repro.core.pipeline.CheckpointPipeline`
-(stage-boundary faults); :meth:`~repro.machine.Machine.set_fault_plan`
-installs it and a machine crash clears it.
+instant" into an enumerable schedule: one ordered log of every
+boundary crossed, ``(domain, who, name)`` — ``io`` (a device write
+reached the queue; ``who`` is its offset), ``stage`` (a checkpoint
+pipeline stage boundary: stage, edge), ``repl`` (one node's
+replication/quorum step) and ``fleet`` (a fleet-scheduler decision
+for one group).  A crash point is ``(domain, index)``, the index
+counting that domain's entries only, so "crash exactly at IO 17"
+names the same instant on every run.  The device array calls
+:meth:`FaultPlan.on_io`; the pipeline, the cluster and the fleet
+scheduler call :meth:`FaultPlan.on_boundary`;
+:meth:`~repro.machine.Machine.set_fault_plan` installs the plan and a
+machine crash clears it.
 
 Four fault kinds:
 
 * ``crash`` — power fails the instant before the write is issued (or
-  at the stage boundary): :class:`InjectedCrash` unwinds to the test
+  at the boundary): :class:`InjectedCrash` unwinds to the test
   harness, which calls ``machine.crash()`` to tear in-flight IO.
 * ``torn`` — the first half of the write reaches media, then power
   fails: the truncated payload is forced durable and
@@ -31,7 +35,7 @@ fails but a retry may succeed, which is what the
   ``times`` times with :class:`~repro.errors.TransientDeviceError`,
   then succeeds.  The index does *not* advance on a transient failure
   (the command never reached the queue), so a retry deterministically
-  re-hits the same registration until it is exhausted.
+  re-hits the same registration until its budget is spent.
 * ``intermittent`` — every write attempt independently fails with
   probability ``p`` drawn from the plan's seeded RNG (optionally
   capped at ``limit`` total failures); identical seeds replay the
@@ -87,6 +91,13 @@ PRIMARY = -1
 BEFORE = "before"
 AFTER = "after"
 
+#: Boundary domains of the one log.
+IO = "io"
+STAGE = "stage"
+REPL = "repl"
+FLEET = "fleet"
+DOMAINS = (IO, STAGE, REPL, FLEET)
+
 
 class InjectedFault(ReproError):
     """Base class for failures raised by a :class:`FaultPlan`."""
@@ -132,9 +143,9 @@ class FaultEvent:
         self.edge = edge
         self.offset = offset
         #: Which operation the fault hit: "write" (default), "read",
-        #: "link", or "repl".
+        #: "link", "net", or the boundary domain "repl" / "fleet".
         self.op = op
-        #: Cluster node a replication-boundary fault targeted.
+        #: Node (or fleet group) a boundary fault targeted.
         self.node = node
 
     def __repr__(self) -> str:
@@ -146,9 +157,8 @@ class FaultEvent:
 class FaultPlan:
     """A reproducible schedule of injected faults.
 
-    With no registrations the plan is a pure observer: it numbers
-    every device write (``io_log``) and records every pipeline stage
-    boundary (``boundaries_seen``), which is how the crash-schedule
+    With no registrations the plan is a pure observer: it logs every
+    boundary crossed (``log``), which is how the crash-schedule
     explorer discovers the schedule space before sweeping it.
     """
 
@@ -159,39 +169,25 @@ class FaultPlan:
         #: so fired faults land in the structured event log at the
         #: sim-instant they fired.
         self.clock: Optional[Any] = None
-        #: Next IO index == number of writes fully submitted so far.
-        self.io_index = 0
-        self.io_log: List[int] = []
+        #: Every boundary crossed, in order: ``(domain, who, name)`` —
+        #: ``(IO, offset, "write")``, ``(STAGE, stage, edge)``,
+        #: ``(REPL, node_id, boundary)`` or ``(FLEET, group_id,
+        #: boundary)`` (``admit``, ``dispatch``, ``widen``).
+        self.log: List[Tuple[str, Any, str]] = []
+        #: Entries logged per domain: the next index of each domain.
+        self.counts: Dict[str, int] = dict.fromkeys(DOMAINS, 0)
         #: Next read index == number of reads fully served so far.
         self.read_index = 0
-        self.boundaries_seen: List[Tuple[str, str]] = []
         self.events: List[FaultEvent] = []
-        self._io_faults: Dict[int, str] = {}
-        self._stage_faults: Dict[Tuple[str, str], str] = {}
-        #: Registered transient counts (immutable — what ``describe``
-        #: reports) and mutable remaining counters consumed as fires.
-        self._transient_writes: Dict[int, int] = {}
-        self._transient_writes_left: Dict[int, int] = {}
-        self._transient_reads: Dict[int, int] = {}
-        self._transient_reads_left: Dict[int, int] = {}
+        #: The registration table: ``(domain, index) -> kind``.
+        self._faults: Dict[Tuple[str, int], str] = {}
+        #: Retry budgets, ``(op, index) -> [registered, left]``, for
+        #: ``io`` and ``read`` indices and the ``link`` (index 0).
+        self._budgets: Dict[Tuple[str, int], List[int]] = {}
         self._intermittent_p = 0.0
         self._intermittent_limit: Optional[int] = None
         self._intermittent_fired = 0
         self._intermittent_rng: Optional[random.Random] = None
-        self._link_flaps = 0
-        self._link_flaps_left = 0
-        #: Every replication/quorum boundary seen, in order:
-        #: ``(node_id, boundary)`` tuples — the cluster crash-schedule
-        #: explorer's enumerable instants.
-        self.repl_log: List[Tuple[int, str]] = []
-        self._repl_faults: Dict[int, str] = {}
-        #: Every fleet-scheduler boundary seen, in order:
-        #: ``(group_id, boundary)`` tuples — ``admit`` (admission
-        #: decision), ``dispatch`` (EDF dispatch) and ``widen``
-        #: (backpressure widen).  The fleet crash-schedule explorer's
-        #: enumerable instants.
-        self.fleet_log: List[Tuple[int, str]] = []
-        self._fleet_faults: Dict[int, str] = {}
         #: Directed cuts currently installed: ``(src, dst)`` pairs a
         #: delivery may not cross (``PRIMARY`` == -1 is the primary).
         self._cuts: Set[Tuple[int, int]] = set()
@@ -204,7 +200,7 @@ class FaultPlan:
         #: the reproducibility contract for seeded partition plans.
         self._partition_regs: List[Tuple[str, Optional[int],
                                          Tuple[Tuple[int, int], ...]]] = []
-        #: Cuts armed to install when ``repl_log`` reaches an index.
+        #: Cuts armed to install at a ``repl`` boundary index.
         self._pending_cuts: Dict[int, List[Tuple[str, Tuple[Tuple[int, int],
                                                             ...]]]] = {}
         #: Delivery audit trail: ``(src, dst, verdict)``.
@@ -217,50 +213,55 @@ class FaultPlan:
         self._drop_budget: Optional[int] = None
         self._drops = 0
 
+    @property
+    def io_index(self) -> int:
+        """Next IO index == number of writes fully submitted so far."""
+        return self.counts[IO]
+
     # -- registration ------------------------------------------------------
 
-    def crash_at_io(self, index: int) -> "FaultPlan":
-        """Power fails the instant write ``index`` would be issued."""
-        self._io_faults[index] = CRASH
+    def crash_at(self, domain: str, index: int,
+                 node: bool = False) -> "FaultPlan":
+        """Power fails at the ``index``-th entry of ``domain``: the
+        instant that write would be issued, or once that boundary is
+        logged.  With ``node`` the *node* at a ``repl`` boundary loses
+        power instead of the primary (:class:`InjectedNodeCrash`; the
+        cluster pump downs the node and carries on)."""
+        if domain not in DOMAINS:
+            raise ValueError(f"bad boundary domain {domain!r}")
+        if node and domain != REPL:
+            raise ValueError("only a repl boundary names a node")
+        self._faults[(domain, index)] = NODECRASH if node else CRASH
         return self
 
     def torn_at_io(self, index: int) -> "FaultPlan":
         """Write ``index`` is torn: half lands, then power fails."""
-        self._io_faults[index] = TORN
+        self._faults[(IO, index)] = TORN
         return self
 
     def bitflip_at_io(self, index: int) -> "FaultPlan":
         """Write ``index`` lands with one byte silently flipped."""
-        self._io_faults[index] = BITFLIP
+        self._faults[(IO, index)] = BITFLIP
         return self
 
     def nospace_at_io(self, index: int) -> "FaultPlan":
         """Write ``index`` fails with ENOSPC."""
-        self._io_faults[index] = NOSPACE
+        self._faults[(IO, index)] = NOSPACE
         return self
 
-    def crash_at_stage(self, stage: str, edge: str = BEFORE) -> "FaultPlan":
-        """Power fails at the named pipeline stage boundary."""
-        if edge not in (BEFORE, AFTER):
-            raise ValueError(f"bad stage edge {edge!r}")
-        self._stage_faults[(stage, edge)] = CRASH
+    def _budget(self, op: str, index: int, times: int) -> "FaultPlan":
+        if times < 1:
+            raise ValueError(f"{op} fault needs times >= 1")
+        self._budgets[(op, index)] = [times, times]
         return self
 
     def transient_at_io(self, index: int, times: int = 1) -> "FaultPlan":
         """Write ``index`` fails retryably ``times`` times, then lands."""
-        if times < 1:
-            raise ValueError("transient fault needs times >= 1")
-        self._transient_writes[index] = times
-        self._transient_writes_left[index] = times
-        return self
+        return self._budget(IO, index, times)
 
     def transient_at_read(self, index: int, times: int = 1) -> "FaultPlan":
         """Read ``index`` fails retryably ``times`` times, then serves."""
-        if times < 1:
-            raise ValueError("transient fault needs times >= 1")
-        self._transient_reads[index] = times
-        self._transient_reads_left[index] = times
-        return self
+        return self._budget("read", index, times)
 
     def intermittent(self, p: float,
                      limit: Optional[int] = None) -> "FaultPlan":
@@ -280,30 +281,7 @@ class FaultPlan:
     def flaky_link(self, times: int = 1) -> "FaultPlan":
         """The next ``times`` replication ship attempts find the link
         down (:class:`~repro.errors.LinkDown`)."""
-        if times < 1:
-            raise ValueError("link flap needs times >= 1")
-        self._link_flaps = times
-        self._link_flaps_left = times
-        return self
-
-    def crash_at_repl(self, index: int) -> "FaultPlan":
-        """The *primary* loses power the instant replication boundary
-        ``index`` (an offset into ``repl_log``) is crossed."""
-        self._repl_faults[index] = CRASH
-        return self
-
-    def node_crash_at_repl(self, index: int) -> "FaultPlan":
-        """The *node* at replication boundary ``index`` loses power
-        there (:class:`InjectedNodeCrash`; the cluster pump downs the
-        node and carries on)."""
-        self._repl_faults[index] = NODECRASH
-        return self
-
-    def crash_at_fleet(self, index: int) -> "FaultPlan":
-        """Power fails the instant fleet-scheduler boundary ``index``
-        (an offset into ``fleet_log``) is crossed."""
-        self._fleet_faults[index] = CRASH
-        return self
+        return self._budget("link", 0, times)
 
     # -- partitions --------------------------------------------------------
 
@@ -390,16 +368,18 @@ class FaultPlan:
 
     @classmethod
     def random(cls, seed: int, io_count: int,
-               boundaries: Optional[List[Tuple[str, str]]] = None,
+               stages: Optional[int] = None,
                nodes: Optional[int] = None) -> "FaultPlan":
         """A seeded one-fault plan over a known schedule space.
 
-        The same ``(seed, io_count, boundaries, nodes)`` always yields
+        The same ``(seed, io_count, stages, nodes)`` always yields
         the same plan — the fixed-seed smoke tests in CI rely on it.
         With ``nodes`` (a cluster size), half the seeds draw a
         partition schedule instead: a seeded symmetric, asymmetric, or
         partial cut over node ids plus :data:`PRIMARY`, with a seeded
-        self-heal drop budget so every drawn partition heals.
+        self-heal drop budget so every drawn partition heals.  With
+        ``stages`` (the number of ``stage`` entries in a probed
+        schedule), a quarter of the rest crash at one of them.
         """
         rng = random.Random(seed)
         plan = cls(name=f"random-{seed}", seed=seed)
@@ -428,10 +408,8 @@ class FaultPlan:
             return plan
         kinds = [CRASH, TORN, BITFLIP, NOSPACE,
                  TRANSIENT, TRANSIENT, INTERMITTENT]
-        if boundaries and rng.random() < 0.25:
-            stage, edge = boundaries[rng.randrange(len(boundaries))]
-            plan.crash_at_stage(stage, edge)
-            return plan
+        if stages and rng.random() < 0.25:
+            return plan.crash_at(STAGE, rng.randrange(stages))
         index = rng.randrange(max(io_count, 1))
         kind = kinds[rng.randrange(len(kinds))]
         if kind == TRANSIENT:
@@ -439,33 +417,27 @@ class FaultPlan:
         elif kind == INTERMITTENT:
             plan.intermittent(p=0.05 + 0.15 * rng.random(), limit=4)
         else:
-            plan._io_faults[index] = kind
+            plan._faults[(IO, index)] = kind
         return plan
 
     def describe(self) -> str:
         """Human-readable registration summary (stable across runs).
 
-        Transient counts report the *registered* fail budget, not the
-        mutable remainder, so the description is identical before and
-        after a run — the reproducibility tests compare exactly that.
+        Retry budgets report the *registered* fail count, not what is
+        left, so the description is identical before and after a run —
+        the reproducibility tests compare exactly that.
         """
-        io_parts = {idx: f"io{idx}:{kind}"
-                    for idx, kind in self._io_faults.items()}
-        for idx, times in self._transient_writes.items():
-            io_parts[idx] = f"io{idx}:{TRANSIENT}(x{times})"
-        parts = [io_parts[idx] for idx in sorted(io_parts)]
-        parts += [f"read{idx}:{TRANSIENT}(x{times})"
-                  for idx, times in sorted(self._transient_reads.items())]
-        parts += [f"{stage}/{edge}:{kind}"
-                  for (stage, edge), kind
-                  in sorted(self._stage_faults.items())]
+        parts = [f"{domain}{index}:{kind}"
+                 for (domain, index), kind in sorted(self._faults.items())]
+        parts += [f"{op}{index}:{LINKFLAP if op == 'link' else TRANSIENT}"
+                  f"(x{times})"
+                  for (op, index), (times, _left)
+                  in sorted(self._budgets.items())]
         if self._intermittent_p > 0.0:
             limit = ("" if self._intermittent_limit is None
                      else f",limit={self._intermittent_limit}")
             parts.append(f"{INTERMITTENT}(p={self._intermittent_p:.4f}"
                          f"{limit})")
-        if self._link_flaps:
-            parts.append(f"link:flap(x{self._link_flaps})")
         for cut_kind, at_repl, pairs in self._partition_regs:
             arms = "" if at_repl is None else f"@repl{at_repl}"
             links = ";".join(f"{s}>{d}" for s, d in pairs)
@@ -474,13 +446,9 @@ class FaultPlan:
             parts.append(f"delay{{{src}>{dst}}}:+{delay}ns")
         if self._drop_budget is not None:
             parts.append(f"heal_after({self._drop_budget})")
-        parts += [f"repl{idx}:{kind}"
-                  for idx, kind in sorted(self._repl_faults.items())]
-        parts += [f"fleet{idx}:{kind}"
-                  for idx, kind in sorted(self._fleet_faults.items())]
         return ",".join(parts) or "observe"
 
-    # -- hooks (called by the device array and the pipeline) ---------------
+    # -- hooks (called by the device array and the boundary owners) --------
 
     def _fire(self, kind: str, stage: Optional[str] = None,
               edge: Optional[str] = None,
@@ -497,6 +465,22 @@ class FaultPlan:
                             op=op, node=node)
         return event
 
+    def _log(self, domain: str, who: Any, name: str) -> int:
+        """Append one boundary; its index within ``domain``."""
+        index = self.counts[domain]
+        self.counts[domain] = index + 1
+        self.log.append((domain, who, name))
+        return index
+
+    def _spend(self, op: str, index: int) -> Optional[int]:
+        """Spend one fail at ``(op, index)``: how many are left, or
+        None when there is none to spend."""
+        budget = self._budgets.get((op, index))
+        if budget is None or budget[1] == 0:
+            return None
+        budget[1] -= 1
+        return budget[1]
+
     def on_io(self, offset: int, payload: Any,
               sync: bool) -> Tuple[str, Any]:
         """Called by the device array before each write is queued.
@@ -506,18 +490,17 @@ class FaultPlan:
         truncated payload durable, then the array raises the crash).
         May raise :class:`InjectedCrash`,
         :class:`~repro.errors.NoSpace`, or — for the retryable kinds —
-        :class:`~repro.errors.TransientDeviceError`.  Retryable
-        failures do *not* advance the IO index: the command never
-        reached the queue, so a retry re-hits the same index.
+        :class:`~repro.errors.TransientDeviceError`.  Only a write that
+        reaches the queue is logged: a failed one never did, so a retry
+        re-hits the same IO index.
         """
         index = self.io_index
-        left = self._transient_writes_left.get(index, 0)
-        if left > 0:
-            self._transient_writes_left[index] = left - 1
+        left = self._spend(IO, index)
+        if left is not None:
             self._fire(TRANSIENT, offset=offset, op="write")
             raise TransientDeviceError(
                 f"injected transient write error at IO {index} "
-                f"(offset {offset}, {left - 1} more)")
+                f"(offset {offset}, {left} more)")
         rng = self._intermittent_rng
         if (rng is not None and self._intermittent_p > 0.0
                 and (self._intermittent_limit is None
@@ -528,7 +511,7 @@ class FaultPlan:
             raise TransientDeviceError(
                 f"injected intermittent write error at IO {index} "
                 f"(offset {offset})")
-        kind = self._io_faults.get(index)
+        kind = self._faults.get((IO, index))
         if kind == CRASH:
             self._fire(CRASH, offset=offset)
             raise InjectedCrash(
@@ -536,9 +519,7 @@ class FaultPlan:
         if kind == NOSPACE:
             self._fire(NOSPACE, offset=offset)
             raise NoSpace(f"injected ENOSPC at IO {index}")
-        # The write reaches the queue: it counts.
-        self.io_index += 1
-        self.io_log.append(offset)
+        self._log(IO, offset, "write")
         if kind == BITFLIP:
             self._fire(BITFLIP, offset=offset)
             return "ok", _flip_payload(payload, self.seed)
@@ -555,22 +536,20 @@ class FaultPlan:
         read index only advances once the read actually serves.
         """
         index = self.read_index
-        left = self._transient_reads_left.get(index, 0)
-        if left > 0:
-            self._transient_reads_left[index] = left - 1
+        left = self._spend("read", index)
+        if left is not None:
             self._fire(TRANSIENT, offset=offset, op="read")
             raise TransientDeviceError(
                 f"injected transient read error at read {index} "
-                f"(offset {offset}, {left - 1} more)")
+                f"(offset {offset}, {left} more)")
         self.read_index += 1
 
     def on_link(self) -> None:
         """Called by the replication link before each ship attempt."""
-        if self._link_flaps_left > 0:
-            self._link_flaps_left -= 1
+        left = self._spend("link", 0)
+        if left is not None:
             self._fire(LINKFLAP, op="link")
-            raise LinkDown(
-                f"injected link flap ({self._link_flaps_left} more)")
+            raise LinkDown(f"injected link flap ({left} more)")
 
     def on_deliver(self, src: int, dst: int) -> int:
         """Called before a message crosses the ``src -> dst`` link
@@ -596,67 +575,36 @@ class FaultPlan:
         self.deliveries.append((src, dst, "ok"))
         return self._link_delays.get(pair, 0)
 
-    def on_repl(self, node: int, boundary: str) -> None:
-        """Called by the cluster pump at each replication/quorum
-        boundary of each node (ship, deliver, apply, ack, repair —
-        plus ``epoch``/``lease``/``reconcile`` control-plane
-        boundaries).
-
-        Like :meth:`on_stage`, the boundary is recorded first, then a
+    def on_boundary(self, domain: str, who: Any, name: str) -> None:
+        """Called at every ``stage``, ``repl`` and ``fleet`` boundary
+        (see :attr:`log`).  The boundary is logged first, then a
         registered crash fires *at* it: work preceding the boundary is
         complete when the crash unwinds, work after it never happened.
-        Cuts armed with ``at_repl`` install here, after the boundary
-        records but before any registered crash — a partition and a
-        crash at the same instant still partitions first.
+        Cuts armed with ``at_repl`` install after the boundary logs
+        but before any registered crash — a partition and a crash at
+        the same instant still partitions first.
         """
-        self.repl_log.append((node, boundary))
-        pending = self._pending_cuts.pop(len(self.repl_log) - 1, None)
-        if pending is not None:
-            for cut_kind, pairs in pending:
-                self._install_cuts(cut_kind, pairs)
-                if self.clock is not None:
-                    sls_events.emit(self.clock.now(),
-                                    sls_events.NET_PARTITION,
-                                    cut=cut_kind, pairs=len(pairs),
-                                    at_repl=len(self.repl_log) - 1)
-        kind = self._repl_faults.get(len(self.repl_log) - 1)
-        if kind == CRASH:
-            self._fire(CRASH, op="repl", node=node, stage=boundary)
-            raise InjectedCrash(
-                f"injected primary power failure at replication "
-                f"boundary {len(self.repl_log) - 1} "
-                f"(node {node}, {boundary})")
+        index = self._log(domain, who, name)
+        pending = self._pending_cuts.pop(index, None) \
+            if domain == REPL else None
+        for cut_kind, pairs in pending or ():
+            self._install_cuts(cut_kind, pairs)
+            if self.clock is not None:
+                sls_events.emit(self.clock.now(), sls_events.NET_PARTITION,
+                                cut=cut_kind, pairs=len(pairs),
+                                at_repl=index)
+        kind = self._faults.get((domain, index))
+        if kind is None:
+            return
+        if domain == STAGE:
+            self._fire(kind, stage=who, edge=name)
+        else:
+            self._fire(kind, op=domain, node=who, stage=name)
+        where = f"{domain} boundary {index} ({who}, {name})"
         if kind == NODECRASH:
-            self._fire(NODECRASH, op="repl", node=node, stage=boundary)
             raise InjectedNodeCrash(
-                f"injected node {node} power failure at replication "
-                f"boundary {len(self.repl_log) - 1} ({boundary})",
-                node=node)
-
-    def on_fleet(self, group: int, boundary: str) -> None:
-        """Called by the fleet scheduler at each control-plane
-        boundary (admission decision, EDF dispatch, backpressure
-        widen).
-
-        Like :meth:`on_stage`, the boundary is recorded first, then a
-        registered crash fires *at* it: state changed before the
-        boundary survives to the post-crash store, state after it
-        never happened.
-        """
-        self.fleet_log.append((group, boundary))
-        if self._fleet_faults.get(len(self.fleet_log) - 1) == CRASH:
-            self._fire(CRASH, op="fleet", node=group, stage=boundary)
-            raise InjectedCrash(
-                f"injected power failure at fleet boundary "
-                f"{len(self.fleet_log) - 1} (group {group}, {boundary})")
-
-    def on_stage(self, stage: str, edge: str) -> None:
-        """Called by the checkpoint pipeline at each stage boundary."""
-        self.boundaries_seen.append((stage, edge))
-        if self._stage_faults.get((stage, edge)) == CRASH:
-            self._fire(CRASH, stage=stage, edge=edge)
-            raise InjectedCrash(
-                f"injected power failure {edge} stage {stage!r}")
+                f"injected node {who} power failure at {where}", node=who)
+        raise InjectedCrash(f"injected power failure at {where}")
 
     # -- audit -------------------------------------------------------------
 

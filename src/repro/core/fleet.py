@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import AdmissionRejected, NoSpace, RetriesExhausted, StoreFull
 from ..units import SEC, USEC
-from . import costs, events, resilience
+from . import costs, events, faults, resilience
 from .group import ConsistencyGroup
 from .pipeline import MODE_MEM
 
@@ -543,7 +543,7 @@ class FleetScheduler:
     def _fault_boundary(self, group_id: int, boundary: str) -> None:
         plan = getattr(self.machine, "fault_plan", None)
         if plan is not None:
-            plan.on_fleet(group_id, boundary)
+            plan.on_boundary(faults.FLEET, group_id, boundary)
 
     # -- reporting ---------------------------------------------------------
 

@@ -29,7 +29,7 @@ from ..errors import LeaseValid, QuorumLost
 from ..machine import Machine
 from ..units import MSEC, PAGE_SIZE
 from .cluster import SLSCluster
-from .faults import PRIMARY, FaultPlan
+from .faults import PRIMARY, REPL, FaultPlan
 from .orchestrator import Orchestrator, load_aurora
 
 #: Campaign fixture geometry (a real quorum: W=4, R=3 of 6).
@@ -262,7 +262,7 @@ def _campaign_ack_path_cut(seed: int) -> CampaignResult:
     # Install once the second node of the next pump has applied (its
     # six ships come first, then each leg's deliver and apply): acks
     # from nodes 2..5 then drop, leaving 2 < W credits.
-    arm_at = len(fx.plan.repl_log) + NODES + 3
+    arm_at = fx.plan.counts[REPL] + NODES + 3
     fx.plan.partial_partition([(n, PRIMARY) for n in (2, 3, 4, 5)],
                               at_repl=arm_at)
     v2, state2 = fx.commit("v2")

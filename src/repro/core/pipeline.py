@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Set
 from ..errors import SLSError
 from ..objstore.checkpoint import CheckpointInfo
 from ..objstore.store import CheckpointTxn
-from . import costs, events, telemetry
+from . import costs, events, faults, telemetry
 from .group import ConsistencyGroup
 from .quiesce import QuiesceReport, quiesce_group, resume_group
 from .serialize import CheckpointSerializer
@@ -427,7 +427,7 @@ class CheckpointPipeline:
         last = len(self.stages) - 1
         for index, stage in enumerate(self.stages):
             if plan is not None:
-                plan.on_stage(stage.name, "before")
+                plan.on_boundary(faults.STAGE, stage.name, faults.BEFORE)
             # Open the stage span as a context so serializer / store /
             # device spans recorded inside nest under it in the
             # checkpoint's trace tree (span close records into the same
@@ -439,5 +439,5 @@ class CheckpointPipeline:
             ctx.trace.append(StageTrace(stage.name, span.start_ns,
                                         clock.now(), stage.overlap))
             if plan is not None and index == last:
-                plan.on_stage(stage.name, "after")
+                plan.on_boundary(faults.STAGE, stage.name, faults.AFTER)
         return CheckpointResult.from_context(ctx)

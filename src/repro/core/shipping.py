@@ -5,7 +5,8 @@ A pump ships each committed delta, serialized once
 (:meth:`Shipping.shards_for`), to every eligible node at the same
 instant.  Each leg is its own timeline on an
 :class:`~repro.hw.clock.EventLoop` private to the pump, over the
-primary's clock, and crosses the ``FaultPlan.on_repl`` boundaries:
+primary's clock, and crosses these ``repl`` boundaries
+(``FaultPlan.on_boundary``):
 
 * ``ship`` — one attempt.  A flap or a cut is a retryable
   :class:`~repro.errors.LinkDown`: the leg backs off on its own
@@ -48,7 +49,7 @@ from .segments import ShardManifest, assemble, shard_stream
 if TYPE_CHECKING:
     from .cluster import ClusterNode
 
-#: Replication/quorum boundary names (``FaultPlan.on_repl``).
+#: Replication/quorum boundary names (``repl`` domain).
 B_SHIP = "ship"
 B_DELIVER = "deliver"
 B_APPLY = "apply"
@@ -149,7 +150,7 @@ class Shipment:
         skew = 0
         try:
             if plan is not None:
-                plan.on_repl(node.node_id, B_SHIP)
+                plan.on_boundary(faults.REPL, node.node_id, B_SHIP)
                 plan.on_link()
                 skew = plan.on_deliver(faults.PRIMARY, node.node_id)
         except LinkDown as exc:
@@ -179,7 +180,7 @@ class Shipment:
         node, plan, cluster = leg.node, self.plan, self.cluster
         manifest = leg.manifest
         if plan is not None:
-            plan.on_repl(node.node_id, B_DELIVER)
+            plan.on_boundary(faults.REPL, node.node_id, B_DELIVER)
         # Epoch fencing: a partitioned ex-primary's delta dies here,
         # before it can reach the node's media; the pump drains on it.
         promised = node.promised_epoch
@@ -205,7 +206,7 @@ class Shipment:
                 node.apply(leg.ckpt, stream, epoch=manifest.epoch)
         node.shards[leg.ckpt] = (manifest, leg.payloads)
         if plan is not None:
-            plan.on_repl(node.node_id, B_APPLY)
+            plan.on_boundary(faults.REPL, node.node_id, B_APPLY)
         if node.down_since is not None:
             now = self.clock.now()
             events.emit(now, events.LINK_UP, group=cluster.gid,
@@ -220,7 +221,7 @@ class Shipment:
 
     def _ack(self, leg: Leg) -> None:
         if self.plan is not None:
-            self.plan.on_repl(leg.node.node_id, B_ACK)
+            self.plan.on_boundary(faults.REPL, leg.node.node_id, B_ACK)
         cluster = self.cluster
         cluster.stats["acks"] += 1
         trace = leg.manifest.trace

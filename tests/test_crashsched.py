@@ -1,11 +1,13 @@
-"""Crash-schedule exploration: a crash at *any* instant of a
-checkpoint restores the last durable checkpoint (§5, §7).
+"""Crash-schedule exploration: a crash at *any* instant restores the
+last durable checkpoint (§5, §7).
 
-The smoke tests (tier-1) cover every pipeline stage boundary plus a
-fixed-seed sample of IO indices; the exhaustive sweep over every IO
-index of a full checkpoint/commit runs under ``-m slow`` (CI's
-crash-schedule job).  The remaining tests exercise the other fault
-kinds: torn superblock writes, injected ENOSPC, silent bit flips.
+Each of the seven workloads of ``tests/crashsched.py`` is probed once
+per module.  The smoke tests (tier-1) cover every pipeline stage
+boundary plus fixed-seed samples of the IO, replication and fleet
+boundaries; the exhaustive sweeps over every entry run under
+``-m slow`` (CI's crash-schedule job).  The remaining tests exercise
+the other fault kinds: torn superblock writes, injected ENOSPC, silent
+bit flips.
 """
 
 import random
@@ -13,20 +15,17 @@ import random
 import pytest
 
 from repro import Machine, load_aurora
-from repro.core.faults import (AFTER, BEFORE, FaultPlan, InjectedCrash,
-                               NOSPACE)
+from repro.core.cluster import B_EPOCH, B_LEASE, B_RECONCILE
+from repro.core.faults import (AFTER, BEFORE, FLEET, IO, NOSPACE, PRIMARY,
+                               REPL, STAGE, FaultPlan, InjectedCrash)
 from repro.core.pipeline import STAGE_ORDER
 from repro.errors import CorruptRecord, NoSpace
-from repro.hw.memory import Page
 from repro.objstore.oid import CLASS_MEMORY, make_oid
 from repro.objstore.store import ObjectStore
 from repro.units import PAGE_SIZE
 
-from tests.crashsched import (ClusterScheduleExplorer, ClusterWorkload,
-                              CounterAppWorkload, CrashScheduleExplorer,
-                              GCCounterWorkload,
-                              IncrementalCounterWorkload, IOCrash,
-                              SkewedClusterWorkload, StageCrash)
+from tests.crashsched import (NODES, V1, V2, WORKLOADS, WRITE_QUORUM,
+                              Explorer, read_head, superblock_flips)
 
 SMOKE_SEED = 0xA0DA
 SMOKE_IO_SAMPLES = 3
@@ -34,7 +33,7 @@ SMOKE_IO_SAMPLES = 3
 
 @pytest.fixture(scope="module")
 def explorer():
-    return CrashScheduleExplorer()
+    return Explorer(WORKLOADS["counter"])
 
 
 @pytest.fixture(scope="module")
@@ -48,38 +47,36 @@ def test_probe_covers_every_stage_boundary(schedule):
     pipeline, in order."""
     expected = [(stage, BEFORE) for stage in STAGE_ORDER]
     expected.append((STAGE_ORDER[-1], AFTER))
-    assert schedule.boundaries == expected
+    assert schedule.entries(STAGE) == expected
 
 
 def test_probe_finds_commit_point(schedule):
     """The superblock flip is inside the IO schedule, not at its very
     start (data and records precede it)."""
-    assert 0 < schedule.flip_index < schedule.io_count
+    assert 0 < schedule.flip < len(schedule.entries(IO))
 
 
 def test_crash_at_every_stage_boundary_restores_durable_state(
         explorer, schedule):
     """Tier-1 slice of the sweep: all stage boundaries."""
-    points = [StageCrash(stage, edge)
-              for stage, edge in schedule.boundaries]
-    outcomes = explorer.sweep(points, schedule)
+    outcomes = explorer.sweep(schedule.points(STAGE), schedule)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
     # Boundaries before the flush see V1; the final boundary sees V2.
-    assert outcomes[0].restored == CounterAppWorkload.V1
-    assert outcomes[-1].restored == CounterAppWorkload.V2
+    assert outcomes[0].restored == V1
+    assert outcomes[-1].restored == V2
 
 
 def test_crash_at_sampled_io_indices_restores_durable_state(
         explorer, schedule):
     """Tier-1 slice: a fixed-seed sample of IO indices, always
     including the commit point itself and its immediate successor."""
+    io_count = len(schedule.entries(IO))
     rng = random.Random(SMOKE_SEED)
-    indices = {schedule.flip_index, schedule.flip_index + 1}
-    indices.update(rng.sample(range(schedule.io_count), SMOKE_IO_SAMPLES))
-    indices = {index for index in indices if index < schedule.io_count}
-    outcomes = explorer.sweep([IOCrash(index)
-                               for index in sorted(indices)], schedule)
+    indices = {schedule.flip, schedule.flip + 1}
+    indices.update(rng.sample(range(io_count), SMOKE_IO_SAMPLES))
+    outcomes = explorer.sweep([(IO, index) for index in sorted(indices)
+                               if index < io_count], schedule)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
 
@@ -89,28 +86,28 @@ def test_exhaustive_crash_schedule_sweep(explorer, schedule):
     """Every stage boundary AND every IO index of one full
     checkpoint/commit — the complete schedule, with exhaustiveness
     asserted — restores to the last durable checkpoint."""
-    points = explorer.all_points(schedule)
+    points = schedule.points(STAGE) + schedule.points(IO)
     # Exhaustiveness: all N+1 stage boundaries...
-    stage_points = [p for p in points if isinstance(p, StageCrash)]
-    assert {(p.stage, p.edge) for p in stage_points} == \
+    assert [i for d, i in points if d == STAGE] == \
+        list(range(len(STAGE_ORDER) + 1))
+    assert set(schedule.entries(STAGE)) == \
         set([(s, BEFORE) for s in STAGE_ORDER] + [(STAGE_ORDER[-1], AFTER)])
     # ...and every IO index of the commit, gap-free.
-    io_points = [p for p in points if isinstance(p, IOCrash)]
-    assert [p.index for p in io_points] == list(range(schedule.io_count))
-    assert schedule.io_count > 0
+    io_count = len(schedule.entries(IO))
+    assert [i for d, i in points if d == IO] == list(range(io_count))
+    assert io_count > 0
 
     outcomes = explorer.sweep(points, schedule)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     assert not failures, failures
     # Both durable states were actually exercised by the sweep.
-    restored = {outcome.restored for outcome in outcomes}
-    assert restored == {CounterAppWorkload.V1, CounterAppWorkload.V2}
+    assert {outcome.restored for outcome in outcomes} == {V1, V2}
 
 
 @pytest.fixture(scope="module")
 def incr_explorer():
     """Explorer whose durable and probed checkpoints are incremental."""
-    return CrashScheduleExplorer(IncrementalCounterWorkload())
+    return Explorer(WORKLOADS["incremental"])
 
 
 @pytest.fixture(scope="module")
@@ -118,29 +115,28 @@ def incr_schedule(incr_explorer):
     return incr_explorer.probe()
 
 
-def test_incremental_crash_at_stage_boundaries_restores_durable(
+def test_incremental_crash_at_every_stage_boundary_restores_durable(
         incr_explorer, incr_schedule):
     """Crashing between two *incremental* checkpoints (at every stage
     boundary of the probed one) restores exactly the last durable
     incremental checkpoint — whose records partly live in the parent
     full delta and resolve through the chain."""
-    points = [StageCrash(stage, edge)
-              for stage, edge in incr_schedule.boundaries]
-    outcomes = incr_explorer.sweep(points, incr_schedule)
+    outcomes = incr_explorer.sweep(incr_schedule.points(STAGE),
+                                   incr_schedule)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
-    assert outcomes[0].restored == IncrementalCounterWorkload.V1
-    assert outcomes[-1].restored == IncrementalCounterWorkload.V2
+    assert outcomes[0].restored == V1
+    assert outcomes[-1].restored == V2
 
 
 def test_incremental_crash_around_commit_point_restores_durable(
         incr_explorer, incr_schedule):
     """The incremental delta's commit point behaves like the full
     one's: the superblock flip alone makes V2 durable."""
-    indices = [incr_schedule.flip_index, incr_schedule.flip_index + 1]
-    indices = [i for i in indices if i < incr_schedule.io_count]
-    outcomes = incr_explorer.sweep([IOCrash(i) for i in indices],
-                                   incr_schedule)
+    indices = [incr_schedule.flip, incr_schedule.flip + 1]
+    outcomes = incr_explorer.sweep(
+        [(IO, i) for i in indices if i < len(incr_schedule.entries(IO))],
+        incr_schedule)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
 
@@ -148,7 +144,7 @@ def test_incremental_crash_around_commit_point_restores_durable(
 @pytest.fixture(scope="module")
 def gc_explorer():
     """Explorer whose probed checkpoint deletes its parent."""
-    return CrashScheduleExplorer(GCCounterWorkload())
+    return Explorer(WORKLOADS["gc"])
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +155,10 @@ def gc_schedule(gc_explorer):
 def test_gc_flip_follows_the_commit_flip(gc_schedule):
     """The schedule space of a history-limited checkpoint includes the
     delete's own IOs: child metadata, catalog, a second flip."""
-    assert gc_schedule.gc_flip_index is not None
-    assert gc_schedule.flip_index < gc_schedule.gc_flip_index \
-        == gc_schedule.io_count - 1
+    flips = superblock_flips(gc_schedule.entries(IO))
+    assert len(flips) == 2
+    assert gc_schedule.flip == flips[0] < flips[1] \
+        == len(gc_schedule.entries(IO)) - 1
 
 
 def test_crash_during_gc_restores_the_committed_checkpoint(
@@ -170,31 +167,26 @@ def test_crash_during_gc_restores_the_committed_checkpoint(
     plus the stage boundaries after it.  Nothing the durable superblock
     reaches may be gone before the flip that unreferences it lands —
     each of these used to leave the store unmountable."""
-    points = [IOCrash(index)
-              for index in range(gc_schedule.flip_index,
-                                 gc_schedule.io_count)]
-    points += [StageCrash(stage, edge)
-               for stage, edge in gc_schedule.boundaries[-2:]]
+    points = gc_schedule.points(IO)[gc_schedule.flip:]
+    points += gc_schedule.points(STAGE)[-2:]
     outcomes = gc_explorer.sweep(points, gc_schedule)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
-    assert outcomes[0].restored == GCCounterWorkload.V1
-    assert {outcome.restored for outcome in outcomes[1:]} == \
-        {GCCounterWorkload.V2}
+    assert outcomes[0].restored == V1
+    assert {outcome.restored for outcome in outcomes[1:]} == {V2}
 
 
 @pytest.mark.slow
 def test_exhaustive_gc_crash_schedule_sweep(gc_explorer, gc_schedule):
     """Every stage boundary and every IO index of a checkpoint whose
     commit garbage-collects its parent."""
-    points = gc_explorer.all_points(gc_schedule)
-    assert [p.index for p in points if isinstance(p, IOCrash)] == \
-        list(range(gc_schedule.io_count))
+    points = gc_schedule.points(STAGE) + gc_schedule.points(IO)
+    assert [i for d, i in points if d == IO] == \
+        list(range(len(gc_schedule.entries(IO))))
     outcomes = gc_explorer.sweep(points, gc_schedule)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     assert not failures, failures
-    assert {outcome.restored for outcome in outcomes} == \
-        {GCCounterWorkload.V1, GCCounterWorkload.V2}
+    assert {outcome.restored for outcome in outcomes} == {V1, V2}
 
 
 def test_torn_superblock_write_falls_back_to_previous_checkpoint(
@@ -203,15 +195,15 @@ def test_torn_superblock_write_falls_back_to_previous_checkpoint(
     then power fails) must leave the previous generation live."""
     workload = explorer.workload
     run = workload.boot()
-    plan = FaultPlan(name="torn-flip").torn_at_io(schedule.flip_index)
+    plan = FaultPlan(name="torn-flip").torn_at_io(schedule.flip)
     run.machine.set_fault_plan(plan)
     with pytest.raises(InjectedCrash):
-        workload.checkpoint(run)
+        workload.action(run)
     run.machine.crash()
     run.machine.boot()
     sls = load_aurora(run.machine)
     result = sls.restore(run.gid, periodic=False)
-    assert workload.read_state(result.root, run.addr) == workload.V1
+    assert read_head(result.root, run.addr) == V1
 
 
 def test_injected_nospace_fails_checkpoint_not_history(explorer, schedule):
@@ -222,13 +214,13 @@ def test_injected_nospace_fails_checkpoint_not_history(explorer, schedule):
     plan = FaultPlan(name="enospc").nospace_at_io(1)
     run.machine.set_fault_plan(plan)
     with pytest.raises(NoSpace):
-        workload.checkpoint(run)
+        workload.action(run)
     assert plan.events[0].kind == NOSPACE
     run.machine.crash()
     run.machine.boot()
     sls = load_aurora(run.machine)
     result = sls.restore(run.gid, periodic=False)
-    assert workload.read_state(result.root, run.addr) == workload.V1
+    assert read_head(result.root, run.addr) == V1
 
 
 def test_bitflip_corrupts_record_detectably():
@@ -251,10 +243,10 @@ def test_seeded_random_plans_are_reproducible(schedule):
     """FaultPlan.random is a pure function of its seed — the CI smoke
     subset depends on replayable fault schedules."""
     for seed in (1, 2, 0xBEEF):
-        first = FaultPlan.random(seed, schedule.io_count,
-                                 schedule.boundaries)
-        second = FaultPlan.random(seed, schedule.io_count,
-                                  schedule.boundaries)
+        first = FaultPlan.random(seed, len(schedule.entries(IO)),
+                                 len(schedule.entries(STAGE)))
+        second = FaultPlan.random(seed, len(schedule.entries(IO)),
+                                  len(schedule.entries(STAGE)))
         assert first.describe() == second.describe()
 
 
@@ -268,11 +260,11 @@ def test_seeded_random_fault_campaign(explorer, schedule):
     workload = explorer.workload
     for seed in range(12):
         run = workload.boot()
-        plan = FaultPlan.random(seed, schedule.io_count,
-                                schedule.boundaries)
+        plan = FaultPlan.random(seed, len(schedule.entries(IO)),
+                                len(schedule.entries(STAGE)))
         run.machine.set_fault_plan(plan)
         try:
-            workload.checkpoint(run)
+            workload.action(run)
         except (InjectedCrash, NoSpace):
             pass
         run.machine.crash()
@@ -282,8 +274,8 @@ def test_seeded_random_fault_campaign(explorer, schedule):
             result = sls.restore(run.gid, periodic=False)
         except CorruptRecord:
             continue  # loud failure is acceptable for silent bit flips
-        state = workload.read_state(result.root, run.addr)
-        assert state in (workload.V1, workload.V2), \
+        state = read_head(result.root, run.addr)
+        assert state in (V1, V2), \
             f"seed {seed} ({plan.describe()}): restored garbage {state!r}"
 
 
@@ -302,7 +294,8 @@ def test_crash_mid_pipeline_leaves_prior_checkpoint_for_multiproc():
     gid = group.group_id
     parent.vmspace.write(addr, b"doomed!")
     machine.set_fault_plan(
-        FaultPlan(name="mid").crash_at_stage("serialize", BEFORE))
+        FaultPlan(name="mid").crash_at(STAGE,
+                                       STAGE_ORDER.index("serialize")))
     with pytest.raises(InjectedCrash):
         sls.checkpoint(group, sync=True)
     machine.crash()
@@ -333,7 +326,7 @@ def _crash_at_seal_scenario():
     sls.checkpoint(group, sync=True)
     proc.vmspace.fill(addr, 8, seed=2)
     machine.set_fault_plan(
-        FaultPlan(name="seal").crash_at_stage("seal", BEFORE))
+        FaultPlan(name="seal").crash_at(STAGE, STAGE_ORDER.index("seal")))
     with pytest.raises(InjectedCrash):
         sls.checkpoint(group, sync=True)
     faults = [(e.time_ns, dict(e.fields)) for e in
@@ -370,12 +363,12 @@ def test_injected_fault_lands_in_event_log_at_deterministic_time():
 
 @pytest.fixture(scope="module")
 def cluster_explorer():
-    return ClusterScheduleExplorer()
+    return Explorer(WORKLOADS["cluster"])
 
 
 @pytest.fixture(scope="module")
 def cluster_schedule(cluster_explorer):
-    """Probed (determinism-checked) replication boundary schedule."""
+    """Probed (determinism-checked) boundary schedule."""
     return cluster_explorer.probe()
 
 
@@ -383,29 +376,30 @@ def _sampled_indices(schedule, extra_samples=4):
     """Fixed-seed sample always covering the decisive boundaries:
     the first, the last pre-flip, the flip itself, its successor, the
     first repair boundary and the final one."""
-    first_repair = next(i for i, (_, b) in enumerate(schedule.repl_log)
-                        if b == "repair")
-    indices = {0, schedule.flip_index - 1, schedule.flip_index,
-               schedule.flip_index + 1, first_repair, schedule.count - 1}
+    log = schedule.entries(REPL)
+    first_repair = next(i for i, (_, b) in enumerate(log) if b == "repair")
+    indices = {0, schedule.flip - 1, schedule.flip, schedule.flip + 1,
+               first_repair, len(log) - 1}
     rng = random.Random(SMOKE_SEED)
-    indices.update(rng.sample(range(schedule.count), extra_samples))
-    return sorted(index for index in indices
-                  if 0 <= index < schedule.count)
+    indices.update(rng.sample(range(len(log)), extra_samples))
+    return sorted(index for index in indices if 0 <= index < len(log))
+
+
+def _repl(indices):
+    return [(REPL, index) for index in indices]
 
 
 def test_cluster_probe_covers_the_whole_protocol(cluster_schedule):
     """The schedule crosses ship/deliver/apply/ack for every reachable
     node and repair for every rebuilt segment — and the durability
     flip sits at the write-quorum-th apply, strictly inside."""
-    boundaries = {b for _, b in cluster_schedule.repl_log}
-    assert boundaries == {"ship", "deliver", "apply", "ack", "repair"}
-    pump_nodes = {n for n, b in cluster_schedule.repl_log if b == "ack"}
-    assert pump_nodes == set(range(ClusterWorkload.NODES - 1))
-    applies = [i for i, (_, b) in enumerate(cluster_schedule.repl_log)
-               if b == "apply"]
-    assert cluster_schedule.flip_index == \
-        applies[ClusterWorkload.WRITE_QUORUM - 1]
-    assert 0 < cluster_schedule.flip_index < cluster_schedule.count - 1
+    log = cluster_schedule.entries(REPL)
+    assert {b for _, b in log} == {"ship", "deliver", "apply", "ack",
+                                   "repair"}
+    assert {n for n, b in log if b == "ack"} == set(range(NODES - 1))
+    applies = [i for i, (_, b) in enumerate(log) if b == "apply"]
+    assert cluster_schedule.flip == applies[WRITE_QUORUM - 1]
+    assert 0 < cluster_schedule.flip < len(log) - 1
 
 
 def test_cluster_primary_crash_at_sampled_boundaries(cluster_explorer,
@@ -414,12 +408,11 @@ def test_cluster_primary_crash_at_sampled_boundaries(cluster_explorer,
     boundaries (plus a fixed-seed sample); recovery from replica media
     yields exactly the last quorum-acked checkpoint — V2 at and after
     the write-quorum apply, V1 before it, never a mixture."""
-    outcomes = cluster_explorer.sweep(_sampled_indices(cluster_schedule),
-                                      cluster_schedule)
+    outcomes = cluster_explorer.sweep(
+        _repl(_sampled_indices(cluster_schedule)), cluster_schedule)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
-    restored = {outcome.restored for outcome in outcomes}
-    assert restored == {ClusterWorkload.V1, ClusterWorkload.V2}
+    assert {outcome.restored for outcome in outcomes} == {V1, V2}
 
 
 def test_cluster_node_crash_at_sampled_boundaries(cluster_explorer,
@@ -428,12 +421,36 @@ def test_cluster_node_crash_at_sampled_boundaries(cluster_explorer,
     there instead.  The pump and repair absorb the loss, the write
     quorum still forms, and recovery yields V2 every time."""
     indices = _sampled_indices(cluster_schedule, extra_samples=2)[:5]
-    outcomes = cluster_explorer.sweep(indices, cluster_schedule,
-                                      mode="node")
+    outcomes = cluster_explorer.sweep(_repl(indices), cluster_schedule,
+                                      node=True)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
-    assert all(outcome.restored == ClusterWorkload.V2
-               for outcome in outcomes)
+    assert all(outcome.restored == V2 for outcome in outcomes)
+
+
+def _check_stage_sweep(explorer, schedule):
+    """The primary power-fails at each stage boundary of the V2
+    checkpoint, before any leg ships it: recovery yields V1."""
+    outcomes = explorer.sweep(schedule.points(STAGE), schedule)
+    assert len(outcomes) == len(STAGE_ORDER) + 1
+    assert all(outcome.ok for outcome in outcomes), \
+        [outcome for outcome in outcomes if not outcome.ok]
+    assert {outcome.restored for outcome in outcomes} == {V1}
+
+
+def test_cluster_primary_crash_at_every_stage_boundary(cluster_explorer,
+                                                       cluster_schedule):
+    """Tier-1: every stage boundary of the replicated checkpoint — even
+    the one after its local commit — restores V1 from replica media."""
+    _check_stage_sweep(cluster_explorer, cluster_schedule)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["cluster", "skewed", "fenced"])
+def test_cluster_stage_crash_sweep(name):
+    """Every stage boundary of each cluster workload's V2 checkpoint."""
+    explorer = Explorer(WORKLOADS[name])
+    _check_stage_sweep(explorer, explorer.probe())
 
 
 @pytest.mark.slow
@@ -443,16 +460,14 @@ def test_cluster_exhaustive_primary_crash_sweep(cluster_explorer,
     each one recovers exactly the last quorum-acked checkpoint.  A
     quorum-acked V2 is always recovered; a non-acked V2 is never even
     partially visible."""
-    indices = list(range(cluster_schedule.count))
-    outcomes = cluster_explorer.sweep(indices, cluster_schedule)
+    points = cluster_schedule.points(REPL)
+    outcomes = cluster_explorer.sweep(points, cluster_schedule)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     assert not failures, failures
     # Both durable states were actually exercised, and they flip
     # exactly once, at the write-quorum apply.
-    flips = [outcome.restored == ClusterWorkload.V2
-             for outcome in outcomes]
-    assert flips == [index >= cluster_schedule.flip_index
-                     for index in indices]
+    assert [outcome.restored == V2 for outcome in outcomes] == \
+        [index >= cluster_schedule.flip for _, index in points]
 
 
 @pytest.mark.slow
@@ -460,13 +475,11 @@ def test_cluster_exhaustive_node_crash_sweep(cluster_explorer,
                                              cluster_schedule):
     """Any single node crashing at any boundary never loses the
     quorum: the action completes and recovery yields V2 everywhere."""
-    indices = list(range(cluster_schedule.count))
-    outcomes = cluster_explorer.sweep(indices, cluster_schedule,
-                                      mode="node")
+    outcomes = cluster_explorer.sweep(cluster_schedule.points(REPL),
+                                      cluster_schedule, node=True)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     assert not failures, failures
-    assert all(outcome.restored == ClusterWorkload.V2
-               for outcome in outcomes)
+    assert all(outcome.restored == V2 for outcome in outcomes)
 
 
 # -- legs landing out of dispatch order ---------------------------------------------
@@ -474,7 +487,7 @@ def test_cluster_exhaustive_node_crash_sweep(cluster_explorer,
 
 @pytest.fixture(scope="module")
 def skewed_explorer():
-    return ClusterScheduleExplorer(SkewedClusterWorkload())
+    return Explorer(WORKLOADS["skewed"])
 
 
 @pytest.fixture(scope="module")
@@ -485,14 +498,13 @@ def skewed_schedule(skewed_explorer):
 def _check_skewed_sweep(explorer, schedule, indices, mode):
     """Every outcome matches the oracle, and a primary crash restores
     V2 exactly at and after the write-quorum apply."""
-    outcomes = explorer.sweep(indices, schedule, mode=mode)
+    outcomes = explorer.sweep(_repl(indices), schedule,
+                              node=mode == "node")
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
-    restored = [outcome.restored == ClusterWorkload.V2
-                for outcome in outcomes]
+    restored = [outcome.restored == V2 for outcome in outcomes]
     if mode == "primary":
-        assert restored == [index >= schedule.flip_index
-                            for index in indices]
+        assert restored == [index >= schedule.flip for index in indices]
     else:
         assert all(restored)
 
@@ -501,12 +513,11 @@ def test_skewed_legs_flip_at_a_late_replicas_apply(skewed_schedule):
     """All five legs are dispatched at once, but the slow first two
     land last: the durability flip is node 0's apply, the fourth in
     the log, not node 3's."""
-    log = skewed_schedule.repl_log
-    ships = [node for node, b in log if b == "ship"]
-    assert ships == list(range(ClusterWorkload.NODES - 1))
-    applies = [node for node, b in log if b == "apply"]
-    assert applies == [2, 3, 4, 0, 1]
-    assert log[skewed_schedule.flip_index] == (0, "apply")
+    log = skewed_schedule.entries(REPL)
+    assert [node for node, b in log if b == "ship"] == \
+        list(range(NODES - 1))
+    assert [node for node, b in log if b == "apply"] == [2, 3, 4, 0, 1]
+    assert log[skewed_schedule.flip] == (0, "apply")
 
 
 @pytest.mark.parametrize("mode", ["primary", "node"])
@@ -523,7 +534,8 @@ def test_skewed_cluster_crash_at_sampled_boundaries(skewed_explorer,
 def test_skewed_cluster_exhaustive_crash_sweep(skewed_explorer,
                                                skewed_schedule, mode):
     _check_skewed_sweep(skewed_explorer, skewed_schedule,
-                        list(range(skewed_schedule.count)), mode)
+                        list(range(len(skewed_schedule.entries(REPL)))),
+                        mode)
 
 
 def test_crashed_checkpoint_trace_is_marked_incomplete():
@@ -548,14 +560,9 @@ def test_crashed_checkpoint_trace_is_marked_incomplete():
 # -- fenced-failover boundaries: epoch bump, lease expiry, reconcile ---------
 
 
-from repro.core.cluster import B_EPOCH, B_LEASE, B_RECONCILE  # noqa: E402
-from repro.core.faults import PRIMARY  # noqa: E402
-from tests.crashsched import FencedScheduleExplorer  # noqa: E402
-
-
 @pytest.fixture(scope="module")
 def fenced_explorer():
-    return FencedScheduleExplorer()
+    return Explorer(WORKLOADS["fenced"])
 
 
 @pytest.fixture(scope="module")
@@ -564,25 +571,19 @@ def fenced_schedule(fenced_explorer):
     return fenced_explorer.probe()
 
 
-def _fencing_indices(schedule):
-    return [index for index, (_, boundary)
-            in enumerate(schedule.repl_log)
-            if boundary in (B_EPOCH, B_LEASE, B_RECONCILE)]
-
-
 def test_fenced_probe_covers_the_failover_protocol(fenced_schedule):
     """The schedule crosses the lease expiry once, an epoch promise
     on every voter, a reconcile on every node — in protocol order —
     and the fenced V2 never reaches a write-quorum apply."""
-    log = fenced_schedule.repl_log
-    nodes = list(range(ClusterWorkload.NODES))
+    log = fenced_schedule.entries(REPL)
+    nodes = list(range(NODES))
     assert [n for n, b in log if b == B_EPOCH] == nodes
     assert [n for n, b in log if b == B_RECONCILE] == nodes
     assert [n for n, b in log if b == B_LEASE] == [PRIMARY]
     kinds = [b for _, b in log]
     assert kinds.index(B_LEASE) < kinds.index(B_EPOCH) \
         < kinds.index(B_RECONCILE)
-    assert fenced_schedule.flip_index is None
+    assert fenced_schedule.flip is None
 
 
 def test_fenced_failover_crash_at_fencing_boundaries(fenced_explorer,
@@ -591,18 +592,16 @@ def test_fenced_failover_crash_at_fencing_boundaries(fenced_explorer,
     and reconcile boundaries.  A primary crash at any of them
     recovers exactly V1 — the partitioned V2 is never readable, no
     matter how far the epoch bump or the reconciliation got."""
-    fencing = _fencing_indices(fenced_schedule)
     by_kind = {}
-    for index in fencing:
-        by_kind.setdefault(fenced_schedule.repl_log[index][1],
-                           []).append(index)
+    for index, (_, boundary) in enumerate(fenced_schedule.entries(REPL)):
+        if boundary in (B_EPOCH, B_LEASE, B_RECONCILE):
+            by_kind.setdefault(boundary, []).append(index)
     indices = sorted({ixs[0] for ixs in by_kind.values()}
                      | {ixs[-1] for ixs in by_kind.values()})
-    outcomes = fenced_explorer.sweep(indices, fenced_schedule)
+    outcomes = fenced_explorer.sweep(_repl(indices), fenced_schedule)
     assert all(outcome.ok for outcome in outcomes), \
         [outcome for outcome in outcomes if not outcome.ok]
-    assert all(outcome.restored == ClusterWorkload.V1
-               for outcome in outcomes)
+    assert all(outcome.restored == V1 for outcome in outcomes)
 
 
 @pytest.mark.slow
@@ -611,23 +610,19 @@ def test_fenced_failover_exhaustive_crash_sweep(fenced_explorer,
     """Every boundary of the partitioned failover, gap-free — the
     stalled ships, the lease expiry, every epoch promise, every
     reconcile — restores V1 and only V1."""
-    indices = list(range(fenced_schedule.count))
-    outcomes = fenced_explorer.sweep(indices, fenced_schedule)
+    outcomes = fenced_explorer.sweep(fenced_schedule.points(REPL),
+                                     fenced_schedule)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     assert not failures, failures
-    assert {outcome.restored for outcome in outcomes} == \
-        {ClusterWorkload.V1}
+    assert {outcome.restored for outcome in outcomes} == {V1}
 
 
 # -- fleet-scheduler boundaries ----------------------------------------------
 
 
-from tests.crashsched import FleetScheduleExplorer  # noqa: E402
-
-
 @pytest.fixture(scope="module")
 def fleet_explorer():
-    return FleetScheduleExplorer()
+    return Explorer(WORKLOADS["fleet"])
 
 
 @pytest.fixture(scope="module")
@@ -636,44 +631,48 @@ def fleet_schedule(fleet_explorer):
     return fleet_explorer.probe()
 
 
+def _check_fleet_sweep(outcomes):
+    """Every tenant restores its newest durable checkpoint, and later
+    crashes never restore an older one than earlier crashes."""
+    failures = [outcome for outcome in outcomes if not outcome.ok]
+    assert not failures, failures
+    assert outcomes, "sweep produced no restorable tenants"
+    restored = {}
+    for outcome in outcomes:
+        restored.setdefault(outcome.tenant, []).append(outcome.restored)
+    for tenant, ckpts in restored.items():
+        assert ckpts == sorted(ckpts), (tenant, ckpts)
+
+
 def test_fleet_probe_crosses_every_boundary_kind(fleet_schedule):
-    """The probed action admits, dispatches and widens at least once,
-    and the admit of the late tenant precedes its dispatches."""
-    kinds = [boundary for _, boundary in fleet_schedule]
-    assert {"admit", "dispatch", "widen"} <= set(kinds)
-    late_gid = next(gid for gid, boundary in fleet_schedule
-                    if boundary == "admit")
-    first_admit = kinds.index("admit")
+    """The probed action admits, dispatches and widens — nothing else
+    — and the admit of the late tenant precedes its dispatches."""
+    log = fleet_schedule.entries(FLEET)
+    kinds = [boundary for _, boundary in log]
+    assert set(kinds) == {"admit", "dispatch", "widen"}
+    late_gid = next(gid for gid, boundary in log if boundary == "admit")
     first_late_dispatch = next(
-        (index for index, (gid, boundary) in enumerate(fleet_schedule)
-         if boundary == "dispatch" and gid == late_gid),
-        len(fleet_schedule))
-    assert first_admit < first_late_dispatch
+        (index for index, (gid, boundary) in enumerate(log)
+         if boundary == "dispatch" and gid == late_gid), len(log))
+    assert kinds.index("admit") < first_late_dispatch
 
 
-def test_crash_at_fleet_control_boundaries_restores_durable_state(
+def test_crash_at_each_fleet_control_boundary_restores_durable_state(
         fleet_explorer, fleet_schedule):
     """Tier-1 slice: the admit and every widen boundary, plus the
     first and last dispatch — each tenant restores exactly its newest
     durable checkpoint, never a torn or lost one."""
-    dispatch_indices = [index for index, (_, boundary)
-                        in enumerate(fleet_schedule)
-                        if boundary == "dispatch"]
-    indices = sorted(
-        {index for index, (_, boundary) in enumerate(fleet_schedule)
-         if boundary in ("admit", "widen")}
-        | {dispatch_indices[0], dispatch_indices[-1]})
-    outcomes = fleet_explorer.sweep(indices, fleet_schedule)
-    failures = [outcome for outcome in outcomes if not outcome.ok]
-    assert not failures, failures
-    # Later crashes never restore an older state than earlier ones.
-    assert outcomes, "sweep produced no restorable tenants"
+    log = fleet_schedule.entries(FLEET)
+    dispatches = [i for i, (_, b) in enumerate(log) if b == "dispatch"]
+    indices = sorted({i for i, (_, b) in enumerate(log)
+                      if b in ("admit", "widen")}
+                     | {dispatches[0], dispatches[-1]})
+    _check_fleet_sweep(fleet_explorer.sweep(
+        [(FLEET, index) for index in indices], fleet_schedule))
 
 
 @pytest.mark.slow
 def test_fleet_exhaustive_boundary_sweep(fleet_explorer, fleet_schedule):
     """Every fleet boundary of the probed action, exhaustively."""
-    outcomes = fleet_explorer.sweep(list(range(len(fleet_schedule))),
-                                    fleet_schedule)
-    failures = [outcome for outcome in outcomes if not outcome.ok]
-    assert not failures, failures
+    _check_fleet_sweep(fleet_explorer.sweep(fleet_schedule.points(FLEET),
+                                            fleet_schedule))

@@ -1,5 +1,6 @@
 """A lint we can run: unused imports and imports of things that do
-not exist, over all of ``src/repro``, on the stdlib ``ast`` alone.
+not exist, over all of ``src/repro`` and the crash-schedule harness
+(``tests/crashsched.py`` and its tests), on the stdlib ``ast`` alone.
 
 CI runs ruff's ``F`` rules and ``mypy --strict`` over parts of the
 tree; neither tool is installed in the development container, so a
@@ -42,12 +43,19 @@ import importlib.util
 import pathlib
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-SRC = pathlib.Path(__file__).parent.parent / "src"
-FILES = sorted((SRC / "repro").rglob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src"
+FILES = sorted((SRC / "repro").rglob("*.py")) + [
+    ROOT / "tests" / "crashsched.py", ROOT / "tests" / "test_crashsched.py"]
+
+
+def _where(path: pathlib.Path) -> pathlib.Path:
+    return path.relative_to(ROOT)
 
 
 def _module_name(path: pathlib.Path) -> str:
-    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    base = SRC if SRC in path.parents else ROOT
+    parts = list(path.relative_to(base).with_suffix("").parts)
     if parts[-1] == "__init__":
         parts.pop()
     return ".".join(parts)
@@ -142,7 +150,7 @@ def test_no_unused_imports():
                     and stmt.module == "__future__":
                 continue
             if bound not in used:
-                findings.append(f"{path.relative_to(SRC)}:{stmt.lineno}: "
+                findings.append(f"{_where(path)}:{stmt.lineno}: "
                                 f"{bound!r} imported but unused")
     assert not findings, "\n" + "\n".join(findings)
 
@@ -154,7 +162,7 @@ def test_every_import_resolves():
         package = here if path.name == "__init__.py" \
             else here.rpartition(".")[0]
         for stmt, _bound, orig in _imports(_tree(path)):
-            where = f"{path.relative_to(SRC)}:{stmt.lineno}"
+            where = f"{_where(path)}:{stmt.lineno}"
             if isinstance(stmt, ast.Import):
                 module, name = orig, None
             else:
@@ -202,7 +210,7 @@ def test_no_duplicate_definitions():
                         continue
                     if node.name in first:
                         findings.append(
-                            f"{path.relative_to(SRC)}:{node.lineno}: "
+                            f"{_where(path)}:{node.lineno}: "
                             f"{node.name!r} redefines line "
                             f"{first[node.name]}")
                     first[node.name] = node.lineno
@@ -220,7 +228,7 @@ def test_no_undefined_names():
             elif isinstance(node, ast.ExceptHandler) and node.name:
                 defined.add(node.name)
         for name in sorted(_names_read(tree, exports=False) - defined):
-            findings.append(f"{path.relative_to(SRC)}: undefined name "
+            findings.append(f"{_where(path)}: undefined name "
                             f"{name!r}")
     assert not findings, "\n" + "\n".join(findings)
 
@@ -277,7 +285,7 @@ def test_no_unused_locals():
         for func in ast.walk(_tree(path)):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 findings.extend(
-                    f"{path.relative_to(SRC)}:{line}: local {name!r} is "
+                    f"{_where(path)}:{line}: local {name!r} is "
                     f"assigned to but never used"
                     for line, name in sorted(_unused_locals(func)))
     assert not findings, "\n" + "\n".join(findings)

@@ -30,8 +30,8 @@ import pytest
 from repro import Machine, load_aurora
 from repro.core import events, resilience, telemetry
 from repro.core.cluster import SLSCluster
-from repro.core.faults import (FaultPlan, InjectedCrash, INTERMITTENT,
-                               TRANSIENT)
+from repro.core.faults import (IO, STAGE, FaultPlan, InjectedCrash,
+                               INTERMITTENT, TRANSIENT)
 from repro.core.resilience import GroupHealth, RetryPolicy
 from repro.errors import (CorruptRecord, LeaseValid, LinkDown, NoSpace,
                           RetriesExhausted, TransientDeviceError)
@@ -43,7 +43,7 @@ from repro.objstore.scrub import scrub
 from repro.objstore.store import ObjectStore, SUPERBLOCK_SLOTS
 from repro.units import MiB, MSEC, PAGE_SIZE, USEC
 
-from tests.crashsched import CounterAppWorkload, CrashScheduleExplorer
+from tests.crashsched import V1, V2, WORKLOADS, Explorer, read_head
 
 MEM_OID = make_oid(CLASS_MEMORY, 42)
 
@@ -241,10 +241,8 @@ def test_random_plans_reproduce_and_cover_new_kinds():
     distribution actually produces the new retryable kinds."""
     described = set()
     for seed in range(64):
-        first = FaultPlan.random(seed, io_count=40,
-                                 boundaries=[("seal", "before")])
-        second = FaultPlan.random(seed, io_count=40,
-                                  boundaries=[("seal", "before")])
+        first = FaultPlan.random(seed, io_count=40, stages=1)
+        second = FaultPlan.random(seed, io_count=40, stages=1)
         assert first.describe() == second.describe()
         described.add(first.describe())
     assert any("transient(x" in d for d in described), described
@@ -650,18 +648,18 @@ def test_chaos_smoke_retryable_schedules_complete_after_retries():
     (absorbed by backoff/retry), restore the new state after a crash,
     and scrub clean.  Non-retryable plans keep the old contract:
     restore yields a durable state or fails loudly."""
-    explorer = CrashScheduleExplorer()
+    explorer = Explorer(WORKLOADS["counter"])
     schedule = explorer.probe()
     workload = explorer.workload
     retryable_completions = 0
     for seed in range(20):
         run = workload.boot()
-        plan = FaultPlan.random(seed, schedule.io_count,
-                                schedule.boundaries)
+        plan = FaultPlan.random(seed, len(schedule.entries(IO)),
+                                len(schedule.entries(STAGE)))
         run.machine.set_fault_plan(plan)
         completed = False
         try:
-            workload.checkpoint(run)
+            workload.action(run)
             completed = True
         except (InjectedCrash, NoSpace, RetriesExhausted):
             pass
@@ -680,14 +678,14 @@ def test_chaos_smoke_retryable_schedules_complete_after_retries():
         except CorruptRecord:
             assert not retryable_only
             continue
-        state = workload.read_state(result.root, run.addr)
+        state = read_head(result.root, run.addr)
         if retryable_only:
-            assert state == workload.V2, \
+            assert state == V2, \
                 f"seed {seed}: completed checkpoint not durable"
             report = scrub(sls.store)
             assert report.ok, (seed, report.findings)
         else:
-            assert state in (workload.V1, workload.V2)
+            assert state in (V1, V2)
     assert retryable_completions >= 2, \
         "campaign never exercised the retry path"
 
