@@ -70,7 +70,7 @@ def _save_image(machine: Machine, path: str) -> None:
     image = {
         "version": IMAGE_VERSION,
         "clock_ns": machine.clock.now(),
-        "devices": [dict(dev._extents) for dev in machine.storage.devices],
+        "devices": [dict(dev.extents()) for dev in machine.storage.devices],
     }
     Path(path).write_bytes(pickle.dumps(image))
 
@@ -81,7 +81,8 @@ def _boot_from_image(path: str) -> Machine:
         raise SystemExit(f"unsupported image version in {path}")
     machine = Machine(start_ns=image["clock_ns"])
     for device, extents in zip(machine.storage.devices, image["devices"]):
-        device._extents.update(extents)
+        for offset, payload in extents.items():
+            device.place_extent(offset, payload)
     return machine
 
 

@@ -75,8 +75,9 @@ class Event:
 
     Immutable once emitted: nothing may change an event (or a value
     inside ``fields``) after it enters the ring.  The flight recorder
-    relies on it — it encodes each event's snapshot row once and keeps
-    the bytes in ``encoded`` for as long as the ring keeps the event.
+    relies on it — a flip's record holds the event itself and encodes
+    its row only when the record is first read, perhaps long after;
+    the row is encoded once and the bytes kept in ``encoded``.
     """
 
     __slots__ = ("time_ns", "kind", "fields", "trace_id", "encoded")
@@ -88,7 +89,7 @@ class Event:
         self.fields = fields
         self.trace_id = trace_id
         #: The flight recorder's encoded row (``serde.Encoded``), set
-        #: the first time a snapshot includes this event.
+        #: the first time a record that includes this event is built.
         self.encoded: Optional[Encoded] = None
 
     def as_dict(self) -> Dict[str, Any]:

@@ -12,7 +12,8 @@ crash at any instant leaves the black box of the *previous* durable
 commit intact.
 
 Two invariants keep instrumented runs timing-identical and crash
-schedules stable:
+schedules stable, and a third keeps the recorder's wall cost off the
+commit path:
 
 * **Zero simulated cost** — the snapshot lands via the device's
   ``place_extent`` path: no clock advance, no bandwidth, no fault-plan
@@ -23,6 +24,14 @@ schedules stable:
   so allocator cursors and superblock record lengths — and with them
   every downstream IO cost — are identical whether telemetry is
   enabled or disabled.
+* **Built when read** — a flip captures what its record is made of
+  (:class:`Capture`: the ring tails, the SLO row fragments, each
+  persisted counter's value, the head fields) and places the capture
+  as a deferred payload; the device builds the bytes with the one
+  encoder the first time the extent is read and keeps them.  Only a
+  reader after the fact ever needs them — ``sls blackbox``, a saved
+  image, a digest — so most records are never built, and a record
+  that is built is byte-identical to encoding it at its flip.
 
 Reconstruction (:func:`blackbox`, surfaced as ``sls blackbox``) reads
 the raw superblock slots of an unmounted or crashed store, follows the
@@ -42,6 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import serde
 from ..errors import CorruptRecord, ReproError, StoreError
+from ..hw.nvme import DeferredPayload
 from . import events as events_mod
 from . import telemetry
 
@@ -117,15 +127,15 @@ def _slo_row(tracker: Any, gid: int) -> Dict[str, Any]:
     }
 
 
-def _counter_row(counter: Any) -> Dict[str, Any]:
+def _counter_row(counter: Any, value: int) -> Dict[str, Any]:
     return {"name": counter.name, "labels": _clean(counter.labels),
-            "value": counter.value}
+            "value": value}
 
 
 def _counter_rows(registry: Any) -> List[Dict[str, Any]]:
     """The history counters' rows, grouped by prefix (registration
     order within a prefix)."""
-    return [_counter_row(counter)
+    return [_counter_row(counter, counter.value)
             for prefix in telemetry.PERSISTED_PREFIXES
             for counter in registry.persisted[prefix]]
 
@@ -168,38 +178,29 @@ def build_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
     return body
 
 
-def _row_fragments(store: Any) -> Dict[str, List[serde.Encoded]]:
-    """Every row of :func:`build_snapshot`, encoded — each at most
-    once.  Event and span rows are immutable once in their rings, so
-    their bytes are kept on the ``Event``/``SpanRecord`` and go when
-    the ring drops the entry.  A tenant's SLO row is re-encoded only
-    after a write to that tenant's tracker state (the tracker drops
-    ``encoded_row``), and a counter's row only when its value moved."""
-    recent_events, recent_spans, tracker, gids = _recent(store)
-    registry = telemetry.registry()
-    for event in recent_events:
-        if event.encoded is None:
-            event.encoded = serde.fragment(_event_row(event))
-    for span in recent_spans:
-        if span.encoded is None:
-            span.encoded = serde.fragment(_span_row(span))
-    states = [tracker.groups[gid] for gid in gids]
-    for gid, state in zip(gids, states):
-        if state.encoded_row is None:
-            state.encoded_row = serde.fragment(_slo_row(tracker, gid))
-    counters: List[serde.Encoded] = []
-    for prefix in telemetry.PERSISTED_PREFIXES:
-        for counter in registry.persisted[prefix]:
-            encoded = counter.encoded
-            if encoded is None or encoded[0] != counter.value:
-                encoded = (counter.value,
-                           serde.fragment(_counter_row(counter)))
-                counter.encoded = encoded
-            counters.append(encoded[1])
-    return {"events": [event.encoded for event in recent_events],
-            "spans": [span.encoded for span in recent_spans],
-            "slo": [state.encoded_row for state in states],
-            "counters": counters}
+def _event_fragment(event: Any) -> serde.Encoded:
+    """An event's row, encoded the first time any record needs it and
+    kept on the event (it is immutable once in its ring)."""
+    if event.encoded is None:
+        event.encoded = serde.fragment(_event_row(event))
+    return event.encoded
+
+
+def _span_fragment(span: Any) -> serde.Encoded:
+    """A span's row, encoded once and kept on the span."""
+    if span.encoded is None:
+        span.encoded = serde.fragment(_span_row(span))
+    return span.encoded
+
+
+def _counter_fragment(counter: Any, value: int) -> serde.Encoded:
+    """A counter's row at ``value``, re-encoded only when the value is
+    not the one its kept row was encoded at."""
+    encoded = counter.encoded
+    if encoded is None or encoded[0] != value:
+        encoded = counter.encoded = (
+            value, serde.fragment(_counter_row(counter, value)))
+    return encoded[1]
 
 
 @lru_cache(maxsize=None)
@@ -211,9 +212,11 @@ def _envelope_bytes() -> int:
     return len(records.encode(records.REC_FLIGHTREC, serde.Encoded(b"")))
 
 
-def encode_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
-                    generation: int = 0) -> bytes:
-    """Encode a snapshot at exactly :data:`FLIGHTREC_BYTES`.
+def _encode(head: Dict[str, Any], rows: Dict[str, List[serde.Encoded]],
+            room: int) -> bytes:
+    """The one encoder: a record of exactly :data:`FLIGHTREC_BYTES`
+    from the head fields, each row list's fragments and the body's
+    ``room`` for rows and pad.
 
     Over-budget content is shed oldest-first (events, then spans, then
     SLO rows, then counters), halving one list at a time; the
@@ -224,12 +227,7 @@ def encode_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
     """
     from ..objstore import records
 
-    rows = _row_fragments(store)
-    body = _snapshot_head(store, pending, generation)
-    body["pad"] = b""
-    body.update({key: serde.frame_list([]) for key in _ROW_KEYS})
-    empty = _envelope_bytes() + len(serde.fragment(body))
-    room = FLIGHTREC_BYTES - empty
+    body = dict(head)
     used = sum(sum(map(len, rows[key])) for key in _ROW_KEYS)
     for key in _ROW_KEYS:
         kept = rows[key]
@@ -238,10 +236,6 @@ def encode_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
             used -= sum(map(len, kept[:cut]))
             kept = kept[cut:]
         body[key] = serde.frame_list(kept)
-    if used > room:
-        raise StoreError(
-            f"flight recorder snapshot cannot fit {FLIGHTREC_BYTES} "
-            f"bytes even when empty ({empty} bytes)")
     body["pad"] = bytes(room - used)
     payload = records.encode(records.REC_FLIGHTREC, body)
     if len(payload) != FLIGHTREC_BYTES:
@@ -249,6 +243,76 @@ def encode_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
             f"flight recorder snapshot encoded to {len(payload)} bytes, "
             f"not {FLIGHTREC_BYTES}")
     return payload
+
+
+class Capture(DeferredPayload):
+    """One flip's flight record, captured rather than encoded: the
+    head fields, the event and span ring tails (immutable once in their
+    rings), each tenant's SLO row fragment and each persisted counter
+    with its value, all as of the flip.  Its length is
+    :data:`FLIGHTREC_BYTES`; its bytes are built by :meth:`build` the
+    first time the extent is read, and the capture then lets go of
+    every event and span it held."""
+
+    __slots__ = ("_parts", "_bytes")
+
+    def __init__(self, head: Dict[str, Any], events: List[Any],
+                 spans: List[Any], slo: List[serde.Encoded],
+                 counters: List[Tuple[Any, int]], room: int) -> None:
+        self._parts: Optional[Tuple[Any, ...]] = (
+            head, events, spans, slo, counters, room)
+        self._bytes = b""
+
+    def __len__(self) -> int:
+        return FLIGHTREC_BYTES
+
+    def build(self) -> bytes:
+        """The record's bytes: built on the first call, the same bytes
+        on every later one."""
+        if self._parts is not None:
+            head, events, spans, slo, counters, room = self._parts
+            self._bytes = _encode(head, {
+                "events": [_event_fragment(event) for event in events],
+                "spans": [_span_fragment(span) for span in spans],
+                "slo": slo,
+                "counters": [_counter_fragment(counter, value)
+                             for counter, value in counters]}, room)
+            self._parts = None
+        return self._bytes
+
+
+def encode_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
+                    generation: int = 0) -> Capture:
+    """Capture the snapshot as of the store's clock now, as a record of
+    exactly :data:`FLIGHTREC_BYTES` whose bytes are built on first read
+    (:meth:`Capture.build`).
+
+    The only encoding done here is a tenant's SLO row after a write to
+    that tenant's state (the tracker drops ``encoded_row``; the state
+    is mutable, so its row cannot wait) and the head with empty row
+    lists, which must fit: a snapshot that cannot fit even when empty
+    is a :class:`StoreError` now, at the flip, not at some later read.
+    """
+    recent_events, recent_spans, tracker, gids = _recent(store)
+    states = [tracker.groups[gid] for gid in gids]
+    for gid, state in zip(gids, states):
+        if state.encoded_row is None:
+            state.encoded_row = serde.fragment(_slo_row(tracker, gid))
+    registry = telemetry.registry()
+    counters = [(counter, counter.value)
+                for prefix in telemetry.PERSISTED_PREFIXES
+                for counter in registry.persisted[prefix]]
+    head = _snapshot_head(store, pending, generation)
+    empty = dict(head, pad=b"")
+    empty.update({key: serde.frame_list([]) for key in _ROW_KEYS})
+    empty_bytes = _envelope_bytes() + len(serde.fragment(empty))
+    if empty_bytes > FLIGHTREC_BYTES:
+        raise StoreError(
+            f"flight recorder snapshot cannot fit {FLIGHTREC_BYTES} "
+            f"bytes even when empty ({empty_bytes} bytes)")
+    return Capture(head, recent_events, recent_spans,
+                   [state.encoded_row for state in states], counters,
+                   FLIGHTREC_BYTES - empty_bytes)
 
 
 def decode_snapshot(payload: bytes) -> Dict[str, Any]:

@@ -95,7 +95,8 @@ class Counter:
         self.labels = labels
         self.value = 0
         #: The flight recorder's encoded row for a persisted counter,
-        #: with the value it was encoded at: ``(value, serde.Encoded)``.
+        #: with the value it was encoded at: ``(value, serde.Encoded)``
+        #: (a flip captures the value; a record's build encodes the row).
         self.encoded: Optional[Tuple[int, Encoded]] = None
 
     def add(self, delta: int = 1) -> int:
@@ -187,9 +188,9 @@ class SpanRecord:
 
     Immutable once recorded: the ids are assigned before the span
     enters the ring and nothing (label values included) changes
-    afterwards, so the flight recorder encodes a span's snapshot row
-    once and keeps the bytes in ``encoded`` while the ring keeps the
-    span.
+    afterwards, so a flip's flight record can hold the span itself,
+    encode its row when the record is first read, and keep the bytes
+    in ``encoded``.
     """
 
     __slots__ = ("name", "labels", "start_ns", "end_ns",

@@ -13,19 +13,50 @@ offsets and lengths).  Asynchronous writes only become durable at
 their completion time; :meth:`NVMeDevice.discard_inflight` models a
 power failure dropping everything still in the device queue, which the
 crash-recovery property tests rely on.
+
+An extent's payload is one of three kinds:
+
+* real ``bytes``;
+* a synthetic ``("synthetic", seed, length)`` page marker, standing in
+  for bytes the simulation never needs to see;
+* a :class:`DeferredPayload` — a fixed length now, its bytes built the
+  first time anything reads the extent.  The device keeps the built
+  bytes as the payload from then on and drops the deferred object, so
+  a payload is built at most once.  Only :meth:`NVMeDevice.place_extent`
+  lands one (the flight recorder's capture riding each superblock
+  flip); building costs no simulated time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from .clock import SimClock
 from ..core import costs, telemetry
 from ..errors import DeviceFull, StoreError
 from ..units import STRIPE_SIZE
 
-#: Extent payloads are real bytes or a synthetic (seed, length) marker.
-Payload = Union[bytes, Tuple[str, int, int]]
+if TYPE_CHECKING:
+    from ..core.faults import FaultPlan
+
+
+class DeferredPayload:
+    """A payload whose length is fixed when it is placed and whose
+    bytes are built on first read.  :meth:`build` must return exactly
+    ``len(self)`` bytes and the same bytes whenever it is called."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def build(self) -> bytes:
+        raise NotImplementedError
+
+
+#: Extent payloads: real bytes, a synthetic (seed, length) marker, or
+#: bytes built on first read.
+Payload = Union[bytes, Tuple[str, int, int], DeferredPayload]
 
 
 def synthetic_payload(seed: int, length: int) -> Payload:
@@ -34,10 +65,10 @@ def synthetic_payload(seed: int, length: int) -> Payload:
 
 
 def payload_length(payload: Payload) -> int:
-    """Byte length of a real or synthetic payload."""
-    if isinstance(payload, bytes):
-        return len(payload)
-    return payload[2]
+    """Byte length of a payload of any of the three kinds."""
+    if isinstance(payload, tuple):
+        return payload[2]
+    return len(payload)
 
 
 class NVMeDevice:
@@ -143,13 +174,21 @@ class NVMeDevice:
 
     # -- reads ---------------------------------------------------------------
 
-    def read(self, offset: int) -> Payload:
-        """Read back the extent previously written at ``offset``."""
-        self.poll()
+    def _payload_at(self, offset: int) -> Payload:
+        """The durable payload at ``offset``, a deferred one built (and
+        kept in its place) first."""
         try:
             payload = self._extents[offset]
         except KeyError:
             raise StoreError(f"no extent at offset {offset} on {self.name}")
+        if isinstance(payload, DeferredPayload):
+            payload = self._extents[offset] = payload.build()
+        return payload
+
+    def read(self, offset: int) -> Payload:
+        """Read back the extent previously written at ``offset``."""
+        self.poll()
+        payload = self._payload_at(offset)
         nbytes = payload_length(payload)
         submitted = self.clock.now()
         done = self._command_time(nbytes, costs.NVME_READ_LATENCY,
@@ -171,10 +210,7 @@ class NVMeDevice:
         completion time, modeling a deep read queue (restore reads all
         object records in parallel)."""
         self.poll()
-        try:
-            payload = self._extents[offset]
-        except KeyError:
-            raise StoreError(f"no extent at offset {offset} on {self.name}")
+        payload = self._payload_at(offset)
         nbytes = payload_length(payload)
         submitted = self.clock.now()
         done = self._command_time(nbytes, costs.NVME_READ_LATENCY,
@@ -192,6 +228,14 @@ class NVMeDevice:
         """True when a durable extent exists at ``offset``."""
         self.poll()
         return offset in self._extents
+
+    def extents(self) -> Iterator[Tuple[int, Payload]]:
+        """Every extent on media as ``(offset, payload)``, each
+        deferred payload built first: what a saved image or a digest
+        holds.  No IO statistics, no clock, no poll — the media exactly
+        as it stands."""
+        for offset in list(self._extents):
+            yield offset, self._payload_at(offset)
 
     def discard_extent(self, offset: int) -> None:
         """Drop an extent (GC reclaimed its blocks)."""
@@ -283,7 +327,7 @@ class StripedArray:
         self.capacity = ndevices * capacity_per_device
         #: Optional FaultPlan consulted before every write dispatch
         #: (installed via Machine.set_fault_plan, cleared on crash).
-        self.fault_plan = None
+        self.fault_plan: Optional[FaultPlan] = None
 
     def _device_for(self, offset: int) -> Tuple[NVMeDevice, int]:
         """Classic RAID-0 LBA mapping: stripe unit ``u`` lives on
@@ -294,13 +338,14 @@ class StripedArray:
         local = (unit // ndev) * self.stripe + offset % self.stripe
         return device, local
 
-    def _inject(self, device: NVMeDevice, local: int, offset: int,
+    @staticmethod
+    def _inject(plan: FaultPlan, device: NVMeDevice, local: int, offset: int,
                 payload: Payload, sync: bool) -> Payload:
         """Consult the fault plan; returns the (possibly corrupted)
         payload to dispatch, or raises the injected failure."""
         from ..core.faults import InjectedCrash
 
-        verb, payload = self.fault_plan.on_io(offset, payload, sync)
+        verb, payload = plan.on_io(offset, payload, sync)
         if verb == "torn":
             device.tear_write(local, payload)
             raise InjectedCrash(
@@ -311,15 +356,17 @@ class StripedArray:
                      sync: bool = False) -> int:
         """Queue a write on the owning device (striped dispatch)."""
         device, local = self._device_for(offset)
-        if self.fault_plan is not None:
-            payload = self._inject(device, local, offset, payload, sync)
+        plan = self.fault_plan
+        if plan is not None:
+            payload = self._inject(plan, device, local, offset, payload, sync)
         return device.submit_write(local, payload, sync=sync)
 
     def write(self, offset: int, payload: Payload, sync: bool = False) -> int:
         """Synchronous write: submit, advance the clock, apply."""
         device, local = self._device_for(offset)
-        if self.fault_plan is not None:
-            payload = self._inject(device, local, offset, payload, sync)
+        plan = self.fault_plan
+        if plan is not None:
+            payload = self._inject(plan, device, local, offset, payload, sync)
         return device.write(local, payload, sync=sync)
 
     def read(self, offset: int) -> Payload:
@@ -329,7 +376,7 @@ class StripedArray:
             self.fault_plan.on_read(offset)
         return device.read(local)
 
-    def read_async(self, offset: int):
+    def read_async(self, offset: int) -> Tuple[Payload, int]:
         """Queue a read on the owning device (striped dispatch)."""
         device, local = self._device_for(offset)
         if self.fault_plan is not None:

@@ -547,7 +547,8 @@ class ObjectStore:
             # written — durable exactly when the commit is.  Fixed size
             # keeps the allocator cursor, free list and superblock
             # length identical whether telemetry is enabled or not
-            # (timing-identity invariant).
+            # (timing-identity invariant).  The flip only captures the
+            # record; the device builds its bytes on first read.
             record = flightrec.encode_snapshot(self, pending=pending,
                                                generation=generation)
             record_at = self.alloc.alloc(len(record))

@@ -29,9 +29,10 @@ readers never see the difference (:func:`loads` knows nothing of
 fragments).  A superblock flip is built from fragments so that it
 encodes only what changed since the last flip: each checkpoint's
 catalog entry (kept on its ``CheckpointInfo``, re-encoded when its
-metadata extent moves), and the flight record's event and span rows
-(once each), tenant SLO rows (after a write to that tenant's state)
-and history-counter rows (when the counter's value moved).
+metadata extent moves) and the flight record's tenant SLO rows (after
+a write to that tenant's state).  A flight record's event, span and
+history-counter rows are fragments too, encoded when the record is
+first read (once each, and a counter's again only at a new value).
 
 The encoder dispatches on the exact ``type`` of a value; subclasses
 (``IntEnum``, ``str`` enums, ``OrderedDict``, named tuples) take an

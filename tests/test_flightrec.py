@@ -7,6 +7,9 @@ live store rather than mocks:
   ``FLIGHTREC_BYTES`` on media and rides the commit protocol without
   advancing the simulated clock, so instrumented and uninstrumented
   runs keep identical timings, allocator state and crash schedules.
+  A flip only captures the record; its bytes are built by the one
+  encoder when the extent is first read (:func:`record_bytes` reads
+  them the same way), byte-identical to encoding them at the flip.
 * **Recoverability** — ``blackbox`` reconstructs the timeline from an
   unmounted (or unmountable) store's raw superblock slots, ending at
   the last durable commit.
@@ -19,7 +22,7 @@ import sys
 
 import pytest
 
-from repro import Machine, load_aurora
+from repro import Machine, load_aurora, serde
 from repro.core import events, flightrec, resilience, telemetry
 from repro.core.faults import FaultPlan
 from repro.errors import NoSpace
@@ -49,12 +52,20 @@ def _run(count=3, name="app", pages=4):
     return machine, sls, group, results
 
 
+def record_bytes(store, pending=None, generation=0):
+    """A snapshot's record as a reader gets it: captured as of now,
+    then built by the one encoder."""
+    return flightrec.encode_snapshot(store, pending, generation).build()
+
+
 # -- the record format ------------------------------------------------------------------
 
 
 def test_snapshot_encodes_at_exactly_the_fixed_size():
     machine, sls, group, _ = _run(3)
-    payload = flightrec.encode_snapshot(sls.store, generation=7)
+    capture = flightrec.encode_snapshot(sls.store, generation=7)
+    assert len(capture) == flightrec.FLIGHTREC_BYTES
+    payload = capture.build()
     assert len(payload) == flightrec.FLIGHTREC_BYTES
     body = flightrec.decode_snapshot(payload)
     assert body["generation"] == 7
@@ -65,9 +76,8 @@ def test_snapshot_encodes_at_exactly_the_fixed_size():
 def test_snapshot_round_trips_events_spans_and_slo_rows():
     machine, sls, group, results = _run(3)
     body = flightrec.decode_snapshot(
-        flightrec.encode_snapshot(sls.store,
-                                  pending={"group": group.group_id,
-                                           "ckpt": 9, "name": "x"}))
+        record_bytes(sls.store, pending={"group": group.group_id,
+                                         "ckpt": 9, "name": "x"}))
     kinds = [row["kind"] for row in body["events"]]
     assert events.CKPT_COMMIT in kinds
     assert body["pending"] == {"group": group.group_id, "ckpt": 9,
@@ -86,7 +96,7 @@ def test_oversized_content_is_shed_oldest_first_not_fatal():
     log = events.log()
     for i in range(2000):
         log.emit(machine.clock.now(), "test.noise", payload="y" * 200, n=i)
-    payload = flightrec.encode_snapshot(sls.store)
+    payload = record_bytes(sls.store)
     assert len(payload) == flightrec.FLIGHTREC_BYTES
     body = flightrec.decode_snapshot(payload)
     # Whatever survived shedding is the *newest* slice of the ring.
@@ -96,7 +106,7 @@ def test_oversized_content_is_shed_oldest_first_not_fatal():
     assert kept[-1] == 1999
 
 
-# -- encode once -------------------------------------------------------------------------
+# -- encode once, when read -------------------------------------------------------------
 
 
 def reference_encode(store, pending=None, generation=0):
@@ -124,7 +134,7 @@ def reference_encode(store, pending=None, generation=0):
 
 def test_every_decoded_row_equals_the_row_of_its_live_object():
     machine, sls, group, _ = _run(4)
-    body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
+    body = flightrec.decode_snapshot(record_bytes(sls.store))
     live_events = list(events.log())[-len(body["events"]):]
     live_spans = list(telemetry.registry().spans)[-len(body["spans"]):]
     assert body["events"] and body["spans"]
@@ -141,8 +151,8 @@ def test_warm_caches_encode_the_bytes_the_reference_loop_encodes():
     pending = {"group": group.group_id, "ckpt": 9, "name": "x"}
     want, shed = reference_encode(sls.store, pending, generation=5)
     assert shed == []
-    cold = flightrec.encode_snapshot(sls.store, pending, generation=5)
-    warm = flightrec.encode_snapshot(sls.store, pending, generation=5)
+    cold = record_bytes(sls.store, pending, generation=5)
+    warm = record_bytes(sls.store, pending, generation=5)
     assert cold == want and warm == want
 
 
@@ -159,7 +169,7 @@ def test_over_budget_snapshot_sheds_exactly_what_the_old_loop_shed():
     # Events go first, halved until gone, then spans start to go.
     assert [key for key, _cut in shed[:2]] == ["events", "events"]
     assert "spans" in [key for key, _cut in shed]
-    assert flightrec.encode_snapshot(sls.store, generation=3) == want
+    assert record_bytes(sls.store, generation=3) == want
     body = flightrec.decode_snapshot(want)
     assert body["events"] == []
     assert 0 < len(body["spans"]) < flightrec.MAX_SPANS
@@ -189,7 +199,7 @@ def test_snapshot_that_cannot_fit_even_when_empty_is_an_error():
 def test_cached_row_bytes_go_when_the_ring_evicts_the_entry():
     machine, sls, group, _ = _run(1)
     log = events.log()
-    flightrec.encode_snapshot(sls.store)
+    record_bytes(sls.store)
     event = log.events[-1]
     row = event.encoded
     assert row is not None
@@ -250,7 +260,7 @@ def test_only_the_tenant_that_moved_has_its_slo_row_re_encoded():
     for what, moved, write in writes:
         before = rows()
         write()
-        body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
+        body = flightrec.decode_snapshot(record_bytes(sls.store))
         after = rows()
         assert {gid for gid in before if after[gid] is not before[gid]} \
             == moved, what
@@ -265,53 +275,23 @@ def test_a_counter_row_is_re_encoded_only_when_its_value_moves():
     registry = telemetry.registry()
     counter = registry.counter("sls.resilience.test", op="x")
     counter.add(2)
-    body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
+    body = flightrec.decode_snapshot(record_bytes(sls.store))
     row = counter.encoded[1]
     assert body["counters"] == [{"name": "sls.resilience.test",
                                  "labels": {"op": "x"}, "value": 2}]
-    flightrec.encode_snapshot(sls.store)
+    record_bytes(sls.store)
     assert counter.encoded[1] is row
     counter.add(1)
-    body = flightrec.decode_snapshot(flightrec.encode_snapshot(sls.store))
+    body = flightrec.decode_snapshot(record_bytes(sls.store))
     assert counter.encoded[1] is not row
     assert body["counters"][0]["value"] == 3
 
 
-def test_every_flip_of_a_fleet_encodes_what_plain_values_encode_to(
-        monkeypatch):
-    """A small fleet run in which every superblock flip is checked: its
-    flight record against :func:`reference_encode` and its catalog
-    against the plain-value document.  The run has several tenants, a
-    history limit (GC deletes flip), async commits, a degraded spell,
-    target changes, counters registered mid-run and a rolled-back
-    GC flip."""
-    machine = Machine()
-    sls = load_aurora(machine)
+def _fleet_run(machine, sls):
+    """A small fleet run: several tenants, a history limit (GC deletes
+    flip), async commits, a degraded spell, target changes, counters
+    registered mid-run and a rolled-back GC flip."""
     store = sls.store
-    seen = {"snapshots": 0, "catalogs": 0}
-    real_snapshot = flightrec.encode_snapshot
-    real_encode = records.encode
-
-    def checked_snapshot(store_, pending=None, generation=0):
-        want, _shed = reference_encode(store_, pending, generation)
-        got = real_snapshot(store_, pending, generation)
-        assert got == want
-        seen["snapshots"] += 1
-        return got
-
-    def checked_encode(kind, body):
-        got = real_encode(kind, body)
-        if kind == records.REC_CATALOG:
-            plain = {str(ckpt_id): {"meta_extent": list(info.meta_extent)}
-                     for ckpt_id, info in store.checkpoints.items()
-                     if info.complete}
-            assert got == real_encode(kind, {"checkpoints": plain})
-            seen["catalogs"] += 1
-        return got
-
-    monkeypatch.setattr(flightrec, "encode_snapshot", checked_snapshot)
-    monkeypatch.setattr(records, "encode", checked_encode)
-
     tenants = []
     for index, name in enumerate(("a", "b", "c")):
         proc = machine.kernel.spawn(name)
@@ -362,7 +342,153 @@ def test_every_flip_of_a_fleet_encodes_what_plain_values_encode_to(
     assert log.matching(events.GC_RECLAIM)
     assert log.matching(events.RETRY)
     assert telemetry.registry().persisted["sls.resilience"]
-    assert seen["snapshots"] == seen["catalogs"] > 50
+
+
+def test_every_flip_of_a_fleet_encodes_what_plain_values_encode_to(
+        monkeypatch):
+    """Every superblock flip of :func:`_fleet_run` is checked: its
+    catalog against the plain-value document, and its flight record
+    against :func:`reference_encode` taken at the flip.  The records
+    are built only once the run is over — after more events, spans,
+    counter moves and SLO writes — and each must still be the bytes of
+    its flip."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    store = sls.store
+    captured = []
+    seen = {"catalogs": 0}
+    real_snapshot = flightrec.encode_snapshot
+    real_encode = records.encode
+
+    def checked_snapshot(store_, pending=None, generation=0):
+        want, _shed = reference_encode(store_, pending, generation)
+        capture = real_snapshot(store_, pending, generation)
+        captured.append((want, capture))
+        return capture
+
+    def checked_encode(kind, body):
+        got = real_encode(kind, body)
+        if kind == records.REC_CATALOG:
+            plain = {str(ckpt_id): {"meta_extent": list(info.meta_extent)}
+                     for ckpt_id, info in store.checkpoints.items()
+                     if info.complete}
+            assert got == real_encode(kind, {"checkpoints": plain})
+            seen["catalogs"] += 1
+        return got
+
+    monkeypatch.setattr(flightrec, "encode_snapshot", checked_snapshot)
+    monkeypatch.setattr(records, "encode", checked_encode)
+    _fleet_run(machine, sls)
+    assert len(captured) == seen["catalogs"] > 50
+    for index, (want, capture) in enumerate(captured):
+        assert capture.build() == want, index
+
+
+def test_no_flip_of_a_fleet_encodes_an_event_span_or_counter_row(
+        monkeypatch):
+    """A flip captures its record: the only rows the recorder encodes
+    over :func:`_fleet_run` are the head (its fit check, once a flip)
+    and the SLO rows of the tenants whose state moved since the last
+    flip."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    calls = []
+    flips = {"count": 0, "moved": 0}
+    real_fragment = serde.fragment
+    real_snapshot = flightrec.encode_snapshot
+
+    def counted_fragment(value):
+        if sys._getframe(1).f_globals["__name__"] == flightrec.__name__:
+            calls.append(value)
+        return real_fragment(value)
+
+    def counted_snapshot(store_, pending=None, generation=0):
+        flips["count"] += 1
+        flips["moved"] += sum(state.encoded_row is None
+                              for state in sls.slo.groups.values())
+        return real_snapshot(store_, pending, generation)
+
+    monkeypatch.setattr(serde, "fragment", counted_fragment)
+    monkeypatch.setattr(flightrec, "encode_snapshot", counted_snapshot)
+    _fleet_run(machine, sls)
+    heads = [value for value in calls if "version" in value]
+    slo_rows = [value for value in calls if "rpo_lag" in value]
+    assert len(heads) + len(slo_rows) == len(calls)
+    assert len(heads) == flips["count"] > 50
+    assert 0 < len(slo_rows) == flips["moved"]
+
+
+def _captured_flip(monkeypatch, sls, group):
+    """Take one checkpoint of ``group``; returns its flip's capture,
+    :func:`reference_encode` at the flip, and the newest event and span
+    the capture holds."""
+    real_snapshot = flightrec.encode_snapshot
+    taken = []
+
+    def capturing(store_, pending=None, generation=0):
+        want, _shed = reference_encode(store_, pending, generation)
+        capture = real_snapshot(store_, pending, generation)
+        taken.append((capture, want, events.log().events[-1],
+                      telemetry.registry().spans[-1]))
+        return capture
+
+    monkeypatch.setattr(flightrec, "encode_snapshot", capturing)
+    sls.checkpoint(group, name="flipped", sync=True)
+    monkeypatch.setattr(flightrec, "encode_snapshot", real_snapshot)
+    (flip,) = taken
+    return flip
+
+
+def test_a_record_read_twice_is_built_once_and_then_holds_no_row_source(
+        monkeypatch):
+    machine, sls, group, _ = _run(2)
+    capture, want, event, span = _captured_flip(monkeypatch, sls, group)
+    builds = []
+    real_encode = flightrec._encode
+
+    def counted_encode(*args):
+        builds.append(1)
+        return real_encode(*args)
+
+    monkeypatch.setattr(flightrec, "_encode", counted_encode)
+    offset, length = sls.store._flightrec_extent
+    assert length == len(capture) == flightrec.FLIGHTREC_BYTES
+    held = (sys.getrefcount(event), sys.getrefcount(span))
+    first = sls.store.device.read(offset)
+    second = sls.store.device.read(offset)
+    assert len(first) == flightrec.FLIGHTREC_BYTES
+    assert first == second == want and capture.build() is first
+    assert builds == [1]
+    # Built, the capture lets go of the events and spans it held.
+    assert (sys.getrefcount(event), sys.getrefcount(span)) == \
+        (held[0] - 1, held[1] - 1)
+
+
+def test_what_happens_after_a_flip_is_not_in_its_record(monkeypatch):
+    machine, sls, group, _ = _run(2)
+    registry = telemetry.registry()
+    counter = registry.counter("sls.resilience.test", op="x")
+    counter.add(2)
+    _capture, want, _event, _span = _captured_flip(monkeypatch, sls, group)
+    # After the flip: an event, a counter move, a new counter and SLO
+    # writes — none of them may reach the flip's record.
+    events.emit(machine.clock.now() + 1, "test.after_flip", n=1)
+    counter.add(5)
+    registry.counter("sls.slo.test_after_flip").add(1)
+    sls.slo.on_stop_time(group.group_id, 12345)
+    sls.slo.set_tenant_name(group.group_id, "renamed")
+    payload = sls.store.device.read(sls.store._flightrec_extent[0])
+    assert payload == want
+    body = flightrec.decode_snapshot(payload)
+    assert "test.after_flip" not in [row["kind"] for row in body["events"]]
+    assert [row["value"] for row in body["counters"]
+            if row["name"] == "sls.resilience.test"] == [2]
+    assert "sls.slo.test_after_flip" not in \
+        [row["name"] for row in body["counters"]]
+    (row,) = body["slo"]
+    now = flightrec._slo_row(sls.slo, group.group_id)
+    assert (row["tenant"], now["tenant"]) == ("app", "renamed")
+    assert row["stop"]["count"] < now["stop"]["count"]
 
 
 def test_snapshot_persistence_has_zero_simulated_clock_cost():

@@ -113,7 +113,7 @@ def _record_extent_count(machine) -> int:
     """Extents on media that hold object records."""
     count = 0
     for device in machine.storage.devices:
-        for payload in device._extents.values():
+        for _offset, payload in device.extents():
             if not isinstance(payload, bytes):
                 continue
             try:

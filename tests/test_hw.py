@@ -8,7 +8,8 @@ from repro.hw.clock import SimClock
 from repro.hw.cpu import CPUSet
 from repro.hw.memory import Page, PhysicalMemory, synthetic_bytes
 from repro.hw.nic import NIC
-from repro.hw.nvme import NVMeDevice, StripedArray, synthetic_payload
+from repro.hw.nvme import (DeferredPayload, NVMeDevice, StripedArray,
+                           payload_length, synthetic_payload)
 from repro.units import GiB, KiB, MiB, PAGE_SIZE, STRIPE_SIZE, USEC
 
 
@@ -199,6 +200,50 @@ def test_synthetic_payload_accounting():
     assert dev.bytes_written == 64 * KiB
     payload = dev.read(0)
     assert payload == ("synthetic", 9, 64 * KiB)
+
+
+class CountedPayload(DeferredPayload):
+    """A deferred payload that counts its builds."""
+
+    def __init__(self, content):
+        self.content = content
+        self.builds = 0
+
+    def __len__(self):
+        return len(self.content)
+
+    def build(self):
+        self.builds += 1
+        return self.content
+
+
+def test_a_deferred_payload_is_built_on_first_read_and_kept():
+    clock, dev = make_device()
+    deferred = CountedPayload(b"built when read")
+    dev.place_extent(4096, deferred)
+    assert payload_length(deferred) == len(b"built when read")
+    assert deferred.builds == 0
+    first = dev.read(4096)
+    second, _done = dev.read_async(4096)
+    assert first == b"built when read" and second is first
+    assert deferred.builds == 1
+    assert dev.bytes_read == 2 * len(first)
+
+
+def test_extents_builds_deferred_payloads_without_io_or_clock():
+    clock, dev = make_device()
+    dev.write(0, b"real")
+    dev.write(8192, synthetic_payload(seed=3, length=4096))
+    deferred = CountedPayload(b"deferred")
+    dev.place_extent(65536, deferred)
+    now, reads = clock.now(), (dev.bytes_read, dev.read_commands)
+    assert list(dev.extents()) == [
+        (0, b"real"), (8192, ("synthetic", 3, 4096)), (65536, b"deferred")]
+    assert (clock.now(), (dev.bytes_read, dev.read_commands)) == (now, reads)
+    # What extents() built is the payload from then on.
+    assert dev.read(65536) == b"deferred"
+    assert list(dev.extents())[-1] == (65536, b"deferred")
+    assert deferred.builds == 1
 
 
 # -- CPUs ------------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """A lint we can run: unused imports and imports of things that do
-not exist, over all of ``src/repro`` and the crash-schedule harness
-(``tests/crashsched.py`` and its tests), on the stdlib ``ast`` alone.
+not exist, over all of ``src/repro``, the crash-schedule harness
+(``tests/crashsched.py`` and its tests) and the tests of the flight
+recorder, the device model and the on-media records, on the stdlib
+``ast`` alone.
 
 CI runs ruff's ``F`` rules and ``mypy --strict`` over parts of the
 tree; neither tool is installed in the development container, so a
@@ -21,7 +23,9 @@ This is the subset that needs no third-party code:
   purpose and are exempt.
 * **undefined name** (pyflakes F821) — a name the file reads (quoted
   annotations included) that no statement in the file binds and that
-  is not a builtin.  Scopes are not told apart: a binding anywhere in
+  is not a builtin or a module dunder the import system binds
+  (``__file__``, ``__builtins__``, …; ``__path__`` in a package
+  ``__init__`` only), as in pyflakes.  Scopes are not told apart: a binding anywhere in
   the file counts, so this finds names that are gone, not names read
   before they are bound.  Names listed in ``__all__`` are exports, not
   reads, and are not checked (a package may bind them lazily).
@@ -46,7 +50,13 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src"
 FILES = sorted((SRC / "repro").rglob("*.py")) + [
-    ROOT / "tests" / "crashsched.py", ROOT / "tests" / "test_crashsched.py"]
+    ROOT / "tests" / name for name in (
+        "crashsched.py", "test_crashsched.py", "test_flightrec.py",
+        "test_store_image_golden.py", "test_hw.py", "test_records_misc.py")]
+#: Names every module has bound without a statement binding them that
+#: ``dir(builtins)`` does not list (pyflakes' module-scope magic globals).
+MODULE_DUNDERS = frozenset(("__file__", "__builtins__", "__annotations__",
+                            "__cached__"))
 
 
 def _where(path: pathlib.Path) -> pathlib.Path:
@@ -221,7 +231,9 @@ def test_no_undefined_names():
     findings = []
     for path in FILES:
         tree = _tree(path)
-        defined = _names_bound(tree) | set(dir(builtins))
+        defined = _names_bound(tree) | set(dir(builtins)) | MODULE_DUNDERS
+        if path.name == "__init__.py":
+            defined.add("__path__")
         for node in ast.walk(tree):
             if isinstance(node, ast.arg):
                 defined.add(node.arg)

@@ -6,8 +6,7 @@ from repro import Machine, serde
 from repro.errors import CorruptRecord, InvalidArgument
 from repro.hw.memory import Page
 from repro.objstore import records
-from repro.objstore.oid import (CLASS_FILE, CLASS_MEMORY, OIDAllocator,
-                                make_oid, oid_serial)
+from repro.objstore.oid import CLASS_FILE, CLASS_MEMORY, make_oid, oid_serial
 from repro.objstore.store import ObjectStore
 from tests.content import page_runs
 

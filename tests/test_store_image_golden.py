@@ -24,7 +24,10 @@ checkpoint records) and the event times every store's flight record
 keeps moved — no extent moved, and every node's other bytes are
 unchanged.  The digest must also not depend on process state: it is taken
 cold (a fresh interpreter, nothing memoised) and warm (repeated in
-this process) and must read the same.
+this process) and must read the same.  It reads the media through
+``NVMeDevice.extents()``, which builds each flight record a flip only
+captured, so the pins also hold every record built at the end of a run
+to the bytes of its flip.
 """
 
 import hashlib
@@ -45,8 +48,7 @@ def image_digest(machines) -> str:
     digest = hashlib.sha256()
     for machine in machines:
         for device in machine.storage.devices:
-            for offset in sorted(device._extents):
-                payload = device._extents[offset]
+            for offset, payload in sorted(device.extents()):
                 digest.update(b"%d:" % offset)
                 digest.update(payload if isinstance(payload, (bytes, bytearray))
                               else repr(payload).encode())
