@@ -323,15 +323,25 @@ class TelemetryRegistry:
         leave it None and the active trace (if any) allocates one.
         """
         span = SpanRecord(name, labels, start_ns, end_ns)
-        if not self.enabled:
-            return span
+        if self.enabled:
+            self._push(span, span_id)
+            self.histogram(name, **labels).observe(span.duration_ns)
+        return span
+
+    def record_batch_span(self, name: str, start_ns: int, end_ns: int,
+                          **labels: object) -> None:
+        """Record one span covering a batch of commands, parented like
+        :meth:`record_span`, feeding no series: the caller feeds its
+        own series one sample per command (the device's batch path)."""
+        if self.enabled:
+            self._push(SpanRecord(name, labels, start_ns, end_ns), None)
+
+    def _push(self, span: SpanRecord, span_id: Optional[int]) -> None:
         trace = self.active_trace
         if trace is not None:
             trace.attach(span, span_id=span_id)
         if self.spans.push(span):
             self.counter("sls.telemetry.spans_dropped").add(1)
-        self.histogram(name, **labels).observe(span.duration_ns)
-        return span
 
     def span(self, clock: Any, name: str,
              **labels: object) -> _SpanContext:

@@ -7,6 +7,16 @@ different stripe units overlaps while a single synchronous stream sees
 queue-depth-1 behaviour — exactly the asymmetry behind Table 5's
 journal column versus Table 7's 97.6 ms async flush.
 
+A checkpoint's flush reaches the array as one batch
+(:meth:`StripedArray.submit_writes`): each command still gets its own
+completion time from the same per-device recurrence and its own turn
+at the fault plan, but the telemetry is booked once per device per
+batch — one counter add each and one ``nvme.write`` span carrying
+``commands`` and ``bytes`` labels — with one latency sample per
+command in the device's ``nvme.write`` series.
+:meth:`NVMeDevice.queue_write` is the one queueing primitive; a single
+write is a batch of one.
+
 Payload storage is *extent exact*: callers read back exactly the
 extents they wrote (the object store's metadata always records extent
 offsets and lengths).  Asynchronous writes only become durable at
@@ -29,15 +39,18 @@ An extent's payload is one of three kinds:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from .clock import SimClock
 from ..core import costs, telemetry
+from ..core.faults import InjectedCrash
 from ..errors import DeviceFull, StoreError
 from ..units import STRIPE_SIZE
 
 if TYPE_CHECKING:
     from ..core.faults import FaultPlan
+    from ..core.resilience import RetryPolicy
 
 
 class DeferredPayload:
@@ -86,8 +99,9 @@ class NVMeDevice:
         self.bytes_read = 0
         self.write_commands = 0
         self.read_commands = 0
-        # Telemetry counters are resolved once here: submit/read are
-        # the hot paths, so no registry lookups per command.
+        # Telemetry counters and the write series are resolved once
+        # here: queueing and reads are the hot paths, so no registry
+        # lookups per command.
         registry = telemetry.registry()
         self._registry = registry
         inst = telemetry.next_instance()
@@ -99,6 +113,8 @@ class NVMeDevice:
             "nvme.write_commands", device=name, inst=inst)
         self._t_read_commands = registry.counter(
             "nvme.read_commands", device=name, inst=inst)
+        #: Per-command write latency, one sample per queued command.
+        self._t_write_ns = registry.histogram("nvme.write", device=name)
 
     # -- timing ------------------------------------------------------------
 
@@ -119,22 +135,24 @@ class NVMeDevice:
 
     # -- writes ------------------------------------------------------------
 
-    def submit_write(self, offset: int, payload: Payload,
-                     sync: bool = False) -> int:
-        """Queue a write; returns its completion time (ns).
+    def queue_write(self, offset: int, payload: Payload, nbytes: int,
+                    sync: bool = False) -> int:
+        """The one queueing primitive: queue an ``nbytes`` write and
+        return its completion time (ns).
 
         ``sync`` selects the queue-depth-1 latency/bandwidth profile
         used by the journal path.  The payload becomes visible (and
         durable) only at the returned completion time; callers that
-        need synchronous semantics advance the clock to it.
+        need synchronous semantics advance the clock to it.  Counts the
+        command and feeds its latency sample; the counter adds and the
+        span are booked by the caller (:meth:`book_writes`), once per
+        batch.
         """
-        nbytes = payload_length(payload)
         if offset < 0 or offset + nbytes > self.capacity:
             raise DeviceFull(
                 f"write [{offset}, {offset + nbytes}) beyond {self.name} "
                 f"capacity {self.capacity}"
             )
-        submitted = self.clock.now()
         if sync:
             done = self._command_time(nbytes, costs.SYNC_WRITE_LATENCY,
                                       costs.SYNC_WRITE_BW)
@@ -144,15 +162,22 @@ class NVMeDevice:
         self._inflight.append((done, offset, payload))
         self.bytes_written += nbytes
         self.write_commands += 1
-        self._t_bytes_written.add(nbytes)
-        self._t_write_commands.add(1)
         if self._registry.enabled:
-            # Submission→completion span: the IO is attributed to
-            # whatever operation trace is active (the registry's
-            # ambient trace), without this layer knowing about traces.
-            self._registry.record_span("nvme.write", submitted, done,
-                                       device=self.name)
+            self._t_write_ns.observe(done - self.clock.now())
         return done
+
+    def book_writes(self, start_ns: int, end_ns: int, commands: int,
+                    nbytes: int) -> None:
+        """Book ``commands`` queued writes of ``nbytes`` in all: one add
+        to each counter and one ``nvme.write`` span from the first
+        submission to the last completion, attributed to whatever
+        operation trace is active (the registry's ambient trace),
+        without this layer knowing about traces."""
+        self._t_bytes_written.add(nbytes)
+        self._t_write_commands.add(commands)
+        self._registry.record_batch_span(
+            "nvme.write", start_ns, end_ns, device=self.name,
+            commands=commands, bytes=nbytes)
 
     def poll(self) -> None:
         """Apply every queued write whose completion time has passed."""
@@ -164,13 +189,6 @@ class NVMeDevice:
             else:
                 still_pending.append((done, offset, payload))
         self._inflight = still_pending
-
-    def write(self, offset: int, payload: Payload, sync: bool = False) -> int:
-        """Synchronous write: submit, advance the clock, apply."""
-        done = self.submit_write(offset, payload, sync=sync)
-        self.clock.advance_to(done)
-        self.poll()
-        return done
 
     # -- reads ---------------------------------------------------------------
 
@@ -338,36 +356,85 @@ class StripedArray:
         local = (unit // ndev) * self.stripe + offset % self.stripe
         return device, local
 
-    @staticmethod
-    def _inject(plan: FaultPlan, device: NVMeDevice, local: int, offset: int,
-                payload: Payload, sync: bool) -> Payload:
-        """Consult the fault plan; returns the (possibly corrupted)
-        payload to dispatch, or raises the injected failure."""
-        from ..core.faults import InjectedCrash
+    def submit_writes(self, writes: Iterable[Tuple[int, Payload]],
+                      retry: Optional[RetryPolicy] = None,
+                      op: Optional[str] = None,
+                      sync: bool = False) -> List[int]:
+        """Queue a batch of ``(offset, payload)`` writes, in order;
+        returns their completion times (ns).
 
+        Before each command the fault plan, if any, is consulted.
+        ``retry`` re-runs a command that failed retryably, and only
+        that command (:meth:`RetryPolicy.run`); without one the failure
+        propagates.  ``writes`` may be a generator: a command is drawn
+        only once the one before it is queued, so whatever the caller
+        does between commands (allocating, advancing the clock) happens
+        in the order it would between one-at-a-time submits.
+
+        Telemetry is booked once per device per batch — one add to
+        each counter and one ``nvme.write`` span with ``commands`` and
+        ``bytes`` labels — and a batch cut short (a crash, an
+        exhausted retry) still books every command that reached a
+        queue.  Each completion time is the one submitting the
+        commands one at a time would give.
+        """
+        clock = self.clock
+        plan = self.fault_plan
+        dones: List[int] = []
+        #: device -> [first submission, last completion, commands, bytes]
+        booked: Dict[NVMeDevice, List[int]] = {}
+        try:
+            for offset, payload in writes:
+                device, local = self._device_for(offset)
+                nbytes = payload_length(payload)
+                if plan is None:
+                    done = device.queue_write(local, payload, nbytes, sync)
+                elif retry is None:
+                    done = self._queue_planned(plan, device, local, offset,
+                                               payload, nbytes, sync)
+                else:
+                    done = retry.run(
+                        lambda: self._queue_planned(
+                            plan, device, local, offset, payload, nbytes,
+                            sync),
+                        op=op)
+                dones.append(done)
+                book = booked.get(device)
+                if book is None:
+                    booked[device] = [clock.now(), done, 1, nbytes]
+                else:
+                    book[1] = done
+                    book[2] += 1
+                    book[3] += nbytes
+        finally:
+            for device, (start, end, commands, nbytes) in booked.items():
+                device.book_writes(start, end, commands, nbytes)
+        return dones
+
+    @staticmethod
+    def _queue_planned(plan: FaultPlan, device: NVMeDevice, local: int,
+                       offset: int, payload: Payload, nbytes: int,
+                       sync: bool) -> int:
+        """Queue one command past the fault plan: a torn write lands
+        its prefix and raises the crash; an injected failure raises."""
         verb, payload = plan.on_io(offset, payload, sync)
         if verb == "torn":
             device.tear_write(local, payload)
             raise InjectedCrash(
                 f"injected torn write at array offset {offset}")
-        return payload
+        return device.queue_write(local, payload, nbytes, sync)
 
     def submit_write(self, offset: int, payload: Payload,
                      sync: bool = False) -> int:
-        """Queue a write on the owning device (striped dispatch)."""
-        device, local = self._device_for(offset)
-        plan = self.fault_plan
-        if plan is not None:
-            payload = self._inject(plan, device, local, offset, payload, sync)
-        return device.submit_write(local, payload, sync=sync)
+        """Queue one write on the owning device (a batch of one)."""
+        return self.submit_writes(((offset, payload),), sync=sync)[0]
 
     def write(self, offset: int, payload: Payload, sync: bool = False) -> int:
         """Synchronous write: submit, advance the clock, apply."""
-        device, local = self._device_for(offset)
-        plan = self.fault_plan
-        if plan is not None:
-            payload = self._inject(plan, device, local, offset, payload, sync)
-        return device.write(local, payload, sync=sync)
+        done = self.submit_writes(((offset, payload),), sync=sync)[0]
+        self.clock.advance_to(done)
+        self._device_for(offset)[0].poll()
+        return done
 
     def read(self, offset: int) -> Payload:
         """Read back the extent previously written at ``offset``."""

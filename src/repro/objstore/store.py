@@ -19,8 +19,9 @@ is the newest-wins merge along the parent chain
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+import itertools
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..core import costs, events, flightrec, telemetry, tracing
 from ..core.faults import InjectedCrash
@@ -30,7 +31,7 @@ from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
 from ..hw.memory import Page
-from ..hw.nvme import StripedArray, synthetic_payload
+from ..hw.nvme import Payload, StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
 from . import records
 from .blockalloc import ExtentAllocator
@@ -48,6 +49,9 @@ SUPERBLOCK_SLOTS = (0, STRIPE_SIZE)
 #: set (10k fds → ~40 extents), small enough that one corrupt extent
 #: loses a bounded slice of the catalog.
 RECORD_BATCH = 256
+
+#: One write of a checkpoint's flush batch: ``(array offset, payload)``.
+Write = Tuple[int, Payload]
 
 
 class CheckpointTxn:
@@ -202,20 +206,20 @@ class ObjectStore:
         self._ckpt_counter += 1
         return CheckpointTxn(self, info)
 
-    def _pack_pages(self, txn: CheckpointTxn) -> int:
-        """Write staged pages into stripe-sized extents.
+    def _pack_pages(self, txn: CheckpointTxn) -> Iterator[Write]:
+        """Pack staged pages into stripe-sized extents: yields each
+        extent's ``(offset, payload)`` write, allocated just before.
 
-        Returns the latest completion time among the submitted writes.
         Real-byte pages are packed (realized) into extent payloads;
         synthetic runs are charged as synthetic extents of equal size
         with their seeds carried in the checkpoint metadata.  Each
         object's staged runs are walked once, in index order; every
         synthetic run joins the locator table through
         ``append_locator_run``, which coalesces exactly as appending its
-        pages one at a time would.
+        pages one at a time would.  What follows a ``yield`` runs once
+        that write is queued.
         """
         info = txn.info
-        last_done = self.clock.now()
         # Real-byte pages are packed across object boundaries: each
         # stripe-sized payload may carry the tail pages of one object
         # and the head of the next, so a checkpoint's partial stripes
@@ -225,20 +229,17 @@ class ObjectStore:
         #: slot of their first page; the extent is known at the flush.
         batch_runs: List[Tuple[List[Any], int]] = []
 
-        def flush_real() -> None:
-            nonlocal last_done, real_batch, batch_runs
+        def flush_real() -> Iterator[Write]:
+            nonlocal real_batch, batch_runs
             if not real_batch:
                 return
             payload = b"".join(page.realize() for page in real_batch)
             extent = self.alloc.alloc(len(payload))
-            # Ownership is recorded before the submit so an abort
+            # Ownership is recorded before the write so an abort
             # after a failed write still frees this extent.
             info.owned_extents.append((extent, len(payload)))
             self.clock.advance(costs.STORE_ALLOC_EXTENT)
-            done = self.retry.run(
-                lambda: self.device.submit_write(extent, payload),
-                op="store.flush")
-            last_done = max(last_done, done)
+            yield extent, payload
             info.data_bytes += len(payload)
             for run, slot in batch_runs:
                 run[3], run[4] = extent, slot * PAGE_SIZE
@@ -249,7 +250,7 @@ class ObjectStore:
             # walked in index order — the shape the metadata document
             # stores and every reader consumes.  The table wraps the
             # list being appended to; it is complete (every pending
-            # "ext" run filled in) when this function returns.
+            # "ext" run filled in) when the walk ends.
             runs: List[Any] = []
             info.pages[oid] = PageRuns(runs)
             synthetic = 0
@@ -268,7 +269,7 @@ class ObjectStore:
                     batch_runs.append((runs[-1], len(real_batch)))
                 real_batch.append(page)
                 if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
-                    flush_real()
+                    yield from flush_real()
 
             # Synthetic pages: identical IO accounting, virtual bytes.
             remaining = PAGE_SIZE * synthetic
@@ -277,29 +278,22 @@ class ObjectStore:
                 extent = self.alloc.alloc(chunk)
                 info.owned_extents.append((extent, chunk))
                 self.clock.advance(costs.STORE_ALLOC_EXTENT)
-                syn_extent, syn_chunk = extent, chunk
-                done = self.retry.run(
-                    lambda: self.device.submit_write(
-                        syn_extent,
-                        synthetic_payload(seed=oid, length=syn_chunk)),
-                    op="store.flush")
-                last_done = max(last_done, done)
+                yield extent, synthetic_payload(seed=oid, length=chunk)
                 info.data_bytes += chunk
                 remaining -= chunk
-        flush_real()
-        return last_done
+        yield from flush_real()
 
-    def _write_records(self, txn: CheckpointTxn) -> int:
-        """Write staged object records; returns latest completion time.
+    def _write_records(self, txn: CheckpointTxn) -> Iterator[Write]:
+        """Stage object records into extents: yields each extent's
+        ``(offset, payload)`` write, allocated just before.
 
         Records are staged in :data:`RECORD_BATCH`-sized batch extents
-        (one allocation + one submitted write per batch); every OID in
-        a batch points at the shared extent.  A single staged record
-        keeps the bare per-object envelope, so small checkpoints write
+        (one allocation + one write per batch); every OID in a batch
+        points at the shared extent.  A single staged record keeps the
+        bare per-object envelope, so small checkpoints write
         byte-identical extents to the pre-batching format.
         """
         info = txn.info
-        last_done = self.clock.now()
         staged = txn.staged_records
         for start in range(0, len(staged), RECORD_BATCH):
             batch = staged[start:start + RECORD_BATCH]
@@ -311,15 +305,10 @@ class ObjectStore:
             extent = self.alloc.alloc(len(payload))
             info.owned_extents.append((extent, len(payload)))
             self.clock.advance(costs.STORE_ALLOC_EXTENT)
-            rec_extent, rec_payload = extent, payload
-            done = self.retry.run(
-                lambda: self.device.submit_write(rec_extent, rec_payload),
-                op="store.flush")
-            last_done = max(last_done, done)
+            yield extent, payload
             where = (extent, len(payload))
             for oid, _data in batch:
                 info.object_records[oid] = where
-        return last_done
 
     def _finalize_commit(self, txn: CheckpointTxn) -> None:
         """Data is durable: write meta + catalog, flip the superblock."""
@@ -420,9 +409,13 @@ class ObjectStore:
         txn.committed = True
         submitted = self.clock.now()
         try:
-            done_pages = self._pack_pages(txn)
-            done_records = self._write_records(txn)
-            data_done = max(done_pages, done_records)
+            # One batch: each write is queued as its extent is
+            # allocated and its allocation cost charged.
+            dones = self.device.submit_writes(
+                itertools.chain(self._pack_pages(txn),
+                                self._write_records(txn)),
+                self.retry, "store.flush")
+            data_done = max(dones, default=submitted)
             telemetry.registry().record_span("store.flush", submitted,
                                              data_done,
                                              group=txn.info.group_id)

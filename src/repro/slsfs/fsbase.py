@@ -91,14 +91,10 @@ class BenchFilesystem:
         # Data IO: one device command per stripe-unit chunk so large
         # writes fan out across the array.
         base = self._alloc_blocks(nbytes)  # COW/new allocation per write
-        remaining = nbytes
-        chunk_off = base
-        while remaining > 0:
-            chunk = min(remaining, STRIPE_SIZE)
-            self.device.submit_write(chunk_off,
-                                     synthetic_payload(seed, chunk))
-            chunk_off += chunk
-            remaining -= chunk
+        self.device.submit_writes(
+            (base + start,
+             synthetic_payload(seed, min(STRIPE_SIZE, nbytes - start)))
+            for start in range(0, nbytes, STRIPE_SIZE))
         file.size = max(file.size, offset + nbytes)
         self.stats["writes"] += 1
         self.stats["bytes_written"] += nbytes

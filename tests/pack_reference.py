@@ -14,7 +14,7 @@ extents, IO and simulated clock on staged one-page runs, and
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from repro.core import costs
 from repro.core.runs import append_locator_run
@@ -25,25 +25,22 @@ from repro.objstore.checkpoint import PageRuns
 from repro.units import PAGE_SIZE, STRIPE_SIZE
 
 
-def pack_pages_per_page(self, txn) -> int:
-    """``ObjectStore._pack_pages``, one page at a time."""
+def pack_pages_per_page(self, txn) -> Iterator[Tuple[int, Any]]:
+    """``ObjectStore._pack_pages``, one page at a time: yields each
+    extent's write, allocated just before."""
     info = txn.info
-    last_done = self.clock.now()
     real_batch: List[Page] = []
     batch_runs: List[Tuple[List[Any], int]] = []
 
-    def flush_real() -> None:
-        nonlocal last_done, real_batch, batch_runs
+    def flush_real() -> Iterator[Tuple[int, Any]]:
+        nonlocal real_batch, batch_runs
         if not real_batch:
             return
         payload = b"".join(page.realize() for page in real_batch)
         extent = self.alloc.alloc(len(payload))
         info.owned_extents.append((extent, len(payload)))
         self.clock.advance(costs.STORE_ALLOC_EXTENT)
-        done = self.retry.run(
-            lambda: self.device.submit_write(extent, payload),
-            op="store.flush")
-        last_done = max(last_done, done)
+        yield extent, payload
         info.data_bytes += len(payload)
         for run, slot in batch_runs:
             run[3], run[4] = extent, slot * PAGE_SIZE
@@ -70,7 +67,7 @@ def pack_pages_per_page(self, txn) -> int:
                 batch_runs.append((runs[-1], len(real_batch)))
             real_batch.append(page)
             if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
-                flush_real()
+                yield from flush_real()
 
         remaining = syn_count * PAGE_SIZE
         while remaining > 0:
@@ -78,13 +75,7 @@ def pack_pages_per_page(self, txn) -> int:
             extent = self.alloc.alloc(chunk)
             info.owned_extents.append((extent, chunk))
             self.clock.advance(costs.STORE_ALLOC_EXTENT)
-            syn_extent, syn_chunk = extent, chunk
-            done = self.retry.run(
-                lambda: self.device.submit_write(
-                    syn_extent, synthetic_payload(seed=oid, length=syn_chunk)),
-                op="store.flush")
-            last_done = max(last_done, done)
+            yield extent, synthetic_payload(seed=oid, length=chunk)
             info.data_bytes += chunk
             remaining -= chunk
-    flush_real()
-    return last_done
+    yield from flush_real()

@@ -676,3 +676,32 @@ def test_fleet_exhaustive_boundary_sweep(fleet_explorer, fleet_schedule):
     """Every fleet boundary of the probed action, exhaustively."""
     _check_fleet_sweep(fleet_explorer.sweep(fleet_schedule.points(FLEET),
                                             fleet_schedule))
+
+
+# -- the schedule space itself -------------------------------------------------
+
+
+#: Entries per domain (io, stage, repl, fleet) of each workload's
+#: probed schedule, and its flip.  A flush queues its writes as one
+#: batch, but the plan still sees every command on its own, so the
+#: schedule space is the one a write per call gave.
+PROBED = {
+    "counter": ((6, 9, 0, 0), 5),
+    "incremental": ((6, 9, 0, 0), 5),
+    "gc": ((9, 9, 0, 0), 5),
+    "cluster": ((6, 9, 177, 0), 12),
+    "skewed": ((6, 9, 177, 0), 15),
+    "fenced": ((8, 9, 73, 0), None),
+    "fleet": ((47, 90, 0, 17), None),
+}
+
+
+def test_every_probed_schedule_keeps_its_size(
+        schedule, incr_schedule, gc_schedule, cluster_schedule,
+        skewed_schedule, fenced_schedule, fleet_schedule):
+    probed = dict(zip(PROBED, (
+        schedule, incr_schedule, gc_schedule, cluster_schedule,
+        skewed_schedule, fenced_schedule, fleet_schedule)))
+    assert {name: (tuple(len(probe.entries(domain))
+                         for domain in (IO, STAGE, REPL, FLEET)), probe.flip)
+            for name, probe in probed.items()} == PROBED

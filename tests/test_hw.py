@@ -1,8 +1,10 @@
 """Hardware models: NVMe devices, striping, memory, CPUs, NIC."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from repro.core import costs
+from repro.core import costs, telemetry
 from repro.errors import DeviceFull, InvalidArgument, StoreError
 from repro.hw.clock import SimClock
 from repro.hw.cpu import CPUSet
@@ -99,8 +101,11 @@ def test_physmem_release_underflow_rejected():
 
 
 def make_device(capacity=1 * GiB):
+    """A one-device array: its offsets are the device's own, and every
+    write takes the array's one queueing path."""
     clock = SimClock()
-    return clock, NVMeDevice(clock, capacity)
+    return clock, StripedArray(clock, ndevices=1,
+                               capacity_per_device=capacity)
 
 
 def test_sync_write_read_round_trip():
@@ -110,9 +115,11 @@ def test_sync_write_read_round_trip():
 
 
 def test_write_beyond_capacity_rejected():
-    clock, dev = make_device(capacity=1024)
+    clock = SimClock()
+    dev = StripedArray(clock, ndevices=1, capacity_per_device=1024,
+                       stripe=1024)
     with pytest.raises(DeviceFull):
-        dev.submit_write(1000, b"x" * 100)
+        dev.submit_write(2000, b"x" * 100)
 
 
 def test_read_of_unwritten_extent_fails():
@@ -194,6 +201,74 @@ def test_striped_aggregate_bandwidth_beats_single_device():
     assert t1 > 3 * t4
 
 
+#: One command of a drawn batch: stripe unit, 4 KiB slot inside it,
+#: real or synthetic, and a length that may spill past the unit.
+_commands = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
+                               st.booleans(), st.integers(1, 80 * KiB)),
+                     min_size=1, max_size=24)
+
+
+def _batch_array(ndev, busy):
+    """A fresh array whose devices are still busy with earlier work."""
+    telemetry.reset()
+    clock = SimClock()
+    clock.advance(1000)
+    array = StripedArray(clock, ndevices=ndev, capacity_per_device=1 * GiB)
+    for device, ahead in zip(array.devices, busy):
+        device._busy_until = clock.now() + ahead
+    return array
+
+
+def _device_state(array):
+    return [(dev._busy_until, list(dev._inflight), dev.bytes_written,
+             dev.write_commands, dev._t_bytes_written.value,
+             dev._t_write_commands.value, list(dev._t_write_ns.samples))
+            for dev in array.devices]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(0, 200_000), min_size=4,
+                                   max_size=4),
+       _commands, st.sampled_from((0, costs.STORE_ALLOC_EXTENT)))
+def test_submit_writes_matches_the_per_command_loop(ndev, busy, commands,
+                                                    gap):
+    """A batch queues exactly what submitting its commands one at a
+    time, the clock advanced by ``gap`` before each, queues: the same
+    completion times, device state, clock and counts."""
+    writes = [(unit * STRIPE_SIZE + slot * 4 * KiB,
+               b"r" * length if real else synthetic_payload(unit, length))
+              for unit, slot, real, length in commands]
+    reference = _batch_array(ndev, busy)
+    dones = []
+    for offset, payload in writes:
+        reference.clock.advance(gap)
+        dones.append(reference.submit_write(offset, payload))
+    expected = (dones, _device_state(reference), reference.clock.now())
+
+    batched = _batch_array(ndev, busy)
+
+    def drawn():
+        for write in writes:
+            batched.clock.advance(gap)
+            yield write
+
+    got = batched.submit_writes(drawn())
+    assert (got, _device_state(batched), batched.clock.now()) == expected
+
+
+def test_a_batch_books_one_span_per_touched_device():
+    array = _batch_array(4, [0] * 4)
+    writes = [(unit * STRIPE_SIZE, synthetic_payload(unit, 1000 + unit))
+              for unit in (0, 1, 4, 5, 8, 1)]
+    array.submit_writes(writes)
+    spans = [span for span in telemetry.registry().spans
+             if span.name == "nvme.write"]
+    assert [(span.labels["device"], span.labels["commands"],
+             span.labels["bytes"]) for span in spans] == [
+        ("nvd0", 3, 1000 + 1004 + 1008), ("nvd1", 3, 1001 + 1005 + 1001)]
+    assert [dev.write_commands for dev in array.devices] == [3, 3, 0, 0]
+
+
 def test_synthetic_payload_accounting():
     clock, dev = make_device()
     dev.write(0, synthetic_payload(seed=9, length=64 * KiB))
@@ -218,7 +293,8 @@ class CountedPayload(DeferredPayload):
 
 
 def test_a_deferred_payload_is_built_on_first_read_and_kept():
-    clock, dev = make_device()
+    clock = SimClock()
+    dev = NVMeDevice(clock, 1 * GiB)
     deferred = CountedPayload(b"built when read")
     dev.place_extent(4096, deferred)
     assert payload_length(deferred) == len(b"built when read")
@@ -231,9 +307,10 @@ def test_a_deferred_payload_is_built_on_first_read_and_kept():
 
 
 def test_extents_builds_deferred_payloads_without_io_or_clock():
-    clock, dev = make_device()
-    dev.write(0, b"real")
-    dev.write(8192, synthetic_payload(seed=3, length=4096))
+    clock, array = make_device()
+    array.write(0, b"real")
+    array.write(8192, synthetic_payload(seed=3, length=4096))
+    dev = array.devices[0]
     deferred = CountedPayload(b"deferred")
     dev.place_extent(65536, deferred)
     now, reads = clock.now(), (dev.bytes_read, dev.read_commands)

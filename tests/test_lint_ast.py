@@ -52,7 +52,8 @@ SRC = ROOT / "src"
 FILES = sorted((SRC / "repro").rglob("*.py")) + [
     ROOT / "tests" / name for name in (
         "crashsched.py", "test_crashsched.py", "test_flightrec.py",
-        "test_store_image_golden.py", "test_hw.py", "test_records_misc.py")]
+        "test_store_image_golden.py", "test_hw.py", "test_records_misc.py",
+        "test_write_batch.py")]
 #: Names every module has bound without a statement binding them that
 #: ``dir(builtins)`` does not list (pyflakes' module-scope magic globals).
 MODULE_DUNDERS = frozenset(("__file__", "__builtins__", "__annotations__",

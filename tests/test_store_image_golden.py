@@ -22,9 +22,14 @@ concurrently: a pump now returns one leg after the delta is
 serialized, not N, so the primary's commit timestamps (in its
 checkpoint records) and the event times every store's flight record
 keeps moved — no extent moved, and every node's other bytes are
-unchanged.  The digest must also not depend on process state: it is taken
-cold (a fresh interpreter, nothing memoised) and warm (repeated in
-this process) and must read the same.  It reads the media through
+unchanged.  Both moved together once more when the device began to
+book one ``nvme.write`` span per device per flush instead of one per
+command: the span ring each flight record captures holds fewer, newer
+spans.  Every other extent is unchanged (19 flight-record extents in
+the fleet image, 30 in the cluster image).  The digest must also not
+depend on process state: it is taken cold (a fresh interpreter,
+nothing memoised) and warm (repeated in this process) and must read
+the same.  It reads the media through
 ``NVMeDevice.extents()``, which builds each flight record a flip only
 captured, so the pins also hold every record built at the end of a run
 to the bytes of its flip.
@@ -40,8 +45,8 @@ from repro.core import telemetry
 from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
-FLEET_SHA256 = "906cd1c55c0ad2889659289bc3704c9b945b92644e133dc1cb302c4cd3004cc3"
-CLUSTER_SHA256 = "b481c5807d52d4bf828d5cd43578c6bac15a01a7164a4c899ee05e2d2750e413"
+FLEET_SHA256 = "4ac4555cd42af6b3f23b7ca5734a31766ad3c4f3678a8c04744d5641bd0778a6"
+CLUSTER_SHA256 = "204d31720fe18177b4120bb0c7a5e4fcb9f9cc626e01e9aba8ff5fd58548ca08"
 
 
 def image_digest(machines) -> str:
