@@ -20,13 +20,37 @@ trap 'rm -rf "$WORK"' EXIT
 
 sls() { python -m repro.core.cli "$@"; }
 
-# Scrub of a store an actual workload wrote.
+# Scrub of a store an actual workload wrote; then a store under memory
+# pressure — dirty pages evicted, a checkpoint adopting them, history
+# trimmed — must scrub clean too: no extent without an owner.
 smoke_scrub() {
     sls init "$WORK/aurora.img"
     sls spawn "$WORK/aurora.img" stress --memory-kib 256
     sls run "$WORK/aurora.img" 1 --millis 100
     sls checkpoint "$WORK/aurora.img" 1 --name ci
     sls scrub "$WORK/aurora.img"
+    python - <<'PY'
+from repro import Machine, load_aurora
+from repro.objstore.scrub import scrub
+from repro.units import MiB, PAGE_SIZE
+machine = Machine(ram_bytes=4 * MiB)
+sls = load_aurora(machine)
+proc = machine.kernel.spawn("pressure")
+group = sls.attach(proc, periodic=False)
+addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
+for page in range(40):
+    proc.vmspace.write(addr + page * PAGE_SIZE, b"real page %d" % page)
+proc.vmspace.fill(addr + 40 * PAGE_SIZE, 890, seed=1)
+pageout = machine.kernel.pageout
+heap = proc.vmspace.entry_at(addr).vmobject
+assert pageout.run_pageout([heap], store=sls.store)
+assert pageout.evictions_dirty and sls.store.swap_extents
+sls.checkpoint(group, sync=True)
+sls.store.retain_last(group.group_id, 1)
+report = scrub(sls.store, sls)
+assert report.ok, report.findings
+print(f"pressure store is clean: {pageout.evictions_dirty} dirty evictions")
+PY
 }
 
 # Short 100 Hz benchmark through the CLI: export a Chrome trace of the

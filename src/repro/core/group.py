@@ -23,7 +23,7 @@ from .resilience import DEFAULT_PROBE_EVERY, GroupHealth
 class ObjectTrack:
     """Shadow-cycle state of one logical (on-disk) VM object."""
 
-    __slots__ = ("oid", "active", "frozen", "flushed", "new")
+    __slots__ = ("oid", "active", "frozen", "flushed", "new", "unsaved")
 
     def __init__(self, oid: int, active: Any) -> None:
         self.oid = oid
@@ -36,6 +36,10 @@ class ObjectTrack:
         self.flushed = False
         #: True until the first checkpoint captures the base content.
         self.new = True
+        #: Set by a ``mode="mem"`` checkpoint, which marks nothing
+        #: clean: the next disk checkpoint flushes every dirty piece of
+        #: the chain segment, not only the top's.
+        self.unsaved = False
 
 
 class ConsistencyGroup:

@@ -155,8 +155,8 @@ class Shadow(Stage):
             ctx.txn = ctx.store.begin_checkpoint(
                 ctx.group.group_id, name=ctx.name,
                 parent=ctx.group.last_ckpt_id)
-        ctx.flush_items = ctx.shadow.shadow_group(ctx.group,
-                                                  full=ctx.full)
+        ctx.flush_items = ctx.shadow.shadow_group(
+            ctx.group, full=ctx.full, mem=ctx.mode == MODE_MEM)
 
 
 class Serialize(Stage):

@@ -68,7 +68,9 @@ def expand_arith_runs(runs: Iterable[List[int]]) -> List[int]:
 # object holds two kinds of run (see ``kernel/vm/vmobject.py``): a
 # synthetic run with one more field, whether it is dirty, which clipping
 # keeps, and a real page's one-page run ``("page", pindex, 1, page,
-# locator)``, which no clip inside it changes.  A *bare span*
+# locator)``, which no clip inside it changes.  An evicted run no
+# checkpoint holds yet carries one more field too, set
+# (``kernel/swap.py``), which clipping keeps as well.  A *bare span*
 # ``(None, start, count)`` names indexes without content: in a cover it
 # only cuts.
 
@@ -86,7 +88,8 @@ def clip_run(run: Sequence[Any], lo: int, hi: int) -> LocatorRun:
     if run[0] == "syn":
         return ("syn", lo, hi - lo, run[3] + run[4] * skip, run[4], *run[5:])
     if run[0] == "ext":
-        return ("ext", lo, hi - lo, run[3], run[4] + run[5] * skip, run[5])
+        return ("ext", lo, hi - lo, run[3], run[4] + run[5] * skip,
+                *run[5:])
     return run    # a real page: one page, so any clip inside it is itself
 
 

@@ -19,11 +19,14 @@ small dirty set rather than the parent's full resident set.  The
 classic forward direction is kept for the ablation benchmark.
 
 A flush item carries the dirty content as the VM objects hold it —
-runs — plus the objects the runs came from, so the flip that makes
-them durable marks them clean there (:meth:`FlushItem.stage`).  A new
-object's or a full checkpoint's content is the chain segment's
+runs, with the runs they evicted dirty (:mod:`repro.kernel.swap`) — plus
+the objects the runs came from, so the flip that makes them durable,
+and nothing else, marks them clean there (:meth:`FlushItem.stage`).  A
+new object's or a full checkpoint's content is the chain segment's
 newest-wins merge (:func:`merged_chain`), older runs cut by
-:func:`~repro.core.runs.splice`.
+:func:`~repro.core.runs.splice`; so is every dirty piece of it after a
+``mode="mem"`` checkpoint, and of an object left under fork-private
+shadows.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import InvalidArgument
-from ..kernel.vm.vmobject import DEVICE, VNODE, VMObject
+from ..kernel.swap import is_dirty
+from ..kernel.vm.vmobject import DEVICE, VNODE, VMObject, is_clean
 from ..objstore.oid import CLASS_MEMORY
 from . import costs, telemetry
 from .group import ConsistencyGroup, ObjectTrack
@@ -97,16 +101,32 @@ def _chain_segment(top: VMObject) -> List[VMObject]:
     return segment
 
 
-def merged_chain(top: VMObject) -> Sources:
+def flushed_runs(obj: VMObject, runs: List[LocatorRun]
+                 ) -> List[LocatorRun]:
+    """``runs`` (some of ``obj``'s) with ``obj``'s dirty evicted runs,
+    sorted: what a flush of ``obj`` stages."""
+    evicted = obj.kernel.pageout.evicted.get(obj.kid)
+    if evicted:
+        return sorted([*runs, *filter(is_dirty, evicted)], key=run_start)
+    return runs
+
+
+def merged_chain(top: VMObject, dirty_only: bool = False) -> Sources:
     """Newest-wins content of ``top``'s chain segment, merged bottom-up
-    in one walk, as ``(owner, pieces)`` — each object's runs minus what
-    a newer object holds (one :func:`~repro.core.runs.splice` per newer
-    object), so a flush marks clean only what it wrote."""
+    in one walk, as ``(owner, pieces)`` — each object's runs (only its
+    dirty ones with ``dirty_only``) and dirty evicted runs, minus what a
+    newer object holds or evicted (one :func:`~repro.core.runs.splice`
+    per newer object), so a flush marks clean only what it wrote."""
+    evicted = top.kernel.pageout.evicted
     sources: Sources = []
     for obj in reversed(_chain_segment(top)):
-        runs = obj.content()
-        if runs:
-            cover = bare_spans(runs)
+        held = obj.content()
+        runs = flushed_runs(obj, [run for run in held if not is_clean(run)]
+                            if dirty_only else held)
+        if obj.kid in evicted:
+            held = sorted([*held, *evicted[obj.kid]], key=run_start)
+        if held:
+            cover = bare_spans(held)
             sources = [(owner, splice(pieces, cover)[0])
                        for owner, pieces in sources]
             sources.append((obj, runs))
@@ -277,8 +297,8 @@ class ShadowEngine:
         return track
 
     def freeze(self, spaces: List[Tuple[Any, Any]], track: ObjectTrack,
-               top: VMObject, shadow_name: str,
-               full: bool = False) -> Tuple[FlushItem, int]:
+               top: VMObject, shadow_name: str, full: bool = False,
+               mem: bool = False) -> Tuple[FlushItem, int]:
         """Freeze ``top`` under a fresh shadow called ``shadow_name``.
 
         Every reference in ``spaces`` (:meth:`running_spaces`) and the
@@ -286,13 +306,16 @@ class ShadowEngine:
         the track now flushes ``top`` and writes into the shadow.
         Returns what to flush — the record and the dirty content (the
         whole chain segment, newest wins, for a new object or a ``full``
-        checkpoint) — and the number of PTEs downgraded; the TLB
-        shootdown is the caller's.
+        checkpoint; every dirty piece of it after a ``mem`` checkpoint,
+        which makes nothing durable) — and the number of PTEs
+        downgraded; the TLB shootdown is the caller's.
         """
-        if track.new or full:
+        if full or track.new and not (mem and track.unsaved):
             sources = merged_chain(top)
+        elif track.unsaved and not mem:
+            sources = merged_chain(top, dirty_only=True)
         else:
-            runs = top.content()
+            runs = flushed_runs(top, top.content())
             sources = [(top, runs)] if runs else []
         item = FlushItem(track.oid, object_record(top), sources)
         shadow = top.shadow(name=shadow_name)
@@ -304,23 +327,28 @@ class ShadowEngine:
         track.frozen = top
         track.active = shadow
         track.flushed = False
-        track.new = False
+        if mem:
+            track.unsaved = True
+        else:
+            track.new = track.unsaved = False
         return item, downgraded
 
-    def shadow_group(self, group: ConsistencyGroup,
-                     full: bool = False) -> List[FlushItem]:
+    def shadow_group(self, group: ConsistencyGroup, full: bool = False,
+                     mem: bool = False) -> List[FlushItem]:
         """The synchronous (stop-time) part of memory checkpointing.
 
         Creates the system shadows, repoints entries/descriptors,
         write-protects the dirty PTEs and shoots down the TLB.  Returns
         the flush items whose pages the orchestrator hands to the
-        store asynchronously.
+        store asynchronously (for a ``mem`` checkpoint, to a
+        transaction never committed).
         """
         kernel = self.kernel
         items: List[FlushItem] = []
         total_downgraded = 0
         spaces = self.running_spaces(group)
-        for top in self._group_tops(group):
+        tops = self._group_tops(group)
+        for top in tops:
             track = self.track_for(group, top)
             if track.active is not top:
                 # An entry faulted privately and its shadow became
@@ -344,11 +372,12 @@ class ShadowEngine:
             # factor for complex applications (§9.4).
             kernel.clock.advance(costs.CKPT_VMOBJECT)
             item, downgraded = self.freeze(spaces, track, top,
-                                           f"sys:{top.name}", full)
+                                           f"sys:{top.name}", full, mem)
             self.stats["shadows_created"] += 1
             total_downgraded += downgraded
             self.stats["dirty_runs"] += item.stretches()
             items.append(item)
+        items += self._fork_private_items(group, tops, items)
 
         if total_downgraded or items:
             ncores = min(len(list(group.all_threads())), len(kernel.cpus))
@@ -356,6 +385,25 @@ class ShadowEngine:
             self.stats["tlb_shootdowns"] += 1
             self.stats["ptes_downgraded"] += total_downgraded
         return items
+
+    def _fork_private_items(self, group: ConsistencyGroup,
+                            tops: List[VMObject],
+                            items: List[FlushItem]) -> List[FlushItem]:
+        """The dirty pieces of tracked objects below ``tops`` (flushed
+        as ``items``) that no map entry maps any more: what was written
+        before a fork, once both sides write through private shadows."""
+        seen = {item.oid for item in items}
+        found: List[FlushItem] = []
+        for top in tops:
+            for obj in top.chain():
+                oid = obj.sls_oid
+                if oid in seen or oid not in group.tracks:
+                    continue
+                seen.add(oid)
+                sources = merged_chain(obj, dirty_only=True)
+                if sources:
+                    found.append(FlushItem(oid, object_record(obj), sources))
+        return found
 
     def mark_flushed(self, group: ConsistencyGroup) -> None:
         """Called when a checkpoint's flush completes: frozen shadows

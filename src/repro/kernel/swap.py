@@ -3,8 +3,8 @@ Overcommitment").
 
 Aurora subsumes swap: a page already captured by a checkpoint is
 *clean* — its exact content is addressable in the store — and can be
-evicted without IO; dirty pages are flushed through the store's data
-path rather than to a separate swap partition.  On fault, the most
+evicted without IO; a dirty page leaves through the store's checkpoint
+data path rather than a separate swap partition.  On fault, the most
 recent version is paged back in from the store.
 
 An evicted page is addressed by its locator, and a locator is the
@@ -19,14 +19,17 @@ evicted, decides what a reader sees (:meth:`VMObject.lookup_page`); a
 collapse moves evicted runs newest-wins with the content.
 
 Cleanliness lives on the VM object's run (see
-:mod:`~repro.kernel.vm.vmobject`): a synthetic run is clean or dirty as
-a whole, and a real page's run carries its one-page ``"ext"`` locator
-while it is clean.  The candidate scan walks each object's runs in index
-order and builds no ``Page``: a clean run is evicted without IO by
-splicing it — a real page's locator, a synthetic run as it is — into
-``evicted``; a dirty page goes through
-:meth:`ObjectStore.stage_swap_page`, its ``Page`` built there.  Either
-is cut out of the object.
+:mod:`~repro.kernel.vm.vmobject`), and only a disk flip sets it.  The
+candidate scan walks each object's runs in index order and builds no
+``Page``; one loop evicts clean runs, then dirty ones.  A clean run goes
+into ``evicted`` as its locator — a real page's, a synthetic run as it
+is.  A dirty eviction is a deferred flush: the run keeps its dirty bit
+(:func:`is_dirty`), a synthetic one needs no IO, and the pass writes its
+real pages in one batch (:meth:`ObjectStore.swap_out`) as dirty
+``"ext"`` runs.  The next disk flush stages them with the object's
+resident dirty content, adopting their extents, and its flip marks them
+clean (:meth:`PageoutDaemon.mark_clean`); a pass frees the extents no
+dirty run points into any more.
 
 ``madvise`` hints bias the eviction policy, and lazy restores reuse
 the same page-in path.
@@ -40,7 +43,8 @@ from ..core import costs
 from ..core.runs import (LocatorRun, append_locator_run, bare_spans,
                          clip_run, run_at, run_start, runs_within, splice)
 from ..errors import InvalidArgument
-from .vm.vmobject import VMObject, is_clean, page_run, run_page
+from ..units import PAGE_SIZE
+from .vm.vmobject import ANONYMOUS, VMObject, is_clean, page_run
 
 #: A VM object and a piece of one of its runs.
 _Candidate = Tuple[VMObject, LocatorRun]
@@ -49,6 +53,12 @@ _Candidate = Tuple[VMObject, LocatorRun]
 MADV_NORMAL = "normal"
 MADV_DONTNEED = "dontneed"
 MADV_WILLNEED = "willneed"
+
+
+def is_dirty(run: LocatorRun) -> bool:
+    """Whether an evicted run is content no checkpoint holds yet: it
+    carries a set flag past its locator fields."""
+    return len(run) > (5 if run[0] == "syn" else 6) and run[-1] is True
 
 
 class PageoutDaemon:
@@ -80,6 +90,19 @@ class PageoutDaemon:
             raise InvalidArgument(f"bad madvise hint {hint}")
         self.hints.setdefault(vmobject.kid, {})[pindex] = hint
 
+    def mark_clean(self, kid: int, pieces: Sequence[LocatorRun]) -> None:
+        """The flip made ``pieces`` durable: object ``kid``'s dirty
+        evicted runs that are still those pieces become clean.  A run
+        cut out since (a page-in) stays cut, and one evicted over it
+        since stays dirty."""
+        runs = self.evicted[kid]
+        clean = [tuple(run[:-1]) for piece in pieces
+                 for run in runs_within(runs, piece[1], piece[1] + piece[2])
+                 if is_dirty(run) and tuple(run) == clip_run(
+                     piece, run[1], run[1] + run[2])]
+        if clean:
+            self.evicted[kid] = splice(runs, clean)[0]
+
     # -- eviction -------------------------------------------------------------------
 
     def memory_pressure(self) -> bool:
@@ -89,7 +112,8 @@ class PageoutDaemon:
     def _eviction_candidates(self, objects: List[VMObject]
                              ) -> Tuple[List[_Candidate], List[_Candidate]]:
         """Clean runs first (free to evict), DONTNEED pages first of
-        all; dirty runs only under sustained pressure."""
+        all; then the dirty runs of anonymous objects (a file's dirty
+        pages wait for its file system)."""
         clean_hinted: List[_Candidate] = []
         clean_plain: List[_Candidate] = []
         dirty: List[_Candidate] = []
@@ -104,7 +128,7 @@ class PageoutDaemon:
                     # Evictable even in a frozen shadow: content is
                     # marked clean only once the flip is durable.
                     clean.append(run)
-                elif not obj.frozen:
+                elif not obj.frozen and obj.kind == ANONYMOUS:
                     # Dirty content of a frozen shadow is mid-flush and
                     # about to become clean; leave it alone.
                     dirty.append((obj, run))
@@ -120,49 +144,67 @@ class PageoutDaemon:
 
     def run_pageout(self, objects: List[VMObject], store: Any = None) -> int:
         """Evict pages until below the low watermark; returns count.
-        Each object's evictions are spliced in once, coalesced — also
-        when staging a dirty page fails (``StoreFull``): the pages
-        evicted before it keep their records."""
+
+        One loop takes the candidates in order, a stretch at a time:
+        clean runs, then — given the ``store`` — dirty ones.  The real
+        pages among the dirty ones are written in one batch at the end
+        and evicted only once it has landed.  Each object's evictions
+        are spliced in once — also when that batch fails
+        (``StoreFull``): the pages evicted before it keep their
+        records, and its pages stay resident."""
         physmem = self.kernel.physmem
         if not self.memory_pressure():
             return 0
+        if store is not None and store.swap_extents:
+            store.release_swap({run[3] for runs in self.evicted.values()
+                                for run in runs
+                                if run[0] == "ext" and is_dirty(run)})
         target = int(physmem.total_frames * self.LOW_WATERMARK)
-        gone: Dict[int, List[LocatorRun]] = {}
+        #: kid -> (clean pieces, dirty pieces)
+        gone: Dict[int, Tuple[List[LocatorRun], List[LocatorRun]]] = {}
+        #: Dirty real pages for the batch, with their objects.
+        real: List[_Candidate] = []
         clean, dirty = self._eviction_candidates(objects)
         try:
-            for obj, run in clean:
+            for obj, run in clean + dirty if store is not None else clean:
                 # A stretch at a time, as long as the frames still to
                 # free: the pages one-page evictions would take.
                 lo, end = run[1], run[1] + run[2]
-                while lo < end and physmem.used_frames > target:
-                    hi = min(end, lo + physmem.used_frames - target)
-                    obj.remove(lo, hi)
-                    gone.setdefault(obj.kid, []).append(
-                        clip_run(run, lo, hi) if run[0] == "syn"
-                        else ("ext", lo, 1, *run[4][3:]))
-                    self.evictions_clean += hi - lo
+                while lo < end and physmem.used_frames - len(real) > target:
+                    hi = min(end, lo + physmem.used_frames - len(real)
+                             - target)
+                    if run[0] == "page" and run[4] is None:
+                        real.append((obj, run))
+                    else:
+                        pieces = gone.setdefault(obj.kid, ([], []))
+                        if is_clean(run):
+                            pieces[0].append(clip_run(run, lo, hi)
+                                             if run[0] == "syn"
+                                             else ("ext", lo, 1, *run[4][3:]))
+                            self.evictions_clean += hi - lo
+                        else:
+                            pieces[1].append(clip_run(run, lo, hi))
+                            self.evictions_dirty += hi - lo
+                        obj.remove(lo, hi)
                     lo = hi
-            if physmem.used_frames > target and store is not None:
-                # Sustained pressure: flush dirty pages through the
-                # store's unified data path, then evict them.
-                pages = ((obj, run, pindex) for obj, run in dirty
-                         for pindex in range(run[1], run[1] + run[2]))
-                for obj, run, pindex in pages:
-                    if physmem.used_frames <= target:
-                        break
-                    gone.setdefault(obj.kid, []).append(
-                        store.stage_swap_page(obj, pindex,
-                                              run_page(run, pindex)))
-                    obj.remove(pindex, pindex + 1)
-                    self.evictions_dirty += 1
+            if real:
+                slots = store.swap_out([(obj.kid, run[3])
+                                        for obj, run in real])
+                for (obj, run), (extent, offset) in zip(real, slots):
+                    gone.setdefault(obj.kid, ([], []))[1].append(
+                        ("ext", run[1], 1, extent, offset, PAGE_SIZE, True))
+                    obj.remove(run[1], run[1] + 1)
+                self.evictions_dirty += len(real)
         finally:
-            for kid, pieces in gone.items():
+            for kid, (cleaned, dirtied) in gone.items():
                 runs: List[Any] = []
-                for piece in sorted(pieces, key=run_start):
+                for piece in sorted(cleaned, key=run_start):
                     append_locator_run(runs, piece)
+                runs = splice(runs, sorted(dirtied, key=run_start))[0]
                 self.evicted[kid] = splice(self.evicted.get(kid, ()),
                                            runs)[0]
-        return sum(run[2] for pieces in gone.values() for run in pieces)
+        return sum(piece[2] for cleaned, dirtied in gone.values()
+                   for piece in (*cleaned, *dirtied))
 
     def migrate_object(self, older_kid: int, newer: VMObject,
                        home_kid: int) -> List[LocatorRun]:
@@ -204,8 +246,8 @@ class PageoutDaemon:
         locator = clip_run(run, pindex, pindex + 1)
         page = store.fetch_page(locator)
         self.kernel.clock.advance(costs.LAZY_FAULT_PER_PAGE)
-        # A fresh copy is clean by definition, so it may go back into a
-        # frozen shadow: it is the exact durable copy the freeze
-        # protected.
-        vmobject.insert((page_run(pindex, page, locator),))
+        # The copy is as clean as its evicted run was, and may go back
+        # into a frozen shadow: it is the content the freeze protected.
+        vmobject.insert((page_run(pindex, page,
+                                  None if is_dirty(run) else locator),))
         self.pageins += 1

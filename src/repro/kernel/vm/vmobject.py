@@ -25,9 +25,9 @@ the rest share an empty default.
 
 A synthetic run's ``Page`` is built only when code needs that page's
 bytes, and is never cached back: a read (:meth:`page_at`,
-:meth:`lookup_page`), the copy-up of a write fault onto a real page, a
-partial ``VMSpace.write`` and a dirty page the pageout daemon swaps
-out.
+:meth:`lookup_page`), the copy-up of a write fault onto a real page and
+a partial ``VMSpace.write``.  The pageout daemon evicts a dirty
+synthetic run as it is, with its dirty bit (:mod:`repro.kernel.swap`).
 
 Runs are *cut* where newer content replaces them — an insert, an
 eviction (:meth:`remove`), a collapse moving content between objects —
@@ -157,7 +157,10 @@ class VMObject(KObject):
         if not runs:
             return
         low, high = runs[0][1], runs[-1][1] + runs[-1][2] - 1
-        if self.frozen and not all(map(is_clean, runs)):
+        if self.frozen and not all(map(is_clean, runs)) \
+                and not self.kernel.pageout.is_evicted(self, low):
+            # Only a page-in brings dirty content back into a frozen
+            # object: content it held when it was frozen.
             raise InvalidArgument(f"insert into frozen object {self!r}")
         if low < 0 or high >= self.size_pages:
             raise InvalidArgument(
@@ -203,20 +206,23 @@ class VMObject(KObject):
         return runs_within(self._runs, lo, hi)
 
     def mark_clean(self, pieces: Sequence[LocatorRun], table: Any) -> None:
-        """``pieces`` (sorted, disjoint pieces of :meth:`content`) are
-        durable, the real pages at the locators of ``table`` (the
-        checkpoint's :class:`~repro.objstore.checkpoint.PageRuns`): the
-        dirty runs still over them become clean.  A piece cut out since
-        — an eviction — stays cut, and content written over it since — a
-        real page replaced, a synthetic run of other seeds — stays
-        dirty."""
+        """``pieces`` (sorted, disjoint pieces of :meth:`content` and of
+        the object's dirty evicted runs) are durable, the real pages at
+        the locators of ``table`` (the checkpoint's
+        :class:`~repro.objstore.checkpoint.PageRuns`): the dirty runs
+        still over them, resident or evicted, become clean.  A piece cut
+        out since — an eviction — stays cut, and content written over it
+        since — a real page replaced, a synthetic run of other seeds —
+        stays dirty."""
         clean: List[LocatorRun] = []
         runs = self._runs
         locators: Sequence[LocatorRun] = table.runs if table else ()
         at = 0
         for piece in pieces:
             lo = piece[1]
-            if piece[0] != "page":
+            if piece[0] == "ext":
+                continue    # an evicted real page: marked there, below
+            if piece[0] == "syn":
                 seed, step = piece[3] - piece[4] * lo, piece[4]
                 clean += ((*run[:5], False) for run in runs_within(
                     runs, lo, lo + piece[2]) if run[0] == "syn" and run[5]
@@ -232,6 +238,9 @@ class VMObject(KObject):
                               clip_run(locators[at], lo, lo + 1)))
         if clean:
             self._splice(clean)
+        pageout = self.kernel.pageout
+        if self.kid in pageout.evicted:
+            pageout.mark_clean(self.kid, pieces)
 
     def resident_count(self) -> int:
         """Number of pages resident in this object."""

@@ -12,7 +12,7 @@ device at a time.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..errors import InvalidArgument, StoreFull
 from ..units import KiB, STRIPE_SIZE
@@ -97,6 +97,20 @@ class ExtentAllocator:
         taken (a failed superblock flip or GC delete)."""
         self.cursor, free, self.allocated_bytes, self.freed_bytes = state
         self._free = list(free)
+
+    def unowned(self, owned: Iterable[Tuple[int, int]]
+                ) -> List[Tuple[int, int]]:
+        """The stretches handed out and not freed that no ``(offset,
+        length)`` of ``owned`` covers."""
+        gaps = []
+        at = self.reserved
+        for offset, length in sorted([*self._free, *owned]):
+            if offset > at:
+                gaps.append((at, offset - at))
+            at = max(at, _align_up(offset + length))
+        if self.cursor > at:
+            gaps.append((at, self.cursor - at))
+        return gaps
 
     def free_bytes(self) -> int:
         """Unallocated bytes remaining (tail + free list)."""

@@ -19,6 +19,13 @@ verifying along the way:
 * **Reference counts** — the per-extent refcounts implied by the
   checkpoints' ``owned_extents`` match the mounted store's in-memory
   counts, and no live extent sits on the superblock's free list.
+* **Orphans** — every extent the mounted store's allocator has handed
+  out is owned (:meth:`ObjectStore.owned_extents`): by a checkpoint,
+  an in-flight commit, a journal, the superblock's catalog or flight
+  record, or the eviction table (pages evicted dirty that no commit
+  has adopted yet).  Anything else is space nothing will ever free.
+  What was allocated when the store was mounted is taken as owned
+  (``held_at_mount``): the superblock does not say by whom.
 * **Liveness** — incremental checkpoints leave an unchanged object's
   record in an ancestor delta, so every OID in a checkpoint's
   effective live set must still resolve to a record somewhere along
@@ -59,6 +66,7 @@ REFCOUNT = "refcount"
 FREELIST = "freelist"
 CHAIN = "shadow-chain"
 LIVENESS = "liveness"
+ORPHAN = "orphan"
 
 
 class Finding:
@@ -403,6 +411,11 @@ def _scrub_walk(store: Any, sls: Optional[Any],
                        f"is not in the catalog", info.ckpt_id)
 
     _scan_refcounts(store, report, checkpoints, superblock)
+    if getattr(store, "_mounted", False):
+        for offset, length in store.alloc.unowned(
+                [*store.owned_extents(), *store.held_at_mount]):
+            report.add(ORPHAN, f"extent [{offset}, {offset + length}) is "
+                               f"allocated but nothing owns it")
     _scan_liveness(report, checkpoints)
     if sls is not None:
         _scan_shadow_chains(sls, report)

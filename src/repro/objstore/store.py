@@ -20,6 +20,7 @@ is the newest-wins merge along the parent chain
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -72,6 +73,9 @@ class CheckpointTxn:
         #: ``(oid, owner, runs)`` for content staged from a VM object
         #: (see :meth:`put_pages`).
         self.owned: List[Tuple[int, Any, Sequence[LocatorRun]]] = []
+        #: Evicted pages' extents the commit adopted: an abort hands them
+        #: back to :attr:`ObjectStore.swap_extents`.
+        self.adopted: List[Tuple[int, int]] = []
         self.committed = False
         self.aborted = False
         #: The operation trace open when the transaction began; async
@@ -90,7 +94,9 @@ class CheckpointTxn:
         """Stage dirty content for a memory/file object: sorted,
         disjoint runs as a VM object holds them — synthetic ``("syn",
         start, count, seed0, step, ...)`` and real pages ``("page",
-        pindex, 1, page, ...)`` (see :mod:`repro.kernel.vm.vmobject`).
+        pindex, 1, page, ...)`` (see :mod:`repro.kernel.vm.vmobject`) —
+        and real pages evicted dirty, ``("ext", ...)`` runs into the
+        extents :meth:`ObjectStore.swap_out` wrote.
         Content staged again for the same OID wins over what was staged
         before: it is laid over it with one ``runs.splice``.  ``owner``
         is the VM object ``runs`` were read from, if any: the flip that
@@ -106,7 +112,7 @@ class CheckpointTxn:
         """Bytes this transaction will write (records + pages)."""
         total = sum(len(data) for _oid, data in self.staged_records)
         total += PAGE_SIZE * sum(run[2] for runs in self.staged_runs.values()
-                                 for run in runs)
+                                 for run in runs if run[0] != "ext")
         return total
 
 
@@ -137,10 +143,16 @@ class ObjectStore:
         self._mounted = False
         #: Pending async commits: ckpt_id -> callbacks.
         self._commit_watchers: Dict[int, List[Callable[[CheckpointInfo], None]]] = {}
-        #: In-flight async commits: ckpt_id -> (group_id, finalize time).
-        #: Targeted waits (sls_barrier) key on these instead of
+        #: In-flight async commits: ckpt_id -> (checkpoint, finalize
+        #: time).  Targeted waits (sls_barrier) key on these instead of
         #: draining the whole event loop.
-        self._pending_commits: Dict[int, Tuple[int, int]] = {}
+        self._pending_commits: Dict[int, Tuple[CheckpointInfo, int]] = {}
+        #: Offset -> length of the extents :meth:`swap_out` wrote that no
+        #: commit has adopted yet, kept for the eviction table.
+        self.swap_extents: Dict[int, int] = {}
+        #: What was allocated when :meth:`mount` found the store; scrub
+        #: takes it as owned, as the superblock does not say by whom.
+        self.held_at_mount: List[Tuple[int, int]] = []
         #: Async-commit failure callbacks: ckpt_id -> callbacks(exc).
         self._commit_failures: Dict[int, List[Callable[[Exception], None]]] = {}
         #: Deterministic retry/backoff for every device command the
@@ -165,6 +177,8 @@ class ObjectStore:
         self._catalog_extent = None
         self._flightrec_extent = None
         self.cluster_epoch = 0
+        self.swap_extents = {}
+        self.held_at_mount = []
         self._write_catalog_and_superblock()
         self._mounted = True
 
@@ -178,6 +192,7 @@ class ObjectStore:
         state = recovery_mod.recover(self)
         if state is None:
             return False
+        self.held_at_mount = self.alloc.unowned(())
         self._mounted = True
         self.stats["recoveries"] += 1
         return True
@@ -185,6 +200,22 @@ class ObjectStore:
     def _require_mounted(self) -> None:
         if not self._mounted:
             raise StoreError("store is not mounted (format() or mount())")
+
+    def owned_extents(self) -> List[Tuple[int, int]]:
+        """``(offset, length)`` of every extent an owner holds: the
+        checkpoints and in-flight commits (data, records, metadata), the
+        journals, the superblock's catalog and flight record, and the
+        evicted pages no commit has adopted (:attr:`swap_extents`)."""
+        owned = [*self.swap_extents.items(),
+                 *((journal.base, journal.capacity)
+                   for journal in self.journals.values())]
+        owned += filter(None, (self._catalog_extent, self._flightrec_extent))
+        for info in (*self.checkpoints.values(),
+                     *(info for info, _done in self._pending_commits.values())):
+            owned += info.owned_extents
+            if info.meta_extent is not None:
+                owned.append(info.meta_extent)
+        return owned
 
     # -- OIDs --------------------------------------------------------------------------
 
@@ -258,6 +289,15 @@ class ObjectStore:
                 if run[0] == "syn":
                     append_locator_run(runs, run)
                     synthetic += run[2]
+                    continue
+                if run[0] == "ext":
+                    # Evicted dirty, so already written: its extent is
+                    # adopted by reference (GC's rule), not rewritten.
+                    append_locator_run(runs, run[:6])
+                    length = self.swap_extents.pop(run[3], None)
+                    if length is not None:
+                        info.owned_extents.append((run[3], length))
+                        txn.adopted.append((run[3], length))
                     continue
                 pindex, page = run[1], run[3]
                 last = runs[-1] if runs else None
@@ -430,7 +470,7 @@ class ObjectStore:
                 self.device.poll()
                 self._finalize_commit(txn)
             else:
-                self._pending_commits[txn.info.ckpt_id] = (txn.info.group_id,
+                self._pending_commits[txn.info.ckpt_id] = (txn.info,
                                                            data_done)
                 self.loop.call_at(data_done,
                                   lambda: self._finalize_async(txn))
@@ -470,7 +510,13 @@ class ObjectStore:
             return 0
         txn.aborted = True
         released = 0
+        adopted = dict(txn.adopted)
         for offset, length in info.owned_extents:
+            if offset in adopted:
+                # An evicted page's extent: the store keeps it for the
+                # eviction table again.
+                self.swap_extents[offset] = length
+                continue
             self.device.cancel_extent(offset)
             self.device.discard_extent(offset)
             self.alloc.free(offset, length)
@@ -494,8 +540,8 @@ class ObjectStore:
         the key to waiting out one group's flush without draining
         every other group's (or spinning on periodic timers).
         """
-        deadlines = [done for gid, done in self._pending_commits.values()
-                     if group_id is None or gid == group_id]
+        deadlines = [done for info, done in self._pending_commits.values()
+                     if group_id is None or info.group_id == group_id]
         return min(deadlines) if deadlines else None
 
     # -- catalog / superblock ------------------------------------------------------------
@@ -894,23 +940,58 @@ class ObjectStore:
         except KeyError:
             raise NoSuchObject(f"journal {jid}")
 
-    # -- swap integration ----------------------------------------------------------------------------------
+    # -- evicted pages -------------------------------------------------------------------------------
 
-    def stage_swap_page(self, vmobject: Any, pindex: int,
-                        page: Page) -> LocatorRun:
-        """Flush a dirty page on the unified checkpoint/swap data path;
-        returns its locator, a one-page run at ``pindex``."""
-        if page.synthetic:
-            extent = self.alloc.alloc(PAGE_SIZE)
-            self.device.submit_write(
-                extent, synthetic_payload(page.seed, PAGE_SIZE))
-            return ("syn", pindex, 1, page.seed, 0)
-        payload = page.realize()
-        extent = self.alloc.alloc(len(payload))
-        done = self.device.submit_write(extent, payload)
+    def swap_out(self, pages: Sequence[Tuple[Any, Page]]
+                 ) -> List[Tuple[int, int]]:
+        """Write the real pages a pageout pass evicts dirty, ``(owner,
+        page)`` pairs with each owner's together, in one batch and wait
+        for it; returns each page's ``(extent, byte offset)``.  Each
+        owner's pages get stripe-sized extents of their own, kept in
+        :attr:`swap_extents` until a commit adopts them; a failed batch
+        frees them."""
+        placed: List[Tuple[int, int]] = []
+        slots: List[Tuple[int, int]] = []
+        per_extent = STRIPE_SIZE // PAGE_SIZE
+
+        def writes() -> Iterator[Write]:
+            for _owner, owned in itertools.groupby(pages, key=itemgetter(0)):
+                chunk = [page for _owner, page in owned]
+                for first in range(0, len(chunk), per_extent):
+                    batch = chunk[first:first + per_extent]
+                    payload = b"".join(page.realize() for page in batch)
+                    extent = self.alloc.alloc(len(payload))
+                    placed.append((extent, len(payload)))
+                    self.clock.advance(costs.STORE_ALLOC_EXTENT)
+                    slots.extend((extent, slot * PAGE_SIZE)
+                                 for slot in range(len(batch)))
+                    yield extent, payload
+
+        try:
+            done = max(self.device.submit_writes(writes(), self.retry,
+                                                 "store.swap"),
+                       default=self.clock.now())
+        except (InjectedCrash, MachineCrashed):
+            raise
+        except ReproError:
+            for offset, length in placed:
+                self.device.cancel_extent(offset)
+                self.device.discard_extent(offset)
+                self.alloc.free(offset, length)
+            raise
         self.clock.advance_to(done)
         self.device.poll()
-        return ("ext", pindex, 1, extent, 0, len(payload))
+        self.swap_extents.update(placed)
+        return slots
+
+    def release_swap(self, held: Set[int]) -> None:
+        """Free the :attr:`swap_extents` not in ``held`` (the extents
+        the eviction table's dirty runs still point into): their pages
+        were paged back in, written over or freed with their object."""
+        for offset in [offset for offset in self.swap_extents
+                       if offset not in held]:
+            self.device.discard_extent(offset)
+            self.alloc.free(offset, self.swap_extents.pop(offset))
 
     # -- stats ------------------------------------------------------------------------------------------------
 

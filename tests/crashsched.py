@@ -23,7 +23,7 @@ the ``oracle`` that recovers a crashed run and judges it.  One
   the action, power-fails the machine and asks the workload's oracle,
   which recovers and returns one :class:`Outcome` per restored app.
 
-The seven workloads are the rows of :data:`WORKLOADS`.  Used by
+The eight workloads are the rows of :data:`WORKLOADS`.  Used by
 ``tests/test_crashsched.py`` (samples in tier-1, the exhaustive sweeps
 under ``-m slow``).
 """
@@ -41,8 +41,9 @@ from repro.core.cluster import (B_EPOCH, B_LEASE, B_RECONCILE, B_REPAIR,
 from repro.core.faults import (DOMAINS, FLEET, IO, PRIMARY, REPL,
                                FaultPlan, InjectedCrash)
 from repro.core.shipping import B_ACK, B_APPLY, B_DELIVER, B_SHIP
+from repro.hw.memory import synthetic_bytes
 from repro.objstore.store import SUPERBLOCK_SLOTS
-from repro.units import MSEC, PAGE_SIZE, USEC
+from repro.units import MiB, MSEC, PAGE_SIZE, USEC
 
 #: The durable state before the action, and the state it tries to make
 #: durable.
@@ -61,6 +62,13 @@ REJOIN_NODE = 5
 #: The skewed cluster's slow replicas — the first two legs dispatched.
 SLOW_NODES = (0, 1)
 SLOW_NS = 200 * USEC
+
+#: The pressure app: RAM, heap pages, the seed of its synthetic pages
+#: and the pages each side of its fork writes.
+PRESSURE_RAM = 4 * MiB
+PRESSURE_NPAGES = 960
+PRESSURE_SEED = 7000
+FORK_WRITES = {"parent": 21, "child": 22}
 
 #: The fleet: tenants' period, heap pages, and the action's steps.
 PERIOD_MS = 10
@@ -207,6 +215,86 @@ def fence_v2(run: Run) -> None:
     run.cluster.pump()  # first contact reads the newer promise
     assert run.cluster.fenced, "displaced primary must self-fence"
     run.cluster.reconcile()  # B_RECONCILE per node
+
+
+def boot_pressure() -> Run:
+    """``V1`` durable in 19 real pages of a 1024-frame machine; then
+    ``V2`` written over them and 900 synthetic pages filled, which
+    puts the machine over its pageout watermark."""
+    machine = Machine(ram_bytes=PRESSURE_RAM)
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("app")
+    addr = proc.vmspace.mmap(PRESSURE_NPAGES * PAGE_SIZE, name="heap")
+    _fill(proc, addr, V1)
+    group = sls.attach(proc, periodic=False)
+    sls.checkpoint(group, name="v1", sync=True)
+    _fill(proc, addr, V2)
+    proc.vmspace.fill(addr + 20 * PAGE_SIZE, 900, seed=PRESSURE_SEED)
+    return Run(machine, sls, group, proc, addr)
+
+
+def pressure_v2(run: Run) -> None:
+    """Between the two disk checkpoints: a pageout pass evicts the
+    clean ``V1`` pages, then dirty ones — the ``V2`` real pages in one
+    batch write, 31 synthetic ones with no IO — then a mem checkpoint,
+    a fork and a write on each side of it."""
+    kernel = run.machine.kernel
+    objects = [obj for track in run.group.tracks.values()
+               for obj in track.active.chain()]
+    assert kernel.pageout.run_pageout(objects, store=run.sls.store) == 69
+    assert kernel.pageout.evictions_dirty == 50
+    run.sls.checkpoint(run.group, mode="mem")
+    child = kernel.fork(run.proc, name="child")
+    for proc, side in ((run.proc, "parent"), (child, "child")):
+        proc.vmspace.write(run.addr + FORK_WRITES[side] * PAGE_SIZE,
+                           V2 + b":" + side.encode())
+    checkpoint_v2(run)
+
+
+#: Bytes read per probed page of the pressure app.
+PROBE = len(V2) + 8
+
+
+def pressure_pages(space, addr: int) -> List[bytes]:
+    """What one side of the pressure app reads: the head and a real
+    page (both evicted dirty), a synthetic page evicted dirty, one
+    never evicted, and the pages each side wrote after the fork."""
+    return [space.read(addr + page * PAGE_SIZE, PROBE)
+            for page in (0, 7, 30, 500, *FORK_WRITES.values())]
+
+
+def pressure_expected(version: bytes, side: str) -> List[bytes]:
+    """:func:`pressure_pages` of ``side`` at ``version``."""
+    if version == V1:
+        return [(V1 + tail).ljust(PROBE, b"\0") for tail in (b"", b":7")] \
+            + [bytes(PROBE)] * 4
+    pages = [synthetic_bytes(PRESSURE_SEED + page - 20)[:PROBE]
+             for page in (30, 500, *FORK_WRITES.values())]
+    written = V2 + b":" + side.encode()
+    at = 2 if side == "parent" else 3
+    pages[at] = written + pages[at][len(written):]
+    return [V2.ljust(PROBE, b"\0"), (V2 + b":7").ljust(PROBE, b"\0"),
+            *pages]
+
+
+def restore_pressure(run: Run, plan: FaultPlan, point: Point,
+                     schedule: Schedule, node: bool) -> List[Outcome]:
+    """Reboot, check the black box, restore: every probed page of both
+    processes is exactly the last durable version's."""
+    expected = _durable(plan, point, schedule, node)
+    run.machine.boot()
+    sls = load_aurora(run.machine)
+    _check_blackbox(sls, point, expected, after_gc_flip=False)
+    result = sls.restore(run.gid, periodic=False)
+    sides = [("parent", result.root)]
+    if expected == V2:
+        sides += [("child", proc) for proc in result.group.processes
+                  if proc is not result.root]
+    ok = len(sides) == (2 if expected == V2 else 1) and all(
+        pressure_pages(proc.vmspace, run.addr)
+        == pressure_expected(expected, side) for side, proc in sides)
+    return [Outcome(point, _entry(schedule, point),
+                    read_head(result.root, run.addr), expected, ok=ok)]
 
 
 def _stamp(proc, addr: int, tag: int) -> None:
@@ -497,6 +585,8 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
     Workload("fenced", functools.partial(boot_cluster, down=None),
              fence_v2, REPL, frozenset({B_EPOCH, B_LEASE, B_RECONCILE}),
              quorum_flip, recover_cluster),
+    Workload("pressure", boot_pressure, pressure_v2, IO, _WRITE,
+             commit_flip, restore_pressure),
     Workload("fleet", boot_fleet, run_fleet, FLEET,
              frozenset({"admit", "dispatch", "widen"}),
              lambda entries: None, restore_fleet),

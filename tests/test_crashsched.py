@@ -1,7 +1,7 @@
 """Crash-schedule exploration: a crash at *any* instant restores the
 last durable checkpoint (§5, §7).
 
-Each of the seven workloads of ``tests/crashsched.py`` is probed once
+Each of the eight workloads of ``tests/crashsched.py`` is probed once
 per module.  The smoke tests (tier-1) cover every pipeline stage
 boundary plus fixed-seed samples of the IO, replication and fleet
 boundaries; the exhaustive sweeps over every entry run under
@@ -678,6 +678,48 @@ def test_fleet_exhaustive_boundary_sweep(fleet_explorer, fleet_schedule):
                                             fleet_schedule))
 
 
+# -- memory pressure: pageout, a mem checkpoint and a fork ----------------------
+
+
+@pytest.fixture(scope="module")
+def pressure_explorer():
+    """Explorer whose action evicts dirty pages, takes a mem checkpoint
+    and forks between the two disk checkpoints."""
+    return Explorer(WORKLOADS["pressure"])
+
+
+@pytest.fixture(scope="module")
+def pressure_schedule(pressure_explorer):
+    return pressure_explorer.probe()
+
+
+def test_pressure_crash_at_every_stage_boundary_and_around_the_flip(
+        pressure_explorer, pressure_schedule):
+    """Tier-1 slice: every stage boundary (the mem checkpoint's and the
+    disk one's), the pageout pass's batch write and the commit flip.
+    Every page a dirty eviction, the mem checkpoint or the fork left
+    dirty is in the ``V2`` checkpoint."""
+    stages = pressure_schedule.points(STAGE)
+    points = stages + [(IO, index)
+                       for index in (0, 1, pressure_schedule.flip)]
+    outcomes = pressure_explorer.sweep(points, pressure_schedule)
+    assert all(outcome.ok for outcome in outcomes), \
+        [outcome for outcome in outcomes if not outcome.ok]
+    assert [outcome.restored for outcome in outcomes] == \
+        [V1] * (len(stages) - 2) + [V2] * 2 + [V1] * 3
+
+
+@pytest.mark.slow
+def test_exhaustive_pressure_crash_schedule_sweep(pressure_explorer,
+                                                  pressure_schedule):
+    """Every stage boundary and every IO index of the pressure action."""
+    points = pressure_schedule.points(STAGE) + pressure_schedule.points(IO)
+    outcomes = pressure_explorer.sweep(points, pressure_schedule)
+    failures = [outcome for outcome in outcomes if not outcome.ok]
+    assert not failures, failures
+    assert {outcome.restored for outcome in outcomes} == {V1, V2}
+
+
 # -- the schedule space itself -------------------------------------------------
 
 
@@ -692,16 +734,18 @@ PROBED = {
     "cluster": ((6, 9, 177, 0), 12),
     "skewed": ((6, 9, 177, 0), 15),
     "fenced": ((8, 9, 73, 0), None),
+    "pressure": ((64, 18, 0, 0), 63),
     "fleet": ((47, 90, 0, 17), None),
 }
 
 
 def test_every_probed_schedule_keeps_its_size(
         schedule, incr_schedule, gc_schedule, cluster_schedule,
-        skewed_schedule, fenced_schedule, fleet_schedule):
+        skewed_schedule, fenced_schedule, pressure_schedule, fleet_schedule):
     probed = dict(zip(PROBED, (
         schedule, incr_schedule, gc_schedule, cluster_schedule,
-        skewed_schedule, fenced_schedule, fleet_schedule)))
+        skewed_schedule, fenced_schedule, pressure_schedule,
+        fleet_schedule)))
     assert {name: (tuple(len(probe.entries(domain))
                          for domain in (IO, STAGE, REPL, FLEET)), probe.flip)
             for name, probe in probed.items()} == PROBED

@@ -16,8 +16,8 @@ from repro.core.shadowing import NONE
 from repro.hw.memory import Page
 from repro.objstore.oid import CLASS_MEMORY, make_oid
 from repro.objstore import scrub as scrub_mod
-from repro.objstore.scrub import (CHAIN, CHECKSUM, DANGLING, REFCOUNT,
-                                  scrub)
+from repro.objstore.scrub import (CHAIN, CHECKSUM, DANGLING, ORPHAN,
+                                  REFCOUNT, scrub)
 from repro.objstore.store import ObjectStore
 from repro.units import PAGE_SIZE
 from tests.content import page_runs
@@ -72,6 +72,24 @@ def test_full_aurora_app_store_scrubs_clean(aurora):
     report = scrub(sls.store, sls=sls)
     assert report.ok, report.findings
     assert report.chains_checked >= 1
+
+
+def test_scrub_reports_an_extent_nothing_owns():
+    """An allocation no checkpoint, transaction, journal, superblock or
+    eviction table owns is reported with its range — also after a
+    commit allocates past it — and only it."""
+    machine = Machine()
+    store, _infos = _store_with_chain(machine)
+    planted = store.alloc.alloc(2 * PAGE_SIZE)
+    txn = store.begin_checkpoint(group_id=4, parent=_infos[-1].ckpt_id)
+    txn.put_object(MEM_OID, "vmobject", {"step": 3})
+    store.commit(txn, sync=True)
+    report = scrub(store)
+    assert [(finding.kind, finding.detail) for finding in report.findings] \
+        == [(ORPHAN, f"extent [{planted}, {planted + 2 * PAGE_SIZE}) is "
+                     f"allocated but nothing owns it")]
+    store.alloc.free(planted, 2 * PAGE_SIZE)
+    assert scrub(store).ok
 
 
 def test_scrub_detects_flipped_record_byte():

@@ -8,7 +8,8 @@ from repro.errors import StoreFull
 from repro.kernel.fs.file import O_CREAT, O_RDWR
 from repro.hw.memory import Page, synthetic_bytes
 from repro.kernel.aio import AIO_READ, AIO_WRITE
-from repro.kernel.swap import MADV_DONTNEED
+from repro.kernel.swap import MADV_DONTNEED, is_dirty
+from repro.objstore.scrub import scrub
 from repro.kernel.vm.vmobject import VMObject, page_run
 from repro.units import MiB, PAGE_SIZE
 from tests.content import clean_mark, page_runs
@@ -56,19 +57,24 @@ def test_pageout_flushes_dirty_pages_through_store():
 
 
 def test_store_full_mid_pass_keeps_earlier_evictions(monkeypatch):
-    """An eviction pass that runs out of store space while staging a
-    dirty page keeps a record of every page it evicted before: they
-    still read back as written."""
+    """An eviction pass whose batch write of dirty real pages runs out
+    of store space keeps a record of every page it evicted before —
+    clean pages, and dirty synthetic ones, which need no IO — and they
+    still read back as written; the real pages stay resident, and the
+    extent the batch did allocate is given back."""
     machine, sls, proc, group = small_machine()
     pageout = machine.kernel.pageout
     addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
     proc.vmspace.fill(addr, 20, seed=4)
     sls.checkpoint(group, sync=True)           # pages 0..19 are clean
-    proc.vmspace.fill(addr + 20 * PAGE_SIZE, 910, seed=100)
+    for pindex in range(20, 40):               # two extents' worth
+        proc.vmspace.write(addr + pindex * PAGE_SIZE, b"real %d" % pindex)
+    proc.vmspace.fill(addr + 40 * PAGE_SIZE, 890, seed=100)
     assert pageout.memory_pressure()
     track = next(iter(group.tracks.values()))
-    alloc = sls.store.alloc
-    real_alloc = alloc.alloc
+    store = sls.store
+    used = store.used_bytes()
+    real_alloc = store.alloc.alloc
     staged = []
 
     def alloc_once(nbytes):
@@ -77,18 +83,24 @@ def test_store_full_mid_pass_keeps_earlier_evictions(monkeypatch):
         staged.append(nbytes)
         return real_alloc(nbytes)
 
-    monkeypatch.setattr(alloc, "alloc", alloc_once)
+    monkeypatch.setattr(store.alloc, "alloc", alloc_once)
     with pytest.raises(StoreFull):
-        pageout.run_pageout(list(track.active.chain()), store=sls.store)
+        pageout.run_pageout(list(track.active.chain()), store=store)
     monkeypatch.undo()
-    assert (pageout.evictions_clean, pageout.evictions_dirty) == (20, 1)
+    assert staged == [16 * PAGE_SIZE]
+    assert store.used_bytes() == used and not store.swap_extents
+    assert (pageout.evictions_clean, pageout.evictions_dirty) == (20, 21)
     base, active = track.active.backing, track.active
     assert all(pageout.is_evicted(base, p) for p in range(20))
-    assert pageout.is_evicted(active, 20)
-    assert not pageout.is_evicted(active, 21)
-    for pindex, seed in ((0, 4), (19, 23), (20, 100), (21, 101)):
+    assert all(pageout.is_evicted(active, p) for p in range(40, 61))
+    assert not any(pageout.is_evicted(active, p) for p in range(20, 40))
+    assert not pageout.is_evicted(active, 61)
+    for pindex, seed in ((0, 4), (19, 23), (40, 100), (60, 120), (61, 121)):
         assert proc.vmspace.read(addr + pindex * PAGE_SIZE, 64) \
             == synthetic_bytes(seed)[:64]
+    for pindex in (20, 39):
+        assert proc.vmspace.read(addr + pindex * PAGE_SIZE, 7) \
+            == b"real %d" % pindex
 
 
 def test_page_in_after_eviction_restores_content():
@@ -357,15 +369,12 @@ def test_checkpointed_pages_of_a_private_file_mapping_evict_without_io():
     assert proc.vmspace.read(addr + 599 * PAGE_SIZE, 4) == bytes(range(4))
 
 
-# -- ROADMAP item 1's durability gaps, pinned ---------------------------------------------
-
-ITEM_1 = ("ROADMAP item 1: a page swapped out dirty is in no checkpoint "
-          "(stage_swap_page writes it to an extent no checkpoint owns)")
+# -- a dirty eviction is a deferred flush ---------------------------------------------------
 
 
 def _swapped_out_dirty(pageout=True):
     """20 pages checkpointed, 910 more filled, then (``pageout``) a
-    pageout pass, which swaps 41 of the new pages out dirty, and a sync
+    pageout pass, which evicts 41 of the new pages dirty, and a sync
     checkpoint."""
     machine, sls, proc, group = small_machine()
     addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
@@ -387,7 +396,6 @@ def _restored(machine, group_id):
     return sls.restore(group_id, periodic=False).root.vmspace
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_1)
 def test_a_page_swapped_out_dirty_survives_a_crash():
     machine, _sls, group, addr = _swapped_out_dirty()
     space = _restored(machine, group.group_id)
@@ -397,7 +405,6 @@ def test_a_page_swapped_out_dirty_survives_a_crash():
     assert stale == []
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_1 + "; its swap extent leaks")
 def test_a_swap_extent_is_freed_with_the_history():
     used = []
     for pageout in (True, False):
@@ -409,10 +416,6 @@ def test_a_swap_extent_is_freed_with_the_history():
     assert used[0] == used[1]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: a mode='mem' checkpoint consumes the disk dirty set, "
-    "so the next incremental disk checkpoint misses what was written "
-    "before it"))
 def test_a_write_before_a_mem_checkpoint_survives_a_crash():
     machine, sls, proc, group = small_machine()
     addr = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
@@ -423,6 +426,40 @@ def test_a_write_before_a_mem_checkpoint_survives_a_crash():
     sls.checkpoint(group, sync=True)
     space = _restored(machine, group.group_id)
     assert space.read(addr + 3 * PAGE_SIZE, 32) == synthetic_bytes(777)[:32]
+
+
+def test_evicted_dirty_pages_reach_the_next_checkpoint_and_scrub_clean():
+    """Real pages evicted dirty are written in one batch to extents the
+    store keeps for the eviction table; the next checkpoint adopts them
+    with the synthetic ones (no IO), so after six more and
+    ``retain_last(1)`` every allocated extent has an owner, and a crash
+    restores every page."""
+    machine, sls, proc, group = small_machine()
+    pageout = machine.kernel.pageout
+    addr = proc.vmspace.mmap(960 * PAGE_SIZE, name="heap")
+    proc.vmspace.fill(addr, 20, seed=4)
+    sls.checkpoint(group, sync=True)
+    for pindex in range(20, 60):
+        proc.vmspace.write(addr + pindex * PAGE_SIZE, b"real %d" % pindex)
+    proc.vmspace.fill(addr + 60 * PAGE_SIZE, 870, seed=200)
+    track = next(iter(group.tracks.values()))
+    devices = machine.storage.devices
+    writes = sum(device.write_commands for device in devices)
+    pageout.run_pageout(list(track.active.chain()), store=sls.store)
+    assert pageout.evictions_dirty > 40
+    assert len(sls.store.swap_extents) == 3         # 16 + 16 + 8 pages
+    assert sum(device.write_commands for device in devices) - writes == 3
+    sls.checkpoint(group, sync=True)
+    assert not sls.store.swap_extents
+    assert not any(map(is_dirty, pageout.evicted[track.active.backing.kid]))
+    for _ in range(6):
+        sls.checkpoint(group, sync=True)
+    sls.store.retain_last(group.group_id, 1)
+    assert scrub(sls.store, sls).ok
+    space = _restored(machine, group.group_id)
+    for pindex in (20, 39, 59):
+        assert space.read(addr + pindex * PAGE_SIZE, 7) == b"real %d" % pindex
+    assert space.read(addr + 60 * PAGE_SIZE, 32) == synthetic_bytes(200)[:32]
 
 
 # -- AIO ----------------------------------------------------------------------------------

@@ -66,12 +66,8 @@ class World:
         #: The last-written content model: ``(region, owner, va_page)
         #: -> ("seed", seed) | bytes | UNKNOWN`` (unwritten pages read
         #: zeros), the owner being a process name for a private region
-        #: and None for a shared one; None once a restore failed or
-        #: could not bring it all back.
+        #: and None for a shared one; None once a restore failed.
         self.model = {}
-        #: Set by a mem-mode checkpoint, cleared by a full one: what was
-        #: written before it is on no disk checkpoint (ROADMAP item 9).
-        self.unsaved = False
         #: Process name -> the regions it maps.
         self.mapped = {"p0": []}
 
@@ -168,8 +164,6 @@ class World:
             return len(self.procs)
         if kind == "checkpoint":
             how = args[0] if args else "sync"
-            self.unsaved = how == "mem" or (self.unsaved
-                                            and not how.startswith("full"))
             return self.sls.checkpoint(
                 self.group, sync=how in ("sync", "full"),
                 full=how.startswith("full"),
@@ -180,15 +174,10 @@ class World:
             lazy = kind == "restore"
             gid = self.group.group_id
             self.sls.checkpoint(self.group, sync=True)
-            swapped = kernel.pageout.evictions_dirty
             self.machine.crash()
             self.machine.boot()
             self.sls = load_aurora(self.machine)
-            # A page swapped out dirty, or written before an unsaved
-            # mem-mode checkpoint, is on no disk checkpoint (ROADMAP item
-            # 9): what survives the crash is not the model's to say.
-            model = None if swapped or self.unsaved else self.model
-            self.model, self.unsaved = None, False
+            model, self.model = self.model, None
             with self.restoring():
                 result = self.sls.restore(gid, lazy=lazy, periodic=False)
             self.model = model
@@ -415,14 +404,12 @@ def test_scenario_matches_one_fault_per_page(name):
         assert runwise.observe() == per_page.observe(), (step, op)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: after a fork, each process writes into a private "
-    "shadow of the group's active shadow; that shadow is then no map "
-    "entry's top, so the shadow pass never flushes what was written into "
-    "it before the fork, and a restore reads the older content"))
 def test_writes_before_a_fork_survive_a_crash():
-    """Found by the random differential test above (both worlds fail
-    the model check alike): page 1's second ``fill`` is lost."""
+    """Found by the random differential test above: after a fork, each
+    process writes into a private shadow of the group's active shadow,
+    which is then no map entry's top.  The shadow pass flushes what was
+    written into it before the fork, so page 1's second ``fill``
+    survives."""
     world = World(VMSpace.touch, VMSpace.fill)
     for op in [("mmap", 8, True, False), ("fill", 0, 0, 1, 1, 0),
                ("checkpoint",), ("fill", 0, 0, 0, 2, 0), ("fork", 0),
@@ -500,9 +487,11 @@ def test_page_in_is_charged_in_index_order():
             world.apply(("write", 0, 0, page, 0, b"real bytes %d" % page))
         world.apply(("checkpoint",))        # pages 5 and 9 sit in an extent
         world.apply(("touch", 0, 0, 64, 400, 77))
-        # Evict everything: the dirty synthetic pages are queued on the
-        # device and nobody waits for them.
-        assert world.apply(("pageout", 0)) == 512 + 400
+        # The flush of an async checkpoint keeps every device busy, and
+        # nobody waits for it; its dirty pages are mid-flush, so the
+        # pass evicts every clean page and nothing else.
+        world.apply(("checkpoint", "async"))
+        assert world.apply(("pageout", 0)) == 512
         devices = world.machine.storage.devices
         now = world.machine.clock.now()
         assert all(device._busy_until > now for device in devices)

@@ -50,7 +50,7 @@ from repro.errors import InvalidArgument, SegmentationFault
 from repro.hw.memory import Page
 from repro.kernel.vm.fault import handle_fault
 from repro.kernel.vm.vmmap import PROT_WRITE
-from repro.kernel.vm.vmobject import VMObject, page_run
+from repro.kernel.vm.vmobject import VMObject, is_clean, page_run
 from repro.kernel.vm.vmspace import VMSpace
 from repro.objstore.checkpoint import NO_PAGES
 from repro.units import PAGE_SIZE
@@ -206,16 +206,19 @@ def merged_chain_pages_legacy(top: VMObject) -> Dict[int, Page]:
     return pages
 
 
-def merged_chain_legacy(top: VMObject):
+def merged_chain_legacy(top: VMObject, dirty_only: bool = False):
     """``shadowing.merged_chain`` on the per-page original: every page
     :func:`merged_chain_pages_legacy` merged is its own one-page piece
-    of the newest object's runs that holds it."""
+    of the newest object's runs that holds it (only a dirty one, with
+    ``dirty_only``).  Evicted pages are not modelled: nothing run under
+    :func:`legacy_hot_path` evicts."""
     unclaimed = merged_chain_pages_legacy(top)
     sources = []
     for obj in _segment_legacy(top):
         pieces = [clip_run(run, pindex, pindex + 1) for run in obj.content()
                   for pindex in range(run[1], run[1] + run[2])
-                  if unclaimed.pop(pindex, None) is not None]
+                  if unclaimed.pop(pindex, None) is not None
+                  and not (dirty_only and is_clean(run))]
         if pieces:
             sources.append((obj, pieces))
     return sources
