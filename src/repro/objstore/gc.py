@@ -3,9 +3,13 @@
 Deleting the oldest checkpoint of a group *transfers* the pieces of
 its delta that are still visible through younger checkpoints, then
 frees whatever nothing references.  There is no log cleaner and no
-background compaction — reclamation cost is proportional to the
-deleted delta, never to store size, so it cannot stall the 100 Hz
-checkpoint loop.
+background compaction, and a delete's device IO is proportional to
+the deleted delta, never to store size: it reads no payload and
+writes only the children's metadata and a flip.  Its host time is not
+so bounded.  Re-encoding an adopting child's metadata regroups every
+OID of its record index by extent (``encode_record_index``) and re-runs
+``build_arith_runs`` over them, so a delete's host time grows with the
+child's live object count, not with the delta.
 
 Everything is transferred *by reference*.  A child adopts each of the
 victim's extents that still backs state the child's subtree can reach

@@ -48,9 +48,22 @@ def encode_object(oid: int, otype: str, state: Any) -> bytes:
     return encode(REC_OBJECT, {"oid": oid, "otype": otype, "state": state})
 
 
+#: An object record's envelope, constant but for its three fields.
+_OBJECT = serde.Shape({"kind": REC_OBJECT, "body": {
+    "oid": serde.HOLE, "otype": serde.HOLE, "state": serde.HOLE}})
+
+
 def decode_object(data: bytes) -> Tuple[int, str, Any]:
-    """(oid, otype, state) from an object record."""
-    body = decode(data, REC_OBJECT)
+    """(oid, otype, state) from an object record: read off its
+    constant envelope, or decoded in full when it has another."""
+    fields = _OBJECT.read(data)
+    if fields is None:
+        return _fields(decode(data, REC_OBJECT))
+    oid, otype, state = fields
+    return oid, otype, state
+
+
+def _fields(body: Any) -> Tuple[int, str, Any]:
     return body["oid"], body["otype"], body["state"]
 
 
@@ -65,51 +78,30 @@ def encode_objects(encoded_records: Sequence[bytes]) -> bytes:
     return encode(REC_OBJECT_BATCH, {"records": list(encoded_records)})
 
 
-#: Frame header bytes in front of every record's body.
-_HEADER = len(serde.dumps(None)) - len(serde.fragment(None))
-_SAMPLE = serde.fragment({"body": {"oid": 0, "otype": "", "state": None},
-                          "kind": REC_OBJECT})
-#: An object record's body up to and including its OID's int tag: keys
-#: are encoded sorted, so ``body`` comes first and ``oid`` first in it.
-_OID_PREFIX = _SAMPLE[:_SAMPLE.index(serde.fragment(0)) + 1]
-#: Where the OID's 8-byte length field starts.
-_OID_AT = _HEADER + len(_OID_PREFIX)
-
-
-def _record_oid(data: Any) -> Optional[int]:
-    """The OID an encoded object record names, read off its constant
-    prefix without decoding or checksumming it; None when the record
-    does not start with that prefix."""
-    if type(data) is not bytes or not data.startswith(_OID_PREFIX, _HEADER):
-        return None
-    start = _OID_AT + 8
-    stop = start + int.from_bytes(data[_OID_AT:start], "big")
-    if stop > len(data):
-        return None
-    return int.from_bytes(data[start:stop], "big")
-
-
 def decode_objects(data: bytes, wanted: Optional[Container[int]] = None
                    ) -> List[Tuple[int, str, Any]]:
     """Every ``(oid, otype, state)`` in a record extent.
 
     Accepts both a single-object envelope (legacy extents, single-
     record checkpoints) and a batch envelope.  With ``wanted``, a
-    batch's records whose prefix names another OID are skipped
-    undecoded (the batch's own checksum still covers them); a record
-    whose prefix does not match is decoded in full.
+    batch's records whose envelope names another OID are skipped with
+    their state never walked (their checksums still checked); a record
+    with another envelope is decoded in full.
     """
     document = serde.loads(data)
     if not isinstance(document, dict) or "kind" not in document:
         raise CorruptRecord("record missing envelope")
     if document["kind"] == REC_OBJECT:
-        body = document["body"]
-        return [(body["oid"], body["otype"], body["state"])]
+        return [_fields(document["body"])]
     if document["kind"] != REC_OBJECT_BATCH:
         raise CorruptRecord(
             f"expected object record(s), found {document['kind']!r}")
-    items = document["body"]["records"]
-    if wanted is not None:
-        items = [item for item in items
-                 if (oid := _record_oid(item)) is None or oid in wanted]
-    return [decode_object(item) for item in items]
+    found: List[Tuple[int, str, Any]] = []
+    for item in document["body"]["records"]:
+        fields = _OBJECT.read(item, wanted)
+        if fields is None:
+            found.append(_fields(decode(item, REC_OBJECT)))
+        elif fields:
+            oid, otype, state = fields
+            found.append((oid, otype, state))
+    return found

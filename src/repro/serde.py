@@ -37,6 +37,19 @@ first read (once each, and a counter's again only at a new value).
 The encoder dispatches on the exact ``type`` of a value; subclasses
 (``IntEnum``, ``str`` enums, ``OrderedDict``, named tuples) take an
 ``isinstance`` fallback and encode as their base type.
+
+**Decoding.**  :func:`loads` checks the frame (magic, version, length,
+CRC) and then walks the body once with no bounds checks
+(:func:`_walk`): the body is padded so a header read cannot fall off
+it, an int of up to eight bytes is read with its header in one
+``struct`` call, and scalars are decoded inline in a dict, a list and a
+list inside a list (one call per container, not per item).  A walk
+that raises, or ends anywhere but at the body's end, hands the record
+to the checked walk (:func:`_check`), which gives the exact verdict —
+so the checked walk runs only on damaged bodies.  A record kind whose
+envelope is constant is read as a :class:`Shape`: the template's
+encoding, cut at its holes, is matched with ``startswith`` and
+``endswith``, and only the holes are walked.
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ from __future__ import annotations
 import struct
 import zlib
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
+from typing import Any, Callable, Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import CorruptRecord
 
@@ -68,6 +81,8 @@ _pack_head = _HEAD.pack
 _unpack_head = _HEAD.unpack_from
 #: Record frame: magic, version, CRC-32 of the body, body length.
 _FRAME = struct.Struct(f">{len(MAGIC)}sBQQ")
+_FRAME_SIZE = _FRAME.size
+_unpack_frame = _FRAME.unpack_from
 
 _NONE = bytes([_TAG_NONE])
 _FALSE = bytes([_TAG_FALSE])
@@ -230,19 +245,111 @@ def dumps(value: Any) -> bytes:
 # -- decoding ---------------------------------------------------------------------------
 
 _HEAD_SIZE = _HEAD.size
+#: A header and the eight bytes after it, read as one: an int of at
+#: most eight bytes is the top ``size`` bytes of that word.
+_unpack_word = struct.Struct(">BQQ").unpack_from
+#: The right shift that leaves a word's top ``size`` bytes.
+_SHIFTS = tuple(64 - 8 * size for size in range(9))
 #: The fixed-size values, indexed by their tag (every tag below
 #: ``_TAG_INT``).
 _CONSTANTS = (None, False, True)
+#: Zeros behind every body the fast walk reads: it reads a header and
+#: a word even for a one-byte value, so a body's last byte must not be
+#: the last byte there is.
+_PAD = bytes(_HEAD_SIZE + 7)
+_from_bytes = int.from_bytes
 
 
-def _decode(body: bytes, pos: int, end: int) -> Tuple[Any, int]:
+def _walk(body: bytes, pos: int) -> Tuple[Any, int]:
     """Decode the value at ``body[pos]``; returns ``(value, next pos)``.
 
-    A container decodes its well-formed scalar items (and a dict its
-    string keys) in its own loop, the same steps as below, and recurses
-    only into containers.  Every other item, damaged ones included,
-    takes the generic path, so each verdict and message comes from one
-    place."""
+    The fast walk: no bounds checks, and no verdicts.  ``body`` is
+    padded (:data:`_PAD`) and positions only grow, so a walk over a
+    damaged body raises, ends past the real body, or both; the caller
+    compares the final position with the body length and hands anything
+    else to :func:`_check`.  Scalars are decoded inline: a dict's keys
+    and values, a list's items and the items of a list inside a list
+    (pairs, page runs, index runs).  Only deeper containers recurse."""
+    tag, size, word = _unpack_word(body, pos)
+    if tag < _TAG_INT:
+        return _CONSTANTS[tag], pos + 1
+    pos += _HEAD_SIZE
+    if tag == _TAG_DICT:
+        result: Dict[str, Any] = {}
+        for _ in range(size):
+            tag, size = _unpack_head(body, pos)
+            if tag != _TAG_STR:
+                raise CorruptRecord("dict key is not a string")
+            pos += _HEAD_SIZE + size
+            key = body[pos - size:pos].decode()
+            tag, size, word = _unpack_word(body, pos)
+            if tag == _TAG_INT and size <= 8:
+                result[key] = word >> _SHIFTS[size]
+                pos += _HEAD_SIZE + size
+            elif tag == _TAG_STR:
+                pos += _HEAD_SIZE + size
+                result[key] = body[pos - size:pos].decode()
+            elif tag < _TAG_INT:
+                result[key] = _CONSTANTS[tag]
+                pos += 1
+            else:
+                result[key], pos = _walk(body, pos)
+        return result, pos
+    if tag == _TAG_LIST:
+        items: List[Any] = []
+        append = items.append
+        for _ in range(size):
+            tag, size, word = _unpack_word(body, pos)
+            if tag == _TAG_INT and size <= 8:
+                append(word >> _SHIFTS[size])
+                pos += _HEAD_SIZE + size
+            elif tag == _TAG_LIST:
+                pos += _HEAD_SIZE
+                inner: List[Any] = []
+                push = inner.append
+                for _ in range(size):
+                    tag, size, word = _unpack_word(body, pos)
+                    if tag == _TAG_INT and size <= 8:
+                        push(word >> _SHIFTS[size])
+                        pos += _HEAD_SIZE + size
+                    elif tag == _TAG_STR:
+                        pos += _HEAD_SIZE + size
+                        push(body[pos - size:pos].decode())
+                    elif tag < _TAG_INT:
+                        push(_CONSTANTS[tag])
+                        pos += 1
+                    else:
+                        item, pos = _walk(body, pos)
+                        push(item)
+                append(inner)
+            elif tag == _TAG_STR:
+                pos += _HEAD_SIZE + size
+                append(body[pos - size:pos].decode())
+            elif tag < _TAG_INT:
+                append(_CONSTANTS[tag])
+                pos += 1
+            else:
+                item, pos = _walk(body, pos)
+                append(item)
+        return items, pos
+    stop = pos + size
+    if tag == _TAG_INT:
+        if size <= 8:
+            return word >> _SHIFTS[size], stop
+        return _from_bytes(body[pos:stop], "big"), stop
+    if tag == _TAG_STR:
+        return body[pos:stop].decode(), stop
+    if tag == _TAG_BYTES:
+        return body[pos:stop], stop
+    if tag == _TAG_NEGINT:
+        return -_from_bytes(body[pos:stop], "big"), stop
+    raise CorruptRecord(f"unknown tag 0x{tag:02x}")
+
+
+def _check(body: bytes, pos: int, end: int) -> Tuple[Any, int]:
+    """The checked walk: decode the value at ``body[pos]`` with every
+    read bounded by ``end``, raising the exact verdict on damage.  Run
+    only when the fast walk fails, so it has no fast paths."""
     if pos >= end:
         raise CorruptRecord("record truncated")
     tag = body[pos]
@@ -250,83 +357,54 @@ def _decode(body: bytes, pos: int, end: int) -> Tuple[Any, int]:
         return _CONSTANTS[tag], pos + 1
     if tag > _TAG_DICT:
         raise CorruptRecord(f"unknown tag 0x{tag:02x}")
-    start = pos + _HEAD_SIZE
-    if start > end:
+    pos += _HEAD_SIZE
+    if pos > end:
         raise CorruptRecord("record truncated")
-    size = _unpack_head(body, pos)[1]
-    # In both loops ``stop`` is past ``end`` unless the item is a scalar
-    # whose header and payload lie in bounds.
+    size = _unpack_head(body, pos - _HEAD_SIZE)[1]
     if tag == _TAG_LIST:
         items: List[Any] = []
-        append = items.append
-        pos = start
         for _ in range(size):
-            tag = body[pos] if pos < end else _TAG_LIST
-            if tag < _TAG_INT:
-                append(_CONSTANTS[tag])
-                pos += 1
-                continue
-            start = pos + _HEAD_SIZE
-            stop = (start + _unpack_head(body, pos)[1]
-                    if tag < _TAG_LIST and start <= end else end + 1)
-            if stop > end:
-                item, pos = _decode(body, pos, end)
-                append(item)
-                continue
-            if tag == _TAG_STR:
-                append(body[start:stop].decode("utf-8"))
-            elif tag == _TAG_INT:
-                append(int.from_bytes(body[start:stop], "big"))
-            elif tag == _TAG_BYTES:
-                append(body[start:stop])
-            else:
-                append(-int.from_bytes(body[start:stop], "big"))
-            pos = stop
+            item, pos = _check(body, pos, end)
+            items.append(item)
         return items, pos
     if tag == _TAG_DICT:
         result: Dict[str, Any] = {}
-        pos = start
         for _ in range(size):
-            start = pos + _HEAD_SIZE
-            stop = (start + _unpack_head(body, pos)[1]
-                    if start <= end and body[pos] == _TAG_STR else end + 1)
-            if stop > end:
-                key, pos = _decode(body, pos, end)
-                if type(key) is not str:
-                    raise CorruptRecord("dict key is not a string")
-            else:
-                key = body[start:stop].decode("utf-8")
-                pos = stop
-            tag = body[pos] if pos < end else _TAG_LIST
-            if tag < _TAG_INT:
-                result[key] = _CONSTANTS[tag]
-                pos += 1
-                continue
-            start = pos + _HEAD_SIZE
-            stop = (start + _unpack_head(body, pos)[1]
-                    if tag < _TAG_LIST and start <= end else end + 1)
-            if stop > end:
-                result[key], pos = _decode(body, pos, end)
-                continue
-            if tag == _TAG_STR:
-                result[key] = body[start:stop].decode("utf-8")
-            elif tag == _TAG_INT:
-                result[key] = int.from_bytes(body[start:stop], "big")
-            elif tag == _TAG_BYTES:
-                result[key] = body[start:stop]
-            else:
-                result[key] = -int.from_bytes(body[start:stop], "big")
-            pos = stop
+            key, pos = _check(body, pos, end)
+            if type(key) is not str:
+                raise CorruptRecord("dict key is not a string")
+            result[key], pos = _check(body, pos, end)
         return result, pos
-    stop = start + size
+    stop = pos + size
     if stop > end:
         raise CorruptRecord("record truncated")
     if tag == _TAG_STR:
-        return body[start:stop].decode("utf-8"), stop
+        return body[pos:stop].decode("utf-8"), stop
     if tag == _TAG_BYTES:
-        return body[start:stop], stop
-    magnitude = int.from_bytes(body[start:stop], "big")
+        return body[pos:stop], stop
+    magnitude = _from_bytes(body[pos:stop], "big")
     return (magnitude if tag == _TAG_INT else -magnitude), stop
+
+
+def _body(data: bytes) -> Tuple[bytes, int]:
+    """A record's body, checked against its frame and padded, and its
+    length; raises :class:`~repro.errors.CorruptRecord` on a bad frame."""
+    try:
+        magic, version, checksum, body_len = _unpack_frame(data)
+    except struct.error:
+        raise CorruptRecord("record shorter than header") from None
+    if magic != MAGIC:
+        raise CorruptRecord("bad magic")
+    if version != VERSION:
+        raise CorruptRecord(f"unsupported version {version}")
+    body = data[_FRAME_SIZE:_FRAME_SIZE + body_len]
+    if type(body) is not bytes:
+        body = bytes(body)
+    if len(body) != body_len:
+        raise CorruptRecord("record truncated")
+    if zlib.crc32(body) != checksum:
+        raise CorruptRecord("checksum mismatch")
+    return body + _PAD, body_len
 
 
 def loads(data: bytes) -> Any:
@@ -336,19 +414,87 @@ def loads(data: bytes) -> Any:
     including checksum mismatches — the object store relies on this to
     detect torn writes after a simulated crash.
     """
-    if len(data) < _FRAME.size:
-        raise CorruptRecord("record shorter than header")
-    magic, version, checksum, body_len = _FRAME.unpack_from(data)
-    if magic != MAGIC:
-        raise CorruptRecord("bad magic")
-    if version != VERSION:
-        raise CorruptRecord(f"unsupported version {version}")
-    body = bytes(data[_FRAME.size:_FRAME.size + body_len])
-    if len(body) != body_len:
-        raise CorruptRecord("record truncated")
-    if zlib.crc32(body) != checksum:
-        raise CorruptRecord("checksum mismatch")
-    value, pos = _decode(body, 0, body_len)
-    if pos != body_len:
+    body, end = _body(data)
+    try:
+        value, pos = _walk(body, 0)
+        if pos == end:
+            return value
+    except Exception:
+        # Whatever a damaged body makes the fast walk raise (a short
+        # read, a size past any index, bad UTF-8), the verdict is the
+        # checked walk's.
+        pass
+    value, pos = _check(body, 0, end)
+    if pos != end:
         raise CorruptRecord("trailing bytes after value")
     return value
+
+
+#: A hole in a :class:`Shape` template.  Its bytes start with a tag no
+#: value has, so they mark the hole in the template's encoding.
+HOLE = Encoded(b"\xffHOLE\xff")
+
+
+class Shape:
+    """A document with holes: the constant parts of a record kind,
+    compiled once to the byte chunks between its holes.
+
+    ``Shape({"kind": "object", "body": {"oid": HOLE, ...}})`` encodes
+    the template with :func:`fragment`, so its chunks are exactly what
+    the encoder writes around any values put in the holes (dict keys
+    sort as usual: a hole's place is where its key sorts).  :meth:`read`
+    matches a record against the chunks and decodes only the holes."""
+
+    __slots__ = ("_head", "_rest")
+
+    def __init__(self, template: Any) -> None:
+        chunks = bytes(fragment(template)).split(HOLE)
+        holes = _holes(template)
+        if not holes or len(chunks) - 1 != holes:
+            raise ValueError("a template needs holes, and constants "
+                             "free of the hole marker")
+        self._head = chunks[0]
+        #: The chunk after each hole, with its length.
+        self._rest = tuple((chunk, len(chunk)) for chunk in chunks[1:])
+
+    def read(self, data: bytes, first: Optional[Container[Any]] = None
+             ) -> Optional[List[Any]]:
+        """The values in the holes of a record of this shape, or None
+        when ``data`` is not one: a bad frame, a chunk that does not
+        match, or a hole that does not decode.  Never raises: a caller
+        that wants the verdict decodes the record with :func:`loads`.
+
+        With ``first``, a record whose first hole holds a value not in
+        ``first`` is read no further, and the result is ``[]``: its
+        checksum, its first and last chunks and the chunk after that
+        hole matched, and the rest was never walked."""
+        try:
+            body, end = _body(data)
+            if not (body.startswith(self._head)
+                    and body.endswith(self._rest[-1][0], 0, end)):
+                return None
+            pos = len(self._head)
+            values: List[Any] = []
+            for chunk, size in self._rest:
+                value, pos = _walk(body, pos)
+                if not body.startswith(chunk, pos):
+                    return None
+                pos += size
+                if first is not None:
+                    if value not in first:
+                        return [] if pos <= end else None
+                    first = None
+                values.append(value)
+        except Exception:
+            return None
+        return values if pos == end else None
+
+
+def _holes(template: Any) -> int:
+    if template is HOLE:
+        return 1
+    if isinstance(template, dict):
+        return sum(_holes(value) for value in template.values())
+    if isinstance(template, (list, tuple)):
+        return sum(_holes(item) for item in template)
+    return 0

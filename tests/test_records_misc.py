@@ -35,24 +35,31 @@ def test_object_record_round_trip():
 
 
 def test_batch_decodes_only_the_wanted_records(monkeypatch):
-    """An unwanted record is skipped undecoded by its OID prefix; one
-    whose prefix does not match (here an extra key sorts before
-    ``oid``) is decoded in full and returned for the caller to judge."""
+    """An unwanted record is skipped with its state undecoded; one whose
+    envelope is not the object shape (here an extra key) is decoded in
+    full and returned for the caller to judge."""
     odd = serde.dumps({"kind": records.REC_OBJECT,
                        "body": {"aaa": 0, "oid": 14, "otype": "pipe",
-                                "state": None}})
+                                "state": {"n": 14}}})
     batch = records.encode_objects(
         [records.encode_object(oid, "pipe", {"n": oid}) for oid in (11, 12)]
-        + [odd, records.encode_object(-5, "pipe", None)])
-    loaded = []
-    loads = serde.loads
-    monkeypatch.setattr(serde, "loads",
-                        lambda data: loaded.append(data) or loads(data))
+        + [odd, records.encode_object(-5, "pipe", {"n": -5})])
+    decoded_states = []
+    walk = serde._walk
+
+    def counting_walk(body, pos):
+        value, end = walk(body, pos)
+        if isinstance(value, dict) and "n" in value:
+            decoded_states.append(value["n"])
+        return value, end
+
+    monkeypatch.setattr(serde, "_walk", counting_walk)
     assert records.decode_objects(batch, {12}) == [
-        (12, "pipe", {"n": 12}), (14, "pipe", None), (-5, "pipe", None)]
-    assert len(loaded) == 4     # the batch and three records, not 11
+        (12, "pipe", {"n": 12}), (14, "pipe", {"n": 14})]
+    assert decoded_states == [12, 14]       # not 11's, not -5's
     assert [oid for oid, _otype, _state in records.decode_objects(batch)] \
         == [11, 12, 14, -5]
+    assert decoded_states == [12, 14, 11, 12, 14, -5]
 
 
 def test_missing_wanted_oid_takes_the_fallback():

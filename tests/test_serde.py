@@ -250,6 +250,19 @@ def outcome(loads, data):
     (frame(b"\x08" + (1).to_bytes(8, "big") + ref_encode(7)
            + ref_encode(None)), "dict key is not a string"),
     (frame(ref_encode(1) + ref_encode(2)), "trailing bytes after value"),
+    # Sizes no body can hold, each behind a valid checksum (a list of
+    # two items puts the next read past any index).
+    (frame(b"\x07" + (2 ** 63).to_bytes(8, "big") + ref_encode(1)),
+     "record truncated"),
+    (frame(b"\x07" + (2).to_bytes(8, "big") + b"\x06"
+           + (2 ** 64 - 1).to_bytes(8, "big") + b"abc"), "record truncated"),
+    (frame(b"\x08" + (2 ** 40).to_bytes(8, "big") + ref_encode("k")
+           + ref_encode(1)), "record truncated"),
+    (frame(b"\x07" + (2).to_bytes(8, "big") + b"\x05"
+           + (2 ** 63).to_bytes(8, "big") + b"xy"), "record truncated"),
+    (frame(b"\x08" + (1).to_bytes(8, "big") + b"\x06"
+           + (2 ** 62).to_bytes(8, "big") + b"k" + ref_encode(1)),
+     "record truncated"),
 ])
 def test_malformed_records_raise_the_same_error_from_both_decoders(
         data, message):
@@ -257,9 +270,7 @@ def test_malformed_records_raise_the_same_error_from_both_decoders(
     assert outcome(ref_loads, data) == ("CorruptRecord", message)
 
 
-@settings(max_examples=300, deadline=None)
-@given(marked_values, st.data())
-def test_decoders_agree_on_damaged_records(value, data):
+def check_damaged_record(value, data):
     """Truncated records raise from both decoders; a damaged body
     behind a *valid* checksum (so the TLV walk itself is what rejects
     it) gets the same verdict — same value or same error — from both."""
@@ -275,3 +286,19 @@ def test_decoders_agree_on_damaged_records(value, data):
     damaged = frame(bytes(body))
     assert zlib.crc32(bytes(body)) == int.from_bytes(damaged[5:13], "big")
     assert outcome(serde.loads, damaged) == outcome(ref_loads, damaged)
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_values, st.data())
+def test_decoders_agree_on_damaged_records(value, data):
+    check_damaged_record(value, data)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(marked_values, st.data())
+def test_decoders_agree_on_damaged_records_at_length(value, data):
+    """The same, at 5 000 examples: the fast walk hands every damaged
+    body to the checked walk, and rare damage (a length byte that makes
+    a size no body can hold) shows up only in long runs."""
+    check_damaged_record(value, data)
