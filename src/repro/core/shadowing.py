@@ -180,7 +180,7 @@ class ShadowEngine:
 
         Returns total pages moved (the operation's cost driver).
         """
-        total_moved = 0
+        total_moved = collapses = 0
         if self.collapse_direction == NONE:
             # Ablation: leave every flushed shadow in the chain.  The
             # shadow pass clears the track slots itself; fault paths
@@ -210,11 +210,13 @@ class ShadowEngine:
                 moved = self._collapse_forward(frozen, child)
             self.kernel.clock.advance(
                 costs.COLLAPSE_BASE + moved * costs.COLLAPSE_PAGE_MOVE)
-            self.stats["collapses"] += 1
-            self.stats["collapse_pages_moved"] += moved
+            collapses += 1
             total_moved += moved
             track.frozen = None
             track.flushed = False
+        if collapses:
+            self.stats["collapses"] += collapses
+            self.stats["collapse_pages_moved"] += total_moved
         return total_moved
 
     def _collapse_reverse(self, frozen: VMObject, child: VMObject) -> int:
@@ -345,7 +347,7 @@ class ShadowEngine:
         """
         kernel = self.kernel
         items: List[FlushItem] = []
-        total_downgraded = 0
+        total_downgraded = dirty_runs = 0
         spaces = self.running_spaces(group)
         tops = self._group_tops(group)
         for top in tops:
@@ -373,10 +375,14 @@ class ShadowEngine:
             kernel.clock.advance(costs.CKPT_VMOBJECT)
             item, downgraded = self.freeze(spaces, track, top,
                                            f"sys:{top.name}", full, mem)
-            self.stats["shadows_created"] += 1
             total_downgraded += downgraded
-            self.stats["dirty_runs"] += item.stretches()
+            dirty_runs += item.stretches()
             items.append(item)
+        if tops:
+            # Booked once per pass: a counter update is a registry
+            # lookup (telemetry.StatsView), too dear per object.
+            self.stats["shadows_created"] += len(tops)
+            self.stats["dirty_runs"] += dirty_runs
         items += self._fork_private_items(group, tops, items)
 
         if total_downgraded or items:

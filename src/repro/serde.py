@@ -38,6 +38,24 @@ The encoder dispatches on the exact ``type`` of a value; subclasses
 (``IntEnum``, ``str`` enums, ``OrderedDict``, named tuples) take an
 ``isinstance`` fallback and encode as their base type.
 
+**Encoding.**  A record kind's key set is a shape fixed once and
+filled many times, so a dict is encoded from its shape
+(:func:`_dict_shape`): its key tuple, in insertion order, compiled once
+to the dict's header, its keys in sorted order and their encodings.
+The cache is an LRU of :data:`_SHAPE_CACHE` key sets of at most
+:data:`_SHAPE_KEYS` keys: record kinds need a few dozen, and a larger
+dict is a table keyed by data (a checkpoint's pages keyed by OID), met
+once, whose shape is compiled for the call and not kept.  Only a tuple
+of exact ``str`` keys has a shape; any other dict sorts its keys on
+every call, as the format requires.  A dict's values and a list's
+items of exact type are encoded inline, one call per container and not
+per item (the mirror of the fast walk below): an int from the
+small-int table or, below 2**64, as one header-and-word ``struct``
+pack cut to its size; a short string through the memo; ``None`` and
+``bool``; and a nested list's header.  Everything else (subclasses,
+:class:`Encoded`, bytes, larger ints) dispatches through the table,
+and a top-level int takes the same int path.
+
 **Decoding.**  :func:`loads` checks the frame (magic, version, length,
 CRC) and then walks the body once with no bounds checks
 (:func:`_walk`): the body is padded so a header read cannot fall off
@@ -122,12 +140,50 @@ def _encode_int_bytes(value: int) -> bytes:
 #: Encodings of the ints that dominate records (counts, ids, flags).
 _SMALL_INTS = tuple(_encode_int_bytes(i) for i in range(1024))
 _SMALL_INT_LIMIT = len(_SMALL_INTS)
+#: A header and an eight-byte word, packed as one: an int in
+#: ``[_SMALL_INT_LIMIT, _WORD_LIMIT)`` is the word shifted to its top
+#: ``size`` bytes, and its encoding the first ``_HEAD_SIZE + size``.
+_WORD = struct.Struct(">BQQ")
+_pack_word = _WORD.pack
+_WORD_LIMIT = 1 << 64
+#: The left shift that puts a ``size``-byte int at the top of a word.
+_SHIFTS = tuple(64 - 8 * size for size in range(9))
+_HEAD_SIZE = _HEAD.size
 
 
-@lru_cache(maxsize=512)
-def _encode_short_str(value: str) -> bytes:
+def _encode_str(value: str) -> bytes:
     payload = value.encode("utf-8")
     return _pack_head(_TAG_STR, len(payload)) + payload
+
+
+_encode_short_str = lru_cache(maxsize=512)(_encode_str)
+
+
+def _str_bytes(value: str) -> bytes:
+    if len(value) <= _MEMO_STR_CHARS:
+        return _encode_short_str(value)
+    return _encode_str(value)
+
+
+def _compile_shape(keys: Tuple[str, ...]
+                   ) -> Tuple[bytes, Tuple[str, ...], Tuple[bytes, ...]]:
+    """The header of a dict with ``keys`` (exact ``str``s, in insertion
+    order), its keys in encoding order and their encodings — two flat
+    tuples, not a pair per key, so a kept shape holds few objects the
+    collector tracks."""
+    order = tuple(sorted(keys))
+    return (_pack_head(_TAG_DICT, len(keys)), order,
+            tuple(map(_str_bytes, order)))
+
+
+#: Shapes kept: record kinds need a few dozen, and key sets seen once
+#: age out.
+_SHAPE_CACHE = 256
+#: A dict with more keys than this is a table keyed by data (a
+#: checkpoint's pages keyed by OID), met once: its shape is compiled
+#: for the call and not kept.
+_SHAPE_KEYS = 32
+_dict_shape = lru_cache(maxsize=_SHAPE_CACHE)(_compile_shape)
 
 
 def _put_none(out: bytearray, value: None) -> None:
@@ -139,8 +195,13 @@ def _put_bool(out: bytearray, value: bool) -> None:
 
 
 def _put_int(out: bytearray, value: int) -> None:
+    # The inline int path of :func:`_put_items` and :func:`_put_dict`.
     if 0 <= value < _SMALL_INT_LIMIT:
         out += _SMALL_INTS[value]
+    elif 0 < value < _WORD_LIMIT:
+        size = (value.bit_length() + 7) >> 3
+        out += _pack_word(_TAG_INT, size,
+                          value << _SHIFTS[size])[:_HEAD_SIZE + size]
     else:
         out += _encode_int_bytes(value)
 
@@ -153,28 +214,97 @@ def _put_bytes(out: bytearray, value: bytes) -> None:
 def _put_str_unmemoised(out: bytearray, value: str) -> None:
     # Long strings, and str subclasses (which may hash differently
     # from their text, so they stay out of the memo).
-    payload = value.encode("utf-8")
-    out += _pack_head(_TAG_STR, len(payload))
-    out += payload
+    out += _encode_str(value)
 
 
 def _put_str(out: bytearray, value: str) -> None:
-    if len(value) <= _MEMO_STR_CHARS:
-        out += _encode_short_str(value)
-    else:
-        _put_str_unmemoised(out, value)
+    out += _str_bytes(value)
 
 
 def _put_list(out: bytearray, value: Sequence[Any]) -> None:
     out += _pack_head(_TAG_LIST, len(value))
-    lookup = _ENCODERS.get
+    _put_items(out, value)
+
+
+def _put_items(out: bytearray, value: Sequence[Any]) -> None:
+    """A list's items, behind a header already written.  Scalars of
+    exact type are encoded inline, and so is a nested list's header
+    (the mirror of :func:`_walk`)."""
     for item in value:
-        (lookup(type(item)) or _fallback(item))(out, item)
+        kind = type(item)
+        if kind is int:
+            if 0 <= item < _SMALL_INT_LIMIT:
+                out += _SMALL_INTS[item]
+            elif 0 < item < _WORD_LIMIT:
+                size = (item.bit_length() + 7) >> 3
+                out += _pack_word(_TAG_INT, size,
+                                  item << _SHIFTS[size])[:_HEAD_SIZE + size]
+            else:
+                out += _encode_int_bytes(item)
+        elif kind is str:
+            if len(item) <= _MEMO_STR_CHARS:
+                out += _encode_short_str(item)
+            else:
+                out += _encode_str(item)
+        elif item is None:
+            out += _NONE
+        elif kind is bool:
+            out += _TRUE if item else _FALSE
+        elif kind is list or kind is tuple:
+            out += _pack_head(_TAG_LIST, len(item))
+            _put_items(out, item)
+        elif kind is dict:
+            _put_dict(out, item)
+        else:
+            (_ENCODERS.get(kind) or _fallback(item))(out, item)
 
 
 def _put_dict(out: bytearray, value: Dict[Any, Any]) -> None:
+    keys = tuple(value)
+    for key in keys:
+        if type(key) is not str:
+            _put_dict_sorted(out, value)
+            return
+    head, order, encoded = (_dict_shape if len(keys) <= _SHAPE_KEYS
+                            else _compile_shape)(keys)
+    out += head
+    at = 0
+    for key in order:
+        out += encoded[at]
+        at += 1
+        item = value[key]
+        kind = type(item)
+        if kind is int:
+            if 0 <= item < _SMALL_INT_LIMIT:
+                out += _SMALL_INTS[item]
+            elif 0 < item < _WORD_LIMIT:
+                size = (item.bit_length() + 7) >> 3
+                out += _pack_word(_TAG_INT, size,
+                                  item << _SHIFTS[size])[:_HEAD_SIZE + size]
+            else:
+                out += _encode_int_bytes(item)
+        elif kind is str:
+            if len(item) <= _MEMO_STR_CHARS:
+                out += _encode_short_str(item)
+            else:
+                out += _encode_str(item)
+        elif item is None:
+            out += _NONE
+        elif kind is bool:
+            out += _TRUE if item else _FALSE
+        elif kind is list or kind is tuple:
+            out += _pack_head(_TAG_LIST, len(item))
+            _put_items(out, item)
+        elif kind is dict:
+            _put_dict(out, item)
+        else:
+            (_ENCODERS.get(kind) or _fallback(item))(out, item)
+
+
+def _put_dict_sorted(out: bytearray, value: Dict[Any, Any]) -> None:
+    """A dict with a key that is not an exact ``str``: no shape, its
+    keys sorted on every call."""
     out += _pack_head(_TAG_DICT, len(value))
-    lookup = _ENCODERS.get
     for key in sorted(value):
         if type(key) is str:
             _put_str(out, key)
@@ -183,7 +313,7 @@ def _put_dict(out: bytearray, value: Dict[Any, Any]) -> None:
         else:
             raise TypeError(f"dict keys must be str, got {type(key).__name__}")
         item = value[key]
-        (lookup(type(item)) or _fallback(item))(out, item)
+        (_ENCODERS.get(type(item)) or _fallback(item))(out, item)
 
 
 def _put_encoded(out: bytearray, value: Encoded) -> None:
@@ -244,12 +374,10 @@ def dumps(value: Any) -> bytes:
 
 # -- decoding ---------------------------------------------------------------------------
 
-_HEAD_SIZE = _HEAD.size
 #: A header and the eight bytes after it, read as one: an int of at
-#: most eight bytes is the top ``size`` bytes of that word.
-_unpack_word = struct.Struct(">BQQ").unpack_from
-#: The right shift that leaves a word's top ``size`` bytes.
-_SHIFTS = tuple(64 - 8 * size for size in range(9))
+#: most eight bytes is the top ``size`` bytes of that word (shifted
+#: right by ``_SHIFTS[size]``).
+_unpack_word = _WORD.unpack_from
 #: The fixed-size values, indexed by their tag (every tag below
 #: ``_TAG_INT``).
 _CONSTANTS = (None, False, True)

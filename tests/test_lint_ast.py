@@ -37,6 +37,10 @@ This is the subset that needs no third-party code:
   and ``with`` targets, walrus bindings, ``global`` / ``nonlocal``
   names and functions calling ``locals()`` are exempt; so are
   ``_``-prefixed names.
+
+One guard is this repo's own: **counters booked per item** — a
+``.stats[...]`` augmented assignment inside a loop body in the modules a
+checkpoint runs through once per object (:data:`CHECKPOINT_PATH`).
 """
 
 from __future__ import annotations
@@ -301,4 +305,48 @@ def test_no_unused_locals():
                     f"{_where(path)}:{line}: local {name!r} is "
                     f"assigned to but never used"
                     for line, name in sorted(_unused_locals(func)))
+    assert not findings, "\n" + "\n".join(findings)
+
+
+#: The modules a checkpoint runs through once per object.
+CHECKPOINT_PATH = tuple(SRC / "repro" / name for name in (
+    "core/shadowing.py", "core/serialize.py", "core/extsync.py",
+    "objstore/store.py", "objstore/records.py"))
+
+
+def _counters_booked_in_loops(tree: ast.AST) -> List[int]:
+    """The line of every ``<anything>.stats[...] op= ...`` inside the
+    body of a ``for`` or ``while`` loop.  A ``StatsView`` update is a
+    registry lookup (two per ``+=``); a pass counts in locals and books
+    the sums once, after its loop."""
+    lines: Set[int] = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            continue
+        for stmt in loop.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.AugAssign) \
+                        and isinstance(node.target, ast.Subscript) \
+                        and isinstance(node.target.value, ast.Attribute) \
+                        and node.target.value.attr == "stats":
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_guard_finds_counters_booked_per_item():
+    source = ("for x in xs:\n"
+              "    self.stats['n'] += 1\n"
+              "    if x:\n"
+              "        engine.stats[key] -= x\n"
+              "while y:\n"
+              "    total += 1\n"
+              "self.stats['n'] += total\n")
+    assert _counters_booked_in_loops(ast.parse(source)) == [2, 4]
+
+
+def test_checkpoint_path_books_counters_once_per_pass():
+    findings = [f"{_where(path)}:{line}: a stats counter updated inside "
+                f"a loop; count in a local and book it after the loop"
+                for path in CHECKPOINT_PATH
+                for line in _counters_booked_in_loops(_tree(path))]
     assert not findings, "\n" + "\n".join(findings)

@@ -211,3 +211,53 @@ def test_forward_collapse_is_slower_for_large_bases():
     reverse_cost = run(REVERSE)
     forward_cost = run(FORWARD)
     assert forward_cost > 10 * reverse_cost
+
+
+#: ``(shadows_created, dirty_runs, collapses, collapse_pages_moved,
+#: tlb_shootdowns, ptes_downgraded)`` after each checkpoint of
+#: :func:`test_shadow_counters_per_checkpoint_kind`, as booked per
+#: object before the pass booked them once.
+PINNED = [(3, 3, 0, 0, 1, 73), (6, 5, 0, 0, 2, 78), (9, 6, 3, 5, 3, 80),
+          (12, 9, 6, 7, 4, 86)]
+
+
+def test_shadow_counters_per_checkpoint_kind(setup):
+    """The shadow pass's counters after a full, an incremental, a mem
+    and a collapsing checkpoint, pinned: booking them once per pass
+    counts what booking them per object did.  A pass with no objects
+    adds no key and no count."""
+    machine, sls, proc, group = setup
+    stats = sls.shadow.stats
+    keys = stats.keys()
+    empty = sls.shadow.shadow_group(group)
+    assert empty == []
+    assert stats.keys() == keys
+    assert stats.as_dict() == dict.fromkeys(keys, 0)
+
+    kernel = machine.kernel
+    heap = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
+    stack = proc.vmspace.mmap(8 * PAGE_SIZE, name="stack")
+    fd = kernel.shm_open(proc, "/pinned", 4 * PAGE_SIZE)
+    shared = kernel.shm_mmap(proc, fd)
+    proc.vmspace.fill(heap, 64, seed=0)
+    proc.vmspace.touch(stack, 8, seed=1)
+    proc.vmspace.write(shared, b"shm")
+    seen = []
+
+    def step(**kwargs):
+        sls.checkpoint(group, sync=True, **kwargs)
+        seen.append(stats.as_dict())
+
+    step(full=True)
+    proc.vmspace.touch(heap, 3, seed=2)
+    proc.vmspace.touch(heap + 10 * PAGE_SIZE, 2, seed=3)
+    step()
+    proc.vmspace.touch(stack, 2, seed=4)
+    step(mode="mem")
+    proc.vmspace.touch(heap + 20 * PAGE_SIZE, 5, seed=5)
+    proc.vmspace.write(shared, b"again")
+    step()
+    names = ("shadows_created", "dirty_runs", "collapses",
+             "collapse_pages_moved", "tlb_shootdowns", "ptes_downgraded")
+    assert [tuple(row[name] for name in names) for row in seen] == PINNED
+    assert stats.keys() == keys

@@ -124,6 +124,7 @@ def test_single_byte_corruption_never_misdecodes(value, pos, flip):
 class Color(enum.IntEnum):
     RED = 1
     DEEP = -(2 ** 70)
+    WIDE = 2 ** 56
 
 
 class Label(str):
@@ -184,6 +185,7 @@ def decoded(value):
 leaves = (st.none() | st.booleans() | st.integers()
           | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
           | st.integers(min_value=-2, max_value=1100)
+          | st.integers(min_value=2 ** 64 - 2, max_value=2 ** 64 + 1)
           | st.sampled_from(list(Color))
           | st.binary(max_size=80) | st.binary(max_size=8).map(bytearray)
           | st.text(max_size=80) | st.text(max_size=8).map(Label))
@@ -192,22 +194,141 @@ marked_values = st.recursive(
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=3).map(tuple)
-        | st.dictionaries(st.text(max_size=8) | st.text(max_size=4).map(Label),
+        | st.dictionaries(st.text(max_size=8) | st.text(max_size=4).map(Label)
+                          | st.sampled_from(("a", "b", "kind", "oid")),
                           children, max_size=4)
         | st.builds(Pre, children, st.booleans())),
     max_leaves=24,
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(marked_values)
-def test_encoder_matches_the_reference_byte_for_byte(value):
+def check_encoding(value):
     reference = ref_dumps(plain(value))
     assert serde.dumps(plain(value)) == reference
     assert serde.dumps(spliced(value)) == reference
     assert bytes(serde.fragment(spliced(value))) == ref_encode(plain(value))
     assert serde.loads(reference) == decoded(plain(value))
     assert ref_loads(reference) == decoded(plain(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_values)
+def test_encoder_matches_the_reference_byte_for_byte(value):
+    check_encoding(value)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(marked_values)
+def test_encoder_matches_the_reference_at_length(value):
+    """The same, at 5 000 examples: dict shapes are cached across
+    examples, so long runs meet key sets again in new orders."""
+    check_encoding(value)
+
+
+class Mimic:
+    """Not a ``str``, but equal to, hashing and sorting as one: a key
+    set holding it matches the cached shape of its text's key set."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __eq__(self, other):
+        return self.text == other
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __lt__(self, other):
+        return self.text < other
+
+    def __gt__(self, other):
+        return self.text > other
+
+
+class Alias(str):
+    """A ``str`` whose equality and hash are another key's."""
+
+    def __new__(cls, text, alias):
+        key = super().__new__(cls, text)
+        key.alias = alias
+        return key
+
+    def __eq__(self, other):
+        return self.alias == other
+
+    def __hash__(self):
+        return hash(self.alias)
+
+
+def encoding_outcome(encode, value):
+    try:
+        return ("bytes", encode(value))
+    except TypeError:
+        return ("TypeError", None)
+
+
+@pytest.mark.parametrize("values", [
+    # One key set in two insertion orders: two shapes, one encoding.
+    ({"b": 1, "a": [2]}, {"a": [2], "b": 1}),
+    # A str-subclass key after the exact key set it equals was cached.
+    ({"k": 1, "m": 2}, {Label("k"): 1, "m": 2}),
+    ({"m": 2, "k": 1}, {"m": 2, Alias("z", "k"): 1}),
+    # A non-str key in a key set that otherwise matches a cached shape.
+    ({"k": 1, "m": 2}, {"k": 1, Mimic("m"): 2}),
+    ({"k": 1}, {Mimic("k"): 1}, {"k": 1, 2: 3}, {"k": 1, b"m": 2}),
+    # Ints at the ends of the small-int table and of the one-word path.
+    tuple({"v": n, "w": [n, (n,)]} for n in (
+        1023, 1024, 2 ** 16, 2 ** 56, 2 ** 64 - 1, 2 ** 64, -1, -(2 ** 64))),
+    ([1023, 1024, 2 ** 16, 2 ** 56, 2 ** 64 - 1, 2 ** 64, -1, -(2 ** 64)],),
+    (1023, 1024, 2 ** 16, 2 ** 56, 2 ** 64 - 1, 2 ** 64, -1, -(2 ** 64)),
+    # True and 1 in one slot; an IntEnum where an exact int is inlined.
+    ({"x": True}, {"x": 1}, [True, 1, False, 0]),
+    ({"x": Color.RED}, [Color.DEEP, Color.RED, Color.WIDE], Color.WIDE,
+     {"x": [Color.RED, (Color.DEEP,)], "y": Color.WIDE}),
+    # Fragments as a dict value and as a list item.
+    ({"f": serde.fragment({"n": 2 ** 40}), "g": 0},
+     [serde.fragment([1, "a"]), serde.frame_list([serde.fragment(None)])]),
+    # Lists in lists in dicts.
+    ({"runs": [[1, [2, (3, "s")]], [], ((None, [b"x", {"d": [[]]}]),)]},),
+])
+def test_encoder_edge_cases_match_the_reference(values):
+    """Each value, in order (a shape cached by one is met by the
+    next), encodes to the reference's bytes or raises as it does."""
+    for value in values:
+        expected = encoding_outcome(ref_dumps, plain_encoded(value))
+        assert encoding_outcome(serde.dumps, value) == expected
+        assert encoding_outcome(serde.dumps, value) == expected
+
+
+def plain_encoded(value):
+    """``value`` with every fragment replaced by the value it encodes."""
+    if isinstance(value, serde.Encoded):
+        return ref_loads(frame(bytes(value)))
+    if isinstance(value, (list, tuple)):
+        return [plain_encoded(item) for item in value]
+    if isinstance(value, dict):
+        return {key: plain_encoded(item) for key, item in value.items()}
+    return value
+
+
+def test_the_shape_cache_is_bounded():
+    """Key sets seen once age out of the shape cache, and what stays is
+    at most its bound; a table keyed by data (more than
+    ``_SHAPE_KEYS`` keys) is never kept."""
+    serde._dict_shape.cache_clear()
+    bound = serde._dict_shape.cache_info().maxsize
+    for i in range(10_000):
+        value = {str(i): i, "kind": "x" if i % 2 else [i]}
+        assert serde.dumps(value) == ref_dumps(value)
+    assert bound == serde._SHAPE_CACHE
+    assert serde._dict_shape.cache_info().currsize == bound
+    serde._dict_shape.cache_clear()
+    assert serde._SHAPE_KEYS == 32
+    for size in (32, 33, 4000):
+        table = {str(oid): [[oid, 1]] for oid in range(size, 0, -1)}
+        assert serde.dumps(table) == ref_dumps(table)
+    assert serde._dict_shape.cache_info().currsize == 1
 
 
 def test_fragments_splice_verbatim():
