@@ -22,7 +22,8 @@ sls() { python -m repro.core.cli "$@"; }
 
 # Scrub of a store an actual workload wrote; then a store under memory
 # pressure — dirty pages evicted, a checkpoint adopting them, history
-# trimmed — must scrub clean too: no extent without an owner.
+# trimmed — must scrub clean too: no extent without an owner; and again
+# once remounted and trimmed, with its used bytes above zero.
 smoke_scrub() {
     sls init "$WORK/aurora.img"
     sls spawn "$WORK/aurora.img" stress --memory-kib 256
@@ -50,6 +51,16 @@ sls.store.retain_last(group.group_id, 1)
 report = scrub(sls.store, sls)
 assert report.ok, report.findings
 print(f"pressure store is clean: {pageout.evictions_dirty} dirty evictions")
+# Remounted and trimmed again, the space accounting still holds.
+machine.crash()
+machine.boot()
+sls = load_aurora(machine)
+sls.store.retain_last(group.group_id, 1)
+used = sls.store.used_bytes()
+assert used > 0, used
+report = scrub(sls.store, sls)
+assert report.ok, report.findings
+print(f"remounted pressure store is clean: {used} bytes used")
 PY
 }
 

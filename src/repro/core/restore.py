@@ -30,6 +30,7 @@ from .group import ConsistencyGroup, ObjectTrack
 from .objmodel import (FILE, OBJECT_TYPES, SEGMENT, SHELL, ObjectType,
                        cost_of)
 from .runs import clip_run
+from .shadowing import system_shadow_name
 
 if TYPE_CHECKING:
     from ..objstore.store import ObjectStore
@@ -237,7 +238,7 @@ class GroupRestorer:
                     or oid_class(oid) != CLASS_MEMORY:
                 continue
             group.oid_map[obj.kid] = oid
-            shadow = obj.shadow(name=f"sys:{obj.name}")
+            shadow = obj.shadow(name=system_shadow_name(obj.name))
             shadow.sls_oid = oid
             # Repoint every entry mapping the restored base.
             for entries in by_object:

@@ -141,6 +141,12 @@ def chain_backing_oid(top: VMObject) -> Optional[int]:
     return None
 
 
+def system_shadow_name(name: str) -> str:
+    """The name of the system shadow made of an object called
+    ``name``: ``sys:`` once, however many checkpoints deep."""
+    return name if name.startswith("sys:") else f"sys:{name}"
+
+
 def object_record(top: VMObject) -> Dict[str, Any]:
     """The vmobject metadata document persisted per checkpoint."""
     return {
@@ -374,7 +380,8 @@ class ShadowEngine:
             # factor for complex applications (§9.4).
             kernel.clock.advance(costs.CKPT_VMOBJECT)
             item, downgraded = self.freeze(spaces, track, top,
-                                           f"sys:{top.name}", full, mem)
+                                           system_shadow_name(top.name),
+                                           full, mem)
             total_downgraded += downgraded
             dirty_runs += item.stretches()
             items.append(item)

@@ -19,9 +19,8 @@ from ..units import KiB, STRIPE_SIZE
 
 ALIGN = 4 * KiB
 
-#: :meth:`ExtentAllocator.snapshot`: cursor, free list, allocated and
-#: freed byte totals.
-AllocState = Tuple[int, List[Tuple[int, int]], int, int]
+#: :meth:`ExtentAllocator.snapshot`: cursor and free list.
+AllocState = Tuple[int, List[Tuple[int, int]]]
 
 
 def _align_up(value: int, align: int = ALIGN) -> int:
@@ -40,8 +39,6 @@ class ExtentAllocator:
         self.cursor = cursor if cursor is not None else reserved
         #: Freed extents: sorted list of (offset, length).
         self._free: List[Tuple[int, int]] = []
-        self.allocated_bytes = 0
-        self.freed_bytes = 0
 
     def alloc(self, nbytes: int) -> int:
         """Allocate an extent of at least ``nbytes``; returns offset."""
@@ -55,7 +52,6 @@ class ExtentAllocator:
                     self._free[index] = (offset + want, remainder)
                 else:
                     del self._free[index]
-                self.allocated_bytes += want
                 return offset
         if self.cursor + want > self.capacity:
             raise StoreFull(
@@ -63,7 +59,6 @@ class ExtentAllocator:
                 f"{self.capacity - self.cursor}B left")
         offset = self.cursor
         self.cursor += want
-        self.allocated_bytes += want
         return offset
 
     def free(self, offset: int, nbytes: int) -> None:
@@ -85,17 +80,15 @@ class ExtentAllocator:
                 del self._free[index - 1]
                 index -= 1
         self._free.insert(index, entry)
-        self.freed_bytes += length
 
     def snapshot(self) -> AllocState:
         """The allocator's whole state, for :meth:`restore`."""
-        return (self.cursor, list(self._free), self.allocated_bytes,
-                self.freed_bytes)
+        return self.cursor, list(self._free)
 
     def restore(self, state: AllocState) -> None:
         """Undo every allocation and free made since ``state`` was
         taken (a failed superblock flip or GC delete)."""
-        self.cursor, free, self.allocated_bytes, self.freed_bytes = state
+        self.cursor, free = state
         self._free = list(free)
 
     def unowned(self, owned: Iterable[Tuple[int, int]]
@@ -118,5 +111,7 @@ class ExtentAllocator:
         return tail + sum(length for _off, length in self._free)
 
     def used_bytes(self) -> int:
-        """Live allocated bytes."""
-        return self.allocated_bytes - self.freed_bytes
+        """Bytes handed out and not freed: everything below the cursor
+        but the free list — as true after a mount as before it."""
+        return (self.cursor - self.reserved
+                - sum(length for _off, length in self._free))

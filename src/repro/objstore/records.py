@@ -1,13 +1,20 @@
 """On-disk record envelopes.
 
-Every object record and checkpoint metadata blob the store writes is a
-:mod:`repro.serde` document wrapped in a small typed envelope, so
-recovery can sanity-check what it reads before trusting it.
+Every record the store writes is a :mod:`repro.serde` document wrapped
+in a small typed envelope, so recovery can sanity-check what it reads
+before trusting it.
+
+Kernel objects are written as relations: a record extent holds one
+``object-batch`` document, one table per record shape — ``[otype,
+keys, oids, columns]`` for each distinct ``otype`` and state key tuple,
+in first-seen order, with one column per key.  The batch's frame CRC
+covers every row; a row carries no envelope of its own.
 """
 
 from __future__ import annotations
 
-from typing import Any, Container, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Container, Dict, List, Optional, Sequence, Tuple
 
 from .. import serde
 from ..errors import CorruptRecord
@@ -15,14 +22,16 @@ from ..errors import CorruptRecord
 REC_SUPERBLOCK = "superblock"
 REC_CATALOG = "catalog"
 REC_CKPT_META = "ckpt-meta"
-REC_OBJECT = "object"
 REC_OBJECT_BATCH = "object-batch"
 REC_JOURNAL = "journal"
 REC_SWAP = "swap"
 REC_FLIGHTREC = "flightrec"
 
-_KINDS = (REC_SUPERBLOCK, REC_CATALOG, REC_CKPT_META, REC_OBJECT,
-          REC_OBJECT_BATCH, REC_JOURNAL, REC_SWAP, REC_FLIGHTREC)
+_KINDS = (REC_SUPERBLOCK, REC_CATALOG, REC_CKPT_META, REC_OBJECT_BATCH,
+          REC_JOURNAL, REC_SWAP, REC_FLIGHTREC)
+
+#: One staged kernel object: ``(oid, otype, state)``, the state a dict.
+Object = Tuple[int, str, Dict[str, Any]]
 
 
 def encode(kind: str, body: Any) -> bytes:
@@ -43,65 +52,33 @@ def decode(data: bytes, expect: str) -> Any:
     return document["body"]
 
 
-def encode_object(oid: int, otype: str, state: Any) -> bytes:
-    """Envelope for one serialized kernel object."""
-    return encode(REC_OBJECT, {"oid": oid, "otype": otype, "state": state})
-
-
-#: An object record's envelope, constant but for its three fields.
-_OBJECT = serde.Shape({"kind": REC_OBJECT, "body": {
-    "oid": serde.HOLE, "otype": serde.HOLE, "state": serde.HOLE}})
-
-
-def decode_object(data: bytes) -> Tuple[int, str, Any]:
-    """(oid, otype, state) from an object record: read off its
-    constant envelope, or decoded in full when it has another."""
-    fields = _OBJECT.read(data)
-    if fields is None:
-        return _fields(decode(data, REC_OBJECT))
-    oid, otype, state = fields
-    return oid, otype, state
-
-
-def _fields(body: Any) -> Tuple[int, str, Any]:
-    return body["oid"], body["otype"], body["state"]
-
-
-def encode_objects(encoded_records: Sequence[bytes]) -> bytes:
-    """Batch envelope wrapping pre-encoded object records.
-
-    A checkpoint stages its records into one extent per batch instead
-    of one per object; the inner payloads are the unchanged per-object
-    envelopes, so the batch amortizes extent allocation and write
-    submission without a second serialization format.
-    """
-    return encode(REC_OBJECT_BATCH, {"records": list(encoded_records)})
+def encode_objects(objects: Sequence[Object]) -> bytes:
+    """One record extent's payload: the objects as one table per
+    ``(otype, key tuple)``, each state's values in its table's columns."""
+    tables: Dict[Tuple[str, Tuple[str, ...]], List[Any]] = {}
+    for oid, otype, state in objects:
+        keys = tuple(state)
+        table = tables.get((otype, keys))
+        if table is None:
+            table = tables[otype, keys] = [otype, keys, [],
+                                           [[] for _key in keys]]
+        table[2].append(oid)
+        for column, value in zip(table[3], state.values()):
+            column.append(value)
+    return encode(REC_OBJECT_BATCH, list(tables.values()))
 
 
 def decode_objects(data: bytes, wanted: Optional[Container[int]] = None
-                   ) -> List[Tuple[int, str, Any]]:
-    """Every ``(oid, otype, state)`` in a record extent.
-
-    Accepts both a single-object envelope (legacy extents, single-
-    record checkpoints) and a batch envelope.  With ``wanted``, a
-    batch's records whose envelope names another OID are skipped with
-    their state never walked (their checksums still checked); a record
-    with another envelope is decoded in full.
-    """
-    document = serde.loads(data)
-    if not isinstance(document, dict) or "kind" not in document:
-        raise CorruptRecord("record missing envelope")
-    if document["kind"] == REC_OBJECT:
-        return [_fields(document["body"])]
-    if document["kind"] != REC_OBJECT_BATCH:
-        raise CorruptRecord(
-            f"expected object record(s), found {document['kind']!r}")
-    found: List[Tuple[int, str, Any]] = []
-    for item in document["body"]["records"]:
-        fields = _OBJECT.read(item, wanted)
-        if fields is None:
-            found.append(_fields(decode(item, REC_OBJECT)))
-        elif fields:
-            oid, otype, state = fields
-            found.append((oid, otype, state))
+                   ) -> List[Object]:
+    """Every ``(oid, otype, state)`` in a record extent, table by
+    table; with ``wanted``, only the rows of those OIDs."""
+    found: List[Object] = []
+    try:
+        for otype, keys, oids, columns in decode(data, REC_OBJECT_BATCH):
+            rows = zip(*columns) if keys else repeat(())
+            for oid, row in zip(oids, rows):
+                if wanted is None or oid in wanted:
+                    found.append((oid, otype, dict(zip(keys, row))))
+    except (TypeError, ValueError):
+        raise CorruptRecord("malformed object table") from None
     return found

@@ -179,12 +179,7 @@ def _repair_freelist(store: Any, report: RepairReport) -> bool:
             spans = next_spans
         trimmed.extend(spans)
     if changed:
-        freed_delta = (sum(l for _o, l in store.alloc._free)
-                       - sum(l for _o, l in trimmed))
         store.alloc._free = sorted(trimmed)
-        # The trimmed bytes are live again: charge them back so
-        # used_bytes() stays truthful.
-        store.alloc.freed_bytes -= freed_delta
     return changed
 
 

@@ -66,7 +66,10 @@ class CheckpointTxn:
     def __init__(self, store: "ObjectStore", info: CheckpointInfo) -> None:
         self.store = store
         self.info = info
-        self.staged_records: List[Tuple[int, bytes]] = []
+        #: ``(oid, otype, state)`` per object, encoded at the commit
+        #: (:meth:`record_payloads`).
+        self.staged_records: List[records.Object] = []
+        self._payloads: Optional[List[bytes]] = None
         #: Staged content per OID: sorted, disjoint runs (see
         #: :meth:`put_pages`).
         self.staged_runs: Dict[int, Sequence[LocatorRun]] = {}
@@ -83,11 +86,13 @@ class CheckpointTxn:
         #: IOs are attributed to the checkpoint that issued them.
         self.trace = tracing.current()
 
-    def put_object(self, oid: int, otype: str, state: Any) -> None:
-        """Stage one serialized object record."""
+    def put_object(self, oid: int, otype: str, state: Dict[str, Any]) -> None:
+        """Stage one serialized object record.  ``state`` is the
+        serializer's own: nothing changes it before the commit encodes
+        it."""
         self.store.clock.advance(costs.STORE_RECORD_STAGE)
-        self.staged_records.append(
-            (oid, records.encode_object(oid, otype, state)))
+        self.staged_records.append((oid, otype, state))
+        self._payloads = None
 
     def put_pages(self, oid: int, runs: Sequence[LocatorRun],
                   owner: Any = None) -> None:
@@ -108,9 +113,20 @@ class CheckpointTxn:
             if owner is not None:
                 self.owned.append((oid, owner, runs))
 
+    def record_payloads(self) -> List[bytes]:
+        """The record extents' payloads: one :func:`records.encode_objects`
+        of each :data:`RECORD_BATCH` slice of the staged records,
+        encoded once."""
+        if self._payloads is None:
+            staged = self.staged_records
+            self._payloads = [
+                records.encode_objects(staged[start:start + RECORD_BATCH])
+                for start in range(0, len(staged), RECORD_BATCH)]
+        return self._payloads
+
     def staged_bytes(self) -> int:
         """Bytes this transaction will write (records + pages)."""
-        total = sum(len(data) for _oid, data in self.staged_records)
+        total = sum(map(len, self.record_payloads()))
         total += PAGE_SIZE * sum(run[2] for runs in self.staged_runs.values()
                                  for run in runs if run[0] != "ext")
         return total
@@ -327,27 +343,21 @@ class ObjectStore:
         """Stage object records into extents: yields each extent's
         ``(offset, payload)`` write, allocated just before.
 
-        Records are staged in :data:`RECORD_BATCH`-sized batch extents
-        (one allocation + one write per batch); every OID in a batch
-        points at the shared extent.  A single staged record keeps the
-        bare per-object envelope, so small checkpoints write
-        byte-identical extents to the pre-batching format.
+        Each :data:`RECORD_BATCH` slice of the staged records is one
+        extent (one allocation + one write), its payload one table per
+        record shape (:func:`records.encode_objects`); every OID in the
+        slice points at that extent.
         """
         info = txn.info
         staged = txn.staged_records
-        for start in range(0, len(staged), RECORD_BATCH):
-            batch = staged[start:start + RECORD_BATCH]
-            if len(batch) == 1:
-                payload = batch[0][1]
-            else:
-                payload = records.encode_objects(
-                    [data for _oid, data in batch])
+        for start, payload in zip(range(0, len(staged), RECORD_BATCH),
+                                  txn.record_payloads()):
             extent = self.alloc.alloc(len(payload))
             info.owned_extents.append((extent, len(payload)))
             self.clock.advance(costs.STORE_ALLOC_EXTENT)
             yield extent, payload
             where = (extent, len(payload))
-            for oid, _data in batch:
+            for oid, _otype, _state in staged[start:start + RECORD_BATCH]:
                 info.object_records[oid] = where
 
     def _finalize_commit(self, txn: CheckpointTxn) -> None:

@@ -64,10 +64,7 @@ it, an int of up to eight bytes is read with its header in one
 list inside a list (one call per container, not per item).  A walk
 that raises, or ends anywhere but at the body's end, hands the record
 to the checked walk (:func:`_check`), which gives the exact verdict —
-so the checked walk runs only on damaged bodies.  A record kind whose
-envelope is constant is read as a :class:`Shape`: the template's
-encoding, cut at its holes, is matched with ``startswith`` and
-``endswith``, and only the holes are walked.
+so the checked walk runs only on damaged bodies.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ from __future__ import annotations
 import struct
 import zlib
 from functools import lru_cache
-from typing import Any, Callable, Container, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .errors import CorruptRecord
 
@@ -514,27 +511,6 @@ def _check(body: bytes, pos: int, end: int) -> Tuple[Any, int]:
     return (magnitude if tag == _TAG_INT else -magnitude), stop
 
 
-def _body(data: bytes) -> Tuple[bytes, int]:
-    """A record's body, checked against its frame and padded, and its
-    length; raises :class:`~repro.errors.CorruptRecord` on a bad frame."""
-    try:
-        magic, version, checksum, body_len = _unpack_frame(data)
-    except struct.error:
-        raise CorruptRecord("record shorter than header") from None
-    if magic != MAGIC:
-        raise CorruptRecord("bad magic")
-    if version != VERSION:
-        raise CorruptRecord(f"unsupported version {version}")
-    body = data[_FRAME_SIZE:_FRAME_SIZE + body_len]
-    if type(body) is not bytes:
-        body = bytes(body)
-    if len(body) != body_len:
-        raise CorruptRecord("record truncated")
-    if zlib.crc32(body) != checksum:
-        raise CorruptRecord("checksum mismatch")
-    return body + _PAD, body_len
-
-
 def loads(data: bytes) -> Any:
     """Decode a record produced by :func:`dumps`.
 
@@ -542,7 +518,22 @@ def loads(data: bytes) -> Any:
     including checksum mismatches — the object store relies on this to
     detect torn writes after a simulated crash.
     """
-    body, end = _body(data)
+    try:
+        magic, version, checksum, end = _unpack_frame(data)
+    except struct.error:
+        raise CorruptRecord("record shorter than header") from None
+    if magic != MAGIC:
+        raise CorruptRecord("bad magic")
+    if version != VERSION:
+        raise CorruptRecord(f"unsupported version {version}")
+    body = data[_FRAME_SIZE:_FRAME_SIZE + end]
+    if type(body) is not bytes:
+        body = bytes(body)
+    if len(body) != end:
+        raise CorruptRecord("record truncated")
+    if zlib.crc32(body) != checksum:
+        raise CorruptRecord("checksum mismatch")
+    body += _PAD
     try:
         value, pos = _walk(body, 0)
         if pos == end:
@@ -556,73 +547,3 @@ def loads(data: bytes) -> Any:
     if pos != end:
         raise CorruptRecord("trailing bytes after value")
     return value
-
-
-#: A hole in a :class:`Shape` template.  Its bytes start with a tag no
-#: value has, so they mark the hole in the template's encoding.
-HOLE = Encoded(b"\xffHOLE\xff")
-
-
-class Shape:
-    """A document with holes: the constant parts of a record kind,
-    compiled once to the byte chunks between its holes.
-
-    ``Shape({"kind": "object", "body": {"oid": HOLE, ...}})`` encodes
-    the template with :func:`fragment`, so its chunks are exactly what
-    the encoder writes around any values put in the holes (dict keys
-    sort as usual: a hole's place is where its key sorts).  :meth:`read`
-    matches a record against the chunks and decodes only the holes."""
-
-    __slots__ = ("_head", "_rest")
-
-    def __init__(self, template: Any) -> None:
-        chunks = bytes(fragment(template)).split(HOLE)
-        holes = _holes(template)
-        if not holes or len(chunks) - 1 != holes:
-            raise ValueError("a template needs holes, and constants "
-                             "free of the hole marker")
-        self._head = chunks[0]
-        #: The chunk after each hole, with its length.
-        self._rest = tuple((chunk, len(chunk)) for chunk in chunks[1:])
-
-    def read(self, data: bytes, first: Optional[Container[Any]] = None
-             ) -> Optional[List[Any]]:
-        """The values in the holes of a record of this shape, or None
-        when ``data`` is not one: a bad frame, a chunk that does not
-        match, or a hole that does not decode.  Never raises: a caller
-        that wants the verdict decodes the record with :func:`loads`.
-
-        With ``first``, a record whose first hole holds a value not in
-        ``first`` is read no further, and the result is ``[]``: its
-        checksum, its first and last chunks and the chunk after that
-        hole matched, and the rest was never walked."""
-        try:
-            body, end = _body(data)
-            if not (body.startswith(self._head)
-                    and body.endswith(self._rest[-1][0], 0, end)):
-                return None
-            pos = len(self._head)
-            values: List[Any] = []
-            for chunk, size in self._rest:
-                value, pos = _walk(body, pos)
-                if not body.startswith(chunk, pos):
-                    return None
-                pos += size
-                if first is not None:
-                    if value not in first:
-                        return [] if pos <= end else None
-                    first = None
-                values.append(value)
-        except Exception:
-            return None
-        return values if pos == end else None
-
-
-def _holes(template: Any) -> int:
-    if template is HOLE:
-        return 1
-    if isinstance(template, dict):
-        return sum(_holes(value) for value in template.values())
-    if isinstance(template, (list, tuple)):
-        return sum(_holes(item) for item in template)
-    return 0

@@ -34,11 +34,14 @@ OPS = st.lists(
     max_size=80)
 
 
-def _run(ops):
-    """Execute ops against the allocator and a shadow model of the
-    live set; verify both invariants after every step."""
-    alloc = ExtentAllocator(CAPACITY, reserved=RESERVED)
-    live = {}  # offset -> aligned length
+def _run(ops, alloc=None, live=None):
+    """Execute ops against the allocator (a fresh one by default) and a
+    shadow model of the live set; verify both invariants after every
+    step."""
+    if alloc is None:
+        alloc = ExtentAllocator(CAPACITY, reserved=RESERVED)
+    if live is None:
+        live = {}  # offset -> aligned length
     for op, arg in ops:
         if op == "alloc":
             try:
@@ -84,6 +87,20 @@ def test_free_everything_restores_full_capacity(ops):
         alloc.free(offset, length)
     assert alloc.used_bytes() == 0
     assert alloc.free_bytes() == CAPACITY - RESERVED
+
+
+@settings(max_examples=40, deadline=None)
+@given(OPS, OPS)
+def test_a_rebuilt_allocator_keeps_exact_accounting(before, after):
+    """A mount rebuilds the allocator from the superblock's cursor and
+    free list alone: it reports the used bytes the old one did, and
+    stays exact through whatever follows."""
+    alloc, live = _run(before)
+    rebuilt = ExtentAllocator(CAPACITY, reserved=RESERVED,
+                              cursor=alloc.cursor)
+    rebuilt._free = list(alloc._free)
+    assert rebuilt.used_bytes() == alloc.used_bytes() == sum(live.values())
+    _run(after, rebuilt, live)
 
 
 @settings(max_examples=40, deadline=None)

@@ -355,10 +355,9 @@ def test_merged_view_equals_full_serialization(op_list):
 
     sink = RecordSink()
     CheckpointSerializer(kernel, group, sls.store, sink).serialize_all()
-    scratch = {}
-    for oid, (otype, state) in sink.records.items():
-        _oid, r_otype, r_state = records.decode_object(
-            records.encode_object(oid, otype, state))
-        scratch[oid] = (r_otype, r_state)
+    scratch = {oid: (otype, state) for oid, otype, state
+               in records.decode_objects(records.encode_objects(
+                   [(oid, otype, state) for oid, (otype, state)
+                    in sink.records.items()]))}
 
     assert on_disk == scratch

@@ -261,3 +261,34 @@ def test_shadow_counters_per_checkpoint_kind(setup):
              "collapse_pages_moved", "tlb_shootdowns", "ptes_downgraded")
     assert [tuple(row[name] for name in names) for row in seen] == PINNED
     assert stats.keys() == keys
+
+
+def _vmobject_names(sls, ckpt_id):
+    extents, _pages = sls.store.merged_view(ckpt_id)
+    return sorted(state["name"] for otype, state
+                  in sls.store.read_object_records(extents).values()
+                  if otype == "vmobject")
+
+
+def test_system_shadow_names_do_not_grow_with_checkpoints():
+    """A system shadow is named ``sys:`` plus the object's name once:
+    fifty checkpoints, and five more after a restore, leave the heap's
+    record called ``sys:heap``, not ``sys:sys:…heap``."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("app")
+    group = sls.attach(proc, periodic=False)
+    addr = proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
+    for step in range(50):
+        proc.vmspace.write(addr, b"%d" % step)
+        info = sls.checkpoint(group, sync=True).info
+    assert _vmobject_names(sls, info.ckpt_id) == ["sys:heap"]
+    machine.crash()
+    machine.boot()
+    sls = load_aurora(machine)
+    restored = sls.restore(group.group_id, periodic=False)
+    for step in range(5):
+        restored.root.vmspace.write(addr, b"%d" % step)
+        info = sls.checkpoint(restored.group, sync=True).info
+    assert _vmobject_names(sls, info.ckpt_id) == ["sys:heap"]
+    assert restored.root.vmspace.entry_at(addr).vmobject.name == "sys:heap"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Machine, serde
+from repro import Machine
 from repro.errors import CorruptRecord, InvalidArgument
 from repro.hw.memory import Page
 from repro.objstore import records
@@ -30,36 +30,20 @@ def test_record_unknown_kind_rejected():
 
 
 def test_object_record_round_trip():
-    blob = records.encode_object(42, "pipe", {"buffer": b"x"})
-    assert records.decode_object(blob) == (42, "pipe", {"buffer": b"x"})
+    blob = records.encode_objects([(42, "pipe", {"buffer": b"x"})])
+    assert records.decode_objects(blob) == [(42, "pipe", {"buffer": b"x"})]
 
 
-def test_batch_decodes_only_the_wanted_records(monkeypatch):
-    """An unwanted record is skipped with its state undecoded; one whose
-    envelope is not the object shape (here an extra key) is decoded in
-    full and returned for the caller to judge."""
-    odd = serde.dumps({"kind": records.REC_OBJECT,
-                       "body": {"aaa": 0, "oid": 14, "otype": "pipe",
-                                "state": {"n": 14}}})
+def test_batch_decodes_only_the_wanted_records():
+    """Rows come back table by table (kinds and key shapes in first-seen
+    order); ``wanted`` keeps only its OIDs' rows."""
     batch = records.encode_objects(
-        [records.encode_object(oid, "pipe", {"n": oid}) for oid in (11, 12)]
-        + [odd, records.encode_object(-5, "pipe", {"n": -5})])
-    decoded_states = []
-    walk = serde._walk
-
-    def counting_walk(body, pos):
-        value, end = walk(body, pos)
-        if isinstance(value, dict) and "n" in value:
-            decoded_states.append(value["n"])
-        return value, end
-
-    monkeypatch.setattr(serde, "_walk", counting_walk)
-    assert records.decode_objects(batch, {12}) == [
-        (12, "pipe", {"n": 12}), (14, "pipe", {"n": 14})]
-    assert decoded_states == [12, 14]       # not 11's, not -5's
+        [(11, "pipe", {"n": 11}), (12, "file", {"n": 12}),
+         (14, "pipe", {"aaa": 0, "n": 14}), (-5, "pipe", {"n": -5})])
+    assert records.decode_objects(batch, {12, -5}) == [
+        (-5, "pipe", {"n": -5}), (12, "file", {"n": 12})]
     assert [oid for oid, _otype, _state in records.decode_objects(batch)] \
-        == [11, 12, 14, -5]
-    assert decoded_states == [12, 14, 11, 12, 14, -5]
+        == [11, -5, 12, 14]
 
 
 def test_missing_wanted_oid_takes_the_fallback():

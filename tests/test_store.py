@@ -8,7 +8,7 @@ from repro.errors import (InvalidArgument, NoSuchCheckpoint, StoreError,
                           StoreFull)
 from repro.hw.memory import Page
 from repro.machine import Machine
-from repro.objstore.blockalloc import ExtentAllocator
+from repro.objstore.blockalloc import ExtentAllocator, _align_up
 from repro.objstore.oid import (CLASS_MEMORY, CLASS_POSIX, OIDAllocator,
                                 make_oid, oid_class, oid_serial)
 from repro.objstore.store import ObjectStore
@@ -242,6 +242,38 @@ def test_gc_reclaims_space(store):
     used_before = store.used_bytes()
     store.retain_last(9, keep=1)
     assert store.used_bytes() < used_before
+
+
+def _owned_bytes(store):
+    """Bytes the store's owners hold, aligned as allocated (an extent
+    several checkpoints share counts once)."""
+    return sum(_align_up(length)
+               for length in dict(store.owned_extents()).values())
+
+
+def test_used_bytes_is_true_across_a_remount(store):
+    """Six checkpoints, a remount, ``retain_last(1)``: ``used_bytes()``
+    is what the owners hold plus the stretches nothing owns (what a
+    mount leaks) at every step.  Two running counters read 0 right after
+    the mount and went negative after the trim: a fresh allocator
+    started them at zero."""
+    _chain(store, 6)
+    assert store.used_bytes() == _owned_bytes(store) > 0
+    assert store.alloc.unowned(store.owned_extents()) == []
+    written = store.used_bytes()
+    machine = store.machine
+    machine.crash()
+    machine.boot()
+    store = ObjectStore(machine)
+    assert store.mount()
+    mounted = store.used_bytes()
+    for _step in ("mounted", "trimmed"):
+        leaked = sum(length for _offset, length
+                     in store.alloc.unowned(store.owned_extents()))
+        assert store.used_bytes() == _owned_bytes(store) + leaked
+        store.retain_last(9, keep=1)
+    assert mounted >= written
+    assert 0 < store.used_bytes() < mounted
 
 
 # -- crash recovery ------------------------------------------------------------------------------------

@@ -26,7 +26,20 @@ unchanged.  Both moved together once more when the device began to
 book one ``nvme.write`` span per device per flush instead of one per
 command: the span ring each flight record captures holds fewer, newer
 spans.  Every other extent is unchanged (19 flight-record extents in
-the fleet image, 30 in the cluster image).  The digest must also not
+the fleet image, 30 in the cluster image).  Both moved together again
+when a record extent became one table per record shape (no envelope
+per object, no bare single-record extent) and a system shadow's name
+stopped growing by ``sys:`` per checkpoint: record, metadata, catalog
+and flight-record bytes, and what follows them on the array.
+
+A second pin per scenario is logical: each retained checkpoint's
+merged view — its objects' ``(oid, otype, state)`` and each OID's page
+bytes — on every store, with no offset or record layout in it
+(:func:`logical_digest`).  It was recorded before the table format
+and did not move with it; it moved once with the name fix, and only
+in ``vmobject`` records' ``name`` (16 records in the fleet's retained
+views, 132 across the cluster's six stores; was
+``1479ade5…ab16433`` and ``2ef7fa20…67f992cc``).  The digest must also not
 depend on process state: it is taken cold (a fresh interpreter,
 nothing memoised) and warm (repeated in this process) and must read
 the same.  It reads the media through
@@ -40,13 +53,15 @@ import os
 import subprocess
 import sys
 
-from repro import Machine, load_aurora
+from repro import Machine, load_aurora, serde
 from repro.core import telemetry
 from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
-FLEET_SHA256 = "4ac4555cd42af6b3f23b7ca5734a31766ad3c4f3678a8c04744d5641bd0778a6"
-CLUSTER_SHA256 = "204d31720fe18177b4120bb0c7a5e4fcb9f9cc626e01e9aba8ff5fd58548ca08"
+FLEET_SHA256 = "29d4df22f707e3fb9d28313a783afc3cb918f46b0fe7888601f32f47353be174"
+CLUSTER_SHA256 = "186fad9a5f7cae1dfa4a2183f83d65329c45ace0b4201dee3bee728dc21c4c41"
+FLEET_LOGICAL_SHA256 = "4b680b9b08f4e2b9c603757dbd9f9f8a3e36ea0da9ef4f497e5689bf23e47b54"
+CLUSTER_LOGICAL_SHA256 = "d531af352483628c8033bfa11707967197e0e58c0f36656c47c8393be6c3a46d"
 
 
 def image_digest(machines) -> str:
@@ -60,7 +75,32 @@ def image_digest(machines) -> str:
     return digest.hexdigest()
 
 
-def fleet_image() -> str:
+def logical_digest(stores) -> str:
+    """sha256 over what each retained checkpoint restores: its merged
+    view's ``(oid, otype, state)`` in OID order, then each OID's pages
+    by index.  No offset, extent or record layout enters it."""
+    digest = hashlib.sha256()
+    for store in stores:
+        for ckpt_id in sorted(store.checkpoints):
+            extents, pages = store.merged_view(ckpt_id)
+            digest.update(b"ckpt %d:" % ckpt_id)
+            objects = store.read_object_records(extents)
+            for oid in sorted(objects):
+                digest.update(serde.dumps([oid, *objects[oid]]))
+            for oid in sorted(pages):
+                runs = pages[oid].runs
+                digest.update(b"pages %d:" % oid)
+                fetched = iter(store.fetch_pages(runs))
+                for run in runs:
+                    for pindex in range(run[1], run[1] + run[2]):
+                        digest.update(b"%d:" % pindex)
+                        digest.update(next(fetched).realize())
+    return digest.hexdigest()
+
+
+def fleet_run():
+    """Six EDF-scheduled tenants with history GC; returns the
+    machine and its orchestrator."""
     telemetry.reset()
     machine = Machine()
     sls = load_aurora(machine)
@@ -78,7 +118,19 @@ def fleet_image() -> str:
             proc.vmspace.write(addr + page * PAGE_SIZE,
                                b"tenant%d step %03d" % (index, step))
         machine.run_for(5 * MSEC)
+    return machine, sls
+
+
+def fleet_image() -> str:
+    machine, _sls = fleet_run()
     digest = image_digest([machine])
+    telemetry.reset()
+    return digest
+
+
+def fleet_logical() -> str:
+    _machine, sls = fleet_run()
+    digest = logical_digest([sls.store])
     telemetry.reset()
     return digest
 
@@ -116,6 +168,15 @@ def cluster_image() -> str:
     return digest
 
 
+def cluster_logical() -> str:
+    telemetry.reset()
+    sls, _group, cluster, _report = cluster_scenario()
+    digest = logical_digest([sls.store] + [node.sls.store
+                                            for node in cluster.nodes])
+    telemetry.reset()
+    return digest
+
+
 def test_fleet_and_cluster_images_match_their_pins_warm_and_cold():
     warm = [(fleet_image(), cluster_image()) for _ in range(2)]
     assert warm[0] == warm[1], "digest depends on in-process state"
@@ -130,3 +191,8 @@ def test_fleet_and_cluster_images_match_their_pins_warm_and_cold():
          "print(fleet_image(), cluster_image())"],
         env=env, capture_output=True, text=True, timeout=300, check=True)
     assert tuple(cold.stdout.split()) == (FLEET_SHA256, CLUSTER_SHA256)
+
+
+def test_fleet_and_cluster_logical_views_match_their_pins():
+    assert (fleet_logical(), cluster_logical()) == \
+        (FLEET_LOGICAL_SHA256, CLUSTER_LOGICAL_SHA256)
