@@ -23,7 +23,8 @@ sls() { python -m repro.core.cli "$@"; }
 # Scrub of a store an actual workload wrote; then a store under memory
 # pressure — dirty pages evicted, a checkpoint adopting them, history
 # trimmed — must scrub clean too: no extent without an owner; and again
-# once remounted and trimmed, with its used bytes above zero.
+# once remounted and trimmed, with its used bytes above zero, the same
+# owned extents per checkpoint and a small metadata record.
 smoke_scrub() {
     sls init "$WORK/aurora.img"
     sls spawn "$WORK/aurora.img" stress --memory-kib 256
@@ -51,10 +52,21 @@ sls.store.retain_last(group.group_id, 1)
 report = scrub(sls.store, sls)
 assert report.ok, report.findings
 print(f"pressure store is clean: {pageout.evictions_dirty} dirty evictions")
-# Remounted and trimmed again, the space accounting still holds.
+owned = {ckpt_id: list(info.owned_extents)
+         for ckpt_id, info in sls.store.checkpoints.items()}
+# Remounted, every retained checkpoint owns the extents it owned before
+# the crash (its [offset, count, length] runs round-trip through media)
+# and its metadata record stays small: one pair per owned extent made
+# the record 2 938 B.
 machine.crash()
 machine.boot()
 sls = load_aurora(machine)
+assert {ckpt_id: info.owned_extents
+        for ckpt_id, info in sls.store.checkpoints.items()} == owned
+for info in sls.store.checkpoints.values():
+    assert info.meta_extent[1] < 2048, info.meta_extent
+print(f"remounted owned extents match: {sum(map(len, owned.values()))} extents")
+# Trimmed again, the space accounting still holds.
 sls.store.retain_last(group.group_id, 1)
 used = sls.store.used_bytes()
 assert used > 0, used

@@ -96,7 +96,7 @@ class AuroraAPI:
 
         clock.advance(costs.CKPT_ATOMIC_BASE)
         item, downgraded = engine.freeze(engine.running_spaces(group), track,
-                                         top, f"atomic:{top.name}")
+                                         top)
         kernel.cpus.tlb_shootdown(
             min(len(self.proc.threads), len(kernel.cpus)),
             max(downgraded, 1))

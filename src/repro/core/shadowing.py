@@ -305,9 +305,9 @@ class ShadowEngine:
         return track
 
     def freeze(self, spaces: List[Tuple[Any, Any]], track: ObjectTrack,
-               top: VMObject, shadow_name: str, full: bool = False,
+               top: VMObject, full: bool = False,
                mem: bool = False) -> Tuple[FlushItem, int]:
-        """Freeze ``top`` under a fresh shadow called ``shadow_name``.
+        """Freeze ``top`` under a fresh :func:`system_shadow_name` shadow.
 
         Every reference in ``spaces`` (:meth:`running_spaces`) and the
         shm backmap moves to the shadow, the COW marks are charged, and
@@ -326,7 +326,7 @@ class ShadowEngine:
             runs = flushed_runs(top, top.content())
             sources = [(top, runs)] if runs else []
         item = FlushItem(track.oid, object_record(top), sources)
-        shadow = top.shadow(name=shadow_name)
+        shadow = top.shadow(name=system_shadow_name(top.name))
         shadow.sls_oid = track.oid
         downgraded = self._repoint_entries(spaces, top, shadow)
         self.kernel.clock.advance(item.page_count()
@@ -379,9 +379,7 @@ class ShadowEngine:
             # number of address-space objects is the dominant stop-time
             # factor for complex applications (§9.4).
             kernel.clock.advance(costs.CKPT_VMOBJECT)
-            item, downgraded = self.freeze(spaces, track, top,
-                                           system_shadow_name(top.name),
-                                           full, mem)
+            item, downgraded = self.freeze(spaces, track, top, full, mem)
             total_downgraded += downgraded
             dirty_runs += item.stretches()
             items.append(item)

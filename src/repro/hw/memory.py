@@ -20,25 +20,12 @@ from typing import Optional
 from ..units import PAGE_SIZE
 from ..errors import InvalidArgument
 
-#: ``b"0"``, ``b"1"``, …: the block counters of one page.
-_COUNTERS = tuple(b"%d" % i for i in range(PAGE_SIZE // 32))
-
 
 def synthetic_bytes(seed: int, length: int = PAGE_SIZE) -> bytes:
     """Deterministic content of a synthetic page with ``seed``: the
-    SHA-256 digests of ``b"<seed>:<counter>"`` for counter 0, 1, …,
-    concatenated and cut to ``length``.  Every block resumes one hash
-    state of the shared ``b"<seed>:"`` prefix."""
-    blocks = -(-length // 32)
-    counters = _COUNTERS[:blocks] if blocks <= len(_COUNTERS) else [
-        b"%d" % i for i in range(blocks)]
-    prefix = hashlib.sha256(b"%d:" % seed)
-    digests = []
-    for counter in counters:
-        block = prefix.copy()
-        block.update(counter)
-        digests.append(block.digest())
-    return b"".join(digests)[:length]
+    first ``length`` bytes of the SHAKE-128 stream of ``b"<seed>:"``,
+    one C call however long the page."""
+    return hashlib.shake_128(b"%d:" % seed).digest(length)
 
 
 class Page:

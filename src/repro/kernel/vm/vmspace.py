@@ -148,7 +148,8 @@ class VMSpace(KObject):
 
         Setup helper for large benchmark datasets: installs pages
         directly (dirty, as freshly written data would be, and writable
-        where the entry is) without charging per-fault costs.
+        where the entry is, unless it owes a fork copy) without
+        charging per-fault costs.
         """
         start_page = addr // PAGE_SIZE
         end_page = start_page + npages
@@ -163,9 +164,8 @@ class VMSpace(KObject):
             entry.vmobject.insert(
                 (("syn", entry.pindex_of(va_page), stretch,
                   seed + (va_page - start_page), 1, True),))
-            self.pmap.enter_range(
-                va_page, stretch,
-                writable=bool(entry.protection & PROT_WRITE), dirty=True)
+            writable = entry.protection & PROT_WRITE and not entry.needs_copy
+            self.pmap.enter_range(va_page, stretch, bool(writable), True)
             va_page += stretch
 
     def touch(self, addr: int, npages: int, seed: int) -> int:

@@ -8,14 +8,15 @@ restore time, exactly like reading a WAFL/ZFS snapshot through its
 block-sharing ancestry.
 
 The on-disk metadata document (:meth:`CheckpointInfo.encode_meta`) has
-one format and one decoder.  Its three large maps are all columnar:
+one format and one decoder.  Its four large maps are all columnar:
 page locators as runs (:class:`PageRuns`), the live set as
-``[start, count, step]`` OID runs, and the record index grouped by
-extent with the same OID runs (:func:`encode_record_index`) — so a
-delta's metadata, and the child-metadata rewrite GC does after
-adopting a deleted parent's state, cost O(extents + runs), not
-O(objects).  The page-locator table stays columnar in memory too: a
-:class:`PageRuns` is the decoded run list itself, and mount,
+``[start, count, step]`` OID runs, the record index grouped by extent
+with the same OID runs (:func:`encode_record_index`), and the owned
+extents as ``[offset, count, length]`` runs (:func:`encode_extent_runs`)
+— so a delta's metadata, and the child-metadata rewrite GC does after
+adopting a deleted parent's state, cost O(record extents + runs), not
+O(objects) or O(data extents).  The page-locator table stays columnar
+in memory too: a :class:`PageRuns` is the decoded run list itself, and mount,
 :meth:`ObjectStore.merged_view`, GC adoption, restore (eager and lazy)
 and page fetches work on runs, never on one locator per page — one
 page's locator is a one-page run.  The live set and the
@@ -192,6 +193,31 @@ def decode_record_index(raw: List[list]) -> Dict[int, Tuple[int, int]]:
     return object_records
 
 
+def encode_extent_runs(extents: List[Tuple[int, int]]) -> List[List[int]]:
+    """Coalesce ``(offset, length)`` extents, in list order, into
+    ``[offset, count, length]`` runs of contiguous equal-length ones."""
+    runs: List[List[int]] = []
+    for offset, length in extents:
+        run = runs[-1] if runs else None
+        if run and run[2] == length and run[0] + run[1] * length == offset:
+            run[1] += 1
+        else:
+            runs.append([offset, 1, length])
+    return runs
+
+
+def decode_extent_runs(raw: Any) -> List[Tuple[int, int]]:
+    """Expand extent runs back to the ``(offset, length)`` list.  A run
+    that is not three integers with ``count`` and ``length`` ≥ 1 is a
+    :class:`CorruptRecord`, like a malformed page run."""
+    if not isinstance(raw, list) or not all(
+            isinstance(run, list) and list(map(type, run)) == [int] * 3
+            and run[1] >= 1 and run[2] >= 1 for run in raw):
+        raise CorruptRecord("malformed owned-extent run list")
+    return [(offset + i * length, length)
+            for offset, count, length in raw for i in range(count)]
+
+
 class CheckpointInfo:
     """In-memory (and, encoded, on-disk) description of one checkpoint."""
 
@@ -284,8 +310,7 @@ class CheckpointInfo:
             "object_records": encode_record_index(self.object_records),
             "pages": {str(oid): runs.encode()
                       for oid, runs in self.pages.items()},
-            "owned_extents": [[off, length]
-                              for off, length in self.owned_extents],
+            "owned_extents": encode_extent_runs(self.owned_extents),
             "data_bytes": self.data_bytes,
         }
 
@@ -297,8 +322,7 @@ class CheckpointInfo:
         info.object_records = decode_record_index(raw["object_records"])
         info.pages = {int(oid): decode_page_runs(runs)
                       for oid, runs in raw["pages"].items()}
-        info.owned_extents = [(pair[0], pair[1])
-                              for pair in raw["owned_extents"]]
+        info.owned_extents = decode_extent_runs(raw["owned_extents"])
         info.data_bytes = raw["data_bytes"]
         live_runs = raw["live_oid_runs"]
         if live_runs is not None:

@@ -39,16 +39,11 @@ def test_synthetic_page_is_deterministic():
 
 
 def _synthetic_bytes_formula(seed, length):
-    """The synthetic page formula as first written: one SHA-256 of
-    ``f"{seed}:{counter}"`` per 32-byte block."""
+    """The synthetic page formula: the SHAKE-128 stream of
+    ``f"{seed}:"``, cut to ``length`` (a 4 KiB page is one XOF call)."""
     import hashlib
 
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(f"{seed}:{counter}".encode()).digest()
-        counter += 1
-    return bytes(out[:length])
+    return hashlib.shake_128(f"{seed}:".encode()).digest(length)
 
 
 @pytest.mark.parametrize("seed", [0, 7, -5, 2 ** 40])
@@ -58,6 +53,8 @@ def test_synthetic_bytes_keep_the_original_formula(seed):
             _synthetic_bytes_formula(seed, length), length
     assert Page(seed=seed).realize() == _synthetic_bytes_formula(seed,
                                                                  PAGE_SIZE)
+    # A longer stream extends a shorter one: a cut page is a prefix.
+    assert synthetic_bytes(seed, 8192)[:100] == synthetic_bytes(seed, 100)
 
 
 def test_page_copy_preserves_content():

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Machine, load_aurora
 from repro.core import costs
+from repro.core.api import AuroraAPI
 from repro.core.quiesce import assert_quiesced, quiesce_group, resume_group
 from repro.core.shadowing import FORWARD, REVERSE
 from repro.kernel.proc.thread import IN_SYSCALL, IN_SYSCALL_SLEEPING, IN_USER
@@ -292,3 +293,32 @@ def test_system_shadow_names_do_not_grow_with_checkpoints():
         info = sls.checkpoint(restored.group, sync=True).info
     assert _vmobject_names(sls, info.ckpt_id) == ["sys:heap"]
     assert restored.root.vmspace.entry_at(addr).vmobject.name == "sys:heap"
+
+
+def test_memckpt_and_checkpoint_shadow_names_stay_bounded():
+    """``sls_memckpt`` shadows under the same once-only name as a disk
+    checkpoint: six rounds of one of each, a restore and one more round
+    leave the heap called ``sys:heap`` (it grew by ``sys:atomic:`` per
+    round when the memckpt prefixed its own tag)."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("app")
+    group = sls.attach(proc, periodic=False)
+    addr = proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
+    api = AuroraAPI(sls, proc)
+    for step in range(6):
+        proc.vmspace.write(addr, b"mem %d" % step)
+        api.sls_memckpt(addr, 4 * PAGE_SIZE, sync=True)
+        proc.vmspace.write(addr, b"disk %d" % step)
+        info = sls.checkpoint(group, sync=True).info
+    assert _vmobject_names(sls, info.ckpt_id) == ["sys:heap"]
+    machine.crash()
+    machine.boot()
+    sls = load_aurora(machine)
+    restored = sls.restore(group.group_id, periodic=False)
+    assert restored.root.vmspace.read(addr, 6) == b"disk 5"
+    assert restored.root.vmspace.entry_at(addr).vmobject.name == "sys:heap"
+    api = AuroraAPI(sls, restored.root)
+    api.sls_memckpt(addr, 4 * PAGE_SIZE, sync=True)
+    info = sls.checkpoint(restored.group, sync=True).info
+    assert _vmobject_names(sls, info.ckpt_id) == ["sys:heap"]

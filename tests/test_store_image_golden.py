@@ -30,7 +30,12 @@ the fleet image, 30 in the cluster image).  Both moved together again
 when a record extent became one table per record shape (no envelope
 per object, no bare single-record extent) and a system shadow's name
 stopped growing by ``sys:`` per checkpoint: record, metadata, catalog
-and flight-record bytes, and what follows them on the array.
+and flight-record bytes, and what follows them on the array.  Both
+moved together once more when a checkpoint's owned extents went to
+media as ``[offset, count, length]`` runs (metadata bytes and what
+follows them; the logical pins held) and a synthetic page became one
+SHAKE-128 stream: that step kept every extent's offset and length and
+changed only raw page payloads (33 fleet extents, 144 cluster ones).
 
 A second pin per scenario is logical: each retained checkpoint's
 merged view — its objects' ``(oid, otype, state)`` and each OID's page
@@ -39,7 +44,11 @@ bytes — on every store, with no offset or record layout in it
 and did not move with it; it moved once with the name fix, and only
 in ``vmobject`` records' ``name`` (16 records in the fleet's retained
 views, 132 across the cluster's six stores; was
-``1479ade5…ab16433`` and ``2ef7fa20…67f992cc``).  The digest must also not
+``1479ade5…ab16433`` and ``2ef7fa20…67f992cc``); it moved again with
+the synthetic page formula, in page bytes only — with each page
+hashed by its seed or length instead of its bytes, the views read the
+same before and after (was ``4b680b9b…bf23e47b54`` and
+``d531af35…c6a46d``).  The digest must also not
 depend on process state: it is taken cold (a fresh interpreter,
 nothing memoised) and warm (repeated in this process) and must read
 the same.  It reads the media through
@@ -58,10 +67,10 @@ from repro.core import telemetry
 from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
-FLEET_SHA256 = "29d4df22f707e3fb9d28313a783afc3cb918f46b0fe7888601f32f47353be174"
-CLUSTER_SHA256 = "186fad9a5f7cae1dfa4a2183f83d65329c45ace0b4201dee3bee728dc21c4c41"
-FLEET_LOGICAL_SHA256 = "4b680b9b08f4e2b9c603757dbd9f9f8a3e36ea0da9ef4f497e5689bf23e47b54"
-CLUSTER_LOGICAL_SHA256 = "d531af352483628c8033bfa11707967197e0e58c0f36656c47c8393be6c3a46d"
+FLEET_SHA256 = "f24303756bbe075086c9dd7af8ed3af508a349501e901ff4725c506607cab9aa"
+CLUSTER_SHA256 = "7be625a717bd2d56ffd7e725d5a55fba5649ea3fdee5833393c756288e0682b4"
+FLEET_LOGICAL_SHA256 = "c78e69488d1fb20cb10acdc49ea99076f8de9b72587b6b900f8a09e16f7339c6"
+CLUSTER_LOGICAL_SHA256 = "8fefbad00b17c7eeff07a883da39ce6a3008de25c0d24dec47ce48228491d584"
 
 
 def image_digest(machines) -> str:

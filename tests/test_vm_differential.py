@@ -393,6 +393,12 @@ SCENARIOS = {
         ("fill", 0, 0, 0, 8, 10), ("checkpoint",), ("touch", 0, 0, 0, 2, 20),
         ("checkpoint", "full-async"), ("pageout", 2), ("barrier",),
         ("read", 0, 0, 4, 0, 64), ("checkpoint",)],
+    # A fill after a fork leaves the page write-protected (the entry
+    # still owes its copy), so a later touch faults and copies instead
+    # of writing through to the object the other process maps.
+    "fill-after-fork": [
+        ("fork", 0), ("fill", 0, 0, 0, 1, 0), ("fill", 1, 0, 0, 1, 1),
+        ("touch", 0, 0, 0, 1, 0)],
 }
 
 

@@ -293,8 +293,9 @@ def fill_per_page(space, addr: int, npages: int, seed: int) -> None:
             base_pindex + i: Page(seed=base_seed + i)
             for i in range(stretch)}))
         space.pmap.enter_range(
-            va_page, stretch,
-            writable=bool(entry.protection & PROT_WRITE), dirty=True)
+            va_page, stretch, dirty=True,
+            writable=bool(entry.protection & PROT_WRITE)
+            and not entry.needs_copy)
         va_page += stretch
 
 
