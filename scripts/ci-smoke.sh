@@ -94,7 +94,10 @@ smoke_trace() {
 # The self-healing storage path under seeded fault schedules: the
 # crash-schedule explorer's workload with random transient /
 # intermittent faults (retries must absorb every retryable schedule),
-# then an online repair of a deliberately corrupted image —
+# GC under faults (the `chaos_gc` tests, named so the -k filter runs
+# them: a transient at every IO of a commit that trims its history,
+# and a delete that exhausts its retries, must leave the commit
+# standing), then an online repair of a deliberately corrupted image —
 # `sls scrub --repair` must fix it and re-scrub clean.
 smoke_chaos() {
     python -m pytest -q tests/test_resilience.py \

@@ -580,12 +580,13 @@ def cmd_scrub(args) -> int:
     """``sls scrub``: offline integrity walk over the store.
 
     Exit status 0 when the store is clean, 1 when any invariant is
-    violated (corrupt record, dangling pointer, refcount drift,
-    overgrown shadow chain).  Without ``--repair`` the image is never
-    modified; with it, mechanically fixable findings (damaged
-    superblock slot, stale refcounts, free-list overlaps, overgrown
-    shadow chains) are repaired in place, the image is rewritten, and
-    a re-scrub decides the exit status.
+    violated (corrupt record, dangling pointer, live extent on the
+    free list, orphan, unreachable live record, overgrown shadow
+    chain).  Without ``--repair`` the image is never modified; with
+    it, mechanically fixable findings (damaged superblock slot,
+    free-list overlaps, overgrown shadow chains) are repaired in
+    place, the image is rewritten, and a re-scrub decides the exit
+    status.
     """
     machine, sls, store = _open_raw(args.image)
     report = scrub(store, sls=sls)

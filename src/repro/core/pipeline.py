@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional, Set
 
-from ..errors import SLSError
+from ..errors import MachineCrashed, ReproError, SLSError
 from ..objstore.checkpoint import CheckpointInfo
 from ..objstore.store import CheckpointTxn
 from . import costs, events, faults, telemetry
@@ -277,7 +277,15 @@ class Flush(Stage):
             shadow.mark_flushed(group)
             extsync.release(info.ckpt_id)
             if group.history_limit is not None:
-                store.retain_last(group.group_id, group.history_limit)
+                try:
+                    store.retain_last(group.group_id, group.history_limit)
+                except (faults.InjectedCrash, MachineCrashed):
+                    raise
+                except ReproError:
+                    # The checkpoint is committed whatever GC does: a
+                    # failed delete took itself back (gc._Rollback), and
+                    # the next commit's trim retries it.
+                    pass
             if kernel.pageout.memory_pressure():
                 # Freshly flushed pages are clean: reclaim them
                 # without IO (§6 Memory Overcommitment).

@@ -336,3 +336,46 @@ class CheckpointInfo:
         done = "complete" if self.complete else "incomplete"
         return (f"Checkpoint({flag}id={self.ckpt_id}, group={self.group_id}, "
                 f"{len(self.object_records)} objs, {done})")
+
+
+def chain_of(checkpoints: Dict[int, CheckpointInfo],
+             ckpt_id: int) -> List[CheckpointInfo]:
+    """``ckpt_id`` and its ancestors in ``checkpoints``, newest first:
+    the one chain walk.  It ends at the first id the table does not
+    hold, so the last entry's ``parent`` is not None exactly when an
+    ancestor is missing; whether that is an error is the caller's call
+    (:meth:`ObjectStore.parent_chain` raises, scrub reports the hole
+    once as ``dangling``)."""
+    chain: List[CheckpointInfo] = []
+    info = checkpoints.get(ckpt_id)
+    while info is not None:
+        chain.append(info)
+        parent = info.parent
+        info = None if parent is None else checkpoints.get(parent)
+    return chain
+
+
+def live_set(chain: List[CheckpointInfo]) -> Optional[Set[int]]:
+    """The OIDs a restore at the head of ``chain`` (newest first) may
+    still need: the one live-set derivation.
+
+    The newest non-partial checkpoint carrying liveness info defines
+    the base set (its serializer walked every reachable object, so
+    anything absent was deleted before it).  Deltas *newer* than that
+    base — partials — may introduce brand-new OIDs, so their
+    record/page keys are unioned in conservatively.
+
+    Returns None ("everything along the chain is live") when no chain
+    checkpoint carries liveness info, which keeps SLSFS checkpoints and
+    pure-partial chains on the unfiltered semantics.  The result is
+    read-only: when no newer delta added anything it *is* the base
+    checkpoint's set.
+    """
+    newer: Set[int] = set()
+    for info in chain:
+        if not info.partial and info.live_oids is not None:
+            base = info.live_oids
+            return base if newer <= base else base | newer
+        newer.update(info.object_records)
+        newer.update(info.pages)
+    return None

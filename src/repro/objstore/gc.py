@@ -15,15 +15,15 @@ Everything is transferred *by reference*.  A child adopts each of the
 victim's extents that still backs state the child's subtree can reach
 — a packed page extent, or a record extent holding the newest record
 of at least one OID the child neither superseded nor dropped — by
-listing it in its own ``owned_extents``; the store's per-extent
-reference count (``extent_refs``, rebuilt from checkpoint metadata at
-recovery) goes up by one per adopter, so children forked by a restore
-share one copy.  No payload is read or written: a record extent is
-immutable and its size does not depend on how many of its records are
-still wanted, so copying it forward would cost device IO for the same
-space.  An extent none of the children adopted loses its last
-reference with the victim and is freed.  Records for OIDs no surviving
-checkpoint's live set can reach are dropped from the index outright.
+listing it in its own ``owned_extents``, so children forked by a
+restore share one copy; ownership is those lists alone.  No payload
+is read or written: a record extent is immutable and its size does
+not depend on how many of its records are still wanted, so copying it
+forward would cost device IO for the same space.  A victim's extent that no other checkpoint of its
+group lists once the children have adopted is freed (a child is always
+in its parent's group, so the group is where an adopter can be).
+Records for OIDs no surviving checkpoint's live set can reach are
+dropped from the index outright.
 
 Release is deferred (the rule the crash-schedule sweep holds GC to):
 nothing the durable superblock can reach — the victim's extents and
@@ -31,10 +31,11 @@ metadata record, each child's previous metadata record — is discarded
 or handed back to the allocator before the superblock flip that
 unreferences it has landed.  The release list rides
 ``_write_catalog_and_superblock``, so a crash at any IO of a delete
-still mounts the last committed state.  A delete that fails short of
-a crash — a child's metadata write or the flip itself — takes back
-every in-memory change it made, so memory, the allocator and the
-durable catalog still agree and the delete can be retried.
+still mounts the last committed state.  A child's metadata goes
+through the store's retry policy, as a commit's does.  A delete that
+fails short of a crash — a child's metadata write or the flip itself —
+takes back every in-memory change it made, so memory, the allocator
+and the durable catalog still agree and the delete can be retried.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core import telemetry
 from ..core.faults import InjectedCrash
 from ..errors import InvalidArgument, MachineCrashed, ReproError
-from . import records
 from .checkpoint import CheckpointInfo, PageRuns, overlay_page_maps
 
 
@@ -83,17 +83,14 @@ class _Rollback:
     the delete: if a child's metadata write or the flip fails,
     :meth:`undo` leaves the store exactly as it was — the
     catalog (order included), every child's metadata fields, the
-    extent references, the allocator and the media — so the delete
-    can simply be retried.  Saving copies the checkpoint table and the
-    free list; everything else is saved as the delete touches it."""
+    allocator and the media — so the delete can simply be retried.
+    Saving copies the checkpoint table and the free list; everything
+    else is saved as the delete touches it."""
 
     def __init__(self, store: Any) -> None:
         self.store = store
         self.checkpoints: Dict[int, CheckpointInfo] = dict(store.checkpoints)
         self.alloc = store.alloc.snapshot()
-        #: Extent offset -> its reference count before the delete
-        #: first touched it (None: it had none).
-        self.refs: Dict[int, Optional[int]] = {}
         #: Per child: the child, its parent, metadata extent, owned
         #: extent count and page tables, and the OIDs whose records it
         #: was handed.
@@ -102,11 +99,6 @@ class _Rollback:
                                   Dict[int, PageRuns], List[int]]] = []
         #: Child metadata extents this delete wrote.
         self.written: List[int] = []
-
-    def touch_ref(self, offset: int) -> None:
-        """Remember ``offset``'s reference count before it changes."""
-        if offset not in self.refs:
-            self.refs[offset] = self.store.extent_refs.get(offset)
 
     def save_child(self, child: CheckpointInfo) -> List[int]:
         """Remember ``child``'s fields before it adopts; returns the
@@ -138,11 +130,6 @@ class _Rollback:
             child.pages.update(pages)
             for oid in forwarded:
                 del child.object_records[oid]
-        for offset, count in self.refs.items():
-            if count is None:
-                store.extent_refs.pop(offset, None)
-            else:
-                store.extent_refs[offset] = count
         store.checkpoints.clear()
         store.checkpoints.update(self.checkpoints)
         for offset in self.written:
@@ -167,28 +154,27 @@ def truncate_checkpoint(store: Any, ckpt_id: int) -> int:
         raise InvalidArgument(
             f"checkpoint {ckpt_id} still has descendants; truncate "
             f"from the new end of the chain")
-    with _Rollback(store) as rollback:
-        release = _unreference_victim(store, info, rollback)
+    with _Rollback(store):
+        release = _unreference_victim(store, info)
         del store.checkpoints[ckpt_id]
         store._write_catalog_and_superblock(release=release)
     return sum(length for _offset, length in release)
 
 
-def _unreference_victim(store: Any, info: CheckpointInfo,
-                        rollback: _Rollback) -> List[Tuple[int, int]]:
-    """Drop ``info``'s extent references; returns the extents to
-    release once the flip lands: whatever hit zero, plus the victim's
-    metadata record — a checkpoint that owned zero page extents (a
-    pure OS-state delta) still gives back its record and meta extents,
-    so reclaimed-bytes telemetry must not read zero for it."""
-    refs: Dict[int, int] = store.extent_refs
-    release: List[Tuple[int, int]] = []
-    for offset, length in info.owned_extents:
-        rollback.touch_ref(offset)
-        refs[offset] = refs.get(offset, 1) - 1
-        if refs[offset] <= 0:
-            refs.pop(offset, None)
-            release.append((offset, length))
+def _unreference_victim(store: Any,
+                        info: CheckpointInfo) -> List[Tuple[int, int]]:
+    """The extents to release once the flip that drops ``info`` lands:
+    each of its owned extents no other checkpoint of its group lists
+    (its adopters have listed theirs by now), in ``owned_extents``
+    order, then its metadata record — a checkpoint that owned zero page
+    extents (a pure OS-state delta) still gives back its record and
+    meta extents, so reclaimed-bytes telemetry must not read zero for
+    it."""
+    held = {offset for other in store.checkpoints.values()
+            if other.group_id == info.group_id and other is not info
+            for offset, _length in other.owned_extents}
+    release = [extent for extent in info.owned_extents
+               if extent[0] not in held]
     if info.meta_extent is not None:
         release.append(info.meta_extent)
     return release
@@ -209,7 +195,6 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
             f"delete from the old end of the chain")
     children = _children_of(store, ckpt_id)
     registry = telemetry.registry()
-    refs: Dict[int, int] = store.extent_refs
     tallies: List[Tuple[telemetry.Counter, int]] = []
     with _Rollback(store) as rollback:
         # Transfer still-visible state into each child delta.
@@ -234,11 +219,8 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
                 child.object_records[oid] = extent
                 forwarded.append(oid)
                 adopted.add(extent[0])
-            for offset, length in info.owned_extents:
-                if offset in adopted:
-                    child.owned_extents.append((offset, length))
-                    rollback.touch_ref(offset)
-                    refs[offset] = refs.get(offset, 0) + 1
+            child.owned_extents += [extent for extent in info.owned_extents
+                                    if extent[0] in adopted]
             child.parent = info.parent
             tallies.append((registry.counter(
                 "sls.store.gc.records_forwarded", group=info.group_id),
@@ -247,9 +229,8 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
                 "sls.store.gc.records_dropped", group=info.group_id),
                 dropped))
 
-        # Drop the deleted checkpoint's references; whatever hit zero
-        # goes once the flip lands.
-        release = _unreference_victim(store, info, rollback)
+        # What no other checkpoint lists goes once the flip lands.
+        release = _unreference_victim(store, info)
         del store.checkpoints[ckpt_id]
         reclaimed = sum(length for _offset, length in release)
 
@@ -257,14 +238,11 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
         # rewrite their meta records COW-style, then flip the
         # superblock.
         for child in children:
-            payload = records.encode(records.REC_CKPT_META,
-                                     child.encode_meta())
-            new_extent = store.alloc.alloc(len(payload))
-            rollback.written.append(new_extent)
-            store.device.write(new_extent, payload)
+            new_extent = store._write_meta(child)
+            rollback.written.append(new_extent[0])
             if child.meta_extent is not None:
                 release.append(child.meta_extent)
-            child.meta_extent = (new_extent, len(payload))
+            child.meta_extent = new_extent
         store._write_catalog_and_superblock(release=release)
     # Counted once the flip has landed, so a retried delete counts once.
     for counter, count in tallies:

@@ -62,6 +62,21 @@ def _read_superblocks(device: Any
     return slots
 
 
+def read_checkpoint_meta(device: Any, entry: dict) -> CheckpointInfo:
+    """The checkpoint a catalog entry names, decoded from its metadata
+    record — the one reader behind mount and scrub.  Raises
+    CorruptRecord (or StoreError from the device) when the record is
+    unreadable."""
+    meta_extent = tuple(entry["meta_extent"])
+    payload = device.read(meta_extent[0])
+    if not isinstance(payload, bytes):
+        raise CorruptRecord("metadata extent holds synthetic data")
+    info = CheckpointInfo.decode_meta(
+        records.decode(payload, records.REC_CKPT_META))
+    info.meta_extent = meta_extent
+    return info
+
+
 def recover(store: Any) -> Optional[RecoveredState]:
     """Rebuild ``store``'s in-memory state from the device.
 
@@ -102,17 +117,10 @@ def _rebuild(store: Any, superblock: dict) -> RecoveredState:
     catalog = records.decode(store.device.read(store._catalog_extent[0]),
                              records.REC_CATALOG)
     store.checkpoints = {}
-    store.extent_refs = {}
     for _ckpt_id, entry in catalog["checkpoints"].items():
-        meta_extent = tuple(entry["meta_extent"])
-        meta = records.decode(store.device.read(meta_extent[0]),
-                              records.REC_CKPT_META)
-        info = CheckpointInfo.decode_meta(meta)
-        info.meta_extent = meta_extent
+        info = read_checkpoint_meta(store.device, entry)
         info.complete = True
         store.checkpoints[info.ckpt_id] = info
-        for offset, _length in info.owned_extents:
-            store.extent_refs[offset] = store.extent_refs.get(offset, 0) + 1
 
     store.journals = {}
     for _jid, meta in superblock["journal_dir"].items():

@@ -9,13 +9,10 @@ what is mechanically fixable:
   decode is rewritten from its valid mirror twin (the slots alternate
   by generation, so the twin carries the newest durable root; copying
   it restores two-slot redundancy without inventing state).
-* **Stale refcounts** — per-extent reference counts are recomputed
-  from the checkpoints' ``owned_extents`` (the authoritative source
-  the scrubber itself cross-checks) and the mounted store's in-memory
-  counters are reset to match; counters for extents no checkpoint
-  owns are dropped.
-* **Free-list overlaps** — free spans that overlap a live extent are
-  trimmed so a later allocation can never hand out live blocks.
+* **Free-list overlaps** — free spans that overlap a live extent (one
+  a checkpoint's ``owned_extents`` lists, the scrubber's
+  :func:`~repro.objstore.scrub.live_extents`) are trimmed so a later
+  allocation can never hand out live blocks.
 * **Overgrown shadow chains** — chains deeper than
   :data:`~repro.objstore.scrub.MAX_SHADOW_DEPTH` (the §6 eager-
   collapse bound) are collapsed reverse-style, shadow by shadow,
@@ -32,13 +29,14 @@ fixed (e.g. both superblock slots gone) is recorded as skipped.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core import events
 from . import records
 from .blockalloc import _align_up
 from .recovery import _read_superblocks
-from .scrub import MAX_SHADOW_DEPTH, ScrubReport, _chain_segment_len, scrub
+from .scrub import (MAX_SHADOW_DEPTH, ScrubReport, _chain_segment_len,
+                    live_extents, scrub)
 
 
 class RepairAction:
@@ -111,46 +109,10 @@ def _repair_superblocks(store: Any, report: RepairReport) -> bool:
     return True
 
 
-def _expected_refcounts(store: Any) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """(offset -> refcount, offset -> length) implied by metadata."""
-    expected: Dict[int, int] = {}
-    lengths: Dict[int, int] = {}
-    for info in store.checkpoints.values():
-        if not info.complete:
-            continue
-        for offset, length in info.owned_extents:
-            expected[offset] = expected.get(offset, 0) + 1
-            lengths[offset] = length
-    return expected, lengths
-
-
-def _repair_refcounts(store: Any, report: RepairReport) -> bool:
-    """Reset the mounted store's refcounts to what metadata implies."""
-    if not getattr(store, "_mounted", False):
-        return False
-    expected, _lengths = _expected_refcounts(store)
-    changed = False
-    for offset, count in sorted(expected.items()):
-        have = store.extent_refs.get(offset, 0)
-        if have != count:
-            store.extent_refs[offset] = count
-            report.add("refcount",
-                       f"extent {offset}: reset refcount {have} -> {count}")
-            changed = True
-    for offset in sorted(set(store.extent_refs) - set(expected)):
-        have = store.extent_refs.pop(offset)
-        report.add("refcount",
-                   f"extent {offset}: dropped stale refcount {have} "
-                   f"(no checkpoint owns it)")
-        changed = True
-    return changed
-
-
 def _repair_freelist(store: Any, report: RepairReport) -> bool:
     """Trim free spans overlapping live extents (never hand out live
     blocks again).  Returns True when the free list changed."""
-    expected, lengths = _expected_refcounts(store)
-    live = sorted((offset, lengths[offset]) for offset in expected)
+    live = live_extents(store.checkpoints.values())
     if not live:
         return False
     trimmed: List[Tuple[int, int]] = []
@@ -243,19 +205,16 @@ def repair(store: Any, report: Optional[ScrubReport] = None,
 
     kinds = {finding.kind for finding in report.findings}
     _repair_superblocks(store, out)
-    if "refcount" in kinds:
-        _repair_refcounts(store, out)
     free_fixed = "freelist" in kinds and _repair_freelist(store, out)
     if sls is not None and "shadow-chain" in kinds:
         _repair_shadow_chains(sls, out)
 
     # Persist repaired allocator state through the normal commit path
     # (fresh catalog + superblock flip).  Slot rewrites are already
-    # durable; refcount fixes are in-memory by construction.
+    # durable.
     if free_fixed and getattr(store, "_mounted", False):
         store._write_catalog_and_superblock()
-    unhandled = kinds - {"superblock", "refcount", "freelist",
-                         "shadow-chain"}
+    unhandled = kinds - {"superblock", "freelist", "shadow-chain"}
     for kind in sorted(unhandled):
         out.skip(kind, "no mechanical repair for this finding kind")
     return out

@@ -16,9 +16,10 @@ verifying along the way:
 * **Reachability** — every extent a checkpoint references (its own
   metadata, object records, page data) actually exists on the device;
   a dangling pointer is a ``dangling`` finding.
-* **Reference counts** — the per-extent refcounts implied by the
-  checkpoints' ``owned_extents`` match the mounted store's in-memory
-  counts, and no live extent sits on the superblock's free list.
+* **Free list** — no extent a checkpoint's ``owned_extents`` lists
+  sits on the superblock's free list.  Ownership is that list alone
+  (GC frees what no other checkpoint of the group lists), so a wrongly
+  freed extent shows up here.
 * **Orphans** — every extent the mounted store's allocator has handed
   out is owned (:meth:`ObjectStore.owned_extents`): by a checkpoint,
   an in-flight commit, a journal, the superblock's catalog or flight
@@ -29,30 +30,36 @@ verifying along the way:
 * **Liveness** — incremental checkpoints leave an unchanged object's
   record in an ancestor delta, so every OID in a checkpoint's
   effective live set must still resolve to a record somewhere along
-  its parent chain.  A live OID with no reachable record means GC
-  lost state when it handed a deleted parent's records to its
-  children (the exact failure record adoption exists to prevent).
+  its parent chain.  The chain and the live set are the store's own
+  (:func:`~repro.objstore.checkpoint.chain_of`,
+  :func:`~repro.objstore.checkpoint.live_set`), taken over the
+  decoded on-disk metadata; what is checked is the record index.  A
+  live OID with no reachable record means GC lost state when it
+  handed a deleted parent's records to its children (the exact
+  failure record adoption exists to prevent).
 * **Shadow chains** — for live consistency groups (when an
   orchestrator is passed), each tracked object's shadow chain holds at
   most :data:`MAX_SHADOW_DEPTH` shadows above its base: the eager
   collapse invariant of §6.  Ablation modes that let chains grow are
   exactly what this catches.
 
-Results land in a :class:`ScrubReport` and in telemetry counters
-(``sls.scrub.*``), and ``sls scrub`` exposes the walk on the CLI.
-The scrub only ever *reads* the device; it never repairs.
+Results land in a :class:`ScrubReport`, booked once per pass into
+telemetry counters (``sls.scrub.*``), and ``sls scrub`` exposes the
+walk on the CLI.  Checkpoint metadata is decoded with the reader mount
+uses (:func:`~repro.objstore.recovery.read_checkpoint_meta`).  The
+scrub only ever *reads* the device; it never repairs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core import events, telemetry, tracing
 from ..errors import CorruptRecord, StoreError
 from ..hw.nvme import payload_length
 from . import records
-from .checkpoint import CheckpointInfo
-from .recovery import _read_superblocks
+from .checkpoint import CheckpointInfo, chain_of, live_set
+from .recovery import _read_superblocks, read_checkpoint_meta
 
 #: Shadow objects allowed above a chain's base: the active top plus at
 #: most one frozen (flushing / awaiting collapse) shadow (§6).
@@ -62,7 +69,6 @@ MAX_SHADOW_DEPTH = 2
 SUPERBLOCK = "superblock"
 CHECKSUM = "checksum"
 DANGLING = "dangling"
-REFCOUNT = "refcount"
 FREELIST = "freelist"
 CHAIN = "shadow-chain"
 LIVENESS = "liveness"
@@ -98,7 +104,6 @@ class ScrubReport:
         self.checkpoints_scanned = 0
         self.records_verified = 0
         self.page_extents_verified = 0
-        self.extents_counted = 0
         self.chains_checked = 0
         self.liveness_checked = 0
         self.stats = telemetry.StatsView(
@@ -113,10 +118,20 @@ class ScrubReport:
     def add(self, kind: str, detail: str,
             ckpt_id: Optional[int] = None) -> None:
         self.findings.append(Finding(kind, detail, ckpt_id))
-        self.stats["findings"] += 1
         if self.clock is not None:
             events.emit(self.clock.now(), events.SCRUB_FINDING,
                         finding=kind, detail=detail, ckpt=ckpt_id)
+
+    def book(self) -> None:
+        """Add this pass to the ``sls.scrub.*`` counters."""
+        stats = self.stats
+        stats["runs"] += 1
+        stats["checkpoints"] += self.checkpoints_scanned
+        stats["records"] += self.records_verified
+        stats["page_extents"] += self.page_extents_verified
+        stats["chains"] += self.chains_checked
+        stats["liveness"] += self.liveness_checked
+        stats["findings"] += len(self.findings)
 
     def __repr__(self) -> str:
         verdict = "clean" if self.ok else f"{len(self.findings)} finding(s)"
@@ -164,7 +179,6 @@ def _scan_checkpoint(store: Any, report: ScrubReport,
                        f"object record extent {extent} does not contain "
                        f"oid {oid} the catalog maps to it", info.ckpt_id)
         report.records_verified += 1
-        report.stats["records"] += 1
 
     for oid, table in sorted(info.pages.items()):
         for run in table.runs:
@@ -190,38 +204,24 @@ def _scan_checkpoint(store: Any, report: ScrubReport,
                            f"page {pindex} of oid {oid} overruns extent "
                            f"{extent}", info.ckpt_id)
             report.page_extents_verified += fit
-            report.stats["page_extents"] += fit
 
 
-def _scan_refcounts(store: Any, report: ScrubReport,
-                    checkpoints: Dict[int, CheckpointInfo],
-                    superblock: dict) -> None:
-    """Recompute extent refcounts from metadata; cross-check the
-    mounted store and the superblock's free list."""
-    expected: Dict[int, int] = {}
-    lengths: Dict[int, int] = {}
-    for info in checkpoints.values():
-        for offset, length in info.owned_extents:
-            expected[offset] = expected.get(offset, 0) + 1
-            lengths[offset] = length
-        report.extents_counted += len(info.owned_extents)
+def live_extents(checkpoints: Iterable[CheckpointInfo]
+                 ) -> List[Tuple[int, int]]:
+    """``(offset, length)`` of every extent the checkpoints own, by
+    offset, each once: what the free list must not hold (scrub checks
+    it, repair trims it)."""
+    lengths = {offset: length for info in checkpoints
+               for offset, length in info.owned_extents}
+    return sorted(lengths.items())
 
-    if store is not None and getattr(store, "_mounted", False):
-        for offset, count in sorted(expected.items()):
-            have = store.extent_refs.get(offset, 0)
-            if have != count:
-                report.add(REFCOUNT,
-                           f"extent {offset}: metadata implies "
-                           f"{count} reference(s), store tracks {have}")
-        for offset, have in sorted(store.extent_refs.items()):
-            if offset not in expected:
-                report.add(REFCOUNT,
-                           f"extent {offset}: store tracks {have} "
-                           f"reference(s) but no checkpoint owns it")
 
+def _scan_freelist(report: ScrubReport,
+                   checkpoints: Dict[int, CheckpointInfo],
+                   superblock: dict) -> None:
+    """No live extent may sit on the superblock's free list."""
     free_spans = [(pair[0], pair[1]) for pair in superblock["free_list"]]
-    for offset in sorted(expected):
-        length = lengths[offset]
+    for offset, length in live_extents(checkpoints.values()):
         for free_off, free_len in free_spans:
             if offset < free_off + free_len and free_off < offset + length:
                 report.add(FREELIST,
@@ -231,51 +231,24 @@ def _scan_refcounts(store: Any, report: ScrubReport,
                 break
 
 
-def _meta_parent_chain(checkpoints: Dict[int, CheckpointInfo],
-                       ckpt_id: int) -> List[CheckpointInfo]:
-    """Parent chain (newest first) over the *decoded* metadata set.
-
-    A parent missing from the catalog terminates the walk — that hole
-    is already a ``dangling`` finding from the parent-pointer scan.
-    """
-    chain: List[CheckpointInfo] = []
-    current: Optional[int] = ckpt_id
-    while current is not None:
-        info = checkpoints.get(current)
-        if info is None:
-            break
-        chain.append(info)
-        current = info.parent
-    return chain
-
-
 def _scan_liveness(report: ScrubReport,
                    checkpoints: Dict[int, CheckpointInfo]) -> None:
     """Cross-checkpoint record reachability.
 
-    For every checkpoint whose chain carries liveness info, recompute
-    the effective live set (mirroring
-    :meth:`ObjectStore.effective_live_oids`, but over the decoded
-    on-disk metadata) and require each live OID to resolve to an
-    object record somewhere along the parent chain.  Chains without
-    liveness info (legacy stores, pure-partial histories) are skipped
-    — they have nothing to cross-check against.
+    For every checkpoint whose chain carries liveness info, take the
+    effective live set over the decoded on-disk metadata and require
+    each live OID to resolve to an object record somewhere along the
+    parent chain.  A chain with a missing ancestor is walked as far as
+    it goes (the hole is a ``dangling`` finding of its own); chains
+    without liveness info (SLSFS, pure-partial histories) have nothing
+    to cross-check against.
     """
     for ckpt_id in sorted(checkpoints):
-        chain = _meta_parent_chain(checkpoints, ckpt_id)
-        base: Optional[set] = None
-        newer: set = set()
-        for info in chain:
-            if not info.partial and info.live_oids is not None:
-                base = info.live_oids
-                break
-            newer.update(info.object_records)
-            newer.update(info.pages)
-        if base is None:
+        chain = chain_of(checkpoints, ckpt_id)
+        live = live_set(chain)
+        if live is None:
             continue
         report.liveness_checked += 1
-        report.stats["liveness"] += 1
-        live = base | newer
         merged: set = set()
         for info in chain:
             merged.update(info.object_records)
@@ -309,7 +282,6 @@ def _scan_shadow_chains(sls: Any, report: ScrubReport) -> None:
             if track.active is None:
                 continue
             report.chains_checked += 1
-            report.stats["chains"] += 1
             depth = _chain_segment_len(track) - 1  # shadows above base
             if depth > MAX_SHADOW_DEPTH:
                 report.add(CHAIN,
@@ -321,22 +293,23 @@ def _scan_shadow_chains(sls: Any, report: ScrubReport) -> None:
 def scrub(store: Any, sls: Optional[Any] = None) -> ScrubReport:
     """Scrub the store's on-disk object graph; returns the report.
 
-    ``store`` supplies the device and (when mounted) the in-memory
-    refcounts to cross-check.  Passing the orchestrator as ``sls``
-    additionally checks live groups' shadow-chain invariant.  The walk
+    ``store`` supplies the device and (when mounted) the allocator and
+    owners the orphan check compares.  Passing the orchestrator as
+    ``sls`` additionally checks live groups' shadow-chain invariant.  The walk
     runs under a ``scrub`` operation trace; findings are also emitted
     into the structured event log.
     """
     report = ScrubReport()
     report.clock = getattr(store, "clock", None)
-    report.stats["runs"] += 1
     clock = report.clock
     if clock is None:
-        return _scrub_walk(store, sls, report)
-    with tracing.trace(clock, tracing.SCRUB) as trace_obj:
         _scrub_walk(store, sls, report)
-        if trace_obj is not None:
-            trace_obj.complete = True
+    else:
+        with tracing.trace(clock, tracing.SCRUB) as trace_obj:
+            _scrub_walk(store, sls, report)
+            if trace_obj is not None:
+                trace_obj.complete = True
+    report.book()
     return report
 
 
@@ -378,27 +351,21 @@ def _scrub_walk(store: Any, sls: Optional[Any],
     checkpoints: Dict[int, CheckpointInfo] = {}
     for ckpt_id, entry in sorted(catalog["checkpoints"].items(),
                                  key=lambda item: int(item[0])):
-        meta_extent = tuple(entry["meta_extent"])
-        if not device.has_extent(meta_extent[0]):
+        meta_offset = entry["meta_extent"][0]
+        if not device.has_extent(meta_offset):
             report.add(DANGLING,
                        f"checkpoint {ckpt_id} metadata extent "
-                       f"{meta_extent[0]} missing", int(ckpt_id))
+                       f"{meta_offset} missing", int(ckpt_id))
             continue
         try:
-            payload = device.read(meta_extent[0])
-            if not isinstance(payload, bytes):
-                raise CorruptRecord("metadata extent holds synthetic data")
-            meta = records.decode(payload, records.REC_CKPT_META)
-            info = CheckpointInfo.decode_meta(meta)
+            info = read_checkpoint_meta(device, entry)
         except (CorruptRecord, StoreError) as exc:
             report.add(CHECKSUM,
                        f"checkpoint {ckpt_id} metadata: {exc}",
                        int(ckpt_id))
             continue
-        info.meta_extent = meta_extent
         checkpoints[info.ckpt_id] = info
         report.checkpoints_scanned += 1
-        report.stats["checkpoints"] += 1
         _scan_checkpoint(store, report, info)
 
     # Parent pointers must resolve within the catalog (deleted parents
@@ -410,7 +377,7 @@ def _scrub_walk(store: Any, sls: Optional[Any],
                        f"checkpoint {info.ckpt_id} parent {info.parent} "
                        f"is not in the catalog", info.ckpt_id)
 
-    _scan_refcounts(store, report, checkpoints, superblock)
+    _scan_freelist(report, checkpoints, superblock)
     if getattr(store, "_mounted", False):
         for offset, length in store.alloc.unowned(
                 [*store.owned_extents(), *store.held_at_mount]):

@@ -36,7 +36,8 @@ from ..hw.nvme import Payload, StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
 from . import records
 from .blockalloc import ExtentAllocator
-from .checkpoint import CheckpointInfo, PageRuns, overlay_page_maps
+from .checkpoint import (CheckpointInfo, PageRuns, chain_of, live_set,
+                         overlay_page_maps)
 from .journal import Journal
 from .oid import CLASS_JOURNAL, OIDAllocator
 from . import recovery as recovery_mod
@@ -144,8 +145,6 @@ class ObjectStore:
         self.oids = OIDAllocator()
         self.checkpoints: Dict[int, CheckpointInfo] = {}
         self.journals: Dict[int, Journal] = {}
-        #: Extent offset -> number of checkpoint deltas referencing it.
-        self.extent_refs: Dict[int, int] = {}
         self._ckpt_counter = 1
         self._generation = 0
         self._catalog_extent: Optional[Tuple[int, int]] = None
@@ -187,7 +186,6 @@ class ObjectStore:
         self.oids = OIDAllocator()
         self.checkpoints = {}
         self.journals = {}
-        self.extent_refs = {}
         self._ckpt_counter = 1
         self._generation = 0
         self._catalog_extent = None
@@ -375,24 +373,29 @@ class ObjectStore:
                         group=txn.info.group_id, ckpt=txn.info.ckpt_id,
                         bytes=txn.info.data_bytes)
 
-    def _finalize_commit_inner(self, txn: CheckpointTxn) -> None:
-        info = txn.info
+    def _write_meta(self, info: CheckpointInfo) -> Tuple[int, int]:
+        """Write ``info``'s metadata record to a fresh extent through
+        the retry policy; returns the extent.  A write that fails short
+        of a crash gives the extent back before the error propagates.
+        The commit and GC's child rewrite both write through here."""
         payload = records.encode(records.REC_CKPT_META, info.encode_meta())
-        meta_extent = self.alloc.alloc(len(payload))
+        extent = self.alloc.alloc(len(payload))
         try:
-            self.retry.run(lambda: self.device.write(meta_extent, payload),
+            self.retry.run(lambda: self.device.write(extent, payload),
                            op="store.meta")
         except (InjectedCrash, MachineCrashed):
             raise
         except ReproError:
-            self.alloc.free(meta_extent, len(payload))
+            self.alloc.free(extent, len(payload))
             raise
-        info.meta_extent = (meta_extent, len(payload))
+        return extent, len(payload)
+
+    def _finalize_commit_inner(self, txn: CheckpointTxn) -> None:
+        info = txn.info
+        meta_extent = info.meta_extent = self._write_meta(info)
         info.complete = True
         self._pending_commits.pop(info.ckpt_id, None)
         self.checkpoints[info.ckpt_id] = info
-        for offset, _length in info.owned_extents:
-            self.extent_refs[offset] = self.extent_refs.get(offset, 0) + 1
         try:
             self._write_catalog_and_superblock(pending={
                 "group": info.group_id, "ckpt": info.ckpt_id,
@@ -405,14 +408,8 @@ class ObjectStore:
             info.complete = False
             info.meta_extent = None
             del self.checkpoints[info.ckpt_id]
-            for offset, _length in info.owned_extents:
-                refs = self.extent_refs.get(offset, 0) - 1
-                if refs > 0:
-                    self.extent_refs[offset] = refs
-                else:
-                    self.extent_refs.pop(offset, None)
-            self.device.discard_extent(meta_extent)
-            self.alloc.free(meta_extent, len(payload))
+            self.device.discard_extent(meta_extent[0])
+            self.alloc.free(*meta_extent)
             raise
         # Only after the flip: the content staged from VM objects is
         # durable, so it is clean there (§6: evicted without IO).
@@ -422,14 +419,9 @@ class ObjectStore:
         self.stats["commits"] += 1
         self.stats["bytes_flushed"] += info.data_bytes
         # Chain depth at commit time — the knob retain_last exists to
-        # bound.  Walked defensively: an ancestor may still be an
-        # in-flight async commit and thus not yet registered.
-        depth = 0
-        current: Optional[CheckpointInfo] = info
-        while current is not None:
-            depth += 1
-            current = (self.checkpoints.get(current.parent)
-                       if current.parent is not None else None)
+        # bound.  An ancestor may still be an in-flight async commit,
+        # not yet in the table: the walk stops there.
+        depth = len(chain_of(self.checkpoints, info.ckpt_id))
         telemetry.registry().histogram(
             "sls.store.chain_depth", group=info.group_id).observe(depth)
         for callback in self._commit_watchers.pop(info.ckpt_id, []):
@@ -692,43 +684,20 @@ class ObjectStore:
         return chain[-1] if chain else None
 
     def parent_chain(self, ckpt_id: int) -> List[CheckpointInfo]:
-        """The checkpoint and its ancestors, newest first."""
-        chain = []
-        current: Optional[int] = ckpt_id
-        while current is not None:
-            info = self.get_checkpoint(current)
-            chain.append(info)
-            current = info.parent
+        """The checkpoint and its ancestors, newest first
+        (:func:`~repro.objstore.checkpoint.chain_of`);
+        NoSuchCheckpoint when it or an ancestor is missing."""
+        chain = chain_of(self.checkpoints, ckpt_id)
+        missing = chain[-1].parent if chain else ckpt_id
+        if missing is not None:
+            raise NoSuchCheckpoint(f"checkpoint {missing}")
         return chain
 
     def effective_live_oids(self, ckpt_id: int) -> Optional[Set[int]]:
-        """The OIDs a restore at ``ckpt_id`` may still need.
-
-        The newest non-partial checkpoint carrying liveness info
-        defines the base set (its serializer walked every reachable
-        object, so anything absent was deleted before it).  Deltas
-        *newer* than that base — partials and checkpoints written
-        before liveness tracking — may introduce brand-new OIDs, so
-        their record/page keys are unioned in conservatively.
-
-        Returns None ("everything along the chain is live") when no
-        chain checkpoint carries liveness info, which keeps legacy
-        stores, SLSFS checkpoints and pure-partial chains on the
-        original unfiltered semantics.  The result is read-only: when
-        no newer delta added anything it *is* the base checkpoint's
-        set.
-        """
-        base: Optional[Set[int]] = None
-        newer: Set[int] = set()
-        for info in self.parent_chain(ckpt_id):
-            if not info.partial and info.live_oids is not None:
-                base = info.live_oids
-                break
-            newer.update(info.object_records)
-            newer.update(info.pages)
-        if base is None:
-            return None
-        return base if newer <= base else base | newer
+        """The OIDs a restore at ``ckpt_id`` may still need
+        (:func:`~repro.objstore.checkpoint.live_set` of its chain);
+        None when the chain carries no liveness info."""
+        return live_set(self.parent_chain(ckpt_id))
 
     def merged_view(self, ckpt_id: int) -> Tuple[Dict[int, Tuple[int, int]],
                                                  Dict[int, PageRuns]]:

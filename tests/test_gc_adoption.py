@@ -4,8 +4,8 @@ reference.
 A checkpoint's metadata document lists its object records grouped by
 extent with the OIDs as arithmetic runs; deleting a chain head hands
 the record extents its children still need to them by listing the
-extent in their ``owned_extents`` (``extent_refs`` counts the owners)
-— no record payload is read or rewritten.
+extent in their ``owned_extents`` — the only record of who owns it —
+and no record payload is read or rewritten.
 """
 
 import pytest
@@ -124,6 +124,13 @@ def _record_extent_count(machine) -> int:
     return count
 
 
+def _owners(store, offset) -> int:
+    """Checkpoints whose ``owned_extents`` list the extent at
+    ``offset``."""
+    return sum(offset in {owned for owned, _length in info.owned_extents}
+               for info in store.checkpoints.values())
+
+
 def _io(machine):
     storage = machine.storage
     return (storage.bytes_read,
@@ -148,7 +155,7 @@ def test_deleting_a_head_moves_no_record_payload(machine, store):
     assert _record_extent_count(machine) == nrecord_extents
     for extent in head_extents:
         assert extent in child.owned_extents
-        assert store.extent_refs[extent[0]] == 1
+        assert _owners(store, extent[0]) == 1
     assert store.merged_view(child.ckpt_id)[0] == view
     assert store.read_object_records(view) == before
     assert before[_oid(7)] == ("blob", {"v": "new"})
@@ -167,7 +174,7 @@ def test_extent_with_only_superseded_or_dropped_records_is_freed(
     store.delete_checkpoint(head.ckpt_id)
 
     assert extent not in child.owned_extents
-    assert extent[0] not in store.extent_refs
+    assert _owners(store, extent[0]) == 0
     assert not machine.storage.has_extent(extent[0])
     assert store.used_bytes() < used
     assert set(store.merged_view(child.ckpt_id)[0]) == {_oid(1)}
@@ -181,18 +188,18 @@ def test_forked_children_share_one_adopted_extent(machine, store):
     right = _commit(store, head.ckpt_id, {2: "right"})
 
     store.delete_checkpoint(head.ckpt_id)
-    assert store.extent_refs[extent[0]] == 2
+    assert _owners(store, extent[0]) == 2
     for child in (left, right):
         assert child.owned_extents.count(extent) == 1
         assert child.parent is None
     assert scrub(store).ok
 
-    # Recovery rebuilds the same counts from the metadata records.
+    # Recovery reads the same owners back from the metadata records.
     machine.crash()
     machine.boot()
     store2 = ObjectStore(machine)
     assert store2.mount()
-    assert store2.extent_refs[extent[0]] == 2
+    assert _owners(store2, extent[0]) == 2
     assert scrub(store2).ok
     decoded = store2.read_object_records(
         store2.merged_view(right.ckpt_id)[0])
@@ -200,9 +207,9 @@ def test_forked_children_share_one_adopted_extent(machine, store):
     assert decoded[_oid(2)] == ("blob", {"v": "right"})
 
     store2.delete_checkpoint(left.ckpt_id)
-    assert store2.extent_refs[extent[0]] == 1
+    assert _owners(store2, extent[0]) == 1
     assert machine.storage.has_extent(extent[0])
     store2.delete_checkpoint(right.ckpt_id)
-    assert extent[0] not in store2.extent_refs
+    assert _owners(store2, extent[0]) == 0
     assert not machine.storage.has_extent(extent[0])
     assert scrub(store2).ok

@@ -536,18 +536,6 @@ def test_repair_rewrites_corrupt_superblock_slot():
     assert scrub(store).ok
 
 
-def test_repair_resets_stale_refcounts():
-    machine = Machine()
-    store, _infos = _store_with_chain(machine)
-    offset = next(iter(store.extent_refs))
-    store.extent_refs[offset] += 2
-    store.extent_refs[999_999] = 3
-    fixes = repair(store)
-    assert len([a for a in fixes.actions if a.kind == "refcount"]) == 2
-    assert 999_999 not in store.extent_refs
-    assert scrub(store).ok
-
-
 def test_repair_trims_free_list_overlapping_live_extent():
     from repro.objstore import records
     from repro.objstore.scrub import _read_superblocks
@@ -690,6 +678,88 @@ def test_chaos_smoke_retryable_schedules_complete_after_retries():
         "campaign never exercised the retry path"
 
 
+# -- GC under faults: a commit that trims its history ------------------------------
+
+
+def _trimming_checkpoint(plan, sync):
+    """Two checkpoints of a group that keeps one: the second's
+    completion deletes the first (child metadata, catalog and
+    superblock writes after the commit's own), with ``plan`` set for
+    the second.  Returns the machine, orchestrator, group, process and
+    the address written."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("app")
+    addr = proc.vmspace.mmap(8 * PAGE_SIZE, name="heap")
+    group = sls.attach(proc, periodic=False, history_limit=1)
+    proc.vmspace.write(addr, b"trim-v1")
+    sls.checkpoint(group, sync=True)
+    proc.vmspace.write(addr, b"trim-v2")
+    machine.set_fault_plan(plan)
+    sls.checkpoint(group, sync=sync)
+    machine.loop.drain()
+    return machine, sls, group, proc, addr
+
+
+def _history(sls, group):
+    return [info.ckpt_id for info in
+            sls.store.checkpoints_for(group.group_id, include_partial=True)]
+
+
+def _restores(machine, group, addr, content):
+    machine.crash()
+    machine.boot()
+    sls = load_aurora(machine)
+    result = sls.restore(group.group_id, periodic=False)
+    assert result.root.vmspace.read(addr, len(content)) == content
+    assert scrub(sls.store).ok
+
+
+@pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
+def test_chaos_gc_transient_at_every_io_keeps_the_commit(sync):
+    """One transient write error at each IO of a checkpoint whose
+    commit trims the history, GC's child-metadata write included, is
+    retried away: the checkpoint commits, the old one is deleted, the
+    store scrubs clean and a crash restores the new state."""
+    probe = FaultPlan(name="count")
+    _trimming_checkpoint(probe, sync)
+    ios = probe.io_index
+    assert ios >= 6     # the commit's writes, then the delete's three
+    for index in range(ios):
+        plan = FaultPlan(name=f"gc-transient-{index}").transient_at_io(index)
+        machine, sls, group, _proc, addr = _trimming_checkpoint(plan, sync)
+        assert plan.fired, index
+        assert _history(sls, group) == [group.last_complete_id], index
+        assert scrub(sls.store).ok, index
+        _restores(machine, group, addr, b"trim-v2")
+
+
+@pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
+def test_chaos_gc_that_exhausts_its_retries_keeps_the_commit(sync):
+    """A delete whose child-metadata write fails past the retry
+    budget takes itself back and leaves the checkpoint that triggered
+    it committed; the next commit's trim deletes what it could not."""
+    probe = FaultPlan(name="count")
+    _trimming_checkpoint(probe, sync)
+    child_meta = probe.io_index - 3     # child metadata, catalog, superblock
+    plan = FaultPlan(name="gc-exhausted").transient_at_io(
+        child_meta, times=resilience.DEFAULT_MAX_ATTEMPTS)
+    machine, sls, group, proc, addr = _trimming_checkpoint(plan, sync)
+    assert plan.fired
+    first, second = _history(sls, group)
+    assert group.last_complete_id == second
+    assert scrub(sls.store).ok
+
+    machine.clear_fault_plan()
+    proc.vmspace.write(addr, b"trim-v3")
+    sls.checkpoint(group, sync=sync)
+    machine.loop.drain()
+    assert _history(sls, group) == [group.last_complete_id]
+    assert first not in sls.store.checkpoints
+    assert scrub(sls.store).ok
+    _restores(machine, group, addr, b"trim-v3")
+
+
 # -- the Hypothesis property --------------------------------------------------------
 
 
@@ -699,18 +769,21 @@ from tests.content import page_runs
 
 
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**20))
-def test_property_retryable_schedules_restore_last_durable(seed):
+@given(seed=st.integers(min_value=0, max_value=2**20),
+       history_limit=st.sampled_from([None, 1]))
+def test_property_retryable_schedules_restore_last_durable(seed,
+                                                           history_limit):
     """For an arbitrary seeded schedule of transient/intermittent
     faults within the retry budget: the checkpoint completes, a crash
     + restore yields exactly the checkpointed state, and the store
-    scrubs clean."""
+    scrubs clean.  With ``history_limit=1`` the commit also deletes
+    the first checkpoint under the same plan."""
     rng = random.Random(seed)
     machine = Machine()
     sls = load_aurora(machine)
     proc = machine.kernel.spawn("app")
     addr = proc.vmspace.mmap(8 * PAGE_SIZE, name="heap")
-    group = sls.attach(proc, periodic=False)
+    group = sls.attach(proc, periodic=False, history_limit=history_limit)
     proc.vmspace.write(addr, b"property-v1")
     sls.checkpoint(group, sync=True)
     proc.vmspace.write(addr, b"property-v2")

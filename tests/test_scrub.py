@@ -16,8 +16,7 @@ from repro.core.shadowing import NONE
 from repro.hw.memory import Page
 from repro.objstore.oid import CLASS_MEMORY, make_oid
 from repro.objstore import scrub as scrub_mod
-from repro.objstore.scrub import (CHAIN, CHECKSUM, DANGLING, ORPHAN,
-                                  REFCOUNT, scrub)
+from repro.objstore.scrub import CHAIN, CHECKSUM, DANGLING, ORPHAN, scrub
 from repro.objstore.store import ObjectStore
 from repro.units import PAGE_SIZE
 from tests.content import page_runs
@@ -130,16 +129,6 @@ def test_scrub_detects_dangling_page_extent():
     machine.storage.discard_extent(locator[3])
     report = scrub(store)
     assert any(f.kind == DANGLING and "page 0" in f.detail
-               for f in report.findings), report.findings
-
-
-def test_scrub_detects_refcount_drift():
-    machine = Machine()
-    store, _infos = _store_with_chain(machine)
-    offset = next(iter(store.extent_refs))
-    store.extent_refs[offset] += 1
-    report = scrub(store)
-    assert any(f.kind == REFCOUNT and str(offset) in f.detail
                for f in report.findings), report.findings
 
 
