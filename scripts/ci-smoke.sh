@@ -277,14 +277,17 @@ PY
 # The cyclic collector: the two page-heavy workloads must restore,
 # eagerly and lazily, without a full (generation-2) collection — an
 # eager restore holds synthetic memory as runs and a lazy one registers
-# the merged locator runs, not one object per page — vm_wide's set-up
+# the merged locator runs, not one object per page — and so must
+# posix_wide, whose restore decodes every checkpoint's record index
+# into per-extent entries (about 105 000 tracked objects after its
+# recovery, at seed 1); vm_wide's set-up
 # must leave at most 80 000 tracked objects, its 131 072 filled pages
 # being dirty runs, not one object each, and its lazy restore at most
 # 60 000.  Collection and object counts repeat exactly for a seed on
 # one interpreter.
 smoke_gc() {
     python benchmarks/gc_phases.py --seed 1 --workload vm_wide \
-        --workload paper_apps | tee "$WORK/gc.out"
+        --workload paper_apps --workload posix_wide | tee "$WORK/gc.out"
     python - "$WORK/gc.out" <<'PY'
 import re, sys
 rows = {}
@@ -293,8 +296,8 @@ for line in open(sys.argv[1]):
         workload = line[1:line.index("]")]
     elif line.split()[:1] in (["setup"], ["recover"], ["lazy"]):
         rows[workload, line.split()[0]] = line
-assert len(rows) == 6, rows
-for workload in ("vm_wide", "paper_apps"):
+assert len(rows) == 9, rows
+for workload in ("vm_wide", "paper_apps", "posix_wide"):
     for phase in ("recover", "lazy"):
         row = rows[workload, phase]
         gen0, gen1, full = map(int, re.findall(r"(\d+) /", row))

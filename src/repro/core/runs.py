@@ -32,16 +32,18 @@ def build_arith_runs(indexes: Iterable[int]) -> List[List[int]]:
     never changes what the runs expand back to.
     """
     runs: List[List[int]] = []
+    start = count = step = 0
     for value in sorted(indexes):
-        if runs:
-            start, count, step = runs[-1]
-            if count == 1:
-                runs[-1] = [start, 2, value - start]
-                continue
-            if value == start + step * count:
-                runs[-1][1] += 1
-                continue
-        runs.append([value, 1, 0])
+        if count == 1:
+            step, count = value - start, 2
+        elif count and value == start + step * count:
+            count += 1
+        else:
+            if count:
+                runs.append([start, count, step])
+            start, count, step = value, 1, 0
+    if count:
+        runs.append([start, count, step])
     return runs
 
 

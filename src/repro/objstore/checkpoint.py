@@ -11,7 +11,7 @@ The on-disk metadata document (:meth:`CheckpointInfo.encode_meta`) has
 one format and one decoder.  Its four large maps are all columnar:
 page locators as runs (:class:`PageRuns`), the live set as
 ``[start, count, step]`` OID runs, the record index grouped by extent
-with the same OID runs (:func:`encode_record_index`), and the owned
+with the same OID runs (:class:`RecordIndex`), and the owned
 extents as ``[offset, count, length]`` runs (:func:`encode_extent_runs`)
 — so a delta's metadata, and the child-metadata rewrite GC does after
 adopting a deleted parent's state, cost O(record extents + runs), not
@@ -19,20 +19,23 @@ O(objects) or O(data extents).  The page-locator table stays columnar
 in memory too: a :class:`PageRuns` is the decoded run list itself, and mount,
 :meth:`ObjectStore.merged_view`, GC adoption, restore (eager and lazy)
 and page fetches work on runs, never on one locator per page — one
-page's locator is a one-page run.  The live set and the
-record index are per-OID in memory; a live set that did not change is
-one set object shared down the chain, its OID runs computed once.
+page's locator is a one-page run.  So is the record index (one entry
+per record extent, encoded once, shared by GC adopters).  A live set is
+per-OID; one that did not change is shared down the chain, runs and all.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from collections.abc import Mapping
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core.runs import (LocatorRun, append_locator_run, build_arith_runs,
                          clip_run, count_changed_pages, expand_arith_runs,
                          run_at, runs_within, splice)
 from ..errors import CorruptRecord
-from ..serde import Encoded, fragment
+from ..serde import Encoded, fragment, frame_list
 
 #: Each run kind's field types: the kind, then integers (not ``bool``).
 _RUN_FIELDS: Dict[str, List[type]] = {"syn": [str] + [int] * 4,
@@ -165,32 +168,60 @@ def decode_page_runs(raw: Any) -> PageRuns:
     return PageRuns(raw)
 
 
-def encode_record_index(object_records: Dict[int, Tuple[int, int]]
-                        ) -> List[list]:
-    """Group an OID → record-extent map by extent for the metadata record.
+class RecordEntry:
+    """One record extent of a record index: the extent, its OIDs in
+    staged or decoded order, their set and the entry's encoding (of the
+    runs it decoded, held until then, or of runs built once), each
+    computed once.  Read-only, so GC shares an entry a child keeps whole."""
 
-    Batched staging puts up to 256 records in one extent, and OIDs are
-    allocated from one cursor with the class tag in the high bits, so
-    an extent's OIDs are a few arithmetic progressions.  Each entry is
-    ``[offset, length, [[start, count, step], …]]``: the document costs
-    O(extents + runs) instead of repeating one ``(offset, length)``
-    pair per object.
-    """
-    by_extent: Dict[Tuple[int, int], List[int]] = {}
-    for oid, extent in object_records.items():
-        by_extent.setdefault(extent, []).append(oid)
-    return [[offset, length, build_arith_runs(oids)]
-            for (offset, length), oids in by_extent.items()]
+    def __init__(self, extent: Tuple[int, int], oids: List[int],
+                 runs: Optional[List[List[int]]] = None) -> None:
+        self.extent, self.oids, self.runs = extent, oids, runs
+
+    @cached_property
+    def oid_set(self) -> FrozenSet[int]:
+        return frozenset(self.oids)
+
+    @cached_property
+    def fragment(self) -> Encoded:
+        runs, self.runs = self.runs, None
+        return fragment([*self.extent, runs or build_arith_runs(self.oids)])
 
 
-def decode_record_index(raw: List[list]) -> Dict[int, Tuple[int, int]]:
-    """Expand record-index entries back to the per-OID map (every OID
-    of an extent shares one ``(offset, length)`` tuple)."""
-    object_records: Dict[int, Tuple[int, int]] = {}
-    for offset, length, runs in raw:
-        object_records.update(
-            dict.fromkeys(expand_arith_runs(runs), (offset, length)))
-    return object_records
+class RecordIndex(Mapping[int, Tuple[int, int]]):
+    """A checkpoint's record index in its media shape, one
+    :class:`RecordEntry` per record extent, read as a read-only OID →
+    ``(offset, length)`` mapping that iterates entry by entry.  OIDs
+    come from one cursor, so an entry's are a few ``[start, count,
+    step]`` runs: the document costs O(extents + runs)."""
+
+    def __init__(self, entries: Optional[List[RecordEntry]] = None) -> None:
+        self.entries: List[RecordEntry] = [] if entries is None else entries
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(entry.oids for entry in self.entries)
+
+    def __len__(self) -> int:
+        return sum(len(entry.oids) for entry in self.entries)
+
+    def items(self) -> Iterator[Tuple[int, Tuple[int, int]]]:  # type: ignore[override]
+        return chain.from_iterable(zip(entry.oids, repeat(entry.extent))
+                                   for entry in self.entries)
+
+    def __getitem__(self, oid: int) -> Tuple[int, int]:
+        for entry in self.entries:
+            if oid in entry.oid_set:
+                return entry.extent
+        raise KeyError(oid)
+
+    def encode(self) -> Encoded:
+        """``[[offset, length, runs], …]``, spliced from fragments."""
+        return frame_list([entry.fragment for entry in self.entries])
+
+    @classmethod
+    def decode(cls, raw: List[list]) -> "RecordIndex":
+        return cls([RecordEntry((offset, length), expand_arith_runs(runs),
+                                runs) for offset, length, runs in raw])
 
 
 def encode_extent_runs(extents: List[Tuple[int, int]]) -> List[List[int]]:
@@ -234,8 +265,8 @@ class CheckpointInfo:
         self.partial = partial
         self.complete = False
         #: oid -> (offset, length) of the extent holding its serialized
-        #: record; the OIDs of one batch extent share one tuple.
-        self.object_records: Dict[int, Tuple[int, int]] = {}
+        #: record, kept as one entry per record extent.
+        self.object_records = RecordIndex()
         #: oid -> the locator table of the pages dirtied here.
         self.pages: Dict[int, PageRuns] = {}
         #: Every extent this checkpoint's delta owns: (offset, length).
@@ -307,7 +338,7 @@ class CheckpointInfo:
             "parent": self.parent,
             "time_ns": self.time_ns,
             "partial": self.partial,
-            "object_records": encode_record_index(self.object_records),
+            "object_records": self.object_records.encode(),
             "pages": {str(oid): runs.encode()
                       for oid, runs in self.pages.items()},
             "owned_extents": encode_extent_runs(self.owned_extents),
@@ -319,7 +350,7 @@ class CheckpointInfo:
         """Rebuild checkpoint metadata from its document."""
         info = cls(raw["ckpt_id"], raw["group_id"], raw["name"],
                    raw["parent"], raw["time_ns"], raw["partial"])
-        info.object_records = decode_record_index(raw["object_records"])
+        info.object_records = RecordIndex.decode(raw["object_records"])
         info.pages = {int(oid): decode_page_runs(runs)
                       for oid, runs in raw["pages"].items()}
         info.owned_extents = decode_extent_runs(raw["owned_extents"])

@@ -5,11 +5,10 @@ its delta that are still visible through younger checkpoints, then
 frees whatever nothing references.  There is no log cleaner and no
 background compaction, and a delete's device IO is proportional to
 the deleted delta, never to store size: it reads no payload and
-writes only the children's metadata and a flip.  Its host time is not
-so bounded.  Re-encoding an adopting child's metadata regroups every
-OID of its record index by extent (``encode_record_index``) and re-runs
-``build_arith_runs`` over them, so a delete's host time grows with the
-child's live object count, not with the delta.
+writes only the children's metadata and a flip.  Its host time is
+O(victim extents + OIDs of the record extents that changed): a record
+index is a table of per-extent entries, an entry a child keeps whole
+is shared with its encoding, and only one that lost OIDs is rebuilt.
 
 Everything is transferred *by reference*.  A child adopts each of the
 victim's extents that still backs state the child's subtree can reach
@@ -45,7 +44,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core import telemetry
 from ..core.faults import InjectedCrash
 from ..errors import InvalidArgument, MachineCrashed, ReproError
-from .checkpoint import CheckpointInfo, PageRuns, overlay_page_maps
+from .checkpoint import (CheckpointInfo, PageRuns, RecordEntry, RecordIndex,
+                         overlay_page_maps)
 
 
 def _children_of(store: Any, ckpt_id: int) -> List[CheckpointInfo]:
@@ -59,7 +59,8 @@ def _subtree_needed(store: Any, child: CheckpointInfo) -> Optional[Set[int]]:
     The union of effective live sets over the child and all of its
     descendants.  Returns None — transfer everything — when any
     subtree checkpoint has no bounded live set (SLSFS checkpoints and
-    pure-partial chains carry no liveness info).
+    pure-partial chains carry no liveness info).  Read-only: a
+    subtree with one live set gets that set, not a copy.
     """
     needed: Set[int] = set()
     last: Optional[Set[int]] = None
@@ -71,7 +72,7 @@ def _subtree_needed(store: Any, child: CheckpointInfo) -> Optional[Set[int]]:
             return None
         if live is not last:
             # An unchanged live set is one object down the chain.
-            needed |= live
+            needed = needed | live if needed else live
             last = live
         stack.extend(_children_of(store, info.ckpt_id))
     return needed
@@ -92,22 +93,19 @@ class _Rollback:
         self.checkpoints: Dict[int, CheckpointInfo] = dict(store.checkpoints)
         self.alloc = store.alloc.snapshot()
         #: Per child: the child, its parent, metadata extent, owned
-        #: extent count and page tables, and the OIDs whose records it
-        #: was handed.
+        #: extent count, page tables and record index.
         self.children: List[Tuple[CheckpointInfo, Optional[int],
                                   Optional[Tuple[int, int]], int,
-                                  Dict[int, PageRuns], List[int]]] = []
+                                  Dict[int, PageRuns], RecordIndex]] = []
         #: Child metadata extents this delete wrote.
         self.written: List[int] = []
 
-    def save_child(self, child: CheckpointInfo) -> List[int]:
-        """Remember ``child``'s fields before it adopts; returns the
-        list the caller fills with the OIDs it forwards records for."""
-        forwarded: List[int] = []
+    def save_child(self, child: CheckpointInfo) -> None:
+        """Remember ``child``'s fields before it adopts (a record index
+        is replaced, never edited: the old table is kept)."""
         self.children.append((child, child.parent, child.meta_extent,
-                               len(child.owned_extents), dict(child.pages),
-                               forwarded))
-        return forwarded
+                              len(child.owned_extents), dict(child.pages),
+                              child.object_records))
 
     def __enter__(self) -> "_Rollback":
         return self
@@ -122,14 +120,13 @@ class _Rollback:
     def undo(self) -> None:
         store = self.store
         for (child, parent, meta_extent, owned, pages,
-             forwarded) in self.children:
+             object_records) in self.children:
             child.parent = parent
             child.meta_extent = meta_extent
             del child.owned_extents[owned:]
             child.pages.clear()
             child.pages.update(pages)
-            for oid in forwarded:
-                del child.object_records[oid]
+            child.object_records = object_records
         store.checkpoints.clear()
         store.checkpoints.update(self.checkpoints)
         for offset in self.written:
@@ -200,7 +197,7 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
         # Transfer still-visible state into each child delta.
         for child in children:
             needed = _subtree_needed(store, child)
-            forwarded = rollback.save_child(child)
+            rollback.save_child(child)
             # Pages the child never overwrote are adopted by overlay;
             # the child then owns every victim extent its table points
             # into.
@@ -209,22 +206,32 @@ def delete_checkpoint(store: Any, ckpt_id: int) -> int:
             for oid in info.pages:
                 if needed is None or oid in needed:
                     adopted |= child.pages[oid].extents()
-            dropped = 0
-            for oid, extent in info.object_records.items():
-                if oid in child.object_records:
+            # Records are adopted per extent: an entry loses the OIDs the
+            # child rewrote and (dropped) those no longer needed, and is
+            # shared if it lost none, left out if all, else rebuilt.
+            rewritten = set(child.object_records)
+            entries = list(child.object_records.entries)
+            forwarded = dropped = 0
+            for entry in info.object_records.entries:
+                gone = entry.oid_set & rewritten
+                if needed is not None:
+                    dead = entry.oid_set - needed - gone
+                    dropped += len(dead)
+                    gone |= dead
+                if len(gone) == len(entry.oids):
                     continue
-                if needed is not None and oid not in needed:
-                    dropped += 1
-                    continue
-                child.object_records[oid] = extent
-                forwarded.append(oid)
-                adopted.add(extent[0])
+                forwarded += len(entry.oids) - len(gone)
+                adopted.add(entry.extent[0])
+                entries.append(entry if not gone else RecordEntry(
+                    entry.extent, [oid for oid in entry.oids
+                                   if oid not in gone]))
+            child.object_records = RecordIndex(entries)
             child.owned_extents += [extent for extent in info.owned_extents
                                     if extent[0] in adopted]
             child.parent = info.parent
             tallies.append((registry.counter(
                 "sls.store.gc.records_forwarded", group=info.group_id),
-                len(forwarded)))
+                forwarded))
             tallies.append((registry.counter(
                 "sls.store.gc.records_dropped", group=info.group_id),
                 dropped))

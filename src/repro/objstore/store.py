@@ -36,8 +36,8 @@ from ..hw.nvme import Payload, StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
 from . import records
 from .blockalloc import ExtentAllocator
-from .checkpoint import (CheckpointInfo, PageRuns, chain_of, live_set,
-                         overlay_page_maps)
+from .checkpoint import (CheckpointInfo, PageRuns, RecordEntry, RecordIndex,
+                         chain_of, live_set, overlay_page_maps)
 from .journal import Journal
 from .oid import CLASS_JOURNAL, OIDAllocator
 from . import recovery as recovery_mod
@@ -343,8 +343,8 @@ class ObjectStore:
 
         Each :data:`RECORD_BATCH` slice of the staged records is one
         extent (one allocation + one write), its payload one table per
-        record shape (:func:`records.encode_objects`); every OID in the
-        slice points at that extent.
+        record shape (:func:`records.encode_objects`) and one entry of
+        the checkpoint's record index, the slice's OIDs in staged order.
         """
         info = txn.info
         staged = txn.staged_records
@@ -354,9 +354,9 @@ class ObjectStore:
             info.owned_extents.append((extent, len(payload)))
             self.clock.advance(costs.STORE_ALLOC_EXTENT)
             yield extent, payload
-            where = (extent, len(payload))
-            for oid, _otype, _state in staged[start:start + RECORD_BATCH]:
-                info.object_records[oid] = where
+            info.object_records.entries.append(RecordEntry(
+                (extent, len(payload)),
+                [item[0] for item in staged[start:start + RECORD_BATCH]]))
 
     def _finalize_commit(self, txn: CheckpointTxn) -> None:
         """Data is durable: write meta + catalog, flip the superblock."""
@@ -524,7 +524,7 @@ class ObjectStore:
             self.alloc.free(offset, length)
             released += length
         info.owned_extents = []
-        info.object_records = {}
+        info.object_records = RecordIndex()
         info.pages = {}
         info.data_bytes = 0
         self._pending_commits.pop(info.ckpt_id, None)

@@ -23,9 +23,9 @@ from repro.core import telemetry
 from repro.errors import NoSpace
 from repro.kernel.fs.file import O_CREAT, O_RDWR
 from repro.objstore import records
-from repro.objstore.checkpoint import encode_record_index
 from repro.objstore.scrub import LIVENESS, scrub
 
+from .record_index_reference import encode_record_index
 from .serialize_reference import RecordSink
 
 

@@ -118,7 +118,9 @@ def test_a_malformed_run_on_media_falls_back_a_generation(bad):
     store = ObjectStore(machine)
     store.format()
     first, second = _chain(store)
-    meta = second.encode_meta()
+    # The document as read back from media (``encode_meta`` splices
+    # the record index in as an encoded fragment).
+    meta = serde.loads(serde.dumps(second.encode_meta()))
     meta["owned_extents"] = bad
     with pytest.raises(CorruptRecord, match="malformed owned-extent run"):
         CheckpointInfo.decode_meta(meta)

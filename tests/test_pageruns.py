@@ -250,7 +250,9 @@ def test_overlapping_runs_on_media_fall_back_and_are_scrubbed():
     store.format()
     first, second = _chain(store, [{0: Page(seed=1), 1: Page(seed=2)},
                                    {1: Page(seed=9)}])
-    meta = second.encode_meta()
+    # The document as read back from media (``encode_meta`` splices
+    # the record index in as an encoded fragment).
+    meta = serde.loads(serde.dumps(second.encode_meta()))
     meta["pages"][str(MEM_OID)] = [["syn", 0, 2, 1, 1], ["syn", 1, 1, 9, 0]]
     with pytest.raises(CorruptRecord, match="overlaps"):
         CheckpointInfo.decode_meta(meta)

@@ -24,6 +24,7 @@ Covers the resilience policy layer end to end:
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -37,7 +38,8 @@ from repro.errors import (CorruptRecord, LeaseValid, LinkDown, NoSpace,
                           RetriesExhausted, TransientDeviceError)
 from repro.hw.clock import SimClock
 from repro.hw.memory import Page
-from repro.objstore.oid import CLASS_MEMORY, make_oid
+from repro.objstore import store as store_module
+from repro.objstore.oid import CLASS_MEMORY, CLASS_POSIX, make_oid
 from repro.objstore.repair import repair
 from repro.objstore.scrub import scrub
 from repro.objstore.store import ObjectStore, SUPERBLOCK_SLOTS
@@ -758,6 +760,69 @@ def test_chaos_gc_that_exhausts_its_retries_keeps_the_commit(sync):
     assert first not in sls.store.checkpoints
     assert scrub(sls.store).ok
     _restores(machine, group, addr, b"trim-v3")
+
+
+def _forked_victim():
+    """A chain head whose record index spans three extents, and two
+    children: ``left`` rewrote every record of the first extent and one
+    of the second, ``right`` (a restore fork) no longer reaches the
+    third.  A delete of the head shares, rebuilds and leaves out
+    entries."""
+    machine = Machine(storage_devices=1, capacity_per_device=4 * MiB)
+    store = ObjectStore(machine)
+    store.format()
+    oids = [make_oid(CLASS_POSIX, serial) for serial in range(1, 13)]
+
+    def commit(parent, written, live):
+        txn = store.begin_checkpoint(group_id=4, parent=parent)
+        for oid in written:
+            txn.put_object(oid, "blob", {"v": parent})
+        txn.info.live_oids = set(live)
+        return store.commit(txn, sync=True)
+
+    with mock.patch.object(store_module, "RECORD_BATCH", 4):
+        head = commit(None, oids, oids)
+        left = commit(head.ckpt_id, oids[:5], oids)
+        right = commit(head.ckpt_id, (), oids[:8])
+    assert len(head.object_records.entries) == 3
+    return machine, store, head, (left, right)
+
+
+def test_chaos_gc_retried_child_meta_write_matches_an_unfailed_delete():
+    """A delete whose second child-metadata write exhausts its retries
+    takes back both children's adoption without touching an entry of
+    the victim's record index, and the retried delete writes the
+    metadata bytes of a delete that never failed."""
+    def run(fail):
+        machine, store, head, children = _forked_victim()
+        entries = [(entry, entry.extent, list(entry.oids))
+                   for entry in head.object_records.entries]
+        tables = [child.object_records for child in children]
+        if fail:
+            # IO 0 is the left child's metadata, IO 1 the right one's.
+            machine.set_fault_plan(FaultPlan(name="gc-meta").transient_at_io(
+                1, times=resilience.DEFAULT_MAX_ATTEMPTS))
+            with pytest.raises(RetriesExhausted):
+                store.delete_checkpoint(head.ckpt_id)
+            machine.clear_fault_plan()
+            assert [(entry, entry.extent, list(entry.oids)) for entry, _e, _o
+                    in entries] == entries
+            assert [child.object_records for child in children] == tables
+            assert all(child.object_records is table
+                       for child, table in zip(children, tables))
+        store.delete_checkpoint(head.ckpt_id)
+        assert scrub(store).ok
+        return [store.device.read(child.meta_extent[0])
+                for child in children], [child.object_records.entries
+                                         for child in children]
+
+    clean, clean_entries = run(fail=False)
+    retried, retried_entries = run(fail=True)
+    assert retried == clean
+    # The delete shared one entry, rebuilt one and left one out.
+    left, right = clean_entries
+    assert [len(entry.oids) for entry in left[-2:]] == [3, 4]
+    assert [len(entry.oids) for entry in right[-2:]] == [4, 4]
 
 
 # -- the Hypothesis property --------------------------------------------------------
