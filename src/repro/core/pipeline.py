@@ -211,8 +211,7 @@ class Serialize(Stage):
             # Snapshot the epoch under quiescence; Flush installs it as
             # the group's floor only once the commit is submitted, so a
             # failed flush never loses dirty state.
-            ctx.new_epoch_floor = ctx.kernel.dirty_epoch
-            ctx.kernel.dirty_epoch += 1
+            ctx.new_epoch_floor = ctx.kernel.close_epoch()
         ctx.clock.advance(costs.CKPT_ORCH_BASE if ctx.mode == MODE_DISK
                           else costs.CKPT_ATOMIC_BASE)
 
@@ -315,6 +314,11 @@ class Flush(Stage):
             # submission): subsequent checkpoints may skip objects
             # unchanged since this epoch.
             group.ckpt_epoch = ctx.new_epoch_floor
+            # The dirty log keeps only what a memo's replay may read.
+            kernel.prune_dirty_log(min(
+                (other.ckpt_epoch for other in ctx.sls.groups.values()
+                 if other.walk_memos and other.ckpt_epoch is not None),
+                default=ctx.new_epoch_floor))
             events.emit(ctx.clock.now(), events.EPOCH_ADVANCE,
                         group=group.group_id, epoch=ctx.new_epoch_floor,
                         ckpt=info.ckpt_id)

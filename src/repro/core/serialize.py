@@ -18,49 +18,61 @@ dirty set, which is the point.  The live OID set (:attr:`live_oids`)
 is recorded per checkpoint so a delta can distinguish "unchanged" from
 "deleted".  Processes and the group descriptor are always
 re-serialized: their records embed per-thread CPU state that changes
-every instant.  An fd table whose slot layout did not change is not
-re-walked either: its last walk is replayed (:class:`WalkMemo`) and
-only the slots that can have changed are visited.
+every instant.  An fd table whose slot layout did not change replays
+its last walk (:class:`WalkMemo`), visiting only the slots the
+kernel's dirty log names since the floor.
 """
 
 from __future__ import annotations
 
+import weakref
+from array import array
 from typing import Any, Dict, List, Optional, Set
 
-from ..kernel.fs.file import DTYPE_VNODE, OpenFile
+from ..kernel.fs.file import DTYPE_VNODE
 from ..objstore.oid import CLASS_POSIX
 from . import costs, telemetry
 from .objmodel import OBJECT_TYPES, ObjectType, cost_of
 
 
 class WalkMemo:
-    """What one full walk of an fd table learned, kept per group and
-    table kid (``group.walk_memos``) and replayed by
-    :meth:`CheckpointSerializer.serialize_fdtable` while ``layout_gen``
-    matches.  Columnar on purpose — two slot-ordered lists, one dict,
-    one set, nothing per slot: the memo is long-lived, and the
-    population of long-lived tracked objects sets the cyclic
-    collector's schedule.  The columns cannot go stale:
-    ``OpenFile.fobj`` is assigned once and cleared only in
-    ``destroy()``, and a slot holds a reference.
+    """What one full walk of an fd table learned (DESIGN.md §11), kept
+    per group and table kid (``group.walk_memos``) and replayed while
+    ``layout_gen`` matches.  Columnar, nothing per slot: the population
+    of long-lived tracked objects sets the cyclic collector's schedule.
     """
 
-    __slots__ = ("layout_gen", "fds", "files", "vnodes", "oids")
+    __slots__ = ("layout_gen", "fds", "files", "kids", "slots", "always",
+                 "oids", "checked", "live")
 
-    def __init__(self, layout_gen: int, fds: Dict[str, int],
-                 files: List[OpenFile], vnodes: List[Any],
-                 oids: Set[int]) -> None:
-        self.layout_gen = layout_gen
-        #: The table record's ``{"fds": ...}`` body.
-        self.fds = fds
-        #: ``vnodes[i]`` is the vnode behind ``files[i]``; None marks a
-        #: slot the replay always visits (pipe, socket, kqueue, pty,
-        #: shm, device: each opens a span even when clean, unix sockets
-        #: chase in-flight descriptors, shm adds its ``vm_oid``).
-        self.files = files
-        self.vnodes = vnodes
-        #: File and vnode OIDs of the vnode-backed slots.
-        self.oids = oids
+    def __init__(self, fdtable: Any, fds: Dict[str, int],
+                 oid_map: Dict[int, int], live: Set[int]) -> None:
+        #: The record's ``{"fds": ...}`` body and the files in slot order
+        #: (``OpenFile.fobj`` never rebinds while a slot holds one).
+        self.layout_gen, self.fds = fdtable.layout_gen, fds
+        files = self.files = [file for _, file in fdtable.items()]
+        #: The vnode-backed slots' file and vnode kids (the kernel's ints),
+        #: sorted, beside the slot each names; the slots every replay visits.
+        backed = [pos for pos, file in enumerate(files)
+                  if file.ftype == DTYPE_VNODE]
+        kids = ([files[pos].kid for pos in backed]
+                + [files[pos].fobj.kid for pos in backed])
+        order = sorted(range(len(kids)), key=kids.__getitem__)
+        self.kids = [kids[i] for i in order]
+        self.slots = array("q", [backed[i % len(backed)] for i in order])
+        self.always = array("q", [pos for pos, file in enumerate(files)
+                                  if file.ftype != DTYPE_VNODE])
+        #: Their OIDs and live sets known to hold them (read-only once
+        #: committed): the parent's a replay checked, the last pass's.
+        self.oids = {oid_map[kid] for kid in self.kids}
+        self.checked, self.live = None, weakref.ref(live)
+
+    def stamped_slots(self, kernel: Any, floor: int) -> Optional[List[int]]:
+        """The slots a replay from ``floor`` visits, in order: ``always``
+        and those logged above it; None once the log is pruned past it."""
+        hits = kernel.stamped_since(floor, self.kids)
+        return None if hits is None else sorted(
+            {self.slots[i] for i in hits}.union(self.always))
 
 
 class CheckpointSerializer:
@@ -76,11 +88,11 @@ class CheckpointSerializer:
         #: Objects whose ``dirty_epoch`` ≤ the floor were captured by a
         #: previous checkpoint of this chain; None forces a full pass.
         self.epoch_floor = epoch_floor
-        #: OIDs resolvable from the parent checkpoint's chain
-        #: (:meth:`_skippable`).
+        #: OIDs resolvable from the parent's chain (:meth:`_skippable`).
         self.prior_live = prior_live
-        #: OIDs already visited in this pass (dedup).
+        #: OIDs visited in this pass: one by one, and replays' in bulk.
         self._done: Set[int] = set()
+        self._bulk: List[Set[int]] = []
         #: Every OID the walk reached — the checkpoint's live set.
         self.live_oids: Set[int] = set()
         #: Records actually staged vs. skipped as unchanged.
@@ -98,6 +110,10 @@ class CheckpointSerializer:
         oid = self.group.oid_for(kobj, self.store, obj_class)
         self.live_oids.add(oid)
         return oid
+
+    def _first(self, oid: int) -> bool:
+        return oid not in self._done and (
+            not self._bulk or all(oid not in oids for oids in self._bulk))
 
     def _skippable(self, kobj: Any, oid: int) -> bool:
         """Unchanged since the floor AND resolvable from the parent
@@ -127,7 +143,7 @@ class CheckpointSerializer:
         ``ftype`` of the file that led here (a SysV segment has none)."""
         row = OBJECT_TYPES[kobj.obj_type]
         oid = self._oid(kobj, row.oid_class)
-        first = oid not in self._done
+        first = self._first(oid)
         skip = self._skippable(kobj, oid)
         if row.quiet and (skip or not first):
             return self._visit(row, kobj, oid, first, skip)
@@ -204,25 +220,17 @@ class CheckpointSerializer:
             fds = self._walk_slots(fdtable)
             oid = self._oid(fdtable)
             return self._visit(OBJECT_TYPES["fdtable"], fdtable, oid,
-                               oid not in self._done,
+                               self._first(oid),
                                self._skippable(fdtable, oid), fds)
 
     def _walk_slots(self, fdtable: Any) -> Dict[str, int]:
         """Visit the table's files; returns the record's ``fds``.
 
-        A table whose slot layout did not change replays its last walk
-        (:class:`WalkMemo`): only the slots whose file or vnode was
-        stamped since the floor, and the not vnode-backed ones, are
-        visited; the rest are accounted in bulk — live, and skipped
-        once each (``- _done``: an object shared with another table or
-        in flight over a socket counts once, as the per-object check
-        does).  ``CKPT_FILE_DESC`` is charged per slot *before* the
-        slot's visit, so the spans a visit opens read the clock the
-        slot-by-slot walk showed them.  The superset test is the second
-        half of :meth:`_skippable` for every memoised object at once:
-        a rollback, a forced full checkpoint, a restored group and an
-        unresolvable parent all end in the full walk below, which
-        rebuilds the memo.
+        An unchanged layout replays the memo (DESIGN.md §11): it visits
+        :meth:`WalkMemo.stamped_slots`, each charged ``CKPT_FILE_DESC``
+        *before* its visit as the full walk charges it, and accounts the
+        rest in bulk — live, and skipped once each less what this pass
+        visited.  A failed precondition takes the full walk below.
         """
         clock = self.kernel.clock
         floor, prior_live = self.epoch_floor, self.prior_live
@@ -233,42 +241,34 @@ class CheckpointSerializer:
             blocker = "parent_live_unresolvable"
         elif memo is None or memo.layout_gen != fdtable.layout_gen:
             blocker = "layout_changed"
-        elif not prior_live.issuperset(memo.oids):
+        elif (prior_live is not memo.checked and prior_live is not memo.live()
+              and not prior_live.issuperset(memo.oids)):
             blocker = "not_in_prior_live"
+        elif (visit := memo.stamped_slots(self.kernel, floor)) is None:
+            blocker = "log_pruned"
         else:
-            visit = [pos for pos, (file, vnode)
-                     in enumerate(zip(memo.files, memo.vnodes))
-                     if vnode is None or file.dirty_epoch > floor
-                     or vnode.dirty_epoch > floor]
             charged = 0
             for pos in visit:
                 clock.advance((pos + 1 - charged) * costs.CKPT_FILE_DESC)
                 charged = pos + 1
                 self.serialize_file(memo.files[pos])
             clock.advance((len(memo.files) - charged) * costs.CKPT_FILE_DESC)
-            rest = memo.oids - self._done
-            self.records_skipped += len(rest)
-            self._done |= rest
+            seen = memo.oids & self._done
+            for oids in self._bulk:
+                seen |= memo.oids & oids
+            self.records_skipped += len(memo.oids) - len(seen)
+            self._bulk.append(memo.oids)
             self.live_oids |= memo.oids
             self.slots_walked += len(visit)
             self.slots_replayed += len(memo.files) - len(visit)
+            memo.checked, memo.live = prior_live, weakref.ref(self.live_oids)
             return memo.fds
         self.full_walks[blocker] = self.full_walks.get(blocker, 0) + 1
         fds: Dict[str, int] = {}
-        files: List[OpenFile] = []
-        vnodes: List[Any] = []
-        oids: Set[int] = set()
         for fd, file in fdtable.items():
             clock.advance(costs.CKPT_FILE_DESC)
-            oid = fds[str(fd)] = self.serialize_file(file)
-            files.append(file)
-            if file.ftype == DTYPE_VNODE:
-                vnodes.append(file.fobj)
-                oids.add(oid)
-                oids.add(self.group.oid_map[file.fobj.kid])
-            else:
-                vnodes.append(None)
-        self.slots_walked += len(files)
+            fds[str(fd)] = self.serialize_file(file)
+        self.slots_walked += len(fds)
         self.group.walk_memos[fdtable.kid] = WalkMemo(
-            fdtable.layout_gen, fds, files, vnodes, oids)
+            fdtable, fds, self.group.oid_map, self.live_oids)
         return fds

@@ -16,7 +16,8 @@ subclasses for failures, and charge the fixed syscall crossing cost.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import costs
 from ..errors import BadFileDescriptor, InvalidArgument, MachineCrashed
@@ -58,11 +59,19 @@ class Kernel:
 
         #: Global mutation epoch for incremental checkpoints (§6).
         #: Every mutating kernel path stamps the touched object via
-        #: :meth:`~repro.kernel.kobject.KObject.mark_dirty`; the
-        #: serializer skips objects at or below a group's checkpoint
-        #: floor.  Set before any KObject exists so creation stamps
-        #: are well defined.
+        #: :meth:`~repro.kernel.kobject.KObject.mark_dirty`, which also
+        #: logs its kid below; the serializer skips objects at or below
+        #: a group's checkpoint floor.  Set before any KObject exists
+        #: so creation stamps are well defined.
         self.dirty_epoch = 1
+        #: The dirty log ("the log is the database"): the kids stamped
+        #: in the current epoch, and one closed set per epoch from
+        #: ``dirty_base + 1`` to ``dirty_epoch - 1``.  An fd table's
+        #: replay reads the epochs above its group's floor
+        #: (:meth:`stamped_since`) instead of every slot's stamp.
+        self.dirty_kids: Set[int] = set()
+        self.dirty_log: List[Set[int]] = []
+        self.dirty_base = 0
 
         # Hardware views.
         self.physmem = PhysicalMemory(machine.ram_bytes)
@@ -101,6 +110,45 @@ class Kernel:
     def next_kid(self) -> int:
         """Next kernel-object identity (unique per boot)."""
         return self._kids.next()
+
+    # -- the dirty log ------------------------------------------------------------
+
+    def close_epoch(self) -> int:
+        """End the current mutation epoch (a disk checkpoint's
+        snapshot) and return it; its stamped kids join the log."""
+        self.dirty_log.append(self.dirty_kids)
+        self.dirty_kids = set()
+        self.dirty_epoch += 1
+        return self.dirty_epoch - 1
+
+    def prune_dirty_log(self, floor: int) -> None:
+        """Drop the epochs at or below ``floor``, the lowest floor a
+        replay may still read from."""
+        if floor > self.dirty_base:
+            del self.dirty_log[:floor - self.dirty_base]
+            self.dirty_base = floor
+
+    def stamped_since(self, floor: int,
+                      kids: Sequence[int]) -> Optional[List[int]]:
+        """The positions in the sorted ``kids`` of every kid stamped in
+        an epoch above ``floor`` (each epoch's set is matched from its
+        smaller side); None once the log was pruned past ``floor``."""
+        if floor < self.dirty_base:
+            return None
+        log = self.dirty_log[floor - self.dirty_base:]
+        log.append(self.dirty_kids)
+        hits: List[int] = []
+        size = len(kids)
+        for stamped in log:
+            if len(stamped) > size:
+                hits += [i for i, kid in enumerate(kids) if kid in stamped]
+                continue
+            for kid in stamped:
+                i = bisect_left(kids, kid)
+                while i < size and kids[i] == kid:
+                    hits.append(i)
+                    i += 1
+        return hits
 
     def check_alive(self) -> None:
         """Raise MachineCrashed if this kernel has been crashed."""

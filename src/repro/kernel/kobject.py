@@ -38,19 +38,25 @@ class KObject:
         #: A freshly created object is dirty by construction: it is
         #: stamped with the kernel's current epoch, which is always
         #: above every group's checkpoint floor.
-        self.dirty_epoch: int = getattr(kernel, "dirty_epoch", 1)
+        self.dirty_epoch: int = kernel.dirty_epoch
 
     def mark_dirty(self) -> None:
-        """Stamp the object with the current mutation epoch.
+        """Stamp the object with the current mutation epoch and log its
+        kid in the kernel's dirty log (:attr:`Kernel.dirty_kids`).
 
         Every kernel path that changes checkpoint-visible state calls
         this; the serializer then skips objects whose ``dirty_epoch``
-        is at or below the group's last-checkpoint epoch floor, making
-        kernel-state checkpoint cost proportional to the dirty set
-        rather than to total state.
+        is at or below the group's last-checkpoint epoch floor, and an
+        fd table's replay finds its written slots from the log instead
+        of reading every slot's stamp, making kernel-state checkpoint
+        cost proportional to the dirty set rather than to total state.
+        For an object the group's last checkpoint reached (created at
+        or below its floor) the two agree: ``dirty_epoch`` is above the
+        floor exactly when the kid is logged in an epoch above it.
         """
-        self.dirty_epoch = getattr(self.kernel, "dirty_epoch",
-                                   self.dirty_epoch + 1)
+        kernel = self.kernel
+        self.dirty_epoch = kernel.dirty_epoch
+        kernel.dirty_kids.add(self.kid)
 
     def ref(self) -> "KObject":
         """Take a reference; returns self for chaining."""

@@ -378,7 +378,7 @@ def test_a_node_keeps_its_leg_book_across_crash_reboot_and_wipe():
 
 
 def test_primary_maps_stay_bounded_under_retention():
-    """ROADMAP item 2, "Left": ``_streams``, ``acks`` and
+    """ROADMAP item 7: ``_streams``, ``acks`` and
     ``_commit_seen`` used to gain one entry per checkpoint forever.  A
     stream goes once all N nodes hold it; quorum bookkeeping goes once
     its checkpoint has left the primary's chain below the watermark —

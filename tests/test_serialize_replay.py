@@ -2,17 +2,24 @@
 
 Differential: hypothesis drives two machines through the same random
 descriptor churn, traffic, checkpoints of every kind, a failed flush
-and a restore.  One of them forgets every table's memo before every
-checkpoint (``tests/serialize_reference.py``), so its serializer walks
-every slot, as it did before tables remembered anything; the other
-replays.  Per checkpoint the two must agree on the staged records
-(order and bytes), the live set, the written/skipped counts, the span
-stream and the clock — and on every byte on the device at the end.
+and a restore (the fixed script adds an asynchronous flush failure).
+One of them forgets every table's memo before every checkpoint
+(``tests/serialize_reference.py``), so its serializer walks every slot,
+as it did before tables remembered anything; the other replays.  Per
+checkpoint the two must agree on the staged records (order and bytes),
+the live set, the written/skipped counts, the span stream and the clock
+— and on every byte on the device at the end.  Per table per replay,
+the slots found from the kernel's dirty log must be the slots the scan
+of every memoised stamp finds (``scan_slots``), in the same order.
 
 Directed: one case per reason the replay is not taken, two layout
-changes inside one epoch, and the invariant the shared live set leans
-on (nobody mutates a committed checkpoint's ``live_oids``).
+changes inside one epoch, two groups with different floors on one
+kernel, an async flush failure that lowers a floor the log was already
+pruned to, dup and fork sharing, and the invariant the shared live set
+leans on (nobody mutates a committed checkpoint's ``live_oids``).
 """
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -23,18 +30,40 @@ from repro.core import telemetry
 from repro.core.api import AuroraAPI
 from repro.core.faults import FaultPlan
 from repro.core.pipeline import MODE_DISK, MODE_MEM
+from repro.core.serialize import WalkMemo
 from repro.errors import ReproError
 from repro.kernel.fs.file import DTYPE_PIPE, DTYPE_SOCKET, DTYPE_VNODE, \
     O_CREAT, O_RDWR
 from repro.kernel.ipc.kqueue import EVFILT_READ, KEvent
 from repro.kernel.ipc.unixsock import ControlMessage
-from repro.units import PAGE_SIZE
+from repro.units import MSEC, PAGE_SIZE
 
-from .serialize_reference import forget_walks
+from .serialize_reference import forget_walks, scan_slots
 from .test_store_image_golden import image_digest
 
 PATHS = 6
 MAX_PROCS = 4
+
+
+@contextmanager
+def scan_checked():
+    """Check every replay's visits against the scan; yields the list of
+    ``(floor, visits)`` replays compared (visits None: log pruned)."""
+    stamped_slots = WalkMemo.stamped_slots
+    replays = []
+
+    def checked(memo, kernel, floor):
+        visits = stamped_slots(memo, kernel, floor)
+        if visits is not None:
+            assert visits == scan_slots(memo, floor), floor
+        replays.append((floor, visits))
+        return visits
+
+    WalkMemo.stamped_slots = checked
+    try:
+        yield replays
+    finally:
+        WalkMemo.stamped_slots = stamped_slots
 
 
 class World:
@@ -74,15 +103,27 @@ class World:
 
     # -- checkpoints ----------------------------------------------------------
 
-    def checkpoint(self, mode=MODE_DISK, full=False, fail=False) -> None:
+    def checkpoint(self, mode=MODE_DISK, full=False, fail=None) -> None:
+        """``fail``: "enospc" fails the flush's first IO; "async" lets
+        the checkpoint return and fails every finalize write, so the
+        rollback lowers the floor the commit had installed."""
         if self.forget:
             forget_walks(self.sls)
         self.ctx = None
+        plan = FaultPlan(name="fail")
+        if fail == "enospc":
+            plan.nospace_at_io(1)
         if fail:
-            self.machine.set_fault_plan(
-                FaultPlan(name="enospc").nospace_at_io(1))
+            self.machine.set_fault_plan(plan)
         try:
-            self.sls.checkpoint(self.group, sync=True, mode=mode, full=full)
+            self.sls.checkpoint(self.group, sync=fail != "async", mode=mode,
+                                full=full)
+            if fail == "async":
+                plan.transient_at_io(plan.io_index, times=1000)
+                for _ in range(100):
+                    if not self.group.flush_in_progress:
+                        break
+                    self.machine.run_for(50 * MSEC)
             outcome = "ok"
         except ReproError as exc:
             outcome = type(exc).__name__
@@ -166,7 +207,9 @@ class World:
             elif op == "mem":
                 self.checkpoint(mode=MODE_MEM)
             elif op == "fail":
-                self.checkpoint(fail=True)
+                self.checkpoint(fail="enospc")
+            elif op == "afail":
+                self.checkpoint(fail="async")
             elif op == "memckpt":
                 self.memckpt()
             elif op == "restore":
@@ -241,14 +284,16 @@ _ops = st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2 ** 20)),
                 min_size=8, max_size=70)
 
 
-def _differential(op_list) -> None:
+def _differential(op_list) -> list:
+    """Run both worlds; returns the replays compared with the scan."""
     worlds = []
-    for forget in (True, False):
-        world = World(forget)
-        for op, arg in op_list:
-            world.apply(op, arg)
-        world.checkpoint()
-        worlds.append(world)
+    with scan_checked() as replays:
+        for forget in (True, False):
+            world = World(forget)
+            for op, arg in op_list:
+                world.apply(op, arg)
+            world.checkpoint()
+            worlds.append(world)
     walked, replayed = worlds
     assert len(walked.log) == len(replayed.log)
     for index, (want, got) in enumerate(zip(walked.log, replayed.log)):
@@ -256,6 +301,7 @@ def _differential(op_list) -> None:
             assert got[key] == want[key], (index, want["mode"], key)
     assert image_digest([replayed.machine]) \
         == image_digest([walked.machine])
+    return replays
 
 
 @settings(max_examples=20, deadline=None)
@@ -285,9 +331,11 @@ def test_churn_with_every_kind_of_slot_and_sharing():
               ("close", 1 + 2 * 1), ("ckpt", 0), ("dup2", 0 + 2 * 3),
               ("unlink", 2), ("mem", 0), ("ckpt", 0), ("fail", 0),
               ("ckpt", 0), ("ckpt", 0), ("memckpt", 0), ("ckpt", 0),
-              ("exit", 1), ("ckpt", 0), ("restore", 0), ("traffic", 0),
-              ("ckpt", 0), ("ckpt", 0)]
-    _differential(script)
+              ("traffic", 0), ("afail", 0), ("mem", 0), ("ckpt", 0),
+              ("ckpt", 0), ("exit", 1), ("ckpt", 0), ("restore", 0),
+              ("traffic", 0), ("ckpt", 0), ("ckpt", 0)]
+    replays = _differential(script)
+    assert sum(visits is not None for _floor, visits in replays) >= 8
 
 
 # -- directed: when the replay is and is not taken ------------------------------
@@ -432,3 +480,103 @@ def test_unchanged_live_set_is_shared_and_never_mutated(wide):
     sls2.checkpoint(sls2.restore(gid, periodic=False).group, sync=True)
     for live, held in snapshots.values():
         assert live == held
+
+
+# -- directed: the dirty log ------------------------------------------------------
+
+
+def _lowest_floor(sls):
+    return min(group.ckpt_epoch for group in sls.groups.values()
+               if group.walk_memos and group.ckpt_epoch is not None)
+
+
+def test_two_groups_with_different_floors_share_one_log():
+    """Group ``a`` checkpoints every round, group ``b`` every third: the
+    log keeps ``b``'s epochs while ``a``'s floor runs ahead, and every
+    replay of either finds the slots the scan finds — ``b``'s two-file
+    table from the kid side, each epoch's larger set never walked."""
+    telemetry.reset()
+    machine = Machine()
+    sls = load_aurora(machine)
+    kernel = machine.kernel
+    procs, fds, groups = [], [], []
+    for name, nfiles in (("a", 8), ("b", 2)):
+        proc = kernel.spawn(name)
+        procs.append(proc)
+        fds.append([kernel.open(proc, f"/{name}{i}", O_CREAT | O_RDWR)
+                    for i in range(nfiles)])
+        kernel.pipe(proc)
+        groups.append(sls.attach(proc, periodic=False))
+    with scan_checked() as replays:
+        for rnd in range(10):
+            for proc, table in zip(procs, fds):
+                kernel.write(proc, table[rnd % len(table)], b"r%d" % rnd)
+                kernel.lseek(proc, table[(rnd * 3) % len(table)], rnd)
+            sls.checkpoint(groups[0], sync=True)
+            if rnd % 3 == 2:
+                sls.checkpoint(groups[1], sync=True)
+            assert kernel.dirty_base == _lowest_floor(sls)
+            assert len(kernel.dirty_log) \
+                == kernel.dirty_epoch - 1 - kernel.dirty_base
+    assert groups[0].ckpt_epoch > groups[1].ckpt_epoch
+    assert len({floor for floor, _visits in replays}) >= 8
+    for group in groups:
+        assert "log_pruned" not in _walks(group)[2]
+
+
+def test_async_failure_lowers_a_floor_below_the_pruned_log():
+    """An async flush that fails after its commit was accepted lowers
+    the group's floor back to the previous one, but the log was already
+    pruned to the new floor at submission.  That is safe: the failure
+    also sets ``force_full_next``, so the next disk checkpoint has no
+    floor, and a memory-mode pass in between finds the log pruned past
+    its floor and walks the table in full — both end as the walk with
+    no memo does."""
+    worlds = []
+    with scan_checked() as replays:
+        for forget in (True, False):
+            world = World(forget)
+            for op, arg in (("ckpt", 0), ("traffic", 0), ("ckpt", 0),
+                            ("traffic", 1), ("afail", 0)):
+                world.apply(op, arg)
+            group, kernel = world.group, world.kernel
+            assert world.log[-1]["outcome"] == "ok" and group.force_full_next
+            assert group.ckpt_epoch < kernel.dirty_base
+            world.checkpoint(mode=MODE_MEM)
+            world.checkpoint()
+            world.checkpoint()
+            worlds.append(world)
+    walked, replayed = worlds
+    for want, got in zip(walked.log, replayed.log):
+        assert got == want
+    reasons = _walks(replayed.group)[2]
+    assert reasons["log_pruned"] == 1 and reasons["no_floor"] == 2
+    assert replays[-1][1] is not None
+
+
+def test_dup_and_fork_sharing_visit_every_slot_of_a_written_file(wide):
+    """A file dup'ed into three slots of one table and shared with a
+    forked child's table: one write visits all its slots in both tables
+    (the index names several slots per kid), and the bulk step counts
+    each shared object once."""
+    machine, sls, proc, group, fds = wide
+    kernel = machine.kernel
+    dups = [kernel.dup(proc, fds[2]) for _ in range(2)]
+    child = kernel.fork(proc)
+    kernel.open(proc, "/other", O_CREAT | O_RDWR)
+    sls.checkpoint(group, sync=True)
+    sls.checkpoint(group, sync=True)
+    kernel.write(proc, fds[2], b"shared")
+    with scan_checked() as replays:
+        result = sls.checkpoint(group, sync=True)
+    table = proc.fdtable.fds()
+    # The written file's three slots and the pipe's two, in slot order,
+    # in the parent's table and in the child's (the same layout, less
+    # the file the parent opened after the fork).
+    visits = sorted([table.index(fd) for fd in [fds[2]] + dups]
+                    + [table.index(fd) for fd in table
+                       if proc.fdtable.get(fd).ftype == DTYPE_PIPE])
+    assert [slots for _floor, slots in replays] == [visits, visits]
+    # Skipped once each: 13 files and their vnodes less the written
+    # pair, the pipe and its two ends, and both tables.
+    assert result.records_skipped == 2 * 13 - 2 + 3 + 2

@@ -11,10 +11,15 @@ workload).  Three guards, all deterministic:
 (b) in steady state the serializer visits only the slots that can have
     changed, looks up O(dirty) OIDs, and never sorts the live set
     again — the per-slot walk cannot quietly return;
-(c) the memo is columnar — four containers, no object per slot: the
+(c) the memo is columnar — whole containers, no object per slot: the
     population of long-lived tracked objects sets the cyclic
     collector's schedule, which moved ``setup_s`` on this very shape
     when a prototype kept a tuple per slot.
+
+A second test counts stamp reads: the replay finds its slots from the
+kernel's dirty log, so a steady checkpoint reads the ``dirty_epoch`` of
+no clean slot, and the log never holds an epoch it could not be asked
+for.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ import gc
 import hashlib
 import random
 import sys
+import weakref
+from array import array
 
 from repro import Machine, load_aurora
 from repro.core.group import ConsistencyGroup
 from repro.core.serialize import CheckpointSerializer
 from repro.kernel.fs.file import O_CREAT, O_RDWR, OpenFile
-from repro.kernel.fs.vnode import Vnode
 from repro.objstore import checkpoint as checkpoint_mod
 
 from .test_touch_runs import _count
@@ -128,14 +134,57 @@ def test_replay_is_odirty_sim_identical_and_heap_neutral(monkeypatch):
     assert calls["oid_for"] <= (3 * WRITES + 4) * CHECKPOINTS
     assert calls["live_set_sorts"] == 0
 
-    # (c) columnar memos: four containers, and nothing tracked inside
-    # them but the kernel objects the table holds anyway.
+    # (c) columnar memos: whole containers — the files, the sorted kids
+    # (the kernel's own ints), their slots and the always-visited slots
+    # as arrays, the OID set, the parent's live set (which the
+    # checkpoints hold anyway) and a weak reference to the last pass's
+    # — and nothing tracked inside them but the files the table holds
+    # anyway.
     memo, = group.walk_memos.values()
     columns = [getattr(memo, name) for name in memo.__slots__]
-    assert [type(column) for column in columns] == [int, dict, list, list,
-                                                    set]
+    assert [type(column) for column in columns] == [
+        int, dict, list, list, array, array, set, set, weakref.ref]
     assert {type(obj) for column in columns
-            for obj in gc.get_referents(column) if gc.is_tracked(obj)} \
-        == {OpenFile, Vnode}
+            for obj in gc.get_referents(column)
+            if gc.is_tracked(obj) and not isinstance(obj, type)} \
+        == {OpenFile}
     if sys.version_info[:2] == (3, 11):
         assert tracked <= PINNED_TRACKED_311 + 50
+
+
+def _count_stamp_reads(objs, reads):
+    """Swap each object's class for a subclass whose ``dirty_epoch`` is
+    a property that records the kid of every read."""
+    stamp = property(
+        lambda self: reads.append(self.kid) or self.__dict__["dirty_epoch"],
+        lambda self, epoch: self.__dict__.__setitem__("dirty_epoch", epoch))
+    counted = {}
+    for obj in objs:
+        cls = type(obj)
+        if cls not in counted:
+            counted[cls] = type(f"Counted{cls.__name__}", (cls,),
+                                {"dirty_epoch": stamp})
+        obj.__class__ = counted[cls]
+
+
+def test_replay_reads_no_clean_stamp_and_the_log_stays_pruned():
+    machine, sls, proc, fds, group = _build(2000)
+    kernel = machine.kernel
+    files = [proc.fdtable.get(fd) for fd in fds]
+    reads = []
+    _count_stamp_reads(files + [file.fobj for file in files], reads)
+    rng = random.Random(7)
+    for ckpt in range(50):
+        written = rng.sample(fds, 1 + ckpt % 12)
+        for fd in written:
+            machine.kernel.write(proc, fd, b"w%02d" % ckpt)
+        reads.clear()
+        sls.checkpoint(group, sync=True)
+        dirty = {kid for fd in written
+                 for kid in (proc.fdtable.get(fd).kid,
+                             proc.fdtable.get(fd).fobj.kid)}
+        assert dirty <= set(reads) and set(reads) <= dirty, ckpt
+        # The log holds only the epochs above the lowest floor.
+        assert kernel.dirty_base == group.ckpt_epoch
+        assert kernel.dirty_log == []
+    assert group.ckpt_epoch == kernel.dirty_epoch - 1

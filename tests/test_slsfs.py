@@ -78,7 +78,7 @@ def test_truncated_file_recovers_at_its_new_size(setup):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "page locators have no tombstones (ROADMAP item 5(c), DESIGN §5.19): "
+    "page locators have no tombstones (ROADMAP item 11(b), DESIGN §5.19): "
     "a sparse write past a truncated tail resurrects the old tail pages"))
 def test_sparse_write_past_a_truncated_tail_reads_zeros_after_crash(setup):
     """The hole between a truncated EOF and a later sparse write reads
