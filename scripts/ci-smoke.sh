@@ -310,12 +310,14 @@ tracked = int(rows["vm_wide", "setup"].split()[-1])
 assert tracked <= 80_000, f"vm_wide set-up leaves {tracked} tracked objects"
 lazy = int(rows["vm_wide", "lazy"].split()[-1])
 assert lazy <= 60_000, f"vm_wide lazy restore leaves {lazy} tracked objects"
-for phase, cap in (("setup", 66_000), ("run", 71_000)):
+# A recover that kept a per-row or per-column intermediate object would
+# pass 112 000 (107 767 under CPython 3.11).
+for phase, cap in (("setup", 66_000), ("run", 71_000), ("recover", 112_000)):
     count = int(rows["posix_wide", phase].split()[-1])
     assert count <= cap, f"posix_wide {phase} leaves {count} tracked objects"
 print(f"no full collection in any recover or lazy phase; vm_wide set-up "
       f"leaves {tracked} tracked objects, its lazy restore {lazy}; "
-      f"posix_wide within its set-up and run caps")
+      f"posix_wide within its set-up, run and recover caps")
 PY
 }
 

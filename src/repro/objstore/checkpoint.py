@@ -9,14 +9,15 @@ block-sharing ancestry.
 
 The on-disk metadata document (:meth:`CheckpointInfo.encode_meta`) has
 one format and one decoder.  Its four large maps are all columnar:
-page locators as runs (:class:`PageRuns`), the live set as
+page locators as one table of typed run columns
+(:func:`encode_page_table`), the live set as
 ``[start, count, step]`` OID runs, the record index grouped by extent
 with the same OID runs (:class:`RecordIndex`), and the owned
 extents as ``[offset, count, length]`` runs (:func:`encode_extent_runs`)
 — so a delta's metadata, and the child-metadata rewrite GC does after
 adopting a deleted parent's state, cost O(record extents + runs), not
 O(objects) or O(data extents).  The page-locator table stays columnar
-in memory too: a :class:`PageRuns` is the decoded run list itself, and mount,
+in memory too: a :class:`PageRuns` is its slice of the decoded runs, and mount,
 :meth:`ObjectStore.merged_view`, GC adoption, restore (eager and lazy)
 and page fetches work on runs, never on one locator per page — one
 page's locator is a one-page run.  So is the record index (one entry
@@ -28,18 +29,20 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, compress, count, repeat, zip_longest
+from operator import add, getitem, lt
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core.runs import (LocatorRun, append_locator_run, build_arith_runs,
                          clip_run, count_changed_pages, expand_arith_runs,
                          run_at, runs_within, splice)
 from ..errors import CorruptRecord
-from ..serde import Encoded, fragment, frame_list
+from ..serde import Encoded, column, fragment, frame_list
 
-#: Each run kind's field types: the kind, then integers (not ``bool``).
-_RUN_FIELDS: Dict[str, List[type]] = {"syn": [str] + [int] * 4,
-                                      "ext": [str] + [int] * 5}
+#: Integer fields of an "ext" run; a synthetic run has four, so its
+#: decoded tuple is cut to five fields.
+_INT_FIELDS = 5
+_ARITY = {"syn": slice(5), "ext": slice(6)}
 
 
 class PageRuns:
@@ -48,8 +51,8 @@ class PageRuns:
     The in-memory shape *is* the wire shape: ``runs`` is the list of
     ``("syn", start, count, seed0, seed_step)`` /
     ``("ext", start, count, extent, byte_off0, page_len)`` sequences
-    (see :mod:`repro.core.runs`) — the very list a metadata document
-    decoded to, or the commit path built — sorted by ``start``,
+    (see :mod:`repro.core.runs`) — its slice of the runs a metadata
+    document decoded to, or the list the commit path built — sorted by ``start``,
     pairwise disjoint, every ``count`` ≥ 1.  The table takes the list
     over and nobody mutates it or its runs afterwards, so deltas, merged
     views and GC adopters share runs freely.  Lookups bisect the list
@@ -136,36 +139,60 @@ def overlay_page_maps(newer: Dict[int, PageRuns],
             newer[oid] = runs if have is None else have.overlay(runs)
 
 
-def decode_page_runs(raw: Any) -> PageRuns:
-    """Validate a metadata document's run list into a :class:`PageRuns`.
+def encode_page_table(pages: Dict[int, PageRuns]) -> List[Any]:
+    """The page map as ``[oids, run counts, kinds, fields]``: the runs'
+    five integer fields field by field in one column (a synthetic run's
+    fifth is 0), transposed by one ``zip_longest``; ``[]`` if empty."""
+    oids = [oid for oid, table in pages.items() if table.runs]
+    tables = [pages[oid].encode() for oid in oids]
+    runs = list(chain.from_iterable(tables))
+    if not runs:
+        return []
+    kinds, *fields = zip_longest(*runs, fillvalue=0)
+    fields += [(0,) * len(runs)] * (_INT_FIELDS - len(fields))
+    return [column(oids), column(list(map(len, tables))), column(kinds),
+            column(list(chain.from_iterable(fields)))]
 
-    Nothing is expanded or copied: the runs are checked — kind, arity,
-    every other field an integer, positive count, ascending and
-    disjoint — and the list itself becomes the table.  A violation is a
-    :class:`CorruptRecord`, like any other damaged metadata, so
-    recovery falls back a superblock generation and scrub reports it.
-    """
-    if not isinstance(raw, list):
-        raise CorruptRecord("page runs are not a list")
-    end = 0
-    for entry in raw:
-        if not isinstance(entry, list) or not entry:
-            raise CorruptRecord("empty page run entry")
-        fields = _RUN_FIELDS.get(entry[0]) if isinstance(entry[0], str) \
-            else None
-        if fields is None:
-            raise CorruptRecord(f"bad page run kind {entry[0]!r}")
-        if list(map(type, entry)) != fields:
-            raise CorruptRecord(f"malformed {entry[0]!r} page run {entry!r}")
-        start, count = entry[1], entry[2]
-        if count < 1:
-            raise CorruptRecord(f"page run at {start} has count {count}")
-        if start < end:
-            raise CorruptRecord(
-                f"page run at {start} is unsorted or overlaps its "
-                f"predecessor (which ends at {end})")
-        end = start + count
-    return PageRuns(raw)
+
+def decode_page_table(raw: Any) -> Dict[int, PageRuns]:
+    """Validate a page map into one :class:`PageRuns` per OID, a few C calls
+    a check; damage is a :class:`CorruptRecord` (a mount falls back)."""
+    if raw == []:
+        return {}
+    if type(raw) is not list or len(raw) != 4:
+        raise CorruptRecord("malformed page table: not a list of four columns")
+    oids, nruns, kinds, fields = raw
+    width = len(kinds)
+    if not type(oids) is type(nruns) is type(kinds) is type(fields) is list \
+            or not {int} >= set(map(type, chain(oids, nruns, fields))):
+        raise CorruptRecord("malformed page table column")
+    if len(oids) != len(nruns) or sum(nruns) != width or len(
+            fields) != _INT_FIELDS * width or len(set(oids)) != len(oids):
+        raise CorruptRecord("page table columns differ in length, or an "
+                            "oid repeats")
+    if not oids or min(nruns) < 1:
+        raise CorruptRecord("empty page run list in the page table")
+    if kinds.count("syn") + kinds.count("ext") != width:
+        bad = next(kind for kind in kinds if kind not in ("syn", "ext"))
+        raise CorruptRecord(f"bad page run kind {bad!r}")
+    starts, counts = fields[:width], fields[width:2 * width]
+    if min(counts) < 1:
+        at = counts.index(min(counts))
+        raise CorruptRecord(f"page run at {starts[at]} has count {counts[at]}")
+    # Runs ascend within an OID, and its first starts at or past 0.
+    bounds = [0, *accumulate(nruns)]
+    ends = list(map(add, starts, counts))
+    overlaps = any(map(lt, starts[1:], ends)) and set(compress(
+        count(1), map(lt, starts[1:], ends))).difference(bounds)
+    if overlaps or min(starts) < 0:
+        at = min(overlaps or (), default=starts.index(min(starts)))
+        raise CorruptRecord(f"page run at {starts[at]} is unsorted or overlaps")
+    runs = list(zip(kinds, starts, counts, fields[2 * width:3 * width],
+                    fields[3 * width:4 * width], fields[4 * width:]))
+    if "syn" in kinds:
+        runs = list(map(getitem, runs, map(_ARITY.__getitem__, kinds)))
+    return {oid: PageRuns(runs[lo:hi])
+            for oid, lo, hi in zip(oids, bounds, bounds[1:])}
 
 
 class RecordEntry:
@@ -339,8 +366,7 @@ class CheckpointInfo:
             "time_ns": self.time_ns,
             "partial": self.partial,
             "object_records": self.object_records.encode(),
-            "pages": {str(oid): runs.encode()
-                      for oid, runs in self.pages.items()},
+            "pages": encode_page_table(self.pages),
             "owned_extents": encode_extent_runs(self.owned_extents),
             "data_bytes": self.data_bytes,
         }
@@ -351,8 +377,7 @@ class CheckpointInfo:
         info = cls(raw["ckpt_id"], raw["group_id"], raw["name"],
                    raw["parent"], raw["time_ns"], raw["partial"])
         info.object_records = RecordIndex.decode(raw["object_records"])
-        info.pages = {int(oid): decode_page_runs(runs)
-                      for oid, runs in raw["pages"].items()}
+        info.pages = decode_page_table(raw["pages"])
         info.owned_extents = decode_extent_runs(raw["owned_extents"])
         info.data_bytes = raw["data_bytes"]
         live_runs = raw["live_oid_runs"]

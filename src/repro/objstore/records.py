@@ -7,8 +7,9 @@ before trusting it.
 Kernel objects are written as relations: a record extent holds one
 ``object-batch`` document, one table per record shape — ``[otype,
 keys, oids, columns]`` for each distinct ``otype`` and state key tuple,
-in first-seen order, with one column per key.  The batch's frame CRC
-covers every row; a row carries no envelope of its own.
+in first-seen order, with one column per key, typed where it can be
+(:func:`serde.column`).  The batch's frame CRC covers every row; a row
+carries no envelope of its own.
 """
 
 from __future__ import annotations
@@ -65,7 +66,12 @@ def encode_objects(objects: Sequence[Object]) -> bytes:
         table[2].append(oid)
         for column, value in zip(table[3], state.values()):
             column.append(value)
-    return encode(REC_OBJECT_BATCH, list(tables.values()))
+    body = list(tables.values())
+    for table in body:
+        if len(table[2]) >= serde.COLUMN_MIN_ROWS:
+            table[2] = serde.column(table[2])
+            table[3] = list(map(serde.column, table[3]))
+    return encode(REC_OBJECT_BATCH, body)
 
 
 def decode_objects(data: bytes, wanted: Optional[Container[int]] = None
@@ -75,10 +81,13 @@ def decode_objects(data: bytes, wanted: Optional[Container[int]] = None
     found: List[Object] = []
     try:
         for otype, keys, oids, columns in decode(data, REC_OBJECT_BATCH):
+            if len({len(oids), *map(len, columns)}) > 1 or \
+                    len(columns) != len(keys):
+                raise CorruptRecord(f"{otype!r} columns differ in length")
             rows = zip(*columns) if keys else repeat(())
-            for oid, row in zip(oids, rows):
-                if wanted is None or oid in wanted:
-                    found.append((oid, otype, dict(zip(keys, row))))
+            found += [(oid, otype, dict(zip(keys, row)))
+                      for oid, row in zip(oids, rows)
+                      if wanted is None or oid in wanted]
     except (TypeError, ValueError):
         raise CorruptRecord("malformed object table") from None
     return found

@@ -15,6 +15,10 @@ encoding for the value shapes kernel serializers actually produce:
 
 The format is self-describing and versioned via :data:`MAGIC`.
 
+**Typed columns** (:func:`column`) decode as lists in one C call and one
+list build: *packed*, tag 0x09 (row count, a little-endian int64 a row),
+or *coded*, tag 0x0A (row count, the distinct values, a byte a row).
+
 **Fragments and the encode-once rule.**  Every value is a tag byte, and
 every variable-size value a fixed-width 8-byte length or count after
 it, so the encoding of a container is the concatenation of its
@@ -44,10 +48,10 @@ filled many times, so a dict is encoded from its shape
 to the dict's header, its keys in sorted order and their encodings.
 The cache is an LRU of :data:`_SHAPE_CACHE` key sets of at most
 :data:`_SHAPE_KEYS` keys: record kinds need a few dozen, and a larger
-dict is a table keyed by data (a checkpoint's pages keyed by OID), met
-once, whose shape is compiled for the call and not kept.  Only a tuple
-of exact ``str`` keys has a shape; any other dict sorts its keys on
-every call, as the format requires.  A dict's values and a list's
+dict is a table keyed by data (a migration stream's records keyed by
+OID), met once, whose shape is compiled for the call and not kept.
+Only a tuple of exact ``str`` keys has a shape; any other dict sorts
+its keys on every call, as the format requires.  A dict's values and a list's
 items of exact type are encoded inline, one call per container and not
 per item (the mirror of the fast walk below): an int from the
 small-int table or, below 2**64, as one header-and-word ``struct``
@@ -64,7 +68,8 @@ it, an int of up to eight bytes is read with its header in one
 list inside a list (one call per container, not per item).  A walk
 that raises, or ends anywhere but at the body's end, hands the record
 to the checked walk (:func:`_check`), which gives the exact verdict —
-so the checked walk runs only on damaged bodies.
+so the checked walk runs only on damaged bodies.  Both walks read a
+typed column alike; a short one or a code past its values is damage.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from __future__ import annotations
 import struct
 import zlib
 from functools import lru_cache
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .errors import CorruptRecord
@@ -89,6 +95,8 @@ _TAG_BYTES = 0x05
 _TAG_STR = 0x06
 _TAG_LIST = 0x07
 _TAG_DICT = 0x08
+_TAG_INTS = 0x09
+_TAG_CODES = 0x0A
 
 #: Tag byte + length/count of every variable-size value.
 _HEAD = struct.Struct(">BQ")
@@ -177,7 +185,7 @@ def _compile_shape(keys: Tuple[str, ...]
 #: age out.
 _SHAPE_CACHE = 256
 #: A dict with more keys than this is a table keyed by data (a
-#: checkpoint's pages keyed by OID), met once: its shape is compiled
+#: migration stream's records keyed by OID), met once: its shape is compiled
 #: for the call and not kept.
 _SHAPE_KEYS = 32
 _dict_shape = lru_cache(maxsize=_SHAPE_CACHE)(_compile_shape)
@@ -363,6 +371,32 @@ def frame_list(fragments: List[Encoded]) -> Encoded:
                    + b"".join(fragments))
 
 
+#: A shorter column stays TLV: a type scan costs more than it saves.
+COLUMN_MIN_ROWS = 4
+
+
+def column(values: Sequence[Any]) -> Any:
+    """``values`` as a document's table column: packed if all are exact
+    ``int`` values in int64 range, coded if all are exact ``str``,
+    ``bool`` or ``None`` and at most 256 distinct ones each recur twice
+    on average, else ``values`` (a TLV list); it decodes as ``values``."""
+    if len(values) < COLUMN_MIN_ROWS:
+        return values
+    kinds = set(map(type, values))
+    if kinds == {int} and -1 << 63 <= min(values) and max(values) < 1 << 63:
+        return Encoded(_pack_head(_TAG_INTS, len(values))
+                       + struct.pack(f"<{len(values)}q", *values))
+    if kinds <= {str, bool, type(None)}:
+        codes = dict.fromkeys(values)
+        if 2 * len(codes) <= len(values) and len(codes) <= 256:
+            distinct = list(codes)
+            codes.update(zip(distinct, range(len(distinct))))
+            return Encoded(_pack_head(_TAG_CODES, len(values))
+                           + _encode(distinct)
+                           + bytes(map(codes.__getitem__, values)))
+    return values
+
+
 def dumps(value: Any) -> bytes:
     """Serialize ``value`` to a framed, checksummed byte record."""
     body = _encode(value)
@@ -457,6 +491,12 @@ def _walk(body: bytes, pos: int) -> Tuple[Any, int]:
                 item, pos = _walk(body, pos)
                 append(item)
         return items, pos
+    if tag == _TAG_INTS:
+        return list(struct.unpack_from(f"<{size}q", body, pos)), pos + 8 * size
+    if tag == _TAG_CODES:    # ``list.__getitem__`` rejects a non-list
+        distinct, pos = _walk(body, pos)
+        return list(map(list.__getitem__, repeat(distinct),
+                        body[pos:pos + size])), pos + size
     stop = pos + size
     if tag == _TAG_INT:
         if size <= 8:
@@ -480,12 +520,20 @@ def _check(body: bytes, pos: int, end: int) -> Tuple[Any, int]:
     tag = body[pos]
     if tag < _TAG_INT:
         return _CONSTANTS[tag], pos + 1
-    if tag > _TAG_DICT:
+    if tag > _TAG_CODES:
         raise CorruptRecord(f"unknown tag 0x{tag:02x}")
     pos += _HEAD_SIZE
     if pos > end:
         raise CorruptRecord("record truncated")
     size = _unpack_head(body, pos - _HEAD_SIZE)[1]
+    if tag == _TAG_CODES:
+        distinct, pos = _check(body, pos, end)
+        if pos + size > end:
+            raise CorruptRecord("record truncated")
+        codes = body[pos:pos + size]
+        if type(distinct) is not list or max(codes, default=-1) >= len(distinct):
+            raise CorruptRecord("malformed coded column")
+        return [distinct[code] for code in codes], pos + size
     if tag == _TAG_LIST:
         items: List[Any] = []
         for _ in range(size):
@@ -500,13 +548,15 @@ def _check(body: bytes, pos: int, end: int) -> Tuple[Any, int]:
                 raise CorruptRecord("dict key is not a string")
             result[key], pos = _check(body, pos, end)
         return result, pos
-    stop = pos + size
+    stop = pos + (8 * size if tag == _TAG_INTS else size)
     if stop > end:
         raise CorruptRecord("record truncated")
     if tag == _TAG_STR:
         return body[pos:stop].decode("utf-8"), stop
     if tag == _TAG_BYTES:
         return body[pos:stop], stop
+    if tag == _TAG_INTS:
+        return _walk(body, pos - _HEAD_SIZE)
     magnitude = _from_bytes(body[pos:stop], "big")
     return (magnitude if tag == _TAG_INT else -magnitude), stop
 

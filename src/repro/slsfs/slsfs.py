@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import costs, telemetry
-from ..errors import RestoreError
+from ..errors import ReproError, RestoreError
 from ..kernel.fs.filesystem import Filesystem
 from ..kernel.fs.vnode import Vnode
 from ..kernel.vm.vmobject import page_run
@@ -143,6 +143,8 @@ class SLSFS(Filesystem):
             # mount would give every file-free machine an FS
             # checkpoint: the first checkpoint stages it regardless.
             stage = stage | {self.root.inode}
+        dirty_pages = self._dirty_pages
+        fresh: Set[int] = set()
         for inode in sorted(stage):
             vnode = self._vnodes.get(inode)
             if vnode is None:
@@ -155,17 +157,40 @@ class SLSFS(Filesystem):
                 "link_count": vnode.link_count,
                 "entries": dict(vnode.entries),
             })
-            self._persisted_inodes.add(inode)
+            if inode not in self._persisted_inodes:
+                fresh.add(inode)
+                self._persisted_inodes.add(inode)
             if vnode.vmobject is None:
                 continue
             obj = vnode.vmobject
-            dirty = self._dirty_pages.get(inode)
+            dirty = dirty_pages.get(inode)
             txn.put_pages(oid, obj.content() if dirty is None else [
                 run for pindex in sorted(dirty)
                 for run in obj.content(pindex, pindex + 1)], obj)
-        self._dirty_inodes.clear()
-        self._dirty_pages.clear()
-        info = self.store.commit(txn, sync=sync)
+        self._dirty_inodes, self._dirty_pages = set(), {}
+        parent = self.last_ckpt_id
+
+        def unstage(_exc: Optional[Exception] = None) -> None:
+            """The commit failed: what it staged is dirty again, the
+            inodes only it held are not persisted, and the next FS
+            checkpoint parents onto this one's parent."""
+            for inode, pages in dirty_pages.items():
+                if inode not in self._dirty_inodes:
+                    self._dirty_pages[inode] = pages
+                elif inode in self._dirty_pages:
+                    self._dirty_pages[inode] |= pages
+            for inode in stage - dirty_pages.keys():
+                self._dirty_pages.pop(inode, None)  # all of its content
+            self._dirty_inodes |= stage
+            self._persisted_inodes -= fresh
+            if self.last_ckpt_id == txn.info.ckpt_id:
+                self.last_ckpt_id = parent
+
+        try:
+            info = self.store.commit(txn, sync=sync, on_failure=unstage)
+        except ReproError:
+            unstage()
+            raise
         self.last_ckpt_id = info.ckpt_id
         return info
 

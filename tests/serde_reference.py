@@ -6,12 +6,19 @@ length, a slice per field.  Slow, obviously right, and used only as the
 oracle of ``tests/test_serde.py`` — nothing under ``src/`` imports it.
 """
 
+import struct
 import zlib
 
 from repro.errors import CorruptRecord
 
 MAGIC, VERSION = b"ATLV", 1
-NONE, FALSE, TRUE, INT, NEGINT, BYTES, STR, LIST, DICT = range(9)
+NONE, FALSE, TRUE, INT, NEGINT, BYTES, STR, LIST, DICT, INTS, CODES = \
+    range(11)
+
+
+class Column(list):
+    """A list to encode as a table column: what ``serde.column`` of
+    the same values splices into a document."""
 
 
 def _var(tag, payload):
@@ -28,6 +35,8 @@ def ref_encode(value):
         size = max(1, (abs(value).bit_length() + 7) // 8)
         return _var(INT if value >= 0 else NEGINT,
                     abs(value).to_bytes(size, "big"))
+    if isinstance(value, Column):
+        return ref_column(value)
     if isinstance(value, (bytes, bytearray)):
         return _var(BYTES, bytes(value))
     if isinstance(value, str):
@@ -42,6 +51,33 @@ def ref_encode(value):
                 + b"".join(ref_encode(key) + ref_encode(value[key])
                            for key in sorted(value)))
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def ref_column(values):
+    """A column of four or more rows: packed when every value is an
+    exact int in int64 range, coded when every value is an exact str,
+    bool or None and at most 256 are distinct, each recurring twice on
+    average; else a TLV list."""
+    kinds = {type(value) for value in values}
+    count = len(values).to_bytes(8, "big")
+    if len(values) < 4:
+        return ref_encode(list(values))
+    if kinds == {int} and all(-2 ** 63 <= value < 2 ** 63
+                              for value in values):
+        return bytes([INTS]) + count + b"".join(
+            struct.pack("<q", value) for value in values)
+    if kinds <= {str, bool, type(None)}:
+        distinct = []
+        for value in values:
+            if not any(type(seen) is type(value) and seen == value
+                       for seen in distinct):
+                distinct.append(value)
+        if len(distinct) <= 256 and 2 * len(distinct) <= len(values):
+            return bytes([CODES]) + count + ref_encode(distinct) + bytes(
+                next(code for code, seen in enumerate(distinct)
+                     if type(seen) is type(value) and seen == value)
+                for value in values)
+    return ref_encode(list(values))
 
 
 def frame(body):
@@ -69,9 +105,20 @@ class _Reader:
         tag = self.take(1)[0]
         if tag in (NONE, FALSE, TRUE):
             return {NONE: None, FALSE: False, TRUE: True}[tag]
-        if tag > DICT:
+        if tag > CODES:
             raise CorruptRecord(f"unknown tag 0x{tag:02x}")
         size = int.from_bytes(self.take(8), "big")
+        if tag == INTS:
+            payload = self.take(8 * size)
+            return [int.from_bytes(payload[at:at + 8], "little", signed=True)
+                    for at in range(0, len(payload), 8)]
+        if tag == CODES:
+            distinct = self.value()
+            codes = self.take(size)
+            if not isinstance(distinct, list) or any(
+                    code >= len(distinct) for code in codes):
+                raise CorruptRecord("malformed coded column")
+            return [distinct[code] for code in codes]
         if tag == LIST:
             return [self.value() for _ in range(size)]
         if tag == DICT:

@@ -14,6 +14,7 @@ lazy registration and collapses in both directions.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import pytest
@@ -31,7 +32,7 @@ from repro.hw.memory import Page
 from repro.kernel.vm.vmobject import VMObject, page_run
 from repro.objstore import records
 from repro.objstore.checkpoint import (NO_PAGES, CheckpointInfo, PageRuns,
-                                       decode_page_runs)
+                                       decode_page_table, encode_page_table)
 from repro.objstore.oid import CLASS_MEMORY, CLASS_POSIX, make_oid
 from repro.objstore.scrub import CHECKSUM, scrub
 from repro.objstore.store import ObjectStore
@@ -105,7 +106,8 @@ def test_encoding_depends_only_on_the_page_map(runs):
     table, model = _written(runs)
     wire = table.encode()
     assert wire == ref_encode(model)
-    back = decode_page_runs(serde.loads(serde.dumps(wire)))
+    back = decode_page_table(serde.loads(serde.dumps(
+        encode_page_table({MEM_OID: table})))).get(MEM_OID, NO_PAGES)
     assert back == table and _as_map(back) == model
     # Appending page by page (the commit path) coalesces the same way.
     paged = []
@@ -200,35 +202,78 @@ def test_lookup_returns_the_pages_own_locator():
 # -- decode strictness ------------------------------------------------------------
 
 
+def _page_table(*tables):
+    """A metadata document's page table holding each run list under its
+    own OID, laid out as ``encode_page_table`` lays runs out (a
+    synthetic run's fifth integer field 0) but with none of its
+    coalescing, so a damaged run list goes into the table as it is."""
+    runs = [run for table in tables for run in table]
+    kinds, *fields = zip_longest(*runs, fillvalue=0) if runs else [()]
+    fields += [(0,) * len(runs)] * (5 - len(fields))
+    return [[MEM_OID + index for index in range(len(tables))],
+            [len(table) for table in tables], list(kinds),
+            [cell for field in fields for cell in field]]
+
+
+def _with(table, at, column):
+    table = list(table)
+    table[at] = column
+    return table
+
+
+_ONE_RUN = [["ext", 0, 4, 65536, 0, 4096]]
+
+
 @pytest.mark.parametrize("raw, complaint", [
-    ([["syn", 0, 4, 1, 1], ["syn", 2, 4, 9, 1]], "overlaps"),
-    ([["syn", 8, 2, 1, 1], ["syn", 0, 2, 9, 1]], "unsorted"),
-    ([["ext", 0, 2, 65536, 0, 4096], ["syn", 1, 1, 5, 0]], "overlaps"),
-    ([["syn", 0, 0, 1, 0]], "count 0"),
-    ([["ext", 3, -2, 65536, 0, 4096]], "count -2"),
-    ([["syn", 0, 4, 1]], "malformed"),
-    ([["ext", 0, 4, 65536, 0]], "malformed"),
-    ([["syn", 0, 4, 1, 1, 7]], "malformed"),
-    ([["syn", 0, "4", 1, 1]], "malformed"),
-    ([["raw", 0, 1, 1, 1]], "bad page run kind"),
-    ([[]], "empty"),
-    ([7], "empty"),
-    ({"0": ["syn", 0, 1, 1, 0]}, "not a list"),
+    (_page_table([["syn", 0, 4, 1, 1], ["syn", 2, 4, 9, 1]]), "overlaps"),
+    (_page_table([["syn", 8, 2, 1, 1], ["syn", 0, 2, 9, 1]]), "unsorted"),
+    (_page_table([["ext", 0, 2, 65536, 0, 4096], ["syn", 1, 1, 5, 0]]),
+     "overlaps"),
+    (_page_table([["syn", 0, 0, 1, 0]]), "count 0"),
+    (_page_table([["ext", 3, -2, 65536, 0, 4096]]), "count -2"),
+    # A ``bool`` is not an integer field.
+    (_page_table([["syn", 0, 4, True, 1]]), "malformed"),
+    # Three columns, and a column that is not a list.
+    (_page_table(_ONE_RUN)[:3], "malformed"),
+    (_with(_page_table(_ONE_RUN), 3, "0"), "malformed"),
+    (_page_table([["syn", 0, "4", 1, 1]]), "malformed"),
+    (_page_table([["raw", 0, 1, 1, 1]]), "bad page run kind"),
+    # An OID listed with no run, or with a negative run count.
+    (_page_table([]), "empty"),
+    (_with(_page_table(_ONE_RUN, []), 1, [2, -1]), "empty"),
+    # The page map as a dict keyed by ``str(oid)``.
+    ({"0": [["syn", 0, 1, 1, 0]]}, "not a list"),
     # Every field after the kind is an integer: a string seed or a
     # ``None`` extent would only fail later, at the first lookup.
-    ([["syn", 0, 2, "x", None]], "malformed"),
-    ([["ext", 0, 1, None, 0, 4096]], "malformed"),
+    (_page_table([["syn", 0, 2, "x", None]]), "malformed"),
+    (_page_table([["ext", 0, 1, None, 0, 4096]]), "malformed"),
+    # Columns of unequal length: the run fields one short, run counts
+    # that do not sum to the run columns' length, an OID column one long.
+    (_with(_page_table(_ONE_RUN * 2), 3, [0] * 9), "differ in length"),
+    (_with(_page_table(_ONE_RUN), 1, [2]), "differ in length"),
+    (_with(_page_table(_ONE_RUN), 0, [MEM_OID, MEM_OID + 1]),
+     "differ in length"),
+    (_with(_page_table(_ONE_RUN, _ONE_RUN), 0, [MEM_OID] * 2), "repeats"),
+    # A kind that cannot be hashed is a bad kind, not a crash.
+    (_with(_page_table(_ONE_RUN), 2, [["ext"]]), "bad page run kind"),
 ])
 def test_decode_rejects_a_malformed_run_list(raw, complaint):
     with pytest.raises(CorruptRecord, match=complaint):
-        decode_page_runs(raw)
+        decode_page_table(raw)
 
 
 def test_decode_keeps_the_runs_without_expanding_them():
-    raw = [["syn", 0, 1 << 40, 5, 1], ["ext", 1 << 41, 3, 65536, 0, 4096]]
-    table = decode_page_runs(raw)
+    raw = _page_table([["syn", 0, 1 << 40, 5, 1],
+                       ["ext", 1 << 41, 3, 65536, 0, 4096]],
+                      [["ext", 0, 1, 65536, 4096, 4096]])
+    pages = decode_page_table(raw)
+    table = pages[MEM_OID]
     assert len(table.runs) == 2 and len(table) == (1 << 40) + 3
     assert table.lookup((1 << 40) - 1)[3] == 5 + (1 << 40) - 1
+    # Each OID's runs are checked apart: the second table may start
+    # below where the first one ends.
+    assert pages[MEM_OID + 1].runs == [("ext", 0, 1, 65536, 4096, 4096)]
+    assert table.runs[0] == ("syn", 0, 1 << 40, 5, 1)
 
 
 def _chain(store, rounds, parent=None):
@@ -253,7 +298,7 @@ def test_overlapping_runs_on_media_fall_back_and_are_scrubbed():
     # The document as read back from media (``encode_meta`` splices
     # the record index in as an encoded fragment).
     meta = serde.loads(serde.dumps(second.encode_meta()))
-    meta["pages"][str(MEM_OID)] = [["syn", 0, 2, 1, 1], ["syn", 1, 1, 9, 0]]
+    meta["pages"] = _page_table([["syn", 0, 2, 1, 1], ["syn", 1, 1, 9, 0]])
     with pytest.raises(CorruptRecord, match="overlaps"):
         CheckpointInfo.decode_meta(meta)
     payload = records.encode(records.REC_CKPT_META, meta)

@@ -12,7 +12,9 @@ The pin is the sha256 over every checkpoint-metadata payload the store
 writes, in write order: the commits' and every GC child rewrite's.  It
 was recorded before the record index became a table of per-extent
 entries and must not move with it — or with any change that claims to
-leave metadata bytes alone.
+leave metadata bytes alone.  It moved once, when the page-locator map
+became one typed table (OID, run-count, kind and run-field columns
+instead of a dict keyed by ``str(oid)``; was ``5239f36f…82ddd66e5c70``).
 """
 
 import hashlib
@@ -22,7 +24,7 @@ from repro import Machine, load_aurora
 from repro.kernel.fs.file import O_CREAT, O_RDWR
 from repro.objstore import records
 
-META_SHA256 = "5239f36f66f6caf53af62e44dfb2196a46509eeafb9a469acd7b82ddd66e5c70"
+META_SHA256 = "7a0d028eea642958f1e084d531feaa4b8ddcc943e4bb0695027642f46a144d59"
 #: The group's 10 commits and 8 child rewrites (history 2), and the
 #: file system's 10 commits.
 META_PAYLOADS = 28

@@ -3,6 +3,7 @@ byte-for-byte agreement with the reference model in
 ``tests/serde_reference.py``."""
 
 import enum
+import struct
 import zlib
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from repro import serde
 from repro.errors import CorruptRecord
-from tests.serde_reference import frame, ref_dumps, ref_encode, ref_loads
+from tests.serde_reference import (Column, frame, ref_dumps, ref_encode,
+                                   ref_loads)
 
 
 def test_scalar_round_trips():
@@ -138,20 +140,35 @@ class Pre:
         self.value, self.framed = value, framed
 
 
-def plain(value):
-    """The tree with the :class:`Pre` marks removed."""
+class Col:
+    """Marks a list of scalars the test hands to the encoder as a table
+    column (:func:`serde.column`)."""
+
+    def __init__(self, items):
+        self.items = items
+
+
+def plain(value, column=Column):
+    """The tree with the :class:`Pre` marks removed and each
+    :class:`Col` made a ``column`` of its items: the reference's
+    :class:`Column` mark by default, ``serde.column`` for the encoder."""
     if isinstance(value, Pre):
-        return plain(value.value)
+        return plain(value.value, column)
+    if isinstance(value, Col):
+        return column(value.items)
     if isinstance(value, (list, tuple)):
-        return [plain(item) for item in value]
+        return [plain(item, column) for item in value]
     if isinstance(value, dict):
-        return {key: plain(item) for key, item in value.items()}
+        return {key: plain(item, column) for key, item in value.items()}
     return value
 
 
 def spliced(value):
     """The tree with every marked subtree replaced by its fragment
-    (framed lists through :func:`serde.frame_list`)."""
+    (framed lists through :func:`serde.frame_list`) and every column by
+    its :func:`serde.column`."""
+    if isinstance(value, Col):
+        return serde.column(value.items)
     if isinstance(value, Pre):
         inner = value.value
         if value.framed and isinstance(inner, list):
@@ -189,8 +206,18 @@ leaves = (st.none() | st.booleans() | st.integers()
           | st.sampled_from(list(Color))
           | st.binary(max_size=80) | st.binary(max_size=8).map(bytearray)
           | st.text(max_size=80) | st.text(max_size=8).map(Label))
+#: Column cells: ints at and past the int64 bounds, and a few distinct
+#: strings, bools and None — so columns pack, code and fall back.
+cells = (st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
+         | st.sampled_from((-(2 ** 63), 2 ** 63 - 1, 2 ** 63, -(2 ** 63) - 1))
+         | st.none() | st.booleans() | st.text(alphabet="ab", max_size=2))
+columns = (st.lists(cells, max_size=8)
+           | st.lists(st.integers(min_value=-(2 ** 63),
+                                  max_value=2 ** 63 - 1), max_size=8)
+           | st.lists(st.none() | st.booleans()
+                      | st.text(alphabet="ab", max_size=2), max_size=8))
 marked_values = st.recursive(
-    leaves,
+    leaves | st.builds(Col, columns),
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=3).map(tuple)
@@ -204,7 +231,7 @@ marked_values = st.recursive(
 
 def check_encoding(value):
     reference = ref_dumps(plain(value))
-    assert serde.dumps(plain(value)) == reference
+    assert serde.dumps(plain(value, serde.column)) == reference
     assert serde.dumps(spliced(value)) == reference
     assert bytes(serde.fragment(spliced(value))) == ref_encode(plain(value))
     assert serde.loads(reference) == decoded(plain(value))
@@ -366,7 +393,7 @@ def outcome(loads, data):
     (frame(b"\x03\x00\x00"), "record truncated"),
     (frame(ref_encode(b"abcd")[:-1]), "record truncated"),
     (frame(b"\x07" + (3).to_bytes(8, "big") + b"\x00"), "record truncated"),
-    (frame(b"\x09"), "unknown tag 0x09"),
+    (frame(b"\x0b"), "unknown tag 0x0b"),
     (frame(b"\xff" + bytes(8)), "unknown tag 0xff"),
     (frame(b"\x08" + (1).to_bytes(8, "big") + ref_encode(7)
            + ref_encode(None)), "dict key is not a string"),
@@ -384,11 +411,55 @@ def outcome(loads, data):
     (frame(b"\x08" + (1).to_bytes(8, "big") + b"\x06"
            + (2 ** 62).to_bytes(8, "big") + b"k" + ref_encode(1)),
      "record truncated"),
+    # Typed columns: a packed column one byte short, a code past the
+    # distinct values, values that are not a list, codes cut short.
+    (frame(b"\x09" + (2).to_bytes(8, "big") + bytes(15)), "record truncated"),
+    (frame(b"\x09" + (2 ** 61).to_bytes(8, "big") + bytes(16)),
+     "record truncated"),
+    (frame(b"\x0a" + (2).to_bytes(8, "big") + ref_encode(["a"]) + b"\x00\x01"),
+     "malformed coded column"),
+    (frame(b"\x0a" + (1).to_bytes(8, "big") + ref_encode("ab") + b"\x01"),
+     "malformed coded column"),
+    (frame(b"\x0a" + (3).to_bytes(8, "big") + ref_encode([None]) + b"\x00"),
+     "record truncated"),
+    (frame(b"\x0a" + (1).to_bytes(8, "big") + ref_encode([]) + b"\x00"),
+     "malformed coded column"),
 ])
 def test_malformed_records_raise_the_same_error_from_both_decoders(
         data, message):
     assert outcome(serde.loads, data) == ("CorruptRecord", message)
     assert outcome(ref_loads, data) == ("CorruptRecord", message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(cells, max_size=300) | columns)
+def test_a_column_round_trips_with_its_types(values):
+    """A typed column decodes to its values and their exact types — a
+    coded bool stays a ``bool``, though ``array('q')`` would take it."""
+    back = serde.loads(serde.dumps({"c": serde.column(values)}))["c"]
+    assert back == values
+    assert list(map(type, back)) == list(map(type, values))
+
+
+def test_column_encodings_are_chosen_by_type_and_range():
+    ints = [-(2 ** 63), 2 ** 63 - 1, 0, -1, 1 << 56]
+    packed = serde.column(ints)
+    # Little-endian int64s whatever the host's byte order.
+    assert bytes(packed) == (bytes([0x09]) + len(ints).to_bytes(8, "big")
+                             + struct.pack(f"<{len(ints)}q", *ints))
+    coded = serde.column([True, False, True, None, "syn", "syn", None, True])
+    assert coded[0] == 0x0A and coded.endswith(bytes([0, 1, 0, 2, 3, 3, 2, 0]))
+    assert serde.loads(serde.dumps(coded))[:3] == [True, False, True]
+    # One past either int64 bound, ints mixed with bools, fewer than
+    # four rows, lists, bytes, distinct values that do not recur and
+    # more distinct values than a code byte holds all stay TLV.
+    wide = [str(i) for i in range(257)] * 2
+    for values in ([2 ** 63, 1, 2, 3], [0, 1, 2, -(2 ** 63) - 1],
+                   [1, True, 2, 3], [False, 0, 1, 2], [7, 8, 9],
+                   ["x", "x", "x"], [[1], [2], [1], [2]], [b"a", b"b"] * 2,
+                   ["a", "b", "c", "a"], wide):
+        assert serde.column(values) is values
+    assert serde.column(wide[:256] * 2)[0] == 0x0A
 
 
 def check_damaged_record(value, data):

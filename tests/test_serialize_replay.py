@@ -278,7 +278,7 @@ class World:
 #: replay) while every few see a layout change (the full walk).
 OPS = (("open", "close", "dup", "dup2", "reopen", "fork", "exit", "pipe",
         "socketpair", "udp", "kqueue", "pty", "unlink", "rename", "full",
-        "fail", "restore")
+        "fail", "afail", "restore")
        + ("lseek", "mem", "memckpt") * 2 + ("traffic",) * 10 + ("ckpt",) * 9)
 _ops = st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2 ** 20)),
                 min_size=8, max_size=70)
@@ -336,6 +336,26 @@ def test_churn_with_every_kind_of_slot_and_sharing():
               ("traffic", 0), ("ckpt", 0), ("ckpt", 0)]
     replays = _differential(script)
     assert sum(visits is not None for _floor, visits in replays) >= 8
+
+
+def test_a_failed_first_fs_checkpoint_is_staged_again():
+    """The group's first checkpoint is asynchronous and its flush fails:
+    the FS checkpoint riding on it fails too, and what it staged — the
+    first records of ``/``, ``/d`` and ``/d/f0``… — is dirty again, so
+    the next checkpoint persists it and a crash restores the files
+    (the restore found no FS checkpoint holding inode 3 when the
+    failure lost them)."""
+    world = World(forget=False)
+    world.apply("afail", 0)
+    assert world.log[-1]["outcome"] == "ok"
+    slsfs = world.sls.slsfs
+    assert slsfs.last_ckpt_id is None and slsfs.has_dirty()
+    world.restore()
+    kernel, root = world.kernel, world.procs[0]
+    for index in range(PATHS):
+        fd = kernel.open(root, f"/d/f{index}", O_RDWR)
+        assert kernel.read(root, fd, 8) == b""
+    assert world.log[-1]["outcome"] == "ok"
 
 
 # -- directed: when the replay is and is not taken ------------------------------

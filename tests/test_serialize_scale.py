@@ -51,14 +51,17 @@ WRITES = 40
 #: ``23b5539a…e38760``).  Both moved again when owned extents went to
 #: media as ``[offset, count, length]`` runs: the metadata record's
 #: ``owned_extents`` field and its shorter write (was 2 141 733 548
-#: and ``ab567480…5a27fa6d``).
+#: and ``ab567480…5a27fa6d``).  Both moved again when record tables
+#: and the page-locator map became typed columns: the metadata
+#: record's page table and shorter record and metadata writes (was
+#: 2 141 729 634 and ``b7687f1a…68823cd9df``).
 PINNED = {
-    "clock_ns": 2_141_729_634,
+    "clock_ns": 2_141_582_126,
     "stop_ns": [1_468_600] * CHECKPOINTS,
     "records_written": [82] * CHECKPOINTS,
     "records_skipped": [7_921] * CHECKPOINTS,
-    "meta_sha256": "b7687f1ae28fb9ad27270f7d1e62b46f5fe79bc21ddae0ef"
-                   "21254d68823cd9df",
+    "meta_sha256": "a0e796613d1bec41e779f1ac50831376b3ce4f287adf64d5"
+                   "38aebc90b8460a94",
 }
 #: Tracked objects the set-up adds under CPython 3.11 at the parent
 #: commit (other versions track instances differently).

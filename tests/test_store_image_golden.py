@@ -36,6 +36,10 @@ media as ``[offset, count, length]`` runs (metadata bytes and what
 follows them; the logical pins held) and a synthetic page became one
 SHAKE-128 stream: that step kept every extent's offset and length and
 changed only raw page payloads (33 fleet extents, 144 cluster ones).
+Both moved together once more when record tables and the
+page-locator map became typed columns (packed int and coded scalar
+columns, the page map one table): record and metadata bytes, and what
+follows them on the array; the logical pins held.
 
 A second pin per scenario is logical: each retained checkpoint's
 merged view — its objects' ``(oid, otype, state)`` and each OID's page
@@ -67,8 +71,8 @@ from repro.core import telemetry
 from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
-FLEET_SHA256 = "f24303756bbe075086c9dd7af8ed3af508a349501e901ff4725c506607cab9aa"
-CLUSTER_SHA256 = "7be625a717bd2d56ffd7e725d5a55fba5649ea3fdee5833393c756288e0682b4"
+FLEET_SHA256 = "6e7a88185efb2fb24ce65381baa41f2c37571f3668f6c4bea08b97e031f3f57a"
+CLUSTER_SHA256 = "c3393bb2eeef663439d403dd03024e5d5365c0349684e05b7bec0f198051c472"
 FLEET_LOGICAL_SHA256 = "c78e69488d1fb20cb10acdc49ea99076f8de9b72587b6b900f8a09e16f7339c6"
 CLUSTER_LOGICAL_SHA256 = "8fefbad00b17c7eeff07a883da39ce6a3008de25c0d24dec47ce48228491d584"
 
