@@ -88,8 +88,9 @@ class Orchestrator:
         ``external_synchrony`` defaults off to mirror the paper's
         evaluated configuration (§8 Limitations); turning it on
         activates the buffer-until-commit path.  ``history_limit``
-        bounds the retained execution history (old checkpoints are
-        merged away WAFL-style after each commit).
+        (at least 1) bounds the retained execution history (old
+        checkpoints are merged away WAFL-style by the commit that
+        passes it).
 
         Periodic groups go through fleet admission control:
         ``demand_bytes_per_sec`` seeds the demand estimate; an
@@ -100,6 +101,8 @@ class Orchestrator:
         (``slo.set_group_targets`` sets any other target);
         ``probe_every`` sets the degraded disk-probe cadence.
         """
+        if history_limit is not None and history_limit < 1:
+            raise InvalidArgument(f"bad history limit {history_limit}")
         desc_oid = self.store.alloc_oid(CLASS_GROUP)
         group = ConsistencyGroup(
             oid_serial(desc_oid), name=name or proc.name,
@@ -176,9 +179,10 @@ class Orchestrator:
 
     def _emergency_gc(self, group: ConsistencyGroup) -> int:
         """ENOSPC pressure valve: merge away the older half of the
-        group's history (WAFL-style deletes free COW blocks), oldest
-        first, up to the first delete that itself runs out of space
-        (it leaves the store as it was; the next probe retries)."""
+        group's history in one flip (WAFL-style deletes free COW
+        blocks), oldest first, up to the first delete that itself runs
+        out of space (it is taken back alone and the ones before it
+        still flip; the next probe retries it)."""
         chain = self.store.checkpoints_for(group.group_id,
                                            include_partial=True)
         if not chain:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional, Set
 
-from ..errors import MachineCrashed, ReproError, SLSError
+from ..errors import SLSError
 from ..objstore.checkpoint import CheckpointInfo
 from ..objstore.store import CheckpointTxn
 from . import costs, events, faults, telemetry
@@ -241,8 +241,8 @@ class Flush(Stage):
 
     Mem mode has nothing to flush: the shadows are immediately
     collapsible.  Disk mode hands the transaction to the store, which
-    submits the data writes now and finalizes the commit (metadata +
-    superblock flip) when they land.
+    submits the data writes now and finalizes the commit (metadata, the
+    history trim past ``history_limit``, one flip) when they land.
     """
 
     name = "flush"
@@ -275,16 +275,6 @@ class Flush(Stage):
                                       capture_ns, kernel.clock.now())
             shadow.mark_flushed(group)
             extsync.release(info.ckpt_id)
-            if group.history_limit is not None:
-                try:
-                    store.retain_last(group.group_id, group.history_limit)
-                except (faults.InjectedCrash, MachineCrashed):
-                    raise
-                except ReproError:
-                    # The checkpoint is committed whatever GC does: a
-                    # failed delete took itself back (gc._Rollback), and
-                    # the next commit's trim retries it.
-                    pass
             if kernel.pageout.memory_pressure():
                 # Freshly flushed pages are clean: reclaim them
                 # without IO (§6 Memory Overcommitment).
@@ -307,7 +297,8 @@ class Flush(Stage):
 
         info = ctx.info = store.commit(txn, sync=ctx.sync,
                                        on_complete=on_complete,
-                                       on_failure=on_failure)
+                                       on_failure=on_failure,
+                                       keep=group.history_limit)
         group.last_ckpt_id = info.ckpt_id
         if ctx.new_epoch_floor is not None:
             # The commit was accepted (no ENOSPC / injected fault on

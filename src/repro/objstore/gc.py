@@ -5,7 +5,7 @@ its delta that are still visible through younger checkpoints, then
 frees whatever nothing references.  There is no log cleaner and no
 background compaction, and a delete's device IO is proportional to
 the deleted delta, never to store size: it reads no payload and
-writes only the children's metadata and a flip.  Its host time is
+writes only the children's metadata.  Its host time is
 O(victim extents + OIDs of the record extents that changed): a record
 index is a table of per-extent entries, an entry a child keeps whole
 is shared with its encoding, and only one that lost OIDs is rebuilt.
@@ -24,27 +24,26 @@ in its parent's group, so the group is where an adopter can be).
 Records for OIDs no surviving checkpoint's live set can reach are
 dropped from the index outright.
 
-Release is deferred (the rule the crash-schedule sweep holds GC to):
-nothing the durable superblock can reach — the victim's extents and
-metadata record, each child's previous metadata record — is discarded
-or handed back to the allocator before the superblock flip that
-unreferences it has landed.  The release list rides
-``_write_catalog_and_superblock``, so a crash at any IO of a delete
-still mounts the last committed state.  A child's metadata goes
-through the store's retry policy, as a commit's does.  A delete that
-fails short of a crash — a child's metadata write or the flip itself —
-takes back every in-memory change it made, so memory, the allocator
-and the durable catalog still agree and the delete can be retried.
+A delete has no flip of its own: it is staged into a store transaction
+(:class:`~repro.objstore.store.Flip`) — the commit that takes a group
+past its history limit, or one with no new checkpoint — whose one flip
+drops every victim.  Release is deferred (the rule the crash-schedule
+sweep holds GC to): nothing the durable superblock can reach — the
+victim's extents and metadata record, each child's previous metadata
+record — is discarded or handed back to the allocator before that
+flip has landed.  A child's metadata goes through the store's retry
+policy, as a commit's does, and a failure short of a crash takes the
+delete back with the transaction's rollback.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+import functools
+from typing import Any, List, Optional, Set
 
-from ..core import telemetry
-from ..core.faults import InjectedCrash
-from ..errors import InvalidArgument, MachineCrashed, ReproError
-from .checkpoint import (CheckpointInfo, PageRuns, RecordEntry, RecordIndex,
+from ..core import events, telemetry
+from ..errors import InvalidArgument
+from .checkpoint import (CheckpointInfo, RecordEntry, RecordIndex,
                          overlay_page_maps)
 
 
@@ -78,95 +77,14 @@ def _subtree_needed(store: Any, child: CheckpointInfo) -> Optional[Set[int]]:
     return needed
 
 
-class _Rollback:
-    """What a delete or truncate changes in memory before its flip
-    lands, and how to take it back.  Used as a context manager around
-    the delete: if a child's metadata write or the flip fails,
-    :meth:`undo` leaves the store exactly as it was — the
-    catalog (order included), every child's metadata fields, the
-    allocator and the media — so the delete can simply be retried.
-    Saving copies the checkpoint table and the free list; everything
-    else is saved as the delete touches it."""
-
-    def __init__(self, store: Any) -> None:
-        self.store = store
-        self.checkpoints: Dict[int, CheckpointInfo] = dict(store.checkpoints)
-        self.alloc = store.alloc.snapshot()
-        #: Per child: the child, its parent, metadata extent, owned
-        #: extent count, page tables and record index.
-        self.children: List[Tuple[CheckpointInfo, Optional[int],
-                                  Optional[Tuple[int, int]], int,
-                                  Dict[int, PageRuns], RecordIndex]] = []
-        #: Child metadata extents this delete wrote.
-        self.written: List[int] = []
-
-    def save_child(self, child: CheckpointInfo) -> None:
-        """Remember ``child``'s fields before it adopts (a record index
-        is replaced, never edited: the old table is kept)."""
-        self.children.append((child, child.parent, child.meta_extent,
-                              len(child.owned_extents), dict(child.pages),
-                              child.object_records))
-
-    def __enter__(self) -> "_Rollback":
-        return self
-
-    def __exit__(self, kind: Any, exc: Optional[BaseException],
-                 trace: Any) -> None:
-        # A power failure is not undone: the host is dying.
-        if isinstance(exc, ReproError) and not isinstance(
-                exc, (InjectedCrash, MachineCrashed)):
-            self.undo()
-
-    def undo(self) -> None:
-        store = self.store
-        for (child, parent, meta_extent, owned, pages,
-             object_records) in self.children:
-            child.parent = parent
-            child.meta_extent = meta_extent
-            del child.owned_extents[owned:]
-            child.pages.clear()
-            child.pages.update(pages)
-            child.object_records = object_records
-        store.checkpoints.clear()
-        store.checkpoints.update(self.checkpoints)
-        for offset in self.written:
-            store.device.discard_extent(offset)
-        store.alloc.restore(self.alloc)
-
-
-def truncate_checkpoint(store: Any, ckpt_id: int) -> int:
-    """Delete one checkpoint from the *new* end of the chain.
-
-    The mirror image of :func:`delete_checkpoint`: only a checkpoint
-    with no children may be truncated.  Nothing is forwarded — the
-    victim is the newest state, so nobody references its delta — and
-    its extents are reclaimed once the flip lands.  Quorum recovery
-    uses this to discard a replica's non-quorum tail (Aurora-style
-    truncation of writes that never reached the write quorum).
-
-    Returns bytes reclaimed.
-    """
-    info = store.get_checkpoint(ckpt_id)
-    if _children_of(store, ckpt_id):
-        raise InvalidArgument(
-            f"checkpoint {ckpt_id} still has descendants; truncate "
-            f"from the new end of the chain")
-    with _Rollback(store):
-        release = _unreference_victim(store, info)
-        del store.checkpoints[ckpt_id]
-        store._write_catalog_and_superblock(release=release)
-    return sum(length for _offset, length in release)
-
-
-def _unreference_victim(store: Any,
-                        info: CheckpointInfo) -> List[Tuple[int, int]]:
-    """The extents to release once the flip that drops ``info`` lands:
-    each of its owned extents no other checkpoint of its group lists
-    (its adopters have listed theirs by now), in ``owned_extents``
-    order, then its metadata record — a checkpoint that owned zero page
-    extents (a pure OS-state delta) still gives back its record and
-    meta extents, so reclaimed-bytes telemetry must not read zero for
-    it."""
+def _unreference_victim(store: Any, info: CheckpointInfo, flip: Any,
+                        truncated: bool) -> int:
+    """Drop ``info`` from the catalog and release, counted once the flip
+    lands, each of its owned extents no other checkpoint of its group
+    lists (its adopters have listed theirs by now), in
+    ``owned_extents`` order, then its metadata record — so a pure
+    OS-state delta's reclaimed bytes do not read zero.  Returns the
+    bytes released."""
     held = {offset for other in store.checkpoints.values()
             if other.group_id == info.group_id and other is not info
             for offset, _length in other.owned_extents}
@@ -174,84 +92,102 @@ def _unreference_victim(store: Any,
                if extent[0] not in held]
     if info.meta_extent is not None:
         release.append(info.meta_extent)
-    return release
+    del store.checkpoints[info.ckpt_id]
+    flip.release += release
+    reclaimed = sum(length for _offset, length in release)
+    flip.landed.append(functools.partial(_reclaimed, store, info, reclaimed,
+                                         truncated))
+    return reclaimed
 
 
-def delete_checkpoint(store: Any, ckpt_id: int) -> int:
-    """Delete one checkpoint; returns bytes reclaimed.
+def _reclaimed(store: Any, info: CheckpointInfo, reclaimed: int,
+               truncated: bool) -> None:
+    store.stats["reclaimed_bytes"] += reclaimed
+    events.emit(store.clock.now(), events.GC_RECLAIM, group=info.group_id,
+                ckpt=info.ckpt_id, bytes=reclaimed,
+                **({"truncated": True} if truncated else {}))
+
+
+def delete_checkpoint(store: Any, ckpt_id: int, flip: Any,
+                      truncate: bool = False) -> int:
+    """Stage deleting one checkpoint into ``flip``; returns the bytes
+    the flip reclaims.
 
     Only a chain head (a checkpoint whose parent is already deleted or
     never existed) may be removed, mirroring how snapshot stores
-    reclaim history from the old end.  A failed child metadata write
-    or flip takes every in-memory change back (:class:`_Rollback`).
+    reclaim history from the old end.  The children adopt and their
+    metadata is rewritten here; the flip that drops the victim is the
+    caller's.  With ``truncate`` the victim comes from the *new* end
+    instead and must have no children, so nothing is forwarded: quorum
+    recovery discards a replica's non-quorum tail this way
+    (Aurora-style truncation of writes that never reached the write
+    quorum).
     """
     info = store.get_checkpoint(ckpt_id)
-    if info.parent is not None and info.parent in store.checkpoints:
+    children = _children_of(store, ckpt_id)
+    if truncate and children:
+        raise InvalidArgument(
+            f"checkpoint {ckpt_id} still has descendants; truncate "
+            f"from the new end of the chain")
+    if not truncate and info.parent in store.checkpoints:
         raise InvalidArgument(
             f"checkpoint {ckpt_id} still has ancestor {info.parent}; "
             f"delete from the old end of the chain")
-    children = _children_of(store, ckpt_id)
     registry = telemetry.registry()
-    tallies: List[Tuple[telemetry.Counter, int]] = []
-    with _Rollback(store) as rollback:
-        # Transfer still-visible state into each child delta.
-        for child in children:
-            needed = _subtree_needed(store, child)
-            rollback.save_child(child)
-            # Pages the child never overwrote are adopted by overlay;
-            # the child then owns every victim extent its table points
-            # into.
-            overlay_page_maps(child.pages, info.pages, keep=needed)
-            adopted: Set[int] = set()
-            for oid in info.pages:
-                if needed is None or oid in needed:
-                    adopted |= child.pages[oid].extents()
-            # Records are adopted per extent: an entry loses the OIDs the
-            # child rewrote and (dropped) those no longer needed, and is
-            # shared if it lost none, left out if all, else rebuilt.
-            rewritten = set(child.object_records)
-            entries = list(child.object_records.entries)
-            forwarded = dropped = 0
-            for entry in info.object_records.entries:
-                gone = entry.oid_set & rewritten
-                if needed is not None:
-                    dead = entry.oid_set - needed - gone
-                    dropped += len(dead)
-                    gone |= dead
-                if len(gone) == len(entry.oids):
-                    continue
-                forwarded += len(entry.oids) - len(gone)
-                adopted.add(entry.extent[0])
-                entries.append(entry if not gone else RecordEntry(
-                    entry.extent, [oid for oid in entry.oids
-                                   if oid not in gone]))
-            child.object_records = RecordIndex(entries)
-            child.owned_extents += [extent for extent in info.owned_extents
-                                    if extent[0] in adopted]
-            child.parent = info.parent
-            tallies.append((registry.counter(
-                "sls.store.gc.records_forwarded", group=info.group_id),
-                forwarded))
-            tallies.append((registry.counter(
-                "sls.store.gc.records_dropped", group=info.group_id),
-                dropped))
+    # Transfer still-visible state into each child delta.
+    for child in children:
+        needed = _subtree_needed(store, child)
+        # Each field is replaced, never edited, so a rollback puts the
+        # old values back (and never touches a shared record entry).
+        flip.save(child, "parent", "meta_extent", "owned_extents",
+                  "pages", "object_records")
+        # Pages the child never overwrote are adopted by overlay; the
+        # child then owns every victim extent its table points into.
+        child.pages = dict(child.pages)
+        overlay_page_maps(child.pages, info.pages, keep=needed)
+        adopted: Set[int] = set()
+        for oid in info.pages:
+            if needed is None or oid in needed:
+                adopted |= child.pages[oid].extents()
+        # Records are adopted per extent: an entry loses the OIDs the
+        # child rewrote and (dropped) those no longer needed, and is
+        # shared if it lost none, left out if all, else rebuilt.
+        rewritten = set(child.object_records)
+        entries = list(child.object_records.entries)
+        forwarded = dropped = 0
+        for entry in info.object_records.entries:
+            gone = entry.oid_set & rewritten
+            if needed is not None:
+                dead = entry.oid_set - needed - gone
+                dropped += len(dead)
+                gone |= dead
+            if len(gone) == len(entry.oids):
+                continue
+            forwarded += len(entry.oids) - len(gone)
+            adopted.add(entry.extent[0])
+            entries.append(entry if not gone else RecordEntry(
+                entry.extent, [oid for oid in entry.oids
+                               if oid not in gone]))
+        child.object_records = RecordIndex(entries)
+        child.owned_extents = child.owned_extents + [
+            extent for extent in info.owned_extents if extent[0] in adopted]
+        child.parent = info.parent
+        # Counted once the flip has landed: a retried delete counts once.
+        flip.landed += [
+            functools.partial(registry.counter(
+                "sls.store.gc.records_forwarded", group=info.group_id).add,
+                forwarded),
+            functools.partial(registry.counter(
+                "sls.store.gc.records_dropped", group=info.group_id).add,
+                dropped)]
 
-        # What no other checkpoint lists goes once the flip lands.
-        release = _unreference_victim(store, info)
-        del store.checkpoints[ckpt_id]
-        reclaimed = sum(length for _offset, length in release)
-
-        # Children metadata changed (adopted state, new parent):
-        # rewrite their meta records COW-style, then flip the
-        # superblock.
-        for child in children:
-            new_extent = store._write_meta(child)
-            rollback.written.append(new_extent[0])
-            if child.meta_extent is not None:
-                release.append(child.meta_extent)
-            child.meta_extent = new_extent
-        store._write_catalog_and_superblock(release=release)
-    # Counted once the flip has landed, so a retried delete counts once.
-    for counter, count in tallies:
-        counter.add(count)
+    # What no other checkpoint lists goes once the flip lands.
+    reclaimed = _unreference_victim(store, info, flip, truncate)
+    # Children metadata changed (adopted state, new parent): rewrite
+    # their meta records COW-style; the flip makes them current.
+    for child in children:
+        new_extent = store._write_meta(child, flip)
+        if child.meta_extent is not None:
+            flip.release.append(child.meta_extent)
+        child.meta_extent = new_extent
     return reclaimed

@@ -19,6 +19,7 @@ is the newest-wins merge along the parent chain
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import itemgetter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
@@ -54,6 +55,55 @@ RECORD_BATCH = 256
 
 #: One write of a checkpoint's flush batch: ``(array offset, payload)``.
 Write = Tuple[int, Payload]
+
+
+class Flip:
+    """One store transaction up to its superblock flip, and the store's
+    one rollback: every flip caller stages into one.  The catalog
+    (order included) and the allocator are saved when it opens, any
+    other change is recorded in ``undo`` as it is made, and as a context
+    manager a failure short of a crash before the superblock write
+    lands takes all of it back.  ``release`` lists the extents the flip
+    unreferences, ``landed`` what to run once it has landed; a
+    :meth:`savepoint` lets one GC victim be taken back alone."""
+
+    def __init__(self, store: "ObjectStore") -> None:
+        self.store = store
+        self.release: List[Tuple[int, int]] = []
+        self.landed: List[Callable[[], None]] = []
+        self.undo: List[Callable[[], None]] = []
+        self._start = self.savepoint()
+
+    def savepoint(self) -> Tuple[Any, ...]:
+        return (len(self.undo), len(self.release), len(self.landed),
+                dict(self.store.checkpoints), self.store.alloc.snapshot())
+
+    def save(self, obj: Any, *names: str) -> None:
+        """Put ``obj``'s ``names`` back as they are now on a rollback:
+        a change replaces their values, never edits them."""
+        self.undo += [functools.partial(setattr, obj, name, getattr(obj, name))
+                      for name in names]
+
+    def rollback(self, mark: Optional[Tuple[Any, ...]] = None) -> None:
+        """Take back, newest first, what was staged since ``mark`` (by
+        default, since the transaction opened)."""
+        undo, release, landed, checkpoints, alloc = mark or self._start
+        while len(self.undo) > undo:
+            self.undo.pop()()
+        del self.release[release:], self.landed[landed:]
+        self.store.checkpoints.clear()
+        self.store.checkpoints.update(checkpoints)
+        self.store.alloc.restore(alloc)
+
+    def __enter__(self) -> "Flip":
+        return self
+
+    def __exit__(self, kind: Any, exc: Optional[BaseException],
+                 trace: Any) -> None:
+        # A power failure is not undone: the host is dying.
+        if isinstance(exc, ReproError) and not isinstance(
+                exc, (InjectedCrash, MachineCrashed)):
+            self.rollback()
 
 
 class CheckpointTxn:
@@ -358,12 +408,13 @@ class ObjectStore:
                 (extent, len(payload)),
                 [item[0] for item in staged[start:start + RECORD_BATCH]]))
 
-    def _finalize_commit(self, txn: CheckpointTxn) -> None:
+    def _finalize_commit(self, txn: CheckpointTxn,
+                         keep: Optional[int]) -> None:
         """Data is durable: write meta + catalog, flip the superblock."""
         with tracing.use(txn.trace):
             with telemetry.registry().span(self.clock, "store.finalize",
                                            group=txn.info.group_id):
-                self._finalize_commit_inner(txn)
+                self._finalize_commit_inner(txn, keep)
             if txn.trace is not None:
                 # The superblock flip landed: the checkpoint trace
                 # reached its durable point.  A crash before here
@@ -373,44 +424,42 @@ class ObjectStore:
                         group=txn.info.group_id, ckpt=txn.info.ckpt_id,
                         bytes=txn.info.data_bytes)
 
-    def _write_meta(self, info: CheckpointInfo) -> Tuple[int, int]:
+    def _write_meta(self, info: CheckpointInfo, flip: Flip) -> Tuple[int, int]:
         """Write ``info``'s metadata record to a fresh extent through
-        the retry policy; returns the extent.  A write that fails short
-        of a crash gives the extent back before the error propagates.
-        The commit and GC's child rewrite both write through here."""
+        the retry policy; returns the extent, which ``flip`` discards if
+        it rolls back.  The commit and GC's child rewrite both write
+        through here."""
         payload = records.encode(records.REC_CKPT_META, info.encode_meta())
         extent = self.alloc.alloc(len(payload))
-        try:
-            self.retry.run(lambda: self.device.write(extent, payload),
-                           op="store.meta")
-        except (InjectedCrash, MachineCrashed):
-            raise
-        except ReproError:
-            self.alloc.free(extent, len(payload))
-            raise
+        flip.undo.append(functools.partial(self.device.discard_extent, extent))
+        self.retry.run(lambda: self.device.write(extent, payload),
+                       op="store.meta")
         return extent, len(payload)
 
-    def _finalize_commit_inner(self, txn: CheckpointTxn) -> None:
+    def _finalize_commit_inner(self, txn: CheckpointTxn,
+                               keep: Optional[int]) -> None:
+        """One transaction: the checkpoint's metadata, the rewritten
+        metadata of the children of each victim past ``keep`` (oldest
+        first), then the one flip that adds it and drops them."""
         info = txn.info
-        meta_extent = info.meta_extent = self._write_meta(info)
-        info.complete = True
-        self._pending_commits.pop(info.ckpt_id, None)
-        self.checkpoints[info.ckpt_id] = info
-        try:
-            self._write_catalog_and_superblock(pending={
+        with Flip(self) as flip:
+            # A flip that never lands leaves the checkpoint uncommitted.
+            flip.save(info, "complete", "meta_extent")
+            info.meta_extent = self._write_meta(info, flip)
+            info.complete = True
+            self._pending_commits.pop(info.ckpt_id, None)
+            self.checkpoints[info.ckpt_id] = info
+            # Chain depth at commit time, before the trim it bounds.  An
+            # ancestor may still be an in-flight async commit, not yet
+            # in the table: the walk stops there.
+            depth = len(chain_of(self.checkpoints, info.ckpt_id))
+            if keep is not None:
+                # A victim that fails to stage waits for the next trim.
+                self._stage_deletes(flip, self.checkpoints_for(
+                    info.group_id, include_partial=True)[:-keep])
+            self._write_catalog_and_superblock(flip, pending={
                 "group": info.group_id, "ckpt": info.ckpt_id,
                 "name": info.name or "", "bytes": info.data_bytes})
-        except (InjectedCrash, MachineCrashed):
-            raise
-        except ReproError:
-            # The flip never landed: the checkpoint must not look
-            # committed in memory when it is invisible on disk.
-            info.complete = False
-            info.meta_extent = None
-            del self.checkpoints[info.ckpt_id]
-            self.device.discard_extent(meta_extent[0])
-            self.alloc.free(*meta_extent)
-            raise
         # Only after the flip: the content staged from VM objects is
         # durable, so it is clean there (§6: evicted without IO).
         for oid, owner, runs in txn.owned:
@@ -418,10 +467,6 @@ class ObjectStore:
         self._commit_failures.pop(info.ckpt_id, None)
         self.stats["commits"] += 1
         self.stats["bytes_flushed"] += info.data_bytes
-        # Chain depth at commit time — the knob retain_last exists to
-        # bound.  An ancestor may still be an in-flight async commit,
-        # not yet in the table: the walk stops there.
-        depth = len(chain_of(self.checkpoints, info.ckpt_id))
         telemetry.registry().histogram(
             "sls.store.chain_depth", group=info.group_id).observe(depth)
         for callback in self._commit_watchers.pop(info.ckpt_id, []):
@@ -429,15 +474,17 @@ class ObjectStore:
 
     def commit(self, txn: CheckpointTxn, sync: bool = False,
                on_complete: Optional[Callable[[CheckpointInfo], None]] = None,
-               on_failure: Optional[Callable[[Exception], None]] = None
-               ) -> CheckpointInfo:
+               on_failure: Optional[Callable[[Exception], None]] = None,
+               keep: Optional[int] = None) -> CheckpointInfo:
         """Commit a checkpoint transaction.
 
         ``sync=False`` (the continuous-checkpoint path) returns as soon
         as the writes are queued; the commit finalizes via the event
         loop when the data lands, and ``on_complete`` fires then.
         ``sync=True`` advances the clock to durability before
-        returning (sls_checkpoint + sls_barrier semantics).
+        returning (sls_checkpoint + sls_barrier semantics).  With
+        ``keep`` (the group's history limit) the same flip trims the
+        group to its ``keep`` newest checkpoints.
 
         A storage failure that survives the retry policy aborts the
         transaction — every allocated extent is released and queued
@@ -470,12 +517,12 @@ class ObjectStore:
             if sync:
                 self.clock.advance_to(data_done)
                 self.device.poll()
-                self._finalize_commit(txn)
+                self._finalize_commit(txn, keep)
             else:
                 self._pending_commits[txn.info.ckpt_id] = (txn.info,
                                                            data_done)
                 self.loop.call_at(data_done,
-                                  lambda: self._finalize_async(txn))
+                                  lambda: self._finalize_async(txn, keep))
         except (InjectedCrash, MachineCrashed):
             raise
         except ReproError:
@@ -483,11 +530,11 @@ class ObjectStore:
             raise
         return txn.info
 
-    def _finalize_async(self, txn: CheckpointTxn) -> None:
+    def _finalize_async(self, txn: CheckpointTxn, keep: Optional[int]) -> None:
         """Event-loop finalizer: failures abort instead of unwinding
         into whoever happens to be driving the loop."""
         try:
-            self._finalize_commit(txn)
+            self._finalize_commit(txn, keep)
         except (InjectedCrash, MachineCrashed):
             raise
         except ReproError as exc:
@@ -549,92 +596,82 @@ class ObjectStore:
     # -- catalog / superblock ------------------------------------------------------------
 
     def _write_catalog_and_superblock(
-            self, pending: Optional[Dict[str, Any]] = None,
-            release: Sequence[Tuple[int, int]] = ()) -> None:
+            self, flip: Optional[Flip] = None,
+            pending: Optional[Dict[str, Any]] = None) -> None:
         """Write a new catalog and flip the superblock to it — the one
-        place a superblock is flipped.
+        place a superblock is flipped, ending ``flip``'s transaction (a
+        fresh one when None).
 
-        ``release`` lists the extents this flip unreferences (GC's
-        victims).  The superblock still on media can reach them, so
-        they go back to the allocator only after every allocation of
-        this flip has been made (none can land on them), in time for
-        the free list the new superblock carries, and are discarded
-        only once the flip has landed.
-
-        No store field changes until the superblock write lands.  A
-        failure at any step before it — the catalog's allocation or
-        write, the flight record's encode or allocation, the
-        superblock write itself — discards what the flip wrote and
-        puts the allocator back as it was, so the next flip goes to
-        the right slot and nothing leaks.
+        ``flip.release`` is what this flip unreferences.  The superblock
+        still on media can reach it, so it goes back to the allocator
+        only after every allocation of this flip has been made (none can
+        land on it), in time for the free list the new superblock
+        carries, and is discarded once the flip has landed.  No store
+        field changes before then; a failure at any step before the
+        superblock write lands rolls ``flip`` back, this flip's catalog
+        and flight record included, so the next flip goes to the right
+        slot and nothing leaks.
 
         The catalog is one entry per complete checkpoint, each encoded
         once per metadata extent (:meth:`CheckpointInfo.catalog_entry`).
         """
+        if flip is None:
+            with Flip(self) as flip:
+                self._write_catalog_and_superblock(flip, pending)
+            return
         generation = self._generation + 1
-        alloc_before = self.alloc.snapshot()
         catalog = records.encode(records.REC_CATALOG, {"checkpoints": {
             str(ckpt_id): info.catalog_entry()
             for ckpt_id, info in self.checkpoints.items() if info.complete}})
-        placed: List[int] = []
-        try:
-            catalog_at = self.alloc.alloc(len(catalog))
-            placed.append(catalog_at)
-            self.retry.run(lambda: self.device.write(catalog_at, catalog),
-                           op="store.catalog")
-            # The flight recorder rides every flip: a fixed-size
-            # snapshot of the telemetry surfaces, placed at zero
-            # simulated cost and anchored by the superblock about to be
-            # written — durable exactly when the commit is.  Fixed size
-            # keeps the allocator cursor, free list and superblock
-            # length identical whether telemetry is enabled or not
-            # (timing-identity invariant).  The flip only captures the
-            # record; the device builds its bytes on first read.
-            record = flightrec.encode_snapshot(self, pending=pending,
-                                               generation=generation)
-            record_at = self.alloc.alloc(len(record))
-            placed.append(record_at)
-            self.device.place_extent(record_at, record)
-            for offset, length in release:
-                self.alloc.free(offset, length)
-            superblock_body: Dict[str, Any] = {
-                "generation": generation,
-                "catalog_extent": [catalog_at, len(catalog)],
-                "flightrec": [record_at, len(record)],
-                "alloc_cursor": self.alloc.cursor,
-                "free_list": [[off, length]
-                              for off, length in self.alloc._free],
-                "oid_cursor": self.oids.cursor,
-                "ckpt_counter": self._ckpt_counter,
-                "journal_dir": {str(jid): journal.encode_meta()
-                                for jid, journal in self.journals.items()},
-            }
-            # Written only once the store has joined a cluster epoch,
-            # so single-machine stores keep a byte-identical superblock
-            # (the timing-identity invariant again).
-            if self.cluster_epoch:
-                superblock_body["cluster_epoch"] = self.cluster_epoch
-            superblock = records.encode(records.REC_SUPERBLOCK,
-                                        superblock_body)
-            slot = SUPERBLOCK_SLOTS[generation % 2]
-            self.clock.advance(costs.STORE_COMMIT)
-            self.retry.run(lambda: self.device.write(slot, superblock),
-                           op="store.superblock")
-        except (InjectedCrash, MachineCrashed):
-            raise
-        except ReproError:
-            # The flip never landed: in-memory state stays what
-            # recovery would see.
-            for offset in placed:
-                self.device.discard_extent(offset)
-            self.alloc.restore(alloc_before)
-            raise
+        catalog_at = self.alloc.alloc(len(catalog))
+        flip.undo.append(functools.partial(self.device.discard_extent,
+                                           catalog_at))
+        self.retry.run(lambda: self.device.write(catalog_at, catalog),
+                       op="store.catalog")
+        # The flight recorder rides every flip: a fixed-size snapshot of
+        # the telemetry surfaces, placed at zero simulated cost and
+        # anchored by the superblock about to be written — durable
+        # exactly when the commit is.  Fixed size keeps the allocator
+        # cursor, free list and superblock length identical whether
+        # telemetry is enabled or not (timing-identity invariant).  The
+        # flip only captures the record; the device builds its bytes on
+        # first read.
+        record = flightrec.encode_snapshot(self, pending=pending,
+                                           generation=generation)
+        record_at = self.alloc.alloc(len(record))
+        flip.undo.append(functools.partial(self.device.discard_extent,
+                                           record_at))
+        self.device.place_extent(record_at, record)
+        for offset, length in flip.release:
+            self.alloc.free(offset, length)
+        superblock_body: Dict[str, Any] = {
+            "generation": generation,
+            "catalog_extent": [catalog_at, len(catalog)],
+            "flightrec": [record_at, len(record)],
+            "alloc_cursor": self.alloc.cursor,
+            "free_list": [[off, length]
+                          for off, length in self.alloc._free],
+            "oid_cursor": self.oids.cursor,
+            "ckpt_counter": self._ckpt_counter,
+            "journal_dir": {str(jid): journal.encode_meta()
+                            for jid, journal in self.journals.items()},
+        }
+        # Written only once the store has joined a cluster epoch, so
+        # single-machine stores keep a byte-identical superblock (the
+        # timing-identity invariant again).
+        if self.cluster_epoch:
+            superblock_body["cluster_epoch"] = self.cluster_epoch
+        superblock = records.encode(records.REC_SUPERBLOCK, superblock_body)
+        slot = SUPERBLOCK_SLOTS[generation % 2]
+        self.clock.advance(costs.STORE_COMMIT)
+        self.retry.run(lambda: self.device.write(slot, superblock),
+                       op="store.superblock")
         old_catalog, old_flightrec = self._catalog_extent, \
             self._flightrec_extent
         self._generation = generation
         self._catalog_extent = (catalog_at, len(catalog))
         self._flightrec_extent = (record_at, len(record))
-        for offset, _length in release:
+        for offset, _length in flip.release:
             self.device.discard_extent(offset)
         if old_catalog is not None:
             self.alloc.free(*old_catalog)
@@ -642,6 +679,8 @@ class ObjectStore:
             # Freed but not discarded: the previous superblock slot
             # still anchors it until the next flip overwrites the slot.
             self.alloc.free(*old_flightrec)
+        for action in flip.landed:
+            action()
 
     def promise_cluster_epoch(self, epoch: int) -> None:
         """Durably promise a cluster membership epoch: once the
@@ -650,16 +689,10 @@ class ObjectStore:
         monotonic; an older epoch is a no-op."""
         if epoch <= self.cluster_epoch:
             return
-        previous = self.cluster_epoch
-        self.cluster_epoch = epoch
-        try:
-            self._write_catalog_and_superblock()
-        except (InjectedCrash, MachineCrashed):
-            raise
-        except ReproError:
-            # The flip never landed: the promise was never made.
-            self.cluster_epoch = previous
-            raise
+        with Flip(self) as flip:
+            flip.save(self, "cluster_epoch")
+            self.cluster_epoch = epoch
+            self._write_catalog_and_superblock(flip)
 
     # -- reading back -----------------------------------------------------------------------
 
@@ -863,40 +896,61 @@ class ObjectStore:
 
     def delete_checkpoint(self, ckpt_id: int) -> int:
         """WAFL-style snapshot deletion; returns bytes reclaimed."""
-        self._require_mounted()
-        info = self.checkpoints.get(ckpt_id)
-        group_id = info.group_id if info is not None else 0
+        group_id = getattr(self.checkpoints.get(ckpt_id), "group_id", 0)
         with tracing.trace(self.clock, tracing.GC, group=group_id,
                            ckpt=ckpt_id) as trace_obj:
-            reclaimed = gc_mod.delete_checkpoint(self, ckpt_id)
+            reclaimed = self._delete([self.get_checkpoint(ckpt_id)])
             if trace_obj is not None:
                 trace_obj.complete = True
-        self.stats["reclaimed_bytes"] += reclaimed
-        events.emit(self.clock.now(), events.GC_RECLAIM, group=group_id,
-                    ckpt=ckpt_id, bytes=reclaimed)
         return reclaimed
 
     def truncate_checkpoint(self, ckpt_id: int) -> int:
         """Delete a childless checkpoint from the new end of its
         chain (quorum recovery's tail truncation); returns bytes
         reclaimed."""
-        self._require_mounted()
-        info = self.checkpoints.get(ckpt_id)
-        group_id = info.group_id if info is not None else 0
-        reclaimed = gc_mod.truncate_checkpoint(self, ckpt_id)
-        self.stats["reclaimed_bytes"] += reclaimed
-        events.emit(self.clock.now(), events.GC_RECLAIM, group=group_id,
-                    ckpt=ckpt_id, bytes=reclaimed, truncated=True)
-        return reclaimed
+        return self._delete([self.get_checkpoint(ckpt_id)], truncate=True)
 
     def retain_last(self, group_id: int, keep: int) -> int:
-        """Trim a group's history to its ``keep`` newest checkpoints."""
-        reclaimed = 0
-        chain = self.checkpoints_for(group_id, include_partial=True)
-        while len(chain) > keep:
-            reclaimed += self.delete_checkpoint(chain[0].ckpt_id)
-            chain = self.checkpoints_for(group_id, include_partial=True)
+        """Trim a group's history to its ``keep`` newest checkpoints in
+        one flip; returns bytes reclaimed."""
+        if keep < 1:
+            raise InvalidArgument(f"bad history limit {keep}")
+        return self._delete(self.checkpoints_for(
+            group_id, include_partial=True)[:-keep])
+
+    def _delete(self, victims: Sequence[CheckpointInfo],
+                truncate: bool = False) -> int:
+        """A trim with no new checkpoint: one flip drops ``victims`` up
+        to the first that fails to stage, whose error then propagates.
+        Returns bytes reclaimed."""
+        self._require_mounted()
+        with Flip(self) as flip:
+            reclaimed, error = self._stage_deletes(flip, victims, truncate)
+            if flip.landed:     # something was staged
+                self._write_catalog_and_superblock(flip)
+        if error is not None:
+            raise error
         return reclaimed
+
+    def _stage_deletes(self, flip: Flip, victims: Sequence[CheckpointInfo],
+                       truncate: bool = False
+                       ) -> Tuple[int, Optional[ReproError]]:
+        """Stage ``victims``' deletes into ``flip`` in order (oldest
+        first, each is a chain head once those before it are gone).  A
+        victim whose staging fails short of a crash is taken back alone
+        and ends the run.  Returns the bytes staged and that failure."""
+        total = 0
+        for victim in victims:
+            mark = flip.savepoint()
+            try:
+                total += gc_mod.delete_checkpoint(self, victim.ckpt_id, flip,
+                                                  truncate)
+            except (InjectedCrash, MachineCrashed):
+                raise
+            except ReproError as exc:
+                flip.rollback(mark)
+                return total, exc
+        return total, None
 
     # -- journals -------------------------------------------------------------------------------------
 
@@ -904,12 +958,15 @@ class ObjectStore:
         """Preallocate a non-COW journal region (sync, small)."""
         self._require_mounted()
         jid = self.alloc_oid(CLASS_JOURNAL)
-        base = self.alloc.alloc(capacity)
-        journal = Journal(self, jid, base, capacity)
-        self.journals[jid] = journal
-        journal._write_header()
-        # Journal existence must survive a crash: flip the superblock.
-        self._write_catalog_and_superblock()
+        with Flip(self) as flip:
+            base = self.alloc.alloc(capacity)
+            journal = Journal(self, jid, base, capacity)
+            self.journals[jid] = journal
+            flip.undo += [functools.partial(self.journals.pop, jid),
+                          functools.partial(self.device.discard_extent, base)]
+            journal._write_header()
+            # Journal existence must survive a crash: flip the superblock.
+            self._write_catalog_and_superblock(flip)
         return journal
 
     def journal(self, jid: int) -> Journal:

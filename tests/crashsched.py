@@ -23,7 +23,7 @@ the ``oracle`` that recovers a crashed run and judges it.  One
   the action, power-fails the machine and asks the workload's oracle,
   which recovers and returns one :class:`Outcome` per restored app.
 
-The eight workloads are the rows of :data:`WORKLOADS`.  Used by
+The nine workloads are the rows of :data:`WORKLOADS`.  Used by
 ``tests/test_crashsched.py`` (samples in tier-1, the exhaustive sweeps
 under ``-m slow``).
 """
@@ -129,11 +129,29 @@ def _app(pipes: int = 0):
 def boot_counter(history_limit: Optional[int] = None) -> Run:
     """A single-process app: ``V1`` made durable by a sync checkpoint,
     then the heap dirtied to ``V2``.  With ``history_limit=1`` the
-    ``V2`` checkpoint's completion deletes ``V1`` — a second metadata
-    write, catalog write and superblock flip after the commit flip."""
+    ``V2`` checkpoint's commit deletes ``V1``: the ``V2`` checkpoint
+    adopts ``V1``'s extents, so its metadata is written a second time
+    after its first write, and one flip adds ``V2`` and drops
+    ``V1``."""
     machine, sls, proc, addr = _app()
     _fill(proc, addr, V1)
     group = sls.attach(proc, periodic=False, history_limit=history_limit)
+    sls.checkpoint(group, name="v1", sync=True)
+    _fill(proc, addr, V2)
+    return Run(machine, sls, group, proc, addr)
+
+
+def boot_history() -> Run:
+    """As :func:`boot_counter` with ``history_limit=2``, after a ``v0``
+    checkpoint: the ``V2`` checkpoint's commit deletes ``v0``, whose
+    child — the ``V1`` checkpoint, not the one being committed —
+    adopts and has its metadata rewritten before the one flip
+    (``posix_wide``'s shape)."""
+    machine, sls, proc, addr = _app()
+    _fill(proc, addr, b"aurora-crashsched-v0")
+    group = sls.attach(proc, periodic=False, history_limit=2)
+    sls.checkpoint(group, name="v0", sync=True)
+    _fill(proc, addr, V1)
     sls.checkpoint(group, name="v1", sync=True)
     _fill(proc, addr, V2)
     return Run(machine, sls, group, proc, addr)
@@ -284,7 +302,7 @@ def restore_pressure(run: Run, plan: FaultPlan, point: Point,
     expected = _durable(plan, point, schedule, node)
     run.machine.boot()
     sls = load_aurora(run.machine)
-    _check_blackbox(sls, point, expected, after_gc_flip=False)
+    _check_blackbox(sls, point, expected)
     result = sls.restore(run.gid, periodic=False)
     sides = [("parent", result.root)]
     if expected == V2:
@@ -340,8 +358,9 @@ def run_fleet(run: Run) -> None:
 
 
 def superblock_flips(entries: List[Entry]) -> List[int]:
-    """The ``io`` indices that write a superblock slot: the commit
-    flip, then — when the checkpoint garbage-collects — the GC flip."""
+    """The ``io`` indices that write a superblock slot.  A checkpoint
+    has one, the commit flip, whether or not its commit also
+    garbage-collects."""
     return [index for index, (offset, _) in enumerate(entries)
             if offset in SUPERBLOCK_SLOTS]
 
@@ -451,50 +470,33 @@ def restore_counter(run: Run, plan: FaultPlan, point: Point,
     expected = _durable(plan, point, schedule, node)
     run.machine.boot()
     sls = load_aurora(run.machine)
-    flips = superblock_flips(schedule.entries(IO))
-    _check_blackbox(sls, point, expected,
-                    after_gc_flip=(len(flips) > 1
-                                   and plan.events[0].io_index > flips[1]))
+    _check_blackbox(sls, point, expected)
     result = sls.restore(run.gid, periodic=False)
     return [Outcome(point, _entry(schedule, point),
                     read_head(result.root, run.addr), expected)]
 
 
-def _check_blackbox(sls, point: Point, expected: bytes,
-                    after_gc_flip: bool) -> None:
+def _check_blackbox(sls, point: Point, expected: bytes) -> None:
     """The recovered flight recorder must agree with the oracle:
     the persisted timeline ends at the checkpoint the durability
     oracle says survived, and the injected fault shows up in the
-    merged (volatile-tail) timeline.
-
-    A GC flip follows the commit flip and re-anchors the black
-    box.  It runs inside the commit's completion callback — before
-    that commit's ``checkpoint.commit`` event is emitted — and has
-    no pending commit of its own, so a timeline recovered from it
-    still ends at the *previous* commit event, followed by the
-    committed checkpoint's in-progress events."""
+    merged (volatile-tail) timeline.  A trimming commit has one flip,
+    so its black box is anchored as any commit's is."""
     box = flightrec.blackbox(sls.store, volatile=events.log())
     assert box is not None, \
         f"{point}: no flight recorder snapshot recovered"
     last = box.last_durable
     assert last is not None, \
         f"{point}: recovered timeline has no durable commit"
-    if after_gc_flip:
-        assert expected == V2
-        assert box.snapshot["pending"] is None, \
-            f"{point}: the GC flip's snapshot carries a commit"
-        assert last["kind"] == events.CKPT_COMMIT, \
-            f"{point}: GC-flip timeline ends at {last['kind']!r}"
-    else:
-        expected_name = "v2" if expected == V2 else "v1"
-        assert last["fields"].get("name") == expected_name, \
-            (f"{point}: black box ends at "
-             f"{last['fields'].get('name')!r}, oracle says "
-             f"{expected_name!r} is the last durable commit")
-        # Nothing persisted may postdate the durable commit the
-        # timeline ends at.
-        assert box.events[-1] is last, \
-            f"{point}: persisted events continue past the durable commit"
+    expected_name = "v2" if expected == V2 else "v1"
+    assert last["fields"].get("name") == expected_name, \
+        (f"{point}: black box ends at "
+         f"{last['fields'].get('name')!r}, oracle says "
+         f"{expected_name!r} is the last durable commit")
+    # Nothing persisted may postdate the durable commit the timeline
+    # ends at.
+    assert box.events[-1] is last, \
+        f"{point}: persisted events continue past the durable commit"
     faults = [row for row in box.timeline()
               if row["kind"] == events.FAULT_INJECTED]
     assert faults, f"{point}: injected fault missing from black box"
@@ -578,6 +580,8 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
              commit_flip, restore_counter),
     Workload("gc", functools.partial(boot_counter, history_limit=1),
              checkpoint_v2, IO, _WRITE, commit_flip, restore_counter),
+    Workload("gc2", boot_history, checkpoint_v2, IO, _WRITE, commit_flip,
+             restore_counter),
     Workload("cluster", boot_cluster, replicate_v2, REPL, _QUORUM,
              quorum_flip, recover_cluster),
     Workload("skewed", boot_cluster, replicate_v2_skewed, REPL, _QUORUM,

@@ -152,38 +152,69 @@ def gc_schedule(gc_explorer):
     return gc_explorer.probe()
 
 
-def test_gc_flip_follows_the_commit_flip(gc_schedule):
-    """The schedule space of a history-limited checkpoint includes the
-    delete's own IOs: child metadata, catalog, a second flip."""
-    flips = superblock_flips(gc_schedule.entries(IO))
-    assert len(flips) == 2
-    assert gc_schedule.flip == flips[0] < flips[1] \
-        == len(gc_schedule.entries(IO)) - 1
+@pytest.fixture(scope="module")
+def gc2_explorer():
+    """Explorer whose probed checkpoint deletes its grandparent: the
+    child that adopts is the parent, not the checkpoint committed."""
+    return Explorer(WORKLOADS["gc2"])
+
+
+@pytest.fixture(scope="module")
+def gc2_schedule(gc2_explorer):
+    return gc2_explorer.probe()
+
+
+#: IOs a trimming commit writes after its own metadata: one child's
+#: rewritten metadata, the catalog and the superblock.
+TRIM_TAIL = 3
+
+
+def test_a_trimming_commit_flips_once(gc_schedule, gc2_schedule):
+    """A history-limited checkpoint's commit is one transaction: the
+    victim's child metadata is written before the one flip, which is
+    the schedule's last IO."""
+    for schedule in (gc_schedule, gc2_schedule):
+        flips = superblock_flips(schedule.entries(IO))
+        assert flips == [schedule.flip] == [len(schedule.entries(IO)) - 1]
+
+
+def _sweep_trim_tail(explorer, schedule):
+    """Every IO from the first child-metadata write through the flip,
+    plus the stage boundaries after it.  Nothing the durable superblock
+    reaches may be gone before the flip that unreferences it lands."""
+    points = schedule.points(IO)[-TRIM_TAIL:]
+    points += schedule.points(STAGE)[-2:]
+    outcomes = explorer.sweep(points, schedule)
+    assert all(outcome.ok for outcome in outcomes), \
+        [outcome for outcome in outcomes if not outcome.ok]
+    assert [outcome.restored for outcome in outcomes] == \
+        [V1] * TRIM_TAIL + [V2] * 2
 
 
 def test_crash_during_gc_restores_the_committed_checkpoint(
         gc_explorer, gc_schedule):
-    """Tier-1 slice: every IO from the commit flip through the GC flip
-    plus the stage boundaries after it.  Nothing the durable superblock
-    reaches may be gone before the flip that unreferences it lands —
-    each of these used to leave the store unmountable."""
-    points = gc_schedule.points(IO)[gc_schedule.flip:]
-    points += gc_schedule.points(STAGE)[-2:]
-    outcomes = gc_explorer.sweep(points, gc_schedule)
-    assert all(outcome.ok for outcome in outcomes), \
-        [outcome for outcome in outcomes if not outcome.ok]
-    assert outcomes[0].restored == V1
-    assert {outcome.restored for outcome in outcomes[1:]} == {V2}
+    """Tier-1 slice of ``gc``: the committed checkpoint adopts."""
+    _sweep_trim_tail(gc_explorer, gc_schedule)
+
+
+def test_crash_during_a_grandparent_trim_restores_the_committed_checkpoint(
+        gc2_explorer, gc2_schedule):
+    """Tier-1 slice of ``gc2``: an older checkpoint adopts."""
+    _sweep_trim_tail(gc2_explorer, gc2_schedule)
 
 
 @pytest.mark.slow
-def test_exhaustive_gc_crash_schedule_sweep(gc_explorer, gc_schedule):
+@pytest.mark.parametrize("name", ["gc", "gc2"])
+def test_exhaustive_gc_crash_schedule_sweep(name, request):
     """Every stage boundary and every IO index of a checkpoint whose
-    commit garbage-collects its parent."""
-    points = gc_schedule.points(STAGE) + gc_schedule.points(IO)
+    commit garbage-collects its parent (``gc``) or grandparent
+    (``gc2``)."""
+    explorer = request.getfixturevalue(f"{name}_explorer")
+    schedule = request.getfixturevalue(f"{name}_schedule")
+    points = schedule.points(STAGE) + schedule.points(IO)
     assert [i for d, i in points if d == IO] == \
-        list(range(len(gc_schedule.entries(IO))))
-    outcomes = gc_explorer.sweep(points, gc_schedule)
+        list(range(len(schedule.entries(IO))))
+    outcomes = explorer.sweep(points, schedule)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     assert not failures, failures
     assert {outcome.restored for outcome in outcomes} == {V1, V2}
@@ -730,7 +761,8 @@ def test_exhaustive_pressure_crash_schedule_sweep(pressure_explorer,
 PROBED = {
     "counter": ((6, 9, 0, 0), 5),
     "incremental": ((6, 9, 0, 0), 5),
-    "gc": ((9, 9, 0, 0), 5),
+    "gc": ((7, 9, 0, 0), 6),
+    "gc2": ((7, 9, 0, 0), 6),
     "cluster": ((6, 9, 177, 0), 12),
     "skewed": ((6, 9, 177, 0), 15),
     "fenced": ((8, 9, 73, 0), None),
@@ -740,12 +772,12 @@ PROBED = {
 
 
 def test_every_probed_schedule_keeps_its_size(
-        schedule, incr_schedule, gc_schedule, cluster_schedule,
+        schedule, incr_schedule, gc_schedule, gc2_schedule, cluster_schedule,
         skewed_schedule, fenced_schedule, pressure_schedule, fleet_schedule):
     probed = dict(zip(PROBED, (
-        schedule, incr_schedule, gc_schedule, cluster_schedule,
-        skewed_schedule, fenced_schedule, pressure_schedule,
-        fleet_schedule)))
+        schedule, incr_schedule, gc_schedule, gc2_schedule,
+        cluster_schedule, skewed_schedule, fenced_schedule,
+        pressure_schedule, fleet_schedule)))
     assert {name: (tuple(len(probe.entries(domain))
                          for domain in (IO, STAGE, REPL, FLEET)), probe.flip)
             for name, probe in probed.items()} == PROBED

@@ -1,8 +1,11 @@
-"""A superblock flip or GC delete that fails leaves the store as it was.
+"""A store transaction that fails before its flip leaves the store as
+it was.
 
-Two failure paths that do not crash the machine — the fleet keeps
-running after them — and must not leave memory, the allocator and
-the media disagreeing:
+A transaction — a commit, a GC delete, or a commit that also trims its
+group's history — ends in exactly one superblock flip, and its one
+rollback (``store.Flip``) takes back whatever it staged.  Failure
+paths that do not crash the machine — the fleet keeps running after
+them — must not leave memory, the allocator and the media disagreeing:
 
 * a commit whose flip fails after writing its catalog (the flight
   record's 64 KiB no longer fits) must not move the superblock slot
@@ -10,13 +13,17 @@ the media disagreeing:
 * a GC delete whose child-metadata write, catalog write or
   superblock write fails must keep the victim, every child's
   metadata, each extent's owners, the allocator and the scrub verdict
-  as they were, so the delete can simply be retried.
+  as they were, so the delete can simply be retried;
+* a trimming commit whose superblock write fails takes back the
+  commit and every victim's delete together, and a victim that fails
+  to stage is taken back alone while the victims before it still flip.
 """
 
 import pytest
 
+from repro.core import resilience
 from repro.core.faults import FaultPlan, InjectedCrash
-from repro.errors import NoSpace, StoreFull
+from repro.errors import NoSpace, RetriesExhausted, StoreFull
 from repro.hw.memory import Page
 from repro.machine import Machine
 from repro.objstore import records
@@ -115,6 +122,23 @@ def test_a_failed_flip_leaks_nothing():
     superblock = records.decode(failed.device.read(SUPERBLOCK_SLOTS[1]),
                                 records.REC_SUPERBLOCK)
     assert superblock["generation"] == 3
+
+
+def test_a_journal_whose_flip_fails_is_not_created():
+    """The flip that makes a journal durable fails: the journal is not
+    left in memory, holding its region, for the next flip to publish."""
+    machine, store = _small_store()
+    used = store.used_bytes()
+    # IO 0 is the journal's header, IO 1 the catalog.
+    machine.set_fault_plan(FaultPlan(name="enospc").nospace_at_io(1))
+    with pytest.raises(NoSpace):
+        store.journal_create(64 * 1024)
+    machine.clear_fault_plan()
+    assert store.journals == {}
+    assert store.used_bytes() == used
+    assert scrub(store).ok
+    journal = store.journal_create(64 * 1024)
+    assert list(store.journals) == [journal.jid]
 
 
 # -- GC deletes --------------------------------------------------------------------------
@@ -216,3 +240,111 @@ def test_a_failed_truncate_leaves_the_store_as_it_was():
     assert store.truncate_checkpoint(newest) > 0
     assert scrub(store).ok
 
+
+
+# -- one transaction, one flip ------------------------------------------------------
+
+
+def _superblock_writes(monkeypatch, store):
+    """The superblock writes ``store`` makes from now on, by slot."""
+    slots = []
+    write = store.device.write
+
+    def spy(offset, payload, *args, **kwargs):
+        if offset in SUPERBLOCK_SLOTS:
+            slots.append(offset)
+        return write(offset, payload, *args, **kwargs)
+
+    monkeypatch.setattr(store.device, "write", spy)
+    return slots
+
+
+def _trimming_commit(store, infos, plan=None, machine=None):
+    """A fourth checkpoint of :func:`_three_checkpoints`' chain whose
+    commit keeps two: it deletes the first two, whose children (the
+    second and third checkpoints) adopt.  ``plan`` is set for it."""
+    if plan is not None:
+        machine.set_fault_plan(plan)
+    txn = store.begin_checkpoint(group_id=9, parent=infos[-1].ckpt_id)
+    txn.put_pages(MEM_OID, page_runs({3: Page(data=b"page 3")}))
+    try:
+        return store.commit(txn, sync=True, keep=2)
+    finally:
+        if plan is not None:
+            machine.clear_fault_plan()
+
+
+def test_a_trimming_commit_writes_one_superblock(monkeypatch):
+    _machine, store, infos = _three_checkpoints()
+    slots = _superblock_writes(monkeypatch, store)
+    newest = _trimming_commit(store, infos)
+    assert len(slots) == 1
+    assert [info.ckpt_id for info in store.checkpoints_for(9)] == \
+        [infos[2].ckpt_id, newest.ckpt_id]
+    assert infos[2].parent is None
+    assert scrub(store).ok
+
+
+def test_retain_last_over_three_victims_writes_one_superblock(monkeypatch):
+    _machine, store, infos = _three_checkpoints()
+    newest = _commit(store, 3, parent=infos[-1].ckpt_id)
+    slots = _superblock_writes(monkeypatch, store)
+    assert store.retain_last(9, 1) > 0
+    assert len(slots) == 1
+    assert list(store.checkpoints) == [newest.ckpt_id]
+    assert newest.parent is None
+    assert scrub(store).ok
+
+
+def test_a_trimming_commit_whose_flip_fails_takes_back_every_victim():
+    """The superblock write fails past its retries: the commit, both
+    victims' deletes, every child's fields and the allocator are taken
+    back together, and the retried commit writes the children's
+    metadata bytes a commit that never failed writes."""
+    def run(fail):
+        machine, store, infos = _three_checkpoints()
+        before = _store_state(store)
+        if fail:
+            plan = FaultPlan(name="sb").transient_at_io(
+                _probe_trimming_commit(),
+                times=resilience.DEFAULT_MAX_ATTEMPTS)
+            with pytest.raises(RetriesExhausted):
+                _trimming_commit(store, infos, plan, machine)
+            assert plan.fired
+            assert _store_state(store) == before
+        _trimming_commit(store, infos)
+        assert scrub(store).ok
+        return [store.device.read(info.meta_extent[0])
+                for info in store.checkpoints_for(9)[:-1]]
+
+    assert run(fail=True) == run(fail=False)
+
+
+def _probe_trimming_commit():
+    """The IO index of a trimming commit's superblock write: its last."""
+    machine, store, infos = _three_checkpoints()
+    probe = FaultPlan(name="count")
+    _trimming_commit(store, infos, probe, machine)
+    return probe.io_index - 1
+
+
+def test_retain_last_keeps_the_victims_staged_before_a_failed_one():
+    """The second of three victims' child-metadata write runs out of
+    retries: it is taken back alone, the first is still deleted by the
+    one flip, and the error surfaces."""
+    machine, store, infos = _three_checkpoints()
+    newest = _commit(store, 3, parent=infos[-1].ckpt_id)
+    # IO 0 is the first victim's child's metadata, IO 1 the second's;
+    # a failed write is not logged, so the catalog write is IO 1 too.
+    machine.set_fault_plan(FaultPlan(name="meta").transient_at_io(
+        1, times=resilience.DEFAULT_MAX_ATTEMPTS))
+    with pytest.raises(RetriesExhausted):
+        store.retain_last(9, 1)
+    machine.clear_fault_plan()
+    assert [info.ckpt_id for info in store.checkpoints_for(9)] == \
+        [infos[1].ckpt_id, infos[2].ckpt_id, newest.ckpt_id]
+    assert infos[1].parent is None
+    assert scrub(store).ok
+    assert store.retain_last(9, 1) > 0
+    assert list(store.checkpoints) == [newest.ckpt_id]
+    assert scrub(store).ok

@@ -14,7 +14,13 @@ was recorded before the record index became a table of per-extent
 entries and must not move with it — or with any change that claims to
 leave metadata bytes alone.  It moved once, when the page-locator map
 became one typed table (OID, run-count, kind and run-field columns
-instead of a dict keyed by ``str(oid)``; was ``5239f36f…82ddd66e5c70``).
+instead of a dict keyed by ``str(oid)``; was ``5239f36f…82ddd66e5c70``),
+and once when a trimming commit became one transaction (was
+``7a0d028e…2f46a144d59``): a delete no longer writes a catalog, flight
+record and superblock of its own, so later extents land at other
+offsets and ``time_ns`` reads earlier; with each document's extent
+offsets renumbered in ``owned_extents`` order and ``time_ns`` left
+out, all 28 documents are what they were.
 """
 
 import hashlib
@@ -24,7 +30,7 @@ from repro import Machine, load_aurora
 from repro.kernel.fs.file import O_CREAT, O_RDWR
 from repro.objstore import records
 
-META_SHA256 = "7a0d028eea642958f1e084d531feaa4b8ddcc943e4bb0695027642f46a144d59"
+META_SHA256 = "f6ebf61d92873ef3c731aa5eb97beee9b7b97fc9f7c3f4e142850e288fb28cd3"
 #: The group's 10 commits and 8 child rewrites (history 2), and the
 #: file system's 10 commits.
 META_PAYLOADS = 28

@@ -34,8 +34,9 @@ from repro.core.cluster import SLSCluster
 from repro.core.faults import (IO, STAGE, FaultPlan, InjectedCrash,
                                INTERMITTENT, TRANSIENT)
 from repro.core.resilience import GroupHealth, RetryPolicy
-from repro.errors import (CorruptRecord, LeaseValid, LinkDown, NoSpace,
-                          RetriesExhausted, TransientDeviceError)
+from repro.errors import (CorruptRecord, InvalidArgument, LeaseValid,
+                          LinkDown, NoSpace, RetriesExhausted,
+                          TransientDeviceError)
 from repro.hw.clock import SimClock
 from repro.hw.memory import Page
 from repro.objstore import store as store_module
@@ -760,6 +761,23 @@ def test_chaos_gc_that_exhausts_its_retries_keeps_the_commit(sync):
     assert first not in sls.store.checkpoints
     assert scrub(sls.store).ok
     _restores(machine, group, addr, b"trim-v3")
+
+
+def test_a_history_limit_below_one_is_refused():
+    """A history of zero checkpoints would trim the one just committed:
+    ``attach`` refuses it, leaving nothing attached, and so does
+    ``retain_last``."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("app")
+    with pytest.raises(InvalidArgument, match="history limit"):
+        sls.attach(proc, periodic=False, history_limit=0)
+    assert not sls.groups
+    group = sls.attach(proc, periodic=False, history_limit=1)
+    sls.checkpoint(group, sync=True)
+    with pytest.raises(InvalidArgument, match="history limit"):
+        sls.store.retain_last(group.group_id, 0)
+    assert _history(sls, group) == [group.last_complete_id]
 
 
 def _forked_victim():

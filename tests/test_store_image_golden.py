@@ -39,7 +39,11 @@ changed only raw page payloads (33 fleet extents, 144 cluster ones).
 Both moved together once more when record tables and the
 page-locator map became typed columns (packed int and coded scalar
 columns, the page map one table): record and metadata bytes, and what
-follows them on the array; the logical pins held.
+follows them on the array; the logical pins held.  The fleet image
+alone moved when a trimming commit became one transaction: a history
+trim no longer writes a catalog, flight record and superblock of its
+own, so what follows lands at other offsets and times, and the
+cluster image and both logical pins held (was ``6e7a8818…e031f3f57a``).
 
 A second pin per scenario is logical: each retained checkpoint's
 merged view — its objects' ``(oid, otype, state)`` and each OID's page
@@ -71,7 +75,7 @@ from repro.core import telemetry
 from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
-FLEET_SHA256 = "6e7a88185efb2fb24ce65381baa41f2c37571f3668f6c4bea08b97e031f3f57a"
+FLEET_SHA256 = "18c5fddf402918d994447855f84c74f50d3e70426ba789fee17dca0e67f5b60f"
 CLUSTER_SHA256 = "c3393bb2eeef663439d403dd03024e5d5365c0349684e05b7bec0f198051c472"
 FLEET_LOGICAL_SHA256 = "c78e69488d1fb20cb10acdc49ea99076f8de9b72587b6b900f8a09e16f7339c6"
 CLUSTER_LOGICAL_SHA256 = "8fefbad00b17c7eeff07a883da39ce6a3008de25c0d24dec47ce48228491d584"
