@@ -179,10 +179,10 @@ class Orchestrator:
 
     def _emergency_gc(self, group: ConsistencyGroup) -> int:
         """ENOSPC pressure valve: merge away the older half of the
-        group's history in one flip (WAFL-style deletes free COW
-        blocks), oldest first, up to the first delete that itself runs
-        out of space (it is taken back alone and the ones before it
-        still flip; the next probe retries it)."""
+        group's history (WAFL-style deletes free COW blocks), oldest
+        first, in one flip or, when that has no room, in as many as the
+        space each frees allows; a delete that fails to stage is taken
+        back alone and ends the run (the next probe retries it)."""
         chain = self.store.checkpoints_for(group.group_id,
                                            include_partial=True)
         if not chain:

@@ -37,6 +37,7 @@ from .blockalloc import _align_up
 from .recovery import _read_superblocks
 from .scrub import (MAX_SHADOW_DEPTH, ScrubReport, _chain_segment_len,
                     live_extents, scrub)
+from .store import Flip
 
 
 class RepairAction:
@@ -213,7 +214,8 @@ def repair(store: Any, report: Optional[ScrubReport] = None,
     # (fresh catalog + superblock flip).  Slot rewrites are already
     # durable.
     if free_fixed and getattr(store, "_mounted", False):
-        store._write_catalog_and_superblock()
+        with Flip(store) as flip:
+            store._write_catalog_and_superblock(flip)
     unhandled = kinds - {"superblock", "freelist", "shadow-chain"}
     for kind in sorted(unhandled):
         out.skip(kind, "no mechanical repair for this finding kind")

@@ -19,6 +19,7 @@ is the newest-wins merge along the parent chain
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from operator import itemgetter
@@ -31,7 +32,7 @@ from ..core.resilience import RetryPolicy
 from ..core.runs import LocatorRun, append_locator_run, splice
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
-                      StoreError)
+                      StoreError, StoreFull)
 from ..hw.memory import Page
 from ..hw.nvme import Payload, StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
@@ -243,7 +244,8 @@ class ObjectStore:
         self.cluster_epoch = 0
         self.swap_extents = {}
         self.held_at_mount = []
-        self._write_catalog_and_superblock()
+        with Flip(self) as flip:
+            self._write_catalog_and_superblock(flip)
         self._mounted = True
 
     def mount(self) -> bool:
@@ -440,7 +442,11 @@ class ObjectStore:
                                keep: Optional[int]) -> None:
         """One transaction: the checkpoint's metadata, the rewritten
         metadata of the children of each victim past ``keep`` (oldest
-        first), then the one flip that adds it and drops them."""
+        first), then the one flip that adds it and drops them.  Victims
+        that fail to stage or leave the flip no room wait for the next
+        trim (:meth:`_stage_and_flip`).  A checkpoint that adopts from a
+        victim (``keep`` 1) has its metadata written twice: the first
+        stays valid if the adoption is taken back, so the commit stands."""
         info = txn.info
         with Flip(self) as flip:
             # A flip that never lands leaves the checkpoint uncommitted.
@@ -453,13 +459,10 @@ class ObjectStore:
             # ancestor may still be an in-flight async commit, not yet
             # in the table: the walk stops there.
             depth = len(chain_of(self.checkpoints, info.ckpt_id))
-            if keep is not None:
-                # A victim that fails to stage waits for the next trim.
-                self._stage_deletes(flip, self.checkpoints_for(
-                    info.group_id, include_partial=True)[:-keep])
-            self._write_catalog_and_superblock(flip, pending={
-                "group": info.group_id, "ckpt": info.ckpt_id,
-                "name": info.name or "", "bytes": info.data_bytes})
+            self._stage_and_flip(flip, self.checkpoints_for(
+                info.group_id, include_partial=True)[:-keep] if keep else [],
+                pending={"group": info.group_id, "ckpt": info.ckpt_id,
+                         "name": info.name or "", "bytes": info.data_bytes})
         # Only after the flip: the content staged from VM objects is
         # durable, so it is clean there (§6: evicted without IO).
         for oid, owner, runs in txn.owned:
@@ -596,11 +599,10 @@ class ObjectStore:
     # -- catalog / superblock ------------------------------------------------------------
 
     def _write_catalog_and_superblock(
-            self, flip: Optional[Flip] = None,
+            self, flip: Flip,
             pending: Optional[Dict[str, Any]] = None) -> None:
         """Write a new catalog and flip the superblock to it — the one
-        place a superblock is flipped, ending ``flip``'s transaction (a
-        fresh one when None).
+        place a superblock is flipped, ending ``flip``'s transaction.
 
         ``flip.release`` is what this flip unreferences.  The superblock
         still on media can reach it, so it goes back to the allocator
@@ -615,10 +617,6 @@ class ObjectStore:
         The catalog is one entry per complete checkpoint, each encoded
         once per metadata extent (:meth:`CheckpointInfo.catalog_entry`).
         """
-        if flip is None:
-            with Flip(self) as flip:
-                self._write_catalog_and_superblock(flip, pending)
-            return
         generation = self._generation + 1
         catalog = records.encode(records.REC_CATALOG, {"checkpoints": {
             str(ckpt_id): info.catalog_entry()
@@ -896,13 +894,7 @@ class ObjectStore:
 
     def delete_checkpoint(self, ckpt_id: int) -> int:
         """WAFL-style snapshot deletion; returns bytes reclaimed."""
-        group_id = getattr(self.checkpoints.get(ckpt_id), "group_id", 0)
-        with tracing.trace(self.clock, tracing.GC, group=group_id,
-                           ckpt=ckpt_id) as trace_obj:
-            reclaimed = self._delete([self.get_checkpoint(ckpt_id)])
-            if trace_obj is not None:
-                trace_obj.complete = True
-        return reclaimed
+        return self._delete([self.get_checkpoint(ckpt_id)])
 
     def truncate_checkpoint(self, ckpt_id: int) -> int:
         """Delete a childless checkpoint from the new end of its
@@ -920,37 +912,68 @@ class ObjectStore:
 
     def _delete(self, victims: Sequence[CheckpointInfo],
                 truncate: bool = False) -> int:
-        """A trim with no new checkpoint: one flip drops ``victims`` up
-        to the first that fails to stage, whose error then propagates.
-        Returns bytes reclaimed."""
+        """A trim with no new checkpoint, one GC trace unless it
+        truncates: a flip drops ``victims`` up to the first that fails
+        to stage, whose error then propagates, and those it had no room
+        for go in the next.  Returns bytes reclaimed."""
         self._require_mounted()
-        with Flip(self) as flip:
-            reclaimed, error = self._stage_deletes(flip, victims, truncate)
-            if flip.landed:     # something was staged
-                self._write_catalog_and_superblock(flip)
-        if error is not None:
-            raise error
+        if not victims:
+            return 0
+        head = victims[0]
+        reclaimed = 0
+        with (contextlib.nullcontext() if truncate else tracing.trace(
+                self.clock, tracing.GC, group=head.group_id,
+                ckpt=head.ckpt_id)) as trace_obj:
+            while victims:
+                with Flip(self) as flip:
+                    done, got, error = self._stage_and_flip(flip, victims,
+                                                            truncate)
+                reclaimed += got
+                if error is not None:
+                    raise error
+                victims = victims[done:]
+            if trace_obj is not None:
+                trace_obj.complete = True
         return reclaimed
 
-    def _stage_deletes(self, flip: Flip, victims: Sequence[CheckpointInfo],
-                       truncate: bool = False
-                       ) -> Tuple[int, Optional[ReproError]]:
-        """Stage ``victims``' deletes into ``flip`` in order (oldest
-        first, each is a chain head once those before it are gone).  A
-        victim whose staging fails short of a crash is taken back alone
-        and ends the run.  Returns the bytes staged and that failure."""
-        total = 0
+    def _stage_and_flip(self, flip: Flip, victims: Sequence[CheckpointInfo],
+                        truncate: bool = False,
+                        pending: Optional[Dict[str, Any]] = None
+                        ) -> Tuple[int, int, Optional[ReproError]]:
+        """Stage ``victims``' deletes into ``flip`` oldest first (each is
+        a chain head once those before it are gone) and flip it, with
+        the checkpoint ``pending`` names if any.  A victim that fails to
+        stage short of a crash is taken back alone and ends the run.
+        Victims' extents come free only after the flip, so when their
+        children's metadata leaves it no room the newest staged victim
+        is taken back and the flip retried, down to the commit alone or
+        one victim.  Returns the victims flipped, the bytes they
+        reclaim and the staging failure."""
+        staged: List[Tuple[Tuple[Any, ...], int]] = []
+        error: Optional[ReproError] = None
         for victim in victims:
             mark = flip.savepoint()
             try:
-                total += gc_mod.delete_checkpoint(self, victim.ckpt_id, flip,
-                                                  truncate)
+                staged.append((mark, gc_mod.delete_checkpoint(
+                    self, victim.ckpt_id, flip, truncate)))
             except (InjectedCrash, MachineCrashed):
                 raise
             except ReproError as exc:
                 flip.rollback(mark)
-                return total, exc
-        return total, None
+                error = exc
+                break
+        # The least a flip may keep: the commit alone, else one victim.
+        least = 0 if pending is not None else 1
+        if len(staged) < least:
+            return 0, 0, error
+        while True:
+            try:
+                self._write_catalog_and_superblock(flip, pending)
+                return len(staged), sum(got for _mark, got in staged), error
+            except StoreFull:
+                if len(staged) <= least:
+                    raise
+                flip.rollback(staged.pop()[0])
 
     # -- journals -------------------------------------------------------------------------------------
 

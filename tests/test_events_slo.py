@@ -158,6 +158,21 @@ def test_gc_reclaim_is_traced_and_logged():
     assert len(gc_traces) == 1 and gc_traces[0].complete
 
 
+def test_a_trim_of_several_victims_is_one_gc_trace():
+    """``retain_last`` over three victims is one transaction and one
+    GC trace, labelled with the oldest victim; each victim still logs
+    its reclaim."""
+    machine, sls, group, results = _run_checkpoints(4)
+    victims = [result.info.ckpt_id for result in results[:3]]
+    sls.store.retain_last(group.group_id, 1)
+    reclaims = events.log().matching(events.GC_RECLAIM,
+                                     group=group.group_id)
+    assert [event.fields["ckpt"] for event in reclaims] == victims
+    gc_traces = tracing.tracer().traces(tracing.GC, group=group.group_id)
+    assert len(gc_traces) == 1 and gc_traces[0].complete
+    assert gc_traces[0].labels["ckpt"] == victims[0]
+
+
 def test_restore_emits_event_and_complete_trace():
     machine, sls, group, results = _run_checkpoints(2)
     gid = group.group_id

@@ -16,7 +16,11 @@ them — must not leave memory, the allocator and the media disagreeing:
   as they were, so the delete can simply be retried;
 * a trimming commit whose superblock write fails takes back the
   commit and every victim's delete together, and a victim that fails
-  to stage is taken back alone while the victims before it still flip.
+  to stage is taken back alone while the victims before it still flip;
+* near a full device, where the victims' child metadata leaves the
+  flip no room, victims are taken back newest first: a trimming
+  commit that fits without its trim still commits, and a trim with
+  room for one victim reclaims it and then the rest.
 """
 
 import pytest
@@ -347,4 +351,82 @@ def test_retain_last_keeps_the_victims_staged_before_a_failed_one():
     assert scrub(store).ok
     assert store.retain_last(9, 1) > 0
     assert list(store.checkpoints) == [newest.ckpt_id]
+    assert scrub(store).ok
+
+
+# -- near a full device ---------------------------------------------------------------
+
+
+def _tail_needed(action):
+    """Bytes of the device's tail ``action(store, infos)`` allocates on
+    a fresh :func:`_three_checkpoints` store whose free list is held:
+    what it needs when nothing else is free."""
+    _machine, store, infos = _three_checkpoints()
+    held = _hold_all_but(store, 1 * MiB)
+    cursor = store.alloc.cursor
+    action(store, infos)
+    _release(store, held)
+    return store.alloc.cursor - cursor
+
+
+def _commit_alone(store, infos):
+    _commit(store, 3, parent=infos[-1].ckpt_id)
+
+
+def _delete_first(store, infos):
+    store.delete_checkpoint(infos[0].ckpt_id)
+
+
+def test_a_trimming_commit_with_no_room_for_its_trim_still_commits():
+    """The tail holds what the commit needs without its trim: the
+    victims' child metadata leaves the flip no room, so both victims
+    are taken back, the commit stands alone, and the next commit with
+    room trims all three."""
+    room = _tail_needed(_commit_alone)
+    assert room < _tail_needed(lambda store, infos: _trimming_commit(
+        store, infos))
+    _machine, store, infos = _three_checkpoints()
+    held = _hold_all_but(store, room)
+    newest = _trimming_commit(store, infos)
+    assert [info.ckpt_id for info in store.checkpoints_for(9)] == \
+        [info.ckpt_id for info in infos] + [newest.ckpt_id]
+    assert infos[1].parent == infos[0].ckpt_id
+    _release(store, held)
+    assert scrub(store).ok
+
+    txn = store.begin_checkpoint(group_id=9, parent=newest.ckpt_id)
+    txn.put_pages(MEM_OID, page_runs({4: Page(data=b"page 4")}))
+    latest = store.commit(txn, sync=True, keep=2)
+    assert [info.ckpt_id for info in store.checkpoints_for(9)] == \
+        [newest.ckpt_id, latest.ckpt_id]
+    assert scrub(store).ok
+
+
+def test_retain_last_with_room_for_one_victim_reclaims_them_all():
+    """The tail holds what one victim's delete needs: the flip of all
+    three has no room, so it sheds victims down to the first, whose
+    flip frees room for the rest in the next."""
+    room = _tail_needed(_delete_first)
+    _machine, store, infos = _three_checkpoints()
+    newest = _commit(store, 3, parent=infos[-1].ckpt_id)
+    held = _hold_all_but(store, room)
+    assert store.retain_last(9, 1) > 0
+    assert list(store.checkpoints) == [newest.ckpt_id]
+    assert newest.parent is None
+    _release(store, held)
+    assert scrub(store).ok
+
+
+def test_retain_last_with_no_room_for_one_victim_takes_it_back():
+    """Less room than one victim's delete needs: nothing flips, the
+    store is as it was."""
+    room = _tail_needed(_delete_first)
+    _machine, store, infos = _three_checkpoints()
+    _commit(store, 3, parent=infos[-1].ckpt_id)
+    held = _hold_all_but(store, room - 4096)
+    before = _store_state(store)
+    with pytest.raises(StoreFull):
+        store.retain_last(9, 1)
+    assert _store_state(store) == before
+    _release(store, held)
     assert scrub(store).ok
