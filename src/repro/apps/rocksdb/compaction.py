@@ -149,7 +149,3 @@ class LevelSet:
         for table in source_tables + overlapping:
             self.kernel.vfs.unlink(table.path)
         self.compactions += 1
-
-    def total_tables(self) -> int:
-        """Tables across all levels."""
-        return sum(len(tables) for tables in self.levels.values())

@@ -180,9 +180,9 @@ class Orchestrator:
     def _emergency_gc(self, group: ConsistencyGroup) -> int:
         """ENOSPC pressure valve: merge away the older half of the
         group's history (WAFL-style deletes free COW blocks), oldest
-        first, in one flip or, when that has no room, in as many as the
-        space each frees allows; a delete that fails to stage is taken
-        back alone and ends the run (the next probe retries it)."""
+        first, in one flip or, when that fails, in as many as shedding
+        the newest victims takes; the run ends only when not one victim
+        can flip (the next probe retries it)."""
         chain = self.store.checkpoints_for(group.group_id,
                                            include_partial=True)
         if not chain:

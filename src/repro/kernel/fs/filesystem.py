@@ -91,9 +91,3 @@ class MemFS(Filesystem):
 
     fs_type = "memfs"
 
-    def crash_wipe(self) -> None:
-        """A reboot empties a memory filesystem."""
-        self._vnodes.clear()
-        self._next_inode = 2
-        self.root = self._make_vnode(VDIR, inode=1)
-        self.root.link_count = 1

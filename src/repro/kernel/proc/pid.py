@@ -50,10 +50,6 @@ class PIDAllocator:
         """Return an ID to the pool."""
         self._in_use.discard(pid)
 
-    def in_use(self, pid: int) -> bool:
-        """True while the ID is allocated or reserved."""
-        return pid in self._in_use
-
 
 class IDVirtualization:
     """Local (checkpoint-time) ↔ global (runtime) ID mapping.
@@ -74,12 +70,6 @@ class IDVirtualization:
             raise InvalidArgument(f"global id {global_id} already bound")
         self._local_to_global[local_id] = global_id
         self._global_to_local[global_id] = local_id
-
-    def unbind_global(self, global_id: int) -> None:
-        """Forget the pair addressed by its global id."""
-        local = self._global_to_local.pop(global_id, None)
-        if local is not None:
-            self._local_to_global.pop(local, None)
 
     def to_global(self, local_id: int) -> int:
         """Local -> global (identity when unbound)."""

@@ -102,13 +102,6 @@ class Process(KObject):
         self.main_thread.signals.post(signo)
         self.mark_dirty()
 
-    def dispatch_signals(self) -> List[int]:
-        """Run handlers for every deliverable pending signal."""
-        delivered = []
-        for thread in self.threads:
-            delivered.extend(thread.signals.dispatch())
-        return delivered
-
     # -- fork / exit / wait -----------------------------------------------------------
 
     def fork(self, name: str = "") -> "Process":

@@ -25,17 +25,6 @@ SIGSLSRESTORE = 33
 
 UNMASKABLE = frozenset({SIGKILL, SIGSTOP})
 
-_NAMES = {
-    SIGINT: "SIGINT", SIGKILL: "SIGKILL", SIGUSR1: "SIGUSR1",
-    SIGUSR2: "SIGUSR2", SIGTERM: "SIGTERM", SIGCHLD: "SIGCHLD",
-    SIGSTOP: "SIGSTOP", SIGCONT: "SIGCONT", SIGSLSRESTORE: "SIGSLSRESTORE",
-}
-
-
-def signame(signo: int) -> str:
-    """Human-readable name of a signal number."""
-    return _NAMES.get(signo, f"SIG{signo}")
-
 
 class SignalState:
     """Per-thread signal mask, pending set and handlers."""

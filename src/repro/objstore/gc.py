@@ -4,8 +4,8 @@ Deleting the oldest checkpoint of a group *transfers* the pieces of
 its delta that are still visible through younger checkpoints, then
 frees whatever nothing references.  There is no log cleaner and no
 background compaction, and a delete's device IO is proportional to
-the deleted delta, never to store size: it reads no payload and
-writes only the children's metadata.  Its host time is
+the deleted delta, never to store size: it reads no payload, and its
+flip writes only the surviving children's metadata.  Its host time is
 O(victim extents + OIDs of the record extents that changed): a record
 index is a table of per-extent entries, an entry a child keeps whole
 is shared with its encoding, and only one that lost OIDs is rebuilt.
@@ -24,21 +24,23 @@ in its parent's group, so the group is where an adopter can be).
 Records for OIDs no surviving checkpoint's live set can reach are
 dropped from the index outright.
 
-A delete has no flip of its own: it is staged into a store transaction
-(:class:`~repro.objstore.store.Flip`) — the commit that takes a group
-past its history limit, or one with no new checkpoint — whose one flip
-drops every victim.  Release is deferred (the rule the crash-schedule
-sweep holds GC to): nothing the durable superblock can reach — the
-victim's extents and metadata record, each child's previous metadata
-record — is discarded or handed back to the allocator before that
-flip has landed.  A child's metadata goes through the store's retry
-policy, as a commit's does, and a failure short of a crash takes the
-delete back with the transaction's rollback.
+A delete has no flip and does no IO of its own: it is staged into a
+store transaction (:class:`~repro.objstore.store.Flip`) — the commit
+that takes a group past its history limit, or one with no new
+checkpoint — and marks each adopting child on ``Flip.rewrite``.  The
+one flip writes one metadata record per marked checkpoint still in
+the catalog, so a child that is itself a later victim of the same
+flip is never written, and drops every victim.  Release is deferred
+(the rule the crash-schedule sweep holds GC to): nothing the durable
+superblock can reach — the victim's extents and metadata record, each
+child's previous metadata record — is discarded or handed back to the
+allocator before that flip has landed.  A failure short of a crash
+before the superblock lands takes back the newest staged victim and
+the flip is tried again (``ObjectStore._stage_and_flip``).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Any, List, Optional, Set
 
 from ..core import events, telemetry
@@ -77,51 +79,19 @@ def _subtree_needed(store: Any, child: CheckpointInfo) -> Optional[Set[int]]:
     return needed
 
 
-def _unreference_victim(store: Any, info: CheckpointInfo, flip: Any,
-                        truncated: bool) -> int:
-    """Drop ``info`` from the catalog and release, counted once the flip
-    lands, each of its owned extents no other checkpoint of its group
-    lists (its adopters have listed theirs by now), in
-    ``owned_extents`` order, then its metadata record — so a pure
-    OS-state delta's reclaimed bytes do not read zero.  Returns the
-    bytes released."""
-    held = {offset for other in store.checkpoints.values()
-            if other.group_id == info.group_id and other is not info
-            for offset, _length in other.owned_extents}
-    release = [extent for extent in info.owned_extents
-               if extent[0] not in held]
-    if info.meta_extent is not None:
-        release.append(info.meta_extent)
-    del store.checkpoints[info.ckpt_id]
-    flip.release += release
-    reclaimed = sum(length for _offset, length in release)
-    flip.landed.append(functools.partial(_reclaimed, store, info, reclaimed,
-                                         truncated))
-    return reclaimed
-
-
-def _reclaimed(store: Any, info: CheckpointInfo, reclaimed: int,
-               truncated: bool) -> None:
-    store.stats["reclaimed_bytes"] += reclaimed
-    events.emit(store.clock.now(), events.GC_RECLAIM, group=info.group_id,
-                ckpt=info.ckpt_id, bytes=reclaimed,
-                **({"truncated": True} if truncated else {}))
-
-
 def delete_checkpoint(store: Any, ckpt_id: int, flip: Any,
-                      truncate: bool = False) -> int:
-    """Stage deleting one checkpoint into ``flip``; returns the bytes
-    the flip reclaims.
+                      truncate: bool = False) -> None:
+    """Stage deleting one checkpoint into ``flip``.
 
     Only a chain head (a checkpoint whose parent is already deleted or
     never existed) may be removed, mirroring how snapshot stores
-    reclaim history from the old end.  The children adopt and their
-    metadata is rewritten here; the flip that drops the victim is the
-    caller's.  With ``truncate`` the victim comes from the *new* end
-    instead and must have no children, so nothing is forwarded: quorum
-    recovery discards a replica's non-quorum tail this way
-    (Aurora-style truncation of writes that never reached the write
-    quorum).
+    reclaim history from the old end.  The children adopt here, with no
+    IO, and go on ``flip.rewrite``: the flip that writes their metadata
+    and drops the victim is the caller's.  With ``truncate`` the victim
+    comes from the *new* end instead and must have no children, so
+    nothing is forwarded: quorum recovery discards a replica's
+    non-quorum tail this way (Aurora-style truncation of writes that
+    never reached the write quorum).
     """
     info = store.get_checkpoint(ckpt_id)
     children = _children_of(store, ckpt_id)
@@ -133,14 +103,14 @@ def delete_checkpoint(store: Any, ckpt_id: int, flip: Any,
         raise InvalidArgument(
             f"checkpoint {ckpt_id} still has ancestor {info.parent}; "
             f"delete from the old end of the chain")
-    registry = telemetry.registry()
     # Transfer still-visible state into each child delta.
+    forwarded = dropped = 0
     for child in children:
         needed = _subtree_needed(store, child)
         # Each field is replaced, never edited, so a rollback puts the
         # old values back (and never touches a shared record entry).
-        flip.save(child, "parent", "meta_extent", "owned_extents",
-                  "pages", "object_records")
+        flip.save(child, "parent", "owned_extents", "pages",
+                  "object_records")
         # Pages the child never overwrote are adopted by overlay; the
         # child then owns every victim extent its table points into.
         child.pages = dict(child.pages)
@@ -154,7 +124,6 @@ def delete_checkpoint(store: Any, ckpt_id: int, flip: Any,
         # shared if it lost none, left out if all, else rebuilt.
         rewritten = set(child.object_records)
         entries = list(child.object_records.entries)
-        forwarded = dropped = 0
         for entry in info.object_records.entries:
             gone = entry.oid_set & rewritten
             if needed is not None:
@@ -172,22 +141,35 @@ def delete_checkpoint(store: Any, ckpt_id: int, flip: Any,
         child.owned_extents = child.owned_extents + [
             extent for extent in info.owned_extents if extent[0] in adopted]
         child.parent = info.parent
-        # Counted once the flip has landed: a retried delete counts once.
-        flip.landed += [
-            functools.partial(registry.counter(
-                "sls.store.gc.records_forwarded", group=info.group_id).add,
-                forwarded),
-            functools.partial(registry.counter(
-                "sls.store.gc.records_dropped", group=info.group_id).add,
-                dropped)]
+        # Adopted state and a new parent: the flip writes its metadata.
+        flip.rewrite.append(child)
 
-    # What no other checkpoint lists goes once the flip lands.
-    reclaimed = _unreference_victim(store, info, flip, truncate)
-    # Children metadata changed (adopted state, new parent): rewrite
-    # their meta records COW-style; the flip makes them current.
-    for child in children:
-        new_extent = store._write_meta(child, flip)
-        if child.meta_extent is not None:
-            flip.release.append(child.meta_extent)
-        child.meta_extent = new_extent
-    return reclaimed
+    # The flip drops the victim and unreferences each of its extents no
+    # other checkpoint of its group lists (its adopters list theirs by
+    # now), in ``owned_extents`` order, then its metadata record — so a
+    # pure OS-state delta's reclaimed bytes do not read zero.
+    held = {offset for other in store.checkpoints.values()
+            if other.group_id == info.group_id and other is not info
+            for offset, _length in other.owned_extents}
+    release = [extent for extent in info.owned_extents
+               if extent[0] not in held]
+    if info.meta_extent is not None:
+        release.append(info.meta_extent)
+    del store.checkpoints[ckpt_id]
+    flip.release += release
+    reclaimed = sum(length for _offset, length in release)
+
+    def landed() -> None:
+        # Counted once the flip has landed: a retried delete counts once.
+        if children:
+            registry = telemetry.registry()
+            registry.counter("sls.store.gc.records_forwarded",
+                             group=info.group_id).add(forwarded)
+            registry.counter("sls.store.gc.records_dropped",
+                             group=info.group_id).add(dropped)
+        store.stats["reclaimed_bytes"] += reclaimed
+        events.emit(store.clock.now(), events.GC_RECLAIM,
+                    group=info.group_id, ckpt=ckpt_id, bytes=reclaimed,
+                    **({"truncated": True} if truncate else {}))
+
+    flip.landed.append(landed)

@@ -32,7 +32,7 @@ from ..core.resilience import RetryPolicy
 from ..core.runs import LocatorRun, append_locator_run, splice
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
-                      StoreError, StoreFull)
+                      StoreError)
 from ..hw.memory import Page
 from ..hw.nvme import Payload, StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
@@ -64,20 +64,23 @@ class Flip:
     (order included) and the allocator are saved when it opens, any
     other change is recorded in ``undo`` as it is made, and as a context
     manager a failure short of a crash before the superblock write
-    lands takes all of it back.  ``release`` lists the extents the flip
-    unreferences, ``landed`` what to run once it has landed; a
-    :meth:`savepoint` lets one GC victim be taken back alone."""
+    lands takes all of it back.  The flip writes the metadata of the
+    checkpoints on ``rewrite``, unreferences the extents on ``release``
+    and runs ``landed`` once it has landed; a :meth:`savepoint` lets
+    the newest GC victims be taken back."""
 
     def __init__(self, store: "ObjectStore") -> None:
         self.store = store
+        self.rewrite: List[CheckpointInfo] = []
         self.release: List[Tuple[int, int]] = []
         self.landed: List[Callable[[], None]] = []
         self.undo: List[Callable[[], None]] = []
         self._start = self.savepoint()
 
     def savepoint(self) -> Tuple[Any, ...]:
-        return (len(self.undo), len(self.release), len(self.landed),
-                dict(self.store.checkpoints), self.store.alloc.snapshot())
+        return (len(self.undo), len(self.rewrite), len(self.release),
+                len(self.landed), dict(self.store.checkpoints),
+                self.store.alloc.snapshot())
 
     def save(self, obj: Any, *names: str) -> None:
         """Put ``obj``'s ``names`` back as they are now on a rollback:
@@ -88,10 +91,12 @@ class Flip:
     def rollback(self, mark: Optional[Tuple[Any, ...]] = None) -> None:
         """Take back, newest first, what was staged since ``mark`` (by
         default, since the transaction opened)."""
-        undo, release, landed, checkpoints, alloc = mark or self._start
+        undo, rewrite, release, landed, checkpoints, alloc = \
+            mark or self._start
         while len(self.undo) > undo:
             self.undo.pop()()
-        del self.release[release:], self.landed[landed:]
+        del self.rewrite[rewrite:], self.release[release:], \
+            self.landed[landed:]
         self.store.checkpoints.clear()
         self.store.checkpoints.update(checkpoints)
         self.store.alloc.restore(alloc)
@@ -426,32 +431,20 @@ class ObjectStore:
                         group=txn.info.group_id, ckpt=txn.info.ckpt_id,
                         bytes=txn.info.data_bytes)
 
-    def _write_meta(self, info: CheckpointInfo, flip: Flip) -> Tuple[int, int]:
-        """Write ``info``'s metadata record to a fresh extent through
-        the retry policy; returns the extent, which ``flip`` discards if
-        it rolls back.  The commit and GC's child rewrite both write
-        through here."""
-        payload = records.encode(records.REC_CKPT_META, info.encode_meta())
-        extent = self.alloc.alloc(len(payload))
-        flip.undo.append(functools.partial(self.device.discard_extent, extent))
-        self.retry.run(lambda: self.device.write(extent, payload),
-                       op="store.meta")
-        return extent, len(payload)
-
     def _finalize_commit_inner(self, txn: CheckpointTxn,
                                keep: Optional[int]) -> None:
-        """One transaction: the checkpoint's metadata, the rewritten
-        metadata of the children of each victim past ``keep`` (oldest
-        first), then the one flip that adds it and drops them.  Victims
-        that fail to stage or leave the flip no room wait for the next
-        trim (:meth:`_stage_and_flip`).  A checkpoint that adopts from a
-        victim (``keep`` 1) has its metadata written twice: the first
-        stays valid if the adoption is taken back, so the commit stands."""
+        """One transaction: the checkpoint and the deletes of its
+        group's victims past ``keep`` (oldest first) are staged, and one
+        flip writes its metadata and each surviving adopter's, once
+        each, adds it and drops them.  A flip that fails short of a
+        crash sheds its newest victim and flips again, down to the
+        commit alone: a trim never costs its commit
+        (:meth:`_stage_and_flip`)."""
         info = txn.info
         with Flip(self) as flip:
             # A flip that never lands leaves the checkpoint uncommitted.
-            flip.save(info, "complete", "meta_extent")
-            info.meta_extent = self._write_meta(info, flip)
+            flip.save(info, "complete")
+            flip.rewrite.append(info)
             info.complete = True
             self._pending_commits.pop(info.ckpt_id, None)
             self.checkpoints[info.ckpt_id] = info
@@ -601,22 +594,39 @@ class ObjectStore:
     def _write_catalog_and_superblock(
             self, flip: Flip,
             pending: Optional[Dict[str, Any]] = None) -> None:
-        """Write a new catalog and flip the superblock to it — the one
-        place a superblock is flipped, ending ``flip``'s transaction.
+        """Write one metadata record for each checkpoint on
+        ``flip.rewrite`` still in the catalog (in marking order), a new
+        catalog, and flip the superblock to it — the one place a
+        metadata record is written or a superblock flipped, ending
+        ``flip``'s transaction.
 
-        ``flip.release`` is what this flip unreferences.  The superblock
-        still on media can reach it, so it goes back to the allocator
-        only after every allocation of this flip has been made (none can
-        land on it), in time for the free list the new superblock
-        carries, and is discarded once the flip has landed.  No store
-        field changes before then; a failure at any step before the
-        superblock write lands rolls ``flip`` back, this flip's catalog
-        and flight record included, so the next flip goes to the right
-        slot and nothing leaks.
+        A rewritten checkpoint's previous record joins ``flip.release``,
+        what this flip unreferences.  The superblock still on media can
+        reach it, so it goes back to the allocator only after every
+        allocation of this flip has been made (none can land on it), in
+        time for the free list the new superblock carries, and is
+        discarded once the flip has landed.  A failure at any step
+        before the superblock write lands rolls ``flip`` back, this
+        flip's records, catalog and flight record included, so the next
+        flip goes to the right slot and nothing leaks.
 
         The catalog is one entry per complete checkpoint, each encoded
         once per metadata extent (:meth:`CheckpointInfo.catalog_entry`).
         """
+        for info in dict.fromkeys(flip.rewrite):
+            if info.ckpt_id not in self.checkpoints:
+                continue
+            payload = records.encode(records.REC_CKPT_META,
+                                     info.encode_meta())
+            extent = self.alloc.alloc(len(payload))
+            flip.undo.append(functools.partial(self.device.discard_extent,
+                                               extent))
+            self.retry.run(lambda: self.device.write(extent, payload),
+                           op="store.meta")
+            flip.save(info, "meta_extent")
+            if info.meta_extent is not None:
+                flip.release.append(info.meta_extent)
+            info.meta_extent = (extent, len(payload))
         generation = self._generation + 1
         catalog = records.encode(records.REC_CATALOG, {"checkpoints": {
             str(ckpt_id): info.catalog_entry()
@@ -913,67 +923,50 @@ class ObjectStore:
     def _delete(self, victims: Sequence[CheckpointInfo],
                 truncate: bool = False) -> int:
         """A trim with no new checkpoint, one GC trace unless it
-        truncates: a flip drops ``victims`` up to the first that fails
-        to stage, whose error then propagates, and those it had no room
-        for go in the next.  Returns bytes reclaimed."""
+        truncates: flips of what :meth:`_stage_and_flip` keeps of
+        ``victims`` until none is left, so an error surfaces only when
+        not one victim can flip.  Returns bytes reclaimed."""
         self._require_mounted()
         if not victims:
             return 0
         head = victims[0]
-        reclaimed = 0
+        before = self.stats["reclaimed_bytes"]
         with (contextlib.nullcontext() if truncate else tracing.trace(
                 self.clock, tracing.GC, group=head.group_id,
                 ckpt=head.ckpt_id)) as trace_obj:
             while victims:
                 with Flip(self) as flip:
-                    done, got, error = self._stage_and_flip(flip, victims,
-                                                            truncate)
-                reclaimed += got
-                if error is not None:
-                    raise error
+                    done = self._stage_and_flip(flip, victims, truncate)
                 victims = victims[done:]
             if trace_obj is not None:
                 trace_obj.complete = True
-        return reclaimed
+        return self.stats["reclaimed_bytes"] - before
 
     def _stage_and_flip(self, flip: Flip, victims: Sequence[CheckpointInfo],
                         truncate: bool = False,
-                        pending: Optional[Dict[str, Any]] = None
-                        ) -> Tuple[int, int, Optional[ReproError]]:
+                        pending: Optional[Dict[str, Any]] = None) -> int:
         """Stage ``victims``' deletes into ``flip`` oldest first (each is
-        a chain head once those before it are gone) and flip it, with
-        the checkpoint ``pending`` names if any.  A victim that fails to
-        stage short of a crash is taken back alone and ends the run.
-        Victims' extents come free only after the flip, so when their
-        children's metadata leaves it no room the newest staged victim
-        is taken back and the flip retried, down to the commit alone or
-        one victim.  Returns the victims flipped, the bytes they
-        reclaim and the staging failure."""
-        staged: List[Tuple[Tuple[Any, ...], int]] = []
-        error: Optional[ReproError] = None
+        a chain head once those before it are gone), which does no IO,
+        and flip it with the checkpoint ``pending`` names if any.  Any
+        failure short of a crash before the superblock lands takes back
+        the newest staged victim and flips again, down to the commit
+        alone or, with no new checkpoint, one victim; past that it
+        propagates.  Returns how many victims flipped."""
+        marks = []
         for victim in victims:
-            mark = flip.savepoint()
-            try:
-                staged.append((mark, gc_mod.delete_checkpoint(
-                    self, victim.ckpt_id, flip, truncate)))
-            except (InjectedCrash, MachineCrashed):
-                raise
-            except ReproError as exc:
-                flip.rollback(mark)
-                error = exc
-                break
+            marks.append(flip.savepoint())
+            gc_mod.delete_checkpoint(self, victim.ckpt_id, flip, truncate)
         # The least a flip may keep: the commit alone, else one victim.
         least = 0 if pending is not None else 1
-        if len(staged) < least:
-            return 0, 0, error
         while True:
             try:
                 self._write_catalog_and_superblock(flip, pending)
-                return len(staged), sum(got for _mark, got in staged), error
-            except StoreFull:
-                if len(staged) <= least:
+                return len(marks)
+            except ReproError as exc:
+                if len(marks) <= least or isinstance(
+                        exc, (InjectedCrash, MachineCrashed)):
                     raise
-                flip.rollback(staged.pop()[0])
+                flip.rollback(marks.pop())
 
     # -- journals -------------------------------------------------------------------------------------
 

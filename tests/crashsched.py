@@ -130,9 +130,8 @@ def boot_counter(history_limit: Optional[int] = None) -> Run:
     """A single-process app: ``V1`` made durable by a sync checkpoint,
     then the heap dirtied to ``V2``.  With ``history_limit=1`` the
     ``V2`` checkpoint's commit deletes ``V1``: the ``V2`` checkpoint
-    adopts ``V1``'s extents, so its metadata is written a second time
-    after its first write, and one flip adds ``V2`` and drops
-    ``V1``."""
+    adopts ``V1``'s extents before its metadata is written, once, and
+    one flip adds ``V2`` and drops ``V1``."""
     machine, sls, proc, addr = _app()
     _fill(proc, addr, V1)
     group = sls.attach(proc, periodic=False, history_limit=history_limit)
@@ -153,6 +152,21 @@ def boot_history() -> Run:
     sls.checkpoint(group, name="v0", sync=True)
     _fill(proc, addr, V1)
     sls.checkpoint(group, name="v1", sync=True)
+    _fill(proc, addr, V2)
+    return Run(machine, sls, group, proc, addr)
+
+
+def boot_chain() -> Run:
+    """Three checkpoints with no history limit, the last ``V1``, then
+    ``history_limit`` 1: the ``V2`` checkpoint's commit deletes all
+    three in one flip.  Each victim's child adopts in turn, and only
+    the survivor's metadata — ``V2``'s own — is written."""
+    machine, sls, proc, addr = _app()
+    group = sls.attach(proc, periodic=False)
+    for name in ("va", "vb", "v1"):
+        _fill(proc, addr, b"aurora-crashsched-" + name.encode())
+        sls.checkpoint(group, name=name, sync=True)
+    group.history_limit = 1
     _fill(proc, addr, V2)
     return Run(machine, sls, group, proc, addr)
 
@@ -581,6 +595,8 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
     Workload("gc", functools.partial(boot_counter, history_limit=1),
              checkpoint_v2, IO, _WRITE, commit_flip, restore_counter),
     Workload("gc2", boot_history, checkpoint_v2, IO, _WRITE, commit_flip,
+             restore_counter),
+    Workload("gc3", boot_chain, checkpoint_v2, IO, _WRITE, commit_flip,
              restore_counter),
     Workload("cluster", boot_cluster, replicate_v2, REPL, _QUORUM,
              quorum_flip, recover_cluster),

@@ -164,22 +164,36 @@ def gc2_schedule(gc2_explorer):
     return gc2_explorer.probe()
 
 
-#: IOs a trimming commit writes after its own metadata: one child's
-#: rewritten metadata, the catalog and the superblock.
+@pytest.fixture(scope="module")
+def gc3_explorer():
+    """Explorer whose probed checkpoint deletes three ancestors in one
+    flip: two adopters are victims of the same flip."""
+    return Explorer(WORKLOADS["gc3"])
+
+
+@pytest.fixture(scope="module")
+def gc3_schedule(gc3_explorer):
+    return gc3_explorer.probe()
+
+
+#: The last IOs of a trimming commit: the surviving adopter's metadata
+#: (the commit's own in ``gc`` and ``gc3``), the catalog and the
+#: superblock.
 TRIM_TAIL = 3
 
 
-def test_a_trimming_commit_flips_once(gc_schedule, gc2_schedule):
+def test_a_trimming_commit_flips_once(gc_schedule, gc2_schedule,
+                                      gc3_schedule):
     """A history-limited checkpoint's commit is one transaction: the
-    victim's child metadata is written before the one flip, which is
-    the schedule's last IO."""
-    for schedule in (gc_schedule, gc2_schedule):
+    surviving adopter's metadata is written before the one flip, which
+    is the schedule's last IO."""
+    for schedule in (gc_schedule, gc2_schedule, gc3_schedule):
         flips = superblock_flips(schedule.entries(IO))
         assert flips == [schedule.flip] == [len(schedule.entries(IO)) - 1]
 
 
 def _sweep_trim_tail(explorer, schedule):
-    """Every IO from the first child-metadata write through the flip,
+    """Every IO from the adopter's metadata write through the flip,
     plus the stage boundaries after it.  Nothing the durable superblock
     reaches may be gone before the flip that unreferences it lands."""
     points = schedule.points(IO)[-TRIM_TAIL:]
@@ -203,12 +217,22 @@ def test_crash_during_a_grandparent_trim_restores_the_committed_checkpoint(
     _sweep_trim_tail(gc2_explorer, gc2_schedule)
 
 
+def test_crash_during_a_three_victim_trim_restores_the_committed_checkpoint(
+        gc3_explorer, gc3_schedule):
+    """Tier-1 slice of ``gc3``: three victims, one adopter written."""
+    run = gc3_explorer.workload.boot()
+    assert len(run.sls.store.checkpoints_for(run.gid)) == 3
+    gc3_explorer.workload.action(run)
+    assert len(run.sls.store.checkpoints_for(run.gid)) == 1
+    _sweep_trim_tail(gc3_explorer, gc3_schedule)
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("name", ["gc", "gc2"])
+@pytest.mark.parametrize("name", ["gc", "gc2", "gc3"])
 def test_exhaustive_gc_crash_schedule_sweep(name, request):
     """Every stage boundary and every IO index of a checkpoint whose
-    commit garbage-collects its parent (``gc``) or grandparent
-    (``gc2``)."""
+    commit garbage-collects its parent (``gc``), its grandparent
+    (``gc2``) or its three ancestors (``gc3``)."""
     explorer = request.getfixturevalue(f"{name}_explorer")
     schedule = request.getfixturevalue(f"{name}_schedule")
     points = schedule.points(STAGE) + schedule.points(IO)
@@ -761,8 +785,9 @@ def test_exhaustive_pressure_crash_schedule_sweep(pressure_explorer,
 PROBED = {
     "counter": ((6, 9, 0, 0), 5),
     "incremental": ((6, 9, 0, 0), 5),
-    "gc": ((7, 9, 0, 0), 6),
+    "gc": ((6, 9, 0, 0), 5),
     "gc2": ((7, 9, 0, 0), 6),
+    "gc3": ((6, 9, 0, 0), 5),
     "cluster": ((6, 9, 177, 0), 12),
     "skewed": ((6, 9, 177, 0), 15),
     "fenced": ((8, 9, 73, 0), None),
@@ -772,10 +797,11 @@ PROBED = {
 
 
 def test_every_probed_schedule_keeps_its_size(
-        schedule, incr_schedule, gc_schedule, gc2_schedule, cluster_schedule,
-        skewed_schedule, fenced_schedule, pressure_schedule, fleet_schedule):
+        schedule, incr_schedule, gc_schedule, gc2_schedule, gc3_schedule,
+        cluster_schedule, skewed_schedule, fenced_schedule, pressure_schedule,
+        fleet_schedule):
     probed = dict(zip(PROBED, (
-        schedule, incr_schedule, gc_schedule, gc2_schedule,
+        schedule, incr_schedule, gc_schedule, gc2_schedule, gc3_schedule,
         cluster_schedule, skewed_schedule, fenced_schedule,
         pressure_schedule, fleet_schedule)))
     assert {name: (tuple(len(probe.entries(domain))

@@ -2,10 +2,12 @@
 it was.
 
 A transaction — a commit, a GC delete, or a commit that also trims its
-group's history — ends in exactly one superblock flip, and its one
-rollback (``store.Flip``) takes back whatever it staged.  Failure
-paths that do not crash the machine — the fleet keeps running after
-them — must not leave memory, the allocator and the media disagreeing:
+group's history — ends in exactly one superblock flip, which writes
+one metadata record per checkpoint it changed that survives it, and
+its one rollback (``store.Flip``) takes back whatever it staged.
+Failure paths that do not crash the machine — the fleet keeps running
+after them — must not leave memory, the allocator and the media
+disagreeing:
 
 * a commit whose flip fails after writing its catalog (the flight
   record's 64 KiB no longer fits) must not move the superblock slot
@@ -14,22 +16,26 @@ them — must not leave memory, the allocator and the media disagreeing:
   superblock write fails must keep the victim, every child's
   metadata, each extent's owners, the allocator and the scrub verdict
   as they were, so the delete can simply be retried;
-* a trimming commit whose superblock write fails takes back the
-  commit and every victim's delete together, and a victim that fails
-  to stage is taken back alone while the victims before it still flip;
-* near a full device, where the victims' child metadata leaves the
-  flip no room, victims are taken back newest first: a trimming
-  commit that fits without its trim still commits, and a trim with
-  room for one victim reclaims it and then the rest.
+* one rule covers every other failure before the superblock lands:
+  the newest staged victim is taken back and the flip tried again,
+  down to the commit alone or one victim.  A trimming commit whose
+  flip keeps failing lands alone, a trim of several victims flips the
+  older ones and then the rest, and near a full device, where the
+  victims' child metadata leaves the flip no room, a trimming commit
+  that fits without its trim still commits and a trim with room for
+  one victim reclaims it and then the rest;
+* no victim's metadata is written in the flip that drops it, and no
+  checkpoint's twice in one flip.
 """
 
 import pytest
 
 from repro.core import resilience
 from repro.core.faults import FaultPlan, InjectedCrash
-from repro.errors import NoSpace, RetriesExhausted, StoreFull
+from repro.errors import NoSpace, StoreFull
 from repro.hw.memory import Page
 from repro.machine import Machine
+from repro import serde
 from repro.objstore import records
 from repro.objstore.oid import CLASS_MEMORY, CLASS_POSIX, make_oid
 from repro.objstore.scrub import scrub
@@ -263,16 +269,34 @@ def _superblock_writes(monkeypatch, store):
     return slots
 
 
-def _trimming_commit(store, infos, plan=None, machine=None):
+def _meta_writes(monkeypatch, store):
+    """The checkpoint id of each metadata record ``store`` writes from
+    now on, once its write has landed."""
+    written = []
+    write = store.device.write
+
+    def spy(offset, payload, *args, **kwargs):
+        landed = write(offset, payload, *args, **kwargs)
+        document = serde.loads(payload)
+        if document["kind"] == records.REC_CKPT_META:
+            written.append(document["body"]["ckpt_id"])
+        return landed
+
+    monkeypatch.setattr(store.device, "write", spy)
+    return written
+
+
+def _trimming_commit(store, infos, plan=None, machine=None, keep=2):
     """A fourth checkpoint of :func:`_three_checkpoints`' chain whose
-    commit keeps two: it deletes the first two, whose children (the
-    second and third checkpoints) adopt.  ``plan`` is set for it."""
+    commit keeps ``keep``: by default it deletes the first two, whose
+    children (the second and third checkpoints) adopt.  ``plan`` is
+    set for it."""
     if plan is not None:
         machine.set_fault_plan(plan)
     txn = store.begin_checkpoint(group_id=9, parent=infos[-1].ckpt_id)
     txn.put_pages(MEM_OID, page_runs({3: Page(data=b"page 3")}))
     try:
-        return store.commit(txn, sync=True, keep=2)
+        return store.commit(txn, sync=True, keep=keep)
     finally:
         if plan is not None:
             machine.clear_fault_plan()
@@ -300,28 +324,28 @@ def test_retain_last_over_three_victims_writes_one_superblock(monkeypatch):
     assert scrub(store).ok
 
 
-def test_a_trimming_commit_whose_flip_fails_takes_back_every_victim():
-    """The superblock write fails past its retries: the commit, both
-    victims' deletes, every child's fields and the allocator are taken
-    back together, and the retried commit writes the children's
-    metadata bytes a commit that never failed writes."""
-    def run(fail):
-        machine, store, infos = _three_checkpoints()
-        before = _store_state(store)
-        if fail:
-            plan = FaultPlan(name="sb").transient_at_io(
-                _probe_trimming_commit(),
-                times=resilience.DEFAULT_MAX_ATTEMPTS)
-            with pytest.raises(RetriesExhausted):
-                _trimming_commit(store, infos, plan, machine)
-            assert plan.fired
-            assert _store_state(store) == before
-        _trimming_commit(store, infos)
-        assert scrub(store).ok
-        return [store.device.read(info.meta_extent[0])
-                for info in store.checkpoints_for(9)[:-1]]
+def test_retain_last_over_three_victims_writes_one_metadata_record(
+        monkeypatch):
+    """The second and third checkpoints adopt and are then deleted by
+    the same flip: only the surviving child's record is written."""
+    _machine, store, infos = _three_checkpoints()
+    newest = _commit(store, 3, parent=infos[-1].ckpt_id)
+    written = _meta_writes(monkeypatch, store)
+    store.retain_last(9, 1)
+    assert written == [newest.ckpt_id]
+    assert scrub(store).ok
 
-    assert run(fail=True) == run(fail=False)
+
+def test_a_commit_that_adopts_writes_its_record_once(monkeypatch):
+    """A ``keep`` 1 commit is its victims' last child: its one record
+    is written after the adoption."""
+    _machine, store, infos = _three_checkpoints()
+    written = _meta_writes(monkeypatch, store)
+    newest = _trimming_commit(store, infos, keep=1)
+    assert written == [newest.ckpt_id]
+    assert list(store.checkpoints) == [newest.ckpt_id]
+    assert newest.parent is None
+    assert scrub(store).ok
 
 
 def _probe_trimming_commit():
@@ -332,25 +356,53 @@ def _probe_trimming_commit():
     return probe.io_index - 1
 
 
-def test_retain_last_keeps_the_victims_staged_before_a_failed_one():
-    """The second of three victims' child-metadata write runs out of
-    retries: it is taken back alone, the first is still deleted by the
-    one flip, and the error surfaces."""
+def test_a_trimming_commit_whose_flip_fails_sheds_its_victims_and_lands_alone():
+    """The superblock write runs out of retries, and so does the first
+    write of the flip without the newest victim (a failed write is not
+    logged, so it reuses the index): both victims are taken back, with
+    every child's fields, and the commit lands alone, writing the
+    metadata a commit with no trim writes."""
+    def run(fail):
+        machine, store, infos = _three_checkpoints()
+        before = _store_state(store)
+        if fail:
+            plan = FaultPlan(name="sb").transient_at_io(
+                _probe_trimming_commit(),
+                times=2 * resilience.DEFAULT_MAX_ATTEMPTS)
+            newest = _trimming_commit(store, infos, plan, machine)
+            assert plan.fired
+        else:
+            newest = _trimming_commit(store, infos, keep=None)
+        after = _store_state(store)
+        assert after["checkpoints"] == before["checkpoints"] + [
+            newest.ckpt_id]
+        assert all(after["children"][ckpt_id] == fields
+                   for ckpt_id, fields in before["children"].items())
+        assert scrub(store).ok
+        return store.device.read(newest.meta_extent[0]), store.used_bytes()
+
+    assert run(fail=True) == run(fail=False)
+
+
+def test_retain_last_whose_flip_fails_takes_back_the_newest_victim_first(
+        monkeypatch):
+    """The flip of three victims writes one record, the surviving
+    child's, and it runs out of retries: the newest victim is taken
+    back, the two older ones flip (their survivor, the third
+    checkpoint, is written in the write's place), the next flip takes
+    the third, and no error surfaces."""
     machine, store, infos = _three_checkpoints()
     newest = _commit(store, 3, parent=infos[-1].ckpt_id)
-    # IO 0 is the first victim's child's metadata, IO 1 the second's;
-    # a failed write is not logged, so the catalog write is IO 1 too.
+    written = _meta_writes(monkeypatch, store)
+    slots = _superblock_writes(monkeypatch, store)
     machine.set_fault_plan(FaultPlan(name="meta").transient_at_io(
-        1, times=resilience.DEFAULT_MAX_ATTEMPTS))
-    with pytest.raises(RetriesExhausted):
-        store.retain_last(9, 1)
-    machine.clear_fault_plan()
-    assert [info.ckpt_id for info in store.checkpoints_for(9)] == \
-        [infos[1].ckpt_id, infos[2].ckpt_id, newest.ckpt_id]
-    assert infos[1].parent is None
-    assert scrub(store).ok
+        0, times=resilience.DEFAULT_MAX_ATTEMPTS))
     assert store.retain_last(9, 1) > 0
+    machine.clear_fault_plan()
+    assert written == [infos[2].ckpt_id, newest.ckpt_id]
+    assert len(slots) == 2
     assert list(store.checkpoints) == [newest.ckpt_id]
+    assert newest.parent is None
     assert scrub(store).ok
 
 

@@ -686,9 +686,9 @@ def test_chaos_smoke_retryable_schedules_complete_after_retries():
 
 def _trimming_checkpoint(plan, sync):
     """Two checkpoints of a group that keeps one: the second's
-    completion deletes the first (child metadata, catalog and
-    superblock writes after the commit's own), with ``plan`` set for
-    the second.  Returns the machine, orchestrator, group, process and
+    completion deletes the first, whose child it is, in one flip (its
+    one metadata record, the catalog and the superblock), with
+    ``plan`` set for the second.  Returns the machine, orchestrator, group, process and
     the address written."""
     machine = Machine()
     sls = load_aurora(machine)
@@ -721,13 +721,14 @@ def _restores(machine, group, addr, content):
 @pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
 def test_chaos_gc_transient_at_every_io_keeps_the_commit(sync):
     """One transient write error at each IO of a checkpoint whose
-    commit trims the history, GC's child-metadata write included, is
-    retried away: the checkpoint commits, the old one is deleted, the
+    commit trims the history, the adopting child's metadata write
+    included, is retried away: the checkpoint commits, the old one is deleted, the
     store scrubs clean and a crash restores the new state."""
     probe = FaultPlan(name="count")
     _trimming_checkpoint(probe, sync)
     ios = probe.io_index
-    assert ios >= 6     # the commit's writes, then the delete's three
+    assert ios >= 5     # the data, then the flip's metadata, catalog
+                        # and superblock
     for index in range(ios):
         plan = FaultPlan(name=f"gc-transient-{index}").transient_at_io(index)
         machine, sls, group, _proc, addr = _trimming_checkpoint(plan, sync)
@@ -739,12 +740,15 @@ def test_chaos_gc_transient_at_every_io_keeps_the_commit(sync):
 
 @pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
 def test_chaos_gc_that_exhausts_its_retries_keeps_the_commit(sync):
-    """A delete whose child-metadata write fails past the retry
-    budget takes itself back and leaves the checkpoint that triggered
-    it committed; the next commit's trim deletes what it could not."""
+    """A trimming commit whose one metadata write (the adopter's, its
+    own) fails past the retry budget sheds its victim and flips again,
+    writing its record unadopted: the checkpoint that triggered the
+    trim is committed, and the next commit's trim deletes what it
+    could not."""
     probe = FaultPlan(name="count")
     _trimming_checkpoint(probe, sync)
-    child_meta = probe.io_index - 3     # child metadata, catalog, superblock
+    child_meta = probe.io_index - 3     # the adopter's metadata, catalog,
+                                        # superblock
     plan = FaultPlan(name="gc-exhausted").transient_at_io(
         child_meta, times=resilience.DEFAULT_MAX_ATTEMPTS)
     machine, sls, group, proc, addr = _trimming_checkpoint(plan, sync)
