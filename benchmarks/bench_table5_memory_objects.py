@@ -57,7 +57,7 @@ def run_experiment():
         proc.vmspace.touch(addr, npages, seed=1)
         # Stop time derived from the pipeline's stage trace
         # (first stop-time stage start → resume stage end).
-        incr = sls.checkpoint(group).stop_time_ns()
+        incr = sls.checkpoint(group).stop_ns
         machine.loop.drain()
 
         # Atomic: dirty again, sls_memckpt of just the region.

@@ -33,7 +33,7 @@ def run_experiment():
     result = sls.checkpoint(group, sync=False)  # full first checkpoint
     # Stage-derived timings: the pipeline records one span per stage,
     # and the result exposes them by name.
-    aurora_stop = result.stop_time_ns()
+    aurora_stop = result.stop_ns
     aurora_os = result.stage_ns("quiesce") + result.stage_ns("serialize")
     aurora_mem = result.stage_ns("collapse") + result.stage_ns("shadow")
     t0 = machine.clock.now()

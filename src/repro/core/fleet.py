@@ -409,17 +409,12 @@ class FleetScheduler:
         try:
             sls.checkpoint(group)
             health.consecutive_failures = 0
-        except (StoreFull, NoSpace) as exc:
-            sls._enter_degraded(group, resilience.REASON_ENOSPC, exc)
-            sls._emergency_gc(group)
-            # Keep the cadence alive with a memory-only checkpoint:
-            # bounded stop times, no store writes.
-            sls.checkpoint(group, mode=MODE_MEM)
-        except RetriesExhausted as exc:
-            health.consecutive_failures += 1
-            if (health.consecutive_failures
-                    >= resilience.DEVICE_FAILURE_THRESHOLD):
-                sls._enter_degraded(group, resilience.REASON_DEVICE, exc)
+        except (StoreFull, NoSpace, RetriesExhausted) as exc:
+            sls._disk_failure(group, exc)
+            if self._memory_only(group):
+                # Keep the cadence alive with a memory-only checkpoint:
+                # bounded stop times, no store writes.
+                sls.checkpoint(group, mode=MODE_MEM)
 
     def _degraded_tick(self, group: ConsistencyGroup) -> None:
         sls = self.sls
@@ -444,11 +439,8 @@ class FleetScheduler:
         try:
             sls.checkpoint(group, name="probe", full=True, sync=True)
             sls._exit_degraded(group)
-        except RetriesExhausted:
-            health.consecutive_failures += 1
-        except (StoreFull, NoSpace) as exc:
-            sls._enter_degraded(group, resilience.REASON_ENOSPC, exc)
-            sls._emergency_gc(group)
+        except (StoreFull, NoSpace, RetriesExhausted) as exc:
+            sls._disk_failure(group, exc)
 
     def _observe(self, group: ConsistencyGroup, start_ns: int,
                  bytes_before: int) -> None:

@@ -177,6 +177,23 @@ class Orchestrator:
                     reason=reason, spell_ns=spell)
         self.slo.on_degraded_exit(group.group_id, now)
 
+    def _disk_failure(self, group: ConsistencyGroup,
+                      error: Exception) -> None:
+        """The one health step for a disk checkpoint that failed short
+        of a crash: no space degrades the group to memory-only
+        checkpoints and runs the pressure valve; an exhausted retry
+        budget counts towards degrading it for the device but leaves
+        the reason of a group already degraded alone."""
+        health = group.health
+        if isinstance(error, (StoreFull, NoSpace)):
+            self._enter_degraded(group, resilience.REASON_ENOSPC, error)
+            self._emergency_gc(group)
+        elif isinstance(error, RetriesExhausted):
+            health.consecutive_failures += 1
+            if not health.degraded and health.consecutive_failures >= \
+                    resilience.DEVICE_FAILURE_THRESHOLD:
+                self._enter_degraded(group, resilience.REASON_DEVICE, error)
+
     def _emergency_gc(self, group: ConsistencyGroup) -> int:
         """ENOSPC pressure valve: merge away the older half of the
         group's history (WAFL-style deletes free COW blocks), oldest
@@ -285,9 +302,7 @@ class Orchestrator:
         degraded-mode counters.
         """
         if txn is not None:
-            # Only a committed transaction has blocks to release (a
-            # mem-mode one never is).
-            if txn.committed and not txn.aborted and not txn.info.complete:
+            if not txn.info.complete:
                 self.store.abort_checkpoint(txn)
             self.extsync.unseal(group, txn.info.ckpt_id)
         group.flush_in_progress = False
@@ -315,16 +330,7 @@ class Orchestrator:
             # mode or running emergency GC for it would corrupt the
             # state of a tenant that no longer exists.
             return
-        health = group.health
-        if isinstance(error, (StoreFull, NoSpace)):
-            self._enter_degraded(group, resilience.REASON_ENOSPC, error)
-            self._emergency_gc(group)
-        elif isinstance(error, RetriesExhausted):
-            health.consecutive_failures += 1
-            if (health.consecutive_failures
-                    >= resilience.DEVICE_FAILURE_THRESHOLD):
-                self._enter_degraded(group, resilience.REASON_DEVICE,
-                                     error)
+        self._disk_failure(group, error)
 
     def _await_flush(self, group: ConsistencyGroup) -> None:
         """Run the event loop just far enough for *this group's*

@@ -6,7 +6,8 @@ The paper's checkpoint sequence —
     serialize POSIX objects → seal → resume → asynchronous flush →
     commit
 
-— is expressed as an ordered list of :class:`Stage` objects sharing a
+— is one table, :data:`STAGES`, of ``(name, step, overlap)`` rows
+whose steps are this module's functions of one shared
 :class:`CheckpointContext`.  Stages up to and including *resume* are
 **stop-time** stages (the application is parked at the user/kernel
 boundary); *flush* and *commit* are **overlap** stages that run
@@ -26,7 +27,7 @@ the device.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Set, Tuple
 
 from ..errors import SLSError
 from ..objstore.checkpoint import CheckpointInfo
@@ -91,152 +92,106 @@ class CheckpointContext:
         self.collapse_moved = 0
         self.txn: Optional[CheckpointTxn] = None
         self.flush_items: List[FlushItem] = []
-        #: The committed checkpoint (disk mode, once Flush ran).
+        #: The committed checkpoint (disk mode, once :func:`flush` ran).
         self.info: Optional[CheckpointInfo] = None
         self.trace: List[StageTrace] = []
-        #: Incremental-serialization accounting (filled by Serialize).
+        #: Incremental-serialization accounting (filled by :func:`serialize`).
         self.records_written = 0
         self.records_skipped = 0
-        #: Epoch floor to install once this checkpoint's commit is
-        #: submitted (Flush); None until Serialize snapshots it.
+        #: Epoch floor to install once :func:`flush` submits the commit;
+        #: None until :func:`serialize` snapshots it.
         self.new_epoch_floor: Optional[int] = None
 
-    def stop_time_ns(self) -> int:
-        """Elapsed time across the stop-time stages recorded so far."""
-        stop = [t for t in self.trace if not t.overlap]
-        if not stop:
-            return 0
-        return stop[-1].end_ns - stop[0].start_ns
 
-
-class Stage:
-    """One step of the checkpoint pipeline."""
-
-    name = "stage"
-    #: False: contributes to application stop time.  True: runs
-    #: concurrently with execution (after resume).
-    overlap = False
-
-    def run(self, ctx: CheckpointContext) -> None:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<Stage {self.name}>"
-
-
-class Quiesce(Stage):
+def quiesce(ctx: CheckpointContext) -> None:
     """Park every group thread at the user/kernel boundary (§5.1)."""
-
-    name = "quiesce"
-
-    def run(self, ctx: CheckpointContext) -> None:
-        ctx.quiesce_report = quiesce_group(ctx.kernel, ctx.group)
+    ctx.quiesce_report = quiesce_group(ctx.kernel, ctx.group)
 
 
-class CollapseFlushed(Stage):
+def collapse(ctx: CheckpointContext) -> None:
     """Collapse frozen shadows whose flush completed (§6)."""
-
-    name = "collapse"
-
-    def run(self, ctx: CheckpointContext) -> None:
-        ctx.collapse_moved = ctx.shadow.collapse_completed(ctx.group)
+    ctx.collapse_moved = ctx.shadow.collapse_completed(ctx.group)
 
 
-class Shadow(Stage):
+def shadow(ctx: CheckpointContext) -> None:
     """Open the transaction and take the system shadows (§6)."""
-
-    name = "shadow"
-
-    def run(self, ctx: CheckpointContext) -> None:
-        if ctx.mode == MODE_MEM:
-            ctx.txn = CheckpointTxn(
-                ctx.store, CheckpointInfo(-1, ctx.group.group_id))
-        else:
-            ctx.txn = ctx.store.begin_checkpoint(
-                ctx.group.group_id, name=ctx.name,
-                parent=ctx.group.last_ckpt_id)
-        ctx.flush_items = ctx.shadow.shadow_group(
-            ctx.group, full=ctx.full, mem=ctx.mode == MODE_MEM)
+    if ctx.mode == MODE_MEM:
+        ctx.txn = CheckpointTxn(
+            ctx.store, CheckpointInfo(-1, ctx.group.group_id))
+    else:
+        ctx.txn = ctx.store.begin_checkpoint(
+            ctx.group.group_id, name=ctx.name,
+            parent=ctx.group.last_ckpt_id)
+    ctx.flush_items = ctx.shadow.shadow_group(
+        ctx.group, full=ctx.full, mem=ctx.mode == MODE_MEM)
 
 
-class Serialize(Stage):
+def serialize(ctx: CheckpointContext) -> None:
     """Serialize the POSIX object graph into the transaction (§5)."""
-
-    name = "serialize"
-
-    def run(self, ctx: CheckpointContext) -> None:
-        # Incremental serialization: skip records unchanged since the
-        # group's epoch floor.  ``full=True`` (and the first checkpoint
-        # of a chain, floor None) serializes everything.
-        txn = ctx.txn
-        assert txn is not None, "the shadow stage opens the transaction"
-        floor = None if ctx.full else ctx.group.ckpt_epoch
-        # A clean object may only be skipped when the parent chain can
-        # still resolve its record; without that set (legacy chains,
-        # a GC'd parent) incremental skipping is disabled for safety.
-        prior_live: Optional[Set[int]] = None
-        if floor is not None and ctx.group.last_ckpt_id is not None:
-            try:
-                prior_live = ctx.store.effective_live_oids(
-                    ctx.group.last_ckpt_id)
-            except SLSError:
-                prior_live = None
-        serializer = CheckpointSerializer(ctx.kernel, ctx.group,
-                                          ctx.store, txn,
-                                          epoch_floor=floor,
-                                          prior_live=prior_live)
-        serializer.serialize_all()
-        live = serializer.live_oids
-        for item in ctx.flush_items:
-            txn.put_object(item.oid, "vmobject", item.record)
-            item.stage(txn)
-            live.add(item.oid)
-        # Every tracked memory object stays live while its track
-        # exists, whether or not it was dirtied this period.
-        live.update(ctx.group.tracks.keys())
-        ctx.records_written = (serializer.records_written +
-                               len(ctx.flush_items))
-        ctx.records_skipped = serializer.records_skipped
-        last = ctx.group.last_ckpt_id
-        parent = (ctx.store.checkpoints.get(last)
-                  if ctx.mode == MODE_DISK and last is not None else None)
-        if parent is not None and parent.live_oids == live:
-            # Nothing entered or left the group: share the parent's
-            # set, so its OID runs are not sorted out again.
-            txn.info.share_live_oids(parent)
-        else:
-            txn.info.live_oids = live
-        txn.info.records_skipped = ctx.records_skipped
-        if ctx.mode == MODE_DISK:
-            # Snapshot the epoch under quiescence; Flush installs it as
-            # the group's floor only once the commit is submitted, so a
-            # failed flush never loses dirty state.
-            ctx.new_epoch_floor = ctx.kernel.close_epoch()
-        ctx.clock.advance(costs.CKPT_ORCH_BASE if ctx.mode == MODE_DISK
-                          else costs.CKPT_ATOMIC_BASE)
+    # Incremental serialization: skip records unchanged since the
+    # group's epoch floor.  ``full=True`` (and the first checkpoint
+    # of a chain, floor None) serializes everything.
+    txn = ctx.txn
+    assert txn is not None, "the shadow stage opens the transaction"
+    floor = None if ctx.full else ctx.group.ckpt_epoch
+    # A clean object may only be skipped when the parent chain can
+    # still resolve its record; without that set (legacy chains,
+    # a GC'd parent) incremental skipping is disabled for safety.
+    prior_live: Optional[Set[int]] = None
+    if floor is not None and ctx.group.last_ckpt_id is not None:
+        try:
+            prior_live = ctx.store.effective_live_oids(
+                ctx.group.last_ckpt_id)
+        except SLSError:
+            prior_live = None
+    serializer = CheckpointSerializer(ctx.kernel, ctx.group,
+                                      ctx.store, txn,
+                                      epoch_floor=floor,
+                                      prior_live=prior_live)
+    serializer.serialize_all()
+    live = serializer.live_oids
+    for item in ctx.flush_items:
+        txn.put_object(item.oid, "vmobject", item.record)
+        item.stage(txn)
+        live.add(item.oid)
+    # Every tracked memory object stays live while its track
+    # exists, whether or not it was dirtied this period.
+    live.update(ctx.group.tracks.keys())
+    ctx.records_written = (serializer.records_written +
+                           len(ctx.flush_items))
+    ctx.records_skipped = serializer.records_skipped
+    last = ctx.group.last_ckpt_id
+    parent = (ctx.store.checkpoints.get(last)
+              if ctx.mode == MODE_DISK and last is not None else None)
+    if parent is not None and parent.live_oids == live:
+        # Nothing entered or left the group: share the parent's
+        # set, so its OID runs are not sorted out again.
+        txn.info.share_live_oids(parent)
+    else:
+        txn.info.live_oids = live
+    txn.info.records_skipped = ctx.records_skipped
+    if ctx.mode == MODE_DISK:
+        # Snapshot the epoch under quiescence; flush installs it as
+        # the group's floor only once the commit is submitted, so a
+        # failed flush never loses dirty state.
+        ctx.new_epoch_floor = ctx.kernel.close_epoch()
+    ctx.clock.advance(costs.CKPT_ORCH_BASE if ctx.mode == MODE_DISK
+                      else costs.CKPT_ATOMIC_BASE)
 
 
-class Seal(Stage):
+def seal(ctx: CheckpointContext) -> None:
     """Tie buffered external output to this checkpoint (§3)."""
-
-    name = "seal"
-
-    def run(self, ctx: CheckpointContext) -> None:
-        if ctx.mode == MODE_DISK:
-            assert ctx.txn is not None
-            ctx.extsync.seal(ctx.group, ctx.txn.info.ckpt_id)
+    if ctx.mode == MODE_DISK:
+        assert ctx.txn is not None
+        ctx.extsync.seal(ctx.group, ctx.txn.info.ckpt_id)
 
 
-class Resume(Stage):
+def resume(ctx: CheckpointContext) -> None:
     """Release the parked threads; stop time ends here."""
-
-    name = "resume"
-
-    def run(self, ctx: CheckpointContext) -> None:
-        resume_group(ctx.kernel, ctx.group)
+    resume_group(ctx.kernel, ctx.group)
 
 
-class Flush(Stage):
+def flush(ctx: CheckpointContext) -> None:
     """Kick off the asynchronous flush (overlaps execution, §4.1).
 
     Mem mode has nothing to flush: the shadows are immediately
@@ -244,103 +199,104 @@ class Flush(Stage):
     submits the data writes now and finalizes the commit (metadata, the
     history trim past ``history_limit``, one flip) when they land.
     """
+    group = ctx.group
+    if ctx.mode == MODE_MEM:
+        ctx.shadow.mark_flushed(group)
+        return
+    group.flush_in_progress = True
+    kernel, store, engine = ctx.kernel, ctx.store, ctx.shadow
+    extsync = ctx.extsync
+    # Quiesce start: the instant whose application state this
+    # checkpoint captures (the SLO tracker's recovery-point
+    # reference).
+    capture_ns = ctx.trace[0].start_ns if ctx.trace else kernel.clock.now()
+    slo_tracker = ctx.sls.slo
 
-    name = "flush"
-    overlap = True
+    def on_complete(info: CheckpointInfo) -> None:
+        # The flip landed and marked what this checkpoint flushed
+        # clean.
+        group.flush_in_progress = False
+        group.last_complete_id = info.ckpt_id
+        # A flush may outlive a detach; the commit still lands in
+        # the store (history is kept), but a detached group's SLO
+        # series must not absorb the orphan's samples.
+        if group.attached:
+            slo_tracker.on_commit(group.group_id, info.ckpt_id,
+                                  capture_ns, kernel.clock.now())
+        engine.mark_flushed(group)
+        extsync.release(info.ckpt_id)
+        if kernel.pageout.memory_pressure():
+            # Freshly flushed pages are clean: reclaim them
+            # without IO (§6 Memory Overcommitment).
+            objects: List[Any] = []
+            for track in group.tracks.values():
+                objects.extend(track.active.chain())
+            kernel.pageout.run_pageout(objects, store=store)
 
-    def run(self, ctx: CheckpointContext) -> None:
-        group = ctx.group
-        if ctx.mode == MODE_MEM:
-            ctx.shadow.mark_flushed(group)
-            return
-        group.flush_in_progress = True
-        kernel, store, shadow = ctx.kernel, ctx.store, ctx.shadow
-        extsync = ctx.extsync
-        # Quiesce start: the instant whose application state this
-        # checkpoint captures (the SLO tracker's recovery-point
-        # reference).
-        capture_ns = ctx.trace[0].start_ns if ctx.trace else kernel.clock.now()
-        slo_tracker = ctx.sls.slo
+    prev_epoch = group.ckpt_epoch
+    txn = ctx.txn
+    assert txn is not None
 
-        def on_complete(info: CheckpointInfo) -> None:
-            # The flip landed and marked what this checkpoint flushed
-            # clean.
-            group.flush_in_progress = False
-            group.last_complete_id = info.ckpt_id
-            # A flush may outlive a detach; the commit still lands in
-            # the store (history is kept), but a detached group's SLO
-            # series must not absorb the orphan's samples.
-            if group.attached:
-                slo_tracker.on_commit(group.group_id, info.ckpt_id,
-                                      capture_ns, kernel.clock.now())
-            shadow.mark_flushed(group)
-            extsync.release(info.ckpt_id)
-            if kernel.pageout.memory_pressure():
-                # Freshly flushed pages are clean: reclaim them
-                # without IO (§6 Memory Overcommitment).
-                objects: List[Any] = []
-                for track in group.tracks.values():
-                    objects.extend(track.active.chain())
-                kernel.pageout.run_pageout(objects, store=store)
+    def on_failure(exc: Exception) -> None:
+        # An async flush died after submission (retries exhausted
+        # during finalize): the store already aborted the txn; the
+        # orchestrator unwinds the group-level state.
+        ctx.sls.rollback_failed_checkpoint(group, txn,
+                                           prev_epoch=prev_epoch,
+                                           error=exc)
 
-        prev_epoch = group.ckpt_epoch
-        txn = ctx.txn
-        assert txn is not None
-
-        def on_failure(exc: Exception) -> None:
-            # An async flush died after submission (retries exhausted
-            # during finalize): the store already aborted the txn; the
-            # orchestrator unwinds the group-level state.
-            ctx.sls.rollback_failed_checkpoint(group, txn,
-                                               prev_epoch=prev_epoch,
-                                               error=exc)
-
-        info = ctx.info = store.commit(txn, sync=ctx.sync,
-                                       on_complete=on_complete,
-                                       on_failure=on_failure,
-                                       keep=group.history_limit)
-        group.last_ckpt_id = info.ckpt_id
-        if ctx.new_epoch_floor is not None:
-            # The commit was accepted (no ENOSPC / injected fault on
-            # submission): subsequent checkpoints may skip objects
-            # unchanged since this epoch.
-            group.ckpt_epoch = ctx.new_epoch_floor
-            # The dirty log keeps only what a memo's replay may read.
-            kernel.prune_dirty_log(min(
-                (other.ckpt_epoch for other in ctx.sls.groups.values()
-                 if other.walk_memos and other.ckpt_epoch is not None),
-                default=ctx.new_epoch_floor))
-            events.emit(ctx.clock.now(), events.EPOCH_ADVANCE,
-                        group=group.group_id, epoch=ctx.new_epoch_floor,
-                        ckpt=info.ckpt_id)
+    info = ctx.info = store.commit(txn, sync=ctx.sync,
+                                   on_complete=on_complete,
+                                   on_failure=on_failure,
+                                   keep=group.history_limit)
+    group.last_ckpt_id = info.ckpt_id
+    if ctx.new_epoch_floor is not None:
+        # The commit was accepted (no ENOSPC / injected fault on
+        # submission): subsequent checkpoints may skip objects
+        # unchanged since this epoch.
+        group.ckpt_epoch = ctx.new_epoch_floor
+        # The dirty log keeps only what a memo's replay may read.
+        kernel.prune_dirty_log(min(
+            (other.ckpt_epoch for other in ctx.sls.groups.values()
+             if other.walk_memos and other.ckpt_epoch is not None),
+            default=ctx.new_epoch_floor))
+        events.emit(ctx.clock.now(), events.EPOCH_ADVANCE,
+                    group=group.group_id, epoch=ctx.new_epoch_floor,
+                    ckpt=info.ckpt_id)
 
 
-class Commit(Stage):
+def commit(ctx: CheckpointContext) -> None:
     """Co-commit dependent state on the checkpoint cadence (§5.2).
 
     The store's own metadata commit rides the event loop (it fires
     when the flush's data writes land); this stage commits file-system
     state alongside so file data stays checkpoint-consistent.
     """
-
-    name = "commit"
-    overlap = True
-
-    def run(self, ctx: CheckpointContext) -> None:
-        if ctx.mode == MODE_DISK and ctx.slsfs is not None \
-                and ctx.slsfs.has_dirty():
-            ctx.slsfs.checkpoint(sync=ctx.sync)
+    if ctx.mode == MODE_DISK and ctx.slsfs is not None \
+            and ctx.slsfs.has_dirty():
+        ctx.slsfs.checkpoint(sync=ctx.sync)
 
 
-#: The paper's §4.1 pipeline, in order.
-DEFAULT_STAGES = (Quiesce(), CollapseFlushed(), Shadow(), Serialize(),
-                  Seal(), Resume(), Flush(), Commit())
+#: The paper's §4.1 pipeline, in order: ``(name, step, overlap)``.
+#: A stage with ``overlap`` False is stop time (the application is
+#: parked); one with True runs concurrently with execution.
+STAGES: Tuple[Tuple[str, Callable[[CheckpointContext], None], bool],
+              ...] = (
+    ("quiesce", quiesce, False),
+    ("collapse", collapse, False),
+    ("shadow", shadow, False),
+    ("serialize", serialize, False),
+    ("seal", seal, False),
+    ("resume", resume, False),
+    ("flush", flush, True),
+    ("commit", commit, True),
+)
 
 #: Canonical stage-name order (used by ``sls stat`` and benchmarks).
-STAGE_ORDER = tuple(stage.name for stage in DEFAULT_STAGES)
+STAGE_ORDER = tuple(name for name, _step, _overlap in STAGES)
 
 #: Names of the stages that contribute to application stop time.
-STOP_STAGES = tuple(s.name for s in DEFAULT_STAGES if not s.overlap)
+STOP_STAGES = tuple(name for name, _step, overlap in STAGES if not overlap)
 
 
 class CheckpointResult:
@@ -380,7 +336,8 @@ class CheckpointResult:
         result.shadow_ns = (result.stage_ns("collapse") +
                             result.stage_ns("shadow"))
         result.serialize_ns = result.stage_ns("serialize")
-        result.stop_ns = ctx.stop_time_ns()
+        stop = [t for t in ctx.trace if not t.overlap]
+        result.stop_ns = stop[-1].end_ns - stop[0].start_ns
         result.pages_flushed = sum(item.page_count()
                                    for item in ctx.flush_items)
         result.bytes_staged = txn.staged_bytes()
@@ -391,13 +348,6 @@ class CheckpointResult:
     def stage_ns(self, name: str) -> int:
         """Total duration of the named stage (0 when absent)."""
         return sum(t.duration_ns for t in self.stages if t.name == name)
-
-    def stop_time_ns(self) -> int:
-        """Stop time derived from the stage trace."""
-        stop = [t for t in self.stages if not t.overlap]
-        if not stop:
-            return self.stop_ns
-        return stop[-1].end_ns - stop[0].start_ns
 
     def overlap_ns(self) -> int:
         """Time spent in the overlap (flush/commit) stages.  For an
@@ -415,10 +365,9 @@ class CheckpointResult:
 
 
 class CheckpointPipeline:
-    """Runs the ordered stage list and records per-stage spans."""
+    """Runs :data:`STAGES` in order and records per-stage spans."""
 
     def __init__(self) -> None:
-        self.stages: List[Stage] = list(DEFAULT_STAGES)
         self.telemetry = telemetry.registry()
 
     def run(self, ctx: CheckpointContext) -> CheckpointResult:
@@ -427,20 +376,19 @@ class CheckpointPipeline:
         # stage plus "after" the last one — N+1 crash points per
         # checkpoint, enumerable by the crash-schedule explorer.
         plan = ctx.machine.fault_plan
-        last = len(self.stages) - 1
-        for index, stage in enumerate(self.stages):
+        for name, step, overlap in STAGES:
             if plan is not None:
-                plan.on_boundary(faults.STAGE, stage.name, faults.BEFORE)
+                plan.on_boundary(faults.STAGE, name, faults.BEFORE)
             # Open the stage span as a context so serializer / store /
             # device spans recorded inside nest under it in the
             # checkpoint's trace tree (span close records into the same
             # ``ckpt.<stage>`` histogram as before).
-            span = self.telemetry.span(clock, f"ckpt.{stage.name}",
+            span = self.telemetry.span(clock, f"ckpt.{name}",
                                        group=ctx.group.group_id)
             with span:
-                stage.run(ctx)
-            ctx.trace.append(StageTrace(stage.name, span.start_ns,
-                                        clock.now(), stage.overlap))
-            if plan is not None and index == last:
-                plan.on_boundary(faults.STAGE, stage.name, faults.AFTER)
+                step(ctx)
+            ctx.trace.append(StageTrace(name, span.start_ns, clock.now(),
+                                        overlap))
+        if plan is not None:
+            plan.on_boundary(faults.STAGE, STAGE_ORDER[-1], faults.AFTER)
         return CheckpointResult.from_context(ctx)

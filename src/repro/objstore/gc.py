@@ -18,9 +18,10 @@ listing it in its own ``owned_extents``, so children forked by a
 restore share one copy; ownership is those lists alone.  No payload
 is read or written: a record extent is immutable and its size does
 not depend on how many of its records are still wanted, so copying it
-forward would cost device IO for the same space.  A victim's extent that no other checkpoint of its
-group lists once the children have adopted is freed (a child is always
-in its parent's group, so the group is where an adopter can be).
+forward would cost device IO for the same space.  A victim's extent
+that no other checkpoint of its group lists once the children have
+adopted is freed (a child is always in its parent's group, so the
+group is where an adopter can be).
 Records for OIDs no surviving checkpoint's live set can reach are
 dropped from the index outright.
 

@@ -10,7 +10,9 @@ Commit protocol (all COW — nothing live is ever overwritten):
    alternating by generation) are written.  Only the superblock flip
    makes the checkpoint visible, so a crash at any instant leaves the
    store at the *previous* complete checkpoint — the recovery property
-   the crash tests hammer on.
+   the crash tests hammer on.  An async commit's transaction holds its
+   callbacks and its event-loop finalizer; an abort cancels the
+   finalizer, so an aborted commit is never published.
 
 Incremental state: each checkpoint stores a delta; the restorable view
 is the newest-wins merge along the parent chain
@@ -33,6 +35,7 @@ from ..core.runs import LocatorRun, append_locator_run, splice
 from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       NoSuchCheckpoint, NoSuchObject, ReproError,
                       StoreError)
+from ..hw.clock import Event
 from ..hw.memory import Page
 from ..hw.nvme import Payload, StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
@@ -138,6 +141,13 @@ class CheckpointTxn:
         self.adopted: List[Tuple[int, int]] = []
         self.committed = False
         self.aborted = False
+        #: Set by :meth:`ObjectStore.commit`: what runs once the flip
+        #: lands or an async finalize fails, when an async commit's data
+        #: lands and its finalizer, due then, which an abort cancels.
+        self.on_complete: Optional[Callable[[CheckpointInfo], None]] = None
+        self.on_failure: Optional[Callable[[Exception], None]] = None
+        self.data_done = 0
+        self.finalizer: Optional[Event] = None
         #: The operation trace open when the transaction began; async
         #: commit finalization re-enters it so the metadata/superblock
         #: IOs are attributed to the checkpoint that issued them.
@@ -212,20 +222,16 @@ class ObjectStore:
         #: superblock so fencing survives crash + remount.
         self.cluster_epoch = 0
         self._mounted = False
-        #: Pending async commits: ckpt_id -> callbacks.
-        self._commit_watchers: Dict[int, List[Callable[[CheckpointInfo], None]]] = {}
-        #: In-flight async commits: ckpt_id -> (checkpoint, finalize
-        #: time).  Targeted waits (sls_barrier) key on these instead of
-        #: draining the whole event loop.
-        self._pending_commits: Dict[int, Tuple[CheckpointInfo, int]] = {}
+        #: In-flight async commits by checkpoint id.  Targeted waits
+        #: (sls_barrier) key on their finalizers instead of draining the
+        #: whole event loop.
+        self._pending_commits: Dict[int, CheckpointTxn] = {}
         #: Offset -> length of the extents :meth:`swap_out` wrote that no
         #: commit has adopted yet, kept for the eviction table.
         self.swap_extents: Dict[int, int] = {}
         #: What was allocated when :meth:`mount` found the store; scrub
         #: takes it as owned, as the superblock does not say by whom.
         self.held_at_mount: List[Tuple[int, int]] = []
-        #: Async-commit failure callbacks: ckpt_id -> callbacks(exc).
-        self._commit_failures: Dict[int, List[Callable[[Exception], None]]] = {}
         #: Deterministic retry/backoff for every device command the
         #: store issues; transient device errors never escape it short
         #: of :class:`~repro.errors.RetriesExhausted`.
@@ -282,7 +288,7 @@ class ObjectStore:
                    for journal in self.journals.values())]
         owned += filter(None, (self._catalog_extent, self._flightrec_extent))
         for info in (*self.checkpoints.values(),
-                     *(info for info, _done in self._pending_commits.values())):
+                     *(txn.info for txn in self._pending_commits.values())):
             owned += info.owned_extents
             if info.meta_extent is not None:
                 owned.append(info.meta_extent)
@@ -460,13 +466,12 @@ class ObjectStore:
         # durable, so it is clean there (§6: evicted without IO).
         for oid, owner, runs in txn.owned:
             owner.mark_clean(runs, info.pages[oid])
-        self._commit_failures.pop(info.ckpt_id, None)
         self.stats["commits"] += 1
         self.stats["bytes_flushed"] += info.data_bytes
         telemetry.registry().histogram(
             "sls.store.chain_depth", group=info.group_id).observe(depth)
-        for callback in self._commit_watchers.pop(info.ckpt_id, []):
-            callback(info)
+        if txn.on_complete is not None:
+            txn.on_complete(info)
 
     def commit(self, txn: CheckpointTxn, sync: bool = False,
                on_complete: Optional[Callable[[CheckpointInfo], None]] = None,
@@ -492,6 +497,7 @@ class ObjectStore:
         if txn.committed:
             raise InvalidArgument("transaction already committed")
         txn.committed = True
+        txn.on_complete, txn.on_failure = on_complete, on_failure
         submitted = self.clock.now()
         try:
             # One batch: each write is queued as its extent is
@@ -504,21 +510,15 @@ class ObjectStore:
             telemetry.registry().record_span("store.flush", submitted,
                                              data_done,
                                              group=txn.info.group_id)
-            if on_complete is not None:
-                self._commit_watchers.setdefault(txn.info.ckpt_id,
-                                                 []).append(on_complete)
-            if on_failure is not None:
-                self._commit_failures.setdefault(txn.info.ckpt_id,
-                                                 []).append(on_failure)
             if sync:
                 self.clock.advance_to(data_done)
                 self.device.poll()
                 self._finalize_commit(txn, keep)
             else:
-                self._pending_commits[txn.info.ckpt_id] = (txn.info,
-                                                           data_done)
-                self.loop.call_at(data_done,
-                                  lambda: self._finalize_async(txn, keep))
+                self._pending_commits[txn.info.ckpt_id] = txn
+                txn.data_done = data_done
+                txn.finalizer = self.loop.call_at(
+                    data_done, lambda: self._finalize_async(txn, keep))
         except (InjectedCrash, MachineCrashed):
             raise
         except ReproError:
@@ -535,25 +535,29 @@ class ObjectStore:
             raise
         except ReproError as exc:
             self.abort_checkpoint(txn)
-            for callback in self._commit_failures.pop(txn.info.ckpt_id, []):
-                callback(exc)
+            if txn.on_failure is not None:
+                txn.on_failure(exc)
 
     def abort_checkpoint(self, txn: CheckpointTxn) -> int:
         """Roll back a failed checkpoint transaction.
 
-        Frees every extent the transaction allocated, cancels its
-        writes still sitting in device queues and discards anything
-        that already landed — blockalloc accounting returns exactly to
-        its pre-checkpoint state (the no-leaked-blocks regression test
-        asserts this).  Returns the number of bytes released.
+        Cancels its async finalizer (an aborted commit never flips),
+        frees every extent it allocated, cancels its writes still
+        sitting in device queues and discards anything that already
+        landed — blockalloc accounting returns exactly to its
+        pre-checkpoint state (the no-leaked-blocks regression test
+        asserts this).  Returns the number of bytes released: none for
+        a transaction never committed or already aborted.
         """
         info = txn.info
         if info.complete:
             raise InvalidArgument(
                 f"checkpoint {info.ckpt_id} already committed")
-        if txn.aborted:
+        if txn.aborted or not txn.committed:
             return 0
         txn.aborted = True
+        if txn.finalizer is not None:
+            txn.finalizer.cancel()
         released = 0
         adopted = dict(txn.adopted)
         for offset, length in info.owned_extents:
@@ -571,7 +575,6 @@ class ObjectStore:
         info.pages = {}
         info.data_bytes = 0
         self._pending_commits.pop(info.ckpt_id, None)
-        self._commit_watchers.pop(info.ckpt_id, None)
         events.emit(self.clock.now(), events.CKPT_ABORT,
                     group=info.group_id, ckpt=info.ckpt_id,
                     released_bytes=released)
@@ -585,8 +588,8 @@ class ObjectStore:
         the key to waiting out one group's flush without draining
         every other group's (or spinning on periodic timers).
         """
-        deadlines = [done for info, done in self._pending_commits.values()
-                     if group_id is None or info.group_id == group_id]
+        deadlines = [txn.data_done for txn in self._pending_commits.values()
+                     if group_id is None or txn.info.group_id == group_id]
         return min(deadlines) if deadlines else None
 
     # -- catalog / superblock ------------------------------------------------------------

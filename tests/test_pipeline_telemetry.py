@@ -52,7 +52,6 @@ def test_checkpoint_runs_ordered_stages(setup):
     # Quiesce through resume are stop-time; flush and commit overlap.
     for trace in result.stages:
         assert trace.overlap == (trace.name not in STOP_STAGES)
-    assert result.stop_time_ns() == result.stop_ns
     assert result.stop_ns > 0
 
 

@@ -23,7 +23,9 @@ Covers the resilience policy layer end to end:
   checkpoint, and scrubs clean.
 """
 
+import gc
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -39,6 +41,7 @@ from repro.errors import (CorruptRecord, InvalidArgument, LeaseValid,
                           TransientDeviceError)
 from repro.hw.clock import SimClock
 from repro.hw.memory import Page
+from repro.kernel.fs.file import O_CREAT, O_RDWR
 from repro.objstore import store as store_module
 from repro.objstore.oid import CLASS_MEMORY, CLASS_POSIX, make_oid
 from repro.objstore.repair import repair
@@ -355,6 +358,22 @@ def test_group_health_state_machine():
     assert not health.degraded and health.ticks == 0
 
 
+def test_device_errors_leave_a_degraded_groups_reason_alone():
+    """Failed async flushes of a group already degraded (a fenced
+    ex-primary's ``stale_primary`` spell) count towards the device
+    threshold but never turn the spell into a ``device`` one."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    group = sls.attach(machine.kernel.spawn("app"), periodic=False)
+    group.health.enter(resilience.REASON_STALE_PRIMARY, machine.clock.now())
+    failures = resilience.DEVICE_FAILURE_THRESHOLD + 1
+    for _ in range(failures):
+        sls.rollback_failed_checkpoint(
+            group, None, error=RetriesExhausted("store.meta: gave up"))
+    assert group.health.reason == resilience.REASON_STALE_PRIMARY
+    assert group.health.consecutive_failures == failures
+
+
 # -- async flush failure ------------------------------------------------------------
 
 
@@ -401,6 +420,99 @@ def test_async_flush_failure_rolls_back_and_forces_full_checkpoint():
     assert restored.root.vmspace.read(addr, 10) == b"async-v2!!"
     assert scrub(sls2.store).ok
     telemetry.reset()
+
+
+def test_chaos_an_aborted_async_commit_is_never_published():
+    """An async checkpoint whose file-system co-commit runs out of
+    retries is aborted, and its pending store commit with it: the
+    finalizer the flush scheduled never runs, so the checkpoint is
+    never flipped into the catalog, even once the device is healthy
+    again by the time its data lands.  The loop raises nothing, the
+    group's newest complete checkpoint is still the first, the store
+    scrubs clean and a crash restores the first checkpoint's bytes."""
+    telemetry.reset()
+    machine = Machine()
+    sls = load_aurora(machine)
+    kernel = machine.kernel
+    proc = kernel.spawn("app")
+    addr = proc.vmspace.mmap(8 * PAGE_SIZE, name="heap")
+    group = sls.attach(proc, periodic=False)
+    proc.vmspace.write(addr, b"durable-v1")
+    first = sls.checkpoint(group, sync=True).info.ckpt_id
+    commits = sls.store.stats["commits"]
+
+    proc.vmspace.write(addr, b"aborted-v2")
+    fd = kernel.open(proc, "/notes", O_RDWR | O_CREAT)
+    kernel.write(proc, fd, b"dirty file")
+    assert sls.slsfs.has_dirty()
+    plan = FaultPlan(name="fs-dead")
+    machine.set_fault_plan(plan)
+    fs_checkpoint = sls.slsfs.checkpoint
+
+    def failing_fs_checkpoint(sync=False):
+        # The first write of the file system's flush never lands.
+        plan.transient_at_io(plan.io_index, times=1000)
+        return fs_checkpoint(sync=sync)
+
+    with mock.patch.object(sls.slsfs, "checkpoint", failing_fs_checkpoint):
+        with pytest.raises(RetriesExhausted):
+            sls.checkpoint(group)
+    assert plan.fired
+    # The device heals before the group's flush lands: only the abort
+    # keeps its finalizer from flipping the checkpoint.
+    machine.clear_fault_plan()
+    machine.run_for(50 * MSEC)
+
+    assert sls.store.find_latest_complete(group.group_id).ckpt_id == first
+    assert sls.store.stats["commits"] == commits
+    assert scrub(sls.store).ok
+    gid = group.group_id
+    machine.crash()
+    machine.boot()
+    sls2 = load_aurora(machine)
+    restored = sls2.restore(gid, periodic=False)
+    assert restored.root.vmspace.read(addr, 10) == b"durable-v1"
+    telemetry.reset()
+
+
+def test_chaos_a_failed_sync_commit_leaves_its_transaction_collectable():
+    """A sync file-system checkpoint whose metadata write runs out of
+    retries is aborted, and nothing of the store keeps its transaction
+    (or the failure callback that closes over it) alive."""
+
+    def fs_checkpoint(plan):
+        machine = Machine()
+        sls = load_aurora(machine)
+        kernel = machine.kernel
+        proc = kernel.spawn("app")
+        fd = kernel.open(proc, "/notes", O_RDWR | O_CREAT)
+        kernel.write(proc, fd, b"dirty file")
+        machine.set_fault_plan(plan)
+        refs = []
+        begin = sls.store.begin_checkpoint
+
+        def begin_checkpoint(*args, **kwargs):
+            txn = begin(*args, **kwargs)
+            refs.append(weakref.ref(txn))
+            return txn
+
+        with mock.patch.object(sls.store, "begin_checkpoint",
+                               begin_checkpoint):
+            try:
+                sls.slsfs.checkpoint(sync=True)
+            except RetriesExhausted:
+                pass
+        return sls, refs
+
+    probe = FaultPlan(name="count")
+    fs_checkpoint(probe)
+    meta = probe.io_index - 3   # the metadata, catalog and superblock
+    plan = FaultPlan(name="meta-dead").transient_at_io(meta, times=1000)
+    sls, refs = fs_checkpoint(plan)
+    assert plan.fired and len(refs) == 1
+    assert sls.store.stats["commits"] == 0
+    gc.collect()
+    assert refs[0]() is None, "the failed transaction is still reachable"
 
 
 # -- read-path self-healing ---------------------------------------------------------
