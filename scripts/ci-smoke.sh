@@ -23,8 +23,9 @@ sls() { python -m repro.core.cli "$@"; }
 # Scrub of a store an actual workload wrote; then a store under memory
 # pressure — dirty pages evicted, a checkpoint adopting them, history
 # trimmed — must scrub clean too: no extent without an owner; and again
-# once remounted and trimmed, with its used bytes above zero, the same
-# owned extents per checkpoint and a small metadata record.
+# once remounted and trimmed, with its used bytes exactly what the
+# owners hold, the same owned extents per checkpoint and a small
+# metadata record.
 smoke_scrub() {
     sls init "$WORK/aurora.img"
     sls spawn "$WORK/aurora.img" stress --memory-kib 256
@@ -33,6 +34,7 @@ smoke_scrub() {
     sls scrub "$WORK/aurora.img"
     python - <<'PY'
 from repro import Machine, load_aurora
+from repro.objstore.blockalloc import _align_up
 from repro.objstore.scrub import scrub
 from repro.units import MiB, PAGE_SIZE
 machine = Machine(ram_bytes=4 * MiB)
@@ -66,10 +68,13 @@ assert {ckpt_id: info.owned_extents
 for info in sls.store.checkpoints.values():
     assert info.meta_extent[1] < 2048, info.meta_extent
 print(f"remounted owned extents match: {sum(map(len, owned.values()))} extents")
-# Trimmed again, the space accounting still holds.
+# Trimmed again, the used bytes are what the owners hold: the mount
+# derived the free list from them, so it inherited nothing unowned.
 sls.store.retain_last(group.group_id, 1)
 used = sls.store.used_bytes()
-assert used > 0, used
+owned_bytes = sum(_align_up(length) for length
+                  in dict(sls.store.owned_extents()).values())
+assert used == owned_bytes > 0, (used, owned_bytes)
 report = scrub(sls.store, sls)
 assert report.ok, report.findings
 print(f"remounted pressure store is clean: {used} bytes used")

@@ -580,13 +580,13 @@ def cmd_scrub(args) -> int:
     """``sls scrub``: offline integrity walk over the store.
 
     Exit status 0 when the store is clean, 1 when any invariant is
-    violated (corrupt record, dangling pointer, live extent on the
+    violated (corrupt record, dangling pointer, owned extent on the
     free list, orphan, unreachable live record, overgrown shadow
     chain).  Without ``--repair`` the image is never modified; with
-    it, mechanically fixable findings (damaged superblock slot,
-    free-list overlaps, overgrown shadow chains) are repaired in
-    place, the image is rewritten, and a re-scrub decides the exit
-    status.
+    it, mechanically fixable findings (damaged superblock slot, a free
+    list that disagrees with the owners, overgrown shadow chains) are
+    repaired in place, the image is rewritten, and a re-scrub decides
+    the exit status.
     """
     machine, sls, store = _open_raw(args.image)
     report = scrub(store, sls=sls)

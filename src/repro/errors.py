@@ -112,11 +112,6 @@ class NoSpace(KernelError):
     errno_name = "ENOSPC"
 
 
-class Interrupted(KernelError):
-    """EINTR: the call was interrupted (never leaks past quiesce)."""
-    errno_name = "EINTR"
-
-
 # --- single level store ---------------------------------------------------
 
 

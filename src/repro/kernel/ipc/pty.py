@@ -60,16 +60,6 @@ class Pty(KObject):
             self.mark_dirty()
         return out
 
-    def slave_write(self, data: bytes) -> int:
-        """The application writes output."""
-        space = PTY_BUFFER - len(self._to_master)
-        if space <= 0:
-            raise WouldBlock("pty output buffer full")
-        accepted = data[:space]
-        self._to_master += accepted
-        self.mark_dirty()
-        return len(accepted)
-
     def master_read(self, nbytes: int) -> bytes:
         """The terminal side drains output."""
         out = bytes(self._to_master[:nbytes])

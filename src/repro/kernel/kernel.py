@@ -372,16 +372,6 @@ class Kernel:
 
     # -- UNIX sockets -----------------------------------------------------------------------
 
-    def unix_socket(self, proc: Process, sock_type: str = "stream") -> int:
-        """socket(AF_UNIX): a fresh UNIX domain socket fd."""
-        self._charge_syscall()
-        sock = UnixSocket(self, sock_type)
-        file = OpenFile(self, sock, DTYPE_SOCKET)
-        sock.unref()
-        fd = proc.fdtable.install(file)
-        file.unref()
-        return fd
-
     def socketpair(self, proc: Process) -> Tuple[int, int]:
         """socketpair(2): two connected UNIX sockets."""
         self._charge_syscall()

@@ -47,10 +47,6 @@ class SignalState:
         """Queue a pending signal."""
         self.pending.append(signo)
 
-    def deliverable(self) -> List[int]:
-        """Pending signals not currently masked."""
-        return [s for s in self.pending if s not in self.mask]
-
     def dispatch(self) -> List[int]:
         """Deliver every unmasked pending signal; returns what ran."""
         delivered = []

@@ -6,7 +6,9 @@ simply never handed out again until freed by GC.  Allocations are
 (64 KiB) so consecutive page batches round-robin across the array's
 devices — that fan-out is where the paper's ~5.4 GiB/s aggregate flush
 bandwidth comes from, while single-stream journal slots stay on one
-device at a time.
+device at a time.  The free list lives only in memory: the superblock
+stores the cursor, and a mount rebuilds the list from what the store's
+owners hold (:meth:`ExtentAllocator.derive`).
 """
 
 from __future__ import annotations
@@ -91,19 +93,27 @@ class ExtentAllocator:
         self.cursor, free = state
         self._free = list(free)
 
-    def unowned(self, owned: Iterable[Tuple[int, int]]
-                ) -> List[Tuple[int, int]]:
-        """The stretches handed out and not freed that no ``(offset,
-        length)`` of ``owned`` covers."""
+    def derive(self, owned: Iterable[Tuple[int, int]]
+               ) -> List[Tuple[int, int]]:
+        """The free list ``owned`` leaves: every stretch of ``[reserved,
+        cursor)`` that no ``(offset, length)`` of it covers, coalesced.
+        The store's one free-list derivation: a mount sets it, scrub
+        compares the allocator with it and repair puts it back."""
         gaps = []
         at = self.reserved
-        for offset, length in sorted([*self._free, *owned]):
+        for offset, length in sorted(owned):
             if offset > at:
                 gaps.append((at, offset - at))
             at = max(at, _align_up(offset + length))
         if self.cursor > at:
             gaps.append((at, self.cursor - at))
         return gaps
+
+    def unowned(self, owned: Iterable[Tuple[int, int]]
+                ) -> List[Tuple[int, int]]:
+        """The stretches handed out and not freed that no ``(offset,
+        length)`` of ``owned`` covers."""
+        return self.derive([*self._free, *owned])
 
     def free_bytes(self) -> int:
         """Unallocated bytes remaining (tail + free list)."""
@@ -112,6 +122,6 @@ class ExtentAllocator:
 
     def used_bytes(self) -> int:
         """Bytes handed out and not freed: everything below the cursor
-        but the free list — as true after a mount as before it."""
+        but the free list."""
         return (self.cursor - self.reserved
                 - sum(length for _off, length in self._free))

@@ -2,8 +2,10 @@
 
 The commit protocol guarantees the superblock only ever points at
 fully durable state, so recovery is: read both superblock slots, pick
-the valid one with the highest generation, and rebuild the in-memory
-maps by reading the catalog and every checkpoint's metadata record.
+the valid one with the highest generation, rebuild the in-memory maps
+by reading the catalog and every checkpoint's metadata record, and
+derive the free list from what they own — everything else below the
+allocation cursor is free, because nothing durable reaches it.
 Incomplete checkpoints are invisible by construction (their metadata
 was never reachable), satisfying §7: "Aurora prevents resuming
 incomplete checkpoints by finding the last complete checkpoint after
@@ -62,19 +64,25 @@ def _read_superblocks(device: Any
     return slots
 
 
-def read_checkpoint_meta(device: Any, entry: dict) -> CheckpointInfo:
+def read_checkpoint_meta(device: Any, entry: dict
+                         ) -> Tuple[CheckpointInfo, List[Tuple[int, int]]]:
     """The checkpoint a catalog entry names, decoded from its metadata
-    record — the one reader behind mount and scrub.  Raises
-    CorruptRecord (or StoreError from the device) when the record is
-    unreadable."""
+    record, and what it owns as ``(offset, length)`` spans: the record
+    and one span per on-media owned-extent run (each run is contiguous,
+    :func:`~repro.objstore.checkpoint.encode_extent_runs`) — the one
+    reader behind mount and scrub.  Raises CorruptRecord (or StoreError
+    from the device) when the record is unreadable."""
     meta_extent = tuple(entry["meta_extent"])
     payload = device.read(meta_extent[0])
     if not isinstance(payload, bytes):
         raise CorruptRecord("metadata extent holds synthetic data")
-    info = CheckpointInfo.decode_meta(
-        records.decode(payload, records.REC_CKPT_META))
+    raw = records.decode(payload, records.REC_CKPT_META)
+    info = CheckpointInfo.decode_meta(raw)
     info.meta_extent = meta_extent
-    return info
+    spans = [(offset, count * length)
+             for offset, count, length in raw["owned_extents"]]
+    spans.append(meta_extent)
+    return info, spans
 
 
 def recover(store: Any) -> Optional[RecoveredState]:
@@ -103,8 +111,6 @@ def _rebuild(store: Any, superblock: dict) -> RecoveredState:
     store._generation = superblock["generation"]
     store.alloc = ExtentAllocator(store.device.capacity,
                                   cursor=superblock["alloc_cursor"])
-    store.alloc._free = [(pair[0], pair[1])
-                         for pair in superblock["free_list"]]
     store.oids = OIDAllocator(next_serial=superblock["oid_cursor"])
     store._ckpt_counter = superblock["ckpt_counter"]
     store._catalog_extent = tuple(superblock["catalog_extent"])
@@ -113,21 +119,29 @@ def _rebuild(store: Any, superblock: dict) -> RecoveredState:
     # epoch — the promise survives the crash exactly because it rides
     # the superblock.
     store.cluster_epoch = superblock.get("cluster_epoch", 0)
+    owned = [store._catalog_extent, store._flightrec_extent]
 
     catalog = records.decode(store.device.read(store._catalog_extent[0]),
                              records.REC_CATALOG)
     store.checkpoints = {}
     for _ckpt_id, entry in catalog["checkpoints"].items():
-        info = read_checkpoint_meta(store.device, entry)
+        info, spans = read_checkpoint_meta(store.device, entry)
         info.complete = True
         store.checkpoints[info.ckpt_id] = info
+        owned += spans
 
     store.journals = {}
     for _jid, meta in superblock["journal_dir"].items():
         journal = Journal.decode_meta(store, meta)
         journal.replay()  # fixes epoch/head from the header slot
         store.journals[journal.jid] = journal
+        owned.append((journal.base, journal.capacity))
 
+    # Whatever these owners do not hold is free: the previous
+    # generation's catalog and flight record (the older slot names them
+    # only as a fallback for an unreadable newer one), an async commit's
+    # extents in flight at the crash, evicted pages no commit adopted.
+    store.alloc.restore((store.alloc.cursor, store.alloc.derive(owned)))
     return RecoveredState(
         generation=store._generation,
         checkpoint_count=len(store.checkpoints),

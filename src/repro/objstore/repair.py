@@ -9,19 +9,19 @@ what is mechanically fixable:
   decode is rewritten from its valid mirror twin (the slots alternate
   by generation, so the twin carries the newest durable root; copying
   it restores two-slot redundancy without inventing state).
-* **Free-list overlaps** — free spans that overlap a live extent (one
-  a checkpoint's ``owned_extents`` lists, the scrubber's
-  :func:`~repro.objstore.scrub.live_extents`) are trimmed so a later
-  allocation can never hand out live blocks.
+* **Free list** — a free span on an owned extent or an orphan: the
+  allocator's free list is replaced with the one the store's owners
+  leave (:meth:`~repro.objstore.blockalloc.ExtentAllocator.derive`,
+  what a mount sets), so a later allocation never hands out live
+  blocks and nothing leaks.  The free list is not on media, so this
+  needs no flip.
 * **Overgrown shadow chains** — chains deeper than
   :data:`~repro.objstore.scrub.MAX_SHADOW_DEPTH` (the §6 eager-
   collapse bound) are collapsed reverse-style, shadow by shadow,
   until they meet the bound — the repair equivalent of the collapse
   pass an ablation run skipped.
 
-Disk-state repairs are persisted through the store's own
-catalog/superblock commit path, so a repaired image recovers exactly
-like a healthy one.  Every applied fix is a ``repair.applied`` event
+Every applied fix is a ``repair.applied`` event
 (``sls events``) and one of the report's ``actions``; what cannot be
 fixed (e.g. both superblock slots gone) is recorded as skipped.
 ``sls scrub --repair`` drives this and re-scrubs to prove the fixes.
@@ -29,15 +29,13 @@ fixed (e.g. both superblock slots gone) is recorded as skipped.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ..core import events
 from . import records
-from .blockalloc import _align_up
 from .recovery import _read_superblocks
-from .scrub import (MAX_SHADOW_DEPTH, ScrubReport, _chain_segment_len,
-                    live_extents, scrub)
-from .store import Flip
+from .scrub import (FREELIST, MAX_SHADOW_DEPTH, ORPHAN, ScrubReport,
+                    _chain_segment_len, scrub)
 
 
 class RepairAction:
@@ -110,42 +108,6 @@ def _repair_superblocks(store: Any, report: RepairReport) -> bool:
     return True
 
 
-def _repair_freelist(store: Any, report: RepairReport) -> bool:
-    """Trim free spans overlapping live extents (never hand out live
-    blocks again).  Returns True when the free list changed."""
-    live = live_extents(store.checkpoints.values())
-    if not live:
-        return False
-    trimmed: List[Tuple[int, int]] = []
-    changed = False
-    for free_off, free_len in store.alloc._free:
-        spans = [(free_off, free_len)]
-        for off, raw_len in live:
-            # Live extents are stored with raw lengths; overlap checks
-            # must use the allocator's aligned footprint.
-            length = _align_up(raw_len)
-            next_spans: List[Tuple[int, int]] = []
-            for s_off, s_len in spans:
-                s_end = s_off + s_len
-                end = off + length
-                if off >= s_end or end <= s_off:
-                    next_spans.append((s_off, s_len))
-                    continue
-                changed = True
-                report.add("freelist",
-                           f"trimmed live extent [{off}, {end}) out of "
-                           f"free span [{s_off}, {s_end})")
-                if s_off < off:
-                    next_spans.append((s_off, off - s_off))
-                if end < s_end:
-                    next_spans.append((end, s_end - end))
-            spans = next_spans
-        trimmed.extend(spans)
-    if changed:
-        store.alloc._free = sorted(trimmed)
-    return changed
-
-
 def _repair_shadow_chains(sls: Any, report: RepairReport) -> int:
     """Collapse every chain past the eager-collapse bound.
 
@@ -193,9 +155,7 @@ def repair(store: Any, report: Optional[ScrubReport] = None,
     ``report`` is advisory — repairs are re-derived from the device
     and the mounted store so a stale report can never drive a wrong
     fix.  Pass the orchestrator as ``sls`` to also collapse overgrown
-    shadow chains.  Disk-state changes are persisted through the
-    store's normal catalog/superblock commit, so the repaired image
-    recovers like a healthy one.
+    shadow chains.
     """
     out = RepairReport()
     out.clock = getattr(store, "clock", None)
@@ -206,17 +166,13 @@ def repair(store: Any, report: Optional[ScrubReport] = None,
 
     kinds = {finding.kind for finding in report.findings}
     _repair_superblocks(store, out)
-    free_fixed = "freelist" in kinds and _repair_freelist(store, out)
+    if kinds & {FREELIST, ORPHAN} and getattr(store, "_mounted", False):
+        alloc = store.alloc
+        alloc.restore((alloc.cursor, alloc.derive(store.owned_extents())))
+        out.add(FREELIST, "re-derived the free list from the owners")
     if sls is not None and "shadow-chain" in kinds:
         _repair_shadow_chains(sls, out)
-
-    # Persist repaired allocator state through the normal commit path
-    # (fresh catalog + superblock flip).  Slot rewrites are already
-    # durable.
-    if free_fixed and getattr(store, "_mounted", False):
-        with Flip(store) as flip:
-            store._write_catalog_and_superblock(flip)
-    unhandled = kinds - {"superblock", "freelist", "shadow-chain"}
+    unhandled = kinds - {"superblock", FREELIST, ORPHAN, "shadow-chain"}
     for kind in sorted(unhandled):
         out.skip(kind, "no mechanical repair for this finding kind")
     return out

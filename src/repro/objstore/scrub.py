@@ -16,17 +16,16 @@ verifying along the way:
 * **Reachability** — every extent a checkpoint references (its own
   metadata, object records, page data) actually exists on the device;
   a dangling pointer is a ``dangling`` finding.
-* **Free list** — no extent a checkpoint's ``owned_extents`` lists
-  sits on the superblock's free list.  Ownership is that list alone
-  (GC frees what no other checkpoint of the group lists), so a wrongly
-  freed extent shows up here.
-* **Orphans** — every extent the mounted store's allocator has handed
-  out is owned (:meth:`ObjectStore.owned_extents`): by a checkpoint,
-  an in-flight commit, a journal, the superblock's catalog or flight
-  record, or the eviction table (pages evicted dirty that no commit
-  has adopted yet).  Anything else is space nothing will ever free.
-  What was allocated when the store was mounted is taken as owned
-  (``held_at_mount``): the superblock does not say by whom.
+* **Free list and orphans** — the mounted store's allocator is
+  compared with the free list its owners leave
+  (:meth:`~repro.objstore.blockalloc.ExtentAllocator.derive`, what a
+  mount sets): the owners are :meth:`ObjectStore.owned_extents` — the
+  checkpoints, in-flight commits, journals, the superblock's catalog
+  and flight record, and the eviction table (pages evicted dirty that
+  no commit has adopted yet).  A free span on an owned extent is a
+  ``freelist`` finding (a later allocation would overwrite it); an
+  allocated stretch nothing owns is an ``orphan``, space nothing will
+  ever free.
 * **Liveness** — incremental checkpoints leave an unchanged object's
   record in an ancestor delta, so every OID in a checkpoint's
   effective live set must still resolve to a record somewhere along
@@ -52,12 +51,13 @@ scrub only ever *reads* the device; it never repairs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core import events, telemetry, tracing
 from ..errors import CorruptRecord, StoreError
 from ..hw.nvme import payload_length
 from . import records
+from .blockalloc import ExtentAllocator
 from .checkpoint import CheckpointInfo, chain_of, live_set
 from .recovery import _read_superblocks, read_checkpoint_meta
 
@@ -206,29 +206,19 @@ def _scan_checkpoint(store: Any, report: ScrubReport,
             report.page_extents_verified += fit
 
 
-def live_extents(checkpoints: Iterable[CheckpointInfo]
-                 ) -> List[Tuple[int, int]]:
-    """``(offset, length)`` of every extent the checkpoints own, by
-    offset, each once: what the free list must not hold (scrub checks
-    it, repair trims it)."""
-    lengths = {offset: length for info in checkpoints
-               for offset, length in info.owned_extents}
-    return sorted(lengths.items())
-
-
-def _scan_freelist(report: ScrubReport,
-                   checkpoints: Dict[int, CheckpointInfo],
-                   superblock: dict) -> None:
-    """No live extent may sit on the superblock's free list."""
-    free_spans = [(pair[0], pair[1]) for pair in superblock["free_list"]]
-    for offset, length in live_extents(checkpoints.values()):
-        for free_off, free_len in free_spans:
-            if offset < free_off + free_len and free_off < offset + length:
-                report.add(FREELIST,
-                           f"live extent [{offset}, {offset + length}) "
-                           f"overlaps free span [{free_off}, "
-                           f"{free_off + free_len})")
-                break
+def _scan_allocator(report: ScrubReport, alloc: ExtentAllocator,
+                    owned: List[Tuple[int, int]]) -> None:
+    """The allocator against the free list ``owned`` leaves: what only
+    the derivation frees is an orphan, what only the allocator frees
+    an owned extent on the free list."""
+    derived = alloc.derive(owned)
+    for offset, length in alloc.unowned(owned):
+        report.add(ORPHAN, f"extent [{offset}, {offset + length}) is "
+                           f"allocated but nothing owns it")
+    # Neither allocated (alloc.unowned(())) nor free by the derivation.
+    for offset, length in alloc.derive([*alloc.unowned(()), *derived]):
+        report.add(FREELIST, f"free span [{offset}, {offset + length}) "
+                             f"lies on an owned extent")
 
 
 def _scan_liveness(report: ScrubReport,
@@ -358,7 +348,7 @@ def _scrub_walk(store: Any, sls: Optional[Any],
                        f"{meta_offset} missing", int(ckpt_id))
             continue
         try:
-            info = read_checkpoint_meta(device, entry)
+            info, _spans = read_checkpoint_meta(device, entry)
         except (CorruptRecord, StoreError) as exc:
             report.add(CHECKSUM,
                        f"checkpoint {ckpt_id} metadata: {exc}",
@@ -377,12 +367,8 @@ def _scrub_walk(store: Any, sls: Optional[Any],
                        f"checkpoint {info.ckpt_id} parent {info.parent} "
                        f"is not in the catalog", info.ckpt_id)
 
-    _scan_freelist(report, checkpoints, superblock)
     if getattr(store, "_mounted", False):
-        for offset, length in store.alloc.unowned(
-                [*store.owned_extents(), *store.held_at_mount]):
-            report.add(ORPHAN, f"extent [{offset}, {offset + length}) is "
-                               f"allocated but nothing owns it")
+        _scan_allocator(report, store.alloc, store.owned_extents())
     _scan_liveness(report, checkpoints)
     if sls is not None:
         _scan_shadow_chains(sls, report)

@@ -17,6 +17,13 @@ Commit protocol (all COW — nothing live is ever overwritten):
 Incremental state: each checkpoint stores a delta; the restorable view
 is the newest-wins merge along the parent chain
 (:meth:`ObjectStore.merged_view`).
+
+Space has one record, its owners (:meth:`ObjectStore.owned_extents`).
+The superblock carries the allocator's cursor, not its free list: a
+mount derives the free list from what the recovered checkpoints,
+journals, catalog and flight record hold
+(:meth:`~repro.objstore.blockalloc.ExtentAllocator.derive`), so it
+frees whatever no durable owner reaches.
 """
 
 from __future__ import annotations
@@ -229,9 +236,6 @@ class ObjectStore:
         #: Offset -> length of the extents :meth:`swap_out` wrote that no
         #: commit has adopted yet, kept for the eviction table.
         self.swap_extents: Dict[int, int] = {}
-        #: What was allocated when :meth:`mount` found the store; scrub
-        #: takes it as owned, as the superblock does not say by whom.
-        self.held_at_mount: List[Tuple[int, int]] = []
         #: Deterministic retry/backoff for every device command the
         #: store issues; transient device errors never escape it short
         #: of :class:`~repro.errors.RetriesExhausted`.
@@ -254,7 +258,6 @@ class ObjectStore:
         self._flightrec_extent = None
         self.cluster_epoch = 0
         self.swap_extents = {}
-        self.held_at_mount = []
         with Flip(self) as flip:
             self._write_catalog_and_superblock(flip)
         self._mounted = True
@@ -263,13 +266,13 @@ class ObjectStore:
         """Recover the store from the device.
 
         Returns True when an existing store was found (and its last
-        complete checkpoints recovered); False when the array is blank
-        and :meth:`format` is required.
+        complete checkpoints recovered, its free list derived from what
+        they and the superblock own); False when the array is blank and
+        :meth:`format` is required.
         """
         state = recovery_mod.recover(self)
         if state is None:
             return False
-        self.held_at_mount = self.alloc.unowned(())
         self._mounted = True
         self.stats["recoveries"] += 1
         return True
@@ -605,10 +608,11 @@ class ObjectStore:
 
         A rewritten checkpoint's previous record joins ``flip.release``,
         what this flip unreferences.  The superblock still on media can
-        reach it, so it goes back to the allocator only after every
-        allocation of this flip has been made (none can land on it), in
-        time for the free list the new superblock carries, and is
-        discarded once the flip has landed.  A failure at any step
+        reach it, so it is discarded and goes back to the allocator only
+        once the flip has landed (no allocation of this flip can land on
+        it), as the superseded catalog and flight record do.  The free
+        list is not written: a mount derives it from the owners
+        (:meth:`ExtentAllocator.derive`).  A failure at any step
         before the superblock write lands rolls ``flip`` back, this
         flip's records, catalog and flight record included, so the next
         flip goes to the right slot and nothing leaks.
@@ -643,8 +647,8 @@ class ObjectStore:
         # the telemetry surfaces, placed at zero simulated cost and
         # anchored by the superblock about to be written — durable
         # exactly when the commit is.  Fixed size keeps the allocator
-        # cursor, free list and superblock length identical whether
-        # telemetry is enabled or not (timing-identity invariant).  The
+        # and the superblock length identical whether telemetry is
+        # enabled or not (timing-identity invariant).  The
         # flip only captures the record; the device builds its bytes on
         # first read.
         record = flightrec.encode_snapshot(self, pending=pending,
@@ -653,15 +657,11 @@ class ObjectStore:
         flip.undo.append(functools.partial(self.device.discard_extent,
                                            record_at))
         self.device.place_extent(record_at, record)
-        for offset, length in flip.release:
-            self.alloc.free(offset, length)
         superblock_body: Dict[str, Any] = {
             "generation": generation,
             "catalog_extent": [catalog_at, len(catalog)],
             "flightrec": [record_at, len(record)],
             "alloc_cursor": self.alloc.cursor,
-            "free_list": [[off, length]
-                          for off, length in self.alloc._free],
             "oid_cursor": self.oids.cursor,
             "ckpt_counter": self._ckpt_counter,
             "journal_dir": {str(jid): journal.encode_meta()
@@ -682,8 +682,9 @@ class ObjectStore:
         self._generation = generation
         self._catalog_extent = (catalog_at, len(catalog))
         self._flightrec_extent = (record_at, len(record))
-        for offset, _length in flip.release:
+        for offset, length in flip.release:
             self.device.discard_extent(offset)
+            self.alloc.free(offset, length)
         if old_catalog is not None:
             self.alloc.free(*old_catalog)
         if old_flightrec is not None:

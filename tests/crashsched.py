@@ -23,9 +23,12 @@ the ``oracle`` that recovers a crashed run and judges it.  One
   the action, power-fails the machine and asks the workload's oracle,
   which recovers and returns one :class:`Outcome` per restored app.
 
-The nine workloads are the rows of :data:`WORKLOADS`.  Used by
-``tests/test_crashsched.py`` (samples in tier-1, the exhaustive sweeps
-under ``-m slow``).
+The eleven workloads are the rows of :data:`WORKLOADS`.  The oracles
+that reboot the primary also take one more checkpoint of every
+restored group and scrub with no carve-out: the mount left nothing
+allocated that no owner holds, and no owned extent on the free list.
+Used by ``tests/test_crashsched.py`` (samples in tier-1, the
+exhaustive sweeps under ``-m slow``).
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from repro.core.faults import (DOMAINS, FLEET, IO, PRIMARY, REPL,
                                FaultPlan, InjectedCrash)
 from repro.core.shipping import B_ACK, B_APPLY, B_DELIVER, B_SHIP
 from repro.hw.memory import synthetic_bytes
+from repro.objstore.recovery import _read_superblocks
+from repro.objstore.scrub import scrub
 from repro.objstore.store import SUPERBLOCK_SLOTS
 from repro.units import MiB, MSEC, PAGE_SIZE, USEC
 
@@ -187,6 +192,30 @@ def boot_incremental() -> Run:
     return Run(machine, sls, group, proc, addr)
 
 
+def superseded(run: Run) -> List[Tuple[int, int]]:
+    """The catalog and flight record the older superblock slot names:
+    a mount frees them, as the running store did once the newer slot
+    landed."""
+    slots = [superblock for _slot, superblock, _present
+             in _read_superblocks(run.machine.storage) if superblock]
+    return [tuple(slots[1][key]) for key in ("catalog_extent", "flightrec")]
+
+
+def boot_remount() -> Run:
+    """:func:`boot_counter`, then a power failure, a mount and a
+    restore of ``V1``, and the heap dirtied to ``V2``.  The mount freed
+    the :func:`superseded` catalog and flight record, so the ``V2``
+    commit's first allocations land on them before its flip overwrites
+    the slot that names them."""
+    run = boot_counter()
+    run.machine.crash()
+    run.machine.boot()
+    sls = load_aurora(run.machine)
+    result = sls.restore(run.gid, periodic=False)
+    _fill(result.root, run.addr, V2)
+    return Run(run.machine, sls, result.group, result.root, run.addr)
+
+
 def checkpoint_v2(run: Run) -> None:
     run.sls.checkpoint(run.group, name="v2", sync=True)
 
@@ -325,6 +354,7 @@ def restore_pressure(run: Run, plan: FaultPlan, point: Point,
     ok = len(sides) == (2 if expected == V2 else 1) and all(
         pressure_pages(proc.vmspace, run.addr)
         == pressure_expected(expected, side) for side, proc in sides)
+    _checkpoint_and_scrub(sls, [result.group], point)
     return [Outcome(point, _entry(schedule, point),
                     read_head(result.root, run.addr), expected, ok=ok)]
 
@@ -486,8 +516,21 @@ def restore_counter(run: Run, plan: FaultPlan, point: Point,
     sls = load_aurora(run.machine)
     _check_blackbox(sls, point, expected)
     result = sls.restore(run.gid, periodic=False)
-    return [Outcome(point, _entry(schedule, point),
-                    read_head(result.root, run.addr), expected)]
+    head = read_head(result.root, run.addr)
+    _checkpoint_and_scrub(sls, [result.group], point)
+    return [Outcome(point, _entry(schedule, point), head, expected)]
+
+
+def _checkpoint_and_scrub(sls, groups, point: Point) -> None:
+    """One more checkpoint of each restored group, then a scrub that
+    must be clean: every allocated extent has an owner and no owned
+    one is free — what the mount derived is what the owners leave."""
+    for group in groups:
+        sls.checkpoint(group, sync=True)
+    store = sls.store
+    assert store.alloc.unowned(store.owned_extents()) == [], point
+    report = scrub(store, sls=sls)
+    assert report.ok, f"{point}: {report.findings}"
 
 
 def _check_blackbox(sls, point: Point, expected: bytes) -> None:
@@ -542,7 +585,7 @@ def restore_fleet(run: Run, plan: FaultPlan, point: Point,
         acked[group] = max(acked.get(group, 0), event.fields["ckpt"])
     run.machine.boot()
     sls = load_aurora(run.machine)
-    outcomes = []
+    outcomes, restored = [], []
     for tenant in run.tenants:
         if tenant.gid not in sls.restorable_groups():
             # The third tenant's crash landed before its first durable
@@ -551,6 +594,7 @@ def restore_fleet(run: Run, plan: FaultPlan, point: Point,
             continue
         durable = sls.store.find_latest_complete(tenant.gid).ckpt_id
         result = sls.restore(tenant.gid, periodic=False)
+        restored.append(result.group)
         tags = {result.root.vmspace.read(tenant.addr + page * PAGE_SIZE, 10)
                 for page in range(FLEET_NPAGES)}
         outcomes.append(Outcome(
@@ -559,6 +603,7 @@ def restore_fleet(run: Run, plan: FaultPlan, point: Point,
                 and result.ckpt_id >= acked.get(tenant.gid, 0)
                 and len(tags) == 1),
             tenant=tenant.gid))
+    _checkpoint_and_scrub(sls, restored, point)
     return outcomes
 
 
@@ -598,6 +643,8 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
              restore_counter),
     Workload("gc3", boot_chain, checkpoint_v2, IO, _WRITE, commit_flip,
              restore_counter),
+    Workload("remount", boot_remount, checkpoint_v2, IO, _WRITE,
+             commit_flip, restore_counter),
     Workload("cluster", boot_cluster, replicate_v2, REPL, _QUORUM,
              quorum_flip, recover_cluster),
     Workload("skewed", boot_cluster, replicate_v2_skewed, REPL, _QUORUM,

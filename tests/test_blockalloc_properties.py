@@ -93,12 +93,14 @@ def test_free_everything_restores_full_capacity(ops):
 @given(OPS, OPS)
 def test_a_rebuilt_allocator_keeps_exact_accounting(before, after):
     """A mount rebuilds the allocator from the superblock's cursor and
-    free list alone: it reports the used bytes the old one did, and
+    the extents the owners hold (:meth:`ExtentAllocator.derive`): it
+    has the free list and reports the used bytes the old one did, and
     stays exact through whatever follows."""
     alloc, live = _run(before)
     rebuilt = ExtentAllocator(CAPACITY, reserved=RESERVED,
                               cursor=alloc.cursor)
-    rebuilt._free = list(alloc._free)
+    rebuilt.restore((alloc.cursor, rebuilt.derive(live.items())))
+    assert rebuilt.snapshot() == alloc.snapshot()
     assert rebuilt.used_bytes() == alloc.used_bytes() == sum(live.values())
     _run(after, rebuilt, live)
 

@@ -1,7 +1,7 @@
 """Crash-schedule exploration: a crash at *any* instant restores the
 last durable checkpoint (§5, §7).
 
-Each of the eight workloads of ``tests/crashsched.py`` is probed once
+Each of the eleven workloads of ``tests/crashsched.py`` is probed once
 per module.  The smoke tests (tier-1) cover every pipeline stage
 boundary plus fixed-seed samples of the IO, replication and fleet
 boundaries; the exhaustive sweeps over every entry run under
@@ -21,11 +21,12 @@ from repro.core.faults import (AFTER, BEFORE, FLEET, IO, NOSPACE, PRIMARY,
 from repro.core.pipeline import STAGE_ORDER
 from repro.errors import CorruptRecord, NoSpace
 from repro.objstore.oid import CLASS_MEMORY, make_oid
-from repro.objstore.store import ObjectStore
+from repro.objstore.store import SUPERBLOCK_SLOTS, ObjectStore
 from repro.units import PAGE_SIZE
 
 from tests.crashsched import (NODES, V1, V2, WORKLOADS, WRITE_QUORUM,
-                              Explorer, read_head, superblock_flips)
+                              Explorer, read_head, superblock_flips,
+                              superseded)
 
 SMOKE_SEED = 0xA0DA
 SMOKE_IO_SAMPLES = 3
@@ -239,6 +240,51 @@ def test_exhaustive_gc_crash_schedule_sweep(name, request):
     assert [i for d, i in points if d == IO] == \
         list(range(len(schedule.entries(IO))))
     outcomes = explorer.sweep(points, schedule)
+    failures = [outcome for outcome in outcomes if not outcome.ok]
+    assert not failures, failures
+    assert {outcome.restored for outcome in outcomes} == {V1, V2}
+
+
+@pytest.fixture(scope="module")
+def remount_explorer():
+    """Explorer whose probed checkpoint is the first after a mount."""
+    return Explorer(WORKLOADS["remount"])
+
+
+@pytest.fixture(scope="module")
+def remount_schedule(remount_explorer):
+    return remount_explorer.probe()
+
+
+def test_a_commit_after_a_mount_reuses_the_superseded_metadata(
+        remount_explorer, remount_schedule):
+    """The mount freed the catalog and flight record the older
+    superblock slot names, and the first commit after it writes over
+    them before its flip overwrites that slot.  A crash at every IO of
+    that commit, and after it, recovers the last durable checkpoint,
+    and the judge's checkpoint and scrub find nothing unowned."""
+    spans = superseded(remount_explorer.workload.boot())
+    entries = remount_schedule.entries(IO)
+    landed = [index for index, (offset, _name) in enumerate(entries)
+              if any(start <= offset < start + length
+                     for start, length in spans)]
+    assert landed and landed[0] < remount_schedule.flip
+    assert entries[remount_schedule.flip][0] == SUPERBLOCK_SLOTS[1]
+    points = remount_schedule.points(IO) + remount_schedule.points(STAGE)[-1:]
+    outcomes = remount_explorer.sweep(points, remount_schedule)
+    assert all(outcome.ok for outcome in outcomes), \
+        [outcome for outcome in outcomes if not outcome.ok]
+    assert [outcome.restored for outcome in outcomes] == \
+        [V1] * len(entries) + [V2]
+
+
+@pytest.mark.slow
+def test_exhaustive_remount_crash_schedule_sweep(remount_explorer,
+                                                 remount_schedule):
+    """Every stage boundary and every IO index of the first checkpoint
+    after a mount."""
+    points = remount_schedule.points(STAGE) + remount_schedule.points(IO)
+    outcomes = remount_explorer.sweep(points, remount_schedule)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     assert not failures, failures
     assert {outcome.restored for outcome in outcomes} == {V1, V2}
@@ -788,6 +834,7 @@ PROBED = {
     "gc": ((6, 9, 0, 0), 5),
     "gc2": ((7, 9, 0, 0), 6),
     "gc3": ((6, 9, 0, 0), 5),
+    "remount": ((6, 9, 0, 0), 5),
     "cluster": ((6, 9, 177, 0), 12),
     "skewed": ((6, 9, 177, 0), 15),
     "fenced": ((8, 9, 73, 0), None),
@@ -798,12 +845,12 @@ PROBED = {
 
 def test_every_probed_schedule_keeps_its_size(
         schedule, incr_schedule, gc_schedule, gc2_schedule, gc3_schedule,
-        cluster_schedule, skewed_schedule, fenced_schedule, pressure_schedule,
-        fleet_schedule):
+        remount_schedule, cluster_schedule, skewed_schedule, fenced_schedule,
+        pressure_schedule, fleet_schedule):
     probed = dict(zip(PROBED, (
         schedule, incr_schedule, gc_schedule, gc2_schedule, gc3_schedule,
-        cluster_schedule, skewed_schedule, fenced_schedule,
-        pressure_schedule, fleet_schedule)))
+        remount_schedule, cluster_schedule, skewed_schedule,
+        fenced_schedule, pressure_schedule, fleet_schedule)))
     assert {name: (tuple(len(probe.entries(domain))
                          for domain in (IO, STAGE, REPL, FLEET)), probe.flip)
             for name, probe in probed.items()} == PROBED

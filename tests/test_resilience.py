@@ -651,31 +651,41 @@ def test_repair_rewrites_corrupt_superblock_slot():
     assert scrub(store).ok
 
 
-def test_repair_trims_free_list_overlapping_live_extent():
-    from repro.objstore import records
-    from repro.objstore.scrub import _read_superblocks
+def test_repair_rederives_a_free_list_holding_an_owned_extent():
+    """A mounted store whose allocator frees an extent a checkpoint
+    owns: scrub reports it, repair replaces the free list with the one
+    the owners leave, and nothing is written — the free list is not on
+    media, so the superblock generation stays where it was.  An
+    allocation nothing owns is the same repair's other side."""
+    from repro.objstore.recovery import _read_superblocks
 
     machine = Machine()
-    store, infos = _store_with_chain(machine)
-    live_off, live_len = infos[0].owned_extents[0]
-    # Corrupt the durable superblock: a live extent lands on the free
-    # list.  A fresh mount then loads the poisoned allocator state.
-    slots = _read_superblocks(machine.storage)
-    slot, newest = max(((s, sb) for s, sb, _p in slots if sb is not None),
-                       key=lambda item: item[1]["generation"])
-    newest["free_list"] = list(newest["free_list"]) + [[live_off, live_len]]
-    machine.storage.discard_extent(slot)
-    machine.storage.write(slot,
-                          records.encode(records.REC_SUPERBLOCK, newest))
+    _store, infos = _store_with_chain(machine)
+    machine.crash()
+    machine.boot()
     store = ObjectStore(machine)
     assert store.mount()
+    generation = store._generation
+    free = store.alloc.snapshot()[1]
+    live_off, live_len = \
+        store.checkpoints[infos[0].ckpt_id].owned_extents[0]
+    store.alloc.free(live_off, live_len)
     report = scrub(store)
-    assert any(f.kind == "freelist" for f in report.findings)
+    assert [finding.kind for finding in report.findings] == ["freelist"]
+    assert str(live_off) in report.findings[0].detail
     fixes = repair(store, report)
-    assert any(a.kind == "freelist" for a in fixes.actions)
-    report2 = scrub(store)
-    assert not [f for f in report2.findings if f.kind == "freelist"], \
-        report2.findings
+    assert [action.kind for action in fixes.actions] == ["freelist"]
+    assert store.alloc.snapshot()[1] == free
+    assert scrub(store).ok
+    store.alloc.alloc(PAGE_SIZE)
+    report = scrub(store)
+    assert [finding.kind for finding in report.findings] == ["orphan"]
+    repair(store, report)
+    assert store.alloc.snapshot()[1] == free
+    assert scrub(store).ok
+    assert store._generation == generation
+    assert max(sb["generation"] for _slot, sb, _present
+               in _read_superblocks(machine.storage) if sb) == generation
 
 
 def test_repair_collapses_overgrown_shadow_chains():

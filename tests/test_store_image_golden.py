@@ -44,6 +44,17 @@ alone moved when a trimming commit became one transaction: a history
 trim no longer writes a catalog, flight record and superblock of its
 own, so what follows lands at other offsets and times, and the
 cluster image and both logical pins held (was ``6e7a8818…e031f3f57a``).
+Both moved together when the superblock stopped carrying the free
+list (was ``18c5fddf…ca0e67f5b60f`` and ``c3393bb2…0f198051c472``):
+shorter superblocks, and from their shorter writes earlier
+``time_ns`` in later checkpoint metadata and earlier event times in
+flight records.  In the fleet image every extent keeps its offset and
+only those moved (2 superblocks, 18 metadata records differing in
+``time_ns`` alone, 11 flight records).  In the cluster image the two
+nodes of the AZ that goes down mount when they rejoin, and the mount
+now frees their superseded catalog and flight record, so what they
+write afterwards lands at other offsets; the other four stores keep
+every offset.  Both logical pins held.
 
 A second pin per scenario is logical: each retained checkpoint's
 merged view — its objects' ``(oid, otype, state)`` and each OID's page
@@ -75,8 +86,8 @@ from repro.core import telemetry
 from repro.core.cluster import SLSCluster
 from repro.units import MSEC, PAGE_SIZE
 
-FLEET_SHA256 = "18c5fddf402918d994447855f84c74f50d3e70426ba789fee17dca0e67f5b60f"
-CLUSTER_SHA256 = "c3393bb2eeef663439d403dd03024e5d5365c0349684e05b7bec0f198051c472"
+FLEET_SHA256 = "abfdc318f462e1df97efd8e01bfb62a4debec82e570d504cdf57f1fef42870d9"
+CLUSTER_SHA256 = "5f16ece88d77e56f77c74600d2d91fb6f3bb71af498f5a7d6c477e5312da8b50"
 FLEET_LOGICAL_SHA256 = "c78e69488d1fb20cb10acdc49ea99076f8de9b72587b6b900f8a09e16f7339c6"
 CLUSTER_LOGICAL_SHA256 = "8fefbad00b17c7eeff07a883da39ce6a3008de25c0d24dec47ce48228491d584"
 
