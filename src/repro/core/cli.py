@@ -61,8 +61,7 @@ def _save_image(machine: Machine, path: str) -> None:
     # (A plain drain() would spin forever on periodic checkpoint
     # timers, which are volatile and not part of the image anyway.)
     for _ in range(8):
-        deadline = max((dev._busy_until
-                        for dev in machine.storage.devices), default=0)
+        deadline = machine.storage.busy_until
         if deadline <= machine.clock.now():
             break
         machine.loop.run_until(deadline)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
-                    Optional, Tuple, TypeVar, Union)
+                    Optional, Sequence, Tuple, TypeVar, Union)
 
 from ..serde import Encoded
 
@@ -153,6 +153,15 @@ class Series:
         self.count += 1
         self.total += value
         self.samples.append(value)
+
+    def observe_many(self, values: Sequence[int]) -> None:
+        """:meth:`observe` each of ``values`` (not empty), in one add."""
+        low, high = min(values), max(values)
+        self.min, self.max = ((min(self.min, low), max(self.max, high))
+                              if self.count else (low, high))
+        self.count += len(values)
+        self.total += sum(values)
+        self.samples.extend(values)
 
     @property
     def mean(self) -> float:

@@ -6,7 +6,7 @@ serialization delay, both of which feed the client-observed latency
 model in :mod:`repro.workloads.mutilate`.
 
 Each link out of the interface (one per destination) is its own FIFO
-queue, modelled like :meth:`repro.hw.nvme.NVMeDevice._command_time`:
+queue, modelled like :meth:`repro.hw.nvme.NVMeDevice.queue_run`:
 sends on one link wait their turn on its bandwidth (a busy-until
 instant), while the one-way latency overlaps across queued sends and
 across links.  A replication pump that ships one delta to N nodes at

@@ -7,15 +7,12 @@ different stripe units overlaps while a single synchronous stream sees
 queue-depth-1 behaviour — exactly the asymmetry behind Table 5's
 journal column versus Table 7's 97.6 ms async flush.
 
-A checkpoint's flush reaches the array as one batch
-(:meth:`StripedArray.submit_writes`): each command still gets its own
-completion time from the same per-device recurrence and its own turn
-at the fault plan, but the telemetry is booked once per device per
-batch — one counter add each and one ``nvme.write`` span carrying
-``commands`` and ``bytes`` labels — with one latency sample per
-command in the device's ``nvme.write`` series.
-:meth:`NVMeDevice.queue_write` is the one queueing primitive; a single
-write is a batch of one.
+A checkpoint's flush reaches the array as one batch of runs, each
+``count`` commands of one payload on consecutive stripe units (a single
+write is a run of one).  Each device books its share of a run in closed
+form (:meth:`NVMeDevice.queue_run`): every command completes when the
+one-at-a-time recurrence says, one queue entry lands each at its own
+time, and its latency samples go into ``nvme.write`` in one add.
 
 Payload storage is *extent exact*: callers read back exactly the
 extents they wrote (the object store's metadata always records extent
@@ -72,6 +69,13 @@ class DeferredPayload:
 Payload = Union[bytes, Tuple[str, int, int], DeferredPayload]
 
 
+#: ``(array offset, commands, payload)``: one payload, consecutive stripes.
+Run = Tuple[int, int, Payload]
+#: ``(completion, step, commands, offset, payload)``: command ``k`` lands
+#: at ``offset + k * len(payload)`` at ``completion + k * step``.
+Queued = Tuple[int, int, int, int, Payload]
+
+
 def synthetic_payload(seed: int, length: int) -> Payload:
     """A (seed, length) marker standing in for real bytes."""
     return ("synthetic", seed, length)
@@ -93,8 +97,8 @@ class NVMeDevice:
         self.name = name
         self._extents: Dict[int, Payload] = {}
         self._busy_until = 0
-        #: (apply_at, offset, payload) for writes still in the queue.
-        self._inflight: List[Tuple[int, int, Payload]] = []
+        #: The writes still in the queue, in submission order.
+        self._inflight: List[Queued] = []
         self.bytes_written = 0
         self.bytes_read = 0
         self.write_commands = 0
@@ -116,63 +120,55 @@ class NVMeDevice:
         #: Per-command write latency, one sample per queued command.
         self._t_write_ns = registry.histogram("nvme.write", device=name)
 
-    # -- timing ------------------------------------------------------------
-
-    def _command_time(self, nbytes: int, latency: int, bandwidth: int) -> int:
-        """Completion time for a command submitted now.
-
-        Bandwidth serializes commands on the device (``_busy_until``),
-        but completion latency overlaps across queued commands — the
-        queue-depth behaviour of real NVMe.  A synchronous caller that
-        waits for each completion before submitting the next therefore
-        degenerates to queue-depth-1 (the journal path) while a
-        flood of async submissions streams at device bandwidth.
-        """
-        start = max(self.clock.now(), self._busy_until)
-        transfer = (nbytes * 1_000_000_000) // bandwidth
-        self._busy_until = start + transfer
-        return start + transfer + latency
-
     # -- writes ------------------------------------------------------------
 
-    def queue_write(self, offset: int, payload: Payload, nbytes: int,
-                    sync: bool = False) -> int:
-        """The one queueing primitive: queue an ``nbytes`` write and
-        return its completion time (ns).
-
-        ``sync`` selects the queue-depth-1 latency/bandwidth profile
-        used by the journal path.  The payload becomes visible (and
-        durable) only at the returned completion time; callers that
-        need synchronous semantics advance the clock to it.  Counts the
-        command and feeds its latency sample; the counter adds and the
-        span are booked by the caller (:meth:`book_writes`), once per
-        batch.
-        """
-        if offset < 0 or offset + nbytes > self.capacity:
-            raise DeviceFull(
-                f"write [{offset}, {offset + nbytes}) beyond {self.name} "
-                f"capacity {self.capacity}"
-            )
-        if sync:
-            done = self._command_time(nbytes, costs.SYNC_WRITE_LATENCY,
-                                      costs.SYNC_WRITE_BW)
-        else:
-            done = self._command_time(nbytes, costs.NVME_WRITE_LATENCY,
-                                      costs.NVME_WRITE_BW)
-        self._inflight.append((done, offset, payload))
-        self.bytes_written += nbytes
-        self.write_commands += 1
+    def queue_run(self, offset: int, count: int, payload: Payload,
+                  submit: int, period: int, sync: bool = False) -> int:
+        """The one queueing primitive: queue ``count`` writes of
+        ``payload`` back to back from ``offset``, the ``k``-th submitted
+        at ``submit + k * period`` (``sync``: the journal's queue-depth-1
+        profile); returns the last completion (ns).  Bandwidth serializes
+        the device, latency overlaps: the ``k``-th starts at ``max(busy +
+        k * transfer, submit + k * max(period, transfer))``, one
+        progression per queue entry and bulk add of latency samples."""
+        nbytes = payload_length(payload)
+        if offset < 0 or offset + count * nbytes > self.capacity:
+            raise DeviceFull(f"write [{offset}, {offset + count * nbytes}) "
+                             f"beyond {self.name} capacity {self.capacity}")
+        latency, bandwidth = ((costs.SYNC_WRITE_LATENCY, costs.SYNC_WRITE_BW)
+                              if sync else (costs.NVME_WRITE_LATENCY,
+                                            costs.NVME_WRITE_BW))
+        transfer = (nbytes * 1_000_000_000) // bandwidth
+        busy = self._busy_until
+        if busy > submit and period > transfer:
+            held = (busy - submit) // (period - transfer) + 1
+            if held < count:
+                # The backlog clears partway: the rest start as submitted.
+                self.queue_run(offset, held, payload, submit, period, sync)
+                return self.queue_run(offset + held * nbytes, count - held,
+                                      payload, submit + held * period,
+                                      period, sync)
+        start, stride = ((busy, transfer) if busy > submit
+                         else (submit, period if period > transfer else transfer))
+        done = start + transfer + latency
+        self._inflight.append((done, stride, count, offset, payload))
         if self._registry.enabled:
-            self._t_write_ns.observe(done - self.clock.now())
-        return done
+            sample, delta = done - submit, stride - period
+            if count == 1:
+                self._t_write_ns.observe(sample)
+            else:
+                self._t_write_ns.observe_many(
+                    range(sample, sample + count * delta, delta)
+                    if delta else [sample] * count)
+        self._busy_until = start + (count - 1) * stride + transfer
+        self.bytes_written += count * nbytes
+        self.write_commands += count
+        return self._busy_until + latency
 
     def book_writes(self, start_ns: int, end_ns: int, commands: int,
                     nbytes: int) -> None:
-        """Book ``commands`` queued writes of ``nbytes`` in all: one add
-        to each counter and one ``nvme.write`` span from the first
-        submission to the last completion, attributed to whatever
-        operation trace is active (the registry's ambient trace),
-        without this layer knowing about traces."""
+        """Book a batch: one add to each counter and one ``nvme.write``
+        span, first submission to last completion, in the active trace."""
         self._t_bytes_written.add(nbytes)
         self._t_write_commands.add(commands)
         self._registry.record_batch_span(
@@ -182,13 +178,29 @@ class NVMeDevice:
     def poll(self) -> None:
         """Apply every queued write whose completion time has passed."""
         now = self.clock.now()
-        still_pending = []
-        for done, offset, payload in self._inflight:
-            if done <= now:
+        pending: List[Queued] = []
+        for entry in self._inflight:
+            done, step, count, offset, payload = entry
+            if done > now:
+                pending.append(entry)
+            elif count == 1:
                 self._extents[offset] = payload
-            else:
-                still_pending.append((done, offset, payload))
-        self._inflight = still_pending
+            else:   # a run of stripes: step > 0
+                landed = min(count, (now - done) // step + 1)
+                nbytes = payload_length(payload)
+                for at in range(offset, offset + landed * nbytes, nbytes):
+                    self._extents[at] = payload
+                if landed < count:
+                    pending.append((done + landed * step, step, count - landed,
+                                    offset + landed * nbytes, payload))
+        self._inflight = pending
+
+    def queued(self) -> Iterator[Tuple[int, int, Payload]]:
+        """Each queued write as ``(completion, offset, payload)``, in order."""
+        for done, step, count, offset, payload in self._inflight:
+            nbytes = payload_length(payload)
+            for k in range(count):
+                yield done + k * step, offset + k * nbytes, payload
 
     # -- reads ---------------------------------------------------------------
 
@@ -205,20 +217,8 @@ class NVMeDevice:
 
     def read(self, offset: int) -> Payload:
         """Read back the extent previously written at ``offset``."""
-        self.poll()
-        payload = self._payload_at(offset)
-        nbytes = payload_length(payload)
-        submitted = self.clock.now()
-        done = self._command_time(nbytes, costs.NVME_READ_LATENCY,
-                                  costs.NVME_READ_BW)
+        payload, done = self.read_async(offset)
         self.clock.advance_to(done)
-        self.bytes_read += nbytes
-        self.read_commands += 1
-        self._t_bytes_read.add(nbytes)
-        self._t_read_commands.add(1)
-        if self._registry.enabled:
-            self._registry.record_span("nvme.read", submitted, done,
-                                       device=self.name)
         return payload
 
     def read_async(self, offset: int) -> Tuple[Payload, int]:
@@ -231,8 +231,10 @@ class NVMeDevice:
         payload = self._payload_at(offset)
         nbytes = payload_length(payload)
         submitted = self.clock.now()
-        done = self._command_time(nbytes, costs.NVME_READ_LATENCY,
-                                  costs.NVME_READ_BW)
+        start = max(submitted, self._busy_until)
+        self._busy_until = start + (nbytes * 1_000_000_000
+                                    // costs.NVME_READ_BW)
+        done = self._busy_until + costs.NVME_READ_LATENCY
         self.bytes_read += nbytes
         self.read_commands += 1
         self._t_bytes_read.add(nbytes)
@@ -259,25 +261,17 @@ class NVMeDevice:
         """Drop an extent (GC reclaimed its blocks)."""
         self._extents.pop(offset, None)
 
-    def tear_write(self, offset: int, payload: Payload) -> None:
-        """Force a (truncated) payload durable immediately.
-
-        Models the media-side half of a torn write: part of the
-        command's data reached flash before power died, bypassing the
-        queue that :meth:`discard_inflight` tears away.
-        """
-        self._extents[offset] = payload
-
     def place_extent(self, offset: int, payload: Payload) -> None:
         """Stage a payload onto media with zero simulated cost.
 
         The observability sidecar path (the flight recorder riding
-        each superblock flip): the payload lands immediately, advances
-        no clock, consumes no device bandwidth, records no span and
-        counts in no IO statistics — so instrumented runs stay
-        timing-identical and crash-schedule IO indices are unchanged.
-        Durability semantics are the caller's problem: the extent is
-        only *meaningful* once something durable references it.
+        each superblock flip), and a torn write's prefix: the payload
+        lands immediately, advances no clock, consumes no device
+        bandwidth, records no span and counts in no IO statistics — so
+        instrumented runs stay timing-identical and crash-schedule IO
+        indices are unchanged.  Durability semantics are the caller's
+        problem: the extent is only *meaningful* once something durable
+        references it.
         """
         nbytes = payload_length(payload)
         if offset < 0 or offset + nbytes > self.capacity:
@@ -293,13 +287,26 @@ class NVMeDevice:
         An aborted checkpoint frees its extents while some of its
         writes may still sit in the device queue; cancelling them
         keeps a later reuse of the blocks from being clobbered by a
-        stale write completing afterwards.  Returns writes dropped.
+        stale write completing afterwards.  A run loses only that
+        command.  Returns writes dropped.
         """
         self.poll()
-        before = len(self._inflight)
-        self._inflight = [entry for entry in self._inflight
-                          if entry[1] != offset]
-        return before - len(self._inflight)
+        kept: List[Queued] = []
+        dropped = 0
+        for entry in self._inflight:
+            done, step, count, first, payload = entry
+            k, off = divmod(offset - first, payload_length(payload))
+            if off or not 0 <= k < count:
+                kept.append(entry)
+                continue
+            dropped += 1
+            nbytes, k = payload_length(payload), k + 1
+            kept += [part for part in (
+                (done, step, k - 1, first, payload),
+                (done + k * step, step, count - k, first + k * nbytes, payload))
+                if part[2]]
+        self._inflight = kept
+        return dropped
 
     # -- crash behaviour -------------------------------------------------------
 
@@ -311,7 +318,7 @@ class NVMeDevice:
         of writes lost.
         """
         self.poll()
-        lost = len(self._inflight)
+        lost = sum(entry[2] for entry in self._inflight)
         self._inflight.clear()
         self._busy_until = self.clock.now()
         return lost
@@ -321,11 +328,12 @@ class StripedArray:
     """Four devices striped at 64 KiB, presented as one address space.
 
     Extents are assigned to a device by their starting stripe unit.
-    The object store's block allocator deliberately round-robins
-    allocations across stripe units, so large flushes fan out over all
-    devices (aggregate bandwidth), while a single synchronous journal
-    stream keeps hitting one device at a time (single-stream
-    bandwidth) — reproducing the paper's two IO regimes.
+    The object store's allocator bump-allocates, and the store asks for
+    data extents one stripe unit long, so a run of them lands on
+    consecutive units and fans out over all devices (aggregate
+    bandwidth), while a single synchronous journal stream keeps
+    hitting one device at a time (single-stream bandwidth) —
+    reproducing the paper's two IO regimes.
     """
 
     def __init__(self, clock: SimClock, ndevices: int = costs.NVME_DEVICES,
@@ -356,82 +364,81 @@ class StripedArray:
         local = (unit // ndev) * self.stripe + offset % self.stripe
         return device, local
 
-    def submit_writes(self, writes: Iterable[Tuple[int, Payload]],
+    def submit_writes(self, writes: Iterable[Run],
                       retry: Optional[RetryPolicy] = None,
                       op: Optional[str] = None,
-                      sync: bool = False) -> List[int]:
-        """Queue a batch of ``(offset, payload)`` writes, in order;
-        returns their completion times (ns).
-
-        Before each command the fault plan, if any, is consulted.
-        ``retry`` re-runs a command that failed retryably, and only
-        that command (:meth:`RetryPolicy.run`); without one the failure
-        propagates.  ``writes`` may be a generator: a command is drawn
-        only once the one before it is queued, so whatever the caller
-        does between commands (allocating, advancing the clock) happens
-        in the order it would between one-at-a-time submits.
-
-        Telemetry is booked once per device per batch — one add to
-        each counter and one ``nvme.write`` span with ``commands`` and
-        ``bytes`` labels — and a batch cut short (a crash, an
-        exhausted retry) still books every command that reached a
-        queue.  Each completion time is the one submitting the
-        commands one at a time would give.
+                      sync: bool = False, gap: int = 0) -> int:
+        """Queue a batch of runs, in order, the clock advancing ``gap``
+        (the caller's cost of a command, an allocation) before each
+        command; returns the last completion time (ns), or now for an
+        empty batch.  Each completion time is the one submitting the
+        commands one at a time gives.  ``writes`` may be a generator: a
+        run is drawn only once the one before it is queued.  Telemetry
+        is booked once per device per batch (:meth:`NVMeDevice.book_writes`),
+        a batch cut short booking every command that reached a queue.
         """
-        clock = self.clock
-        plan = self.fault_plan
-        dones: List[int] = []
+        if self.fault_plan is not None:
+            writes, gap = self._past_plan(writes, self.fault_plan, retry,
+                                          op, sync, gap), 0
+        ndev = len(self.devices)
+        last = self.clock.now()
         #: device -> [first submission, last completion, commands, bytes]
         booked: Dict[NVMeDevice, List[int]] = {}
         try:
-            for offset, payload in writes:
-                device, local = self._device_for(offset)
+            for offset, count, payload in writes:
                 nbytes = payload_length(payload)
-                if plan is None:
-                    done = device.queue_write(local, payload, nbytes, sync)
-                elif retry is None:
-                    done = self._queue_planned(plan, device, local, offset,
-                                               payload, nbytes, sync)
-                else:
-                    done = retry.run(
-                        lambda: self._queue_planned(
-                            plan, device, local, offset, payload, nbytes,
-                            sync),
-                        op=op)
-                dones.append(done)
-                book = booked.get(device)
-                if book is None:
-                    booked[device] = [clock.now(), done, 1, nbytes]
-                else:
+                t0 = self.clock.now()
+                if gap:
+                    self.clock.advance(count * gap)
+                unit, within = divmod(offset, self.stripe)
+                # Device i takes every n-th command from the i-th.
+                for first in range(count if count < ndev else ndev):
+                    device = self.devices[(unit + first) % ndev]
+                    local = (unit + first) // ndev * self.stripe + within
+                    commands = (count - first - 1) // ndev + 1
+                    submit = t0 + (first + 1) * gap
+                    done = device.queue_run(local, commands, payload,
+                                            submit, ndev * gap, sync)
+                    book = booked.get(device) or booked.setdefault(
+                        device, [submit, done, 0, 0])
                     book[1] = done
-                    book[2] += 1
-                    book[3] += nbytes
+                    book[2] += commands
+                    book[3] += commands * nbytes
+                    last = done if done > last else last
         finally:
             for device, (start, end, commands, nbytes) in booked.items():
                 device.book_writes(start, end, commands, nbytes)
-        return dones
+        return last
 
-    @staticmethod
-    def _queue_planned(plan: FaultPlan, device: NVMeDevice, local: int,
-                       offset: int, payload: Payload, nbytes: int,
-                       sync: bool) -> int:
-        """Queue one command past the fault plan: a torn write lands
-        its prefix and raises the crash; an injected failure raises."""
-        verb, payload = plan.on_io(offset, payload, sync)
-        if verb == "torn":
-            device.tear_write(local, payload)
-            raise InjectedCrash(
-                f"injected torn write at array offset {offset}")
-        return device.queue_write(local, payload, nbytes, sync)
+    def _past_plan(self, writes: Iterable[Run], plan: FaultPlan,
+                   retry: Optional[RetryPolicy], op: Optional[str],
+                   sync: bool, gap: int) -> Iterator[Run]:
+        """``writes`` one command at a time, each after ``gap`` and the
+        plan: a torn write lands its prefix and crashes, a failure raises
+        unless ``retry`` re-runs the command (:meth:`RetryPolicy.run`)."""
+        for offset, count, payload in writes:
+            nbytes = payload_length(payload)
+            for at in range(offset, offset + count * nbytes, nbytes):
+                self.clock.advance(gap)
+                verb, planned = (
+                    plan.on_io(at, payload, sync) if retry is None
+                    else retry.run(lambda: plan.on_io(at, payload, sync),
+                                   op=op))
+                if verb == "torn":
+                    device, local = self._device_for(at)
+                    device.place_extent(local, planned)
+                    raise InjectedCrash(
+                        f"injected torn write at array offset {at}")
+                yield at, 1, planned
 
     def submit_write(self, offset: int, payload: Payload,
                      sync: bool = False) -> int:
         """Queue one write on the owning device (a batch of one)."""
-        return self.submit_writes(((offset, payload),), sync=sync)[0]
+        return self.submit_writes(((offset, 1, payload),), sync=sync)
 
     def write(self, offset: int, payload: Payload, sync: bool = False) -> int:
         """Synchronous write: submit, advance the clock, apply."""
-        done = self.submit_writes(((offset, payload),), sync=sync)[0]
+        done = self.submit_writes(((offset, 1, payload),), sync=sync)
         self.clock.advance_to(done)
         self._device_for(offset)[0].poll()
         return done
@@ -479,6 +486,18 @@ class StripedArray:
         """Apply every queued write whose completion time passed."""
         for device in self.devices:
             device.poll()
+
+    @property
+    def busy_until(self) -> int:
+        """When the last queued transfer ends on the busiest device."""
+        return max(device._busy_until for device in self.devices)
+
+    def drain(self) -> None:
+        """Land every queued write, the clock at the last (shutdown)."""
+        self.clock.advance_to(max((done for device in self.devices
+                                   for done, _off, _pl in device.queued()),
+                                  default=0))
+        self.poll()
 
     def discard_inflight(self) -> int:
         """Power failure across the whole array."""

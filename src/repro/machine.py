@@ -96,11 +96,7 @@ class Machine:
     def shutdown(self) -> None:
         """Clean shutdown: lets queued IO drain first."""
         self.loop.drain()
-        pending = [done for device in self.storage.devices
-                   for done, _off, _payload in device._inflight]
-        if pending:
-            self.clock.advance_to(max(pending))
-        self.storage.poll()
+        self.storage.drain()
         if self.kernel is not None:
             self.kernel.mark_crashed()
         self.kernel = None

@@ -2,13 +2,13 @@
 
 Never-overwrite semantics fall out of the allocator: live extents are
 simply never handed out again until freed by GC.  Allocations are
-4 KiB aligned; *data* allocations additionally cap at one stripe unit
-(64 KiB) so consecutive page batches round-robin across the array's
-devices — that fan-out is where the paper's ~5.4 GiB/s aggregate flush
-bandwidth comes from, while single-stream journal slots stay on one
-device at a time.  The free list lives only in memory: the superblock
-stores the cursor, and a mount rebuilds the list from what the store's
-owners hold (:meth:`ExtentAllocator.derive`).
+4 KiB aligned, first fit, else off the bump cursor.  The store asks for
+data extents of at most one stripe unit (64 KiB), an object's run of
+them in one :meth:`ExtentAllocator.alloc_run` call, so the run lands on
+consecutive units across the array's devices — that fan-out is where
+the paper's ~5.4 GiB/s aggregate flush bandwidth comes from.  The free
+list lives only in memory: the superblock stores the cursor, and a
+mount rebuilds it from the owners (:meth:`ExtentAllocator.derive`).
 """
 
 from __future__ import annotations
@@ -44,24 +44,38 @@ class ExtentAllocator:
 
     def alloc(self, nbytes: int) -> int:
         """Allocate an extent of at least ``nbytes``; returns offset."""
+        return self.alloc_run(nbytes, 1)[0][0]
+
+    def alloc_run(self, nbytes: int, count: int) -> List[Tuple[int, int]]:
+        """What ``count`` :meth:`alloc` calls of ``nbytes`` return, as
+        ``(offset, extents)`` pieces of back-to-back extents; short only
+        where the next :meth:`alloc` would raise :class:`StoreFull`."""
         if nbytes <= 0:
             raise InvalidArgument("extent size must be positive")
         want = _align_up(nbytes)
-        for index, (offset, length) in enumerate(self._free):
-            if length >= want:
-                remainder = length - want
-                if remainder >= ALIGN:
-                    self._free[index] = (offset + want, remainder)
-                else:
-                    del self._free[index]
-                return offset
-        if self.cursor + want > self.capacity:
+        pieces: List[Tuple[int, int]] = []
+        while count:   # first fit: a hole serves as many as fit
+            for index, (offset, length) in enumerate(self._free):
+                if length >= want:
+                    break
+            else:
+                break
+            taken = min(count, length // want)
+            pieces.append((offset, taken))
+            count -= taken
+            if length > taken * want:
+                self._free[index] = (offset + taken * want, length - taken * want)
+            else:
+                del self._free[index]
+        if count and self.cursor + want <= self.capacity:
+            taken = min(count, (self.capacity - self.cursor) // want)
+            pieces.append((self.cursor, taken))
+            self.cursor += taken * want
+        if not pieces:
             raise StoreFull(
                 f"object store full: need {want}B, "
                 f"{self.capacity - self.cursor}B left")
-        offset = self.cursor
-        self.cursor += want
-        return offset
+        return pieces
 
     def free(self, offset: int, nbytes: int) -> None:
         """Return an extent to the free list (coalescing neighbours)."""

@@ -44,7 +44,7 @@ from ..errors import (CorruptRecord, InvalidArgument, MachineCrashed,
                       StoreError)
 from ..hw.clock import Event
 from ..hw.memory import Page
-from ..hw.nvme import Payload, StripedArray, synthetic_payload
+from ..hw.nvme import Run, StripedArray, synthetic_payload
 from ..units import PAGE_SIZE, STRIPE_SIZE
 from . import records
 from .blockalloc import ExtentAllocator
@@ -63,9 +63,6 @@ SUPERBLOCK_SLOTS = (0, STRIPE_SIZE)
 #: set (10k fds → ~40 extents), small enough that one corrupt extent
 #: loses a bounded slice of the catalog.
 RECORD_BATCH = 256
-
-#: One write of a checkpoint's flush batch: ``(array offset, payload)``.
-Write = Tuple[int, Payload]
 
 
 class Flip:
@@ -317,13 +314,13 @@ class ObjectStore:
         self._ckpt_counter += 1
         return CheckpointTxn(self, info)
 
-    def _pack_pages(self, txn: CheckpointTxn) -> Iterator[Write]:
+    def _pack_pages(self, txn: CheckpointTxn) -> Iterator[Run]:
         """Pack staged pages into stripe-sized extents: yields each
-        extent's ``(offset, payload)`` write, allocated just before.
+        run's ``(offset, count, payload)`` write, allocated just before.
 
-        Real-byte pages are packed (realized) into extent payloads;
-        synthetic runs are charged as synthetic extents of equal size
-        with their seeds carried in the checkpoint metadata.  Each
+        Real-byte pages are packed (realized) into extent payloads; an
+        object's synthetic pages are one run of synthetic stripes, with
+        their seeds carried in the checkpoint metadata.  Each
         object's staged runs are walked once, in index order; every
         synthetic run joins the locator table through
         ``append_locator_run``, which coalesces exactly as appending its
@@ -331,6 +328,7 @@ class ObjectStore:
         that write is queued.
         """
         info = txn.info
+        planned = self.device.fault_plan is not None
         # Real-byte pages are packed across object boundaries: each
         # stripe-sized payload may carry the tail pages of one object
         # and the head of the next, so a checkpoint's partial stripes
@@ -340,7 +338,7 @@ class ObjectStore:
         #: slot of their first page; the extent is known at the flush.
         batch_runs: List[Tuple[List[Any], int]] = []
 
-        def flush_real() -> Iterator[Write]:
+        def flush_real() -> Iterator[Run]:
             nonlocal real_batch, batch_runs
             if not real_batch:
                 return
@@ -349,8 +347,7 @@ class ObjectStore:
             # Ownership is recorded before the write so an abort
             # after a failed write still frees this extent.
             info.owned_extents.append((extent, len(payload)))
-            self.clock.advance(costs.STORE_ALLOC_EXTENT)
-            yield extent, payload
+            yield extent, 1, payload
             info.data_bytes += len(payload)
             for run, slot in batch_runs:
                 run[3], run[4] = extent, slot * PAGE_SIZE
@@ -391,21 +388,25 @@ class ObjectStore:
                 if len(real_batch) * PAGE_SIZE >= STRIPE_SIZE:
                     yield from flush_real()
 
-            # Synthetic pages: identical IO accounting, virtual bytes.
+            # Synthetic pages: virtual bytes, one run (one stripe each
+            # under a fault plan: a fault stops allocation at its command).
             remaining = PAGE_SIZE * synthetic
             while remaining > 0:
                 chunk = min(remaining, STRIPE_SIZE)
-                extent = self.alloc.alloc(chunk)
-                info.owned_extents.append((extent, chunk))
-                self.clock.advance(costs.STORE_ALLOC_EXTENT)
-                yield extent, synthetic_payload(seed=oid, length=chunk)
-                info.data_bytes += chunk
-                remaining -= chunk
+                payload = synthetic_payload(seed=oid, length=chunk)
+                for extent, count in self.alloc.alloc_run(
+                        chunk, 1 if planned else remaining // chunk):
+                    info.owned_extents.extend(zip(
+                        range(extent, extent + count * chunk, chunk),
+                        itertools.repeat(chunk)))
+                    yield extent, count, payload
+                    info.data_bytes += count * chunk
+                    remaining -= count * chunk
         yield from flush_real()
 
-    def _write_records(self, txn: CheckpointTxn) -> Iterator[Write]:
+    def _write_records(self, txn: CheckpointTxn) -> Iterator[Run]:
         """Stage object records into extents: yields each extent's
-        ``(offset, payload)`` write, allocated just before.
+        ``(offset, 1, payload)`` write, allocated just before.
 
         Each :data:`RECORD_BATCH` slice of the staged records is one
         extent (one allocation + one write), its payload one table per
@@ -418,8 +419,7 @@ class ObjectStore:
                                   txn.record_payloads()):
             extent = self.alloc.alloc(len(payload))
             info.owned_extents.append((extent, len(payload)))
-            self.clock.advance(costs.STORE_ALLOC_EXTENT)
-            yield extent, payload
+            yield extent, 1, payload
             info.object_records.entries.append(RecordEntry(
                 (extent, len(payload)),
                 [item[0] for item in staged[start:start + RECORD_BATCH]]))
@@ -503,13 +503,12 @@ class ObjectStore:
         txn.on_complete, txn.on_failure = on_complete, on_failure
         submitted = self.clock.now()
         try:
-            # One batch: each write is queued as its extent is
-            # allocated and its allocation cost charged.
-            dones = self.device.submit_writes(
+            # One batch: each run is queued as its extents are
+            # allocated, each command charged its allocation.
+            data_done = self.device.submit_writes(
                 itertools.chain(self._pack_pages(txn),
                                 self._write_records(txn)),
-                self.retry, "store.flush")
-            data_done = max(dones, default=submitted)
+                self.retry, "store.flush", gap=costs.STORE_ALLOC_EXTENT)
             telemetry.registry().record_span("store.flush", submitted,
                                              data_done,
                                              group=txn.info.group_id)
@@ -1010,7 +1009,7 @@ class ObjectStore:
         slots: List[Tuple[int, int]] = []
         per_extent = STRIPE_SIZE // PAGE_SIZE
 
-        def writes() -> Iterator[Write]:
+        def writes() -> Iterator[Run]:
             for _owner, owned in itertools.groupby(pages, key=itemgetter(0)):
                 chunk = [page for _owner, page in owned]
                 for first in range(0, len(chunk), per_extent):
@@ -1018,15 +1017,14 @@ class ObjectStore:
                     payload = b"".join(page.realize() for page in batch)
                     extent = self.alloc.alloc(len(payload))
                     placed.append((extent, len(payload)))
-                    self.clock.advance(costs.STORE_ALLOC_EXTENT)
                     slots.extend((extent, slot * PAGE_SIZE)
                                  for slot in range(len(batch)))
-                    yield extent, payload
+                    yield extent, 1, payload
 
         try:
-            done = max(self.device.submit_writes(writes(), self.retry,
-                                                 "store.swap"),
-                       default=self.clock.now())
+            done = self.device.submit_writes(writes(), self.retry,
+                                             "store.swap",
+                                             gap=costs.STORE_ALLOC_EXTENT)
         except (InjectedCrash, MachineCrashed):
             raise
         except ReproError:

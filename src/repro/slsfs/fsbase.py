@@ -92,7 +92,7 @@ class BenchFilesystem:
         # writes fan out across the array.
         base = self._alloc_blocks(nbytes)  # COW/new allocation per write
         self.device.submit_writes(
-            (base + start,
+            (base + start, 1,
              synthetic_payload(seed, min(STRIPE_SIZE, nbytes - start)))
             for start in range(0, nbytes, STRIPE_SIZE))
         file.size = max(file.size, offset + nbytes)
@@ -106,7 +106,5 @@ class BenchFilesystem:
 
     def drain(self) -> None:
         """Wait for queued IO (end of a benchmark phase)."""
-        deadline = max((dev._busy_until for dev in self.device.devices),
-                       default=self.clock.now())
-        self.clock.advance_to(deadline)
+        self.clock.advance_to(self.device.busy_until)
         self.device.poll()

@@ -1,11 +1,14 @@
-"""Reference model for the commit path's page packing: the per-page
-original.
+"""Reference model for the commit path's page packing: the per-page,
+per-stripe original.
 
 :func:`pack_pages_per_page` is ``ObjectStore._pack_pages`` walking
 every staged page on its own: a synthetic page is one
 ``append_locator_run`` call, a real page one slot of the pending
-stripe payload.  Production code walks the staged runs in the same
-index-ordered pass, a synthetic run at a time;
+stripe payload, and an object's synthetic content is allocated and
+written one stripe at a time (one ``alloc`` and one run of one per
+stripe).  Production code walks the staged runs in the same
+index-ordered pass, a synthetic run at a time, and allocates and
+queues an object's synthetic stripes as one run;
 ``tests/test_pack_pages.py`` patches this model over the production
 method and holds the two to identical run lists, metadata bytes,
 extents, IO and simulated clock on staged one-page runs, and
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Tuple
 
-from repro.core import costs
 from repro.core.runs import append_locator_run
 from repro.hw.memory import Page
 from repro.hw.nvme import synthetic_payload
@@ -25,22 +27,22 @@ from repro.objstore.checkpoint import PageRuns
 from repro.units import PAGE_SIZE, STRIPE_SIZE
 
 
-def pack_pages_per_page(self, txn) -> Iterator[Tuple[int, Any]]:
-    """``ObjectStore._pack_pages``, one page at a time: yields each
-    extent's write, allocated just before."""
+def pack_pages_per_page(self, txn) -> Iterator[Tuple[int, int, Any]]:
+    """``ObjectStore._pack_pages``, one page and one stripe at a time:
+    yields each extent's write as a run of one, allocated just
+    before."""
     info = txn.info
     real_batch: List[Page] = []
     batch_runs: List[Tuple[List[Any], int]] = []
 
-    def flush_real() -> Iterator[Tuple[int, Any]]:
+    def flush_real() -> Iterator[Tuple[int, int, Any]]:
         nonlocal real_batch, batch_runs
         if not real_batch:
             return
         payload = b"".join(page.realize() for page in real_batch)
         extent = self.alloc.alloc(len(payload))
         info.owned_extents.append((extent, len(payload)))
-        self.clock.advance(costs.STORE_ALLOC_EXTENT)
-        yield extent, payload
+        yield extent, 1, payload
         info.data_bytes += len(payload)
         for run, slot in batch_runs:
             run[3], run[4] = extent, slot * PAGE_SIZE
@@ -74,8 +76,7 @@ def pack_pages_per_page(self, txn) -> Iterator[Tuple[int, Any]]:
             chunk = min(remaining, STRIPE_SIZE)
             extent = self.alloc.alloc(chunk)
             info.owned_extents.append((extent, chunk))
-            self.clock.advance(costs.STORE_ALLOC_EXTENT)
-            yield extent, synthetic_payload(seed=oid, length=chunk)
+            yield extent, 1, synthetic_payload(seed=oid, length=chunk)
             info.data_bytes += chunk
             remaining -= chunk
     yield from flush_real()

@@ -217,10 +217,18 @@ def _batch_array(ndev, busy):
 
 
 def _device_state(array):
-    return [(dev._busy_until, list(dev._inflight), dev.bytes_written,
-             dev.write_commands, dev._t_bytes_written.value,
-             dev._t_write_commands.value, list(dev._t_write_ns.samples))
-            for dev in array.devices]
+    """What each device shows: its queue, counts and latency series, and
+    then, through a probe write submitted behind it, its backlog."""
+    state = []
+    for dev in array.devices:
+        series = dev._t_write_ns
+        state.append((list(dev.queued()), dev.bytes_written,
+                      dev.write_commands, dev._t_bytes_written.value,
+                      dev._t_write_commands.value, series.count,
+                      series.total, series.min, series.max,
+                      list(series.samples)))
+    now = array.clock.now()
+    return state, [dev.queue_run(0, 1, b"p", now, 0) for dev in array.devices]
 
 
 @settings(max_examples=80, deadline=None)
@@ -240,22 +248,17 @@ def test_submit_writes_matches_the_per_command_loop(ndev, busy, commands,
     for offset, payload in writes:
         reference.clock.advance(gap)
         dones.append(reference.submit_write(offset, payload))
-    expected = (dones, _device_state(reference), reference.clock.now())
+    expected = (max(dones), reference.clock.now(), _device_state(reference))
 
     batched = _batch_array(ndev, busy)
-
-    def drawn():
-        for write in writes:
-            batched.clock.advance(gap)
-            yield write
-
-    got = batched.submit_writes(drawn())
-    assert (got, _device_state(batched), batched.clock.now()) == expected
+    got = batched.submit_writes(((offset, 1, payload)
+                                 for offset, payload in writes), gap=gap)
+    assert (got, batched.clock.now(), _device_state(batched)) == expected
 
 
 def test_a_batch_books_one_span_per_touched_device():
     array = _batch_array(4, [0] * 4)
-    writes = [(unit * STRIPE_SIZE, synthetic_payload(unit, 1000 + unit))
+    writes = [(unit * STRIPE_SIZE, 1, synthetic_payload(unit, 1000 + unit))
               for unit in (0, 1, 4, 5, 8, 1)]
     array.submit_writes(writes)
     spans = [span for span in telemetry.registry().spans

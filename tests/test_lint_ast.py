@@ -38,9 +38,13 @@ This is the subset that needs no third-party code:
   names and functions calling ``locals()`` are exempt; so are
   ``_``-prefixed names.
 
-One guard is this repo's own: **counters booked per item** — a
+Two guards are this repo's own: **counters booked per item** — a
 ``.stats[...]`` augmented assignment inside a loop body in the modules a
-checkpoint runs through once per object (:data:`CHECKPOINT_PATH`).
+checkpoint runs through once per object (:data:`CHECKPOINT_PATH`) — and
+**a device's queue read from outside** — ``._inflight`` or
+``._busy_until`` read by a file outside ``src/repro/hw/``: how a device
+keeps its queue is its own business, and everything else asks it
+(:data:`DEVICE_PRIVATE`).
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ FILES = sorted((SRC / "repro").rglob("*.py")) + [
     ROOT / "tests" / name for name in (
         "crashsched.py", "test_crashsched.py", "test_flightrec.py",
         "test_store_image_golden.py", "test_hw.py", "test_records_misc.py",
-        "test_write_batch.py")]
+        "test_write_batch.py", "pack_reference.py", "test_pack_pages.py",
+        "test_blockalloc_properties.py", "test_flush_runs.py")]
 #: Names every module has bound without a statement binding them that
 #: ``dir(builtins)`` does not list (pyflakes' module-scope magic globals).
 MODULE_DUNDERS = frozenset(("__file__", "__builtins__", "__annotations__",
@@ -349,4 +354,34 @@ def test_checkpoint_path_books_counters_once_per_pass():
                 f"a loop; count in a local and book it after the loop"
                 for path in CHECKPOINT_PATH
                 for line in _counters_booked_in_loops(_tree(path))]
+    assert not findings, "\n" + "\n".join(findings)
+
+
+#: What a device model keeps to itself: read only inside ``hw/``.
+DEVICE_PRIVATE = frozenset(("_inflight", "_busy_until"))
+
+
+def _private_reads(tree: ast.AST) -> List[Tuple[int, str]]:
+    """``(line, attribute)`` of every read of a :data:`DEVICE_PRIVATE`
+    attribute (setting one up in a test is not a read)."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in DEVICE_PRIVATE
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_the_guard_finds_device_queue_reads():
+    source = ("pending = [d for d, _o, _p in device._inflight]\n"
+              "device._busy_until = 5\n"
+              "late = max(dev._busy_until for dev in devices)\n")
+    assert _private_reads(ast.parse(source)) == [(1, "_inflight"),
+                                                 (3, "_busy_until")]
+
+
+def test_only_the_device_models_read_their_queues():
+    hw = SRC / "repro" / "hw"
+    findings = [f"{_where(path)}:{line}: reads {attr}; ask the device "
+                f"(queued, drain, busy_until) instead"
+                for path in FILES if hw not in path.parents
+                for line, attr in _private_reads(_tree(path))]
     assert not findings, "\n" + "\n".join(findings)

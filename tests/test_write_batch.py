@@ -18,7 +18,7 @@ from repro import Machine, load_aurora
 from repro.core import costs, telemetry
 from repro.core.faults import IO, FaultPlan, InjectedCrash
 from repro.core.resilience import RetryPolicy
-from repro.errors import NoSpace, RetriesExhausted
+from repro.errors import NoSpace, ReproError, RetriesExhausted
 from repro.hw.clock import SimClock
 from repro.hw.memory import Page
 from repro.hw.nvme import StripedArray, payload_length, synthetic_payload
@@ -27,6 +27,7 @@ from repro.objstore.oid import CLASS_MEMORY, make_oid
 from repro.objstore.store import ObjectStore
 from repro.units import GiB, KiB, MSEC, PAGE_SIZE, STRIPE_SIZE
 from tests.content import page_runs
+from tests.pack_reference import pack_pages_per_page
 
 MEM_OID = make_oid(CLASS_MEMORY, 7)
 
@@ -67,7 +68,7 @@ def commands():
 def _queued(array):
     """Every queued write as ``(device, local offset)``."""
     return sorted((dev.name, offset) for dev in array.devices
-                  for _done, offset, _payload in dev._inflight)
+                  for _done, offset, _payload in dev.queued())
 
 
 def _where(array, offsets):
@@ -133,7 +134,7 @@ def test_a_fault_mid_batch_stops_at_its_command(commands, kind, k):
 
 
 def _writes():
-    return [(unit * STRIPE_SIZE + (unit % 3) * 4 * KiB,
+    return [(unit * STRIPE_SIZE + (unit % 3) * 4 * KiB, 1,
              synthetic_payload(unit, 20 * KiB + unit)
              if unit % 2 else b"x" * (40 * KiB + unit))
             for unit in (0, 1, 2, 3, 5, 9, 4)]
@@ -158,28 +159,28 @@ def _transient_run(batched, k, times):
             yield write
 
     def one_at_a_time():
-        return [retry.run(lambda: array.submit_write(offset, payload),
-                          op="store.flush")
-                for offset, payload in drawn()]
+        return max(retry.run(lambda: array.submit_write(offset, payload),
+                             op="store.flush")
+                   for offset, _count, payload in drawn())
 
-    dones, error = None, None
+    done, error = None, None
     try:
         if batched:
-            dones = array.submit_writes(drawn(), retry, "store.flush")
+            done = array.submit_writes(drawn(), retry, "store.flush")
         else:
-            dones = one_at_a_time()
+            done = one_at_a_time()
     except RetriesExhausted as exc:
         error = str(exc)
     registry = telemetry.registry()
     return {
-        "dones": dones, "error": error, "clock": clock.now(),
+        "done": done, "error": error, "clock": clock.now(),
         "retries": registry.value("sls.resilience.retries", op="store.flush"),
         "exhausted": registry.value("sls.resilience.exhausted",
                                     op="store.flush"),
         "backoff": [(span.start_ns, span.end_ns, span.labels)
                     for span in registry.spans
                     if span.name == "resilience.backoff"],
-        "queued": [list(dev._inflight) for dev in array.devices],
+        "queued": [list(dev.queued()) for dev in array.devices],
         "log": list(plan.log),
         "fired": [(event.kind, event.io_index) for event in plan.events],
     }
@@ -197,7 +198,8 @@ def test_a_transient_error_mid_batch_retries_only_its_command(k, times):
         assert batched["error"] is not None
         assert sum(len(queue) for queue in batched["queued"]) == k
     else:
-        assert len(batched["dones"]) == len(_writes())
+        assert sum(len(queue) for queue in batched["queued"]) == len(
+            _writes())
 
 
 def test_injected_nospace_mid_batch_frees_every_owned_extent(commands):
@@ -233,7 +235,7 @@ def test_a_flush_books_one_span_per_touched_device(commands):
     for span in spans:
         device = machine.storage.devices[int(span.labels["device"][3:])]
         assert span.end_ns == max(done for done, _off, _payload
-                                  in device._inflight)
+                                  in device.queued())
 
 
 def test_each_write_series_counts_every_command():
@@ -255,3 +257,83 @@ def test_each_write_series_counts_every_command():
         assert device.write_commands > 0
         assert series.count == device.write_commands == \
             registry.value("nvme.write_commands", device=device.name)
+
+
+# -- faults inside a synthetic run ------------------------------------------------
+
+#: A synthetic object of ten full stripes and a tail: one run and a run
+#: of one, commands 0..10 of the flush.
+RUN_PAGES = 10 * STRIPE_SIZE // PAGE_SIZE + 3
+
+
+def _run_flush(per_stripe, plan=None, room=None):
+    """Commit one synthetic run, its ``_pack_pages`` the production one
+    or the per-stripe reference, past ``plan`` and with ``room`` bytes
+    left in the allocator; returns what both must agree on."""
+    machine, store = _store()
+    if room is not None:
+        store.alloc.capacity = store.alloc.cursor + room
+    before = (store.alloc.used_bytes(), store.alloc.free_bytes())
+    if plan is not None:
+        machine.set_fault_plan(plan)
+    txn = store.begin_checkpoint(group_id=1)
+    txn.put_pages(MEM_OID, [("syn", 0, RUN_PAGES, 11, 1, True)])
+    error = None
+    with pytest.MonkeyPatch.context() as patch:
+        if per_stripe:
+            patch.setattr(ObjectStore, "_pack_pages", pack_pages_per_page)
+        try:
+            store.commit(txn)
+        except ReproError as exc:
+            error = (type(exc).__name__, str(exc))
+    array = machine.storage
+    return {
+        "error": error, "aborted": txn.aborted,
+        "extents": list(txn.info.owned_extents),
+        "log": None if plan is None else list(plan.log),
+        "fired": None if plan is None else [
+            (event.kind, event.io_index) for event in plan.events],
+        "alloc": store.alloc.snapshot(), "before": before,
+        "after": (store.alloc.used_bytes(), store.alloc.free_bytes()),
+        "clock": machine.clock.now(),
+        "queued": [list(dev.queued()) for dev in array.devices],
+        "media": [dict(dev.extents()) for dev in array.devices],
+        "counts": [(dev.write_commands, dev.bytes_written)
+                   for dev in array.devices],
+        "spans": [(span.labels, span.start_ns, span.end_ns)
+                  for span in _nvme_spans()]}
+
+
+_MID_RUN = 5
+
+
+@pytest.mark.parametrize("plant", [
+    lambda plan: plan.crash_at(IO, _MID_RUN),
+    lambda plan: plan.torn_at_io(_MID_RUN),
+    lambda plan: plan.transient_at_io(_MID_RUN, times=2),
+    lambda plan: plan.transient_at_io(_MID_RUN, times=5),
+    lambda plan: plan.nospace_at_io(_MID_RUN),
+], ids=["crash", "torn", "transient", "transient-exhausted", "nospace"])
+def test_a_fault_inside_a_synthetic_run_stops_where_the_loop_does(plant):
+    """The fault lands on the command it names, inside the run: the same
+    log, the same command stopped, the same extents owned, allocated
+    and queued as the per-stripe loop; an abort frees every one."""
+    got = _run_flush(False, plant(FaultPlan()))
+    assert got == _run_flush(True, plant(FaultPlan()))
+    if got["aborted"]:
+        assert got["extents"] == [] and got["after"] == got["before"]
+        assert got["queued"] == [[] for _ in got["queued"]]
+    elif got["error"] is not None:
+        assert len(got["extents"]) == _MID_RUN + 1
+
+
+def test_the_store_filling_up_inside_a_run_stops_where_the_loop_does():
+    """The allocator runs out at the sixth stripe of the run: the five
+    before it were queued, the checkpoint aborts, and the allocator's
+    used and free bytes are what they were before the checkpoint."""
+    room = 5 * STRIPE_SIZE + 4 * KiB
+    got = _run_flush(False, room=room)
+    assert got == _run_flush(True, room=room)
+    assert got["error"][0] == "StoreFull" and got["aborted"]
+    assert got["after"] == got["before"]
+    assert sum(span["commands"] for span, _start, _end in got["spans"]) == 5
