@@ -61,7 +61,7 @@ def _save_image(machine: Machine, path: str) -> None:
     # (A plain drain() would spin forever on periodic checkpoint
     # timers, which are volatile and not part of the image anyway.)
     for _ in range(8):
-        deadline = machine.storage.busy_until
+        deadline = machine.storage.last_completion
         if deadline <= machine.clock.now():
             break
         machine.loop.run_until(deadline)

@@ -72,6 +72,9 @@ from .segments import (DEFAULT_SEGMENT_BYTES, DigestTree, ShardManifest,
                        assemble)
 from .shipping import Shards, Shipping, leg_labels
 
+#: What a node holds (:meth:`ClusterNode.held`).
+Held = Tuple[Dict[int, int], Dict[int, int], Dict[int, Shards]]
+
 #: This module's ``repl`` boundary names (see above).
 B_REPAIR = "repair"
 B_EPOCH = "epoch"
@@ -96,9 +99,10 @@ EPOCH_MSG_BYTES = 128
 
 
 class ClusterNode:
-    """One replica node: its own machine, store and volatile caches,
-    plus the primary's book on the leg to it (retry policy, peer
-    health, outage and ship counts), which outlives crashes and wipes."""
+    """One replica node: its own machine and store, plus the primary's
+    book on the leg to it (retry policy, peer health, outage and ship
+    counts), which outlives crashes and wipes.  What the node holds is
+    its store's catalog alone (:meth:`held`)."""
 
     def __init__(self, node_id: int, az: int, group_id: int, clock: Any):
         self.node_id = node_id
@@ -117,53 +121,73 @@ class ClusterNode:
         #: Sim-instant the leg's current outage began (None = healthy).
         self.down_since: Optional[int] = None
         self.stats = {"streams": 0, "bytes": 0, "outages": 0}
-        #: Primary checkpoint id -> node-local checkpoint id, for
-        #: every delta this node holds complete on media.
-        self.applied: Dict[int, int] = {}
-        #: Primary checkpoint id -> membership epoch the delta was
-        #: accepted under (0 for pre-epoch histories).
-        self.applied_epoch: Dict[int, int] = {}
-        #: Volatile segment cache (primary ckpt -> shards); repair falls
-        #: back to re-serializing from the node's store.
-        self.shards: Dict[int, Shards] = {}
+        self._held_at: Tuple[Any, int] = (None, -1)
+        self._held: Held = ({}, {}, {})
+
+    def held(self) -> Held:
+        """Per primary checkpoint the node holds: its local id and the
+        epoch it was accepted under, parsed from the store's ``repl-``
+        names once per flip, and its volatile shards (a new store starts
+        them empty; repair re-serializes what is missing).  All empty
+        while the node is down."""
+        if self.down:
+            return {}, {}, {}
+        store = self.sls.store
+        if self._held_at != (store, store.generation):
+            old = self._held if self._held_at[0] is store else ({}, {}, {})
+            # A name is parsed once per store: the last view has the rest.
+            seen = {local: ckpt for ckpt, local in old[0].items()}
+            applied: Dict[int, int] = {}
+            epochs: Dict[int, int] = {}
+            for info in store.checkpoints_for(self.group_id):
+                if (ckpt := seen.get(info.ckpt_id)) is not None:
+                    applied[ckpt], epochs[ckpt] = info.ckpt_id, old[1][ckpt]
+                elif (match := REPL_NAME.fullmatch(info.name)) is not None:
+                    applied[int(match[1])] = info.ckpt_id
+                    epochs[int(match[1])] = int(match[2] or 0)
+            # A cached delta whose base was trimmed is not the node's own.
+            shards = {c: s for c, s in old[2].items() if c in applied
+                      and (s[0].base is None or s[0].base in applied)}
+            self._held = (applied, epochs, shards)
+            self._held_at = (store, store.generation)
+        return self._held
+
+    # Read-only views of :meth:`held`.
+    applied = property(lambda self: self.held()[0])
+    applied_epoch = property(lambda self: self.held()[1])
+    shards = property(lambda self: self.held()[2])
 
     @property
     def applied_max(self) -> Optional[int]:
         """Newest primary checkpoint this node holds (None = none)."""
-        return max(self.applied) if self.applied else None
+        return max(self.applied, default=None)
 
     @property
     def promised_epoch(self) -> int:
         """The membership epoch this node's store durably promised."""
         return int(self.sls.store.cluster_epoch)
 
-    def apply(self, primary_ckpt: int, stream: bytes,
-              epoch: int = 0) -> int:
+    def apply(self, primary_ckpt: int, stream: bytes, epoch: int = 0,
+              keep: Optional[int] = None) -> int:
         """Commit one delta stream to this node's media, named for the
-        primary checkpoint and the epoch it was accepted under."""
+        primary checkpoint and the epoch it was accepted under; with
+        ``keep``, the same flip trims the node to its ``keep`` newest."""
         name = f"repl-{primary_ckpt}" + (f"@e{epoch}" if epoch else "")
-        local = migration.recv_checkpoint(self.sls, stream, name=name)
-        self.applied[primary_ckpt] = local
-        self.applied_epoch[primary_ckpt] = epoch
-        return local
+        return migration.recv_checkpoint(self.sls, stream, name=name,
+                                         keep=keep)
 
     def crash(self) -> None:
         """Power failure: volatile caches die, media survives."""
-        if self.down:
-            return
-        self.machine.crash()
-        self.down = True
-        self._forget()
+        if not self.down:
+            self.machine.crash()
+            self.down = True
 
     def reboot(self) -> None:
-        """Bring the node back; recover its store and rediscover
-        which primary checkpoints its media holds."""
-        if not self.down:
-            return
-        self.machine.boot()
-        self.sls = load_aurora(self.machine)
-        self.down = False
-        self.rescan()
+        """Bring the node back with what its store recovers."""
+        if self.down:
+            self.machine.boot()
+            self.sls = load_aurora(self.machine)
+            self.down = False
 
     def wipe(self) -> None:
         """Total loss of the node's media: a blank replacement node
@@ -171,34 +195,13 @@ class ClusterNode:
         self.machine = Machine()
         self.sls = load_aurora(self.machine)
         self.down = False
-        self._forget()
-
-    def _forget(self) -> None:
-        self.applied = {}
-        self.applied_epoch = {}
-        self.shards = {}
-
-    def rescan(self) -> None:
-        """Rebuild the primary→local checkpoint map (and the per-delta
-        epoch attribution) from the store's checkpoint names."""
-        self.applied = {}
-        self.applied_epoch = {}
-        for info in self.sls.store.checkpoints_for(self.group_id):
-            match = REPL_NAME.fullmatch(info.name)
-            if match is not None:
-                self.applied[int(match[1])] = info.ckpt_id
-                self.applied_epoch[int(match[1])] = int(match[2] or 0)
 
     def truncate_from(self, floor: int) -> List[int]:
         """Discard every local checkpoint at or above ``floor``, newest
         first (only childless ones truncate); returns their ids."""
-        doomed = sorted((c for c in self.applied if c >= floor),
-                        reverse=True)
+        doomed = sorted((c for c in self.applied if c >= floor), reverse=True)
         for primary_ckpt in doomed:
-            local = self.applied.pop(primary_ckpt)
-            self.applied_epoch.pop(primary_ckpt, None)
-            self.sls.store.truncate_checkpoint(local)
-            self.shards.pop(primary_ckpt, None)
+            self.sls.store.truncate_checkpoint(self.applied[primary_ckpt])
         return doomed
 
     def __repr__(self) -> str:
@@ -282,7 +285,8 @@ class SLSCluster(Shipping):
         cached = node.shards.get(ckpt)
         if cached is None:
             cached = node.shards[ckpt] = self._shard_delta(
-                node.sls, node.applied[ckpt], ckpt)
+                node.sls, node.applied[ckpt], ckpt,
+                max((c for c in node.applied if c < ckpt), default=None))
         return cached
 
     def up_nodes(self) -> List[ClusterNode]:
@@ -461,8 +465,8 @@ class SLSCluster(Shipping):
         # Copies are counted per (checkpoint, accepting epoch): the
         # same id under two epochs is two histories, and only the
         # variant that proves a quorum is authoritative.
-        counts = Counter((ckpt, node.applied_epoch.get(ckpt, 0))
-                         for node in available for ckpt in node.applied)
+        counts = Counter(held for node in available
+                         for held in node.applied_epoch.items())
         # With k members unreachable a quorum-durable checkpoint shows
         # at least W - k copies (at least 1 for any read quorum); with
         # all visible this is "W copies on media", the crash oracle.
@@ -482,14 +486,11 @@ class SLSCluster(Shipping):
             # Fence floor: the oldest local checkpoint beyond the
             # watermark or a divergent epoch variant of an authoritative
             # one (uncontested sub-threshold copies are kept).
-            bad = [c for c in node.applied
-                   if c > durable
-                   or node.applied_epoch.get(c, 0) != auth.get(
-                       c, node.applied_epoch.get(c, 0))]
-            if not bad:
-                continue
-            for ckpt in node.truncate_from(min(bad)):
-                truncated.append((node.node_id, ckpt))
+            bad = [c for c, epoch in node.applied_epoch.items()
+                   if c > durable or epoch != auth.get(c, epoch)]
+            if bad:
+                truncated += [(node.node_id, ckpt)
+                              for ckpt in node.truncate_from(min(bad))]
         if truncated:
             events.emit(self._clock().now(), events.TAIL_TRUNCATE,
                         group=self.gid, ckpt=durable,
@@ -661,15 +662,18 @@ class SLSCluster(Shipping):
             if not holders:
                 continue
             for target in list(self.up_nodes()):
-                if ckpt in target.applied:
+                # What a target is past was trimmed there: not wanted.
+                if ckpt in target.applied \
+                        or ckpt < max(target.applied, default=-1):
                     continue
-                if not self._chain_ready(target, ckpt):
+                shards = self._source(target, ckpt, holders)
+                if shards is None:
                     continue
                 local = (recon.local.get((target.node_id, ckpt))
                          if recon is not None else None)
                 try:
                     elapsed, nsegs = self._repair_one(
-                        target, ckpt, holders,
+                        target, ckpt, holders, shards,
                         per_target_ns.get(target.node_id, 0), hist,
                         local=local, recon=recon)
                 except InjectedNodeCrash as exc:
@@ -698,28 +702,31 @@ class SLSCluster(Shipping):
                     **report)
         return report
 
-    def _chain_ready(self, target: ClusterNode, ckpt: int) -> bool:
-        """Whether ``target`` holds the delta's baseline (repair walks
-        checkpoints oldest-first, so earlier iterations fill it)."""
-        holder = next(node for node in self.up_nodes()
-                      if ckpt in node.applied)
-        if holder.sls.store.get_checkpoint(
-                holder.applied[ckpt]).parent is None:
-            return True
-        parents = [c for node in self.up_nodes()
-                   for c in node.applied if c < ckpt]
-        return not parents or max(parents) in target.applied
+    def _source(self, target: ClusterNode, ckpt: int,
+                holders: List[ClusterNode]) -> Optional[Shards]:
+        """What rebuilds ``ckpt`` on ``target``: its delta (any holder's
+        cache, else re-serialized) once ``target`` holds its base
+        (repair walks oldest first), else the full stream of a holder
+        that trimmed below it; None: not yet."""
+        shards = next((h.shards[ckpt] for h in holders if ckpt in h.shards),
+                      None) or self._node_shards(holders[0], ckpt)
+        if shards[0].base is None or shards[0].base in target.applied:
+            return shards
+        roots = [h for h in holders
+                 if h.sls.store.checkpoints[h.applied[ckpt]].parent is None]
+        return self._node_shards(roots[0], ckpt) if roots else None
 
     def _repair_one(self, target: ClusterNode, ckpt: int,
-                    holders: List[ClusterNode], queue_ns: int,
-                    hist: Any, local: Optional[Dict[int, bytes]] = None,
+                    holders: List[ClusterNode], shards: Shards,
+                    queue_ns: int, hist: Any,
+                    local: Optional[Dict[int, bytes]] = None,
                     recon: Optional[ReconcilePlan] = None
                     ) -> Tuple[int, int]:
         """Rebuild one checkpoint's segments onto one target (``local``:
         digest-matched segments already there); returns the target's
         queue time and the segment count."""
         plan = self._plan()
-        manifest, payloads = self._segments_from(holders, ckpt)
+        manifest, payloads = shards
         labels = leg_labels(self.group, target.node_id, ckpt,
                              manifest.trace)
         registry = telemetry.registry()
@@ -751,10 +758,10 @@ class SLSCluster(Shipping):
                 hist.observe(elapsed)
                 self.primary.slo.observe(self.gid, "repair", elapsed)
             stream = assemble(manifest, gathered)
-            epoch = max((h.applied_epoch.get(ckpt, 0)
-                         for h in holders if ckpt in h.applied),
-                        default=self.epoch)
-            target.apply(ckpt, stream, epoch=epoch)
+            epoch = max((h.applied_epoch[ckpt] for h in holders
+                         if ckpt in h.applied), default=self.epoch)
+            target.apply(ckpt, stream, epoch=epoch,
+                         keep=self.keep_for(target, ckpt))
             registry.record_span("repl.repair", repair_start,
                                  self._clock().now(),
                                  segments=len(manifest.segments),
@@ -782,22 +789,12 @@ class SLSCluster(Shipping):
         raise LinkDown(f"no donor for segment {index} reachable from "
                        f"node {target.node_id}")
 
-    def _segments_from(self, holders: List[ClusterNode], ckpt: int
-                       ) -> Shards:
-        """A canonical shard set for one checkpoint, from any holder's
-        volatile cache, else re-serialized from a holder's store."""
-        return next((holder.shards[ckpt] for holder in holders
-                     if ckpt in holder.shards),
-                    None) or self._node_shards(holders[0], ckpt)
-
     # -- anti-entropy reconciliation ---------------------------------------
 
     def _node_manifests(self, node: ClusterNode
                         ) -> Dict[int, ShardManifest]:
-        """One node's manifests for everything it holds, from the
-        volatile shard cache or re-serialized from its store."""
-        return {ckpt: self._node_shards(node, ckpt)[0]
-                for ckpt in node.applied}
+        """One node's manifests for all it holds (cached or derived)."""
+        return {c: self._node_shards(node, c)[0] for c in node.applied}
 
     def reconcile(self) -> Dict[str, Any]:
         """Heal-time anti-entropy, three passes over the up nodes:
@@ -816,25 +813,20 @@ class SLSCluster(Shipping):
         if not up:
             raise QuorumLost("no nodes reachable to reconcile")
         started = clock.now()
-        current = max([self.epoch]
-                      + [node.promised_epoch for node in up])
+        current = max(self.epoch, *(node.promised_epoch for node in up))
         durable = self.durable
         # Pass 1: fence-truncate superseded tails.  Authority per
         # checkpoint is the newest accepting epoch any up holder records.
         auth_epoch: Dict[int, int] = {}
         for node in up:
-            for ckpt in node.applied:
-                epoch = node.applied_epoch.get(ckpt, 0)
+            for ckpt, epoch in node.applied_epoch.items():
                 auth_epoch[ckpt] = max(auth_epoch.get(ckpt, 0), epoch)
         fenced: List[Tuple[int, int]] = []
         for node in up:
-            bad = [c for c in node.applied
-                   if node.applied_epoch.get(c, 0) < auth_epoch[c]
-                   or (node.applied_epoch.get(c, 0) < current
-                       and (durable is None or c > durable))]
-            if not bad:
-                continue
-            for ckpt in node.truncate_from(min(bad)):
+            bad = [c for c, epoch in node.applied_epoch.items()
+                   if epoch < auth_epoch[c] or (epoch < current and (
+                       durable is None or c > durable))]
+            for ckpt in node.truncate_from(min(bad)) if bad else ():
                 fenced.append((node.node_id, ckpt))
                 self.acks.get(ckpt, set()).discard(node.node_id)
         # The fenced ex-primary's own store carries the same doomed
@@ -854,8 +846,7 @@ class SLSCluster(Shipping):
         # Pass 2: digest exchange against the canonical history, each
         # checkpoint's manifest elected by majority root-digest vote
         # (a single corrupted holder must never become truth).
-        surviving = sorted({ckpt for node in up
-                            for ckpt in node.applied})
+        surviving = sorted({c for node in up for c in node.applied})
         by_node: Dict[int, Dict[int, ShardManifest]] = {
             node.node_id: self._node_manifests(node) for node in up}
         trees = {node_id: DigestTree(manifests)
@@ -880,9 +871,7 @@ class SLSCluster(Shipping):
                 # from the divergent checkpoint up, stashing the
                 # digest-matched segments first.
                 floor = min(divergent)
-                for ckpt in sorted(node.applied):
-                    if ckpt < floor:
-                        continue
+                for ckpt in sorted(c for c in node.applied if c >= floor):
                     payloads = node.shards[ckpt][1]
                     differing = set(needed.get(ckpt, ()))
                     recon.local[(node.node_id, ckpt)] = {
@@ -937,9 +926,7 @@ class SLSCluster(Shipping):
     def verify(self) -> Dict[str, Any]:
         """Full-replication and checksum audit over the up nodes."""
         up = self.up_nodes()
-        ckpts = sorted({ckpt for node in up for ckpt in node.applied})
-        copies = {ckpt: sum(1 for node in up if ckpt in node.applied)
-                  for ckpt in ckpts}
+        copies = Counter(ckpt for node in up for ckpt in node.applied)
         fully = all(have == len(up) for have in copies.values())
         verified = 0
         for node in up:
@@ -948,8 +935,8 @@ class SLSCluster(Shipping):
                                     for meta in manifest.segments})
                 verified += len(manifest.segments)
         return {
-            "checkpoints": len(ckpts),
-            "copies": copies,
+            "checkpoints": len(copies),
+            "copies": dict(sorted(copies.items())),
             "nodes_up": len(up),
             "fully_replicated": fully,
             "segments_verified": verified,

@@ -110,13 +110,14 @@ def send_checkpoint(sls: Orchestrator, group_id: int,
 
 
 def recv_checkpoint(sls: Orchestrator, stream: bytes,
-                    name: str = "recv") -> int:
+                    name: str = "recv", keep: Optional[int] = None) -> int:
     """Import a migration stream; returns the new local checkpoint id.
 
     Full streams create a new baseline; incremental streams chain onto
     the group's newest local checkpoint.  ``name`` labels the imported
     checkpoint; cluster replicas encode the primary's checkpoint id in
-    it so the mapping survives a replica reboot.
+    it so the mapping survives a replica reboot, and ``keep`` so it
+    trims with the primary, in the commit's one flip.
     """
     document = serde.loads(stream)
     if document.get("magic") != STREAM_MAGIC:
@@ -149,7 +150,7 @@ def recv_checkpoint(sls: Orchestrator, stream: bytes,
             else:
                 raise RestoreError(f"bad page run kind {run[0]!r}")
         txn.put_pages(int(oid_str), staged)
-    info = store.commit(txn, sync=True)
+    info = store.commit(txn, sync=True, keep=keep)
     return info.ckpt_id
 
 

@@ -81,7 +81,7 @@ class ShardManifest:
     """
 
     __slots__ = ("group_id", "ckpt_id", "total_bytes", "segment_bytes",
-                 "segments", "trace", "epoch")
+                 "segments", "trace", "epoch", "base")
 
     def __init__(self, group_id: int, ckpt_id: int, total_bytes: int,
                  segment_bytes: int, segments: List[SegmentMeta],
@@ -99,6 +99,9 @@ class ShardManifest:
         #: put this delta on the wire; replicas fence any manifest
         #: whose epoch trails their durably promised epoch.
         self.epoch = epoch
+        #: The checkpoint the delta lands on top of (None: a full
+        #: stream, which lands on nothing).
+        self.base: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -203,7 +203,8 @@ class Shipment:
                                   {meta.index: leg.payloads[meta.index]
                                    for meta in manifest.segments})
             with registry.span(self.clock, "repl.apply", **labels):
-                node.apply(leg.ckpt, stream, epoch=manifest.epoch)
+                node.apply(leg.ckpt, stream, epoch=manifest.epoch,
+                           keep=cluster.keep_for(node, leg.ckpt))
         node.shards[leg.ckpt] = (manifest, leg.payloads)
         if plan is not None:
             plan.on_boundary(faults.REPL, node.node_id, B_APPLY)
@@ -269,6 +270,7 @@ class Shipping:
     epoch: int
     fenced: bool
     stats: Dict[str, int]
+    node_down: Callable[..., None]  # membership: SLSCluster.node_down
 
     def __init__(self) -> None:
         #: Quorum-durable watermark: newest primary checkpoint with a
@@ -281,9 +283,6 @@ class Shipping:
         self._streams: Dict[int, Shards] = {}
         #: When the pump first began shipping each tracked checkpoint.
         self._commit_seen: Dict[int, int] = {}
-
-    def node_down(self, node_id: int, reason: str = "operator") -> None:
-        raise NotImplementedError  # membership: SLSCluster.node_down
 
     # -- plumbing ----------------------------------------------------------
 
@@ -303,12 +302,13 @@ class Shipping:
             self.inter_az_bytes += nbytes
 
     def shards_for(self, ckpt_id: int) -> Shards:
-        """The canonical sharded delta of one primary checkpoint
-        (serialized once, memoized)."""
+        """The canonical sharded delta of one primary checkpoint, memoized
+        until a trim re-parents it, so a lagging node can land it."""
         cached = self._streams.get(ckpt_id)
-        if cached is None:
+        parent = self.primary.store.get_checkpoint(ckpt_id).parent
+        if cached is None or cached[0].base != parent:
             cached = self._streams[ckpt_id] = self._shard_delta(
-                self.primary, ckpt_id, ckpt_id)
+                self.primary, ckpt_id, ckpt_id, parent)
         if cached[0].trace is None:
             cached[0].trace = tracing.for_group(self.gid)
         # Stamped at ship time, not shard time: the wire always
@@ -316,16 +316,28 @@ class Shipping:
         cached[0].epoch = self.epoch
         return cached
 
-    def _shard_delta(self, sls: Orchestrator, local: int, ckpt: int
-                     ) -> Shards:
+    def _shard_delta(self, sls: Orchestrator, local: int, ckpt: int,
+                     base: Optional[int]) -> Shards:
         """Re-serialize one checkpoint's delta from ``sls``'s store,
         where it is checkpoint ``local``, and shard it as primary
-        checkpoint ``ckpt``."""
+        checkpoint ``ckpt`` on top of primary checkpoint ``base`` (its
+        local parent's; a local baseline's stream is full)."""
         info = sls.store.get_checkpoint(local)
         stream = migration.serialize_checkpoint(sls, self.gid,
                                                 ckpt_id=local,
                                                 since=info.parent)
-        return shard_stream(self.gid, ckpt, stream, self.segment_bytes)
+        shards = shard_stream(self.gid, ckpt, stream, self.segment_bytes)
+        shards[0].base = None if info.parent is None else base
+        return shards
+
+    def keep_for(self, node: "ClusterNode", ckpt: int) -> Optional[int]:
+        """How many checkpoints ``node`` keeps once ``ckpt`` lands (None:
+        no limit): the primary group's ``history_limit``, but never
+        fewer than all above the quorum watermark, ``ckpt`` included,
+        plus the newest at or below it, which recovery settles on."""
+        limit, durable = self.group.history_limit, self.durable
+        return None if limit is None else max(limit, 1 + sum(
+            durable is None or c > durable for c in {*node.applied, ckpt}))
 
     # -- the legs ----------------------------------------------------------
 

@@ -488,15 +488,17 @@ class StripedArray:
             device.poll()
 
     @property
-    def busy_until(self) -> int:
-        """When the last queued transfer ends on the busiest device."""
-        return max(device._busy_until for device in self.devices)
+    def last_completion(self) -> int:
+        """When the last queued write completes (0 with none queued):
+        the one instant the array is settled at."""
+        return max((done + (count - 1) * step for device in self.devices
+                    for done, step, count, _off, _pl in device._inflight),
+                   default=0)
 
     def drain(self) -> None:
-        """Land every queued write, the clock at the last (shutdown)."""
-        self.clock.advance_to(max((done for device in self.devices
-                                   for done, _off, _pl in device.queued()),
-                                  default=0))
+        """Land every queued write, the clock at the last (shutdown, the
+        end of a benchmark phase)."""
+        self.clock.advance_to(self.last_completion)
         self.poll()
 
     def discard_inflight(self) -> int:

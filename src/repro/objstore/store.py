@@ -157,6 +157,11 @@ class CheckpointTxn:
         #: IOs are attributed to the checkpoint that issued them.
         self.trace = tracing.current()
 
+    def settle(self) -> None:
+        """The transaction landed or aborted: drop its callbacks and
+        finalizer, which capture it, so refcounting alone frees it."""
+        self.on_complete = self.on_failure = self.finalizer = None
+
     def put_object(self, oid: int, otype: str, state: Dict[str, Any]) -> None:
         """Stage one serialized object record.  ``state`` is the
         serializer's own: nothing changes it before the commit encodes
@@ -273,6 +278,12 @@ class ObjectStore:
         self._mounted = True
         self.stats["recoveries"] += 1
         return True
+
+    @property
+    def generation(self) -> int:
+        """The superblock generation: it moves with every flip that
+        lands, and only then."""
+        return self._generation
 
     def _require_mounted(self) -> None:
         if not self._mounted:
@@ -473,8 +484,10 @@ class ObjectStore:
         self.stats["bytes_flushed"] += info.data_bytes
         telemetry.registry().histogram(
             "sls.store.chain_depth", group=info.group_id).observe(depth)
-        if txn.on_complete is not None:
-            txn.on_complete(info)
+        on_complete = txn.on_complete
+        txn.settle()
+        if on_complete is not None:
+            on_complete(info)
 
     def commit(self, txn: CheckpointTxn, sync: bool = False,
                on_complete: Optional[Callable[[CheckpointInfo], None]] = None,
@@ -536,9 +549,10 @@ class ObjectStore:
         except (InjectedCrash, MachineCrashed):
             raise
         except ReproError as exc:
+            on_failure = txn.on_failure
             self.abort_checkpoint(txn)
-            if txn.on_failure is not None:
-                txn.on_failure(exc)
+            if on_failure is not None:
+                on_failure(exc)
 
     def abort_checkpoint(self, txn: CheckpointTxn) -> int:
         """Roll back a failed checkpoint transaction.
@@ -560,6 +574,7 @@ class ObjectStore:
         txn.aborted = True
         if txn.finalizer is not None:
             txn.finalizer.cancel()
+        txn.settle()
         released = 0
         adopted = dict(txn.adopted)
         for offset, length in info.owned_extents:

@@ -106,5 +106,4 @@ class BenchFilesystem:
 
     def drain(self) -> None:
         """Wait for queued IO (end of a benchmark phase)."""
-        self.clock.advance_to(self.device.busy_until)
-        self.device.poll()
+        self.device.drain()

@@ -23,7 +23,7 @@ the ``oracle`` that recovers a crashed run and judges it.  One
   the action, power-fails the machine and asks the workload's oracle,
   which recovers and returns one :class:`Outcome` per restored app.
 
-The eleven workloads are the rows of :data:`WORKLOADS`.  The oracles
+The twelve workloads are the rows of :data:`WORKLOADS`.  The oracles
 that reboot the primary also take one more checkpoint of every
 restored group and scrub with no carve-out: the mount left nothing
 allocated that no owner holds, and no owned extent on the free list.
@@ -51,7 +51,8 @@ from repro.objstore.store import SUPERBLOCK_SLOTS
 from repro.units import MiB, MSEC, PAGE_SIZE, USEC
 
 #: The durable state before the action, and the state it tries to make
-#: durable.
+#: durable; ``V0`` comes before ``V1`` where a row needs an older one.
+V0 = b"aurora-crashsched-v0"
 V1 = b"aurora-crashsched-v1"
 V2 = b"aurora-crashsched-v2"
 #: Heap pages of the counter and cluster apps.
@@ -220,18 +221,28 @@ def checkpoint_v2(run: Run) -> None:
     run.sls.checkpoint(run.group, name="v2", sync=True)
 
 
-def boot_cluster(down: Optional[int] = REJOIN_NODE) -> Run:
+def boot_cluster(down: Optional[int] = REJOIN_NODE,
+                 history_limit: Optional[int] = None) -> Run:
     """The app replicated by the 6-node / 3-AZ cluster: ``V1`` reaches
     every node (no plan installed, so those boundaries are not part of
     the schedule), node ``down`` is powered off, the heap is dirtied
-    to ``V2``."""
+    to ``V2``.  With ``history_limit`` (the group's), a ``V0`` reaches
+    every node first."""
     machine, sls, proc, addr = _app()
-    _fill(proc, addr, V1)
+    versions = [("v1", V1)] if history_limit is None \
+        else [("v0", V0), ("v1", V1)]
+    _fill(proc, addr, versions[0][1])
     group = sls.attach(proc, periodic=False)
-    v1 = sls.checkpoint(group, name="v1", sync=True).info.ckpt_id
-    cluster = SLSCluster(sls, group, nodes=NODES, azs=AZS,
-                         segment_bytes=SEGMENT_BYTES)
-    assert cluster.pump() == v1, "V1 did not reach quorum before the probe"
+    group.history_limit = history_limit
+    cluster = None
+    for index, (name, version) in enumerate(versions):
+        if index:
+            _fill(proc, addr, version)
+        head = sls.checkpoint(group, name=name, sync=True).info.ckpt_id
+        cluster = cluster or SLSCluster(sls, group, nodes=NODES, azs=AZS,
+                                        segment_bytes=SEGMENT_BYTES)
+        assert cluster.pump() == head, \
+            f"{name} did not reach quorum before the probe"
     if down is not None:
         cluster.node_down(down)
     _fill(proc, addr, V2)
@@ -649,6 +660,8 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
              quorum_flip, recover_cluster),
     Workload("skewed", boot_cluster, replicate_v2_skewed, REPL, _QUORUM,
              quorum_flip, recover_cluster),
+    Workload("cluster_trim", functools.partial(boot_cluster, history_limit=1),
+             replicate_v2, REPL, _QUORUM, quorum_flip, recover_cluster),
     Workload("fenced", functools.partial(boot_cluster, down=None),
              fence_v2, REPL, frozenset({B_EPOCH, B_LEASE, B_RECONCILE}),
              quorum_flip, recover_cluster),

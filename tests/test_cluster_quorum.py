@@ -377,23 +377,58 @@ def test_a_node_keeps_its_leg_book_across_crash_reboot_and_wipe():
     assert node.retry is retry
 
 
+def _assert_replicas_bounded(fx, limit):
+    """Each up replica holds at most the primary's ``limit`` plus what
+    it holds above the watermark, and caches shards for no more."""
+    durable = fx.cluster.durable
+    for node in fx.cluster.up_nodes():
+        above = sum(ckpt > durable for ckpt in node.applied)
+        assert len(node.applied) <= limit + above, (node, durable)
+        assert len(node.shards) <= len(node.applied), node
+
+
+def _assert_replicas_hold_what_the_primary_holds(fx):
+    primary = fx.sls.store.used_bytes()
+    for node in fx.cluster.nodes:
+        assert abs(node.sls.store.used_bytes() - primary) \
+            <= primary // 10, (node, node.sls.store.used_bytes(), primary)
+
+
+def test_replicas_trim_with_the_primary():
+    """ROADMAP item 7(a): a replica used to hold every checkpoint ever
+    shipped (15 in 315 392 B against the primary's 2 in 106 496 B).  It
+    now trims in the flip that applies the next one, to what the
+    primary keeps plus what recovery's copy count needs."""
+    fx = Fixture(nodes=3)
+    fx.group.history_limit = 2
+    for step in range(15):
+        newest = fx.commit(b"step%d" % step, name=f"s{step}")
+        assert fx.cluster.pump() == newest
+        _assert_replicas_bounded(fx, 2)
+    _assert_replicas_hold_what_the_primary_holds(fx)
+    expected = fx.read(fx.proc, 6)
+    fx.machine.crash()
+    assert fx.read(fx.cluster.failover().root, 6) == expected
+
+
 def test_primary_maps_stay_bounded_under_retention():
     """ROADMAP item 7: ``_streams``, ``acks`` and
     ``_commit_seen`` used to gain one entry per checkpoint forever.  A
     stream goes once all N nodes hold it; quorum bookkeeping goes once
     its checkpoint has left the primary's chain below the watermark —
     while a crashed-but-rebootable node keeps what it still needs, and
-    catching it up re-serializes nothing."""
+    catching it up re-serializes nothing.  The replicas trim with the
+    primary (item 7(a)), the node that was down included."""
     fx = Fixture(nodes=3)
     fx.group.history_limit = 4
     cluster = fx.cluster
     derived = []
     shard_delta = cluster._shard_delta
 
-    def counting(sls, local, ckpt):
+    def counting(sls, local, ckpt, *base):
         if sls is cluster.primary:
             derived.append(ckpt)
-        return shard_delta(sls, local, ckpt)
+        return shard_delta(sls, local, ckpt, *base)
 
     cluster._shard_delta = counting
     peaks = [0, 0, 0]
@@ -409,14 +444,45 @@ def test_primary_maps_stay_bounded_under_retention():
         peaks = [max(pair) for pair in zip(peaks, sizes)]
         if not 100 <= step < 110:
             assert sizes[0] == 0 and max(sizes) <= 5, (step, sizes)
+        _assert_replicas_bounded(fx, 4)
     # The outage pinned only the streams the down node had missed that
     # were still in the chain (history 4), and every checkpoint was
-    # serialized for the wire exactly once.
+    # serialized for the wire once, bar one: the oldest the down node
+    # missed had lost its base to the primary's trim by the time it
+    # came back, so it went again as a delta the node could land.
     assert peaks[0] <= 4 and max(peaks) <= 6, peaks
-    assert len(derived) == len(set(derived)) == 200
+    assert len(set(derived)) == 200 and len(derived) == 201
     assert newest in cluster.nodes[2].applied
+    _assert_replicas_hold_what_the_primary_holds(fx)
+    expected = fx.read(fx.proc, 8)
     fx.machine.crash()
-    assert cluster.failover().root is not None
+    assert fx.read(cluster.failover().root, 8) == expected
+
+
+def test_a_replica_back_from_an_outage_holds_what_it_missed():
+    """A node down while the primary trimmed past what it missed used
+    to get the memoized delta of the primary's oldest checkpoint on top
+    of a base it never held, and silently lack what was written while
+    it was away; the trim re-parents that checkpoint, so it is shipped
+    as a delta the node can land."""
+    fx = Fixture(nodes=3)
+    fx.group.history_limit = 4
+    for step in range(12):
+        if step == 3:
+            fx.cluster.node_down(2)
+        if step == 10:
+            fx.cluster.node_up(2)
+        if step == 5:
+            fx.proc.vmspace.write(fx.addr + 8 * PAGE_SIZE, b"away")
+        newest = fx.commit(b"step%d" % step, name=f"s{step}")
+        assert fx.cluster.pump() == newest
+    node = fx.cluster.nodes[2]
+    assert newest in node.applied
+    root = node.sls.restore(fx.group.group_id,
+                            ckpt_id=node.applied[newest],
+                            periodic=False).root
+    assert root.vmspace.read(fx.addr + 8 * PAGE_SIZE, 4) == b"away"
+    assert fx.read(root, 6) == fx.read(fx.proc, 6)
 
 
 def test_rebooting_a_healthy_replica_reconciles_to_nothing():
@@ -440,6 +506,33 @@ def test_rebooting_a_healthy_replica_reconciles_to_nothing():
     report = fx.cluster.reconcile()
     assert (report["divergent"], report["wire_segments"],
             report["reconcile_bytes"]) == (0, 0, 0)
+
+
+def test_a_rebooted_trimmed_replica_reconciles_to_nothing():
+    """A trim makes a replica's oldest checkpoint a baseline: its own
+    delta is then the full stream, not the incremental one the pump
+    shipped, so a rebooted node and its peers still agree on every
+    digest, and a wiped node rebuilds from the full stream."""
+    fx = Fixture(nodes=3)
+    fx.group.history_limit = 2
+    for step in range(6):
+        newest = fx.commit(b"step%d" % step, name=f"s{step}")
+        fx.cluster.pump()
+    fx.cluster.node_down(2)
+    fx.cluster.node_up(2)
+    report = fx.cluster.reconcile()
+    assert (report["divergent"], report["wire_segments"],
+            report["reconcile_bytes"]) == (0, 0, 0)
+    expected = fx.read(fx.proc, 6)
+    fx.cluster.nodes[0].wipe()
+    assert fx.cluster.repair()["checkpoints"] == 2
+    assert [sorted(node.applied) for node in fx.cluster.nodes] == \
+        [sorted(fx.cluster.nodes[1].applied)] * 3
+    fx.machine.crash()
+    recovery = fx.cluster.recover(node_ids=[0, 1])
+    assert recovery.durable == newest
+    assert recovery.donor is fx.cluster.nodes[0]
+    assert fx.read(recovery.result.root, 6) == expected
 
 
 def test_reconcile_rebuilds_a_corrupt_copy_from_its_differing_segments():

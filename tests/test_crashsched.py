@@ -1,7 +1,7 @@
 """Crash-schedule exploration: a crash at *any* instant restores the
 last durable checkpoint (§5, §7).
 
-Each of the eleven workloads of ``tests/crashsched.py`` is probed once
+Each of the twelve workloads of ``tests/crashsched.py`` is probed once
 per module.  The smoke tests (tier-1) cover every pipeline stage
 boundary plus fixed-seed samples of the IO, replication and fleet
 boundaries; the exhaustive sweeps over every entry run under
@@ -596,7 +596,7 @@ def skewed_schedule(skewed_explorer):
     return skewed_explorer.probe()
 
 
-def _check_skewed_sweep(explorer, schedule, indices, mode):
+def _check_quorum_sweep(explorer, schedule, indices, mode):
     """Every outcome matches the oracle, and a primary crash restores
     V2 exactly at and after the write-quorum apply."""
     outcomes = explorer.sweep(_repl(indices), schedule,
@@ -625,7 +625,7 @@ def test_skewed_legs_flip_at_a_late_replicas_apply(skewed_schedule):
 def test_skewed_cluster_crash_at_sampled_boundaries(skewed_explorer,
                                                     skewed_schedule, mode):
     """Tier-1 slice of the out-of-order sweep, both crash modes."""
-    _check_skewed_sweep(skewed_explorer, skewed_schedule,
+    _check_quorum_sweep(skewed_explorer, skewed_schedule,
                         _sampled_indices(skewed_schedule, extra_samples=2),
                         mode)
 
@@ -634,8 +634,60 @@ def test_skewed_cluster_crash_at_sampled_boundaries(skewed_explorer,
 @pytest.mark.parametrize("mode", ["primary", "node"])
 def test_skewed_cluster_exhaustive_crash_sweep(skewed_explorer,
                                                skewed_schedule, mode):
-    _check_skewed_sweep(skewed_explorer, skewed_schedule,
+    _check_quorum_sweep(skewed_explorer, skewed_schedule,
                         list(range(len(skewed_schedule.entries(REPL)))),
+                        mode)
+
+
+# -- a replica trims in its own apply ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trim_explorer():
+    return Explorer(WORKLOADS["cluster_trim"])
+
+
+@pytest.fixture(scope="module")
+def trim_schedule(trim_explorer):
+    return trim_explorer.probe()
+
+
+def test_a_replica_trims_in_the_flip_that_applies(trim_explorer):
+    """Under history limit 1 each reachable replica's ``V2`` apply is
+    one flip that also trims ``V0`` (``V1``, the watermark it applied
+    under, stays); the rejoined node keeps only what repair brought."""
+    run = WORKLOADS["cluster_trim"].boot()
+    nodes = run.cluster.nodes
+    v0, v1 = sorted(nodes[0].applied)
+    flips = [node.sls.store.generation for node in nodes]
+    WORKLOADS["cluster_trim"].action(run)
+    v2 = run.cluster.durable
+    assert v2 > v1
+    assert [sorted(node.applied) for node in nodes] == \
+        [[v1, v2]] * (NODES - 1) + [[v2]]
+    assert [node.sls.store.generation - flip
+            for node, flip in zip(nodes, flips)][:NODES - 1] == \
+        [1] * (NODES - 1)
+    assert all(len(node.shards) == len(node.applied) for node in nodes)
+
+
+@pytest.mark.parametrize("mode", ["primary", "node"])
+def test_cluster_trim_crash_at_sampled_boundaries(trim_explorer,
+                                                  trim_schedule, mode):
+    """Tier-1 slice: a crash at the decisive boundaries of a
+    replication whose applies trim recovers exactly the last
+    quorum-acked version."""
+    _check_quorum_sweep(trim_explorer, trim_schedule,
+                        _sampled_indices(trim_schedule, extra_samples=2),
+                        mode)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", ["primary", "node"])
+def test_cluster_trim_exhaustive_crash_sweep(trim_explorer, trim_schedule,
+                                             mode):
+    _check_quorum_sweep(trim_explorer, trim_schedule,
+                        list(range(len(trim_schedule.entries(REPL)))),
                         mode)
 
 
@@ -837,6 +889,7 @@ PROBED = {
     "remount": ((6, 9, 0, 0), 5),
     "cluster": ((6, 9, 177, 0), 12),
     "skewed": ((6, 9, 177, 0), 15),
+    "cluster_trim": ((6, 9, 177, 0), 12),
     "fenced": ((8, 9, 73, 0), None),
     "pressure": ((64, 18, 0, 0), 63),
     "fleet": ((47, 90, 0, 17), None),
@@ -845,11 +898,11 @@ PROBED = {
 
 def test_every_probed_schedule_keeps_its_size(
         schedule, incr_schedule, gc_schedule, gc2_schedule, gc3_schedule,
-        remount_schedule, cluster_schedule, skewed_schedule, fenced_schedule,
-        pressure_schedule, fleet_schedule):
+        remount_schedule, cluster_schedule, skewed_schedule, trim_schedule,
+        fenced_schedule, pressure_schedule, fleet_schedule):
     probed = dict(zip(PROBED, (
         schedule, incr_schedule, gc_schedule, gc2_schedule, gc3_schedule,
-        remount_schedule, cluster_schedule, skewed_schedule,
+        remount_schedule, cluster_schedule, skewed_schedule, trim_schedule,
         fenced_schedule, pressure_schedule, fleet_schedule)))
     assert {name: (tuple(len(probe.entries(domain))
                          for domain in (IO, STAGE, REPL, FLEET)), probe.flip)

@@ -93,7 +93,6 @@ def test_segment_repair_spans_land_in_the_originating_trace():
     _commit_and_pump(sls, proc, addr, group, cluster, b"y" * 256, "v1")
     victim = cluster.nodes[0]
     victim.wipe()
-    victim.rescan()
     report = cluster.repair()
     assert report["segments"] > 0
     (trace_obj,) = tracing.tracer().traces(tracing.CHECKPOINT,

@@ -318,3 +318,21 @@ def test_a_flush_of_runs_equals_the_per_stripe_flush(flush, enabled, data):
     cancel_at = extents[victim][0]
     assert _inside(store.device, cancel_at, dones[pick]) == \
         _inside(reference.device, cancel_at, dones[pick])
+
+
+def test_a_drained_bench_filesystem_has_nothing_queued():
+    """The array has one settle rule, its last write's completion: a
+    benchmark phase that drains ends once every write has landed, not
+    when the last transfer ends (``NVME_WRITE_LATENCY`` earlier)."""
+    from repro.slsfs.baseline_ffs import FFSModel
+
+    machine = Machine()
+    fs = FFSModel(machine)
+    file = fs.create("/x")
+    for index in range(64):
+        fs.write(file, index * 64 * KiB, 64 * KiB)
+    last = machine.storage.last_completion
+    fs.drain()
+    assert not [write for device in machine.storage.devices
+                for write in device.queued()]
+    assert machine.clock.now() >= last > 0

@@ -381,7 +381,7 @@ def test_the_guard_finds_device_queue_reads():
 def test_only_the_device_models_read_their_queues():
     hw = SRC / "repro" / "hw"
     findings = [f"{_where(path)}:{line}: reads {attr}; ask the device "
-                f"(queued, drain, busy_until) instead"
+                f"(queued, drain, last_completion) instead"
                 for path in FILES if hw not in path.parents
                 for line, attr in _private_reads(_tree(path))]
     assert not findings, "\n" + "\n".join(findings)

@@ -515,6 +515,46 @@ def test_chaos_a_failed_sync_commit_leaves_its_transaction_collectable():
     assert refs[0]() is None, "the failed transaction is still reachable"
 
 
+def test_a_settled_transaction_is_freed_by_refcount_alone():
+    """A transaction's callbacks and finalizer close over it; once it
+    lands or aborts it drops them, so with the cyclic collector off
+    a landed async commit and an aborted sync one are both freed."""
+    refs = []
+
+    def tracked(store):
+        begin = store.begin_checkpoint
+
+        def begin_checkpoint(*args, **kwargs):
+            txn = begin(*args, **kwargs)
+            refs.append(weakref.ref(txn))
+            return txn
+        return mock.patch.object(store, "begin_checkpoint", begin_checkpoint)
+
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("app")
+    addr = proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
+    group = sls.attach(proc, name="app", periodic=False)
+    proc.vmspace.write(addr, b"async")
+    gc.collect()
+    gc.disable()
+    try:
+        with tracked(sls.store):
+            sls.checkpoint(group, name="landed")
+            machine.loop.drain()
+            assert group.last_complete_id is not None
+            fd = machine.kernel.open(proc, "/notes", O_RDWR | O_CREAT)
+            machine.kernel.write(proc, fd, b"dirty file")
+            machine.set_fault_plan(FaultPlan(name="dead").intermittent(1.0))
+            with pytest.raises(RetriesExhausted):
+                sls.slsfs.checkpoint(sync=True)
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None], \
+            "a settled transaction is held in a reference cycle"
+    finally:
+        gc.enable()
+
+
 # -- read-path self-healing ---------------------------------------------------------
 
 
