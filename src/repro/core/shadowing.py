@@ -202,11 +202,16 @@ class ShadowEngine:
                 track.frozen = None
                 track.flushed = False
                 continue
-            if frozen.shadow_count != 1 or frozen.backing.shadow_count != 1:
+            if frozen.shadow_count != 1 or frozen.backing.shadow_count != 1 \
+                    or frozen.backing.sls_oid not in (None, track.oid):
                 # A privately faulted (fork-COW) shadow still hangs off
                 # this object, or off its parent: collapsing would
                 # orphan it, or push one side's pages into the object
-                # the other side reads through.  Defer.
+                # the other side reads through.  Or the parent is
+                # another logical object (this one began as a
+                # fork-private shadow over it): pages moved either way
+                # would change that object's content behind its own
+                # flushes.  Defer.
                 continue
             child = self._chain_child_of(track, frozen)
             assert child is not None, "frozen shadow not in its own chain"
@@ -402,18 +407,25 @@ class ShadowEngine:
                             items: List[FlushItem]) -> List[FlushItem]:
         """The dirty pieces of tracked objects below ``tops`` (flushed
         as ``items``) that no map entry maps any more: what was written
-        before a fork, once both sides write through private shadows."""
+        before a fork, once both sides write through private shadows.
+        Chains may enter one such object at different depths (one side
+        still reads its base, the other its newer shadow): its pieces
+        are merged from the newest object any chain reaches."""
         seen = {item.oid for item in items}
-        found: List[FlushItem] = []
+        heads: Dict[int, VMObject] = {}
         for top in tops:
             for obj in top.chain():
                 oid = obj.sls_oid
                 if oid in seen or oid not in group.tracks:
                     continue
-                seen.add(oid)
-                sources = merged_chain(obj, dirty_only=True)
-                if sources:
-                    found.append(FlushItem(oid, object_record(obj), sources))
+                head = heads.get(oid)
+                if head is None or head in obj.chain():
+                    heads[oid] = obj
+        found: List[FlushItem] = []
+        for oid, head in heads.items():
+            sources = merged_chain(head, dirty_only=True)
+            if sources:
+                found.append(FlushItem(oid, object_record(head), sources))
         return found
 
     def mark_flushed(self, group: ConsistencyGroup) -> None:

@@ -425,6 +425,37 @@ def test_writes_before_a_fork_survive_a_crash():
         world.observe()
 
 
+def test_fork_private_shadow_does_not_collapse_into_another_object():
+    """Found by the random differential test above: the child's first
+    store after a checkpoint makes a private shadow over the group's
+    shadow of the shared object, tracked as a logical object of its
+    own.  A ``mem`` checkpoint freezes it unflushed; the next checkpoint
+    must not collapse it into the other object, or the child's page
+    is flushed under neither and reads the pre-fork ``fill`` after the
+    crash."""
+    world = World(VMSpace.touch, VMSpace.fill)
+    for op in [("mmap", 8, True, False), ("fill", 0, 0, 0, 1, 1),
+               ("fork", 0), ("touch", 0, 0, 0, 1, 0), ("checkpoint",),
+               ("touch", 1, 0, 0, 1, 0), ("checkpoint", "mem"),
+               ("eager-restore",)]:
+        world.apply(op)
+        world.observe()
+
+
+def test_fill_under_a_fork_private_shadow_survives_a_crash():
+    """The parent's chain reaches the shared object's base, the child's
+    its newer shadow, which a ``fill`` wrote before the child's first
+    fault hid it: the shadow pass flushes that object's dirty pieces
+    from the newest object any chain reaches."""
+    world = World(VMSpace.touch, VMSpace.fill)
+    for op in [("mmap", 8, True, False), ("fill", 0, 0, 0, 1, 1),
+               ("fork", 0), ("touch", 0, 0, 0, 1, 0), ("checkpoint",),
+               ("fill", 1, 0, 0, 1, 5), ("touch", 1, 0, 1, 1, 7),
+               ("checkpoint",), ("restore",), ("read", 1, 0, 0, 0, 64)]:
+        world.apply(op)
+        world.observe()
+
+
 def test_mixed_depth_run_is_charged_per_page_found():
     """The summed charge of one run, spelled out: the reference shares
     the cost formula with the run-wise path, so check it directly."""
