@@ -16,23 +16,33 @@ Paper's qualitative claims, asserted below:
 
 from bench_utils import run_once
 
+from repro.core.orchestrator import load_aurora
 from repro.machine import Machine
-from repro.slsfs import AuroraFSModel, FFSModel, ZFSModel
+from repro.slsfs import mount_ffs, mount_zfs
 from repro.workloads.filebench import FileBench
-from repro.units import KiB, MiB
+from repro.units import KiB, MiB, MSEC
 
+
+def _aurora(machine):
+    """The SLSFS ``sls`` mounts, its checkpoints riding those of the
+    FileBench process's group (the paper's 10 ms period)."""
+    sls = load_aurora(machine)
+    sls.attach(machine.kernel.spawn("filebench"), period_ns=10 * MSEC)
+
+
+#: (name, what turns a fresh machine into the engine's machine).
 ENGINES = [
-    ("zfs", lambda m: ZFSModel(m)),
-    ("zfs+csum", lambda m: ZFSModel(m, checksums=True)),
-    ("ffs", lambda m: FFSModel(m)),
-    ("aurora", lambda m: AuroraFSModel(m)),
+    ("zfs", mount_zfs),
+    ("zfs+csum", lambda m: mount_zfs(m, checksums=True)),
+    ("ffs", mount_ffs),
+    ("aurora", _aurora),
 ]
 
 
-def _bench(make_fs, method, *args, **kwargs):
+def _bench(setup, method, *args, **kwargs):
     machine = Machine()
-    fb = FileBench(make_fs(machine))
-    return getattr(fb, method)(*args, **kwargs)
+    setup(machine)
+    return getattr(FileBench(machine), method)(*args, **kwargs)
 
 
 def run_experiment():

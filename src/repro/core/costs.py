@@ -248,9 +248,9 @@ FFS_FSYNC = 60 * USEC
 #: FFS: file creation.
 FFS_CREATE = 11 * USEC
 
-#: Aurora object store per-block metadata update (simple mappings:
-#: "Aurora's simpler metadata updates are designed to reduce the
-#: latency of periodic checkpoints").
+#: Aurora object store metadata update per 64 KiB filesystem block a
+#: write touches (simple mappings: "Aurora's simpler metadata updates
+#: are designed to reduce the latency of periodic checkpoints").
 SLSFS_BLOCK_UPDATE = 1800 * NSEC
 
 # ---------------------------------------------------------------------------

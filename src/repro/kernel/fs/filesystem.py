@@ -1,7 +1,7 @@
 """Filesystem base class and the in-memory filesystem.
 
 :class:`Filesystem` owns the inode table and provides the hook points
-(`on_create`, `on_dirty`, `on_data_write`, `on_fsync`, ...) that concrete
+(`on_create`, `on_dirty`, `on_data_write`, `on_fsync`, `sync`) that concrete
 filesystems use to charge their metadata-update costs and, in the
 Aurora filesystem's case, to persist state into the object store.
 :class:`MemFS` is the trivial volatile implementation used as the root
@@ -79,6 +79,9 @@ class Filesystem:
 
     def on_fsync(self, vnode: Vnode) -> None:
         """Called for fsync(2); implementations charge their sync cost."""
+
+    def sync(self) -> None:
+        """sync(2): return once what was written is on media (if any)."""
 
 
 class MemFS(Filesystem):

@@ -6,6 +6,8 @@ A namespace into the single level store:
   checkpoints on the same cadence as application checkpoints — so
   ``fsync`` is a no-op (*checkpoint consistency*), which is why Aurora
   wins FileBench's varmail personality;
+* a data write costs one mapping update per 64 KiB filesystem block it
+  touches, and ``sync`` is a synchronous FS checkpoint;
 * vnodes are identified by inode number (checkpoints store just the
   reference — no namei/name-cache walk in the stop path);
 * *hidden link counts*: a file that is unlinked but still open — or
@@ -40,10 +42,21 @@ from ..kernel.fs.vnode import Vnode
 from ..kernel.vm.vmobject import page_run
 from ..objstore.checkpoint import NO_PAGES, PageRuns
 from ..objstore.oid import CLASS_FILE, make_oid
-from ..units import PAGE_SIZE, pages_of
+from ..units import FS_BLOCK, PAGE_SIZE, pages_of
 
 #: Reserved OID for the header record (top serial, never allocated).
 NAMESPACE_OID = make_oid(CLASS_FILE, (1 << 56) - 1)
+
+
+def _spans(pages: Set[int]) -> List[List[int]]:
+    """``pages`` as sorted ``[lo, hi)`` spans of consecutive indexes."""
+    spans: List[List[int]] = []
+    for pindex in sorted(pages):
+        if spans and spans[-1][1] == pindex:
+            spans[-1][1] = pindex + 1
+        else:
+            spans.append([pindex, pindex + 1])
+    return spans
 
 
 class SLSFS(Filesystem):
@@ -75,19 +88,18 @@ class SLSFS(Filesystem):
         # File creation is unoptimized: a global lock (§9.1).
         """Charge the (global-lock) create path and allocate the OID."""
         self.kernel.clock.advance(costs.SLSFS_CREATE_GLOBAL_LOCK)
-        if vnode.inode not in self.inode_oids:
-            self.inode_oids[vnode.inode] = self.store.alloc_oid(CLASS_FILE)
+        self.oid_of(vnode)
         self._dirty_inodes.add(vnode.inode)
 
     def on_data_write(self, vnode: Vnode, offset: int, nbytes: int) -> None:
-        """Charge per-block mapping updates; track the dirty range."""
-        first = offset // PAGE_SIZE
-        last = (offset + max(nbytes, 1) - 1) // PAGE_SIZE
-        nblocks = last - first + 1
-        self.kernel.clock.advance(nblocks * costs.SLSFS_BLOCK_UPDATE)
+        """Charge one mapping update per 64 KiB filesystem block the
+        write touches; track the dirty pages."""
+        end = offset + max(nbytes, 1) - 1
+        blocks = end // FS_BLOCK - offset // FS_BLOCK + 1
+        self.kernel.clock.advance(blocks * costs.SLSFS_BLOCK_UPDATE)
         self._dirty_inodes.add(vnode.inode)
         self._dirty_pages.setdefault(vnode.inode, set()).update(
-            range(first, last + 1))
+            range(offset // PAGE_SIZE, end // PAGE_SIZE + 1))
 
     def on_fsync(self, vnode: Vnode) -> None:
         # Checkpoint consistency: fsync is a no-op (§5.2).
@@ -165,8 +177,8 @@ class SLSFS(Filesystem):
             obj = vnode.vmobject
             dirty = dirty_pages.get(inode)
             txn.put_pages(oid, obj.content() if dirty is None else [
-                run for pindex in sorted(dirty)
-                for run in obj.content(pindex, pindex + 1)], obj)
+                run for lo, hi in _spans(dirty)
+                for run in obj.content(lo, hi)], obj)
         self._dirty_inodes, self._dirty_pages = set(), {}
         parent = self.last_ckpt_id
 
@@ -193,6 +205,15 @@ class SLSFS(Filesystem):
             raise
         self.last_ckpt_id = info.ckpt_id
         return info
+
+    def sync(self) -> None:
+        """sync(2): a synchronous FS checkpoint of what is dirty; returns
+        once it and every FS checkpoint before it have landed."""
+        if self.has_dirty():
+            self.checkpoint(sync=True)
+        pending = self.store.pending_commit_deadline
+        while pending(self.GROUP_ID) is not None:
+            self.store.loop.run_until(pending(self.GROUP_ID))
 
     # -- recovery -----------------------------------------------------------------------
 

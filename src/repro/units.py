@@ -26,6 +26,10 @@ PAGE_SIZE = 4 * KiB
 #: 900P PCIe NVMe devices striped at 64 KiB").
 STRIPE_SIZE = 64 * KiB
 
+#: Filesystem block, the paper's 64 KiB for every Figure 3 filesystem:
+#: the unit of a write's block allocation and mapping update.
+FS_BLOCK = 64 * KiB
+
 # --- time -----------------------------------------------------------------
 
 NSEC = 1

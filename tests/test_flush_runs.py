@@ -322,17 +322,20 @@ def test_a_flush_of_runs_equals_the_per_stripe_flush(flush, enabled, data):
 
 def test_a_drained_bench_filesystem_has_nothing_queued():
     """The array has one settle rule, its last write's completion: a
-    benchmark phase that drains ends once every write has landed, not
-    when the last transfer ends (``NVME_WRITE_LATENCY`` earlier)."""
-    from repro.slsfs.baseline_ffs import FFSModel
+    benchmark phase that ends with ``sync`` ends once every write has
+    landed, not when the last transfer ends (``NVME_WRITE_LATENCY``
+    earlier)."""
+    from repro.slsfs import mount_ffs
+    from repro.workloads.filebench import FileBench
 
     machine = Machine()
-    fs = FFSModel(machine)
-    file = fs.create("/x")
+    fs = mount_ffs(machine)
+    bench = FileBench(machine)
+    file = bench.create("/x")
     for index in range(64):
-        fs.write(file, index * 64 * KiB, 64 * KiB)
+        bench.write(file, index * 64 * KiB, 64 * KiB, seed=index)
     last = machine.storage.last_completion
-    fs.drain()
+    fs.sync()
     assert not [write for device in machine.storage.devices
                 for write in device.queued()]
     assert machine.clock.now() >= last > 0

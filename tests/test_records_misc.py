@@ -110,14 +110,14 @@ def test_store_requires_mount():
 
 
 def test_filebench_runs_are_deterministic():
-    from repro.slsfs import FFSModel
+    from repro.slsfs import mount_ffs
     from repro.workloads.filebench import FileBench
     from repro.units import KiB, MiB
 
     def run():
         machine = Machine()
-        return FileBench(FFSModel(machine),
-                         seed=5).write_throughput(4 * KiB, False,
-                                                  total_bytes=8 * MiB)
+        mount_ffs(machine)
+        return FileBench(machine, seed=5).write_throughput(
+            4 * KiB, False, total_bytes=8 * MiB)
 
     assert run() == run()

@@ -158,10 +158,19 @@ class World:
         self.machine.crash()
         self.machine.boot()
         self.sls = load_aurora(self.machine)
-        result = self.sls.restore(gid, periodic=False)
+        try:
+            result = self.sls.restore(gid, periodic=False)
+        except ReproError as exc:
+            # ``apply`` would swallow it and leave the dead kernel's
+            # processes driving the world.
+            raise AssertionError(f"restore failed: {exc!r}") from exc
         self.group = result.group
         self.group.history_limit = 3
         self.procs = list(result.processes)
+        # Restored descriptors name the booted kernel's files, never the
+        # dead kernel's (whose kids would collide with the new ones).
+        assert all(file.kernel is self.kernel for proc in self.procs
+                   for file in proc.fdtable.files())
         self._watch()
         self.checkpoint()
 
@@ -336,6 +345,17 @@ def test_churn_with_every_kind_of_slot_and_sharing():
               ("traffic", 0), ("ckpt", 0), ("ckpt", 0)]
     replays = _differential(script)
     assert sum(visits is not None for _floor, visits in replays) >= 8
+
+
+def test_restore_after_a_fork_exit_and_memckpt_reopens_cleanly():
+    """A script hypothesis once drew: with a fork's private shadows
+    lost across the crash, the restore failed, the world went on with
+    the dead kernel's processes, and the last open raised
+    ``KeyError: 11`` in ``WalkMemo`` (the dead kernel's ``OpenFile``
+    kids collide with the booted kernel's)."""
+    _differential([("open", 0)] * 5 + [
+        ("fork", 0), ("exit", 1), ("mem", 0), ("memckpt", 0),
+        ("restore", 0), ("open", 0)])
 
 
 def test_a_failed_first_fs_checkpoint_is_staged_again():

@@ -5,7 +5,10 @@ import pytest
 from repro import Machine, load_aurora
 from repro.core import costs
 from repro.kernel.fs.file import O_CREAT, O_RDWR
-from repro.units import USEC
+from repro.units import FS_BLOCK, KiB, MiB, MSEC, PAGE_SIZE, USEC
+from repro.workloads.filebench import FileBench
+
+from .content import held_pages
 
 
 @pytest.fixture
@@ -164,6 +167,47 @@ def test_incremental_fs_checkpoints_only_flush_dirty(setup):
     vnode.write_synthetic(0, 4096, seed=2)
     info2 = sls.slsfs.checkpoint(sync=True)
     assert info2.data_bytes < info1.data_bytes
+
+
+def test_a_data_write_charges_one_mapping_update_per_fs_block(setup):
+    """The unit of ``SLSFS_BLOCK_UPDATE`` is the 64 KiB filesystem
+    block a write touches, not the page."""
+    machine, sls, proc = setup
+    fd = machine.kernel.open(proc, "/blocks", O_CREAT | O_RDWR)
+    vnode = proc.fdtable.get(fd).vnode
+    for offset, nbytes, blocks in ((0, FS_BLOCK, 1), (0, PAGE_SIZE, 1),
+                                   (FS_BLOCK - PAGE_SIZE, 2 * PAGE_SIZE, 2),
+                                   (FS_BLOCK, 3 * FS_BLOCK, 3)):
+        before = machine.clock.now()
+        vnode.write_synthetic(offset, nbytes, seed=offset)
+        assert machine.clock.now() - before == \
+            blocks * costs.SLSFS_BLOCK_UPDATE, (offset, nbytes)
+
+
+def test_a_filebench_phase_on_slsfs_comes_back_after_a_crash():
+    """Figure 3's Aurora row measures this filesystem: a FileBench
+    write phase (its data committed by the FS checkpoints riding a
+    10 ms group, then ``sync``) comes back from a crash with its size
+    and a locator for every page it wrote."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    sls.attach(machine.kernel.spawn("filebench"), period_ns=10 * MSEC)
+    # 8 192 writes at 1.8 us: the phase outlasts a period.
+    FileBench(machine).write_throughput(4 * KiB, True,
+                                        total_bytes=32 * MiB)
+    assert len(sls.store.checkpoints_for(sls.slsfs.GROUP_ID)) > 1
+    sls2 = _reboot_with_aurora(machine)
+    vnode = machine.kernel.vfs.namei("/bigfile")
+    assert vnode.size == 32 * MiB
+    npages = 32 * MiB // PAGE_SIZE
+    _records, locators = sls2.store.merged_view(sls2.slsfs.last_ckpt_id)
+    table = locators[sls2.slsfs.inode_oids[vnode.inode]]
+    assert all(table.lookup(pindex) is not None for pindex in range(npages))
+    # Write ``i`` wrote page ``i`` with the bytes written before it.
+    held = held_pages(vnode.vmobject)
+    assert sorted(held) == list(range(npages))
+    assert all(held[pindex].seed == pindex * PAGE_SIZE
+               for pindex in range(npages))
 
 
 def test_file_creation_charges_global_lock(setup):

@@ -5,7 +5,7 @@ import pytest
 from repro import Machine, load_aurora
 from repro.apps.synthetic import PROFILES, SyntheticApp
 from repro.machine import Machine as _Machine
-from repro.slsfs import AuroraFSModel, FFSModel, ZFSModel
+from repro.slsfs import SLSFS, mount_ffs, mount_zfs
 from repro.units import KiB, MiB, MSEC, PAGE_SIZE, pages_of
 from repro.workloads.filebench import FileBench
 from repro.workloads.prefix_dist import OP_GET, OP_PUT, PrefixDistWorkload
@@ -112,37 +112,55 @@ def test_prefix_dist_value_shape():
 # -- filebench ---------------------------------------------------------------------------------
 
 
+def _aurora(machine):
+    """The SLSFS under ``load_aurora``, its checkpoints riding those of
+    a group attached at the paper's 10 ms period."""
+    sls = load_aurora(machine)
+    sls.attach(machine.kernel.spawn("filebench"), period_ns=10 * MSEC)
+    return sls
+
+
 def test_filebench_write_accounting():
     machine = Machine()
-    fs = FFSModel(machine)
-    fb = FileBench(fs)
+    mount_ffs(machine)
+    fb = FileBench(machine)
     throughput = fb.write_throughput(64 * KiB, True, total_bytes=8 * MiB)
     assert throughput > 0
-    assert fs.stats["bytes_written"] == 8 * MiB
+    assert fb.stats["bytes_written"] == 8 * MiB
+    assert machine.kernel.vfs.namei("/bigfile").size == 8 * MiB
+    # Write-behind: every byte went to the array, and sync landed it.
+    assert machine.storage.bytes_written == 8 * MiB
+    assert machine.storage.last_completion <= machine.clock.now()
 
 
 def test_filebench_personality_op_counts():
     machine = Machine()
-    fs = AuroraFSModel(machine)
-    fb = FileBench(fs)
+    _aurora(machine)
+    fb = FileBench(machine)
     ops_per_sec = fb.varmail(nops=2000)
     assert ops_per_sec > 0
-    assert fs.stats["fsyncs"] > 200  # ~25% of the mix
+    assert fb.stats["fsyncs"] > 200  # ~25% of the mix
 
 
 def test_aurora_engine_charges_periodic_commits():
+    """The Aurora FS's data reaches media through FS checkpoints riding
+    the group's 10 ms checkpoints: besides the one ``sync`` takes at
+    the end, a phase longer than a period (16 384 writes at 1.8 us)
+    commits some."""
     machine = Machine()
-    fs = AuroraFSModel(machine, checkpoint_period_ns=10 * MSEC)
-    fb = FileBench(fs)
-    fb.write_throughput(64 * KiB, True, total_bytes=64 * MiB)
-    assert fs.commits > 0
+    sls = _aurora(machine)
+    fb = FileBench(machine)
+    fb.write_throughput(4 * KiB, True, total_bytes=64 * MiB)
+    fs_checkpoints = sls.store.checkpoints_for(SLSFS.GROUP_ID)
+    assert len(fs_checkpoints) > 1
+    assert sum(info.data_bytes for info in fs_checkpoints) >= 64 * MiB
 
 
 def test_engines_share_device_model():
     """All engines push bytes through the same striped array."""
-    for engine_cls in (ZFSModel, FFSModel, AuroraFSModel):
+    for setup in (mount_zfs, mount_ffs, _aurora):
         machine = Machine()
-        fs = engine_cls(machine)
-        fb = FileBench(fs)
+        setup(machine)
+        fb = FileBench(machine)
         fb.write_throughput(64 * KiB, True, total_bytes=4 * MiB)
         assert machine.storage.bytes_written >= 4 * MiB
