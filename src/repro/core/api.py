@@ -3,10 +3,10 @@
 Custom applications trade transparency for control: they trigger their
 own checkpoints, exclude scratch memory, checkpoint single regions
 atomically without quiescing the whole application, journal
-synchronously, and suppress external synchrony per descriptor.  This
-is the API the customized RocksDB uses (§9.6) — its WAL becomes
-``sls_journal`` and its LSM tree becomes ``sls_memckpt`` + full
-checkpoints.
+synchronously, and suppress external synchrony per descriptor.  The
+customized RocksDB (§9.6) uses two of them: its WAL becomes
+``sls_journal``, and its memtable — the whole database once the LSM
+tree is gone — persists through ``sls_checkpoint``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Optional
 from ..errors import InvalidArgument, NotAttached
 from ..objstore.journal import Journal
 from ..units import PAGE_SIZE, pages_of
-from . import costs
 from .orchestrator import CheckpointResult, Orchestrator
 
 
@@ -72,56 +71,15 @@ class AuroraAPI:
         Shadows just that region's VM object and flushes it
         asynchronously as a *partial* checkpoint; at restore the store
         composes it on top of the preceding full checkpoint.  No
-        quiesce, no OS-state walk — the Table 5 "Atomic" column.
+        quiesce, no OS-state walk — the Table 5 "Atomic" column.  It
+        is the pipeline's atomic mode, so a failed flush rolls back as
+        any checkpoint's does.
         """
-        group = self.group
-        kernel = self.sls.kernel
-        clock = kernel.clock
-        t_start = clock.now()
-        space = self.proc.vmspace
-        entry = space.entry_at(addr)
-        end_page = (addr + nbytes - 1) // PAGE_SIZE
-        if end_page >= entry.end_page:
+        entry = self.proc.vmspace.entry_at(addr)
+        if (addr + nbytes - 1) // PAGE_SIZE >= entry.end_page:
             raise InvalidArgument("region spans multiple map entries")
-
-        top = entry.vmobject
-        engine = self.sls.shadow
-        track = engine.track_for(group, top)
-        if track.frozen is not None and not track.flushed \
-                and group.flush_in_progress:
-            # Previous flush of this region still in flight: wait for
-            # this group's pending commit only (not the whole loop).
-            self.sls._await_flush(group)
-        engine.collapse_completed(group)
-
-        clock.advance(costs.CKPT_ATOMIC_BASE)
-        item, downgraded = engine.freeze(engine.running_spaces(group), track,
-                                         top)
-        kernel.cpus.tlb_shootdown(
-            min(len(self.proc.threads), len(kernel.cpus)),
-            max(downgraded, 1))
-
-        txn = self.sls.store.begin_checkpoint(
-            group.group_id, name="memckpt", parent=group.last_ckpt_id,
-            partial=True)
-        txn.put_object(track.oid, "vmobject", item.record)
-        item.stage(txn)
-
-        result = CheckpointResult(txn.info, "atomic")
-        result.stop_ns = clock.now() - t_start
-        result.pages_flushed = item.page_count()
-        result.bytes_staged = txn.staged_bytes()
-        group.flush_in_progress = True
-
-        def on_complete(info):
-            group.flush_in_progress = False
-            group.last_complete_id = info.ckpt_id
-            track.flushed = True
-
-        info = self.sls.store.commit(txn, sync=sync,
-                                     on_complete=on_complete)
-        group.last_ckpt_id = info.ckpt_id
-        return result
+        return self.sls.checkpoint(self.group, name="memckpt", sync=sync,
+                                   region=entry)
 
     # -- journals ----------------------------------------------------------------------------
 

@@ -78,9 +78,8 @@ MAX_WIDEN_FACTOR = 64
 #: demand below this fraction of each cap, or it would oscillate.
 RELAX_MARGIN = 0.75
 
-#: Dispatch later than ``period / MISS_SLACK_DIV`` past the EDF
-#: deadline counts as a deadline miss (per-group override:
-#: ``group.miss_slack_ns``).
+#: Dispatch later than ``effective_period // MISS_SLACK_DIV`` past the
+#: EDF deadline counts as a deadline miss.
 MISS_SLACK_DIV = 4
 
 #: The backpressure controller recomputes aggregate demand every Nth
@@ -372,8 +371,7 @@ class FleetScheduler:
         start_ns = self.clock.now()
         group.dispatches += 1
         lateness = start_ns - deadline
-        slack = (group.miss_slack_ns if group.miss_slack_ns is not None
-                 else self.effective_period(group) // MISS_SLACK_DIV)
+        slack = self.effective_period(group) // MISS_SLACK_DIV
         if lateness > slack:
             group.deadline_misses += 1
             self._miss_total += 1

@@ -50,7 +50,7 @@ class ConsistencyGroup:
 
     def __init__(self, group_id: int, name: str = "",
                  period_ns: int = DEFAULT_PERIOD,
-                 external_synchrony: bool = True) -> None:
+                 *, external_synchrony: bool) -> None:
         self.group_id = group_id
         self.name = name or f"group{group_id}"
         self.period_ns = period_ns
@@ -115,9 +115,6 @@ class ConsistencyGroup:
         #: Per-tenant RPO budget; ``None`` inherits the tracker-wide
         #: default.  Registered with the SLO tracker at admission.
         self.rpo_budget_ns: Optional[int] = None
-        #: Deadline-miss slack: a dispatch later than this past its
-        #: EDF deadline counts as a miss (``None`` = period / 4).
-        self.miss_slack_ns: Optional[int] = None
         #: Fleet scheduling counters.
         self.dispatches = 0
         self.deadline_misses = 0

@@ -28,6 +28,7 @@ from ..errors import (InvalidArgument, MachineCrashed, NoSpace,
                       NoSuchCheckpoint, NotAttached, RetriesExhausted,
                       SLSError, StoreFull)
 from ..kernel.fs.vfs import VFS
+from ..kernel.vm.vmmap import VMMapEntry
 from ..objstore.oid import CLASS_GROUP, oid_serial
 from ..objstore.store import CheckpointTxn, ObjectStore
 from ..slsfs.slsfs import SLSFS
@@ -36,25 +37,24 @@ from .extsync import ExternalSynchrony
 from .faults import InjectedCrash
 from .fleet import FleetScheduler
 from .group import ConsistencyGroup
-from .pipeline import (MODE_DISK, MODE_MEM, CheckpointContext,
+from .pipeline import (MODE_ATOMIC, MODE_DISK, MODE_MEM, CheckpointContext,
                        CheckpointPipeline, CheckpointResult)
 from .restore import GroupRestorer, RestoreResult
-from .shadowing import REVERSE, ShadowEngine
+from .shadowing import ShadowEngine
 
-__all__ = ["MODE_DISK", "MODE_MEM", "CheckpointResult", "Orchestrator",
-           "load_aurora"]
+__all__ = ["MODE_ATOMIC", "MODE_DISK", "MODE_MEM", "CheckpointResult",
+           "Orchestrator", "load_aurora"]
 
 
 class Orchestrator:
     """The single level store control plane for one machine."""
 
-    def __init__(self, machine, store: ObjectStore, slsfs: Optional[SLSFS],
-                 collapse_direction: str = REVERSE):
+    def __init__(self, machine, store: ObjectStore, slsfs: Optional[SLSFS]):
         self.machine = machine
         self.kernel = machine.kernel
         self.store = store
         self.slsfs = slsfs
-        self.shadow = ShadowEngine(self.kernel, store, collapse_direction)
+        self.shadow = ShadowEngine(self.kernel, store)
         self.extsync = ExternalSynchrony(self.kernel)
         self.pipeline = CheckpointPipeline()
         self.telemetry = telemetry.registry()
@@ -221,25 +221,33 @@ class Orchestrator:
 
     def checkpoint(self, group: ConsistencyGroup, name: str = "",
                    full: bool = False, sync: bool = False,
-                   mode: str = MODE_DISK) -> CheckpointResult:
+                   mode: str = MODE_DISK,
+                   region: Optional[VMMapEntry] = None) -> CheckpointResult:
         """Run the staged checkpoint pipeline on ``group``.
 
-        Returns the :class:`CheckpointResult` view over the stage
-        trace; per-stage spans are also recorded in the telemetry
-        registry.
+        With ``region`` (a member's map entry) the checkpoint is
+        atomic (``sls_memckpt``, §7): nothing is quiesced, only the
+        entry's object is shadowed, and it commits as a partial
+        checkpoint.  It first waits out an in-flight flush, as a sync
+        checkpoint does.  Returns the :class:`CheckpointResult` view
+        over the stage trace; per-stage spans are also recorded in the
+        telemetry registry.
         """
-        if mode not in (MODE_DISK, MODE_MEM):
+        if region is not None:
+            mode = MODE_ATOMIC
+        elif mode not in (MODE_DISK, MODE_MEM):
             raise InvalidArgument(f"bad checkpoint mode {mode}")
         if group.flush_in_progress:
-            if not sync:
+            if not sync and mode != MODE_ATOMIC:
                 raise SLSError("previous checkpoint still flushing")
             self._await_flush(group)
-        if mode == MODE_DISK and group.force_full_next:
+        if mode != MODE_MEM and group.force_full_next:
             # A rolled-back checkpoint collapsed its dirty pages back
-            # into the in-memory chain; only a full capture sees them.
+            # into the in-memory chain; only a full capture (of the
+            # region, for an atomic one) sees them.
             full = True
         ctx = CheckpointContext(self, group, name=name, full=full,
-                                sync=sync, mode=mode)
+                                sync=sync, mode=mode, region=region)
         clock = self.kernel.clock
         with tracing.trace(clock, tracing.CHECKPOINT,
                            group=group.group_id, mode=mode,

@@ -15,14 +15,18 @@ concurrently with execution.  Stop time versus overlap time is derived
 from the stage trace instead of hand-threaded ``t_*`` variables, and
 :class:`CheckpointResult` is a view over that trace.
 
-Both modes stage into one transaction type,
+Every mode stages into one transaction type,
 :class:`~repro.objstore.store.CheckpointTxn`, whose ``put_pages`` lays
 each flush item's runs over what is staged with the one
 splice of :mod:`repro.core.runs`.  A mem-mode (stop-time measurement)
 checkpoint's transaction is built on an id-less ``CheckpointInfo(-1,
 group)`` — it takes no checkpoint id — and is never committed, so it
 stages records and pages at the disk path's cost and nothing reaches
-the device.
+the device.  An atomic checkpoint (``sls_memckpt``, §7) targets one
+map entry: it parks nothing, shadows and stages only that entry's
+object, and commits a *partial* checkpoint that restore composes over
+its parent chain — through the same flush, and the same rollback, as
+a disk checkpoint.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Set, Tuple
 
 from ..errors import SLSError
+from ..kernel.vm.vmmap import VMMapEntry
 from ..objstore.checkpoint import CheckpointInfo
 from ..objstore.store import CheckpointTxn
 from . import costs, events, faults, telemetry
@@ -44,6 +49,7 @@ if TYPE_CHECKING:
 #: Checkpoint target modes.
 MODE_DISK = "disk"   # full pipeline, flushed to the object store
 MODE_MEM = "mem"     # stop-time measurement only, nothing flushed
+MODE_ATOMIC = "atomic"  # one region, a partial checkpoint (sls_memckpt)
 
 
 class StageTrace:
@@ -72,8 +78,8 @@ class CheckpointContext:
     """Everything the stages share while one checkpoint runs."""
 
     def __init__(self, sls: "Orchestrator", group: ConsistencyGroup,
-                 name: str = "", full: bool = False, sync: bool = False,
-                 mode: str = MODE_DISK) -> None:
+                 name: str, full: bool, sync: bool, mode: str,
+                 region: Optional[VMMapEntry]) -> None:
         self.sls = sls
         self.machine: Any = sls.machine
         self.kernel: Any = sls.kernel
@@ -87,12 +93,15 @@ class CheckpointContext:
         self.full = full
         self.sync = sync
         self.mode = mode
+        #: The atomic checkpoint's map entry (None in the other modes).
+        self.region = region
         #: Filled in by the stages.
         self.quiesce_report: Optional[QuiesceReport] = None
         self.collapse_moved = 0
         self.txn: Optional[CheckpointTxn] = None
         self.flush_items: List[FlushItem] = []
-        #: The committed checkpoint (disk mode, once :func:`flush` ran).
+        #: The committed checkpoint (disk and atomic mode, once
+        #: :func:`flush` ran).
         self.info: Optional[CheckpointInfo] = None
         self.trace: List[StageTrace] = []
         #: Incremental-serialization accounting (filled by :func:`serialize`).
@@ -104,8 +113,10 @@ class CheckpointContext:
 
 
 def quiesce(ctx: CheckpointContext) -> None:
-    """Park every group thread at the user/kernel boundary (§5.1)."""
-    ctx.quiesce_report = quiesce_group(ctx.kernel, ctx.group)
+    """Park every group thread at the user/kernel boundary (§5.1); an
+    atomic checkpoint parks none."""
+    if ctx.mode != MODE_ATOMIC:
+        ctx.quiesce_report = quiesce_group(ctx.kernel, ctx.group)
 
 
 def collapse(ctx: CheckpointContext) -> None:
@@ -114,25 +125,41 @@ def collapse(ctx: CheckpointContext) -> None:
 
 
 def shadow(ctx: CheckpointContext) -> None:
-    """Open the transaction and take the system shadows (§6)."""
+    """Open the transaction and take the system shadows (§6) — of the
+    region's object alone for an atomic checkpoint."""
+    group = ctx.group
     if ctx.mode == MODE_MEM:
-        ctx.txn = CheckpointTxn(
-            ctx.store, CheckpointInfo(-1, ctx.group.group_id))
+        ctx.txn = CheckpointTxn(ctx.store, CheckpointInfo(-1, group.group_id))
     else:
         ctx.txn = ctx.store.begin_checkpoint(
-            ctx.group.group_id, name=ctx.name,
-            parent=ctx.group.last_ckpt_id)
-    ctx.flush_items = ctx.shadow.shadow_group(
-        ctx.group, full=ctx.full, mem=ctx.mode == MODE_MEM)
+            group.group_id, name=ctx.name, parent=group.last_ckpt_id,
+            partial=ctx.mode == MODE_ATOMIC)
+    if ctx.mode == MODE_ATOMIC:
+        assert ctx.region is not None, "an atomic checkpoint has a region"
+        ctx.flush_items = [ctx.shadow.shadow_region(
+            group, ctx.region.vmobject, full=ctx.full)]
+    else:
+        ctx.flush_items = ctx.shadow.shadow_group(
+            group, full=ctx.full, mem=ctx.mode == MODE_MEM)
 
 
 def serialize(ctx: CheckpointContext) -> None:
     """Serialize the POSIX object graph into the transaction (§5)."""
+    txn = ctx.txn
+    assert txn is not None, "the shadow stage opens the transaction"
+    if ctx.mode == MODE_ATOMIC:
+        # The region's record and runs are the whole partial
+        # checkpoint: no POSIX walk and no live set (restore composes
+        # it over the parent chain).
+        for item in ctx.flush_items:
+            txn.put_object(item.oid, "vmobject", item.record)
+            item.stage(txn)
+        ctx.records_written = len(ctx.flush_items)
+        ctx.clock.advance(costs.CKPT_ATOMIC_BASE)
+        return
     # Incremental serialization: skip records unchanged since the
     # group's epoch floor.  ``full=True`` (and the first checkpoint
     # of a chain, floor None) serializes everything.
-    txn = ctx.txn
-    assert txn is not None, "the shadow stage opens the transaction"
     floor = None if ctx.full else ctx.group.ckpt_epoch
     # A clean object may only be skipped when the parent chain can
     # still resolve its record; without that set (legacy chains,
@@ -188,16 +215,19 @@ def seal(ctx: CheckpointContext) -> None:
 
 def resume(ctx: CheckpointContext) -> None:
     """Release the parked threads; stop time ends here."""
-    resume_group(ctx.kernel, ctx.group)
+    if ctx.mode != MODE_ATOMIC:
+        resume_group(ctx.kernel, ctx.group)
 
 
 def flush(ctx: CheckpointContext) -> None:
     """Kick off the asynchronous flush (overlaps execution, §4.1).
 
     Mem mode has nothing to flush: the shadows are immediately
-    collapsible.  Disk mode hands the transaction to the store, which
-    submits the data writes now and finalizes the commit (metadata, the
-    history trim past ``history_limit``, one flip) when they land.
+    collapsible.  Disk and atomic mode hand the transaction to the
+    store, which submits the data writes now and finalizes the commit
+    (metadata, for disk mode the history trim past ``history_limit``,
+    one flip) when they land.  A partial checkpoint never trims: the
+    full checkpoint it composes over must stay.
     """
     group = ctx.group
     if ctx.mode == MODE_MEM:
@@ -248,7 +278,8 @@ def flush(ctx: CheckpointContext) -> None:
     info = ctx.info = store.commit(txn, sync=ctx.sync,
                                    on_complete=on_complete,
                                    on_failure=on_failure,
-                                   keep=group.history_limit)
+                                   keep=(group.history_limit
+                                         if ctx.mode == MODE_DISK else None))
     group.last_ckpt_id = info.ckpt_id
     if ctx.new_epoch_floor is not None:
         # The commit was accepted (no ENOSPC / injected fault on
@@ -304,46 +335,30 @@ class CheckpointResult:
 
     Benchmarks read the derived ``stop_ns`` / ``quiesce_ns`` /
     ``shadow_ns`` / ``serialize_ns`` fields; :meth:`stage_ns` exposes
-    any stage's duration directly.  Results built outside the pipeline
-    (``sls_memckpt``) carry no trace and fill the fields by hand.
+    any stage's duration directly.  ``info`` is the checkpoint a disk
+    or atomic (partial) checkpoint committed; a mem-mode one has none.
     """
 
-    def __init__(self, info: Optional[CheckpointInfo], mode: str,
-                 stages: Optional[List[StageTrace]] = None) -> None:
-        self.info = info
-        self.mode = mode
-        self.stages: List[StageTrace] = list(stages or [])
-        self.stop_ns = 0
-        self.quiesce_ns = 0
-        self.shadow_ns = 0
-        self.serialize_ns = 0
-        self.pages_flushed = 0
-        self.bytes_staged = 0
-        #: Object records staged vs. skipped as unchanged (incremental
-        #: kernel-state checkpoints).
-        self.records_written = 0
-        self.records_skipped = 0
-
-    @classmethod
-    def from_context(cls, ctx: CheckpointContext) -> "CheckpointResult":
+    def __init__(self, ctx: CheckpointContext) -> None:
         txn = ctx.txn
         assert txn is not None
-        result = cls(txn.info if ctx.mode == MODE_DISK else None,
-                     ctx.mode, ctx.trace)
-        result.quiesce_ns = result.stage_ns("quiesce")
+        self.info = txn.info if ctx.mode != MODE_MEM else None
+        self.mode = ctx.mode
+        self.stages: List[StageTrace] = list(ctx.trace)
+        self.quiesce_ns = self.stage_ns("quiesce")
         # The shadow phase of the old monolith spanned collapse +
         # shadow creation; keep the field's meaning stable.
-        result.shadow_ns = (result.stage_ns("collapse") +
-                            result.stage_ns("shadow"))
-        result.serialize_ns = result.stage_ns("serialize")
+        self.shadow_ns = self.stage_ns("collapse") + self.stage_ns("shadow")
+        self.serialize_ns = self.stage_ns("serialize")
         stop = [t for t in ctx.trace if not t.overlap]
-        result.stop_ns = stop[-1].end_ns - stop[0].start_ns
-        result.pages_flushed = sum(item.page_count()
-                                   for item in ctx.flush_items)
-        result.bytes_staged = txn.staged_bytes()
-        result.records_written = ctx.records_written
-        result.records_skipped = ctx.records_skipped
-        return result
+        self.stop_ns = stop[-1].end_ns - stop[0].start_ns
+        self.pages_flushed = sum(item.page_count()
+                                 for item in ctx.flush_items)
+        self.bytes_staged = txn.staged_bytes()
+        #: Object records staged vs. skipped as unchanged (incremental
+        #: kernel-state checkpoints).
+        self.records_written = ctx.records_written
+        self.records_skipped = ctx.records_skipped
 
     def stage_ns(self, name: str) -> int:
         """Total duration of the named stage (0 when absent)."""
@@ -391,4 +406,4 @@ class CheckpointPipeline:
                                         overlap))
         if plan is not None:
             plan.on_boundary(faults.STAGE, STAGE_ORDER[-1], faults.AFTER)
-        return CheckpointResult.from_context(ctx)
+        return CheckpointResult(ctx)

@@ -160,13 +160,11 @@ def object_record(top: VMObject) -> Dict[str, Any]:
 class ShadowEngine:
     """Per-orchestrator shadowing state and operations."""
 
-    def __init__(self, kernel: Any, store: Any,
-                 collapse_direction: str = REVERSE) -> None:
+    def __init__(self, kernel: Any, store: Any) -> None:
         self.kernel = kernel
         self.store = store
-        if collapse_direction not in (REVERSE, FORWARD, NONE):
-            raise InvalidArgument(f"bad direction {collapse_direction}")
-        self.collapse_direction = collapse_direction
+        #: REVERSE; the ablations set FORWARD or NONE here.
+        self.collapse_direction = REVERSE
         self.stats = telemetry.StatsView(
             "sls.shadow",
             keys=("shadows_created", "collapses", "collapse_pages_moved",
@@ -394,13 +392,28 @@ class ShadowEngine:
             self.stats["shadows_created"] += len(tops)
             self.stats["dirty_runs"] += dirty_runs
         items += self._fork_private_items(group, tops, items)
-
         if total_downgraded or items:
-            ncores = min(len(list(group.all_threads())), len(kernel.cpus))
-            kernel.cpus.tlb_shootdown(ncores, max(total_downgraded, 1))
-            self.stats["tlb_shootdowns"] += 1
-            self.stats["ptes_downgraded"] += total_downgraded
+            self._shootdown(group, total_downgraded)
         return items
+
+    def shadow_region(self, group: ConsistencyGroup, top: VMObject,
+                      full: bool) -> FlushItem:
+        """The shadow pass of an atomic checkpoint (``sls_memckpt``,
+        §7): freeze only ``top``, one region's object (its whole chain
+        segment when ``full``), then one TLB shootdown."""
+        item, downgraded = self.freeze(self.running_spaces(group),
+                                       self.track_for(group, top), top, full)
+        self._shootdown(group, downgraded)
+        return item
+
+    def _shootdown(self, group: ConsistencyGroup, downgraded: int) -> None:
+        """One TLB shootdown across the cores the group's threads run
+        on, after ``downgraded`` PTEs lost write access."""
+        cpus = self.kernel.cpus
+        cpus.tlb_shootdown(min(len(list(group.all_threads())), len(cpus)),
+                           max(downgraded, 1))
+        self.stats["tlb_shootdowns"] += 1
+        self.stats["ptes_downgraded"] += downgraded
 
     def _fork_private_items(self, group: ConsistencyGroup,
                             tops: List[VMObject],

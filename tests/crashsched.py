@@ -23,7 +23,7 @@ the ``oracle`` that recovers a crashed run and judges it.  One
   the action, power-fails the machine and asks the workload's oracle,
   which recovers and returns one :class:`Outcome` per restored app.
 
-The twelve workloads are the rows of :data:`WORKLOADS`.  The oracles
+The thirteen workloads are the rows of :data:`WORKLOADS`.  The oracles
 that reboot the primary also take one more checkpoint of every
 restored group and scrub with no carve-out: the mount left nothing
 allocated that no owner holds, and no owned extent on the free list.
@@ -39,6 +39,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List, NamedTuple,
 
 from repro import Machine, load_aurora
 from repro.core import events, flightrec
+from repro.core.api import AuroraAPI
 from repro.core.cluster import (B_EPOCH, B_LEASE, B_RECONCILE, B_REPAIR,
                                 SLSCluster)
 from repro.core.faults import (DOMAINS, FLEET, IO, PRIMARY, REPL,
@@ -219,6 +220,18 @@ def boot_remount() -> Run:
 
 def checkpoint_v2(run: Run) -> None:
     run.sls.checkpoint(run.group, name="v2", sync=True)
+
+
+def memckpt_v2(run: Run) -> None:
+    """Two atomic checkpoints of the heap alone (``sls_memckpt``, each
+    a partial checkpoint over ``V1``'s full one): an async one awaited
+    by a barrier — its flip makes ``V2`` durable — then, with ``V2``
+    rewritten, a sync one."""
+    api = AuroraAPI(run.sls, run.proc)
+    api.sls_memckpt(run.addr, NPAGES * PAGE_SIZE)
+    api.sls_barrier()
+    _fill(run.proc, run.addr, V2)
+    api.sls_memckpt(run.addr, NPAGES * PAGE_SIZE, sync=True)
 
 
 def boot_cluster(down: Optional[int] = REJOIN_NODE,
@@ -519,13 +532,14 @@ def _entry(schedule: Schedule, point: Point) -> Entry:
 
 
 def restore_counter(run: Run, plan: FaultPlan, point: Point,
-                    schedule: Schedule, node: bool) -> List[Outcome]:
-    """Reboot, check the black box, restore: exactly the last durable
-    version."""
+                    schedule: Schedule, node: bool,
+                    v2_name: str = "v2") -> List[Outcome]:
+    """Reboot, check the black box (``V2`` commits as ``v2_name``),
+    restore: exactly the last durable version."""
     expected = _durable(plan, point, schedule, node)
     run.machine.boot()
     sls = load_aurora(run.machine)
-    _check_blackbox(sls, point, expected)
+    _check_blackbox(sls, point, expected, v2_name)
     result = sls.restore(run.gid, periodic=False)
     head = read_head(result.root, run.addr)
     _checkpoint_and_scrub(sls, [result.group], point)
@@ -544,7 +558,8 @@ def _checkpoint_and_scrub(sls, groups, point: Point) -> None:
     assert report.ok, f"{point}: {report.findings}"
 
 
-def _check_blackbox(sls, point: Point, expected: bytes) -> None:
+def _check_blackbox(sls, point: Point, expected: bytes,
+                    v2_name: str = "v2") -> None:
     """The recovered flight recorder must agree with the oracle:
     the persisted timeline ends at the checkpoint the durability
     oracle says survived, and the injected fault shows up in the
@@ -556,7 +571,7 @@ def _check_blackbox(sls, point: Point, expected: bytes) -> None:
     last = box.last_durable
     assert last is not None, \
         f"{point}: recovered timeline has no durable commit"
-    expected_name = "v2" if expected == V2 else "v1"
+    expected_name = v2_name if expected == V2 else "v1"
     assert last["fields"].get("name") == expected_name, \
         (f"{point}: black box ends at "
          f"{last['fields'].get('name')!r}, oracle says "
@@ -670,6 +685,8 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
     Workload("fleet", boot_fleet, run_fleet, FLEET,
              frozenset({"admit", "dispatch", "widen"}),
              lambda entries: None, restore_fleet),
+    Workload("atomic", boot_counter, memckpt_v2, IO, _WRITE, commit_flip,
+             functools.partial(restore_counter, v2_name="memckpt")),
 )}
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro import Machine, load_aurora
 from repro.core.api import AuroraAPI
-from repro.errors import InvalidArgument, NotAttached
+from repro.core.faults import FaultPlan
+from repro.errors import InvalidArgument, NoSpace, NotAttached
 from repro.units import KiB, MiB, MSEC, PAGE_SIZE, USEC
 
 
@@ -82,6 +83,88 @@ def test_memckpt_has_lower_stop_time_than_full(setup):
     proc.vmspace.touch(heap, 256, seed=2)
     atomic = api.sls_memckpt(heap, 256 * PAGE_SIZE, sync=True)
     assert atomic.stop_ns < full2.stop_ns
+
+
+def test_a_failed_sync_memckpt_rolls_back(setup):
+    """ENOSPC on the region's first data write rolls the atomic
+    checkpoint back like any other: the flush gate reopens, and the
+    next checkpoint is full (the rolled-back page and the untouched
+    one) and makes the region's write durable."""
+    machine, sls, proc, group, api = setup
+    heap = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
+    proc.vmspace.write(heap, b"base")
+    proc.vmspace.write(heap + 5 * PAGE_SIZE, b"other")
+    api.sls_checkpoint(sync=True)
+    proc.vmspace.write(heap, b"region-v2")
+    plan = FaultPlan(name="enospc")
+    machine.set_fault_plan(plan.nospace_at_io(plan.io_index))
+    with pytest.raises(NoSpace):
+        api.sls_memckpt(heap, 64 * PAGE_SIZE, sync=True)
+    machine.set_fault_plan(None)
+
+    result = sls.checkpoint(group, sync=True)
+    assert result.info.complete and not result.info.partial
+    assert result.pages_flushed == 2 and result.records_skipped == 0
+    gid = group.group_id
+    machine.crash()
+    machine.boot()
+    restored = load_aurora(machine).restore(gid, periodic=False)
+    assert restored.root.vmspace.read(heap, 9) == b"region-v2"
+
+
+def test_an_async_memckpt_failing_at_finalize_rolls_back(setup):
+    """The commit of an async atomic checkpoint fails at its metadata
+    write (after the data and record writes): ``last_ckpt_id`` returns
+    to a checkpoint the store holds, and the next checkpoint parents
+    onto it."""
+    machine, sls, proc, group, api = setup
+    heap = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
+    proc.vmspace.write(heap, b"base")
+    base = api.sls_checkpoint(sync=True).info.ckpt_id
+    proc.vmspace.write(heap, b"region-v2")
+    plan = FaultPlan(name="enospc")
+    machine.set_fault_plan(plan.nospace_at_io(plan.io_index + 2))
+    atomic = api.sls_memckpt(heap, 64 * PAGE_SIZE)
+    machine.run_for(10 * MSEC)
+    machine.set_fault_plan(None)
+    assert atomic.info.ckpt_id not in sls.store.checkpoints
+    held = group.last_ckpt_id
+
+    result = sls.checkpoint(group, sync=True)
+    assert held == base and sls.store.checkpoints[held].complete
+    assert result.info.parent == held
+
+
+@pytest.mark.parametrize("failed", ["disk", "atomic"])
+def test_a_memckpt_after_a_rollback_keeps_the_rolled_back_writes(setup,
+                                                                 failed):
+    """A rolled-back checkpoint leaves the region's earlier writes
+    dirty below its top; the next atomic checkpoint captures the
+    region whole, so a crash after it restores both writes."""
+    machine, sls, proc, group, api = setup
+    heap = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
+    proc.vmspace.write(heap, b"base0")
+    proc.vmspace.write(heap + PAGE_SIZE, b"base1")
+    api.sls_checkpoint(sync=True)
+    proc.vmspace.write(heap, b"W1")
+    plan = FaultPlan(name="enospc")
+    machine.set_fault_plan(plan.nospace_at_io(plan.io_index))
+    with pytest.raises(NoSpace):
+        if failed == "disk":
+            sls.checkpoint(group, sync=True)
+        else:
+            api.sls_memckpt(heap, 64 * PAGE_SIZE, sync=True)
+    machine.set_fault_plan(None)
+    proc.vmspace.write(heap + PAGE_SIZE, b"W2")
+    api.sls_memckpt(heap, 64 * PAGE_SIZE, sync=True)
+
+    gid = group.group_id
+    machine.crash()
+    machine.boot()
+    restored = load_aurora(machine).restore(gid, periodic=False)
+    space = restored.root.vmspace
+    assert space.read(heap, 5) == b"W1se0"
+    assert space.read(heap + PAGE_SIZE, 5) == b"W2se1"
 
 
 def test_journal_round_trip(setup):

@@ -1,7 +1,7 @@
 """Crash-schedule exploration: a crash at *any* instant restores the
 last durable checkpoint (§5, §7).
 
-Each of the twelve workloads of ``tests/crashsched.py`` is probed once
+Each of the thirteen workloads of ``tests/crashsched.py`` is probed once
 per module.  The smoke tests (tier-1) cover every pipeline stage
 boundary plus fixed-seed samples of the IO, replication and fleet
 boundaries; the exhaustive sweeps over every entry run under
@@ -873,6 +873,53 @@ def test_exhaustive_pressure_crash_schedule_sweep(pressure_explorer,
     assert {outcome.restored for outcome in outcomes} == {V1, V2}
 
 
+# -- an atomic region checkpoint: an async and a sync sls_memckpt -------------
+
+
+@pytest.fixture(scope="module")
+def atomic_explorer():
+    return Explorer(WORKLOADS["atomic"])
+
+
+@pytest.fixture(scope="module")
+def atomic_schedule(atomic_explorer):
+    return atomic_explorer.probe()
+
+
+def test_atomic_crash_at_every_stage_boundary_and_sampled_io(
+        atomic_explorer, atomic_schedule):
+    """Tier-1 slice: both atomic checkpoints cross all N+1 stage
+    boundaries of the pipeline; a crash at each of them, and at a
+    fixed-seed sample of IO indices with the flip and its successor,
+    restores the last durable version — ``V1`` until the async
+    checkpoint's flip lands, ``V2`` after it."""
+    per_ckpt = [(stage, BEFORE) for stage in STAGE_ORDER]
+    per_ckpt.append((STAGE_ORDER[-1], AFTER))
+    assert atomic_schedule.entries(STAGE) == per_ckpt * 2
+    stages = atomic_schedule.points(STAGE)
+    rng = random.Random(SMOKE_SEED)
+    io_count = len(atomic_schedule.entries(IO))
+    indices = {atomic_schedule.flip, atomic_schedule.flip + 1}
+    indices.update(rng.sample(range(io_count), SMOKE_IO_SAMPLES))
+    outcomes = atomic_explorer.sweep(
+        stages + [(IO, index) for index in sorted(indices)], atomic_schedule)
+    assert all(outcome.ok for outcome in outcomes), \
+        [outcome for outcome in outcomes if not outcome.ok]
+    assert [outcome.restored for outcome in outcomes[:len(stages)]] == \
+        [V1] * len(per_ckpt) + [V2] * len(per_ckpt)
+
+
+@pytest.mark.slow
+def test_atomic_exhaustive_crash_sweep(atomic_explorer, atomic_schedule):
+    """Every stage boundary and every IO index of both atomic
+    checkpoints."""
+    points = atomic_schedule.points(STAGE) + atomic_schedule.points(IO)
+    outcomes = atomic_explorer.sweep(points, atomic_schedule)
+    failures = [outcome for outcome in outcomes if not outcome.ok]
+    assert not failures, failures
+    assert {outcome.restored for outcome in outcomes} == {V1, V2}
+
+
 # -- the schedule space itself -------------------------------------------------
 
 
@@ -893,17 +940,19 @@ PROBED = {
     "fenced": ((8, 9, 73, 0), None),
     "pressure": ((64, 18, 0, 0), 63),
     "fleet": ((47, 90, 0, 17), None),
+    "atomic": ((12, 18, 0, 0), 5),
 }
 
 
 def test_every_probed_schedule_keeps_its_size(
         schedule, incr_schedule, gc_schedule, gc2_schedule, gc3_schedule,
         remount_schedule, cluster_schedule, skewed_schedule, trim_schedule,
-        fenced_schedule, pressure_schedule, fleet_schedule):
+        fenced_schedule, pressure_schedule, fleet_schedule, atomic_schedule):
     probed = dict(zip(PROBED, (
         schedule, incr_schedule, gc_schedule, gc2_schedule, gc3_schedule,
         remount_schedule, cluster_schedule, skewed_schedule, trim_schedule,
-        fenced_schedule, pressure_schedule, fleet_schedule)))
+        fenced_schedule, pressure_schedule, fleet_schedule,
+        atomic_schedule)))
     assert {name: (tuple(len(probe.entries(domain))
                          for domain in (IO, STAGE, REPL, FLEET)), probe.flip)
             for name, probe in probed.items()} == PROBED

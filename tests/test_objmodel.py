@@ -41,7 +41,7 @@ EMBEDDED = {"thread", "vmspace", "pgroup", "session"}
 #: object type, and who charges them instead.
 NOT_PER_TYPE = {
     "CKPT_ORCH_BASE": "pipeline: per checkpoint",
-    "CKPT_ATOMIC_BASE": "api: per sls_memckpt",
+    "CKPT_ATOMIC_BASE": "pipeline: per atomic or mem checkpoint",
     "RESTORE_PAGE_INSERT": "restore.populate_pages: per page",
     "CKPT_FILE_DESC": "serialize: per fd-table slot, before its visit",
 }

@@ -729,14 +729,12 @@ def test_repair_rederives_a_free_list_holding_an_owned_extent():
 
 
 def test_repair_collapses_overgrown_shadow_chains():
-    from repro.core.orchestrator import Orchestrator
     from repro.core.shadowing import NONE
     from repro.objstore import scrub as scrub_mod
 
     machine = Machine()
     sls = load_aurora(machine)
-    sls = Orchestrator(machine, sls.store, sls.slsfs,
-                       collapse_direction=NONE)
+    sls.shadow.collapse_direction = NONE
     proc = machine.kernel.spawn("app")
     addr = proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
     group = sls.attach(proc, periodic=False)

@@ -11,7 +11,6 @@ import pytest
 
 from repro import Machine, load_aurora
 from repro.core.cli import main
-from repro.core.orchestrator import Orchestrator
 from repro.core.shadowing import NONE
 from repro.hw.memory import Page
 from repro.objstore.oid import CLASS_MEMORY, make_oid
@@ -137,9 +136,7 @@ def test_scrub_detects_overgrown_shadow_chain():
     the scrubber must flag them."""
     machine = Machine()
     sls = load_aurora(machine)
-    # Rebuild the orchestrator with collapse disabled (ablation mode).
-    sls = Orchestrator(machine, sls.store, sls.slsfs,
-                       collapse_direction=NONE)
+    sls.shadow.collapse_direction = NONE  # the ablation: never collapse
     proc = machine.kernel.spawn("app")
     addr = proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
     group = sls.attach(proc, periodic=False)
